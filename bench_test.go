@@ -10,6 +10,7 @@ package netsample
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -795,6 +796,63 @@ func BenchmarkFlowTableAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Add(tr.Packets[i%tr.Len()])
+	}
+}
+
+// BenchmarkFlowTableChurn is the flood shape BenchmarkFlowTableAdd never
+// reaches: every packet opens a new flow, with a window cut
+// (CountFlows(Flush())) every 4096 inserts. One untimed window sizes
+// the slab and the key map first, so the timed loop is the warm cost.
+func BenchmarkFlowTableChurn(b *testing.B) {
+	tab, err := flows.NewTable(2_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perWindow = 4096
+	p := trace.Packet{Size: 40, DstPort: 80}
+	var flowsSeen uint64
+	churn := func(i int) {
+		p.Time = int64(i) * 10
+		binary.LittleEndian.PutUint32(p.Src[:], uint32(i))
+		tab.Add(p)
+		if i%perWindow == perWindow-1 {
+			flowsSeen += flows.CountFlows(tab.Flush()).Flows
+		}
+	}
+	for i := 0; i < perWindow; i++ {
+		churn(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(perWindow + i)
+	}
+	if want := uint64(perWindow + b.N - b.N%perWindow); flowsSeen != want {
+		b.Fatalf("cut %d flows, want %d", flowsSeen, want)
+	}
+}
+
+// BenchmarkTopKEvict is the sketch's miss path: at capacity 128 (the
+// pipeline default) every key is unseen, so every AddBytes evicts the
+// minimum counter and rewrites its slot.
+func BenchmarkTopKEvict(b *testing.B) {
+	tk, err := nnstat.NewTopK(pipeline.DefaultTopKCapacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var key [13]byte
+	miss := func(i int) {
+		binary.LittleEndian.PutUint32(key[:], uint32(i))
+		tk.AddBytes(key[:], 1)
+	}
+	for i := 0; i < pipeline.DefaultTopKCapacity; i++ {
+		miss(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss(pipeline.DefaultTopKCapacity + i)
+	}
+	if want := uint64(pipeline.DefaultTopKCapacity + b.N); tk.Total() != want {
+		b.Fatalf("total %d, want %d", tk.Total(), want)
 	}
 }
 

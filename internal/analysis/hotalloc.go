@@ -182,6 +182,9 @@ func (r *hotAllocRule) reportIfBoxes(pass *Pass, info *types.Info, arg ast.Expr,
 	if pt == nil || !types.IsInterface(pt) {
 		return
 	}
+	if _, generic := pt.(*types.TypeParam); generic {
+		return // a type argument is passed by value, not wrapped: the constraint is an interface, the parameter is not
+	}
 	tv, ok := info.Types[arg]
 	if !ok || tv.Type == nil || tv.Value != nil { // constants are interned by the compiler
 		return

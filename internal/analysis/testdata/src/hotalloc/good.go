@@ -20,6 +20,17 @@ func lookup(tab *table, key []byte) int {
 	return tab.counts[string(key)]
 }
 
+// Sum is a root that hands concrete non-pointer values to a generic
+// helper: a type parameter is instantiated, not boxed, even though its
+// constraint is an interface type.
+//
+//nslint:hotpath
+func Sum(key []byte, name string) int {
+	return length(key) + length(name)
+}
+
+func length[K string | []byte](k K) int { return len(k) }
+
 // Flush is called from Index's package but carries a coldpath boundary:
 // its per-window allocations are amortized and deliberately outside the
 // static contract.

@@ -101,7 +101,24 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	if len(s.TopK) > maxTopEntries {
 		return nil, fmt.Errorf("%w: too many top-k entries", ErrWire)
 	}
-	var buf []byte
+	// The exact payload length, summed field by field in layout order, so
+	// the buffer is allocated once instead of regrown as it fills.
+	size := 2 + len(s.Node) + 3*8 + 1 + 4 + 4*8 +
+		2 + 8*len(s.SizeCounts) + 2 + 8*len(s.IatCounts) +
+		5*8 + 2
+	if s.SizeReport != nil {
+		size += metrics.ReportWireSize
+	}
+	if s.IatReport != nil {
+		size += metrics.ReportWireSize
+	}
+	for _, e := range s.TopK {
+		if len(e.Key) > maxNameLen {
+			return nil, fmt.Errorf("%w: top-k key too long", ErrWire)
+		}
+		size += 2 + len(e.Key) + 2*8
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Node)))
 	buf = append(buf, s.Node...)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Seq)
@@ -138,9 +155,6 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.TopK)))
 	for _, e := range s.TopK {
-		if len(e.Key) > maxNameLen {
-			return nil, fmt.Errorf("%w: top-k key too long", ErrWire)
-		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Key)))
 		buf = append(buf, e.Key...)
 		buf = binary.LittleEndian.AppendUint64(buf, e.Count)

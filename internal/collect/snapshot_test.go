@@ -94,6 +94,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
+			if len(payload) != cap(payload) {
+				t.Errorf("encoded %d bytes into a %d-byte buffer: the precomputed payload length is off",
+					len(payload), cap(payload))
+			}
 			got, err := decodeSnapshot(payload)
 			if err != nil {
 				t.Fatalf("decode: %v", err)

@@ -9,8 +9,10 @@
 package flows
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"math"
+	"slices"
 
 	"netsample/internal/packet"
 	"netsample/internal/trace"
@@ -39,10 +41,16 @@ func (f Flow) Duration() int64 { return f.LastUS - f.FirstUS }
 // must be offered in time order; flows idle longer than the timeout are
 // closed, and a new packet with the same key opens a fresh flow (the
 // NetFlow active/idle semantics, idle only).
+//
+// Records live in one slab in the order their first packets arrived;
+// open maps each key to its newest record. An idle-expired record stays
+// where it is, closed, and the key is repointed at a record appended
+// for the new flow — so opening, updating and expiring a flow write
+// only into storage that Flush hands back for reuse.
 type Table struct {
 	timeoutUS int64
-	active    map[Key]*Flow
-	closed    []Flow
+	open      map[Key]uint32 // key → index in recs of the key's newest record
+	recs      []Flow         // every record since the last Flush, by arrival of its first packet
 }
 
 // ErrBadTimeout reports a non-positive idle timeout.
@@ -53,7 +61,7 @@ func NewTable(timeoutUS int64) (*Table, error) {
 	if timeoutUS < 1 {
 		return nil, ErrBadTimeout
 	}
-	return &Table{timeoutUS: timeoutUS, active: make(map[Key]*Flow)}, nil
+	return &Table{timeoutUS: timeoutUS, open: make(map[Key]uint32)}, nil
 }
 
 // Add offers one packet. Expiry is checked lazily per key: a packet
@@ -61,43 +69,80 @@ func NewTable(timeoutUS int64) (*Table, error) {
 // the old flow and starts a new one.
 func (t *Table) Add(p trace.Packet) {
 	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
-	f, ok := t.active[key]
-	if ok && p.Time-f.LastUS > t.timeoutUS {
-		//nslint:allow hotalloc per-expiry, not per-packet: a flow closes once per idle timeout and the slice is recycled by Flush
-		t.closed = append(t.closed, *f)
-		ok = false
+	if i, ok := t.open[key]; ok {
+		if f := &t.recs[i]; p.Time-f.LastUS <= t.timeoutUS {
+			f.Packets++
+			f.Bytes += int64(p.Size)
+			f.LastUS = p.Time
+			return
+		}
 	}
-	if !ok {
-		//nslint:allow hotalloc per-new-flow, not per-packet: steady-state traffic hits the update branch below (pinned by TestPipelineHotPathAllocs)
-		t.active[key] = &Flow{Key: key, Packets: 1, Bytes: int64(p.Size),
-			FirstUS: p.Time, LastUS: p.Time}
-		return
-	}
-	f.Packets++
-	f.Bytes += int64(p.Size)
-	f.LastUS = p.Time
+	//nslint:allow hotalloc per-new-flow: Flush clears the map in place, so it keeps the buckets the busiest window grew and later windows of that size write into them; growth is paid per high-water mark, not per flow (pinned by TestTableAddDoesNotAllocAfterFlush)
+	t.open[key] = slabIndex(uint64(len(t.recs)))
+	//nslint:allow hotalloc per-new-flow: Flush truncates the slab and keeps its capacity, so the array regrows only in a window with more records than any before it (pinned by TestTableAddDoesNotAllocAfterFlush)
+	t.recs = append(t.recs, Flow{Key: key, Packets: 1, Bytes: int64(p.Size),
+		FirstUS: p.Time, LastUS: p.Time})
 }
 
-// ActiveCount returns the number of currently open flows.
-func (t *Table) ActiveCount() int { return len(t.active) }
+// slabIndex narrows a slab position to the map's uint32 value, refusing
+// to wrap: 2^32 records between two Flushes is a 192 GiB slab, and
+// silently aliasing record 0 would corrupt counts instead of failing.
+func slabIndex(n uint64) uint32 {
+	if n > math.MaxUint32 {
+		panic("flows: more than 2^32 flow records between Flushes")
+	}
+	return uint32(n)
+}
+
+// ActiveCount returns the number of currently open flows: distinct keys
+// seen since the last Flush, idle-expired ones included until a packet
+// reopens them.
+func (t *Table) ActiveCount() int { return len(t.open) }
 
 // Flush closes all active flows and returns every flow seen, ordered by
 // first-packet time (ties by key bytes for determinism). The table is
 // reset.
+//
+// The returned slice is the table's own slab, handed over without a
+// copy: it is valid until the next Add on this table, which starts
+// overwriting it. A caller that keeps records across an Add must copy
+// them first.
 func (t *Table) Flush() []Flow {
-	out := t.closed
-	for _, f := range t.active {
-		out = append(out, *f)
-	}
-	t.closed = nil
-	t.active = make(map[Key]*Flow)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FirstUS != out[j].FirstUS {
-			return out[i].FirstUS < out[j].FirstUS
+	out := t.recs
+	t.recs = t.recs[:0]
+	clear(t.open)
+	// Arrival order is already first-packet order; only runs of records
+	// opened in the same microsecond still need the key tie-break.
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && out[hi].FirstUS == out[lo].FirstUS {
+			hi++
 		}
-		return lessKey(out[i].Key, out[j].Key)
-	})
+		if hi < len(out) && out[hi].FirstUS < out[lo].FirstUS {
+			// A packet was offered out of time order, so arrival order
+			// is not first-packet order after all: sort everything.
+			slices.SortFunc(out, cmpFlow)
+			return out
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(out[lo:hi], cmpFlow)
+		}
+		lo = hi
+	}
 	return out
+}
+
+// cmpFlow is Flush's documented order: first-packet time, then key.
+func cmpFlow(a, b Flow) int {
+	switch {
+	case a.FirstUS != b.FirstUS:
+		return cmp.Compare(a.FirstUS, b.FirstUS)
+	case lessKey(a.Key, b.Key):
+		return -1
+	case lessKey(b.Key, a.Key):
+		return 1
+	}
+	return 0
 }
 
 func lessKey(a, b Key) bool {
@@ -117,6 +162,8 @@ func lessKey(a, b Key) bool {
 }
 
 // Decompose splits a whole trace into flows with the given idle timeout.
+// Its table is never offered another packet, so the records are the
+// caller's to keep.
 func Decompose(tr *trace.Trace, timeoutUS int64) ([]Flow, error) {
 	t, err := NewTable(timeoutUS)
 	if err != nil {

@@ -1,9 +1,14 @@
 package flows
 
 import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"netsample/internal/core"
+	"netsample/internal/dist"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -193,5 +198,203 @@ func TestCountFlows(t *testing.T) {
 	}
 	if sum != want {
 		t.Errorf("split counts sum to %+v, want %+v", sum, want)
+	}
+}
+
+// refTable is the table as it was before the slab rewrite — one heap
+// record per open flow, expired records copied to a closed list — kept
+// test-only as the model for Flush's contents and ActiveCount.
+type refTable struct {
+	timeoutUS int64
+	active    map[Key]*Flow
+	closed    []Flow
+}
+
+func (t *refTable) Add(p trace.Packet) {
+	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+	f, ok := t.active[key]
+	if ok && p.Time-f.LastUS > t.timeoutUS {
+		t.closed = append(t.closed, *f)
+		ok = false
+	}
+	if !ok {
+		t.active[key] = &Flow{Key: key, Packets: 1, Bytes: int64(p.Size), FirstUS: p.Time, LastUS: p.Time}
+		return
+	}
+	f.Packets++
+	f.Bytes += int64(p.Size)
+	f.LastUS = p.Time
+}
+
+func (t *refTable) Flush() []Flow {
+	out := t.closed
+	for _, f := range t.active {
+		out = append(out, *f)
+	}
+	t.closed, t.active = nil, map[Key]*Flow{}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].FirstUS != out[j].FirstUS {
+			return out[i].FirstUS < out[j].FirstUS
+		}
+		return lessKey(out[i].Key, out[j].Key)
+	})
+	return out
+}
+
+// cmpRecord orders whole records, so two flushes can be compared as
+// multisets even where Flush's own order leaves a tie (the same key
+// reopened in the same microsecond, possible only out of time order).
+func cmpRecord(a, b Flow) int {
+	if c := cmpFlow(a, b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.LastUS, b.LastUS); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Packets, b.Packets); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bytes, b.Bytes)
+}
+
+// TestFlushMatchesSortedReference is the property behind the sort-free
+// window cut: over several windows of random traffic — few keys, many
+// first packets in the same microsecond, idle gaps that expire and
+// reopen keys — Flush returns exactly what sorting the old table's
+// records by (FirstUS, key) returns, and ActiveCount agrees before
+// every cut. The out-of-order case replays the same traffic with
+// timestamps jittered backwards, which must trip the full-sort
+// fallback and still come out ordered.
+func TestFlushMatchesSortedReference(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		jitterUS   int64
+		outOfOrder bool
+	}{
+		{"time-ordered", 0, false},
+		{"out-of-order", 400, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const timeoutUS = 50
+			r := dist.NewRNG(77)
+			tab, err := NewTable(timeoutUS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refTable{timeoutUS: timeoutUS, active: map[Key]*Flow{}}
+			var now int64
+			sawBackwards := false
+			for window := 0; window < 40; window++ {
+				for i, n := 0, 1+r.IntN(400); i < n; i++ {
+					// Bursts share a microsecond; occasional gaps outlive the
+					// timeout so a quiet key's next packet reopens it.
+					switch u := r.Float64(); {
+					case u < 0.6:
+					case u < 0.97:
+						now += int64(1 + r.IntN(5))
+					default:
+						now += int64(timeoutUS + r.IntN(4*timeoutUS))
+					}
+					p := pkt(now, uint16(r.IntN(24)), uint16(40+r.IntN(1400)))
+					p.Src[3] = byte(r.IntN(3))
+					if tc.jitterUS > 0 && r.Float64() < 0.2 {
+						p.Time -= int64(r.IntN(int(tc.jitterUS)))
+						sawBackwards = true
+					}
+					tab.Add(p)
+					ref.Add(p)
+				}
+				if got, want := tab.ActiveCount(), len(ref.active); got != want {
+					t.Fatalf("window %d: ActiveCount = %d, reference %d", window, got, want)
+				}
+				got, want := tab.Flush(), ref.Flush()
+				if !slices.IsSortedFunc(got, cmpFlow) {
+					t.Fatalf("window %d: Flush not in (FirstUS, key) order", window)
+				}
+				if !tc.outOfOrder && !slices.Equal(got, want) {
+					t.Fatalf("window %d: Flush differs from the sorted reference", window)
+				}
+				got = slices.Clone(got)
+				slices.SortFunc(got, cmpRecord)
+				slices.SortFunc(want, cmpRecord)
+				if !slices.Equal(got, want) {
+					t.Fatalf("window %d: Flush holds different records than the reference (%d vs %d)",
+						window, len(got), len(want))
+				}
+				if tab.ActiveCount() != 0 {
+					t.Fatalf("window %d: Flush left %d keys open", window, tab.ActiveCount())
+				}
+			}
+			if tc.outOfOrder != sawBackwards {
+				t.Fatalf("case generated backwards timestamps = %v, want %v", sawBackwards, tc.outOfOrder)
+			}
+		})
+	}
+}
+
+// TestFlushSliceValidUntilNextAdd pins the aliasing contract: Flush
+// hands back the slab itself, so the records stay put until the table
+// is offered another packet — and Decompose's result, whose table is
+// never touched again, is the caller's outright.
+func TestFlushSliceValidUntilNextAdd(t *testing.T) {
+	tab, err := NewTable(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Add(pkt(0, 1, 100))
+	tab.Add(pkt(1, 2, 100))
+	first := tab.Flush()
+	kept := slices.Clone(first)
+	if again := tab.Flush(); len(again) != 0 {
+		t.Fatalf("second Flush returned %d records", len(again))
+	}
+	if !slices.Equal(first, kept) {
+		t.Fatal("records changed before the next Add")
+	}
+	tab.Add(pkt(2, 3, 100))
+	if first[0] == kept[0] {
+		t.Fatal("Add after Flush did not reuse the slab; the documented lifetime is wrong")
+	}
+}
+
+// TestSlabIndexRefusesToWrap covers the checked path that keeps the
+// map's uint32 record index from aliasing record 0 at 2^32 records.
+func TestSlabIndexRefusesToWrap(t *testing.T) {
+	if got := slabIndex(math.MaxUint32); got != math.MaxUint32 {
+		t.Fatalf("slabIndex(MaxUint32) = %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("slabIndex(2^32) wrapped instead of panicking")
+		}
+	}()
+	slabIndex(math.MaxUint32 + 1)
+}
+
+// TestTableAddDoesNotAllocAfterFlush pins the insert path: once one
+// window has sized the slab and the key map, a window of all-new flows
+// — every Add a map insert and a slab append — allocates nothing, and
+// neither does the cut.
+func TestTableAddDoesNotAllocAfterFlush(t *testing.T) {
+	tab, err := NewTable(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perWindow = 4096
+	var now int64
+	var port uint16
+	window := func() {
+		for i := 0; i < perWindow; i++ {
+			now += 3
+			port++
+			tab.Add(pkt(now, port, 64))
+		}
+		if got := CountFlows(tab.Flush()).Flows; got != perWindow {
+			t.Fatalf("window held %d flows, want %d", got, perWindow)
+		}
+	}
+	window() // warm-up: grows the slab and the map's buckets
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("a warm window of %d new flows allocates %.1f times", perWindow, avg)
 	}
 }

@@ -10,118 +10,239 @@
 package nnstat
 
 import (
-	"container/heap"
+	"bytes"
 	"errors"
-	"sort"
+	"slices"
 )
 
 // TopK is a Space-Saving heavy-hitter sketch over string keys.
+//
+// All state is sized once in NewTopK: a slab of capacity counters whose
+// key bytes live in a per-counter buffer, a min-heap of slab indices
+// ordered by count, and an open-addressed hash index from key to slab
+// index. Evicting the minimum counter rewrites its slab entry in place,
+// so a warm sketch accounts hits, misses and evictions without touching
+// the allocator.
 type TopK struct {
-	capacity int
-	entries  map[string]*tkEntry
-	h        tkHeap
-	total    uint64
+	slots []tkSlot // len capacity; slots[:n] are live
+	n     int
+	heap  []int32 // len capacity; heap[:n] is a min-heap of slot indices by count
+	index []int32 // open-addressed, linear probing: slot index + 1, 0 = empty
+	mask  uint32  // len(index) - 1; len(index) is a power of two >= 2*capacity
+	total uint64
 }
 
-type tkEntry struct {
-	key     string
+type tkSlot struct {
+	key     []byte // reused across evictions
+	hash    uint64
 	count   uint64
 	overcnt uint64 // upper bound on the overestimate
-	heapIdx int
+	heapIdx int32
 }
 
-// tkHeap is a min-heap over counts.
-type tkHeap []*tkEntry
+// maxCapacity keeps slot indices (and index cells, which store index+1
+// in a table of at least twice the capacity) inside int32.
+const maxCapacity = 1 << 29
 
-func (h tkHeap) Len() int            { return len(h) }
-func (h tkHeap) Less(i, j int) bool  { return h[i].count < h[j].count }
-func (h tkHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *tkHeap) Push(x interface{}) { e := x.(*tkEntry); e.heapIdx = len(*h); *h = append(*h, e) }
-func (h *tkHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// ErrBadCapacity reports a non-positive sketch capacity.
-var ErrBadCapacity = errors.New("nnstat: capacity must be positive")
+// ErrBadCapacity reports a sketch capacity outside [1, 2^29].
+var ErrBadCapacity = errors.New("nnstat: capacity must be positive and at most 2^29")
 
 // NewTopK builds a sketch holding at most capacity counters.
 func NewTopK(capacity int) (*TopK, error) {
-	if capacity < 1 {
+	if capacity < 1 || capacity > maxCapacity {
 		return nil, ErrBadCapacity
 	}
+	cells := 2
+	for cells < 2*capacity {
+		cells <<= 1
+	}
 	return &TopK{
-		capacity: capacity,
-		entries:  make(map[string]*tkEntry, capacity),
+		slots: make([]tkSlot, capacity),
+		heap:  make([]int32, capacity),
+		index: make([]int32, cells),
+		mask:  uint32(cells - 1),
 	}, nil
 }
 
 // Add accounts weight occurrences of key.
-func (t *TopK) Add(key string, weight uint64) {
-	t.total += weight
-	if e, ok := t.entries[key]; ok {
-		e.count += weight
-		heap.Fix(&t.h, e.heapIdx)
-		return
-	}
-	if len(t.entries) < t.capacity {
-		e := &tkEntry{key: key, count: weight}
-		t.entries[key] = e
-		heap.Push(&t.h, e)
-		return
-	}
-	// Evict the minimum counter: the newcomer inherits its count as the
-	// classic Space-Saving overestimate bound.
-	min := t.h[0]
-	delete(t.entries, min.key)
-	e := &tkEntry{key: key, count: min.count + weight, overcnt: min.count, heapIdx: 0}
-	t.entries[key] = e
-	t.h[0] = e
-	heap.Fix(&t.h, 0)
-}
+func (t *TopK) Add(key string, weight uint64) { tkAdd(t, key, weight) }
 
 // AddBytes accounts weight occurrences of the key spelled as raw
-// bytes. It is the streaming hot-path form of Add: the map lookup uses
-// Go's allocation-free []byte→string conversion, so accounting a key
-// already in the sketch allocates nothing; the key string is only
-// materialized when a new counter is created or the minimum counter is
-// evicted. The caller may reuse key's backing array across calls.
-func (t *TopK) AddBytes(key []byte, weight uint64) {
+// bytes. It is the streaming hot-path form of Add: hit, miss and evict
+// all work on the sketch's own storage, so once every counter has held
+// a key of this length the call never allocates (pinned by
+// TestAddBytesDoesNotAllocOnHit and TestAddBytesDoesNotAllocOnEvict).
+// The caller may reuse key's backing array across calls.
+func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, key, weight) }
+
+// tkAdd is Add and AddBytes: one body over both key spellings, so
+// neither converts (and so copies) its key to reach the other.
+func tkAdd[K string | []byte](t *TopK, key K, weight uint64) {
 	t.total += weight
-	if e, ok := t.entries[string(key)]; ok {
-		e.count += weight
-		heap.Fix(&t.h, e.heapIdx)
+	h := hashKey(key)
+	for pos := uint32(h) & t.mask; ; pos = (pos + 1) & t.mask {
+		c := t.index[pos]
+		if c == 0 {
+			break
+		}
+		if s := &t.slots[c-1]; s.hash == h && keyEqual(s.key, key) {
+			s.count += weight
+			t.fix(int(s.heapIdx))
+			return
+		}
+	}
+	if t.n < len(t.slots) {
+		si := int32(t.n)
+		s := &t.slots[si]
+		//nslint:allow hotalloc fill branch, at most capacity times between Resets; the buffer survives Reset and eviction, so it grows only for a key longer than any this slot has held
+		s.key = append(s.key[:0], key...)
+		s.hash, s.count, s.overcnt, s.heapIdx = h, weight, 0, si
+		t.heap[si] = si
+		t.n++
+		t.indexInsert(h, si)
+		t.up(int(si))
 		return
 	}
-	if len(t.entries) < t.capacity {
-		//nslint:allow hotalloc fill branch: runs at most capacity times per window, then never again
-		e := &tkEntry{key: string(key), count: weight}
-		//nslint:allow hotalloc fill branch: bounded by capacity, not by packets
-		t.entries[e.key] = e
-		heap.Push(&t.h, e)
-		return
-	}
-	min := t.h[0]
-	delete(t.entries, min.key)
-	//nslint:allow hotalloc evict branch: one entry and one key copy per evicted counter, the sketch's amortized miss cost (hits are pinned alloc-free by TestAddBytesDoesNotAllocOnHit)
-	e := &tkEntry{key: string(key), count: min.count + weight, overcnt: min.count, heapIdx: 0}
-	//nslint:allow hotalloc evict branch: rewrites a deleted slot; the table never grows past capacity
-	t.entries[e.key] = e
-	t.h[0] = e
-	heap.Fix(&t.h, 0)
+	// Evict the minimum counter: the newcomer takes over its slot and
+	// inherits its count as the classic Space-Saving overestimate bound.
+	si := t.heap[0]
+	s := &t.slots[si]
+	t.indexDelete(si)
+	//nslint:allow hotalloc evict branch rewrites the victim's retained buffer; it grows only for a key longer than any this slot has held (fixed-length keys: never, pinned by TestAddBytesDoesNotAllocOnEvict)
+	s.key = append(s.key[:0], key...)
+	s.hash, s.overcnt = h, s.count
+	s.count += weight
+	t.indexInsert(h, si)
+	t.fix(0)
 }
 
-// Reset empties the sketch for reuse, keeping its capacity. The counter
-// map and heap storage are retained, so windowed use (reset per window)
-// does not reallocate.
-func (t *TopK) Reset() {
-	for k := range t.entries {
-		delete(t.entries, k)
+// hashKey mixes the key eight bytes at a time. It is deterministic
+// (no per-process seed), so probe sequences — and with them the
+// benchmark's timings — repeat from run to run; the sketch's output
+// does not depend on it at all.
+func hashKey[K string | []byte](k K) uint64 {
+	const m1, m2 = 0x9E3779B97F4A7C15, 0xD6E8FEB86659FD93
+	h := uint64(len(k)) * m1
+	i := 0
+	for ; i+8 <= len(k); i += 8 {
+		w := uint64(k[i]) | uint64(k[i+1])<<8 | uint64(k[i+2])<<16 | uint64(k[i+3])<<24 |
+			uint64(k[i+4])<<32 | uint64(k[i+5])<<40 | uint64(k[i+6])<<48 | uint64(k[i+7])<<56
+		h = (h ^ w) * m2
+		h ^= h >> 32
 	}
-	t.h = t.h[:0]
+	var w uint64
+	for s := uint(0); i < len(k); i, s = i+1, s+8 {
+		w |= uint64(k[i]) << s
+	}
+	h = (h ^ w) * m2
+	h ^= h >> 32
+	h *= m1
+	return h ^ h>>29
+}
+
+func keyEqual[K string | []byte](have []byte, k K) bool {
+	if len(have) != len(k) {
+		return false
+	}
+	for i := range have {
+		if have[i] != k[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexInsert records slot si under hash h in the first free cell of
+// h's probe run. The table is never more than half full, so a free
+// cell always exists.
+func (t *TopK) indexInsert(h uint64, si int32) {
+	pos := uint32(h) & t.mask
+	for t.index[pos] != 0 {
+		pos = (pos + 1) & t.mask
+	}
+	t.index[pos] = si + 1
+}
+
+// indexDelete removes slot si's cell by backward-shift deletion: each
+// later cell of the probe run moves into the hole unless its home lies
+// cyclically after the hole, so lookups never need tombstones and the
+// table never degrades under eviction churn.
+func (t *TopK) indexDelete(si int32) {
+	mask := t.mask
+	hole := uint32(t.slots[si].hash) & mask
+	for t.index[hole] != si+1 {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		home := uint32(t.slots[t.index[j]-1].hash) & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			t.index[hole] = t.index[j]
+			hole = j
+		}
+	}
+	t.index[hole] = 0
+}
+
+// The heap mirrors container/heap's up, down and Fix step for step —
+// strict <, the left child unless the right is strictly smaller, down
+// before up. Which of several equal minimum counters reaches the root
+// decides the next eviction victim, so these tie rules are output
+// (held to the container/heap reference by TestTopKMatchesReference).
+
+func (t *TopK) less(i, j int) bool {
+	return t.slots[t.heap[i]].count < t.slots[t.heap[j]].count
+}
+
+func (t *TopK) swap(i, j int) {
+	h := t.heap
+	h[i], h[j] = h[j], h[i]
+	t.slots[h[i]].heapIdx = int32(i)
+	t.slots[h[j]].heapIdx = int32(j)
+}
+
+func (t *TopK) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !t.less(j, i) {
+			break
+		}
+		t.swap(i, j)
+		j = i
+	}
+}
+
+func (t *TopK) down(i0 int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= t.n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < t.n && t.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !t.less(j, i) {
+			break
+		}
+		t.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (t *TopK) fix(i int) {
+	if !t.down(i) {
+		t.up(i)
+	}
+}
+
+// Reset empties the sketch for reuse, keeping its capacity. Every
+// buffer, key buffers included, is retained, so windowed use (reset per
+// window) does not reallocate.
+func (t *TopK) Reset() {
+	clear(t.index)
+	t.n = 0
 	t.total = 0
 }
 
@@ -139,20 +260,30 @@ type Entry struct {
 }
 
 // Top returns up to n entries by descending estimated count (ties by
-// key for determinism).
+// key for determinism). Only the reported entries' keys are
+// materialized as strings.
 func (t *TopK) Top(n int) []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, Entry{Key: e.key, Count: e.count, MaxError: e.overcnt})
+	order := make([]int32, t.n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(order, func(a, b int32) int {
+		sa, sb := &t.slots[a], &t.slots[b]
+		if sa.count != sb.count {
+			if sa.count > sb.count {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Key < out[j].Key
+		return bytes.Compare(sa.key, sb.key)
 	})
-	if n < len(out) {
-		out = out[:n]
+	if n < len(order) {
+		order = order[:n]
+	}
+	out := make([]Entry, len(order))
+	for i, si := range order {
+		s := &t.slots[si]
+		out[i] = Entry{Key: string(s.key), Count: s.count, MaxError: s.overcnt}
 	}
 	return out
 }
@@ -161,7 +292,7 @@ func (t *TopK) Top(n int) []Entry {
 // exceeds every other entry's upper bound rank-wise — the keys certain
 // to be true heavy hitters.
 func (t *TopK) GuaranteedTop(n int) []Entry {
-	all := t.Top(len(t.entries))
+	all := t.Top(t.n)
 	var out []Entry
 	for i, e := range all {
 		if len(out) == n {

@@ -1,6 +1,7 @@
 package nnstat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -196,10 +197,38 @@ func TestAddBytesDoesNotAllocOnHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	tk.AddBytes(key, 1) // insert once (allocates the key string)
+	tk.AddBytes(key, 1) // insert once (sizes the slot's key buffer)
 	avg := testing.AllocsPerRun(1000, func() { tk.AddBytes(key, 1) })
 	if avg != 0 {
 		t.Errorf("AddBytes on existing key allocates %.2f per call", avg)
+	}
+}
+
+// TestAddBytesDoesNotAllocOnEvict pins the miss path: at capacity every
+// unseen key evicts the minimum counter, and once each slot's buffer has
+// held a key of this length — before or after a Reset — the eviction
+// reuses it instead of allocating an entry and a key string.
+func TestAddBytesDoesNotAllocOnEvict(t *testing.T) {
+	tk, err := NewTopK(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key [13]byte
+	next := uint32(0)
+	miss := func() {
+		binary.LittleEndian.PutUint32(key[:], next)
+		next++
+		tk.AddBytes(key[:], 1)
+	}
+	for i := 0; i < 128; i++ {
+		miss() // fill: sizes every slot's buffer
+	}
+	if avg := testing.AllocsPerRun(2000, miss); avg != 0 {
+		t.Errorf("AddBytes evicting at capacity allocates %.2f per call", avg)
+	}
+	tk.Reset()
+	if avg := testing.AllocsPerRun(2000, miss); avg != 0 {
+		t.Errorf("AddBytes refilling and evicting after Reset allocates %.2f per call", avg)
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 
 	"netsample/internal/online"
@@ -68,5 +69,77 @@ func TestPipelineHotPathAllocs(t *testing.T) {
 	snap, ok := p.Latest()
 	if !ok || snap.Processed != n {
 		t.Fatalf("run did not process all packets: %+v", snap)
+	}
+}
+
+// churnSource synthesizes n packets that each open a new 5-tuple, 10 µs
+// apart: every selected packet is a flow-table insert and, once the
+// sketch is full, a Space-Saving eviction — the flood shape, where no
+// packet ever takes the update branch.
+type churnSource struct {
+	n   int
+	pos int
+}
+
+func (c *churnSource) Next() (trace.Packet, error) {
+	if c.pos >= c.n {
+		return trace.Packet{}, io.EOF
+	}
+	i := c.pos
+	c.pos++
+	return trace.Packet{
+		Time:    int64(i) * 10,
+		Size:    40,
+		Src:     packet.Addr{byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)},
+		Dst:     packet.Addr{10, 0, 1, 1},
+		SrcPort: uint16(i),
+		DstPort: 80,
+	}, nil
+}
+
+// TestPipelineChurnPathAllocs pins the miss paths the cycling source
+// never reaches. With every packet selected, every packet a new flow
+// and ten windows of equal size, the first window sizes the flow slab,
+// its key map and the sketch's key buffers; from its snapshot on, the
+// whole rest of the run — inserts, evictions and nine window cuts —
+// stays under one allocation per hundred packets.
+func TestPipelineChurnPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	const (
+		n         = 200_000
+		perWindow = 20_000
+	)
+	var (
+		before, after runtime.MemStats
+		warm          sync.Once
+	)
+	p, err := New(Config{
+		Shards:     1,
+		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+		WindowUS:   perWindow * 10,
+		OnSnapshot: func(*Snapshot) { warm.Do(func() { runtime.ReadMemStats(&before) }) },
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := p.Run(&churnSource{n: n}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	snaps := p.Snapshots()
+	if len(snaps) != n/perWindow {
+		t.Fatalf("run cut %d windows, want %d", len(snaps), n/perWindow)
+	}
+	for _, s := range snaps {
+		if s.Selected != perWindow || s.Flows.Flows != perWindow || s.Flows.Singletons != perWindow {
+			t.Fatalf("window %d is not all-new flows: selected %d, flows %+v", s.Seq, s.Selected, s.Flows)
+		}
+	}
+	const measured = n - perWindow
+	if allocs := after.Mallocs - before.Mallocs; allocs > measured/100 {
+		t.Errorf("%d churn packets after the warm-up window made %d allocations (> %d): a miss path is allocating",
+			measured, allocs, measured/100)
 	}
 }

@@ -42,6 +42,10 @@ type shardMsg struct {
 	dropped uint64
 }
 
+// histBufs is one window's pair of histogram copies, travelling from a
+// shard's cut to the collector inside a shardPart and back for reuse.
+type histBufs struct{ size, iat []float64 }
+
 // shardState is one worker shard. Field ownership is strict: in and
 // free are the rings connecting it to each ingest worker (indexed by
 // worker id); epochs are the workers' progress counters (loaded only);
@@ -81,6 +85,11 @@ type shardState struct {
 	iatEdged   *bins.Edged
 	sizeCounts []float64
 	iatCounts  []float64
+	// histFree returns the histogram copies of merged shardParts from
+	// the snapshot collector, so cut reuses them instead of allocating a
+	// pair per window. Two pairs cover the steady state: one being
+	// merged while the next window's is cut.
+	histFree   chan histBufs
 	flowTab    *flows.Table
 	topk       *nnstat.TopK
 	topkReport int
@@ -115,6 +124,7 @@ func newShardState(id int, sampler online.Sampler, cfg *Config, sizeLUT []uint8)
 		iatEdged:   iatEdged,
 		sizeCounts: make([]float64, cfg.SizeScheme.NumBins()),
 		iatCounts:  make([]float64, cfg.IatScheme.NumBins()),
+		histFree:   make(chan histBufs, 2),
 		flowTab:    flowTab,
 		topk:       topk,
 		topkReport: cfg.TopKReport,
@@ -287,13 +297,21 @@ func (st *shardState) process(it *item) {
 //
 //nslint:coldpath runs once per window cut; its copies amortize over the window's packets
 func (st *shardState) cut() shardPart {
+	var hist histBufs
+	select {
+	case hist = <-st.histFree:
+	default:
+		hist = histBufs{make([]float64, len(st.sizeCounts)), make([]float64, len(st.iatCounts))}
+	}
+	copy(hist.size, st.sizeCounts)
+	copy(hist.iat, st.iatCounts)
 	part := shardPart{
 		shard:       st.id,
 		processed:   st.processed,
 		selected:    st.selected,
 		dropped:     st.dropped,
-		sizeCounts:  append([]float64(nil), st.sizeCounts...),
-		iatCounts:   append([]float64(nil), st.iatCounts...),
+		sizeCounts:  hist.size,
+		iatCounts:   hist.iat,
 		activeFlows: st.flowTab.ActiveCount(),
 		topk:        st.topk.Top(st.topkReport),
 	}

@@ -109,6 +109,14 @@ func (p *Pipeline) collect() {
 			parts[part.shard] = part
 		}
 		snap := p.merge(bar, parts)
+		// merge summed the parts' histograms into the snapshot's own
+		// slices, so nothing published refers to them: hand them back.
+		for _, part := range parts {
+			select {
+			case p.shards[part.shard].histFree <- histBufs{part.sizeCounts, part.iatCounts}:
+			default:
+			}
+		}
 		if bar.decided != nil {
 			// Control step before publication: the reader is parked on
 			// this barrier and every window it reads next depends on the
