@@ -40,13 +40,6 @@
 // -mutex-profile-fraction / -block-profile-rate enable the runtime's
 // contention profilers, so ring and scheduler behavior is observable in
 // production runs (see README for a capture recipe).
-//
-// Placement: -topology prints the detected CPU/cache layout and the
-// thread plan for the configured shard/worker counts; -pin applies it,
-// pinning the reader, ingest workers, and shard workers so each SPSC
-// ring's producer/consumer pair shares an LLC domain (best-effort —
-// rejected affinity calls are logged after the run, and output is
-// identical either way; DESIGN.md §15).
 package main
 
 import (
@@ -67,7 +60,6 @@ import (
 	"netsample/internal/bins"
 	"netsample/internal/collect"
 	"netsample/internal/core"
-	"netsample/internal/cputopo"
 	"netsample/internal/dist"
 	"netsample/internal/online"
 	"netsample/internal/pipeline"
@@ -108,8 +100,6 @@ func main() {
 		storeDir      = flag.String("store", "", "persist every window snapshot to this store directory (append-only segment log)")
 		storeSync     = flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
 		storeSegment  = flag.Int("store-segment", store.DefaultSegmentRecords, "snapshots per store segment before it is sealed")
-		pin           = flag.Bool("pin", false, "pin reader/ingest/shard threads to CPUs, topology-aware (best-effort; see -topology)")
-		topology      = flag.Bool("topology", false, "print the detected CPU/cache topology and the placement plan, then exit")
 		once          = flag.Bool("once", false, "exit when the source drains instead of serving until a signal")
 		quiet         = flag.Bool("q", false, "suppress per-window snapshot lines")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
@@ -117,15 +107,6 @@ func main() {
 		blockRate     = flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate in ns (0 = off)")
 	)
 	flag.Parse()
-
-	if *topology {
-		topo := cputopo.Detect()
-		fmt.Println(topo.Summary())
-		plan := cputopo.Plan(topo, *ingestWorkers, *shards)
-		fmt.Printf("plan (reader + %d ingest + %d shards): reader cpu %d, ingest %v, shards %v\n",
-			*ingestWorkers, *shards, plan.Reader, plan.Ingest, plan.Shards)
-		return
-	}
 
 	if *mutexFrac > 0 {
 		runtime.SetMutexProfileFraction(*mutexFrac)
@@ -181,7 +162,6 @@ func main() {
 		}
 	}
 	cfg.IngestWorkers = *ingestWorkers
-	cfg.Pinning = *pin
 	var sw *store.Writer
 	if *storeDir != "" {
 		sw, err = store.Open(*storeDir, store.Options{
@@ -234,9 +214,6 @@ func main() {
 
 	if err := p.Run(src); err != nil {
 		log.Fatalf("pipeline: %v", err)
-	}
-	if n := p.PinFailures(); n > 0 {
-		log.Printf("pinning: %d affinity calls rejected (cgroup cpuset or non-Linux); ran unpinned", n)
 	}
 	// The mapping outlives Run (workers hold views into it until the
 	// pipeline drains); release it only once the run is over.

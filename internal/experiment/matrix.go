@@ -71,8 +71,18 @@ func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The reference populations depend on the scenario's trace alone:
+		// every sampler's cell scores against the same two evaluators.
+		sizeEval, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
+		if err != nil {
+			return nil, err
+		}
+		iatEval, err := core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival())
+		if err != nil {
+			return nil, err
+		}
 		for _, sampler := range MatrixSamplers {
-			cell, err := matrixCell(tr, name, sampler, seed, dur, k)
+			cell, err := matrixCell(tr, sizeEval, iatEval, name, sampler, seed, dur, k)
 			if err != nil {
 				return nil, fmt.Errorf("matrix %s/%s: %w", name, sampler, err)
 			}
@@ -90,18 +100,13 @@ func cellSeed(seed uint64, scenario, sampler string) uint64 {
 	return h.Sum64()
 }
 
-func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time.Duration, k int) (MatrixCell, error) {
+func matrixCell(tr *trace.Trace, sizeEval, iatEval *core.Evaluator, scenario, sampler string, seed uint64, dur time.Duration, k int) (MatrixCell, error) {
 	cell := MatrixCell{Scenario: scenario, Sampler: sampler}
 	cfg := pipeline.Config{
 		Shards:   1,
 		WindowUS: dur.Microseconds() / 6,
-	}
-	var err error
-	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
-		return cell, err
-	}
-	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
-		return cell, err
+		SizeEval: sizeEval,
+		IatEval:  iatEval,
 	}
 	rng := dist.NewRNG(cellSeed(seed, scenario, sampler))
 	switch sampler {

@@ -38,8 +38,9 @@ func (c *cycleSource) Next() (trace.Packet, error) {
 // TestPipelineHotPathAllocs pins the 0-steady-state-allocs/packet claim
 // of the ingest→shard→sample hot path: a long run's total heap
 // allocation count, measured end to end, stays bounded by the fixed
-// startup cost (queues, flow entries, goroutines, final snapshot) —
-// far below one allocation per hundred packets.
+// startup cost (queues, flow entries, goroutines, final snapshot) plus
+// the edge adapter's one record window per BatchSize packets — below
+// one allocation per hundred packets.
 func TestPipelineHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

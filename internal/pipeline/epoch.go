@@ -76,15 +76,12 @@ func (e *epoch) wake() {
 }
 
 // wait blocks until the worker's published progress exceeds seq,
-// returning the value observed. Spin-then-park with an adaptive
-// budget; sp is owned by the calling shard.
+// returning the value observed. Spin-then-park; sp is owned by the
+// calling shard.
 func (e *epoch) wait(seq uint64, sp *spinState) uint64 {
 	spins := 0
 	for {
 		if d := e.done.Load(); d > seq {
-			if spins > 0 {
-				sp.won()
-			}
 			return d
 		}
 		if spins < sp.budget {
@@ -103,7 +100,6 @@ func (e *epoch) wait(seq uint64, sp *spinState) uint64 {
 		}
 		e.mu.Unlock()
 		e.parked.Add(-1)
-		sp.lost()
 		spins = 0
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"netsample/internal/cputopo"
 	"netsample/internal/dist"
 	"netsample/internal/online"
 	"netsample/internal/trace"
@@ -195,34 +194,5 @@ func TestEpochWaitParkWake(t *testing.T) {
 	wg.Wait()
 	if e.stores != rounds+1 {
 		t.Errorf("stores = %d, want %d", e.stores, rounds+1)
-	}
-}
-
-// TestAutoQueueDepth checks the LLC-fraction ring sizing and its
-// clamps: unknown topology falls back to the default, a huge LLC
-// clamps at 64, a tiny one at 2.
-func TestAutoQueueDepth(t *testing.T) {
-	topoWithLLC := func(bytes int64) *cputopo.Topology {
-		return &cputopo.Topology{
-			CPUs:     []cputopo.CPU{{ID: 0}},
-			LLCs:     [][]int{{0}},
-			LLCBytes: bytes,
-			Source:   "test",
-		}
-	}
-	if got := autoQueueDepth(nil, 2, 4, 256); got != DefaultQueueDepth {
-		t.Errorf("nil topo: depth %d, want default %d", got, DefaultQueueDepth)
-	}
-	if got := autoQueueDepth(topoWithLLC(1<<30), 1, 1, 1); got != 64 {
-		t.Errorf("huge LLC: depth %d, want 64", got)
-	}
-	if got := autoQueueDepth(topoWithLLC(4096), 4, 4, 256); got != 2 {
-		t.Errorf("tiny LLC: depth %d, want 2", got)
-	}
-	// 8 MiB LLC, 2x4 rings of 256-item batches: a mid-range value
-	// strictly between the clamps.
-	got := autoQueueDepth(topoWithLLC(8<<20), 2, 4, 256)
-	if got <= 2 || got >= 64 {
-		t.Errorf("mid LLC: depth %d, want strictly between clamps", got)
 	}
 }

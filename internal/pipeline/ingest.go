@@ -11,21 +11,19 @@ import (
 // BatchSource is the amortized form of Source: it fills dst with the
 // next packets of the stream, returning how many it wrote. Like
 // io.Reader, it may return n > 0 alongside an error (including io.EOF);
-// those packets precede the error in the stream. Run prefers this
-// interface when a Source implements it — one interface call per batch
+// those packets precede the error in the stream. Run's edge adapter
+// uses it when a Source implements it — one interface call per batch
 // instead of per packet. *trace.Replayer and *trace.StreamReader
 // implement it natively.
 type BatchSource interface {
 	NextBatch(dst []trace.Packet) (int, error)
 }
 
-// RawBatchSource is the zero-copy form of BatchSource: instead of
-// filling a caller buffer with decoded packets, it hands out windows of
-// raw NSTR record bytes (length a multiple of trace.RecordLen) for up
-// to max records, plus the record count. Decoding then happens inside
-// the parallel ingest workers — fused with shard hashing and gap
-// stamping in one DecodeBatch pass — rather than on the sequential
-// reader goroutine.
+// RawBatchSource is the pipeline's native ingest form: windows of raw
+// NSTR record bytes (length a multiple of trace.RecordLen) for up to
+// max records, plus the record count. Decoding happens inside the
+// parallel ingest workers — fused with shard hashing and gap stamping
+// in one pass — rather than on the sequential reader goroutine.
 //
 // Contract: records in a window are consecutive stream records;
 // complete records precede any error; exhaustion is (nil, 0, io.EOF).
@@ -33,84 +31,80 @@ type BatchSource interface {
 // pipeline's Run returns — workers hold windows from many calls
 // concurrently. *trace.MapReader satisfies this by construction (its
 // views alias the mapped region until Close); a reader recycling one
-// scratch buffer per call must NOT implement this interface. Run
-// prefers it over BatchSource when the shard count fits the raw path
-// (at most 256 shards).
+// scratch buffer per call must NOT implement this interface.
 type RawBatchSource interface {
 	NextRawBatch(max int) ([]byte, int, error)
 }
 
-// AsBatch adapts a per-packet Source to BatchSource. If src already
-// implements BatchSource it is returned unchanged.
-func AsBatch(src Source) BatchSource {
-	if bs, ok := src.(BatchSource); ok {
-		return bs
-	}
-	return &batchAdapter{src: src}
+// recordAdapter is the one edge adapter between decoded sources and the
+// reader: it pulls up to a batch of packets — one NextBatch call when
+// the source is a BatchSource, a per-packet loop otherwise — into its
+// own scratch and encodes them into a fresh record window. The
+// per-packet loop checks the stop flag after every packet, so Stop
+// keeps its packet-granular meaning on per-packet sources: the window
+// ends at the first packet delivered after the stop request.
+type recordAdapter struct {
+	src     Source
+	bs      BatchSource // src's batch form; nil for a per-packet source
+	stop    *atomic.Bool
+	scratch []trace.Packet
 }
 
-// batchAdapter loops a per-packet Source to fill batches. The optional
-// stop flag preserves Stop's packet-granular contract on adapted
-// sources: the fill ends at the first packet delivered after the stop
-// request, exactly where the per-packet read loop would have ended.
-type batchAdapter struct {
-	src  Source
-	stop *atomic.Bool
+func newRecordAdapter(src Source, batchSize int, stop *atomic.Bool) *recordAdapter {
+	bs, _ := src.(BatchSource)
+	return &recordAdapter{src: src, bs: bs, stop: stop, scratch: make([]trace.Packet, batchSize)}
 }
 
-func (a *batchAdapter) NextBatch(dst []trace.Packet) (int, error) {
-	n := 0
-	for n < len(dst) {
-		pkt, err := a.src.Next()
-		if err != nil {
-			return n, err
+//nslint:hotpath
+func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
+	dst := a.scratch[:max]
+	var (
+		n   int
+		err error
+	)
+	if a.bs != nil {
+		n, err = a.bs.NextBatch(dst)
+	} else {
+		for n < len(dst) {
+			if dst[n], err = a.src.Next(); err != nil {
+				break
+			}
+			n++
+			if a.stop.Load() {
+				break
+			}
 		}
-		dst[n] = pkt
-		n++
-		if a.stop != nil && a.stop.Load() {
-			break
-		}
 	}
-	return n, nil
-}
-
-// unitBuf is one reader-owned batch buffer: packets plus their
-// precomputed interarrival gaps, recycled through a per-ingest-worker
-// free ring. pkts and gaps are full-length (BatchSize); srcUnit.n says
-// how much is valid.
-type unitBuf struct {
-	pkts []trace.Packet
-	gaps []int64
-	// noGap0 marks the unit whose first packet is the stream's first —
-	// the only packet with no interarrival observation.
-	noGap0 bool
+	if n == 0 {
+		return nil, 0, err
+	}
+	//nslint:allow hotalloc one window per BatchSize packets, not per packet: RawBatchSource forbids reusing a window before Run returns, so each batch gets its own and the GC reclaims it once the worker has partitioned it
+	raw := make([]byte, n*trace.RecordLen)
+	trace.EncodeRecords(raw, dst[:n])
+	return raw, n, err
 }
 
 // srcUnit is one sequence-numbered element of the reader→ingest stream:
-// a decoded data batch (buf, n), a raw record window (raw, n, prevUS),
-// or a window-barrier fragment (bar). The sequence numbers are dense
-// and global — unit q goes to ingest worker q mod N, and a barrier
-// consumes exactly N consecutive numbers (one fragment per worker) — so
-// the round-robin phase is position-invariant and every shard can
-// reconstruct global stream order from its rings.
+// a raw record window (raw, prevUS, noGap0) or a window-barrier fragment
+// (bar). The sequence numbers are dense and global — unit q goes to
+// ingest worker q mod N, and a barrier consumes exactly N consecutive
+// numbers (one fragment per worker) — so the round-robin phase is
+// position-invariant and every shard can reconstruct global stream
+// order from its rings.
 //
-// Raw units carry no unitBuf: the window aliases the source's mapped
-// region (stable until Run returns, per RawBatchSource), so the only
-// backpressure bound they need is the in ring itself. prevUS is the
-// timestamp of the stream packet preceding the window's first record,
-// which lets the worker compute interarrival gaps locally; noGap0 marks
-// the unit opening the stream, whose first packet has no predecessor.
-// In adaptive mode every data unit also carries its selection-regime
-// stamp: selK is the granularity in force for the whole unit (units
-// never span a barrier, and k only changes at barriers) and selIdx is
-// the global index of the unit's first packet within the regime. A
-// worker derives packet i's selection as (selIdx+i) % selK == 0 — the
-// reader's systematic schedule reproduced without any shared counter,
-// identical for any worker count. selK == 0 means fixed-sampler mode.
+// prevUS is the timestamp of the stream packet preceding the window's
+// first record, which lets the worker compute interarrival gaps
+// locally; noGap0 marks the unit opening the stream, whose first packet
+// has no predecessor. In adaptive mode every data unit also carries its
+// selection-regime stamp: selK is the granularity in force for the
+// whole unit (units never span a barrier, and k only changes at
+// barriers) and selIdx is the global index of the unit's first packet
+// within the regime. A worker derives packet i's selection as
+// (selIdx+i) % selK == 0 — the reader's systematic schedule reproduced
+// without any shared counter, identical for any worker count.
+// selK == 0 means fixed-sampler mode.
 type srcUnit struct {
 	seq uint64
-	buf *unitBuf
-	n   int
 	bar *barrier
 
 	raw    []byte
@@ -123,13 +117,12 @@ type srcUnit struct {
 
 // ingestState is one parallel ingest worker: it consumes its share of
 // the unit stream, hashes packets to shards, and publishes per-shard
-// item batches. Field ownership: in and freeUnits connect to the
-// reader; out[s] and freeItems[s] connect to shard s; epoch is
-// worker-stored, shard-loaded; cur and droppedSince are worker-local.
+// item batches. Field ownership: in connects to the reader; out[s] and
+// freeItems[s] connect to shard s; epoch is worker-stored,
+// shard-loaded; cur and droppedSince are worker-local.
 type ingestState struct {
 	id        int
 	in        *spsc[srcUnit]
-	freeUnits *spsc[*unitBuf]
 	out       []*spsc[shardMsg]
 	freeItems []*spsc[[]item]
 	epoch     *epoch
@@ -144,27 +137,16 @@ func newIngestState(id int, cfg *Config) *ingestState {
 	ig := &ingestState{
 		id:           id,
 		in:           newSPSC[srcUnit](cfg.QueueDepth),
-		freeUnits:    newSPSC[*unitBuf](cfg.QueueDepth + 2),
 		out:          make([]*spsc[shardMsg], cfg.Shards),
 		freeItems:    make([]*spsc[[]item], cfg.Shards),
 		epoch:        newEpoch(),
 		cur:          make([][]item, cfg.Shards),
 		droppedSince: make([]uint64, cfg.Shards),
 	}
-	// QueueDepth+2 unit buffers circulate per worker: at most QueueDepth
-	// queued, one held by the worker, one being filled by the reader —
-	// so the reader's free-ring pop can stall only transiently, never
-	// deadlock.
-	for i := 0; i < cfg.QueueDepth+2; i++ {
-		ig.freeUnits.tryPush(&unitBuf{
-			pkts: make([]trace.Packet, cfg.BatchSize),
-			gaps: make([]int64, cfg.BatchSize),
-		})
-	}
 	for s := range ig.out {
 		ig.out[s] = newSPSC[shardMsg](cfg.QueueDepth)
-		// Item buffers mirror the unit-buffer accounting per (worker,
-		// shard) edge: QueueDepth queued + 1 at the shard + 1 filling.
+		// Item buffers per (worker, shard) edge: QueueDepth queued + 1
+		// at the shard + 1 filling.
 		ig.freeItems[s] = newSPSC[[]item](cfg.QueueDepth + 2)
 		for i := 0; i < cfg.QueueDepth+1; i++ {
 			ig.freeItems[s].tryPush(make([]item, 0, cfg.BatchSize))
@@ -174,17 +156,14 @@ func newIngestState(id int, cfg *Config) *ingestState {
 	return ig
 }
 
-// partitionRaw is DecodeBatch fused with the partition stage: one pass
-// over a raw record window that decodes each packet from three 8-byte
-// words, derives its shard from the same registers (bit-identical to
-// shardIndex — the hash words re-pack the record's bytes 12-23 and 10,
-// see DecodeBatch for the layout), stamps its interarrival gap, and
-// appends the finished item straight into the per-shard batch. The
-// two-pass form (DecodeBatch into worker scratch, then partition)
-// writes and re-reads every packet once more; fusing keeps the record
-// in registers between decode and item store. Equivalence with the
-// decoded path is pinned end to end by the source-equivalence and
-// raw-determinism pipeline tests.
+// partitionRaw is the ingest kernel: one pass over a raw record window
+// that decodes each packet from three 8-byte words, derives its shard
+// from the same registers (the hash words re-pack the record's bytes
+// 12-23 and 10, see DecodeBatch for the layout), stamps its
+// interarrival gap and adaptive selection bit, and appends the finished
+// item straight into the per-shard batch, keeping the record in
+// registers between decode and item store. Pinned item by item against
+// a field-wise reference by TestPartitionRawMatchesReference.
 //
 //nslint:hotpath
 func (ig *ingestState) partitionRaw(u srcUnit) {
@@ -223,20 +202,19 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 	}
 }
 
-// DecodeBatch is the fused raw-path kernel: it decodes a window of raw
-// NSTR record bytes into dst and, in the same batched pass, fills
-// shards[i] with each packet's 5-tuple shard index (identical
-// bit-for-bit to shardIndex — the two tupleHash words are loaded
-// straight out of the record's wire layout, which packs the tuple in
-// exactly shardIndex's byte order) and gaps[i] with its interarrival
-// gap, chaining from prevUS, the timestamp of the record preceding the
-// window. It returns the record count, min(len(dst),
-// len(raw)/trace.RecordLen). nshards must be in [1, 256] so the
-// indices fit uint8; shards and gaps must hold at least that many
-// elements.
+// DecodeBatch is partitionRaw's two-pass form, kept for measurement:
+// it decodes a window of raw NSTR record bytes into dst and fills
+// shards[i] with each packet's 5-tuple shard index (the two tupleHash
+// words are loaded straight out of the record's wire layout: addresses
+// in bytes 12-19, ports in 20-23, protocol in byte 10) and gaps[i] with
+// its interarrival gap, chaining from prevUS, the timestamp of the
+// record preceding the window. It returns the record count,
+// min(len(dst), len(raw)/trace.RecordLen). nshards must be in [1, 256]
+// so the indices fit uint8; shards and gaps must hold at least that
+// many elements.
 //
-// Exported so the module-root benchmark suite can measure it in
-// isolation (BenchmarkDecodeBatch).
+// Exported so the benchmarks can time decode+hash+gap in isolation
+// (BenchmarkDecodeBatch, nsbench's pipeline.partition_ns_per_pkt).
 //
 //nslint:hotpath
 func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, prevUS int64, nshards int) int {
@@ -266,21 +244,6 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 	return n
 }
 
-// shardIndex assigns a packet to one of n shards by hashing its
-// 5-tuple (addresses, ports, protocol), so a flow's packets always
-// land on one shard. The tuple packs into two words hashed by
-// tupleHash; the raw-path kernel loads the same two words straight out
-// of the record bytes, so both ingest paths agree bit for bit.
-func shardIndex(pkt *trace.Packet, n int) int {
-	if n == 1 {
-		return 0
-	}
-	w1 := uint64(pkt.Src[0]) | uint64(pkt.Src[1])<<8 | uint64(pkt.Src[2])<<16 | uint64(pkt.Src[3])<<24 |
-		uint64(pkt.Dst[0])<<32 | uint64(pkt.Dst[1])<<40 | uint64(pkt.Dst[2])<<48 | uint64(pkt.Dst[3])<<56
-	w2 := uint64(pkt.SrcPort) | uint64(pkt.DstPort)<<16 | uint64(uint8(pkt.Protocol))<<32
-	return int(tupleHash(w1, w2) % uint32(n))
-}
-
 // tupleHash mixes the two packed 5-tuple words into a well-distributed
 // 32-bit value: two data-independent multiply-xor folds plus a
 // murmur3-style finalizer. Three multiplies total, none serially
@@ -301,7 +264,7 @@ func tupleHash(w1, w2 uint64) uint32 {
 	return uint32(h)
 }
 
-// ingestWorker drains one worker's unit ring: data units are hashed
+// ingestWorker drains one worker's unit ring: data units are decoded
 // and partitioned into per-shard item batches, barrier fragments are
 // forwarded to every shard. A unit pushes a message ONLY to the rings
 // of shards that actually receive packets from it; progress for
@@ -313,7 +276,6 @@ func tupleHash(w1, w2 uint64) uint32 {
 //nslint:hotpath
 func (p *Pipeline) ingestWorker(ig *ingestState) {
 	defer p.ingestWG.Done()
-	p.pinIngest(ig.id)
 	block := p.cfg.Policy == Block
 	for {
 		u, ok := ig.in.pop()
@@ -331,28 +293,8 @@ func (p *Pipeline) ingestWorker(ig *ingestState) {
 			ig.epoch.advance(u.seq + 1)
 			continue
 		}
-		if u.raw != nil {
-			// Raw unit: decode + hash + gap-stamp + partition in one
-			// register-resident pass over the window. The window aliases
-			// the source's region, so there is no unit buffer to recycle.
-			ig.partitionRaw(u)
-			ig.publish(u.seq, block)
-			continue
-		}
-		buf := u.buf
-		selK := uint64(u.selK)
-		for i := 0; i < u.n; i++ {
-			s := shardIndex(&buf.pkts[i], len(ig.out))
-			//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit holds at most BatchSize packets and every item buffer is made with that capacity, so this never grows
-			ig.cur[s] = append(ig.cur[s], item{
-				pkt:    buf.pkts[i],
-				gapUS:  buf.gaps[i],
-				hasGap: !(buf.noGap0 && i == 0),
-				sel:    selK != 0 && (u.selIdx+uint64(i))%selK == 0,
-			})
-		}
+		ig.partitionRaw(u)
 		ig.publish(u.seq, block)
-		ig.freeUnits.push(buf)
 	}
 	for s := range ig.out {
 		ig.out[s].close()

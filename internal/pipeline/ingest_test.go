@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"io"
 	"testing"
 
 	"netsample/internal/dist"
@@ -148,35 +147,6 @@ type perPacketOnly struct{ r *trace.Replayer }
 
 func (s *perPacketOnly) Next() (trace.Packet, error) { return s.r.Next() }
 
-// TestAsBatch checks the public adapter: batches fill to the buffer
-// size, the tail batch is short, and errors surface after the packets
-// that preceded them.
-func TestAsBatch(t *testing.T) {
-	pkts := make([]trace.Packet, 10)
-	for i := range pkts {
-		pkts[i] = trace.Packet{Time: int64(i), Size: 100}
-	}
-	tr := &trace.Trace{Packets: pkts}
-	src := AsBatch(&perPacketOnly{r: tr.Replay()})
-	buf := make([]trace.Packet, 4)
-	want := []int{4, 4, 2}
-	for i, w := range want {
-		n, err := src.NextBatch(buf)
-		// The tail batch may carry io.EOF alongside its packets.
-		if n != w || (err != nil && err != io.EOF) {
-			t.Fatalf("batch %d: NextBatch = (%d, %v), want (%d, nil|EOF)", i, n, err, w)
-		}
-	}
-	if n, err := src.NextBatch(buf); n != 0 || err != io.EOF {
-		t.Fatalf("exhausted NextBatch = (%d, %v), want (0, io.EOF)", n, err)
-	}
-	// A BatchSource passes through untouched.
-	rep := tr.Replay()
-	if AsBatch(rep) != BatchSource(rep) {
-		t.Error("AsBatch wrapped a native BatchSource")
-	}
-}
-
 // TestIngestWorkersValidation checks the new knob's bounds.
 func TestIngestWorkersValidation(t *testing.T) {
 	_, err := New(Config{
@@ -190,7 +160,7 @@ func TestIngestWorkersValidation(t *testing.T) {
 }
 
 // TestShardBalanceChiSquare is the satellite guard against pathological
-// hash skew: the FNV-1a 5-tuple hash must spread the traffgen preset's
+// hash skew: the 5-tuple hash must spread the traffgen preset's
 // distinct flows across 2, 4, and 8 shards within a χ² bound, so one
 // hot shard cannot silently eat the scaling win. The 0.999 quantiles
 // keep the deterministic test far from flake territory while still

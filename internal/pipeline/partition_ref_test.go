@@ -1,0 +1,111 @@
+package pipeline
+
+import (
+	"math/rand"
+	"testing"
+
+	"netsample/internal/packet"
+	"netsample/internal/trace"
+)
+
+// shardIndex is the test-only reference for partitionRaw's shard
+// assignment: it packs a decoded packet's 5-tuple (addresses, ports,
+// protocol) into the two tupleHash words field by field, where the
+// kernel loads the same words straight out of the record bytes.
+func shardIndex(pkt *trace.Packet, n int) int {
+	if n == 1 {
+		return 0
+	}
+	w1 := uint64(pkt.Src[0]) | uint64(pkt.Src[1])<<8 | uint64(pkt.Src[2])<<16 | uint64(pkt.Src[3])<<24 |
+		uint64(pkt.Dst[0])<<32 | uint64(pkt.Dst[1])<<40 | uint64(pkt.Dst[2])<<48 | uint64(pkt.Dst[3])<<56
+	w2 := uint64(pkt.SrcPort) | uint64(pkt.DstPort)<<16 | uint64(uint8(pkt.Protocol))<<32
+	return int(tupleHash(w1, w2) % uint32(n))
+}
+
+// randomPackets draws n packets covering every protocol, port and flag
+// value, with nondecreasing timestamps.
+func randomPackets(rng *rand.Rand, n int) []trace.Packet {
+	pkts := make([]trace.Packet, n)
+	now := int64(0)
+	for i := range pkts {
+		now += int64(rng.Intn(2000))
+		pkts[i] = trace.Packet{
+			Time:     now,
+			Size:     uint16(rng.Intn(1 << 16)),
+			Protocol: packet.Protocol(rng.Intn(256)),
+			TCPFlags: uint8(rng.Intn(256)),
+			Src:      packet.Addr{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
+			Dst:      packet.Addr{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
+			SrcPort:  uint16(rng.Intn(1 << 16)),
+			DstPort:  uint16(rng.Intn(1 << 16)),
+		}
+	}
+	return pkts
+}
+
+// partitionUnit runs one unit over pkts through a fresh ingest worker's
+// partitionRaw and returns the per-shard item batches it built.
+func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
+	u.raw = make([]byte, len(pkts)*trace.RecordLen)
+	trace.EncodeRecords(u.raw, pkts)
+	ig := newIngestState(0, &Config{Shards: shards, QueueDepth: 1, BatchSize: len(pkts)})
+	ig.partitionRaw(u)
+	return ig.cur
+}
+
+// TestPartitionRawMatchesReference holds the fused ingest kernel to a
+// field-wise reference, item by item: trace.DecodeRecords for the
+// packet, shardIndex for the shard, a serial chain for the gap, and
+// (selIdx+i)%selK == 0 for the adaptive selection bit. Every source
+// now reaches the shards through partitionRaw, so no end-to-end
+// comparison of two paths can catch an error in it any more; this is
+// also the layout-drift guard between the NSTR record format and the
+// hash word packing.
+func TestPartitionRawMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1993))
+	pkts := randomPackets(rng, 300)
+	raw := make([]byte, len(pkts)*trace.RecordLen)
+	trace.EncodeRecords(raw, pkts)
+	decoded := make([]trace.Packet, len(pkts))
+	if n := trace.DecodeRecords(decoded, raw); n != len(pkts) {
+		t.Fatalf("DecodeRecords decoded %d of %d", n, len(pkts))
+	}
+
+	type stamp struct {
+		selIdx uint64
+		selK   int
+	}
+	for _, shards := range []int{1, 2, 3, 7, 300} {
+		for _, noGap0 := range []bool{false, true} {
+			for _, st := range []stamp{{0, 0}, {0, 1}, {3, 7}, {1<<40 + 5, 50}, {49, 50}} {
+				u := srcUnit{prevUS: -5, noGap0: noGap0, selIdx: st.selIdx, selK: st.selK}
+				got := partitionUnit(pkts, shards, u)
+
+				want := make([][]item, shards)
+				prev := u.prevUS
+				for i := range decoded {
+					s := shardIndex(&decoded[i], shards)
+					want[s] = append(want[s], item{
+						pkt:    decoded[i],
+						gapUS:  decoded[i].Time - prev,
+						hasGap: !(noGap0 && i == 0),
+						sel:    st.selK != 0 && (st.selIdx+uint64(i))%uint64(st.selK) == 0,
+					})
+					prev = decoded[i].Time
+				}
+				for s := range want {
+					if len(got[s]) != len(want[s]) {
+						t.Fatalf("shards=%d noGap0=%v stamp=%+v: shard %d got %d items, want %d",
+							shards, noGap0, st, s, len(got[s]), len(want[s]))
+					}
+					for j := range want[s] {
+						if got[s][j] != want[s][j] {
+							t.Fatalf("shards=%d noGap0=%v stamp=%+v: shard %d item %d = %+v, want %+v",
+								shards, noGap0, st, s, j, got[s][j], want[s][j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

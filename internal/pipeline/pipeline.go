@@ -18,15 +18,16 @@
 //	    │ snapshot parts       │
 //	    └───── collector ──────┘       merge / score / publish
 //
-// The reader runs on the goroutine that calls Run: it pulls packet
-// batches from any Source (preferring the amortized BatchSource form —
-// an NSTR stream reader, an in-memory trace replay, a generated
-// workload), stamps each packet with its interarrival gap against its
-// stream predecessor (the quantity a monitor with a last-packet
-// timestamp register observes), and hands sequence-numbered batch
-// units round-robin to N ingest workers. Each ingest worker hashes its
-// units' packets to shards by a deterministic FNV-1a of the 5-tuple —
-// so every flow lives on exactly one shard — and publishes per-shard
+// The reader runs on the goroutine that calls Run: it pulls windows of
+// raw NSTR records from the source (any other Source is encoded into
+// record windows at the edge, see recordAdapter), reads only their
+// timestamps to cut window barriers and chain interarrival gaps, and
+// hands sequence-numbered windows round-robin to N ingest workers. Each
+// ingest worker decodes its windows, hashes the packets to shards by a
+// deterministic hash of the 5-tuple (tupleHash) — so every flow lives
+// on exactly one shard — stamps each packet with its interarrival gap
+// against its stream predecessor (the quantity a monitor with a
+// last-packet timestamp register observes), and publishes per-shard
 // item batches into lock-free single-producer/single-consumer rings,
 // one per (worker, shard) pair. A shard worker consumes its N rings in
 // global sequence order, so the packets of one shard are processed in
@@ -71,22 +72,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"netsample/internal/bins"
 	"netsample/internal/core"
-	"netsample/internal/cputopo"
 	"netsample/internal/online"
 	"netsample/internal/trace"
 )
 
 // Source yields packets in arrival order, one at a time, returning
-// io.EOF when the stream ends. *trace.StreamReader and *trace.Replayer
-// both satisfy it (and also the amortized BatchSource, which Run
-// prefers when available).
+// io.EOF when the stream ends. It is the type Run accepts; what Run
+// does with the richer forms a Source may also implement (BatchSource,
+// RawBatchSource) is described there.
 type Source interface {
 	Next() (trace.Packet, error)
 }
@@ -176,23 +174,6 @@ type Config struct {
 	// when the source drains.
 	WindowUS int64
 
-	// Pinning pins the reader, ingest workers, and shard workers to
-	// logical CPUs chosen by a topology-aware plan (cputopo.Plan):
-	// LLC domains are filled in order, physical cores before SMT
-	// siblings, so each SPSC ring's producer/consumer pair shares a
-	// last-level cache whenever the pipeline fits in one domain.
-	// Strictly best-effort — on non-Linux platforms or under cgroup
-	// cpuset restrictions the affinity calls fail, are counted
-	// (PinFailures), and the pipeline runs unpinned. Pinning never
-	// changes the output: under the Block policy snapshots are
-	// bit-identical with it on or off.
-	Pinning bool
-	// Topology overrides the detected machine layout (mainly for
-	// tests). Nil means detect: sysfs on Linux, a flat fallback
-	// elsewhere. Also consulted, when available, to size the fan-out
-	// rings as a fraction of the LLC if QueueDepth is zero.
-	Topology *cputopo.Topology
-
 	// SizeEval and IatEval, when set, score each snapshot's merged
 	// histogram counts against their reference populations
 	// (core.Evaluator.ScoreCounts). Their schemes must match
@@ -233,12 +214,6 @@ type Pipeline struct {
 	shardWG  sync.WaitGroup
 	done     chan struct{}
 
-	// Thread placement (Config.Pinning). place is resolved once in New;
-	// pinFails counts affinity calls the OS rejected.
-	pinned   bool
-	place    cputopo.Placement
-	pinFails atomic.Uint64
-
 	// Adaptive-control state (Config.Adaptive). selK and selCount are
 	// reader-owned: the granularity in force and the packet index within
 	// the current selection regime. adaptK is collector-owned; the
@@ -278,12 +253,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	topo := cfg.Topology
-	if topo == nil && cfg.Pinning {
-		topo = cputopo.Detect()
-	}
 	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = autoQueueDepth(topo, cfg.IngestWorkers, cfg.Shards, cfg.BatchSize)
+		cfg.QueueDepth = DefaultQueueDepth
 	}
 	if cfg.QueueDepth < 1 {
 		return nil, fmt.Errorf("%w: QueueDepth must be >= 1", ErrConfig)
@@ -323,10 +294,6 @@ func New(cfg Config) (*Pipeline, error) {
 		barriers: make(chan *barrier, cfg.QueueDepth),
 		done:     make(chan struct{}),
 	}
-	if cfg.Pinning {
-		p.pinned = true
-		p.place = cputopo.Plan(topo, cfg.IngestWorkers, cfg.Shards)
-	}
 	if cfg.Adaptive != nil {
 		p.selK = cfg.Adaptive.StartK
 		p.adaptK = cfg.Adaptive.StartK
@@ -364,120 +331,24 @@ func New(cfg Config) (*Pipeline, error) {
 		st.epochs = make([]*epoch, cfg.IngestWorkers)
 		st.retired = make([]bool, cfg.IngestWorkers)
 		st.skipUntil = make([]uint64, cfg.IngestWorkers)
-		st.spin = make([]spinState, cfg.IngestWorkers)
+		st.spin = newSpinState()
 		for w, ig := range p.ingest {
 			st.in[w] = ig.out[st.id]
 			st.free[w] = ig.freeItems[st.id]
 			st.epochs[w] = ig.epoch
-			st.spin[w] = newSpinState()
 		}
 	}
 	return p, nil
 }
 
-// autoQueueDepth picks the fan-out ring depth when Config.QueueDepth
-// is zero. Without cache information it is DefaultQueueDepth. With a
-// detected LLC it sizes the rings so that one fully queued layer of
-// item batches across every (worker, shard) ring fits in a quarter of
-// one LLC — deep enough to absorb scheduling jitter, shallow enough
-// that a producer's freshly written batches are still cache-resident
-// when the consumer drains them. Depth only bounds queueing, never
-// content: under the Block policy output is invariant to it.
-func autoQueueDepth(topo *cputopo.Topology, workers, shards, batchSize int) int {
-	if topo == nil || topo.LLCBytes <= 0 || workers < 1 || shards < 1 || batchSize < 1 {
-		return DefaultQueueDepth
-	}
-	layer := int64(workers) * int64(shards) * int64(batchSize) * int64(unsafe.Sizeof(item{}))
-	depth := (topo.LLCBytes / 4) / layer
-	if depth < 2 {
-		return 2
-	}
-	if depth > 64 {
-		return 64
-	}
-	return int(depth)
-}
-
-// pinIngest places an ingest worker's OS thread per the topology plan.
-// Runs once at worker startup; failures are counted, never fatal.
-//
-//nslint:coldpath one-time thread placement at worker startup, never on the packet path
-func (p *Pipeline) pinIngest(id int) {
-	if p.pinned && id < len(p.place.Ingest) {
-		p.pinTo(p.place.Ingest[id])
-	}
-}
-
-// pinShard places a shard worker's OS thread per the topology plan.
-//
-//nslint:coldpath one-time thread placement at worker startup, never on the packet path
-func (p *Pipeline) pinShard(id int) {
-	if p.pinned && id < len(p.place.Shards) {
-		p.pinTo(p.place.Shards[id])
-	}
-}
-
-// pinTo locks the calling goroutine to its OS thread and restricts the
-// thread to one CPU. The lock is deliberately never released: worker
-// goroutines exit with Run, and a locked goroutine's thread is retired
-// with it, so the affinity never leaks to unrelated goroutines.
-//
-//nslint:coldpath one-time thread placement at worker startup, never on the packet path
-func (p *Pipeline) pinTo(cpu int) {
-	if cpu < 0 {
-		return
-	}
-	runtime.LockOSThread()
-	if err := cputopo.PinThread(cpu); err != nil {
-		p.pinFails.Add(1)
-	}
-}
-
-// pinReader places the reader — which runs on the Run caller's
-// goroutine — and returns a restore function for Run to defer: the
-// caller's thread outlives Run, so its affinity must be put back.
-//
-//nslint:coldpath one-time thread placement around the read loop, never on the packet path
-func (p *Pipeline) pinReader() func() {
-	if !p.pinned || p.place.Reader < 0 {
-		return func() {}
-	}
-	runtime.LockOSThread()
-	prev, err := cputopo.GetAffinity()
-	if err != nil {
-		p.pinFails.Add(1)
-		runtime.UnlockOSThread()
-		return func() {}
-	}
-	if err := cputopo.PinThread(p.place.Reader); err != nil {
-		p.pinFails.Add(1)
-		runtime.UnlockOSThread()
-		return func() {}
-	}
-	return func() {
-		if err := cputopo.SetAffinity(prev); err != nil {
-			p.pinFails.Add(1)
-		}
-		runtime.UnlockOSThread()
-	}
-}
-
-// PinFailures reports how many thread-affinity calls the OS rejected
-// during this run — nonzero typically means a cgroup cpuset
-// (containerized runner) or a non-Linux platform; the pipeline ran
-// correctly but unpinned.
-func (p *Pipeline) PinFailures() uint64 { return p.pinFails.Load() }
-
 // Run drives the pipeline to completion: it reads src on the calling
 // goroutine until io.EOF, a source error, or Stop, then drains the
 // workers, publishes the final Snapshot, and returns the source error
-// if any. The reader prefers the richest source form available: a
-// RawBatchSource (e.g. *trace.MapReader) feeds the zero-copy raw path —
-// record windows go to the ingest workers undecoded and the workers run
-// the fused decode/hash/gap kernel in parallel — a BatchSource pulls
-// whole decoded batches, and a plain Source is adapted per packet.
-// Under the Block policy all three paths produce identical snapshots.
-// Run may be called once per Pipeline.
+// if any. A RawBatchSource (e.g. *trace.MapReader) feeds the reader its
+// record windows directly; any other source is read through a
+// recordAdapter that encodes its packets into record windows first.
+// Under the Block policy every source form produces identical
+// snapshots. Run may be called once per Pipeline.
 func (p *Pipeline) Run(src Source) error {
 	if !p.started.CompareAndSwap(false, true) {
 		return ErrReused
@@ -491,23 +362,12 @@ func (p *Pipeline) Run(src Source) error {
 		go p.shardWorker(st)
 	}
 	go p.collect()
-	defer p.pinReader()()
 
-	var srcErr error
-	// The raw path carries shard indices as uint8, so it requires at
-	// most 256 shards; beyond that (or without a raw source) the decoded
-	// batch path applies.
-	if rs, ok := src.(RawBatchSource); ok && len(p.shards) <= 256 {
-		srcErr = p.readRaw(rs)
-	} else {
-		bs, ok := src.(BatchSource)
-		if !ok {
-			// The adapter checks the stop request between packets, so Stop
-			// retains its packet-granular semantics on per-packet sources.
-			bs = &batchAdapter{src: src, stop: &p.stopReq}
-		}
-		srcErr = p.read(bs)
+	rs, ok := src.(RawBatchSource)
+	if !ok {
+		rs = newRecordAdapter(src, p.cfg.BatchSize, &p.stopReq)
 	}
+	srcErr := p.readRaw(rs)
 
 	for _, ig := range p.ingest {
 		ig.in.close()
@@ -520,9 +380,9 @@ func (p *Pipeline) Run(src Source) error {
 }
 
 // Stop asks a concurrent Run to stop reading after the packet in
-// flight (after the batch in flight for a native BatchSource); Run
-// then drains normally and publishes the final snapshot. Safe to call
-// from any goroutine, any number of times.
+// flight (after the batch in flight for a source that delivers
+// batches); Run then drains normally and publishes the final snapshot.
+// Safe to call from any goroutine, any number of times.
 func (p *Pipeline) Stop() { p.stopReq.Store(true) }
 
 // Latest returns the most recently published snapshot.
@@ -538,100 +398,20 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 	return append([]*Snapshot(nil), p.snaps...)
 }
 
-// read is the sequential stage: it owns the virtual clock, the window
-// barriers, the gap stamps, and the unit sequence numbers. It runs on
-// the Run caller's goroutine. Everything downstream may be parallel
-// because everything order-sensitive is decided here.
+// readRaw is the sequential stage: it owns the virtual clock, the
+// window barriers, the gap chain, the adaptive regime stamps, and the
+// unit sequence numbers, and runs on the Run caller's goroutine.
+// Everything downstream may be parallel because everything
+// order-sensitive is decided here. It forwards the source's record
+// windows to the ingest workers undecoded — decode, 5-tuple hash, and
+// gap stamp run in the workers (partitionRaw) — and itself touches only
+// the 8-byte timestamp field of each record; with windowing disabled it
+// reads just two timestamps per window (first and last), making the
+// sequential stage O(batches) instead of O(packets).
 //
-//nslint:hotpath
-func (p *Pipeline) read(bs BatchSource) error {
-	var (
-		srcErr    error
-		prevTime  int64
-		havePrev  bool
-		winStart  int64
-		nextWin   int64
-		windowing = p.cfg.WindowUS > 0
-		offered   uint64
-		lastTime  int64
-		firstSeen bool
-	)
-	cur := p.takeUnit()
-	curN := 0
-	for !p.stopReq.Load() {
-		n, err := bs.NextBatch(cur.pkts[curN:p.cfg.BatchSize])
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				//nslint:allow hotalloc error path: one wrap at stream end, never per packet
-				srcErr = fmt.Errorf("pipeline: source: %w", err)
-			}
-			// Packets returned alongside the error are still delivered.
-		}
-		i := curN
-		curN += n
-		for i < curN {
-			pkt := &cur.pkts[i]
-			if !firstSeen {
-				firstSeen = true
-				winStart = pkt.Time
-				if windowing {
-					nextWin = pkt.Time + p.cfg.WindowUS
-				}
-				cur.noGap0 = true // the stream's first packet has no predecessor
-			}
-			for windowing && pkt.Time >= nextWin {
-				cur, curN, i = p.splitUnit(cur, curN, i)
-				pkt = &cur.pkts[i]
-				p.emitBarrier(winStart, nextWin, false, offered)
-				offered = 0
-				winStart = nextWin
-				nextWin += p.cfg.WindowUS
-			}
-			if havePrev {
-				cur.gaps[i] = pkt.Time - prevTime
-			} else {
-				cur.gaps[i] = 0
-			}
-			prevTime, havePrev = pkt.Time, true
-			lastTime = pkt.Time
-			offered++
-			i++
-		}
-		if curN == p.cfg.BatchSize {
-			p.sendUnit(cur, curN)
-			cur = p.takeUnit()
-			curN = 0
-		}
-		if err != nil {
-			break
-		}
-	}
-	if curN > 0 {
-		p.sendUnit(cur, curN)
-	}
-	endUS := lastTime + 1
-	if !firstSeen {
-		winStart, endUS = 0, 0
-	}
-	p.emitBarrier(winStart, endUS, true, offered)
-	return srcErr
-}
-
-// readRaw is the zero-copy form of read: it pulls raw record windows
-// from the source and forwards them to the ingest workers undecoded, so
-// the per-packet decode, 5-tuple hash, and gap stamp all run inside the
-// parallel workers (DecodeBatch) instead of on this goroutine. The
-// reader touches only the 8-byte timestamp field of each record — to
-// drive the virtual-clock window barriers and the gap chain — and with
-// windowing disabled it reads just two timestamps per window (first and
-// last), making the sequential stage O(batches) instead of O(packets).
-//
-// Window cuts slice the raw window at record granularity, so barrier
-// positions, per-window offered counts, and gap observations are
-// identical to the decoded path; unit boundaries may differ (a raw unit
-// is a source window, not a reader-accumulated BatchSize batch), which
-// is invisible under the Block policy because snapshots are invariant
-// to unit grouping.
+// Window cuts slice the source's window at record granularity, so a
+// unit never spans a barrier. How the stream is grouped into units is
+// invisible under the Block policy: snapshots are invariant to it.
 //
 //nslint:hotpath
 func (p *Pipeline) readRaw(rs RawBatchSource) error {
@@ -720,9 +500,13 @@ func rawTime(raw []byte, i int) int64 {
 
 // sendRawUnit hands the [from, to) record sub-window of raw to its
 // round-robin ingest worker, consuming one sequence number. The slice
-// aliases the source's region (stable until Run returns, per
-// RawBatchSource), so no unit buffer is consumed — the bounded in ring
-// alone provides the backpressure. Reader goroutine only.
+// aliases the source's window (stable until Run returns, per
+// RawBatchSource); the bounded in ring is the backpressure. In adaptive
+// mode the unit is stamped with the selection regime of its first
+// packet (the regime's k and the packet's index within it), so the
+// ingest workers can reproduce the reader's global systematic schedule
+// without any shared counter; k changes only at barriers, which no unit
+// spans, so one stamp covers the whole unit. Reader goroutine only.
 //
 //nslint:hotpath
 func (p *Pipeline) sendRawUnit(raw []byte, from, to int, prevUS int64, noGap0 bool) {
@@ -730,80 +514,16 @@ func (p *Pipeline) sendRawUnit(raw []byte, from, to int, prevUS int64, noGap0 bo
 	u := srcUnit{
 		seq:    p.useq,
 		raw:    raw[from*trace.RecordLen : to*trace.RecordLen],
-		n:      to - from,
 		prevUS: prevUS,
 		noGap0: noGap0,
 	}
 	if p.selK > 0 {
 		u.selIdx = p.selCount
 		u.selK = p.selK
-		p.selCount += uint64(u.n)
+		p.selCount += uint64(to - from)
 	}
 	p.ingest[w].in.push(u)
 	p.useq++
-}
-
-// takeUnit acquires a recycled batch buffer for the unit that will
-// carry sequence number p.useq. Buffer accounting (QueueDepth+2 units
-// circulate per worker) guarantees the free ring is non-empty whenever
-// the reader needs one.
-func (p *Pipeline) takeUnit() *unitBuf {
-	w := int(p.useq % uint64(len(p.ingest)))
-	buf, _ := p.ingest[w].freeUnits.pop()
-	buf.noGap0 = false
-	return buf
-}
-
-// sendUnit hands a filled unit to its round-robin ingest worker,
-// consuming one sequence number. In adaptive mode the unit is stamped
-// with the selection regime of its first packet (the regime's k and the
-// packet's index within it), so the ingest workers can reproduce the
-// reader's global systematic schedule without any shared counter.
-// Units never span a window barrier (splitUnit cuts them first), so one
-// stamp covers the whole unit. Reader goroutine only.
-func (p *Pipeline) sendUnit(buf *unitBuf, n int) {
-	w := int(p.useq % uint64(len(p.ingest)))
-	u := srcUnit{seq: p.useq, buf: buf, n: n}
-	if p.selK > 0 {
-		u.selIdx = p.selCount
-		u.selK = p.selK
-		p.selCount += uint64(n)
-	}
-	p.ingest[w].in.push(u)
-	p.useq++
-}
-
-// splitUnit cuts a partially-walked unit at a window boundary: packets
-// [0, i) are sent as their own unit, the unwalked remainder [i, n)
-// moves to a fresh buffer, and the walk restarts at its beginning.
-// Window barriers consume exactly one sequence number per ingest
-// worker, so the round-robin target of the in-flight unit is invariant
-// under any number of interleaved barriers.
-func (p *Pipeline) splitUnit(cur *unitBuf, n, i int) (*unitBuf, int, int) {
-	if i == 0 {
-		return cur, n, 0 // nothing walked yet: the cut precedes the unit
-	}
-	rest := n - i
-	if rest == 0 {
-		p.sendUnit(cur, n)
-		next := p.takeUnit()
-		return next, 0, 0
-	}
-	next := p.takeUnitAfter()
-	copy(next.pkts[:rest], cur.pkts[i:n])
-	p.sendUnit(cur, i)
-	return next, rest, 0
-}
-
-// takeUnitAfter acquires the buffer for the unit that will follow the
-// one currently being split (sequence p.useq+1+N-barrier… the target
-// worker is p.useq+1 plus one full barrier round, which round-robins
-// to the same worker as p.useq+1).
-func (p *Pipeline) takeUnitAfter() *unitBuf {
-	w := int((p.useq + 1) % uint64(len(p.ingest)))
-	buf, _ := p.ingest[w].freeUnits.pop()
-	buf.noGap0 = false
-	return buf
 }
 
 // emitBarrier cuts the stream at the current read position: one
@@ -852,11 +572,4 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 			p.selCount = 0
 		}
 	}
-}
-
-// shardOf assigns a packet to a shard by an FNV-1a hash of its 5-tuple,
-// so a flow's packets always land on one shard and per-shard flow
-// tables and heavy-hitter sketches are exact partitions.
-func (p *Pipeline) shardOf(pkt trace.Packet) int {
-	return shardIndex(&pkt, len(p.shards))
 }

@@ -635,37 +635,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardOfSpreadsAndPartitions checks the flow hash is stable per
-// key and actually uses more than one shard on diverse traffic.
+// TestShardOfSpreadsAndPartitions checks the ingest kernel's flow hash
+// is stable per key and actually uses more than one shard on diverse
+// traffic.
 func TestShardOfSpreadsAndPartitions(t *testing.T) {
 	tr := smallTrace(t, 777)
-	p, err := New(Config{
-		Shards:     4,
-		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	used := make(map[int]int)
 	byKey := make(map[[13]byte]int)
-	for _, pkt := range tr.Packets {
-		s := p.shardOf(pkt)
-		if s < 0 || s >= 4 {
-			t.Fatalf("shardOf out of range: %d", s)
+	for s, items := range partitionUnit(tr.Packets, 4, srcUnit{}) {
+		used[s] += len(items)
+		for _, it := range items {
+			pkt := it.pkt
+			var key [13]byte
+			copy(key[0:4], pkt.Src[:])
+			copy(key[4:8], pkt.Dst[:])
+			key[8] = byte(pkt.SrcPort)
+			key[9] = byte(pkt.SrcPort >> 8)
+			key[10] = byte(pkt.DstPort)
+			key[11] = byte(pkt.DstPort >> 8)
+			key[12] = byte(pkt.Protocol)
+			if prev, ok := byKey[key]; ok && prev != s {
+				t.Fatalf("flow key %x split across shards %d and %d", key, prev, s)
+			}
+			byKey[key] = s
 		}
-		used[s]++
-		var key [13]byte
-		copy(key[0:4], pkt.Src[:])
-		copy(key[4:8], pkt.Dst[:])
-		key[8] = byte(pkt.SrcPort)
-		key[9] = byte(pkt.SrcPort >> 8)
-		key[10] = byte(pkt.DstPort)
-		key[11] = byte(pkt.DstPort >> 8)
-		key[12] = byte(pkt.Protocol)
-		if prev, ok := byKey[key]; ok && prev != s {
-			t.Fatalf("flow key %x split across shards %d and %d", key, prev, s)
-		}
-		byKey[key] = s
 	}
 	if len(used) < 2 {
 		t.Errorf("only %d of 4 shards used on a diverse trace", len(used))

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,41 +10,26 @@ import (
 	"testing"
 
 	"netsample/internal/dist"
+	"netsample/internal/flows"
 	"netsample/internal/online"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
 
-// The mmap reader must satisfy every source form Run dispatches on.
+// The mmap reader must satisfy every source form.
 var (
 	_ Source         = (*trace.MapReader)(nil)
 	_ BatchSource    = (*trace.MapReader)(nil)
 	_ RawBatchSource = (*trace.MapReader)(nil)
 )
 
-// TestDecodeBatchEquivalence cross-checks the fused raw kernel against
-// the reference path — trace round-trip decode, per-packet shardIndex,
-// and explicit gap chaining — over randomized packets, shard counts,
-// and window offsets. This is the layout-drift guard: if the NSTR
-// record format or the hash byte order ever changes, the kernel and the
-// reference disagree here before any pipeline test runs.
+// TestDecodeBatchEquivalence cross-checks the exported two-pass kernel
+// against the same reference as partitionRaw — trace round-trip decode,
+// per-packet shardIndex, and explicit gap chaining — over randomized
+// packets, shard counts, and window offsets.
 func TestDecodeBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
-	pkts := make([]trace.Packet, 300)
-	now := int64(0)
-	for i := range pkts {
-		now += int64(rng.Intn(2000))
-		pkts[i] = trace.Packet{
-			Time:     now,
-			Size:     uint16(rng.Intn(1 << 16)),
-			Protocol: packet.Protocol(rng.Intn(256)),
-			TCPFlags: uint8(rng.Intn(256)),
-			Src:      packet.Addr{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
-			Dst:      packet.Addr{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
-			SrcPort:  uint16(rng.Intn(1 << 16)),
-			DstPort:  uint16(rng.Intn(1 << 16)),
-		}
-	}
+	pkts := randomPackets(rng, 300)
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, &trace.Trace{Packets: pkts}); err != nil {
 		t.Fatal(err)
@@ -114,6 +100,17 @@ func writeTraceFile(t *testing.T, tr *trace.Trace) string {
 // same 4-shard stratified config, seed-split RNGs, and 30 s windows.
 func runShardedSource(t *testing.T, tr *trace.Trace, seed uint64, workers int, src Source) []*Snapshot {
 	t.Helper()
+	snaps, err := runShardedSourceErr(t, tr, seed, workers, src)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return snaps
+}
+
+// runShardedSourceErr is runShardedSource for sources expected to fail:
+// it returns Run's error beside the snapshots.
+func runShardedSourceErr(t *testing.T, tr *trace.Trace, seed uint64, workers int, src Source) ([]*Snapshot, error) {
+	t.Helper()
 	sizeEval, iatEval := evaluators(t, tr)
 	root := dist.NewRNG(seed)
 	rngs := make([]*dist.RNG, 4)
@@ -133,24 +130,49 @@ func runShardedSource(t *testing.T, tr *trace.Trace, seed uint64, workers int, s
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := p.Run(src); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return p.Snapshots()
+	err = p.Run(src)
+	return p.Snapshots(), err
 }
 
-// TestSourceEquivalenceSnapshots proves the three source forms — the
-// zero-copy MapReader raw path, the StreamReader decoded batch path,
-// and the in-memory Replayer — produce byte-identical snapshot
-// sequences on the same trace file, windows, shards, and seeds. This is
-// the tier-1 equivalence pin for the raw ingest path: barrier
-// positions, gap observations, sampling decisions, and scored reports
-// all have to agree bit-for-bit.
+// tornSource is a BatchSource that fails with err alongside its last
+// packets: n > 0 and a non-EOF error in one return.
+type tornSource struct {
+	pkts []trace.Packet
+	err  error
+}
+
+func (s *tornSource) NextBatch(dst []trace.Packet) (int, error) {
+	n := copy(dst, s.pkts)
+	s.pkts = s.pkts[n:]
+	if len(s.pkts) == 0 {
+		return n, s.err
+	}
+	return n, nil
+}
+
+// Next makes tornSource a Source; Run reads it through NextBatch.
+func (s *tornSource) Next() (trace.Packet, error) {
+	var one [1]trace.Packet
+	_, err := s.NextBatch(one[:])
+	return one[0], err
+}
+
+// TestSourceEquivalenceSnapshots is the edge adapter's pin: every entry
+// form — the MapReader's own record windows, and the StreamReader, the
+// in-memory Replayer and a per-packet-only Source through the adapter —
+// produces byte-identical snapshot sequences on the same trace file,
+// windows, shards, and seeds: barrier positions, gap observations,
+// sampling decisions, and scored reports all agree bit-for-bit. A
+// source that fails alongside its last packets still delivers them, and
+// Run surfaces the error after the drain.
 func TestSourceEquivalenceSnapshots(t *testing.T) {
 	tr := smallTrace(t, 991)
 	path := writeTraceFile(t, tr)
 
 	base := runShardedSource(t, tr, 11, 2, tr.Replay())
+	if len(base) < 2 {
+		t.Fatalf("want multiple windows, got %d", len(base))
+	}
 
 	f, err := os.Open(path)
 	if err != nil {
@@ -161,21 +183,29 @@ func TestSourceEquivalenceSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := runShardedSource(t, tr, 11, 2, sr)
-
 	mr, err := trace.OpenMap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mr.Close()
-	mapped := runShardedSource(t, tr, 11, 2, mr)
+	sentinel := errors.New("stream torn down")
 
-	if len(base) < 2 {
-		t.Fatalf("want multiple windows, got %d", len(base))
-	}
-	for _, got := range [][]*Snapshot{streamed, mapped} {
+	for _, c := range []struct {
+		name    string
+		src     Source
+		wantErr error
+	}{
+		{"StreamReader", sr, nil},
+		{"MapReader", mr, nil},
+		{"per-packet", &perPacketOnly{r: tr.Replay()}, nil},
+		{"torn", &tornSource{pkts: tr.Packets, err: sentinel}, sentinel},
+	} {
+		got, err := runShardedSourceErr(t, tr, 11, 2, c.src)
+		if !errors.Is(err, c.wantErr) {
+			t.Fatalf("%s: Run error = %v, want %v", c.name, err, c.wantErr)
+		}
 		if len(got) != len(base) {
-			t.Fatalf("%d snapshots, want %d", len(got), len(base))
+			t.Fatalf("%s: %d snapshots, want %d", c.name, len(got), len(base))
 		}
 		for i := range base {
 			assertSnapshotsEqual(t, i, base[i], got[i])
@@ -183,9 +213,75 @@ func TestSourceEquivalenceSnapshots(t *testing.T) {
 	}
 }
 
-// runShardedRaw is runShardedWorkers fed through the MapReader raw
-// path: same trace, same seeds, mmap'd file instead of in-memory
-// replay.
+// TestManyShardsSourceEquivalence runs 300 shards — more than a uint8
+// shard index could name — through both entry forms: the MapReader-fed
+// run equals the Replayer-fed one snapshot for snapshot, nothing is
+// lost, and every flow stays on one shard.
+func TestManyShardsSourceEquivalence(t *testing.T) {
+	const shards = 300
+	tr := smallTrace(t, 4242)
+	run := func(src Source) []*Snapshot {
+		p, err := New(Config{
+			Shards:        shards,
+			IngestWorkers: 2,
+			QueueDepth:    2,
+			BatchSize:     64,
+			NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+			WindowUS:      30_000_000,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := p.Run(src); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return p.Snapshots()
+	}
+	base := run(tr.Replay())
+	mr, err := trace.OpenMap(writeTraceFile(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Close()
+	mapped := run(mr)
+	if len(base) < 2 || len(mapped) != len(base) {
+		t.Fatalf("%d replayed and %d mapped snapshots, want equal and several", len(base), len(mapped))
+	}
+	var offered, flowCount uint64
+	for i, s := range base {
+		assertSnapshotsEqual(t, i, s, mapped[i])
+		if s.Offered != s.Processed {
+			t.Errorf("window %d: offered %d != processed %d under Block", i, s.Offered, s.Processed)
+		}
+		offered += s.Offered
+		flowCount += uint64(s.Flows.Flows)
+	}
+	if offered != uint64(tr.Len()) {
+		t.Errorf("offered %d, want trace length %d", offered, tr.Len())
+	}
+	// Every packet is selected (k=1), so per-window flow counts summed
+	// over shards equal a single table's only if no flow is split.
+	single, err := flows.NewTable(DefaultFlowTimeoutUS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	next := tr.Packets[0].Time + 30_000_000
+	for _, pkt := range tr.Packets {
+		for pkt.Time >= next {
+			want += uint64(flows.CountFlows(single.Flush()).Flows)
+			next += 30_000_000
+		}
+		single.Add(pkt)
+	}
+	want += uint64(flows.CountFlows(single.Flush()).Flows)
+	if flowCount != want {
+		t.Errorf("300 shards counted %d flows, one table %d: a flow was split across shards", flowCount, want)
+	}
+}
+
+// runShardedRaw is runShardedWorkers fed by a MapReader: same trace,
+// same seeds, mmap'd file instead of in-memory replay.
 func runShardedRaw(t *testing.T, path string, tr *trace.Trace, seed uint64, workers int) []*Snapshot {
 	t.Helper()
 	mr, err := trace.OpenMap(path)
@@ -197,7 +293,7 @@ func runShardedRaw(t *testing.T, path string, tr *trace.Trace, seed uint64, work
 }
 
 // TestParallelIngestDeterministicRaw extends the determinism pin to the
-// raw path: for any ingest-worker count, a MapReader-fed run is
+// mapped source: for any ingest-worker count, a MapReader-fed run is
 // bit-identical to the single-worker Replayer-fed baseline.
 func TestParallelIngestDeterministicRaw(t *testing.T) {
 	tr := smallTrace(t, 777)
@@ -214,10 +310,10 @@ func TestParallelIngestDeterministicRaw(t *testing.T) {
 	}
 }
 
-// TestMapReaderHotPathAllocs pins the raw path's allocation budget end
-// to end: a MapReader-fed pipeline run allocates only its fixed startup
-// cost — the mapped region is the packet storage, the decode scratch is
-// preallocated per worker, and the per-packet path stays at zero.
+// TestMapReaderHotPathAllocs pins the mapped source's allocation budget
+// end to end: a MapReader-fed pipeline run allocates only its fixed
+// startup cost — the mapped region is the packet storage, and the
+// per-packet path stays at zero.
 func TestMapReaderHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

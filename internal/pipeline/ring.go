@@ -23,11 +23,7 @@ import (
 // flag and blocks on a one-token wake channel. The peer checks the
 // flag after every cursor move; flag-then-recheck on the waiter side
 // and move-then-flag-check on the waker side close the lost-wakeup
-// race, and a stale token at worst causes one spurious recheck. The
-// spin budget is adaptive per side (see spinState): each side tunes
-// its own budget from whether its waits resolve in the spin phase,
-// so oversubscribed runners park almost immediately while pinned
-// in-phase pairs stay in the spin fast path.
+// race, and a stale token at worst causes one spurious recheck.
 type spsc[T any] struct {
 	slots []T
 	mask  uint64
@@ -45,9 +41,7 @@ type spsc[T any] struct {
 	prodWake   chan struct{}
 	consWake   chan struct{}
 
-	// prodSpin/consSpin are each side's adaptive spin budget, owned by
-	// that side's goroutine (written only on the slow park/resolve
-	// paths, so sharing a line with the flags above is harmless).
+	// prodSpin/consSpin are each side's spin budget (see spinState).
 	prodSpin spinState
 	consSpin spinState
 
@@ -100,9 +94,6 @@ func (q *spsc[T]) push(v T) {
 	spins := 0
 	for {
 		if q.tryPush(v) {
-			if spins > 0 {
-				q.prodSpin.won()
-			}
 			return
 		}
 		if spins < q.prodSpin.budget {
@@ -121,7 +112,6 @@ func (q *spsc[T]) push(v T) {
 		}
 		<-q.prodWake
 		q.prodParked.Store(false)
-		q.prodSpin.lost()
 		spins = 0
 	}
 }
@@ -135,9 +125,6 @@ func (q *spsc[T]) peek() (*T, bool) {
 	for {
 		h := q.head.Load()
 		if q.tail.Load() > h {
-			if spins > 0 {
-				q.consSpin.won()
-			}
 			return &q.slots[h&q.mask], true
 		}
 		if q.closed.Load() {
@@ -161,7 +148,6 @@ func (q *spsc[T]) peek() (*T, bool) {
 		}
 		<-q.consWake
 		q.consParked.Store(false)
-		q.consSpin.lost()
 		spins = 0
 	}
 }

@@ -202,31 +202,3 @@ func TestRingParkWakeInterleaving(t *testing.T) {
 		t.Fatalf("consumed %d, want %d", count, n)
 	}
 }
-
-// TestSpinStateAdapts pins the AIMD budget dynamics: wins double up to
-// the cap, losses halve down to the floor, and the zero test hook is
-// sticky in both directions.
-func TestSpinStateAdapts(t *testing.T) {
-	s := newSpinState()
-	if s.budget != defaultSpins {
-		t.Fatalf("initial budget %d, want %d", s.budget, defaultSpins)
-	}
-	for i := 0; i < 10; i++ {
-		s.won()
-	}
-	if s.budget != maxSpins {
-		t.Errorf("after wins: budget %d, want cap %d", s.budget, maxSpins)
-	}
-	for i := 0; i < 10; i++ {
-		s.lost()
-	}
-	if s.budget != minSpins {
-		t.Errorf("after losses: budget %d, want floor %d", s.budget, minSpins)
-	}
-	z := spinState{}
-	z.won()
-	z.lost()
-	if z.budget != 0 {
-		t.Errorf("zero hook drifted to %d", z.budget)
-	}
-}

@@ -11,7 +11,7 @@ import (
 // TestScenarioShardBalanceChiSquare extends the χ² shard-balance guard
 // to every preset scenario: anomaly traffic (spoofed flood sources,
 // sequential scan ports, elephant flows) must still spread across the
-// FNV-1a 5-tuple hash within the same 0.999 bounds as the steady-state
+// 5-tuple hash within the same 0.999 bounds as the steady-state
 // preset, so no scenario can concentrate its flows on one hot shard.
 func TestScenarioShardBalanceChiSquare(t *testing.T) {
 	type flowKey struct {

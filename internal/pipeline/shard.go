@@ -58,11 +58,11 @@ type shardState struct {
 	epochs []*epoch          // each worker's published progress
 
 	// Sequencing state of the consume loop, allocated cold in New,
-	// touched only by the shard goroutine: per-worker retired flag,
-	// skip-run frontier, and adaptive spin budget for epoch waits.
+	// touched only by the shard goroutine: per-worker retired flag and
+	// skip-run frontier, and the spin budget for epoch waits.
 	retired   []bool
 	skipUntil []uint64
-	spin      []spinState
+	spin      spinState
 
 	// Worker-owned.
 	// globalSel switches selection to the item's reader-decided sel bit
@@ -190,7 +190,6 @@ func buildSizeLUT(s bins.Scheme) []uint8 {
 //nslint:hotpath
 func (p *Pipeline) shardWorker(st *shardState) {
 	defer p.shardWG.Done()
-	p.pinShard(st.id)
 	n := uint64(len(st.in))
 	live := int(n)
 	var (
@@ -218,7 +217,7 @@ func (p *Pipeline) shardWorker(st *shardState) {
 			case st.in[w].isClosed():
 				runtime.Gosched() // sentinel is one store away; re-resolve
 			default:
-				st.epochs[w].wait(next, &st.spin[w])
+				st.epochs[w].wait(next, &st.spin)
 			}
 			continue
 		}

@@ -1,61 +1,17 @@
 package pipeline
 
-// Adaptive spin budgets for the pipeline's spin-then-park waits (ring
-// full/empty and epoch waits). A fixed budget is wrong at both ends of
-// the deployment spectrum: on an oversubscribed single-core runner
-// every spin is a wasted scheduler round-trip (the peer cannot run
-// until we park), while on pinned dedicated cores parking costs a
-// futex round-trip for a wait the peer would have resolved within a
-// microsecond. The budget therefore tracks observed producer/consumer
-// phase: resolving while spinning doubles it (the peer is actively
-// draining — keep spinning next time), exhausting it and parking
-// halves it (the peer is behind or descheduled — park sooner next
-// time). Bounds keep both failure modes shallow.
-//
-// The budget only decides HOW a wait ends (spin vs park), never what
-// value is read afterwards, so adapting it cannot perturb the
-// pipeline's output: determinism given the virtual clock is untouched.
-const (
-	minSpins     = 4
-	maxSpins     = 256
-	defaultSpins = 32
-)
+// spinYields is how many runtime.Gosched yields a spin-then-park wait
+// (ring full/empty, epoch wait) spends before it parks. The budget only
+// decides HOW a wait ends (spin vs park), never what value is read
+// afterwards, so it cannot perturb the pipeline's output.
+const spinYields = 32
 
-// spinState is one waiter's self-tuning spin budget. It is owned by
-// exactly one goroutine (the ring side or shard that waits with it)
-// and is therefore plain, unshared state.
-//
-// A budget of zero is the test hook: won/lost keep it at zero, so
-// every wait parks immediately — the stress tests use it to hammer
-// the park/wake handshake.
+// spinState is one waiter's spin budget, owned by the goroutine that
+// waits with it. Its zero value is the test hook: every wait parks
+// immediately, which is how the stress tests hammer the park/wake
+// handshake.
 type spinState struct {
 	budget int
 }
 
-func newSpinState() spinState { return spinState{budget: defaultSpins} }
-
-// won records a wait that resolved while spinning: the peer is in
-// phase, so spinning longer is profitable.
-func (s *spinState) won() {
-	if s.budget == 0 {
-		return // pinned to always-park by a test
-	}
-	if s.budget < maxSpins {
-		s.budget *= 2
-		if s.budget > maxSpins {
-			s.budget = maxSpins
-		}
-	}
-}
-
-// lost records a wait that exhausted its budget and parked: the peer
-// is out of phase, so spend less time spinning before the next park.
-func (s *spinState) lost() {
-	if s.budget == 0 {
-		return
-	}
-	s.budget /= 2
-	if s.budget < minSpins {
-		s.budget = minSpins
-	}
-}
+func newSpinState() spinState { return spinState{budget: spinYields} }

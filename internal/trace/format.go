@@ -132,6 +132,22 @@ func DecodeRecords(dst []Packet, raw []byte) int {
 	return n
 }
 
+// EncodeRecords is DecodeRecords' inverse: it encodes pkts as
+// consecutive NSTR records into dst and returns how many it encoded,
+// min(len(pkts), len(dst)/RecordLen).
+//
+//nslint:hotpath
+func EncodeRecords(dst []byte, pkts []Packet) int {
+	n := len(dst) / recordLen
+	if n > len(pkts) {
+		n = len(pkts)
+	}
+	for i := 0; i < n; i++ {
+		encodeRecord((*[recordLen]byte)(dst[i*recordLen:]), pkts[i])
+	}
+	return n
+}
+
 // Read deserializes a complete NSTR trace from r, verifying the magic,
 // version and record count. A stream that ends early returns ErrFormat.
 func Read(r io.Reader) (*Trace, error) {

@@ -1,7 +1,6 @@
 package netsample_test
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -111,13 +110,14 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 	loader, module, _, _ := lintModule(t)
 	mp := loader.ModulePath
 	wanted := []string{
-		// TestPipelineHotPathAllocs: read → ingest → shard → sample,
-		// per packet.
-		"(*" + mp + "/internal/pipeline.Pipeline).read",
+		// TestPipelineHotPathAllocs: adapt → read → ingest → shard →
+		// sample, per packet.
+		"(*" + mp + "/internal/pipeline.recordAdapter).NextRawBatch",
+		mp + "/internal/trace.EncodeRecords",
+		"(*" + mp + "/internal/pipeline.Pipeline).readRaw",
 		"(*" + mp + "/internal/pipeline.Pipeline).ingestWorker",
 		"(*" + mp + "/internal/pipeline.Pipeline).shardWorker",
 		"(*" + mp + "/internal/pipeline.shardState).process",
-		mp + "/internal/pipeline.shardIndex",
 		"(*" + mp + "/internal/flows.Table).Add",
 		"(*" + mp + "/internal/nnstat.TopK).AddBytes",
 		"(*" + mp + "/internal/online.Systematic).Offer",
@@ -131,9 +131,8 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/pipeline.epoch).advance",
 		"(*" + mp + "/internal/pipeline.epoch).wait",
 		"(*" + mp + "/internal/pipeline.spsc[T]).tryPeek",
-		// TestMapReaderHotPathAllocs: the zero-copy raw ingest path,
-		// per batch of records.
-		"(*" + mp + "/internal/pipeline.Pipeline).readRaw",
+		// TestMapReaderHotPathAllocs: the mmap source, per batch of
+		// records.
 		mp + "/internal/pipeline.DecodeBatch",
 		"(*" + mp + "/internal/trace.MapReader).NextRawBatch",
 		mp + "/internal/trace.DecodeRecords",
@@ -159,42 +158,11 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 	}
 }
 
-// TestColdpathKeepsPinningOffHotPath is the inverse audit of the
-// closure test above: thread placement is one-time setup — sysfs
-// parsing, affinity syscalls, placement planning — and must stay
-// behind the //nslint:coldpath boundaries at the pipeline's pin
-// helpers. If a refactor inlines a pin helper into a worker loop or
-// drops a coldpath annotation, cputopo functions leak into the hot
-// closure and every allocation in the parser becomes a hotalloc
-// finding; this test names the leak directly instead.
-func TestColdpathKeepsPinningOffHotPath(t *testing.T) {
-	loader, module, _, _ := lintModule(t)
-	mp := loader.ModulePath
-	banned := []string{
-		"(*" + mp + "/internal/pipeline.Pipeline).pinIngest",
-		"(*" + mp + "/internal/pipeline.Pipeline).pinShard",
-		"(*" + mp + "/internal/pipeline.Pipeline).pinTo",
-		"(*" + mp + "/internal/pipeline.Pipeline).pinReader",
-	}
-	bannedSet := make(map[string]bool, len(banned))
-	for _, name := range banned {
-		bannedSet[name] = true
-	}
-	for _, e := range module.HotClosure() {
-		name := e.Func.FullName()
-		if strings.Contains(name, mp+"/internal/cputopo.") {
-			t.Errorf("topology/affinity function %s reached the //nslint:hotpath closure", name)
-		}
-		if bannedSet[name] {
-			t.Errorf("pin helper %s reached the //nslint:hotpath closure; its //nslint:coldpath boundary is gone", name)
-		}
-	}
-}
-
-// TestAdaptiveControlStaysOffHotPath audits the closed-loop sampling
-// controller the same way: the per-window control step — merge-time
-// scoring, the decide() law, the decision log append — runs in the
-// collector at a window barrier, once per window, and must never reach
+// TestAdaptiveControlStaysOffHotPath is the inverse audit of the
+// closure test above for the closed-loop sampling controller: the
+// per-window control step — merge-time scoring, the decide() law, the
+// decision log append — runs in the collector at a window barrier,
+// once per window, and must never reach
 // the per-packet //nslint:hotpath closure. If a refactor moves the
 // decision into the shard workers or the ingest loop (for example to
 // avoid the barrier handshake), the coldpath boundary on controlStep
