@@ -285,6 +285,50 @@ func TestObjectSetRecordAndReset(t *testing.T) {
 	}
 }
 
+// TestObjectSetRecordNoListRebuild pins Record at zero allocations for
+// a packet whose keys the objects already hold: the report-order list
+// is built once by NewObjectSet, not per packet.
+func TestObjectSetRecordNoListRebuild(t *testing.T) {
+	p := tcpPkt(packet.Addr{132, 249, 1, 1}, packet.Addr{18, 1, 1, 1}, 1024, 23, 41)
+	for _, b := range []Backbone{T1, T3} {
+		s := NewObjectSet(b)
+		s.Record(p, 1)
+		if allocs := testing.AllocsPerRun(100, func() { s.Record(p, 1) }); allocs != 0 {
+			t.Errorf("%s: Record allocates %v per packet, want 0", b, allocs)
+		}
+		// Objects hands out its own slice, in report order.
+		objs := s.Objects()
+		for i, name := range SupportedObjectNames(b) {
+			if objs[i].Name() != name {
+				t.Errorf("%s: object %d is %s, want %s", b, i, objs[i].Name(), name)
+			}
+		}
+		clear(objs)
+		s.Record(p, 1)
+		if s.TotalPackets() != 102+1 {
+			t.Errorf("%s: total = %d after clearing the caller's Objects() slice", b, s.TotalPackets())
+		}
+	}
+}
+
+// TestObjectSetHandAssembled checks a set built without NewObjectSet:
+// Record, Reset and Objects work from the fields alone.
+func TestObjectSetHandAssembled(t *testing.T) {
+	if n := len((&ObjectSet{}).Objects()); n != 7 {
+		t.Errorf("zero-value set lists %d objects, want 7 (T1)", n)
+	}
+	s := &ObjectSet{Backbone: T3, Matrix: NewSrcDstMatrix(), Ports: NewPortDistribution(), Protocols: NewProtocolDistribution()}
+	p := tcpPkt(packet.Addr{132, 249, 1, 1}, packet.Addr{18, 1, 1, 1}, 1024, 23, 41)
+	s.Record(p, 3)
+	if s.TotalPackets() != 3 || len(s.Matrix.M) != 1 || len(s.Objects()) != 3 {
+		t.Fatalf("hand-assembled T3 set: total %d, matrix %d cells, %d objects", s.TotalPackets(), len(s.Matrix.M), len(s.Objects()))
+	}
+	s.Reset()
+	if s.TotalPackets() != 0 || len(s.Matrix.M) != 0 {
+		t.Fatal("reset incomplete")
+	}
+}
+
 func TestMarshalRoundTripProperty(t *testing.T) {
 	f := func(srcs, dsts []uint32, sizes []uint16) bool {
 		m := NewSrcDstMatrix()

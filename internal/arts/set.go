@@ -37,6 +37,12 @@ type ObjectSet struct {
 	Outbound *Volume
 	Rates    *RateHistogram
 	Transit  *Volume
+
+	// objs is Objects() built once by NewObjectSet, so the per-packet
+	// Record does not rebuild it; nil on a set assembled by hand, which
+	// falls back to Objects(). The object fields are fixed once the set
+	// is in use.
+	objs []Object
 }
 
 // NewObjectSet creates the object profile for a backbone generation.
@@ -53,6 +59,7 @@ func NewObjectSet(b Backbone) *ObjectSet {
 		s.Rates = NewRateHistogram()
 		s.Transit = NewVolume("transit-volume")
 	}
+	s.objs = s.Objects()
 	return s
 }
 
@@ -75,17 +82,26 @@ func SupportedObjectNames(b Backbone) []string {
 	return names
 }
 
+// list is Objects() without the per-call slice where NewObjectSet
+// built it; callers must not modify the result.
+func (s *ObjectSet) list() []Object {
+	if s.objs != nil {
+		return s.objs
+	}
+	return s.Objects()
+}
+
 // Record feeds one packet (with a sampling scale-up weight) to every
 // object in the set.
 func (s *ObjectSet) Record(p trace.Packet, weight uint64) {
-	for _, o := range s.Objects() {
+	for _, o := range s.list() {
 		o.Record(p, weight)
 	}
 }
 
 // Reset zeroes every object (the post-poll counter reset).
 func (s *ObjectSet) Reset() {
-	for _, o := range s.Objects() {
+	for _, o := range s.list() {
 		o.Reset()
 	}
 }

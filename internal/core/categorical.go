@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"netsample/internal/dist"
 	"netsample/internal/metrics"
@@ -26,73 +28,107 @@ import (
 // threshold are folded into a rest category, the standard remedy for the
 // sparse-cell problem the paper anticipates for the traffic matrix.
 
-// Categorizer assigns packets to discrete categories. ok=false excludes
-// the packet from the characterization (e.g. non-TCP/UDP packets from a
-// port distribution).
+// Categorizer assigns packets to discrete categories by integer key, so
+// that classifying a packet builds no string; a key is rendered for
+// output once per distinct category.
 type Categorizer interface {
 	// Name identifies the characterization in output.
 	Name() string
-	// Category returns the packet's category key.
-	Category(p trace.Packet) (key string, ok bool)
+	// Key returns the packet's category. ok=false excludes the packet
+	// from the characterization (e.g. non-TCP/UDP packets from a port
+	// distribution).
+	Key(p trace.Packet) (key uint64, ok bool)
+	// Label renders a key returned by Key. Distinct keys have distinct
+	// labels; cells are ordered by label.
+	Label(key uint64) string
 }
 
 // PortCategorizer maps TCP/UDP packets to the well-known service of
 // their destination (or source) port, with everything else as "other".
+// The key is the deciding well-known port, 0 for "other".
 type PortCategorizer struct{}
 
 // Name implements Categorizer.
 func (PortCategorizer) Name() string { return "port-distribution" }
 
-// Category implements Categorizer.
-func (PortCategorizer) Category(p trace.Packet) (string, bool) {
+// Key implements Categorizer.
+func (PortCategorizer) Key(p trace.Packet) (uint64, bool) {
 	if p.Protocol != packet.ProtoTCP && p.Protocol != packet.ProtoUDP {
-		return "", false
+		return 0, false
 	}
-	if name := packet.PortName(p.DstPort); name != "other" {
-		return name, true
+	if packet.PortName(p.DstPort) != "other" {
+		return uint64(p.DstPort), true
 	}
-	return packet.PortName(p.SrcPort), true
+	if packet.PortName(p.SrcPort) != "other" {
+		return uint64(p.SrcPort), true
+	}
+	return 0, true
 }
 
-// ProtocolCategorizer maps packets to their IP protocol.
+// Label implements Categorizer.
+func (PortCategorizer) Label(key uint64) string { return packet.PortName(uint16(key)) }
+
+// ProtocolCategorizer maps packets to their IP protocol; the key is the
+// protocol number.
 type ProtocolCategorizer struct{}
 
 // Name implements Categorizer.
 func (ProtocolCategorizer) Name() string { return "protocol-distribution" }
 
-// Category implements Categorizer.
-func (ProtocolCategorizer) Category(p trace.Packet) (string, bool) {
-	return p.Protocol.String(), true
+// Key implements Categorizer.
+func (ProtocolCategorizer) Key(p trace.Packet) (uint64, bool) {
+	return uint64(p.Protocol), true
 }
 
+// Label implements Categorizer.
+func (ProtocolCategorizer) Label(key uint64) string { return packet.Protocol(key).String() }
+
 // NetPairCategorizer maps packets to their classful source→destination
-// network pair — the traffic matrix characterization.
+// network pair — the traffic matrix characterization. The key packs the
+// source network number into the high 32 bits and the destination's
+// into the low 32.
 type NetPairCategorizer struct{}
 
 // Name implements Categorizer.
 func (NetPairCategorizer) Name() string { return "src-dst-matrix" }
 
-// Category implements Categorizer.
-func (NetPairCategorizer) Category(p trace.Packet) (string, bool) {
-	return p.Src.NetworkNumber().String() + ">" + p.Dst.NetworkNumber().String(), true
+// Key implements Categorizer.
+func (NetPairCategorizer) Key(p trace.Packet) (uint64, bool) {
+	return uint64(p.Src.NetworkNumber().Uint32())<<32 | uint64(p.Dst.NetworkNumber().Uint32()), true
+}
+
+// Label implements Categorizer.
+func (NetPairCategorizer) Label(key uint64) string {
+	return packet.AddrFrom(uint32(key>>32)).String() + ">" + packet.AddrFrom(uint32(key)).String()
 }
 
 // RestCategory is the fold target for sparse cells.
 const RestCategory = "(rest)"
 
+// excludedCell marks a packet the categorizer excluded.
+const excludedCell = -1
+
 // CategoricalEvaluator scores samples on a discrete characterization.
+// Like Evaluator it classifies the population once: construction
+// resolves every packet to its folded cell in a per-packet table, and
+// scoring a sample is a counts pass over that table — the categorizer
+// is never consulted again. Immutable after construction and safe for
+// concurrent use; the mutable scoring state is a pooled catScorer.
 type CategoricalEvaluator struct {
 	pop        *trace.Trace
-	cat        Categorizer
-	categories []string       // folded category list, sorted, (rest) last if present
-	index      map[string]int // category → position
+	categories []string // folded category labels, sorted, (rest) last if present
+	cell       []int32  // per-packet index into categories; excludedCell = no category
 	popCounts  []float64
 	popTotal   float64
-	popExcl    int // population packets excluded by the categorizer
+	scorers    sync.Pool
 }
 
 // ErrNoCategories reports a population with no categorizable packets.
 var ErrNoCategories = errors.New("core: population has no categorizable packets")
+
+// errNoCategorizable is returned when scoring a sample none of whose
+// packets the categorizer kept.
+var errNoCategorizable = errors.New("core: sample has no categorizable packets")
 
 // NewCategoricalEvaluator analyzes the population. Categories whose
 // population share is below minShare (e.g. 0.001) are folded into
@@ -101,44 +137,75 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 	if minShare < 0 || minShare >= 1 {
 		return nil, fmt.Errorf("core: minShare %v outside [0,1)", minShare)
 	}
-	raw := make(map[string]float64)
+	// Pass 1: number the distinct keys in first-seen order, leaving each
+	// packet's key number in the table.
+	cell := make([]int32, len(pop.Packets))
+	ids := make(map[uint64]int32) // key → key number
+	var raw []float64             // key number → population count
 	var total float64
-	excl := 0
-	for _, p := range pop.Packets {
-		key, ok := cat.Category(p)
+	for i, p := range pop.Packets {
+		key, ok := cat.Key(p)
 		if !ok {
-			excl++
+			cell[i] = excludedCell
 			continue
 		}
-		raw[key]++
+		id, seen := ids[key]
+		if !seen {
+			id = int32(len(raw))
+			ids[key] = id
+			raw = append(raw, 0)
+		}
+		cell[i] = id
+		raw[id]++
 		total++
 	}
 	if total == 0 {
 		return nil, ErrNoCategories
 	}
-	e := &CategoricalEvaluator{pop: pop, cat: cat, index: map[string]int{}, popTotal: total, popExcl: excl}
+	// Fold, then order the kept cells by label: cell order is the
+	// metrics' float summation order, so it is part of the output (and
+	// the sort is what makes the map walk below deterministic).
+	type kept struct {
+		label string
+		id    int32
+	}
+	var keep []kept
 	var rest float64
-	var keep []string
-	for key, c := range raw {
-		if c/total < minShare {
+	for key, id := range ids {
+		if c := raw[id]; c/total < minShare {
 			rest += c
 		} else {
-			keep = append(keep, key)
+			keep = append(keep, kept{cat.Label(key), id})
 		}
 	}
-	sort.Strings(keep)
-	for _, key := range keep {
-		e.index[key] = len(e.categories)
-		e.categories = append(e.categories, key)
-		e.popCounts = append(e.popCounts, raw[key])
+	slices.SortFunc(keep, func(a, b kept) int { return strings.Compare(a.label, b.label) })
+	e := &CategoricalEvaluator{pop: pop, cell: cell, popTotal: total}
+	restCell := int32(len(keep))
+	toCell := make([]int32, len(raw))
+	for i := range toCell {
+		toCell[i] = restCell
+	}
+	for i, k := range keep {
+		toCell[k.id] = int32(i)
+		e.categories = append(e.categories, k.label)
+		e.popCounts = append(e.popCounts, raw[k.id])
 	}
 	if rest > 0 {
-		e.index[RestCategory] = len(e.categories)
 		e.categories = append(e.categories, RestCategory)
 		e.popCounts = append(e.popCounts, rest)
 	}
 	if len(e.categories) < 2 {
 		return nil, fmt.Errorf("%w: fewer than two categories after folding", ErrNoCategories)
+	}
+	// Pass 2: rewrite key numbers to folded cell indices.
+	for i, id := range cell {
+		if id != excludedCell {
+			cell[i] = toCell[id]
+		}
+	}
+	e.scorers.New = func() any {
+		n := len(e.categories)
+		return &catScorer{e: e, observed: make([]float64, n), expected: make([]float64, n), scaled: make([]float64, n)}
 	}
 	return e, nil
 }
@@ -160,61 +227,67 @@ func (e *CategoricalEvaluator) PopulationProportions() []float64 {
 	return out
 }
 
+// catScorer is the worker-local mutable state of categorical scoring:
+// per-cell observation counts fed by selection visits, plus the
+// expected/scaled scratch of the metric kernel. The categorical
+// counterpart of Scorer.
+type catScorer struct {
+	e        *CategoricalEvaluator
+	observed []float64
+	expected []float64
+	scaled   []float64
+	selected int
+}
+
+// scorer borrows a pooled catScorer; e.scorers.Put returns it.
+func (e *CategoricalEvaluator) scorer() *catScorer { return e.scorers.Get().(*catScorer) }
+
+// reset clears the accumulated sample.
+func (s *catScorer) reset() {
+	clear(s.observed)
+	s.selected = 0
+}
+
+// visit records the selection of packet i. Packets the categorizer
+// excluded still count toward the sample size, not toward any cell.
+//
+//nslint:hotpath
+func (s *catScorer) visit(i int) {
+	s.selected++
+	if c := s.e.cell[i]; c != excludedCell {
+		s.observed[c]++
+	}
+}
+
+// report scores the accumulated sample.
+func (s *catScorer) report() (metrics.Report, error) {
+	e := s.e
+	var n float64
+	for _, c := range s.observed {
+		n += c
+	}
+	if n == 0 {
+		return metrics.Report{}, errNoCategorizable
+	}
+	scale := e.popTotal / n
+	for i, c := range s.observed {
+		s.expected[i] = n * e.popCounts[i] / e.popTotal
+		s.scaled[i] = c * scale
+	}
+	return reportMetrics(s.observed, s.expected, s.scaled, e.popCounts, n/e.popTotal)
+}
+
 // Score computes the metric report of a sample (indices into the
 // population trace) for this characterization.
 func (e *CategoricalEvaluator) Score(indices []int) (metrics.Report, error) {
-	observed := make([]float64, len(e.categories))
-	var n float64
+	sc := e.scorer()
+	sc.reset()
 	for _, idx := range indices {
-		key, ok := e.cat.Category(e.pop.Packets[idx])
-		if !ok {
-			continue
-		}
-		pos, ok := e.index[key]
-		if !ok {
-			pos = e.index[RestCategory]
-		}
-		observed[pos]++
-		n++
+		sc.visit(idx)
 	}
-	if n == 0 {
-		return metrics.Report{}, errors.New("core: sample has no categorizable packets")
-	}
-	expected := make([]float64, len(e.categories))
-	scaledUp := make([]float64, len(e.categories))
-	scale := e.popTotal / n
-	for i := range e.categories {
-		expected[i] = n * e.popCounts[i] / e.popTotal
-		scaledUp[i] = observed[i] * scale
-	}
-	fraction := n / e.popTotal
-	if fraction > 1 {
-		fraction = 1
-	}
-	var rep metrics.Report
-	var err error
-	if rep.ChiSquare, err = metrics.ChiSquare(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.Significance, err = metrics.Significance(observed, expected, 0); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.Cost, err = metrics.Cost(scaledUp, e.popCounts); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.RelativeCost, err = metrics.RelativeCost(scaledUp, e.popCounts, fraction); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.PaxsonX2, err = metrics.PaxsonX2(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.AvgNormDev, err = metrics.AvgNormDeviation(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.Phi, err = metrics.Phi(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	return rep, nil
+	rep, err := sc.report()
+	e.scorers.Put(sc)
+	return rep, err
 }
 
 // Phi returns only the φ score of a sample.
@@ -227,19 +300,26 @@ func (e *CategoricalEvaluator) Phi(indices []int) (float64, error) {
 }
 
 // ReplicateCategorical runs a sampler n times against a categorical
-// evaluator, mirroring Replicate for the binned targets.
-func ReplicateCategorical(e *CategoricalEvaluator, s Sampler, n int, r *dist.RNG) ([]Replication, error) {
+// evaluator, mirroring Replicate for the binned targets: selection
+// visits feed the cell counts directly, with one reused child RNG, so
+// the per-replication loop allocates nothing.
+func ReplicateCategorical(e *CategoricalEvaluator, s StreamingSampler, n int, r *dist.RNG) ([]Replication, error) {
 	out := make([]Replication, 0, n)
+	sc := e.scorer()
+	defer e.scorers.Put(sc)
+	child := dist.NewRNG(0)
+	visit := sc.visit
 	for i := 0; i < n; i++ {
-		idx, err := s.Select(e.pop, r.Split())
+		r.SplitInto(child)
+		sc.reset()
+		if err := s.SelectEach(e.pop, child, visit); err != nil {
+			return nil, err
+		}
+		rep, err := sc.report()
 		if err != nil {
 			return nil, err
 		}
-		rep, err := e.Score(idx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Replication{SampleSize: len(idx), Report: rep})
+		out = append(out, Replication{SampleSize: sc.selected, Report: rep})
 	}
 	return out, nil
 }

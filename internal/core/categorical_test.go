@@ -2,28 +2,44 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"netsample/internal/dist"
+	"netsample/internal/metrics"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
 
+// label is Key then Label: what a categorizer calls the packet's cell.
+func label(c Categorizer, p trace.Packet) (string, bool) {
+	key, ok := c.Key(p)
+	if !ok {
+		return "", false
+	}
+	return c.Label(key), true
+}
+
 func TestPortCategorizer(t *testing.T) {
 	var c PortCategorizer
-	if _, ok := c.Category(trace.Packet{Protocol: packet.ProtoICMP}); ok {
+	if _, ok := c.Key(trace.Packet{Protocol: packet.ProtoICMP}); ok {
 		t.Error("ICMP should be excluded")
 	}
-	key, ok := c.Category(trace.Packet{Protocol: packet.ProtoTCP, SrcPort: 1024, DstPort: packet.PortTelnet})
+	key, ok := label(c, trace.Packet{Protocol: packet.ProtoTCP, SrcPort: 1024, DstPort: packet.PortTelnet})
 	if !ok || key != "telnet" {
 		t.Errorf("dst well-known: %q %v", key, ok)
 	}
-	key, ok = c.Category(trace.Packet{Protocol: packet.ProtoTCP, SrcPort: packet.PortNNTP, DstPort: 2044})
+	key, ok = label(c, trace.Packet{Protocol: packet.ProtoTCP, SrcPort: packet.PortNNTP, DstPort: 2044})
 	if !ok || key != "nntp" {
 		t.Errorf("src well-known: %q %v", key, ok)
 	}
-	key, ok = c.Category(trace.Packet{Protocol: packet.ProtoUDP, SrcPort: 5000, DstPort: 6000})
+	key, ok = label(c, trace.Packet{Protocol: packet.ProtoUDP, SrcPort: 5000, DstPort: 6000})
 	if !ok || key != "other" {
 		t.Errorf("ephemeral: %q %v", key, ok)
 	}
@@ -31,17 +47,26 @@ func TestPortCategorizer(t *testing.T) {
 
 func TestProtocolCategorizer(t *testing.T) {
 	var c ProtocolCategorizer
-	key, ok := c.Category(trace.Packet{Protocol: packet.ProtoTCP})
+	key, ok := label(c, trace.Packet{Protocol: packet.ProtoTCP})
 	if !ok || key != "TCP" {
 		t.Errorf("key = %q", key)
+	}
+	if key, _ := label(c, trace.Packet{Protocol: 200}); key != "proto-200" {
+		t.Errorf("unnamed protocol key = %q", key)
 	}
 }
 
 func TestNetPairCategorizer(t *testing.T) {
 	var c NetPairCategorizer
-	key, ok := c.Category(trace.Packet{
+	key, ok := label(c, trace.Packet{
 		Src: packet.Addr{132, 249, 5, 5}, Dst: packet.Addr{18, 3, 4, 5}})
 	if !ok || key != "132.249.0.0>18.0.0.0" {
+		t.Errorf("key = %q", key)
+	}
+	// The two halves of the packed key do not bleed into each other.
+	key, _ = label(c, trace.Packet{
+		Src: packet.Addr{255, 255, 255, 255}, Dst: packet.Addr{192, 0, 2, 9}})
+	if key != "255.255.255.255>192.0.2.0" {
 		t.Errorf("key = %q", key)
 	}
 }
@@ -84,11 +109,7 @@ func TestCategoricalPhiZeroForFullSample(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cat.Name(), err)
 		}
-		all := make([]int, tr.Len())
-		for i := range all {
-			all[i] = i
-		}
-		phi, err := ev.Phi(all)
+		phi, err := ev.Phi(rangeInts(tr.Len()))
 		if err != nil {
 			t.Fatalf("%s: %v", cat.Name(), err)
 		}
@@ -210,4 +231,341 @@ func TestReplicateCategoricalPropagatesError(t *testing.T) {
 	if _, err := ReplicateCategorical(ev, SystematicCount{K: 0}, 2, dist.NewRNG(1)); err == nil {
 		t.Error("bad sampler accepted")
 	}
+}
+
+// refCategory is the deleted string contract — Category(p) — spelled
+// independently of Key/Label.
+func refCategory(cat Categorizer, p trace.Packet) (string, bool) {
+	switch cat.(type) {
+	case PortCategorizer:
+		if p.Protocol != packet.ProtoTCP && p.Protocol != packet.ProtoUDP {
+			return "", false
+		}
+		if name := packet.PortName(p.DstPort); name != "other" {
+			return name, true
+		}
+		return packet.PortName(p.SrcPort), true
+	case ProtocolCategorizer:
+		return p.Protocol.String(), true
+	}
+	s, d := p.Src.NetworkNumber(), p.Dst.NetworkNumber()
+	return fmt.Sprintf("%d.%d.%d.%d>%d.%d.%d.%d", s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3]), true
+}
+
+// refEvaluator is the string-keyed implementation the table kernel
+// replaced, kept as the reference the kernel is held bit-equal to.
+type refEvaluator struct {
+	categories []string
+	index      map[string]int
+	popCounts  []float64
+	popTotal   float64
+}
+
+func newRefEvaluator(pop *trace.Trace, cat Categorizer, minShare float64) *refEvaluator {
+	raw := map[string]float64{}
+	e := &refEvaluator{index: map[string]int{}}
+	for _, p := range pop.Packets {
+		if key, ok := refCategory(cat, p); ok {
+			raw[key]++
+			e.popTotal++
+		}
+	}
+	var rest float64
+	for key, c := range raw {
+		if c/e.popTotal < minShare {
+			rest += c
+		} else {
+			e.categories = append(e.categories, key)
+		}
+	}
+	sort.Strings(e.categories)
+	if rest > 0 {
+		e.categories = append(e.categories, RestCategory)
+		raw[RestCategory] = rest
+	}
+	for i, key := range e.categories {
+		e.index[key] = i
+		e.popCounts = append(e.popCounts, raw[key])
+	}
+	return e
+}
+
+func (e *refEvaluator) score(pop *trace.Trace, cat Categorizer, indices []int) (metrics.Report, error) {
+	observed := make([]float64, len(e.categories))
+	expected := make([]float64, len(e.categories))
+	scaled := make([]float64, len(e.categories))
+	var n float64
+	for _, idx := range indices {
+		key, ok := refCategory(cat, pop.Packets[idx])
+		if !ok {
+			continue
+		}
+		pos, ok := e.index[key]
+		if !ok {
+			pos = e.index[RestCategory]
+		}
+		observed[pos]++
+		n++
+	}
+	if n == 0 {
+		return metrics.Report{}, errors.New("core: sample has no categorizable packets")
+	}
+	for i := range observed {
+		expected[i] = n * e.popCounts[i] / e.popTotal
+		scaled[i] = observed[i] * (e.popTotal / n)
+	}
+	rep, err := metrics.Evaluate(observed, expected, n/e.popTotal, 0)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	rep.Cost, _ = metrics.Cost(scaled, e.popCounts)
+	rep.RelativeCost, err = metrics.RelativeCost(scaled, e.popCounts, n/e.popTotal)
+	return rep, err
+}
+
+// sameBits reports whether two float slices are bit-identical.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// categoricalPopulations are the two windows the kernel is checked on:
+// the hour's first 1024 s (what ExtPorts/ExtMatrix score) and a ddos
+// scenario whose spoofed flood is thousands of one-packet pairs.
+func categoricalPopulations(t *testing.T) map[string]*trace.Trace {
+	t.Helper()
+	hour, err := traffgen.Hour()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := traffgen.PresetScenario("ddos", 7, 2*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddos, err := traffgen.GenerateScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*trace.Trace{"hour-1024s": hour.Window(0, 1024*1_000_000), "ddos": ddos}
+}
+
+// TestCategoricalKernelMatchesStringReference holds the table kernel
+// bit-equal to the string-keyed reference: cell order, cell count,
+// population proportions and every report field.
+func TestCategoricalKernelMatchesStringReference(t *testing.T) {
+	for popName, pop := range categoricalPopulations(t) {
+		onePacket := map[string]int{}
+		for _, p := range pop.Packets {
+			key, _ := refCategory(NetPairCategorizer{}, p)
+			onePacket[key]++
+		}
+		singles := 0
+		for _, c := range onePacket {
+			if c == 1 {
+				singles++
+			}
+		}
+		if popName == "ddos" && singles < 1000 {
+			t.Fatalf("ddos population has only %d one-packet pairs", singles)
+		}
+		for _, cat := range []Categorizer{PortCategorizer{}, ProtocolCategorizer{}, NetPairCategorizer{}} {
+			for _, minShare := range []float64{0, 0.0005, 0.05} {
+				name := fmt.Sprintf("%s/%s/%v", popName, cat.Name(), minShare)
+				ref := newRefEvaluator(pop, cat, minShare)
+				ev, err := NewCategoricalEvaluator(pop, cat, minShare)
+				if len(ref.categories) < 2 {
+					if !errors.Is(err, ErrNoCategories) {
+						t.Errorf("%s: %d reference cells but err = %v", name, len(ref.categories), err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !slices.Equal(ev.Categories(), ref.categories) || ev.NumCells() != len(ref.categories) {
+					t.Fatalf("%s: categories differ: %d cells vs %d", name, ev.NumCells(), len(ref.categories))
+				}
+				refProps := make([]float64, len(ref.popCounts))
+				for i, c := range ref.popCounts {
+					refProps[i] = c / ref.popTotal
+				}
+				if !sameBits(ev.PopulationProportions(), refProps) {
+					t.Fatalf("%s: population proportions differ", name)
+				}
+				r := dist.NewRNG(11)
+				for _, s := range []Sampler{SystematicCount{K: 50, Offset: 3}, StratifiedCount{K: 7}, StratifiedCount{K: 1024}, SimpleRandom{K: 300}} {
+					idx, err := s.Select(pop, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotErr := ev.Score(idx)
+					want, wantErr := ref.score(pop, cat, idx)
+					if (gotErr != nil) != (wantErr != nil) || got != want {
+						t.Errorf("%s %s: report %+v (%v), reference %+v (%v)", name, s.Name(), got, gotErr, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReplicateCategoricalMatchesSelectScore pins the streamed
+// replication loop to the Select-then-Score composition it replaced:
+// same child streams, same sample sizes, same reports.
+func TestReplicateCategoricalMatchesSelectScore(t *testing.T) {
+	tr := genTrace(t, 67)
+	for _, cat := range []Categorizer{PortCategorizer{}, NetPairCategorizer{}} {
+		ev, err := NewCategoricalEvaluator(tr, cat, 0.0005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []StreamingSampler{StratifiedCount{K: 16}, SimpleRandom{K: 100}, SystematicCount{K: 9}} {
+			reps, err := ReplicateCategorical(ev, s, 4, dist.NewRNG(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := dist.NewRNG(5)
+			for i, rep := range reps {
+				idx, err := s.Select(tr, r.Split())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ev.Score(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.SampleSize != len(idx) || rep.Report != want {
+					t.Errorf("%s %s rep %d: got %d %+v, want %d %+v", cat.Name(), s.Name(), i, rep.SampleSize, rep.Report, len(idx), want)
+				}
+			}
+		}
+	}
+}
+
+// TestCategoricalExcludedPackets pins the accounting of packets the
+// categorizer excludes: they count toward SampleSize (the sampler did
+// select them) but toward no cell, so n — and with it every expected
+// count — is that of the categorizable packets alone.
+func TestCategoricalExcludedPackets(t *testing.T) {
+	tr := genTrace(t, 68)
+	ev, err := NewCategoricalEvaluator(tr, PortCategorizer{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var icmp, rest []int
+	for i, p := range tr.Packets {
+		if p.Protocol != packet.ProtoTCP && p.Protocol != packet.ProtoUDP {
+			icmp = append(icmp, i)
+		} else if i%40 == 0 {
+			rest = append(rest, i)
+		}
+	}
+	if len(icmp) == 0 {
+		t.Fatal("trace has no non-TCP/UDP packet")
+	}
+	with := append(append([]int(nil), rest...), icmp...)
+	sort.Ints(with)
+	got, err := ev.Score(with)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ev.Score(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("excluded packets moved the report: %+v vs %+v", got, want)
+	}
+	if _, err := ev.Score(icmp); err == nil || err.Error() != "core: sample has no categorizable packets" {
+		t.Errorf("all-excluded sample: err = %v", err)
+	}
+	// Every packet selected, excluded ones included, is in SampleSize.
+	reps, err := ReplicateCategorical(ev, SystematicCount{K: 1}, 1, dist.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps[0].SampleSize != tr.Len() {
+		t.Errorf("SampleSize = %d, want %d", reps[0].SampleSize, tr.Len())
+	}
+	all, err := ev.Score(rangeInts(tr.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps[0].Report != all {
+		t.Errorf("census report %+v, Score %+v", reps[0].Report, all)
+	}
+}
+
+func rangeInts(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestCategoricalScoringZeroAllocs pins the table kernel at zero
+// steady-state heap allocations: Score once the scorer pool is warm,
+// and each further replication of ReplicateCategorical.
+func TestCategoricalScoringZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts perturbed under -race; sync.Pool drops items in race mode")
+	}
+	tr := genTrace(t, 69)
+	for _, cat := range []Categorizer{PortCategorizer{}, ProtocolCategorizer{}, NetPairCategorizer{}} {
+		ev, err := NewCategoricalEvaluator(tr, cat, 0.0005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := (SystematicCount{K: 64}).Select(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := ev.Score(idx); err != nil {
+				panic(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Score: %v allocs/op, want 0", cat.Name(), allocs)
+		}
+		r := dist.NewRNG(2)
+		replicate := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := ReplicateCategorical(ev, StratifiedCount{K: 64}, n, r); err != nil {
+					panic(err)
+				}
+			})
+		}
+		if one, many := replicate(1), replicate(33); many != one {
+			t.Errorf("%s: ReplicateCategorical allocates per replication: %v allocs for 1, %v for 33", cat.Name(), one, many)
+		}
+	}
+}
+
+// TestCategoricalEvaluatorConcurrentUse scores one evaluator from
+// several goroutines at once: the pooled scorers must keep the reports
+// equal to the serial ones (and the race detector quiet).
+func TestCategoricalEvaluatorConcurrentUse(t *testing.T) {
+	tr := genTrace(t, 70)
+	ev, err := NewCategoricalEvaluator(tr, NetPairCategorizer{}, 0.0005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReplicateCategorical(ev, StratifiedCount{K: 32}, 3, dist.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				got, err := ReplicateCategorical(ev, StratifiedCount{K: 32}, 3, dist.NewRNG(4))
+				if err != nil || !slices.Equal(got, want) {
+					t.Errorf("concurrent replication differs: %v %v", got, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -221,7 +221,14 @@ func (e *Evaluator) reportFromCounts(observed, expected, scaled []float64) (metr
 		expected[i] = n * e.popProps[i]
 		scaled[i] = c * scale
 	}
-	fraction := n / e.popTotal
+	return reportMetrics(observed, expected, scaled, e.popCounts, n/e.popTotal)
+}
+
+// reportMetrics computes the seven-metric report shared by the binned
+// and categorical kernels: the χ² family on sample scale (observed vs
+// expected), the cost metrics on population scale (scaled vs popCounts),
+// fraction being the sampled share of the population.
+func reportMetrics(observed, expected, scaled, popCounts []float64, fraction float64) (metrics.Report, error) {
 	if fraction > 1 {
 		fraction = 1
 	}
@@ -233,10 +240,10 @@ func (e *Evaluator) reportFromCounts(observed, expected, scaled []float64) (metr
 	if rep.Significance, err = metrics.Significance(observed, expected, 0); err != nil {
 		return metrics.Report{}, err
 	}
-	if rep.Cost, err = metrics.Cost(scaled, e.popCounts); err != nil {
+	if rep.Cost, err = metrics.Cost(scaled, popCounts); err != nil {
 		return metrics.Report{}, err
 	}
-	if rep.RelativeCost, err = metrics.RelativeCost(scaled, e.popCounts, fraction); err != nil {
+	if rep.RelativeCost, err = metrics.RelativeCost(scaled, popCounts, fraction); err != nil {
 		return metrics.Report{}, err
 	}
 	if rep.PaxsonX2, err = metrics.PaxsonX2(observed, expected); err != nil {

@@ -48,11 +48,13 @@ func SystematicEfficiency(tr *trace.Trace, target Target, k int) (EfficiencyDiag
 	}
 	d := EfficiencyDiagnostic{K: k, PopulationVariance: pop.StdDev * pop.StdDev}
 
-	// Mean within-sample variance over the k phases.
+	// Mean within-sample variance over the k phases; one buffer, sized
+	// for the longest phase, is reused across them.
 	var sum float64
 	phases := 0
+	phase := make([]float64, 0, len(obs)/k+1)
 	for off := 0; off < k; off++ {
-		var phase []float64
+		phase = phase[:0]
 		for i := off; i < len(obs); i += k {
 			phase = append(phase, obs[i])
 		}

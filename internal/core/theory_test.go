@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"netsample/internal/stats"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
@@ -66,5 +67,39 @@ func TestSystematicEfficiencyErrors(t *testing.T) {
 	tiny := &trace.Trace{Packets: tr.Packets[:5]}
 	if _, err := SystematicEfficiency(tiny, TargetSize, 10); !errors.Is(err, ErrEmptyPopulation) {
 		t.Error("tiny population accepted")
+	}
+}
+
+// TestSystematicEfficiencyPhaseBufferReuse holds the reused phase
+// buffer to a per-phase fresh slice: phases of unequal length (len(obs)
+// not a multiple of k) must not see a longer predecessor's tail.
+func TestSystematicEfficiencyPhaseBufferReuse(t *testing.T) {
+	tr, err := traffgen.Generate(traffgen.SmallTrace(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []Target{TargetSize, TargetInterarrival} {
+		obs := PopulationObservations(tr, target)
+		for _, k := range []int{7, 50, len(obs) / 3} {
+			d, err := SystematicEfficiency(tr, target, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for off := 0; off < k; off++ {
+				var phase []float64
+				for i := off; i < len(obs); i += k {
+					phase = append(phase, obs[i])
+				}
+				s, err := stats.Describe(phase)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += s.StdDev * s.StdDev
+			}
+			if want := sum / float64(k); math.Float64bits(d.MeanWithinVariance) != math.Float64bits(want) {
+				t.Errorf("%s k=%d: mean within-variance %v, want %v", target, k, d.MeanWithinVariance, want)
+			}
+		}
 	}
 }

@@ -69,13 +69,22 @@ func topPairs(win *trace.Trace, idx []int, weight, sketchSize, n int) ([]nnstat.
 	if err != nil {
 		return nil, err
 	}
+	// The sketch is keyed by the pair's label (Top breaks count ties by
+	// key bytes, so the spelling is output); the label is rendered once
+	// per distinct pair, not per packet.
 	var cat core.NetPairCategorizer
+	labels := make(map[uint64]string)
 	record := func(p trace.Packet) {
-		key, ok := cat.Category(p)
+		key, ok := cat.Key(p)
 		if !ok {
 			return
 		}
-		tk.Add(key, uint64(weight))
+		label, seen := labels[key]
+		if !seen {
+			label = cat.Label(key)
+			labels[key] = label
+		}
+		tk.Add(label, uint64(weight))
 	}
 	if idx == nil {
 		for _, p := range win.Packets {

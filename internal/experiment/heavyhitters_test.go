@@ -1,8 +1,14 @@
 package experiment
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"netsample/internal/core"
+	"netsample/internal/nnstat"
+	"netsample/internal/traffgen"
 )
 
 func TestHeavyHitters(t *testing.T) {
@@ -26,5 +32,58 @@ func TestHeavyHitters(t *testing.T) {
 	out := render(t, r)
 	if !strings.Contains(out, "ext-heavyhitters") {
 		t.Error("render missing id")
+	}
+}
+
+// TestHeavyHittersRenderedTableGolden pins the rendered table on two
+// generator seeds to what the per-packet string-keyed topPairs printed
+// before the integer Key/Label contract replaced it.
+func TestHeavyHittersRenderedTableGolden(t *testing.T) {
+	const head = "== ext-heavyhitters: top-10 src-dst pairs surviving sampling (space-saving sketch of 256) ==\n  1/frac topN-overlap\n"
+	for seed, want := range map[uint64]string{
+		12345: head + "       1         1.00\n      10         1.00\n      50         1.00\n     250         0.60\n    1000         0.60\n",
+		777:   head + "       1         1.00\n      10         1.00\n      50         0.90\n     250         0.80\n    1000         0.60\n",
+	} {
+		tr, err := traffgen.Generate(traffgen.SmallTrace(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := HeavyHitters(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(t, r); got != want {
+			t.Errorf("seed %d: rendered table changed:\n%s\nwant:\n%s", seed, got, want)
+		}
+	}
+}
+
+// TestTopPairsSketchSeesStringKeys holds topPairs' interned labels to a
+// sketch fed one freshly formatted string per packet: same entries, in
+// the same order, so the key bytes Top breaks ties by are unchanged.
+func TestTopPairsSketchSeesStringKeys(t *testing.T) {
+	tr := testTrace(t)
+	idx, err := core.SystematicCount{K: 50}.Select(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sketch smaller than the pair count, so evictions (whose order
+	// depends on the keys) are exercised too.
+	for _, sketch := range []int{16, 256} {
+		got, err := topPairs(tr, idx, 50, sketch, sketch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := nnstat.NewTopK(sketch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range idx {
+			s, d := tr.Packets[i].Src.NetworkNumber(), tr.Packets[i].Dst.NetworkNumber()
+			tk.Add(fmt.Sprintf("%d.%d.%d.%d>%d.%d.%d.%d", s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3]), 50)
+		}
+		if want := tk.Top(sketch); !slices.Equal(got, want) {
+			t.Errorf("sketch %d: entries differ:\n%v\nwant:\n%v", sketch, got, want)
+		}
 	}
 }

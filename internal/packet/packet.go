@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Errors returned by the decoders.
@@ -62,7 +63,13 @@ type Addr [4]byte
 
 // String renders dotted-quad notation.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+	var buf [15]byte // len("255.255.255.255")
+	b := strconv.AppendUint(buf[:0], uint64(a[0]), 10)
+	for _, o := range a[1:] {
+		b = append(b, '.')
+		b = strconv.AppendUint(b, uint64(o), 10)
+	}
+	return string(b)
 }
 
 // AddrFrom returns the Addr for a big-endian uint32.

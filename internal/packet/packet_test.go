@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +49,25 @@ func TestAddrString(t *testing.T) {
 	a := Addr{132, 249, 20, 1}
 	if a.String() != "132.249.20.1" {
 		t.Fatalf("String = %q", a.String())
+	}
+}
+
+// TestAddrStringMatchesSprintf holds the strconv rendering to the
+// Sprintf spelling it replaced, for every value of every octet, and
+// pins it at the one allocation of the returned string.
+func TestAddrStringMatchesSprintf(t *testing.T) {
+	for pos := 0; pos < 4; pos++ {
+		for v := 0; v < 256; v++ {
+			a := Addr{7, 77, 177, 250}
+			a[pos] = byte(v)
+			if got, want := a.String(), fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3]); got != want {
+				t.Fatalf("String = %q, want %q", got, want)
+			}
+		}
+	}
+	a := Addr{255, 255, 255, 255}
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.String() }); allocs > 1 {
+		t.Errorf("String allocates %v times, want at most 1", allocs)
 	}
 }
 

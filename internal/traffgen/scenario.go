@@ -93,8 +93,7 @@ func GenerateScenario(s Scenario) (*trace.Trace, error) {
 	for _, ph := range s.Phases {
 		capacity += ph.TargetPPS * (ph.End - ph.Start) * s.Base.Duration.Seconds() * 1.2
 	}
-	events := getEvents(int(capacity))
-	defer putEvents(events)
+	events := make([]event, 0, int(capacity))
 
 	// Baseline: the same child-RNG sequence as Generate, so the
 	// background traffic is packet-identical to the plain trace.

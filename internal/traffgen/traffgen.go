@@ -27,7 +27,6 @@ package traffgen
 import (
 	"errors"
 	"sort"
-	"sync"
 	"time"
 
 	"netsample/internal/dist"
@@ -127,32 +126,6 @@ type event struct {
 	pkt    trace.Packet
 }
 
-// eventPool recycles the large event staging buffer across Generate
-// calls: the buffer is internal (only tr.Packets escapes), and repeated
-// generation — experiment sweeps, tests, nsd e2e — was paying a
-// multi-megabyte allocation plus GC pressure per trace for it.
-var eventPool = sync.Pool{}
-
-// getEvents returns a zero-length event buffer with at least capacity
-// cap, reusing a pooled one when available.
-func getEvents(capacity int) []event {
-	if v := eventPool.Get(); v != nil {
-		buf := *v.(*[]event)
-		if cap(buf) >= capacity {
-			return buf[:0]
-		}
-		// Too small for this config; let it be collected.
-	}
-	return make([]event, 0, capacity)
-}
-
-// putEvents returns a buffer to the pool. The pointer indirection keeps
-// the slice header itself off the heap on the round trip.
-func putEvents(buf []event) {
-	buf = buf[:0]
-	eventPool.Put(&buf)
-}
-
 // Generate synthesizes the trace described by cfg.
 func Generate(cfg Config) (*trace.Trace, error) {
 	if err := cfg.Validate(); err != nil {
@@ -169,8 +142,7 @@ func Generate(cfg Config) (*trace.Trace, error) {
 
 	durUS := cfg.Duration.Microseconds()
 	// Estimated capacity: rate × duration with headroom.
-	events := getEvents(int(cfg.TargetPPS * cfg.Duration.Seconds() * 1.2))
-	defer putEvents(events)
+	events := make([]event, 0, int(cfg.TargetPPS*cfg.Duration.Seconds()*1.2))
 
 	total := cfg.TargetPPS * cfg.Duration.Seconds()
 	events = appendMixEvents(events, mix, total, durUS, envelope, addrs, root)
@@ -259,7 +231,7 @@ func appendFlows(events []event, m sourceModel, targetPackets float64, durUS int
 			if t >= durUS {
 				break
 			}
-			//nslint:allow hotalloc appends into the pooled event buffer pre-sized to rate×duration×1.2; growth is the rare estimate miss, not a per-packet cost
+			//nslint:allow hotalloc appends into the event buffer pre-sized to rate×duration×1.2; growth is the rare estimate miss, not a per-packet cost
 			events = append(events, event{timeUS: t, pkt: pkt})
 			emitted++
 			if !more || emitted >= targetPackets*1.02 {

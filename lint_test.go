@@ -146,6 +146,9 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		mp + "/internal/store.appendFrame",
 		// TestReplicationScoringZeroAllocs: the fused scoring visit.
 		"(*" + mp + "/internal/core.Scorer).Visit",
+		// TestCategoricalScoringZeroAllocs: the categorical kernel's
+		// per-index visit over the per-packet cell table.
+		"(*" + mp + "/internal/core.catScorer).visit",
 	}
 	in := make(map[string]bool)
 	for _, e := range module.HotClosure() {
