@@ -1108,8 +1108,9 @@ func (m *mapLoop) NextRawBatch(max int) ([]byte, int, error) {
 // end-to-end packet rate (ingest → shard → sample → aggregate) by shard
 // count, with one benchmark op = one packet. The pipeline is fed
 // through the zero-copy raw path: an mmap'd trace cycled by mapLoop,
-// decoded inside the parallel ingest workers. The reader goroutine only
-// peeks timestamps; allocs/op near zero is the hot-path guarantee
+// decoded inside the parallel ingest workers. The reader goroutine reads
+// only timestamps, which it offers the one sampler (the run is
+// un-windowed); allocs/op near zero is the hot-path guarantee
 // (pinned exactly by TestMapReaderHotPathAllocs).
 func BenchmarkPipelineThroughput(b *testing.B) {
 	tr := benchSmall(b)

@@ -23,11 +23,12 @@
 // any -shards/-ingest-workers combination at the same seed.
 //
 // The daemon is deterministic: all randomness comes from -seed, and
-// windowing runs on the virtual clock of the packet timestamps. With
-// one shard, the final snapshot's reports are bit-identical to the
-// batch evaluator in internal/core on the same trace and seed (pinned
-// by a tier-1 test); -ingest-workers parallelizes the hash/fan-out
-// stage without changing any output under the block policy.
+// windowing runs on the virtual clock of the packet timestamps. One
+// sampler runs over the whole stream ahead of the fan-out, so -method
+// means the paper's method of the link for any -shards and
+// -ingest-workers: under the block policy they change no output, and
+// the final snapshot's reports are bit-identical to the batch evaluator
+// in internal/core on the same trace and seed (pinned by a tier-1 test).
 // SIGINT/SIGTERM drain the pipeline cleanly and the final snapshot is
 // printed before exit.
 //
@@ -80,14 +81,14 @@ func main() {
 		pps      = flag.Float64("pps", 424, "generated average packets per second (-gen)")
 		scenario = flag.String("scenario", "", "generate a preset anomaly scenario instead of steady-state traffic (-gen): "+strings.Join(traffgen.ScenarioNames(), ", "))
 		method   = flag.String("method", "systematic",
-			"sampling method: systematic, stratified, systematic-timer, stratified-timer")
+			"sampling method, applied to the whole stream at any shard count: systematic, stratified, systematic-timer, stratified-timer")
 		k             = flag.Int("k", 100, "sampling granularity (1 in k packets, or the timer equivalent)")
 		adaptive      = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target and -drop-budget (requires -window > 0; -k is the starting granularity)")
 		minK          = flag.Int("min-k", 1, "adaptive: finest granularity the controller may choose")
 		maxK          = flag.Int("max-k", 4096, "adaptive: coarsest granularity the controller may choose")
 		targetPhi     = flag.Float64("target", 0.25, "adaptive: φ budget; refine when a window's worst φ exceeds it")
 		dropBudget    = flag.Float64("drop-budget", 0, "adaptive: tolerated drop fraction per window before coarsening")
-		shards        = flag.Int("shards", 1, "worker shard count")
+		shards        = flag.Int("shards", 1, "worker shard count (flows are hash-partitioned after selection; the selected set does not depend on it)")
 		ingestWorkers = flag.Int("ingest-workers", 1, "parallel ingest (hash/fan-out) workers")
 		window        = flag.Duration("window", 0, "snapshot window on the trace's virtual clock (0 = one final window)")
 		seed          = flag.Uint64("seed", 1993, "root RNG seed for random methods and -gen")
@@ -140,7 +141,7 @@ func main() {
 		log.Fatal("input trace is empty")
 	}
 
-	cfg, err := buildConfig(tr, *method, *k, *shards, *window, *seed,
+	cfg, err := buildConfig(tr, *method, *k, *window, *seed,
 		*queue, *batch, *policy, *topk, *flowTimeout)
 	if err != nil {
 		log.Fatal(err)
@@ -161,6 +162,7 @@ func main() {
 			DropBudget: *dropBudget,
 		}
 	}
+	cfg.Shards = *shards
 	cfg.IngestWorkers = *ingestWorkers
 	var sw *store.Writer
 	if *storeDir != "" {
@@ -295,15 +297,14 @@ func loadSource(in string, gen bool, scenario string, seconds int, pps float64, 
 	return tr, mr, mr.Close, nil
 }
 
-// buildConfig assembles the pipeline configuration: per-shard samplers
-// split off one seeded root RNG in shard order, and the reference
-// evaluators reuse the input trace as the known parent population.
-func buildConfig(tr *trace.Trace, method string, k, shards int,
+// buildConfig assembles the pipeline configuration: the one sampler of
+// the chosen method, and the reference evaluators, which reuse the input
+// trace as the known parent population.
+func buildConfig(tr *trace.Trace, method string, k int,
 	window time.Duration, seed uint64, queue, batch int, policy string,
 	topk int, flowTimeout time.Duration) (pipeline.Config, error) {
 
 	cfg := pipeline.Config{
-		Shards:        shards,
 		QueueDepth:    queue,
 		BatchSize:     batch,
 		WindowUS:      window.Microseconds(),
@@ -319,33 +320,31 @@ func buildConfig(tr *trace.Trace, method string, k, shards int,
 		return cfg, fmt.Errorf("unknown -policy %q (want block or drop)", policy)
 	}
 
-	root := dist.NewRNG(seed)
+	// The random methods draw from the first child of the seed's root
+	// stream: a run's batch twin is Select(tr, dist.NewRNG(seed).Split()).
+	rng := dist.NewRNG(seed).Split()
 	switch method {
 	case "systematic":
 		cfg.NewSampler = func(int) (online.Sampler, error) {
 			return online.NewSystematic(k, 0)
 		}
 	case "stratified":
-		rngs := splitRNGs(root, shards)
-		cfg.NewSampler = func(shard int) (online.Sampler, error) {
-			return online.NewStratified(k, rngs[shard])
-		}
-	case "systematic-timer":
-		period, err := core.PeriodForGranularity(tr, float64(k))
-		if err != nil {
-			return cfg, err
-		}
 		cfg.NewSampler = func(int) (online.Sampler, error) {
-			return online.NewSystematicTimer(period, 0)
+			return online.NewStratified(k, rng)
 		}
-	case "stratified-timer":
+	case "systematic-timer", "stratified-timer":
 		period, err := core.PeriodForGranularity(tr, float64(k))
 		if err != nil {
 			return cfg, err
 		}
-		rngs := splitRNGs(root, shards)
-		cfg.NewSampler = func(shard int) (online.Sampler, error) {
-			return online.NewStratifiedTimer(period, rngs[shard])
+		if method == "systematic-timer" {
+			cfg.NewSampler = func(int) (online.Sampler, error) {
+				return online.NewSystematicTimer(period, 0)
+			}
+		} else {
+			cfg.NewSampler = func(int) (online.Sampler, error) {
+				return online.NewStratifiedTimer(period, rng)
+			}
 		}
 	default:
 		return cfg, fmt.Errorf("unknown -method %q", method)
@@ -359,16 +358,6 @@ func buildConfig(tr *trace.Trace, method string, k, shards int,
 		return cfg, fmt.Errorf("interarrival evaluator: %w", err)
 	}
 	return cfg, nil
-}
-
-// splitRNGs derives one independent child RNG per shard, in shard
-// order, so runs are reproducible for any shard count.
-func splitRNGs(root *dist.RNG, shards int) []*dist.RNG {
-	out := make([]*dist.RNG, shards)
-	for i := range out {
-		out[i] = root.Split()
-	}
-	return out
 }
 
 // summarize renders one snapshot line for the operator.

@@ -2,10 +2,12 @@ package netsample
 
 import (
 	"bufio"
+	"bytes"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -141,17 +143,21 @@ func nsdReportBits(r metrics.Report) [7]uint64 {
 }
 
 // TestNSDSnapshotMatchesBatch is the daemon's end-to-end deterministic
-// guarantee, tier-1 enforced: run nsd single-shard on a fixed trace,
-// poll its final snapshot over the collect wire protocol, and require
-// the exported reports to be bit-identical to the batch core sampler +
-// evaluator on the same trace. It also covers the clean SIGTERM path.
+// guarantee, tier-1 enforced: run nsd on a fixed trace, poll its final
+// snapshot over the collect wire protocol, and require the exported
+// reports to be bit-identical to the batch core sampler + evaluator on
+// the same trace and seed — at one shard and at four shards behind two
+// ingest workers alike, which also makes `selected` the same for both.
+// It also covers the clean SIGTERM path.
 func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	dir := buildTools(t, "tracegen", "nsd")
 	trPath := filepath.Join(t.TempDir(), "t.nstr")
 	run(t, filepath.Join(dir, "tracegen"),
 		"-out", trPath, "-seconds", "30", "-pps", "600", "-seed", "42", "-q")
 
-	// Batch reference on the exact trace the daemon will stream.
+	// Batch reference on the exact trace the daemon will stream, cut to a
+	// whole number of 50-packet buckets: over a partial tail bucket the
+	// batch stratified sampler draws a different index than the online one.
 	f, err := os.Open(trPath)
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +167,14 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read trace: %v", err)
 	}
+	tr.Packets = tr.Packets[:tr.Len()-tr.Len()%50]
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, tr); err != nil {
+		t.Fatalf("encode trimmed trace: %v", err)
+	}
+	if err := os.WriteFile(trPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	sizeEval, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
 	if err != nil {
 		t.Fatalf("size evaluator: %v", err)
@@ -169,96 +183,118 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("iat evaluator: %v", err)
 	}
-	idx, err := core.SystematicCount{K: 50}.Select(tr, dist.NewRNG(1993))
+	period, err := core.PeriodForGranularity(tr, 50)
 	if err != nil {
-		t.Fatalf("batch select: %v", err)
-	}
-	wantSize, err := sizeEval.Score(idx)
-	if err != nil {
-		t.Fatalf("batch size score: %v", err)
-	}
-	wantIat, err := iatEval.Score(idx)
-	if err != nil {
-		t.Fatalf("batch iat score: %v", err)
+		t.Fatalf("period: %v", err)
 	}
 
-	daemon := exec.Command(filepath.Join(dir, "nsd"),
-		"-in", trPath, "-method", "systematic", "-k", "50", "-shards", "1",
-		"-listen", "127.0.0.1:0", "-name", "e2e-node", "-q")
-	stdout, err := daemon.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	waited := false
-	defer func() {
-		if !waited {
-			_ = daemon.Process.Kill()
-			_ = daemon.Wait()
-		}
-	}()
+	for _, tc := range []struct {
+		method  string
+		batch   core.Sampler
+		shards  int
+		workers int
+	}{
+		{"systematic", core.SystematicCount{K: 50}, 1, 1},
+		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 1, 1},
+		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 4, 2},
+		{"stratified", core.StratifiedCount{K: 50}, 1, 1},
+		{"stratified", core.StratifiedCount{K: 50}, 4, 2},
+	} {
+		t.Run(tc.method+"/shards="+strconv.Itoa(tc.shards), func(t *testing.T) {
+			// nsd's random methods draw from the seed's first child stream.
+			idx, err := tc.batch.Select(tr, dist.NewRNG(1993).Split())
+			if err != nil {
+				t.Fatalf("batch select: %v", err)
+			}
+			wantSize, err := sizeEval.Score(idx)
+			if err != nil {
+				t.Fatalf("batch size score: %v", err)
+			}
+			wantIat, err := iatEval.Score(idx)
+			if err != nil {
+				t.Fatalf("batch iat score: %v", err)
+			}
 
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no banner from nsd: %v", sc.Err())
-	}
-	banner := sc.Text()
-	const prefix = "nsd: listening on "
-	if !strings.HasPrefix(banner, prefix) {
-		t.Fatalf("unexpected banner: %q", banner)
-	}
-	addr := strings.TrimSpace(strings.TrimPrefix(banner, prefix))
+			daemon := exec.Command(filepath.Join(dir, "nsd"),
+				"-in", trPath, "-method", tc.method, "-k", "50", "-seed", "1993",
+				"-shards", strconv.Itoa(tc.shards), "-ingest-workers", strconv.Itoa(tc.workers),
+				"-listen", "127.0.0.1:0", "-name", "e2e-node", "-q")
+			stdout, err := daemon.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := daemon.Start(); err != nil {
+				t.Fatal(err)
+			}
+			waited := false
+			defer func() {
+				if !waited {
+					_ = daemon.Process.Kill()
+					_ = daemon.Wait()
+				}
+			}()
 
-	// The daemon drains the trace and then serves the final snapshot
-	// until signalled; poll until that snapshot appears.
-	coll := collect.NewCollector()
-	var snap *collect.Snapshot
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		snap, err = coll.PollSnapshot(addr)
-		if err == nil && snap.Final {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no final snapshot before deadline: snap=%+v err=%v", snap, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+			sc := bufio.NewScanner(stdout)
+			if !sc.Scan() {
+				t.Fatalf("no banner from nsd: %v", sc.Err())
+			}
+			banner := sc.Text()
+			const prefix = "nsd: listening on "
+			if !strings.HasPrefix(banner, prefix) {
+				t.Fatalf("unexpected banner: %q", banner)
+			}
+			addr := strings.TrimSpace(strings.TrimPrefix(banner, prefix))
 
-	if snap.Node != "e2e-node" || snap.Shards != 1 {
-		t.Errorf("snapshot identity = node %q, %d shards", snap.Node, snap.Shards)
-	}
-	if snap.Processed != uint64(tr.Len()) || snap.Dropped != 0 {
-		t.Errorf("processed %d dropped %d, want %d and 0",
-			snap.Processed, snap.Dropped, tr.Len())
-	}
-	if snap.Selected != uint64(len(idx)) {
-		t.Errorf("selected %d packets, batch selected %d", snap.Selected, len(idx))
-	}
-	if snap.SizeReport == nil || snap.IatReport == nil {
-		t.Fatalf("snapshot missing reports: %+v", snap)
-	}
-	if got, want := nsdReportBits(*snap.SizeReport), nsdReportBits(wantSize); got != want {
-		t.Errorf("size report bits = %v, want %v", got, want)
-	}
-	if got, want := nsdReportBits(*snap.IatReport), nsdReportBits(wantIat); got != want {
-		t.Errorf("iat report bits = %v, want %v", got, want)
-	}
-	for _, phi := range []float64{snap.SizeReport.Phi, snap.IatReport.Phi} {
-		if math.IsNaN(phi) || math.IsInf(phi, 0) {
-			t.Errorf("non-finite phi %v in exported snapshot", phi)
-		}
-	}
+			// The daemon drains the trace and then serves the final snapshot
+			// until signalled; poll until that snapshot appears.
+			coll := collect.NewCollector()
+			var snap *collect.Snapshot
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				snap, err = coll.PollSnapshot(addr)
+				if err == nil && snap.Final {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no final snapshot before deadline: snap=%+v err=%v", snap, err)
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
 
-	// Clean shutdown: SIGTERM must drain and exit zero.
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	waited = true
-	if err := daemon.Wait(); err != nil {
-		t.Errorf("nsd exit after SIGTERM: %v", err)
+			if snap.Node != "e2e-node" || int(snap.Shards) != tc.shards {
+				t.Errorf("snapshot identity = node %q, %d shards", snap.Node, snap.Shards)
+			}
+			if snap.Processed != uint64(tr.Len()) || snap.Dropped != 0 {
+				t.Errorf("processed %d dropped %d, want %d and 0",
+					snap.Processed, snap.Dropped, tr.Len())
+			}
+			if snap.Selected != uint64(len(idx)) {
+				t.Errorf("selected %d packets, batch selected %d", snap.Selected, len(idx))
+			}
+			if snap.SizeReport == nil || snap.IatReport == nil {
+				t.Fatalf("snapshot missing reports: %+v", snap)
+			}
+			if got, want := nsdReportBits(*snap.SizeReport), nsdReportBits(wantSize); got != want {
+				t.Errorf("size report bits = %v, want %v", got, want)
+			}
+			if got, want := nsdReportBits(*snap.IatReport), nsdReportBits(wantIat); got != want {
+				t.Errorf("iat report bits = %v, want %v", got, want)
+			}
+			for _, phi := range []float64{snap.SizeReport.Phi, snap.IatReport.Phi} {
+				if math.IsNaN(phi) || math.IsInf(phi, 0) {
+					t.Errorf("non-finite phi %v in exported snapshot", phi)
+				}
+			}
+
+			// Clean shutdown: SIGTERM must drain and exit zero.
+			if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			waited = true
+			if err := daemon.Wait(); err != nil {
+				t.Errorf("nsd exit after SIGTERM: %v", err)
+			}
+		})
 	}
 }
 

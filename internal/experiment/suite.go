@@ -64,9 +64,10 @@ func suiteJobs(tr *trace.Trace) []func() (Result, error) {
 //
 // Independent experiments run concurrently across a worker pool, but the
 // returned slice is index-addressed by the paper-order job list, so the
-// output is byte-identical to the serial implementation (see allSerial
-// and the equivalence test). On failure the error of the earliest
-// paper-order failing experiment is returned.
+// output is byte-identical to running the jobs in order on one goroutine
+// (allSerial in suite_ref_test.go, pinned by TestAllMatchesSerial). On
+// failure the error of the earliest paper-order failing experiment is
+// returned.
 func All(tr *trace.Trace) ([]Result, error) {
 	jobs := suiteJobs(tr)
 	results := make([]Result, len(jobs))
@@ -97,21 +98,6 @@ func All(tr *trace.Trace) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// allSerial runs the same job list on the calling goroutine, in order.
-// It is the reference implementation the parallel All is pinned against.
-func allSerial(tr *trace.Trace) ([]Result, error) {
-	jobs := suiteJobs(tr)
-	out := make([]Result, 0, len(jobs))
-	for _, job := range jobs {
-		r, err := job()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // WriteAll renders every result to w, separated by blank lines.

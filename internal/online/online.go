@@ -12,7 +12,10 @@
 //
 // Equivalence with the batch methods is verified in the tests: streaming
 // systematic selects exactly the same packets as core.SystematicCount,
-// and the timer forms match core's timer samplers tick for tick.
+// and the systematic timer matches core.SystematicTimer tick for tick.
+// The stratified timer draws core.StratifiedTimer's instants but is not
+// its twin: it fires at most once per bucket (below), where the batch
+// form carries a bucket nobody arrived in over to the next arrival.
 //
 // # Timestamp tolerance
 //

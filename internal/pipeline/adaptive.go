@@ -8,10 +8,10 @@ import (
 // granularity: a per-window control step that steers k within
 // [MinK, MaxK] against a drop-rate and φ-error budget — the promotion
 // of internal/adaptive's epoch controller onto the pipeline's window
-// barriers. It replaces Config.NewSampler: selection becomes a single
-// global systematic schedule decided at the reader, so the selected
-// packet set — and therefore every Snapshot — is bit-identical for any
-// ingest-worker and shard count at the same seed.
+// barriers. It replaces Config.NewSampler: the reader's one sampler is
+// a systematic one whose k the control step moves, so an adaptive run,
+// like a fixed one, is bit-identical for any ingest-worker and shard
+// count at the same seed.
 //
 // Control rides the virtual clock: decisions happen at window barriers
 // (cut positions are functions of packet timestamps alone), consume the

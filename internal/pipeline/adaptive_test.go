@@ -146,6 +146,42 @@ func projectSnap(s *Snapshot) snapProj {
 	return p
 }
 
+func projectSnaps(snaps []*Snapshot) []snapProj {
+	projs := make([]snapProj, len(snaps))
+	for i, s := range snaps {
+		projs[i] = projectSnap(s)
+	}
+	return projs
+}
+
+// assertTopologyInvariant is the one topology table both selection
+// modes are held to: it takes the (1 worker, 1 shard) run as the
+// reference and requires every other topology — and a repeat of the
+// reference, for run-to-run reproducibility — to publish the same
+// snapshot projections and take the same decisions. It returns the
+// reference run.
+func assertTopologyInvariant(t *testing.T, run func(workers, shards int) ([]snapProj, []AdaptiveDecision)) ([]snapProj, []AdaptiveDecision) {
+	t.Helper()
+	refSnaps, refDecs := run(1, 1)
+	for _, topo := range []struct{ workers, shards int }{{1, 1}, {2, 3}, {4, 2}, {3, 4}, {1, 8}} {
+		snaps, decs := run(topo.workers, topo.shards)
+		if !reflect.DeepEqual(snaps, refSnaps) {
+			for i := range snaps {
+				if i < len(refSnaps) && snaps[i] != refSnaps[i] {
+					t.Fatalf("workers=%d shards=%d: window %d diverged:\n got %+v\nwant %+v",
+						topo.workers, topo.shards, i, snaps[i], refSnaps[i])
+				}
+			}
+			t.Fatalf("workers=%d shards=%d: snapshot count %d vs %d",
+				topo.workers, topo.shards, len(snaps), len(refSnaps))
+		}
+		if !reflect.DeepEqual(decs, refDecs) {
+			t.Fatalf("workers=%d shards=%d: decision sequence diverged", topo.workers, topo.shards)
+		}
+	}
+	return refSnaps, refDecs
+}
+
 func runAdaptive(t *testing.T, tr *trace.Trace, workers, shards int) ([]snapProj, []AdaptiveDecision) {
 	t.Helper()
 	sizeEval, iatEval := evaluators(t, tr)
@@ -169,12 +205,7 @@ func runAdaptive(t *testing.T, tr *trace.Trace, workers, shards int) ([]snapProj
 	if err := p.Run(tr.Replay()); err != nil {
 		t.Fatalf("Run(workers=%d shards=%d): %v", workers, shards, err)
 	}
-	snaps := p.Snapshots()
-	projs := make([]snapProj, len(snaps))
-	for i, s := range snaps {
-		projs[i] = projectSnap(s)
-	}
-	return projs, p.Decisions()
+	return projectSnaps(p.Snapshots()), p.Decisions()
 }
 
 // TestAdaptiveDeterminismAcrossTopologies pins the acceptance
@@ -184,7 +215,9 @@ func runAdaptive(t *testing.T, tr *trace.Trace, workers, shards int) ([]snapProj
 // the controller through both coarse and fine regimes.
 func TestAdaptiveDeterminismAcrossTopologies(t *testing.T) {
 	tr := scenarioTrace(t, "ddos", 99, time.Minute)
-	refSnaps, refDecs := runAdaptive(t, tr, 1, 1)
+	refSnaps, refDecs := assertTopologyInvariant(t, func(workers, shards int) ([]snapProj, []AdaptiveDecision) {
+		return runAdaptive(t, tr, workers, shards)
+	})
 	if len(refSnaps) < 8 {
 		t.Fatalf("reference run produced %d windows, want >= 8", len(refSnaps))
 	}
@@ -200,22 +233,6 @@ func TestAdaptiveDeterminismAcrossTopologies(t *testing.T) {
 	}
 	if len(kseen) < 2 {
 		t.Fatalf("k never moved (always %v); scenario fails to exercise the loop", refSnaps[0].k)
-	}
-	for _, topo := range []struct{ workers, shards int }{{2, 3}, {4, 2}, {1, 8}} {
-		snaps, decs := runAdaptive(t, tr, topo.workers, topo.shards)
-		if !reflect.DeepEqual(snaps, refSnaps) {
-			for i := range snaps {
-				if i < len(refSnaps) && snaps[i] != refSnaps[i] {
-					t.Fatalf("workers=%d shards=%d: window %d diverged:\n got %+v\nwant %+v",
-						topo.workers, topo.shards, i, snaps[i], refSnaps[i])
-				}
-			}
-			t.Fatalf("workers=%d shards=%d: snapshot count %d vs %d",
-				topo.workers, topo.shards, len(snaps), len(refSnaps))
-		}
-		if !reflect.DeepEqual(decs, refDecs) {
-			t.Fatalf("workers=%d shards=%d: decision sequence diverged", topo.workers, topo.shards)
-		}
 	}
 }
 

@@ -95,24 +95,20 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 // prevUS is the timestamp of the stream packet preceding the window's
 // first record, which lets the worker compute interarrival gaps
 // locally; noGap0 marks the unit opening the stream, whose first packet
-// has no predecessor. In adaptive mode every data unit also carries its
-// selection-regime stamp: selK is the granularity in force for the
-// whole unit (units never span a barrier, and k only changes at
-// barriers) and selIdx is the global index of the unit's first packet
-// within the regime. A worker derives packet i's selection as
-// (selIdx+i) % selK == 0 — the reader's systematic schedule reproduced
-// without any shared counter, identical for any worker count.
-// selK == 0 means fixed-sampler mode.
+// has no predecessor. sel is the reader's selection verdict for the
+// unit's records, one bit each (record i is bit i&63 of word i>>6): the
+// worker copies bits and never evaluates a schedule, so the selected
+// set cannot depend on the worker or shard count. The slot belongs to
+// the reader's pool; the worker only reads it, and only during its
+// partition pass over the unit (Pipeline.selSlot).
 type srcUnit struct {
 	seq uint64
 	bar *barrier
 
 	raw    []byte
+	sel    []uint64
 	prevUS int64
 	noGap0 bool
-
-	selIdx uint64
-	selK   int
 }
 
 // ingestState is one parallel ingest worker: it consumes its share of
@@ -160,7 +156,7 @@ func newIngestState(id int, cfg *Config) *ingestState {
 // that decodes each packet from three 8-byte words, derives its shard
 // from the same registers (the hash words re-pack the record's bytes
 // 12-23 and 10, see DecodeBatch for the layout), stamps its
-// interarrival gap and adaptive selection bit, and appends the finished
+// interarrival gap and selection bit, and appends the finished
 // item straight into the per-shard batch, keeping the record in
 // registers between decode and item store. Pinned item by item against
 // a field-wise reference by TestPartitionRawMatchesReference.
@@ -171,7 +167,6 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 	prev := u.prevUS
 	raw := u.raw
 	n := len(raw) / trace.RecordLen
-	selK := uint64(u.selK)
 	for i := 0; i < n; i++ {
 		rec := raw[i*trace.RecordLen : i*trace.RecordLen+trace.RecordLen]
 		w0 := binary.LittleEndian.Uint64(rec[0:8])
@@ -196,7 +191,7 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 			},
 			gapUS:  t - prev,
 			hasGap: i > 0 || !u.noGap0,
-			sel:    selK != 0 && (u.selIdx+uint64(i))%selK == 0,
+			sel:    u.sel[i>>6]>>(uint(i)&63)&1 != 0,
 		})
 		prev = t
 	}

@@ -3,63 +3,35 @@ package pipeline
 import (
 	"testing"
 
-	"netsample/internal/dist"
 	"netsample/internal/online"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
 
-// runShardedWorkers runs a 4-shard stratified pipeline over tr with the
-// given ingest-worker count and returns its snapshots.
-func runShardedWorkers(t *testing.T, tr *trace.Trace, seed uint64, workers int) []*Snapshot {
-	t.Helper()
-	sizeEval, iatEval := evaluators(t, tr)
-	root := dist.NewRNG(seed)
-	rngs := make([]*dist.RNG, 4)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
-	p, err := New(Config{
-		Shards:        4,
-		IngestWorkers: workers,
-		NewSampler: func(shard int) (online.Sampler, error) {
-			return online.NewStratified(50, rngs[shard])
-		},
-		SizeEval: sizeEval,
-		IatEval:  iatEval,
-		WindowUS: 30_000_000,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := p.Run(tr.Replay()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return p.Snapshots()
-}
-
-// TestParallelIngestDeterministic pins the tentpole's determinism
+// TestParallelIngestDeterministic pins the fixed-sampler determinism
 // guarantee: under the Block policy the snapshot sequence is identical
-// for any number of ingest workers, because shard workers restore
-// global stream order from the unit sequence numbers.
+// for any number of ingest workers and shards, because the reader
+// decides selection once and the shard workers restore global stream
+// order from the unit sequence numbers.
 func TestParallelIngestDeterministic(t *testing.T) {
 	tr := smallTrace(t, 777)
-	base := runShardedWorkers(t, tr, 7, 1)
-	for _, workers := range []int{2, 3, 4} {
-		got := runShardedWorkers(t, tr, 7, workers)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d snapshots, want %d", workers, len(got), len(base))
+	ref, _ := assertTopologyInvariant(t, func(workers, shards int) ([]snapProj, []AdaptiveDecision) {
+		snaps, err := runStratified(t, tr, 7, workers, shards, tr.Replay())
+		if err != nil {
+			t.Fatalf("Run(workers=%d shards=%d): %v", workers, shards, err)
 		}
-		for i := range base {
-			assertSnapshotsEqual(t, i, base[i], got[i])
-		}
+		return projectSnaps(snaps), nil
+	})
+	if len(ref) < 2 {
+		t.Fatalf("want multiple windows, got %d", len(ref))
 	}
 }
 
-// TestParallelIngestDropConservation checks Offered == Processed +
-// Dropped holds per window when drops happen under a parallel ingest
-// stage: every shed batch is counted by exactly one worker and flushed
-// to exactly one shard before the window's barrier.
+// TestParallelIngestDropConservation checks the Drop policy's books
+// hold per window when drops happen under a parallel ingest stage:
+// every shed batch is counted by exactly one worker and flushed to
+// exactly one shard before the window's barrier, and shedding after
+// selection never counts a selected packet twice.
 func TestParallelIngestDropConservation(t *testing.T) {
 	tr := smallTrace(t, 333)
 	p, err := New(Config{
@@ -70,7 +42,7 @@ func TestParallelIngestDropConservation(t *testing.T) {
 		Policy:        Drop,
 		WindowUS:      20_000_000,
 		NewSampler: func(int) (online.Sampler, error) {
-			return online.NewSystematic(10, 0)
+			return online.NewSystematic(50, 0)
 		},
 	})
 	if err != nil {
@@ -83,26 +55,11 @@ func TestParallelIngestDropConservation(t *testing.T) {
 	if len(snaps) < 2 {
 		t.Fatalf("want multiple windows, got %d", len(snaps))
 	}
-	var offered, processed uint64
-	for i, s := range snaps {
-		if s.Offered != s.Processed+s.Dropped {
-			t.Errorf("window %d: offered %d != processed %d + dropped %d",
-				i, s.Offered, s.Processed, s.Dropped)
-		}
-		var byShard uint64
-		for _, d := range s.DroppedByShard {
-			byShard += d
-		}
-		if byShard != s.Dropped {
-			t.Errorf("window %d: DroppedByShard sums to %d, want %d", i, byShard, s.Dropped)
-		}
-		offered += s.Offered
-		processed += s.Processed
-	}
+	offered, dropped := assertDropAccounting(t, snaps, 50)
 	if offered != uint64(tr.Len()) {
 		t.Errorf("total offered %d, want trace length %d", offered, tr.Len())
 	}
-	if processed == 0 {
+	if dropped == offered {
 		t.Error("no packets processed")
 	}
 }

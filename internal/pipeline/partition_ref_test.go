@@ -44,8 +44,12 @@ func randomPackets(rng *rand.Rand, n int) []trace.Packet {
 }
 
 // partitionUnit runs one unit over pkts through a fresh ingest worker's
-// partitionRaw and returns the per-shard item batches it built.
+// partitionRaw and returns the per-shard item batches it built. A unit
+// without a selection bitmap gets an all-zero one.
 func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
+	if u.sel == nil {
+		u.sel = make([]uint64, (len(pkts)+63)/64)
+	}
 	u.raw = make([]byte, len(pkts)*trace.RecordLen)
 	trace.EncodeRecords(u.raw, pkts)
 	ig := newIngestState(0, &Config{Shards: shards, QueueDepth: 1, BatchSize: len(pkts)})
@@ -55,9 +59,9 @@ func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
 
 // TestPartitionRawMatchesReference holds the fused ingest kernel to a
 // field-wise reference, item by item: trace.DecodeRecords for the
-// packet, shardIndex for the shard, a serial chain for the gap, and
-// (selIdx+i)%selK == 0 for the adaptive selection bit. Every source
-// now reaches the shards through partitionRaw, so no end-to-end
+// packet, shardIndex for the shard, a serial chain for the gap, and a
+// []bool the bitmap was packed from for the selection bit. Every source
+// reaches the shards through partitionRaw, so no end-to-end
 // comparison of two paths can catch an error in it any more; this is
 // also the layout-drift guard between the NSTR record format and the
 // hash word packing.
@@ -71,14 +75,30 @@ func TestPartitionRawMatchesReference(t *testing.T) {
 		t.Fatalf("DecodeRecords decoded %d of %d", n, len(pkts))
 	}
 
-	type stamp struct {
-		selIdx uint64
-		selK   int
+	// Selection patterns: none, all, every 7th from the 4th, and coin
+	// flips — the last two put set and clear bits on both sides of every
+	// word boundary of the 300-bit bitmap.
+	patterns := []struct {
+		name string
+		sel  func(i int) bool
+	}{
+		{"none", func(int) bool { return false }},
+		{"all", func(int) bool { return true }},
+		{"every7", func(i int) bool { return i%7 == 3 }},
+		{"uniform", func(int) bool { return rng.Intn(2) == 0 }},
 	}
 	for _, shards := range []int{1, 2, 3, 7, 300} {
 		for _, noGap0 := range []bool{false, true} {
-			for _, st := range []stamp{{0, 0}, {0, 1}, {3, 7}, {1<<40 + 5, 50}, {49, 50}} {
-				u := srcUnit{prevUS: -5, noGap0: noGap0, selIdx: st.selIdx, selK: st.selK}
+			for _, pattern := range patterns {
+				st := pattern.name
+				selected := make([]bool, len(pkts))
+				bitmap := make([]uint64, (len(pkts)+63)/64)
+				for i := range selected {
+					if selected[i] = pattern.sel(i); selected[i] {
+						bitmap[i/64] |= 1 << (i % 64)
+					}
+				}
+				u := srcUnit{prevUS: -5, noGap0: noGap0, sel: bitmap}
 				got := partitionUnit(pkts, shards, u)
 
 				want := make([][]item, shards)
@@ -89,18 +109,18 @@ func TestPartitionRawMatchesReference(t *testing.T) {
 						pkt:    decoded[i],
 						gapUS:  decoded[i].Time - prev,
 						hasGap: !(noGap0 && i == 0),
-						sel:    st.selK != 0 && (st.selIdx+uint64(i))%uint64(st.selK) == 0,
+						sel:    selected[i],
 					})
 					prev = decoded[i].Time
 				}
 				for s := range want {
 					if len(got[s]) != len(want[s]) {
-						t.Fatalf("shards=%d noGap0=%v stamp=%+v: shard %d got %d items, want %d",
+						t.Fatalf("shards=%d noGap0=%v sel=%s: shard %d got %d items, want %d",
 							shards, noGap0, st, s, len(got[s]), len(want[s]))
 					}
 					for j := range want[s] {
 						if got[s][j] != want[s][j] {
-							t.Fatalf("shards=%d noGap0=%v stamp=%+v: shard %d item %d = %+v, want %+v",
+							t.Fatalf("shards=%d noGap0=%v sel=%s: shard %d item %d = %+v, want %+v",
 								shards, noGap0, st, s, j, got[s][j], want[s][j])
 						}
 					}

@@ -9,8 +9,8 @@
 // Architecture (DESIGN.md §10):
 //
 //	            reader (Run goroutine)
-//	               │  batches + gap stamps + window barriers,
-//	               │  sequence-numbered, round-robin
+//	               │  batches + selection bitmaps + gap stamps +
+//	               │  window barriers, sequence-numbered, round-robin
 //	    ┌──────────┴──────────┐        per-worker SPSC ring
 //	ingest worker 0 … ingest worker N-1    (5-tuple hashing)
 //	    │        ╲    ╱        │       per-(worker,shard) SPSC rings
@@ -21,20 +21,25 @@
 // The reader runs on the goroutine that calls Run: it pulls windows of
 // raw NSTR records from the source (any other Source is encoded into
 // record windows at the edge, see recordAdapter), reads only their
-// timestamps to cut window barriers and chain interarrival gaps, and
-// hands sequence-numbered windows round-robin to N ingest workers. Each
+// timestamps, and decides everything order-sensitive: window barriers,
+// the interarrival gap chain, and selection. It owns the run's one
+// online.Sampler — one of the paper's methods applied to the link, not
+// to a hash partition of it — offers it every packet in stream order,
+// and stamps the verdicts on each window as a bitmap before handing the
+// sequence-numbered windows round-robin to N ingest workers. Each
 // ingest worker decodes its windows, hashes the packets to shards by a
 // deterministic hash of the 5-tuple (tupleHash) — so every flow lives
 // on exactly one shard — stamps each packet with its interarrival gap
 // against its stream predecessor (the quantity a monitor with a
-// last-packet timestamp register observes), and publishes per-shard
-// item batches into lock-free single-producer/single-consumer rings,
-// one per (worker, shard) pair. A shard worker consumes its N rings in
-// global sequence order, so the packets of one shard are processed in
-// exact stream order regardless of how many ingest workers raced to
-// hash them: with the Block policy the pipeline is deterministic for
-// any worker count, and a single-shard run is bit-identical to the
-// batch evaluator (TestSingleShardSnapshotMatchesBatch).
+// last-packet timestamp register observes) and its selection bit, and
+// publishes per-shard item batches into lock-free
+// single-producer/single-consumer rings, one per (worker, shard) pair.
+// A shard worker consumes its N rings in global sequence order, so the
+// packets of one shard are processed in exact stream order regardless
+// of how many ingest workers raced to hash them. With the Block policy
+// the selected set, and so every snapshot, is the same for any worker
+// and shard count, and equals the batch evaluator's on the same trace
+// and seed (TestSnapshotMatchesBatch).
 //
 // All queues are bounded; when a shard falls behind, the configured
 // OverloadPolicy either blocks the fan-out (lossless backpressure all
@@ -43,10 +48,10 @@
 // accounting invariant Offered == Processed + Dropped is exact and
 // drops are surfaced per shard in every Snapshot, never silent.
 //
-// Each shard runs a configurable online.Sampler plus incremental
-// aggregates over the selected packets: per-bin size and interarrival
-// histogram counts (bins.Scheme), a flows.Table of transport flows, and
-// an nnstat.TopK heavy-hitter sketch. Windowing is driven by a virtual
+// Each shard keeps incremental aggregates over the selected packets it
+// receives: per-bin size and interarrival histogram counts
+// (bins.Scheme), a flows.Table of transport flows, and an nnstat.TopK
+// heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: the reader
 // emits a window barrier as one marker unit per ingest worker (N
@@ -61,10 +66,9 @@
 // each barrier into one Snapshot and, when reference Evaluators are
 // configured, scores the merged histogram counts against the reference
 // population with core.Evaluator.ScoreCounts — the same fused φ kernel
-// the batch experiments use, so a single-shard pipeline's snapshot is
-// bit-identical to the batch evaluator on the same trace and seed
-// (pinned by TestSingleShardSnapshotMatchesBatch and the cmd/nsd
-// integration test).
+// the batch experiments use, which is what makes a snapshot's reports
+// bit-identical to the batch evaluator's (pinned by
+// TestSnapshotMatchesBatch and the cmd/nsd integration test).
 package pipeline
 
 import (
@@ -141,17 +145,17 @@ type Config struct {
 	// Policy is the overload policy (Block if unset).
 	Policy OverloadPolicy
 
-	// NewSampler builds shard's online sampler. Required unless
-	// Adaptive is set. Random samplers must not share one RNG across
-	// shards.
-	NewSampler func(shard int) (online.Sampler, error)
+	// NewSampler builds the run's one sampler, which the reader offers
+	// every packet of the stream in arrival order. New calls it exactly
+	// once, with 0; the parameter carries nothing. Required unless
+	// Adaptive is set.
+	NewSampler func(int) (online.Sampler, error)
 
 	// Adaptive, when set, replaces NewSampler with the closed-loop
-	// systematic schedule: the reader stamps every packet's selection
-	// decision from one global regime, and a per-window control step on
-	// the barrier steers k within [MinK, MaxK]. Requires WindowUS > 0
-	// (the control loop lives on the window cut). Mutually exclusive
-	// with NewSampler.
+	// systematic schedule: the reader's sampler is a systematic one
+	// whose k a per-window control step on the barrier steers within
+	// [MinK, MaxK]. Requires WindowUS > 0 (the control loop lives on the
+	// window cut). Mutually exclusive with NewSampler.
 	Adaptive *AdaptiveConfig
 
 	// SizeScheme and IatScheme bin the two characterization targets
@@ -214,13 +218,18 @@ type Pipeline struct {
 	shardWG  sync.WaitGroup
 	done     chan struct{}
 
-	// Adaptive-control state (Config.Adaptive). selK and selCount are
-	// reader-owned: the granularity in force and the packet index within
-	// the current selection regime. adaptK is collector-owned; the
-	// barrier handshake (barrier.decided) orders every cross-ownership
-	// access. decisions is guarded by mu.
-	selK      int
-	selCount  uint64
+	// sampler is the run's one selection schedule, reader-owned: what
+	// Config.NewSampler built, or under Config.Adaptive a systematic
+	// sampler that emitBarrier re-anchors when the controller moves k.
+	sampler online.Sampler
+	// selPool holds the selection bitmaps the reader stamps on data
+	// units, one BatchSize-bit slot per unit, reused round-robin by unit
+	// sequence number (selSlot argues why a slot is free again by then).
+	selPool [][]uint64
+
+	// Adaptive-control state (Config.Adaptive). adaptK is
+	// collector-owned; the barrier handshake (barrier.decided) orders it
+	// against the reader. decisions is guarded by mu.
 	adaptK    int
 	decisions []AdaptiveDecision
 }
@@ -294,24 +303,20 @@ func New(cfg Config) (*Pipeline, error) {
 		barriers: make(chan *barrier, cfg.QueueDepth),
 		done:     make(chan struct{}),
 	}
+	var err error
 	if cfg.Adaptive != nil {
-		p.selK = cfg.Adaptive.StartK
 		p.adaptK = cfg.Adaptive.StartK
+		p.sampler, err = online.NewSystematic(cfg.Adaptive.StartK, 0)
+	} else {
+		p.sampler, err = cfg.NewSampler(0)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: sampler: %w", err)
 	}
 	p.shards = make([]*shardState, cfg.Shards)
 	sizeLUT := buildSizeLUT(cfg.SizeScheme)
 	for i := range p.shards {
-		// In adaptive mode no shard sampler exists: the selection
-		// decision rides each item from the reader's global regime.
-		var sampler online.Sampler
-		if cfg.NewSampler != nil {
-			var err error
-			sampler, err = cfg.NewSampler(i)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: shard %d sampler: %w", i, err)
-			}
-		}
-		st, err := newShardState(i, sampler, &cfg, sizeLUT)
+		st, err := newShardState(i, &cfg, sizeLUT)
 		if err != nil {
 			return nil, err
 		}
@@ -320,6 +325,14 @@ func New(cfg Config) (*Pipeline, error) {
 	p.ingest = make([]*ingestState, cfg.IngestWorkers)
 	for w := range p.ingest {
 		p.ingest[w] = newIngestState(w, &cfg)
+	}
+	// One bitmap slot per unit that can be between the reader's fill and
+	// the end of a worker's partition pass; see selSlot for the bound.
+	words := (cfg.BatchSize + 63) / 64
+	backing := make([]uint64, cfg.IngestWorkers*(p.ingest[0].in.cap()+2)*words)
+	p.selPool = make([][]uint64, len(backing)/words)
+	for i := range p.selPool {
+		p.selPool[i] = backing[i*words : (i+1)*words]
 	}
 	// Wire the per-(worker, shard) rings into each shard's consume and
 	// recycle fan-in, in worker order, plus the sequencing state the
@@ -399,15 +412,16 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 }
 
 // readRaw is the sequential stage: it owns the virtual clock, the
-// window barriers, the gap chain, the adaptive regime stamps, and the
-// unit sequence numbers, and runs on the Run caller's goroutine.
-// Everything downstream may be parallel because everything
-// order-sensitive is decided here. It forwards the source's record
-// windows to the ingest workers undecoded — decode, 5-tuple hash, and
-// gap stamp run in the workers (partitionRaw) — and itself touches only
-// the 8-byte timestamp field of each record; with windowing disabled it
-// reads just two timestamps per window (first and last), making the
-// sequential stage O(batches) instead of O(packets).
+// window barriers, the gap chain, the sampler, and the unit sequence
+// numbers, and runs on the Run caller's goroutine. Everything downstream
+// may be parallel because everything order-sensitive is decided here.
+// It forwards the source's record windows to the ingest workers
+// undecoded — decode, 5-tuple hash, and gap stamp run in the workers
+// (partitionRaw) — and itself touches only the 8-byte timestamp field
+// of each record: it is what the window cut compares and what the
+// sampler is offered. The sampler is not reset at a cut: its schedule
+// continues across windows, exactly as a batch sampler runs
+// uninterrupted over the whole trace.
 //
 // Window cuts slice the source's window at record granularity, so a
 // unit never spans a barrier. How the stream is grouped into units is
@@ -438,45 +452,44 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 				firstSeen = true
 				first := rawTime(raw, 0)
 				winStart = first
-				if windowing {
-					nextWin = first + p.cfg.WindowUS
-				}
+				nextWin = first + p.cfg.WindowUS
 				// The stream's first packet has no predecessor: seeding the
 				// chain with its own timestamp yields gap 0, and noGap0
 				// masks the observation in the worker.
 				prevUS = first
 			}
 			seg := 0
-			if windowing {
-				i := 0
-				for i < n {
-					t := rawTime(raw, i)
-					if t >= nextWin {
-						if i > seg {
-							p.sendRawUnit(raw, seg, i, prevUS, !sentFirst)
-							sentFirst = true
-							prevUS = rawTime(raw, i-1)
-							seg = i
-						}
-						p.emitBarrier(winStart, nextWin, false, offered)
-						offered = 0
-						winStart = nextWin
-						nextWin += p.cfg.WindowUS
-						continue
+			sel := p.selSlot()
+			for i := 0; i < n; {
+				t := rawTime(raw, i)
+				if windowing && t >= nextWin {
+					if i > seg {
+						p.sendRawUnit(raw, seg, i, sel, prevUS, !sentFirst)
+						sentFirst = true
+						prevUS = lastTime
+						seg = i
 					}
-					offered++
-					lastTime = t
-					i++
+					p.emitBarrier(winStart, nextWin, false, offered)
+					offered = 0
+					winStart = nextWin
+					nextWin += p.cfg.WindowUS
+					// The barrier consumed sequence numbers, so the unit
+					// opening at record i has a different slot.
+					sel = p.selSlot()
+					continue
 				}
-			} else {
-				offered += uint64(n)
-				lastTime = rawTime(raw, n-1)
+				if p.sampler.Offer(t) {
+					sel[(i-seg)>>6] |= 1 << (uint(i-seg) & 63)
+				}
+				offered++
+				lastTime = t
+				i++
 			}
-			if n > seg {
-				p.sendRawUnit(raw, seg, n, prevUS, !sentFirst)
-				sentFirst = true
-				prevUS = lastTime
-			}
+			// A cut moves seg only to a record the loop then consumes, so
+			// at least one record is always left to send.
+			p.sendRawUnit(raw, seg, n, sel, prevUS, !sentFirst)
+			sentFirst = true
+			prevUS = lastTime
 		}
 		if err != nil {
 			break
@@ -498,31 +511,41 @@ func rawTime(raw []byte, i int) int64 {
 	return int64(binary.LittleEndian.Uint64(raw[i*trace.RecordLen:]))
 }
 
-// sendRawUnit hands the [from, to) record sub-window of raw to its
-// round-robin ingest worker, consuming one sequence number. The slice
-// aliases the source's window (stable until Run returns, per
-// RawBatchSource); the bounded in ring is the backpressure. In adaptive
-// mode the unit is stamped with the selection regime of its first
-// packet (the regime's k and the packet's index within it), so the
-// ingest workers can reproduce the reader's global systematic schedule
-// without any shared counter; k changes only at barriers, which no unit
-// spans, so one stamp covers the whole unit. Reader goroutine only.
+// selSlot returns the cleared selection bitmap of the unit the reader
+// builds next (sequence number useq). Slots are reused every
+// len(selPool) = N·(C+2) sequence numbers, N the ingest workers and C
+// their in rings' capacity, with no hand-back from the workers. That is
+// safe because units q and q-N·(C+2) go to the same worker, and the C+1
+// units that worker got in between have all been pushed before the
+// reader fills unit q: the last of those pushes found ring space only
+// after the worker had popped the unit following q-N·(C+2), which it
+// does after its partition pass over q-N·(C+2) — the slot's one reader
+// — has returned. The ring's head store/load pair orders the two.
+// Reader goroutine only.
 //
 //nslint:hotpath
-func (p *Pipeline) sendRawUnit(raw []byte, from, to int, prevUS int64, noGap0 bool) {
+func (p *Pipeline) selSlot() []uint64 {
+	sel := p.selPool[p.useq%uint64(len(p.selPool))]
+	clear(sel)
+	return sel
+}
+
+// sendRawUnit hands the [from, to) record sub-window of raw, with its
+// selection bitmap, to its round-robin ingest worker, consuming one
+// sequence number. The slice aliases the source's window (stable until
+// Run returns, per RawBatchSource); the bounded in ring is the
+// backpressure. Reader goroutine only.
+//
+//nslint:hotpath
+func (p *Pipeline) sendRawUnit(raw []byte, from, to int, sel []uint64, prevUS int64, noGap0 bool) {
 	w := int(p.useq % uint64(len(p.ingest)))
-	u := srcUnit{
+	p.ingest[w].in.push(srcUnit{
 		seq:    p.useq,
 		raw:    raw[from*trace.RecordLen : to*trace.RecordLen],
+		sel:    sel,
 		prevUS: prevUS,
 		noGap0: noGap0,
-	}
-	if p.selK > 0 {
-		u.selIdx = p.selCount
-		u.selK = p.selK
-		p.selCount += uint64(to - from)
-	}
-	p.ingest[w].in.push(u)
+	})
 	p.useq++
 }
 
@@ -539,9 +562,9 @@ func (p *Pipeline) sendRawUnit(raw []byte, from, to int, prevUS int64, noGap0 bo
 // here cannot deadlock — every unit and fragment of the window was
 // pushed before the wait, so the shards can always reach the cut and
 // the collector always closes decided. The wait is what makes adaptive
-// runs deterministic for any worker/shard count: every packet of
-// window w+1 is stamped under the k decided from window w, regardless
-// of how the goroutines interleave.
+// runs deterministic: every packet of window w+1 is offered to the
+// sampler under the k decided from window w, regardless of how the
+// goroutines interleave.
 //
 //nslint:coldpath runs once per window boundary; its allocations amortize over the window's packets
 func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64) {
@@ -554,7 +577,7 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 		offered: offered,
 		parts:   make(chan shardPart, len(p.shards)),
 	}
-	if p.selK > 0 {
+	if p.cfg.Adaptive != nil {
 		bar.decided = make(chan struct{})
 	}
 	for range p.ingest {
@@ -565,11 +588,13 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 	p.barriers <- bar
 	if bar.decided != nil {
 		<-bar.decided
-		if bar.nextK != p.selK {
-			// New granularity regime: re-anchor the global schedule at
-			// the first packet of the next window.
-			p.selK = bar.nextK
-			p.selCount = 0
+		if sys := p.sampler.(*online.Systematic); bar.nextK != sys.K() {
+			// New granularity regime: the schedule restarts with the first
+			// packet of the next window selected. SetGranularity alone
+			// would anchor on the k-th; Reset moves the anchor back.
+			//nslint:allow errdrop decide clamps k to [MinK, MaxK] and validate pins MinK >= 1, so ErrBadGranularity is unreachable
+			sys.SetGranularity(bar.nextK)
+			sys.Reset()
 		}
 	}
 }

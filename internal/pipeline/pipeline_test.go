@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"netsample/internal/bins"
@@ -11,6 +13,7 @@ import (
 	"netsample/internal/dist"
 	"netsample/internal/metrics"
 	"netsample/internal/online"
+	"netsample/internal/packet"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
@@ -49,12 +52,18 @@ func reportBits(r metrics.Report) [7]uint64 {
 	}
 }
 
-// TestSingleShardSnapshotMatchesBatch pins the deterministic-mode
-// guarantee: a single-shard pipeline's final snapshot is bit-identical
-// — selected count, histogram counts, and every float64 of both metric
-// reports — to the batch core sampler + evaluator on the same trace
-// and seed.
-func TestSingleShardSnapshotMatchesBatch(t *testing.T) {
+// TestSnapshotMatchesBatch pins the guarantee the reader-owned sampler
+// exists for: for every streaming method, at any shard and ingest-worker
+// count, the final snapshot — selected count, both histograms, and every
+// float64 of both metric reports — is bit-identical to scoring, with the
+// batch evaluator, the packets one serial sampler selects from the whole
+// trace on the same seed. For systematic, stratified and
+// systematic-timer that serial selection is core's batch sampler, index
+// for index. online.StratifiedTimer has no batch twin — it fires at most
+// once per bucket, where core.StratifiedTimer carries a bucket nobody
+// arrived in over to the next arrival — so its reference offers the
+// streaming sampler the trace serially.
+func TestSnapshotMatchesBatch(t *testing.T) {
 	const seed = 42
 	tr := smallTrace(t, 777)
 	period, err := core.PeriodForGranularity(tr, 50)
@@ -70,8 +79,8 @@ func TestSingleShardSnapshotMatchesBatch(t *testing.T) {
 	cases := []struct {
 		name  string
 		tr    *trace.Trace
-		batch core.Sampler
-		build func(shard int) (online.Sampler, error)
+		batch core.Sampler // nil: offer build's sampler the trace serially
+		build func(int) (online.Sampler, error)
 	}{
 		{
 			name:  "systematic",
@@ -95,13 +104,32 @@ func TestSingleShardSnapshotMatchesBatch(t *testing.T) {
 				return online.NewSystematicTimer(period, 0)
 			},
 		},
+		{
+			name: "stratified-timer",
+			tr:   tr,
+			build: func(int) (online.Sampler, error) {
+				return online.NewStratifiedTimer(period, dist.NewRNG(seed))
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sizeEval, iatEval := evaluators(t, tc.tr)
-			idx, err := tc.batch.Select(tc.tr, dist.NewRNG(seed))
-			if err != nil {
-				t.Fatalf("batch select: %v", err)
+			var idx []int
+			if tc.batch != nil {
+				if idx, err = tc.batch.Select(tc.tr, dist.NewRNG(seed)); err != nil {
+					t.Fatalf("batch select: %v", err)
+				}
+			} else {
+				serial, err := tc.build(0)
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				for i, pkt := range tc.tr.Packets {
+					if serial.Offer(pkt.Time) {
+						idx = append(idx, i)
+					}
+				}
 			}
 			wantSize, err := sizeEval.Score(idx)
 			if err != nil {
@@ -111,40 +139,64 @@ func TestSingleShardSnapshotMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("batch iat score: %v", err)
 			}
+			// Reference histograms: a selected packet's size, and its gap
+			// to its predecessor in the full stream (the first has none).
+			wantSizeCounts := make([]float64, sizeEval.NumBins())
+			wantIatCounts := make([]float64, iatEval.NumBins())
+			for _, i := range idx {
+				pkts := tc.tr.Packets
+				wantSizeCounts[bins.PacketSize().Index(float64(pkts[i].Size))]++
+				if i > 0 {
+					wantIatCounts[bins.Interarrival().Index(float64(pkts[i].Time-pkts[i-1].Time))]++
+				}
+			}
 
-			p, err := New(Config{
-				Shards:     1,
-				NewSampler: tc.build,
-				SizeEval:   sizeEval,
-				IatEval:    iatEval,
-			})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			if err := p.Run(tc.tr.Replay()); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			snap, ok := p.Latest()
-			if !ok {
-				t.Fatal("no snapshot published")
-			}
-			if !snap.Final {
-				t.Error("final snapshot not marked Final")
-			}
-			if got, want := snap.Selected, uint64(len(idx)); got != want {
-				t.Errorf("Selected = %d, want %d", got, want)
-			}
-			if got, want := snap.Processed, uint64(tc.tr.Len()); got != want {
-				t.Errorf("Processed = %d, want %d", got, want)
-			}
-			if snap.SizeReport == nil || snap.IatReport == nil {
-				t.Fatal("snapshot reports missing")
-			}
-			if got, want := reportBits(*snap.SizeReport), reportBits(wantSize); got != want {
-				t.Errorf("size report bits = %v, want %v", got, want)
-			}
-			if got, want := reportBits(*snap.IatReport), reportBits(wantIat); got != want {
-				t.Errorf("iat report bits = %v, want %v", got, want)
+			for _, shards := range []int{1, 2, 4} {
+				for _, workers := range []int{1, 3} {
+					t.Run(fmt.Sprintf("shards=%d,workers=%d", shards, workers), func(t *testing.T) {
+						p, err := New(Config{
+							Shards:        shards,
+							IngestWorkers: workers,
+							NewSampler:    tc.build,
+							SizeEval:      sizeEval,
+							IatEval:       iatEval,
+						})
+						if err != nil {
+							t.Fatalf("New: %v", err)
+						}
+						if err := p.Run(tc.tr.Replay()); err != nil {
+							t.Fatalf("Run: %v", err)
+						}
+						snap, ok := p.Latest()
+						if !ok {
+							t.Fatal("no snapshot published")
+						}
+						if !snap.Final {
+							t.Error("final snapshot not marked Final")
+						}
+						if got, want := snap.Selected, uint64(len(idx)); got != want {
+							t.Errorf("Selected = %d, want %d", got, want)
+						}
+						if got, want := snap.Processed, uint64(tc.tr.Len()); got != want {
+							t.Errorf("Processed = %d, want %d", got, want)
+						}
+						if !reflect.DeepEqual(snap.SizeCounts, wantSizeCounts) {
+							t.Errorf("SizeCounts = %v, want %v", snap.SizeCounts, wantSizeCounts)
+						}
+						if !reflect.DeepEqual(snap.IatCounts, wantIatCounts) {
+							t.Errorf("IatCounts = %v, want %v", snap.IatCounts, wantIatCounts)
+						}
+						if snap.SizeReport == nil || snap.IatReport == nil {
+							t.Fatal("snapshot reports missing")
+						}
+						if got, want := reportBits(*snap.SizeReport), reportBits(wantSize); got != want {
+							t.Errorf("size report bits = %v, want %v", got, want)
+						}
+						if got, want := reportBits(*snap.IatReport), reportBits(wantIat); got != want {
+							t.Errorf("iat report bits = %v, want %v", got, want)
+						}
+					})
+				}
 			}
 		})
 	}
@@ -233,47 +285,30 @@ func TestWindowedCountsSumToBatch(t *testing.T) {
 	}
 }
 
-// runShardedOnce runs a fresh 4-shard stratified pipeline over tr and
-// returns its snapshots.
-func runShardedOnce(t *testing.T, tr *trace.Trace, seed uint64) []*Snapshot {
+// runStratified runs a stratified 1-in-50 pipeline with 30 s windows
+// over src, scored against tr, and returns its snapshots beside Run's
+// error. The sketch capacity exceeds a window's distinct selected flows,
+// which keeps every shard's Space-Saving counts exact and the merged
+// TopK the same for any shard count.
+func runStratified(t *testing.T, tr *trace.Trace, seed uint64, workers, shards int, src Source) ([]*Snapshot, error) {
 	t.Helper()
 	sizeEval, iatEval := evaluators(t, tr)
-	root := dist.NewRNG(seed)
-	rngs := make([]*dist.RNG, 4)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
 	p, err := New(Config{
-		Shards: 4,
-		NewSampler: func(shard int) (online.Sampler, error) {
-			return online.NewStratified(50, rngs[shard])
+		Shards:        shards,
+		IngestWorkers: workers,
+		NewSampler: func(int) (online.Sampler, error) {
+			return online.NewStratified(50, dist.NewRNG(seed))
 		},
-		SizeEval: sizeEval,
-		IatEval:  iatEval,
-		WindowUS: 30_000_000,
+		SizeEval:     sizeEval,
+		IatEval:      iatEval,
+		WindowUS:     30_000_000,
+		TopKCapacity: 16384,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := p.Run(tr.Replay()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return p.Snapshots()
-}
-
-// TestMultiShardDeterministic checks that the virtual clock and
-// deterministic flow-hash sharding make multi-shard runs reproducible:
-// two runs with the same seed publish identical snapshot sequences.
-func TestMultiShardDeterministic(t *testing.T) {
-	tr := smallTrace(t, 777)
-	a := runShardedOnce(t, tr, 7)
-	b := runShardedOnce(t, tr, 7)
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		assertSnapshotsEqual(t, i, a[i], b[i])
-	}
+	err = p.Run(src)
+	return p.Snapshots(), err
 }
 
 // assertSnapshotsEqual compares two snapshots field by field, floats by
@@ -396,81 +431,115 @@ func TestMultiShardConservation(t *testing.T) {
 	}
 }
 
-// gateSource feeds synthetic packets and signals exhaustion; its gate
-// holds the shard worker's first Offer until the stream has drained, so
-// the Drop-policy test overflows the queue deterministically.
+// gateSource feeds n synthetic packets 1 ms apart, each on its own
+// 5-tuple so they spread over the shards, and opens the gate when it
+// hands out packet openAt.
 type gateSource struct {
-	n    int
-	pos  int
-	gate chan struct{}
+	n, openAt int
+	pos       int
+	gate      chan struct{}
 }
 
 func (g *gateSource) Next() (trace.Packet, error) {
 	if g.pos >= g.n {
-		close(g.gate)
 		return trace.Packet{}, io.EOF
 	}
-	p := trace.Packet{Time: int64(g.pos) * 1000, Size: 100}
+	if g.pos == g.openAt {
+		close(g.gate)
+	}
+	i := g.pos
 	g.pos++
-	return p, nil
+	return trace.Packet{
+		Time: int64(i) * 1000,
+		Size: 100,
+		Src:  packet.Addr{10, 0, byte(i >> 8), byte(i)},
+	}, nil
 }
 
-// gateSampler blocks its first Offer until the gate closes.
-type gateSampler struct {
+// gateScheme is an interarrival scheme whose Index waits for the gate:
+// a shard wedges on the first selected packet it bins.
+type gateScheme struct {
+	bins.Scheme
 	gate <-chan struct{}
 }
 
-func (g *gateSampler) Name() string { return "gate" }
-func (g *gateSampler) Offer(int64) bool {
+func (g gateScheme) Index(x float64) int {
 	<-g.gate
-	return true
+	return g.Scheme.Index(x)
 }
-func (g *gateSampler) Reset() {}
 
-// TestDropPolicyAccounting wedges the single worker behind a gate so
-// the bounded queue overflows, and checks drops are counted, surfaced
-// per shard, and consistent with the offered/processed totals.
+// assertDropAccounting checks the Drop policy's books window by window:
+// Offered == Processed + Dropped == the per-shard drops plus Processed,
+// Selected <= Processed, every selected packet binned exactly once, and
+// over the run no more selections than the reader's 1-in-k schedule
+// made. It returns the run's offered and dropped totals.
+func assertDropAccounting(t *testing.T, snaps []*Snapshot, k int) (offered, dropped uint64) {
+	t.Helper()
+	var selected uint64
+	for i, s := range snaps {
+		if s.Offered != s.Processed+s.Dropped {
+			t.Errorf("window %d: offered %d != processed %d + dropped %d",
+				i, s.Offered, s.Processed, s.Dropped)
+		}
+		var byShard uint64
+		for _, d := range s.DroppedByShard {
+			byShard += d
+		}
+		if byShard != s.Dropped {
+			t.Errorf("window %d: DroppedByShard sums to %d, want %d", i, byShard, s.Dropped)
+		}
+		if s.Selected > s.Processed {
+			t.Errorf("window %d: Selected %d > Processed %d", i, s.Selected, s.Processed)
+		}
+		var binned float64
+		for _, c := range s.SizeCounts {
+			binned += c
+		}
+		if binned != float64(s.Selected) {
+			t.Errorf("window %d: %v size observations for %d selected packets", i, binned, s.Selected)
+		}
+		offered += s.Offered
+		dropped += s.Dropped
+		selected += s.Selected
+	}
+	if max := (offered + uint64(k) - 1) / uint64(k); selected > max {
+		t.Errorf("selected %d of %d offered, more than the 1-in-%d schedule's %d", selected, offered, k, max)
+	}
+	return offered, dropped
+}
+
+// TestDropPolicyAccounting wedges the shards behind a gate for most of
+// the first window so their one-batch rings overflow, and checks drops
+// are counted, surfaced per shard, and consistent with the offered,
+// processed and selected totals when selection precedes shedding.
 func TestDropPolicyAccounting(t *testing.T) {
-	const n = 100
+	const n = 4000
 	gate := make(chan struct{})
 	p, err := New(Config{
-		Shards:     1,
+		Shards:     4,
 		QueueDepth: 1,
 		BatchSize:  1,
 		Policy:     Drop,
-		NewSampler: func(int) (online.Sampler, error) {
-			return &gateSampler{gate: gate}, nil
-		},
+		WindowUS:   2_000_000, // 2000 packets; the gate opens inside the first
+		IatScheme:  gateScheme{bins.Interarrival(), gate},
+		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(50, 0) },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := p.Run(&gateSource{n: n, gate: gate}); err != nil {
+	if err := p.Run(&gateSource{n: n, openAt: 1500, gate: gate}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	snap, ok := p.Latest()
-	if !ok {
-		t.Fatal("no snapshot")
+	snaps := p.Snapshots()
+	if len(snaps) != 2 {
+		t.Fatalf("got %d windows, want 2", len(snaps))
 	}
-	if snap.Offered != n {
-		t.Errorf("Offered = %d, want %d", snap.Offered, n)
+	offered, _ := assertDropAccounting(t, snaps, 50)
+	if offered != n {
+		t.Errorf("Offered = %d, want %d", offered, n)
 	}
-	if snap.Dropped == 0 {
-		t.Error("Dropped = 0; queue overflow was not counted")
-	}
-	if snap.Offered != snap.Processed+snap.Dropped {
-		t.Errorf("offered %d != processed %d + dropped %d",
-			snap.Offered, snap.Processed, snap.Dropped)
-	}
-	var byShard uint64
-	for _, d := range snap.DroppedByShard {
-		byShard += d
-	}
-	if byShard != snap.Dropped {
-		t.Errorf("DroppedByShard sums to %d, want %d", byShard, snap.Dropped)
-	}
-	if snap.Selected > snap.Processed {
-		t.Errorf("Selected %d > Processed %d", snap.Selected, snap.Processed)
+	if snaps[0].Dropped == 0 {
+		t.Error("Dropped = 0 in the wedged window; ring overflow was not counted")
 	}
 }
 

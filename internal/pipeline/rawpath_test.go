@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"netsample/internal/dist"
 	"netsample/internal/flows"
 	"netsample/internal/online"
 	"netsample/internal/packet"
@@ -96,44 +95,6 @@ func writeTraceFile(t *testing.T, tr *trace.Trace) string {
 	return path
 }
 
-// runShardedSource mirrors runShardedWorkers with an arbitrary source:
-// same 4-shard stratified config, seed-split RNGs, and 30 s windows.
-func runShardedSource(t *testing.T, tr *trace.Trace, seed uint64, workers int, src Source) []*Snapshot {
-	t.Helper()
-	snaps, err := runShardedSourceErr(t, tr, seed, workers, src)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return snaps
-}
-
-// runShardedSourceErr is runShardedSource for sources expected to fail:
-// it returns Run's error beside the snapshots.
-func runShardedSourceErr(t *testing.T, tr *trace.Trace, seed uint64, workers int, src Source) ([]*Snapshot, error) {
-	t.Helper()
-	sizeEval, iatEval := evaluators(t, tr)
-	root := dist.NewRNG(seed)
-	rngs := make([]*dist.RNG, 4)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
-	p, err := New(Config{
-		Shards:        4,
-		IngestWorkers: workers,
-		NewSampler: func(shard int) (online.Sampler, error) {
-			return online.NewStratified(50, rngs[shard])
-		},
-		SizeEval: sizeEval,
-		IatEval:  iatEval,
-		WindowUS: 30_000_000,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	err = p.Run(src)
-	return p.Snapshots(), err
-}
-
 // tornSource is a BatchSource that fails with err alongside its last
 // packets: n > 0 and a non-EOF error in one return.
 type tornSource struct {
@@ -169,7 +130,10 @@ func TestSourceEquivalenceSnapshots(t *testing.T) {
 	tr := smallTrace(t, 991)
 	path := writeTraceFile(t, tr)
 
-	base := runShardedSource(t, tr, 11, 2, tr.Replay())
+	base, err := runStratified(t, tr, 11, 2, 4, tr.Replay())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	if len(base) < 2 {
 		t.Fatalf("want multiple windows, got %d", len(base))
 	}
@@ -200,7 +164,7 @@ func TestSourceEquivalenceSnapshots(t *testing.T) {
 		{"per-packet", &perPacketOnly{r: tr.Replay()}, nil},
 		{"torn", &tornSource{pkts: tr.Packets, err: sentinel}, sentinel},
 	} {
-		got, err := runShardedSourceErr(t, tr, 11, 2, c.src)
+		got, err := runStratified(t, tr, 11, 2, 4, c.src)
 		if !errors.Is(err, c.wantErr) {
 			t.Fatalf("%s: Run error = %v, want %v", c.name, err, c.wantErr)
 		}
@@ -280,27 +244,26 @@ func TestManyShardsSourceEquivalence(t *testing.T) {
 	}
 }
 
-// runShardedRaw is runShardedWorkers fed by a MapReader: same trace,
-// same seeds, mmap'd file instead of in-memory replay.
-func runShardedRaw(t *testing.T, path string, tr *trace.Trace, seed uint64, workers int) []*Snapshot {
-	t.Helper()
-	mr, err := trace.OpenMap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mr.Close()
-	return runShardedSource(t, tr, seed, workers, mr)
-}
-
 // TestParallelIngestDeterministicRaw extends the determinism pin to the
 // mapped source: for any ingest-worker count, a MapReader-fed run is
 // bit-identical to the single-worker Replayer-fed baseline.
 func TestParallelIngestDeterministicRaw(t *testing.T) {
 	tr := smallTrace(t, 777)
 	path := writeTraceFile(t, tr)
-	base := runShardedWorkers(t, tr, 7, 1)
+	base, err := runStratified(t, tr, 7, 1, 4, tr.Replay())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	for _, workers := range []int{1, 2, 3, 4} {
-		got := runShardedRaw(t, path, tr, 7, workers)
+		mr, err := trace.OpenMap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := runStratified(t, tr, 7, workers, 4, mr)
+		mr.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: Run: %v", workers, err)
+		}
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: %d snapshots, want %d", workers, len(got), len(base))
 		}

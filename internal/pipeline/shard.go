@@ -6,7 +6,6 @@ import (
 	"netsample/internal/bins"
 	"netsample/internal/flows"
 	"netsample/internal/nnstat"
-	"netsample/internal/online"
 	"netsample/internal/trace"
 )
 
@@ -18,12 +17,8 @@ type item struct {
 	pkt    trace.Packet
 	gapUS  int64
 	hasGap bool
-	// sel is the reader-decided selection verdict under adaptive
-	// control (Config.Adaptive): the global systematic schedule is
-	// evaluated at ingest from the unit's regime stamp, so every shard
-	// sees the same selected set for any worker/shard count. Unused
-	// (false) in fixed-sampler mode; fits the struct's existing
-	// trailing padding.
+	// sel is the reader's selection verdict, copied from the unit's
+	// bitmap at ingest; it fits the struct's existing trailing padding.
 	sel bool
 }
 
@@ -65,14 +60,6 @@ type shardState struct {
 	spin      spinState
 
 	// Worker-owned.
-	// globalSel switches selection to the item's reader-decided sel bit
-	// (adaptive mode); sampler/sysSampler are nil in that mode.
-	globalSel bool
-	sampler   online.Sampler
-	// sysSampler devirtualizes the per-packet Offer when the sampler is
-	// the common *online.Systematic: a direct (inlinable) call instead
-	// of an interface dispatch on the path every packet takes.
-	sysSampler *online.Systematic
 	sizeScheme bins.Scheme
 	iatScheme  bins.Scheme
 	// sizeLUT tabulates sizeScheme.Index over the full uint16 domain of
@@ -102,7 +89,7 @@ type shardState struct {
 // newShardState allocates one shard's aggregates. The rings are wired
 // in by New once the ingest workers exist; sizeLUT is built once by New
 // and shared read-only across shards.
-func newShardState(id int, sampler online.Sampler, cfg *Config, sizeLUT []uint8) (*shardState, error) {
+func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 	flowTab, err := flows.NewTable(cfg.FlowTimeoutUS)
 	if err != nil {
 		return nil, err
@@ -112,12 +99,8 @@ func newShardState(id int, sampler online.Sampler, cfg *Config, sizeLUT []uint8)
 		return nil, err
 	}
 	iatEdged, _ := cfg.IatScheme.(*bins.Edged)
-	sysSampler, _ := sampler.(*online.Systematic)
 	return &shardState{
 		id:         id,
-		globalSel:  cfg.Adaptive != nil,
-		sampler:    sampler,
-		sysSampler: sysSampler,
 		sizeScheme: cfg.SizeScheme,
 		iatScheme:  cfg.IatScheme,
 		sizeLUT:    sizeLUT,
@@ -248,20 +231,12 @@ func (p *Pipeline) shardWorker(st *shardState) {
 	}
 }
 
-// process offers one packet to the shard's sampler and, if selected,
-// feeds the incremental aggregates. This is the per-packet hot path —
-// it must not allocate (pinned by TestPipelineHotPathAllocs).
+// process counts one packet and, if the reader selected it, feeds the
+// incremental aggregates. This is the per-packet hot path — it must not
+// allocate (pinned by TestPipelineHotPathAllocs).
 func (st *shardState) process(it *item) {
 	st.processed++
-	if st.globalSel {
-		if !it.sel {
-			return
-		}
-	} else if st.sysSampler != nil {
-		if !st.sysSampler.Offer(it.pkt.Time) {
-			return
-		}
-	} else if !st.sampler.Offer(it.pkt.Time) {
+	if !it.sel {
 		return
 	}
 	st.selected++
@@ -290,9 +265,7 @@ func (st *shardState) process(it *item) {
 }
 
 // cut snapshots the shard's window-local aggregates into a shardPart
-// and resets them for the next window. The sampler is deliberately not
-// reset: its selection schedule continues across windows, exactly as a
-// batch sampler runs uninterrupted over the whole trace.
+// and resets them for the next window.
 //
 //nslint:coldpath runs once per window cut; its copies amortize over the window's packets
 func (st *shardState) cut() shardPart {

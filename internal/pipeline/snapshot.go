@@ -26,7 +26,7 @@ type barrier struct {
 	// Adaptive-control handshake (nil channel when adaptive is off):
 	// the collector stores the next window's granularity in nextK and
 	// closes decided; the reader waits on decided in emitBarrier before
-	// stamping any packet of the next window.
+	// offering the sampler any packet of the next window.
 	nextK   int
 	decided chan struct{}
 }
@@ -69,7 +69,9 @@ type Snapshot struct {
 	// Offered counts packets the ingest read from the source this
 	// window; Processed counts those that reached a shard worker;
 	// Dropped = Offered - Processed is the overload loss, also broken
-	// out per shard in DroppedByShard. Selected counts sampler picks.
+	// out per shard in DroppedByShard. Selected counts selected packets
+	// that reached a shard: selection precedes shedding, so under Drop
+	// a selected packet in a shed batch is in Dropped, not here.
 	Offered        uint64
 	Processed      uint64
 	Selected       uint64
