@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"netsample/internal/bins"
 	"netsample/internal/core"
@@ -485,6 +486,40 @@ func BenchmarkAblationTrend(b *testing.B) {
 func BenchmarkGenerateSmallTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr, err := traffgen.Generate(traffgen.SmallTrace(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr.Len() == 0 {
+			b.Fatal("empty trace")
+		}
+	}
+}
+
+// BenchmarkGenerateHour and BenchmarkGenerateScenarioDDoS are the two
+// traces every nsbench workload's setup synthesizes (the parent
+// population and the 20-minute SYN-flood preset); B/op against
+// 24 B × packets is the staging overhead.
+func BenchmarkGenerateHour(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, err := traffgen.Generate(traffgen.NSFNETHour())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr.Len() == 0 {
+			b.Fatal("empty trace")
+		}
+	}
+}
+
+func BenchmarkGenerateScenarioDDoS(b *testing.B) {
+	s, err := traffgen.PresetScenario("ddos", 1993, 20*time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, err := traffgen.GenerateScenario(s)
 		if err != nil {
 			b.Fatal(err)
 		}

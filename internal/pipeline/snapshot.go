@@ -1,7 +1,8 @@
 package pipeline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"netsample/internal/collect"
 	"netsample/internal/core"
@@ -135,6 +136,18 @@ func (p *Pipeline) collect() {
 	}
 }
 
+// rankEntries orders heavy hitters by count descending, then key
+// ascending. Keys are unique after a shard or map merge, so the order
+// is total and the result does not depend on the sort algorithm.
+func rankEntries(es []nnstat.Entry) {
+	slices.SortFunc(es, func(a, b nnstat.Entry) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
+}
+
 // merge folds the shard parts into one Snapshot, in shard order so the
 // float64 count sums are reproducible (and exact: the counts are
 // integers far below 2⁵³).
@@ -169,12 +182,7 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		snap.ActiveFlows += part.activeFlows
 		snap.TopK = append(snap.TopK, part.topk...)
 	}
-	sort.Slice(snap.TopK, func(i, j int) bool {
-		if snap.TopK[i].Count != snap.TopK[j].Count {
-			return snap.TopK[i].Count > snap.TopK[j].Count
-		}
-		return snap.TopK[i].Key < snap.TopK[j].Key
-	})
+	rankEntries(snap.TopK)
 	if len(snap.TopK) > p.cfg.TopKReport {
 		snap.TopK = snap.TopK[:p.cfg.TopKReport]
 	}

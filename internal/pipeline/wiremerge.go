@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"netsample/internal/collect"
 	"netsample/internal/nnstat"
@@ -101,12 +100,7 @@ func MergeWire(snaps []*collect.Snapshot, topk int) (*collect.Snapshot, error) {
 	for _, e := range byKey {
 		out.TopK = append(out.TopK, *e)
 	}
-	sort.Slice(out.TopK, func(i, j int) bool {
-		if out.TopK[i].Count != out.TopK[j].Count {
-			return out.TopK[i].Count > out.TopK[j].Count
-		}
-		return out.TopK[i].Key < out.TopK[j].Key
-	})
+	rankEntries(out.TopK)
 	if len(out.TopK) > topk {
 		out.TopK = out.TopK[:topk]
 	}

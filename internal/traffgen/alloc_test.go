@@ -1,15 +1,23 @@
 package traffgen
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"netsample/internal/dist"
+	"netsample/internal/trace"
+)
 
 // TestGenerateAllocs pins the generator's allocation budget. A
 // SmallTrace run emits ~50k packets across ~4500 flows; before the
 // scratch-flow rework, every flow cost two heap allocations (a Split
 // RNG and a flow struct), ~7200 allocs per trace.
 // With per-model scratch flows and in-place RNG splitting, Generate
-// allocates a small constant independent of flow count: the event
-// staging buffer, the trace itself, the address pool, the envelope, and
-// a handful of model/sort temporaries.
+// allocates a small constant independent of flow count: the one packet
+// buffer that becomes the trace, the address pool, the envelope, and a
+// handful of model temporaries.
 func TestGenerateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -20,9 +28,111 @@ func TestGenerateAllocs(t *testing.T) {
 			t.Fatalf("Generate: %v", err)
 		}
 	})
-	// Measured ~50; the bound leaves headroom for toolchain noise
+	// Measured 45; the bound leaves headroom for toolchain noise
 	// while still catching any per-flow regression (~4500 flows).
-	if allocs > 200 {
-		t.Errorf("Generate allocated %.0f times per run, want <= 200", allocs)
+	if allocs > 70 {
+		t.Errorf("Generate allocated %.0f times per run, want <= 70", allocs)
+	}
+}
+
+// stagedBytes is the size of the one packet buffer a trace of
+// totalPackets target packets may stage: 24 B per packet over the
+// models' 1.02 overshoot, plus 10 % and a constant for everything else
+// a run allocates (address pool, envelope, models: ~11 KB measured).
+func stagedBytes(totalPackets float64) uint64 {
+	return uint64(1.1*24*math.Ceil(1.02*totalPackets)) + 32<<10
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestGenerateBytes pins the staging contract by weight: the trace's
+// own buffer is the only large allocation, so a second buffer (the old
+// event slab + copy) or a single growth of the first fails here.
+func TestGenerateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are perturbed under -race")
+	}
+	cfg := SmallTrace(1)
+	got := allocatedBytes(func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+	})
+	if want := stagedBytes(cfg.TargetPPS * cfg.Duration.Seconds()); got > want {
+		t.Errorf("Generate allocated %d B, want <= %d", got, want)
+	}
+}
+
+// TestScenarioBufferContract checks, for every preset and for Mix
+// phases with zero-weight models, that the returned slice is clipped
+// and that staging never outgrew its up-front capacity (a growth would
+// allocate a second, larger array and more than double the bytes).
+func TestScenarioBufferContract(t *testing.T) {
+	const dur = time.Minute
+	var scenarios []Scenario
+	for _, name := range ScenarioNames() {
+		s, err := PresetScenario(name, 5, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios = append(scenarios, s)
+	}
+	sparse := SmallTrace(5)
+	sparse.Mix = Mix{Bulk: 1}
+	scenarios = append(scenarios, Scenario{Name: "one-model", Base: sparse}, Scenario{
+		Name: "sparse-mix-phases", Base: sparse,
+		Phases: []Phase{
+			{Name: "a", Start: 0, End: 0.5, TargetPPS: 900, Mix: &Mix{Telnet: 1, ICMP: 2}},
+			{Name: "b", Start: 0.25, End: 1, TargetPPS: 300, Mix: &Mix{Mail: 1}},
+		},
+	})
+	for _, s := range scenarios {
+		total := s.Base.TargetPPS * s.Base.Duration.Seconds()
+		for _, ph := range s.Phases {
+			total += ph.TargetPPS * (ph.End - ph.Start) * s.Base.Duration.Seconds()
+		}
+		var tr *trace.Trace
+		got := allocatedBytes(func() {
+			var err error
+			if tr, err = GenerateScenario(s); err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+		})
+		if len(tr.Packets) != cap(tr.Packets) {
+			t.Errorf("%s: len %d != cap %d: staging slack is reachable by append", s.Name, len(tr.Packets), cap(tr.Packets))
+		}
+		if want := stagedBytes(total); !raceEnabled && got > want {
+			t.Errorf("%s: allocated %d B, want <= %d (one buffer, never regrown)", s.Name, got, want)
+		}
+	}
+}
+
+// TestEmissionBoundHolds drives the staging helpers directly at the
+// bound's edge — targets below one packet, where every model still
+// emits its one, and fractional shares — and checks the packets landed
+// in the array allocated up front.
+func TestEmissionBoundHolds(t *testing.T) {
+	mixes := []Mix{DefaultMix(), {Bulk: 1}, {Telnet: 1e-9, Ack: 1, ICMP: 3}, {Transaction: 0.5, Mail: 0.5}}
+	for _, mix := range mixes {
+		for _, total := range []float64{0.01, 1, 5.5, 49, 50, 1000.49, 20000} {
+			root := dist.NewRNG(uint64(total * 100))
+			env := newEnvelope(EnvelopeConfig{}, root.Split())
+			addrs := newAddressPool(ProfileSDSC, root.Split())
+			buf := make([]trace.Packet, 0, emissionBound(total))
+			out := appendMixEvents(buf, mix, total, 60e6, env, addrs, root)
+			if len(out) == 0 {
+				t.Fatalf("mix %+v total %v: nothing emitted", mix, total)
+			}
+			if len(out) > cap(buf) || &out[0] != &buf[:1][0] {
+				t.Errorf("mix %+v total %v: %d packets outgrew the %d-packet bound", mix, total, len(out), cap(buf))
+			}
+		}
 	}
 }

@@ -72,6 +72,14 @@ func (s *Scenario) validate() error {
 	return nil
 }
 
+// window places the phase on a trace of durUS µs: its start, its
+// length (at least 1 µs), and the packets it aims to add.
+func (ph *Phase) window(durUS int64) (startUS, spanUS int64, packets float64) {
+	startUS = int64(ph.Start * float64(durUS))
+	spanUS = max(int64((ph.End-ph.Start)*float64(durUS)), 1)
+	return startUS, spanUS, ph.TargetPPS * float64(spanUS) / 1e6
+}
+
 // GenerateScenario synthesizes the trace described by s: the baseline
 // aggregate of s.Base with every phase overlay superimposed, one
 // time-ordered packet stream on the base capture clock.
@@ -89,42 +97,38 @@ func GenerateScenario(s Scenario) (*trace.Trace, error) {
 	addrs := newAddressPool(s.Base.Profile, root.Split())
 
 	durUS := s.Base.Duration.Microseconds()
-	capacity := s.Base.TargetPPS * s.Base.Duration.Seconds() * 1.2
-	for _, ph := range s.Phases {
-		capacity += ph.TargetPPS * (ph.End - ph.Start) * s.Base.Duration.Seconds() * 1.2
-	}
-	events := make([]event, 0, int(capacity))
-
-	// Baseline: the same child-RNG sequence as Generate, so the
-	// background traffic is packet-identical to the plain trace.
 	total := s.Base.TargetPPS * s.Base.Duration.Seconds()
-	events = appendMixEvents(events, mix, total, durUS, env, addrs, root)
+	capacity := emissionBound(total)
+	for i := range s.Phases {
+		_, _, phasePackets := s.Phases[i].window(durUS)
+		capacity += emissionBound(phasePackets)
+	}
+	pkts := make([]trace.Packet, 0, capacity)
+
+	// Baseline: drawn before any phase touches root, so the background
+	// traffic is packet-identical to the phase-free trace.
+	pkts = appendMixEvents(pkts, mix, total, durUS, env, addrs, root)
 
 	// Overlays: each phase generates into phase-local time [0, span)
 	// with its own envelope, then shifts onto the trace clock. Phase
 	// order is part of the seed contract: each overlay consumes child
 	// RNGs in declaration order.
 	for _, ph := range s.Phases {
-		startUS := int64(ph.Start * float64(durUS))
-		spanUS := int64((ph.End - ph.Start) * float64(durUS))
-		if spanUS < 1 {
-			spanUS = 1
-		}
+		startUS, spanUS, phasePackets := ph.window(durUS)
 		phaseEnv := newEnvelope(ph.Envelope, root.Split())
-		phasePackets := ph.TargetPPS * float64(spanUS) / 1e6
-		mark := len(events)
+		mark := len(pkts)
 		if ph.Mix != nil {
-			events = appendMixEvents(events, *ph.Mix, phasePackets, spanUS, phaseEnv, addrs, root)
+			pkts = appendMixEvents(pkts, *ph.Mix, phasePackets, spanUS, phaseEnv, addrs, root)
 		} else {
 			m := ph.model(root.Split(), addrs)
-			events = appendFlows(events, m, phasePackets, spanUS, phaseEnv, addrs, root.Split())
+			pkts = appendFlows(pkts, m, phasePackets, spanUS, phaseEnv, addrs, root.Split())
 		}
-		for i := mark; i < len(events); i++ {
-			events[i].timeUS += startUS
+		for i := mark; i < len(pkts); i++ {
+			pkts[i].Time += startUS
 		}
 	}
 
-	return finishTrace(events, s.Base), nil
+	return finishTrace(pkts, s.Base), nil
 }
 
 // ScenarioNames lists the preset scenarios in their canonical order.

@@ -47,6 +47,67 @@ func mustScenario(t *testing.T, name string, seed uint64, dur time.Duration) *tr
 	return tr
 }
 
+// TestTraceDigests pins every generated trace absolutely, packet for
+// packet, against digests recorded before the generator's staging was
+// rebuilt. Two runs of one binary agreeing (the Deterministic tests)
+// cannot see a changed tie order: packets with equal unquantized µs
+// timestamps (351 adjacent pairs in the seed-1993 hour) land in the
+// order pdqsort leaves them, so the digests also pin the toolchain's
+// pdqsort tie order. A Go upgrade that changes it fails here, loudly,
+// rather than in forty goldens.
+func TestTraceDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates nine full-size traces")
+	}
+	plain := func(cfg Config) func() (*trace.Trace, error) {
+		return func() (*trace.Trace, error) { return Generate(cfg) }
+	}
+	// Every preset at seed 1993, 20 minutes (nsbench's ddos trace).
+	preset := func(name string) func() (*trace.Trace, error) {
+		return func() (*trace.Trace, error) {
+			s, err := PresetScenario(name, 1993, 20*time.Minute)
+			if err != nil {
+				return nil, err
+			}
+			return GenerateScenario(s)
+		}
+	}
+	hour1993 := NSFNETHour()
+	hour1993.Seed = 1993
+	cases := []struct {
+		name   string
+		gen    func() (*trace.Trace, error)
+		digest uint64
+		n      int
+	}{
+		{"hour", Hour, 0x40c0cd757afaf14c, 1526873},
+		{"hour/seed1993", plain(hour1993), 0xc11d8ea9cf901ed2, 1526513},
+		{"small/seed1", plain(SmallTrace(1)), 0xefa5d553ffc08bc0, 51451},
+		{"fixwest", plain(FIXWest()), 0xe0309a232d4dc894, 2196883},
+		{"ddos", preset("ddos"), 0xcb0aeb812cf476a5, 2035797},
+		{"flashcrowd", preset("flashcrowd"), 0x2e0ba2c062ee535a, 1196279},
+		{"hhchurn", preset("hhchurn"), 0x9ad0028285a8d639, 1277112},
+		{"portscan", preset("portscan"), 0xe2ce499bab28c465, 662037},
+		{"elephantmice", preset("elephantmice"), 0x6e3607e67392e800, 1018563},
+	}
+	pinned := map[string]bool{}
+	for _, c := range cases {
+		pinned[c.name] = true
+		tr, err := c.gen()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hashTrace(tr); got != c.digest || len(tr.Packets) != c.n {
+			t.Errorf("%s: digest %016x n=%d, want %016x n=%d", c.name, got, len(tr.Packets), c.digest, c.n)
+		}
+	}
+	for _, name := range ScenarioNames() {
+		if !pinned[name] {
+			t.Errorf("preset %s has no pinned digest", name)
+		}
+	}
+}
+
 func TestScenarioPresetsDeterministic(t *testing.T) {
 	// Fixed seed => hash-identical trace; a different seed must move
 	// the hash.

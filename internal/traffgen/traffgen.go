@@ -25,8 +25,10 @@
 package traffgen
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"netsample/internal/dist"
@@ -120,51 +122,37 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// event is an un-merged packet emission from one flow.
-type event struct {
-	timeUS int64
-	pkt    trace.Packet
+// mixModels is the number of source models a Mix weights.
+const mixModels = 6
+
+// emissionBound is the most packets the baseline or one phase can
+// stage for a target of totalPackets split over at most mixModels
+// model runs: a run stops at the first count >= 1.02·target, so at no
+// more than ⌊1.02·target⌋+1, and a sum of floors is at most the floor
+// of the sum.
+func emissionBound(totalPackets float64) int {
+	return int(math.Ceil(1.02*totalPackets)) + mixModels
 }
 
-// Generate synthesizes the trace described by cfg.
+// Generate synthesizes the trace described by cfg: the scenario with
+// no overlay phases.
 func Generate(cfg Config) (*trace.Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	mix := cfg.Mix
-	if mix == (Mix{}) {
-		mix = DefaultMix()
-	}
-
-	root := dist.NewRNG(cfg.Seed)
-	envelope := newEnvelope(cfg.Envelope, root.Split())
-	addrs := newAddressPool(cfg.Profile, root.Split())
-
-	durUS := cfg.Duration.Microseconds()
-	// Estimated capacity: rate × duration with headroom.
-	events := make([]event, 0, int(cfg.TargetPPS*cfg.Duration.Seconds()*1.2))
-
-	total := cfg.TargetPPS * cfg.Duration.Seconds()
-	events = appendMixEvents(events, mix, total, durUS, envelope, addrs, root)
-
-	return finishTrace(events, cfg), nil
+	return GenerateScenario(Scenario{Base: cfg})
 }
 
 // appendMixEvents realizes the application-mix aggregate: one
 // appendFlows pass per weighted model, each consuming its own child of
-// root in declaration order. Generate and GenerateScenario share this
-// helper, so a scenario's baseline hour consumes the identical RNG
-// stream — and therefore emits the identical packets — as the plain
-// Generate trace for the same Config.
+// root in declaration order. A scenario's baseline and its Mix phases
+// share this helper.
 //
 // The models carry per-flow scratch state (one live flow at a time),
 // so they are per-call, never shared: callers stay safe to run
 // concurrently from multiple goroutines.
-func appendMixEvents(events []event, mix Mix, totalPackets float64, durUS int64,
-	env *envelope, addrs *addressPool, root *dist.RNG) []event {
+func appendMixEvents(pkts []trace.Packet, mix Mix, totalPackets float64, durUS int64,
+	env *envelope, addrs *addressPool, root *dist.RNG) []trace.Packet {
 
 	norm := mix.total()
-	models := []struct {
+	models := [mixModels]struct {
 		weight float64
 		model  sourceModel
 	}{
@@ -180,28 +168,25 @@ func appendMixEvents(events []event, mix Mix, totalPackets float64, durUS int64,
 			continue
 		}
 		targetPackets := totalPackets * m.weight / norm
-		events = appendFlows(events, m.model, targetPackets, durUS, env, addrs, root.Split())
+		pkts = appendFlows(pkts, m.model, targetPackets, durUS, env, addrs, root.Split())
 	}
-	return events
+	return pkts
 }
 
-// finishTrace time-orders the staged events and materializes the trace,
-// applying the capture-clock quantization.
-func finishTrace(events []event, cfg Config) *trace.Trace {
-	sort.Slice(events, func(i, j int) bool { return events[i].timeUS < events[j].timeUS })
-
-	tr := &trace.Trace{Start: cfg.Start, ClockUS: cfg.ClockUS}
-	tr.Packets = make([]trace.Packet, 0, len(events))
-	for _, ev := range events {
-		p := ev.pkt
-		t := ev.timeUS
-		if cfg.ClockUS > 0 {
-			t -= t % cfg.ClockUS
+// finishTrace turns the staged packets, whose Time is still the
+// unquantized emission µs in emission order, into the trace: sort in
+// place, apply the capture-clock quantization in place, and clip the
+// slice so no caller can append into the staging slack. Packets with
+// equal µs keep whatever order pdqsort leaves them in, so the sort
+// algorithm is part of the seed contract (TestTraceDigests).
+func finishTrace(pkts []trace.Packet, cfg Config) *trace.Trace {
+	slices.SortFunc(pkts, func(a, b trace.Packet) int { return cmp.Compare(a.Time, b.Time) })
+	if cfg.ClockUS > 0 {
+		for i := range pkts {
+			pkts[i].Time -= pkts[i].Time % cfg.ClockUS
 		}
-		p.Time = t
-		tr.Packets = append(tr.Packets, p)
 	}
-	return tr
+	return &trace.Trace{Start: cfg.Start, ClockUS: cfg.ClockUS, Packets: pkts[:len(pkts):len(pkts)]}
 }
 
 // appendFlows spawns flows of one model until the model has contributed
@@ -215,8 +200,8 @@ func finishTrace(events []event, cfg Config) *trace.Trace {
 // hot loop allocates nothing per flow.
 //
 //nslint:hotpath
-func appendFlows(events []event, m sourceModel, targetPackets float64, durUS int64,
-	env *envelope, addrs *addressPool, r *dist.RNG) []event {
+func appendFlows(pkts []trace.Packet, m sourceModel, targetPackets float64, durUS int64,
+	env *envelope, addrs *addressPool, r *dist.RNG) []trace.Packet {
 
 	var flowRNG dist.RNG
 	var emitted float64
@@ -231,13 +216,14 @@ func appendFlows(events []event, m sourceModel, targetPackets float64, durUS int
 			if t >= durUS {
 				break
 			}
-			//nslint:allow hotalloc appends into the event buffer pre-sized to rate×duration×1.2; growth is the rare estimate miss, not a per-packet cost
-			events = append(events, event{timeUS: t, pkt: pkt})
+			pkt.Time = t
+			//nslint:allow hotalloc the buffer is pre-sized to emissionBound; this run ends at the first emitted >= 1.02·target, within its share, so growth is unreachable
+			pkts = append(pkts, pkt)
 			emitted++
 			if !more || emitted >= targetPackets*1.02 {
 				break
 			}
 		}
 	}
-	return events
+	return pkts
 }
