@@ -84,6 +84,17 @@ func (ph *Phase) window(durUS int64) (startUS, spanUS int64, packets float64) {
 // aggregate of s.Base with every phase overlay superimposed, one
 // time-ordered packet stream on the base capture clock.
 func GenerateScenario(s Scenario) (*trace.Trace, error) {
+	pkts, err := stageScenario(s)
+	if err != nil {
+		return nil, err
+	}
+	return finishTrace(pkts, s.Base), nil
+}
+
+// stageScenario emits every packet of s in emission order — baseline
+// models, then each phase — with Time the unquantized µs on the trace
+// clock: the input finishTrace sorts.
+func stageScenario(s Scenario) ([]trace.Packet, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -128,7 +139,7 @@ func GenerateScenario(s Scenario) (*trace.Trace, error) {
 		}
 	}
 
-	return finishTrace(pkts, s.Base), nil
+	return pkts, nil
 }
 
 // ScenarioNames lists the preset scenarios in their canonical order.

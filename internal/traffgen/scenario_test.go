@@ -11,24 +11,55 @@ import (
 	"netsample/internal/trace"
 )
 
+// packetBytes is the canonical 24-byte encoding of one packet's fields
+// that the digests below are taken over.
+func packetBytes(p *trace.Packet) (buf [24]byte) {
+	binary.LittleEndian.PutUint64(buf[0:], uint64(p.Time))
+	binary.LittleEndian.PutUint16(buf[8:], p.Size)
+	buf[10] = byte(p.Protocol)
+	buf[11] = byte(p.TCPFlags)
+	copy(buf[12:16], p.Src[:])
+	copy(buf[16:20], p.Dst[:])
+	binary.LittleEndian.PutUint16(buf[20:], p.SrcPort)
+	binary.LittleEndian.PutUint16(buf[22:], p.DstPort)
+	return buf
+}
+
 // hashTrace digests every field of every packet, so two traces hash
 // equal iff they are packet-for-packet identical.
 func hashTrace(tr *trace.Trace) uint64 {
 	h := fnv.New64a()
-	var buf [24]byte
 	for i := range tr.Packets {
-		p := &tr.Packets[i]
-		binary.LittleEndian.PutUint64(buf[0:], uint64(p.Time))
-		binary.LittleEndian.PutUint16(buf[8:], p.Size)
-		buf[10] = byte(p.Protocol)
-		buf[11] = byte(p.TCPFlags)
-		copy(buf[12:16], p.Src[:])
-		copy(buf[16:20], p.Dst[:])
-		binary.LittleEndian.PutUint16(buf[20:], p.SrcPort)
-		binary.LittleEndian.PutUint16(buf[22:], p.DstPort)
+		buf := packetBytes(&tr.Packets[i])
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// hashTimes digests the Time column alone: it moves iff some position's
+// timestamp moves, whatever packet carries it.
+func hashTimes(tr *trace.Trace) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := range tr.Packets {
+		binary.LittleEndian.PutUint64(buf[:], uint64(tr.Packets[i].Time))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// hashMultiset is the wrapping sum of every packet's own digest: it is
+// blind to order and moves iff the multiset of packets does.
+func hashMultiset(tr *trace.Trace) uint64 {
+	var sum uint64
+	h := fnv.New64a()
+	for i := range tr.Packets {
+		h.Reset()
+		buf := packetBytes(&tr.Packets[i])
+		h.Write(buf[:])
+		sum += h.Sum64()
+	}
+	return sum
 }
 
 func mustScenario(t *testing.T, name string, seed uint64, dur time.Duration) *trace.Trace {
@@ -48,13 +79,16 @@ func mustScenario(t *testing.T, name string, seed uint64, dur time.Duration) *tr
 }
 
 // TestTraceDigests pins every generated trace absolutely, packet for
-// packet, against digests recorded before the generator's staging was
-// rebuilt. Two runs of one binary agreeing (the Deterministic tests)
-// cannot see a changed tie order: packets with equal unquantized µs
-// timestamps (351 adjacent pairs in the seed-1993 hour) land in the
-// order pdqsort leaves them, so the digests also pin the toolchain's
-// pdqsort tie order. A Go upgrade that changes it fails here, loudly,
-// rather than in forty goldens.
+// packet. Two runs of one binary agreeing (the Deterministic tests)
+// cannot see a changed generator; these digests can. finishTrace sorts
+// under a total order (comparePackets), so they pin the generator and
+// nothing else: any correct sort, on any toolchain, produces them.
+//
+// The times and multiset columns are blind to the order of tied
+// packets. They were recorded while the sort was pdqsort on Time alone
+// and tie order was whatever it left; replacing it with the total order
+// moved every digest and neither of them — only tied packets changed
+// places (284 positions of the seed-1993 hour).
 func TestTraceDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates nine full-size traces")
@@ -75,20 +109,22 @@ func TestTraceDigests(t *testing.T) {
 	hour1993 := NSFNETHour()
 	hour1993.Seed = 1993
 	cases := []struct {
-		name   string
-		gen    func() (*trace.Trace, error)
-		digest uint64
-		n      int
+		name     string
+		gen      func() (*trace.Trace, error)
+		digest   uint64
+		times    uint64
+		multiset uint64
+		n        int
 	}{
-		{"hour", Hour, 0x40c0cd757afaf14c, 1526873},
-		{"hour/seed1993", plain(hour1993), 0xc11d8ea9cf901ed2, 1526513},
-		{"small/seed1", plain(SmallTrace(1)), 0xefa5d553ffc08bc0, 51451},
-		{"fixwest", plain(FIXWest()), 0xe0309a232d4dc894, 2196883},
-		{"ddos", preset("ddos"), 0xcb0aeb812cf476a5, 2035797},
-		{"flashcrowd", preset("flashcrowd"), 0x2e0ba2c062ee535a, 1196279},
-		{"hhchurn", preset("hhchurn"), 0x9ad0028285a8d639, 1277112},
-		{"portscan", preset("portscan"), 0xe2ce499bab28c465, 662037},
-		{"elephantmice", preset("elephantmice"), 0x6e3607e67392e800, 1018563},
+		{"hour", Hour, 0x5b0f8cfa8956ff14, 0x9673904f2e88ca37, 0x9c3d96caf27a2e9e, 1526873},
+		{"hour/seed1993", plain(hour1993), 0x3cf8750c4f2fec9a, 0x4afefb9201d741c7, 0xc13124ac8856ca38, 1526513},
+		{"small/seed1", plain(SmallTrace(1)), 0xe25511e214ca1adc, 0xdae0db99ca643306, 0x8dbae131ae14fc74, 51451},
+		{"fixwest", plain(FIXWest()), 0x484fb15771a41d44, 0x7d947be0256983eb, 0x89747384a477f3f8, 2196883},
+		{"ddos", preset("ddos"), 0xa5133b5aafb551e5, 0x89fd5a5485567bb3, 0xdcacad7ba5ab27e7, 2035797},
+		{"flashcrowd", preset("flashcrowd"), 0xc338423b810bd8c2, 0x6da6e4516b70956d, 0x910e50ee06a8abee, 1196279},
+		{"hhchurn", preset("hhchurn"), 0x05bc67211b4eccd1, 0x579d5432896afecc, 0x5892aff9335a9ff0, 1277112},
+		{"portscan", preset("portscan"), 0xf0ceb12943c7972d, 0xf56a9d4c92b65db6, 0x8774dc54c1d16ef3, 662037},
+		{"elephantmice", preset("elephantmice"), 0x5eb4aedbd27acecc, 0xabd4055b8ed04485, 0x8d57c04d4a111b80, 1018563},
 	}
 	pinned := map[string]bool{}
 	for _, c := range cases {
@@ -99,6 +135,12 @@ func TestTraceDigests(t *testing.T) {
 		}
 		if got := hashTrace(tr); got != c.digest || len(tr.Packets) != c.n {
 			t.Errorf("%s: digest %016x n=%d, want %016x n=%d", c.name, got, len(tr.Packets), c.digest, c.n)
+		}
+		if got := hashTimes(tr); got != c.times {
+			t.Errorf("%s: Time-column digest %016x, want %016x", c.name, got, c.times)
+		}
+		if got := hashMultiset(tr); got != c.multiset {
+			t.Errorf("%s: multiset digest %016x, want %016x", c.name, got, c.multiset)
 		}
 	}
 	for _, name := range ScenarioNames() {

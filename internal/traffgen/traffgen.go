@@ -25,10 +25,8 @@
 package traffgen
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"time"
 
 	"netsample/internal/dist"
@@ -176,11 +174,12 @@ func appendMixEvents(pkts []trace.Packet, mix Mix, totalPackets float64, durUS i
 // finishTrace turns the staged packets, whose Time is still the
 // unquantized emission µs in emission order, into the trace: sort in
 // place, apply the capture-clock quantization in place, and clip the
-// slice so no caller can append into the staging slack. Packets with
-// equal µs keep whatever order pdqsort leaves them in, so the sort
-// algorithm is part of the seed contract (TestTraceDigests).
+// slice so no caller can append into the staging slack. The sort is
+// under a total order (comparePackets), so packets with equal µs land
+// in an order their own fields decide: the trace is a function of the
+// seed alone, whatever algorithm sorts it (TestTraceDigests).
 func finishTrace(pkts []trace.Packet, cfg Config) *trace.Trace {
-	slices.SortFunc(pkts, func(a, b trace.Packet) int { return cmp.Compare(a.Time, b.Time) })
+	sortPackets(pkts)
 	if cfg.ClockUS > 0 {
 		for i := range pkts {
 			pkts[i].Time -= pkts[i].Time % cfg.ClockUS

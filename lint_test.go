@@ -140,6 +140,11 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/bins.Edged).IndexBatch",
 		// TestGenerateAllocs: the generator's per-flow/per-packet loop.
 		mp + "/internal/traffgen.appendFlows",
+		// ...and the in-place sort of what it staged: a make inside
+		// the recursion would be a second trace-sized buffer.
+		mp + "/internal/traffgen.sortPackets",
+		mp + "/internal/traffgen.radixSort",
+		mp + "/internal/traffgen.insertionSort",
 		// TestStoreAppendAllocs: the durable store's per-record append
 		// path (frame encode + leaf hash; sync/seal are cold).
 		"(*" + mp + "/internal/store.Writer).Append",
