@@ -323,31 +323,11 @@ func buildConfig(tr *trace.Trace, method string, k int,
 	// The random methods draw from the first child of the seed's root
 	// stream: a run's batch twin is Select(tr, dist.NewRNG(seed).Split()).
 	rng := dist.NewRNG(seed).Split()
-	switch method {
-	case "systematic":
-		cfg.NewSampler = func(int) (online.Sampler, error) {
-			return online.NewSystematic(k, 0)
-		}
-	case "stratified":
-		cfg.NewSampler = func(int) (online.Sampler, error) {
-			return online.NewStratified(k, rng)
-		}
-	case "systematic-timer", "stratified-timer":
-		period, err := core.PeriodForGranularity(tr, float64(k))
-		if err != nil {
-			return cfg, err
-		}
-		if method == "systematic-timer" {
-			cfg.NewSampler = func(int) (online.Sampler, error) {
-				return online.NewSystematicTimer(period, 0)
-			}
-		} else {
-			cfg.NewSampler = func(int) (online.Sampler, error) {
-				return online.NewStratifiedTimer(period, rng)
-			}
-		}
-	default:
-		return cfg, fmt.Errorf("unknown -method %q", method)
+	// Only the timer methods read the period; a trace too short to have
+	// one leaves it 0, which their constructors reject.
+	period, _ := core.PeriodForGranularity(tr, float64(k))
+	cfg.NewSampler = func(int) (online.Sampler, error) {
+		return online.New(method, k, period, rng)
 	}
 
 	var err error

@@ -1,10 +1,11 @@
 // Adaptivenode: closed-loop sampling control in action. A node with a
 // fixed-capacity statistics processor faces a morning load ramp; the
-// adaptive controller widens the sampling granularity just enough to
-// keep the processor inside its capacity, then narrows it again when
-// load falls. The run prints the controller's epoch decisions and
-// compares the final accuracy against an unsampled and a fixed 1-in-50
-// configuration.
+// pipeline's control law (pipeline.AdaptiveConfig.Decide), run once per
+// second of trace time, widens the sampling granularity when the
+// processor drops and narrows it again when the sampled size
+// distribution drifts past the φ budget. The run prints the epoch
+// decisions and compares the final accuracy against an unsampled and a
+// fixed 1-in-50 configuration.
 //
 // Run with:
 //
@@ -16,8 +17,9 @@ import (
 	"log"
 	"time"
 
-	"netsample/internal/adaptive"
+	"netsample/internal/experiment"
 	"netsample/internal/nsfnet"
+	"netsample/internal/pipeline"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
@@ -44,21 +46,20 @@ func main() {
 	const capacity = 600 // stats processor: 600 pps
 	const buffer = 32
 
-	ctl, err := adaptive.NewController(1, 512, 1, 0.4, 1e6)
+	node, decisions, err := experiment.AdaptiveNode(tr, capacity, buffer, pipeline.AdaptiveConfig{
+		MinK: 1, MaxK: 512, StartK: 1, TargetPhi: 0.15,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	node := adaptive.NewNode(capacity, buffer, ctl)
-	node.ProcessTrace(tr)
 
 	fmt.Println("controller decisions (one epoch per second):")
-	fmt.Printf("%6s %6s %8s %9s\n", "t(s)", "k", "load", "dropped")
-	for i, d := range ctl.History {
-		if i%5 != 0 && d.Dropped == 0 {
+	fmt.Printf("%6s %6s %6s %8s %9s\n", "t(s)", "k", "next", "phi", "dropped")
+	for i, d := range decisions {
+		if i%5 != 0 && d.DropRate == 0 {
 			continue // print every 5th quiet epoch
 		}
-		fmt.Printf("%6d %6d %7.0f%% %9d\n",
-			d.AtUS/1e6, d.K, 100*d.Load, d.Dropped)
+		fmt.Printf("%6d %6d %6d %8.3f %8.1f%%\n", d.Window, d.PrevK, d.K, d.Phi, 100*d.DropRate)
 	}
 
 	truth := node.SNMP.InPackets
@@ -78,5 +79,5 @@ func main() {
 	report("fixed-1-in-50", fixed.CategorizedPackets())
 
 	fmt.Println("\nadaptive control keeps the estimate near the truth like the")
-	fmt.Println("fixed deployment, while sampling finely whenever load permits.")
+	fmt.Println("fixed deployment, while sampling as finely as the processor allows.")
 }

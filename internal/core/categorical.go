@@ -303,7 +303,7 @@ func (e *CategoricalEvaluator) Phi(indices []int) (float64, error) {
 // evaluator, mirroring Replicate for the binned targets: selection
 // visits feed the cell counts directly, with one reused child RNG, so
 // the per-replication loop allocates nothing.
-func ReplicateCategorical(e *CategoricalEvaluator, s StreamingSampler, n int, r *dist.RNG) ([]Replication, error) {
+func ReplicateCategorical(e *CategoricalEvaluator, s Sampler, n int, r *dist.RNG) ([]Replication, error) {
 	out := make([]Replication, 0, n)
 	sc := e.scorer()
 	defer e.scorers.Put(sc)

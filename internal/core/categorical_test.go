@@ -418,7 +418,7 @@ func TestReplicateCategoricalMatchesSelectScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []StreamingSampler{StratifiedCount{K: 16}, SimpleRandom{K: 100}, SystematicCount{K: 9}} {
+		for _, s := range []Sampler{StratifiedCount{K: 16}, SimpleRandom{K: 100}, SystematicCount{K: 9}} {
 			reps, err := ReplicateCategorical(ev, s, 4, dist.NewRNG(5))
 			if err != nil {
 				t.Fatal(err)

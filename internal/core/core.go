@@ -77,6 +77,12 @@ type Sampler interface {
 	// Select returns the sorted indices of the selected packets. The RNG
 	// drives any randomness; deterministic methods ignore it.
 	Select(tr *trace.Trace, r *dist.RNG) ([]int, error)
+	// SelectEach calls yield once per selected packet, in increasing
+	// index order, consuming exactly the randomness Select does; Select
+	// is SelectEach collected into a slice. Nothing is materialized, which
+	// is what makes the fused selection→scoring path (Evaluator.NewScorer)
+	// allocation-free.
+	SelectEach(tr *trace.Trace, r *dist.RNG, yield func(i int)) error
 }
 
 // Observations extracts the target observations of the selected packets.

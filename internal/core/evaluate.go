@@ -276,40 +276,26 @@ type Replication struct {
 // Replicate runs a sampler n times with independent randomness (for
 // random methods) and returns the scored replications. Deterministic
 // methods produce identical replications unless the caller varies their
-// parameters (see SystematicOffsets). Streaming samplers run on the
-// fused path: selection feeds bin counts directly, with one reused child
-// RNG, so the per-replication loop allocates nothing.
+// parameters (see SystematicOffsets). Selection feeds bin counts
+// directly, with one reused child RNG, so the per-replication loop
+// allocates nothing.
 func Replicate(e *Evaluator, s Sampler, n int, r *dist.RNG) ([]Replication, error) {
 	out := make([]Replication, 0, n)
-	if ss, ok := s.(StreamingSampler); ok {
-		sc := e.scorer()
-		defer e.release(sc)
-		child := dist.NewRNG(0)
-		visit := sc.Visit
-		for i := 0; i < n; i++ {
-			r.SplitInto(child)
-			sc.Reset()
-			if err := ss.SelectEach(e.pop, child, visit); err != nil {
-				return nil, err
-			}
-			rep, err := sc.Report()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Replication{SampleSize: sc.SampleSize(), Report: rep})
-		}
-		return out, nil
-	}
+	sc := e.scorer()
+	defer e.release(sc)
+	child := dist.NewRNG(0)
+	visit := sc.Visit
 	for i := 0; i < n; i++ {
-		idx, err := s.Select(e.pop, r.Split())
+		r.SplitInto(child)
+		sc.Reset()
+		if err := s.SelectEach(e.pop, child, visit); err != nil {
+			return nil, err
+		}
+		rep, err := sc.Report()
 		if err != nil {
 			return nil, err
 		}
-		rep, err := e.Score(idx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Replication{SampleSize: len(idx), Report: rep})
+		out = append(out, Replication{SampleSize: sc.SampleSize(), Report: rep})
 	}
 	return out, nil
 }

@@ -34,17 +34,13 @@ func TestSelectEachMatchesSelect(t *testing.T) {
 		ft,
 	}
 	for _, s := range samplers {
-		ss, ok := s.(StreamingSampler)
-		if !ok {
-			t.Fatalf("%s does not implement StreamingSampler", s.Name())
-		}
 		for seed := uint64(1); seed <= 5; seed++ {
 			want, err := s.Select(tr, dist.NewRNG(seed))
 			if err != nil {
 				t.Fatalf("%s Select: %v", s.Name(), err)
 			}
 			var got []int
-			if err := ss.SelectEach(tr, dist.NewRNG(seed), func(i int) {
+			if err := s.SelectEach(tr, dist.NewRNG(seed), func(i int) {
 				got = append(got, i)
 			}); err != nil {
 				t.Fatalf("%s SelectEach: %v", s.Name(), err)
@@ -131,7 +127,7 @@ func TestFusedReportsBitIdentical(t *testing.T) {
 
 			sc := ev.NewScorer()
 			sc.Reset()
-			if err := s.(StreamingSampler).SelectEach(tr, dist.NewRNG(99), sc.Visit); err != nil {
+			if err := s.SelectEach(tr, dist.NewRNG(99), sc.Visit); err != nil {
 				t.Fatalf("%s: SelectEach: %v", name, err)
 			}
 			fused, err := sc.Report()

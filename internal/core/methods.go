@@ -10,17 +10,15 @@ import (
 	"netsample/internal/trace"
 )
 
-// StreamingSampler is a Sampler that can stream its selections to a
-// visitor without materializing the index slice. SelectEach calls yield
-// once per selected packet, in increasing index order, consuming exactly
-// the same randomness as Select; Select is equivalent to SelectEach
-// collecting into a slice. All five of the paper's methods implement it,
-// which is what makes the fused selection→scoring path (Evaluator.Scorer)
-// allocation-free.
-type StreamingSampler interface {
-	Sampler
-	// SelectEach visits the selected indices in increasing order.
-	SelectEach(tr *trace.Trace, r *dist.RNG, yield func(i int)) error
+// collect is Select for the methods whose selection is not a bare
+// stride: SelectEach gathered into a slice sized for the expected
+// number of selections.
+func collect(s Sampler, tr *trace.Trace, r *dist.RNG, sizeHint int) ([]int, error) {
+	out := make([]int, 0, sizeHint)
+	if err := s.SelectEach(tr, r, func(i int) { out = append(out, i) }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SystematicCount samples every K-th packet deterministically, starting
@@ -56,7 +54,7 @@ func (s SystematicCount) validate(tr *trace.Trace) (int, error) {
 	return n, nil
 }
 
-// SelectEach implements StreamingSampler.
+// SelectEach implements Sampler.
 func (s SystematicCount) SelectEach(tr *trace.Trace, _ *dist.RNG, yield func(int)) error {
 	n, err := s.validate(tr)
 	if err != nil {
@@ -68,7 +66,10 @@ func (s SystematicCount) SelectEach(tr *trace.Trace, _ *dist.RNG, yield func(int
 	return nil
 }
 
-// Select implements Sampler.
+// Select implements Sampler. It keeps its own arithmetic loop rather
+// than going through collect: an indirect yield per index doubles it
+// (3.0 → 6.2 µs per 1024 indices), and BenchmarkSystematicSelect is a
+// hard-gated row.
 func (s SystematicCount) Select(tr *trace.Trace, _ *dist.RNG) ([]int, error) {
 	n, err := s.validate(tr)
 	if err != nil {
@@ -110,7 +111,7 @@ func (s StratifiedCount) validate(tr *trace.Trace) (int, error) {
 	return n, nil
 }
 
-// SelectEach implements StreamingSampler.
+// SelectEach implements Sampler.
 func (s StratifiedCount) SelectEach(tr *trace.Trace, r *dist.RNG, yield func(int)) error {
 	n, err := s.validate(tr)
 	if err != nil {
@@ -132,12 +133,7 @@ func (s StratifiedCount) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, n/s.K+1)
-	err = s.SelectEach(tr, r, func(i int) { out = append(out, i) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return collect(s, tr, r, n/s.K+1)
 }
 
 // SimpleRandom samples n = ⌈N/K⌉ packets uniformly at random without
@@ -185,7 +181,7 @@ func (b *srBitset) grow(n int) {
 	b.words = b.words[:need]
 }
 
-// SelectEach implements StreamingSampler. Floyd's algorithm draws the
+// SelectEach implements Sampler. Floyd's algorithm draws the
 // same uniform sample of `want` distinct indices as the classic
 // map-based variant draw-for-draw, but tracks membership in a pooled
 // bitset — no map allocation or hashing on the hot path — and yields the
@@ -222,12 +218,7 @@ func (s SimpleRandom) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, want)
-	err = s.SelectEach(tr, r, func(i int) { out = append(out, i) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return collect(s, tr, r, want)
 }
 
 // SystematicTimer selects, at every expiry of a periodic timer, the next
@@ -294,7 +285,7 @@ func timerCap(tr *trace.Trace, n int, periodUS int64) int {
 	return c
 }
 
-// SelectEach implements StreamingSampler.
+// SelectEach implements Sampler.
 func (s SystematicTimer) SelectEach(tr *trace.Trace, _ *dist.RNG, yield func(int)) error {
 	n, err := s.validate(tr)
 	if err != nil {
@@ -343,12 +334,7 @@ func (s SystematicTimer) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, timerCap(tr, n, s.PeriodUS))
-	err = s.SelectEach(tr, r, func(i int) { out = append(out, i) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return collect(s, tr, r, timerCap(tr, n, s.PeriodUS))
 }
 
 // StratifiedTimer divides time into consecutive buckets of PeriodUS
@@ -390,7 +376,7 @@ func (s StratifiedTimer) validate(tr *trace.Trace) (int, error) {
 	return n, nil
 }
 
-// SelectEach implements StreamingSampler.
+// SelectEach implements Sampler.
 func (s StratifiedTimer) SelectEach(tr *trace.Trace, r *dist.RNG, yield func(int)) error {
 	n, err := s.validate(tr)
 	if err != nil {
@@ -419,10 +405,5 @@ func (s StratifiedTimer) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, timerCap(tr, n, s.PeriodUS))
-	err = s.SelectEach(tr, r, func(i int) { out = append(out, i) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return collect(s, tr, r, timerCap(tr, n, s.PeriodUS))
 }

@@ -12,9 +12,8 @@ import (
 // of scheduling: each replication derives its RNG deterministically from
 // (seed, replication index) rather than from a shared stream.
 //
-// Each worker owns a Scorer and one reseedable RNG, so streaming
-// samplers replicate with zero steady-state allocations per replication;
-// non-streaming samplers fall back to Select+Score.
+// Each worker owns a Scorer and one reseedable RNG, so a replication
+// makes zero steady-state allocations.
 //
 // The paper's figure sweeps score hundreds of independent samples; on a
 // multicore host this cuts the wall-clock of the full experiment suite
@@ -29,7 +28,6 @@ func ReplicateParallel(e *Evaluator, s Sampler, n int, seed uint64) ([]Replicati
 	if workers > n {
 		workers = n
 	}
-	ss, streaming := s.(StreamingSampler)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -39,38 +37,21 @@ func ReplicateParallel(e *Evaluator, s Sampler, n int, seed uint64) ([]Replicati
 			// Worker-local: the RNG is declared inside the goroutine and
 			// reseeded per replication, never shared across goroutines.
 			r := dist.NewRNG(0)
-			if streaming {
-				sc := e.NewScorer()
-				visit := sc.Visit
-				for i := range next {
-					r.Reseed(replicationSeed(seed, i))
-					sc.Reset()
-					if err := ss.SelectEach(e.pop, r, visit); err != nil {
-						errs[i] = err
-						continue
-					}
-					rep, err := sc.Report()
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					out[i] = Replication{SampleSize: sc.SampleSize(), Report: rep}
-				}
-				return
-			}
+			sc := e.NewScorer()
+			visit := sc.Visit
 			for i := range next {
 				r.Reseed(replicationSeed(seed, i))
-				idx, err := s.Select(e.pop, r)
+				sc.Reset()
+				if err := s.SelectEach(e.pop, r, visit); err != nil {
+					errs[i] = err
+					continue
+				}
+				rep, err := sc.Report()
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				rep, err := e.Score(idx)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i] = Replication{SampleSize: len(idx), Report: rep}
+				out[i] = Replication{SampleSize: sc.SampleSize(), Report: rep}
 			}
 		}()
 	}
@@ -90,27 +71,4 @@ func ReplicateParallel(e *Evaluator, s Sampler, n int, seed uint64) ([]Replicati
 // replicationSeed derives the deterministic per-replication seed.
 func replicationSeed(seed uint64, i int) uint64 {
 	return seed ^ (0x9e3779b97f4a7c15 * uint64(i+1))
-}
-
-// replicationRNG derives the deterministic per-replication generator.
-func replicationRNG(seed uint64, i int) *dist.RNG {
-	return dist.NewRNG(replicationSeed(seed, i))
-}
-
-// ReplicateSequential mirrors ReplicateParallel's seed derivation on a
-// single goroutine, for verifying scheduling-independence in tests.
-func ReplicateSequential(e *Evaluator, s Sampler, n int, seed uint64) ([]Replication, error) {
-	out := make([]Replication, 0, n)
-	for i := 0; i < n; i++ {
-		idx, err := s.Select(e.pop, replicationRNG(seed, i))
-		if err != nil {
-			return nil, err
-		}
-		rep, err := e.Score(idx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Replication{SampleSize: len(idx), Report: rep})
-	}
-	return out, nil
 }

@@ -4,8 +4,28 @@ import (
 	"testing"
 
 	"netsample/internal/bins"
+	"netsample/internal/dist"
 	"netsample/internal/traffgen"
 )
+
+// replicateSequential mirrors ReplicateParallel's seed derivation on a
+// single goroutine through the legacy Select+Score split: the reference
+// for scheduling-independence.
+func replicateSequential(e *Evaluator, s Sampler, n int, seed uint64) ([]Replication, error) {
+	out := make([]Replication, 0, n)
+	for i := 0; i < n; i++ {
+		idx, err := s.Select(e.pop, dist.NewRNG(replicationSeed(seed, i)))
+		if err != nil {
+			return nil, err
+		}
+		rep, err := e.Score(idx)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Replication{SampleSize: len(idx), Report: rep})
+	}
+	return out, nil
+}
 
 func TestReplicateParallelDeterministic(t *testing.T) {
 	tr, err := traffgen.Generate(traffgen.SmallTrace(2020))
@@ -22,7 +42,7 @@ func TestReplicateParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := ReplicateSequential(ev, StratifiedCount{K: 128}, n, seed)
+	seq, err := replicateSequential(ev, StratifiedCount{K: 128}, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

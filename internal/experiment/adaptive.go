@@ -5,10 +5,73 @@ import (
 	"io"
 	"time"
 
-	"netsample/internal/adaptive"
+	"netsample/internal/bins"
+	"netsample/internal/core"
 	"netsample/internal/nsfnet"
+	"netsample/internal/pipeline"
+	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
+
+// adaptiveEpochUS is the node model's control period on the virtual
+// clock: one decision per second of packet timestamps.
+const adaptiveEpochUS = 1_000_000
+
+// AdaptiveNode runs tr through a T1 node whose sampling granularity is
+// steered by the pipeline's control law. The node starts at ctl.StartK;
+// at the end of every 1 s virtual-clock epoch that saw traffic,
+// ctl.Decide reads the epoch as a window — Offered and Dropped are the
+// statistics processor's deltas, SizeReport scores the packets it
+// accepted against the whole trace's size distribution — and the node
+// takes the k it returns. Epochs are anchored at the first packet and
+// numbered from 1 (AdaptiveDecision.Window; a decision falls Window
+// seconds in). A silent epoch offered nothing to steer by and decides
+// nothing: a forward timestamp jump of any length is one arithmetic
+// advance, so decisions are bounded by the packets, not by the clock.
+func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline.AdaptiveConfig) (*nsfnet.T1Node, []pipeline.AdaptiveDecision, error) {
+	ev, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
+	if err != nil {
+		return nil, nil, err
+	}
+	sc := ev.NewScorer()
+	node := nsfnet.NewT1Node(capacityPPS, buffer, ctl.StartK)
+	var decisions []pipeline.AdaptiveDecision
+	var offered, dropped uint64 // processor counters when the epoch opened
+	epoch, epochStart := uint64(1), tr.Packets[0].Time
+	for i, p := range tr.Packets {
+		if gap := p.Time - epochStart; gap >= adaptiveEpochUS {
+			snap := pipeline.Snapshot{
+				Seq:     epoch,
+				Offered: node.Proc.Offered() - offered,
+				Dropped: node.Proc.Dropped() - dropped,
+			}
+			if sc.SampleSize() > 0 {
+				rep, err := sc.Report()
+				if err != nil {
+					return nil, nil, err
+				}
+				snap.SizeReport = &rep
+			}
+			d := ctl.Decide(node.K(), &snap)
+			if err := node.SetGranularity(d.K); err != nil {
+				return nil, nil, err
+			}
+			decisions = append(decisions, d)
+			offered, dropped = node.Proc.Offered(), node.Proc.Dropped()
+			sc.Reset()
+			// p opens the epoch it falls in; the ones between were silent.
+			skip := gap / adaptiveEpochUS
+			epoch += uint64(skip)
+			epochStart += skip * adaptiveEpochUS
+		}
+		accepted := node.Proc.Accepted()
+		node.Process(p)
+		if node.Proc.Accepted() != accepted {
+			sc.Visit(i)
+		}
+	}
+	return node, decisions, nil
+}
 
 // AdaptiveResult compares three statistics-path configurations on a
 // load ramp through the same finite processor: unsampled (the pre-1991
@@ -57,20 +120,20 @@ func Adaptive() (*AdaptiveResult, error) {
 	out.Rows = append(out.Rows, adaptiveRow("fixed-1-in-50", fixed.SNMP.InPackets,
 		fixed.CategorizedPackets(), 50))
 
-	// Adaptive.
-	ctl, err := adaptive.NewController(1, 512, 1, 0.4, 1e6)
+	// Adaptive: the pipeline's law with any processor drop coarsening.
+	an, decisions, err := AdaptiveNode(tr, capacity, buffer, pipeline.AdaptiveConfig{
+		MinK: 1, MaxK: 512, StartK: 1, TargetPhi: 0.15,
+	})
 	if err != nil {
 		return nil, err
 	}
-	an := adaptive.NewNode(capacity, buffer, ctl)
-	an.ProcessTrace(tr)
-	var kSum float64
-	for _, d := range ctl.History {
-		kSum += float64(d.K)
-	}
-	meanK := float64(ctl.K())
-	if len(ctl.History) > 0 {
-		meanK = kSum / float64(len(ctl.History))
+	meanK := float64(an.K())
+	if len(decisions) > 0 {
+		var kSum float64
+		for _, d := range decisions {
+			kSum += float64(d.K)
+		}
+		meanK = kSum / float64(len(decisions))
 	}
 	out.Rows = append(out.Rows, adaptiveRow("adaptive", an.SNMP.InPackets,
 		an.CategorizedPackets(), meanK))

@@ -108,23 +108,7 @@ func matrixCell(tr *trace.Trace, sizeEval, iatEval *core.Evaluator, scenario, sa
 		SizeEval: sizeEval,
 		IatEval:  iatEval,
 	}
-	rng := dist.NewRNG(cellSeed(seed, scenario, sampler))
-	switch sampler {
-	case "systematic":
-		cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewSystematic(k, 0) }
-	case "stratified":
-		cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewStratified(k, rng) }
-	case "systematic-timer", "stratified-timer":
-		period, perr := core.PeriodForGranularity(tr, float64(k))
-		if perr != nil {
-			return cell, perr
-		}
-		if sampler == "systematic-timer" {
-			cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewSystematicTimer(period, 0) }
-		} else {
-			cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewStratifiedTimer(period, rng) }
-		}
-	case "adaptive":
+	if sampler == "adaptive" {
 		minK := k / 8
 		if minK < 1 {
 			minK = 1
@@ -132,8 +116,14 @@ func matrixCell(tr *trace.Trace, sizeEval, iatEval *core.Evaluator, scenario, sa
 		cfg.Adaptive = &pipeline.AdaptiveConfig{
 			MinK: minK, MaxK: 8 * k, StartK: k, TargetPhi: 0.25,
 		}
-	default:
-		return cell, fmt.Errorf("unknown sampler %q", sampler)
+	} else {
+		rng := dist.NewRNG(cellSeed(seed, scenario, sampler))
+		// Only the timer methods read the period; a trace too short to
+		// have one leaves it 0, which their constructors reject.
+		period, _ := core.PeriodForGranularity(tr, float64(k))
+		cfg.NewSampler = func(int) (online.Sampler, error) {
+			return online.New(sampler, k, period, rng)
+		}
 	}
 	p, err := pipeline.New(cfg)
 	if err != nil {

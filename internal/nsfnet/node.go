@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"netsample/internal/arts"
+	"netsample/internal/online"
 	"netsample/internal/trace"
 )
 
@@ -21,18 +22,29 @@ func (c *SNMPCounters) record(p trace.Packet) {
 	c.InOctets += uint64(p.Size)
 }
 
+// everyKth is the firmware selection rule both node models run: the
+// k-th, 2k-th, ... packet offered is selected (offset k-1), and k < 1
+// means every packet.
+func everyKth(k int) *online.Systematic {
+	if k < 1 {
+		k = 1
+	}
+	// 0 <= k-1 < k, the only condition NewSystematic checks.
+	sys, _ := online.NewSystematic(k, k-1)
+	return sys
+}
+
 // T1Node models a T1 NSS: exact SNMP counters in the forwarding path and
-// a dedicated statistics processor feeding NNStat objects. With SampleK
-// <= 1, every packet is offered to the processor (the pre-September-1991
-// configuration); with SampleK = k > 1, only every k-th packet is
+// a dedicated statistics processor feeding NNStat objects. At
+// granularity 1 every packet is offered to the processor (the
+// pre-September-1991 configuration); at k > 1 only every k-th packet is
 // offered, recorded with weight k (the sampling deployment).
 type T1Node struct {
 	SNMP    SNMPCounters
 	Objects *arts.ObjectSet
 	Proc    *Processor
 
-	SampleK int
-	counter int
+	sys *online.Systematic
 }
 
 // NewT1Node builds a T1 NSS with the given statistics-processor capacity
@@ -41,24 +53,25 @@ func NewT1Node(capacityPPS float64, buffer, sampleK int) *T1Node {
 	return &T1Node{
 		Objects: arts.NewObjectSet(arts.T1),
 		Proc:    NewProcessor(capacityPPS, buffer),
-		SampleK: sampleK,
+		sys:     everyKth(sampleK),
 	}
 }
 
+// K returns the sampling granularity in force.
+func (n *T1Node) K() int { return n.sys.K() }
+
+// SetGranularity changes the sampling granularity mid-stream; the
+// schedule re-anchors at the change (online.Systematic.SetGranularity).
+func (n *T1Node) SetGranularity(k int) error { return n.sys.SetGranularity(k) }
+
 // Process forwards one packet through the node. Packets must arrive in
-// time order.
+// time order. A categorized packet is recorded with the granularity in
+// force when it was selected, so scaled counts stay unbiased across
+// granularity changes.
 func (n *T1Node) Process(p trace.Packet) {
 	n.SNMP.record(p)
-	weight := uint64(1)
-	if n.SampleK > 1 {
-		n.counter++
-		if n.counter%n.SampleK != 0 {
-			return
-		}
-		weight = uint64(n.SampleK)
-	}
-	if n.Proc.Offer(p.Time) {
-		n.Objects.Record(p, weight)
+	if n.sys.Offer(p.Time) && n.Proc.Offer(p.Time) {
+		n.Objects.Record(p, uint64(n.sys.K()))
 	}
 }
 
@@ -76,10 +89,9 @@ func (n *T1Node) CategorizedPackets() uint64 { return n.Objects.TotalPackets() }
 // T3Subsystem is one intelligent interface card of a T3 node: its own
 // exact SNMP counters and the firmware's systematic 1-in-K selection.
 type T3Subsystem struct {
-	Name    string
-	SNMP    SNMPCounters
-	K       int
-	counter int
+	Name string
+	SNMP SNMPCounters
+	sys  *online.Systematic
 }
 
 // T3Node models a T3 backbone node: several subsystems forwarding in
@@ -103,11 +115,8 @@ func NewT3Node(subsystems []string, k int, mainCapacityPPS float64, buffer int) 
 		Objects: arts.NewObjectSet(arts.T3),
 		MainCPU: NewProcessor(mainCapacityPPS, buffer),
 	}
-	if k < 1 {
-		k = 1
-	}
 	for _, name := range subsystems {
-		n.Subsystems = append(n.Subsystems, &T3Subsystem{Name: name, K: k})
+		n.Subsystems = append(n.Subsystems, &T3Subsystem{Name: name, sys: everyKth(k)})
 	}
 	return n
 }
@@ -119,13 +128,9 @@ func (n *T3Node) Process(sub int, p trace.Packet) error {
 	}
 	s := n.Subsystems[sub]
 	s.SNMP.record(p)
-	s.counter++
-	if s.counter%s.K != 0 {
-		return nil
-	}
 	// Firmware forwards the selected header to the main CPU.
-	if n.MainCPU.Offer(p.Time) {
-		n.Objects.Record(p, uint64(s.K))
+	if s.sys.Offer(p.Time) && n.MainCPU.Offer(p.Time) {
+		n.Objects.Record(p, uint64(s.sys.K()))
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package nsfnet
 
 import (
+	"slices"
 	"testing"
 
+	"netsample/internal/core"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -193,5 +195,79 @@ func TestT3NodeSpreadsAcrossSubsystems(t *testing.T) {
 	}
 	if n.SNMPTotal() != uint64(tr.Len()) {
 		t.Fatalf("SNMP total %d != %d", n.SNMPTotal(), tr.Len())
+	}
+}
+
+// selectedBy feeds tr one packet at a time and returns the indices the
+// statistics path was offered, read off the processor's own counter.
+func selectedBy(tr *trace.Trace, process func(trace.Packet), proc *Processor) []int {
+	var got []int
+	for i, p := range tr.Packets {
+		before := proc.Offered()
+		process(p)
+		if proc.Offered() != before {
+			got = append(got, i)
+		}
+	}
+	return got
+}
+
+func TestNodesSelectAsSystematicCount(t *testing.T) {
+	// Both node models take their selection from online.Systematic at
+	// offset k-1: the k-th, 2k-th, ... packet, index for index the batch
+	// core.SystematicCount{K: k, Offset: k-1}; sampleK 0 and 1 offer
+	// every packet.
+	tr := mkBurstTrace(1003, 500)
+	for _, sampleK := range []int{0, 1, 2, 7, 50, 1003, 2000} {
+		k := sampleK
+		if k < 1 {
+			k = 1
+		}
+		want, err := core.SystematicCount{K: k, Offset: k - 1}.Select(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1 := NewT1Node(1e9, 64, sampleK)
+		if t1.K() != k {
+			t.Fatalf("sampleK %d: T1Node.K() = %d, want %d", sampleK, t1.K(), k)
+		}
+		t3 := NewT3Node([]string{"only"}, sampleK, 1e9, 64)
+		for name, got := range map[string][]int{
+			"T1Node":      selectedBy(tr, t1.Process, t1.Proc),
+			"T3Subsystem": selectedBy(tr, func(p trace.Packet) { _ = t3.Process(0, p) }, t3.MainCPU),
+		} {
+			if !slices.Equal(got, want) {
+				t.Errorf("sampleK %d: %s selected %d packets, not SystematicCount's %d",
+					sampleK, name, len(got), len(want))
+			}
+		}
+		if got := t1.CategorizedPackets(); got != uint64(len(want)*k) {
+			t.Errorf("sampleK %d: categorized %d, want %d selections of weight %d", sampleK, got, len(want), k)
+		}
+	}
+}
+
+func TestT1NodeSetGranularity(t *testing.T) {
+	// A packet is recorded with the k in force when it was selected, so
+	// the scaled total stays the packet count across a change.
+	n := NewT1Node(1e9, 64, 4)
+	tr := mkBurstTrace(40, 500)
+	for _, p := range tr.Packets[:20] { // 5 selections of weight 4
+		n.Process(p)
+	}
+	if err := n.SetGranularity(10); err != nil {
+		t.Fatal(err)
+	}
+	if n.K() != 10 {
+		t.Fatalf("K() = %d after SetGranularity(10)", n.K())
+	}
+	for _, p := range tr.Packets[20:] { // re-anchored: 2 selections of weight 10
+		n.Process(p)
+	}
+	if got := n.CategorizedPackets(); got != 40 {
+		t.Fatalf("categorized %d across a granularity change, want 40", got)
+	}
+	if err := n.SetGranularity(0); err == nil {
+		t.Fatal("SetGranularity(0) accepted")
 	}
 }

@@ -48,6 +48,7 @@ package online
 
 import (
 	"errors"
+	"fmt"
 
 	"netsample/internal/dist"
 	"netsample/internal/trace"
@@ -70,6 +71,30 @@ var (
 	ErrBadPeriod      = errors.New("online: timer period must be positive")
 	ErrBadCapacity    = errors.New("online: reservoir capacity must be >= 1")
 )
+
+// New builds the streaming sampler a method name stands for, the one
+// table behind nsd's -method flag and the experiment matrix:
+//
+//	systematic        every k-th packet, offset 0
+//	stratified        one random packet per k-packet bucket
+//	systematic-timer  first packet at or after each periodUS tick
+//	stratified-timer  first packet after a random instant per bucket
+//
+// The count-driven methods ignore periodUS, the timer-driven ones k,
+// and the systematic ones rng.
+func New(method string, k int, periodUS int64, rng *dist.RNG) (Sampler, error) {
+	switch method {
+	case "systematic":
+		return NewSystematic(k, 0)
+	case "stratified":
+		return NewStratified(k, rng)
+	case "systematic-timer":
+		return NewSystematicTimer(periodUS, 0)
+	case "stratified-timer":
+		return NewStratifiedTimer(periodUS, rng)
+	}
+	return nil, fmt.Errorf("online: unknown method %q", method)
+}
 
 // Systematic selects every k-th packet: the T3 firmware rule. With
 // offset o, the first selected packet is the (o+1)-th to arrive, then

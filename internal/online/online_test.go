@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,35 @@ func TestStreamingSamplersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNewByMethodName(t *testing.T) {
+	for method, want := range map[string]string{
+		"systematic":       "online-systematic",
+		"stratified":       "online-stratified",
+		"systematic-timer": "online-systematic-timer",
+		"stratified-timer": "online-stratified-timer",
+	} {
+		s, err := New(method, 10, 1000, dist.NewRNG(1))
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if s.Name() != want {
+			t.Errorf("%s built %s", method, s.Name())
+		}
+	}
+	if _, err := New("adaptive", 10, 1000, dist.NewRNG(1)); err == nil {
+		t.Error("unknown method accepted")
+	}
+	// Each family rejects only its own parameter.
+	if _, err := New("systematic", 10, 0, nil); err != nil {
+		t.Errorf("systematic read the period: %v", err)
+	}
+	if _, err := New("systematic-timer", 0, 1000, nil); err != nil {
+		t.Errorf("systematic-timer read k: %v", err)
+	}
+	if _, err := New("stratified-timer", 10, 0, dist.NewRNG(1)); !errors.Is(err, ErrBadPeriod) {
+		t.Errorf("stratified-timer with no period: %v", err)
 	}
 }

@@ -6,9 +6,8 @@ import (
 
 // AdaptiveConfig enables closed-loop control of the systematic sampling
 // granularity: a per-window control step that steers k within
-// [MinK, MaxK] against a drop-rate and φ-error budget — the promotion
-// of internal/adaptive's epoch controller onto the pipeline's window
-// barriers. It replaces Config.NewSampler: the reader's one sampler is
+// [MinK, MaxK] against a drop-rate and φ-error budget at the pipeline's
+// window barriers. It replaces Config.NewSampler: the reader's one sampler is
 // a systematic one whose k the control step moves, so an adaptive run,
 // like a fixed one, is bit-identical for any ingest-worker and shard
 // count at the same seed.
@@ -64,14 +63,17 @@ type AdaptiveDecision struct {
 	Phi float64
 }
 
-// decide is the control law: a pure function of the previous k and the
-// merged window snapshot, so the decision sequence is reproducible from
-// the seed and trace alone. Coarsening halves the selected load when
-// the pipeline drops beyond budget; refinement halves k when fidelity
-// (φ against the reference population) misses the target; comfortable
-// windows — φ at most half the budget and zero drops — coarsen to shed
-// work. All moves clamp to [MinK, MaxK].
-func (a *AdaptiveConfig) decide(prevK int, snap *Snapshot) AdaptiveDecision {
+// Decide is the control law: a pure function of the previous k and the
+// window snapshot, so the decision sequence is reproducible from the
+// seed and trace alone. It reads only Seq, Offered, Dropped and the two
+// reports, so any sample-and-export path that can fill those — the
+// pipeline's merged window, or a node model's statistics processor over
+// one epoch — is steered by the same law. Coarsening halves the
+// selected load when the path drops beyond budget; refinement halves k
+// when fidelity (φ against the reference population) misses the target;
+// comfortable windows — φ at most half the budget and zero drops —
+// coarsen to shed work. All moves clamp to [MinK, MaxK].
+func (a *AdaptiveConfig) Decide(prevK int, snap *Snapshot) AdaptiveDecision {
 	var dropRate float64
 	if snap.Offered > 0 {
 		dropRate = float64(snap.Dropped) / float64(snap.Offered)
@@ -83,14 +85,21 @@ func (a *AdaptiveConfig) decide(prevK int, snap *Snapshot) AdaptiveDecision {
 	if snap.IatReport != nil && snap.IatReport.Phi > phi {
 		phi = snap.IatReport.Phi
 	}
+	// Doubling saturates at MaxK before multiplying: 2k wraps negative
+	// past MaxInt/2, and the MinK clamp below would then turn "coarsen"
+	// into "jump to the finest k".
+	coarser := a.MaxK
+	if prevK <= a.MaxK/2 {
+		coarser = 2 * prevK
+	}
 	k := prevK
 	switch {
 	case snap.Offered > 0 && float64(snap.Dropped) > a.DropBudget*float64(snap.Offered):
-		k *= 2
+		k = coarser
 	case phi >= 0 && phi > a.TargetPhi:
 		k /= 2
 	case phi >= 0 && 2*phi <= a.TargetPhi && snap.Dropped == 0:
-		k *= 2
+		k = coarser
 	}
 	if k < a.MinK {
 		k = a.MinK
@@ -114,7 +123,7 @@ func (a *AdaptiveConfig) decide(prevK int, snap *Snapshot) AdaptiveDecision {
 //nslint:coldpath runs once per window barrier on the collector, never on the packet path
 func (p *Pipeline) controlStep(bar *barrier, snap *Snapshot) {
 	snap.K = p.adaptK
-	d := p.cfg.Adaptive.decide(p.adaptK, snap)
+	d := p.cfg.Adaptive.Decide(p.adaptK, snap)
 	if !bar.final {
 		// The final barrier closes the run; there is no next window for
 		// its decision to govern, so none is recorded.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -92,9 +93,9 @@ func TestAdaptiveDecide(t *testing.T) {
 			Snapshot{Offered: 100, Dropped: 50}, 64},
 	}
 	for _, tc := range cases {
-		d := a.decide(tc.prevK, &tc.snap)
+		d := a.Decide(tc.prevK, &tc.snap)
 		if d.K != tc.wantK {
-			t.Errorf("%s: decide(k=%d) = %d, want %d", tc.name, tc.prevK, d.K, tc.wantK)
+			t.Errorf("%s: Decide(k=%d) = %d, want %d", tc.name, tc.prevK, d.K, tc.wantK)
 		}
 		if d.PrevK != tc.prevK {
 			t.Errorf("%s: PrevK = %d, want %d", tc.name, d.PrevK, tc.prevK)
@@ -102,8 +103,20 @@ func TestAdaptiveDecide(t *testing.T) {
 	}
 	// Zero drop budget: any drop coarsens.
 	strict := &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.2}
-	if d := strict.decide(8, &Snapshot{Offered: 100, Dropped: 1}); d.K != 16 {
+	if d := strict.Decide(8, &Snapshot{Offered: 100, Dropped: 1}); d.K != 16 {
 		t.Errorf("zero budget with one drop: k = %d, want 16", d.K)
+	}
+	// Doubling saturates instead of wrapping: no ceiling is put on MaxK,
+	// and past MaxInt/2 a wrapped 2k is negative, which the MinK clamp
+	// turns into the finest granularity — the opposite of coarsening.
+	wide := &AdaptiveConfig{MinK: 1, MaxK: math.MaxInt, StartK: 8, TargetPhi: 0.2}
+	for _, snap := range []Snapshot{
+		{Offered: 100, Dropped: 1},
+		{Offered: 100, SizeReport: rep(0.05)},
+	} {
+		if d := wide.Decide(math.MaxInt/2+1, &snap); d.K != math.MaxInt {
+			t.Errorf("coarsen past MaxInt/2 (%+v): k = %d, want MaxInt", snap, d.K)
+		}
 	}
 }
 

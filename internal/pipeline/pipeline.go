@@ -592,7 +592,7 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 			// New granularity regime: the schedule restarts with the first
 			// packet of the next window selected. SetGranularity alone
 			// would anchor on the k-th; Reset moves the anchor back.
-			//nslint:allow errdrop decide clamps k to [MinK, MaxK] and validate pins MinK >= 1, so ErrBadGranularity is unreachable
+			//nslint:allow errdrop Decide clamps k to [MinK, MaxK] and validate pins MinK >= 1, so ErrBadGranularity is unreachable
 			sys.SetGranularity(bar.nextK)
 			sys.Reset()
 		}

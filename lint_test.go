@@ -168,7 +168,7 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 
 // TestAdaptiveControlStaysOffHotPath is the inverse audit of the
 // closure test above for the closed-loop sampling controller: the
-// per-window control step — merge-time scoring, the decide() law, the
+// per-window control step — merge-time scoring, the Decide law, the
 // decision log append — runs in the collector at a window barrier,
 // once per window, and must never reach
 // the per-packet //nslint:hotpath closure. If a refactor moves the
@@ -180,7 +180,7 @@ func TestAdaptiveControlStaysOffHotPath(t *testing.T) {
 	mp := loader.ModulePath
 	banned := map[string]bool{
 		"(*" + mp + "/internal/pipeline.Pipeline).controlStep":    true,
-		"(*" + mp + "/internal/pipeline.AdaptiveConfig).decide":   true,
+		"(*" + mp + "/internal/pipeline.AdaptiveConfig).Decide":   true,
 		"(*" + mp + "/internal/pipeline.AdaptiveConfig).validate": true,
 	}
 	for _, e := range module.HotClosure() {

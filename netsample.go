@@ -45,13 +45,10 @@ type (
 	Packet = trace.Packet
 	// Sampler is one of the paper's sampling methods.
 	Sampler = core.Sampler
-	// StreamingSampler is a Sampler that can yield selected indices to a
-	// visitor without building an index slice (the fused fast path).
-	StreamingSampler = core.StreamingSampler
 	// Evaluator scores samples against a parent population.
 	Evaluator = core.Evaluator
 	// Scorer is worker-local fused-scoring state; feed it with
-	// StreamingSampler.SelectEach via Scorer.Visit and call Report.
+	// Sampler.SelectEach via Scorer.Visit and call Report.
 	Scorer = core.Scorer
 	// Report holds χ², significance, cost, rcost, X², k and φ.
 	Report = metrics.Report
