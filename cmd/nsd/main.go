@@ -217,11 +217,6 @@ func main() {
 	if err := p.Run(src); err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}
-	// The mapping outlives Run (workers hold views into it until the
-	// pipeline drains); release it only once the run is over.
-	if err := closeSrc(); err != nil {
-		log.Printf("close input: %v", err)
-	}
 	if final, ok := p.Latest(); ok && *quiet {
 		fmt.Println(summarize(final))
 	}
@@ -250,15 +245,24 @@ func main() {
 	if err := agent.Close(); err != nil {
 		log.Printf("close: %v", err)
 	}
+	// The input is released last. Run's workers held views into the
+	// mapping until the drain, and the reference trace the evaluators
+	// keep for the whole serving phase *is* the mapping: with the agent
+	// closed nothing is left that could read it.
+	if err := closeSrc(); err != nil {
+		log.Printf("close input: %v", err)
+	}
 }
 
 // loadSource opens the daemon's input: the reference population trace
 // (which snapshot scoring needs in memory) plus the pipeline source to
-// stream, plus a release to call once Run returns. A file input is
-// memory-mapped: the pipeline ingests raw record windows straight out
-// of the page cache (the zero-copy path, DESIGN.md §13) while the
-// reference trace is materialized once from the same mapping.
-// Generated input replays from memory and its release is a no-op.
+// stream, plus a release. A file input is memory-mapped once and is
+// both: the pipeline ingests raw record windows straight out of the
+// page cache, and the reference trace is a read-only view of the same
+// records (DESIGN.md §13) — it dies with the release, so call that only
+// when nothing holding the trace (the evaluators included) can run
+// again. Generated input replays from memory and its release is a
+// no-op.
 func loadSource(in string, gen bool, scenario string, seconds int, pps float64, seed uint64) (*trace.Trace, pipeline.Source, func() error, error) {
 	if gen {
 		if scenario != "" {

@@ -9,7 +9,9 @@
 // tied to a shutdown seam (waitstall), no blocking operation may run
 // under a held mutex (mutexhold), and the transitive closure of every
 // `//nslint:hotpath` function must be free of allocating constructs
-// (hotalloc) — the static twin of the allocation-budget tests.
+// (hotalloc) — the static twin of the allocation-budget tests. One rule
+// guards a single file: only internal/trace/layout.go may import unsafe
+// (nounsafe).
 //
 // Usage:
 //

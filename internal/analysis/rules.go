@@ -8,7 +8,8 @@ import (
 
 // DefaultRules returns the full netsample rule set for a module rooted
 // at modulePath (the module directive of go.mod, "netsample" here):
-// five determinism rules (PR 1) plus five concurrency/hot-path rules.
+// five determinism rules (PR 1), five concurrency/hot-path rules, and
+// the one-file confinement of unsafe.
 // Rule instances carry per-run state (collected facts), so callers must
 // take a fresh set for every Run.
 func DefaultRules(modulePath string) []Rule {
@@ -23,6 +24,7 @@ func DefaultRules(modulePath string) []Rule {
 		&hotAllocRule{modulePath: modulePath},
 		&waitStallRule{modulePath: modulePath},
 		&mutexHoldRule{modulePath: modulePath},
+		&noUnsafeRule{modulePath},
 	}
 }
 

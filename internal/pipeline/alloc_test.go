@@ -73,6 +73,50 @@ func TestPipelineHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayerWindowsDoNotAllocate pins the in-memory raw path: a
+// Replayer's record windows are views of the trace's own packets, so a
+// run's allocation count is its fixed startup cost and does not grow
+// with trace length — eight times the packets (some 1370 more windows,
+// one allocation each if they went through the adapter) cost the same,
+// give or take the runtime's own noise.
+func TestReplayerWindowsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	runAllocs := func(n int) uint64 {
+		tr := &trace.Trace{Packets: make([]trace.Packet, n)}
+		src := &cycleSource{n: n}
+		for i := range tr.Packets {
+			tr.Packets[i], _ = src.Next()
+		}
+		p, err := New(Config{
+			Shards:        1,
+			NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
+			FlowTimeoutUS: 1 << 60,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := p.Run(tr.Replay()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		if snap, ok := p.Latest(); !ok || snap.Processed != uint64(n) {
+			t.Fatalf("run did not process all %d packets: %+v", n, snap)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 50_000, 400_000
+	a, b := runAllocs(short), runAllocs(long)
+	if slack := uint64((long - short) / DefaultBatchSize / 2); b > a+slack {
+		t.Errorf("%d packets made %d allocations, %d packets %d (> +%d): the replay path allocates per window",
+			short, a, long, b, slack)
+	}
+}
+
 // churnSource synthesizes n packets that each open a new 5-tuple, 10 µs
 // apart: every selected packet is a flow-table insert and, once the
 // sketch is full, a Space-Saving eviction — the flood shape, where no

@@ -13,8 +13,7 @@ import (
 // io.Reader, it may return n > 0 alongside an error (including io.EOF);
 // those packets precede the error in the stream. Run's edge adapter
 // uses it when a Source implements it — one interface call per batch
-// instead of per packet. *trace.Replayer and *trace.StreamReader
-// implement it natively.
+// instead of per packet. *trace.StreamReader implements it natively.
 type BatchSource interface {
 	NextBatch(dst []trace.Packet) (int, error)
 }
@@ -29,9 +28,10 @@ type BatchSource interface {
 // complete records precede any error; exhaustion is (nil, 0, io.EOF).
 // Every returned window must remain valid and immutable until the
 // pipeline's Run returns — workers hold windows from many calls
-// concurrently. *trace.MapReader satisfies this by construction (its
-// views alias the mapped region until Close); a reader recycling one
-// scratch buffer per call must NOT implement this interface.
+// concurrently. *trace.MapReader and *trace.Replayer satisfy this by
+// construction (their windows are views: of the mapped region until
+// Close, of the trace's own packets); a reader recycling one scratch
+// buffer per call must NOT implement this interface.
 type RawBatchSource interface {
 	NextRawBatch(max int) ([]byte, int, error)
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"io"
 	"testing"
 
 	"netsample/internal/online"
@@ -64,12 +65,13 @@ func TestParallelIngestDropConservation(t *testing.T) {
 	}
 }
 
-// TestBatchSourcePreferred checks Run consumes a native BatchSource and
-// produces the same totals as the per-packet path.
+// TestBatchSourcePreferred checks Run consumes a BatchSource through
+// the adapter's batch form and produces the same totals as the
+// per-packet path and as the Replayer's own record windows.
 func TestBatchSourcePreferred(t *testing.T) {
 	tr := smallTrace(t, 55)
-	if _, ok := interface{}(tr.Replay()).(BatchSource); !ok {
-		t.Fatal("*trace.Replayer no longer implements BatchSource")
+	if _, ok := interface{}(tr.Replay()).(RawBatchSource); !ok {
+		t.Fatal("*trace.Replayer no longer implements RawBatchSource")
 	}
 	run := func(src Source) *Snapshot {
 		p, err := New(Config{
@@ -88,18 +90,21 @@ func TestBatchSourcePreferred(t *testing.T) {
 		}
 		return snap
 	}
-	batch := run(tr.Replay())
+	batch := run(&tornSource{pkts: tr.Packets, err: io.EOF})
 	perPkt := run(&perPacketOnly{r: tr.Replay()})
-	if batch.Offered != perPkt.Offered || batch.Selected != perPkt.Selected {
-		t.Errorf("batch path (offered %d, selected %d) != per-packet path (offered %d, selected %d)",
-			batch.Offered, batch.Selected, perPkt.Offered, perPkt.Selected)
+	raw := run(tr.Replay())
+	for name, got := range map[string]*Snapshot{"per-packet": perPkt, "raw": raw} {
+		if batch.Offered != got.Offered || batch.Selected != got.Selected {
+			t.Errorf("batch path (offered %d, selected %d) != %s path (offered %d, selected %d)",
+				batch.Offered, batch.Selected, name, got.Offered, got.Selected)
+		}
 	}
 	if batch.Offered != uint64(tr.Len()) {
 		t.Errorf("offered %d, want %d", batch.Offered, tr.Len())
 	}
 }
 
-// perPacketOnly hides a Replayer's NextBatch so Run must adapt it.
+// perPacketOnly hides a Replayer's NextRawBatch so Run must adapt it.
 type perPacketOnly struct{ r *trace.Replayer }
 
 func (s *perPacketOnly) Next() (trace.Packet, error) { return s.r.Next() }

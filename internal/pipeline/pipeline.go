@@ -357,8 +357,8 @@ func New(cfg Config) (*Pipeline, error) {
 // Run drives the pipeline to completion: it reads src on the calling
 // goroutine until io.EOF, a source error, or Stop, then drains the
 // workers, publishes the final Snapshot, and returns the source error
-// if any. A RawBatchSource (e.g. *trace.MapReader) feeds the reader its
-// record windows directly; any other source is read through a
+// if any. A RawBatchSource (*trace.MapReader, *trace.Replayer) feeds the
+// reader its record windows directly; any other source is read through a
 // recordAdapter that encodes its packets into record windows first.
 // Under the Block policy every source form produces identical
 // snapshots. Run may be called once per Pipeline.

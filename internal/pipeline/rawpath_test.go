@@ -15,11 +15,13 @@ import (
 	"netsample/internal/trace"
 )
 
-// The mmap reader must satisfy every source form.
+// The mmap reader must satisfy every source form, the replayer the
+// native one.
 var (
 	_ Source         = (*trace.MapReader)(nil)
 	_ BatchSource    = (*trace.MapReader)(nil)
 	_ RawBatchSource = (*trace.MapReader)(nil)
+	_ RawBatchSource = (*trace.Replayer)(nil)
 )
 
 // TestDecodeBatchEquivalence cross-checks the exported two-pass kernel
@@ -119,11 +121,12 @@ func (s *tornSource) Next() (trace.Packet, error) {
 }
 
 // TestSourceEquivalenceSnapshots is the edge adapter's pin: every entry
-// form — the MapReader's own record windows, and the StreamReader, the
-// in-memory Replayer and a per-packet-only Source through the adapter —
-// produces byte-identical snapshot sequences on the same trace file,
-// windows, shards, and seeds: barrier positions, gap observations,
-// sampling decisions, and scored reports all agree bit-for-bit. A
+// form — the MapReader's and the in-memory Replayer's own record
+// windows, and the StreamReader, a torn BatchSource and a
+// per-packet-only Source through the adapter — produces byte-identical
+// snapshot sequences on the same trace file, windows, shards, and
+// seeds: barrier positions, gap observations, sampling decisions, and
+// scored reports all agree bit-for-bit. A
 // source that fails alongside its last packets still delivers them, and
 // Run surfaces the error after the drain.
 func TestSourceEquivalenceSnapshots(t *testing.T) {

@@ -1,12 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"time"
+	"slices"
 
 	"netsample/internal/packet"
 )
@@ -51,26 +50,24 @@ const (
 // ErrFormat reports a malformed trace stream.
 var ErrFormat = errors.New("trace: malformed trace stream")
 
-// Write serializes the trace to w in NSTR format.
+// Write serializes the trace to w in NSTR format: the header, then the
+// records in one Write — the packets' own memory, where layout.go allows.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [headerLen]byte
 	copy(hdr[0:4], traceMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:], FormatVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(t.Start.UnixMicro()))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(t.ClockUS))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(t.Packets)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	var rec [recordLen]byte
-	for _, p := range t.Packets {
-		encodeRecord(&rec, p)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
+	raw, ok := packetsAsRecords(t.Packets)
+	if !ok {
+		raw = encodeFresh(t.Packets)
 	}
-	return bw.Flush()
+	_, err := w.Write(raw)
+	return err
 }
 
 func encodeRecord(rec *[recordLen]byte, p Packet) {
@@ -82,10 +79,6 @@ func encodeRecord(rec *[recordLen]byte, p Packet) {
 	copy(rec[16:20], p.Dst[:])
 	binary.LittleEndian.PutUint16(rec[20:], p.SrcPort)
 	binary.LittleEndian.PutUint16(rec[22:], p.DstPort)
-}
-
-func decodeRecord(rec *[recordLen]byte) Packet {
-	return decodeRecordBytes(rec[:])
 }
 
 // decodeRecordBytes decodes one record from a slice of at least
@@ -148,43 +141,41 @@ func EncodeRecords(dst []byte, pkts []Packet) int {
 	return n
 }
 
+// encodeFresh is the portable packetsAsRecords: NSTR record bytes in a
+// new buffer per call, because a caller may hold many at once.
+func encodeFresh(pkts []Packet) []byte {
+	//nslint:allow hotalloc big-endian builds only: one window per batch, as the pipeline's edge adapter pays
+	raw := make([]byte, len(pkts)*recordLen)
+	EncodeRecords(raw, pkts)
+	return raw
+}
+
 // Read deserializes a complete NSTR trace from r, verifying the magic,
 // version and record count. A stream that ends early returns ErrFormat.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrFormat, err)
+	s, err := NewStreamReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(hdr[0:4]) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
-	}
-	t := &Trace{
-		Start:   time.UnixMicro(int64(binary.LittleEndian.Uint64(hdr[8:]))).UTC(),
-		ClockUS: int64(binary.LittleEndian.Uint64(hdr[16:])),
-	}
-	count := binary.LittleEndian.Uint64(hdr[24:])
 	const maxRecords = 1 << 28 // 256M packets ≈ 6 GiB; reject absurd headers
-	if count > maxRecords {
-		return nil, fmt.Errorf("%w: record count %d exceeds limit", ErrFormat, count)
+	if s.total > maxRecords {
+		return nil, fmt.Errorf("%w: record count %d exceeds limit", ErrFormat, s.total)
 	}
-	// Cap the upfront allocation: the count field is untrusted input, so
-	// a forged header must not force gigabytes of capacity before the
-	// (length-checked) record reads fail.
-	preallocate := count
-	if preallocate > 1<<20 {
-		preallocate = 1 << 20
-	}
-	t.Packets = make([]Packet, 0, preallocate)
-	var rec [recordLen]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrFormat, i, err)
+	// The count is untrusted: the slab grows a capped chunk at a time, so a
+	// forged header cannot force gigabytes before the reads fail. A chunk
+	// lands in the packets' own bytes, or comes through NextBatch's decode.
+	t := &Trace{Start: s.start, ClockUS: s.clockUS}
+	for have := 0; uint64(have) < s.total; have = len(t.Packets) {
+		n := int(min(s.total-uint64(have), 1<<20))
+		t.Packets = slices.Grow(t.Packets, n)[:have+n]
+		dst := t.Packets[have:]
+		if raw, ok := packetsAsRecords(dst); !ok {
+			if _, err := s.NextBatch(dst); err != nil {
+				return nil, err
+			}
+		} else if got, err := io.ReadFull(s.br, raw); err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrFormat, have+got/recordLen, err)
 		}
-		t.Packets = append(t.Packets, decodeRecord(&rec))
 	}
 	return t, nil
 }

@@ -168,16 +168,20 @@ func (m *MapReader) Next() (Packet, error) {
 	return one[0], nil
 }
 
-// Trace materializes the full trace as an in-memory Trace — the one
-// deliberate copy in the MapReader API, for consumers that need random
-// access (reference evaluators, report baselines). It reads the region
-// directly without moving the stream position, and refuses a truncated
-// region up front so the allocation is always backed by real records.
+// Trace returns the full trace for random-access consumers (reference
+// evaluators) without moving the stream position; a truncated region is
+// refused up front. Where the layout identity holds (layout.go) Packets
+// *is* the record region — read-only, dead at Close like every raw view;
+// elsewhere (big-endian, a misaligned NewMapReaderBytes region) a copy.
 func (m *MapReader) Trace() (*Trace, error) {
 	if m.avail < m.total {
 		return nil, fmt.Errorf("%w: region truncated (%d of %d records present)", ErrFormat, m.avail, m.total)
 	}
-	t := &Trace{Start: m.start, ClockUS: m.clockUS, Packets: make([]Packet, m.total)}
-	DecodeRecords(t.Packets, m.data[headerLen:headerLen+m.total*recordLen])
-	return t, nil
+	raw := m.data[headerLen : headerLen+m.total*recordLen]
+	pkts, ok := recordsAsPackets(raw)
+	if !ok {
+		pkts = make([]Packet, m.total)
+		DecodeRecords(pkts, raw)
+	}
+	return &Trace{Start: m.start, ClockUS: m.clockUS, Packets: pkts}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -206,7 +207,9 @@ func TestOpenMapRoundTrip(t *testing.T) {
 // FuzzMapReaderBounds drives the raw-window math over arbitrary
 // regions: construction either rejects the header with ErrFormat or
 // yields a reader whose batched walk never panics, never hands out a
-// misaligned window, and accounts for every record exactly once.
+// misaligned window, and accounts for every record exactly once; on
+// every non-truncated region Trace() — view or copy, as the region's
+// address falls — equals DecodeRecords over the same bytes.
 // Checked-in seeds live in testdata/fuzz/FuzzMapReaderBounds
 // (regenerate with NSGEN_CORPUS=1 go test -run TestGenMapCorpus
 // ./internal/trace).
@@ -255,6 +258,18 @@ func FuzzMapReaderBounds(f *testing.F) {
 		}
 		if batch > 0 && records != m.avail {
 			t.Fatalf("walk delivered %d records, region holds %d", records, m.avail)
+		}
+		tr, err := m.Trace()
+		if m.avail < m.total {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Trace() on a truncated region: %v", err)
+			}
+			return
+		}
+		want := make([]Packet, m.total)
+		DecodeRecords(want, data[HeaderLen:])
+		if err != nil || !slices.Equal(tr.Packets, want) {
+			t.Fatalf("Trace() differs from DecodeRecords over the region (err=%v)", err)
 		}
 	})
 }

@@ -11,9 +11,8 @@ type Replayer struct {
 	pos     int
 }
 
-// Replay returns a Replayer positioned at the start of the trace. The
-// replayer reads the packet slice directly; mutating the trace during
-// replay is the caller's bug.
+// Replay returns a Replayer positioned at the start of the trace; its
+// raw windows alias t.Packets, so do not mutate them during a replay.
 func (t *Trace) Replay() *Replayer {
 	return &Replayer{packets: t.Packets}
 }
@@ -28,17 +27,23 @@ func (r *Replayer) Next() (Packet, error) {
 	return p, nil
 }
 
-// NextBatch fills dst with the next packets of the trace, returning
-// how many it wrote — the amortized batch form of Next (one bulk copy
-// instead of a call per packet). It returns io.EOF, with a count of 0,
-// only once the trace is exhausted.
-func (r *Replayer) NextBatch(dst []Packet) (int, error) {
+// NextRawBatch returns the next up-to-limit packets as NSTR record bytes
+// (pipeline.RawBatchSource, on MapReader.NextRawBatch's contract): where
+// the layout identity holds (layout.go), a view of the packets themselves.
+//
+//nslint:hotpath
+func (r *Replayer) NextRawBatch(limit int) ([]byte, int, error) {
 	if r.pos >= len(r.packets) {
-		return 0, io.EOF
+		return nil, 0, io.EOF
 	}
-	n := copy(dst, r.packets[r.pos:])
+	n := min(max(limit, 0), len(r.packets)-r.pos)
+	pkts := r.packets[r.pos : r.pos+n]
 	r.pos += n
-	return n, nil
+	raw, ok := packetsAsRecords(pkts)
+	if !ok {
+		raw = encodeFresh(pkts)
+	}
+	return raw, n, nil
 }
 
 // Rewind repositions the replayer at the start of the trace.

@@ -64,7 +64,7 @@ func (s *StreamReader) Next() (Packet, error) {
 		return Packet{}, fmt.Errorf("%w: record %d: %v", ErrFormat, s.read, err)
 	}
 	s.read++
-	return decodeRecord(&rec), nil
+	return decodeRecordBytes(rec[:]), nil
 }
 
 // NextBatch fills dst with the next records of the stream, returning

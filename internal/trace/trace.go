@@ -117,13 +117,13 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(t.Packets[len(t.Packets)-1].Time-t.Packets[0].Time) * time.Microsecond
 }
 
-// Window returns the sub-trace with timestamps in [fromUS, toUS). The
-// underlying packet slice is shared, not copied. It uses binary search,
-// so the trace must be ordered.
+// Window returns the sub-trace with timestamps in [fromUS, toUS): a
+// capacity-clipped share of the packet slice, not a copy (an append
+// reallocates). It uses binary search, so the trace must be ordered.
 func (t *Trace) Window(fromUS, toUS int64) *Trace {
 	lo := sort.Search(len(t.Packets), func(i int) bool { return t.Packets[i].Time >= fromUS })
 	hi := sort.Search(len(t.Packets), func(i int) bool { return t.Packets[i].Time >= toUS })
-	return &Trace{Start: t.Start, ClockUS: t.ClockUS, Packets: t.Packets[lo:hi]}
+	return &Trace{Start: t.Start, ClockUS: t.ClockUS, Packets: t.Packets[lo:hi:hi]}
 }
 
 // Sizes returns the packet-size distribution (bytes per packet) as

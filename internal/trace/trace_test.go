@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,6 +57,25 @@ func TestWindow(t *testing.T) {
 	}
 	if tr.Window(0, 500).Len() != 5 {
 		t.Error("full window should include all")
+	}
+}
+
+// TestWindowAppendLeavesParent pins the capacity clip: a window shares
+// the parent's packets but an append to it must reallocate, not
+// overwrite the parent's next packet (nor fault on a mapped view).
+func TestWindowAppendLeavesParent(t *testing.T) {
+	tr := mkTrace([]int64{0, 100, 200, 300, 400}, []uint16{1, 2, 3, 4, 5})
+	before := slices.Clone(tr.Packets)
+	w := tr.Window(100, 300)
+	if cap(w.Packets) != len(w.Packets) {
+		t.Errorf("window has cap %d beyond len %d", cap(w.Packets), len(w.Packets))
+	}
+	w.Packets = append(w.Packets, Packet{Time: 250, Size: 999})
+	if !slices.Equal(tr.Packets, before) {
+		t.Errorf("append to a window rewrote the parent: %+v", tr.Packets)
+	}
+	if &w.Packets[0] == &tr.Packets[1] {
+		t.Error("appended window still aliases the parent")
 	}
 }
 

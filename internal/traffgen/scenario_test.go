@@ -3,6 +3,10 @@ package traffgen
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -78,6 +82,39 @@ func mustScenario(t *testing.T, name string, seed uint64, dur time.Duration) *tr
 	return tr
 }
 
+// roundTripFile writes tr as an NSTR file and reads it back both ways —
+// trace.Read's slab and the mapped file's own records as a Trace — each
+// of which must be tr packet for packet: at full size, the file the
+// pinned packets' memory becomes is the file their encoding would be.
+func roundTripFile(t *testing.T, name string, tr *trace.Trace) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.nstr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(path) // nine full-size files: free each before the next
+	defer f.Close()
+	if err := trace.Write(f, tr); err != nil {
+		t.Fatalf("%s: Write: %v", name, err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := trace.Read(f); err != nil || !slices.Equal(got.Packets, tr.Packets) ||
+		got.ClockUS != tr.ClockUS || !got.Start.Equal(tr.Start) {
+		t.Errorf("%s: Write → Read is not the trace (err=%v)", name, err)
+	}
+	mr, err := trace.OpenMap(path)
+	if err != nil {
+		t.Fatalf("%s: OpenMap: %v", name, err)
+	}
+	defer mr.Close()
+	if got, err := mr.Trace(); err != nil || !slices.Equal(got.Packets, tr.Packets) {
+		t.Errorf("%s: Write → OpenMap().Trace() is not the trace (err=%v)", name, err)
+	}
+}
+
 // TestTraceDigests pins every generated trace absolutely, packet for
 // packet. Two runs of one binary agreeing (the Deterministic tests)
 // cannot see a changed generator; these digests can. finishTrace sorts
@@ -89,6 +126,8 @@ func mustScenario(t *testing.T, name string, seed uint64, dur time.Duration) *tr
 // and tie order was whatever it left; replacing it with the total order
 // moved every digest and neither of them — only tied packets changed
 // places (284 positions of the seed-1993 hour).
+//
+// Each trace is also round-tripped through its NSTR file (roundTripFile).
 func TestTraceDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates nine full-size traces")
@@ -142,6 +181,7 @@ func TestTraceDigests(t *testing.T) {
 		if got := hashMultiset(tr); got != c.multiset {
 			t.Errorf("%s: multiset digest %016x, want %016x", c.name, got, c.multiset)
 		}
+		roundTripFile(t, c.name, tr)
 	}
 	for _, name := range ScenarioNames() {
 		if !pinned[name] {

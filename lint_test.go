@@ -1,6 +1,7 @@
 package netsample_test
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -188,5 +189,27 @@ func TestAdaptiveControlStaysOffHotPath(t *testing.T) {
 		if banned[name] {
 			t.Errorf("adaptive control function %s reached the //nslint:hotpath closure; its //nslint:coldpath boundary is gone", name)
 		}
+	}
+}
+
+// TestUnsafeHasOneImporter is the other half of the nounsafe rule:
+// TestLintModule fails on a second importer, this fails if the one the
+// rule exempts — the record/packet layout identity in
+// internal/trace/layout.go — stops being one, so the exemption cannot
+// outlive the file it names.
+func TestUnsafeHasOneImporter(t *testing.T) {
+	_, module, _, _ := lintModule(t)
+	var importers []string
+	for _, pkg := range module.Pkgs {
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"unsafe"` {
+					importers = append(importers, pkg.Path+"/"+filepath.Base(pkg.Fset.Position(f.Pos()).Filename))
+				}
+			}
+		}
+	}
+	if len(importers) != 1 || importers[0] != "netsample/internal/trace/layout.go" {
+		t.Errorf("non-test importers of unsafe: %v, want exactly internal/trace/layout.go", importers)
 	}
 }
