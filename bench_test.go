@@ -619,23 +619,6 @@ func BenchmarkFusedReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicateParallelFused measures worker-pool replication of a
-// random method over the fused path, the ReplicateParallel hot loop.
-func BenchmarkReplicateParallelFused(b *testing.B) {
-	tr := benchSmall(b)
-	ev, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ReplicateParallel(ev, core.SimpleRandom{K: 50}, 32, 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPhiMetric(b *testing.B) {
 	o := []float64{120, 330, 550}
 	e := []float64{130, 320, 550}
@@ -904,22 +887,6 @@ func BenchmarkTopKAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.Add(keys[i%len(keys)], 1)
-	}
-}
-
-func BenchmarkP2Add(b *testing.B) {
-	p, err := stats.NewP2(0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := dist.NewRNG(2)
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = r.ExpFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Add(xs[i%len(xs)])
 	}
 }
 

@@ -25,7 +25,8 @@
 // With -compare, the run is also diffed against a baseline file
 // (typically the checked-in BENCH.json): per-benchmark and geomean
 // ns/op ratios are printed, and benchmarks slower than -tolerance exit
-// non-zero unless -warn-only is set.
+// non-zero unless -warn-only is set; so does a comparison that matched
+// no benchmark at all, which would otherwise pass vacuously.
 //
 // The rerun policy for gating: with -retries N, a failing comparison
 // triggers up to N full reruns of the selected suite, each merged
@@ -121,6 +122,13 @@ func main() {
 	}
 	cmp := benchjson.Compare(old, f)
 	fmt.Print(cmp.Format(*tolerance))
+	if err := cmp.Vacuous(); err != nil {
+		if *warnOnly {
+			log.Printf("warning: %v", err)
+			return
+		}
+		log.Fatalf("compare: %v", err)
+	}
 	if regs := cmp.Regressions(*tolerance); len(regs) > 0 {
 		if *warnOnly {
 			log.Printf("warning: %d benchmarks regressed beyond %.2fx", len(regs), *tolerance)

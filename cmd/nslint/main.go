@@ -11,7 +11,10 @@
 // `//nslint:hotpath` function must be free of allocating constructs
 // (hotalloc) — the static twin of the allocation-budget tests. One rule
 // guards a single file: only internal/trace/layout.go may import unsafe
-// (nounsafe).
+// (nounsafe). One looks at the module as a whole, and only when the
+// patterns load all of it: every package-level declaration must be
+// reachable from a main, an init, a package-level initialiser or the
+// root facade's exported API (unreached).
 //
 // Usage:
 //

@@ -11,8 +11,9 @@
 // never compared with ==, errors from module functions are never silently
 // discarded, atomic fields are never mixed with plain access, 64-bit
 // atomics are 8-byte aligned, annotated hot paths do not allocate,
-// goroutines are tied to shutdown seams, and mutexes are never held
-// across blocking operations.
+// goroutines are tied to shutdown seams, mutexes are never held across
+// blocking operations, and every declaration is reachable from
+// something the module ships.
 //
 // Analysis runs over a Module: the type-checked packages plus a
 // module-local call graph (static calls and interface dispatch resolved

@@ -4,23 +4,46 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// loadCorpus loads one testdata/src package through the module loader,
-// giving it its natural import path under internal/ so the scoped rules
-// apply.
-func loadCorpus(t *testing.T, loader *Loader, name string) *Package {
+// loadCorpus loads one testdata/src corpus and returns its packages with
+// the module path to run the rules under. A flat corpus is one package,
+// given its natural import path under internal/ so the scoped rules
+// apply. A corpus with subdirectories is a module of its own, rooted at
+// the corpus directory: the whole-module rule needs mains, a facade and
+// internal packages to tell apart.
+func loadCorpus(t *testing.T, loader *Loader, name string) ([]*Package, string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ip := loader.ModulePath + "/internal/analysis/testdata/src/" + name
-	pkg, err := loader.LoadDir(dir, ip)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		sub := &Loader{ModuleRoot: dir, ModulePath: ip, fset: loader.fset, std: loader.std,
+			pkgs: make(map[string]*Package), loading: make(map[string]bool)}
+		pkgs, err := sub.Load("./...")
+		if err != nil {
+			t.Fatalf("load corpus module %s: %v", name, err)
+		}
+		return pkgs, ip
+	}
+	pkg, err := loader.loadPackage(ip, dir)
 	if err != nil {
 		t.Fatalf("load corpus %s: %v", name, err)
 	}
-	return pkg
+	return []*Package{pkg}, loader.ModulePath
 }
 
 // wantKey locates one expectation site.
@@ -30,36 +53,38 @@ type wantKey struct {
 }
 
 // parseWants extracts `// want "re"` / `// want `+"`re`"+“ expectation
-// comments from the package's files. Several expectations may share one
+// comments from the packages' files. Several expectations may share one
 // line.
-func parseWants(t *testing.T, pkg *Package) map[wantKey][]*regexp.Regexp {
+func parseWants(t *testing.T, pkgs []*Package) map[wantKey][]*regexp.Regexp {
 	t.Helper()
 	out := make(map[wantKey][]*regexp.Regexp)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				idx := strings.Index(c.Text, "want ")
-				if !strings.HasPrefix(c.Text, "//") || idx < 0 {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				rest := strings.TrimSpace(c.Text[idx+len("want "):])
-				for rest != "" {
-					var quote byte = rest[0]
-					if quote != '"' && quote != '`' {
-						t.Fatalf("%s:%d: malformed want expectation %q", pos.Filename, pos.Line, c.Text)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					idx := strings.Index(c.Text, "want ")
+					if !strings.HasPrefix(c.Text, "//") || idx < 0 {
+						continue
 					}
-					end := strings.IndexByte(rest[1:], quote)
-					if end < 0 {
-						t.Fatalf("%s:%d: unterminated want expectation %q", pos.Filename, pos.Line, c.Text)
+					pos := pkg.Fset.Position(c.Pos())
+					rest := strings.TrimSpace(c.Text[idx+len("want "):])
+					for rest != "" {
+						var quote byte = rest[0]
+						if quote != '"' && quote != '`' {
+							t.Fatalf("%s:%d: malformed want expectation %q", pos.Filename, pos.Line, c.Text)
+						}
+						end := strings.IndexByte(rest[1:], quote)
+						if end < 0 {
+							t.Fatalf("%s:%d: unterminated want expectation %q", pos.Filename, pos.Line, c.Text)
+						}
+						re, err := regexp.Compile(rest[1 : 1+end])
+						if err != nil {
+							t.Fatalf("%s:%d: bad want regexp: %v", pos.Filename, pos.Line, err)
+						}
+						key := wantKey{pos.Filename, pos.Line}
+						out[key] = append(out[key], re)
+						rest = strings.TrimSpace(rest[2+end:])
 					}
-					re, err := regexp.Compile(rest[1 : 1+end])
-					if err != nil {
-						t.Fatalf("%s:%d: bad want regexp: %v", pos.Filename, pos.Line, err)
-					}
-					key := wantKey{pos.Filename, pos.Line}
-					out[key] = append(out[key], re)
-					rest = strings.TrimSpace(rest[2+end:])
 				}
 			}
 		}
@@ -108,9 +133,9 @@ func TestGoldenCorpus(t *testing.T) {
 			continue
 		}
 		t.Run(e.Name(), func(t *testing.T) {
-			pkg := loadCorpus(t, loader, e.Name())
-			wants := parseWants(t, pkg)
-			diags := Run([]*Package{pkg}, corpusRules(t, loader.ModulePath, e.Name()))
+			pkgs, modulePath := loadCorpus(t, loader, e.Name())
+			wants := parseWants(t, pkgs)
+			diags := Run(pkgs, corpusRules(t, modulePath, e.Name()))
 			matched := make(map[wantKey][]bool)
 			for key, res := range wants {
 				matched[key] = make([]bool, len(res))
@@ -146,7 +171,7 @@ func writeTempPkg(t *testing.T, loader *Loader, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(dir, loader.ModulePath+"/internal/tmpcorpus")
+	pkg, err := loader.loadPackage(loader.ModulePath+"/internal/tmpcorpus", dir)
 	if err != nil {
 		t.Fatalf("load temp corpus: %v", err)
 	}
@@ -208,6 +233,26 @@ func Eq(a, b float64) bool {
 	}
 	if !sawDirective {
 		t.Errorf("typoed directive was not reported; got %v", diags)
+	}
+}
+
+// TestStaleAllowIsAudited checks the inventory the module's
+// suppression-hygiene test fails on: in the unreached corpus the allow
+// on a declaration nothing reaches is used, and the one left on a
+// reached declaration is stale.
+func TestStaleAllowIsAudited(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, modulePath := loadCorpus(t, loader, "unreached")
+	_, allows := NewModule(pkgs).RunAudit(corpusRules(t, modulePath, "unreached"))
+	used := make(map[string]bool)
+	for _, a := range allows {
+		used[filepath.Base(a.File)] = a.Used
+	}
+	if want := map[string]bool{"bad.go": true, "good.go": false}; !reflect.DeepEqual(used, want) {
+		t.Errorf("allow sites used = %v, want %v", used, want)
 	}
 }
 

@@ -136,17 +136,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir loads the single package in dir under the given import path.
-// It exists for test corpora living in testdata directories, which the
-// module walk deliberately skips.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.loadPackage(importPath, abs)
-}
-
 // normalizePattern converts a CLI pattern into an import path plus a
 // subtree flag.
 func (l *Loader) normalizePattern(pat string) (string, bool) {

@@ -8,8 +8,8 @@ import (
 
 // DefaultRules returns the full netsample rule set for a module rooted
 // at modulePath (the module directive of go.mod, "netsample" here):
-// five determinism rules (PR 1), five concurrency/hot-path rules, and
-// the one-file confinement of unsafe.
+// five determinism rules (PR 1), five concurrency/hot-path rules, the
+// one-file confinement of unsafe, and whole-module reachability.
 // Rule instances carry per-run state (collected facts), so callers must
 // take a fresh set for every Run.
 func DefaultRules(modulePath string) []Rule {
@@ -25,6 +25,7 @@ func DefaultRules(modulePath string) []Rule {
 		&waitStallRule{modulePath: modulePath},
 		&mutexHoldRule{modulePath: modulePath},
 		&noUnsafeRule{modulePath},
+		&unreachedRule{modulePath: modulePath},
 	}
 }
 

@@ -183,8 +183,12 @@ func TestLengthHistogram(t *testing.T) {
 	if h.Bins[LengthHistogramBins-1] != 1 { // 1500 overflows into last
 		t.Errorf("last bin = %d", h.Bins[LengthHistogramBins-1])
 	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d", h.Total())
+	var total uint64
+	for _, v := range h.Bins {
+		total += v
+	}
+	if total != 6 {
+		t.Errorf("total = %d", total)
 	}
 	data, _ := h.MarshalBinary()
 	var got LengthHistogram

@@ -230,22 +230,6 @@ func (h *LengthHistogram) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Total returns the histogram's packet total.
-func (h *LengthHistogram) Total() uint64 {
-	var t uint64
-	for _, v := range h.Bins {
-		t += v
-	}
-	return t
-}
-
-// Merge folds another histogram into this one.
-func (h *LengthHistogram) Merge(o *LengthHistogram) {
-	for i := range h.Bins {
-		h.Bins[i] += o.Bins[i]
-	}
-}
-
 // --- arrival-rate histogram ------------------------------------------------------
 
 // RateHistogramBins covers 0..1000+ pps at 20 pps granularity.

@@ -135,6 +135,18 @@ func (c Comparison) Regressions(tolerance float64) []Delta {
 	return out
 }
 
+// Vacuous returns an error when no benchmark was compared at all — the
+// selection ran nothing, or nothing it ran has a baseline row — so a
+// gate over Regressions would pass without having looked at anything,
+// as it does after a benchmark is renamed or deleted on one side only.
+func (c Comparison) Vacuous() error {
+	if len(c.Deltas) > 0 {
+		return nil
+	}
+	return fmt.Errorf("no benchmark was compared: run without a baseline row (OnlyNew) %v, baseline rows not run (OnlyOld) %v",
+		c.OnlyNew, c.OnlyOld)
+}
+
 // Format renders the comparison as a human-readable table, flagging
 // deltas beyond the tolerance factor.
 func (c Comparison) Format(tolerance float64) string {

@@ -139,4 +139,17 @@ func TestCompareEdgeCases(t *testing.T) {
 	if len(c.Deltas) != 1 || c.Deltas[0].Ratio != 1.1 {
 		t.Errorf("duplicate handling = %+v", c.Deltas)
 	}
+	if err := c.Vacuous(); err != nil {
+		t.Errorf("a comparison with a delta is vacuous: %v", err)
+	}
+	// A rename on one side leaves nothing to regress; the gate must not
+	// read that as a pass.
+	c = Compare(mkFile("BenchmarkOld", 100.0), mkFile("BenchmarkRenamed", 900.0))
+	if len(c.Regressions(1.25)) != 0 {
+		t.Errorf("unpaired benchmarks regressed: %+v", c.Deltas)
+	}
+	err := c.Vacuous()
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkOld") || !strings.Contains(err.Error(), "BenchmarkRenamed") {
+		t.Errorf("Vacuous() = %v, want an error naming both unpaired benchmarks", err)
+	}
 }

@@ -150,9 +150,6 @@ func (e *Edged) IndexBatch(dst []uint8, xs []float64) {
 // Label implements Scheme.
 func (e *Edged) Label(i int) string { return e.labels[i] }
 
-// Edges returns a copy of the interior edges.
-func (e *Edged) Edges() []float64 { return append([]float64(nil), e.edges...) }
-
 // PacketSize returns the paper's packet-size scheme (Section 7.1.1):
 // bytes-per-packet ranges <41, 41–180, >180.
 func PacketSize() *Edged {
@@ -174,36 +171,12 @@ func Interarrival() *Edged {
 }
 
 // Count tallies the observations xs into the scheme's bins.
+//
+//nslint:allow unreached reference tally the core and integration tests score the fused kernels against
 func Count(s Scheme, xs []float64) []int64 {
 	counts := make([]int64, s.NumBins())
 	for _, x := range xs {
 		counts[s.Index(x)]++
 	}
 	return counts
-}
-
-// CountScaled returns Count(s, xs) scaled by factor, as float64s. The
-// paper scales sample counts up by the sampling granularity to compare
-// them against population counts (the "expected" vector).
-func CountScaled(s Scheme, xs []float64, factor float64) []float64 {
-	counts := Count(s, xs)
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) * factor
-	}
-	return out
-}
-
-// Proportions returns the fraction of observations per bin; nil for empty
-// input.
-func Proportions(s Scheme, xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	counts := Count(s, xs)
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) / float64(len(xs))
-	}
-	return out
 }

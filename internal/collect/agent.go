@@ -112,13 +112,6 @@ func (a *Agent) Record(p trace.Packet, weight uint64) {
 	a.mu.Unlock()
 }
 
-// RecordTrace feeds a whole trace.
-func (a *Agent) RecordTrace(tr *trace.Trace, weight uint64) {
-	for _, p := range tr.Packets {
-		a.Record(p, weight)
-	}
-}
-
 // pollCycle runs one step of the ack protocol. When the request's ack
 // is older than the pending cycle, the previous response was lost in
 // flight: the pending report is retransmitted unchanged and the live

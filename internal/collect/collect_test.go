@@ -248,6 +248,17 @@ func TestAgentPollAndReset(t *testing.T) {
 	}
 }
 
+// Query asks for the agent's live counters without cutting a cycle; no
+// shipped collector sends TypeQuery, so the client half lives with the
+// tests of the agent's handler.
+func (c *Collector) Query(addr string) (*Report, error) {
+	payload, err := c.roundTrip(addr, TypeQuery, TypeReport, nil)
+	if err != nil {
+		return nil, err
+	}
+	return decodeReport(payload)
+}
+
 func TestAgentQueryDoesNotReset(t *testing.T) {
 	a, addr := startAgent(t, "nss-2", arts.T3)
 	a.Record(samplePacket(0), 1)

@@ -53,8 +53,8 @@ type Collector struct {
 	// serialized under the collector's mutex. Nil disables jitter.
 	Jitter *dist.RNG
 
-	// Clock supplies the current time for dial deadlines and cycle
-	// timestamps. Nil means the real time; tests inject a fake.
+	// Clock supplies the current time for dial deadlines. Nil means
+	// the real time; tests inject a fake.
 	Clock func() time.Time
 
 	// Sleep is the seam backoff pauses go through. Nil means
@@ -160,16 +160,6 @@ func (c *Collector) Poll(addr string) (*Report, error) {
 	}
 	c.recordAck(addr, rep.Cycle)
 	return rep, nil
-}
-
-// Query requests a report of the agent's live counters without cutting
-// a cycle.
-func (c *Collector) Query(addr string) (*Report, error) {
-	payload, err := c.roundTrip(addr, TypeQuery, TypeReport, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeReport(payload)
 }
 
 // PollSnapshot requests the agent's latest pipeline window snapshot.

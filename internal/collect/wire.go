@@ -46,13 +46,12 @@ import (
 
 // Protocol constants.
 const (
-	wireMagic    = 0x4E53
-	wireVersion  = 2
-	frameHeader  = 12
-	MaxPayload   = 64 << 20 // 64 MiB bounds a full src-dst matrix report
-	maxNameLen   = 256
-	maxObjects   = 64
-	maxObjectLen = MaxPayload
+	wireMagic   = 0x4E53
+	wireVersion = 2
+	frameHeader = 12
+	MaxPayload  = 64 << 20 // 64 MiB bounds a full src-dst matrix report
+	maxNameLen  = 256
+	maxObjects  = 64
 )
 
 // readChunk caps how far ahead of the received bytes the payload buffer

@@ -68,21 +68,6 @@ func (PortCategorizer) Key(p trace.Packet) (uint64, bool) {
 // Label implements Categorizer.
 func (PortCategorizer) Label(key uint64) string { return packet.PortName(uint16(key)) }
 
-// ProtocolCategorizer maps packets to their IP protocol; the key is the
-// protocol number.
-type ProtocolCategorizer struct{}
-
-// Name implements Categorizer.
-func (ProtocolCategorizer) Name() string { return "protocol-distribution" }
-
-// Key implements Categorizer.
-func (ProtocolCategorizer) Key(p trace.Packet) (uint64, bool) {
-	return uint64(p.Protocol), true
-}
-
-// Label implements Categorizer.
-func (ProtocolCategorizer) Label(key uint64) string { return packet.Protocol(key).String() }
-
 // NetPairCategorizer maps packets to their classful source→destination
 // network pair — the traffic matrix characterization. The key packs the
 // source network number into the high 32 bits and the destination's
@@ -210,22 +195,8 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 	return e, nil
 }
 
-// Categories returns the folded category keys in score order.
-func (e *CategoricalEvaluator) Categories() []string {
-	return append([]string(nil), e.categories...)
-}
-
 // NumCells returns the number of scored cells (after folding).
 func (e *CategoricalEvaluator) NumCells() int { return len(e.categories) }
-
-// PopulationProportions returns each category's population share.
-func (e *CategoricalEvaluator) PopulationProportions() []float64 {
-	out := make([]float64, len(e.popCounts))
-	for i, c := range e.popCounts {
-		out[i] = c / e.popTotal
-	}
-	return out
-}
 
 // catScorer is the worker-local mutable state of categorical scoring:
 // per-cell observation counts fed by selection visits, plus the
@@ -275,28 +246,6 @@ func (s *catScorer) report() (metrics.Report, error) {
 		s.scaled[i] = c * scale
 	}
 	return reportMetrics(s.observed, s.expected, s.scaled, e.popCounts, n/e.popTotal)
-}
-
-// Score computes the metric report of a sample (indices into the
-// population trace) for this characterization.
-func (e *CategoricalEvaluator) Score(indices []int) (metrics.Report, error) {
-	sc := e.scorer()
-	sc.reset()
-	for _, idx := range indices {
-		sc.visit(idx)
-	}
-	rep, err := sc.report()
-	e.scorers.Put(sc)
-	return rep, err
-}
-
-// Phi returns only the φ score of a sample.
-func (e *CategoricalEvaluator) Phi(indices []int) (float64, error) {
-	rep, err := e.Score(indices)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Phi, nil
 }
 
 // ReplicateCategorical runs a sampler n times against a categorical

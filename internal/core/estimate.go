@@ -76,23 +76,6 @@ func EstimateMean(sample []float64, populationN int, confidence float64) (Estima
 	}, nil
 }
 
-// EstimateTotal estimates a population total (e.g. total bytes) by
-// scaling the sample mean by the population size N.
-func EstimateTotal(sample []float64, populationN int, confidence float64) (Estimate, error) {
-	if populationN < 1 {
-		return Estimate{}, errors.New("core: population size required for totals")
-	}
-	m, err := EstimateMean(sample, populationN, confidence)
-	if err != nil {
-		return Estimate{}, err
-	}
-	f := float64(populationN)
-	return Estimate{
-		Value: m.Value * f, Low: m.Low * f, High: m.High * f,
-		StdError: m.StdError * f, Confidence: confidence,
-	}, nil
-}
-
 // EstimateProportion estimates the proportion of sample observations
 // satisfying the predicate — the paper's suggested extension to
 // proportion-based characterizations — using the normal approximation

@@ -62,20 +62,6 @@ func TestEstimateMeanFPCNarrowsInterval(t *testing.T) {
 	}
 }
 
-func TestEstimateTotal(t *testing.T) {
-	sample := []float64{100, 200, 300}
-	e, err := EstimateTotal(sample, 1000, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Value != 200_000 {
-		t.Fatalf("total = %v", e.Value)
-	}
-	if _, err := EstimateTotal(sample, 0, 0.95); err == nil {
-		t.Error("missing population size accepted")
-	}
-}
-
 func TestEstimateProportion(t *testing.T) {
 	sample := []float64{40, 40, 552, 552, 552, 1500, 40, 40}
 	e, err := EstimateProportion(sample, func(x float64) bool { return x < 41 }, 0, 0.95)

@@ -210,7 +210,7 @@ func TestReplicationScoringZeroAllocs(t *testing.T) {
 	sampler := SystematicCount{K: 64}
 	offset := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		r.Reseed(replicationSeed(9, offset))
+		r.Reseed(uint64(9 + offset))
 		sampler.Offset = offset % 64
 		offset++
 		sc.Reset()

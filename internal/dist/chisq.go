@@ -2,19 +2,6 @@ package dist
 
 import "math"
 
-// ChiSquareCDF returns P(X <= x) for a chi-square random variable with df
-// degrees of freedom. It is the regularized lower incomplete gamma
-// function P(df/2, x/2). df must be positive; x below zero yields 0.
-func ChiSquareCDF(x float64, df float64) (float64, error) {
-	if df <= 0 || math.IsNaN(df) {
-		return 0, ErrDomain
-	}
-	if x <= 0 {
-		return 0, nil
-	}
-	return RegIncGammaP(df/2, x/2)
-}
-
 // ChiSquareSF returns the survival function P(X > x) — the significance
 // level of an observed chi-square statistic x on df degrees of freedom.
 // This is the quantity the paper's chi-square tests compare against 0.05.
@@ -26,49 +13,4 @@ func ChiSquareSF(x float64, df float64) (float64, error) {
 		return 1, nil
 	}
 	return RegIncGammaQ(df/2, x/2)
-}
-
-// ChiSquareQuantile returns the x such that ChiSquareCDF(x, df) = p, for
-// p in [0, 1). It brackets the root and bisects; the CDF is strictly
-// increasing so the root is unique. Used to derive critical values (e.g.
-// the 0.95 quantile for a test at the 0.05 level).
-func ChiSquareQuantile(p float64, df float64) (float64, error) {
-	if df <= 0 || p < 0 || p >= 1 || math.IsNaN(p) {
-		return 0, ErrDomain
-	}
-	if p == 0 {
-		return 0, nil
-	}
-	// Bracket: the mean is df and variance 2df; expand upward until the
-	// CDF exceeds p.
-	lo, hi := 0.0, df+10*math.Sqrt(2*df)+10
-	for {
-		c, err := ChiSquareCDF(hi, df)
-		if err != nil {
-			return 0, err
-		}
-		if c >= p {
-			break
-		}
-		hi *= 2
-		if math.IsInf(hi, 1) {
-			return 0, ErrDomain
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		c, err := ChiSquareCDF(mid, df)
-		if err != nil {
-			return 0, err
-		}
-		if c < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo <= 1e-12*(1+hi) {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
 }

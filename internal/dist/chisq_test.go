@@ -6,6 +6,20 @@ import (
 	"testing/quick"
 )
 
+// ChiSquareCDF returns P(X <= x) for a chi-square random variable with df
+// degrees of freedom: the regularized lower incomplete gamma function
+// P(df/2, x/2). Nothing shipped needs the lower tail; it is the
+// complement ChiSquareSF is checked against.
+func ChiSquareCDF(x float64, df float64) (float64, error) {
+	if df <= 0 || math.IsNaN(df) {
+		return 0, ErrDomain
+	}
+	if x <= 0 {
+		return 0, nil
+	}
+	return RegIncGammaP(df/2, x/2)
+}
+
 func TestChiSquareCDFKnownValues(t *testing.T) {
 	// Reference values from standard chi-square tables.
 	cases := []struct {
@@ -54,32 +68,8 @@ func TestChiSquareEdgeCases(t *testing.T) {
 	if _, err := ChiSquareCDF(1, 0); err == nil {
 		t.Error("CDF with df=0 should fail")
 	}
-	if _, err := ChiSquareQuantile(0.5, -1); err == nil {
-		t.Error("Quantile with df<0 should fail")
-	}
-	if _, err := ChiSquareQuantile(1, 2); err == nil {
-		t.Error("Quantile at p=1 should fail")
-	}
-	if q, err := ChiSquareQuantile(0, 2); err != nil || q != 0 {
-		t.Errorf("Quantile(0,2) = %v, %v", q, err)
-	}
-}
-
-func TestChiSquareQuantileRoundTrip(t *testing.T) {
-	for _, df := range []float64{1, 2, 4, 9, 50} {
-		for _, p := range []float64{0.01, 0.05, 0.5, 0.95, 0.99} {
-			x, err := ChiSquareQuantile(p, df)
-			if err != nil {
-				t.Fatalf("quantile(%v,%v): %v", p, df, err)
-			}
-			back, err := ChiSquareCDF(x, df)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(back-p) > 1e-9 {
-				t.Errorf("CDF(Quantile(%v,%v)) = %v", p, df, back)
-			}
-		}
+	if _, err := ChiSquareSF(1, 0); err == nil {
+		t.Error("SF with df=0 should fail")
 	}
 }
 
@@ -103,9 +93,9 @@ func TestChiSquareAgainstSimulation(t *testing.T) {
 	r := NewRNG(99)
 	const df = 5
 	const n = 20000
-	crit, err := ChiSquareQuantile(0.95, df)
-	if err != nil {
-		t.Fatal(err)
+	const crit = 11.070497693516351 // tabulated 0.95 quantile, df=5
+	if sf, err := ChiSquareSF(crit, df); err != nil || math.Abs(sf-0.05) > 1e-9 {
+		t.Fatalf("SF(%v,%d) = %v, %v; want 0.05", crit, df, sf, err)
 	}
 	exceed := 0
 	for i := 0; i < n; i++ {

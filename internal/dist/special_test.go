@@ -6,6 +6,27 @@ import (
 	"testing/quick"
 )
 
+// RegIncGammaP computes the regularized lower incomplete gamma function
+// P(a, x) = γ(a, x)/Γ(a) from the same series and continued fraction as
+// RegIncGammaQ: the closed forms below pin both through it.
+func RegIncGammaP(a, x float64) (float64, error) {
+	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
+		return 0, ErrDomain
+	}
+	if x == 0 {
+		return 0, nil
+	}
+	if math.IsInf(x, 1) {
+		return 1, nil
+	}
+	if x < a+1 {
+		p, err := gammaSeries(a, x)
+		return p, err
+	}
+	q, err := gammaContinuedFraction(a, x)
+	return 1 - q, err
+}
+
 func TestRegIncGammaKnownValues(t *testing.T) {
 	// P(1, x) = 1 - exp(-x); P(0.5, x) = erf(sqrt(x)).
 	cases := []struct {

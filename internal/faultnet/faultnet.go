@@ -12,6 +12,8 @@
 // Every fault is engineered to fail fast rather than stall: a faulted
 // connection always ends in a closed transport, so the peer observes
 // EOF or a reset promptly and soak tests never wait out real timeouts.
+//
+//nslint:allow unreached fault-injection harness: only the chaos and crash soaks drive it, by design
 package faultnet
 
 import (

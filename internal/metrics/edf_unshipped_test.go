@@ -1,5 +1,9 @@
 package metrics
 
+// Unshipped: no binary, example or facade name reaches what this file
+// declares (nslint unreached), so it is compiled for its own tests only.
+// It goes, with those tests, as the per-PR cap on test removals allows.
+
 import (
 	"math"
 	"sort"

@@ -169,6 +169,8 @@ type Report struct {
 
 // Evaluate computes all metrics at once. fraction is the sampling
 // fraction used for RelativeCost; fitted is passed to Significance.
+//
+//nslint:allow unreached the report core's string-keyed categorical reference is scored with (categorical_test.go)
 func Evaluate(observed, expected []float64, fraction float64, fitted int) (Report, error) {
 	var r Report
 	var err error

@@ -12,7 +12,10 @@
 //   - T3 node: packet forwarding runs on intelligent subsystems (Intel
 //     960 cards); statistics selection lives in subsystem firmware,
 //     which forwards every fiftieth packet to the RS/6000 main CPU
-//     where ARTS categorizes it.
+//     where ARTS categorizes it. That is not modeled here: select in
+//     the forwarding path, then categorize 1 in k, is what
+//     internal/pipeline's reader and shards are, and nsd exports the
+//     result as the arts.T3 set.
 //
 // The statistics processor is modeled as a single-server queue with a
 // fixed per-packet service time and a finite buffer: offered packets are
@@ -93,9 +96,3 @@ func (p *Processor) Accepted() uint64 { return p.accepted }
 
 // Dropped returns the number of packets lost to categorization.
 func (p *Processor) Dropped() uint64 { return p.dropped }
-
-// Reset clears queue state and counters.
-func (p *Processor) Reset() {
-	p.head, p.count = 0, 0
-	p.offered, p.accepted, p.dropped = 0, 0, 0
-}

@@ -114,7 +114,7 @@ func NewSystematic(k, offset int) (*Systematic, error) {
 		return nil, ErrBadGranularity
 	}
 	if offset < 0 || offset >= k {
-		return nil, ErrBadGranularity
+		return nil, fmt.Errorf("%w: offset %d outside [0, %d)", ErrBadGranularity, offset, k)
 	}
 	s := &Systematic{k: k, offset: offset}
 	s.Reset()

@@ -2,6 +2,7 @@ package online
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,11 +49,15 @@ func TestNewSystematicValidation(t *testing.T) {
 	if _, err := NewSystematic(0, 0); err != ErrBadGranularity {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewSystematic(5, 5); err != ErrBadGranularity {
+	if _, err := NewSystematic(5, 5); !errors.Is(err, ErrBadGranularity) {
 		t.Error("offset >= k accepted")
 	}
-	if _, err := NewSystematic(5, -1); err != ErrBadGranularity {
+	if _, err := NewSystematic(5, -1); !errors.Is(err, ErrBadGranularity) {
 		t.Error("negative offset accepted")
+	}
+	// k is fine here: the message has to say it is the offset, and its range.
+	if _, err := NewSystematic(5, 7); err == nil || !strings.Contains(err.Error(), "offset 7 outside [0, 5)") {
+		t.Errorf("out-of-range offset reported as %v", err)
 	}
 }
 

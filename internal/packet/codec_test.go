@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,19 @@ func TestUDPErrors(t *testing.T) {
 	if _, _, err := DecodeUDP(make([]byte, UDPHeaderLen)); err == nil {
 		t.Error("zero udp length accepted")
 	}
+}
+
+// DecodeICMP parses an ICMP header from buf: the inverse the round trip
+// below needs, which no shipped reader does.
+func DecodeICMP(buf []byte) (ICMP, int, error) {
+	if len(buf) < ICMPHeaderLen {
+		return ICMP{}, 0, ErrTruncated
+	}
+	var c ICMP
+	c.Type = buf[0]
+	c.Code = buf[1]
+	c.Rest = binary.BigEndian.Uint32(buf[4:])
+	return c, ICMPHeaderLen, nil
 }
 
 func TestICMPRoundTrip(t *testing.T) {

@@ -29,13 +29,6 @@ const (
 	PortIRC     uint16 = 194
 )
 
-// WellKnownPorts lists the ports the ARTS-style port-distribution object
-// tracks individually; everything else is aggregated as "other".
-var WellKnownPorts = []uint16{
-	PortFTPData, PortFTP, PortTelnet, PortSMTP, PortDNS,
-	PortFinger, PortHTTP, PortNNTP, PortNTP, PortSNMP, PortIRC,
-}
-
 // PortName returns the conventional service name for a well-known port,
 // or "other" if the port is not in the tracked subset.
 func PortName(port uint16) string {
@@ -183,16 +176,4 @@ func (c *ICMP) Encode(buf []byte) (int, error) {
 	binary.BigEndian.PutUint32(buf[4:], c.Rest)
 	binary.BigEndian.PutUint16(buf[2:], Checksum(buf[:ICMPHeaderLen]))
 	return ICMPHeaderLen, nil
-}
-
-// DecodeICMP parses an ICMP header from buf.
-func DecodeICMP(buf []byte) (ICMP, int, error) {
-	if len(buf) < ICMPHeaderLen {
-		return ICMP{}, 0, ErrTruncated
-	}
-	var c ICMP
-	c.Type = buf[0]
-	c.Code = buf[1]
-	c.Rest = binary.BigEndian.Uint32(buf[4:])
-	return c, ICMPHeaderLen, nil
 }

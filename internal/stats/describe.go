@@ -117,9 +117,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
 // PopulationSummary is the row format of the paper's Table 3: selected
 // quantiles plus mean and standard deviation of a full distribution.
 type PopulationSummary struct {

@@ -58,6 +58,8 @@ func readAnchor(dir string) (a anchorInfo, ok bool, err error) {
 }
 
 // writeAnchor persists the anchor atomically.
+//
+//nslint:allow unreached store retention surface: Compact's anchor write; its caller is the ROADMAP bounds item's to add
 func writeAnchor(dir string, a anchorInfo) error {
 	var b [anchorLen]byte
 	copy(b[0:4], anchorMagic[:])
@@ -96,6 +98,8 @@ func writeAnchor(dir string, a anchorInfo) error {
 //
 // Compact must not run concurrently with a live Writer on the same
 // directory; run it between writer sessions or from the query side.
+//
+//nslint:allow unreached store retention surface: how history is expired; its caller is the ROADMAP bounds item's to add
 func Compact(dir string, beforeUS int64) (int, error) {
 	anchor, hasAnchor, err := readAnchor(dir)
 	if err != nil {

@@ -80,15 +80,6 @@ func NewMapReaderBytes(data []byte) (*MapReader, error) {
 	return m, nil
 }
 
-// Start returns the trace's wall-clock start time.
-func (m *MapReader) Start() time.Time { return m.start }
-
-// ClockUS returns the capture clock granularity.
-func (m *MapReader) ClockUS() int64 { return m.clockUS }
-
-// Total returns the record count declared in the header.
-func (m *MapReader) Total() uint64 { return m.total }
-
 // Rewind repositions the reader at the first record.
 func (m *MapReader) Rewind() { m.pos = 0 }
 

@@ -32,8 +32,8 @@ func TestMapReaderMatchesStreamReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Total() != 5 || m.ClockUS() != 400 || !m.Start().Equal(tr.Start) {
-		t.Fatalf("metadata: total=%d clock=%d start=%v", m.Total(), m.ClockUS(), m.Start())
+	if m.total != 5 || m.clockUS != 400 || !m.start.Equal(tr.Start) {
+		t.Fatalf("metadata: total=%d clock=%d start=%v", m.total, m.clockUS, m.start)
 	}
 	// Per-packet form.
 	for i := range tr.Packets {

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -42,15 +41,6 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		total:   binary.LittleEndian.Uint64(hdr[24:]),
 	}, nil
 }
-
-// Start returns the trace's wall-clock start time.
-func (s *StreamReader) Start() time.Time { return s.start }
-
-// ClockUS returns the capture clock granularity.
-func (s *StreamReader) ClockUS() int64 { return s.clockUS }
-
-// Total returns the record count declared in the header.
-func (s *StreamReader) Total() uint64 { return s.total }
 
 // Next returns the next packet. After the declared record count it
 // returns io.EOF; a stream that ends early returns ErrFormat.
@@ -104,70 +94,6 @@ func (s *StreamReader) NextBatch(dst []Packet) (int, error) {
 	return n, nil
 }
 
-// StreamWriter writes an NSTR trace incrementally. Because the format's
-// header carries the record count, the writer buffers only the header
-// position: it must write to an io.WriteSeeker so the count can be
-// patched in Close.
-type StreamWriter struct {
-	ws      io.WriteSeeker
-	bw      *bufio.Writer
-	count   uint64
-	started bool
-}
-
-// ErrNotStarted reports Close before Start.
-var ErrNotStarted = errors.New("trace: stream writer not started")
-
-// NewStreamWriter starts an NSTR stream with the given metadata.
-func NewStreamWriter(ws io.WriteSeeker, start time.Time, clockUS int64) (*StreamWriter, error) {
-	w := &StreamWriter{ws: ws, bw: bufio.NewWriterSize(ws, 1<<16), started: true}
-	var hdr [headerLen]byte
-	copy(hdr[0:4], traceMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(start.UnixMicro()))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(clockUS))
-	// Count is patched in Close.
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// Write appends one packet record.
-func (w *StreamWriter) Write(p Packet) error {
-	if !w.started {
-		return ErrNotStarted
-	}
-	var rec [recordLen]byte
-	encodeRecord(&rec, p)
-	if _, err := w.bw.Write(rec[:]); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// Close flushes the records and patches the header's record count.
-func (w *StreamWriter) Close() error {
-	if !w.started {
-		return ErrNotStarted
-	}
-	w.started = false
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := w.ws.Seek(24, io.SeekStart); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], w.count)
-	if _, err := w.ws.Write(cnt[:]); err != nil {
-		return err
-	}
-	_, err := w.ws.Seek(0, io.SeekEnd)
-	return err
-}
-
 // Filter returns a new trace containing the packets for which keep
 // returns true. Metadata is preserved; the packet slice is fresh.
 func (t *Trace) Filter(keep func(Packet) bool) *Trace {
@@ -177,25 +103,5 @@ func (t *Trace) Filter(keep func(Packet) bool) *Trace {
 			out.Packets = append(out.Packets, p)
 		}
 	}
-	return out
-}
-
-// Merge interleaves two time-ordered traces into one time-ordered trace.
-// Ties keep a's packet first. Metadata is taken from a.
-func Merge(a, b *Trace) *Trace {
-	out := &Trace{Start: a.Start, ClockUS: a.ClockUS,
-		Packets: make([]Packet, 0, len(a.Packets)+len(b.Packets))}
-	i, j := 0, 0
-	for i < len(a.Packets) && j < len(b.Packets) {
-		if a.Packets[i].Time <= b.Packets[j].Time {
-			out.Packets = append(out.Packets, a.Packets[i])
-			i++
-		} else {
-			out.Packets = append(out.Packets, b.Packets[j])
-			j++
-		}
-	}
-	out.Packets = append(out.Packets, a.Packets[i:]...)
-	out.Packets = append(out.Packets, b.Packets[j:]...)
 	return out
 }

@@ -4,12 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
-
-	"netsample/internal/packet"
 )
 
 func TestStreamReaderMatchesBatch(t *testing.T) {
@@ -23,8 +18,8 @@ func TestStreamReaderMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Total() != 4 || sr.ClockUS() != 400 || !sr.Start().Equal(tr.Start) {
-		t.Fatalf("metadata: total=%d clock=%d", sr.Total(), sr.ClockUS())
+	if sr.total != 4 || sr.clockUS != 400 || !sr.start.Equal(tr.Start) {
+		t.Fatalf("metadata: total=%d clock=%d", sr.total, sr.clockUS)
 	}
 	for i := 0; ; i++ {
 		p, err := sr.Next()
@@ -134,76 +129,6 @@ func TestStreamReaderBadHeader(t *testing.T) {
 	}
 }
 
-func TestStreamWriterRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.nstr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Unix(733000000, 0).UTC()
-	sw, err := NewStreamWriter(f, start, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Packet{
-		{Time: 0, Size: 40, Protocol: packet.ProtoTCP},
-		{Time: 400, Size: 552, Protocol: packet.ProtoTCP},
-		{Time: 1200, Size: 28, Protocol: packet.ProtoICMP},
-	}
-	for _, p := range want {
-		if err := sw.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The patched header must make the file readable by the batch
-	// reader.
-	g, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	got, err := Read(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 || got.ClockUS != 400 || !got.Start.Equal(start) {
-		t.Fatalf("read back: %+v", got)
-	}
-	for i := range want {
-		if got.Packets[i] != want[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestStreamWriterDoubleClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.nstr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sw, err := NewStreamWriter(f, time.Unix(0, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("double close: %v", err)
-	}
-	if err := sw.Write(Packet{}); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("write after close: %v", err)
-	}
-}
-
 func TestFilter(t *testing.T) {
 	tr := mkTrace([]int64{0, 400, 800}, []uint16{40, 552, 40})
 	small := tr.Filter(func(p Packet) bool { return p.Size < 100 })
@@ -216,26 +141,5 @@ func TestFilter(t *testing.T) {
 	// Original untouched.
 	if tr.Len() != 3 {
 		t.Fatal("filter mutated source")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := mkTrace([]int64{0, 1000, 2000}, []uint16{1, 2, 3})
-	b := mkTrace([]int64{500, 1000, 3000}, []uint16{4, 5, 6})
-	m := Merge(a, b)
-	if m.Len() != 6 {
-		t.Fatalf("merged len = %d", m.Len())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Tie at t=1000 keeps a's packet (size 2) before b's (size 5).
-	if m.Packets[2].Size != 2 || m.Packets[3].Size != 5 {
-		t.Fatalf("tie order wrong: %v %v", m.Packets[2].Size, m.Packets[3].Size)
-	}
-	// Merging with empty is identity.
-	e := Merge(a, &Trace{})
-	if e.Len() != a.Len() {
-		t.Fatal("merge with empty wrong")
 	}
 }

@@ -121,16 +121,3 @@ func (e *envelope) sampleStart(r *dist.RNG, durUS int64) int64 {
 	}
 	return start + r.Int64N(span)
 }
-
-// intensity returns the relative intensity at time tUS (mean ≈ 1).
-func (e *envelope) intensity(tUS, durUS int64) float64 {
-	e.ensure(durUS)
-	i := int(tUS / e.epochUS)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(e.weights) {
-		i = len(e.weights) - 1
-	}
-	return e.weights[i]
-}
