@@ -820,7 +820,7 @@ func BenchmarkFlowTableAdd(b *testing.B) {
 // BenchmarkFlowTableChurn is the flood shape BenchmarkFlowTableAdd never
 // reaches: every packet opens a new flow, with a window cut
 // (CountFlows(Flush())) every 4096 inserts. One untimed window sizes
-// the slab and the key map first, so the timed loop is the warm cost.
+// the slab and the key index first, so the timed loop is the warm cost.
 func BenchmarkFlowTableChurn(b *testing.B) {
 	tab, err := flows.NewTable(2_000_000)
 	if err != nil {

@@ -19,7 +19,8 @@ import (
 // capacity argument), map/slice composite literals and &T{} literals,
 // func literals (closure allocation), go statements,
 // non-constant string concatenation, string<->[]byte conversions (except
-// the allocation-free string(b) map-index idiom), boxing a non-pointer
+// the allocation-free string(b) forms: a map index, an operand of == or
+// !=), boxing a non-pointer
 // value into an interface, map writes (growth), and any call into fmt.
 //
 // The closure is pruned at //nslint:coldpath boundaries — per-window or
@@ -166,10 +167,10 @@ func (r *hotAllocRule) checkConversion(pass *Pass, info *types.Info, call *ast.C
 	fromBytes := isByteSlice(from)
 	switch {
 	case toStr && fromBytes:
-		// string(b) used directly as a map index is the compiler's
-		// allocation-free lookup idiom.
-		if !isMapIndexOperand(pass, call) {
-			pass.Reportf(call.Pos(), "%s: string(bytes) conversion copies (the only free form is an immediate map index)", where)
+		// string(b) used directly as a map index or compared with ==/!=
+		// is read in place: the compiler's allocation-free idioms.
+		if !isUncopiedOperand(pass, call) {
+			pass.Reportf(call.Pos(), "%s: string(bytes) conversion copies (the free forms are an immediate map index and an operand of == or !=)", where)
 		}
 	case toBytes && fromStr:
 		pass.Reportf(call.Pos(), "%s: []byte(string) conversion copies", where)
@@ -221,21 +222,26 @@ func conversionTo(info *types.Info, call *ast.CallExpr) (types.Type, bool) {
 	return tv.Type, true
 }
 
-// isMapIndexOperand reports whether call appears directly as the index
-// of a map index expression (m[string(b)]).
-func isMapIndexOperand(pass *Pass, call *ast.CallExpr) bool {
+// isUncopiedOperand reports whether call appears directly as the index
+// of a map index expression (m[string(b)]) or as an operand of == or !=
+// (string(a) == string(b)).
+func isUncopiedOperand(pass *Pass, call *ast.CallExpr) bool {
 	found := false
 	for _, f := range pass.Pkg.Files {
 		if !(f.FileStart <= call.Pos() && call.Pos() < f.FileEnd) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			ix, ok := n.(*ast.IndexExpr)
-			if !ok {
-				return true
-			}
-			if ast.Unparen(ix.Index) == ast.Expr(call) {
-				if _, isMap := pass.Pkg.Info.Types[ix.X].Type.Underlying().(*types.Map); isMap {
+			switch v := n.(type) {
+			case *ast.IndexExpr:
+				if ast.Unparen(v.Index) == ast.Expr(call) {
+					if _, isMap := pass.Pkg.Info.Types[v.X].Type.Underlying().(*types.Map); isMap {
+						found = true
+					}
+				}
+			case *ast.BinaryExpr:
+				if (v.Op == token.EQL || v.Op == token.NEQ) &&
+					(ast.Unparen(v.X) == ast.Expr(call) || ast.Unparen(v.Y) == ast.Expr(call)) {
 					found = true
 				}
 			}

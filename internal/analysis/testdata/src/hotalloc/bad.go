@@ -16,6 +16,7 @@ type pair struct {
 
 type table struct {
 	counts map[string]int
+	last   string
 }
 
 // Hot is a hot-path root: every allocating construct below is a
@@ -36,6 +37,8 @@ func Hot(xs []int, out []int, tab *table, key []byte, sink Sink, v pair) []int {
 	tab.counts["k"] = 1         // want `map write may grow the table`
 	_ = string(key)             // want `string\(bytes\) conversion copies`
 	_ = tab.counts[string(key)] // free form: immediate map index
+	name := string(key[:1])     // want `string\(bytes\) conversion copies`
+	_ = name == "k"             // comparing the copy does not undo it
 	sink.Consume(v)             // want `boxes the value on the heap`
 	return out
 }

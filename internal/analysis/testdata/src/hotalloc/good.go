@@ -15,8 +15,12 @@ func Index(xs []int, out []int, tab *table, key []byte) int {
 }
 
 // lookup is in the closure via Index and is clean: a map read does not
-// allocate, and string(key) as an immediate map index is free.
+// allocate, string(key) as an immediate map index is free, and so is
+// one compared in place.
 func lookup(tab *table, key []byte) int {
+	if string(key) != tab.last {
+		return 0
+	}
 	return tab.counts[string(key)]
 }
 

@@ -10,6 +10,7 @@ package flows
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -37,21 +38,54 @@ type Flow struct {
 // Duration returns the flow's active time in µs.
 func (f Flow) Duration() int64 { return f.LastUS - f.FirstUS }
 
+// TupleHash is the module's one 5-tuple hash: the ingest kernel makes it
+// once per packet, picks the shard with it and carries it to the shard's
+// Table and sketch. w1 is the source address (low half) and destination,
+// each little-endian; w2 the source port, destination port << 16 and
+// protocol << 32. Two independent multiply-xor folds and a murmur3-style
+// finalizer; unseeded, so probe sequences repeat from run to run.
+func TupleHash(w1, w2 uint64) uint32 {
+	const (
+		m1 = 0x9E3779B97F4A7C15
+		m2 = 0xC2B2AE3D27D4EB4F
+		m3 = 0xFF51AFD7ED558CCD
+	)
+	h := (w1 ^ m1) * m2
+	h ^= (w2 ^ m2) * m1
+	h ^= h >> 32
+	h *= m3
+	h ^= h >> 32
+	return uint32(h)
+}
+
+// Hash is TupleHash over the key's fields.
+func (k Key) Hash() uint32 {
+	return TupleHash(
+		uint64(binary.LittleEndian.Uint32(k.Src[:]))|uint64(binary.LittleEndian.Uint32(k.Dst[:]))<<32,
+		uint64(k.SrcPort)|uint64(k.DstPort)<<16|uint64(k.Proto)<<32)
+}
+
 // Table is a streaming flow table with idle-timeout expiry. Packets
 // must be offered in time order; flows idle longer than the timeout are
 // closed, and a new packet with the same key opens a fresh flow (the
 // NetFlow active/idle semantics, idle only).
 //
 // Records live in one slab in the order their first packets arrived;
-// open maps each key to its newest record. An idle-expired record stays
-// where it is, closed, and the key is repointed at a record appended
-// for the new flow — so opening, updating and expiring a flow write
-// only into storage that Flush hands back for reuse.
+// index is an open-addressed, linear-probed table, at most half full,
+// whose cells point each key at its newest record. An idle-expired
+// record stays where it is, closed, and the key's cell is repointed at
+// a record appended for the new flow — so opening, updating and expiring
+// a flow write only into storage that Flush hands back for reuse.
 type Table struct {
 	timeoutUS int64
-	open      map[Key]uint32 // key → index in recs of the key's newest record
-	recs      []Flow         // every record since the last Flush, by arrival of its first packet
+	index     []uint32 // slab index + 1 of a key's newest record, 0 = empty; len a power of two
+	shift     uint     // 64 - log2(len(index)): a hash's cell is the top bits of its remix
+	keys      int      // occupied cells
+	recs      []Flow   // every record since the last Flush, by arrival of its first packet
 }
+
+// minCells is an empty table's index length; it doubles from there.
+const minCells = 16
 
 // ErrBadTimeout reports a non-positive idle timeout.
 var ErrBadTimeout = errors.New("flows: idle timeout must be positive")
@@ -61,43 +95,92 @@ func NewTable(timeoutUS int64) (*Table, error) {
 	if timeoutUS < 1 {
 		return nil, ErrBadTimeout
 	}
-	return &Table{timeoutUS: timeoutUS, open: make(map[Key]uint32)}, nil
+	return &Table{timeoutUS: timeoutUS, index: make([]uint32, minCells), shift: 60}, nil
+}
+
+// cell is the home of hash h in a table of 1<<(64-shift) cells: the top
+// bits of a multiplicative remix, never the bits that chose the shard —
+// every key of shard s of 2 has the same bit 0, and indexing on it
+// would leave half the cells nobody's home.
+func cell(h uint32, shift uint) uint32 {
+	return uint32(uint64(h) * 0x9E3779B97F4A7C15 >> shift)
 }
 
 // Add offers one packet. Expiry is checked lazily per key: a packet
 // arriving more than the timeout after its flow's last packet closes
 // the old flow and starts a new one.
+//
+//nslint:hotpath
 func (t *Table) Add(p trace.Packet) {
-	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
-	if i, ok := t.open[key]; ok {
-		if f := &t.recs[i]; p.Time-f.LastUS <= t.timeoutUS {
-			f.Packets++
-			f.Bytes += int64(p.Size)
-			f.LastUS = p.Time
-			return
-		}
-	}
-	//nslint:allow hotalloc per-new-flow: Flush clears the map in place, so it keeps the buckets the busiest window grew and later windows of that size write into them; growth is paid per high-water mark, not per flow (pinned by TestTableAddDoesNotAllocAfterFlush)
-	t.open[key] = slabIndex(uint64(len(t.recs)))
-	//nslint:allow hotalloc per-new-flow: Flush truncates the slab and keeps its capacity, so the array regrows only in a window with more records than any before it (pinned by TestTableAddDoesNotAllocAfterFlush)
-	t.recs = append(t.recs, Flow{Key: key, Packets: 1, Bytes: int64(p.Size),
-		FirstUS: p.Time, LastUS: p.Time})
+	t.AddHashed(Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}.Hash(), p)
 }
 
-// slabIndex narrows a slab position to the map's uint32 value, refusing
-// to wrap: 2^32 records between two Flushes is a 192 GiB slab, and
-// silently aliasing record 0 would corrupt counts instead of failing.
-func slabIndex(n uint64) uint32 {
-	if n > math.MaxUint32 {
-		panic("flows: more than 2^32 flow records between Flushes")
+// AddHashed is Add for a caller that already holds h, the Hash of p's
+// key; any other value corrupts the table.
+func (t *Table) AddHashed(h uint32, p trace.Packet) {
+	if 2*t.keys >= len(t.index) {
+		t.grow() // room for one more key at half load, so every probe ends
 	}
-	return uint32(n)
+	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+	mask := uint32(len(t.index) - 1)
+	pos := cell(h, t.shift)
+	for ; t.index[pos] != 0; pos = (pos + 1) & mask {
+		if f := &t.recs[t.index[pos]-1]; f.Key == key {
+			if p.Time-f.LastUS <= t.timeoutUS {
+				f.Packets++
+				f.Bytes += int64(p.Size)
+				f.LastUS = p.Time
+				return
+			}
+			break // idle-expired: the key keeps its cell, repointed below
+		}
+	}
+	n := len(t.recs)
+	if t.index[pos] == 0 {
+		t.keys++
+	}
+	t.index[pos] = slabIndex(uint64(n))
+	if n == cap(t.recs) {
+		//nslint:allow hotalloc per doubling, not per flow: Flush truncates the slab and keeps its capacity, so the array is remade only in a window with more records than any before it, and doubling bounds what the regrowth leaves behind to the final size (append's 1.25x left five times it); pinned by TestTableAddDoesNotAllocAfterFlush
+		t.recs = append(make([]Flow, 0, max(2*n, minCells/2)), t.recs...)
+	}
+	t.recs = t.recs[:n+1]
+	t.recs[n] = Flow{Key: key, Packets: 1, Bytes: int64(p.Size), FirstUS: p.Time, LastUS: p.Time}
+}
+
+// grow doubles the index, rehashing every occupied cell from the key
+// its record stores.
+func (t *Table) grow() {
+	old := t.index
+	//nslint:allow hotalloc per doubling, not per flow: Flush clears the index in place and keeps its length, so it is remade only in a window with more keys than any before it (pinned by TestTableAddDoesNotAllocAfterFlush)
+	t.index = make([]uint32, 2*len(old))
+	t.shift--
+	mask := uint32(len(t.index) - 1)
+	for _, c := range old {
+		if c != 0 {
+			pos := cell(t.recs[c-1].Key.Hash(), t.shift)
+			for t.index[pos] != 0 {
+				pos = (pos + 1) & mask
+			}
+			t.index[pos] = c
+		}
+	}
+}
+
+// slabIndex is the index cell for slab position n, n + 1, refusing to
+// wrap: 2^32 - 1 records between two Flushes is a 192 GiB slab, and
+// aliasing the empty cell would corrupt counts instead of failing.
+func slabIndex(n uint64) uint32 {
+	if n >= math.MaxUint32 {
+		panic("flows: more than 2^32 - 1 flow records between Flushes")
+	}
+	return uint32(n + 1)
 }
 
 // ActiveCount returns the number of currently open flows: distinct keys
 // seen since the last Flush, idle-expired ones included until a packet
 // reopens them.
-func (t *Table) ActiveCount() int { return len(t.open) }
+func (t *Table) ActiveCount() int { return t.keys }
 
 // Flush closes all active flows and returns every flow seen, ordered by
 // first-packet time (ties by key bytes for determinism). The table is
@@ -110,7 +193,8 @@ func (t *Table) ActiveCount() int { return len(t.open) }
 func (t *Table) Flush() []Flow {
 	out := t.recs
 	t.recs = t.recs[:0]
-	clear(t.open)
+	clear(t.index)
+	t.keys = 0
 	// Arrival order is already first-packet order; only runs of records
 	// opened in the same microsecond still need the key tie-break.
 	for lo := 0; lo < len(out); {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"netsample/internal/core"
 	"netsample/internal/dist"
@@ -210,8 +211,12 @@ type refTable struct {
 	closed    []Flow
 }
 
+func keyOf(p trace.Packet) Key {
+	return Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+}
+
 func (t *refTable) Add(p trace.Packet) {
-	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+	key := keyOf(p)
 	f, ok := t.active[key]
 	if ok && p.Time-f.LastUS > t.timeoutUS {
 		t.closed = append(t.closed, *f)
@@ -357,18 +362,149 @@ func TestFlushSliceValidUntilNextAdd(t *testing.T) {
 	}
 }
 
-// TestSlabIndexRefusesToWrap covers the checked path that keeps the
-// map's uint32 record index from aliasing record 0 at 2^32 records.
+// TestSlabIndexRefusesToWrap covers the checked path that keeps an
+// index cell — slab position + 1 in a uint32 — from aliasing the empty
+// cell at 2^32 - 1 records.
 func TestSlabIndexRefusesToWrap(t *testing.T) {
-	if got := slabIndex(math.MaxUint32); got != math.MaxUint32 {
-		t.Fatalf("slabIndex(MaxUint32) = %d", got)
+	if got := slabIndex(math.MaxUint32 - 1); got != math.MaxUint32 {
+		t.Fatalf("slabIndex(MaxUint32-1) = %d", got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("slabIndex(2^32) wrapped instead of panicking")
+			t.Fatal("slabIndex(2^32-1) wrapped to the empty cell instead of panicking")
 		}
 	}()
-	slabIndex(math.MaxUint32 + 1)
+	slabIndex(math.MaxUint32)
+}
+
+// TestKeyHashPacksTupleWords pins the word layout Key.Hash shares with
+// the ingest kernel: addresses little-endian in w1, ports and protocol
+// in w2.
+func TestKeyHashPacksTupleWords(t *testing.T) {
+	k := Key{Src: packet.Addr{1, 2, 3, 4}, Dst: packet.Addr{5, 6, 7, 8}, SrcPort: 0x0a09, DstPort: 0x0c0b, Proto: 0x0d}
+	if got, want := k.Hash(), TupleHash(0x0807060504030201, 0x0d0c0b0a09); got != want {
+		t.Fatalf("Key.Hash = %#x, TupleHash over the packed words = %#x", got, want)
+	}
+}
+
+// meanProbe is the mean number of cells a lookup of a present key reads.
+func (t *Table) meanProbe() float64 {
+	mask := uint32(len(t.index) - 1)
+	var cells float64
+	for pos, c := range t.index {
+		if c != 0 {
+			cells += float64((uint32(pos)-cell(t.recs[c-1].Key.Hash(), t.shift))&mask + 1)
+		}
+	}
+	return cells / float64(t.keys)
+}
+
+// TestShardTablesProbeLikeOneTable holds the index to its own bits: a
+// shard's table sees only keys whose hash is s mod n, and must probe no
+// longer for that than an unpartitioned table holding as many keys of
+// the same SYN flood. An index on the hash's low bits fails it — every
+// key of a shard of 2 agrees in bit 0, so half the cells are nobody's
+// home.
+func TestShardTablesProbeLikeOneTable(t *testing.T) {
+	sc, err := traffgen.PresetScenario("ddos", 4242, 2*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traffgen.GenerateScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTable := func() *Table {
+		tab, err := NewTable(math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	for _, shards := range []uint32{2, 3, 4, 8} {
+		tabs := make([]*Table, shards)
+		for s := range tabs {
+			tabs[s] = newTable()
+		}
+		for _, p := range tr.Packets {
+			h := keyOf(p).Hash()
+			tabs[h%shards].AddHashed(h, p)
+		}
+		for s, tab := range tabs {
+			if tab.ActiveCount() < 1000 {
+				t.Fatalf("shards=%d: shard %d holds %d keys; too few to compare", shards, s, tab.ActiveCount())
+			}
+			one := newTable()
+			for i := 0; one.ActiveCount() < tab.ActiveCount(); i++ {
+				one.Add(tr.Packets[i])
+			}
+			if got, want := tab.meanProbe(), one.meanProbe(); got > 1.1*want {
+				t.Errorf("shards=%d: shard %d reads %.3f cells a lookup over %d keys, one table %.3f",
+					shards, s, got, tab.ActiveCount(), want)
+			}
+		}
+	}
+}
+
+// TestCollidingRunMatchesReference drives the index where it is least
+// like a map: twelve keys brute-forced to share a home cell (at 64
+// cells, so at 16 and 32 too) go through first packets, hits, the grow
+// their ninth forces mid-run, an idle gap after which keys are
+// repointed at fresh records, and Flush — twice, the second window on
+// the cleared index — and every cut must equal the map-backed
+// reference's record for record.
+func TestCollidingRunMatchesReference(t *testing.T) {
+	const timeoutUS = 100
+	var run []trace.Packet
+	for port := uint16(0); len(run) < 12; port++ {
+		p := pkt(0, port, 64)
+		if cell(keyOf(p).Hash(), 64-6) == 37 {
+			run = append(run, p)
+		}
+	}
+	tab, err := NewTable(timeoutUS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refTable{timeoutUS: timeoutUS, active: map[Key]*Flow{}}
+	var now int64
+	add := func(gapUS int64, keys ...int) {
+		for _, k := range keys {
+			now += gapUS
+			p := run[k]
+			p.Time = now
+			tab.Add(p)
+			ref.Add(p)
+		}
+	}
+	cut := func(window string) {
+		t.Helper()
+		if got, want := tab.ActiveCount(), len(ref.active); got != want {
+			t.Fatalf("%s: ActiveCount = %d, reference %d", window, got, want)
+		}
+		if got, want := tab.Flush(), ref.Flush(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Flush differs from the reference:\n got %+v\nwant %+v", window, got, want)
+		}
+	}
+	add(1, 0, 1, 2, 3, 4, 5)
+	add(1, 2, 0, 5, 5)
+	if len(tab.index) != minCells {
+		t.Fatalf("index has %d cells before the ninth key, want %d", len(tab.index), minCells)
+	}
+	add(1, 6, 7, 8, 9)
+	if len(tab.index) != 2*minCells {
+		t.Fatalf("index has %d cells after the ninth key, want %d", len(tab.index), 2*minCells)
+	}
+	add(1, 0, 8, 3, 9)
+	add(timeoutUS+1, 1) // every open flow is now idle past the timeout
+	add(1, 1, 8, 0, 10, 11, 8, 1, 10)
+	if tab.meanProbe() < 4 {
+		t.Fatalf("mean probe %.2f: the keys do not share a run", tab.meanProbe())
+	}
+	cut("first window")
+	add(1, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 7, 11, 0)
+	add(timeoutUS+1, 6, 6)
+	cut("second window")
 }
 
 // TestTableAddDoesNotAllocAfterFlush pins the insert path: once one

@@ -29,6 +29,9 @@ type TopK struct {
 	heap  []int32 // len capacity; heap[:n] is a min-heap of slot indices by count
 	index []int32 // open-addressed, linear probing: slot index + 1, 0 = empty
 	mask  uint32  // len(index) - 1; len(index) is a power of two >= 2*capacity
+	shift uint    // 64 - log2(len(index)): a hash's home is the top bits of its remix
+	order []int32 // Top's sort scratch, len capacity
+	keys  []byte  // Top's scratch for the reported keys, end to end
 	total uint64
 }
 
@@ -52,20 +55,23 @@ func NewTopK(capacity int) (*TopK, error) {
 	if capacity < 1 || capacity > maxCapacity {
 		return nil, ErrBadCapacity
 	}
-	cells := 2
+	cells, shift := 2, uint(63)
 	for cells < 2*capacity {
 		cells <<= 1
+		shift--
 	}
 	return &TopK{
 		slots: make([]tkSlot, capacity),
 		heap:  make([]int32, capacity),
 		index: make([]int32, cells),
 		mask:  uint32(cells - 1),
+		shift: shift,
+		order: make([]int32, capacity),
 	}, nil
 }
 
 // Add accounts weight occurrences of key.
-func (t *TopK) Add(key string, weight uint64) { tkAdd(t, key, weight) }
+func (t *TopK) Add(key string, weight uint64) { tkAdd(t, hashKey(key), key, weight) }
 
 // AddBytes accounts weight occurrences of the key spelled as raw
 // bytes. It is the streaming hot-path form of Add: hit, miss and evict
@@ -73,19 +79,25 @@ func (t *TopK) Add(key string, weight uint64) { tkAdd(t, key, weight) }
 // a key of this length the call never allocates (pinned by
 // TestAddBytesDoesNotAllocOnHit and TestAddBytesDoesNotAllocOnEvict).
 // The caller may reuse key's backing array across calls.
-func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, key, weight) }
+//
+//nslint:hotpath
+func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, hashKey(key), key, weight) }
 
-// tkAdd is Add and AddBytes: one body over both key spellings, so
-// neither converts (and so copies) its key to reach the other.
-func tkAdd[K string | []byte](t *TopK, key K, weight uint64) {
+// AddHashed is AddBytes for a caller that already holds a hash of key.
+// Equal keys must always come with equal hashes, so a sketch fed
+// through AddHashed takes every key that way, from one hash function.
+func (t *TopK) AddHashed(hash uint64, key []byte, weight uint64) { tkAdd(t, hash, key, weight) }
+
+// tkAdd is every Add: one body over both key spellings, so neither
+// converts (and so copies) its key to reach the other.
+func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
 	t.total += weight
-	h := hashKey(key)
-	for pos := uint32(h) & t.mask; ; pos = (pos + 1) & t.mask {
+	for pos := t.home(h); ; pos = (pos + 1) & t.mask {
 		c := t.index[pos]
 		if c == 0 {
 			break
 		}
-		if s := &t.slots[c-1]; s.hash == h && keyEqual(s.key, key) {
+		if s := &t.slots[c-1]; s.hash == h && string(s.key) == string(key) {
 			s.count += weight
 			t.fix(int(s.heapIdx))
 			return
@@ -140,23 +152,18 @@ func hashKey[K string | []byte](k K) uint64 {
 	return h ^ h>>29
 }
 
-func keyEqual[K string | []byte](have []byte, k K) bool {
-	if len(have) != len(k) {
-		return false
-	}
-	for i := range have {
-		if have[i] != k[i] {
-			return false
-		}
-	}
-	return true
+// home is hash h's first cell: the top bits of a multiplicative remix,
+// because a caller's hash may have spent its low bits already — the
+// pipeline's chose the shard, so a shard of 2's keys agree in bit 0.
+func (t *TopK) home(h uint64) uint32 {
+	return uint32(h * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
 // indexInsert records slot si under hash h in the first free cell of
 // h's probe run. The table is never more than half full, so a free
 // cell always exists.
 func (t *TopK) indexInsert(h uint64, si int32) {
-	pos := uint32(h) & t.mask
+	pos := t.home(h)
 	for t.index[pos] != 0 {
 		pos = (pos + 1) & t.mask
 	}
@@ -169,12 +176,12 @@ func (t *TopK) indexInsert(h uint64, si int32) {
 // table never degrades under eviction churn.
 func (t *TopK) indexDelete(si int32) {
 	mask := t.mask
-	hole := uint32(t.slots[si].hash) & mask
+	hole := t.home(t.slots[si].hash)
 	for t.index[hole] != si+1 {
 		hole = (hole + 1) & mask
 	}
 	for j := (hole + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		home := uint32(t.slots[t.index[j]-1].hash) & mask
+		home := t.home(t.slots[t.index[j]-1].hash)
 		if (j-home)&mask >= (j-hole)&mask {
 			t.index[hole] = t.index[j]
 			hole = j
@@ -260,10 +267,10 @@ type Entry struct {
 }
 
 // Top returns up to n entries by descending estimated count (ties by
-// key for determinism). Only the reported entries' keys are
-// materialized as strings.
+// key for determinism). A warm sketch allocates twice whatever n is:
+// the entries, and one string the reported keys are cut from.
 func (t *TopK) Top(n int) []Entry {
-	order := make([]int32, t.n)
+	order := t.order[:t.n]
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -280,10 +287,16 @@ func (t *TopK) Top(n int) []Entry {
 	if n < len(order) {
 		order = order[:n]
 	}
+	t.keys = t.keys[:0]
+	for _, si := range order {
+		t.keys = append(t.keys, t.slots[si].key...)
+	}
+	all := string(t.keys)
 	out := make([]Entry, len(order))
 	for i, si := range order {
 		s := &t.slots[si]
-		out[i] = Entry{Key: string(s.key), Count: s.count, MaxError: s.overcnt}
+		out[i] = Entry{Key: all[:len(s.key)], Count: s.count, MaxError: s.overcnt}
+		all = all[len(s.key):]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package nnstat
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"netsample/internal/dist"
@@ -153,13 +154,20 @@ func TestTopKDeterministicTies(t *testing.T) {
 }
 
 // TestAddBytesMatchesAdd checks the byte-key hot path is semantically
-// identical to the string path, including eviction behavior.
+// identical to the string path, including eviction behavior — and so is
+// the hashed path under a hash as poor as a caller could bring: three
+// values, all even, so the keys' bytes alone tell probe-run neighbours
+// apart.
 func TestAddBytesMatchesAdd(t *testing.T) {
 	a, err := NewTopK(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := NewTopK(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewTopK(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +181,37 @@ func TestAddBytesMatchesAdd(t *testing.T) {
 		}
 		a.Add(string(buf), 1)
 		b.AddBytes(buf, 1)
+		c.AddHashed(uint64(id%3)*2, buf, 1)
 	}
-	if a.Total() != b.Total() {
-		t.Fatalf("totals differ: %d vs %d", a.Total(), b.Total())
+	if a.Total() != b.Total() || a.Total() != c.Total() {
+		t.Fatalf("totals differ: %d vs %d vs %d", a.Total(), b.Total(), c.Total())
 	}
-	at, bt := a.Top(8), b.Top(8)
-	if len(at) != len(bt) {
-		t.Fatalf("top sizes differ: %d vs %d", len(at), len(bt))
+	at, bt, ct := a.Top(8), b.Top(8), c.Top(8)
+	if !slices.Equal(at, bt) {
+		t.Errorf("AddBytes differs from Add:\n%+v\n%+v", bt, at)
 	}
-	for i := range at {
-		if at[i] != bt[i] {
-			t.Errorf("entry %d differs: %+v vs %+v", i, at[i], bt[i])
+	if !slices.Equal(at, ct) {
+		t.Errorf("AddHashed differs from Add:\n%+v\n%+v", ct, at)
+	}
+}
+
+// TestTopAllocatesTwice pins the window cut's report: the entries and
+// one string their keys are cut from, however many are asked for.
+func TestTopAllocatesTwice(t *testing.T) {
+	tk, err := NewTopK(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		tk.Add(fmt.Sprintf("key-%03d", i%90), uint64(1+i%7))
+	}
+	for _, n := range []int{1, 10, 64} {
+		var top []Entry
+		if avg := testing.AllocsPerRun(100, func() { top = tk.Top(n) }); avg != 2 {
+			t.Errorf("Top(%d) allocates %.1f times, want 2", n, avg)
+		}
+		if len(top) != n {
+			t.Errorf("Top(%d) returned %d entries", n, len(top))
 		}
 	}
 }

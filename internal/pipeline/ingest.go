@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 
+	"netsample/internal/flows"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
@@ -156,10 +157,11 @@ func newIngestState(id int, cfg *Config) *ingestState {
 // that decodes each packet from three 8-byte words, derives its shard
 // from the same registers (the hash words re-pack the record's bytes
 // 12-23 and 10, see DecodeBatch for the layout), stamps its
-// interarrival gap and selection bit, and appends the finished
-// item straight into the per-shard batch, keeping the record in
-// registers between decode and item store. Pinned item by item against
-// a field-wise reference by TestPartitionRawMatchesReference.
+// interarrival gap and selection bit, and writes the finished item
+// straight into the per-shard batch — with the hash itself, so the
+// shard's flow table and sketch never rehash the tuple — keeping the
+// record in registers between decode and item store. Pinned item by
+// item against a field-wise reference by TestPartitionRawMatchesReference.
 //
 //nslint:hotpath
 func (ig *ingestState) partitionRaw(u srcUnit) {
@@ -172,34 +174,41 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 		w0 := binary.LittleEndian.Uint64(rec[0:8])
 		w1 := binary.LittleEndian.Uint64(rec[8:16])
 		w2 := binary.LittleEndian.Uint64(rec[16:24])
-		var s uint32
-		if nshards > 1 {
-			s = tupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32) % nshards
+		sel := u.sel[i>>6]>>(uint(i)&63)&1 != 0
+		// On one shard only a selected packet's hash has a consumer.
+		var h, s uint32
+		if sel || nshards > 1 {
+			h = flows.TupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32)
+			if nshards > 1 {
+				s = h % nshards
+			}
 		}
 		t := int64(w0)
-		//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit holds at most BatchSize packets and every item buffer is made with that capacity, so this never grows
-		ig.cur[s] = append(ig.cur[s], item{
-			pkt: trace.Packet{
-				Time:     t,
-				Size:     uint16(w1),
-				Protocol: packet.Protocol(w1 >> 16),
-				TCPFlags: uint8(w1 >> 24),
-				Src:      packet.Addr{byte(w1 >> 32), byte(w1 >> 40), byte(w1 >> 48), byte(w1 >> 56)},
-				Dst:      packet.Addr{byte(w2), byte(w2 >> 8), byte(w2 >> 16), byte(w2 >> 24)},
-				SrcPort:  uint16(w2 >> 32),
-				DstPort:  uint16(w2 >> 48),
-			},
-			gapUS:  t - prev,
-			hasGap: i > 0 || !u.noGap0,
-			sel:    u.sel[i>>6]>>(uint(i)&63)&1 != 0,
-		})
+		// Fill the item where it lies, not on the stack to be copied: a
+		// unit holds at most BatchSize packets and every recycled item
+		// buffer is made with that capacity, so the reslice cannot overrun.
+		cur := ig.cur[s][:len(ig.cur[s])+1]
+		ig.cur[s] = cur
+		it := &cur[len(cur)-1]
+		it.pkt.Time = t
+		it.pkt.Size = uint16(w1)
+		it.pkt.Protocol = packet.Protocol(w1 >> 16)
+		it.pkt.TCPFlags = uint8(w1 >> 24)
+		it.pkt.Src = packet.Addr{byte(w1 >> 32), byte(w1 >> 40), byte(w1 >> 48), byte(w1 >> 56)}
+		it.pkt.Dst = packet.Addr{byte(w2), byte(w2 >> 8), byte(w2 >> 16), byte(w2 >> 24)}
+		it.pkt.SrcPort = uint16(w2 >> 32)
+		it.pkt.DstPort = uint16(w2 >> 48)
+		it.gapUS = t - prev
+		it.hasGap = i > 0 || !u.noGap0
+		it.sel = sel
+		it.hash = h
 		prev = t
 	}
 }
 
 // DecodeBatch is partitionRaw's two-pass form, kept for measurement:
 // it decodes a window of raw NSTR record bytes into dst and fills
-// shards[i] with each packet's 5-tuple shard index (the two tupleHash
+// shards[i] with each packet's 5-tuple shard index (the two TupleHash
 // words are loaded straight out of the record's wire layout: addresses
 // in bytes 12-19, ports in 20-23, protocol in byte 10) and gaps[i] with
 // its interarrival gap, chaining from prevUS, the timestamp of the
@@ -227,7 +236,7 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 			rec := raw[i*trace.RecordLen : i*trace.RecordLen+trace.RecordLen]
 			w1 := binary.LittleEndian.Uint64(rec[12:20])
 			w2 := uint64(binary.LittleEndian.Uint32(rec[20:24])) | uint64(rec[10])<<32
-			sh[i] = uint8(tupleHash(w1, w2) % nsh)
+			sh[i] = uint8(flows.TupleHash(w1, w2) % nsh)
 		}
 	}
 	prev := prevUS
@@ -237,26 +246,6 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 		prev = t
 	}
 	return n
-}
-
-// tupleHash mixes the two packed 5-tuple words into a well-distributed
-// 32-bit value: two data-independent multiply-xor folds plus a
-// murmur3-style finalizer. Three multiplies total, none serially
-// dependent on the next — a byte-serial hash chain (13 dependent
-// multiplies for the same tuple) dominated the fan-out stage's profile.
-// Flow balance is pinned by the ingest χ² test.
-func tupleHash(w1, w2 uint64) uint32 {
-	const (
-		m1 = 0x9E3779B97F4A7C15
-		m2 = 0xC2B2AE3D27D4EB4F
-		m3 = 0xFF51AFD7ED558CCD
-	)
-	h := (w1 ^ m1) * m2
-	h ^= (w2 ^ m2) * m1
-	h ^= h >> 32
-	h *= m3
-	h ^= h >> 32
-	return uint32(h)
 }
 
 // ingestWorker drains one worker's unit ring: data units are decoded

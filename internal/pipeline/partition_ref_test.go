@@ -3,23 +3,30 @@ package pipeline
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"netsample/internal/flows"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
 
-// shardIndex is the test-only reference for partitionRaw's shard
-// assignment: it packs a decoded packet's 5-tuple (addresses, ports,
-// protocol) into the two tupleHash words field by field, where the
-// kernel loads the same words straight out of the record bytes.
-func shardIndex(pkt *trace.Packet, n int) int {
-	if n == 1 {
-		return 0
+// keyHash is the test-only reference for the hash partitionRaw carries
+// and takes the shard from: flows.Key.Hash packs a decoded packet's
+// 5-tuple into the two TupleHash words field by field, where the kernel
+// loads the same words straight out of the record bytes.
+func keyHash(pkt *trace.Packet) uint32 {
+	return flows.Key{Src: pkt.Src, Dst: pkt.Dst, SrcPort: pkt.SrcPort, DstPort: pkt.DstPort, Proto: pkt.Protocol}.Hash()
+}
+
+// shardIndex is the shard partitionRaw must send pkt to.
+func shardIndex(pkt *trace.Packet, n int) int { return int(keyHash(pkt) % uint32(n)) }
+
+// TestItemSize pins the ring element: the carried hash and the
+// selection bit live in what was trailing padding.
+func TestItemSize(t *testing.T) {
+	if got := unsafe.Sizeof(item{}); got != 40 {
+		t.Fatalf("item is %d bytes, want 40", got)
 	}
-	w1 := uint64(pkt.Src[0]) | uint64(pkt.Src[1])<<8 | uint64(pkt.Src[2])<<16 | uint64(pkt.Src[3])<<24 |
-		uint64(pkt.Dst[0])<<32 | uint64(pkt.Dst[1])<<40 | uint64(pkt.Dst[2])<<48 | uint64(pkt.Dst[3])<<56
-	w2 := uint64(pkt.SrcPort) | uint64(pkt.DstPort)<<16 | uint64(uint8(pkt.Protocol))<<32
-	return int(tupleHash(w1, w2) % uint32(n))
 }
 
 // randomPackets draws n packets covering every protocol, port and flag
@@ -59,12 +66,12 @@ func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
 
 // TestPartitionRawMatchesReference holds the fused ingest kernel to a
 // field-wise reference, item by item: trace.DecodeRecords for the
-// packet, shardIndex for the shard, a serial chain for the gap, and a
-// []bool the bitmap was packed from for the selection bit. Every source
-// reaches the shards through partitionRaw, so no end-to-end
-// comparison of two paths can catch an error in it any more; this is
-// also the layout-drift guard between the NSTR record format and the
-// hash word packing.
+// packet, keyHash for the carried hash and (mod the shard count) the
+// shard, a serial chain for the gap, and a []bool the bitmap was packed
+// from for the selection bit. Every source reaches the shards through
+// partitionRaw, so no end-to-end comparison of two paths can catch an
+// error in it any more; this is also the layout-drift guard between the
+// NSTR record format and the hash word packing.
 func TestPartitionRawMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
 	pkts := randomPackets(rng, 300)
@@ -104,12 +111,19 @@ func TestPartitionRawMatchesReference(t *testing.T) {
 				want := make([][]item, shards)
 				prev := u.prevUS
 				for i := range decoded {
+					// The kernel hashes where the hash has a consumer: the
+					// shard choice, or a selected packet's aggregates.
+					var h uint32
+					if shards > 1 || selected[i] {
+						h = keyHash(&decoded[i])
+					}
 					s := shardIndex(&decoded[i], shards)
 					want[s] = append(want[s], item{
 						pkt:    decoded[i],
 						gapUS:  decoded[i].Time - prev,
 						hasGap: !(noGap0 && i == 0),
 						sel:    selected[i],
+						hash:   h,
 					})
 					prev = decoded[i].Time
 				}

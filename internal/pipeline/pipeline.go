@@ -28,8 +28,9 @@
 // and stamps the verdicts on each window as a bitmap before handing the
 // sequence-numbered windows round-robin to N ingest workers. Each
 // ingest worker decodes its windows, hashes the packets to shards by a
-// deterministic hash of the 5-tuple (tupleHash) — so every flow lives
-// on exactly one shard — stamps each packet with its interarrival gap
+// deterministic hash of the 5-tuple (flows.TupleHash, which rides the
+// item into the shard's flow table and sketch) — so every flow lives on
+// exactly one shard — stamps each packet with its interarrival gap
 // against its stream predecessor (the quantity a monitor with a
 // last-packet timestamp register observes) and its selection bit, and
 // publishes per-shard item batches into lock-free

@@ -18,8 +18,10 @@ type item struct {
 	gapUS  int64
 	hasGap bool
 	// sel is the reader's selection verdict, copied from the unit's
-	// bitmap at ingest; it fits the struct's existing trailing padding.
-	sel bool
+	// bitmap at ingest; hash the 5-tuple's flows.TupleHash, made there for
+	// the shard choice and both aggregates. Both sit in old padding.
+	sel  bool
+	hash uint32
 }
 
 // shardMsg travels a (ingest worker, shard) ring: a data batch or a
@@ -252,7 +254,7 @@ func (st *shardState) process(it *item) {
 			st.iatCounts[st.iatScheme.Index(float64(it.gapUS))]++
 		}
 	}
-	st.flowTab.Add(it.pkt)
+	st.flowTab.AddHashed(it.hash, it.pkt)
 	k := &st.keyBuf
 	copy(k[0:4], it.pkt.Src[:])
 	copy(k[4:8], it.pkt.Dst[:])
@@ -261,7 +263,7 @@ func (st *shardState) process(it *item) {
 	k[10] = byte(it.pkt.DstPort)
 	k[11] = byte(it.pkt.DstPort >> 8)
 	k[12] = byte(it.pkt.Protocol)
-	st.topk.AddBytes(k[:], 1)
+	st.topk.AddHashed(uint64(it.hash), k[:], 1)
 }
 
 // cut snapshots the shard's window-local aggregates into a shardPart

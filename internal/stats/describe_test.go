@@ -182,82 +182,3 @@ func TestPopulationEmpty(t *testing.T) {
 		t.Fatal("empty population should fail")
 	}
 }
-
-func TestRunningMatchesDescribe(t *testing.T) {
-	r := dist.NewRNG(35)
-	xs := make([]float64, 5000)
-	var run Running
-	for i := range xs {
-		xs[i] = r.NormFloat64()*13 + 7
-		run.Add(xs[i])
-	}
-	s, err := Describe(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.N() != int64(s.N) {
-		t.Errorf("N mismatch")
-	}
-	if !almost(run.Mean(), s.Mean, 1e-9) {
-		t.Errorf("mean %v vs %v", run.Mean(), s.Mean)
-	}
-	if !almost(run.StdDev(), s.StdDev, 1e-9) {
-		t.Errorf("stddev %v vs %v", run.StdDev(), s.StdDev)
-	}
-	if run.Min() != s.Min || run.Max() != s.Max {
-		t.Errorf("min/max mismatch")
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	r := dist.NewRNG(36)
-	var all, a, b Running
-	for i := 0; i < 4000; i++ {
-		x := r.ExpFloat64() * 3
-		all.Add(x)
-		if i%3 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almost(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if !almost(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merged variance %v vs %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged min/max mismatch")
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Error("merge of empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Errorf("merge into empty: %+v", b)
-	}
-}
-
-func TestRunningZeroValue(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 || r.N() != 0 {
-		t.Error("zero Running not neutral")
-	}
-	r.Add(5)
-	if r.Variance() != 0 {
-		t.Error("single observation variance should be 0")
-	}
-}
