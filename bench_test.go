@@ -1121,9 +1121,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			p, err := pipeline.New(pipeline.Config{
 				Shards: shards,
-				// Scale the parallel hash/fan-out stage with the shards: one
-				// worker keeps up with up to two shards.
-				IngestWorkers: (shards + 1) / 2,
 				NewSampler: func(int) (online.Sampler, error) {
 					return online.NewSystematic(50, 0)
 				},

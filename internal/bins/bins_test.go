@@ -72,15 +72,6 @@ func TestEdgedLabels(t *testing.T) {
 	}
 }
 
-func TestEdgesCopy(t *testing.T) {
-	s := PacketSize()
-	e := s.Edges()
-	e[0] = 999
-	if s.Edges()[0] == 999 {
-		t.Error("Edges returned internal slice")
-	}
-}
-
 func TestIndexAlwaysInRangeProperty(t *testing.T) {
 	schemes := []Scheme{PacketSize(), Interarrival()}
 	f := func(x float64) bool {
@@ -113,27 +104,6 @@ func TestCountConservesTotal(t *testing.T) {
 	}
 }
 
-func TestCountScaled(t *testing.T) {
-	xs := []float64{10, 50, 500, 600}
-	scaled := CountScaled(PacketSize(), xs, 50)
-	want := []float64{50, 50, 100}
-	for i := range want {
-		if scaled[i] != want[i] {
-			t.Fatalf("scaled = %v", scaled)
-		}
-	}
-}
-
-func TestProportions(t *testing.T) {
-	if Proportions(PacketSize(), nil) != nil {
-		t.Error("empty proportions should be nil")
-	}
-	p := Proportions(PacketSize(), []float64{40, 40, 552, 100})
-	if p[0] != 0.5 || p[1] != 0.25 || p[2] != 0.25 {
-		t.Errorf("proportions = %v", p)
-	}
-}
-
 // TestIndexKernelsBitIdentical proves the branchless kernels agree with
 // the binary-search Index on every input class: random values, exact
 // edge ties (which belong to the bin above), values straddling each
@@ -148,7 +118,7 @@ func TestIndexKernelsBitIdentical(t *testing.T) {
 	}
 	for _, e := range schemes {
 		var xs []float64
-		for _, edge := range e.Edges() {
+		for _, edge := range e.edges {
 			xs = append(xs, edge, edge-1, edge+1,
 				math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
 		}

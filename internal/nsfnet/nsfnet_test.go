@@ -53,27 +53,6 @@ func TestProcessorRecoversAfterIdle(t *testing.T) {
 	}
 }
 
-// Reset clears queue state and counters. Unshipped: no node model
-// resets its processor, so the method lives with its one test.
-func (p *Processor) Reset() {
-	p.head, p.count = 0, 0
-	p.offered, p.accepted, p.dropped = 0, 0, 0
-}
-
-func TestProcessorReset(t *testing.T) {
-	p := NewProcessor(100, 2)
-	p.Offer(0)
-	p.Offer(0)
-	p.Offer(0)
-	p.Reset()
-	if p.Offered() != 0 || p.Accepted() != 0 || p.Dropped() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if !p.Offer(0) {
-		t.Fatal("drop after reset")
-	}
-}
-
 func TestProcessorDefensiveConstruction(t *testing.T) {
 	p := NewProcessor(-5, 0) // clamped to valid minimums
 	if !p.Offer(0) {

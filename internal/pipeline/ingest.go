@@ -214,14 +214,18 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 // its interarrival gap, chaining from prevUS, the timestamp of the
 // record preceding the window. It returns the record count,
 // min(len(dst), len(raw)/trace.RecordLen). nshards must be in [1, 256]
-// so the indices fit uint8; shards and gaps must hold at least that
-// many elements.
+// so the indices fit uint8 — anything else panics rather than return
+// truncated placements; shards and gaps must hold at least the record
+// count.
 //
 // Exported so the benchmarks can time decode+hash+gap in isolation
 // (BenchmarkDecodeBatch, nsbench's pipeline.partition_ns_per_pkt).
 //
 //nslint:hotpath
 func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, prevUS int64, nshards int) int {
+	if nshards < 1 || nshards > 256 {
+		panic("pipeline: DecodeBatch: nshards must be in [1, 256]")
+	}
 	n := trace.DecodeRecords(dst, raw)
 	pkts := dst[:n]
 	sh := shards[:n]

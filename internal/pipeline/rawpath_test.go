@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"netsample/internal/flows"
@@ -80,6 +81,19 @@ func TestDecodeBatchEquivalence(t *testing.T) {
 	gaps := make([]int64, 4)
 	if got := DecodeBatch(dst, shards, gaps, raw[:2*trace.RecordLen+13], 0, 4); got != 2 {
 		t.Fatalf("partial window decoded %d records, want 2", got)
+	}
+
+	// A shard count whose indices would not fit uint8 (or that is no
+	// count at all) is refused by name, not truncated into wrong placements.
+	for _, nshards := range []int{0, 300} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "[1, 256]") {
+					t.Errorf("nshards=%d: recovered %q, want a panic naming the [1, 256] bound", nshards, msg)
+				}
+			}()
+			DecodeBatch(dst, shards, gaps, raw[:4*trace.RecordLen], 0, nshards)
+		}()
 	}
 }
 
