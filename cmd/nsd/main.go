@@ -20,15 +20,15 @@
 // rate and worst φ steer the next window's systematic k inside
 // [-min-k, -max-k], starting from -k. The decision runs on the virtual
 // clock at the stream cut, so an adaptive run stays bit-identical for
-// any -shards/-ingest-workers combination at the same seed.
+// any -shards at the same seed.
 //
 // The daemon is deterministic: all randomness comes from -seed, and
 // windowing runs on the virtual clock of the packet timestamps. One
 // sampler runs over the whole stream ahead of the fan-out, so -method
-// means the paper's method of the link for any -shards and
-// -ingest-workers: under the block policy they change no output, and
-// the final snapshot's reports are bit-identical to the batch evaluator
-// in internal/core on the same trace and seed (pinned by a tier-1 test).
+// means the paper's method of the link for any -shards: under the block
+// policy the shard count changes no output, and the final snapshot's
+// reports are bit-identical to the batch evaluator in internal/core on
+// the same trace and seed (pinned by a tier-1 test).
 // SIGINT/SIGTERM drain the pipeline cleanly and the final snapshot is
 // printed before exit.
 //
@@ -82,30 +82,29 @@ func main() {
 		scenario = flag.String("scenario", "", "generate a preset anomaly scenario instead of steady-state traffic (-gen): "+strings.Join(traffgen.ScenarioNames(), ", "))
 		method   = flag.String("method", "systematic",
 			"sampling method, applied to the whole stream at any shard count: systematic, stratified, systematic-timer, stratified-timer")
-		k             = flag.Int("k", 100, "sampling granularity (1 in k packets, or the timer equivalent)")
-		adaptive      = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target and -drop-budget (requires -window > 0; -k is the starting granularity)")
-		minK          = flag.Int("min-k", 1, "adaptive: finest granularity the controller may choose")
-		maxK          = flag.Int("max-k", 4096, "adaptive: coarsest granularity the controller may choose")
-		targetPhi     = flag.Float64("target", 0.25, "adaptive: φ budget; refine when a window's worst φ exceeds it")
-		dropBudget    = flag.Float64("drop-budget", 0, "adaptive: tolerated drop fraction per window before coarsening")
-		shards        = flag.Int("shards", 1, "worker shard count (flows are hash-partitioned after selection; the selected set does not depend on it)")
-		ingestWorkers = flag.Int("ingest-workers", 1, "parallel ingest (hash/fan-out) workers")
-		window        = flag.Duration("window", 0, "snapshot window on the trace's virtual clock (0 = one final window)")
-		seed          = flag.Uint64("seed", 1993, "root RNG seed for random methods and -gen")
-		queue         = flag.Int("queue", pipeline.DefaultQueueDepth, "per-shard queue depth in batches")
-		batch         = flag.Int("batch", pipeline.DefaultBatchSize, "ingest batch size in packets")
-		policy        = flag.String("policy", "block", "overload policy: block or drop")
-		topk          = flag.Int("topk", pipeline.DefaultTopKReport, "heavy-hitter flows per snapshot")
-		flowTimeout   = flag.Duration("flow-timeout", 15*time.Second, "flow idle timeout on the virtual clock")
-		name          = flag.String("name", "nsd", "node name in exported snapshots")
-		storeDir      = flag.String("store", "", "persist every window snapshot to this store directory (append-only segment log)")
-		storeSync     = flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
-		storeSegment  = flag.Int("store-segment", store.DefaultSegmentRecords, "snapshots per store segment before it is sealed")
-		once          = flag.Bool("once", false, "exit when the source drains instead of serving until a signal")
-		quiet         = flag.Bool("q", false, "suppress per-window snapshot lines")
-		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
-		mutexFrac     = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate (0 = off)")
-		blockRate     = flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate in ns (0 = off)")
+		k            = flag.Int("k", 100, "sampling granularity (1 in k packets, or the timer equivalent)")
+		adaptive     = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target and -drop-budget (requires -window > 0; -k is the starting granularity)")
+		minK         = flag.Int("min-k", 1, "adaptive: finest granularity the controller may choose")
+		maxK         = flag.Int("max-k", 4096, "adaptive: coarsest granularity the controller may choose")
+		targetPhi    = flag.Float64("target", 0.25, "adaptive: φ budget; refine when a window's worst φ exceeds it")
+		dropBudget   = flag.Float64("drop-budget", 0, "adaptive: tolerated drop fraction per window before coarsening")
+		shards       = flag.Int("shards", 1, "worker shard count (flows are hash-partitioned after selection; the selected set does not depend on it)")
+		window       = flag.Duration("window", 0, "snapshot window on the trace's virtual clock (0 = one final window)")
+		seed         = flag.Uint64("seed", 1993, "root RNG seed for random methods and -gen")
+		queue        = flag.Int("queue", pipeline.DefaultQueueDepth, "per-shard queue depth in batches")
+		batch        = flag.Int("batch", pipeline.DefaultBatchSize, "ingest batch size in packets")
+		policy       = flag.String("policy", "block", "overload policy: block or drop")
+		topk         = flag.Int("topk", pipeline.DefaultTopKReport, "heavy-hitter flows per snapshot")
+		flowTimeout  = flag.Duration("flow-timeout", 15*time.Second, "flow idle timeout on the virtual clock")
+		name         = flag.String("name", "nsd", "node name in exported snapshots")
+		storeDir     = flag.String("store", "", "persist every window snapshot to this store directory (append-only segment log)")
+		storeSync    = flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
+		storeSegment = flag.Int("store-segment", store.DefaultSegmentRecords, "snapshots per store segment before it is sealed")
+		once         = flag.Bool("once", false, "exit when the source drains instead of serving until a signal")
+		quiet        = flag.Bool("q", false, "suppress per-window snapshot lines")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
+		mutexFrac    = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate (0 = off)")
+		blockRate    = flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate in ns (0 = off)")
 	)
 	flag.Parse()
 
@@ -163,7 +162,6 @@ func main() {
 		}
 	}
 	cfg.Shards = *shards
-	cfg.IngestWorkers = *ingestWorkers
 	var sw *store.Writer
 	if *storeDir != "" {
 		sw, err = store.Open(*storeDir, store.Options{

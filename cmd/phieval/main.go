@@ -35,6 +35,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *reps < 1 {
+		log.Fatalf("-reps must be >= 1, got %d", *reps)
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		log.Fatalf("open: %v", err)

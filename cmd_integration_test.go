@@ -3,6 +3,7 @@ package netsample
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"os/exec"
@@ -75,6 +76,13 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	if !strings.Contains(out, "mean phi:") {
 		t.Fatalf("phieval output: %s", out)
 	}
+	// A replication count that yields no replications is refused up
+	// front, in one line, not by a panic in the slice it would size.
+	bad, err := exec.Command(filepath.Join(dir, "phieval"), "-in", tr, "-reps", "-1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(string(bad), "\n") != 1 {
+		t.Fatalf("phieval -reps -1: err %v, want exit 1 with a one-line message:\n%s", err, bad)
+	}
 
 	// traceinfo on the original and pcap conversion round trip.
 	pcap := filepath.Join(t.TempDir(), "t.pcap")
@@ -146,9 +154,9 @@ func nsdReportBits(r metrics.Report) [7]uint64 {
 // guarantee, tier-1 enforced: run nsd on a fixed trace, poll its final
 // snapshot over the collect wire protocol, and require the exported
 // reports to be bit-identical to the batch core sampler + evaluator on
-// the same trace and seed — at one shard and at four shards behind two
-// ingest workers alike, which also makes `selected` the same for both.
-// It also covers the clean SIGTERM path.
+// the same trace and seed — at one shard and at four alike, which also
+// makes `selected` the same for both. It also covers the clean SIGTERM
+// path.
 func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	dir := buildTools(t, "tracegen", "nsd")
 	trPath := filepath.Join(t.TempDir(), "t.nstr")
@@ -189,16 +197,15 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		method  string
-		batch   core.Sampler
-		shards  int
-		workers int
+		method string
+		batch  core.Sampler
+		shards int
 	}{
-		{"systematic", core.SystematicCount{K: 50}, 1, 1},
-		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 1, 1},
-		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 4, 2},
-		{"stratified", core.StratifiedCount{K: 50}, 1, 1},
-		{"stratified", core.StratifiedCount{K: 50}, 4, 2},
+		{"systematic", core.SystematicCount{K: 50}, 1},
+		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 1},
+		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 4},
+		{"stratified", core.StratifiedCount{K: 50}, 1},
+		{"stratified", core.StratifiedCount{K: 50}, 4},
 	} {
 		t.Run(tc.method+"/shards="+strconv.Itoa(tc.shards), func(t *testing.T) {
 			// nsd's random methods draw from the seed's first child stream.
@@ -217,7 +224,7 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 
 			daemon := exec.Command(filepath.Join(dir, "nsd"),
 				"-in", trPath, "-method", tc.method, "-k", "50", "-seed", "1993",
-				"-shards", strconv.Itoa(tc.shards), "-ingest-workers", strconv.Itoa(tc.workers),
+				"-shards", strconv.Itoa(tc.shards),
 				"-listen", "127.0.0.1:0", "-name", "e2e-node", "-q")
 			stdout, err := daemon.StdoutPipe()
 			if err != nil {

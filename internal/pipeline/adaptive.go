@@ -9,8 +9,8 @@ import (
 // [MinK, MaxK] against a drop-rate and φ-error budget at the pipeline's
 // window barriers. It replaces Config.NewSampler: the reader's one sampler is
 // a systematic one whose k the control step moves, so an adaptive run,
-// like a fixed one, is bit-identical for any ingest-worker and shard
-// count at the same seed.
+// like a fixed one, is bit-identical for any shard count at the same
+// seed.
 //
 // Control rides the virtual clock: decisions happen at window barriers
 // (cut positions are functions of packet timestamps alone), consume the

@@ -121,8 +121,8 @@ func TestAdaptiveDecide(t *testing.T) {
 }
 
 // snapProj is the topology-invariant projection of a Snapshot: every
-// field that must be bit-identical for any ingest-worker/shard count.
-// (Shards and DroppedByShard describe the topology itself.)
+// field that must be bit-identical for any shard count. (Shards and
+// DroppedByShard describe the topology itself.)
 type snapProj struct {
 	seq                uint64
 	start, end         int64
@@ -168,42 +168,39 @@ func projectSnaps(snaps []*Snapshot) []snapProj {
 }
 
 // assertTopologyInvariant is the one topology table both selection
-// modes are held to: it takes the (1 worker, 1 shard) run as the
-// reference and requires every other topology — and a repeat of the
-// reference, for run-to-run reproducibility — to publish the same
-// snapshot projections and take the same decisions. It returns the
-// reference run.
-func assertTopologyInvariant(t *testing.T, run func(workers, shards int) ([]snapProj, []AdaptiveDecision)) ([]snapProj, []AdaptiveDecision) {
+// modes are held to: it takes the 1-shard run as the reference and
+// requires every other shard count — and a repeat of the reference, for
+// run-to-run reproducibility — to publish the same snapshot projections
+// and take the same decisions. It returns the reference run.
+func assertTopologyInvariant(t *testing.T, run func(shards int) ([]snapProj, []AdaptiveDecision)) ([]snapProj, []AdaptiveDecision) {
 	t.Helper()
-	refSnaps, refDecs := run(1, 1)
-	for _, topo := range []struct{ workers, shards int }{{1, 1}, {2, 3}, {4, 2}, {3, 4}, {1, 8}} {
-		snaps, decs := run(topo.workers, topo.shards)
+	refSnaps, refDecs := run(1)
+	for _, shards := range []int{1, 3, 2, 4, 8} {
+		snaps, decs := run(shards)
 		if !reflect.DeepEqual(snaps, refSnaps) {
 			for i := range snaps {
 				if i < len(refSnaps) && snaps[i] != refSnaps[i] {
-					t.Fatalf("workers=%d shards=%d: window %d diverged:\n got %+v\nwant %+v",
-						topo.workers, topo.shards, i, snaps[i], refSnaps[i])
+					t.Fatalf("shards=%d: window %d diverged:\n got %+v\nwant %+v",
+						shards, i, snaps[i], refSnaps[i])
 				}
 			}
-			t.Fatalf("workers=%d shards=%d: snapshot count %d vs %d",
-				topo.workers, topo.shards, len(snaps), len(refSnaps))
+			t.Fatalf("shards=%d: snapshot count %d vs %d", shards, len(snaps), len(refSnaps))
 		}
 		if !reflect.DeepEqual(decs, refDecs) {
-			t.Fatalf("workers=%d shards=%d: decision sequence diverged", topo.workers, topo.shards)
+			t.Fatalf("shards=%d: decision sequence diverged", shards)
 		}
 	}
 	return refSnaps, refDecs
 }
 
-func runAdaptive(t *testing.T, tr *trace.Trace, workers, shards int) ([]snapProj, []AdaptiveDecision) {
+func runAdaptive(t *testing.T, tr *trace.Trace, shards int) ([]snapProj, []AdaptiveDecision) {
 	t.Helper()
 	sizeEval, iatEval := evaluators(t, tr)
 	p, err := New(Config{
-		Shards:        shards,
-		IngestWorkers: workers,
-		WindowUS:      5_000_000,
-		SizeEval:      sizeEval,
-		IatEval:       iatEval,
+		Shards:   shards,
+		WindowUS: 5_000_000,
+		SizeEval: sizeEval,
+		IatEval:  iatEval,
 		// Large sketch capacity keeps every shard's Space-Saving counts
 		// exact (capacity >= distinct selected flows per window), which
 		// makes the merged TopK provably topology-invariant.
@@ -213,10 +210,10 @@ func runAdaptive(t *testing.T, tr *trace.Trace, workers, shards int) ([]snapProj
 		},
 	})
 	if err != nil {
-		t.Fatalf("New(workers=%d shards=%d): %v", workers, shards, err)
+		t.Fatalf("New(shards=%d): %v", shards, err)
 	}
 	if err := p.Run(tr.Replay()); err != nil {
-		t.Fatalf("Run(workers=%d shards=%d): %v", workers, shards, err)
+		t.Fatalf("Run(shards=%d): %v", shards, err)
 	}
 	return projectSnaps(p.Snapshots()), p.Decisions()
 }
@@ -224,12 +221,12 @@ func runAdaptive(t *testing.T, tr *trace.Trace, workers, shards int) ([]snapProj
 // TestAdaptiveDeterminismAcrossTopologies pins the acceptance
 // criterion: an adaptive run is bit-identical — every snapshot field
 // including the per-window k, and the full decision sequence — for any
-// ingest-worker/shard count at the same seed. The DDoS scenario drives
+// shard count at the same seed. The DDoS scenario drives
 // the controller through both coarse and fine regimes.
 func TestAdaptiveDeterminismAcrossTopologies(t *testing.T) {
 	tr := scenarioTrace(t, "ddos", 99, time.Minute)
-	refSnaps, refDecs := assertTopologyInvariant(t, func(workers, shards int) ([]snapProj, []AdaptiveDecision) {
-		return runAdaptive(t, tr, workers, shards)
+	refSnaps, refDecs := assertTopologyInvariant(t, func(shards int) ([]snapProj, []AdaptiveDecision) {
+		return runAdaptive(t, tr, shards)
 	})
 	if len(refSnaps) < 8 {
 		t.Fatalf("reference run produced %d windows, want >= 8", len(refSnaps))

@@ -21,15 +21,15 @@ type BatchSource interface {
 
 // RawBatchSource is the pipeline's native ingest form: windows of raw
 // NSTR record bytes (length a multiple of trace.RecordLen) for up to
-// max records, plus the record count. Decoding happens inside the
-// parallel ingest workers — fused with shard hashing and gap stamping
-// in one pass — rather than on the sequential reader goroutine.
+// max records, plus the record count. Decoding happens in the ingest
+// worker — fused with shard hashing and gap stamping in one pass —
+// rather than on the reader goroutine.
 //
 // Contract: records in a window are consecutive stream records;
 // complete records precede any error; exhaustion is (nil, 0, io.EOF).
 // Every returned window must remain valid and immutable until the
-// pipeline's Run returns — workers hold windows from many calls
-// concurrently. *trace.MapReader and *trace.Replayer satisfy this by
+// pipeline's Run returns — the in ring holds windows from many calls
+// at once. *trace.MapReader and *trace.Replayer satisfy this by
 // construction (their windows are views: of the mapped region until
 // Close, of the trace's own packets); a reader recycling one scratch
 // buffer per call must NOT implement this interface.
@@ -85,13 +85,10 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 	return raw, n, err
 }
 
-// srcUnit is one sequence-numbered element of the reader→ingest stream:
-// a raw record window (raw, prevUS, noGap0) or a window-barrier fragment
-// (bar). The sequence numbers are dense and global — unit q goes to
-// ingest worker q mod N, and a barrier consumes exactly N consecutive
-// numbers (one fragment per worker) — so the round-robin phase is
-// position-invariant and every shard can reconstruct global stream
-// order from its rings.
+// srcUnit is one element of the reader→ingest stream: a raw record
+// window (raw, prevUS, noGap0) or a window barrier (bar). The in ring
+// and the shard rings are FIFO, so stream order is the order of
+// arrival everywhere downstream.
 //
 // prevUS is the timestamp of the stream packet preceding the window's
 // first record, which lets the worker compute interarrival gaps
@@ -99,11 +96,10 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 // has no predecessor. sel is the reader's selection verdict for the
 // unit's records, one bit each (record i is bit i&63 of word i>>6): the
 // worker copies bits and never evaluates a schedule, so the selected
-// set cannot depend on the worker or shard count. The slot belongs to
-// the reader's pool; the worker only reads it, and only during its
+// set cannot depend on the shard count. The slot belongs to the
+// reader's pool; the worker only reads it, and only during its
 // partition pass over the unit (Pipeline.selSlot).
 type srcUnit struct {
-	seq uint64
 	bar *barrier
 
 	raw    []byte
@@ -112,38 +108,33 @@ type srcUnit struct {
 	noGap0 bool
 }
 
-// ingestState is one parallel ingest worker: it consumes its share of
-// the unit stream, hashes packets to shards, and publishes per-shard
-// item batches. Field ownership: in connects to the reader; out[s] and
-// freeItems[s] connect to shard s; epoch is worker-stored,
-// shard-loaded; cur and droppedSince are worker-local.
+// ingestState is the ingest worker: it consumes the unit stream, hashes
+// packets to shards, and publishes per-shard item batches. Field
+// ownership: in connects to the reader; out[s] and freeItems[s] connect
+// to shard s; cur and droppedSince are worker-local.
 type ingestState struct {
-	id        int
 	in        *spsc[srcUnit]
 	out       []*spsc[shardMsg]
 	freeItems []*spsc[[]item]
-	epoch     *epoch
 
 	// Worker-local.
 	cur          [][]item
 	droppedSince []uint64
 }
 
-// newIngestState allocates one ingest worker's rings and buffer pools.
-func newIngestState(id int, cfg *Config) *ingestState {
+// newIngestState allocates the ingest worker's rings and buffer pools.
+func newIngestState(cfg *Config) *ingestState {
 	ig := &ingestState{
-		id:           id,
 		in:           newSPSC[srcUnit](cfg.QueueDepth),
 		out:          make([]*spsc[shardMsg], cfg.Shards),
 		freeItems:    make([]*spsc[[]item], cfg.Shards),
-		epoch:        newEpoch(),
 		cur:          make([][]item, cfg.Shards),
 		droppedSince: make([]uint64, cfg.Shards),
 	}
 	for s := range ig.out {
 		ig.out[s] = newSPSC[shardMsg](cfg.QueueDepth)
-		// Item buffers per (worker, shard) edge: QueueDepth queued + 1
-		// at the shard + 1 filling.
+		// Item buffers per shard edge: QueueDepth queued + 1 at the
+		// shard + 1 filling.
 		ig.freeItems[s] = newSPSC[[]item](cfg.QueueDepth + 2)
 		for i := 0; i < cfg.QueueDepth+1; i++ {
 			ig.freeItems[s].tryPush(make([]item, 0, cfg.BatchSize))
@@ -252,18 +243,15 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 	return n
 }
 
-// ingestWorker drains one worker's unit ring: data units are decoded
-// and partitioned into per-shard item batches, barrier fragments are
-// forwarded to every shard. A unit pushes a message ONLY to the rings
-// of shards that actually receive packets from it; progress for
-// everyone else is the single epoch store that follows the unit's
-// pushes (epoch.advance), which is what lets a shard's
-// sequence-ordered consume skip whole runs of sequence numbers
-// without any per-unit cross-core message (DESIGN.md §15).
+// ingestWorker drains the unit ring: data units are decoded and
+// partitioned into per-shard item batches, barriers are forwarded to
+// every shard. A data unit pushes a message only to the rings of shards
+// that receive packets from it.
 //
 //nslint:hotpath
-func (p *Pipeline) ingestWorker(ig *ingestState) {
+func (p *Pipeline) ingestWorker() {
 	defer p.ingestWG.Done()
+	ig := p.ingest
 	block := p.cfg.Policy == Block
 	for {
 		u, ok := ig.in.pop()
@@ -271,43 +259,37 @@ func (p *Pipeline) ingestWorker(ig *ingestState) {
 			break
 		}
 		if u.bar != nil {
-			// Barrier fragments always use blocking pushes — overload may
-			// drop data, never a cut — and flush the pending drop deltas so
-			// every drop is accounted to the window it happened in.
+			// Barriers always use blocking pushes — overload may drop data,
+			// never a cut — and flush the pending drop deltas so every drop
+			// is accounted to the window it happened in.
 			for s := range ig.out {
-				ig.out[s].push(shardMsg{seq: u.seq, bar: u.bar, dropped: ig.droppedSince[s]})
+				ig.out[s].push(shardMsg{bar: u.bar, dropped: ig.droppedSince[s]})
 				ig.droppedSince[s] = 0
 			}
-			ig.epoch.advance(u.seq + 1)
 			continue
 		}
 		ig.partitionRaw(u)
-		ig.publish(u.seq, block)
+		ig.publish(block)
 	}
 	for s := range ig.out {
 		ig.out[s].close()
 	}
-	// Exit sentinel: stored after the closes, so a shard that reads it
-	// and then finds a ring empty knows the ring is fully drained. It
-	// also wakes any shard parked on this worker's epoch.
-	ig.epoch.advance(epochClosed)
 }
 
 // publish flushes the worker's partitioned per-shard item batches for
 // one consumed unit: shards with packets in the unit get one message
-// carrying the pending drop delta; shards without get nothing — the
-// epoch store at the end is their (and everyone's) progress signal.
-// Drop deltas that find no data message to ride are flushed by the
-// next window barrier's fragments, which are always delivered.
+// carrying the pending drop delta; shards without get nothing. Drop
+// deltas that find no data message to ride are flushed by the next
+// window barrier, which is always delivered.
 //
 //nslint:hotpath
-func (ig *ingestState) publish(seq uint64, block bool) {
+func (ig *ingestState) publish(block bool) {
 	for s := range ig.out {
 		items := ig.cur[s]
 		if len(items) == 0 {
 			continue
 		}
-		msg := shardMsg{seq: seq, items: items, dropped: ig.droppedSince[s]}
+		msg := shardMsg{items: items, dropped: ig.droppedSince[s]}
 		if block {
 			ig.out[s].push(msg)
 		} else if !ig.out[s].tryPush(msg) {
@@ -321,5 +303,4 @@ func (ig *ingestState) publish(seq uint64, block bool) {
 		next, _ := ig.freeItems[s].pop()
 		ig.cur[s] = next[:0]
 	}
-	ig.epoch.advance(seq + 1)
 }

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"errors"
 	"io"
 	"testing"
 
+	"netsample/internal/dist"
 	"netsample/internal/online"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -11,37 +13,60 @@ import (
 
 // TestParallelIngestDeterministic pins the fixed-sampler determinism
 // guarantee: under the Block policy the snapshot sequence is identical
-// for any number of ingest workers and shards, because the reader
-// decides selection once and the shard workers restore global stream
-// order from the unit sequence numbers.
+// for any number of shards, because the reader decides selection once
+// and every ring between it and a shard is FIFO.
 func TestParallelIngestDeterministic(t *testing.T) {
 	tr := smallTrace(t, 777)
-	ref, _ := assertTopologyInvariant(t, func(workers, shards int) ([]snapProj, []AdaptiveDecision) {
-		snaps, err := runStratified(t, tr, 7, workers, shards, tr.Replay())
+	ref, _ := assertTopologyInvariant(t, func(shards int) ([]snapProj, []AdaptiveDecision) {
+		snaps, err := runStratified(t, tr, 7, shards, tr.Replay())
 		if err != nil {
-			t.Fatalf("Run(workers=%d shards=%d): %v", workers, shards, err)
+			t.Fatalf("Run(shards=%d): %v", shards, err)
 		}
 		return projectSnaps(snaps), nil
 	})
 	if len(ref) < 2 {
 		t.Fatalf("want multiple windows, got %d", len(ref))
 	}
+	// The adversarial shape: single-packet and tiny units through depth-1
+	// rings, so nearly every push and pop meets a full or empty ring and
+	// the spin-then-park path carries the stream, with 15 s windows
+	// slicing barriers between the units.
+	for _, batch := range []int{1, 3} {
+		assertTopologyInvariant(t, func(shards int) ([]snapProj, []AdaptiveDecision) {
+			p, err := New(Config{
+				Shards:       shards,
+				BatchSize:    batch,
+				QueueDepth:   1,
+				WindowUS:     15_000_000,
+				TopKCapacity: 16384, // exact sketch counts: see runStratified
+				NewSampler: func(int) (online.Sampler, error) {
+					return online.NewStratified(50, dist.NewRNG(11))
+				},
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := p.Run(tr.Replay()); err != nil {
+				t.Fatalf("Run(batch=%d shards=%d): %v", batch, shards, err)
+			}
+			return projectSnaps(p.Snapshots()), nil
+		})
+	}
 }
 
 // TestParallelIngestDropConservation checks the Drop policy's books
-// hold per window when drops happen under a parallel ingest stage:
-// every shed batch is counted by exactly one worker and flushed to
-// exactly one shard before the window's barrier, and shedding after
-// selection never counts a selected packet twice.
+// hold per window when drops happen on several shard rings: every shed
+// batch is counted once and flushed to exactly one shard before the
+// window's barrier, and shedding after selection never counts a
+// selected packet twice.
 func TestParallelIngestDropConservation(t *testing.T) {
 	tr := smallTrace(t, 333)
 	p, err := New(Config{
-		Shards:        4,
-		IngestWorkers: 3,
-		QueueDepth:    1,
-		BatchSize:     16,
-		Policy:        Drop,
-		WindowUS:      20_000_000,
+		Shards:     4,
+		QueueDepth: 1,
+		BatchSize:  16,
+		Policy:     Drop,
+		WindowUS:   20_000_000,
 		NewSampler: func(int) (online.Sampler, error) {
 			return online.NewSystematic(50, 0)
 		},
@@ -109,15 +134,20 @@ type perPacketOnly struct{ r *trace.Replayer }
 
 func (s *perPacketOnly) Next() (trace.Packet, error) { return s.r.Next() }
 
-// TestIngestWorkersValidation checks the new knob's bounds.
+// TestIngestWorkersValidation checks the vestigial knob: the stage is
+// single, so only the two spellings of "one worker" are accepted.
 func TestIngestWorkersValidation(t *testing.T) {
-	_, err := New(Config{
-		Shards:        1,
-		IngestWorkers: -1,
-		NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
-	})
-	if err == nil {
-		t.Fatal("negative IngestWorkers accepted")
+	for _, workers := range []int{-1, 0, 1, 2} {
+		_, err := New(Config{
+			Shards:        1,
+			IngestWorkers: workers,
+			NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+		})
+		if ok := workers == 0 || workers == 1; ok && err != nil {
+			t.Errorf("IngestWorkers %d rejected: %v", workers, err)
+		} else if !ok && !errors.Is(err, ErrConfig) {
+			t.Errorf("IngestWorkers %d: err = %v, want ErrConfig", workers, err)
+		}
 	}
 }
 

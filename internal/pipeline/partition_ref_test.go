@@ -59,7 +59,7 @@ func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
 	}
 	u.raw = make([]byte, len(pkts)*trace.RecordLen)
 	trace.EncodeRecords(u.raw, pkts)
-	ig := newIngestState(0, &Config{Shards: shards, QueueDepth: 1, BatchSize: len(pkts)})
+	ig := newIngestState(&Config{Shards: shards, QueueDepth: 1, BatchSize: len(pkts)})
 	ig.partitionRaw(u)
 	return ig.cur
 }

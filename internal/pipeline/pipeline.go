@@ -8,15 +8,14 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//	            reader (Run goroutine)
-//	               │  batches + selection bitmaps + gap stamps +
-//	               │  window barriers, sequence-numbered, round-robin
-//	    ┌──────────┴──────────┐        per-worker SPSC ring
-//	ingest worker 0 … ingest worker N-1    (5-tuple hashing)
-//	    │        ╲    ╱        │       per-(worker,shard) SPSC rings
-//	shard 0 ──────╳╳──────  shard S-1      (seq-ordered consume)
-//	    │ snapshot parts       │
-//	    └───── collector ──────┘       merge / score / publish
+//	      reader (Run goroutine)
+//	         │  record windows + selection bitmaps + gap stamps +
+//	         │  window barriers, one SPSC ring
+//	      ingest worker                (decode, 5-tuple hashing)
+//	    ┌────┴─────────────┐           one SPSC ring per shard
+//	shard 0      …      shard S-1      (FIFO consume)
+//	    │ snapshot parts   │
+//	    └─── collector ────┘           merge / score / publish
 //
 // The reader runs on the goroutine that calls Run: it pulls windows of
 // raw NSTR records from the source (any other Source is encoded into
@@ -26,21 +25,18 @@
 // online.Sampler — one of the paper's methods applied to the link, not
 // to a hash partition of it — offers it every packet in stream order,
 // and stamps the verdicts on each window as a bitmap before handing the
-// sequence-numbered windows round-robin to N ingest workers. Each
-// ingest worker decodes its windows, hashes the packets to shards by a
-// deterministic hash of the 5-tuple (flows.TupleHash, which rides the
-// item into the shard's flow table and sketch) — so every flow lives on
-// exactly one shard — stamps each packet with its interarrival gap
-// against its stream predecessor (the quantity a monitor with a
-// last-packet timestamp register observes) and its selection bit, and
-// publishes per-shard item batches into lock-free
-// single-producer/single-consumer rings, one per (worker, shard) pair.
-// A shard worker consumes its N rings in global sequence order, so the
-// packets of one shard are processed in exact stream order regardless
-// of how many ingest workers raced to hash them. With the Block policy
-// the selected set, and so every snapshot, is the same for any worker
-// and shard count, and equals the batch evaluator's on the same trace
-// and seed (TestSnapshotMatchesBatch).
+// windows to the ingest worker. The ingest worker decodes each window,
+// hashes the packets to shards by a deterministic hash of the 5-tuple
+// (flows.TupleHash, which rides the item into the shard's flow table
+// and sketch) — so every flow lives on exactly one shard — stamps each
+// packet with its interarrival gap against its stream predecessor (the
+// quantity a monitor with a last-packet timestamp register observes)
+// and its selection bit, and publishes per-shard item batches into
+// lock-free single-producer/single-consumer rings, one per shard. Every
+// ring is FIFO, so the packets of one shard are processed in exact
+// stream order. With the Block policy the selected set, and so every
+// snapshot, is the same for any shard count, and equals the batch
+// evaluator's on the same trace and seed (TestSnapshotMatchesBatch).
 //
 // All queues are bounded; when a shard falls behind, the configured
 // OverloadPolicy either blocks the fan-out (lossless backpressure all
@@ -55,13 +51,11 @@
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: the reader
-// emits a window barrier as one marker unit per ingest worker (N
-// consecutive sequence numbers), each worker forwards its fragment
-// through every shard ring, and a shard's cut happens when it has
-// consumed all N fragments — because messages travel in sequence order
-// with the data, a snapshot reflects exactly the packets that preceded
-// the cut in the stream (a Chandy-Lamport-style consistent cut over the
-// fan-out DAG).
+// emits a window barrier as one marker unit, the ingest worker forwards
+// it through every shard ring, and a shard's cut happens when the marker
+// arrives — because it travels in order with the data, a snapshot
+// reflects exactly the packets that preceded the cut in the stream (a
+// Chandy-Lamport-style consistent cut over the fan-out tree).
 //
 // A snapshot collector goroutine merges the per-shard partial states of
 // each barrier into one Snapshot and, when reference Evaluators are
@@ -130,13 +124,11 @@ const (
 type Config struct {
 	// Shards is the number of worker shards (>= 1).
 	Shards int
-	// IngestWorkers is the number of parallel hash/fan-out workers
-	// between the reader and the shards (1 if zero). Under the Block
-	// policy the pipeline output is identical for any worker count;
-	// more workers spread the 5-tuple hashing and ring publishing
-	// across cores when the shards outrun a single fan-out goroutine.
+	// IngestWorkers is accepted only because benchmarks/nsbench sets it
+	// to 1 in a struct literal: the ingest stage is single (DESIGN.md
+	// §15), and New rejects anything but 0 or 1.
 	IngestWorkers int
-	// QueueDepth bounds each ring of the fan-out DAG, in batches
+	// QueueDepth bounds each ring of the fan-out tree, in batches
 	// (DefaultQueueDepth if zero).
 	QueueDepth int
 	// BatchSize is the reader's batch size in packets
@@ -203,10 +195,10 @@ var (
 type Pipeline struct {
 	cfg    Config
 	shards []*shardState
-	ingest []*ingestState
+	ingest *ingestState
 
 	barriers chan *barrier
-	useq     uint64 // unit sequence, reader-owned
+	useq     uint64 // data units sent, reader-owned: selSlot's index into selPool
 	winSeq   uint64 // window sequence, reader-owned
 
 	latest atomic.Pointer[Snapshot]
@@ -225,7 +217,7 @@ type Pipeline struct {
 	sampler online.Sampler
 	// selPool holds the selection bitmaps the reader stamps on data
 	// units, one BatchSize-bit slot per unit, reused round-robin by unit
-	// sequence number (selSlot argues why a slot is free again by then).
+	// count (selSlot argues why a slot is free again by then).
 	selPool [][]uint64
 
 	// Adaptive-control state (Config.Adaptive). adaptK is
@@ -254,11 +246,8 @@ func New(cfg Config) (*Pipeline, error) {
 			return nil, fmt.Errorf("%w: Adaptive requires WindowUS > 0", ErrConfig)
 		}
 	}
-	if cfg.IngestWorkers == 0 {
-		cfg.IngestWorkers = 1
-	}
-	if cfg.IngestWorkers < 1 {
-		return nil, fmt.Errorf("%w: IngestWorkers must be >= 1", ErrConfig)
+	if cfg.IngestWorkers != 0 && cfg.IngestWorkers != 1 {
+		return nil, fmt.Errorf("%w: IngestWorkers must be 0 or 1", ErrConfig)
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
@@ -274,6 +263,9 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.WindowUS < 0 {
 		return nil, fmt.Errorf("%w: WindowUS must be >= 0", ErrConfig)
+	}
+	if cfg.TopKCapacity < 0 || cfg.TopKReport < 0 {
+		return nil, fmt.Errorf("%w: TopKCapacity and TopKReport must be >= 0", ErrConfig)
 	}
 	if cfg.SizeScheme == nil {
 		cfg.SizeScheme = bins.PacketSize()
@@ -323,34 +315,18 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 		p.shards[i] = st
 	}
-	p.ingest = make([]*ingestState, cfg.IngestWorkers)
-	for w := range p.ingest {
-		p.ingest[w] = newIngestState(w, &cfg)
+	p.ingest = newIngestState(&cfg)
+	for _, st := range p.shards {
+		st.in = p.ingest.out[st.id]
+		st.free = p.ingest.freeItems[st.id]
 	}
 	// One bitmap slot per unit that can be between the reader's fill and
-	// the end of a worker's partition pass; see selSlot for the bound.
+	// the end of the worker's partition pass; see selSlot for the bound.
 	words := (cfg.BatchSize + 63) / 64
-	backing := make([]uint64, cfg.IngestWorkers*(p.ingest[0].in.cap()+2)*words)
+	backing := make([]uint64, (p.ingest.in.cap()+2)*words)
 	p.selPool = make([][]uint64, len(backing)/words)
 	for i := range p.selPool {
 		p.selPool[i] = backing[i*words : (i+1)*words]
-	}
-	// Wire the per-(worker, shard) rings into each shard's consume and
-	// recycle fan-in, in worker order, plus the sequencing state the
-	// shard's consume loop tracks per worker (allocated here, cold, so
-	// shardWorker itself allocates nothing).
-	for _, st := range p.shards {
-		st.in = make([]*spsc[shardMsg], cfg.IngestWorkers)
-		st.free = make([]*spsc[[]item], cfg.IngestWorkers)
-		st.epochs = make([]*epoch, cfg.IngestWorkers)
-		st.retired = make([]bool, cfg.IngestWorkers)
-		st.skipUntil = make([]uint64, cfg.IngestWorkers)
-		st.spin = newSpinState()
-		for w, ig := range p.ingest {
-			st.in[w] = ig.out[st.id]
-			st.free[w] = ig.freeItems[st.id]
-			st.epochs[w] = ig.epoch
-		}
 	}
 	return p, nil
 }
@@ -367,10 +343,8 @@ func (p *Pipeline) Run(src Source) error {
 	if !p.started.CompareAndSwap(false, true) {
 		return ErrReused
 	}
-	for _, ig := range p.ingest {
-		p.ingestWG.Add(1)
-		go p.ingestWorker(ig)
-	}
+	p.ingestWG.Add(1)
+	go p.ingestWorker()
 	for _, st := range p.shards {
 		p.shardWG.Add(1)
 		go p.shardWorker(st)
@@ -383,9 +357,7 @@ func (p *Pipeline) Run(src Source) error {
 	}
 	srcErr := p.readRaw(rs)
 
-	for _, ig := range p.ingest {
-		ig.in.close()
-	}
+	p.ingest.in.close()
 	p.ingestWG.Wait()
 	p.shardWG.Wait()
 	close(p.barriers)
@@ -413,16 +385,15 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 }
 
 // readRaw is the sequential stage: it owns the virtual clock, the
-// window barriers, the gap chain, the sampler, and the unit sequence
-// numbers, and runs on the Run caller's goroutine. Everything downstream
-// may be parallel because everything order-sensitive is decided here.
-// It forwards the source's record windows to the ingest workers
-// undecoded — decode, 5-tuple hash, and gap stamp run in the workers
-// (partitionRaw) — and itself touches only the 8-byte timestamp field
-// of each record: it is what the window cut compares and what the
-// sampler is offered. The sampler is not reset at a cut: its schedule
-// continues across windows, exactly as a batch sampler runs
-// uninterrupted over the whole trace.
+// window barriers, the gap chain and the sampler, and runs on the Run
+// caller's goroutine. The shards may run in parallel because everything
+// order-sensitive is decided here. It forwards the source's record
+// windows to the ingest worker undecoded — decode, 5-tuple hash, and gap
+// stamp run there (partitionRaw) — and itself touches only the 8-byte
+// timestamp field of each record: it is what the window cut compares
+// and what the sampler is offered. The sampler is not reset at a cut:
+// its schedule continues across windows, exactly as a batch sampler
+// runs uninterrupted over the whole trace.
 //
 // Window cuts slice the source's window at record granularity, so a
 // unit never spans a barrier. How the stream is grouped into units is
@@ -474,8 +445,8 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 					offered = 0
 					winStart = nextWin
 					nextWin += p.cfg.WindowUS
-					// The barrier consumed sequence numbers, so the unit
-					// opening at record i has a different slot.
+					// If a unit was sent above, the one opening at record i
+					// has a different slot.
 					sel = p.selSlot()
 					continue
 				}
@@ -513,16 +484,15 @@ func rawTime(raw []byte, i int) int64 {
 }
 
 // selSlot returns the cleared selection bitmap of the unit the reader
-// builds next (sequence number useq). Slots are reused every
-// len(selPool) = N·(C+2) sequence numbers, N the ingest workers and C
-// their in rings' capacity, with no hand-back from the workers. That is
-// safe because units q and q-N·(C+2) go to the same worker, and the C+1
-// units that worker got in between have all been pushed before the
-// reader fills unit q: the last of those pushes found ring space only
-// after the worker had popped the unit following q-N·(C+2), which it
-// does after its partition pass over q-N·(C+2) — the slot's one reader
-// — has returned. The ring's head store/load pair orders the two.
-// Reader goroutine only.
+// builds next (data unit useq). Slots are reused every len(selPool) =
+// C+2 data units, C the in ring's capacity, with no hand-back from the
+// ingest worker. That is safe because there is one worker behind one
+// FIFO ring: the C+1 units between q-(C+2) and q (and any barriers
+// among them) have all been pushed before the reader fills unit q, and
+// the last of those pushes found ring space only after the worker had
+// popped the unit following q-(C+2), which it does after its partition
+// pass over q-(C+2) — the slot's one reader — has returned. The ring's
+// head store/load pair orders the two. Reader goroutine only.
 //
 //nslint:hotpath
 func (p *Pipeline) selSlot() []uint64 {
@@ -532,16 +502,13 @@ func (p *Pipeline) selSlot() []uint64 {
 }
 
 // sendRawUnit hands the [from, to) record sub-window of raw, with its
-// selection bitmap, to its round-robin ingest worker, consuming one
-// sequence number. The slice aliases the source's window (stable until
-// Run returns, per RawBatchSource); the bounded in ring is the
-// backpressure. Reader goroutine only.
+// selection bitmap, to the ingest worker. The slice aliases the
+// source's window (stable until Run returns, per RawBatchSource); the
+// bounded in ring is the backpressure. Reader goroutine only.
 //
 //nslint:hotpath
 func (p *Pipeline) sendRawUnit(raw []byte, from, to int, sel []uint64, prevUS int64, noGap0 bool) {
-	w := int(p.useq % uint64(len(p.ingest)))
-	p.ingest[w].in.push(srcUnit{
-		seq:    p.useq,
+	p.ingest.in.push(srcUnit{
 		raw:    raw[from*trace.RecordLen : to*trace.RecordLen],
 		sel:    sel,
 		prevUS: prevUS,
@@ -551,16 +518,15 @@ func (p *Pipeline) sendRawUnit(raw []byte, from, to int, sel []uint64, prevUS in
 }
 
 // emitBarrier cuts the stream at the current read position: one
-// barrier fragment unit per ingest worker, on N consecutive sequence
-// numbers, so every worker forwards exactly one fragment through each
-// of its shard rings and every shard observes the cut at the same
-// stream offset. Fragments are always delivered — overload may drop
-// data batches, never a cut.
+// barrier unit, which the ingest worker forwards through each shard
+// ring, so every shard observes the cut at the same stream offset.
+// Barriers are always delivered — overload may drop data batches, never
+// a cut.
 //
 // In adaptive mode the barrier doubles as the control-loop handshake:
 // the reader parks on bar.decided until the collector has merged the
 // window and run the control step, then adopts the decided k. Parking
-// here cannot deadlock — every unit and fragment of the window was
+// here cannot deadlock — every unit of the window and its barrier was
 // pushed before the wait, so the shards can always reach the cut and
 // the collector always closes decided. The wait is what makes adaptive
 // runs deterministic: every packet of window w+1 is offered to the
@@ -581,11 +547,7 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 	if p.cfg.Adaptive != nil {
 		bar.decided = make(chan struct{})
 	}
-	for range p.ingest {
-		w := int(p.useq % uint64(len(p.ingest)))
-		p.ingest[w].in.push(srcUnit{seq: p.useq, bar: bar})
-		p.useq++
-	}
+	p.ingest.in.push(srcUnit{bar: bar})
 	p.barriers <- bar
 	if bar.decided != nil {
 		<-bar.decided

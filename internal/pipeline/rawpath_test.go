@@ -147,7 +147,7 @@ func TestSourceEquivalenceSnapshots(t *testing.T) {
 	tr := smallTrace(t, 991)
 	path := writeTraceFile(t, tr)
 
-	base, err := runStratified(t, tr, 11, 2, 4, tr.Replay())
+	base, err := runStratified(t, tr, 11, 4, tr.Replay())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestSourceEquivalenceSnapshots(t *testing.T) {
 		{"per-packet", &perPacketOnly{r: tr.Replay()}, nil},
 		{"torn", &tornSource{pkts: tr.Packets, err: sentinel}, sentinel},
 	} {
-		got, err := runStratified(t, tr, 11, 2, 4, c.src)
+		got, err := runStratified(t, tr, 11, 4, c.src)
 		if !errors.Is(err, c.wantErr) {
 			t.Fatalf("%s: Run error = %v, want %v", c.name, err, c.wantErr)
 		}
@@ -203,12 +203,11 @@ func TestManyShardsSourceEquivalence(t *testing.T) {
 	tr := smallTrace(t, 4242)
 	run := func(src Source) []*Snapshot {
 		p, err := New(Config{
-			Shards:        shards,
-			IngestWorkers: 2,
-			QueueDepth:    2,
-			BatchSize:     64,
-			NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
-			WindowUS:      30_000_000,
+			Shards:     shards,
+			QueueDepth: 2,
+			BatchSize:  64,
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+			WindowUS:   30_000_000,
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -262,31 +261,28 @@ func TestManyShardsSourceEquivalence(t *testing.T) {
 }
 
 // TestParallelIngestDeterministicRaw extends the determinism pin to the
-// mapped source: for any ingest-worker count, a MapReader-fed run is
-// bit-identical to the single-worker Replayer-fed baseline.
+// mapped source: a MapReader-fed 4-shard run is bit-identical to the
+// Replayer-fed baseline.
 func TestParallelIngestDeterministicRaw(t *testing.T) {
 	tr := smallTrace(t, 777)
-	path := writeTraceFile(t, tr)
-	base, err := runStratified(t, tr, 7, 1, 4, tr.Replay())
+	base, err := runStratified(t, tr, 7, 4, tr.Replay())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for _, workers := range []int{1, 2, 3, 4} {
-		mr, err := trace.OpenMap(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runStratified(t, tr, 7, workers, 4, mr)
-		mr.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: Run: %v", workers, err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d snapshots, want %d", workers, len(got), len(base))
-		}
-		for i := range base {
-			assertSnapshotsEqual(t, i, base[i], got[i])
-		}
+	mr, err := trace.OpenMap(writeTraceFile(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Close()
+	got, err := runStratified(t, tr, 7, 4, mr)
+	if err != nil {
+		t.Fatalf("mapped: Run: %v", err)
+	}
+	if len(got) != len(base) {
+		t.Fatalf("mapped: %d snapshots, want %d", len(got), len(base))
+	}
+	for i := range base {
+		assertSnapshotsEqual(t, i, base[i], got[i])
 	}
 }
 
@@ -318,7 +314,6 @@ func TestMapReaderHotPathAllocs(t *testing.T) {
 	defer mr.Close()
 	p, err := New(Config{
 		Shards:        2,
-		IngestWorkers: 2,
 		NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
 		FlowTimeoutUS: 1 << 60, // flows never expire: no per-packet flow churn
 	})

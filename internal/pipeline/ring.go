@@ -6,7 +6,7 @@ import (
 )
 
 // spsc is a bounded lock-free single-producer/single-consumer ring
-// queue: the fixed wiring of the pipeline's fan-out DAG. Exactly one
+// queue: the fixed wiring of the pipeline's fan-out tree. Exactly one
 // goroutine may call the producer methods (tryPush, push, close) and
 // exactly one the consumer methods (peek, advance, pop) — the SPSC
 // restriction is what lets every operation be one slot write plus one
@@ -44,11 +44,6 @@ type spsc[T any] struct {
 	// prodSpin/consSpin are each side's spin budget (see spinState).
 	prodSpin spinState
 	consSpin spinState
-
-	// pushes counts successful pushes. Producer-owned plain field, read
-	// by tests after the producer is joined; it pins the marker-free
-	// property of epoch sequencing (TestEpochPublishBound).
-	pushes uint64
 }
 
 // newSPSC builds a ring holding at least capacity elements (rounded up
@@ -83,7 +78,6 @@ func (q *spsc[T]) tryPush(v T) bool {
 	}
 	q.slots[t&q.mask] = v
 	q.tail.Store(t + 1)
-	q.pushes++
 	q.wakeConsumer()
 	return true
 }
@@ -151,21 +145,6 @@ func (q *spsc[T]) peek() (*T, bool) {
 		spins = 0
 	}
 }
-
-// tryPeek returns the head slot without blocking, or (nil, false) if
-// the ring is observably empty. The pointer is valid until advance.
-// Consumer goroutine only.
-func (q *spsc[T]) tryPeek() (*T, bool) {
-	h := q.head.Load()
-	if q.tail.Load() > h {
-		return &q.slots[h&q.mask], true
-	}
-	return nil, false
-}
-
-// isClosed reports whether the producer has closed the ring (values
-// may remain queued; drain with tryPeek/advance).
-func (q *spsc[T]) isClosed() bool { return q.closed.Load() }
 
 // advance consumes the slot last returned by peek. Consumer goroutine
 // only; calling it without a preceding successful peek is a bug.

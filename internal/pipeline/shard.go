@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"runtime"
-
 	"netsample/internal/bins"
 	"netsample/internal/flows"
 	"netsample/internal/nnstat"
@@ -24,16 +22,13 @@ type item struct {
 	hash uint32
 }
 
-// shardMsg travels a (ingest worker, shard) ring: a data batch or a
-// window barrier fragment. seq is the global unit sequence number — a
-// shard worker consumes its rings in seq order, which restores exact
-// stream order across the parallel ingest stage. Units contributing
-// nothing to a shard send no message at all; the worker's epoch
-// counter is the progress signal for the gaps. dropped is the
-// producing worker's drop delta for this shard since its previous
+// shardMsg travels a shard's ring: a data batch or a window barrier.
+// The ring is FIFO, so a shard sees its packets in stream order and the
+// barrier after exactly the packets that preceded the cut. Units
+// contributing nothing to a shard send it no message. dropped is the
+// ingest worker's drop delta for this shard since its previous
 // successful publish on this ring.
 type shardMsg struct {
-	seq     uint64
 	items   []item
 	bar     *barrier
 	dropped uint64
@@ -44,22 +39,12 @@ type shardMsg struct {
 type histBufs struct{ size, iat []float64 }
 
 // shardState is one worker shard. Field ownership is strict: in and
-// free are the rings connecting it to each ingest worker (indexed by
-// worker id); epochs are the workers' progress counters (loaded only);
-// everything else is worker-goroutine-only (and the Run caller's after
-// shardWG.Wait).
+// free are the rings connecting it to the ingest worker; everything else
+// is worker-goroutine-only (and the Run caller's after shardWG.Wait).
 type shardState struct {
-	id     int
-	in     []*spsc[shardMsg] // consume side of the (worker, shard) rings
-	free   []*spsc[[]item]   // recycle side, back to each worker
-	epochs []*epoch          // each worker's published progress
-
-	// Sequencing state of the consume loop, allocated cold in New,
-	// touched only by the shard goroutine: per-worker retired flag and
-	// skip-run frontier, and the spin budget for epoch waits.
-	retired   []bool
-	skipUntil []uint64
-	spin      spinState
+	id   int
+	in   *spsc[shardMsg] // consume side of the ingest worker's out ring
+	free *spsc[[]item]   // recycle side, back to the ingest worker
 
 	// Worker-owned.
 	sizeScheme bins.Scheme
@@ -89,7 +74,7 @@ type shardState struct {
 }
 
 // newShardState allocates one shard's aggregates. The rings are wired
-// in by New once the ingest workers exist; sizeLUT is built once by New
+// in by New once the ingest worker exists; sizeLUT is built once by New
 // and shared read-only across shards.
 func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 	flowTab, err := flows.NewTable(cfg.FlowTimeoutUS)
@@ -132,104 +117,29 @@ func buildSizeLUT(s bins.Scheme) []uint8 {
 	return lut
 }
 
-// shardWorker drains one shard's rings in global sequence order: the
-// ring owning the next sequence number is in[seq mod N]. Sequence
-// numbers are resolved by epoch-batched sequencing (DESIGN.md §15):
-// a number whose ring holds a message for it is consumed; a number
-// proven empty is skipped — and the proof costs no per-unit message.
-//
-// Resolution of `next` on ring w, in order:
-//
-//   - retired[w] or next < skipUntil[w]: already proven empty — skip
-//     locally, no shared access at all.
-//   - ring head has seq == next: consume it (data feeds the shard
-//     state, a barrier fragment counts toward the cut).
-//   - ring head has seq > next: the ring is FIFO and the worker
-//     publishes in increasing seq order, so nothing below head.seq
-//     remains for us — skip the run up to head.seq. (This also covers
-//     batches shed under the Drop policy.)
-//   - ring empty, worker's epoch == epochClosed: the worker has
-//     exited; the sentinel is stored after its ring closes, and the
-//     empty peek came after we read the sentinel, so the ring is
-//     drained — retire it.
-//   - ring empty, worker's epoch done > next: every unit below done
-//     is fully published, and the peek (ordered after the epoch load)
-//     saw none of it on our ring — skip the whole run up to done.
-//   - ring empty, done <= next, ring closed: the final push/sentinel
-//     raced between our epoch load and the peek; re-resolve.
-//   - otherwise `next` is genuinely undecided: wait (spin-then-park)
-//     on the worker's epoch, then re-resolve with fresh state.
-//
-// The epoch load MUST precede the peek: loading done > next proves all
-// pushes below done completed before the load, so a LATER empty peek
-// proves none of them were for this shard. With the opposite order a
-// push could land between the peek and the load and be skipped over —
-// losing data. (All operations involved are seq-cst atomics.)
-//
-// A barrier completes after one fragment from each live worker,
-// cutting every shard at the same stream position, exactly as before:
-// epoch batching changes how "nothing for you" is communicated, never
-// which messages exist or the order they are consumed in — which is
-// why determinism for any worker/shard count survives.
+// shardWorker drains one shard's ring: data batches feed the shard
+// state, a barrier cuts it. The ring is FIFO and has one producer, so
+// arrival order is stream order and the cut lands at the same stream
+// position on every shard — which is why snapshots are the same for any
+// shard count.
 //
 //nslint:hotpath
 func (p *Pipeline) shardWorker(st *shardState) {
 	defer p.shardWG.Done()
-	n := uint64(len(st.in))
-	live := int(n)
-	var (
-		next     uint64
-		barFrags int
-		curBar   *barrier
-	)
-	for live > 0 {
-		w := next % n
-		if st.retired[w] || next < st.skipUntil[w] {
-			next++
-			continue
-		}
-		done := st.epochs[w].done.Load() // before the peek; see above
-		head, ok := st.in[w].tryPeek()
+	for {
+		msg, ok := st.in.pop()
 		if !ok {
-			switch {
-			case done == epochClosed:
-				st.retired[w] = true
-				live--
-				next++
-			case done > next:
-				st.skipUntil[w] = done
-				next++
-			case st.in[w].isClosed():
-				runtime.Gosched() // sentinel is one store away; re-resolve
-			default:
-				st.epochs[w].wait(next, &st.spin)
-			}
-			continue
+			return
 		}
-		if head.seq > next {
-			st.skipUntil[w] = head.seq
-			next++
-			continue
-		}
-		msg := *head
-		st.in[w].advance()
-		next++
 		st.dropped += msg.dropped
 		if msg.bar != nil {
-			curBar = msg.bar
-			barFrags++
-			if barFrags == int(n) {
-				part := st.cut()
-				curBar.parts <- part
-				curBar = nil
-				barFrags = 0
-			}
+			msg.bar.parts <- st.cut()
 			continue
 		}
 		for i := range msg.items {
 			st.process(&msg.items[i])
 		}
-		st.free[w].push(msg.items[:0])
+		st.free.push(msg.items[:0])
 	}
 }
 

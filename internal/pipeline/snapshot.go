@@ -11,11 +11,10 @@ import (
 	"netsample/internal/nnstat"
 )
 
-// barrier is a window cut travelling through every shard ring as one
-// fragment per ingest worker. The reader stamps it with the window
-// bounds and the offered count; each shard deposits its partial state
-// into parts once fragments from all workers have reached it in
-// sequence order.
+// barrier is a window cut travelling through every shard ring. The
+// reader stamps it with the window bounds and the offered count; each
+// shard deposits its partial state into parts when the barrier reaches
+// it.
 type barrier struct {
 	seq     uint64
 	startUS int64
@@ -34,7 +33,7 @@ type barrier struct {
 
 // shardPart is one shard's window-local state at a barrier. dropped is
 // the shard's overload loss this window, summed from the drop deltas
-// the ingest workers flushed down its rings.
+// the ingest worker flushed down its ring.
 type shardPart struct {
 	shard       int
 	processed   uint64

@@ -16,7 +16,7 @@ import (
 // Aliasing rules: every slice returned by NextRawBatch aliases the
 // mapped region and stays valid, immutable, and stable until Close.
 // Callers may therefore hold windows from many calls at once (the
-// pipeline's ingest workers do exactly that), but must not touch any
+// pipeline's ingest ring does exactly that), but must not touch any
 // view after Close unmaps the pages — see DESIGN.md §13.
 //
 // A region that is shorter than its header's declared record count

@@ -131,14 +131,10 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/online.Systematic).Offer",
 		"(*" + mp + "/internal/online.Stratified).Offer",
 		"(*" + mp + "/internal/bins.Edged).Index",
-		// Epoch-batched sequencing: progress publication and the shard
-		// side's skip/wait resolution run once per unit between packet
-		// batches, inside the same hot loops.
+		// The ingest worker's per-unit partition and publish, inside the
+		// same hot loops.
 		"(*" + mp + "/internal/pipeline.ingestState).publish",
 		"(*" + mp + "/internal/pipeline.ingestState).partitionRaw",
-		"(*" + mp + "/internal/pipeline.epoch).advance",
-		"(*" + mp + "/internal/pipeline.epoch).wait",
-		"(*" + mp + "/internal/pipeline.spsc[T]).tryPeek",
 		// TestMapReaderHotPathAllocs: the mmap source, per batch of
 		// records.
 		mp + "/internal/pipeline.DecodeBatch",
