@@ -96,7 +96,7 @@ func BenchmarkTable3Population(b *testing.B) {
 	tr := benchHour(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := experiment.Table3(tr)
+		r, err := experiment.Table3(core.NewProfile(tr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func BenchmarkSampleSize(b *testing.B) {
 	tr := benchHour(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := experiment.SampleSizes(tr)
+		r, err := experiment.SampleSizes(core.NewProfile(tr))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,8 +8,11 @@
 //
 // Without -in the calibrated hour trace is generated in memory (~1.5 M
 // packets, a second or two). -quick substitutes a two-minute population
-// for a fast smoke run. -only restricts output to one artifact id
-// (table1..table3, figure1..figure11, sec5.1, sec5.2).
+// for a fast smoke run. -only runs and prints just the artifacts with one
+// id: table1..table3, figure1..figure11, sec5.1, sec5.2 (both targets),
+// sec5-theory, ext-ports, ext-matrix, ext-adaptive, ext-fixwest,
+// ext-burst, ext-artshist, ext-flows, ext-heavyhitters or repro-check.
+// An unknown id is refused before any population is built.
 //
 // -matrix runs the scenario × sampler characterization matrix instead
 // of the paper suite: every traffgen preset scenario (ddos, flashcrowd,
@@ -37,7 +40,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	in := flag.String("in", "", "NSTR trace to use as the parent population (default: generate)")
-	only := flag.String("only", "", "render only the artifact with this id")
+	only := flag.String("only", "", "run and render only the artifact with this id")
 	quick := flag.Bool("quick", false, "use a 2-minute population for a fast run")
 	format := flag.String("format", "text", "output format: text|csv|json")
 	matrix := flag.Bool("matrix", false, "run the scenario × sampler matrix instead of the paper suite")
@@ -60,8 +63,15 @@ func main() {
 		return
 	}
 
-	var tr *trace.Trace
+	suite := experiment.All
 	var err error
+	if *only != "" {
+		if suite, err = experiment.Only(*only); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	var tr *trace.Trace
 	switch {
 	case *in != "":
 		f, ferr := os.Open(*in)
@@ -79,21 +89,9 @@ func main() {
 		log.Fatalf("population: %v", err)
 	}
 
-	results, err := experiment.All(tr)
+	results, err := suite(tr)
 	if err != nil {
 		log.Fatalf("run: %v", err)
-	}
-	if *only != "" {
-		var filtered []experiment.Result
-		for _, r := range results {
-			if r.ID() == *only {
-				filtered = append(filtered, r)
-			}
-		}
-		if len(filtered) == 0 {
-			log.Fatalf("no artifact with id %q", *only)
-		}
-		results = filtered
 	}
 	if err := experiment.WriteAllFormat(os.Stdout, results, *format); err != nil {
 		log.Fatalf("render: %v", err)

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"netsample/internal/core"
 	"netsample/internal/experiment"
 	"netsample/internal/flows"
 	"netsample/internal/packet"
@@ -85,7 +86,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	t3, err := experiment.Table3(tr)
+	t3, err := experiment.Table3(core.NewProfile(tr))
 	if err != nil {
 		log.Fatalf("summary: %v", err)
 	}

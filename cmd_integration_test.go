@@ -108,6 +108,31 @@ func TestCLIExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestCLIExperimentsOnly holds -only to running what it prints: an id
+// that does not exist is refused before the population is touched, and
+// an artifact that needs no sample is rendered on a trace too short for
+// the figures that do.
+func TestCLIExperimentsOnly(t *testing.T) {
+	dir := buildTools(t, "experiments", "tracegen")
+	experiments := filepath.Join(dir, "experiments")
+
+	// The trace file does not exist; were it opened, that would be the
+	// complaint.
+	missing := filepath.Join(t.TempDir(), "missing.nstr")
+	bad, err := exec.Command(experiments, "-in", missing, "-only", "nosuch").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `no artifact with id "nosuch"`) {
+		t.Fatalf("experiments -only nosuch: err %v, want exit 1 naming the id:\n%s", err, bad)
+	}
+
+	short := filepath.Join(t.TempDir(), "short.nstr")
+	run(t, filepath.Join(dir, "tracegen"), "-out", short, "-seconds", "1", "-q")
+	out := run(t, experiments, "-in", short, "-only", "table3")
+	if !strings.HasPrefix(out, "== table3:") || strings.Count(out, "== ") != 1 {
+		t.Fatalf("experiments -only table3 on a one-second trace: %s", out)
+	}
+}
+
 func TestCLICollectionPair(t *testing.T) {
 	dir := buildTools(t, "artsnode", "noccollect")
 	// Start an agent on a fixed ephemeral-style port.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"netsample/internal/dist"
 	"netsample/internal/metrics"
@@ -98,14 +97,15 @@ const excludedCell = -1
 // resolves every packet to its folded cell in a per-packet table, and
 // scoring a sample is a counts pass over that table — the categorizer
 // is never consulted again. Immutable after construction and safe for
-// concurrent use; the mutable scoring state is a pooled catScorer.
+// concurrent use; the mutable scoring state is a catScorer borrowed from
+// the evaluator's free list.
 type CategoricalEvaluator struct {
 	pop        *trace.Trace
 	categories []string // folded category labels, sorted, (rest) last if present
 	cell       []int32  // per-packet index into categories; excludedCell = no category
 	popCounts  []float64
 	popTotal   float64
-	scorers    sync.Pool
+	scorers    freeList[catScorer]
 }
 
 // ErrNoCategories reports a population with no categorizable packets.
@@ -188,10 +188,6 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 			cell[i] = toCell[id]
 		}
 	}
-	e.scorers.New = func() any {
-		n := len(e.categories)
-		return &catScorer{e: e, observed: make([]float64, n), expected: make([]float64, n), scaled: make([]float64, n)}
-	}
 	return e, nil
 }
 
@@ -210,8 +206,16 @@ type catScorer struct {
 	selected int
 }
 
-// scorer borrows a pooled catScorer; e.scorers.Put returns it.
-func (e *CategoricalEvaluator) scorer() *catScorer { return e.scorers.Get().(*catScorer) }
+// scorer borrows an idle catScorer, making one when every scorer is in
+// use; release returns it.
+func (e *CategoricalEvaluator) scorer() *catScorer {
+	if s := e.scorers.get(); s != nil {
+		return s
+	}
+	n := len(e.categories)
+	return &catScorer{e: e, observed: make([]float64, n), expected: make([]float64, n), scaled: make([]float64, n)}
+}
+func (e *CategoricalEvaluator) release(s *catScorer) { e.scorers.put(s) }
 
 // reset clears the accumulated sample.
 func (s *catScorer) reset() {
@@ -255,7 +259,7 @@ func (s *catScorer) report() (metrics.Report, error) {
 func ReplicateCategorical(e *CategoricalEvaluator, s Sampler, n int, r *dist.RNG) ([]Replication, error) {
 	out := make([]Replication, 0, n)
 	sc := e.scorer()
-	defer e.scorers.Put(sc)
+	defer e.release(sc)
 	child := dist.NewRNG(0)
 	visit := sc.visit
 	for i := 0; i < n; i++ {

@@ -74,7 +74,7 @@ func (e *CategoricalEvaluator) Score(indices []int) (metrics.Report, error) {
 		sc.visit(idx)
 	}
 	rep, err := sc.report()
-	e.scorers.Put(sc)
+	e.release(sc)
 	return rep, err
 }
 
@@ -536,9 +536,6 @@ func rangeInts(n int) []int {
 // steady-state heap allocations: Score once the scorer pool is warm,
 // and each further replication of ReplicateCategorical.
 func TestCategoricalScoringZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts perturbed under -race; sync.Pool drops items in race mode")
-	}
 	tr := genTrace(t, 69)
 	for _, cat := range []Categorizer{PortCategorizer{}, ProtocolCategorizer{}, NetPairCategorizer{}} {
 		ev, err := NewCategoricalEvaluator(tr, cat, 0.0005)

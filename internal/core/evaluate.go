@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"netsample/internal/bins"
 	"netsample/internal/dist"
@@ -26,8 +25,9 @@ import (
 // the population counts — because they model absolute packet-count
 // discrepancies (the charging example of Section 5.2).
 //
-// An Evaluator is immutable after construction and safe for concurrent
-// use; the worker-local mutable scoring state lives in Scorer.
+// An Evaluator's population analysis is immutable after construction and
+// it is safe for concurrent use; the worker-local mutable scoring state
+// lives in Scorer.
 type Evaluator struct {
 	pop       *trace.Trace
 	target    Target
@@ -36,7 +36,7 @@ type Evaluator struct {
 	popProps  []float64 // population proportion per bin
 	popTotal  float64
 	binIdx    []uint8 // per-packet bin index; noObservation = no observation
-	scorers   sync.Pool
+	scorers   freeList[Scorer]
 }
 
 // noObservation marks a packet that contributes no observation to the
@@ -126,7 +126,6 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme bins.Scheme) (*Evaluat
 		}
 		e.popProps[i] = e.popCounts[i] / e.popTotal
 	}
-	e.scorers.New = func() any { return e.NewScorer() }
 	return e, nil
 }
 
@@ -166,11 +165,15 @@ func (e *Evaluator) PopulationProportions() []float64 {
 	return append([]float64(nil), e.popProps...)
 }
 
-// scorer borrows a pooled worker-local Scorer; release returns it. The
-// pool keeps the compatibility Score path allocation-free steady-state
-// while remaining safe under concurrent callers.
-func (e *Evaluator) scorer() *Scorer   { return e.scorers.Get().(*Scorer) }
-func (e *Evaluator) release(s *Scorer) { e.scorers.Put(s) }
+// scorer borrows an idle worker-local Scorer, making one when every
+// scorer is in use; release returns it.
+func (e *Evaluator) scorer() *Scorer {
+	if s := e.scorers.get(); s != nil {
+		return s
+	}
+	return e.NewScorer()
+}
+func (e *Evaluator) release(s *Scorer) { e.scorers.put(s) }
 
 // Score computes the full metric report for a sample given as indices
 // into the evaluator's population trace. It is a thin wrapper over the

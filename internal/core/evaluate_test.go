@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"netsample/internal/bins"
@@ -342,4 +343,36 @@ func floatsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestEvaluatorConcurrentUse scores one evaluator from several
+// goroutines at once: scorers borrowed from its free list must keep the
+// reports equal to the serial ones (and the race detector quiet).
+func TestEvaluatorConcurrentUse(t *testing.T) {
+	tr := genTrace(t, 12)
+	ev, err := NewEvaluator(tr, TargetSize, bins.PacketSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := (SystematicCount{K: 32}).Select(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ev.Score(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got, err := ev.Score(idx); err != nil || got != want {
+					t.Errorf("concurrent Score differs: %+v %v", got, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -229,9 +229,6 @@ func TestReplicationScoringZeroAllocs(t *testing.T) {
 // TestScoreZeroAllocsWarm pins the compatibility Score wrapper at zero
 // steady-state allocations once the evaluator's scorer pool is warm.
 func TestScoreZeroAllocsWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts perturbed under -race; sync.Pool drops items in race mode")
-	}
 	tr := genTrace(t, 5)
 	ev, err := NewEvaluator(tr, TargetSize, bins.PacketSize())
 	if err != nil {

@@ -1,6 +1,10 @@
 package core
 
-import "netsample/internal/metrics"
+import (
+	"sync"
+
+	"netsample/internal/metrics"
+)
 
 // Scorer is the worker-local mutable state of the fused scoring path:
 // a per-bin observation counts array fed directly by selection visits,
@@ -69,4 +73,38 @@ func (s *Scorer) Counts() []float64 {
 // Report scores the accumulated sample. It does not reset the Scorer.
 func (s *Scorer) Report() (metrics.Report, error) {
 	return s.e.reportFromCounts(s.counts, s.expected, s.scaled)
+}
+
+// freeList is an evaluator's stock of idle scorers: scratch a scoring
+// call borrows and returns, so steady-state scoring allocates nothing
+// under any number of concurrent callers. It is deliberately not a
+// sync.Pool. The runtime keeps every pool that has been used on a
+// global list and holds its items through two collections, and a
+// scorer points at its evaluator, which points at its population: a
+// pooled scorer keeps a dead trace reachable — the paper suite's
+// FIX-West hour, 53 MB — after the last reference to it is gone. A
+// list the evaluator owns dies with the evaluator, and a collection
+// does not empty it.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get pops an idle item, or returns nil when there is none.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		s := l.free[n-1]
+		l.free = l.free[:n-1]
+		return s
+	}
+	return nil
+}
+
+// put returns an item to the list.
+func (l *freeList[T]) put(s *T) {
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
 }

@@ -33,53 +33,61 @@ type EfficiencyDiagnostic struct {
 }
 
 // SystematicEfficiency computes the diagnostic for sampling every k-th
-// observation of the target sequence.
-func SystematicEfficiency(tr *trace.Trace, target Target, k int) (EfficiencyDiagnostic, error) {
-	if k < 1 {
-		return EfficiencyDiagnostic{}, ErrBadGranularity
-	}
+// observation of the target sequence, for each k of ks in order. The
+// observations are extracted, and the population described, once for
+// all granularities; one phase buffer serves every phase of every k.
+func SystematicEfficiency(tr *trace.Trace, target Target, ks ...int) ([]EfficiencyDiagnostic, error) {
 	obs := PopulationObservations(tr, target)
-	if len(obs) < 2*k {
-		return EfficiencyDiagnostic{}, ErrEmptyPopulation
-	}
-	pop, err := stats.Describe(obs)
-	if err != nil {
-		return EfficiencyDiagnostic{}, err
-	}
-	d := EfficiencyDiagnostic{K: k, PopulationVariance: pop.StdDev * pop.StdDev}
+	// Describe fails only on an empty population, which every k below
+	// refuses before the variance is read.
+	pop, _ := stats.Describe(obs)
+	out := make([]EfficiencyDiagnostic, 0, len(ks))
+	var phase []float64
+	for _, k := range ks {
+		if k < 1 {
+			return nil, ErrBadGranularity
+		}
+		if len(obs) < 2*k {
+			return nil, ErrEmptyPopulation
+		}
+		d := EfficiencyDiagnostic{K: k, PopulationVariance: pop.StdDev * pop.StdDev}
 
-	// Mean within-sample variance over the k phases; one buffer, sized
-	// for the longest phase, is reused across them.
-	var sum float64
-	phases := 0
-	phase := make([]float64, 0, len(obs)/k+1)
-	for off := 0; off < k; off++ {
-		phase = phase[:0]
-		for i := off; i < len(obs); i += k {
-			phase = append(phase, obs[i])
+		// Mean within-sample variance over the k phases; the buffer is
+		// sized for the longest phase of the smallest k seen so far.
+		if longest := len(obs)/k + 1; cap(phase) < longest {
+			phase = make([]float64, 0, longest)
 		}
-		if len(phase) < 2 {
-			continue
+		var sum float64
+		phases := 0
+		for off := 0; off < k; off++ {
+			phase = phase[:0]
+			for i := off; i < len(obs); i += k {
+				phase = append(phase, obs[i])
+			}
+			if len(phase) < 2 {
+				continue
+			}
+			s, err := stats.Describe(phase)
+			if err != nil {
+				return nil, err
+			}
+			sum += s.StdDev * s.StdDev
+			phases++
 		}
-		s, err := stats.Describe(phase)
+		if phases == 0 {
+			return nil, ErrEmptyPopulation
+		}
+		d.MeanWithinVariance = sum / float64(phases)
+		if d.PopulationVariance > 0 {
+			d.Ratio = d.MeanWithinVariance / d.PopulationVariance
+		}
+
+		ac, err := stats.Autocorrelation(obs, k)
 		if err != nil {
-			return EfficiencyDiagnostic{}, err
+			return nil, err
 		}
-		sum += s.StdDev * s.StdDev
-		phases++
+		d.LagAutocorr = ac[0]
+		out = append(out, d)
 	}
-	if phases == 0 {
-		return EfficiencyDiagnostic{}, ErrEmptyPopulation
-	}
-	d.MeanWithinVariance = sum / float64(phases)
-	if d.PopulationVariance > 0 {
-		d.Ratio = d.MeanWithinVariance / d.PopulationVariance
-	}
-
-	ac, err := stats.Autocorrelation(obs, k)
-	if err != nil {
-		return EfficiencyDiagnostic{}, err
-	}
-	d.LagAutocorr = ac[0]
-	return d, nil
+	return out, nil
 }

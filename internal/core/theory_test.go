@@ -19,10 +19,11 @@ func TestSystematicEfficiencyRandomOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := SystematicEfficiency(tr, TargetSize, 50)
+	ds, err := SystematicEfficiency(tr, TargetSize, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	if d.Ratio < 0.9 || d.Ratio > 1.1 {
 		t.Errorf("within/population variance ratio = %v, want ≈1", d.Ratio)
 	}
@@ -44,10 +45,11 @@ func TestSystematicEfficiencyPeriodicPopulation(t *testing.T) {
 			Size: uint16(40 + 50*(i%k)),
 		})
 	}
-	d, err := SystematicEfficiency(tr, TargetSize, k)
+	ds, err := SystematicEfficiency(tr, TargetSize, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	if d.Ratio > 0.05 {
 		t.Errorf("periodic ratio = %v, want ≈0", d.Ratio)
 	}
@@ -81,10 +83,11 @@ func TestSystematicEfficiencyPhaseBufferReuse(t *testing.T) {
 	for _, target := range []Target{TargetSize, TargetInterarrival} {
 		obs := PopulationObservations(tr, target)
 		for _, k := range []int{7, 50, len(obs) / 3} {
-			d, err := SystematicEfficiency(tr, target, k)
+			ds, err := SystematicEfficiency(tr, target, k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			d := ds[0]
 			var sum float64
 			for off := 0; off < k; off++ {
 				var phase []float64

@@ -22,14 +22,10 @@ type BurstResult struct {
 
 // Burst computes the IDC profile of the trace.
 func Burst(tr *trace.Trace) (*BurstResult, error) {
-	times := make([]int64, tr.Len())
-	for i, p := range tr.Packets {
-		times[i] = p.Time
-	}
 	out := &BurstResult{
 		WindowsUS: []int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000},
 	}
-	idc, err := stats.IDCProfile(times, out.WindowsUS)
+	idc, err := stats.IDCProfile(tr.Len(), func(i int) int64 { return tr.Packets[i].Time }, out.WindowsUS)
 	if err != nil {
 		return nil, err
 	}

@@ -187,17 +187,18 @@ type Table3Result struct {
 	Interarrival stats.PopulationSummary
 }
 
-// Table3 reproduces the population summary table on the given trace.
-func Table3(tr *trace.Trace) (*Table3Result, error) {
-	size, err := stats.Population(tr.Sizes())
+// Table3 reproduces the population summary table from the parent
+// population's profile.
+func Table3(p *core.Profile) (*Table3Result, error) {
+	size, err := p.Summary(core.TargetSize)
 	if err != nil {
 		return nil, err
 	}
-	iat, err := stats.Population(tr.Interarrivals())
+	iat, err := p.Summary(core.TargetInterarrival)
 	if err != nil {
 		return nil, err
 	}
-	return &Table3Result{TotalPackets: tr.Len(), Size: size, Interarrival: iat}, nil
+	return &Table3Result{TotalPackets: p.Population().Len(), Size: size, Interarrival: iat}, nil
 }
 
 // ID implements Result.
@@ -245,13 +246,14 @@ type SampleSizesResult struct {
 }
 
 // SampleSizes computes Cochran sample sizes for both targets at ±5% and
-// ±1% accuracy, 95% confidence, using the trace's population parameters.
-func SampleSizes(tr *trace.Trace) (*SampleSizesResult, error) {
-	sz, err := stats.Describe(tr.Sizes())
+// ±1% accuracy, 95% confidence, using the population parameters of the
+// parent's profile; it reads the moments only.
+func SampleSizes(p *core.Profile) (*SampleSizesResult, error) {
+	sz, err := p.Moments(core.TargetSize)
 	if err != nil {
 		return nil, err
 	}
-	ia, err := stats.Describe(tr.Interarrivals())
+	ia, err := p.Moments(core.TargetInterarrival)
 	if err != nil {
 		return nil, err
 	}

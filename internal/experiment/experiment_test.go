@@ -83,7 +83,7 @@ func TestTable2(t *testing.T) {
 
 func TestTable3(t *testing.T) {
 	tr := testTrace(t)
-	r, err := Table3(tr)
+	r, err := Table3(core.NewProfile(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTable3(t *testing.T) {
 		t.Error("total mismatch")
 	}
 	render(t, r)
-	if _, err := Table3(&trace.Trace{}); err == nil {
+	if _, err := Table3(core.NewProfile(&trace.Trace{})); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -277,7 +277,7 @@ func TestFigures10And11(t *testing.T) {
 
 func TestSampleSizes(t *testing.T) {
 	tr := testTrace(t)
-	r, err := SampleSizes(tr)
+	r, err := SampleSizes(core.NewProfile(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

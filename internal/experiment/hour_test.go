@@ -117,7 +117,7 @@ func TestHourFigure10ImprovesWithElapsedTime(t *testing.T) {
 
 func TestHourSampleSizesNearPaper(t *testing.T) {
 	tr := hourTrace(t)
-	r, err := SampleSizes(tr)
+	r, err := SampleSizes(core.NewProfile(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

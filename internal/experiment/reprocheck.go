@@ -5,8 +5,8 @@ import (
 	"io"
 	"math"
 
+	"netsample/internal/core"
 	"netsample/internal/stats"
-	"netsample/internal/trace"
 )
 
 // Paper-reported reference values (Tables 2 and 3 of Claffy, Polyzos &
@@ -45,10 +45,11 @@ type ReproCheckResult struct {
 	Rows []ReproCheckRow
 }
 
-// ReproCheck measures the reference quantities on the given parent
-// trace.
-func ReproCheck(tr *trace.Trace) (*ReproCheckResult, error) {
-	rows := tr.PerSecondSeries()
+// ReproCheck measures the reference quantities on the parent population:
+// the per-second series from its packets, the Table 3 rows from its
+// profile.
+func ReproCheck(p *core.Profile) (*ReproCheckResult, error) {
+	rows := p.Population().PerSecondSeries()
 	if len(rows) == 0 {
 		return nil, stats.ErrEmpty
 	}
@@ -63,11 +64,11 @@ func ReproCheck(tr *trace.Trace) (*ReproCheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	size, err := stats.Population(tr.Sizes())
+	size, err := p.Summary(core.TargetSize)
 	if err != nil {
 		return nil, err
 	}
-	iat, err := stats.Population(tr.Interarrivals())
+	iat, err := p.Summary(core.TargetInterarrival)
 	if err != nil {
 		return nil, err
 	}

@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"netsample/internal/core"
 	"netsample/internal/trace"
 )
 
 func TestReproCheckSmallTrace(t *testing.T) {
 	tr := testTrace(t)
-	r, err := ReproCheck(tr)
+	r, err := ReproCheck(core.NewProfile(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +27,14 @@ func TestReproCheckSmallTrace(t *testing.T) {
 	if !strings.Contains(out, "within 1% of the paper") {
 		t.Error("summary line missing")
 	}
-	if _, err := ReproCheck(&trace.Trace{}); err == nil {
+	if _, err := ReproCheck(core.NewProfile(&trace.Trace{})); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
 
 func TestReproCheckHourScorecard(t *testing.T) {
 	tr := hourTrace(t) // skips in -short mode
-	r, err := ReproCheck(tr)
+	r, err := ReproCheck(core.NewProfile(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,18 +4,28 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"netsample/internal/core"
 	"netsample/internal/trace"
 )
 
-// wrap adapts an experiment constructor to the suite's uniform job
+// job is one table or figure of the suite: the artifact id its result
+// reports, and the runner that produces it from the parent population's
+// profile.
+type job struct {
+	id  string
+	run func(p *core.Profile) (Result, error)
+}
+
+// onProfile adapts an experiment constructor to the suite's uniform job
 // shape, tagging failures with the experiment's concrete type the way
 // the historical serial loop did.
-func wrap[T Result](f func() (T, error)) func() (Result, error) {
-	return func() (Result, error) {
-		r, err := f()
+func onProfile[T Result](f func(*core.Profile) (T, error)) func(*core.Profile) (Result, error) {
+	return func(p *core.Profile) (Result, error) {
+		r, err := f(p)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %T: %w", r, err)
 		}
@@ -23,53 +33,86 @@ func wrap[T Result](f func() (T, error)) func() (Result, error) {
 	}
 }
 
-// suiteJobs lists every table and figure of the suite in paper order.
-// Each job is self-contained — experiments seed their own internal RNGs
-// and never share mutable state — so the jobs can run in any order or
+// onTrace is onProfile for the experiments that read the population's
+// packets rather than its profile.
+func onTrace[T Result](f func(*trace.Trace) (T, error)) func(*core.Profile) (Result, error) {
+	return onProfile(func(p *core.Profile) (T, error) { return f(p.Population()) })
+}
+
+// suite lists every table and figure in paper order. Each job is
+// self-contained — experiments seed their own internal RNGs and share
+// nothing mutable; the profile they share computes each of its parts
+// once, whichever job asks first — so the jobs can run in any order or
 // concurrently and still produce identical results slot by slot.
-func suiteJobs(tr *trace.Trace) []func() (Result, error) {
-	return []func() (Result, error){
-		func() (Result, error) { return Table1(), nil },
-		wrap(func() (*Table2Result, error) { return Table2(tr) }),
-		wrap(func() (*Table3Result, error) { return Table3(tr) }),
-		wrap(func() (*Figure1Result, error) { return Figure1(30, 20, 800) }),
-		wrap(Figure2),
-		wrap(func() (*Figure3Result, error) { return Figure3(tr) }),
-		wrap(func() (*HistogramFigureResult, error) { return Figure4(tr) }),
-		wrap(func() (*HistogramFigureResult, error) { return Figure5(tr) }),
-		wrap(func() (*Figure6Result, error) { return Figure6(tr) }),
-		wrap(func() (*Figure7Result, error) { return Figure7(tr) }),
-		wrap(func() (*MethodsFigureResult, error) { return Figure8(tr) }),
-		wrap(func() (*MethodsFigureResult, error) { return Figure9(tr) }),
-		wrap(func() (*ElapsedFigureResult, error) { return Figure10(tr) }),
-		wrap(func() (*ElapsedFigureResult, error) { return Figure11(tr) }),
-		wrap(func() (*SampleSizesResult, error) { return SampleSizes(tr) }),
-		wrap(func() (*ChiSquareAcceptanceResult, error) { return ChiSquareAcceptance(tr, core.TargetSize) }),
-		wrap(func() (*ChiSquareAcceptanceResult, error) { return ChiSquareAcceptance(tr, core.TargetInterarrival) }),
-		wrap(func() (*CategoricalFigureResult, error) { return ExtPorts(tr) }),
-		wrap(func() (*CategoricalFigureResult, error) { return ExtMatrix(tr) }),
-		wrap(func() (*TheoryResult, error) { return Theory(tr, core.TargetSize) }),
-		wrap(Adaptive),
-		wrap(func() (*FIXWestResult, error) { return FIXWest(tr) }),
-		wrap(func() (*BurstResult, error) { return Burst(tr) }),
-		wrap(func() (*ArtsHistResult, error) { return ArtsHist(tr) }),
-		wrap(func() (*FlowBiasResult, error) { return FlowBias(tr) }),
-		wrap(func() (*HeavyHitterResult, error) { return HeavyHitters(tr) }),
-		wrap(func() (*ReproCheckResult, error) { return ReproCheck(tr) }),
-	}
+var suite = []job{
+	{"table1", func(*core.Profile) (Result, error) { return Table1(), nil }},
+	{"table2", onTrace(Table2)},
+	{"table3", onProfile(Table3)},
+	{"figure1", onProfile(func(*core.Profile) (*Figure1Result, error) { return Figure1(30, 20, 800) })},
+	{"figure2", onProfile(func(*core.Profile) (*Figure2Result, error) { return Figure2() })},
+	{"figure3", onTrace(Figure3)},
+	{"figure4", onTrace(Figure4)},
+	{"figure5", onTrace(Figure5)},
+	{"figure6", onTrace(Figure6)},
+	{"figure7", onTrace(Figure7)},
+	{"figure8", onTrace(Figure8)},
+	{"figure9", onTrace(Figure9)},
+	{"figure10", onTrace(Figure10)},
+	{"figure11", onTrace(Figure11)},
+	{"sec5.1", onProfile(SampleSizes)},
+	{"sec5.2", onTrace(func(tr *trace.Trace) (*ChiSquareAcceptanceResult, error) {
+		return ChiSquareAcceptance(tr, core.TargetSize)
+	})},
+	{"sec5.2", onTrace(func(tr *trace.Trace) (*ChiSquareAcceptanceResult, error) {
+		return ChiSquareAcceptance(tr, core.TargetInterarrival)
+	})},
+	{"ext-ports", onTrace(ExtPorts)},
+	{"ext-matrix", onTrace(ExtMatrix)},
+	{"sec5-theory", onTrace(func(tr *trace.Trace) (*TheoryResult, error) { return Theory(tr, core.TargetSize) })},
+	{"ext-adaptive", onProfile(func(*core.Profile) (*AdaptiveResult, error) { return Adaptive() })},
+	{"ext-fixwest", onTrace(FIXWest)},
+	{"ext-burst", onTrace(Burst)},
+	{"ext-artshist", onTrace(ArtsHist)},
+	{"ext-flows", onTrace(FlowBias)},
+	{"ext-heavyhitters", onTrace(HeavyHitters)},
+	{"repro-check", onProfile(ReproCheck)},
 }
 
 // All runs the complete experiment suite — every table and figure — on
 // the given parent trace and returns the results in paper order.
+func All(tr *trace.Trace) ([]Result, error) { return runJobs(tr, suite) }
+
+// Only returns All restricted to the artifacts that carry the given id
+// (sec5.2 has two): the runner executes those jobs and no others. An id
+// no job carries is an error, reported here — before a caller has built
+// the population to run on — with the ids that exist.
+func Only(id string) (func(tr *trace.Trace) ([]Result, error), error) {
+	var jobs []job
+	var ids []string
+	for _, j := range suite {
+		if j.id == id {
+			jobs = append(jobs, j)
+		}
+		if !slices.Contains(ids, j.id) {
+			ids = append(ids, j.id)
+		}
+	}
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("no artifact with id %q (have %s)", id, strings.Join(ids, ", "))
+	}
+	return func(tr *trace.Trace) ([]Result, error) { return runJobs(tr, jobs) }, nil
+}
+
+// runJobs runs jobs over one profile of tr.
 //
 // Independent experiments run concurrently across a worker pool, but the
-// returned slice is index-addressed by the paper-order job list, so the
-// output is byte-identical to running the jobs in order on one goroutine
+// returned slice is index-addressed by the job list, so the output is
+// byte-identical to running the jobs in order on one goroutine
 // (allSerial in suite_ref_test.go, pinned by TestAllMatchesSerial). On
-// failure the error of the earliest paper-order failing experiment is
+// failure the error of the earliest failing job in list order is
 // returned.
-func All(tr *trace.Trace) ([]Result, error) {
-	jobs := suiteJobs(tr)
+func runJobs(tr *trace.Trace, jobs []job) ([]Result, error) {
+	p := core.NewProfile(tr)
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
 	workers := runtime.GOMAXPROCS(0)
@@ -83,7 +126,7 @@ func All(tr *trace.Trace) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = jobs[i]()
+				results[i], errs[i] = jobs[i].run(p)
 			}
 		}()
 	}

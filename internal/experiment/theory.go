@@ -21,15 +21,11 @@ type TheoryResult struct {
 
 // Theory computes the diagnostics for one target across granularities.
 func Theory(tr *trace.Trace, target core.Target) (*TheoryResult, error) {
-	out := &TheoryResult{Target: target}
-	for _, k := range []int{2, 10, 50, 250, 1000} {
-		d, err := core.SystematicEfficiency(tr, target, k)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, d)
+	rows, err := core.SystematicEfficiency(tr, target, 2, 10, 50, 250, 1000)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &TheoryResult{Target: target, Rows: rows}, nil
 }
 
 // ID implements Result.

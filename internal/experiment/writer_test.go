@@ -3,6 +3,8 @@ package experiment
 import (
 	"errors"
 	"testing"
+
+	"netsample/internal/core"
 )
 
 // failWriter errors after allowing n bytes, exercising every renderer's
@@ -46,7 +48,7 @@ func TestWriteTextPropagatesWriterErrors(t *testing.T) {
 
 func TestWriteCSVPropagatesWriterErrors(t *testing.T) {
 	tr := testTrace(t)
-	r, err := Table3(tr)
+	r, err := Table3(core.NewProfile(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

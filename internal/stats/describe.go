@@ -104,17 +104,24 @@ func Quantiles(xs []float64, qs ...float64) ([]float64, error) {
 
 // quantileSorted computes the type-7 quantile of an already-sorted slice.
 func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+	return quantileOrder(len(sorted), func(rank int) float64 { return sorted[rank] }, q)
+}
+
+// quantileOrder is the type-7 rule over a data set of n values known by
+// its order statistics: order(rank) is the rank-th smallest, 0 <= rank
+// < n. It reads at most two of them.
+func quantileOrder(n int, order func(rank int) float64, q float64) float64 {
+	if n == 1 {
+		return order(0)
 	}
-	h := q * float64(len(sorted)-1)
+	h := q * float64(n-1)
 	lo := int(math.Floor(h))
 	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[len(sorted)-1]
+	if hi >= n {
+		return order(n - 1)
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return order(lo)*(1-frac) + order(hi)*frac
 }
 
 // PopulationSummary is the row format of the paper's Table 3: selected
@@ -124,19 +131,19 @@ type PopulationSummary struct {
 	Mean, StdDev                        float64
 }
 
-// Population computes a Table 3 style summary of xs.
-func Population(xs []float64) (PopulationSummary, error) {
-	qs, err := Quantiles(xs, 0, 0.05, 0.25, 0.5, 0.75, 0.95, 1)
-	if err != nil {
-		return PopulationSummary{}, err
+// Population assembles a Table 3 style summary of a data set from its
+// moments d, as Describe returns them, and its order statistics:
+// order(rank) is the rank-th smallest of the d.N values. A caller whose
+// values are small integers or already sorted therefore summarizes a
+// population without materializing or copying it as a float vector.
+func Population(d Summary, order func(rank int) float64) (PopulationSummary, error) {
+	if d.N == 0 {
+		return PopulationSummary{}, ErrEmpty
 	}
-	d, err := Describe(xs)
-	if err != nil {
-		return PopulationSummary{}, err
-	}
+	q := func(frac float64) float64 { return quantileOrder(d.N, order, frac) }
 	return PopulationSummary{
-		Min: qs[0], P5: qs[1], P25: qs[2], Median: qs[3],
-		P75: qs[4], P95: qs[5], Max: qs[6],
+		Min: q(0), P5: q(0.05), P25: q(0.25), Median: q(0.5),
+		P75: q(0.75), P95: q(0.95), Max: q(1),
 		Mean: d.Mean, StdDev: d.StdDev,
 	}, nil
 }

@@ -165,7 +165,11 @@ func TestPopulationSummary(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	p, err := Population(xs)
+	d, err := Describe(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Population(d, func(rank int) float64 { return xs[rank] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,7 @@ func TestPopulationSummary(t *testing.T) {
 }
 
 func TestPopulationEmpty(t *testing.T) {
-	if _, err := Population(nil); err == nil {
+	if _, err := Population(Summary{}, nil); err != ErrEmpty {
 		t.Fatal("empty population should fail")
 	}
 }

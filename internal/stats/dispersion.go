@@ -1,6 +1,10 @@
 package stats
 
-import "errors"
+import (
+	"errors"
+	"math"
+	"sort"
+)
 
 // IndexOfDispersion returns the index of dispersion for counts (IDC) of
 // an event arrival sequence at a given counting-window size: the
@@ -10,45 +14,56 @@ import "errors"
 // sampling miss "bursty periods with many packets of relatively small
 // interarrival times" (Section 7.2 of the paper).
 //
-// times are event timestamps in µs (ordered); windowUS is the counting
-// window. At least two full windows are required.
-func IndexOfDispersion(times []int64, windowUS int64) (float64, error) {
-	if len(times) == 0 {
+// The n events are read through at, which returns the i-th timestamp in
+// µs; timestamps are ordered. windowUS is the counting window. At least
+// two full windows are required.
+//
+// Because the timestamps are ordered, each window's count is a run of
+// consecutive events, so the counts are walked rather than stored. The
+// result is Describe's over the count vector, bit for bit: the counts
+// are whole numbers, whose float sum is exact in any order, so the mean
+// needs only the number of events in full windows; the squared
+// deviations are then added in window order, empty windows included.
+func IndexOfDispersion(n int, at func(i int) int64, windowUS int64) (float64, error) {
+	if n == 0 {
 		return 0, ErrEmpty
 	}
 	if windowUS < 1 {
 		return 0, errors.New("stats: window must be positive")
 	}
-	span := times[len(times)-1] - times[0]
-	nWindows := span / windowUS
+	base := at(0)
+	nWindows := (at(n-1) - base) / windowUS
 	if nWindows < 2 {
 		return 0, errors.New("stats: need at least two full windows")
 	}
-	counts := make([]float64, nWindows)
-	base := times[0]
-	for _, t := range times {
-		w := (t - base) / windowUS
-		if w >= nWindows {
-			break // partial final window excluded
+	// Events of the partial final window are excluded.
+	full := sort.Search(n, func(i int) bool { return at(i) >= base+nWindows*windowUS })
+	mean := float64(full) / float64(nWindows)
+	var m2 float64
+	// By the definition of nWindows the last event is at or past every
+	// window's end, so the walk stops on it at the latest: i stays < n.
+	i, t := 0, base
+	for w := int64(1); w <= nWindows; w++ {
+		end := base + w*windowUS
+		var c float64
+		for t < end {
+			c++
+			i++
+			t = at(i)
 		}
-		counts[w]++
+		d := c - mean
+		m2 += d * d
 	}
-	d, err := Describe(counts)
-	if err != nil {
-		return 0, err
-	}
-	if d.Mean == 0 {
-		return 0, errors.New("stats: zero event rate")
-	}
-	return d.StdDev * d.StdDev / d.Mean, nil
+	sd := math.Sqrt(m2 / float64(nWindows))
+	return sd * sd / mean, nil
 }
 
 // IDCProfile computes the IDC at each of the given window sizes,
 // returning one value per window.
-func IDCProfile(times []int64, windowsUS []int64) ([]float64, error) {
+func IDCProfile(n int, at func(i int) int64, windowsUS []int64) ([]float64, error) {
 	out := make([]float64, len(windowsUS))
 	for i, w := range windowsUS {
-		v, err := IndexOfDispersion(times, w)
+		v, err := IndexOfDispersion(n, at, w)
 		if err != nil {
 			return nil, err
 		}

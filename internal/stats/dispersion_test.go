@@ -6,6 +6,11 @@ import (
 	"netsample/internal/dist"
 )
 
+// at reads an event sequence held as a slice.
+func at(times []int64) func(i int) int64 {
+	return func(i int) int64 { return times[i] }
+}
+
 func TestIDCPoissonIsOne(t *testing.T) {
 	// A Poisson process has IDC ≈ 1 at every timescale.
 	r := dist.NewRNG(100)
@@ -16,7 +21,7 @@ func TestIDCPoissonIsOne(t *testing.T) {
 		times = append(times, int64(tt))
 	}
 	for _, w := range []int64{10_000, 100_000, 1_000_000} {
-		idc, err := IndexOfDispersion(times, w)
+		idc, err := IndexOfDispersion(len(times), at(times), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +37,7 @@ func TestIDCDeterministicBelowOne(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		times = append(times, int64(i)*1000)
 	}
-	idc, err := IndexOfDispersion(times, 50_000)
+	idc, err := IndexOfDispersion(len(times), at(times), 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestIDCBurstyAboveOne(t *testing.T) {
 		}
 		tt += int64(50_000 + r.IntN(200_000)) // silence
 	}
-	idc, err := IndexOfDispersion(times, 100_000)
+	idc, err := IndexOfDispersion(len(times), at(times), 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +69,13 @@ func TestIDCBurstyAboveOne(t *testing.T) {
 }
 
 func TestIDCErrors(t *testing.T) {
-	if _, err := IndexOfDispersion(nil, 100); err != ErrEmpty {
+	if _, err := IndexOfDispersion(0, nil, 100); err != ErrEmpty {
 		t.Error("empty accepted")
 	}
-	if _, err := IndexOfDispersion([]int64{1, 2}, 0); err == nil {
+	if _, err := IndexOfDispersion(2, at([]int64{1, 2}), 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := IndexOfDispersion([]int64{1, 2}, 1000); err == nil {
+	if _, err := IndexOfDispersion(2, at([]int64{1, 2}), 1000); err == nil {
 		t.Error("too-short span accepted")
 	}
 }
@@ -83,14 +88,14 @@ func TestIDCProfile(t *testing.T) {
 		tt += r.ExpFloat64() * 1000
 		times = append(times, int64(tt))
 	}
-	prof, err := IDCProfile(times, []int64{10_000, 100_000})
+	prof, err := IDCProfile(len(times), at(times), []int64{10_000, 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prof) != 2 {
 		t.Fatalf("profile = %v", prof)
 	}
-	if _, err := IDCProfile(times, []int64{0}); err == nil {
+	if _, err := IDCProfile(len(times), at(times), []int64{0}); err == nil {
 		t.Error("bad window accepted")
 	}
 }

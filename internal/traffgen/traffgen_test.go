@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"netsample/internal/core"
 	"netsample/internal/packet"
 	"netsample/internal/stats"
 )
@@ -185,8 +186,8 @@ func TestHourCalibration(t *testing.T) {
 
 	// Table 3, packet sizes: min 28, p25 40, median 76, p75 552, p95 552,
 	// max 1500, mean 232, σ 236.
-	sizes := tr.Sizes()
-	pop, err := stats.Population(sizes)
+	profile := core.NewProfile(tr)
+	pop, err := profile.Summary(core.TargetSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +218,7 @@ func TestHourCalibration(t *testing.T) {
 
 	// Table 3, interarrivals (µs, 400 µs clock): p25 400, median 1600,
 	// p75 3200, p95 7600, mean 2358, σ 2734.
-	iat := tr.Interarrivals()
-	ipop, err := stats.Population(iat)
+	ipop, err := profile.Summary(core.TargetInterarrival)
 	if err != nil {
 		t.Fatal(err)
 	}
