@@ -65,28 +65,19 @@ func main() {
 	}
 	r := dist.NewRNG(*seed)
 
+	sampler, err := core.New(*method, tr, *k, 0)
+	if err != nil {
+		log.Fatalf("%v", err)
+	}
 	var replications []core.Replication
 	switch *method {
 	case "systematic":
 		replications, err = core.SystematicOffsets(ev, *k, *reps, r)
-	case "stratified":
-		replications, err = core.Replicate(ev, core.StratifiedCount{K: *k}, *reps, r)
-	case "random":
-		replications, err = core.Replicate(ev, core.SimpleRandom{K: *k}, *reps, r)
 	case "systematic-timer":
-		var s core.SystematicTimer
-		s, err = core.NewSystematicTimer(tr, float64(*k), 0)
-		if err == nil {
-			replications, err = core.Replicate(ev, s, 1, r)
-		}
-	case "stratified-timer":
-		var s core.StratifiedTimer
-		s, err = core.NewStratifiedTimer(tr, float64(*k))
-		if err == nil {
-			replications, err = core.Replicate(ev, s, *reps, r)
-		}
+		// Nothing to vary: at offset 0 every replication is the same.
+		replications, err = core.Replicate(ev, sampler, 1, r)
 	default:
-		log.Fatalf("unknown method %q", *method)
+		replications, err = core.Replicate(ev, sampler, *reps, r)
 	}
 	if err != nil {
 		log.Fatalf("sampling: %v", err)

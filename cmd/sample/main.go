@@ -49,7 +49,7 @@ func main() {
 		log.Fatalf("read: %v", err)
 	}
 
-	sampler, err := buildSampler(*method, tr, *k, *offset)
+	sampler, err := core.New(*method, tr, *k, *offset)
 	if err != nil {
 		log.Fatalf("%v", err)
 	}
@@ -75,22 +75,4 @@ func main() {
 	}
 	fmt.Printf("%s: selected %d of %d packets (fraction %.5f)\n",
 		sampler.Name(), len(idx), tr.Len(), float64(len(idx))/float64(tr.Len()))
-}
-
-// buildSampler constructs the requested method.
-func buildSampler(method string, tr *trace.Trace, k, offset int) (core.Sampler, error) {
-	switch method {
-	case "systematic":
-		return core.SystematicCount{K: k, Offset: offset}, nil
-	case "stratified":
-		return core.StratifiedCount{K: k}, nil
-	case "random":
-		return core.SimpleRandom{K: k}, nil
-	case "systematic-timer":
-		return core.NewSystematicTimer(tr, float64(k), 0)
-	case "stratified-timer":
-		return core.NewStratifiedTimer(tr, float64(k))
-	default:
-		return nil, fmt.Errorf("unknown method %q", method)
-	}
 }

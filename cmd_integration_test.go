@@ -84,6 +84,18 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 		t.Fatalf("phieval -reps -1: err %v, want exit 1 with a one-line message:\n%s", err, bad)
 	}
 
+	// Both tools name the method table's entries when -method is not one.
+	for _, args := range [][]string{
+		{"sample", "-in", tr, "-out", sub, "-method", "adaptive"},
+		{"phieval", "-in", tr, "-method", "adaptive"},
+	} {
+		bad, err := exec.Command(filepath.Join(dir, args[0]), args[1:]...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+			!strings.Contains(string(bad), `unknown method "adaptive" (have systematic, stratified, random, systematic-timer, stratified-timer)`) {
+			t.Fatalf("%v: err %v, want exit 1 listing the methods:\n%s", args, err, bad)
+		}
+	}
+
 	// traceinfo on the original and pcap conversion round trip.
 	pcap := filepath.Join(t.TempDir(), "t.pcap")
 	out = run(t, filepath.Join(dir, "traceinfo"), "-in", tr, "-convert", pcap)
@@ -231,6 +243,8 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 		{"systematic-timer", core.SystematicTimer{PeriodUS: period}, 4},
 		{"stratified", core.StratifiedCount{K: 50}, 1},
 		{"stratified", core.StratifiedCount{K: 50}, 4},
+		{"stratified-timer", core.StratifiedTimer{PeriodUS: period}, 1},
+		{"stratified-timer", core.StratifiedTimer{PeriodUS: period}, 4},
 	} {
 		t.Run(tc.method+"/shards="+strconv.Itoa(tc.shards), func(t *testing.T) {
 			// nsd's random methods draw from the seed's first child stream.

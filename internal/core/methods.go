@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"netsample/internal/dist"
+	"netsample/internal/online"
 	"netsample/internal/trace"
 )
 
@@ -19,6 +20,31 @@ func collect(s Sampler, tr *trace.Trace, r *dist.RNG, sizeHint int) ([]int, erro
 		return nil, err
 	}
 	return out, nil
+}
+
+// New builds the batch sampler a method name stands for — the names
+// online.New takes, plus "random", which no stream can run — the one
+// table behind the -method flag of cmd/sample and cmd/phieval:
+//
+//	systematic        every k-th packet from offset
+//	stratified        one random packet per k-packet bucket
+//	random            ⌈N/k⌉ packets drawn from the whole trace
+//	systematic-timer  period k × tr's mean gap, first expiry at its start
+//	stratified-timer  the same period, one random expiry per bucket
+func New(method string, tr *trace.Trace, k, offset int) (Sampler, error) {
+	switch method {
+	case "systematic":
+		return SystematicCount{K: k, Offset: offset}, nil
+	case "stratified":
+		return StratifiedCount{K: k}, nil
+	case "random":
+		return SimpleRandom{K: k}, nil
+	case "systematic-timer":
+		return NewSystematicTimer(tr, float64(k), 0)
+	case "stratified-timer":
+		return NewStratifiedTimer(tr, float64(k))
+	}
+	return nil, fmt.Errorf("core: unknown method %q (have systematic, stratified, random, systematic-timer, stratified-timer)", method)
 }
 
 // SystematicCount samples every K-th packet deterministically, starting
@@ -262,9 +288,10 @@ func (s SystematicTimer) TimerDriven() bool { return true }
 // Granularity implements Sampler.
 func (s SystematicTimer) Granularity() float64 { return s.nominalK }
 
-// validate checks the parameters against the trace, returning its length.
-func (s SystematicTimer) validate(tr *trace.Trace) (int, error) {
-	if s.PeriodUS < 1 {
+// validateTimer checks a timer method's period against the trace,
+// returning the trace's length.
+func validateTimer(periodUS int64, tr *trace.Trace) (int, error) {
+	if periodUS < 1 {
 		return 0, ErrBadPeriod
 	}
 	n := tr.Len()
@@ -285,17 +312,18 @@ func timerCap(tr *trace.Trace, n int, periodUS int64) int {
 	return c
 }
 
-// SelectEach implements Sampler.
+// SelectEach implements Sampler. The paper's rule has one definition,
+// online.SystematicTimer; the batch form offers it the trace.
 func (s SystematicTimer) SelectEach(tr *trace.Trace, _ *dist.RNG, yield func(int)) error {
-	n, err := s.validate(tr)
+	n, err := validateTimer(s.PeriodUS, tr)
 	if err != nil {
 		return err
 	}
-	start := tr.Packets[0].Time
-	end := tr.Packets[n-1].Time
 	if s.SelectPrevious {
 		// Ablation rule: each expiry selects the newest already-arrived
 		// packet not yet selected.
+		start := tr.Packets[0].Time
+		end := tr.Packets[n-1].Time
 		last := -1
 		for tick := start + s.OffsetUS; tick <= end+s.PeriodUS; tick += s.PeriodUS {
 			i := sort.Search(n, func(j int) bool { return tr.Packets[j].Time >= tick }) - 1
@@ -306,31 +334,21 @@ func (s SystematicTimer) SelectEach(tr *trace.Trace, _ *dist.RNG, yield func(int
 		}
 		return nil
 	}
-	// Firmware semantics: a timer expiry arms selection of the next
-	// arrival; further expiries before that arrival collapse into the
-	// armed flag (at most one selection per packet, no tick backlog).
-	// After a selection the next expiry is the first tick strictly
-	// after the selected packet.
-	idx := 0
-	tick := start + s.OffsetUS
-	for idx < n && tick <= end {
-		for idx < n && tr.Packets[idx].Time < tick {
-			idx++
+	st, err := online.NewSystematicTimer(s.PeriodUS, s.OffsetUS)
+	if err != nil {
+		return err
+	}
+	for i := range tr.Packets {
+		if st.Offer(tr.Packets[i].Time) {
+			yield(i)
 		}
-		if idx >= n {
-			break
-		}
-		yield(idx)
-		t := tr.Packets[idx].Time
-		tick += ((t-tick)/s.PeriodUS + 1) * s.PeriodUS
-		idx++
 	}
 	return nil
 }
 
 // Select implements Sampler.
 func (s SystematicTimer) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
-	n, err := s.validate(tr)
+	n, err := validateTimer(s.PeriodUS, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +357,9 @@ func (s SystematicTimer) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
 
 // StratifiedTimer divides time into consecutive buckets of PeriodUS
 // microseconds, draws one uniformly random instant in each bucket, and
-// selects the next packet to arrive at or after that instant.
+// selects the next packet to arrive at or after that instant; as in
+// SystematicTimer, instants no packet separates collapse onto the next
+// arrival.
 type StratifiedTimer struct {
 	PeriodUS int64
 	nominalK float64
@@ -364,44 +384,27 @@ func (s StratifiedTimer) TimerDriven() bool { return true }
 // Granularity implements Sampler.
 func (s StratifiedTimer) Granularity() float64 { return s.nominalK }
 
-// validate checks the parameters against the trace, returning its length.
-func (s StratifiedTimer) validate(tr *trace.Trace) (int, error) {
-	if s.PeriodUS < 1 {
-		return 0, ErrBadPeriod
-	}
-	n := tr.Len()
-	if n == 0 {
-		return 0, ErrEmptyPopulation
-	}
-	return n, nil
-}
-
-// SelectEach implements Sampler.
+// SelectEach implements Sampler: online.StratifiedTimer, drawing from r,
+// offered the trace.
 func (s StratifiedTimer) SelectEach(tr *trace.Trace, r *dist.RNG, yield func(int)) error {
-	n, err := s.validate(tr)
+	if _, err := validateTimer(s.PeriodUS, tr); err != nil {
+		return err
+	}
+	st, err := online.NewStratifiedTimer(s.PeriodUS, r)
 	if err != nil {
 		return err
 	}
-	start := tr.Packets[0].Time
-	end := tr.Packets[n-1].Time
-	idx := 0
-	for bucket := start; bucket <= end; bucket += s.PeriodUS {
-		instant := bucket + r.Int64N(s.PeriodUS)
-		for idx < n && tr.Packets[idx].Time < instant {
-			idx++
+	for i := range tr.Packets {
+		if st.Offer(tr.Packets[i].Time) {
+			yield(i)
 		}
-		if idx >= n {
-			break
-		}
-		yield(idx)
-		idx++
 	}
 	return nil
 }
 
 // Select implements Sampler.
 func (s StratifiedTimer) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
-	n, err := s.validate(tr)
+	n, err := validateTimer(s.PeriodUS, tr)
 	if err != nil {
 		return nil, err
 	}

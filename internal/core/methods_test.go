@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,6 +255,45 @@ func TestSystematicTimerNoDoubleSelection(t *testing.T) {
 	checkSortedUnique(t, idx, len(times))
 }
 
+// TestTimerSelectCostIgnoresSpan: two packets 2^50 µs apart at a 1 µs
+// period are two selections and a handful of operations, not 10^15
+// loop iterations — empty buckets are stepped over, never visited.
+func TestTimerSelectCostIgnoresSpan(t *testing.T) {
+	tr := &trace.Trace{Packets: []trace.Packet{{Time: 0, Size: 40}, {Time: 1 << 50, Size: 40}}}
+	for _, s := range []Sampler{SystematicTimer{PeriodUS: 1}, StratifiedTimer{PeriodUS: 1}} {
+		idx, err := s.Select(tr, dist.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
+			t.Errorf("%s selected %v, want both packets", s.Name(), idx)
+		}
+	}
+}
+
+// TestTimerSelectEachZeroAllocs: the streaming sampler a timer method's
+// batch form drives lives on SelectEach's stack.
+func TestTimerSelectEachZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts perturbed under -race")
+	}
+	tr := uniformTrace(1000, 400)
+	r := dist.NewRNG(3)
+	n := 0
+	yield := func(int) { n++ }
+	for _, s := range []Sampler{SystematicTimer{PeriodUS: 4000}, StratifiedTimer{PeriodUS: 4000}} {
+		n = 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := s.SelectEach(tr, r, yield); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 || n == 0 {
+			t.Errorf("%s SelectEach: %v allocs/op over %d selections, want 0", s.Name(), allocs, n)
+		}
+	}
+}
+
 func TestSystematicTimerErrors(t *testing.T) {
 	tr := uniformTrace(5, 1000)
 	if _, err := (SystematicTimer{PeriodUS: 0}).Select(tr, nil); !errors.Is(err, ErrBadPeriod) {
@@ -326,6 +366,27 @@ func TestTimerConstructors(t *testing.T) {
 	}
 	if rt.PeriodUS != 20_000 || rt.Granularity() != 20 {
 		t.Fatalf("stratified timer = %+v", rt)
+	}
+}
+
+func TestNewByMethodName(t *testing.T) {
+	tr := uniformTrace(101, 1000)
+	for method, want := range map[string]Sampler{
+		"systematic":       SystematicCount{K: 50, Offset: 3},
+		"stratified":       StratifiedCount{K: 50},
+		"random":           SimpleRandom{K: 50},
+		"systematic-timer": SystematicTimer{PeriodUS: 50_000, nominalK: 50},
+		"stratified-timer": StratifiedTimer{PeriodUS: 50_000, nominalK: 50},
+	} {
+		if got, err := New(method, tr, 50, 3); err != nil || got != want {
+			t.Errorf("%s built %+v, %v; want %+v", method, got, err, want)
+		}
+	}
+	if _, err := New("adaptive", tr, 50, 0); err == nil || !strings.Contains(err.Error(), "stratified-timer") {
+		t.Errorf("unknown method: %v, want an error listing the names", err)
+	}
+	if _, err := New("systematic-timer", &trace.Trace{}, 50, 0); !errors.Is(err, ErrEmptyPopulation) {
+		t.Errorf("timer method on an empty trace: %v", err)
 	}
 }
 

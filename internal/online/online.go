@@ -10,12 +10,11 @@
 // uniform fixed-size sample of an unbounded stream, which the batch
 // method cannot do without knowing N in advance.
 //
-// Equivalence with the batch methods is verified in the tests: streaming
-// systematic selects exactly the same packets as core.SystematicCount,
-// and the systematic timer matches core.SystematicTimer tick for tick.
-// The stratified timer draws core.StratifiedTimer's instants but is not
-// its twin: it fires at most once per bucket (below), where the batch
-// form carries a bucket nobody arrived in over to the next arrival.
+// Equivalence with the batch methods: streaming systematic selects
+// exactly the packets core.SystematicCount does (pinned in the tests),
+// and the two timer methods have no batch twin to drift from —
+// core.SystematicTimer and core.StratifiedTimer are these samplers
+// offered the trace.
 //
 // # Timestamp tolerance
 //
@@ -33,12 +32,14 @@
 //     the selected timestamp, and a packet timestamped before the
 //     pending tick is simply not selected. Duplicate timestamps collapse
 //     onto at most one selection per tick.
-//   - StratifiedTimer never reopens a bucket and fires at most once per
-//     bucket. A timestamp at or past the current bucket's end opens the
-//     following buckets one by one (drawing one random instant each, the
-//     same draw sequence as the batch form); a timestamp before the
-//     current bucket's random instant — including one that jumped
-//     backwards — is not selected.
+//   - StratifiedTimer is SystematicTimer with jittered ticks: buckets
+//     are period-long from the first packet, each expires at one random
+//     instant inside it, and an expiry arms selection of the next
+//     arrival, whichever bucket that lands in. Expiries that pass before
+//     that arrival collapse into it, and buckets it skipped are stepped
+//     over without a draw — at most two draws an Offer, whatever the
+//     gap. A timestamp before the pending expiry — including one that
+//     jumped backwards — is not selected.
 //   - Reservoir ignores timestamps; membership depends only on arrival
 //     order and the RNG.
 //
@@ -244,8 +245,7 @@ func (s *SystematicTimer) Name() string { return "online-systematic-timer" }
 // Offer implements Sampler.
 func (s *SystematicTimer) Offer(tUS int64) bool {
 	if !s.armed {
-		// The first packet anchors the tick schedule, mirroring the
-		// batch sampler's use of the trace start time.
+		// The first packet anchors the tick schedule.
 		s.next = tUS + s.offset
 		s.armed = true
 	}
@@ -265,15 +265,15 @@ func (s *SystematicTimer) Reset() {
 	s.next = 0
 }
 
-// StratifiedTimer draws one uniformly random instant per time bucket and
-// selects the next packet to arrive at or after it.
+// StratifiedTimer draws one uniformly random expiry per period-long
+// time bucket and selects the first packet to arrive at or after each;
+// expiries no packet separates collapse into one selection.
 type StratifiedTimer struct {
-	period    int64
-	rng       *dist.RNG
-	bucketEnd int64
-	instant   int64
-	fired     bool
-	armed     bool
+	period  int64
+	rng     *dist.RNG
+	bucket  int64 // start of the bucket the pending expiry was drawn in
+	instant int64 // the pending expiry
+	armed   bool
 }
 
 // NewStratifiedTimer builds a streaming stratified timer sampler.
@@ -295,30 +295,31 @@ func (s *StratifiedTimer) Offer(tUS int64) bool {
 		s.armed = true
 		s.openBucket(tUS)
 	}
-	for tUS >= s.bucketEnd {
-		s.openBucket(s.bucketEnd)
+	if tUS < s.instant {
+		return false
 	}
-	if !s.fired && tUS >= s.instant {
-		s.fired = true
-		return true
+	// The pending expiry armed this arrival, and every expiry up to it
+	// collapses into this selection: buckets that ended before it are
+	// stepped over without a draw, and of its own bucket's expiry only
+	// one still ahead of it stays pending.
+	if skipped := (tUS - s.bucket) / s.period; skipped > 0 {
+		s.openBucket(s.bucket + skipped*s.period)
+		if tUS < s.instant {
+			return true
+		}
 	}
-	return false
+	s.openBucket(s.bucket + s.period)
+	return true
 }
 
-// openBucket starts the bucket beginning at startUS.
+// openBucket draws the expiry of the bucket beginning at startUS.
 func (s *StratifiedTimer) openBucket(startUS int64) {
-	s.bucketEnd = startUS + s.period
+	s.bucket = startUS
 	s.instant = startUS + s.rng.Int64N(s.period)
-	s.fired = false
 }
 
 // Reset implements Sampler.
-func (s *StratifiedTimer) Reset() {
-	s.armed = false
-	s.fired = false
-	s.bucketEnd = 0
-	s.instant = 0
-}
+func (s *StratifiedTimer) Reset() { s.armed = false }
 
 // Reservoir maintains a uniform random sample of fixed capacity from an
 // unbounded packet stream (Vitter's algorithm R): the streaming

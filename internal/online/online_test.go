@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"netsample/internal/core"
 	"netsample/internal/dist"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -22,18 +21,6 @@ func offerAll(s Sampler, tr *trace.Trace) []int {
 		}
 	}
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func genTrace(t testing.TB, seed uint64) *trace.Trace {
@@ -59,37 +46,6 @@ func TestNewSystematicValidation(t *testing.T) {
 	if _, err := NewSystematic(5, 7); err == nil || !strings.Contains(err.Error(), "offset 7 outside [0, 5)") {
 		t.Errorf("out-of-range offset reported as %v", err)
 	}
-}
-
-func TestStreamingSystematicMatchesBatch(t *testing.T) {
-	tr := genTrace(t, 1)
-	for _, k := range []int{1, 2, 7, 50, 997} {
-		for _, off := range []int{0, 1, k / 2, k - 1} {
-			if off < 0 || off >= k {
-				continue
-			}
-			batch, err := core.SystematicCount{K: k, Offset: off}.Select(tr, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewSystematic(k, off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream := offerAll(s, tr)
-			if !equalInts(batch, stream) {
-				t.Fatalf("k=%d off=%d: batch %d picks, stream %d picks; first few %v vs %v",
-					k, off, len(batch), len(stream), head(batch), head(stream))
-			}
-		}
-	}
-}
-
-func head(xs []int) []int {
-	if len(xs) > 5 {
-		return xs[:5]
-	}
-	return xs
 }
 
 func TestStreamingSystematicReset(t *testing.T) {
@@ -160,59 +116,9 @@ func TestStreamingStratifiedUniformity(t *testing.T) {
 	}
 }
 
-func TestStreamingSystematicTimerMatchesBatch(t *testing.T) {
-	tr := genTrace(t, 3)
-	for _, k := range []float64{4, 64, 1024} {
-		period, err := core.PeriodForGranularity(tr, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, off := range []int64{0, period / 3} {
-			batch, err := (core.SystematicTimer{PeriodUS: period, OffsetUS: off}).Select(tr, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewSystematicTimer(period, off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream := offerAll(s, tr)
-			if !equalInts(batch, stream) {
-				t.Fatalf("k=%v off=%d: batch %d vs stream %d picks",
-					k, off, len(batch), len(stream))
-			}
-		}
-	}
-}
-
 func TestStreamingSystematicTimerValidation(t *testing.T) {
 	if _, err := NewSystematicTimer(0, 0); err != ErrBadPeriod {
 		t.Error("zero period accepted")
-	}
-}
-
-func TestStreamingStratifiedTimerBehaves(t *testing.T) {
-	tr := genTrace(t, 4)
-	period, err := core.PeriodForGranularity(tr, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStratifiedTimer(period, dist.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := offerAll(s, tr)
-	// Roughly one selection per period across the trace span.
-	span := tr.Packets[tr.Len()-1].Time - tr.Packets[0].Time
-	expect := float64(span) / float64(period)
-	if got := float64(len(idx)); got < expect*0.8 || got > expect*1.1 {
-		t.Fatalf("selections = %v, want ≈%v", got, expect)
-	}
-	// Strictly increasing, in range.
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			t.Fatal("selections not strictly increasing")
-		}
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // adversarialTimestamps builds a timestamp sequence exercising every
 // clock pathology the package contract covers: runs of exact
 // duplicates, backward steps, forward jumps of several timer periods,
-// and excursions below zero. Jumps stay bounded (a real clock does not
-// teleport across years), matching the documented linear-in-elapsed-
-// buckets cost of StratifiedTimer.
+// and excursions below zero. TestTimerSamplersJumpInConstantTime covers
+// the unbounded jump.
 func adversarialTimestamps(seed uint64, n int, periodUS int64) []int64 {
 	rng := dist.NewRNG(seed)
 	out := make([]int64, n)
@@ -132,8 +131,8 @@ func TestSamplersTolerateAdversarialTimestamps(t *testing.T) {
 
 // TestTimerSamplersCollapseDuplicates pins the duplicate-timestamp
 // contract: a burst sharing one timestamp yields at most one selection
-// per timer tick (exactly one for SystematicTimer with offset 0, at
-// most one per bucket for StratifiedTimer).
+// per timer expiry (exactly one for SystematicTimer with offset 0, at
+// most one for StratifiedTimer, whose next expiry is a bucket later).
 func TestTimerSamplersCollapseDuplicates(t *testing.T) {
 	const periodUS = int64(1_000)
 	st, err := NewSystematicTimer(periodUS, 0)
@@ -167,6 +166,29 @@ func TestTimerSamplersCollapseDuplicates(t *testing.T) {
 	}
 }
 
+// TestTimerSamplersJumpInConstantTime: a clock that teleports 2^50
+// periods forward costs an Offer a few operations and at most two draws
+// — the expiries it passed collapse into one selection, and the burst
+// at the landing timestamp is not selected again.
+func TestTimerSamplersJumpInConstantTime(t *testing.T) {
+	makers := samplerMakers(t, 1, 1)
+	for _, name := range []string{"systematic-timer", "stratified-timer"} {
+		s := makers[name]()
+		if !s.Offer(0) {
+			t.Errorf("%s: anchoring packet at period 1 not selected", name)
+		}
+		if !s.Offer(1 << 50) {
+			t.Errorf("%s: first arrival after 2^50 expiries not selected", name)
+		}
+		if s.Offer(1 << 50) {
+			t.Errorf("%s: duplicate of the landing timestamp selected again", name)
+		}
+		if !s.Offer(1<<50 + 1) {
+			t.Errorf("%s: schedule did not resume after the jump", name)
+		}
+	}
+}
+
 // TestTimerSamplersIgnoreBackwardJumps pins the forward-only contract:
 // after a selection, packets timestamped before the pending tick —
 // including ones that jumped backwards — are not selected.
@@ -188,6 +210,20 @@ func TestTimerSamplersIgnoreBackwardJumps(t *testing.T) {
 	// the anchor selection is 11_000.
 	if !s.Offer(11_000) {
 		t.Error("schedule did not survive the backward excursion")
+	}
+
+	// Method 5's pending expiry is never before its anchor either.
+	for seed := uint64(0); seed < 20; seed++ {
+		rs, err := NewStratifiedTimer(periodUS, dist.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.Offer(10_000)
+		for _, back := range []int64{9_999, 5_000, 0, -10_000} {
+			if rs.Offer(back) {
+				t.Errorf("seed %d: backward timestamp %d selected before the pending expiry", seed, back)
+			}
+		}
 	}
 }
 

@@ -56,13 +56,8 @@ func reportBits(r metrics.Report) [7]uint64 {
 // exists for: for every streaming method, at any shard count, the final
 // snapshot — selected count, both histograms, and every float64 of both
 // metric reports — is bit-identical to scoring, with the
-// batch evaluator, the packets one serial sampler selects from the whole
-// trace on the same seed. For systematic, stratified and
-// systematic-timer that serial selection is core's batch sampler, index
-// for index. online.StratifiedTimer has no batch twin — it fires at most
-// once per bucket, where core.StratifiedTimer carries a bucket nobody
-// arrived in over to the next arrival — so its reference offers the
-// streaming sampler the trace serially.
+// batch evaluator, the packets core's batch sampler selects from the
+// whole trace on the same seed.
 func TestSnapshotMatchesBatch(t *testing.T) {
 	const seed = 42
 	tr := smallTrace(t, 777)
@@ -79,7 +74,7 @@ func TestSnapshotMatchesBatch(t *testing.T) {
 	cases := []struct {
 		name  string
 		tr    *trace.Trace
-		batch core.Sampler // nil: offer build's sampler the trace serially
+		batch core.Sampler
 		build func(int) (online.Sampler, error)
 	}{
 		{
@@ -105,8 +100,9 @@ func TestSnapshotMatchesBatch(t *testing.T) {
 			},
 		},
 		{
-			name: "stratified-timer",
-			tr:   tr,
+			name:  "stratified-timer",
+			tr:    tr,
+			batch: core.StratifiedTimer{PeriodUS: period},
 			build: func(int) (online.Sampler, error) {
 				return online.NewStratifiedTimer(period, dist.NewRNG(seed))
 			},
@@ -115,21 +111,9 @@ func TestSnapshotMatchesBatch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sizeEval, iatEval := evaluators(t, tc.tr)
-			var idx []int
-			if tc.batch != nil {
-				if idx, err = tc.batch.Select(tc.tr, dist.NewRNG(seed)); err != nil {
-					t.Fatalf("batch select: %v", err)
-				}
-			} else {
-				serial, err := tc.build(0)
-				if err != nil {
-					t.Fatalf("build: %v", err)
-				}
-				for i, pkt := range tc.tr.Packets {
-					if serial.Offer(pkt.Time) {
-						idx = append(idx, i)
-					}
-				}
+			idx, err := tc.batch.Select(tc.tr, dist.NewRNG(seed))
+			if err != nil {
+				t.Fatalf("batch select: %v", err)
 			}
 			wantSize, err := sizeEval.Score(idx)
 			if err != nil {
