@@ -35,7 +35,9 @@
 // Retention: -store appends every cut window snapshot to an append-only
 // Merkle-chained segment store (internal/store, DESIGN.md §14); query it
 // offline with nocquery, which replays the exact wire payloads the live
-// exporter serves.
+// exporter serves. A window the store refuses (a full disk) does not stop
+// the daemon, but it is counted: at drain nsd logs "store: N window(s)
+// not persisted" and the process exits non-zero.
 //
 // Profiling: -pprof serves net/http/pprof on the given address, and
 // -mutex-profile-fraction / -block-profile-rate enable the runtime's
@@ -162,7 +164,10 @@ func main() {
 		}
 	}
 	cfg.Shards = *shards
-	var sw *store.Writer
+	var (
+		sw   *store.Writer
+		sink *pipeline.StoreSink
+	)
 	if *storeDir != "" {
 		sw, err = store.Open(*storeDir, store.Options{
 			SyncEvery:      *storeSync,
@@ -171,19 +176,15 @@ func main() {
 		if err != nil {
 			log.Fatalf("store: %v", err)
 		}
+		sink = &pipeline.StoreSink{Node: *name, To: sw}
 	}
-	if !*quiet || sw != nil {
+	if !*quiet || sink != nil {
 		cfg.OnSnapshot = func(s *pipeline.Snapshot) {
 			if !*quiet {
 				fmt.Println(summarize(s))
 			}
-			if sw != nil {
-				// The persisted record is the exact wire payload the
-				// exporter would serve, so a cold replay of the store is
-				// bit-identical to the live export.
-				if err := sw.AppendSnapshot(s.Wire(*name)); err != nil {
-					log.Printf("store: %v", err)
-				}
+			if sink != nil {
+				sink.OnSnapshot(s)
 			}
 		}
 	}
@@ -218,11 +219,19 @@ func main() {
 	if final, ok := p.Latest(); ok && *quiet {
 		fmt.Println(summarize(final))
 	}
-	if sw != nil {
+	// A window the store refused, or a tail it could not sync, is data
+	// loss: the daemon still serves what it has, but exits non-zero.
+	storeFailed := false
+	if sink != nil {
+		if err := sink.Err(); err != nil {
+			log.Printf("store: %v", err)
+			storeFailed = true
+		}
 		// Flush and fsync the tail; the segment stays unsealed so the
 		// next run resumes it.
 		if err := sw.Close(); err != nil {
 			log.Printf("store: %v", err)
+			storeFailed = true
 		}
 	}
 
@@ -249,6 +258,9 @@ func main() {
 	// closed nothing is left that could read it.
 	if err := closeSrc(); err != nil {
 		log.Printf("close input: %v", err)
+	}
+	if storeFailed {
+		os.Exit(1)
 	}
 }
 

@@ -3,8 +3,10 @@ package netsample
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"netsample/internal/pipeline"
 	"netsample/internal/store"
 	"netsample/internal/trace"
+	"netsample/internal/traffgen"
 )
 
 // TestNSDStoreReplayMatchesLive is the durable-store acceptance pin:
@@ -148,5 +151,82 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 	}
 	if ce.Offset < 0 || ce.Offset > int64(len(mut)) {
 		t.Fatalf("corruption offset %d outside segment of %d bytes", ce.Offset, len(mut))
+	}
+}
+
+// failingAppender is a store whose disk fills: it accepts the first
+// okFor snapshots and refuses the rest.
+type failingAppender struct {
+	okFor, got int
+}
+
+var errDiskFull = errors.New("no space left on device")
+
+func (f *failingAppender) AppendSnapshot(*collect.Snapshot) error {
+	f.got++
+	if f.got > f.okFor {
+		return errDiskFull
+	}
+	return nil
+}
+
+// TestNSDStoreSinkCountsLostWindows drives nsd's -store OnSnapshot body
+// (pipeline.StoreSink) over a windowed run. Against a store that fails
+// part-way — the suite runs as root, so no permission bit makes a real
+// directory refuse writes — every window must still be offered, and the
+// sink must end the run with an error naming how many were lost and
+// why: that error is what turns nsd's exit status non-zero. Against a
+// real store the same run ends clean and replays every window.
+func TestNSDStoreSinkCountsLostWindows(t *testing.T) {
+	tr, err := traffgen.Generate(traffgen.SmallTrace(42)) // two minutes
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	runWith := func(to pipeline.SnapshotAppender) (windows int, err error) {
+		sink := &pipeline.StoreSink{Node: "store-node", To: to}
+		p, err := pipeline.New(pipeline.Config{
+			Shards:     1,
+			WindowUS:   (5 * time.Second).Microseconds(),
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(50, 0) },
+			OnSnapshot: sink.OnSnapshot,
+		})
+		if err != nil {
+			t.Fatalf("pipeline.New: %v", err)
+		}
+		if err := p.Run(tr.Replay()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return len(p.Snapshots()), sink.Err()
+	}
+
+	full := &failingAppender{okFor: 2}
+	windows, err := runWith(full)
+	if windows < 4 || full.got != windows {
+		t.Fatalf("run cut %d windows and offered the store %d, want all of 4+", windows, full.got)
+	}
+	want := strconv.Itoa(windows-2) + " window(s) not persisted"
+	if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, errDiskFull) {
+		t.Fatalf("sink error = %v, want %q wrapping the appender's error", err, want)
+	}
+
+	dir := filepath.Join(t.TempDir(), "snapstore")
+	sw, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	windows, err = runWith(sw)
+	if err != nil {
+		t.Fatalf("sink error on a healthy store: %v", err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+	r, err := store.OpenReader(dir)
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	snaps, err := r.Snapshots(math.MinInt64, math.MaxInt64)
+	if err != nil || len(snaps) != windows {
+		t.Fatalf("store replayed %d snapshots (%v), run cut %d", len(snaps), err, windows)
 	}
 }

@@ -283,7 +283,7 @@ func (a *Agent) handle(conn net.Conn) {
 					respType = TypeError
 					break
 				}
-				payload, err = encodeSnapshot(s)
+				payload, err = EncodeSnapshot(s)
 				respType = TypeSnapshot
 			}
 		default:

@@ -35,7 +35,7 @@ func TestGenCorpus(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	snapPayload, err := encodeSnapshot(sampleSnapshot())
+	snapPayload, err := EncodeSnapshot(sampleSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGenCorpus(t *testing.T) {
 	// truncation inside the report section.
 	write("FuzzDecodeSnapshot", "full_snapshot", snapPayload)
 	write("FuzzDecodeSnapshot", "truncated_snapshot", snapPayload[:len(snapPayload)/2])
-	minimal, err := encodeSnapshot(&Snapshot{Node: "n"})
+	minimal, err := EncodeSnapshot(&Snapshot{Node: "n"})
 	if err != nil {
 		t.Fatal(err)
 	}

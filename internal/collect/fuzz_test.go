@@ -36,11 +36,11 @@ func FuzzDecodeReport(f *testing.F) {
 // decoder, and anything that decodes must survive an encode→decode
 // round trip bit-identically (the wire form is canonical).
 func FuzzDecodeSnapshot(f *testing.F) {
-	valid, err := encodeSnapshot(sampleSnapshot())
+	valid, err := EncodeSnapshot(sampleSnapshot())
 	if err != nil {
 		f.Fatal(err)
 	}
-	minimal, err := encodeSnapshot(&Snapshot{Node: "n"})
+	minimal, err := EncodeSnapshot(&Snapshot{Node: "n"})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := encodeSnapshot(s)
+		re, err := EncodeSnapshot(s)
 		if err != nil {
 			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
 		}

@@ -3,6 +3,8 @@ package collect
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 
 	"netsample/internal/flows"
 	"netsample/internal/metrics"
@@ -83,26 +85,28 @@ type SnapshotSource interface {
 // consumers that persist snapshots outside a live wire exchange
 // (internal/store records exactly these bytes, which is what makes a
 // replayed store bit-identical to the live export).
-func EncodeSnapshot(s *Snapshot) ([]byte, error) { return encodeSnapshot(s) }
+func EncodeSnapshot(s *Snapshot) ([]byte, error) { return AppendSnapshot(nil, s) }
 
 // DecodeSnapshot parses a canonical snapshot payload produced by
 // EncodeSnapshot (or received in a TypeSnapshot frame), enforcing every
 // length bound.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) { return decodeSnapshot(payload) }
 
-// encodeSnapshot serializes a snapshot payload.
-func encodeSnapshot(s *Snapshot) ([]byte, error) {
+// AppendSnapshot appends s's canonical wire payload to buf and returns
+// the extended slice — EncodeSnapshot for a caller that keeps a scratch
+// buffer across snapshots. On error nothing is appended.
+func AppendSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
 	if len(s.Node) > maxNameLen {
-		return nil, fmt.Errorf("%w: node name too long", ErrWire)
+		return buf, fmt.Errorf("%w: node name too long", ErrWire)
 	}
 	if len(s.SizeCounts) > maxSnapshotBins || len(s.IatCounts) > maxSnapshotBins {
-		return nil, fmt.Errorf("%w: too many histogram bins", ErrWire)
+		return buf, fmt.Errorf("%w: too many histogram bins", ErrWire)
 	}
 	if len(s.TopK) > maxTopEntries {
-		return nil, fmt.Errorf("%w: too many top-k entries", ErrWire)
+		return buf, fmt.Errorf("%w: too many top-k entries", ErrWire)
 	}
 	// The exact payload length, summed field by field in layout order, so
-	// the buffer is allocated once instead of regrown as it fills.
+	// the buffer grows at most once instead of as it fills.
 	size := 2 + len(s.Node) + 3*8 + 1 + 4 + 4*8 +
 		2 + 8*len(s.SizeCounts) + 2 + 8*len(s.IatCounts) +
 		5*8 + 2
@@ -114,11 +118,15 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	}
 	for _, e := range s.TopK {
 		if len(e.Key) > maxNameLen {
-			return nil, fmt.Errorf("%w: top-k key too long", ErrWire)
+			return buf, fmt.Errorf("%w: top-k key too long", ErrWire)
 		}
 		size += 2 + len(e.Key) + 2*8
 	}
-	buf := make([]byte, 0, size)
+	if buf == nil {
+		// EncodeSnapshot's result is kept, not reused: size it exactly.
+		buf = make([]byte, 0, size)
+	}
+	buf = slices.Grow(buf, size)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Node)))
 	buf = append(buf, s.Node...)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Seq)
@@ -164,9 +172,17 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 }
 
 // decodeSnapshot parses a snapshot payload, enforcing every length
-// bound and exact payload consumption.
+// bound and exact payload consumption. Every length field is checked
+// against the bytes that remain before anything is sized from it, and
+// the result is a handful of objects whatever it holds: the snapshot
+// with its reports, one array under both histograms, the entries, and
+// one string the entries' keys are cut from.
 func decodeSnapshot(payload []byte) (*Snapshot, error) {
-	s := &Snapshot{}
+	blk := &struct {
+		Snapshot
+		sizeRep, iatRep metrics.Report
+	}{}
+	s := &blk.Snapshot
 	node, off, err := readString(payload, 0)
 	if err != nil {
 		return nil, err
@@ -208,26 +224,31 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	if s.SizeCounts, off, err = readCounts(payload, off); err != nil {
+	nSize, err := countsLen(payload, off)
+	if err != nil {
 		return nil, err
 	}
-	if s.IatCounts, off, err = readCounts(payload, off); err != nil {
+	nIat, err := countsLen(payload, off+2+8*nSize)
+	if err != nil {
 		return nil, err
 	}
+	counts := make([]uint64, nSize+nIat)
+	s.SizeCounts, off = readCounts(counts[:nSize:nSize], payload, off+2)
+	s.IatCounts, off = readCounts(counts[nSize:], payload, off+2)
 	if flags&snapFlagSizeReport != 0 {
-		rep, rest, err := metrics.DecodeReport(payload[off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWire, err)
-		}
-		s.SizeReport = &rep
-		off = len(payload) - len(rest)
+		s.SizeReport = &blk.sizeRep
 	}
 	if flags&snapFlagIatReport != 0 {
-		rep, rest, err := metrics.DecodeReport(payload[off:])
-		if err != nil {
+		s.IatReport = &blk.iatRep
+	}
+	for _, rep := range [...]*metrics.Report{s.SizeReport, s.IatReport} {
+		if rep == nil {
+			continue
+		}
+		var rest []byte
+		if *rep, rest, err = metrics.DecodeReport(payload[off:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrWire, err)
 		}
-		s.IatReport = &rep
 		off = len(payload) - len(rest)
 	}
 	for _, dst := range [...]*uint64{
@@ -246,22 +267,43 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	if nTop > maxTopEntries {
 		return nil, fmt.Errorf("%w: top-k count %d exceeds limit", ErrWire, nTop)
 	}
+	// First pass: walk the entries' frames without building anything, so
+	// a count or key length the payload cannot hold fails before the
+	// entries are made, and size the one string the keys are cut from.
+	end, keyBytes := off, 0
 	for i := 0; i < nTop; i++ {
-		var key string
-		if key, off, err = readString(payload, off); err != nil {
-			return nil, err
+		if end+2 > len(payload) {
+			return nil, fmt.Errorf("%w: missing string length", ErrWire)
 		}
-		e := nnstat.Entry{Key: key}
-		if e.Count, err = u64(); err != nil {
-			return nil, err
+		n := int(binary.LittleEndian.Uint16(payload[end:]))
+		if n > maxNameLen || end+2+n+16 > len(payload) {
+			return nil, fmt.Errorf("%w: top-k entry overruns payload", ErrWire)
 		}
-		if e.MaxError, err = u64(); err != nil {
-			return nil, err
-		}
-		s.TopK = append(s.TopK, e)
+		keyBytes += n
+		end += 2 + n + 16
 	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(payload)-off)
+	if end != len(payload) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(payload)-end)
+	}
+	if nTop == 0 {
+		return s, nil
+	}
+	// Grown once to its final size, the builder never moves, and it never
+	// rewrites what it holds: each key is cut as soon as it is written.
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	s.TopK = make([]nnstat.Entry, nTop)
+	for i := range s.TopK {
+		n := int(binary.LittleEndian.Uint16(payload[off:]))
+		off += 2
+		keys.Write(payload[off : off+n])
+		off += n
+		s.TopK[i] = nnstat.Entry{
+			Key:      keys.String()[keys.Len()-n:],
+			Count:    binary.LittleEndian.Uint64(payload[off:]),
+			MaxError: binary.LittleEndian.Uint64(payload[off+8:]),
+		}
+		off += 16
 	}
 	return s, nil
 }
@@ -275,27 +317,33 @@ func appendCounts(buf []byte, counts []uint64) []byte {
 	return buf
 }
 
-// readCounts reads a uint16-count-prefixed uint64 array, bounding the
-// element count before allocating.
-func readCounts(b []byte, off int) ([]uint64, int, error) {
+// countsLen reads the uint16 length of the count array at off and
+// checks it against the limit and the bytes that remain, so the caller
+// may size storage from it.
+func countsLen(b []byte, off int) (int, error) {
 	if off+2 > len(b) {
-		return nil, 0, fmt.Errorf("%w: missing count array length", ErrWire)
+		return 0, fmt.Errorf("%w: missing count array length", ErrWire)
 	}
 	n := int(binary.LittleEndian.Uint16(b[off:]))
-	off += 2
 	if n > maxSnapshotBins {
-		return nil, 0, fmt.Errorf("%w: count array length %d exceeds limit", ErrWire, n)
+		return 0, fmt.Errorf("%w: count array length %d exceeds limit", ErrWire, n)
 	}
-	if off+8*n > len(b) {
-		return nil, 0, fmt.Errorf("%w: count array overruns payload", ErrWire)
+	if off+2+8*n > len(b) {
+		return 0, fmt.Errorf("%w: count array overruns payload", ErrWire)
 	}
-	if n == 0 {
-		return nil, off, nil
+	return n, nil
+}
+
+// readCounts fills dst from the uint64 array at off (past its length
+// field, which countsLen has checked) and returns it with the offset
+// that follows; an empty array decodes to nil.
+func readCounts(dst []uint64, b []byte, off int) ([]uint64, int) {
+	if len(dst) == 0 {
+		return nil, off
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[off:])
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[off:])
 		off += 8
 	}
-	return out, off, nil
+	return dst, off
 }

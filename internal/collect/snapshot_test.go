@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	for name, want := range cases {
 		t.Run(name, func(t *testing.T) {
-			payload, err := encodeSnapshot(want)
+			payload, err := EncodeSnapshot(want)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -113,7 +114,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // check: truncations at each field boundary, oversized length fields,
 // and trailing garbage must all error (never panic or over-allocate).
 func TestSnapshotDecodeMalformed(t *testing.T) {
-	valid, err := encodeSnapshot(sampleSnapshot())
+	valid, err := EncodeSnapshot(sampleSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +145,55 @@ func TestSnapshotDecodeMalformed(t *testing.T) {
 	// An encoded top-k count beyond the limit is likewise rejected.
 	s := sampleSnapshot()
 	s.TopK = make([]nnstat.Entry, maxTopEntries+1)
-	if _, err := encodeSnapshot(s); err == nil {
+	if _, err := EncodeSnapshot(s); err == nil {
 		t.Error("encode accepted oversized top-k")
 	}
 	s = sampleSnapshot()
 	s.Node = strings.Repeat("x", maxNameLen+1)
-	if _, err := encodeSnapshot(s); err == nil {
+	if _, err := EncodeSnapshot(s); err == nil {
 		t.Error("encode accepted oversized node name")
+	}
+}
+
+// TestSnapshotDecodeTopKCountBeforeAlloc pins the order of the decoder's
+// top-k checks: a count field is believed only after the bytes behind
+// it have been walked. The payload's top-k section is 30 bytes — a
+// count of 4096 and one 28-byte entry — where 4096 entries need at
+// least 72 KiB; making the entry slice first would cost 128 KiB a call.
+// It must fail as ErrWire having allocated next to nothing, and a
+// well-formed record must decode into at most six objects.
+func TestSnapshotDecodeTopKCountBeforeAlloc(t *testing.T) {
+	payload, err := EncodeSnapshot(&Snapshot{Node: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(payload[len(payload)-2:], maxTopEntries)
+	payload = binary.LittleEndian.AppendUint16(payload, 10)
+	payload = append(payload, make([]byte, 10+16)...)
+
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := decodeSnapshot(payload); !errors.Is(err, ErrWire) {
+			t.Fatalf("decode of a 30-byte section claiming %d entries = %v, want ErrWire", maxTopEntries, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4096 {
+		t.Errorf("rejecting the payload allocated %d bytes a call: storage was sized from the count field", perRun)
+	}
+
+	valid, err := EncodeSnapshot(sampleSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeSnapshot(valid); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 6 {
+		t.Errorf("decoding a full record made %v allocations, want at most 6", n)
 	}
 }
 

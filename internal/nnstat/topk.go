@@ -267,9 +267,16 @@ type Entry struct {
 }
 
 // Top returns up to n entries by descending estimated count (ties by
-// key for determinism). A warm sketch allocates twice whatever n is:
-// the entries, and one string the reported keys are cut from.
+// key for determinism), in a slice of its own.
 func (t *TopK) Top(n int) []Entry {
+	return t.AppendTop(make([]Entry, 0, min(n, t.n)), n)
+}
+
+// AppendTop is Top appending to dst. With room in dst a warm sketch
+// allocates once whatever n is: the one string the reported keys are
+// cut from, which is fresh on every call because the entries returned
+// earlier still refer to theirs.
+func (t *TopK) AppendTop(dst []Entry, n int) []Entry {
 	order := t.order[:t.n]
 	for i := range order {
 		order[i] = int32(i)
@@ -292,13 +299,12 @@ func (t *TopK) Top(n int) []Entry {
 		t.keys = append(t.keys, t.slots[si].key...)
 	}
 	all := string(t.keys)
-	out := make([]Entry, len(order))
-	for i, si := range order {
+	for _, si := range order {
 		s := &t.slots[si]
-		out[i] = Entry{Key: all[:len(s.key)], Count: s.count, MaxError: s.overcnt}
+		dst = append(dst, Entry{Key: all[:len(s.key)], Count: s.count, MaxError: s.overcnt})
 		all = all[len(s.key):]
 	}
-	return out
+	return dst
 }
 
 // GuaranteedTop returns the entries whose lower bound (Count-MaxError)

@@ -121,10 +121,10 @@ func (a *AdaptiveConfig) Decide(prevK int, snap *Snapshot) AdaptiveDecision {
 // pins it to the cold side of the window cut.
 //
 //nslint:coldpath runs once per window barrier on the collector, never on the packet path
-func (p *Pipeline) controlStep(bar *barrier, snap *Snapshot) {
+func (p *Pipeline) controlStep(snap *Snapshot) {
 	snap.K = p.adaptK
 	d := p.cfg.Adaptive.Decide(p.adaptK, snap)
-	if !bar.final {
+	if !snap.Final {
 		// The final barrier closes the run; there is no next window for
 		// its decision to govern, so none is recorded.
 		p.mu.Lock()
@@ -132,8 +132,7 @@ func (p *Pipeline) controlStep(bar *barrier, snap *Snapshot) {
 		p.mu.Unlock()
 		p.adaptK = d.K
 	}
-	bar.nextK = d.K
-	close(bar.decided)
+	p.decided <- d.K
 }
 
 // Decisions returns the control steps taken so far, in window order.

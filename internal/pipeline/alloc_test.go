@@ -8,6 +8,7 @@ import (
 
 	"netsample/internal/online"
 	"netsample/internal/packet"
+	"netsample/internal/store"
 	"netsample/internal/trace"
 )
 
@@ -186,5 +187,65 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 	if allocs := after.Mallocs - before.Mallocs; allocs > measured/100 {
 		t.Errorf("%d churn packets after the warm-up window made %d allocations (> %d): a miss path is allocating",
 			measured, allocs, measured/100)
+	}
+}
+
+// TestWindowCutAllocs pins the per-window path the packet-path tests
+// above amortize away: barrier, shard cut, merge, score, Wire, encode
+// and store append. The same trace is cut into W and then 2W windows,
+// every window going to a store as nsd -store sends it, so the
+// difference between the two runs is W windows' worth of that path and
+// nothing else. Each costs at most ten allocations (it measures under
+// eight: the snapshot block, its counts, DroppedByShard and TopK; the
+// wire block, its counts and TopK; the shard's key string).
+func TestWindowCutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	tr := smallTrace(t, 28)
+	sizeEval, iatEval := evaluators(t, tr)
+	runAllocs := func(windowUS int64) (allocs uint64, windows int) {
+		sw, err := store.Open(t.TempDir(), store.Options{SyncWindowUS: -1})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		p, err := New(Config{
+			Shards:     1,
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
+			WindowUS:   windowUS,
+			SizeEval:   sizeEval,
+			IatEval:    iatEval,
+			OnSnapshot: func(s *Snapshot) {
+				if err := sw.AppendSnapshot(s.Wire("alloc-node")); err != nil {
+					t.Errorf("window %d: AppendSnapshot: %v", s.Seq, err)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := p.Run(tr.Replay()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := sw.Close(); err != nil {
+			t.Fatalf("store close: %v", err)
+		}
+		return after.Mallocs - before.Mallocs, len(p.Snapshots())
+	}
+	// Two minutes of trace: some 1200 windows, then some 2400.
+	a, wa := runAllocs(100_000)
+	b, wb := runAllocs(50_000)
+	if wa < 1000 || wb < 2*wa-2 {
+		t.Fatalf("runs cut %d and %d windows, want over 1000 and twice that", wa, wb)
+	}
+	if extra := uint64(wb - wa); b > a+10*extra {
+		t.Errorf("%d windows made %d allocations, %d windows %d: %.2f per extra window (> 10)",
+			wa, a, wb, b, float64(b-a)/float64(extra))
+	} else {
+		t.Logf("%.2f allocations per extra window", (float64(b)-float64(a))/float64(extra))
 	}
 }

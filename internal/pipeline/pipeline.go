@@ -198,8 +198,18 @@ type Pipeline struct {
 	ingest *ingestState
 
 	barriers chan *barrier
-	useq     uint64 // data units sent, reader-owned: selSlot's index into selPool
-	winSeq   uint64 // window sequence, reader-owned
+	// barFree returns merged barriers from the collector to the reader,
+	// which owns them: cap(barriers) queued, one being merged and one
+	// being stamped are all that exist at once, so the ring holds them
+	// all and emitBarrier allocates only until the set is complete.
+	barFree chan *barrier
+	// decided is the adaptive handshake, one token per barrier: the
+	// collector sends the next window's k, the reader parks on it in
+	// emitBarrier. The reader waits out each decision before it cuts
+	// again, so one slot is always enough.
+	decided chan int
+	useq    uint64 // data units sent, reader-owned: selSlot's index into selPool
+	winSeq  uint64 // window sequence, reader-owned
 
 	latest atomic.Pointer[Snapshot]
 	mu     sync.Mutex
@@ -221,8 +231,8 @@ type Pipeline struct {
 	selPool [][]uint64
 
 	// Adaptive-control state (Config.Adaptive). adaptK is
-	// collector-owned; the barrier handshake (barrier.decided) orders it
-	// against the reader. decisions is guarded by mu.
+	// collector-owned; the reader learns each decision through decided.
+	// decisions is guarded by mu.
 	adaptK    int
 	decisions []AdaptiveDecision
 }
@@ -294,10 +304,12 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:      cfg,
 		barriers: make(chan *barrier, cfg.QueueDepth),
+		barFree:  make(chan *barrier, cfg.QueueDepth+2),
 		done:     make(chan struct{}),
 	}
 	var err error
 	if cfg.Adaptive != nil {
+		p.decided = make(chan int, 1)
 		p.adaptK = cfg.Adaptive.StartK
 		p.sampler, err = online.NewSystematic(cfg.Adaptive.StartK, 0)
 	} else {
@@ -523,40 +535,40 @@ func (p *Pipeline) sendRawUnit(raw []byte, from, to int, sel []uint64, prevUS in
 // Barriers are always delivered — overload may drop data batches, never
 // a cut.
 //
-// In adaptive mode the barrier doubles as the control-loop handshake:
-// the reader parks on bar.decided until the collector has merged the
-// window and run the control step, then adopts the decided k. Parking
-// here cannot deadlock — every unit of the window and its barrier was
-// pushed before the wait, so the shards can always reach the cut and
-// the collector always closes decided. The wait is what makes adaptive
+// In adaptive mode the cut doubles as the control-loop handshake: the
+// reader parks on p.decided until the collector has merged the window
+// and run the control step, then adopts the decided k. Parking here
+// cannot deadlock — every unit of the window and its barrier was pushed
+// before the wait, so the shards can always reach the cut and the
+// collector always sends the decision. The wait is what makes adaptive
 // runs deterministic: every packet of window w+1 is offered to the
 // sampler under the k decided from window w, regardless of how the
 // goroutines interleave.
 //
-//nslint:coldpath runs once per window boundary; its allocations amortize over the window's packets
+// The barrier itself comes from barFree when the collector has handed
+// one back (DESIGN.md §10, "Who owns a window's objects"): a steady-state
+// cut allocates nothing here.
+//
+//nslint:coldpath runs once per window boundary, never per packet; allocates only until QueueDepth+2 barriers exist
 func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64) {
 	p.winSeq++
-	bar := &barrier{
-		seq:     p.winSeq,
-		startUS: startUS,
-		endUS:   endUS,
-		final:   final,
-		offered: offered,
-		parts:   make(chan shardPart, len(p.shards)),
+	var bar *barrier
+	select {
+	case bar = <-p.barFree:
+	default:
+		bar = &barrier{parts: make(chan shardPart, len(p.shards))}
 	}
-	if p.cfg.Adaptive != nil {
-		bar.decided = make(chan struct{})
-	}
+	bar.seq, bar.startUS, bar.endUS, bar.final, bar.offered = p.winSeq, startUS, endUS, final, offered
 	p.ingest.in.push(srcUnit{bar: bar})
 	p.barriers <- bar
-	if bar.decided != nil {
-		<-bar.decided
-		if sys := p.sampler.(*online.Systematic); bar.nextK != sys.K() {
+	if p.decided != nil {
+		nextK := <-p.decided
+		if sys := p.sampler.(*online.Systematic); nextK != sys.K() {
 			// New granularity regime: the schedule restarts with the first
 			// packet of the next window selected. SetGranularity alone
 			// would anchor on the k-th; Reset moves the anchor back.
 			//nslint:allow errdrop Decide clamps k to [MinK, MaxK] and validate pins MinK >= 1, so ErrBadGranularity is unreachable
-			sys.SetGranularity(bar.nextK)
+			sys.SetGranularity(nextK)
 			sys.Reset()
 		}
 	}

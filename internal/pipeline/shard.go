@@ -34,9 +34,14 @@ type shardMsg struct {
 	dropped uint64
 }
 
-// histBufs is one window's pair of histogram copies, travelling from a
-// shard's cut to the collector inside a shardPart and back for reuse.
-type histBufs struct{ size, iat []float64 }
+// cutBufs is what a shard lends the collector at a cut: the window's
+// two histogram copies and its top-k entries. It travels inside a
+// shardPart and comes back through cutFree once merge has copied out of
+// it; until then the shard does not touch it.
+type cutBufs struct {
+	size, iat []float64
+	topk      []nnstat.Entry
+}
 
 // shardState is one worker shard. Field ownership is strict: in and
 // free are the rings connecting it to the ingest worker; everything else
@@ -59,11 +64,12 @@ type shardState struct {
 	iatEdged   *bins.Edged
 	sizeCounts []float64
 	iatCounts  []float64
-	// histFree returns the histogram copies of merged shardParts from
-	// the snapshot collector, so cut reuses them instead of allocating a
-	// pair per window. Two pairs cover the steady state: one being
-	// merged while the next window's is cut.
-	histFree   chan histBufs
+	// cutFree returns the buffers of merged shardParts from the snapshot
+	// collector, so cut reuses them instead of allocating a set per
+	// window. It holds one set per barrier that can exist (see
+	// Pipeline.barFree): a shard can be that many cuts ahead of a
+	// collector busy in OnSnapshot.
+	cutFree    chan cutBufs
 	flowTab    *flows.Table
 	topk       *nnstat.TopK
 	topkReport int
@@ -94,7 +100,7 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 		iatEdged:   iatEdged,
 		sizeCounts: make([]float64, cfg.SizeScheme.NumBins()),
 		iatCounts:  make([]float64, cfg.IatScheme.NumBins()),
-		histFree:   make(chan histBufs, 2),
+		cutFree:    make(chan cutBufs, cfg.QueueDepth+2),
 		flowTab:    flowTab,
 		topk:       topk,
 		topkReport: cfg.TopKReport,
@@ -179,25 +185,24 @@ func (st *shardState) process(it *item) {
 // cut snapshots the shard's window-local aggregates into a shardPart
 // and resets them for the next window.
 //
-//nslint:coldpath runs once per window cut; its copies amortize over the window's packets
+//nslint:coldpath runs once per window cut, never per packet; a warm cut allocates one string, the reported keys
 func (st *shardState) cut() shardPart {
-	var hist histBufs
+	var bufs cutBufs
 	select {
-	case hist = <-st.histFree:
+	case bufs = <-st.cutFree:
 	default:
-		hist = histBufs{make([]float64, len(st.sizeCounts)), make([]float64, len(st.iatCounts))}
+		bufs = cutBufs{size: make([]float64, len(st.sizeCounts)), iat: make([]float64, len(st.iatCounts))}
 	}
-	copy(hist.size, st.sizeCounts)
-	copy(hist.iat, st.iatCounts)
+	copy(bufs.size, st.sizeCounts)
+	copy(bufs.iat, st.iatCounts)
+	bufs.topk = st.topk.AppendTop(bufs.topk[:0], st.topkReport)
 	part := shardPart{
 		shard:       st.id,
 		processed:   st.processed,
 		selected:    st.selected,
 		dropped:     st.dropped,
-		sizeCounts:  hist.size,
-		iatCounts:   hist.iat,
+		bufs:        bufs,
 		activeFlows: st.flowTab.ActiveCount(),
-		topk:        st.topk.Top(st.topkReport),
 	}
 	part.flows = flows.CountFlows(st.flowTab.Flush())
 	st.processed, st.selected, st.dropped = 0, 0, 0

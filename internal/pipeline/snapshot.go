@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"netsample/internal/collect"
@@ -14,7 +15,8 @@ import (
 // barrier is a window cut travelling through every shard ring. The
 // reader stamps it with the window bounds and the offered count; each
 // shard deposits its partial state into parts when the barrier reaches
-// it.
+// it. The reader owns it: the collector hands it back through barFree
+// once every part is in and merged, and nothing published refers to it.
 type barrier struct {
 	seq     uint64
 	startUS int64
@@ -22,28 +24,20 @@ type barrier struct {
 	final   bool
 	offered uint64
 	parts   chan shardPart
-
-	// Adaptive-control handshake (nil channel when adaptive is off):
-	// the collector stores the next window's granularity in nextK and
-	// closes decided; the reader waits on decided in emitBarrier before
-	// offering the sampler any packet of the next window.
-	nextK   int
-	decided chan struct{}
 }
 
 // shardPart is one shard's window-local state at a barrier. dropped is
 // the shard's overload loss this window, summed from the drop deltas
-// the ingest worker flushed down its ring.
+// the ingest worker flushed down its ring. bufs is on loan from the
+// shard: merge copies out of it and the collector sends it back.
 type shardPart struct {
 	shard       int
 	processed   uint64
 	selected    uint64
 	dropped     uint64
-	sizeCounts  []float64
-	iatCounts   []float64
+	bufs        cutBufs
 	flows       flows.Counts
 	activeFlows int
-	topk        []nnstat.Entry
 }
 
 // Snapshot is one consistent windowed view of the pipeline: the merge
@@ -104,26 +98,31 @@ type Snapshot struct {
 // publishes it.
 func (p *Pipeline) collect() {
 	defer close(p.done)
+	parts := make([]shardPart, len(p.shards))
 	for bar := range p.barriers {
-		parts := make([]shardPart, len(p.shards))
 		for range p.shards {
 			part := <-bar.parts
 			parts[part.shard] = part
 		}
 		snap := p.merge(bar, parts)
-		// merge summed the parts' histograms into the snapshot's own
-		// slices, so nothing published refers to them: hand them back.
+		// merge copied what it keeps into the snapshot's own block, so
+		// nothing published refers to the barrier or the parts' buffers:
+		// hand them back to their owners. A full ring drops the object.
 		for _, part := range parts {
 			select {
-			case p.shards[part.shard].histFree <- histBufs{part.sizeCounts, part.iatCounts}:
+			case p.shards[part.shard].cutFree <- part.bufs:
 			default:
 			}
 		}
-		if bar.decided != nil {
+		select {
+		case p.barFree <- bar:
+		default:
+		}
+		if p.decided != nil {
 			// Control step before publication: the reader is parked on
-			// this barrier and every window it reads next depends on the
+			// this cut and every window it reads next depends on the
 			// decision, so deciding first keeps the pipeline draining.
-			p.controlStep(bar, snap)
+			p.controlStep(snap)
 		}
 		p.latest.Store(snap)
 		p.mu.Lock()
@@ -147,11 +146,20 @@ func rankEntries(es []nnstat.Entry) {
 	})
 }
 
+// snapBlock is what merge publishes for one window, allocated as one
+// object: the Snapshot and the two reports its pointers lead to.
+type snapBlock struct {
+	Snapshot
+	sizeRep, iatRep metrics.Report
+}
+
 // merge folds the shard parts into one Snapshot, in shard order so the
 // float64 count sums are reproducible (and exact: the counts are
-// integers far below 2⁵³).
+// integers far below 2⁵³). Both histograms share one backing array.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
-	snap := &Snapshot{
+	nSize := p.cfg.SizeScheme.NumBins()
+	counts := make([]float64, nSize+p.cfg.IatScheme.NumBins())
+	blk := &snapBlock{Snapshot: Snapshot{
 		Seq:            bar.seq,
 		WindowStartUS:  bar.startUS,
 		WindowEndUS:    bar.endUS,
@@ -159,19 +167,20 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		Shards:         len(p.shards),
 		Offered:        bar.offered,
 		DroppedByShard: make([]uint64, len(p.shards)),
-		SizeCounts:     make([]float64, p.cfg.SizeScheme.NumBins()),
-		IatCounts:      make([]float64, p.cfg.IatScheme.NumBins()),
-	}
+		SizeCounts:     counts[:nSize:nSize],
+		IatCounts:      counts[nSize:],
+	}}
+	snap := &blk.Snapshot
 	for i := range parts {
 		part := &parts[i]
 		snap.Processed += part.processed
 		snap.Selected += part.selected
 		snap.Dropped += part.dropped
 		snap.DroppedByShard[part.shard] = part.dropped
-		for b, c := range part.sizeCounts {
+		for b, c := range part.bufs.size {
 			snap.SizeCounts[b] += c
 		}
-		for b, c := range part.iatCounts {
+		for b, c := range part.bufs.iat {
 			snap.IatCounts[b] += c
 		}
 		snap.Flows.Flows += part.flows.Flows
@@ -179,21 +188,21 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		snap.Flows.Bytes += part.flows.Bytes
 		snap.Flows.Singletons += part.flows.Singletons
 		snap.ActiveFlows += part.activeFlows
-		snap.TopK = append(snap.TopK, part.topk...)
+		snap.TopK = append(snap.TopK, part.bufs.topk...)
 	}
 	rankEntries(snap.TopK)
 	if len(snap.TopK) > p.cfg.TopKReport {
 		snap.TopK = snap.TopK[:p.cfg.TopKReport]
 	}
-	snap.SizeReport = scoreCounts(p.cfg.SizeEval, snap.SizeCounts)
-	snap.IatReport = scoreCounts(p.cfg.IatEval, snap.IatCounts)
+	snap.SizeReport = scoreCounts(p.cfg.SizeEval, snap.SizeCounts, &blk.sizeRep)
+	snap.IatReport = scoreCounts(p.cfg.IatEval, snap.IatCounts, &blk.iatRep)
 	return snap
 }
 
-// scoreCounts scores merged counts against a reference evaluator,
-// returning nil for unscored snapshots (no evaluator, or an empty
-// window for which χ²-family metrics are undefined).
-func scoreCounts(ev *core.Evaluator, counts []float64) *metrics.Report {
+// scoreCounts scores merged counts against a reference evaluator into
+// rep and returns it, or nil for unscored snapshots (no evaluator, or
+// an empty window for which χ²-family metrics are undefined).
+func scoreCounts(ev *core.Evaluator, counts []float64, rep *metrics.Report) *metrics.Report {
 	if ev == nil {
 		return nil
 	}
@@ -204,18 +213,23 @@ func scoreCounts(ev *core.Evaluator, counts []float64) *metrics.Report {
 	if total == 0 {
 		return nil
 	}
-	rep, err := ev.ScoreCounts(counts)
-	if err != nil {
+	var err error
+	if *rep, err = ev.ScoreCounts(counts); err != nil {
 		// Bin-count mismatches are rejected at New; an error here would
 		// mean an evaluator swapped mid-run, which the API forbids.
 		return nil
 	}
-	return &rep
+	return rep
 }
 
-// Wire converts the snapshot to its collect wire form for export.
+// Wire converts the snapshot to its collect wire form for export. The
+// result shares nothing with s: its own copy of the reports rides in
+// the same block, and both count arrays share one backing array.
 func (s *Snapshot) Wire(node string) *collect.Snapshot {
-	w := &collect.Snapshot{
+	blk := &struct {
+		collect.Snapshot
+		sizeRep, iatRep metrics.Report
+	}{Snapshot: collect.Snapshot{
 		Node:          node,
 		Seq:           s.Seq,
 		WindowStartUS: s.WindowStartUS,
@@ -226,31 +240,30 @@ func (s *Snapshot) Wire(node string) *collect.Snapshot {
 		Processed:     s.Processed,
 		Selected:      s.Selected,
 		Dropped:       s.Dropped,
-		SizeCounts:    countsToWire(s.SizeCounts),
-		IatCounts:     countsToWire(s.IatCounts),
 		FlowCounts:    s.Flows,
 		ActiveFlows:   uint64(s.ActiveFlows),
 		TopK:          append([]nnstat.Entry(nil), s.TopK...),
+	}}
+	w := &blk.Snapshot
+	// Integer-valued float64 counts convert losslessly.
+	nSize := len(s.SizeCounts)
+	counts := make([]uint64, nSize+len(s.IatCounts))
+	for i, c := range s.SizeCounts {
+		counts[i] = uint64(c)
 	}
+	for i, c := range s.IatCounts {
+		counts[nSize+i] = uint64(c)
+	}
+	w.SizeCounts, w.IatCounts = counts[:nSize:nSize], counts[nSize:]
 	if s.SizeReport != nil {
-		rep := *s.SizeReport
-		w.SizeReport = &rep
+		blk.sizeRep = *s.SizeReport
+		w.SizeReport = &blk.sizeRep
 	}
 	if s.IatReport != nil {
-		rep := *s.IatReport
-		w.IatReport = &rep
+		blk.iatRep = *s.IatReport
+		w.IatReport = &blk.iatRep
 	}
 	return w
-}
-
-// countsToWire converts integer-valued float64 bin counts to uint64 for
-// the wire (lossless: counts are exact integers).
-func countsToWire(counts []float64) []uint64 {
-	out := make([]uint64, len(counts))
-	for i, c := range counts {
-		out[i] = uint64(c)
-	}
-	return out
 }
 
 // Exporter adapts the pipeline to collect.SnapshotSource, so an Agent
@@ -273,4 +286,42 @@ func (e *Exporter) LatestSnapshot() (*collect.Snapshot, bool) {
 		return nil, false
 	}
 	return s.Wire(e.node), true
+}
+
+// SnapshotAppender is where a StoreSink persists wire snapshots;
+// *store.Writer is the one a daemon uses.
+type SnapshotAppender interface {
+	AppendSnapshot(*collect.Snapshot) error
+}
+
+// StoreSink is the Config.OnSnapshot of a node that persists every
+// window (nsd -store): the record is the exact wire payload the
+// exporter would serve, so a cold replay of the store is bit-identical
+// to the live export. A failed append is counted rather than only
+// logged, because a run that lost windows must not report success.
+type StoreSink struct {
+	Node string
+	To   SnapshotAppender
+
+	lost  int
+	first error
+}
+
+// OnSnapshot appends one window. Collector goroutine only.
+func (sk *StoreSink) OnSnapshot(s *Snapshot) {
+	if err := sk.To.AppendSnapshot(s.Wire(sk.Node)); err != nil {
+		if sk.lost == 0 {
+			sk.first = err
+		}
+		sk.lost++
+	}
+}
+
+// Err reports, once Run has returned, how many windows the appender
+// refused; nil when every window was persisted.
+func (sk *StoreSink) Err() error {
+	if sk.lost == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d window(s) not persisted, first: %w", sk.lost, sk.first)
 }

@@ -47,8 +47,9 @@ func MergeWire(snaps []*collect.Snapshot, topk int) (*collect.Snapshot, error) {
 		Shards:        first.Shards,
 		SizeCounts:    make([]uint64, len(first.SizeCounts)),
 		IatCounts:     make([]uint64, len(first.IatCounts)),
+		TopK:          []nnstat.Entry{}, // empty, never nil, with no heavy hitters
 	}
-	byKey := make(map[string]*nnstat.Entry)
+	byKey := make(map[string]int32) // key → index into out.TopK
 	for _, s := range snaps {
 		if len(s.SizeCounts) != len(out.SizeCounts) || len(s.IatCounts) != len(out.IatCounts) {
 			return nil, fmt.Errorf("%w: histogram bins %d/%d vs %d/%d",
@@ -87,18 +88,14 @@ func MergeWire(snaps []*collect.Snapshot, topk int) (*collect.Snapshot, error) {
 		out.FlowCounts.Singletons += s.FlowCounts.Singletons
 		out.ActiveFlows += s.ActiveFlows
 		for _, e := range s.TopK {
-			if have, ok := byKey[e.Key]; ok {
-				have.Count += e.Count
-				have.MaxError += e.MaxError
+			if i, ok := byKey[e.Key]; ok {
+				out.TopK[i].Count += e.Count
+				out.TopK[i].MaxError += e.MaxError
 			} else {
-				cp := e
-				byKey[e.Key] = &cp
+				byKey[e.Key] = int32(len(out.TopK))
+				out.TopK = append(out.TopK, e)
 			}
 		}
-	}
-	out.TopK = make([]nnstat.Entry, 0, len(byKey))
-	for _, e := range byKey {
-		out.TopK = append(out.TopK, *e)
 	}
 	rankEntries(out.TopK)
 	if len(out.TopK) > topk {

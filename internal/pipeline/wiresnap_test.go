@@ -12,6 +12,7 @@ import (
 	"netsample/internal/dist"
 	"netsample/internal/metrics"
 	"netsample/internal/nnstat"
+	"netsample/internal/online"
 )
 
 // randomWireSnapshot derives a pipeline Snapshot from one seed,
@@ -189,5 +190,79 @@ func TestGenWireCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPublishedSnapshotsImmutable holds the recycling on the window's
+// write path (barriers, shard cut buffers, the store's encode scratch)
+// to its one rule: it never reaches a published object. Every window is
+// copied inside OnSnapshot — the snapshot field by field, its wire form,
+// the encoded payload — and after Run, many recycled cuts later, the
+// retained snapshots and the wire objects made then must still say the
+// same. One-second windows keep the shards cuts ahead of the collector.
+func TestPublishedSnapshotsImmutable(t *testing.T) {
+	tr := smallTrace(t, 28)
+	sizeEval, iatEval := evaluators(t, tr)
+	type frozen struct {
+		proj    snapProj
+		dropped string
+		wire    *collect.Snapshot
+		payload []byte
+	}
+	for _, tc := range []struct {
+		name     string
+		shards   int
+		adaptive bool
+	}{
+		{"shards=1", 1, false}, {"shards=2", 2, false}, {"shards=4", 4, false}, {"adaptive", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var seen []frozen
+			cfg := Config{
+				Shards:   tc.shards,
+				WindowUS: 1_000_000,
+				SizeEval: sizeEval,
+				IatEval:  iatEval,
+				OnSnapshot: func(s *Snapshot) {
+					w := s.Wire("frozen-node")
+					payload, err := collect.EncodeSnapshot(w)
+					if err != nil {
+						t.Errorf("window %d: encode: %v", s.Seq, err)
+					}
+					seen = append(seen, frozen{projectSnap(s), fmt.Sprint(s.DroppedByShard), w, payload})
+				},
+			}
+			if tc.adaptive {
+				cfg.Adaptive = &AdaptiveConfig{MinK: 2, MaxK: 64, StartK: 8, TargetPhi: 0.2}
+			} else {
+				cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewSystematic(5, 0) }
+			}
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := p.Run(tr.Replay()); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			snaps := p.Snapshots()
+			if len(snaps) < 100 || len(snaps) != len(seen) {
+				t.Fatalf("%d snapshots retained, %d seen in OnSnapshot, want the same 100+", len(snaps), len(seen))
+			}
+			for i, s := range snaps {
+				was := seen[i]
+				if projectSnap(s) != was.proj || fmt.Sprint(s.DroppedByShard) != was.dropped {
+					t.Fatalf("window %d changed after publication:\n got %+v\nwant %+v", s.Seq, projectSnap(s), was.proj)
+				}
+				for what, w := range map[string]*collect.Snapshot{"wire form made at publication": was.wire, "snapshot's wire form": s.Wire("frozen-node")} {
+					payload, err := collect.EncodeSnapshot(w)
+					if err != nil {
+						t.Fatalf("window %d: %s: encode: %v", s.Seq, what, err)
+					}
+					if !bytes.Equal(payload, was.payload) {
+						t.Fatalf("window %d: %s no longer encodes to the payload published", s.Seq, what)
+					}
+				}
+			}
+		})
 	}
 }

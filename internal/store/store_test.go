@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"netsample/internal/collect"
 	"netsample/internal/metrics"
 )
 
@@ -477,5 +481,67 @@ func TestStoreTornCreationRemoved(t *testing.T) {
 	}
 	if got := replayPayloads(t, dir); len(got) != 5 {
 		t.Fatalf("replayed %d records, want 5", len(got))
+	}
+}
+
+// TestStoreAppendSnapshotSharedScratch pins the writer-owned encode
+// buffer from both sides: a warm AppendSnapshot allocates (amortized)
+// nothing, and concurrent callers never see each other's bytes — every
+// stored payload is one caller's snapshot, whole.
+func TestStoreAppendSnapshotSharedScratch(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SegmentRecords: 1 << 20, SyncEvery: 64, SyncWindowUS: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const writers, each, timed = 4, 200, 1000
+	snaps := make([]*collect.Snapshot, writers)
+	want := make(map[string]int)
+	for g := range snaps {
+		// Different lengths, so a buffer torn between two callers cannot
+		// pass for either's payload.
+		snaps[g] = &collect.Snapshot{
+			Node: strings.Repeat("n", g+1), Seq: uint64(g), WindowEndUS: int64(g),
+			SizeCounts: make([]uint64, 3+g),
+		}
+		payload, err := collect.EncodeSnapshot(snaps[g])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[string(payload)] = each
+		if g == 0 {
+			want[string(payload)] += timed + 1 // AllocsPerRun warms up once
+		}
+	}
+	var wg sync.WaitGroup
+	for _, s := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := w.AppendSnapshot(s); err != nil {
+					t.Errorf("AppendSnapshot: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if avg := testing.AllocsPerRun(timed, func() {
+		if err := w.AppendSnapshot(snaps[0]); err != nil {
+			t.Fatalf("AppendSnapshot: %v", err)
+		}
+	}); avg > 0.5 {
+		t.Errorf("warm AppendSnapshot allocates %.2f objects/op, want amortized ~0", avg)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got := make(map[string]int)
+	for _, p := range replayPayloads(t, dir) {
+		got[string(p)]++
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stored payloads are not the callers' snapshots: %d distinct payloads stored, %d appended", len(got), len(want))
 	}
 }

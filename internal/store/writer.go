@@ -87,6 +87,12 @@ type Writer struct {
 	pending    int   // appends since the last sync
 	syncedUS   int64 // virtual clock at the last sync
 	haveSyncUS bool
+
+	// scratch is AppendSnapshot's encode buffer, reused from snapshot to
+	// snapshot: Append copies a payload into buf before it returns.
+	// encMu guards it and is taken before mu, never while holding it.
+	encMu   sync.Mutex
+	scratch []byte
 }
 
 // Open opens (creating if needed) the store directory for appending,
@@ -270,13 +276,16 @@ func (w *Writer) Append(kind uint8, timeUS int64, payload []byte) error {
 // AppendSnapshot encodes s to its canonical wire payload and appends it
 // as a KindSnapshot record stamped with the snapshot's window end —
 // byte-for-byte the payload a live TypeSnapshot frame would carry, which
-// is what makes a replayed store bit-identical to the live export.
+// is what makes a replayed store bit-identical to the live export. The
+// payload is encoded into the writer's own scratch buffer.
 func (w *Writer) AppendSnapshot(s *collect.Snapshot) error {
-	payload, err := collect.EncodeSnapshot(s)
-	if err != nil {
+	w.encMu.Lock()
+	defer w.encMu.Unlock()
+	var err error
+	if w.scratch, err = collect.AppendSnapshot(w.scratch[:0], s); err != nil {
 		return err
 	}
-	return w.Append(KindSnapshot, s.WindowEndUS, payload)
+	return w.Append(KindSnapshot, s.WindowEndUS, w.scratch)
 }
 
 // AppendReport appends one 56-byte metrics.Report wire encoding as a
