@@ -61,6 +61,13 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("tracegen output: %s", out)
 	}
+	// A NaN rate is refused by the generator's validation, not by a
+	// makeslice panic in the buffer it would have sized.
+	bad, err := exec.Command(filepath.Join(dir, "tracegen"), "-out", tr+".nan", "-pps", "NaN").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(bad), "must be finite") || strings.Contains(string(bad), "panic:") {
+		t.Fatalf("tracegen -pps NaN: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
+	}
 
 	// sample: 1-in-50 systematic.
 	sub := filepath.Join(t.TempDir(), "s.nstr")
@@ -78,8 +85,7 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	}
 	// A replication count that yields no replications is refused up
 	// front, in one line, not by a panic in the slice it would size.
-	bad, err := exec.Command(filepath.Join(dir, "phieval"), "-in", tr, "-reps", "-1").CombinedOutput()
-	var exit *exec.ExitError
+	bad, err = exec.Command(filepath.Join(dir, "phieval"), "-in", tr, "-reps", "-1").CombinedOutput()
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(string(bad), "\n") != 1 {
 		t.Fatalf("phieval -reps -1: err %v, want exit 1 with a one-line message:\n%s", err, bad)
 	}

@@ -7,12 +7,15 @@
 // Poisson).
 //
 // Everything in this package is pure Go with no dependencies beyond the
-// standard library math package, and every stochastic component is
+// standard library math packages, and every stochastic component is
 // reproducible from an explicit 64-bit seed so that experiments regenerate
 // identical traces and samples run-to-run.
 package dist
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256** seeded through SplitMix64. It is not safe for concurrent
@@ -112,27 +115,14 @@ func (r *RNG) Uint64N(n uint64) uint64 {
 		panic("dist: Uint64N called with zero n")
 	}
 	// Lemire 2019: multiply-shift with rejection of the biased low range.
-	hi, lo := mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	x0, x1 := x&mask, x>>32
-	y0, y1 := y&mask, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Int64N returns a uniform integer in [0, n). It panics if n <= 0.

@@ -17,42 +17,68 @@ import (
 type addressPool struct {
 	srcHosts []packet.Addr
 	dstHosts []packet.Addr
-	srcPick  *zipf
-	dstPick  *zipf
+	srcPick  cumWeights
+	dstPick  cumWeights
 }
 
-// zipf draws indices in [0, n) with probability proportional to
-// 1/(i+1)^s, via precomputed cumulative weights.
-type zipf struct {
+// newZipf weights indices in [0, n) by 1/(i+1)^s.
+func newZipf(n int, s float64) cumWeights {
+	return newCumWeights(n, func(i int) float64 {
+		if s > 0 {
+			return 1.0 / math.Pow(float64(i+1), s)
+		}
+		return 1.0
+	})
+}
+
+// cumWeights draws index i with probability ∝ its weight: the smallest
+// i ≤ len(cum)−1 with cum[i] > u, u uniform on [0, total). A Chen–Asau
+// guide table (two cells per weight) starts a walk that ends, in O(1)
+// expected steps, where a binary search over cum would.
+type cumWeights struct {
 	cum   []float64
 	total float64
+	guide []int32 // guide[j] = search(j/scale)
+	scale float64 // len(guide)/total
 }
 
-func newZipf(n int, s float64) *zipf {
-	z := &zipf{cum: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		w := 1.0
-		if s > 0 {
-			w = 1.0 / math.Pow(float64(i+1), s)
-		}
-		z.total += w
-		z.cum[i] = z.total
+// newCumWeights sums n weights in index order and builds the guide.
+func newCumWeights(n int, weight func(i int) float64) cumWeights {
+	c := cumWeights{cum: make([]float64, n), guide: make([]int32, 2*n)}
+	for i := range c.cum {
+		c.total += weight(i)
+		c.cum[i] = c.total
 	}
-	return z
+	c.scale = float64(len(c.guide)) / c.total
+	i := 0
+	for j := range c.guide {
+		for u := float64(j) / c.scale; i < n-1 && c.cum[i] <= u; i++ {
+		}
+		c.guide[j] = int32(i)
+	}
+	return c
 }
 
-func (z *zipf) draw(r *dist.RNG) int {
-	u := r.Float64() * z.total
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// draw returns an index with probability proportional to its weight.
+func (c *cumWeights) draw(r *dist.RNG) int {
+	return c.search(r.Float64() * c.total)
+}
+
+// search returns the binary search's answer for u. Both walks test
+// cum[i] <= u as that search does, so a NaN u lands where it would: 0.
+func (c *cumWeights) search(u float64) int {
+	j := len(c.guide) - 1
+	if x := u * c.scale; x < float64(j) {
+		j = int(x)
 	}
-	return lo
+	i := int(c.guide[j])
+	for i > 0 && !(c.cum[i-1] <= u) {
+		i--
+	}
+	for i < len(c.cum)-1 && c.cum[i] <= u {
+		i++
+	}
+	return i
 }
 
 // newAddressPool builds the host populations for a measurement

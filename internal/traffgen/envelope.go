@@ -27,15 +27,14 @@ type EnvelopeConfig struct {
 }
 
 // envelope holds the realized per-epoch relative intensities (normalized
-// to mean 1) and their cumulative sum for sampling flow start times.
+// to mean 1) and their running sums for sampling flow start times.
 // Realization is deferred until the trace duration is known.
 type envelope struct {
 	cfg     EnvelopeConfig
 	rng     *dist.RNG
 	epochUS int64
 	weights []float64
-	cum     []float64
-	total   float64
+	epochs  cumWeights
 }
 
 // newEnvelope prepares an intensity process; weights are realized on
@@ -85,13 +84,10 @@ func (e *envelope) ensure(durUS int64) {
 	}
 	// Normalize to mean exactly 1 so TargetPPS is preserved.
 	mean := sum / float64(n)
-	e.cum = make([]float64, n)
-	e.total = 0
 	for i := range e.weights {
 		e.weights[i] /= mean
-		e.total += e.weights[i]
-		e.cum[i] = e.total
 	}
+	e.epochs = newCumWeights(n, func(i int) float64 { return e.weights[i] })
 }
 
 // sampleStart draws a flow start time in [0, durUS) with probability
@@ -101,17 +97,7 @@ func (e *envelope) sampleStart(r *dist.RNG, durUS int64) int64 {
 	if len(e.weights) == 1 {
 		return r.Int64N(durUS)
 	}
-	u := r.Float64() * e.total
-	lo, hi := 0, len(e.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.cum[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	start := int64(lo) * e.epochUS
+	start := int64(e.epochs.draw(r)) * e.epochUS
 	span := e.epochUS
 	if start+span > durUS {
 		span = durUS - start

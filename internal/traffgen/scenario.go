@@ -54,22 +54,34 @@ func (s *Scenario) validate() error {
 	if err := s.Base.Validate(); err != nil {
 		return err
 	}
+	durUS := s.Base.Duration.Microseconds()
+	expected := s.Base.TargetPPS * s.Base.Duration.Seconds()
 	for i := range s.Phases {
 		ph := &s.Phases[i]
-		if ph.Start < 0 || ph.End > 1 || ph.Start >= ph.End {
+		if (ph.Mix == nil) == (ph.model == nil) {
+			return fmt.Errorf("traffgen: phase %q: exactly one of Mix and model must be set", ph.Name)
+		}
+		var mix Mix
+		if ph.Mix != nil {
+			mix = *ph.Mix
+		}
+		if !finiteParams(ph.TargetPPS, ph.Envelope, mix) {
+			return fmt.Errorf("traffgen: phase %q: rate, envelope and mix weights must be finite", ph.Name)
+		}
+		// Written so that a NaN bound fails it.
+		if !(0 <= ph.Start && ph.Start < ph.End && ph.End <= 1) {
 			return fmt.Errorf("traffgen: phase %q: need 0 <= Start < End <= 1", ph.Name)
 		}
 		if ph.TargetPPS <= 0 {
 			return fmt.Errorf("traffgen: phase %q: overlay rate must be positive", ph.Name)
 		}
-		if (ph.Mix == nil) == (ph.model == nil) {
-			return fmt.Errorf("traffgen: phase %q: exactly one of Mix and model must be set", ph.Name)
-		}
-		if ph.Mix != nil && ph.Mix.total() <= 0 {
+		if ph.Mix != nil && mix.total() <= 0 {
 			return fmt.Errorf("traffgen: phase %q: mix weights must have positive sum", ph.Name)
 		}
+		_, _, packets := ph.window(durUS)
+		expected += packets
 	}
-	return nil
+	return checkPacketCount(expected)
 }
 
 // window places the phase on a trace of durUS µs: its start, its

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,11 +238,27 @@ func TestScenarioValidation(t *testing.T) {
 		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: 10}}},                                              // neither source
 		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: 10, Mix: &Mix{Bulk: 1}, model: newElephantModel}}}, // both
 		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: 10, Mix: &Mix{}}}},                                 // zero mix
+		// NaN passes every < / <= / >= test the checks were written as.
+		{Base: base, Phases: []Phase{{Start: math.NaN(), End: 0.5, TargetPPS: 10, Mix: &Mix{Bulk: 1}}}},
+		{Base: base, Phases: []Phase{{Start: 0, End: math.NaN(), TargetPPS: 10, Mix: &Mix{Bulk: 1}}}},
+		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: math.NaN(), Mix: &Mix{Bulk: 1}}}},
+		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: math.Inf(1), Mix: &Mix{Bulk: 1}}}},
+		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: 10, Mix: &Mix{Bulk: 1, ICMP: math.NaN()}}}},
+		{Base: base, Phases: []Phase{{Start: 0, End: 1, TargetPPS: 10, Envelope: EnvelopeConfig{TrendPerHour: math.NaN()}, model: newElephantModel}}},
 	}
 	for i, s := range bad {
 		if _, err := GenerateScenario(s); err == nil {
 			t.Errorf("bad scenario %d accepted", i)
 		}
+	}
+	// Each part is under 2^32 packets; the whole is not. Called on
+	// validate alone: were the check missing, staging would fill ~170 GB.
+	huge := Scenario{Base: base, Phases: []Phase{
+		{Start: 0, End: 1, TargetPPS: 3e7, model: newElephantModel},
+		{Start: 0, End: 1, TargetPPS: 3e7, model: newElephantModel},
+	}}
+	if err := huge.validate(); err == nil || !strings.Contains(err.Error(), "exceeds 2^32") {
+		t.Errorf("7.2e9 packets over two phases: got %v, want the count refused", err)
 	}
 }
 

@@ -46,6 +46,16 @@ func TestSortPacketsMatchesReference(t *testing.T) {
 		j := len(tied) - 1 - i
 		tied[i] = trace.Packet{Time: 1_000_000, Size: 40, SrcPort: uint16(j >> 8), DstPort: uint16(j)}
 	}
+	// m packets in top bucket 0 (times below 2^21; the span sets the
+	// top digit at bit 22), 1000 in buckets of their own far above.
+	topBucket := func(m int) []trace.Packet {
+		return ramp(m+1000, func(i int) int64 {
+			if i < m {
+				return int64(i * 7919 % (1 << 21))
+			}
+			return 1<<28 + int64(i)*4096
+		})
+	}
 	dup := trace.Packet{Time: 7, Size: 552, Protocol: packet.ProtoTCP, Src: packet.Addr{1, 2, 3, 4}, DstPort: 20}
 	dups := []trace.Packet{dup}
 	for i := 0; i < 50; i++ {
@@ -66,7 +76,23 @@ func TestSortPacketsMatchesReference(t *testing.T) {
 		// A far outlier: the radix descends five levels of one full
 		// bucket before the rest's times start to differ.
 		{"time-2^40", ramp(n, func(i int) int64 { return int64(1-min(i, 1))<<40 + int64(i*7919%65536) })},
+		// Past the 48 time bits a key holds: flag passes until the
+		// bucket fits a key and 2^16 packets.
+		{"time-2^60", ramp(n, func(i int) int64 { return int64(1-min(i, 1))<<60 + int64(i*7919%65536) })},
 		{"negative-times", ramp(n, func(i int) int64 { return int64(i*7919%65536) - 32768 })},
+		// Every top bucket keyed, every time negative.
+		{"negative-keyed-buckets", ramp(n, func(i int) int64 { return int64(i*7919%65536) - 1<<40 })},
+		// A keyed bucket holding a 1000-packet run of one time (pdqsort)
+		// among pairs of equal times (insertion).
+		{"long-run-in-keyed-bucket", ramp(5000, func(i int) int64 {
+			if i%5 == 0 {
+				return 777
+			}
+			return int64(i/2) * 37
+		})},
+		// The widest bucket the keyed pass takes, and one more packet.
+		{"top-bucket-2^16", topBucket(1 << 16)},
+		{"top-bucket-2^16+1", topBucket(1<<16 + 1)},
 		{"ties-by-every-field", []trace.Packet{
 			{Time: 5, DstPort: 1}, {Time: 5, SrcPort: 1}, {Time: 5, Dst: packet.Addr{0, 0, 0, 1}},
 			{Time: 5, Src: packet.Addr{0, 0, 1, 0}}, {Time: 5, Src: packet.Addr{0, 0, 0, 255}},

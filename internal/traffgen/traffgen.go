@@ -26,6 +26,7 @@ package traffgen
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -108,6 +109,9 @@ func (c *Config) Validate() error {
 	if c.Duration <= 0 {
 		return errors.New("traffgen: duration must be positive")
 	}
+	if !finiteParams(c.TargetPPS, c.Envelope, c.Mix) {
+		return errors.New("traffgen: rate, envelope and mix weights must be finite")
+	}
 	if c.TargetPPS <= 0 {
 		return errors.New("traffgen: target packet rate must be positive")
 	}
@@ -116,6 +120,26 @@ func (c *Config) Validate() error {
 	}
 	if c.Mix != (Mix{}) && c.Mix.total() <= 0 {
 		return errors.New("traffgen: mix weights must have positive sum")
+	}
+	return checkPacketCount(c.TargetPPS * c.Duration.Seconds())
+}
+
+// finiteParams rejects NaN and ±Inf, which pass the comparisons above
+// and become a makeslice panic or a skewed trace. A finite mix total
+// means finite weights whose sum does not overflow.
+func finiteParams(pps float64, env EnvelopeConfig, mix Mix) bool {
+	for _, x := range []float64{pps, env.Sigma, env.Rho, env.TrendPerHour, mix.total()} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkPacketCount rejects a trace of over 2³² expected packets (~100 GB).
+func checkPacketCount(expected float64) error {
+	if expected > 1<<32 {
+		return fmt.Errorf("traffgen: expected packet count %.4g exceeds 2^32", expected)
 	}
 	return nil
 }

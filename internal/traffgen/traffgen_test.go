@@ -2,10 +2,12 @@ package traffgen
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"netsample/internal/core"
+	"netsample/internal/dist"
 	"netsample/internal/packet"
 	"netsample/internal/stats"
 )
@@ -39,6 +41,30 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := bad.Validate(); err == nil {
 		t.Error("non-positive mix accepted")
+	}
+
+	// Values every <= / < test lets through: each panicked in
+	// emissionBound or staged a skewed or empty trace.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(c *Config){
+		"pps NaN":   func(c *Config) { c.TargetPPS = nan },
+		"pps +Inf":  func(c *Config) { c.TargetPPS = inf },
+		"sigma Inf": func(c *Config) { c.Envelope.Sigma = inf },
+		"rho NaN":   func(c *Config) { c.Envelope.Rho = nan },
+		"trend NaN": func(c *Config) { c.Envelope.TrendPerHour = nan },
+		"mix NaN":   func(c *Config) { c.Mix = Mix{Bulk: 1, Mail: nan} },
+		"mix -Inf":  func(c *Config) { c.Mix = Mix{Bulk: 1, Mail: -inf} },
+	} {
+		bad = good
+		mut(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: got %v, want a must-be-finite error", name, err)
+		}
+	}
+	bad = good
+	bad.TargetPPS = 1e300
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "expected packet count 1.2e+302 exceeds 2^32") {
+		t.Errorf("pps 1e300: got %v, want the expected count named", err)
 	}
 }
 
@@ -126,6 +152,56 @@ func TestGenerateApproximateRate(t *testing.T) {
 func TestGenerateValidatesConfig(t *testing.T) {
 	if _, err := Generate(Config{}); err == nil {
 		t.Fatal("zero config accepted")
+	}
+}
+
+// binarySearchIndex is the draw the guide tables replaced, kept as their
+// reference: the smallest i <= len(cum)-1 with cum[i] > u.
+func binarySearchIndex(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] <= u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestGuidedDrawMatchesBinarySearch holds every guided draw to the
+// binary search it replaced — at each running sum, on both sides of it,
+// at the ends of [0, total], on NaN, and at seeded uniform draws — so
+// host picks and flow starts, and with them every trace, are unchanged.
+func TestGuidedDrawMatchesBinarySearch(t *testing.T) {
+	type table struct {
+		name string
+		cumWeights
+	}
+	var tables []table
+	for _, prof := range []Profile{ProfileSDSC, ProfileFIXWest} {
+		addrs := newAddressPool(prof, dist.NewRNG(1))
+		tables = append(tables, table{prof.String() + "/src", addrs.srcPick}, table{prof.String() + "/dst", addrs.dstPick})
+	}
+	env := newEnvelope(EnvelopeConfig{Sigma: 0.3, Rho: 0.9, EpochSeconds: 5, TrendPerHour: 0.8}, dist.NewRNG(2))
+	env.ensure(time.Hour.Microseconds())
+	tables = append(tables, table{"envelope", env.epochs})
+
+	r := dist.NewRNG(3)
+	for _, c := range tables {
+		us := []float64{0, c.total, math.NaN()}
+		for _, x := range c.cum {
+			us = append(us, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+		}
+		for i := 0; i < 100_000; i++ {
+			us = append(us, r.Float64()*c.total)
+		}
+		for _, u := range us {
+			if got, want := c.search(u), binarySearchIndex(c.cum, u); got != want {
+				t.Fatalf("%s (%d weights): u=%v: guided %d, binary search %d", c.name, len(c.cum), u, got, want)
+			}
+		}
 	}
 }
 

@@ -145,9 +145,12 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		// TestGenerateAllocs: the generator's per-flow/per-packet loop.
 		mp + "/internal/traffgen.appendFlows",
 		// ...and the in-place sort of what it staged: a make inside
-		// the recursion would be a second trace-sized buffer.
-		mp + "/internal/traffgen.sortPackets",
+		// the recursion would be a second trace-sized buffer (the
+		// keyed pass's scratch is made once, by the cold sortPackets).
 		mp + "/internal/traffgen.radixSort",
+		mp + "/internal/traffgen.digitCounts",
+		mp + "/internal/traffgen.keyedSort",
+		mp + "/internal/traffgen.sortLeaf",
 		mp + "/internal/traffgen.insertionSort",
 		// TestStoreAppendAllocs: the durable store's per-record append
 		// path (frame encode + leaf hash; sync/seal are cold).
