@@ -113,38 +113,29 @@ func (e *Edged) IndexBatch(dst []uint8, xs []float64) {
 	case 2: // PacketSize
 		e0, e1 := e.edges[0], e.edges[1]
 		for i, x := range xs {
-			b := uint8(0)
-			if !(x < e0) {
-				b++
-			}
-			if !(x < e1) {
-				b++
-			}
-			dst[i] = b
+			dst[i] = atOrAbove(x, e0) + atOrAbove(x, e1)
 		}
 	case 4: // Interarrival
 		e0, e1, e2, e3 := e.edges[0], e.edges[1], e.edges[2], e.edges[3]
 		for i, x := range xs {
-			b := uint8(0)
-			if !(x < e0) {
-				b++
-			}
-			if !(x < e1) {
-				b++
-			}
-			if !(x < e2) {
-				b++
-			}
-			if !(x < e3) {
-				b++
-			}
-			dst[i] = b
+			dst[i] = atOrAbove(x, e0) + atOrAbove(x, e1) + atOrAbove(x, e2) + atOrAbove(x, e3)
 		}
 	default:
 		for i, x := range xs {
 			dst[i] = uint8(e.IndexLinear(x))
 		}
 	}
+}
+
+// atOrAbove is 1 when x is not below edge (NaN included), else 0. Each
+// call compiles to its own SETcc, so a sum of them has no branch; the
+// same compares chained as `if … { b++ }` become jumps after the first.
+func atOrAbove(x, edge float64) uint8 {
+	var b uint8
+	if !(x < edge) {
+		b = 1
+	}
+	return b
 }
 
 // Label implements Scheme.

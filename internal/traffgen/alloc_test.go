@@ -3,6 +3,7 @@ package traffgen
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,7 +74,9 @@ func TestGenerateBytes(t *testing.T) {
 // TestScenarioBufferContract checks, for every preset and for Mix
 // phases with zero-weight models, that the returned slice is clipped
 // and that staging never outgrew its up-front capacity (a growth would
-// allocate a second, larger array and more than double the bytes).
+// allocate a second, larger array and more than double the bytes). The
+// three-minute ddos stages over parallelMin packets, so on two workers
+// its runs fill reserved segments: they too must never regrow.
 func TestScenarioBufferContract(t *testing.T) {
 	const dur = time.Minute
 	var scenarios []Scenario
@@ -84,6 +87,14 @@ func TestScenarioBufferContract(t *testing.T) {
 		}
 		scenarios = append(scenarios, s)
 	}
+	long, err := PresetScenario("ddos", 5, 3*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long.Name = "ddos-3min"
+	scenarios = append(scenarios, long)
+	// At least two workers; the deferred call restores the setting.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	sparse := SmallTrace(5)
 	sparse.Mix = Mix{Bulk: 1}
 	scenarios = append(scenarios, Scenario{Name: "one-model", Base: sparse}, Scenario{
@@ -97,6 +108,9 @@ func TestScenarioBufferContract(t *testing.T) {
 		total := s.Base.TargetPPS * s.Base.Duration.Seconds()
 		for _, ph := range s.Phases {
 			total += ph.TargetPPS * (ph.End - ph.Start) * s.Base.Duration.Seconds()
+		}
+		if s.Name == long.Name && total < parallelMin {
+			t.Fatalf("%s: %.0f packets no longer reach parallelMin", s.Name, total)
 		}
 		var tr *trace.Trace
 		got := allocatedBytes(func() {
@@ -114,24 +128,44 @@ func TestScenarioBufferContract(t *testing.T) {
 	}
 }
 
-// TestEmissionBoundHolds drives the staging helpers directly at the
-// bound's edge — targets below one packet, where every model still
-// emits its one, and fractional shares — and checks the packets landed
-// in the array allocated up front.
+// TestEmissionBoundHolds drives the staging plan directly at the bound's
+// edge — targets below one packet, where every model still emits its
+// one, and fractional shares. Staged on the spot, each run must stay in
+// its segment: one that outgrew it would be reallocated, leaving unwritten
+// (zero) packets in the buffer. Reserved back to back in emissionBound
+// and staged on two workers, the runs must close up to the same packets.
 func TestEmissionBoundHolds(t *testing.T) {
 	mixes := []Mix{DefaultMix(), {Bulk: 1}, {Telnet: 1e-9, Ack: 1, ICMP: 3}, {Transaction: 0.5, Mail: 0.5}}
 	for _, mix := range mixes {
 		for _, total := range []float64{0.01, 1, 5.5, 49, 50, 1000.49, 20000} {
-			root := dist.NewRNG(uint64(total * 100))
-			env := newEnvelope(EnvelopeConfig{}, root.Split())
-			addrs := newAddressPool(ProfileSDSC, root.Split())
-			buf := make([]trace.Packet, 0, emissionBound(total))
-			out := appendMixEvents(buf, mix, total, 60e6, env, addrs, root)
-			if len(out) == 0 {
-				t.Fatalf("mix %+v total %v: nothing emitted", mix, total)
+			var staged [2][]trace.Packet
+			for workers := 1; workers <= 2; workers++ {
+				root := dist.NewRNG(uint64(total * 100))
+				env, err := newEnvelope(EnvelopeConfig{}, root.Split(), 60e6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := stager{pkts: make([]trace.Packet, 0, emissionBound(total)), root: root, addrs: newAddressPool(ProfileSDSC, root.Split())}
+				buf := st.pkts[:1]
+				if workers > 1 {
+					st.plan = []run{}
+				}
+				st.addMix(mix, total, 60e6, 0, env)
+				out := st.pkts
+				if st.plan != nil {
+					out = stageParallel(st.pkts, st.plan, workers)
+				}
+				if len(out) == 0 {
+					t.Fatalf("mix %+v total %v: nothing emitted", mix, total)
+				}
+				if &out[0] != &buf[0] || slices.ContainsFunc(out, func(p trace.Packet) bool { return p.Size == 0 }) {
+					t.Errorf("mix %+v total %v, %d workers: %d packets outgrew their segments", mix, total, workers, len(out))
+				}
+				slices.SortFunc(out, comparePackets)
+				staged[workers-1] = out
 			}
-			if len(out) > cap(buf) || &out[0] != &buf[:1][0] {
-				t.Errorf("mix %+v total %v: %d packets outgrew the %d-packet bound", mix, total, len(out), cap(buf))
+			if !slices.Equal(staged[0], staged[1]) {
+				t.Errorf("mix %+v total %v: one and two workers staged different packets", mix, total)
 			}
 		}
 	}

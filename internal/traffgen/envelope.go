@@ -1,6 +1,7 @@
 package traffgen
 
 import (
+	"fmt"
 	"math"
 
 	"netsample/internal/dist"
@@ -27,40 +28,31 @@ type EnvelopeConfig struct {
 }
 
 // envelope holds the realized per-epoch relative intensities (normalized
-// to mean 1) and their running sums for sampling flow start times.
-// Realization is deferred until the trace duration is known.
+// to mean 1) and their running sums for sampling flow start times. It is
+// read-only once made, so concurrent model runs share one.
 type envelope struct {
-	cfg     EnvelopeConfig
-	rng     *dist.RNG
 	epochUS int64
 	weights []float64
 	epochs  cumWeights
 }
 
-// newEnvelope prepares an intensity process; weights are realized on
-// first use, when the trace duration is known.
-func newEnvelope(cfg EnvelopeConfig, r *dist.RNG) *envelope {
+// newEnvelope realizes the intensity process for a trace of durUS
+// microseconds from r. It fails when the normalized weights are not all
+// finite and positive: a finite but large Sigma over- or underflows exp,
+// and every flow start would then come from epoch 0.
+func newEnvelope(cfg EnvelopeConfig, r *dist.RNG, durUS int64) (*envelope, error) {
 	epoch := cfg.EpochSeconds
 	if epoch <= 0 {
 		epoch = 30
 	}
-	return &envelope{cfg: cfg, rng: r, epochUS: int64(epoch) * 1e6}
-}
-
-// ensure realizes the per-epoch weights for a trace of durUS microseconds.
-//
-//nslint:coldpath one-time lazy realization of the epoch weights, guarded by the e.weights != nil fast path
-func (e *envelope) ensure(durUS int64) {
-	if e.weights != nil {
-		return
-	}
+	e := &envelope{epochUS: int64(epoch) * 1e6}
 	n := int((durUS + e.epochUS - 1) / e.epochUS)
 	if n < 1 {
 		n = 1
 	}
 	e.weights = make([]float64, n)
-	sigma := e.cfg.Sigma
-	rho := e.cfg.Rho
+	sigma := cfg.Sigma
+	rho := cfg.Rho
 	if rho < 0 {
 		rho = 0
 	}
@@ -69,13 +61,13 @@ func (e *envelope) ensure(durUS int64) {
 	}
 	// AR(1) in log space with stationary standard deviation sigma.
 	innov := sigma * math.Sqrt(1-rho*rho)
-	x := sigma * e.rng.NormFloat64()
+	x := sigma * r.NormFloat64()
 	var sum float64
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			x = rho*x + innov*e.rng.NormFloat64()
+			x = rho*x + innov*r.NormFloat64()
 		}
-		trend := 1 + e.cfg.TrendPerHour*(float64(i)/float64(n)-0.5)
+		trend := 1 + cfg.TrendPerHour*(float64(i)/float64(n)-0.5)
 		if trend < 0.05 {
 			trend = 0.05
 		}
@@ -86,14 +78,19 @@ func (e *envelope) ensure(durUS int64) {
 	mean := sum / float64(n)
 	for i := range e.weights {
 		e.weights[i] /= mean
+		// Written so that a NaN weight fails it.
+		if !(e.weights[i] > 0 && e.weights[i] <= math.MaxFloat64) {
+			return nil, fmt.Errorf("weight %v in epoch %d of %d is not finite and positive (Sigma %v)", e.weights[i], i, n, sigma)
+		}
 	}
 	e.epochs = newCumWeights(n, func(i int) float64 { return e.weights[i] })
+	return e, nil
 }
 
 // sampleStart draws a flow start time in [0, durUS) with probability
-// proportional to the envelope intensity.
+// proportional to the envelope intensity; durUS is the duration the
+// envelope was made for.
 func (e *envelope) sampleStart(r *dist.RNG, durUS int64) int64 {
-	e.ensure(durUS)
 	if len(e.weights) == 1 {
 		return r.Int64N(durUS)
 	}

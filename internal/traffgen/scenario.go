@@ -3,6 +3,7 @@ package traffgen
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"netsample/internal/dist"
@@ -96,41 +97,56 @@ func (ph *Phase) window(durUS int64) (startUS, spanUS int64, packets float64) {
 // aggregate of s.Base with every phase overlay superimposed, one
 // time-ordered packet stream on the base capture clock.
 func GenerateScenario(s Scenario) (*trace.Trace, error) {
-	pkts, err := stageScenario(s)
+	pkts, workers, err := stageScenario(s)
 	if err != nil {
 		return nil, err
 	}
-	return finishTrace(pkts, s.Base), nil
+	return finishTrace(pkts, s.Base, workers), nil
 }
 
-// stageScenario emits every packet of s in emission order — baseline
-// models, then each phase — with Time the unquantized µs on the trace
-// clock: the input finishTrace sorts.
-func stageScenario(s Scenario) ([]trace.Packet, error) {
+// parallelMin is the staging capacity in packets from which a scenario
+// is staged and sorted on up to GOMAXPROCS workers. Below it one worker
+// does both, with no goroutine and no allocation for the plan.
+const parallelMin = 1 << 18
+
+// stageScenario emits every packet of s — baseline models, then each
+// phase — with Time the unquantized µs on the trace clock: the input
+// finishTrace sorts on the worker count it also returns.
+func stageScenario(s Scenario) ([]trace.Packet, int, error) {
 	if err := s.validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	mix := s.Base.Mix
 	if mix == (Mix{}) {
 		mix = DefaultMix()
 	}
 
+	durUS := s.Base.Duration.Microseconds()
 	root := dist.NewRNG(s.Base.Seed)
-	env := newEnvelope(s.Base.Envelope, root.Split())
+	env, err := newEnvelope(s.Base.Envelope, root.Split(), durUS)
+	if err != nil {
+		return nil, 0, fmt.Errorf("traffgen: base envelope: %w", err)
+	}
 	addrs := newAddressPool(s.Base.Profile, root.Split())
 
-	durUS := s.Base.Duration.Microseconds()
 	total := s.Base.TargetPPS * s.Base.Duration.Seconds()
 	capacity := emissionBound(total)
 	for i := range s.Phases {
 		_, _, phasePackets := s.Phases[i].window(durUS)
 		capacity += emissionBound(phasePackets)
 	}
-	pkts := make([]trace.Packet, 0, capacity)
+	st := stager{pkts: make([]trace.Packet, 0, capacity), root: root, addrs: addrs}
+	workers := 1
+	if capacity >= parallelMin {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > 1 {
+		st.plan = make([]run, 0, mixModels*(1+len(s.Phases)))
+	}
 
-	// Baseline: drawn before any phase touches root, so the background
+	// Baseline: planned before any phase touches root, so the background
 	// traffic is packet-identical to the phase-free trace.
-	pkts = appendMixEvents(pkts, mix, total, durUS, env, addrs, root)
+	st.addMix(mix, total, durUS, 0, env)
 
 	// Overlays: each phase generates into phase-local time [0, span)
 	// with its own envelope, then shifts onto the trace clock. Phase
@@ -138,20 +154,21 @@ func stageScenario(s Scenario) ([]trace.Packet, error) {
 	// RNGs in declaration order.
 	for _, ph := range s.Phases {
 		startUS, spanUS, phasePackets := ph.window(durUS)
-		phaseEnv := newEnvelope(ph.Envelope, root.Split())
-		mark := len(pkts)
-		if ph.Mix != nil {
-			pkts = appendMixEvents(pkts, *ph.Mix, phasePackets, spanUS, phaseEnv, addrs, root)
-		} else {
-			m := ph.model(root.Split(), addrs)
-			pkts = appendFlows(pkts, m, phasePackets, spanUS, phaseEnv, addrs, root.Split())
+		phaseEnv, err := newEnvelope(ph.Envelope, root.Split(), spanUS)
+		if err != nil {
+			return nil, 0, fmt.Errorf("traffgen: phase %q envelope: %w", ph.Name, err)
 		}
-		for i := mark; i < len(pkts); i++ {
-			pkts[i].Time += startUS
+		if ph.Mix != nil {
+			st.addMix(*ph.Mix, phasePackets, spanUS, startUS, phaseEnv)
+		} else {
+			st.add(ph.model(root.Split(), addrs), phasePackets, spanUS, startUS, phaseEnv)
 		}
 	}
 
-	return pkts, nil
+	if st.plan != nil {
+		return stageParallel(st.pkts, st.plan, workers), workers, nil
+	}
+	return st.pkts, workers, nil
 }
 
 // ScenarioNames lists the preset scenarios in their canonical order.

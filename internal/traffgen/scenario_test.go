@@ -2,11 +2,13 @@ package traffgen
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -188,6 +190,24 @@ func TestTraceDigests(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		if !pinned[name] {
 			t.Errorf("preset %s has no pinned digest", name)
+		}
+	}
+}
+
+// TestTraceDigestsAnyGOMAXPROCS reruns TestTraceDigests at one, two and
+// four procs (skipping the setting it has already run at): the traces
+// past parallelMin are staged and sorted on that many workers, and all
+// nine digests must hold on each.
+func TestTraceDigestsAnyGOMAXPROCS(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("TestTraceDigests already runs these traces at the default GOMAXPROCS")
+	}
+	initial := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(initial)
+	for _, procs := range []int{1, 2, 4} {
+		if procs != initial {
+			runtime.GOMAXPROCS(procs)
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), TestTraceDigests)
 		}
 	}
 }

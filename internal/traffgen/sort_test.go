@@ -16,15 +16,19 @@ import (
 
 // checkSort holds sortPackets to its oracle: pdqsort under the same
 // total comparator. The order is total up to identical packets, so the
-// two must agree element for element.
+// two must agree element for element — on one worker, and on three,
+// where the buckets split unevenly and some ranges may be empty.
 func checkSort(t *testing.T, name string, pkts []trace.Packet) {
 	t.Helper()
 	want := slices.Clone(pkts)
 	slices.SortFunc(want, comparePackets)
-	sortPackets(pkts)
-	for i := range pkts {
-		if pkts[i] != want[i] {
-			t.Fatalf("%s: position %d of %d: got %+v, want %+v", name, i, len(pkts), pkts[i], want[i])
+	for _, workers := range []int{1, 3} {
+		got := slices.Clone(pkts)
+		sortPackets(got, 0, workers)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s, %d workers: position %d of %d: got %+v, want %+v", name, workers, i, len(got), got[i], want[i])
+			}
 		}
 	}
 }
@@ -104,9 +108,9 @@ func TestSortPacketsMatchesReference(t *testing.T) {
 		checkSort(t, s.name, s.pkts)
 	}
 
-	// The generator's own emission-order staging: every pinned trace
-	// (TestTraceDigests) before finishTrace sorts it. The sort is one
-	// goroutine, so -race runs only pay for the full-size ones.
+	// The generator's own staging: every pinned trace (TestTraceDigests)
+	// before finishTrace sorts it. TestTraceDigests already sorts the
+	// full-size ones on several workers, so -race runs skip them here.
 	scenarios := []Scenario{{Name: "small/seed1", Base: SmallTrace(1)}}
 	if !testing.Short() && !raceEnabled {
 		scenarios = append(scenarios, Scenario{Name: "hour", Base: NSFNETHour()}, Scenario{Name: "fixwest", Base: FIXWest()})
@@ -119,7 +123,7 @@ func TestSortPacketsMatchesReference(t *testing.T) {
 		}
 	}
 	for _, s := range scenarios {
-		pkts, err := stageScenario(s)
+		pkts, _, err := stageScenario(s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

@@ -25,9 +25,13 @@
 package traffgen
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"netsample/internal/dist"
@@ -162,17 +166,62 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	return GenerateScenario(Scenario{Base: cfg})
 }
 
-// appendMixEvents realizes the application-mix aggregate: one
-// appendFlows pass per weighted model, each consuming its own child of
-// root in declaration order. A scenario's baseline and its Mix phases
-// share this helper.
-//
-// The models carry per-flow scratch state (one live flow at a time),
-// so they are per-call, never shared: callers stay safe to run
-// concurrently from multiple goroutines.
-func appendMixEvents(pkts []trace.Packet, mix Mix, totalPackets float64, durUS int64,
-	env *envelope, addrs *addressPool, root *dist.RNG) []trace.Packet {
+// run is one model run of a scenario's plan: about target packets of
+// model over [0, durUS) under env, shifted by shiftUS onto the trace
+// clock, drawn from rng into seg — a segment of the one staging buffer
+// with room for ⌊1.02·target⌋+1 packets, the most appendFlows emits.
+// Runs share only env and addrs, which are read-only.
+type run struct {
+	model          sourceModel
+	target         float64
+	durUS, shiftUS int64
+	env            *envelope
+	addrs          *addressPool
+	rng            dist.RNG
+	seg            []trace.Packet
+}
 
+// stage emits the run into its segment and shifts it onto the trace clock.
+func (r *run) stage() {
+	r.seg = appendFlows(r.seg, r.model, r.target, r.durUS, r.env, r.addrs, &r.rng)
+	if r.shiftUS != 0 {
+		for i := range r.seg {
+			r.seg[i].Time += r.shiftUS
+		}
+	}
+}
+
+// stager plans a scenario's model runs in seed order, splitting each
+// run's child of root as it is planned. With a nil plan it stages each
+// run on the spot, packed after the last; otherwise it reserves the
+// run's segment and appends the run to plan for stageParallel.
+type stager struct {
+	pkts  []trace.Packet
+	root  *dist.RNG
+	addrs *addressPool
+	plan  []run
+}
+
+// add plans one run.
+func (st *stager) add(m sourceModel, target float64, durUS, shiftUS int64, env *envelope) {
+	off := len(st.pkts)
+	end := off + int(target*1.02) + 1
+	r := run{model: m, target: target, durUS: durUS, shiftUS: shiftUS, env: env, addrs: st.addrs, seg: st.pkts[off:off:end]}
+	st.root.SplitInto(&r.rng)
+	if st.plan == nil {
+		r.stage()
+		end = off + len(r.seg)
+	} else {
+		st.plan = append(st.plan, r)
+	}
+	st.pkts = st.pkts[:end]
+}
+
+// addMix plans the application-mix aggregate: one run per weighted
+// model, in declaration order. A scenario's baseline and its Mix phases
+// share it. The models carry per-flow scratch state, so each run gets
+// its own.
+func (st *stager) addMix(mix Mix, totalPackets float64, durUS, shiftUS int64, env *envelope) {
 	norm := mix.total()
 	models := [mixModels]struct {
 		weight float64
@@ -186,29 +235,87 @@ func appendMixEvents(pkts []trace.Packet, mix Mix, totalPackets float64, durUS i
 		{mix.ICMP, &icmpModel{}},
 	}
 	for _, m := range models {
-		if m.weight <= 0 {
-			continue
+		if m.weight > 0 {
+			st.add(m.model, totalPackets*m.weight/norm, durUS, shiftUS, env)
 		}
-		targetPackets := totalPackets * m.weight / norm
-		pkts = appendFlows(pkts, m.model, targetPackets, durUS, env, addrs, root.Split())
 	}
-	return pkts
+}
+
+// stageParallel stages plan, whose segments tile pkts, on workers
+// goroutines, each claiming the longest run left, and returns the staged
+// packets closed up (closeUp). A run writes only its own segment.
+func stageParallel(pkts []trace.Packet, plan []run, workers int) []trace.Packet {
+	order := make([]int, len(plan))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(plan[b].target, plan[a].target) })
+	var next atomic.Int64
+	fanOut(workers, func(int) {
+		for i := next.Add(1) - 1; i < int64(len(order)); i = next.Add(1) - 1 {
+			plan[order[i]].stage()
+		}
+	})
+	return closeUp(pkts, plan)
+}
+
+// closeUp fills the holes the runs left below n, the number of packets
+// staged, with the packets staged at or past n, last first, and returns
+// pkts[:n]. Order is immaterial — the sort orders the staged multiset —
+// so it moves only as many packets as there are holes below n.
+func closeUp(pkts []trace.Packet, plan []run) []trace.Packet {
+	n := 0
+	for i := range plan {
+		n += len(plan[i].seg)
+	}
+	// The packets left to move are [max(lo, n), hi) of plan[j], whose
+	// segment starts at lo; j walks the plan back to front.
+	j, lo, hi := len(plan), len(pkts), len(pkts)
+	off := 0
+	for i := range plan {
+		seg := plan[i].seg
+		for at := off + len(seg); at < min(off+cap(seg), n); at++ {
+			for hi <= max(lo, n) {
+				j--
+				lo -= cap(plan[j].seg)
+				hi = lo + len(plan[j].seg)
+			}
+			hi--
+			pkts[at] = pkts[hi]
+		}
+		off += cap(seg)
+	}
+	return pkts[:n]
+}
+
+// fanOut calls work(0) … work(workers−1) concurrently — work(0) on the
+// calling goroutine — and returns when every call has.
+func fanOut(workers int, work func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go doWork(&wg, work, w)
+	}
+	work(0)
+	wg.Wait()
+}
+
+// doWork is one of fanOut's goroutines.
+func doWork(wg *sync.WaitGroup, work func(w int), w int) {
+	defer wg.Done()
+	work(w)
 }
 
 // finishTrace turns the staged packets, whose Time is still the
-// unquantized emission µs in emission order, into the trace: sort in
-// place, apply the capture-clock quantization in place, and clip the
-// slice so no caller can append into the staging slack. The sort is
-// under a total order (comparePackets), so packets with equal µs land
-// in an order their own fields decide: the trace is a function of the
-// seed alone, whatever algorithm sorts it (TestTraceDigests).
-func finishTrace(pkts []trace.Packet, cfg Config) *trace.Trace {
-	sortPackets(pkts)
-	if cfg.ClockUS > 0 {
-		for i := range pkts {
-			pkts[i].Time -= pkts[i].Time % cfg.ClockUS
-		}
-	}
+// unquantized emission µs, into the trace: sort in place on workers
+// goroutines, each quantizing what it sorted to the capture clock, and
+// clip the slice so no caller can append into the staging slack. The
+// sort is under a total order (comparePackets), so packets with equal
+// µs land in an order their own fields decide: the trace is a function
+// of the staged multiset alone — of the seed, not of the emission
+// order, the worker count or the algorithm (TestTraceDigests).
+func finishTrace(pkts []trace.Packet, cfg Config, workers int) *trace.Trace {
+	sortPackets(pkts, cfg.ClockUS, workers)
 	return &trace.Trace{Start: cfg.Start, ClockUS: cfg.ClockUS, Packets: pkts[:len(pkts):len(pkts)]}
 }
 
@@ -240,7 +347,7 @@ func appendFlows(pkts []trace.Packet, m sourceModel, targetPackets float64, durU
 				break
 			}
 			pkt.Time = t
-			//nslint:allow hotalloc the buffer is pre-sized to emissionBound; this run ends at the first emitted >= 1.02·target, within its share, so growth is unreachable
+			//nslint:allow hotalloc the run's segment holds ⌊1.02·target⌋+1 packets and this run ends at the first emitted >= 1.02·target, so growth is unreachable
 			pkts = append(pkts, pkt)
 			emitted++
 			if !more || emitted >= targetPackets*1.02 {

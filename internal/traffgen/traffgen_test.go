@@ -155,6 +155,35 @@ func TestGenerateValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestNonFiniteEnvelopeRefused: a finite Sigma so large that exp
+// underflows in every epoch normalizes to NaN weights, which drew every
+// flow start from epoch 0. The base or phase envelope must be named in
+// an error instead; at Sigma 1 the same trace spans its ten minutes.
+func TestNonFiniteEnvelopeRefused(t *testing.T) {
+	cfg := SmallTrace(1)
+	cfg.Duration = 10 * time.Minute
+	cfg.Envelope.Sigma = 1
+	tr, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := tr.Packets[tr.Len()-1].Time; last < 590e6 {
+		t.Fatalf("Sigma 1: last packet at %d µs, want the trace to span 600 s", last)
+	}
+
+	cfg.Envelope.Sigma = 60
+	if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "base envelope") {
+		t.Errorf("Sigma 60: got %v, want the base envelope refused", err)
+	}
+	s := Scenario{Base: SmallTrace(1), Phases: []Phase{{
+		Name: "surge", Start: 0, End: 1, TargetPPS: 100, Mix: &Mix{Bulk: 1},
+		Envelope: EnvelopeConfig{Sigma: 60},
+	}}}
+	if _, err := GenerateScenario(s); err == nil || !strings.Contains(err.Error(), `phase "surge" envelope`) {
+		t.Errorf("phase Sigma 60: got %v, want the phase envelope refused", err)
+	}
+}
+
 // binarySearchIndex is the draw the guide tables replaced, kept as their
 // reference: the smallest i <= len(cum)-1 with cum[i] > u.
 func binarySearchIndex(cum []float64, u float64) int {
@@ -184,8 +213,10 @@ func TestGuidedDrawMatchesBinarySearch(t *testing.T) {
 		addrs := newAddressPool(prof, dist.NewRNG(1))
 		tables = append(tables, table{prof.String() + "/src", addrs.srcPick}, table{prof.String() + "/dst", addrs.dstPick})
 	}
-	env := newEnvelope(EnvelopeConfig{Sigma: 0.3, Rho: 0.9, EpochSeconds: 5, TrendPerHour: 0.8}, dist.NewRNG(2))
-	env.ensure(time.Hour.Microseconds())
+	env, err := newEnvelope(EnvelopeConfig{Sigma: 0.3, Rho: 0.9, EpochSeconds: 5, TrendPerHour: 0.8}, dist.NewRNG(2), time.Hour.Microseconds())
+	if err != nil {
+		t.Fatal(err)
+	}
 	tables = append(tables, table{"envelope", env.epochs})
 
 	r := dist.NewRNG(3)

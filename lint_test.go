@@ -146,8 +146,10 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		mp + "/internal/traffgen.appendFlows",
 		// ...and the in-place sort of what it staged: a make inside
 		// the recursion would be a second trace-sized buffer (the
-		// keyed pass's scratch is made once, by the cold sortPackets).
-		mp + "/internal/traffgen.radixSort",
+		// keyed pass's scratch is made once, by the cold sortPackets,
+		// which hands each worker's range to finishRange).
+		mp + "/internal/traffgen.radixPass",
+		mp + "/internal/traffgen.finishRange",
 		mp + "/internal/traffgen.digitCounts",
 		mp + "/internal/traffgen.keyedSort",
 		mp + "/internal/traffgen.sortLeaf",
