@@ -1155,7 +1155,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 }
 
 // BenchmarkStoreAppend measures the durable store's hot append path on
-// 56-byte report records — one op is one Append, with the group-commit
+// 56-byte records — one op is one Append, with the group-commit
 // fsync cost (one sync per store.DefaultSyncEvery appends) amortized
 // into the per-op number, which is how the write path actually runs.
 func BenchmarkStoreAppend(b *testing.B) {
@@ -1172,14 +1172,14 @@ func BenchmarkStoreAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.Append(store.KindReport, int64(i), payload); err != nil {
+		if err := w.Append(store.KindSnapshot, int64(i), payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkStoreReplay measures the mmap read path: replay a sealed
-// multi-segment store of 56-byte report records, one op per record.
+// multi-segment store of 56-byte records, one op per record.
 func BenchmarkStoreReplay(b *testing.B) {
 	dir := b.TempDir()
 	w, err := store.Open(dir, store.Options{SegmentRecords: 4096})
@@ -1188,7 +1188,7 @@ func BenchmarkStoreReplay(b *testing.B) {
 	}
 	payload := make([]byte, metrics.ReportWireSize)
 	for i := 0; i < b.N; i++ {
-		if err := w.Append(store.KindReport, int64(i), payload); err != nil {
+		if err := w.Append(store.KindSnapshot, int64(i), payload); err != nil {
 			b.Fatal(err)
 		}
 	}

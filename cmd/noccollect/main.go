@@ -1,22 +1,24 @@
-// Command noccollect is the NOC-side collector: it polls one or more
-// artsnode agents on a cycle (the backbone used 15 minutes; scale down
-// with -interval for demonstrations), aggregates the reports
-// backbone-wide, and prints a summary of each cycle.
+// Command noccollect is the NOC-side collector: every cycle it polls
+// each agent's latest pipeline window snapshot (nsd serves them; the
+// backbone polled every 15 minutes, scale down with -interval) and
+// prints one line per node.
 //
 // Usage:
 //
 //	noccollect -agents 127.0.0.1:4501,127.0.0.1:4502 [-interval 15s] [-cycles 4]
 //	           [-retries 2] [-backoff 50ms] [-max-backoff 2s] [-jitter-seed 1]
-//	           [-max-concurrent 8]
+//	           [-store DIR] [-store-sync 64]
 //
-// Polls are retried with seeded-jitter exponential backoff; thanks to
-// the ack-based cycle protocol a retried poll recovers the agent's
-// pending cycle instead of losing or double-counting it.
+// A snapshot query is read-only, so polls retry transport faults with
+// seeded-jitter exponential backoff. Windows are deduplicated by (node,
+// seq): a node polled faster than it cuts windows is collected once per
+// window. A node that cuts faster than it is polled has windows no poll
+// sees; each such gap is named on a line of its own and counted in the
+// cycle line's running missed= total, never recovered — nsd -store is
+// the lossless record.
 //
-// With -store, each cycle additionally polls every agent's latest
-// pipeline window snapshot and appends it to an append-only segment
-// store (internal/store), deduplicated by (node, seq) so overlapping
-// cycles never double-record a window. Query the store with nocquery.
+// With -store, each newly collected window is appended to an
+// append-only segment store (internal/store). Query it with nocquery.
 package main
 
 import (
@@ -24,13 +26,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"netsample/internal/collect"
 	"netsample/internal/dist"
-	"netsample/internal/packet"
 	"netsample/internal/store"
 )
 
@@ -41,13 +41,11 @@ func main() {
 	agents := flag.String("agents", "", "comma-separated agent addresses (required)")
 	interval := flag.Duration("interval", 15*time.Second, "poll cycle (15m on the real backbone)")
 	cycles := flag.Int("cycles", 0, "number of cycles to run (0 = forever)")
-	topN := flag.Int("top", 5, "matrix rows to print per cycle")
 	retries := flag.Int("retries", 2, "extra poll attempts per agent after the first")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per attempt)")
 	maxBackoff := flag.Duration("max-backoff", 2*time.Second, "retry backoff cap")
 	jitterSeed := flag.Uint64("jitter-seed", 1, "seed for retry jitter (deterministic schedules)")
-	maxConcurrent := flag.Int("max-concurrent", collect.DefaultMaxConcurrent, "agents polled at once")
-	storeDir := flag.String("store", "", "persist polled fleet snapshots to this store directory (append-only segment log)")
+	storeDir := flag.String("store", "", "persist collected window snapshots to this store directory (append-only segment log)")
 	storeSync := flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
 	flag.Parse()
 
@@ -61,7 +59,6 @@ func main() {
 	c.Backoff = *backoff
 	c.MaxBackoff = *maxBackoff
 	c.Jitter = dist.NewRNG(*jitterSeed)
-	c.MaxConcurrent = *maxConcurrent
 
 	var sw *store.Writer
 	if *storeDir != "" {
@@ -76,67 +73,45 @@ func main() {
 			}
 		}()
 	}
-	// lastSeq deduplicates persisted snapshots per node: an agent polled
-	// faster than its window cadence keeps serving the same window, and
-	// the store should hold each window once.
+	// lastSeq is the newest window collected per node. Seq is 1-based
+	// and contiguous, so a poll reading past lastSeq+1 names exactly the
+	// windows no poll saw.
 	lastSeq := make(map[string]uint64)
+	var missed uint64
 
 	for cycle := 1; *cycles == 0 || cycle <= *cycles; cycle++ {
-		start := time.Now() //nslint:allow noclock operator-facing wall-clock cycle timestamp in a CLI
-		results := c.PollAll(addrs)
 		// An all-failed cycle is an outage to report, not a reason to
 		// exit: the next cycle may find the agents back.
-		view, err := collect.Aggregate(results)
-		if err != nil {
-			log.Printf("cycle %d: %v", cycle, err)
-		}
-		fmt.Printf("--- cycle %d at %s (%d nodes, %d failed) ---\n",
-			cycle, start.Format(time.TimeOnly), len(view.Nodes), len(view.Failed))
-		for _, f := range view.Failed {
-			fmt.Printf("  poll failed: %s: %v\n", f.Addr, f.Err)
-		}
-		fmt.Printf("  backbone packet total (scaled): %d\n", view.TotalPackets())
-
-		// Protocol mix.
-		var protoNames []string
-		for p := range view.Protocols.Protos {
-			protoNames = append(protoNames, p.String())
-		}
-		sort.Strings(protoNames)
-		fmt.Printf("  protocols: %s\n", strings.Join(protoNames, " "))
-
-		// Heaviest source-destination network pairs.
-		pairs := view.Matrix.Pairs()
-		if len(pairs) > *topN {
-			pairs = pairs[:*topN]
-		}
-		for _, e := range pairs {
-			fmt.Printf("  %15s -> %-15s %10d pkts %12d bytes\n",
-				e.Pair.Src, e.Pair.Dst, e.Counters.Packets, e.Counters.Bytes)
-		}
-
-		// Port mix, by packet volume.
-		type portRow struct {
-			name string
-			pkts uint64
-		}
-		var ports []portRow
-		for p, cnt := range view.Ports.Ports {
-			name := packet.PortName(p)
-			if p == 0 {
-				name = "other"
+		var lines []string
+		failed := 0
+		for _, addr := range addrs {
+			snap, err := c.PollSnapshot(addr)
+			if err != nil {
+				failed++
+				lines = append(lines, fmt.Sprintf("  poll failed: %s: %v", addr, err))
+				continue
 			}
-			ports = append(ports, portRow{name, cnt.Packets})
+			seen := lastSeq[snap.Node]
+			if snap.Seq > seen+1 {
+				missed += snap.Seq - seen - 1
+				lines = append(lines, fmt.Sprintf("  node %s: %s cut between polls, not collected",
+					snap.Node, windowRange(seen+1, snap.Seq-1)))
+			}
+			lines = append(lines, "  "+snapshotLine(snap))
+			if snap.Seq <= seen {
+				continue // already collected
+			}
+			lastSeq[snap.Node] = snap.Seq
+			if sw != nil {
+				if err := sw.AppendSnapshot(snap); err != nil {
+					log.Printf("store append %s window %d: %v", snap.Node, snap.Seq, err)
+				}
+			}
 		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i].pkts > ports[j].pkts })
-		var parts []string
-		for _, pr := range ports {
-			parts = append(parts, fmt.Sprintf("%s:%d", pr.name, pr.pkts))
-		}
-		fmt.Printf("  ports: %s\n", strings.Join(parts, " "))
-
-		if sw != nil {
-			persistSnapshots(c, sw, addrs, lastSeq)
+		fmt.Printf("--- cycle %d (%d nodes, %d failed, missed=%d) ---\n",
+			cycle, len(addrs)-failed, failed, missed)
+		for _, l := range lines {
+			fmt.Println(l)
 		}
 
 		if *cycles != 0 && cycle == *cycles {
@@ -146,24 +121,26 @@ func main() {
 	}
 }
 
-// persistSnapshots polls each agent's latest window snapshot and appends
-// the new ones (by node and window sequence) to the store. A failed
-// snapshot poll is reported and skipped — the report cycle above already
-// retried the transport, and the next cycle will catch the window up.
-func persistSnapshots(c *collect.Collector, sw *store.Writer, addrs []string, lastSeq map[string]uint64) {
-	for _, addr := range addrs {
-		snap, err := c.PollSnapshot(addr)
-		if err != nil {
-			log.Printf("snapshot poll %s: %v", addr, err)
-			continue
-		}
-		if seen, ok := lastSeq[snap.Node]; ok && snap.Seq <= seen {
-			continue
-		}
-		if err := sw.AppendSnapshot(snap); err != nil {
-			log.Printf("store append %s: %v", snap.Node, err)
-			continue
-		}
-		lastSeq[snap.Node] = snap.Seq
+// windowRange names the windows a through b.
+func windowRange(a, b uint64) string {
+	if a == b {
+		return fmt.Sprintf("window %d", a)
 	}
+	return fmt.Sprintf("windows %d–%d", a, b)
+}
+
+// snapshotLine renders one node's polled window.
+func snapshotLine(s *collect.Snapshot) string {
+	line := fmt.Sprintf("%s seq=%d [%dus,%dus)", s.Node, s.Seq, s.WindowStartUS, s.WindowEndUS)
+	if s.Final {
+		line += " final"
+	}
+	line += fmt.Sprintf(": offered=%d selected=%d dropped=%d", s.Offered, s.Selected, s.Dropped)
+	if s.SizeReport != nil {
+		line += fmt.Sprintf(" phi[size]=%.4f", s.SizeReport.Phi)
+	}
+	if s.IatReport != nil {
+		line += fmt.Sprintf(" phi[iat]=%.4f", s.IatReport.Phi)
+	}
+	return line
 }

@@ -151,34 +151,74 @@ func TestCLIExperimentsOnly(t *testing.T) {
 	}
 }
 
+// TestCLICollectionPair drives the collection plane end to end: nsd
+// cuts ten one-second windows and serves the last, noccollect polls it
+// into a store, and nocquery answers from that store. Polling starts
+// only once nsd has drained, so the one poll reads window 10, and
+// noccollect must say that windows 1–9 were cut between polls and not
+// collected.
 func TestCLICollectionPair(t *testing.T) {
-	dir := buildTools(t, "artsnode", "noccollect")
-	// Start an agent on a fixed ephemeral-style port.
-	const addr = "127.0.0.1:45917"
-	agent := exec.Command(filepath.Join(dir, "artsnode"),
-		"-listen", addr, "-name", "test-node", "-replay-seconds", "5", "-rate", "2000", "-k", "10")
-	agentOut, err := agent.StdoutPipe()
+	dir := buildTools(t, "nsd", "noccollect", "nocquery")
+	daemon := exec.Command(filepath.Join(dir, "nsd"),
+		"-gen", "-seconds", "10", "-window", "1s", "-q",
+		"-listen", "127.0.0.1:0", "-name", "test-node")
+	stdout, err := daemon.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Start(); err != nil {
+	stderr, err := daemon.StderrPipe()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waited := false
 	defer func() {
-		_ = agent.Process.Kill()
-		_ = agent.Wait()
+		if !waited {
+			_ = daemon.Process.Kill()
+			_ = daemon.Wait()
+		}
 	}()
-	// Wait for the listening banner.
-	banner := make([]byte, 256)
-	n, err := agentOut.Read(banner)
-	if err != nil || !strings.Contains(string(banner[:n]), "listening") {
-		t.Fatalf("agent banner: %q, %v", banner[:n], err)
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() {
+		t.Fatalf("no banner from nsd: %v", sc.Err())
+	}
+	addr, ok := strings.CutPrefix(sc.Text(), "nsd: listening on ")
+	if !ok {
+		t.Fatalf("unexpected banner: %q", sc.Text())
+	}
+	for logs := bufio.NewScanner(stderr); !strings.Contains(logs.Text(), "source drained"); {
+		if !logs.Scan() {
+			t.Fatalf("nsd exited before draining: %v", logs.Err())
+		}
 	}
 
+	storeDir := filepath.Join(t.TempDir(), "store")
 	out := run(t, filepath.Join(dir, "noccollect"),
-		"-agents", addr, "-cycles", "1", "-interval", "1s")
-	if !strings.Contains(out, "cycle 1") || !strings.Contains(out, "backbone packet total") {
-		t.Fatalf("noccollect output: %s", out)
+		"-agents", addr, "-cycles", "1", "-interval", "1s", "-store", storeDir)
+	for _, want := range []string{
+		"--- cycle 1 (1 nodes, 0 failed, missed=9) ---",
+		"node test-node: windows 1–9 cut between polls, not collected",
+		"test-node seq=10 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("noccollect output missing %q:\n%s", want, out)
+		}
+	}
+	out = run(t, filepath.Join(dir, "nocquery"), "-store", storeDir, "-verify", "-windows")
+	for _, want := range []string{"store chain verified", "window test-node/10 ", "merged 1 windows from test-node"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("nocquery output missing %q:\n%s", want, out)
+		}
+	}
+
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waited = true
+	if err := daemon.Wait(); err != nil {
+		t.Errorf("nsd exit after SIGTERM: %v", err)
 	}
 }
 

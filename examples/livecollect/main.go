@@ -1,13 +1,13 @@
 // Livecollect: an end-to-end NSFNET-style collection run over real
-// sockets on loopback. Three simulated backbone nodes feed synthetic
-// traffic into their collection agents — one T1 node whose statistics
-// processor keeps up, one overloaded T1 node that silently loses
-// categorization data, and one T3 node using 1-in-50 firmware sampling.
-// Each node also exposes its exact in-path interface counters through a
-// small SNMP-style UDP agent, as the real backbone did. A NOC collector
-// polls the TCP collection agents, queries the UDP counters, and prints
-// the backbone-wide aggregate next to the SNMP truth — demonstrating
-// why the backbone moved to sampling.
+// sockets on loopback. Three simulated backbone nodes each run the
+// characterization pipeline behind a collection agent — one T1 node
+// whose statistics processor keeps up, one overloaded T1 node that
+// silently loses categorization data, and one T3 node selecting 1 in 50
+// packets in the forwarding path. Each node also exposes its exact
+// in-path interface counters through a small SNMP-style UDP agent, as
+// the real backbone did. A NOC collector polls every node's window
+// snapshot, queries the UDP counters, and prints the scaled collection
+// (selected × k) next to the SNMP truth — Figure 1's case for sampling.
 //
 // Run with:
 //
@@ -24,6 +24,8 @@ import (
 	"netsample/internal/collect"
 	"netsample/internal/dist"
 	"netsample/internal/nsfnet"
+	"netsample/internal/online"
+	"netsample/internal/pipeline"
 	"netsample/internal/snmp"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -33,6 +35,7 @@ import (
 // forwarding-path counters.
 type node struct {
 	name     string
+	k        int
 	agent    *collect.Agent
 	addr     string
 	snmpAddr string
@@ -55,9 +58,33 @@ func main() {
 		return tr
 	}
 
+	// start forwards tr through a node: every packet counts in the exact
+	// interface counters, the packets the statistics path admits stream
+	// through a pipeline selecting the k-th, 2k-th, ... of them, and the
+	// agent serves the pipeline's snapshot.
 	var nodes []*node
-	start := func(name string, backbone arts.Backbone) *node {
-		n := &node{name: name, agent: collect.NewAgent(name, backbone)}
+	start := func(name string, tr *trace.Trace, k int, admit func(trace.Packet) bool) {
+		n := &node{name: name, k: k}
+		stats := &trace.Trace{ClockUS: tr.ClockUS}
+		for _, p := range tr.Packets {
+			n.inPkts.Add(1)
+			n.inOctets.Add(uint64(p.Size))
+			if admit(p) {
+				stats.Packets = append(stats.Packets, p)
+			}
+		}
+		pl, err := pipeline.New(pipeline.Config{
+			Shards:     1,
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(k, k-1) },
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pl.Run(stats.Replay()); err != nil {
+			log.Fatal(err)
+		}
+		n.agent = collect.NewAgent(name, arts.T3) // the backbone argument is ignored
+		n.agent.Snapshots = pipeline.NewExporter(pl, name)
 		addr, err := n.agent.Serve("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
@@ -78,51 +105,25 @@ func main() {
 		}
 		n.snmpAddr = ua.String()
 		nodes = append(nodes, n)
-		return n
-	}
-
-	forward := func(n *node, p trace.Packet) {
-		n.inPkts.Add(1)
-		n.inOctets.Add(uint64(p.Size))
 	}
 
 	// Node 1: lightly loaded T1 NSS; the dedicated processor keeps up,
 	// every packet is categorized.
-	n1 := start("NSS-lightly-loaded", arts.T1)
-	tr1 := mkTrace(101, 500)
 	proc1 := nsfnet.NewProcessor(5000, 64)
-	for _, p := range tr1.Packets {
-		forward(n1, p)
-		if proc1.Offer(p.Time) {
-			n1.agent.Record(p, 1)
-		}
-	}
+	start("NSS-lightly-loaded", mkTrace(101, 500), 1,
+		func(p trace.Packet) bool { return proc1.Offer(p.Time) })
 
 	// Node 2: the mid-1991 situation — traffic has outgrown the
 	// statistics processor; SNMP counts stay exact, categorization
 	// silently falls behind.
-	n2 := start("NSS-overloaded", arts.T1)
-	tr2 := mkTrace(102, 2500)
 	proc2 := nsfnet.NewProcessor(900, 32) // far below offered load
-	for _, p := range tr2.Packets {
-		forward(n2, p)
-		if proc2.Offer(p.Time) {
-			n2.agent.Record(p, 1)
-		}
-	}
+	start("NSS-overloaded", mkTrace(102, 2500), 1,
+		func(p trace.Packet) bool { return proc2.Offer(p.Time) })
 
-	// Node 3: the T3 architecture — firmware forwards every 50th packet
-	// to the main CPU, where ARTS records it with weight 50.
-	n3 := start("ENSS-T3-sampled", arts.T3)
-	tr3 := mkTrace(103, 2500)
-	counter := 0
-	for _, p := range tr3.Packets {
-		forward(n3, p)
-		counter++
-		if counter%50 == 0 {
-			n3.agent.Record(p, 50)
-		}
-	}
+	// Node 3: the T3 architecture — selection in the forwarding path
+	// passes every 50th packet on to be categorized.
+	start("ENSS-T3-sampled", mkTrace(103, 2500), 50,
+		func(trace.Packet) bool { return true })
 
 	// The NOC polls the collection agents over TCP (15 minutes on the
 	// real backbone; immediate here) and the counters over UDP. Polls
@@ -134,48 +135,29 @@ func main() {
 	c.MaxBackoff = 500 * time.Millisecond
 	c.Jitter = dist.NewRNG(7)
 	mgr := snmp.NewManager()
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-	}
-	results := c.PollAll(addrs)
 
-	fmt.Printf("%-22s %12s %12s %10s\n", "node", "snmp", "categorized", "shortfall")
-	var snmpTotal uint64
-	for i, res := range results {
-		if res.Err != nil {
-			log.Fatalf("poll %s: %v", addrs[i], res.Err)
-		}
-		vals, err := mgr.Get(nodes[i].snmpAddr, "if.0.inPkts", "if.0.inOctets")
+	fmt.Printf("%-22s %10s %9s %4s %10s %10s\n", "node", "snmp", "selected", "k", "collected", "shortfall")
+	var snmpTotal, collectedTotal uint64
+	for _, n := range nodes {
+		snap, err := c.PollSnapshot(n.addr)
 		if err != nil {
-			log.Fatalf("snmp %s: %v", nodes[i].name, err)
+			log.Fatalf("poll %s: %v", n.name, err)
+		}
+		vals, err := mgr.Get(n.snmpAddr, "if.0.inPkts", "if.0.inOctets")
+		if err != nil {
+			log.Fatalf("snmp %s: %v", n.name, err)
 		}
 		truth := vals["if.0.inPkts"]
+		// The snapshot does not carry k; the NOC knows each node's
+		// configured granularity.
+		collected := snap.Selected * uint64(n.k)
 		snmpTotal += truth
-		pr, err := res.Report.Protocols()
-		if err != nil {
-			log.Fatal(err)
-		}
-		var cat uint64
-		for _, cnt := range pr.Protos {
-			cat += cnt.Packets
-		}
-		short := 1 - float64(cat)/float64(truth)
-		fmt.Printf("%-22s %12d %12d %9.1f%%\n", nodes[i].name, truth, cat, 100*short)
-	}
-
-	view, err := collect.Aggregate(results)
-	if err != nil {
-		log.Fatal(err)
+		collectedTotal += collected
+		short := 1 - float64(collected)/float64(truth)
+		fmt.Printf("%-22s %10d %9d %4d %10d %9.1f%%\n", n.name, truth, snap.Selected, n.k, collected, 100*short)
 	}
 	fmt.Printf("\nbackbone-wide: SNMP %d packets, collection %d (%.1f%% of truth)\n",
-		snmpTotal, view.TotalPackets(), 100*float64(view.TotalPackets())/float64(snmpTotal))
-	fmt.Printf("top source->destination network pairs:\n")
-	pairs := view.Matrix.Pairs()
-	for i := 0; i < 5 && i < len(pairs); i++ {
-		e := pairs[i]
-		fmt.Printf("  %15s -> %-15s %9d pkts\n", e.Pair.Src, e.Pair.Dst, e.Counters.Packets)
-	}
+		snmpTotal, collectedTotal, 100*float64(collectedTotal)/float64(snmpTotal))
 	fmt.Println("\nthe overloaded node undercounts badly; the sampled T3 node's")
 	fmt.Println("scaled estimate stays near the SNMP truth at 2% of the cost.")
 

@@ -12,18 +12,13 @@
 //	  - per-second histogram of packet arrival rates (20 pps granularity)
 //	  - NSS transit traffic volume
 //
-// Objects accumulate Record()ed packets, report a Snapshot, and Reset on
-// the NOC's 15-minute poll cycle ("report and then reset their object
-// counters"). Each object serializes to a compact binary form for the
-// collection protocol in package collect.
+// Objects accumulate Record()ed packets. They serve the batch models:
+// nsfnet.T1Node's categorization counts (Figure 1), the Table 1 support
+// matrix and the length-histogram fidelity experiment. The live
+// collection plane exports pipeline snapshots instead (package collect).
 package arts
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"sort"
-
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
@@ -44,22 +39,12 @@ func (c *Counters) add(size uint16, weight uint64) {
 // packet; Weight-ed recording supports sampled collection, where each
 // selected packet stands for `weight` packets (50 on the T3 backbone).
 type Object interface {
-	// Name is the object's identifier in collection reports.
+	// Name is the object's Table 1 identifier.
 	Name() string
 	// Record accumulates a packet with the given scale-up weight
 	// (1 for unsampled collection).
 	Record(p trace.Packet, weight uint64)
-	// Reset zeroes the counters (the post-poll reset).
-	Reset()
-	// MarshalBinary serializes the current counters.
-	MarshalBinary() ([]byte, error)
-	// UnmarshalBinary replaces the object's state with the serialized
-	// counters.
-	UnmarshalBinary(data []byte) error
 }
-
-// ErrCorrupt reports an undecodable serialized object.
-var ErrCorrupt = errors.New("arts: corrupt serialized object")
 
 // --- source/destination matrix ---------------------------------------------
 
@@ -89,88 +74,4 @@ func (m *SrcDstMatrix) Record(p trace.Packet, weight uint64) {
 	c := m.M[key]
 	c.add(p.Size, weight)
 	m.M[key] = c
-}
-
-// Reset implements Object.
-func (m *SrcDstMatrix) Reset() { m.M = make(map[NetPair]Counters) }
-
-// Pairs returns the matrix entries sorted by descending packet count
-// (ties broken by key bytes), the order collection reports use.
-func (m *SrcDstMatrix) Pairs() []MatrixEntry {
-	out := make([]MatrixEntry, 0, len(m.M))
-	for k, v := range m.M {
-		out = append(out, MatrixEntry{Pair: k, Counters: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Counters.Packets != out[j].Counters.Packets {
-			return out[i].Counters.Packets > out[j].Counters.Packets
-		}
-		return lessPair(out[i].Pair, out[j].Pair)
-	})
-	return out
-}
-
-func lessPair(a, b NetPair) bool {
-	au, bu := a.Src.Uint32(), b.Src.Uint32()
-	if au != bu {
-		return au < bu
-	}
-	return a.Dst.Uint32() < b.Dst.Uint32()
-}
-
-// MatrixEntry is one row of the sorted matrix report.
-type MatrixEntry struct {
-	Pair     NetPair
-	Counters Counters
-}
-
-// MarshalBinary implements Object: count, then fixed 24-byte rows.
-func (m *SrcDstMatrix) MarshalBinary() ([]byte, error) {
-	entries := m.Pairs()
-	buf := make([]byte, 8+24*len(entries))
-	binary.LittleEndian.PutUint64(buf, uint64(len(entries)))
-	off := 8
-	for _, e := range entries {
-		copy(buf[off:], e.Pair.Src[:])
-		copy(buf[off+4:], e.Pair.Dst[:])
-		binary.LittleEndian.PutUint64(buf[off+8:], e.Counters.Packets)
-		binary.LittleEndian.PutUint64(buf[off+16:], e.Counters.Bytes)
-		off += 24
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary implements Object.
-func (m *SrcDstMatrix) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("%w: matrix too short", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)) != 8+24*n {
-		return fmt.Errorf("%w: matrix length mismatch", ErrCorrupt)
-	}
-	m.M = make(map[NetPair]Counters, n)
-	off := 8
-	for i := uint64(0); i < n; i++ {
-		var k NetPair
-		copy(k.Src[:], data[off:])
-		copy(k.Dst[:], data[off+4:])
-		m.M[k] = Counters{
-			Packets: binary.LittleEndian.Uint64(data[off+8:]),
-			Bytes:   binary.LittleEndian.Uint64(data[off+16:]),
-		}
-		off += 24
-	}
-	return nil
-}
-
-// Merge folds another matrix into this one (backbone-wide aggregation at
-// the NOC).
-func (m *SrcDstMatrix) Merge(o *SrcDstMatrix) {
-	for k, v := range o.M {
-		c := m.M[k]
-		c.Packets += v.Packets
-		c.Bytes += v.Bytes
-		m.M[k] = c
-	}
 }

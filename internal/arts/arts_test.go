@@ -1,8 +1,8 @@
 package arts
 
 import (
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"netsample/internal/packet"
 	"netsample/internal/trace"
@@ -11,6 +11,40 @@ import (
 func tcpPkt(src, dst packet.Addr, sport, dport uint16, size uint16) trace.Packet {
 	return trace.Packet{Size: size, Protocol: packet.ProtoTCP,
 		Src: src, Dst: dst, SrcPort: sport, DstPort: dport}
+}
+
+// MatrixEntry is one row of a matrix read in Pairs order.
+type MatrixEntry struct {
+	Pair     NetPair
+	Counters Counters
+}
+
+// Pairs reads the matrix by descending packet count, ties broken by key
+// bytes: one fixed order for the tests to index.
+func (m *SrcDstMatrix) Pairs() []MatrixEntry {
+	out := make([]MatrixEntry, 0, len(m.M))
+	for k, v := range m.M {
+		out = append(out, MatrixEntry{Pair: k, Counters: v})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Counters.Packets != out[j].Counters.Packets {
+			return out[i].Counters.Packets > out[j].Counters.Packets
+		}
+		if a, b := out[i].Pair.Src.Uint32(), out[j].Pair.Src.Uint32(); a != b {
+			return a < b
+		}
+		return out[i].Pair.Dst.Uint32() < out[j].Pair.Dst.Uint32()
+	})
+	return out
+}
+
+// Finish flushes the in-progress second so Bins holds every second
+// recorded.
+func (h *RateHistogram) Finish() {
+	if h.started {
+		h.flushSecond()
+		h.started = false
+	}
 }
 
 func TestSrcDstMatrixAggregatesByNetwork(t *testing.T) {
@@ -54,51 +88,6 @@ func TestSrcDstMatrixPairsSorted(t *testing.T) {
 	}
 }
 
-func TestSrcDstMatrixRoundTrip(t *testing.T) {
-	m := NewSrcDstMatrix()
-	m.Record(tcpPkt(packet.Addr{132, 249, 1, 1}, packet.Addr{18, 1, 1, 1}, 1, 23, 40), 1)
-	m.Record(tcpPkt(packet.Addr{128, 54, 2, 2}, packet.Addr{192, 31, 7, 9}, 1, 25, 552), 3)
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got SrcDstMatrix
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.M) != len(m.M) {
-		t.Fatalf("cells = %d", len(got.M))
-	}
-	for k, v := range m.M {
-		if got.M[k] != v {
-			t.Fatalf("cell %v = %+v, want %+v", k, got.M[k], v)
-		}
-	}
-}
-
-func TestSrcDstMatrixUnmarshalCorrupt(t *testing.T) {
-	var m SrcDstMatrix
-	if err := m.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Error("short data accepted")
-	}
-	good, _ := NewSrcDstMatrix().MarshalBinary()
-	if err := m.UnmarshalBinary(append(good, 0xff)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestSrcDstMatrixMerge(t *testing.T) {
-	a := NewSrcDstMatrix()
-	b := NewSrcDstMatrix()
-	p := tcpPkt(packet.Addr{10, 0, 0, 1}, packet.Addr{11, 0, 0, 1}, 1, 2, 100)
-	a.Record(p, 1)
-	b.Record(p, 2)
-	a.Merge(b)
-	if c := a.Pairs()[0].Counters; c.Packets != 3 || c.Bytes != 300 {
-		t.Fatalf("merged = %+v", c)
-	}
-}
-
 func TestPortDistribution(t *testing.T) {
 	d := NewPortDistribution()
 	d.Record(tcpPkt(packet.Addr{10, 0, 0, 1}, packet.Addr{11, 0, 0, 1}, 1024, packet.PortTelnet, 41), 1)
@@ -120,26 +109,6 @@ func TestPortDistribution(t *testing.T) {
 	}
 }
 
-func TestPortDistributionRoundTrip(t *testing.T) {
-	d := NewPortDistribution()
-	d.Record(tcpPkt(packet.Addr{1, 0, 0, 1}, packet.Addr{2, 0, 0, 1}, 1024, 23, 41), 7)
-	d.Record(tcpPkt(packet.Addr{1, 0, 0, 1}, packet.Addr{2, 0, 0, 1}, 1024, 9999, 100), 1)
-	data, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got PortDistribution
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Ports) != 2 || got.Ports[23].Packets != 7 {
-		t.Fatalf("got = %+v", got.Ports)
-	}
-	if err := got.UnmarshalBinary(data[:5]); err == nil {
-		t.Error("short data accepted")
-	}
-}
-
 func TestProtocolDistribution(t *testing.T) {
 	d := NewProtocolDistribution()
 	d.Record(trace.Packet{Size: 40, Protocol: packet.ProtoTCP}, 1)
@@ -151,16 +120,8 @@ func TestProtocolDistribution(t *testing.T) {
 	if c := d.Protos[packet.ProtoUDP]; c.Packets != 2 || c.Bytes != 200 {
 		t.Fatalf("udp = %+v", c)
 	}
-	data, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got ProtocolDistribution
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.Protos[packet.ProtoICMP].Packets != 1 {
-		t.Fatalf("got = %+v", got.Protos)
+	if d.Protos[packet.ProtoICMP].Packets != 1 {
+		t.Fatalf("icmp = %+v", d.Protos[packet.ProtoICMP])
 	}
 }
 
@@ -190,17 +151,6 @@ func TestLengthHistogram(t *testing.T) {
 	if total != 6 {
 		t.Errorf("total = %d", total)
 	}
-	data, _ := h.MarshalBinary()
-	var got LengthHistogram
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if got != *h {
-		t.Fatal("round trip mismatch")
-	}
-	if err := got.UnmarshalBinary(data[:7]); err == nil {
-		t.Error("short data accepted")
-	}
 }
 
 func TestRateHistogram(t *testing.T) {
@@ -219,14 +169,6 @@ func TestRateHistogram(t *testing.T) {
 	if h.Bins[0] != 2 { // 0 pps (empty second) and 3 pps
 		t.Errorf("bin 0 = %d", h.Bins[0])
 	}
-	data, _ := h.MarshalBinary()
-	var got RateHistogram
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.Bins != h.Bins {
-		t.Fatal("round trip mismatch")
-	}
 }
 
 func TestVolume(t *testing.T) {
@@ -235,20 +177,8 @@ func TestVolume(t *testing.T) {
 	if v.C.Packets != 3 || v.C.Bytes != 300 {
 		t.Fatalf("volume = %+v", v.C)
 	}
-	data, _ := v.MarshalBinary()
-	var got Volume
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.C != v.C {
-		t.Fatal("round trip mismatch")
-	}
-	if err := got.UnmarshalBinary(data[:3]); err == nil {
-		t.Error("short data accepted")
-	}
-	v.Reset()
-	if v.C != (Counters{}) {
-		t.Fatal("reset failed")
+	if v.Name() != "outbound-volume" {
+		t.Fatalf("name = %q", v.Name())
 	}
 }
 
@@ -272,6 +202,9 @@ func TestObjectSetProfiles(t *testing.T) {
 	}
 }
 
+// TestObjectSetRecordAndReset: Record reaches every object of the set,
+// and a set starts from zero — there is no reset in place: a node that
+// wants a fresh interval builds a fresh set.
 func TestObjectSetRecordAndReset(t *testing.T) {
 	s := NewObjectSet(T1)
 	p := tcpPkt(packet.Addr{132, 249, 1, 1}, packet.Addr{18, 1, 1, 1}, 1024, 23, 41)
@@ -280,17 +213,17 @@ func TestObjectSetRecordAndReset(t *testing.T) {
 	if s.TotalPackets() != 2 {
 		t.Fatalf("total = %d", s.TotalPackets())
 	}
-	if s.Outbound.C.Packets != 2 {
-		t.Fatalf("outbound = %+v", s.Outbound.C)
+	if s.Outbound.C.Packets != 2 || s.Transit.C.Packets != 2 || s.Lengths.Bins[0] != 2 || len(s.Matrix.M) != 1 {
+		t.Fatalf("objects missed a packet: outbound %+v transit %+v lengths[0] %d matrix %d cells",
+			s.Outbound.C, s.Transit.C, s.Lengths.Bins[0], len(s.Matrix.M))
 	}
-	s.Reset()
-	if s.TotalPackets() != 0 || len(s.Matrix.M) != 0 {
-		t.Fatal("reset incomplete")
+	if fresh := NewObjectSet(T1); fresh.TotalPackets() != 0 || len(fresh.Matrix.M) != 0 {
+		t.Fatal("a new set does not start empty")
 	}
 }
 
 // TestObjectSetRecordNoListRebuild pins Record at zero allocations for
-// a packet whose keys the objects already hold: the report-order list
+// a packet whose keys the objects already hold: the Table 1-order list
 // is built once by NewObjectSet, not per packet.
 func TestObjectSetRecordNoListRebuild(t *testing.T) {
 	p := tcpPkt(packet.Addr{132, 249, 1, 1}, packet.Addr{18, 1, 1, 1}, 1024, 23, 41)
@@ -300,7 +233,7 @@ func TestObjectSetRecordNoListRebuild(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { s.Record(p, 1) }); allocs != 0 {
 			t.Errorf("%s: Record allocates %v per packet, want 0", b, allocs)
 		}
-		// Objects hands out its own slice, in report order.
+		// Objects hands out its own slice, in Table 1 order.
 		objs := s.Objects()
 		for i, name := range SupportedObjectNames(b) {
 			if objs[i].Name() != name {
@@ -316,7 +249,7 @@ func TestObjectSetRecordNoListRebuild(t *testing.T) {
 }
 
 // TestObjectSetHandAssembled checks a set built without NewObjectSet:
-// Record, Reset and Objects work from the fields alone.
+// Record and Objects work from the fields alone.
 func TestObjectSetHandAssembled(t *testing.T) {
 	if n := len((&ObjectSet{}).Objects()); n != 7 {
 		t.Errorf("zero-value set lists %d objects, want 7 (T1)", n)
@@ -326,45 +259,5 @@ func TestObjectSetHandAssembled(t *testing.T) {
 	s.Record(p, 3)
 	if s.TotalPackets() != 3 || len(s.Matrix.M) != 1 || len(s.Objects()) != 3 {
 		t.Fatalf("hand-assembled T3 set: total %d, matrix %d cells, %d objects", s.TotalPackets(), len(s.Matrix.M), len(s.Objects()))
-	}
-	s.Reset()
-	if s.TotalPackets() != 0 || len(s.Matrix.M) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
-func TestMarshalRoundTripProperty(t *testing.T) {
-	f := func(srcs, dsts []uint32, sizes []uint16) bool {
-		m := NewSrcDstMatrix()
-		n := len(srcs)
-		if len(dsts) < n {
-			n = len(dsts)
-		}
-		if len(sizes) < n {
-			n = len(sizes)
-		}
-		for i := 0; i < n; i++ {
-			m.Record(tcpPkt(packet.AddrFrom(srcs[i]), packet.AddrFrom(dsts[i]), 1, 2, sizes[i]), 1)
-		}
-		data, err := m.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var got SrcDstMatrix
-		if err := got.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		if len(got.M) != len(m.M) {
-			return false
-		}
-		for k, v := range m.M {
-			if got.M[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -63,7 +63,7 @@ func NewObjectSet(b Backbone) *ObjectSet {
 	return s
 }
 
-// Objects returns the set's objects in report order.
+// Objects returns the set's objects in Table 1 order.
 func (s *ObjectSet) Objects() []Object {
 	out := []Object{s.Matrix, s.Ports, s.Protocols}
 	if s.Backbone == T1 {
@@ -96,13 +96,6 @@ func (s *ObjectSet) list() []Object {
 func (s *ObjectSet) Record(p trace.Packet, weight uint64) {
 	for _, o := range s.list() {
 		o.Record(p, weight)
-	}
-}
-
-// Reset zeroes every object (the post-poll counter reset).
-func (s *ObjectSet) Reset() {
-	for _, o := range s.list() {
-		o.Reset()
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"netsample/internal/arts"
-	"netsample/internal/trace"
 )
 
 // Accept-loop retry bounds: transient listener errors are retried with
@@ -20,32 +19,16 @@ const (
 	acceptBackoffMax     = 250 * time.Millisecond
 )
 
-// Agent is the node-side collection server: it owns a live ObjectSet,
-// accepts Record()ed traffic from the node's forwarding path, and
-// answers NOC poll/query requests over TCP.
-//
-// Polls run the ack-based cycle protocol of wire v2: each poll request
-// carries the sequence number of the last cycle the collector received,
-// and the agent keeps every cut cycle until the next request
-// acknowledges it. A poll whose ack is older than the pending cycle
-// retransmits that cycle byte-for-byte instead of cutting a new one, so
-// a retried poll after a lost response recovers the interval instead of
-// losing it, and never double-counts it either (DESIGN.md §11).
+// Agent is the node-side collection server: it answers NOC snapshot
+// queries over TCP with the node's latest window (Snapshots). A query
+// reads and never cuts, so any number of collectors may poll it and a
+// retried query is harmless (DESIGN.md §11).
 type Agent struct {
 	Node string
 
-	mu  sync.Mutex
-	set *arts.ObjectSet
-	// Cycle state, guarded by mu. lastSeq is the sequence number of the
-	// most recently cut cycle; pending holds that cycle's serialized
-	// report until a poll request acknowledges it.
-	lastSeq    uint64
-	pendingSeq uint64
-	pending    []byte
-
-	// Snapshots, when set, answers TypeSnapshotQuery requests with the
-	// node's live pipeline view (e.g. a *pipeline.Exporter). Nil makes
-	// snapshot queries return a wire error.
+	// Snapshots answers TypeSnapshotQuery requests with the node's live
+	// pipeline view (e.g. a *pipeline.Exporter). Nil makes snapshot
+	// queries return a wire error.
 	Snapshots SnapshotSource
 
 	ln     net.Listener
@@ -93,63 +76,15 @@ func (a *Agent) pause(d time.Duration) {
 	time.Sleep(d)
 }
 
-// NewAgent creates an agent for the named node with the given object
-// profile.
-func NewAgent(node string, backbone arts.Backbone) *Agent {
+// NewAgent creates an agent for the named node. The backbone argument
+// is ignored: it named the object profile of the retired report plane,
+// and stays only so existing callers compile.
+func NewAgent(node string, _ arts.Backbone) *Agent {
 	return &Agent{
 		Node:      node,
-		set:       arts.NewObjectSet(backbone),
 		closed:    make(chan struct{}),
 		IOTimeout: 10 * time.Second,
 	}
-}
-
-// Record feeds one packet into the agent's objects. Safe for use by one
-// forwarding goroutine concurrently with poll handling.
-func (a *Agent) Record(p trace.Packet, weight uint64) {
-	a.mu.Lock()
-	a.set.Record(p, weight)
-	a.mu.Unlock()
-}
-
-// pollCycle runs one step of the ack protocol. When the request's ack
-// is older than the pending cycle, the previous response was lost in
-// flight: the pending report is retransmitted unchanged and the live
-// counters are untouched. Otherwise the pending cycle (if any) is
-// acknowledged and a fresh cycle is cut — serialize, then reset — in
-// one critical section, so every recorded packet lands in exactly one
-// cycle.
-func (a *Agent) pollCycle(ack uint64) ([]byte, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.pendingSeq != 0 && ack < a.pendingSeq {
-		return a.pending, nil
-	}
-	if a.set.Rates != nil {
-		a.set.Rates.Finish()
-	}
-	seq := a.lastSeq + 1
-	payload, err := encodeReport(a.Node, a.set, seq)
-	if err != nil {
-		return nil, err
-	}
-	a.set.Reset()
-	a.lastSeq = seq
-	a.pendingSeq = seq
-	a.pending = payload
-	return payload, nil
-}
-
-// queryView serializes the live objects without cutting a cycle; the
-// report carries cycle 0 to mark it as a non-cycle view. Packets
-// already cut into a pending cycle are not part of the live view.
-func (a *Agent) queryView() ([]byte, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.set.Rates != nil {
-		a.set.Rates.Finish()
-	}
-	return encodeReport(a.Node, a.set, 0)
 }
 
 // Serve starts listening on addr ("127.0.0.1:0" for an ephemeral test
@@ -252,48 +187,14 @@ func (a *Agent) handle(conn net.Conn) {
 		if a.IOTimeout > 0 {
 			_ = conn.SetDeadline(a.now().Add(a.IOTimeout))
 		}
-		msgType, req, err := readFrame(conn)
+		msgType, _, err := readFrame(conn)
 		if err != nil {
 			if errors.Is(err, ErrVersion) {
 				_ = writeFrame(conn, TypeError, []byte(err.Error()))
 			}
 			return // disconnect or garbage: drop the connection
 		}
-		var payload []byte
-		var respType uint8
-		switch msgType {
-		case TypePoll:
-			var ack uint64
-			if ack, err = decodeAck(req); err == nil {
-				payload, err = a.pollCycle(ack)
-			}
-			respType = TypeReport
-		case TypeQuery:
-			payload, err = a.queryView()
-			respType = TypeReport
-		case TypeSnapshotQuery:
-			switch src := a.Snapshots; {
-			case src == nil:
-				payload = []byte("no snapshot source configured")
-				respType = TypeError
-			default:
-				s, ok := src.LatestSnapshot()
-				if !ok {
-					payload = []byte("no snapshot available yet")
-					respType = TypeError
-					break
-				}
-				payload, err = EncodeSnapshot(s)
-				respType = TypeSnapshot
-			}
-		default:
-			payload = []byte(fmt.Sprintf("unsupported request type %d", msgType))
-			respType = TypeError
-		}
-		if err != nil {
-			payload = []byte(err.Error())
-			respType = TypeError
-		}
+		respType, payload := a.answer(msgType)
 		if a.IOTimeout > 0 {
 			_ = conn.SetDeadline(a.now().Add(a.IOTimeout))
 		}
@@ -301,6 +202,27 @@ func (a *Agent) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// answer builds the response to one request. Only a snapshot query is
+// served; any other type, the retired report types 1–3 included, gets a
+// typed error and the connection stays open.
+func (a *Agent) answer(msgType uint8) (respType uint8, payload []byte) {
+	if msgType != TypeSnapshotQuery {
+		return TypeError, fmt.Appendf(nil, "unsupported request type %d", msgType)
+	}
+	if a.Snapshots == nil {
+		return TypeError, []byte("no snapshot source configured")
+	}
+	s, ok := a.Snapshots.LatestSnapshot()
+	if !ok {
+		return TypeError, []byte("no snapshot available yet")
+	}
+	payload, err := EncodeSnapshot(s)
+	if err != nil {
+		return TypeError, []byte(err.Error())
+	}
+	return TypeSnapshot, payload
 }
 
 // Close stops the listener and waits for in-flight connections.

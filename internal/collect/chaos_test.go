@@ -1,8 +1,10 @@
 package collect
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,23 +20,49 @@ import (
 // TestChaosSoakConservation` and the seed from the failure message.
 const chaosSchedules = 1000
 
-// chaosPhases is how many record-then-poll rounds each schedule runs.
-const chaosPhases = 3
+// chaosWindows is how many windows each schedule's source cuts.
+const chaosWindows = 3
+
+// steppingSource is a node's pipeline reduced to its window cuts: cut
+// makes a window the latest, as a pipeline's window barrier does, and
+// the agent serves it until the next cut.
+type steppingSource struct {
+	mu     sync.Mutex
+	latest *Snapshot
+}
+
+func (s *steppingSource) cut(snap *Snapshot) {
+	s.mu.Lock()
+	s.latest = snap
+	s.mu.Unlock()
+}
+
+func (s *steppingSource) LatestSnapshot() (*Snapshot, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.latest, s.latest != nil
+}
 
 // runChaosSchedule drives one agent/collector pair through one seeded
-// fault schedule and checks the conservation invariant: every recorded
-// packet is counted in exactly one accepted cycle. It returns how many
-// connections the schedule actually faulted, so the soak can prove it
-// exercised failures rather than a string of clean runs.
+// fault schedule and checks the conservation invariant: every window
+// the source cuts is accepted exactly once after seq dedup, byte for
+// byte as the source served it, so the accepted windows' offered counts
+// sum to the total cut. The source moves to the next window only after
+// an accepted poll, and sometimes polls a window twice, so the dedup
+// has duplicates to drop. It returns how many connections the schedule
+// actually faulted, so the soak can prove it exercised failures rather
+// than a string of clean runs.
 //
 // The injector's fault budget (4) is strictly below the number of polls
-// the phase loop may issue, so once the budget is spent every further
-// connection is clean and each phase's poll loop must terminate.
+// each window's poll loop may issue, so once the budget is spent every
+// further connection is clean and each loop must terminate.
 func runChaosSchedule(t *testing.T, seed uint64) int {
 	t.Helper()
 	noop := func(time.Duration) {}
 
+	src := &steppingSource{}
 	agent := NewAgent("chaos-node", arts.T1)
+	agent.Snapshots = src
 	agent.Sleep = noop
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,14 +85,14 @@ func runChaosSchedule(t *testing.T, seed uint64) int {
 	}
 
 	// pollUntil retries whole polls: a poll can fail terminally when a
-	// fault corrupts the request's version byte (the agent answers with
-	// a typed, non-retryable error), but each such failure burns fault
-	// budget, so success is reached within a few rounds.
-	pollUntil := func() *Report {
+	// fault corrupts a frame's version byte (the peer answers with, or
+	// reads, a typed, non-retryable error), but each such failure burns
+	// fault budget, so success is reached within a few rounds.
+	pollUntil := func() *Snapshot {
 		for tries := 0; tries < 12; tries++ {
-			rep, err := col.Poll(addr)
+			snap, err := col.PollSnapshot(addr)
 			if err == nil {
-				return rep
+				return snap
 			}
 		}
 		t.Fatalf("seed %d: poll never succeeded with fault budget %d", seed, 4)
@@ -72,50 +100,57 @@ func runChaosSchedule(t *testing.T, seed uint64) int {
 	}
 
 	rng := dist.NewRNG(seed)
-	var recorded uint64
-	cycles := make(map[uint64]uint64) // cycle seq → packets counted
-	for phase := 0; phase < chaosPhases; phase++ {
-		n := 5 + rng.IntN(12)
-		for i := 0; i < n; i++ {
-			agent.Record(samplePacket(rng.IntN(16)), 1)
-			recorded++
+	served := make(map[uint64][]byte) // seq → payload the source served
+	accepted := make(map[uint64]int)  // seq → times accepted after dedup
+	var cutOffered, acceptedOffered, lastSeq uint64
+	for seq := uint64(1); seq <= chaosWindows; seq++ {
+		offered := uint64(5 + rng.IntN(12))
+		snap := &Snapshot{
+			Node: "chaos-node", Seq: seq, Shards: 1,
+			WindowStartUS: int64(seq-1) * 1_000_000, WindowEndUS: int64(seq) * 1_000_000,
+			Offered: offered, Processed: offered, Selected: offered / 2,
 		}
-		rep := pollUntil()
-		if rep.Cycle == 0 {
-			t.Fatalf("seed %d phase %d: poll returned a cycle-0 view", seed, phase)
-		}
-		if _, dup := cycles[rep.Cycle]; dup {
-			t.Fatalf("seed %d phase %d: cycle %d accepted twice — double count", seed, phase, rep.Cycle)
-		}
-		protos, err := rep.Protocols()
+		payload, err := EncodeSnapshot(snap)
 		if err != nil {
-			t.Fatalf("seed %d phase %d: accepted report corrupt: %v", seed, phase, err)
+			t.Fatal(err)
 		}
-		var sum uint64
-		for _, c := range protos.Protos {
-			sum += c.Packets
+		served[seq] = payload
+		cutOffered += offered
+		src.cut(snap)
+		for polls := 1 + rng.IntN(2); polls > 0; polls-- {
+			got := pollUntil()
+			re, err := EncodeSnapshot(got)
+			if err != nil || !bytes.Equal(re, served[got.Seq]) {
+				t.Fatalf("seed %d window %d: accepted snapshot seq %d is not the bytes served (%v)", seed, seq, got.Seq, err)
+			}
+			if got.Seq <= lastSeq {
+				continue // a window already collected: the dedup drops it
+			}
+			lastSeq = got.Seq
+			accepted[got.Seq]++
+			acceptedOffered += got.Offered
 		}
-		cycles[rep.Cycle] = sum
 	}
 
-	var merged uint64
-	for _, c := range cycles {
-		merged += c
+	for seq := uint64(1); seq <= chaosWindows; seq++ {
+		if accepted[seq] != 1 {
+			t.Errorf("seed %d: window %d accepted %d times, want exactly once (%v)", seed, seq, accepted[seq], accepted)
+		}
 	}
-	if merged != recorded {
-		t.Errorf("seed %d: conservation violated: recorded %d packets, cycles carried %d (%v)",
-			seed, recorded, merged, cycles)
+	if acceptedOffered != cutOffered {
+		t.Errorf("seed %d: conservation violated: windows cut %d offered packets, accepted windows carried %d",
+			seed, cutOffered, acceptedOffered)
 	}
 	return inj.Faulted()
 }
 
 // TestChaosSoakConservation drives the agent/collector pair through
 // many seeded fault schedules — dropped responses, mid-frame resets,
-// partial writes, corrupted headers, delays — and asserts the
-// report-and-reset accounting survives every one: no recorded packet is
-// lost, none is counted twice (DESIGN.md §11). Schedules are sharded
-// across parallel subtests; every schedule is deterministic in its
-// seed.
+// partial writes, corrupted headers, delays — and asserts that the
+// snapshot plane survives every one: each cut window is accepted
+// exactly once after seq dedup, byte-identical to what the node served
+// (DESIGN.md §11). Schedules are sharded across parallel subtests;
+// every schedule is deterministic in its seed.
 func TestChaosSoakConservation(t *testing.T) {
 	n := chaosSchedules
 	if testing.Short() {

@@ -4,35 +4,25 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"netsample/internal/arts"
-	"netsample/internal/packet"
-	"netsample/internal/trace"
 )
-
-func samplePacket(i int) trace.Packet {
-	return trace.Packet{
-		Time: int64(i) * 1000, Size: 552, Protocol: packet.ProtoTCP,
-		Src: packet.Addr{132, 249, 1, byte(i)}, Dst: packet.Addr{18, 0, 0, 1},
-		SrcPort: 1024, DstPort: packet.PortFTPData,
-	}
-}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, TypePoll, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, TypeSnapshotQuery, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TypePoll || string(payload) != "hello" {
+	if typ != TypeSnapshotQuery || string(payload) != "hello" {
 		t.Fatalf("typ=%d payload=%q", typ, payload)
 	}
 }
@@ -61,7 +51,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	}
 	// Oversized payload length.
 	var buf bytes.Buffer
-	_ = writeFrame(&buf, TypePoll, nil)
+	_ = writeFrame(&buf, TypeSnapshotQuery, nil)
 	raw := buf.Bytes()
 	raw[4], raw[5], raw[6], raw[7] = 0xff, 0xff, 0xff, 0xff
 	if _, _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrWire) {
@@ -69,7 +59,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	}
 	// Truncated payload.
 	buf.Reset()
-	_ = writeFrame(&buf, TypePoll, []byte("abcdef"))
+	_ = writeFrame(&buf, TypeSnapshotQuery, []byte("abcdef"))
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, _, err := readFrame(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated payload accepted")
@@ -77,7 +67,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	// Corrupted checksum: a bit flip anywhere in header or payload is
 	// rejected, never dispatched.
 	buf.Reset()
-	_ = writeFrame(&buf, TypePoll, []byte("payload"))
+	_ = writeFrame(&buf, TypeSnapshotQuery, []byte("payload"))
 	for bit := 0; bit < 8; bit++ {
 		for _, idx := range []int{3, 8, frameHeader + 2} { // type byte, crc byte, payload byte
 			flipped := append([]byte(nil), buf.Bytes()...)
@@ -96,14 +86,14 @@ func TestReadFrameLargePayloadRoundTrip(t *testing.T) {
 		big[i] = byte(i * 31)
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, TypeReport, big); err != nil {
+	if err := writeFrame(&buf, TypeSnapshot, big); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TypeReport || !bytes.Equal(got, big) {
+	if typ != TypeSnapshot || !bytes.Equal(got, big) {
 		t.Fatalf("large payload mangled: typ=%d len=%d", typ, len(got))
 	}
 }
@@ -113,7 +103,7 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	// must fail without ever allocating the declared 64 MiB.
 	hdr := make([]byte, frameHeader)
 	hdr[0], hdr[1] = 0x53, 0x4e
-	hdr[2], hdr[3] = wireVersion, TypePoll
+	hdr[2], hdr[3] = wireVersion, TypeSnapshotQuery
 	binary.LittleEndian.PutUint32(hdr[4:], MaxPayload)
 	data := append(hdr, make([]byte, 16)...)
 
@@ -136,79 +126,12 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	}
 }
 
-func TestReportRoundTrip(t *testing.T) {
-	set := arts.NewObjectSet(arts.T1)
-	for i := 0; i < 100; i++ {
-		set.Record(samplePacket(i), 1)
-	}
-	payload, err := encodeReport("ENSS-SanDiego", set, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := decodeReport(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Node != "ENSS-SanDiego" || rep.Backbone != arts.T1 || rep.Cycle != 42 {
-		t.Fatalf("header = %q %v cycle %d", rep.Node, rep.Backbone, rep.Cycle)
-	}
-	if len(rep.Objects) != 7 {
-		t.Fatalf("objects = %d", len(rep.Objects))
-	}
-	m, err := rep.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Pairs()[0].Counters.Packets; got != 100 {
-		t.Fatalf("matrix packets = %d", got)
-	}
-	pr, err := rep.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Protos[packet.ProtoTCP].Packets != 100 {
-		t.Fatal("protocol counts wrong")
-	}
-	if _, err := rep.Ports(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeReportCorruption(t *testing.T) {
-	set := arts.NewObjectSet(arts.T3)
-	set.Record(samplePacket(1), 1)
-	payload, err := encodeReport("node", set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every truncation point must error, never panic.
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeReport(payload[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Trailing garbage.
-	if _, err := decodeReport(append(append([]byte{}, payload...), 1, 2, 3)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestReportMissingObjects(t *testing.T) {
-	rep := &Report{Objects: map[string][]byte{}}
-	if _, err := rep.Matrix(); err == nil {
-		t.Error("missing matrix accepted")
-	}
-	if _, err := rep.Ports(); err == nil {
-		t.Error("missing ports accepted")
-	}
-	if _, err := rep.Protocols(); err == nil {
-		t.Error("missing protocols accepted")
-	}
-}
-
-func startAgent(t *testing.T, name string, b arts.Backbone) (*Agent, string) {
+// startAgent serves an agent exporting src (nil: no snapshot source)
+// on an ephemeral loopback port for the life of the test.
+func startAgent(t *testing.T, name string, src SnapshotSource) (*Agent, string) {
 	t.Helper()
-	a := NewAgent(name, b)
+	a := NewAgent(name, arts.T3)
+	a.Snapshots = src
 	addr, err := a.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,89 +140,48 @@ func startAgent(t *testing.T, name string, b arts.Backbone) (*Agent, string) {
 	return a, addr.String()
 }
 
-func TestAgentPollAndReset(t *testing.T) {
-	a, addr := startAgent(t, "nss-1", arts.T3)
-	for i := 0; i < 50; i++ {
-		a.Record(samplePacket(i), 1)
-	}
-	c := NewCollector()
-	rep, err := c.Poll(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := rep.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Protos[packet.ProtoTCP].Packets != 50 {
-		t.Fatalf("first poll = %+v", pr.Protos)
-	}
-	// Counters were reset by the poll.
-	rep2, err := c.Poll(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr2, err := rep2.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pr2.Protos) != 0 {
-		t.Fatalf("second poll not empty: %+v", pr2.Protos)
-	}
-}
-
-// Query asks for the agent's live counters without cutting a cycle; no
-// shipped collector sends TypeQuery, so the client half lives with the
-// tests of the agent's handler.
-func (c *Collector) Query(addr string) (*Report, error) {
-	payload, err := c.roundTrip(addr, TypeQuery, TypeReport, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeReport(payload)
-}
-
-func TestAgentQueryDoesNotReset(t *testing.T) {
-	a, addr := startAgent(t, "nss-2", arts.T3)
-	a.Record(samplePacket(0), 1)
-	c := NewCollector()
-	if _, err := c.Query(addr); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Query(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := rep.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Protos[packet.ProtoTCP].Packets != 1 {
-		t.Fatal("query reset the counters")
-	}
-}
-
+// TestAgentRejectsUnknownType: a request type the agent does not serve
+// gets a typed error naming it, on a connection that stays open, and the
+// agent keeps serving. Types 1–3 are the retired report poll, query and
+// response: a collector from before their retirement must fail loud.
 func TestAgentRejectsUnknownType(t *testing.T) {
-	_, addr := startAgent(t, "nss-3", arts.T3)
+	_, addr := startAgent(t, "nss-3", &fakeSnapshotSource{snap: sampleSnapshot()})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, 42, nil); err != nil {
+	for _, tc := range []struct {
+		typ     uint8
+		payload []byte
+	}{
+		{1, binary.LittleEndian.AppendUint64(nil, 0)}, // a retired poll, acking nothing
+		{2, nil},
+		{3, []byte("report")},
+		{42, nil},
+	} {
+		if err := writeFrame(conn, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("type %d: %v", tc.typ, err)
+		}
+		if want := fmt.Sprintf("unsupported request type %d", tc.typ); typ != TypeError || string(payload) != want {
+			t.Fatalf("type %d answered typ=%d payload=%q, want a TypeError %q", tc.typ, typ, payload, want)
+		}
+	}
+	// The same connection still serves a snapshot query.
+	if err := writeFrame(conn, TypeSnapshotQuery, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != TypeError || !strings.Contains(string(payload), "unsupported") {
-		t.Fatalf("typ=%d payload=%q", typ, payload)
+	if typ, _, err := readFrame(conn); err != nil || typ != TypeSnapshot {
+		t.Fatalf("snapshot query after rejections: typ=%d err=%v", typ, err)
 	}
 }
 
 func TestAgentSurvivesGarbageConnection(t *testing.T) {
-	a, addr := startAgent(t, "nss-4", arts.T3)
+	_, addr := startAgent(t, "nss-4", &fakeSnapshotSource{snap: sampleSnapshot()})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -307,80 +189,8 @@ func TestAgentSurvivesGarbageConnection(t *testing.T) {
 	_, _ = conn.Write([]byte("GET / HTTP/1.0\r\n\r\n"))
 	_ = conn.Close()
 	// The agent must still answer a well-formed poll.
-	a.Record(samplePacket(0), 1)
-	c := NewCollector()
-	if _, err := c.Poll(addr); err != nil {
+	if _, err := NewCollector().PollSnapshot(addr); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPollAllConcurrentAndPartialFailure(t *testing.T) {
-	a1, addr1 := startAgent(t, "enss-1", arts.T3)
-	a2, addr2 := startAgent(t, "enss-2", arts.T3)
-	for i := 0; i < 10; i++ {
-		a1.Record(samplePacket(i), 1)
-	}
-	for i := 0; i < 20; i++ {
-		a2.Record(samplePacket(i), 5) // sampled with weight 5
-	}
-	// A dead address mixed in.
-	dead := "127.0.0.1:1" // nothing listens there
-	c := NewCollector()
-	c.Timeout = 2 * time.Second
-	results := c.PollAll([]string{addr1, dead, addr2})
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("live agents failed: %v %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("dead agent did not fail")
-	}
-	view, err := Aggregate(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(view.Nodes) != 2 || len(view.Failed) != 1 {
-		t.Fatalf("nodes=%v failed=%d", view.Nodes, len(view.Failed))
-	}
-	if view.TotalPackets() != 10+100 {
-		t.Fatalf("total = %d, want 110", view.TotalPackets())
-	}
-}
-
-func TestAgentConcurrentRecordAndPoll(t *testing.T) {
-	a, addr := startAgent(t, "enss-race", arts.T1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 5000; i++ {
-			a.Record(samplePacket(i), 1)
-		}
-	}()
-	c := NewCollector()
-	var collected uint64
-	for i := 0; i < 20; i++ {
-		rep, err := c.Poll(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := rep.Protocols()
-		if err != nil {
-			t.Fatal(err)
-		}
-		collected += pr.Protos[packet.ProtoTCP].Packets
-	}
-	<-done
-	rep, err := c.Poll(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := rep.Protocols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	collected += pr.Protos[packet.ProtoTCP].Packets
-	// Poll-and-reset must neither lose nor double-count packets.
-	if collected != 5000 {
-		t.Fatalf("collected %d, want exactly 5000", collected)
 	}
 }
 
@@ -404,7 +214,7 @@ func TestCollectorTimeout(t *testing.T) {
 	c := NewCollector()
 	c.Timeout = 300 * time.Millisecond
 	start := time.Now()
-	_, err = c.Poll(ln.Addr().String())
+	_, err = c.PollSnapshot(ln.Addr().String())
 	if err == nil {
 		t.Fatal("silent agent did not time out")
 	}

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,8 +27,8 @@ func TestGenCorpus(t *testing.T) {
 		}
 	}
 
-	// FuzzReadFrame: one frame per message type with realistic payloads,
-	// plus structurally interesting corruptions.
+	// FuzzReadFrame: realistic frames of both directions, plus
+	// structurally interesting corruptions.
 	frame := func(msgType uint8, payload []byte) []byte {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, msgType, payload); err != nil {
@@ -39,18 +40,18 @@ func TestGenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	write("FuzzReadFrame", "poll_frame", frame(TypePoll, encodeAck(1993)))
+	// The poll frames are type 1, the retired report poll, with its
+	// uint64 ack payload: well-formed frames an agent must reject.
+	const retiredPoll = 1
+	ack := func(seq uint64) []byte { return binary.LittleEndian.AppendUint64(nil, seq) }
+	write("FuzzReadFrame", "poll_frame", frame(retiredPoll, ack(1993)))
 	write("FuzzReadFrame", "snapshot_frame", frame(TypeSnapshot, snapPayload))
-	write("FuzzReadFrame", "empty_payload_frame", frame(TypePoll, nil))
+	write("FuzzReadFrame", "empty_payload_frame", frame(retiredPoll, nil))
 	truncated := frame(TypeSnapshot, snapPayload)
 	write("FuzzReadFrame", "truncated_mid_payload", truncated[:len(truncated)-len(truncated)/3])
-	crcFlip := frame(TypePoll, encodeAck(7))
+	crcFlip := frame(retiredPoll, ack(7))
 	crcFlip[len(crcFlip)-1] ^= 0x01
 	write("FuzzReadFrame", "payload_bit_flip", crcFlip)
-
-	// FuzzDecodeAck: the two interesting sizes around the exact-8 rule.
-	write("FuzzDecodeAck", "seq_1993", encodeAck(1993))
-	write("FuzzDecodeAck", "nine_bytes", append(encodeAck(1), 0xff))
 
 	// FuzzDecodeSnapshot: a full snapshot, a bins-length lie, and a
 	// truncation inside the report section.

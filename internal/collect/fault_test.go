@@ -5,121 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"netsample/internal/arts"
 	"netsample/internal/faultnet"
 )
-
-// reportFor builds a decoded report carrying `packets` recorded packets
-// for Aggregate-level tests.
-func reportFor(t *testing.T, node string, cycle uint64, packets int) *Report {
-	t.Helper()
-	set := arts.NewObjectSet(arts.T1)
-	for i := 0; i < packets; i++ {
-		set.Record(samplePacket(i), 1)
-	}
-	payload, err := encodeReport(node, set, cycle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := decodeReport(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
-// TestAggregateDemotesDecodeFailures: one node whose report decodes but
-// whose object bytes are corrupt must land in Failed — contributing
-// nothing, not a torn subset — while the rest of the cycle merges.
-func TestAggregateDemotesDecodeFailures(t *testing.T) {
-	good1 := reportFor(t, "node-a", 1, 3)
-	bad := reportFor(t, "node-b", 1, 5)
-	bad.Objects["src-dst-matrix"] = []byte{0xff, 0xee}
-	good2 := reportFor(t, "node-c", 1, 4)
-	results := []PollResult{
-		{Addr: "a:1", Report: good1},
-		{Addr: "b:1", Report: bad},
-		{Addr: "c:1", Report: good2},
-	}
-	v, err := Aggregate(results)
-	if err != nil {
-		t.Fatalf("Aggregate err = %v, want nil: one bad node must not void the cycle", err)
-	}
-	if len(v.Nodes) != 2 {
-		t.Fatalf("merged nodes %v, want node-a and node-c", v.Nodes)
-	}
-	if len(v.Failed) != 1 || v.Failed[0].Addr != "b:1" {
-		t.Fatalf("Failed = %+v, want exactly node-b", v.Failed)
-	}
-	if v.Failed[0].Err == nil {
-		t.Fatal("demoted failure carries no error")
-	}
-	// node-b's intact ports/protocols objects must not have merged: all
-	// of a node's objects merge or none do.
-	if got := v.TotalPackets(); got != 7 {
-		t.Fatalf("TotalPackets = %d, want 7 (3 + 4, nothing from the corrupt node)", got)
-	}
-}
-
-// TestAggregateAllFailed: when nothing merges the error is ErrNoReports
-// and the view still carries every per-node failure.
-func TestAggregateAllFailed(t *testing.T) {
-	boom := errors.New("unreachable")
-	results := []PollResult{
-		{Addr: "a:1", Err: boom},
-		{Addr: "b:1", Err: boom},
-	}
-	v, err := Aggregate(results)
-	if !errors.Is(err, ErrNoReports) {
-		t.Fatalf("err = %v, want ErrNoReports", err)
-	}
-	if v == nil || len(v.Failed) != 2 {
-		t.Fatalf("view = %+v, want both failures preserved", v)
-	}
-	if _, err := Aggregate(nil); err != nil {
-		t.Fatalf("empty input err = %v, want nil", err)
-	}
-}
-
-// TestAggregateDuplicateCycle: a retransmitted cycle that reaches
-// Aggregate twice is counted once and the duplicate demoted, while
-// cycle-0 query views from the same node may repeat freely.
-func TestAggregateDuplicateCycle(t *testing.T) {
-	rep := reportFor(t, "node-a", 7, 3)
-	dup := reportFor(t, "node-a", 7, 3)
-	v, err := Aggregate([]PollResult{
-		{Addr: "a:1", Report: rep},
-		{Addr: "a:1", Report: dup},
-	})
-	if err != nil {
-		t.Fatalf("Aggregate err = %v", err)
-	}
-	if len(v.Nodes) != 1 || len(v.Failed) != 1 {
-		t.Fatalf("nodes %v failed %+v, want one merged + one demoted", v.Nodes, v.Failed)
-	}
-	if !errors.Is(v.Failed[0].Err, ErrDuplicateCycle) {
-		t.Fatalf("demotion err = %v, want ErrDuplicateCycle", v.Failed[0].Err)
-	}
-	if got := v.TotalPackets(); got != 3 {
-		t.Fatalf("TotalPackets = %d, want 3: the duplicate must not double-count", got)
-	}
-
-	view1 := reportFor(t, "node-a", 0, 2)
-	view2 := reportFor(t, "node-a", 0, 2)
-	v, err = Aggregate([]PollResult{
-		{Addr: "a:1", Report: view1},
-		{Addr: "a:1", Report: view2},
-	})
-	if err != nil || len(v.Nodes) != 2 {
-		t.Fatalf("query views: err %v nodes %v, want both merged", err, v.Nodes)
-	}
-}
 
 // TestRetryableClassification: transport faults retry; a typed agent
 // answer or a version mismatch is final.
@@ -140,7 +32,7 @@ func TestRetryableClassification(t *testing.T) {
 func TestAgentAcceptRetriesTransientErrors(t *testing.T) {
 	agent := NewAgent("ENSS", arts.T1)
 	agent.Sleep = func(time.Duration) {}
-	agent.Record(samplePacket(1), 1)
+	agent.Snapshots = &fakeSnapshotSource{snap: &Snapshot{Node: "ENSS", Seq: 1}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -152,12 +44,12 @@ func TestAgentAcceptRetriesTransientErrors(t *testing.T) {
 	defer agent.Close()
 
 	col := NewCollector()
-	rep, err := col.Poll(addr.String())
+	snap, err := col.PollSnapshot(addr.String())
 	if err != nil {
-		t.Fatalf("Poll after transient accept errors: %v", err)
+		t.Fatalf("PollSnapshot after transient accept errors: %v", err)
 	}
-	if rep.Node != "ENSS" {
-		t.Fatalf("node %q", rep.Node)
+	if snap.Node != "ENSS" {
+		t.Fatalf("node %q", snap.Node)
 	}
 	if err := agent.Err(); err != nil {
 		t.Fatalf("Err() = %v after recovered transients, want nil", err)
@@ -249,7 +141,7 @@ func TestOldVersionFrameAnsweredWithTypedError(t *testing.T) {
 	}
 	defer conn.Close()
 	// A v1 frame: 8-byte header, version byte 1, no checksum.
-	v1 := []byte{0x53, 0x4e, 1, TypePoll, 0, 0, 0, 0}
+	v1 := []byte{0x53, 0x4e, 1, TypeSnapshotQuery, 0, 0, 0, 0}
 	if _, err := conn.Write(v1); err != nil {
 		t.Fatal(err)
 	}
@@ -266,191 +158,4 @@ func TestOldVersionFrameAnsweredWithTypedError(t *testing.T) {
 
 	// Collector-side: the typed answer is final, not retried.
 	// (A v1 *collector* polling a v2 agent sees the same typed error.)
-}
-
-// TestRetriedPollDoesNotDoubleMerge: a poll whose response is dropped
-// mid-frame succeeds on retry with the SAME cycle, and aggregating the
-// retried results counts every packet exactly once.
-func TestRetriedPollDoesNotDoubleMerge(t *testing.T) {
-	agent := NewAgent("ENSS", arts.T1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultnet.NewInjector(1, faultnet.Config{})
-	fln := inj.Listener(ln)
-	// First connection: the agent's response is silently truncated at
-	// byte 40 — the lost-response failure the ack cycle recovers.
-	fln.ScriptFaults(faultnet.Fault{Kind: faultnet.Drop, OnWrite: true, Offset: 40})
-	addr := agent.ServeListener(fln).String()
-	defer agent.Close()
-
-	for i := 0; i < 10; i++ {
-		agent.Record(samplePacket(i), 1)
-	}
-	col := &Collector{Timeout: 5 * time.Second, Retries: 3, Sleep: func(time.Duration) {}}
-	rep1, err := col.Poll(addr)
-	if err != nil {
-		t.Fatalf("Poll with dropped response: %v", err)
-	}
-	if rep1.Cycle != 1 {
-		t.Fatalf("first cycle seq = %d, want 1 (retransmission, not a fresh cut)", rep1.Cycle)
-	}
-
-	for i := 0; i < 5; i++ {
-		agent.Record(samplePacket(i), 1)
-	}
-	rep2, err := col.Poll(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Cycle != 2 {
-		t.Fatalf("second cycle seq = %d, want 2", rep2.Cycle)
-	}
-
-	v, err := Aggregate([]PollResult{
-		{Addr: addr, Report: rep1},
-		{Addr: addr, Report: rep2},
-	})
-	if err != nil || len(v.Failed) != 0 {
-		t.Fatalf("aggregate err %v failed %+v", err, v.Failed)
-	}
-	if got := v.TotalPackets(); got != 15 {
-		t.Fatalf("TotalPackets = %d, want 15: the retried cycle merged wrong", got)
-	}
-}
-
-// TestPollAllPreservesInputOrder: results come back in input order with
-// per-address outcomes, live nodes unaffected by a dead one in the
-// middle of the list.
-func TestPollAllPreservesInputOrder(t *testing.T) {
-	mkAgent := func(node string, packets int) (*Agent, string) {
-		a := NewAgent(node, arts.T1)
-		for i := 0; i < packets; i++ {
-			a.Record(samplePacket(i), 1)
-		}
-		addr, err := a.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, addr.String()
-	}
-	a1, addr1 := mkAgent("node-1", 2)
-	defer a1.Close()
-	a2, addr2 := mkAgent("node-2", 3)
-	defer a2.Close()
-	// A dead address: listen, grab the port, close.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	_ = dead.Close()
-
-	col := &Collector{Timeout: 2 * time.Second, Retries: 1, Sleep: func(time.Duration) {}}
-	addrs := []string{addr1, deadAddr, addr2}
-	results := col.PollAll(addrs)
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	for i, res := range results {
-		if res.Addr != addrs[i] {
-			t.Fatalf("result %d is %s, want %s: input order broken", i, res.Addr, addrs[i])
-		}
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("live nodes failed: %v / %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("dead node reported success")
-	}
-	v, err := Aggregate(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.TotalPackets(); got != 5 {
-		t.Fatalf("TotalPackets = %d, want 5", got)
-	}
-}
-
-// TestPollAllConcurrencyCap: PollAll runs a fixed worker pool, so both
-// the in-flight connection count and the goroutine count are bounded by
-// MaxConcurrent, not by the backbone size.
-func TestPollAllConcurrencyCap(t *testing.T) {
-	const poolCap = 2
-	const fanout = 32
-
-	set := arts.NewObjectSet(arts.T1)
-	set.Record(samplePacket(1), 1)
-	payload, err := encodeReport("srv", set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var inflight, peak atomic.Int32
-	release := make(chan struct{})
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				cur := inflight.Add(1)
-				defer inflight.Add(-1)
-				for {
-					old := peak.Load()
-					if cur <= old || peak.CompareAndSwap(old, cur) {
-						break
-					}
-				}
-				<-release
-				if _, _, err := readFrame(conn); err != nil {
-					return
-				}
-				_ = writeFrame(conn, TypeReport, payload)
-			}()
-		}
-	}()
-
-	addrs := make([]string, fanout)
-	for i := range addrs {
-		addrs[i] = ln.Addr().String()
-	}
-	col := &Collector{Timeout: 10 * time.Second, MaxConcurrent: poolCap}
-
-	before := runtime.NumGoroutine()
-	done := make(chan []PollResult, 1)
-	go func() { done <- col.PollAll(addrs) }()
-
-	// Wait until the pool is saturated, then check the goroutine count:
-	// a spawn-per-address implementation would be ~fanout above the
-	// baseline, the worker pool only ~cap.
-	for i := 0; i < 2000 && inflight.Load() < poolCap; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := inflight.Load(); got != poolCap {
-		t.Fatalf("in-flight polls = %d, want pool saturated at %d", got, poolCap)
-	}
-	during := runtime.NumGoroutine()
-	if delta := during - before; delta >= fanout {
-		t.Fatalf("goroutine delta %d >= fanout %d: PollAll is not pooled", delta, fanout)
-	}
-	close(release)
-
-	results := <-done
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("poll %d: %v", i, res.Err)
-		}
-	}
-	if got := peak.Load(); got > poolCap {
-		t.Fatalf("peak concurrent polls = %d, exceeds MaxConcurrent %d", got, poolCap)
-	}
 }

@@ -3,34 +3,7 @@ package collect
 import (
 	"bytes"
 	"testing"
-
-	"netsample/internal/arts"
 )
-
-// FuzzDecodeReport: arbitrary payloads must never panic the report
-// decoder.
-func FuzzDecodeReport(f *testing.F) {
-	set := arts.NewObjectSet(arts.T1)
-	set.Record(samplePacket(1), 1)
-	valid, err := encodeReport("node", set, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := decodeReport(data)
-		if err == nil {
-			// A decoded report's objects must themselves decode or
-			// error cleanly.
-			_, _ = rep.Matrix()
-			_, _ = rep.Ports()
-			_, _ = rep.Protocols()
-		}
-	})
-}
 
 // FuzzDecodeSnapshot: arbitrary payloads must never panic the snapshot
 // decoder, and anything that decodes must survive an encode→decode
@@ -74,10 +47,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // and anything it accepts must round-trip through writeFrame with the
 // checksum intact. The corpus seeds every header stage: valid frames,
 // old-version headers, forged jumbo lengths, and flipped checksum
-// bytes.
+// bytes. Type 1 is a retired poll: well-formed on the wire, and
+// exactly what an agent must now reject with a typed error.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, TypePoll, []byte("payload")); err != nil {
+	if err := writeFrame(&buf, 1, []byte("payload")); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -110,30 +84,6 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if typ2 != msgType || !bytes.Equal(payload, payload2) {
 			t.Fatal("frame round trip not canonical")
-		}
-	})
-}
-
-// FuzzDecodeAck: the poll request payload decoder must reject anything
-// but exactly eight bytes and round-trip what it accepts.
-func FuzzDecodeAck(f *testing.F) {
-	f.Add(encodeAck(0))
-	f.Add(encodeAck(^uint64(0)))
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ack, err := decodeAck(data)
-		if err != nil {
-			if len(data) == 8 {
-				t.Fatalf("8-byte ack rejected: %v", err)
-			}
-			return
-		}
-		if len(data) != 8 {
-			t.Fatalf("accepted %d-byte ack payload", len(data))
-		}
-		if !bytes.Equal(encodeAck(ack), data) {
-			t.Fatal("ack round trip not canonical")
 		}
 	})
 }

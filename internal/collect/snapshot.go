@@ -11,8 +11,8 @@ import (
 	"netsample/internal/nnstat"
 )
 
-// Snapshot is the wire form of a pipeline window snapshot — the live
-// streaming counterpart of the poll Report. A node running the
+// Snapshot is the wire form of a pipeline window snapshot, the one
+// thing the collection plane carries. A node running the
 // characterization pipeline exposes its latest window through an Agent
 // (via the SnapshotSource hook), and the NOC pulls it with
 // Collector.PollSnapshot.

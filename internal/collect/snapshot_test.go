@@ -226,11 +226,6 @@ func TestAgentSnapshotExport(t *testing.T) {
 		t.Errorf("polled snapshot differs:\n got %+v\nwant %+v", got, src.snap)
 	}
 
-	// Regular report polling still works on the same connection handler.
-	if _, err := c.Query(addr.String()); err != nil {
-		t.Errorf("Query alongside snapshots: %v", err)
-	}
-
 	bare := NewAgent("node-b", arts.T3)
 	bareAddr, err := bare.Serve("127.0.0.1:0")
 	if err != nil {

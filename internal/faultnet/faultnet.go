@@ -36,8 +36,8 @@ const (
 	// Drop silently discards all bytes in the faulted direction after
 	// Offset bytes have passed, then closes the transport: the sender
 	// believes its write succeeded while the receiver sees a truncated
-	// stream — the lost-response failure mode that motivates the
-	// ack-based poll cycle.
+	// stream — the lost-response failure mode a retried poll must
+	// survive.
 	Drop
 	// Reset hard-closes the transport once Offset bytes have passed;
 	// the operation in flight fails, modeling a mid-frame RST.

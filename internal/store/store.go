@@ -64,15 +64,14 @@ const (
 // segMagic opens every segment file.
 var segMagic = [4]byte{'N', 'S', 'S', 'G'}
 
-// Record kinds.
+// Record kinds. Kind 2 once held 56-byte metrics.Report records that no
+// shipped writer produced; its number is not reused, and a reader
+// accepts and replays a kind-2 record like any other data kind.
 const (
 	// KindSnapshot records carry a canonical collect snapshot payload
 	// (collect.EncodeSnapshot bytes, exactly as a TypeSnapshot frame
 	// would). timeUS is the snapshot's WindowEndUS.
 	KindSnapshot uint8 = 1
-	// KindReport records carry one 56-byte metrics.Report wire encoding
-	// (metrics.AppendReport bytes).
-	KindReport uint8 = 2
 	// kindSeal marks the seal footer closing a segment.
 	kindSeal uint8 = 0xFF
 )

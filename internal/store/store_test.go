@@ -170,43 +170,60 @@ func TestStoreWriterRejects(t *testing.T) {
 	}
 }
 
-func TestStoreAppendReport(t *testing.T) {
+// TestStoreRetiredReportKindStillReads: kind 2 held metrics.Report
+// records, which the store no longer writes under a name. A store that
+// holds one — appended here through Append, as an older writer could
+// have — must still verify and replay, and Snapshots must skip the
+// record rather than fail on it.
+func TestStoreRetiredReportKindStillReads(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{})
+	w, err := Open(dir, Options{SegmentRecords: 2})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	snaps := []*collect.Snapshot{{Node: "n", Seq: 1, WindowEndUS: 1000}, {Node: "n", Seq: 2, WindowEndUS: 3000}}
 	rep := metrics.Report{ChiSquare: 1.5, Significance: 0.25, Phi: 0.125}
-	if err := w.AppendReport(42, rep); err != nil {
-		t.Fatalf("AppendReport: %v", err)
+	if err := w.AppendSnapshot(snaps[0]); err != nil {
+		t.Fatalf("AppendSnapshot: %v", err)
+	}
+	if err := w.Append(2, 2000, metrics.AppendReport(nil, rep)); err != nil {
+		t.Fatalf("Append kind 2: %v", err)
+	}
+	if err := w.AppendSnapshot(snaps[1]); err != nil {
+		t.Fatalf("AppendSnapshot: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if err := Verify(dir); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	r, err := OpenReader(dir)
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
 	}
-	var seen int
+	var kinds []uint8
 	err = r.Replay(func(rec Record) error {
-		seen++
-		if rec.Kind != KindReport {
-			t.Fatalf("kind = %d, want KindReport", rec.Kind)
-		}
-		got, rest, err := metrics.DecodeReport(rec.Payload)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("DecodeReport: %v (rest %d)", err, len(rest))
-		}
-		if got != rep {
-			t.Fatalf("report round trip: got %+v want %+v", got, rep)
+		kinds = append(kinds, rec.Kind)
+		if rec.Kind == 2 {
+			if got, rest, err := metrics.DecodeReport(rec.Payload); err != nil || len(rest) != 0 || got != rep {
+				t.Errorf("kind-2 payload replayed as %+v (rest %d, %v), want %+v", got, len(rest), err, rep)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if seen != 1 {
-		t.Fatalf("saw %d records, want 1", seen)
+	if !reflect.DeepEqual(kinds, []uint8{KindSnapshot, 2, KindSnapshot}) {
+		t.Fatalf("replayed kinds %v, want [1 2 1]", kinds)
+	}
+	got, err := r.Snapshots(0, 1<<62)
+	if err != nil {
+		t.Fatalf("Snapshots: %v", err)
+	}
+	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
+		t.Fatalf("Snapshots returned %d records, want windows 1 and 2 with the kind-2 record skipped", len(got))
 	}
 }
 
@@ -442,13 +459,13 @@ func TestStoreAppendAllocs(t *testing.T) {
 	// Warm-up grows buf and leaves to steady-state capacity.
 	for i := 0; i < 2048; i++ {
 		clock++
-		if err := w.Append(KindReport, clock, payload); err != nil {
+		if err := w.Append(KindSnapshot, clock, payload); err != nil {
 			t.Fatalf("warm-up Append: %v", err)
 		}
 	}
 	avg := testing.AllocsPerRun(1000, func() {
 		clock++
-		if err := w.Append(KindReport, clock, payload); err != nil {
+		if err := w.Append(KindSnapshot, clock, payload); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	})

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"netsample/internal/collect"
-	"netsample/internal/metrics"
 )
 
 // Write-path defaults.
@@ -220,8 +219,8 @@ func (w *Writer) recoverTail(se segEntry) error {
 	return nil
 }
 
-// Append adds one record. kind must be a data kind (KindSnapshot,
-// KindReport, or an application kind below 0xFF); timeUS is the
+// Append adds one record. kind must be a data kind (KindSnapshot, or
+// an application kind below 0xFF); timeUS is the
 // record's virtual-clock timestamp, by which queries filter. The record
 // is durable once the covering group sync has run (see Writer).
 //
@@ -286,15 +285,6 @@ func (w *Writer) AppendSnapshot(s *collect.Snapshot) error {
 		return err
 	}
 	return w.Append(KindSnapshot, s.WindowEndUS, w.scratch)
-}
-
-// AppendReport appends one 56-byte metrics.Report wire encoding as a
-// KindReport record.
-//
-//nslint:allow unreached store on-disk format: KindReport records are part of what a reader must accept from disk
-func (w *Writer) AppendReport(timeUS int64, r metrics.Report) error {
-	var buf [metrics.ReportWireSize]byte
-	return w.Append(KindReport, timeUS, metrics.AppendReport(buf[:0], r))
 }
 
 // Sync forces the pending group to disk immediately.
