@@ -19,6 +19,9 @@
 //
 // With -store, each newly collected window is appended to an
 // append-only segment store (internal/store). Query it with nocquery.
+// A window the store refuses is counted, not only logged: after the
+// last cycle noccollect logs "store: N window(s) not persisted" and
+// exits 1, as it does when the store fails to close.
 package main
 
 import (
@@ -67,12 +70,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("store: %v", err)
 		}
-		defer func() {
-			if err := sw.Close(); err != nil {
-				log.Printf("store: %v", err)
-			}
-		}()
 	}
+	lost := 0 // collected windows the store refused
 	// lastSeq is the newest window collected per node. Seq is 1-based
 	// and contiguous, so a poll reading past lastSeq+1 names exactly the
 	// windows no poll saw.
@@ -105,6 +104,7 @@ func main() {
 			if sw != nil {
 				if err := sw.AppendSnapshot(snap); err != nil {
 					log.Printf("store append %s window %d: %v", snap.Node, snap.Seq, err)
+					lost++
 				}
 			}
 		}
@@ -118,6 +118,20 @@ func main() {
 			break
 		}
 		time.Sleep(*interval)
+	}
+	if sw == nil {
+		return
+	}
+	// The tail is synced at close: a failure there loses windows too.
+	err := sw.Close()
+	if err != nil {
+		log.Printf("store: %v", err)
+	}
+	if lost > 0 {
+		log.Printf("store: %d window(s) not persisted", lost)
+	}
+	if lost > 0 || err != nil {
+		os.Exit(1)
 	}
 }
 

@@ -49,7 +49,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *dir == "" {
+	if *top < 1 {
+		log.Printf("-top %d: want at least 1", *top)
+	}
+	if *dir == "" || *top < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}

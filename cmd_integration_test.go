@@ -51,6 +51,18 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// runExit runs bin, which must exit with status code, and returns its
+// combined output.
+func runExit(t *testing.T, code int, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != code {
+		t.Fatalf("%s %v: %v, want exit status %d\n%s", filepath.Base(bin), args, err, code, out)
+	}
+	return string(out)
+}
+
 func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	dir := buildTools(t, "tracegen", "sample", "phieval", "traceinfo")
 	tr := filepath.Join(t.TempDir(), "t.nstr")
@@ -159,40 +171,7 @@ func TestCLIExperimentsOnly(t *testing.T) {
 // collected.
 func TestCLICollectionPair(t *testing.T) {
 	dir := buildTools(t, "nsd", "noccollect", "nocquery")
-	daemon := exec.Command(filepath.Join(dir, "nsd"),
-		"-gen", "-seconds", "10", "-window", "1s", "-q",
-		"-listen", "127.0.0.1:0", "-name", "test-node")
-	stdout, err := daemon.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr, err := daemon.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	waited := false
-	defer func() {
-		if !waited {
-			_ = daemon.Process.Kill()
-			_ = daemon.Wait()
-		}
-	}()
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no banner from nsd: %v", sc.Err())
-	}
-	addr, ok := strings.CutPrefix(sc.Text(), "nsd: listening on ")
-	if !ok {
-		t.Fatalf("unexpected banner: %q", sc.Text())
-	}
-	for logs := bufio.NewScanner(stderr); !strings.Contains(logs.Text(), "source drained"); {
-		if !logs.Scan() {
-			t.Fatalf("nsd exited before draining: %v", logs.Err())
-		}
-	}
+	addr := serveNSD(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "10", "-window", "1s", "-name", "test-node")
 
 	storeDir := filepath.Join(t.TempDir(), "store")
 	out := run(t, filepath.Join(dir, "noccollect"),
@@ -212,14 +191,47 @@ func TestCLICollectionPair(t *testing.T) {
 			t.Fatalf("nocquery output missing %q:\n%s", want, out)
 		}
 	}
+}
 
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+// serveNSD starts nsd -q -listen 127.0.0.1:0 with args, waits until it
+// has drained its source and serves the final window, and returns the
+// agent address. Cleanup sends SIGTERM, which must exit 0.
+func serveNSD(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	daemon := exec.Command(bin, append([]string{"-q", "-listen", "127.0.0.1:0"}, args...)...)
+	stdout, err := daemon.StdoutPipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	waited = true
-	if err := daemon.Wait(); err != nil {
-		t.Errorf("nsd exit after SIGTERM: %v", err)
+	stderr, err := daemon.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Error(err)
+		}
+		if err := daemon.Wait(); err != nil {
+			t.Errorf("nsd exit after SIGTERM: %v", err)
+		}
+	})
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() {
+		t.Fatalf("no banner from nsd: %v", sc.Err())
+	}
+	addr, ok := strings.CutPrefix(sc.Text(), "nsd: listening on ")
+	if !ok {
+		t.Fatalf("unexpected banner: %q", sc.Text())
+	}
+	for logs := bufio.NewScanner(stderr); !strings.Contains(logs.Text(), "source drained"); {
+		if !logs.Scan() {
+			t.Fatalf("nsd exited before draining: %v", logs.Err())
+		}
+	}
+	return addr
 }
 
 // nsdReportBits flattens a report to its float64 bit patterns so the

@@ -124,6 +124,10 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 			t.Fatalf("nocquery output missing %q:\n%s", wantLine, out)
 		}
 	}
+	// Fewer than one heavy hitter is bad input, not a request for ten.
+	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-top", "0"); !strings.Contains(out, "Usage of") {
+		t.Fatalf("nocquery -top 0 printed no usage:\n%s", out)
+	}
 
 	// Flip one byte in the middle of the first sealed segment: Verify
 	// must refuse, naming that segment and a plausible offset.
@@ -228,5 +232,20 @@ func TestNSDStoreSinkCountsLostWindows(t *testing.T) {
 	snaps, err := r.Snapshots(math.MinInt64, math.MaxInt64)
 	if err != nil || len(snaps) != windows {
 		t.Fatalf("store replayed %d snapshots (%v), run cut %d", len(snaps), err, windows)
+	}
+}
+
+// TestNoccollectStoreCountsLostWindows is the same rule for the NOC
+// side: noccollect -store against a store that refuses every write must
+// name how many collected windows it lost and exit 1. No permission bit
+// stops root, so a zero file-size limit makes every segment write fail.
+func TestNoccollectStoreCountsLostWindows(t *testing.T) {
+	dir := buildTools(t, "nsd", "noccollect")
+	addr := serveNSD(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "10", "-window", "1s")
+	// Two cycles read window 10 twice: one window collected, one lost.
+	out := runExit(t, 1, "sh", "-c", `ulimit -f 0 && exec "$0" "$@"`, filepath.Join(dir, "noccollect"),
+		"-agents", addr, "-cycles", "2", "-interval", "10ms", "-store", filepath.Join(t.TempDir(), "store"))
+	if !strings.Contains(out, "store: 1 window(s) not persisted") {
+		t.Fatalf("noccollect did not count the lost window:\n%s", out)
 	}
 }

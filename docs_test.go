@@ -214,3 +214,16 @@ func TestBenchJSONRowsResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignWithinCeiling caps DESIGN.md at 64 KiB, so new design prose
+// replaces a paragraph instead of appending one.
+func TestDesignWithinCeiling(t *testing.T) {
+	const ceiling = 65_536
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > ceiling {
+		t.Errorf("DESIGN.md is %d bytes, over the %d-byte ceiling", fi.Size(), ceiling)
+	}
+}

@@ -89,45 +89,6 @@ func TestPipelineGenerateFileSampleScore(t *testing.T) {
 	}
 }
 
-func TestPipelineStreamingMatchesBatchEndToEnd(t *testing.T) {
-	// The firmware path: a streaming sampler feeding a reservoir-less
-	// selection must give the same φ as the batch sampler on the same
-	// trace.
-	tr, err := traffgen.Generate(traffgen.SmallTrace(1002))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival())
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchIdx, err := core.SystematicCount{K: 64}.Select(tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := online.NewSystematic(64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamIdx []int
-	for i, p := range tr.Packets {
-		if s.Offer(p.Time) {
-			streamIdx = append(streamIdx, i)
-		}
-	}
-	phiBatch, err := ev.Phi(batchIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phiStream, err := ev.Phi(streamIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phiBatch != phiStream {
-		t.Fatalf("streaming phi %v != batch phi %v", phiStream, phiBatch)
-	}
-}
-
 func TestPipelinePcapInterop(t *testing.T) {
 	// NSTR → pcap → NSTR preserves the sampling study's results.
 	tr, err := traffgen.Generate(traffgen.SmallTrace(1003))

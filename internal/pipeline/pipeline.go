@@ -36,7 +36,7 @@
 // ring is FIFO, so the packets of one shard are processed in exact
 // stream order. With the Block policy the selected set, and so every
 // snapshot, is the same for any shard count, and equals the batch
-// evaluator's on the same trace and seed (TestSnapshotMatchesBatch).
+// evaluator's on the same trace and seed (FuzzOracleChain).
 //
 // All queues are bounded; when a shard falls behind, the configured
 // OverloadPolicy either blocks the fan-out (lossless backpressure all
@@ -62,8 +62,8 @@
 // configured, scores the merged histogram counts against the reference
 // population with core.Evaluator.ScoreCounts — the same fused φ kernel
 // the batch experiments use, which is what makes a snapshot's reports
-// bit-identical to the batch evaluator's (pinned by
-// TestSnapshotMatchesBatch and the cmd/nsd integration test).
+// bit-identical to the batch evaluator's (pinned by FuzzOracleChain,
+// the root package's serial oracle, and the cmd/nsd integration test).
 package pipeline
 
 import (

@@ -2,15 +2,12 @@ package pipeline
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"testing"
 
 	"netsample/internal/bins"
 	"netsample/internal/core"
-	"netsample/internal/dist"
 	"netsample/internal/metrics"
 	"netsample/internal/online"
 	"netsample/internal/packet"
@@ -49,370 +46,6 @@ func reportBits(r metrics.Report) [7]uint64 {
 		math.Float64bits(r.Cost), math.Float64bits(r.RelativeCost),
 		math.Float64bits(r.PaxsonX2), math.Float64bits(r.AvgNormDev),
 		math.Float64bits(r.Phi),
-	}
-}
-
-// TestSnapshotMatchesBatch pins the guarantee the reader-owned sampler
-// exists for: for every streaming method, at any shard count, the final
-// snapshot — selected count, both histograms, and every float64 of both
-// metric reports — is bit-identical to scoring, with the
-// batch evaluator, the packets core's batch sampler selects from the
-// whole trace on the same seed.
-func TestSnapshotMatchesBatch(t *testing.T) {
-	const seed = 42
-	tr := smallTrace(t, 777)
-	period, err := core.PeriodForGranularity(tr, 50)
-	if err != nil {
-		t.Fatalf("period: %v", err)
-	}
-	// The online stratified sampler draws one target per full bucket; the
-	// batch form draws a uniform index over the partial tail bucket too,
-	// so draw sequences only align when the length is a bucket multiple.
-	trimmed := &trace.Trace{Start: tr.Start, ClockUS: tr.ClockUS}
-	trimmed.Packets = tr.Packets[:tr.Len()-tr.Len()%50]
-
-	cases := []struct {
-		name  string
-		tr    *trace.Trace
-		batch core.Sampler
-		build func(int) (online.Sampler, error)
-	}{
-		{
-			name:  "systematic",
-			tr:    tr,
-			batch: core.SystematicCount{K: 50},
-			build: func(int) (online.Sampler, error) { return online.NewSystematic(50, 0) },
-		},
-		{
-			name:  "stratified",
-			tr:    trimmed,
-			batch: core.StratifiedCount{K: 50},
-			build: func(int) (online.Sampler, error) {
-				return online.NewStratified(50, dist.NewRNG(seed))
-			},
-		},
-		{
-			name:  "systematic-timer",
-			tr:    tr,
-			batch: core.SystematicTimer{PeriodUS: period},
-			build: func(int) (online.Sampler, error) {
-				return online.NewSystematicTimer(period, 0)
-			},
-		},
-		{
-			name:  "stratified-timer",
-			tr:    tr,
-			batch: core.StratifiedTimer{PeriodUS: period},
-			build: func(int) (online.Sampler, error) {
-				return online.NewStratifiedTimer(period, dist.NewRNG(seed))
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sizeEval, iatEval := evaluators(t, tc.tr)
-			idx, err := tc.batch.Select(tc.tr, dist.NewRNG(seed))
-			if err != nil {
-				t.Fatalf("batch select: %v", err)
-			}
-			wantSize, err := sizeEval.Score(idx)
-			if err != nil {
-				t.Fatalf("batch size score: %v", err)
-			}
-			wantIat, err := iatEval.Score(idx)
-			if err != nil {
-				t.Fatalf("batch iat score: %v", err)
-			}
-			// Reference histograms: a selected packet's size, and its gap
-			// to its predecessor in the full stream (the first has none).
-			wantSizeCounts := make([]float64, sizeEval.NumBins())
-			wantIatCounts := make([]float64, iatEval.NumBins())
-			for _, i := range idx {
-				pkts := tc.tr.Packets
-				wantSizeCounts[bins.PacketSize().Index(float64(pkts[i].Size))]++
-				if i > 0 {
-					wantIatCounts[bins.Interarrival().Index(float64(pkts[i].Time-pkts[i-1].Time))]++
-				}
-			}
-
-			for _, shards := range []int{1, 2, 4} {
-				// The workers label selects nothing — the ingest stage is
-				// single — and stays only because the recorded test floor
-				// names these sub-tests; it goes when a PR can rename them.
-				for _, workers := range []int{1, 3} {
-					t.Run(fmt.Sprintf("shards=%d,workers=%d", shards, workers), func(t *testing.T) {
-						p, err := New(Config{
-							Shards:     shards,
-							NewSampler: tc.build,
-							SizeEval:   sizeEval,
-							IatEval:    iatEval,
-						})
-						if err != nil {
-							t.Fatalf("New: %v", err)
-						}
-						if err := p.Run(tc.tr.Replay()); err != nil {
-							t.Fatalf("Run: %v", err)
-						}
-						snap, ok := p.Latest()
-						if !ok {
-							t.Fatal("no snapshot published")
-						}
-						if !snap.Final {
-							t.Error("final snapshot not marked Final")
-						}
-						if got, want := snap.Selected, uint64(len(idx)); got != want {
-							t.Errorf("Selected = %d, want %d", got, want)
-						}
-						if got, want := snap.Processed, uint64(tc.tr.Len()); got != want {
-							t.Errorf("Processed = %d, want %d", got, want)
-						}
-						if !reflect.DeepEqual(snap.SizeCounts, wantSizeCounts) {
-							t.Errorf("SizeCounts = %v, want %v", snap.SizeCounts, wantSizeCounts)
-						}
-						if !reflect.DeepEqual(snap.IatCounts, wantIatCounts) {
-							t.Errorf("IatCounts = %v, want %v", snap.IatCounts, wantIatCounts)
-						}
-						if snap.SizeReport == nil || snap.IatReport == nil {
-							t.Fatal("snapshot reports missing")
-						}
-						if got, want := reportBits(*snap.SizeReport), reportBits(wantSize); got != want {
-							t.Errorf("size report bits = %v, want %v", got, want)
-						}
-						if got, want := reportBits(*snap.IatReport), reportBits(wantIat); got != want {
-							t.Errorf("iat report bits = %v, want %v", got, want)
-						}
-					})
-				}
-			}
-		})
-	}
-}
-
-// TestWindowedCountsSumToBatch checks the window cuts lose nothing: the
-// per-window histogram counts and selection totals of a windowed run
-// sum to the single-window (= batch) values, windows are sequenced, and
-// only the last is final.
-func TestWindowedCountsSumToBatch(t *testing.T) {
-	tr := smallTrace(t, 777)
-	sizeEval, iatEval := evaluators(t, tr)
-	newSys := func(int) (online.Sampler, error) { return online.NewSystematic(50, 0) }
-
-	p, err := New(Config{
-		Shards:     1,
-		NewSampler: newSys,
-		SizeEval:   sizeEval,
-		IatEval:    iatEval,
-		WindowUS:   10_000_000, // 10 s of a 2-minute trace
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := p.Run(tr.Replay()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	snaps := p.Snapshots()
-	if len(snaps) < 10 {
-		t.Fatalf("got %d windows, want >= 10", len(snaps))
-	}
-	idx, err := core.SystematicCount{K: 50}.Select(tr, nil)
-	if err != nil {
-		t.Fatalf("batch select: %v", err)
-	}
-	sizeSum := make([]float64, bins.PacketSize().NumBins())
-	iatSum := make([]float64, bins.Interarrival().NumBins())
-	var selected, offered uint64
-	for i, s := range snaps {
-		if s.Seq != uint64(i+1) {
-			t.Errorf("window %d has Seq %d", i, s.Seq)
-		}
-		if s.Final != (i == len(snaps)-1) {
-			t.Errorf("window %d Final = %v", i, s.Final)
-		}
-		if s.Offered != s.Processed+s.Dropped {
-			t.Errorf("window %d: offered %d != processed %d + dropped %d",
-				i, s.Offered, s.Processed, s.Dropped)
-		}
-		for b, c := range s.SizeCounts {
-			sizeSum[b] += c
-		}
-		for b, c := range s.IatCounts {
-			iatSum[b] += c
-		}
-		selected += s.Selected
-		offered += s.Offered
-	}
-	if selected != uint64(len(idx)) {
-		t.Errorf("summed Selected = %d, want %d", selected, len(idx))
-	}
-	if offered != uint64(tr.Len()) {
-		t.Errorf("summed Offered = %d, want %d", offered, tr.Len())
-	}
-	wantSize, err := sizeEval.Score(idx)
-	if err != nil {
-		t.Fatalf("batch score: %v", err)
-	}
-	sumRep, err := sizeEval.ScoreCounts(sizeSum)
-	if err != nil {
-		t.Fatalf("sum score: %v", err)
-	}
-	if reportBits(sumRep) != reportBits(wantSize) {
-		t.Error("summed window counts score differently from batch")
-	}
-	wantIat, err := iatEval.Score(idx)
-	if err != nil {
-		t.Fatalf("batch iat score: %v", err)
-	}
-	iatSumRep, err := iatEval.ScoreCounts(iatSum)
-	if err != nil {
-		t.Fatalf("iat sum score: %v", err)
-	}
-	if reportBits(iatSumRep) != reportBits(wantIat) {
-		t.Error("summed iat window counts score differently from batch")
-	}
-}
-
-// runStratified runs a stratified 1-in-50 pipeline with 30 s windows
-// over src, scored against tr, and returns its snapshots beside Run's
-// error. The sketch capacity exceeds a window's distinct selected flows,
-// which keeps every shard's Space-Saving counts exact and the merged
-// TopK the same for any shard count.
-func runStratified(t *testing.T, tr *trace.Trace, seed uint64, shards int, src Source) ([]*Snapshot, error) {
-	t.Helper()
-	sizeEval, iatEval := evaluators(t, tr)
-	p, err := New(Config{
-		Shards: shards,
-		NewSampler: func(int) (online.Sampler, error) {
-			return online.NewStratified(50, dist.NewRNG(seed))
-		},
-		SizeEval:     sizeEval,
-		IatEval:      iatEval,
-		WindowUS:     30_000_000,
-		TopKCapacity: 16384,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	err = p.Run(src)
-	return p.Snapshots(), err
-}
-
-// assertSnapshotsEqual compares two snapshots field by field, floats by
-// bit pattern.
-func assertSnapshotsEqual(t *testing.T, win int, a, b *Snapshot) {
-	t.Helper()
-	fail := func(field string, av, bv any) {
-		t.Errorf("window %d: %s differs: %v vs %v", win, field, av, bv)
-	}
-	if a.Seq != b.Seq {
-		fail("Seq", a.Seq, b.Seq)
-	}
-	if a.WindowStartUS != b.WindowStartUS || a.WindowEndUS != b.WindowEndUS {
-		fail("bounds", a.WindowStartUS, b.WindowStartUS)
-	}
-	if a.Final != b.Final {
-		fail("Final", a.Final, b.Final)
-	}
-	if a.Offered != b.Offered || a.Processed != b.Processed ||
-		a.Selected != b.Selected || a.Dropped != b.Dropped {
-		fail("counters", []uint64{a.Offered, a.Processed, a.Selected, a.Dropped},
-			[]uint64{b.Offered, b.Processed, b.Selected, b.Dropped})
-	}
-	if len(a.SizeCounts) != len(b.SizeCounts) || len(a.IatCounts) != len(b.IatCounts) {
-		fail("count lengths", len(a.SizeCounts), len(b.SizeCounts))
-		return
-	}
-	for i := range a.SizeCounts {
-		if a.SizeCounts[i] != b.SizeCounts[i] {
-			fail("SizeCounts", a.SizeCounts, b.SizeCounts)
-			break
-		}
-	}
-	for i := range a.IatCounts {
-		if a.IatCounts[i] != b.IatCounts[i] {
-			fail("IatCounts", a.IatCounts, b.IatCounts)
-			break
-		}
-	}
-	for _, pair := range []struct {
-		name string
-		x, y *metrics.Report
-	}{{"SizeReport", a.SizeReport, b.SizeReport}, {"IatReport", a.IatReport, b.IatReport}} {
-		if (pair.x == nil) != (pair.y == nil) {
-			fail(pair.name, pair.x, pair.y)
-			continue
-		}
-		if pair.x != nil && reportBits(*pair.x) != reportBits(*pair.y) {
-			fail(pair.name, *pair.x, *pair.y)
-		}
-	}
-	if a.Flows != b.Flows || a.ActiveFlows != b.ActiveFlows {
-		fail("flows", a.Flows, b.Flows)
-	}
-	if len(a.TopK) != len(b.TopK) {
-		fail("TopK length", len(a.TopK), len(b.TopK))
-		return
-	}
-	for i := range a.TopK {
-		if a.TopK[i] != b.TopK[i] {
-			fail("TopK", a.TopK[i], b.TopK[i])
-			break
-		}
-	}
-}
-
-// TestMultiShardConservation runs with k=1 (select everything) across 4
-// shards and checks the merged snapshot reproduces the population
-// exactly — nothing is lost or double-counted by sharding and merging.
-func TestMultiShardConservation(t *testing.T) {
-	tr := smallTrace(t, 777)
-	sizeEval, iatEval := evaluators(t, tr)
-	p, err := New(Config{
-		Shards:     4,
-		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
-		SizeEval:   sizeEval,
-		IatEval:    iatEval,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := p.Run(tr.Replay()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	snap, ok := p.Latest()
-	if !ok {
-		t.Fatal("no snapshot")
-	}
-	n := uint64(tr.Len())
-	if snap.Offered != n || snap.Processed != n || snap.Selected != n {
-		t.Errorf("offered/processed/selected = %d/%d/%d, want all %d",
-			snap.Offered, snap.Processed, snap.Selected, n)
-	}
-	if snap.Dropped != 0 {
-		t.Errorf("Dropped = %d under Block policy", snap.Dropped)
-	}
-	scheme := bins.PacketSize()
-	wantSize := make([]float64, scheme.NumBins())
-	for _, pkt := range tr.Packets {
-		wantSize[scheme.Index(float64(pkt.Size))]++
-	}
-	for b := range wantSize {
-		if snap.SizeCounts[b] != wantSize[b] {
-			t.Errorf("SizeCounts[%d] = %v, want %v", b, snap.SizeCounts[b], wantSize[b])
-		}
-	}
-	var iatTotal float64
-	for _, c := range snap.IatCounts {
-		iatTotal += c
-	}
-	if want := float64(tr.Len() - 1); iatTotal != want {
-		t.Errorf("iat observations = %v, want %v", iatTotal, want)
-	}
-	if snap.Flows.Packets != n {
-		t.Errorf("flow packet total = %d, want %d", snap.Flows.Packets, n)
-	}
-	// Everything was selected, so the selected-packet φ must be exact 0.
-	if snap.SizeReport == nil || snap.SizeReport.Phi != 0 {
-		t.Errorf("k=1 size φ = %v, want 0", snap.SizeReport)
 	}
 }
 

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"netsample/internal/flows"
 	"netsample/internal/online"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
@@ -109,181 +107,6 @@ func writeTraceFile(t *testing.T, tr *trace.Trace) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// tornSource is a BatchSource that fails with err alongside its last
-// packets: n > 0 and a non-EOF error in one return.
-type tornSource struct {
-	pkts []trace.Packet
-	err  error
-}
-
-func (s *tornSource) NextBatch(dst []trace.Packet) (int, error) {
-	n := copy(dst, s.pkts)
-	s.pkts = s.pkts[n:]
-	if len(s.pkts) == 0 {
-		return n, s.err
-	}
-	return n, nil
-}
-
-// Next makes tornSource a Source; Run reads it through NextBatch.
-func (s *tornSource) Next() (trace.Packet, error) {
-	var one [1]trace.Packet
-	_, err := s.NextBatch(one[:])
-	return one[0], err
-}
-
-// TestSourceEquivalenceSnapshots is the edge adapter's pin: every entry
-// form — the MapReader's and the in-memory Replayer's own record
-// windows, and the StreamReader, a torn BatchSource and a
-// per-packet-only Source through the adapter — produces byte-identical
-// snapshot sequences on the same trace file, windows, shards, and
-// seeds: barrier positions, gap observations, sampling decisions, and
-// scored reports all agree bit-for-bit. A
-// source that fails alongside its last packets still delivers them, and
-// Run surfaces the error after the drain.
-func TestSourceEquivalenceSnapshots(t *testing.T) {
-	tr := smallTrace(t, 991)
-	path := writeTraceFile(t, tr)
-
-	base, err := runStratified(t, tr, 11, 4, tr.Replay())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(base) < 2 {
-		t.Fatalf("want multiple windows, got %d", len(base))
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sr, err := trace.NewStreamReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := trace.OpenMap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mr.Close()
-	sentinel := errors.New("stream torn down")
-
-	for _, c := range []struct {
-		name    string
-		src     Source
-		wantErr error
-	}{
-		{"StreamReader", sr, nil},
-		{"MapReader", mr, nil},
-		{"per-packet", &perPacketOnly{r: tr.Replay()}, nil},
-		{"torn", &tornSource{pkts: tr.Packets, err: sentinel}, sentinel},
-	} {
-		got, err := runStratified(t, tr, 11, 4, c.src)
-		if !errors.Is(err, c.wantErr) {
-			t.Fatalf("%s: Run error = %v, want %v", c.name, err, c.wantErr)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("%s: %d snapshots, want %d", c.name, len(got), len(base))
-		}
-		for i := range base {
-			assertSnapshotsEqual(t, i, base[i], got[i])
-		}
-	}
-}
-
-// TestManyShardsSourceEquivalence runs 300 shards — more than a uint8
-// shard index could name — through both entry forms: the MapReader-fed
-// run equals the Replayer-fed one snapshot for snapshot, nothing is
-// lost, and every flow stays on one shard.
-func TestManyShardsSourceEquivalence(t *testing.T) {
-	const shards = 300
-	tr := smallTrace(t, 4242)
-	run := func(src Source) []*Snapshot {
-		p, err := New(Config{
-			Shards:     shards,
-			QueueDepth: 2,
-			BatchSize:  64,
-			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
-			WindowUS:   30_000_000,
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if err := p.Run(src); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return p.Snapshots()
-	}
-	base := run(tr.Replay())
-	mr, err := trace.OpenMap(writeTraceFile(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mr.Close()
-	mapped := run(mr)
-	if len(base) < 2 || len(mapped) != len(base) {
-		t.Fatalf("%d replayed and %d mapped snapshots, want equal and several", len(base), len(mapped))
-	}
-	var offered, flowCount uint64
-	for i, s := range base {
-		assertSnapshotsEqual(t, i, s, mapped[i])
-		if s.Offered != s.Processed {
-			t.Errorf("window %d: offered %d != processed %d under Block", i, s.Offered, s.Processed)
-		}
-		offered += s.Offered
-		flowCount += uint64(s.Flows.Flows)
-	}
-	if offered != uint64(tr.Len()) {
-		t.Errorf("offered %d, want trace length %d", offered, tr.Len())
-	}
-	// Every packet is selected (k=1), so per-window flow counts summed
-	// over shards equal a single table's only if no flow is split.
-	single, err := flows.NewTable(DefaultFlowTimeoutUS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want uint64
-	next := tr.Packets[0].Time + 30_000_000
-	for _, pkt := range tr.Packets {
-		for pkt.Time >= next {
-			want += uint64(flows.CountFlows(single.Flush()).Flows)
-			next += 30_000_000
-		}
-		single.Add(pkt)
-	}
-	want += uint64(flows.CountFlows(single.Flush()).Flows)
-	if flowCount != want {
-		t.Errorf("300 shards counted %d flows, one table %d: a flow was split across shards", flowCount, want)
-	}
-}
-
-// TestParallelIngestDeterministicRaw extends the determinism pin to the
-// mapped source: a MapReader-fed 4-shard run is bit-identical to the
-// Replayer-fed baseline.
-func TestParallelIngestDeterministicRaw(t *testing.T) {
-	tr := smallTrace(t, 777)
-	base, err := runStratified(t, tr, 7, 4, tr.Replay())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	mr, err := trace.OpenMap(writeTraceFile(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mr.Close()
-	got, err := runStratified(t, tr, 7, 4, mr)
-	if err != nil {
-		t.Fatalf("mapped: Run: %v", err)
-	}
-	if len(got) != len(base) {
-		t.Fatalf("mapped: %d snapshots, want %d", len(got), len(base))
-	}
-	for i := range base {
-		assertSnapshotsEqual(t, i, base[i], got[i])
-	}
 }
 
 // TestMapReaderHotPathAllocs pins the mapped source's allocation budget

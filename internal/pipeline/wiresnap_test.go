@@ -193,6 +193,45 @@ func TestGenWireCorpus(t *testing.T) {
 	}
 }
 
+// snapProj is the topology-invariant projection of a Snapshot: every
+// field that must be bit-identical for any shard count. (Shards and
+// DroppedByShard describe the topology itself.)
+type snapProj struct {
+	seq                uint64
+	start, end         int64
+	final              bool
+	k                  int
+	offered, processed uint64
+	selected, dropped  uint64
+	sizeCounts         string
+	iatCounts          string
+	sizeRep, iatRep    string
+	flows              string
+	activeFlows        int
+	topk               string
+}
+
+func projectSnap(s *Snapshot) snapProj {
+	p := snapProj{
+		seq: s.Seq, start: s.WindowStartUS, end: s.WindowEndUS,
+		final: s.Final, k: s.K,
+		offered: s.Offered, processed: s.Processed,
+		selected: s.Selected, dropped: s.Dropped,
+		sizeCounts:  fmt.Sprint(s.SizeCounts),
+		iatCounts:   fmt.Sprint(s.IatCounts),
+		flows:       fmt.Sprint(s.Flows),
+		activeFlows: s.ActiveFlows,
+		topk:        fmt.Sprint(s.TopK),
+	}
+	if s.SizeReport != nil {
+		p.sizeRep = fmt.Sprint(reportBits(*s.SizeReport))
+	}
+	if s.IatReport != nil {
+		p.iatRep = fmt.Sprint(reportBits(*s.IatReport))
+	}
+	return p
+}
+
 // TestPublishedSnapshotsImmutable holds the recycling on the window's
 // write path (barriers, shard cut buffers, the store's encode scratch)
 // to its one rule: it never reaches a published object. Every window is
