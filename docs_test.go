@@ -215,10 +215,11 @@ func TestBenchJSONRowsResolve(t *testing.T) {
 	}
 }
 
-// TestDesignWithinCeiling caps DESIGN.md at 64 KiB, so new design prose
-// replaces a paragraph instead of appending one.
+// TestDesignWithinCeiling caps DESIGN.md at its current size (it was
+// 64 KiB), so new design prose replaces a paragraph instead of appending
+// one; lower the ceiling whenever the file shrinks.
 func TestDesignWithinCeiling(t *testing.T) {
-	const ceiling = 65_536
+	const ceiling = 65_453
 	fi, err := os.Stat("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"netsample/internal/bins"
 	"netsample/internal/dist"
@@ -11,8 +12,10 @@ import (
 )
 
 // Evaluator scores samples of one trace window against the window's full
-// population for one target distribution, using one binning scheme. It
-// precomputes a per-packet bin-index table so that scoring a sample is a
+// population for one target distribution, using one binning scheme.
+// Scoring counts (ScoreCounts) needs only the per-bin population; batch
+// scoring of selected packets (Scorer, Score, Replicate) builds a
+// per-packet bin-index table on first use, so that scoring a sample is a
 // fused pass: selection visits feed a small per-bin counts array and the
 // metrics are computed straight from the counts — no index slice,
 // observation slice, or re-classification per sample (DESIGN.md §9).
@@ -35,8 +38,11 @@ type Evaluator struct {
 	popCounts []float64 // population count per bin
 	popProps  []float64 // population proportion per bin
 	popTotal  float64
-	binIdx    []uint8 // per-packet bin index; noObservation = no observation
-	scorers   freeList[Scorer]
+	// index guards binIdx, the per-packet bin index (noObservation = no
+	// observation), which the first NewScorer builds.
+	index   sync.Once
+	binIdx  []uint8
+	scorers freeList[Scorer]
 }
 
 // noObservation marks a packet that contributes no observation to the
@@ -56,61 +62,21 @@ var ErrTooManyBins = errors.New("core: scheme exceeds 255 bins")
 var errEmptySample = errors.New("core: empty sample")
 
 // NewEvaluator analyzes the population once and returns a ready scorer.
+// It keeps O(bins) state: the per-packet bin-index table only batch
+// scoring reads is built by the first NewScorer (see buildIndex).
 func NewEvaluator(pop *trace.Trace, target Target, scheme bins.Scheme) (*Evaluator, error) {
 	nb := scheme.NumBins()
 	if nb > 255 {
 		return nil, fmt.Errorf("%w: %d bins (%s)", ErrTooManyBins, nb, scheme.Name())
 	}
-	n := pop.Len()
 	e := &Evaluator{
 		pop:       pop,
 		target:    target,
 		scheme:    scheme,
 		popCounts: make([]float64, nb),
 		popProps:  make([]float64, nb),
-		binIdx:    make([]uint8, n),
 	}
-	// Classification runs in fixed-size batches through BinIndexBatch:
-	// a chunk of observations is extracted into a scratch vector, binned
-	// branchlessly in one pass (the Edged fast path), and tallied into
-	// the population counts. Identical indices to the historical
-	// per-packet scheme.Index loop — IndexBatch is bit-identical to
-	// Index — without the per-observation interface call.
-	const chunk = 512
-	var xs [chunk]float64
-	switch target {
-	case TargetInterarrival:
-		if n > 0 {
-			e.binIdx[0] = noObservation
-		}
-		for lo := 1; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				xs[i-lo] = float64(pop.Packets[i].Time - pop.Packets[i-1].Time)
-			}
-			e.BinIndexBatch(e.binIdx[lo:hi], xs[:hi-lo])
-			for _, b := range e.binIdx[lo:hi] {
-				e.popCounts[b]++
-			}
-		}
-	default:
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				xs[i-lo] = float64(pop.Packets[i].Size)
-			}
-			e.BinIndexBatch(e.binIdx[lo:hi], xs[:hi-lo])
-			for _, b := range e.binIdx[lo:hi] {
-				e.popCounts[b]++
-			}
-		}
-	}
+	e.classify(nil)
 	for _, c := range e.popCounts {
 		e.popTotal += c
 	}
@@ -127,6 +93,58 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme bins.Scheme) (*Evaluat
 		e.popProps[i] = e.popCounts[i] / e.popTotal
 	}
 	return e, nil
+}
+
+// classify bins every observation of the population in fixed-size
+// batches through BinIndexBatch — a chunk is extracted into a scratch
+// vector and binned branchlessly in one pass (the Edged fast path). The
+// indices go to dst, the per-packet table, or with dst nil are tallied
+// into popCounts chunk by chunk. IndexBatch is bit-identical to Index,
+// so these are the indices of a per-packet scheme.Index loop.
+func (e *Evaluator) classify(dst []uint8) {
+	const chunk = 512
+	var xs [chunk]float64
+	var buf [chunk]uint8
+	pkts := e.pop.Packets
+	first := 0
+	if e.target == TargetInterarrival {
+		first = 1 // packet 0 has no predecessor, so no observation
+	}
+	for lo := first; lo < len(pkts); lo += chunk {
+		hi := min(lo+chunk, len(pkts))
+		if e.target == TargetInterarrival {
+			for i := lo; i < hi; i++ {
+				xs[i-lo] = float64(pkts[i].Time - pkts[i-1].Time)
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				xs[i-lo] = float64(pkts[i].Size)
+			}
+		}
+		if dst != nil {
+			e.BinIndexBatch(dst[lo:hi], xs[:hi-lo])
+			continue
+		}
+		idx := buf[:hi-lo]
+		e.BinIndexBatch(idx, xs[:hi-lo])
+		for _, b := range idx {
+			e.popCounts[b]++
+		}
+	}
+}
+
+// buildIndex fills the per-packet bin-index table batch scoring reads.
+// It runs once per evaluator, under e.index: a streaming node, which
+// scores merged counts through ScoreCounts, never pays its byte per
+// packet. The table reads the population, so an evaluator over a
+// MapReader's trace must not start batch scoring after Close.
+func (e *Evaluator) buildIndex() {
+	binIdx := make([]uint8, e.pop.Len())
+	if e.target == TargetInterarrival && len(binIdx) > 0 {
+		binIdx[0] = noObservation
+	}
+	e.classify(binIdx)
+	e.binIdx = binIdx
 }
 
 // BinIndexBatch fills dst[i] with the scheme's bin index for
@@ -200,10 +218,11 @@ func (e *Evaluator) ScoreCounts(counts []float64) (metrics.Report, error) {
 		return metrics.Report{}, fmt.Errorf("core: ScoreCounts got %d bins, scheme has %d",
 			len(counts), len(e.popCounts))
 	}
-	sc := e.scorer()
-	rep, err := e.reportFromCounts(counts, sc.expected, sc.scaled)
-	e.release(sc)
-	return rep, err
+	// The kernel's scratch lives on the stack (NumBins ≤ 255), so this
+	// path neither allocates nor builds the per-packet index a Scorer
+	// needs.
+	var expected, scaled [255]float64
+	return e.reportFromCounts(counts, expected[:len(counts)], scaled[:len(counts)])
 }
 
 // reportFromCounts is the shared scoring kernel: observed per-bin counts

@@ -324,6 +324,12 @@ func TestBinIndexBatchMatchesScheme(t *testing.T) {
 		if !floatsEqual(evFast.popCounts, evSlow.popCounts) {
 			t.Fatalf("target %v: popCounts diverge: %v vs %v", target, evFast.popCounts, evSlow.popCounts)
 		}
+		evFast.NewScorer()
+		evSlow.NewScorer()
+		if len(evFast.binIdx) != tr.Len() || len(evSlow.binIdx) != tr.Len() {
+			t.Fatalf("target %v: bin-index tables of %d and %d packets, want %d",
+				target, len(evFast.binIdx), len(evSlow.binIdx), tr.Len())
+		}
 		for i := range evFast.binIdx {
 			if evFast.binIdx[i] != evSlow.binIdx[i] {
 				t.Fatalf("target %v: binIdx[%d] = %d vs %d", target, i, evFast.binIdx[i], evSlow.binIdx[i])

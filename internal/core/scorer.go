@@ -30,8 +30,10 @@ type Scorer struct {
 	selected int
 }
 
-// NewScorer returns a ready-to-use Scorer bound to e.
+// NewScorer returns a ready-to-use Scorer bound to e. The first call
+// builds e's per-packet bin-index table, which Visit reads.
 func (e *Evaluator) NewScorer() *Scorer {
+	e.index.Do(e.buildIndex)
 	nb := len(e.popCounts)
 	return &Scorer{
 		e:        e,

@@ -30,7 +30,11 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 	out := &HeavyHitterResult{TopN: topN, SketchSize: sketch,
 		Granularities: []int{1, 10, 50, 250, 1000}}
 
-	truth, err := topPairs(win, nil, 1, sketch, topN)
+	// Every feed keys the sketch by the pair's label (Top breaks count
+	// ties by key bytes, so the spelling is output); the labels are
+	// rendered once per distinct pair across all of them.
+	labels := make(map[uint64]string)
+	truth, err := topPairs(win, nil, 1, sketch, topN, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -39,16 +43,15 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 		trueSet[e.Key] = true
 	}
 	for _, k := range out.Granularities {
-		var idx []int
+		top := truth // k = 1 feeds the whole window at weight 1: the truth sketch itself
 		if k > 1 {
-			idx, err = core.SystematicCount{K: k}.Select(win, nil)
+			idx, err := core.SystematicCount{K: k}.Select(win, nil)
 			if err != nil {
 				return nil, err
 			}
-		}
-		top, err := topPairs(win, idx, k, sketch, topN)
-		if err != nil {
-			return nil, err
+			if top, err = topPairs(win, idx, k, sketch, topN, labels); err != nil {
+				return nil, err
+			}
 		}
 		hits := 0
 		for _, e := range top {
@@ -62,18 +65,14 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 }
 
 // topPairs feeds either the whole window (idx nil) or the selected
-// packets into a Space-Saving sketch keyed by network pair and returns
-// the top n.
-func topPairs(win *trace.Trace, idx []int, weight, sketchSize, n int) ([]nnstat.Entry, error) {
+// packets into a Space-Saving sketch keyed by network-pair label and
+// returns the top n. labels caches each pair's label by pair key.
+func topPairs(win *trace.Trace, idx []int, weight, sketchSize, n int, labels map[uint64]string) ([]nnstat.Entry, error) {
 	tk, err := nnstat.NewTopK(sketchSize)
 	if err != nil {
 		return nil, err
 	}
-	// The sketch is keyed by the pair's label (Top breaks count ties by
-	// key bytes, so the spelling is output); the label is rendered once
-	// per distinct pair, not per packet.
 	var cat core.NetPairCategorizer
-	labels := make(map[uint64]string)
 	record := func(p trace.Packet) {
 		key, ok := cat.Key(p)
 		if !ok {

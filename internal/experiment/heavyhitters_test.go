@@ -68,9 +68,11 @@ func TestTopPairsSketchSeesStringKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sketch smaller than the pair count, so evictions (whose order
-	// depends on the keys) are exercised too.
+	// depends on the keys) are exercised too; the second feed reuses the
+	// labels the first rendered, as HeavyHitters' feeds do.
+	labels := make(map[uint64]string)
 	for _, sketch := range []int{16, 256} {
-		got, err := topPairs(tr, idx, 50, sketch, sketch)
+		got, err := topPairs(tr, idx, 50, sketch, sketch, labels)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func (f Flow) Duration() int64 { return f.LastUS - f.FirstUS }
 
 // TupleHash is the module's one 5-tuple hash: the ingest kernel makes it
 // once per packet, picks the shard with it and carries it to the shard's
-// Table and sketch. w1 is the source address (low half) and destination,
+// Counter and sketch. w1 is the source address (low half) and destination,
 // each little-endian; w2 the source port, destination port << 16 and
 // protocol << 32. Two independent multiply-xor folds and a murmur3-style
 // finalizer; unseeded, so probe sequences repeat from run to run.
@@ -112,18 +112,13 @@ func cell(h uint32, shift uint) uint32 {
 //
 //nslint:hotpath
 func (t *Table) Add(p trace.Packet) {
-	t.AddHashed(Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}.Hash(), p)
-}
-
-// AddHashed is Add for a caller that already holds h, the Hash of p's
-// key; any other value corrupts the table.
-func (t *Table) AddHashed(h uint32, p trace.Packet) {
 	if 2*t.keys >= len(t.index) {
-		t.grow() // room for one more key at half load, so every probe ends
+		// Room for one more key at half load, so every probe ends.
+		t.index, t.shift = growIndex(t.index, t.shift, t.recs)
 	}
 	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
 	mask := uint32(len(t.index) - 1)
-	pos := cell(h, t.shift)
+	pos := cell(key.Hash(), t.shift)
 	for ; t.index[pos] != 0; pos = (pos + 1) & mask {
 		if f := &t.recs[t.index[pos]-1]; f.Key == key {
 			if p.Time-f.LastUS <= t.timeoutUS {
@@ -148,31 +143,39 @@ func (t *Table) AddHashed(h uint32, p trace.Packet) {
 	t.recs[n] = Flow{Key: key, Packets: 1, Bytes: int64(p.Size), FirstUS: p.Time, LastUS: p.Time}
 }
 
-// grow doubles the index, rehashing every occupied cell from the key
-// its record stores.
-func (t *Table) grow() {
-	old := t.index
-	//nslint:allow hotalloc per doubling, not per flow: Flush clears the index in place and keeps its length, so it is remade only in a window with more keys than any before it (pinned by TestTableAddDoesNotAllocAfterFlush)
-	t.index = make([]uint32, 2*len(old))
-	t.shift--
-	mask := uint32(len(t.index) - 1)
+// keyed is a slab entry that stores its key: Table's Flow or Counter's
+// slot.
+type keyed interface{ flowKey() Key }
+
+func (f Flow) flowKey() Key { return f.Key }
+
+// growIndex doubles an index whose cells point into slab (position + 1,
+// 0 = empty) and returns it with its new shift, rehashing every
+// occupied cell from the key its entry stores.
+func growIndex[E keyed](old []uint32, shift uint, slab []E) ([]uint32, uint) {
+	//nslint:allow hotalloc per doubling, not per flow: Flush and Cut clear the index in place and keep its length, so it is remade only in a window with more keys than any before it (pinned by TestTableAddDoesNotAllocAfterFlush, TestCounterAddDoesNotAllocAfterCut)
+	index := make([]uint32, 2*len(old))
+	shift--
+	mask := uint32(len(index) - 1)
 	for _, c := range old {
 		if c != 0 {
-			pos := cell(t.recs[c-1].Key.Hash(), t.shift)
-			for t.index[pos] != 0 {
+			pos := cell(slab[c-1].flowKey().Hash(), shift)
+			for index[pos] != 0 {
 				pos = (pos + 1) & mask
 			}
-			t.index[pos] = c
+			index[pos] = c
 		}
 	}
+	return index, shift
 }
 
 // slabIndex is the index cell for slab position n, n + 1, refusing to
-// wrap: 2^32 - 1 records between two Flushes is a 192 GiB slab, and
-// aliasing the empty cell would corrupt counts instead of failing.
+// wrap: 2^32 - 1 records between two Flushes is a 192 GiB slab (keys
+// between two Cuts, 96 GiB), and aliasing the empty cell would corrupt
+// counts instead of failing.
 func slabIndex(n uint64) uint32 {
 	if n >= math.MaxUint32 {
-		panic("flows: more than 2^32 - 1 flow records between Flushes")
+		panic("flows: more than 2^32 - 1 slab entries between resets")
 	}
 	return uint32(n + 1)
 }
@@ -285,6 +288,90 @@ func CountFlows(fs []Flow) Counts {
 		}
 	}
 	return c
+}
+
+// Counter is a Table that keeps only what Counts needs: the same keys,
+// hash, index and idle rule — a packet within the timeout of its key's
+// last one continues the flow, any later one opens a new record — but
+// one 24-byte slot per key instead of a 48-byte Flow per record, and
+// the totals counted as packets arrive. Cut returns
+// CountFlows(Flush()) of a Table offered the same packets, with no
+// records to sort or sum.
+type Counter struct {
+	timeoutUS int64
+	index     []uint32 // slot index + 1 of a key, 0 = empty; len a power of two
+	shift     uint     // 64 - log2(len(index)), as in Table
+	slots     []slot   // one per key since the last Cut
+	counts    Counts   // totals of every record since the last Cut
+}
+
+// slot is a key's open record, reduced to what decides its next
+// packet: when it arrived, and whether the record is still a singleton.
+type slot struct {
+	key    Key
+	multi  bool // the record has more than one packet; sits in Key's padding
+	lastUS int64
+}
+
+func (s slot) flowKey() Key { return s.key }
+
+// NewCounter builds a flow counter with the given idle timeout.
+func NewCounter(timeoutUS int64) (*Counter, error) {
+	if timeoutUS < 1 {
+		return nil, ErrBadTimeout
+	}
+	return &Counter{timeoutUS: timeoutUS, index: make([]uint32, minCells), shift: 60}, nil
+}
+
+// AddHashed offers one packet whose key's Hash is h; any other value
+// corrupts the counter. Packets must come in time order, as for Table.
+func (c *Counter) AddHashed(h uint32, p trace.Packet) {
+	c.counts.Packets++
+	c.counts.Bytes += uint64(p.Size)
+	if 2*len(c.slots) >= len(c.index) {
+		c.index, c.shift = growIndex(c.index, c.shift, c.slots)
+	}
+	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+	mask := uint32(len(c.index) - 1)
+	pos := cell(h, c.shift)
+	for ; c.index[pos] != 0; pos = (pos + 1) & mask {
+		if s := &c.slots[c.index[pos]-1]; s.key == key {
+			switch {
+			case p.Time-s.lastUS > c.timeoutUS: // idle-expired: the slot opens the key's next record
+				s.multi = false
+				c.counts.Flows++
+				c.counts.Singletons++
+			case !s.multi:
+				s.multi = true
+				c.counts.Singletons--
+			}
+			s.lastUS = p.Time
+			return
+		}
+	}
+	n := len(c.slots)
+	c.index[pos] = slabIndex(uint64(n))
+	if n == cap(c.slots) {
+		//nslint:allow hotalloc per doubling, not per flow: Cut truncates the slots and keeps their capacity, so the array is remade only in a window with more keys than any before it; pinned by TestCounterAddDoesNotAllocAfterCut
+		c.slots = append(make([]slot, 0, max(2*n, minCells/2)), c.slots...)
+	}
+	c.slots = c.slots[:n+1]
+	c.slots[n] = slot{key: key, lastUS: p.Time}
+	c.counts.Flows++
+	c.counts.Singletons++
+}
+
+// ActiveCount is Table's: distinct keys seen since the last Cut.
+func (c *Counter) ActiveCount() int { return len(c.slots) }
+
+// Cut closes every record, returns the totals since the last Cut and
+// resets the counter, keeping its capacity.
+func (c *Counter) Cut() Counts {
+	out := c.counts
+	c.counts = Counts{}
+	c.slots = c.slots[:0]
+	clear(c.index)
+	return out
 }
 
 // Summary aggregates flow-level statistics.

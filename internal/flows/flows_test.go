@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netsample/internal/core"
 	"netsample/internal/dist"
@@ -387,21 +388,26 @@ func TestKeyHashPacksTupleWords(t *testing.T) {
 	}
 }
 
-// meanProbe is the mean number of cells a lookup of a present key reads.
-func (t *Table) meanProbe() float64 {
-	mask := uint32(len(t.index) - 1)
-	var cells float64
-	for pos, c := range t.index {
+// meanProbe is the mean number of cells a lookup of a present key reads
+// in an index over slab.
+func meanProbe[E keyed](index []uint32, shift uint, slab []E) float64 {
+	mask := uint32(len(index) - 1)
+	var cells, keys float64
+	for pos, c := range index {
 		if c != 0 {
-			cells += float64((uint32(pos)-cell(t.recs[c-1].Key.Hash(), t.shift))&mask + 1)
+			cells += float64((uint32(pos)-cell(slab[c-1].flowKey().Hash(), shift))&mask + 1)
+			keys++
 		}
 	}
-	return cells / float64(t.keys)
+	return cells / keys
 }
 
+func (t *Table) meanProbe() float64   { return meanProbe(t.index, t.shift, t.recs) }
+func (c *Counter) meanProbe() float64 { return meanProbe(c.index, c.shift, c.slots) }
+
 // TestShardTablesProbeLikeOneTable holds the index to its own bits: a
-// shard's table sees only keys whose hash is s mod n, and must probe no
-// longer for that than an unpartitioned table holding as many keys of
+// shard's counter sees only keys whose hash is s mod n, and must probe
+// no longer for that than an unpartitioned table holding as many keys of
 // the same SYN flood. An index on the hash's low bits fails it — every
 // key of a shard of 2 agrees in bit 0, so half the cells are nobody's
 // home.
@@ -422,9 +428,11 @@ func TestShardTablesProbeLikeOneTable(t *testing.T) {
 		return tab
 	}
 	for _, shards := range []uint32{2, 3, 4, 8} {
-		tabs := make([]*Table, shards)
+		tabs := make([]*Counter, shards)
 		for s := range tabs {
-			tabs[s] = newTable()
+			if tabs[s], err = NewCounter(math.MaxInt64); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, p := range tr.Packets {
 			h := keyOf(p).Hash()
@@ -530,6 +538,112 @@ func TestTableAddDoesNotAllocAfterFlush(t *testing.T) {
 		}
 	}
 	window() // warm-up: grows the slab and the map's buckets
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("a warm window of %d new flows allocates %.1f times", perWindow, avg)
+	}
+}
+
+// TestCounterMatchesTable is the property behind the shard's counting
+// cut: over random streams — few or many keys, bursts sharing a
+// microsecond, gaps that idle-expire and reopen keys, timestamps
+// jittered backwards, and many cut/reuse cycles on one counter — Cut
+// returns CountFlows of the Flush of a Table offered the same packets,
+// and ActiveCount agrees with the table's at every step.
+func TestCounterMatchesTable(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ports    int   // distinct source ports (× 3 sources) in play
+		jitterUS int64 // how far a packet may step back in time
+	}{
+		{"few-keys", 24, 0},
+		{"many-keys", 4000, 0},
+		{"few-keys-out-of-order", 24, 400},
+		{"many-keys-out-of-order", 4000, 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const timeoutUS = 50
+			r := dist.NewRNG(uint64(1 + tc.ports + int(tc.jitterUS)))
+			ctr, err := NewCounter(timeoutUS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var now int64
+			for window := 0; window < 60; window++ {
+				tab, err := NewTable(timeoutUS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, n := 0, r.IntN(3000); i < n; i++ {
+					switch u := r.Float64(); {
+					case u < 0.6:
+					case u < 0.97:
+						now += int64(1 + r.IntN(5))
+					default:
+						now += int64(timeoutUS + r.IntN(4*timeoutUS))
+					}
+					p := pkt(now, uint16(r.IntN(tc.ports)), uint16(40+r.IntN(1400)))
+					p.Src[3] = byte(r.IntN(3))
+					if tc.jitterUS > 0 && r.Float64() < 0.2 {
+						p.Time -= int64(r.IntN(int(tc.jitterUS)))
+					}
+					tab.Add(p)
+					ctr.AddHashed(keyOf(p).Hash(), p)
+					if got, want := ctr.ActiveCount(), tab.ActiveCount(); got != want {
+						t.Fatalf("window %d packet %d: ActiveCount = %d, table %d", window, i, got, want)
+					}
+				}
+				if got, want := ctr.Cut(), CountFlows(tab.Flush()); got != want {
+					t.Fatalf("window %d: Cut = %+v, table %+v", window, got, want)
+				}
+				if ctr.ActiveCount() != 0 {
+					t.Fatalf("window %d: Cut left %d keys", window, ctr.ActiveCount())
+				}
+			}
+		})
+	}
+}
+
+func TestNewCounterValidation(t *testing.T) {
+	if _, err := NewCounter(0); err != ErrBadTimeout {
+		t.Error("zero timeout accepted")
+	}
+}
+
+// TestCounterSlotIs24Bytes pins the per-key state the shard keeps: the
+// key, the singleton flag in the key's padding, and the last timestamp
+// — half a Flow.
+func TestCounterSlotIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Errorf("slot is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(Flow{}); got != 48 {
+		t.Errorf("Flow is %d bytes, want 48", got)
+	}
+}
+
+// TestCounterAddDoesNotAllocAfterCut is TestTableAddDoesNotAllocAfterFlush
+// for the counter: once one window has sized the slots and the index, a
+// window of all-new flows allocates nothing, and neither does the cut.
+func TestCounterAddDoesNotAllocAfterCut(t *testing.T) {
+	ctr, err := NewCounter(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perWindow = 4096
+	var now int64
+	var port uint16
+	window := func() {
+		for i := 0; i < perWindow; i++ {
+			now += 3
+			port++
+			p := pkt(now, port, 64)
+			ctr.AddHashed(keyOf(p).Hash(), p)
+		}
+		if got := ctr.Cut().Flows; got != perWindow {
+			t.Fatalf("window held %d flows, want %d", got, perWindow)
+		}
+	}
+	window() // warm-up: grows the slots and the index
 	if avg := testing.AllocsPerRun(20, window); avg != 0 {
 		t.Errorf("a warm window of %d new flows allocates %.1f times", perWindow, avg)
 	}

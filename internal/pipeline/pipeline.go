@@ -27,7 +27,7 @@
 // and stamps the verdicts on each window as a bitmap before handing the
 // windows to the ingest worker. The ingest worker decodes each window,
 // hashes the packets to shards by a deterministic hash of the 5-tuple
-// (flows.TupleHash, which rides the item into the shard's flow table
+// (flows.TupleHash, which rides the item into the shard's flow counter
 // and sketch) — so every flow lives on exactly one shard — stamps each
 // packet with its interarrival gap against its stream predecessor (the
 // quantity a monitor with a last-packet timestamp register observes)
@@ -47,7 +47,7 @@
 //
 // Each shard keeps incremental aggregates over the selected packets it
 // receives: per-bin size and interarrival histogram counts
-// (bins.Scheme), a flows.Table of transport flows, and an nnstat.TopK
+// (bins.Scheme), a flows.Counter of transport flows, and an nnstat.TopK
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: the reader

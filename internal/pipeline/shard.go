@@ -70,7 +70,7 @@ type shardState struct {
 	// Pipeline.barFree): a shard can be that many cuts ahead of a
 	// collector busy in OnSnapshot.
 	cutFree    chan cutBufs
-	flowTab    *flows.Table
+	flowCount  *flows.Counter
 	topk       *nnstat.TopK
 	topkReport int
 	keyBuf     [13]byte
@@ -83,7 +83,7 @@ type shardState struct {
 // in by New once the ingest worker exists; sizeLUT is built once by New
 // and shared read-only across shards.
 func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
-	flowTab, err := flows.NewTable(cfg.FlowTimeoutUS)
+	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 		sizeCounts: make([]float64, cfg.SizeScheme.NumBins()),
 		iatCounts:  make([]float64, cfg.IatScheme.NumBins()),
 		cutFree:    make(chan cutBufs, cfg.QueueDepth+2),
-		flowTab:    flowTab,
+		flowCount:  flowCount,
 		topk:       topk,
 		topkReport: cfg.TopKReport,
 	}, nil
@@ -170,7 +170,7 @@ func (st *shardState) process(it *item) {
 			st.iatCounts[st.iatScheme.Index(float64(it.gapUS))]++
 		}
 	}
-	st.flowTab.AddHashed(it.hash, it.pkt)
+	st.flowCount.AddHashed(it.hash, it.pkt)
 	k := &st.keyBuf
 	copy(k[0:4], it.pkt.Src[:])
 	copy(k[4:8], it.pkt.Dst[:])
@@ -202,9 +202,9 @@ func (st *shardState) cut() shardPart {
 		selected:    st.selected,
 		dropped:     st.dropped,
 		bufs:        bufs,
-		activeFlows: st.flowTab.ActiveCount(),
+		activeFlows: st.flowCount.ActiveCount(),
+		flows:       st.flowCount.Cut(),
 	}
-	part.flows = flows.CountFlows(st.flowTab.Flush())
 	st.processed, st.selected, st.dropped = 0, 0, 0
 	clearFloats(st.sizeCounts)
 	clearFloats(st.iatCounts)

@@ -40,21 +40,30 @@ func readAnchor(dir string) (a anchorInfo, ok bool, err error) {
 	if err != nil {
 		return a, false, fmt.Errorf("store: read anchor: %w", err)
 	}
+	if a, err = decodeAnchor(data); err != nil {
+		return a, false, err
+	}
+	return a, true, nil
+}
+
+// decodeAnchor parses an anchor file's bytes, refusing any image that
+// is not exactly one well-formed, checksummed anchor.
+func decodeAnchor(data []byte) (a anchorInfo, err error) {
 	if len(data) != anchorLen {
-		return a, false, corruptf(anchorName, int64(len(data)), "anchor is %d bytes, want %d", len(data), anchorLen)
+		return a, corruptf(anchorName, int64(len(data)), "anchor is %d bytes, want %d", len(data), anchorLen)
 	}
 	if [4]byte(data[0:4]) != anchorMagic {
-		return a, false, corruptf(anchorName, 0, "bad anchor magic %q", data[0:4])
+		return a, corruptf(anchorName, 0, "bad anchor magic %q", data[0:4])
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != segVersion {
-		return a, false, corruptf(anchorName, 4, "unsupported anchor version %d", v)
+		return a, corruptf(anchorName, 4, "unsupported anchor version %d", v)
 	}
 	if got, want := binary.LittleEndian.Uint32(data[48:]), crc32.ChecksumIEEE(data[:48]); got != want {
-		return a, false, corruptf(anchorName, 48, "anchor checksum mismatch")
+		return a, corruptf(anchorName, 48, "anchor checksum mismatch")
 	}
 	a.seq = binary.LittleEndian.Uint64(data[8:16])
 	copy(a.root[:], data[16:48])
-	return a, true, nil
+	return a, nil
 }
 
 // writeAnchor persists the anchor atomically.

@@ -40,4 +40,9 @@ func TestGenCorpus(t *testing.T) {
 	flip := fuzzSegImage(true)
 	flip[headerLen+20] ^= 0x40
 	write("FuzzSegmentDecode", "record_bit_flip", flip)
+
+	// FuzzAnchorDecode: a valid anchor and one image per check.
+	for name, data := range anchorSeeds() {
+		write("FuzzAnchorDecode", name, data)
+	}
 }

@@ -120,12 +120,13 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/pipeline.Pipeline).ingestWorker",
 		"(*" + mp + "/internal/pipeline.Pipeline).shardWorker",
 		"(*" + mp + "/internal/pipeline.shardState).process",
-		"(*" + mp + "/internal/flows.Table).AddHashed",
+		"(*" + mp + "/internal/flows.Counter).AddHashed",
 		"(*" + mp + "/internal/nnstat.TopK).AddHashed",
 		mp + "/internal/nnstat.tkAdd",
 		// TestTableAddDoesNotAllocAfterFlush, TestAddBytesDoesNotAllocOn*:
-		// the wrappers that hash for a caller without one (roots of
-		// their own; the pipeline no longer passes through them).
+		// the record decomposer's Add and the sketch wrapper that hashes
+		// for a caller without a hash (roots of their own; the pipeline
+		// does not pass through them).
 		"(*" + mp + "/internal/flows.Table).Add",
 		"(*" + mp + "/internal/nnstat.TopK).AddBytes",
 		"(*" + mp + "/internal/online.Systematic).Offer",
