@@ -7,6 +7,7 @@ import (
 
 	"netsample/internal/bins"
 	"netsample/internal/dist"
+	"netsample/internal/fanout"
 	"netsample/internal/metrics"
 	"netsample/internal/trace"
 )
@@ -76,7 +77,7 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme bins.Scheme) (*Evaluat
 		popCounts: make([]float64, nb),
 		popProps:  make([]float64, nb),
 	}
-	e.classify(nil)
+	e.count()
 	for _, c := range e.popCounts {
 		e.popTotal += c
 	}
@@ -95,40 +96,74 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme bins.Scheme) (*Evaluat
 	return e, nil
 }
 
-// classify bins every observation of the population in fixed-size
+// firstObservation is the first packet that carries an observation:
+// packet 0 has no predecessor, so no interarrival.
+func (e *Evaluator) firstObservation() int {
+	if e.target == TargetInterarrival {
+		return 1
+	}
+	return 0
+}
+
+// count tallies the population's observations into popCounts. From
+// fanout.MinPackets on, the packets are split into one contiguous range
+// per worker, each tallied into its own integer counts and summed at
+// the end. An interarrival is read at the later of its two packets, so
+// a gap across a range edge is counted once, by the later range. The
+// tallies are integers, so the counts are the same at any worker count.
+func (e *Evaluator) count() {
+	lo, n := e.firstObservation(), e.pop.Len()
+	var total [256]int
+	if workers := fanout.Workers(n); workers > 1 {
+		tallies := make([][256]int, workers)
+		fanout.Run(workers, func(w int) {
+			e.classify(lo+(n-lo)*w/workers, lo+(n-lo)*(w+1)/workers, nil, &tallies[w])
+		})
+		for w := range tallies {
+			for b, c := range tallies[w] {
+				total[b] += c
+			}
+		}
+	} else {
+		e.classify(lo, n, nil, &total)
+	}
+	for b := range e.popCounts {
+		e.popCounts[b] = float64(total[b])
+	}
+}
+
+// classify bins the observations of packets [lo, hi) in fixed-size
 // batches through BinIndexBatch — a chunk is extracted into a scratch
 // vector and binned branchlessly in one pass (the Edged fast path). The
-// indices go to dst, the per-packet table, or with dst nil are tallied
-// into popCounts chunk by chunk. IndexBatch is bit-identical to Index,
-// so these are the indices of a per-packet scheme.Index loop.
-func (e *Evaluator) classify(dst []uint8) {
+// indices go to dst[lo:hi], the per-packet table, or with dst nil are
+// tallied into counts chunk by chunk. IndexBatch is bit-identical to
+// Index, so these are the indices of a per-packet scheme.Index loop.
+//
+//nslint:hotpath
+func (e *Evaluator) classify(lo, hi int, dst []uint8, counts *[256]int) {
 	const chunk = 512
 	var xs [chunk]float64
 	var buf [chunk]uint8
 	pkts := e.pop.Packets
-	first := 0
-	if e.target == TargetInterarrival {
-		first = 1 // packet 0 has no predecessor, so no observation
-	}
-	for lo := first; lo < len(pkts); lo += chunk {
-		hi := min(lo+chunk, len(pkts))
+	for ; lo < hi; lo += chunk {
+		end := min(lo+chunk, hi)
 		if e.target == TargetInterarrival {
-			for i := lo; i < hi; i++ {
+			for i := lo; i < end; i++ {
 				xs[i-lo] = float64(pkts[i].Time - pkts[i-1].Time)
 			}
 		} else {
-			for i := lo; i < hi; i++ {
+			for i := lo; i < end; i++ {
 				xs[i-lo] = float64(pkts[i].Size)
 			}
 		}
 		if dst != nil {
-			e.BinIndexBatch(dst[lo:hi], xs[:hi-lo])
+			e.BinIndexBatch(dst[lo:end], xs[:end-lo])
 			continue
 		}
-		idx := buf[:hi-lo]
-		e.BinIndexBatch(idx, xs[:hi-lo])
+		idx := buf[:end-lo]
+		e.BinIndexBatch(idx, xs[:end-lo])
 		for _, b := range idx {
-			e.popCounts[b]++
+			counts[b]++
 		}
 	}
 }
@@ -143,7 +178,7 @@ func (e *Evaluator) buildIndex() {
 	if e.target == TargetInterarrival && len(binIdx) > 0 {
 		binIdx[0] = noObservation
 	}
-	e.classify(binIdx)
+	e.classify(e.firstObservation(), len(binIdx), binIdx, nil)
 	e.binIdx = binIdx
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"netsample/internal/bins"
 	"netsample/internal/dist"
+	"netsample/internal/fanout"
 	"netsample/internal/metrics"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -333,6 +335,42 @@ func TestBinIndexBatchMatchesScheme(t *testing.T) {
 		for i := range evFast.binIdx {
 			if evFast.binIdx[i] != evSlow.binIdx[i] {
 				t.Fatalf("target %v: binIdx[%d] = %d vs %d", target, i, evFast.binIdx[i], evSlow.binIdx[i])
+			}
+		}
+	}
+}
+
+// TestPopulationCountsAnyGOMAXPROCS holds NewEvaluator's population
+// counts — one worker's below fanout.MinPackets packets, GOMAXPROCS
+// workers' from it — to a per-packet scheme.Index tally on both sides of
+// the threshold, so the workers' ranges cover every observation once,
+// the interarrival gap across each range edge included.
+func TestPopulationCountsAnyGOMAXPROCS(t *testing.T) {
+	hour, err := traffgen.Hour()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{fanout.MinPackets - 1, fanout.MinPackets, fanout.MinPackets + 1} {
+			tr := &trace.Trace{Packets: hour.Packets[:n]}
+			for _, tc := range evaluatorTargets {
+				ev, err := NewEvaluator(tr, tc.target, tc.scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, tc.scheme.NumBins())
+				for i := ev.firstObservation(); i < n; i++ {
+					x := float64(tr.Packets[i].Size)
+					if tc.target == TargetInterarrival {
+						x = float64(tr.Packets[i].Time - tr.Packets[i-1].Time)
+					}
+					want[tc.scheme.Index(x)]++
+				}
+				if !floatsEqual(ev.popCounts, want) {
+					t.Errorf("GOMAXPROCS %d, %d packets, target %v: counts %v, per-packet tally %v", procs, n, tc.target, ev.popCounts, want)
+				}
 			}
 		}
 	}

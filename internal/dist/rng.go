@@ -70,13 +70,19 @@ func (r *RNG) Reseed(seed uint64) {
 // each traffic source or replication its own stream without sharing state
 // across goroutines.
 func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd3833e804f4c574b)
+	return NewRNG(r.SplitSeed())
 }
 
 // SplitInto reseeds child to the stream the next Split call would have
 // returned, advancing the parent identically, but without allocating.
 func (r *RNG) SplitInto(child *RNG) {
-	child.Reseed(r.Uint64() ^ 0xd3833e804f4c574b)
+	child.Reseed(r.SplitSeed())
+}
+
+// SplitSeed draws the seed of the next Split's child: Reseed with it
+// later gives the child SplitInto would give now.
+func (r *RNG) SplitSeed() uint64 {
+	return r.Uint64() ^ 0xd3833e804f4c574b
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"netsample/internal/dist"
+	"netsample/internal/fanout"
 	"netsample/internal/trace"
 )
 
@@ -75,8 +76,10 @@ func TestGenerateBytes(t *testing.T) {
 // phases with zero-weight models, that the returned slice is clipped
 // and that staging never outgrew its up-front capacity (a growth would
 // allocate a second, larger array and more than double the bytes). The
-// three-minute ddos stages over parallelMin packets, so on two workers
-// its runs fill reserved segments: they too must never regrow.
+// three-minute ddos stages over fanout.MinPackets packets, so on two to
+// four workers its runs fill reserved segments, the SYN flood's in flow
+// blocks: they too must never regrow, and the workers' block scratch
+// must fit in the slack.
 func TestScenarioBufferContract(t *testing.T) {
 	const dur = time.Minute
 	var scenarios []Scenario
@@ -93,8 +96,10 @@ func TestScenarioBufferContract(t *testing.T) {
 	}
 	long.Name = "ddos-3min"
 	scenarios = append(scenarios, long)
-	// At least two workers; the deferred call restores the setting.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	// Two to four workers, as each adds sort and block scratch that
+	// stagedBytes's slack does not scale with; the deferred call
+	// restores the setting.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(min(4, max(2, runtime.GOMAXPROCS(0)))))
 	sparse := SmallTrace(5)
 	sparse.Mix = Mix{Bulk: 1}
 	scenarios = append(scenarios, Scenario{Name: "one-model", Base: sparse}, Scenario{
@@ -109,8 +114,15 @@ func TestScenarioBufferContract(t *testing.T) {
 		for _, ph := range s.Phases {
 			total += ph.TargetPPS * (ph.End - ph.Start) * s.Base.Duration.Seconds()
 		}
-		if s.Name == long.Name && total < parallelMin {
-			t.Fatalf("%s: %.0f packets no longer reach parallelMin", s.Name, total)
+		if s.Name == long.Name {
+			capacity, workers := s.capacity(), runtime.GOMAXPROCS(0)
+			if fanout.Workers(capacity) != workers {
+				t.Fatalf("%s: %d packets no longer stage on %d workers", s.Name, capacity, workers)
+			}
+			_, _, flood := s.Phases[0].window(s.Base.Duration.Microseconds())
+			if !blockStaged(segmentCap(flood), capacity, workers) {
+				t.Fatalf("%s: the flood's %d packets of %d are not staged in blocks on %d workers", s.Name, segmentCap(flood), capacity, workers)
+			}
 		}
 		var tr *trace.Trace
 		got := allocatedBytes(func() {
@@ -133,13 +145,20 @@ func TestScenarioBufferContract(t *testing.T) {
 // one, and fractional shares. Staged on the spot, each run must stay in
 // its segment: one that outgrew it would be reallocated, leaving unwritten
 // (zero) packets in the buffer. Reserved back to back in emissionBound
-// and staged on two workers, the runs must close up to the same packets.
+// and staged on two or three workers (a lone model's run in flow
+// blocks), the runs must close up to the same packets.
+//
+// Single runs are then staged serially and in flow blocks of one flow,
+// an odd count and more flows than the run has, on one to three
+// workers, and must stage the same packets. The bulk and elephant
+// targets include runs that end in a flow cut at the limit, and the
+// port scan reads each flow's port off its index in the run.
 func TestEmissionBoundHolds(t *testing.T) {
 	mixes := []Mix{DefaultMix(), {Bulk: 1}, {Telnet: 1e-9, Ack: 1, ICMP: 3}, {Transaction: 0.5, Mail: 0.5}}
 	for _, mix := range mixes {
 		for _, total := range []float64{0.01, 1, 5.5, 49, 50, 1000.49, 20000} {
-			var staged [2][]trace.Packet
-			for workers := 1; workers <= 2; workers++ {
+			var staged [3][]trace.Packet
+			for workers := 1; workers <= 3; workers++ {
 				root := dist.NewRNG(uint64(total * 100))
 				env, err := newEnvelope(EnvelopeConfig{}, root.Split(), 60e6)
 				if err != nil {
@@ -164,9 +183,61 @@ func TestEmissionBoundHolds(t *testing.T) {
 				slices.SortFunc(out, comparePackets)
 				staged[workers-1] = out
 			}
-			if !slices.Equal(staged[0], staged[1]) {
-				t.Errorf("mix %+v total %v: one and two workers staged different packets", mix, total)
+			for w := 1; w < len(staged); w++ {
+				if !slices.Equal(staged[0], staged[w]) {
+					t.Errorf("mix %+v total %v: one and %d workers staged different packets", mix, total, w+1)
+				}
 			}
+		}
+	}
+
+	bulk := func(*dist.RNG, *addressPool) sourceModel { return &bulkModel{} }
+	singles := []struct {
+		name    string
+		model   func(*dist.RNG, *addressPool) sourceModel
+		targets []float64
+		big     int // flows in a block, more than any of the runs has
+	}{
+		{"bulk", bulk, []float64{0.5, 10, 4000}, 1 << 10},
+		{"elephant", newElephantModel, []float64{1, 2500, 9000}, 16},
+		{"portscan", newPortScanModel, []float64{3, 1000, 20000}, 1 << 15},
+		{"synflood", newSYNFloodModel, []float64{2, 3000}, 1 << 12},
+	}
+	for _, c := range singles {
+		cut := 0
+		for _, target := range c.targets {
+			newRun := func() *run {
+				root := dist.NewRNG(uint64(target) + 7)
+				env, err := newEnvelope(EnvelopeConfig{Sigma: 0.3, Rho: 0.9, EpochSeconds: 5}, root.Split(), 600e6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs := newAddressPool(ProfileSDSC, root.Split())
+				r := &run{model: c.model(root.Split(), addrs), target: target, durUS: 600e6, shiftUS: 5e6,
+					env: env, addrs: addrs, seg: make([]trace.Packet, 0, segmentCap(target))}
+				root.SplitInto(&r.rng)
+				return r
+			}
+			want := newRun()
+			want.stage()
+			if _, limit := want.bounds(); len(want.seg) == limit {
+				cut++
+			}
+			slices.SortFunc(want.seg, comparePackets)
+			for workers := 1; workers <= 3; workers++ {
+				for _, flows := range []int{1, 7, c.big} {
+					r := newRun()
+					stageBlocks(r, workers, flows)
+					slices.SortFunc(r.seg, comparePackets)
+					if !slices.Equal(r.seg, want.seg) {
+						t.Errorf("%s target %v: %d workers, blocks of %d flows staged %d packets, serially %d (or different ones)",
+							c.name, target, workers, flows, len(r.seg), len(want.seg))
+					}
+				}
+			}
+		}
+		if (c.name == "bulk" || c.name == "elephant") && cut == 0 {
+			t.Errorf("%s: no run ends in a flow cut at the limit", c.name)
 		}
 	}
 }

@@ -3,10 +3,10 @@ package traffgen
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"netsample/internal/dist"
+	"netsample/internal/fanout"
 	"netsample/internal/trace"
 )
 
@@ -104,14 +104,24 @@ func GenerateScenario(s Scenario) (*trace.Trace, error) {
 	return finishTrace(pkts, s.Base, workers), nil
 }
 
-// parallelMin is the staging capacity in packets from which a scenario
-// is staged and sorted on up to GOMAXPROCS workers. Below it one worker
-// does both, with no goroutine and no allocation for the plan.
-const parallelMin = 1 << 18
+// capacity is the staging buffer's size in packets: the most the
+// baseline and the phases can emit.
+func (s *Scenario) capacity() int {
+	durUS := s.Base.Duration.Microseconds()
+	capacity := emissionBound(s.Base.TargetPPS * s.Base.Duration.Seconds())
+	for i := range s.Phases {
+		_, _, phasePackets := s.Phases[i].window(durUS)
+		capacity += emissionBound(phasePackets)
+	}
+	return capacity
+}
 
 // stageScenario emits every packet of s — baseline models, then each
 // phase — with Time the unquantized µs on the trace clock: the input
-// finishTrace sorts on the worker count it also returns.
+// finishTrace sorts on the worker count it also returns. From
+// fanout.MinPackets of capacity, both stage and sort on GOMAXPROCS
+// workers; below it one worker does both, with no goroutine and no
+// allocation for the plan.
 func stageScenario(s Scenario) ([]trace.Packet, int, error) {
 	if err := s.validate(); err != nil {
 		return nil, 0, err
@@ -130,16 +140,9 @@ func stageScenario(s Scenario) ([]trace.Packet, int, error) {
 	addrs := newAddressPool(s.Base.Profile, root.Split())
 
 	total := s.Base.TargetPPS * s.Base.Duration.Seconds()
-	capacity := emissionBound(total)
-	for i := range s.Phases {
-		_, _, phasePackets := s.Phases[i].window(durUS)
-		capacity += emissionBound(phasePackets)
-	}
+	capacity := s.capacity()
 	st := stager{pkts: make([]trace.Packet, 0, capacity), root: root, addrs: addrs}
-	workers := 1
-	if capacity >= parallelMin {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := fanout.Workers(capacity)
 	if workers > 1 {
 		st.plan = make([]run, 0, mixModels*(1+len(s.Phases)))
 	}

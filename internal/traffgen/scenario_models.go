@@ -34,7 +34,9 @@ func newSYNFloodModel(r *dist.RNG, addrs *addressPool) sourceModel {
 	return &synFloodModel{victim: addrs.dstHosts[r.IntN(len(addrs.dstHosts))]}
 }
 
-func (m *synFloodModel) newFlow(r *dist.RNG, _ *addressPool) flow {
+func (m *synFloodModel) fork() sourceModel { return padded(m) }
+
+func (m *synFloodModel) newFlow(_ int, r *dist.RNG, _ *addressPool) flow {
 	// Spoofed source: uniformly random unicast address, fresh per flow.
 	src := packet.Addr{
 		byte(1 + r.IntN(223)), byte(r.IntN(256)),
@@ -77,7 +79,9 @@ func newFlashCrowdModel(r *dist.RNG, addrs *addressPool) sourceModel {
 	return &flashCrowdModel{server: addrs.dstHosts[r.IntN(len(addrs.dstHosts))]}
 }
 
-func (m *flashCrowdModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *flashCrowdModel) fork() sourceModel { return padded(m) }
+
+func (m *flashCrowdModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src := addrs.srcHosts[addrs.srcPick.draw(r)]
 	m.scratch = flashCrowdFlow{
 		base: trace.Packet{
@@ -131,7 +135,9 @@ func newElephantModel(r *dist.RNG, addrs *addressPool) sourceModel {
 	}}
 }
 
-func (m *elephantModel) newFlow(r *dist.RNG, _ *addressPool) flow {
+func (m *elephantModel) fork() sourceModel { return padded(m) }
+
+func (m *elephantModel) newFlow(_ int, r *dist.RNG, _ *addressPool) flow {
 	m.scratch = elephantFlow{
 		base:      m.base,
 		remaining: 2000 + r.IntN(2000),
@@ -154,13 +160,13 @@ func (f *elephantFlow) next(r *dist.RNG) (int64, trace.Packet, bool) {
 
 // portScanModel emits a sequential port scan: one scanner probing one
 // victim's ports in order with 1-2 packet flows — the maximum
-// distinct-flow pressure per packet a pipeline can see.
+// distinct-flow pressure per packet a pipeline can see. Flow i probes
+// port 1 + i mod 65535.
 type portScanModel struct {
-	scanner  packet.Addr
-	victim   packet.Addr
-	srcPort  uint16
-	nextPort uint32
-	scratch  portScanFlow
+	scanner packet.Addr
+	victim  packet.Addr
+	srcPort uint16
+	scratch portScanFlow
 }
 
 type portScanFlow struct {
@@ -170,19 +176,16 @@ type portScanFlow struct {
 
 func newPortScanModel(r *dist.RNG, addrs *addressPool) sourceModel {
 	return &portScanModel{
-		scanner:  addrs.srcHosts[r.IntN(len(addrs.srcHosts))],
-		victim:   addrs.dstHosts[r.IntN(len(addrs.dstHosts))],
-		srcPort:  ephemeralPort(r),
-		nextPort: 1,
+		scanner: addrs.srcHosts[r.IntN(len(addrs.srcHosts))],
+		victim:  addrs.dstHosts[r.IntN(len(addrs.dstHosts))],
+		srcPort: ephemeralPort(r),
 	}
 }
 
-func (m *portScanModel) newFlow(r *dist.RNG, _ *addressPool) flow {
-	port := uint16(m.nextPort)
-	m.nextPort++
-	if m.nextPort > 65535 {
-		m.nextPort = 1
-	}
+func (m *portScanModel) fork() sourceModel { return padded(m) }
+
+func (m *portScanModel) newFlow(i int, r *dist.RNG, _ *addressPool) flow {
+	port := uint16(1 + i%65535)
 	remaining := 1
 	if r.Float64() < 0.25 {
 		remaining = 2 // unanswered probe retransmitted once
@@ -226,7 +229,9 @@ func newElephantMiceModel(*dist.RNG, *addressPool) sourceModel {
 	return &elephantMiceModel{}
 }
 
-func (m *elephantMiceModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *elephantMiceModel) fork() sourceModel { return padded(m) }
+
+func (m *elephantMiceModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	base := trace.Packet{
 		Protocol: packet.ProtoTCP,

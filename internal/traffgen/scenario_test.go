@@ -194,17 +194,18 @@ func TestTraceDigests(t *testing.T) {
 	}
 }
 
-// TestTraceDigestsAnyGOMAXPROCS reruns TestTraceDigests at one, two and
-// four procs (skipping the setting it has already run at): the traces
-// past parallelMin are staged and sorted on that many workers, and all
-// nine digests must hold on each.
+// TestTraceDigestsAnyGOMAXPROCS reruns TestTraceDigests at one to four
+// procs (skipping the setting it has already run at): the traces past
+// fanout.MinPackets are staged and sorted on that many workers — at
+// three, the flood's blocks split unevenly — and all nine digests must
+// hold on each.
 func TestTraceDigestsAnyGOMAXPROCS(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("TestTraceDigests already runs these traces at the default GOMAXPROCS")
 	}
 	initial := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(initial)
-	for _, procs := range []int{1, 2, 4} {
+	for _, procs := range []int{1, 2, 3, 4} {
 		if procs != initial {
 			runtime.GOMAXPROCS(procs)
 			t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), TestTraceDigests)

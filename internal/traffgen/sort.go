@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"netsample/internal/fanout"
 	"netsample/internal/trace"
 )
 
@@ -112,7 +113,7 @@ func finishParallel(pkts []trace.Packet, shift uint, count, end [1 << radixBits]
 		slots[w] = slots[w-1] + keySlots(count[first[w-1]:first[w]], shift)
 	}
 	keys, order := make([]uint64, 2*slots[workers]), make([]uint16, slots[workers])
-	fanOut(workers, func(w int) {
+	fanout.Run(workers, func(w int) {
 		lo := 0
 		if first[w] > 0 {
 			lo = end[first[w]-1]

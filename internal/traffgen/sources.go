@@ -14,9 +14,27 @@ import (
 // returns, so spawning a flow allocates nothing. This relies on the
 // generator's access pattern — each flow is fully drained before the
 // model's next newFlow — and makes a model single-flow at a time; use
-// one model value per Generate call.
+// one model value per run and per worker staging it (fork).
 type sourceModel interface {
-	newFlow(r *dist.RNG, addrs *addressPool) flow
+	// newFlow starts the run's flow i, drawing from r.
+	newFlow(i int, r *dist.RNG, addrs *addressPool) flow
+	// fork copies the model, scratch flow included.
+	fork() sourceModel
+}
+
+// padded copies m into memory of its own: the copies workers stage a run
+// with each write their scratch flow every packet, so no two may share
+// a cache line.
+func padded[M any, P interface {
+	*M
+	sourceModel
+}](m P) sourceModel {
+	c := &struct {
+		_ [64]byte
+		m M
+		_ [64]byte
+	}{m: *m}
+	return P(&c.m)
 }
 
 type flow interface {
@@ -71,7 +89,9 @@ type telnetFlow struct {
 	remaining int
 }
 
-func (m *telnetModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *telnetModel) fork() sourceModel { return padded(m) }
+
+func (m *telnetModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	m.scratch = telnetFlow{
 		base: trace.Packet{
@@ -119,7 +139,9 @@ type ackFlow struct {
 	gapMeanUS  float64
 }
 
-func (m *ackModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *ackModel) fork() sourceModel { return padded(m) }
+
+func (m *ackModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	m.scratch = ackFlow{
 		base: trace.Packet{
@@ -173,7 +195,9 @@ type bulkFlow struct {
 	gapMeanUS float64
 }
 
-func (m *bulkModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *bulkModel) fork() sourceModel { return padded(m) }
+
+func (m *bulkModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	var mss uint16
 	switch u := r.Float64(); {
@@ -235,7 +259,9 @@ type transactionFlow struct {
 	remaining int
 }
 
-func (m *transactionModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *transactionModel) fork() sourceModel { return padded(m) }
+
+func (m *transactionModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	dstPort := packet.PortDNS
 	if r.Float64() < 0.2 {
@@ -277,7 +303,9 @@ type mailFlow struct {
 	remaining int
 }
 
-func (m *mailModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *mailModel) fork() sourceModel { return padded(m) }
+
+func (m *mailModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	dstPort := packet.PortSMTP
 	if r.Float64() < 0.3 {
@@ -322,7 +350,9 @@ type icmpFlow struct {
 	remaining int
 }
 
-func (m *icmpModel) newFlow(r *dist.RNG, addrs *addressPool) flow {
+func (m *icmpModel) fork() sourceModel { return padded(m) }
+
+func (m *icmpModel) newFlow(_ int, r *dist.RNG, addrs *addressPool) flow {
 	src, dst := addrs.pair(r)
 	m.scratch = icmpFlow{
 		base: trace.Packet{

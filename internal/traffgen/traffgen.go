@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"netsample/internal/dist"
+	"netsample/internal/fanout"
 	"netsample/internal/trace"
 )
 
@@ -169,7 +170,7 @@ func Generate(cfg Config) (*trace.Trace, error) {
 // run is one model run of a scenario's plan: about target packets of
 // model over [0, durUS) under env, shifted by shiftUS onto the trace
 // clock, drawn from rng into seg — a segment of the one staging buffer
-// with room for ⌊1.02·target⌋+1 packets, the most appendFlows emits.
+// with room for segmentCap(target) packets, the most a run emits.
 // Runs share only env and addrs, which are read-only.
 type run struct {
 	model          sourceModel
@@ -181,14 +182,220 @@ type run struct {
 	seg            []trace.Packet
 }
 
-// stage emits the run into its segment and shifts it onto the trace clock.
+// segmentCap is the room a run of target packets needs: it stops at the
+// first count >= 1.02·target, so at no more than ⌊1.02·target⌋+1.
+func segmentCap(target float64) int {
+	return int(target*1.02) + 1
+}
+
+// bounds is the run's stop rule: flows are drawn while fewer than stop
+// packets have been emitted, and the flow that brings the count to
+// limit is cut there. They are ⌈target⌉ and ⌈1.02·target⌉, the least
+// counts that reach target and 1.02·target.
+func (r *run) bounds() (stop, limit int) {
+	return int(math.Ceil(r.target)), int(math.Ceil(r.target * 1.02))
+}
+
+// stage emits the run into its segment, one flow at a time. The run's
+// own RNG draws each flow's header — its start from the rate envelope,
+// so offered load is non-stationary, and its child RNG — and the child
+// draws everything else.
+//
+// The child is a stack-scratch RNG reseeded in place (dist.RNG.SplitInto
+// draws the identical stream Split would have returned, without
+// allocating), and each model reuses one scratch flow — a flow is fully
+// drained before the next newFlow — so the loop allocates nothing per
+// flow.
+//
+//nslint:hotpath
 func (r *run) stage() {
-	r.seg = appendFlows(r.seg, r.model, r.target, r.durUS, r.env, r.addrs, &r.rng)
-	if r.shiftUS != 0 {
-		for i := range r.seg {
-			r.seg[i].Time += r.shiftUS
+	stop, limit := r.bounds()
+	seg := r.seg[:cap(r.seg)]
+	var flowRNG dist.RNG
+	n := 0
+	for i := 0; n < stop; i++ {
+		start := r.env.sampleStart(&r.rng, r.durUS)
+		r.rng.SplitInto(&flowRNG)
+		n = r.emit(seg, n, limit, i, start, &flowRNG)
+	}
+	r.seg = seg[:n]
+}
+
+// emit writes the packets of the run's flow i — starting at start and
+// drawn from flowRNG — that fall before durUS, on the trace clock, into
+// dst from n on, until the flow ends or n reaches limit, and returns the
+// new n.
+func (r *run) emit(dst []trace.Packet, n, limit, i int, start int64, flowRNG *dist.RNG) int {
+	f := r.model.newFlow(i, flowRNG, r.addrs)
+	for t := start; ; {
+		gapUS, pkt, more := f.next(flowRNG)
+		t += gapUS
+		if t >= r.durUS {
+			return n
+		}
+		pkt.Time = t + r.shiftUS
+		dst[n] = pkt
+		n++
+		if !more || n >= limit {
+			return n
 		}
 	}
+}
+
+// blockFlows is the flows in a block of a run staged on several
+// workers (stageBlocks): ≈ 500 packets of the SYN flood.
+const blockFlows = 256
+
+// flowHead is what a run's own RNG draws for one flow: its start and its
+// child RNG's seed. The flow's packets depend on nothing else but its
+// index in the run and read-only state.
+type flowHead struct {
+	start int64
+	seed  uint64
+}
+
+// blocks is a run staged in blocks on several workers (stageBlocks).
+type blocks struct {
+	r           *run
+	seg         []trace.Packet // the run's segment at full length
+	stop, limit int
+	// free holds the scratches no block is in; it has room for all.
+	free chan *blockScratch
+
+	draw    sync.Mutex // guards r.rng and drawn
+	drawn   int
+	stopped atomic.Bool // a commit has met the stop rule
+
+	mu sync.Mutex // guards the fields below
+	// staged holds the blocks handed in and awaiting commit, at block
+	// mod len: each holds a scratch until committed, so no two are len
+	// apart.
+	staged []*blockScratch
+	next   int // the block to commit next
+	n      int // packets committed
+}
+
+// blockScratch holds one block: a copy of the run with a model of its
+// own, the block's headers, the child RNG, and its n staged packets,
+// copied to off when committed. Scratches are padded apart, as every
+// packet writes to the model's scratch flow and the child.
+type blockScratch struct {
+	_      [64]byte
+	run    run
+	heads  []flowHead
+	rng    dist.RNG
+	pkts   []trace.Packet
+	block  int
+	n, off int
+	_      [64]byte
+}
+
+// stageBlocks stages r on workers goroutines in blocks of flows flows,
+// into the packets stage would emit. Block k is the run's flows
+// k·flows … (k+1)·flows−1. A worker takes a free scratch, draws the
+// next block's headers from the run's RNG — one worker at a time, so
+// in block order — stages their bodies into the scratch, and hands the
+// block in. Blocks are committed in block order, each by the worker
+// that hands in the block it waits on: a block that ends before stop is
+// copied into the segment; the block that reaches stop, and one that
+// filled its scratch, are replayed there from their headers by stage's
+// rule (emit up to limit while below stop), so a block drawn past the
+// stop replays to nothing. There are two scratches a worker, so workers
+// stage on past a block that is slow to come in. A scratch holds 2.25
+// packets a flow (the SYN flood's flows are 1–3 packets, 2 on average,
+// so a block of 256 overfills it only ≈ 5σ out) and never grows.
+func stageBlocks(r *run, workers, flows int) {
+	b := &blocks{r: r, seg: r.seg[:cap(r.seg)],
+		free: make(chan *blockScratch, 2*workers), staged: make([]*blockScratch, 2*workers)}
+	b.stop, b.limit = r.bounds()
+	for range b.staged {
+		sc := &blockScratch{run: *r, heads: make([]flowHead, flows), pkts: make([]trace.Packet, min(9*flows/4, b.limit))}
+		sc.run.model = r.model.fork()
+		b.free <- sc
+	}
+	fanout.Run(workers, func(int) {
+		committed := make([]*blockScratch, 0, len(b.staged))
+		for sc := <-b.free; b.drawInto(sc); sc = <-b.free {
+			sc.n = sc.stageBlock()
+			committed = b.handIn(sc, committed[:0])
+			for _, c := range committed {
+				if c.off >= 0 {
+					copy(b.seg[c.off:], c.pkts[:c.n])
+				}
+				b.free <- c
+			}
+		}
+	})
+	r.seg = b.seg[:b.n]
+}
+
+// drawInto draws the next block's headers into sc; false, with sc
+// freed, once the run has stopped.
+func (b *blocks) drawInto(sc *blockScratch) bool {
+	b.draw.Lock()
+	if b.stopped.Load() {
+		b.draw.Unlock()
+		b.free <- sc
+		return false
+	}
+	for j := range sc.heads {
+		sc.heads[j] = flowHead{b.r.env.sampleStart(&b.r.rng, b.r.durUS), b.r.rng.SplitSeed()}
+	}
+	sc.block = b.drawn
+	b.drawn++
+	b.draw.Unlock()
+	return true
+}
+
+// handIn files sc's staged block and commits every filed block that is
+// next in block order, appending each to committed with the offset to
+// copy it to: −1 for a block replayed in place.
+func (b *blocks) handIn(sc *blockScratch, committed []*blockScratch) []*blockScratch {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.staged[sc.block%len(b.staged)] = sc
+	for {
+		c := b.staged[b.next%len(b.staged)]
+		if c == nil {
+			return committed
+		}
+		b.staged[b.next%len(b.staged)] = nil
+		b.next++
+		committed = append(committed, c)
+		if c.n < len(c.pkts) && b.n+c.n < b.stop {
+			c.off = b.n
+			b.n += c.n
+			continue
+		}
+		// A full scratch may have cut the block short. Replayed by
+		// stage's rule, such a block goes on as the run would, the block
+		// that reaches stop ends the run, and one drawn past it, with
+		// b.n >= stop, emits nothing.
+		c.off = -1
+		first := c.block * len(c.heads)
+		for j := 0; j < len(c.heads) && b.n < b.stop; j++ {
+			c.rng.Reseed(c.heads[j].seed)
+			b.n = c.run.emit(b.seg, b.n, b.limit, first+j, c.heads[j].start, &c.rng)
+		}
+		if b.n >= b.stop {
+			b.stopped.Store(true)
+		}
+	}
+}
+
+// stageBlock stages the bodies of the block's flows, headed in
+// sc.heads, into sc.pkts until it is full, and returns the packets
+// staged: all the block's, if fewer than len(sc.pkts).
+//
+//nslint:hotpath
+func (sc *blockScratch) stageBlock() int {
+	first := sc.block * len(sc.heads)
+	n := 0
+	for j := 0; j < len(sc.heads) && n < len(sc.pkts); j++ {
+		sc.rng.Reseed(sc.heads[j].seed)
+		n = sc.run.emit(sc.pkts, n, len(sc.pkts), first+j, sc.heads[j].start, &sc.rng)
+	}
+	return n
 }
 
 // stager plans a scenario's model runs in seed order, splitting each
@@ -205,7 +412,7 @@ type stager struct {
 // add plans one run.
 func (st *stager) add(m sourceModel, target float64, durUS, shiftUS int64, env *envelope) {
 	off := len(st.pkts)
-	end := off + int(target*1.02) + 1
+	end := off + segmentCap(target)
 	r := run{model: m, target: target, durUS: durUS, shiftUS: shiftUS, env: env, addrs: st.addrs, seg: st.pkts[off:off:end]}
 	st.root.SplitInto(&r.rng)
 	if st.plan == nil {
@@ -242,21 +449,38 @@ func (st *stager) addMix(mix Mix, totalPackets float64, durUS, shiftUS int64, en
 }
 
 // stageParallel stages plan, whose segments tile pkts, on workers
-// goroutines, each claiming the longest run left, and returns the staged
-// packets closed up (closeUp). A run writes only its own segment.
+// goroutines and returns the staged packets closed up (closeUp). A run
+// that dwarfs the rest, staged by one worker, would leave the others
+// idle, so such a run goes first, in flow blocks on every worker
+// (stageBlocks); workers then claim the other runs whole, the longest
+// left first. A run writes only its own segment.
 func stageParallel(pkts []trace.Packet, plan []run, workers int) []trace.Packet {
 	order := make([]int, len(plan))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(plan[b].target, plan[a].target) })
+	if len(order) > 0 && blockStaged(cap(plan[order[0]].seg), len(pkts), workers) {
+		stageBlocks(&plan[order[0]], workers, blockFlows)
+		order = order[1:]
+	}
 	var next atomic.Int64
-	fanOut(workers, func(int) {
+	fanout.Run(workers, func(int) {
 		for i := next.Add(1) - 1; i < int64(len(order)); i = next.Add(1) - 1 {
 			plan[order[i]].stage()
 		}
 	})
 	return closeUp(pkts, plan)
+}
+
+// blockStaged reports whether stageParallel stages a run with a segment
+// of segCap packets, in a buffer of capacity, in flow blocks: a run of
+// over two thirds of the buffer, on more than one worker. Of the
+// presets, only ddos's SYN flood (75 %) is one, at any worker count; the
+// next largest runs, flashcrowd's crowd (57 %) and elephantmice's mix
+// (50 %), have long flows that would overfill the block scratch.
+func blockStaged(segCap, capacity, workers int) bool {
+	return workers > 1 && 3*segCap > 2*capacity
 }
 
 // closeUp fills the holes the runs left below n, the number of packets
@@ -288,24 +512,6 @@ func closeUp(pkts []trace.Packet, plan []run) []trace.Packet {
 	return pkts[:n]
 }
 
-// fanOut calls work(0) … work(workers−1) concurrently — work(0) on the
-// calling goroutine — and returns when every call has.
-func fanOut(workers int, work func(w int)) {
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go doWork(&wg, work, w)
-	}
-	work(0)
-	wg.Wait()
-}
-
-// doWork is one of fanOut's goroutines.
-func doWork(wg *sync.WaitGroup, work func(w int), w int) {
-	defer wg.Done()
-	work(w)
-}
-
 // finishTrace turns the staged packets, whose Time is still the
 // unquantized emission µs, into the trace: sort in place on workers
 // goroutines, each quantizing what it sorted to the capture clock, and
@@ -317,43 +523,4 @@ func doWork(wg *sync.WaitGroup, work func(w int), w int) {
 func finishTrace(pkts []trace.Packet, cfg Config, workers int) *trace.Trace {
 	sortPackets(pkts, cfg.ClockUS, workers)
 	return &trace.Trace{Start: cfg.Start, ClockUS: cfg.ClockUS, Packets: pkts[:len(pkts):len(pkts)]}
-}
-
-// appendFlows spawns flows of one model until the model has contributed
-// approximately targetPackets packets within [0, durUS). Flow start times
-// are drawn from the rate envelope so offered load is non-stationary.
-//
-// The per-flow RNG is a stack-scratch child reseeded in place
-// (dist.RNG.SplitInto draws the identical stream Split would have
-// returned, without allocating), and each model reuses one scratch flow
-// struct — a flow is fully drained before the next newFlow, so the
-// hot loop allocates nothing per flow.
-//
-//nslint:hotpath
-func appendFlows(pkts []trace.Packet, m sourceModel, targetPackets float64, durUS int64,
-	env *envelope, addrs *addressPool, r *dist.RNG) []trace.Packet {
-
-	var flowRNG dist.RNG
-	var emitted float64
-	for emitted < targetPackets {
-		start := env.sampleStart(r, durUS)
-		r.SplitInto(&flowRNG)
-		flow := m.newFlow(&flowRNG, addrs)
-		t := start
-		for {
-			gapUS, pkt, more := flow.next(&flowRNG)
-			t += gapUS
-			if t >= durUS {
-				break
-			}
-			pkt.Time = t
-			//nslint:allow hotalloc the run's segment holds ⌊1.02·target⌋+1 packets and this run ends at the first emitted >= 1.02·target, so growth is unreachable
-			pkts = append(pkts, pkt)
-			emitted++
-			if !more || emitted >= targetPackets*1.02 {
-				break
-			}
-		}
-	}
-	return pkts
 }

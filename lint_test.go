@@ -143,8 +143,13 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		mp + "/internal/trace.DecodeRecords",
 		"(*" + mp + "/internal/bins.Edged).IndexLinear",
 		"(*" + mp + "/internal/bins.Edged).IndexBatch",
-		// TestGenerateAllocs: the generator's per-flow/per-packet loop.
-		mp + "/internal/traffgen.appendFlows",
+		// TestGenerateAllocs: the generator's per-flow/per-packet loop,
+		// serial and over a block's flows (the fixed per-block scratch
+		// is made once per run, before the workers start), and the flow
+		// body both share.
+		"(*" + mp + "/internal/traffgen.run).stage",
+		"(*" + mp + "/internal/traffgen.blockScratch).stageBlock",
+		"(*" + mp + "/internal/traffgen.run).emit",
 		// ...and the in-place sort of what it staged: a make inside
 		// the recursion would be a second trace-sized buffer (the
 		// keyed pass's scratch is made once, by the cold sortPackets,
