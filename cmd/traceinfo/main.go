@@ -95,16 +95,13 @@ func main() {
 	}
 
 	// Composition.
+	var ports core.PortCategorizer
 	protoPkts := map[packet.Protocol]int{}
-	portPkts := map[string]int{}
+	portPkts := map[uint64]int{}
 	for _, p := range tr.Packets {
 		protoPkts[p.Protocol]++
-		if p.Protocol == packet.ProtoTCP || p.Protocol == packet.ProtoUDP {
-			name := packet.PortName(p.DstPort)
-			if name == "other" {
-				name = packet.PortName(p.SrcPort)
-			}
-			portPkts[name]++
+		if key, ok := ports.Key(p); ok {
+			portPkts[key]++
 		}
 	}
 	fmt.Println()
@@ -122,8 +119,8 @@ func main() {
 		fmt.Printf("  %-8s %9d (%5.1f%%)\n", r.name, r.n, 100*float64(r.n)/float64(tr.Len()))
 	}
 	rows = rows[:0]
-	for name, n := range portPkts {
-		rows = append(rows, row{name, n})
+	for key, n := range portPkts {
+		rows = append(rows, row{ports.Label(key), n})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
 	var parts []string

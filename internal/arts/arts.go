@@ -1,4 +1,4 @@
-// Package arts implements the traffic-characterization objects of the
+// Package arts describes the traffic-characterization objects of the
 // NSFNET statistics collection (the paper's Table 1), in the mold of the
 // NNStat (T1 backbone) and ARTS (T3 backbone) packages:
 //
@@ -12,66 +12,61 @@
 //	  - per-second histogram of packet arrival rates (20 pps granularity)
 //	  - NSS transit traffic volume
 //
-// Objects accumulate Record()ed packets. They serve the batch models:
-// nsfnet.T1Node's categorization counts (Figure 1), the Table 1 support
-// matrix and the length-histogram fidelity experiment. The live
-// collection plane exports pipeline snapshots instead (package collect).
+// It holds the backbone generations and the objects each supports
+// (Table 1), and the packet-length histogram (the length-histogram
+// fidelity experiment). The port distribution and the traffic matrix
+// are characterized by core's categorizers; the T1 node model
+// (nsfnet.T1Node) counts its categorized packets itself.
 package arts
 
-import (
-	"netsample/internal/packet"
-	"netsample/internal/trace"
+import "netsample/internal/trace"
+
+// Backbone identifies which NSFNET backbone generation's object profile
+// a node collects (Table 1's Y / N/A column).
+type Backbone int
+
+// Backbone generations.
+const (
+	T1 Backbone = iota
+	T3
 )
 
-// Counters is the packets/bytes pair every Table 1 object accumulates.
-type Counters struct {
-	Packets uint64
-	Bytes   uint64
+// String names the backbone.
+func (b Backbone) String() string {
+	if b == T3 {
+		return "T3"
+	}
+	return "T1"
 }
 
-// add accumulates one packet of the given size.
-func (c *Counters) add(size uint16, weight uint64) {
-	c.Packets += weight
-	c.Bytes += weight * uint64(size)
+// SupportedObjectNames lists the Table 1 object names a backbone
+// generation supports, in table order: T1 nodes collect all seven, T3
+// nodes only the first three (matrix, ports, protocols).
+func SupportedObjectNames(b Backbone) []string {
+	names := []string{"src-dst-matrix", "port-distribution", "protocol-distribution"}
+	if b == T1 {
+		names = append(names, "length-histogram", "outbound-volume", "rate-histogram", "transit-volume")
+	}
+	return names
 }
 
-// Object is a traffic-characterization object. Record consumes one
-// packet; Weight-ed recording supports sampled collection, where each
-// selected packet stands for `weight` packets (50 on the T3 backbone).
-type Object interface {
-	// Name is the object's Table 1 identifier.
-	Name() string
-	// Record accumulates a packet with the given scale-up weight
-	// (1 for unsampled collection).
-	Record(p trace.Packet, weight uint64)
+// LengthHistogramBins is the number of 50-byte bins covering sizes up to
+// the FDDI-era maximum; the last bin absorbs everything above.
+const LengthHistogramBins = 31 // [0,50), [50,100), ..., [1500, ∞)
+
+// LengthHistogram is the packet-length histogram at 50-byte granularity
+// (a T1-only object in Table 1). The zero value is an empty histogram.
+type LengthHistogram struct {
+	Bins [LengthHistogramBins]uint64
 }
 
-// --- source/destination matrix ---------------------------------------------
-
-// NetPair keys the traffic matrix: classful network numbers of source
-// and destination.
-type NetPair struct {
-	Src, Dst packet.Addr
-}
-
-// SrcDstMatrix is the source-destination traffic volume matrix by
-// network number.
-type SrcDstMatrix struct {
-	M map[NetPair]Counters
-}
-
-// NewSrcDstMatrix returns an empty matrix.
-func NewSrcDstMatrix() *SrcDstMatrix {
-	return &SrcDstMatrix{M: make(map[NetPair]Counters)}
-}
-
-// Name implements Object.
-func (m *SrcDstMatrix) Name() string { return "src-dst-matrix" }
-
-// Record implements Object.
-func (m *SrcDstMatrix) Record(p trace.Packet, weight uint64) {
-	key := NetPair{Src: p.Src.NetworkNumber(), Dst: p.Dst.NetworkNumber()}
-	c := m.M[key]
-	c.add(p.Size, weight)
-	m.M[key] = c
+// Record accumulates a packet with the given scale-up weight: 1 for
+// unsampled collection, k for a packet standing for k under 1-in-k
+// sampling.
+func (h *LengthHistogram) Record(p trace.Packet, weight uint64) {
+	bin := int(p.Size) / 50
+	if bin >= LengthHistogramBins {
+		bin = LengthHistogramBins - 1
+	}
+	h.Bins[bin] += weight
 }

@@ -12,7 +12,9 @@ import (
 )
 
 // Accept-loop retry bounds: transient listener errors are retried with
-// exponential backoff before the agent declares the listener dead.
+// exponential backoff, up to DefaultAcceptRetries consecutive failures
+// (timeouts do not count), before the agent declares the listener dead
+// and records the failure in Err.
 const (
 	DefaultAcceptRetries = 8
 	acceptBackoffBase    = time.Millisecond
@@ -40,11 +42,6 @@ type Agent struct {
 
 	// IOTimeout bounds each read/write on an agent connection.
 	IOTimeout time.Duration
-
-	// AcceptRetries bounds consecutive failed Accept calls before the
-	// agent gives up and records the failure in Err. Zero means
-	// DefaultAcceptRetries; timeouts do not count against it.
-	AcceptRetries int
 
 	// Clock supplies the current time for I/O deadlines. Nil means the
 	// real time; tests inject a fake to pin deadline arithmetic.
@@ -108,14 +105,6 @@ func (a *Agent) ServeListener(ln net.Listener) net.Addr {
 	return ln.Addr()
 }
 
-// acceptRetries returns the configured consecutive-failure budget.
-func (a *Agent) acceptRetries() int {
-	if a.AcceptRetries > 0 {
-		return a.AcceptRetries
-	}
-	return DefaultAcceptRetries
-}
-
 // setErr records the accept loop's terminal failure.
 func (a *Agent) setErr(err error) {
 	a.errMu.Lock()
@@ -158,7 +147,7 @@ func (a *Agent) acceptLoop() {
 				return
 			}
 			failures++
-			if failures > a.acceptRetries() {
+			if failures > DefaultAcceptRetries {
 				a.setErr(fmt.Errorf("collect agent %s: accept failed %d times, giving up: %w", a.Node, failures, err))
 				return
 			}

@@ -75,7 +75,6 @@ func waitAgentErr(t *testing.T, a *Agent) error {
 func TestAgentAcceptGivesUpAfterRetries(t *testing.T) {
 	agent := NewAgent("ENSS", arts.T1)
 	agent.Sleep = func(time.Duration) {}
-	agent.AcceptRetries = 2
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,11 @@ func TestAgentAcceptGivesUpAfterRetries(t *testing.T) {
 	inj := faultnet.NewInjector(1, faultnet.Config{})
 	fln := inj.Listener(ln)
 	boom := errors.New("persistent failure")
-	fln.FailAccepts(boom, boom, boom, boom)
+	fails := make([]error, DefaultAcceptRetries+1)
+	for i := range fails {
+		fails[i] = boom
+	}
+	fln.FailAccepts(fails...)
 	agent.ServeListener(fln)
 
 	loopErr := waitAgentErr(t, agent)

@@ -24,7 +24,7 @@ type ArtsHistResult struct {
 
 // ArtsHist runs the histogram-fidelity comparison on the given trace.
 func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
-	full := arts.NewLengthHistogram()
+	var full arts.LengthHistogram
 	for _, p := range tr.Packets {
 		full.Record(p, 1)
 	}
@@ -40,7 +40,7 @@ func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
 		OccupiedBins:  len(idx),
 	}
 	for _, k := range out.Granularities {
-		sampled := arts.NewLengthHistogram()
+		var sampled arts.LengthHistogram
 		for i, p := range tr.Packets {
 			if (i+1)%k == 0 {
 				sampled.Record(p, uint64(k))
@@ -83,7 +83,7 @@ func (r *ArtsHistResult) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *ArtsHistResult) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "phi"}
 	var rows [][]string

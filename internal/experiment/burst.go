@@ -56,7 +56,7 @@ func (r *BurstResult) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *BurstResult) Table() ([]string, [][]string) {
 	cols := []string{"window_us", "idc"}
 	var rows [][]string

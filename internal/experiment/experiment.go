@@ -28,6 +28,9 @@ type Result interface {
 	Title() string
 	// WriteText renders the regenerated rows/series.
 	WriteText(w io.Writer) error
+	// Table returns the same rows as a rectangular table of column names
+	// and string cells, for CSV and JSON export to plotting tools.
+	Table() (columns []string, rows [][]string)
 }
 
 // header renders the shared banner of every experiment.

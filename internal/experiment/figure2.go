@@ -84,7 +84,7 @@ func (r *Figure2Result) WriteText(w io.Writer) error {
 	return err
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Figure2Result) Table() ([]string, [][]string) {
 	cols := []string{"scheme", "selected_indices"}
 	render := func(idx []int) string {

@@ -88,7 +88,7 @@ func (r *FlowBiasResult) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *FlowBiasResult) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "detected_fraction", "size_bias"}
 	var rows [][]string

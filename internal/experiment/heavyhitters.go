@@ -120,7 +120,7 @@ func (r *HeavyHitterResult) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *HeavyHitterResult) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "overlap"}
 	var rows [][]string

@@ -203,7 +203,7 @@ func (r *MatrixResult) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *MatrixResult) Table() ([]string, [][]string) {
 	cols := []string{"scenario", "sampler", "windows", "offered", "selected", "dropped",
 		"mean_phi_size", "mean_phi_iat", "worst_phi", "mean_k", "k_changes"}

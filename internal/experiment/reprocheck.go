@@ -138,7 +138,7 @@ func (r *ReproCheckResult) WriteText(w io.Writer) error {
 	return err
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *ReproCheckResult) Table() ([]string, [][]string) {
 	cols := []string{"quantity", "paper", "measured", "rel_diff"}
 	var rows [][]string

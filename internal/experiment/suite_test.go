@@ -2,9 +2,44 @@ package experiment
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestAllQuickGolden pins the whole suite's text rendering on the quick
+// population byte-for-byte — exactly what `experiments -quick` prints,
+// which CI diffs against the same file. Regenerate with NSGEN_GOLDEN=1
+// after an intentional change.
+func TestAllQuickGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite run skipped in -short mode")
+	}
+	results, err := All(testTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "all_quick.txt")
+	if os.Getenv("NSGEN_GOLDEN") != "" {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with NSGEN_GOLDEN=1 to create)", path, err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("%s: output differs from golden; regenerate with NSGEN_GOLDEN=1 if intentional", path)
+	}
+}
 
 // TestAllMatchesSerial pins the parallel suite runner to the serial
 // reference: same trace in, byte-identical rendered output out,

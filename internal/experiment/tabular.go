@@ -10,24 +10,15 @@ import (
 	"netsample/internal/stats"
 )
 
-// Tabular is implemented by results that can render as a rectangular
-// table, enabling CSV and JSON export for plotting tools. Every Result
-// in this package implements it.
-type Tabular interface {
-	Result
-	// Table returns the column names and the data rows as strings.
-	Table() (columns []string, rows [][]string)
-}
-
-// WriteCSV renders a tabular result as CSV with a leading id column.
-func WriteCSV(w io.Writer, t Tabular) error {
-	cols, rows := t.Table()
+// WriteCSV renders a result's table as CSV with a leading id column.
+func WriteCSV(w io.Writer, r Result) error {
+	cols, rows := r.Table()
 	cw := csv.NewWriter(w)
 	if err := cw.Write(append([]string{"artifact"}, cols...)); err != nil {
 		return err
 	}
 	for _, row := range rows {
-		if err := cw.Write(append([]string{t.ID()}, row...)); err != nil {
+		if err := cw.Write(append([]string{r.ID()}, row...)); err != nil {
 			return err
 		}
 	}
@@ -43,42 +34,31 @@ type jsonDoc struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// WriteJSON renders a tabular result as a JSON document.
-func WriteJSON(w io.Writer, t Tabular) error {
-	cols, rows := t.Table()
+// WriteJSON renders a result's table as a JSON document.
+func WriteJSON(w io.Writer, r Result) error {
+	cols, rows := r.Table()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jsonDoc{ID: t.ID(), Title: t.Title(), Columns: cols, Rows: rows})
+	return enc.Encode(jsonDoc{ID: r.ID(), Title: r.Title(), Columns: cols, Rows: rows})
 }
 
 // WriteAllFormat renders every result in the requested format:
-// "text" (default), "csv" or "json".
+// "text" (default; WriteAll), "csv" or "json".
 func WriteAllFormat(w io.Writer, results []Result, format string) error {
+	var write func(io.Writer, Result) error
+	switch format {
+	case "", "text":
+		return WriteAll(w, results)
+	case "csv":
+		write = WriteCSV
+	case "json":
+		write = WriteJSON
+	default:
+		return fmt.Errorf("experiment: unknown format %q", format)
+	}
 	for _, r := range results {
-		switch format {
-		case "", "text":
-			if err := r.WriteText(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		case "csv":
-			t, ok := r.(Tabular)
-			if !ok {
-				return fmt.Errorf("experiment: %s does not support csv", r.ID())
-			}
-			if err := WriteCSV(w, t); err != nil {
-				return err
-			}
-		case "json":
-			t, ok := r.(Tabular)
-			if !ok {
-				return fmt.Errorf("experiment: %s does not support json", r.ID())
-			}
-			if err := WriteJSON(w, t); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("experiment: unknown format %q", format)
+		if err := write(w, r); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -95,7 +75,7 @@ func u(v uint64) string { return strconv.FormatUint(v, 10) }
 
 // --- Table() implementations -----------------------------------------------------
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Table1Result) Table() ([]string, [][]string) {
 	cols := []string{"object", "t1", "t3"}
 	var rows [][]string
@@ -111,7 +91,7 @@ func (r *Table1Result) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Table2Result) Table() ([]string, [][]string) {
 	cols := []string{"distribution", "min", "p25", "median", "p75", "max", "mean", "stddev", "skew", "kurtosis"}
 	var rows [][]string
@@ -122,7 +102,7 @@ func (r *Table2Result) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Table3Result) Table() ([]string, [][]string) {
 	cols := []string{"distribution", "min", "p5", "p25", "median", "p75", "p95", "max", "mean", "stddev"}
 	row := func(name string, s stats.PopulationSummary) []string {
@@ -132,7 +112,7 @@ func (r *Table3Result) Table() ([]string, [][]string) {
 	return cols, [][]string{row("packet-size", r.Size), row("interarrival-us", r.Interarrival)}
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Figure1Result) Table() ([]string, [][]string) {
 	cols := []string{"month", "snmp", "nnstat", "sampling"}
 	var rows [][]string
@@ -146,7 +126,7 @@ func (r *Figure1Result) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Figure3Result) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "n", "chi2", "significance", "cost", "rcost", "x2", "k", "phi"}
 	var rows [][]string
@@ -159,7 +139,7 @@ func (r *Figure3Result) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *HistogramFigureResult) Table() ([]string, [][]string) {
 	cols := []string{"bin", "population"}
 	for _, k := range r.Granularities {
@@ -181,7 +161,7 @@ func (r *HistogramFigureResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Figure6Result) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "replications", "low", "q1", "median", "q3", "high", "outliers"}
 	var rows [][]string
@@ -193,7 +173,7 @@ func (r *Figure6Result) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *Figure7Result) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "mean_phi"}
 	var rows [][]string
@@ -203,7 +183,7 @@ func (r *Figure7Result) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *MethodsFigureResult) Table() ([]string, [][]string) {
 	cols := []string{"granularity"}
 	for _, s := range r.Series {
@@ -220,7 +200,7 @@ func (r *MethodsFigureResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *ElapsedFigureResult) Table() ([]string, [][]string) {
 	cols := []string{"minutes"}
 	for _, k := range r.Granularities {
@@ -237,7 +217,7 @@ func (r *ElapsedFigureResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *SampleSizesResult) Table() ([]string, [][]string) {
 	cols := []string{"target", "mean", "stddev", "accuracy_pct", "n", "fraction"}
 	var rows [][]string
@@ -248,14 +228,14 @@ func (r *SampleSizesResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *ChiSquareAcceptanceResult) Table() ([]string, [][]string) {
 	cols := []string{"target", "granularity", "replications", "rejected", "min_significance"}
 	return cols, [][]string{{r.Target, d(r.Granularity), d(r.Replications),
 		d(r.Rejected), f(r.MinSig)}}
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *CategoricalFigureResult) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "mean_phi"}
 	var rows [][]string
@@ -265,7 +245,7 @@ func (r *CategoricalFigureResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *TheoryResult) Table() ([]string, [][]string) {
 	cols := []string{"granularity", "population_variance", "within_variance", "ratio", "autocorrelation"}
 	var rows [][]string
@@ -276,7 +256,7 @@ func (r *TheoryResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *AdaptiveResult) Table() ([]string, [][]string) {
 	cols := []string{"config", "truth", "estimate", "rel_error", "mean_k"}
 	var rows [][]string
@@ -287,7 +267,7 @@ func (r *AdaptiveResult) Table() ([]string, [][]string) {
 	return cols, rows
 }
 
-// Table implements Tabular.
+// Table implements Result.
 func (r *FIXWestResult) Table() ([]string, [][]string) {
 	cols := []string{"environment", "packet_phi", "timer_phi"}
 	var rows [][]string

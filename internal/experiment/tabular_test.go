@@ -10,7 +10,8 @@ import (
 	"netsample/internal/core"
 )
 
-// TestEveryResultIsTabular asserts the whole suite supports export.
+// TestEveryResultIsTabular asserts every table of the suite is
+// rectangular: columns, and rows as wide as the columns.
 func TestEveryResultIsTabular(t *testing.T) {
 	tr := testTrace(t)
 	results, err := All(tr)
@@ -18,12 +19,7 @@ func TestEveryResultIsTabular(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		tab, ok := r.(Tabular)
-		if !ok {
-			t.Errorf("%s does not implement Tabular", r.ID())
-			continue
-		}
-		cols, rows := tab.Table()
+		cols, rows := r.Table()
 		if len(cols) == 0 {
 			t.Errorf("%s has no columns", r.ID())
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -70,8 +71,21 @@ func TestWriteAllPropagatesWriterErrors(t *testing.T) {
 	if err := WriteAll(&failWriter{remaining: 10}, []Result{r}); err == nil {
 		t.Error("WriteAll swallowed writer error")
 	}
-	if err := WriteAllFormat(&failWriter{remaining: 10}, []Result{r}, "csv"); err == nil {
-		t.Error("WriteAllFormat swallowed writer error")
+	var text bytes.Buffer
+	if err := r.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		format string
+		budget int
+	}{
+		{"csv", 10},
+		{"text", 10},
+		{"text", text.Len()}, // the result fits; the separator after it fails
+	} {
+		if err := WriteAllFormat(&failWriter{remaining: c.budget}, []Result{r}, c.format); err == nil {
+			t.Errorf("WriteAllFormat(%q) with a %d-byte writer swallowed the error", c.format, c.budget)
+		}
 	}
 }
 

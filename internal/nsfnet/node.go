@@ -1,7 +1,6 @@
 package nsfnet
 
 import (
-	"netsample/internal/arts"
 	"netsample/internal/online"
 	"netsample/internal/trace"
 )
@@ -33,25 +32,24 @@ func everyKth(k int) *online.Systematic {
 }
 
 // T1Node models a T1 NSS: exact SNMP counters in the forwarding path and
-// a dedicated statistics processor feeding NNStat objects. At
+// a dedicated statistics processor feeding NNStat's categorization. At
 // granularity 1 every packet is offered to the processor (the
 // pre-September-1991 configuration); at k > 1 only every k-th packet is
-// offered, recorded with weight k (the sampling deployment).
+// offered, counted with weight k (the sampling deployment).
 type T1Node struct {
-	SNMP    SNMPCounters
-	Objects *arts.ObjectSet
-	Proc    *Processor
+	SNMP SNMPCounters
+	Proc *Processor
 
-	sys *online.Systematic
+	sys         *online.Systematic
+	categorized uint64 // Σ k over the packets the processor accepted
 }
 
 // NewT1Node builds a T1 NSS with the given statistics-processor capacity
 // (packets/second) and buffer (packets). sampleK <= 1 disables sampling.
 func NewT1Node(capacityPPS float64, buffer, sampleK int) *T1Node {
 	return &T1Node{
-		Objects: arts.NewObjectSet(arts.T1),
-		Proc:    NewProcessor(capacityPPS, buffer),
-		sys:     everyKth(sampleK),
+		Proc: NewProcessor(capacityPPS, buffer),
+		sys:  everyKth(sampleK),
 	}
 }
 
@@ -63,13 +61,13 @@ func (n *T1Node) K() int { return n.sys.K() }
 func (n *T1Node) SetGranularity(k int) error { return n.sys.SetGranularity(k) }
 
 // Process forwards one packet through the node. Packets must arrive in
-// time order. A categorized packet is recorded with the granularity in
-// force when it was selected, so scaled counts stay unbiased across
+// time order. A categorized packet counts with the granularity in force
+// when it was selected, so the scaled count stays unbiased across
 // granularity changes.
 func (n *T1Node) Process(p trace.Packet) {
 	n.SNMP.record(p)
 	if n.sys.Offer(p.Time) && n.Proc.Offer(p.Time) {
-		n.Objects.Record(p, uint64(n.sys.K()))
+		n.categorized += uint64(n.sys.K())
 	}
 }
 
@@ -80,6 +78,6 @@ func (n *T1Node) ProcessTrace(tr *trace.Trace) {
 	}
 }
 
-// CategorizedPackets reports the (scaled) packet total the NNStat
-// objects saw — the quantity that fell short of SNMP in Figure 1.
-func (n *T1Node) CategorizedPackets() uint64 { return n.Objects.TotalPackets() }
+// CategorizedPackets reports the (scaled) packet total NNStat
+// categorized — the quantity that fell short of SNMP in Figure 1.
+func (n *T1Node) CategorizedPackets() uint64 { return n.categorized }

@@ -15,7 +15,7 @@
 //     where ARTS categorizes it. That is not modeled here: select in
 //     the forwarding path, then categorize 1 in k, is what
 //     internal/pipeline's reader and shards are, and nsd exports the
-//     result as the arts.T3 set.
+//     result as window snapshots.
 //
 // The statistics processor is modeled as a single-server queue with a
 // fixed per-packet service time and a finite buffer: offered packets are

@@ -9,16 +9,6 @@ import (
 	"netsample/internal/trace"
 )
 
-// BatchSource is the amortized form of Source: it fills dst with the
-// next packets of the stream, returning how many it wrote. Like
-// io.Reader, it may return n > 0 alongside an error (including io.EOF);
-// those packets precede the error in the stream. Run's edge adapter
-// uses it when a Source implements it — one interface call per batch
-// instead of per packet. *trace.StreamReader implements it natively.
-type BatchSource interface {
-	NextBatch(dst []trace.Packet) (int, error)
-}
-
 // RawBatchSource is the pipeline's native ingest form: windows of raw
 // NSTR record bytes (length a multiple of trace.RecordLen) for up to
 // max records, plus the record count. Decoding happens in the ingest
@@ -37,23 +27,20 @@ type RawBatchSource interface {
 	NextRawBatch(max int) ([]byte, int, error)
 }
 
-// recordAdapter is the one edge adapter between decoded sources and the
-// reader: it pulls up to a batch of packets — one NextBatch call when
-// the source is a BatchSource, a per-packet loop otherwise — into its
-// own scratch and encodes them into a fresh record window. The
-// per-packet loop checks the stop flag after every packet, so Stop
-// keeps its packet-granular meaning on per-packet sources: the window
-// ends at the first packet delivered after the stop request.
+// recordAdapter is the one edge adapter between per-packet sources and
+// the reader: it pulls up to a batch of packets into its own scratch and
+// encodes them into a fresh record window. It checks the stop flag after
+// every packet, so Stop keeps its packet-granular meaning on per-packet
+// sources: the window ends at the first packet delivered after the stop
+// request.
 type recordAdapter struct {
 	src     Source
-	bs      BatchSource // src's batch form; nil for a per-packet source
 	stop    *atomic.Bool
 	scratch []trace.Packet
 }
 
 func newRecordAdapter(src Source, batchSize int, stop *atomic.Bool) *recordAdapter {
-	bs, _ := src.(BatchSource)
-	return &recordAdapter{src: src, bs: bs, stop: stop, scratch: make([]trace.Packet, batchSize)}
+	return &recordAdapter{src: src, stop: stop, scratch: make([]trace.Packet, batchSize)}
 }
 
 //nslint:hotpath
@@ -63,17 +50,13 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 		n   int
 		err error
 	)
-	if a.bs != nil {
-		n, err = a.bs.NextBatch(dst)
-	} else {
-		for n < len(dst) {
-			if dst[n], err = a.src.Next(); err != nil {
-				break
-			}
-			n++
-			if a.stop.Load() {
-				break
-			}
+	for n < len(dst) {
+		if dst[n], err = a.src.Next(); err != nil {
+			break
+		}
+		n++
+		if a.stop.Load() {
+			break
 		}
 	}
 	if n == 0 {

@@ -82,8 +82,7 @@ import (
 
 // Source yields packets in arrival order, one at a time, returning
 // io.EOF when the stream ends. It is the type Run accepts; what Run
-// does with the richer forms a Source may also implement (BatchSource,
-// RawBatchSource) is described there.
+// does with a Source that is also a RawBatchSource is described there.
 type Source interface {
 	Next() (trace.Packet, error)
 }

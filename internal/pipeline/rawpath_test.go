@@ -14,11 +14,10 @@ import (
 	"netsample/internal/trace"
 )
 
-// The mmap reader must satisfy every source form, the replayer the
+// The mmap reader must satisfy both source forms, the replayer the
 // native one.
 var (
 	_ Source         = (*trace.MapReader)(nil)
-	_ BatchSource    = (*trace.MapReader)(nil)
 	_ RawBatchSource = (*trace.MapReader)(nil)
 	_ RawBatchSource = (*trace.Replayer)(nil)
 )

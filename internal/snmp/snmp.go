@@ -25,8 +25,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"netsample/internal/dist"
 )
 
 // Protocol constants.
@@ -221,26 +219,14 @@ func (a *Agent) Close() error {
 // Manager queries agents. It retries over UDP loss and matches
 // responses to requests by ID, ignoring strays.
 type Manager struct {
-	// Timeout per attempt; Retries additional attempts after the first.
+	// Timeout per attempt; Retries additional attempts after the first,
+	// each sent as soon as the previous one times out.
 	Timeout time.Duration
 	Retries int
 
-	// Backoff is the base pause before each retry attempt. When Jitter
-	// is set, a uniform share of Backoff in [0, Backoff) is added so a
-	// fleet of managers polling one agent does not retry in lockstep.
-	// Zero keeps the historical retry-immediately behavior.
-	Backoff time.Duration
-
-	// Jitter supplies the randomness for retry spacing. Callers pass a
-	// seeded *dist.RNG so retry schedules are reproducible run-to-run;
-	// the manager serializes access to it under its mutex. Nil disables
-	// jitter.
-	Jitter *dist.RNG
-
-	// Clock and Sleep are injectable seams for the retry loop; nil
-	// means real time. Tests pin them to make timeout paths exact.
+	// Clock is the injectable seam for attempt deadlines; nil means real
+	// time.
 	Clock func() time.Time
-	Sleep func(time.Duration)
 
 	mu    sync.Mutex
 	reqID uint32
@@ -258,33 +244,6 @@ func (m *Manager) now() time.Time {
 		return m.Clock()
 	}
 	return time.Now() //nslint:allow noclock default of the injectable Clock seam
-}
-
-// pause sleeps for d through the injectable seam.
-func (m *Manager) pause(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if m.Sleep != nil {
-		m.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// retryDelay computes the pause before one retry: Backoff plus uniform
-// jitter drawn from the manager's seeded RNG.
-func (m *Manager) retryDelay() time.Duration {
-	if m.Backoff <= 0 {
-		return 0
-	}
-	d := m.Backoff
-	m.mu.Lock()
-	if m.Jitter != nil {
-		d += time.Duration(m.Jitter.Int64N(int64(m.Backoff)))
-	}
-	m.mu.Unlock()
-	return d
 }
 
 // Get fetches the named counters from the agent at addr. The result maps
@@ -322,9 +281,6 @@ func (m *Manager) Get(addr string, names ...string) (map[string]uint64, error) {
 	buf := make([]byte, maxDatagram)
 	var lastErr error
 	for attempt := 0; attempt <= m.Retries; attempt++ {
-		if attempt > 0 {
-			m.pause(m.retryDelay())
-		}
 		if _, err := conn.Write(req); err != nil {
 			return nil, err
 		}

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"netsample/internal/dist"
 )
 
 func startAgent(t *testing.T) (*Agent, string) {
@@ -241,72 +239,5 @@ func TestParseResponseErrors(t *testing.T) {
 	bad := respHeader(1, 42)
 	if _, _, err := parseResponse(bad, 1); err == nil {
 		t.Error("unknown type accepted")
-	}
-}
-
-// deadDrop starts an agent that drops every request, so Get exhausts
-// all retries.
-func deadDrop(t *testing.T) string {
-	t.Helper()
-	a := NewAgent()
-	a.DropEvery = 1 // every request is dropped
-	laddr, err := a.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = a.Close() })
-	return laddr.String()
-}
-
-func TestRetryBackoffJitterDeterministic(t *testing.T) {
-	addr := deadDrop(t)
-	run := func(seed uint64) []time.Duration {
-		var slept []time.Duration
-		m := NewManager()
-		m.Timeout = 20 * time.Millisecond
-		m.Retries = 3
-		m.Backoff = 10 * time.Millisecond
-		m.Jitter = dist.NewRNG(seed)
-		m.Sleep = func(d time.Duration) { slept = append(slept, d) }
-		if _, err := m.Get(addr, "c"); err == nil {
-			t.Fatal("drop-everything agent answered")
-		}
-		return slept
-	}
-	a := run(42)
-	if len(a) != 3 {
-		t.Fatalf("want one pause per retry (3), got %d", len(a))
-	}
-	for i, d := range a {
-		if d < 10*time.Millisecond || d >= 20*time.Millisecond {
-			t.Fatalf("pause %d = %v outside [Backoff, 2*Backoff)", i, d)
-		}
-	}
-	b := run(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at pause %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	c := run(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jitter schedules")
-	}
-}
-
-func TestRetryWithoutBackoffDoesNotSleep(t *testing.T) {
-	addr := deadDrop(t)
-	m := NewManager()
-	m.Timeout = 20 * time.Millisecond
-	m.Retries = 2
-	m.Sleep = func(d time.Duration) { t.Fatalf("unexpected pause %v with zero Backoff", d) }
-	if _, err := m.Get(addr, "c"); err == nil {
-		t.Fatal("drop-everything agent answered")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"time"
 
 	"netsample/internal/packet"
 )
@@ -109,9 +110,10 @@ func decodeRecordBytes(rec []byte) Packet {
 // returns how many it decoded: min(len(dst), len(raw)/RecordLen).
 // Trailing bytes shorter than a full record are ignored; raw is read
 // but never retained, so callers may pass views into a memory-mapped
-// region. This is the batch kernel under StreamReader.NextBatch and
-// MapReader: one pass, no buffering layer, bounds checks hoisted per
-// record rather than per field.
+// region. This is the batch kernel under MapReader.NextBatch, and under
+// Read and MapReader.Trace where the layout identity (layout.go) fails:
+// one pass, no buffering layer, bounds checks hoisted per record rather
+// than per field.
 //
 //nslint:hotpath
 func DecodeRecords(dst []Packet, raw []byte) int {
@@ -150,31 +152,69 @@ func encodeFresh(pkts []Packet) []byte {
 	return raw
 }
 
+// header is a validated NSTR header.
+type header struct {
+	start   time.Time
+	clockUS int64
+	total   uint64 // record count declared, not yet checked against the data
+}
+
+// parseHeader validates the NSTR header at the front of b: its length,
+// magic and version.
+func parseHeader(b []byte) (header, error) {
+	if len(b) < headerLen {
+		return header{}, fmt.Errorf("%w: header: %d bytes, need %d", ErrFormat, len(b), headerLen)
+	}
+	if [4]byte(b[0:4]) != traceMagic {
+		return header{}, fmt.Errorf("%w: bad magic %q", ErrFormat, b[0:4])
+	}
+	if v := binary.LittleEndian.Uint16(b[4:]); v != FormatVersion {
+		return header{}, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
+	}
+	return header{
+		start:   time.UnixMicro(int64(binary.LittleEndian.Uint64(b[8:]))).UTC(),
+		clockUS: int64(binary.LittleEndian.Uint64(b[16:])),
+		total:   binary.LittleEndian.Uint64(b[24:]),
+	}, nil
+}
+
 // Read deserializes a complete NSTR trace from r, verifying the magic,
 // version and record count. A stream that ends early returns ErrFormat.
 func Read(r io.Reader) (*Trace, error) {
-	s, err := NewStreamReader(r)
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrFormat, err)
+	}
+	h, err := parseHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
 	const maxRecords = 1 << 28 // 256M packets ≈ 6 GiB; reject absurd headers
-	if s.total > maxRecords {
-		return nil, fmt.Errorf("%w: record count %d exceeds limit", ErrFormat, s.total)
+	if h.total > maxRecords {
+		return nil, fmt.Errorf("%w: record count %d exceeds limit", ErrFormat, h.total)
 	}
 	// The count is untrusted: the slab grows a capped chunk at a time, so a
 	// forged header cannot force gigabytes before the reads fail. A chunk
-	// lands in the packets' own bytes, or comes through NextBatch's decode.
-	t := &Trace{Start: s.start, ClockUS: s.clockUS}
-	for have := 0; uint64(have) < s.total; have = len(t.Packets) {
-		n := int(min(s.total-uint64(have), 1<<20))
+	// is read into the packets' own bytes, or, where layout.go's identity
+	// fails, into a scratch buffer that DecodeRecords then decodes.
+	t := &Trace{Start: h.start, ClockUS: h.clockUS}
+	var scratch []byte
+	for have := 0; uint64(have) < h.total; have = len(t.Packets) {
+		n := int(min(h.total-uint64(have), 1<<20))
 		t.Packets = slices.Grow(t.Packets, n)[:have+n]
 		dst := t.Packets[have:]
-		if raw, ok := packetsAsRecords(dst); !ok {
-			if _, err := s.NextBatch(dst); err != nil {
-				return nil, err
+		raw, ok := packetsAsRecords(dst)
+		if !ok {
+			if scratch == nil {
+				scratch = make([]byte, n*recordLen) // the first chunk is the largest
 			}
-		} else if got, err := io.ReadFull(s.br, raw); err != nil {
+			raw = scratch[:n*recordLen]
+		}
+		if got, err := io.ReadFull(r, raw); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrFormat, have+got/recordLen, err)
+		}
+		if !ok {
+			DecodeRecords(dst, raw)
 		}
 	}
 	return t, nil

@@ -136,8 +136,8 @@ func TestMapReaderTraceIsTheRegion(t *testing.T) {
 
 // TestPortablePathsMatchViews runs the paths only a big-endian build
 // would take directly, against the view paths on the same packets:
-// encodeFresh under Write and the Replayer's windows, and
-// StreamReader.NextBatch under Read.
+// encodeFresh under Write and the Replayer's windows, and DecodeRecords
+// under Read.
 func TestPortablePathsMatchViews(t *testing.T) {
 	tr := &Trace{Packets: identityPackets(5000)}
 	data := encodeTrace(t, tr)
@@ -145,17 +145,13 @@ func TestPortablePathsMatchViews(t *testing.T) {
 		t.Error("encodeFresh differs from Write's record region")
 	}
 
-	s, err := NewStreamReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
 	decoded := make([]Packet, len(tr.Packets))
-	if n, err := s.NextBatch(decoded); err != nil || n != len(decoded) {
-		t.Fatalf("NextBatch: n=%d err=%v", n, err)
+	if n := DecodeRecords(decoded, data[HeaderLen:]); n != len(decoded) {
+		t.Fatalf("DecodeRecords: n=%d", n)
 	}
 	got, err := Read(bytes.NewReader(data))
 	if err != nil || !slices.Equal(got.Packets, decoded) || !slices.Equal(got.Packets, tr.Packets) {
-		t.Errorf("Read differs from NextBatch over the same stream (err=%v)", err)
+		t.Errorf("Read differs from DecodeRecords over the same stream (err=%v)", err)
 	}
 
 	r := tr.Replay()

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // MapReader reads an NSTR trace from a byte region mapped (or loaded)
@@ -23,10 +21,8 @@ import (
 // delivers every complete record it contains and then reports a typed
 // ErrFormat; trailing bytes beyond the declared count are ignored.
 type MapReader struct {
-	data    []byte // full region, header included; nil after Close
-	start   time.Time
-	clockUS int64
-	total   uint64 // record count declared by the header
+	data []byte // full region, header included; nil after Close
+	header
 	avail   uint64 // complete records actually present in the region
 	pos     uint64 // index of the next record to hand out
 	release func() error
@@ -58,21 +54,11 @@ func OpenMap(path string) (*MapReader, error) {
 // a reader constructed this way only severs the views — the region's
 // storage belongs to the caller.
 func NewMapReaderBytes(data []byte) (*MapReader, error) {
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: header: region is %d bytes, need %d", ErrFormat, len(data), headerLen)
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(data[0:4]) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, data[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
-	}
-	m := &MapReader{
-		data:    data,
-		start:   time.UnixMicro(int64(binary.LittleEndian.Uint64(data[8:]))).UTC(),
-		clockUS: int64(binary.LittleEndian.Uint64(data[16:])),
-		total:   binary.LittleEndian.Uint64(data[24:]),
-	}
+	m := &MapReader{data: data, header: h}
 	m.avail = uint64(len(data)-headerLen) / recordLen
 	if m.avail > m.total {
 		m.avail = m.total
@@ -136,9 +122,8 @@ func (m *MapReader) NextRawBatch(max int) ([]byte, int, error) {
 }
 
 // NextBatch fills dst with the next records, decoded from the mapped
-// region in one DecodeRecords pass — the pipeline.BatchSource form of
-// the reader. Contract matches StreamReader.NextBatch: decoded packets
-// precede any error, truncation is ErrFormat, exhaustion is (0, io.EOF).
+// region in one DecodeRecords pass. Decoded packets precede any error,
+// truncation is ErrFormat, exhaustion is (0, io.EOF).
 //
 //nslint:hotpath
 func (m *MapReader) NextBatch(dst []Packet) (int, error) {

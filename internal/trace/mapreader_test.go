@@ -23,16 +23,23 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-func TestMapReaderMatchesStreamReader(t *testing.T) {
+// TestMapReaderMatchesRead: every form of the mapped reader — per
+// packet, batch, raw windows — delivers what Read parses from the same
+// bytes.
+func TestMapReaderMatchesRead(t *testing.T) {
 	tr := mkTrace([]int64{0, 400, 800, 1200, 4000}, []uint16{40, 552, 1500, 28, 576})
 	tr.ClockUS = 400
 	data := encodeTrace(t, tr)
+	want, err := Read(bytes.NewReader(data))
+	if err != nil || !slices.Equal(want.Packets, tr.Packets) {
+		t.Fatalf("Read: %v", err)
+	}
 
 	m, err := NewMapReaderBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.total != 5 || m.clockUS != 400 || !m.start.Equal(tr.Start) {
+	if m.total != uint64(want.Len()) || m.clockUS != want.ClockUS || !m.start.Equal(want.Start) {
 		t.Fatalf("metadata: total=%d clock=%d start=%v", m.total, m.clockUS, m.start)
 	}
 	// Per-packet form.

@@ -3,7 +3,7 @@ package trace
 import "io"
 
 // Replayer streams an in-memory trace packet by packet, presenting the
-// same Next contract as StreamReader — any consumer of a live stream
+// same Next contract as MapReader — any consumer of a live stream
 // can be driven from a recorded or generated trace for tests,
 // benchmarks, and deterministic daemon runs.
 type Replayer struct {

@@ -79,6 +79,21 @@ func TestWindowAppendLeavesParent(t *testing.T) {
 	}
 }
 
+func TestFilter(t *testing.T) {
+	tr := mkTrace([]int64{0, 400, 800}, []uint16{40, 552, 40})
+	small := tr.Filter(func(p Packet) bool { return p.Size < 100 })
+	if small.Len() != 2 {
+		t.Fatalf("filtered len = %d", small.Len())
+	}
+	if small.Packets[1].Time != 800 {
+		t.Fatal("wrong packets kept")
+	}
+	// Original untouched.
+	if tr.Len() != 3 {
+		t.Fatal("filter mutated source")
+	}
+}
+
 func TestSizesAndInterarrivals(t *testing.T) {
 	tr := mkTrace([]int64{0, 400, 1200}, []uint16{40, 552, 1500})
 	s := tr.Sizes()

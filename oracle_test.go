@@ -278,7 +278,7 @@ const (
 const (
 	srcReplayer  = iota // the in-memory trace's own record windows
 	srcMapReader        // a trace file, memory-mapped
-	srcStream           // a StreamReader whose header claims one record too many
+	srcTorn             // a mapped region whose header claims one record too many
 	srcPerPacket        // a Source with only Next
 )
 
@@ -381,16 +381,16 @@ func chainSource(t *testing.T, tr *trace.Trace, form int) (pipeline.Source, erro
 	if err := trace.Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if form == srcStream {
-		// One record more declared than held: the last batch comes back
-		// short, with an error, after every real record.
+	if form == srcTorn {
+		// One record more declared than held: every real record comes
+		// through, then the error.
 		data := buf.Bytes()
 		binary.LittleEndian.PutUint64(data[24:], binary.LittleEndian.Uint64(data[24:])+1)
-		sr, err := trace.NewStreamReader(bytes.NewReader(data))
+		mr, err := trace.NewMapReaderBytes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sr, trace.ErrFormat
+		return mr, trace.ErrFormat
 	}
 	path := filepath.Join(t.TempDir(), "t.nstr")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -443,8 +443,8 @@ func FuzzOracleChain(f *testing.F) {
 		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Capacity: 1024, Source: srcMapReader},
 		// TestParallelIngestDropConservation.
 		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20, Policy: int(pipeline.Drop)},
-		// TestBatchSourcePreferred: a BatchSource torn at its last batch.
-		{K: 7, Shards: 2, Source: srcStream},
+		// A source torn after its last record.
+		{K: 7, Shards: 2, Source: srcTorn},
 		// TestSourceEquivalenceSnapshots.
 		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Source: srcPerPacket, Seed: 11},
 		// TestManyShardsSourceEquivalence: more shards than a uint8 names.
@@ -464,7 +464,7 @@ func FuzzOracleChain(f *testing.F) {
 		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5,
 			Policy: int(pipeline.Drop), Source: srcPerPacket},
 		{Scenario: scFlashcrowd, Method: mStratifiedTimer, K: 20, Shards: 3, Batch: 64,
-			WindowS: 5, Source: srcStream, Segment: 1},
+			WindowS: 5, Source: srcTorn, Segment: 1},
 	} {
 		f.Add(c.bytes())
 	}
