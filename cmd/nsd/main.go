@@ -13,11 +13,11 @@
 //	    [-window 0] [-listen 127.0.0.1:0] ...
 //	nsd -gen [-seconds 120] [-pps 424] [-scenario ddos] ...
 //	nsd -gen -adaptive -window 5s [-k 16] [-min-k 4] [-max-k 4096]
-//	    [-target 0.25] [-drop-budget 0] ...
+//	    [-target 0.25] ...
 //
 // -adaptive replaces the fixed sampler with the closed-loop controller
-// of DESIGN.md §16: every window barrier, the merged snapshot's drop
-// rate and worst φ steer the next window's systematic k inside
+// of DESIGN.md §16: every window barrier, the merged snapshot's worst
+// φ steers the next window's systematic k inside
 // [-min-k, -max-k], starting from -k. The decision runs on the virtual
 // clock at the stream cut, so an adaptive run stays bit-identical for
 // any -shards at the same seed.
@@ -25,8 +25,8 @@
 // The daemon is deterministic: all randomness comes from -seed, and
 // windowing runs on the virtual clock of the packet timestamps. One
 // sampler runs over the whole stream ahead of the fan-out, so -method
-// means the paper's method of the link for any -shards: under the block
-// policy the shard count changes no output, and the final snapshot's
+// means the paper's method of the link for any -shards: the shard count
+// changes no output, and the final snapshot's
 // reports are bit-identical to the batch evaluator in internal/core on
 // the same trace and seed (pinned by a tier-1 test).
 // SIGINT/SIGTERM drain the pipeline cleanly and the final snapshot is
@@ -85,17 +85,13 @@ func main() {
 		method   = flag.String("method", "systematic",
 			"sampling method, applied to the whole stream at any shard count: systematic, stratified, systematic-timer, stratified-timer")
 		k            = flag.Int("k", 100, "sampling granularity (1 in k packets, or the timer equivalent)")
-		adaptive     = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target and -drop-budget (requires -window > 0; -k is the starting granularity)")
+		adaptive     = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target (requires -window > 0; -k is the starting granularity)")
 		minK         = flag.Int("min-k", 1, "adaptive: finest granularity the controller may choose")
 		maxK         = flag.Int("max-k", 4096, "adaptive: coarsest granularity the controller may choose")
 		targetPhi    = flag.Float64("target", 0.25, "adaptive: φ budget; refine when a window's worst φ exceeds it")
-		dropBudget   = flag.Float64("drop-budget", 0, "adaptive: tolerated drop fraction per window before coarsening")
 		shards       = flag.Int("shards", 1, "worker shard count (flows are hash-partitioned after selection; the selected set does not depend on it)")
 		window       = flag.Duration("window", 0, "snapshot window on the trace's virtual clock (0 = one final window)")
 		seed         = flag.Uint64("seed", 1993, "root RNG seed for random methods and -gen")
-		queue        = flag.Int("queue", pipeline.DefaultQueueDepth, "per-shard queue depth in batches")
-		batch        = flag.Int("batch", pipeline.DefaultBatchSize, "ingest batch size in packets")
-		policy       = flag.String("policy", "block", "overload policy: block or drop")
 		topk         = flag.Int("topk", pipeline.DefaultTopKReport, "heavy-hitter flows per snapshot")
 		flowTimeout  = flag.Duration("flow-timeout", 15*time.Second, "flow idle timeout on the virtual clock")
 		name         = flag.String("name", "nsd", "node name in exported snapshots")
@@ -142,8 +138,7 @@ func main() {
 		log.Fatal("input trace is empty")
 	}
 
-	cfg, err := buildConfig(tr, *method, *k, *window, *seed,
-		*queue, *batch, *policy, *topk, *flowTimeout)
+	cfg, err := buildConfig(tr, *method, *k, *window, *seed, *topk, *flowTimeout)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -156,11 +151,10 @@ func main() {
 		}
 		cfg.NewSampler = nil
 		cfg.Adaptive = &pipeline.AdaptiveConfig{
-			MinK:       *minK,
-			MaxK:       *maxK,
-			StartK:     *k,
-			TargetPhi:  *targetPhi,
-			DropBudget: *dropBudget,
+			MinK:      *minK,
+			MaxK:      *maxK,
+			StartK:    *k,
+			TargetPhi: *targetPhi,
 		}
 	}
 	cfg.Shards = *shards
@@ -315,23 +309,12 @@ func loadSource(in string, gen bool, scenario string, seconds int, pps float64, 
 // the chosen method, and the reference evaluators, which reuse the input
 // trace as the known parent population.
 func buildConfig(tr *trace.Trace, method string, k int,
-	window time.Duration, seed uint64, queue, batch int, policy string,
-	topk int, flowTimeout time.Duration) (pipeline.Config, error) {
+	window time.Duration, seed uint64, topk int, flowTimeout time.Duration) (pipeline.Config, error) {
 
 	cfg := pipeline.Config{
-		QueueDepth:    queue,
-		BatchSize:     batch,
 		WindowUS:      window.Microseconds(),
 		TopKReport:    topk,
 		FlowTimeoutUS: flowTimeout.Microseconds(),
-	}
-	switch policy {
-	case "block":
-		cfg.Policy = pipeline.Block
-	case "drop":
-		cfg.Policy = pipeline.Drop
-	default:
-		return cfg, fmt.Errorf("unknown -policy %q (want block or drop)", policy)
 	}
 
 	// The random methods draw from the first child of the seed's root

@@ -48,7 +48,6 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 		Shards:        1,
 		WindowUS:      (5 * time.Second).Microseconds(),
 		FlowTimeoutUS: (15 * time.Second).Microseconds(),
-		Policy:        pipeline.Block,
 		NewSampler: func(int) (online.Sampler, error) {
 			return online.NewSystematic(50, 0)
 		},

@@ -14,11 +14,6 @@
 //     metric the paper adopts for its comparison, with φ = 0 indicating a
 //     sample that perfectly reflects the parent population.
 //
-// The package also provides the two classical EDF goodness-of-fit tests
-// the paper cites as difficult to apply to wide-area traffic
-// (Kolmogorov-Smirnov and Anderson-Darling A²), for completeness and for
-// the ablation benchmarks.
-//
 // Conventions: "observed" is the sample's binned counts scaled up to the
 // population size (observed[i] = sample count × granularity), matching how
 // the paper compares a sample against the full trace; "expected" is the

@@ -28,7 +28,9 @@ type AdaptiveConfig struct {
 	TargetPhi float64
 	// DropBudget is the tolerated overload drop fraction per window;
 	// a window exceeding it coarsens regardless of φ. Zero means any
-	// drop triggers coarsening.
+	// drop triggers coarsening. A pipeline window never drops, so only
+	// a caller that fills Dropped itself (the node model's statistics
+	// processor, experiment.AdaptiveNode) reaches this branch.
 	DropBudget float64
 }
 

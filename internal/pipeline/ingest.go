@@ -94,25 +94,21 @@ type srcUnit struct {
 // ingestState is the ingest worker: it consumes the unit stream, hashes
 // packets to shards, and publishes per-shard item batches. Field
 // ownership: in connects to the reader; out[s] and freeItems[s] connect
-// to shard s; cur and droppedSince are worker-local.
+// to shard s; cur is worker-local.
 type ingestState struct {
 	in        *spsc[srcUnit]
 	out       []*spsc[shardMsg]
 	freeItems []*spsc[[]item]
-
-	// Worker-local.
-	cur          [][]item
-	droppedSince []uint64
+	cur       [][]item
 }
 
 // newIngestState allocates the ingest worker's rings and buffer pools.
 func newIngestState(cfg *Config) *ingestState {
 	ig := &ingestState{
-		in:           newSPSC[srcUnit](cfg.QueueDepth),
-		out:          make([]*spsc[shardMsg], cfg.Shards),
-		freeItems:    make([]*spsc[[]item], cfg.Shards),
-		cur:          make([][]item, cfg.Shards),
-		droppedSince: make([]uint64, cfg.Shards),
+		in:        newSPSC[srcUnit](cfg.QueueDepth),
+		out:       make([]*spsc[shardMsg], cfg.Shards),
+		freeItems: make([]*spsc[[]item], cfg.Shards),
+		cur:       make([][]item, cfg.Shards),
 	}
 	for s := range ig.out {
 		ig.out[s] = newSPSC[shardMsg](cfg.QueueDepth)
@@ -235,24 +231,19 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 func (p *Pipeline) ingestWorker() {
 	defer p.ingestWG.Done()
 	ig := p.ingest
-	block := p.cfg.Policy == Block
 	for {
 		u, ok := ig.in.pop()
 		if !ok {
 			break
 		}
 		if u.bar != nil {
-			// Barriers always use blocking pushes — overload may drop data,
-			// never a cut — and flush the pending drop deltas so every drop
-			// is accounted to the window it happened in.
 			for s := range ig.out {
-				ig.out[s].push(shardMsg{bar: u.bar, dropped: ig.droppedSince[s]})
-				ig.droppedSince[s] = 0
+				ig.out[s].push(shardMsg{bar: u.bar})
 			}
 			continue
 		}
 		ig.partitionRaw(u)
-		ig.publish(block)
+		ig.publish()
 	}
 	for s := range ig.out {
 		ig.out[s].close()
@@ -260,27 +251,17 @@ func (p *Pipeline) ingestWorker() {
 }
 
 // publish flushes the worker's partitioned per-shard item batches for
-// one consumed unit: shards with packets in the unit get one message
-// carrying the pending drop delta; shards without get nothing. Drop
-// deltas that find no data message to ride are flushed by the next
-// window barrier, which is always delivered.
+// one consumed unit: shards with packets in the unit get one message,
+// shards without get nothing. A full ring blocks the push.
 //
 //nslint:hotpath
-func (ig *ingestState) publish(block bool) {
+func (ig *ingestState) publish() {
 	for s := range ig.out {
 		items := ig.cur[s]
 		if len(items) == 0 {
 			continue
 		}
-		msg := shardMsg{items: items, dropped: ig.droppedSince[s]}
-		if block {
-			ig.out[s].push(msg)
-		} else if !ig.out[s].tryPush(msg) {
-			ig.droppedSince[s] += uint64(len(items))
-			ig.cur[s] = items[:0] // keep the buffer; the batch is shed
-			continue
-		}
-		ig.droppedSince[s] = 0
+		ig.out[s].push(shardMsg{items: items})
 		// Buffer accounting guarantees a free item buffer once a push
 		// succeeds (QueueDepth queued + 1 at the shard + this one).
 		next, _ := ig.freeItems[s].pop()

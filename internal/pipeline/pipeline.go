@@ -3,8 +3,8 @@
 // samples its forwarding path and answers NOC queries. It is the
 // production-shaped counterpart of the batch machinery in internal/core
 // — ingest → shard → sample → aggregate → export over live packet
-// streams, with bounded queues, an explicit overload policy, and
-// windowed snapshots a collector can poll.
+// streams, with bounded queues that apply backpressure, and windowed
+// snapshots a collector can poll.
 //
 // Architecture (DESIGN.md §10):
 //
@@ -34,16 +34,13 @@
 // and its selection bit, and publishes per-shard item batches into
 // lock-free single-producer/single-consumer rings, one per shard. Every
 // ring is FIFO, so the packets of one shard are processed in exact
-// stream order. With the Block policy the selected set, and so every
-// snapshot, is the same for any shard count, and equals the batch
-// evaluator's on the same trace and seed (FuzzOracleChain).
+// stream order. The selected set, and so every snapshot, is the same
+// for any shard count, and equals the batch evaluator's on the same
+// trace and seed (FuzzOracleChain).
 //
-// All queues are bounded; when a shard falls behind, the configured
-// OverloadPolicy either blocks the fan-out (lossless backpressure all
-// the way to the reader) or counts-and-drops the overflowing batch —
-// drop deltas ride the next message on the same ring, so the per-window
-// accounting invariant Offered == Processed + Dropped is exact and
-// drops are surfaced per shard in every Snapshot, never silent.
+// All queues are bounded; when a shard falls behind, its full ring
+// blocks the fan-out, and the backpressure reaches the reader. Nothing
+// is shed: every window has Processed == Offered and Dropped == 0.
 //
 // Each shard keeps incremental aggregates over the selected packets it
 // receives: per-bin size and interarrival histogram counts
@@ -87,28 +84,13 @@ type Source interface {
 	Next() (trace.Packet, error)
 }
 
-// OverloadPolicy selects what the fan-out does when a shard's bounded
-// work ring is full.
+// OverloadPolicy is accepted only because benchmarks/nsbench sets
+// Config.Policy to Block in a struct literal: a full ring always blocks
+// the fan-out, and New rejects any other value.
 type OverloadPolicy int
 
-const (
-	// Block applies lossless backpressure: the fan-out waits for ring
-	// space. This is the deterministic mode — every packet reaches its
-	// shard.
-	Block OverloadPolicy = iota
-	// Drop counts and discards the overflowing batch, the NetFlow-style
-	// behavior under export pressure. Drops are reported per shard in
-	// every Snapshot; window barriers are never dropped.
-	Drop
-)
-
-// String names the policy for flags and logs.
-func (p OverloadPolicy) String() string {
-	if p == Drop {
-		return "drop"
-	}
-	return "block"
-}
+// Block is the one OverloadPolicy: the fan-out waits for ring space.
+const Block OverloadPolicy = 0
 
 // Configuration defaults.
 const (
@@ -134,7 +116,7 @@ type Config struct {
 	// (DefaultBatchSize if zero). Larger batches amortize source calls
 	// and ring operations; 1 disables batching.
 	BatchSize int
-	// Policy is the overload policy (Block if unset).
+	// Policy is accepted only as Block (or unset); see OverloadPolicy.
 	Policy OverloadPolicy
 
 	// NewSampler builds the run's one sampler, which the reader offers
@@ -258,6 +240,9 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.IngestWorkers != 0 && cfg.IngestWorkers != 1 {
 		return nil, fmt.Errorf("%w: IngestWorkers must be 0 or 1", ErrConfig)
 	}
+	if cfg.Policy != Block {
+		return nil, fmt.Errorf("%w: Policy must be Block", ErrConfig)
+	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
@@ -348,8 +333,8 @@ func New(cfg Config) (*Pipeline, error) {
 // if any. A RawBatchSource (*trace.MapReader, *trace.Replayer) feeds the
 // reader its record windows directly; any other source is read through a
 // recordAdapter that encodes its packets into record windows first.
-// Under the Block policy every source form produces identical
-// snapshots. Run may be called once per Pipeline.
+// Every source form produces identical snapshots. Run may be called
+// once per Pipeline.
 func (p *Pipeline) Run(src Source) error {
 	if !p.started.CompareAndSwap(false, true) {
 		return ErrReused
@@ -408,7 +393,7 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 //
 // Window cuts slice the source's window at record granularity, so a
 // unit never spans a barrier. How the stream is grouped into units is
-// invisible under the Block policy: snapshots are invariant to it.
+// invisible: snapshots are invariant to it.
 //
 //nslint:hotpath
 func (p *Pipeline) readRaw(rs RawBatchSource) error {
@@ -531,8 +516,6 @@ func (p *Pipeline) sendRawUnit(raw []byte, from, to int, sel []uint64, prevUS in
 // emitBarrier cuts the stream at the current read position: one
 // barrier unit, which the ingest worker forwards through each shard
 // ring, so every shard observes the cut at the same stream offset.
-// Barriers are always delivered — overload may drop data batches, never
-// a cut.
 //
 // In adaptive mode the cut doubles as the control-loop handshake: the
 // reader parks on p.decided until the collector has merged the window

@@ -25,13 +25,10 @@ type item struct {
 // shardMsg travels a shard's ring: a data batch or a window barrier.
 // The ring is FIFO, so a shard sees its packets in stream order and the
 // barrier after exactly the packets that preceded the cut. Units
-// contributing nothing to a shard send it no message. dropped is the
-// ingest worker's drop delta for this shard since its previous
-// successful publish on this ring.
+// contributing nothing to a shard send it no message.
 type shardMsg struct {
-	items   []item
-	bar     *barrier
-	dropped uint64
+	items []item
+	bar   *barrier
 }
 
 // cutBufs is what a shard lends the collector at a cut: the window's
@@ -76,7 +73,6 @@ type shardState struct {
 	keyBuf     [13]byte
 	processed  uint64
 	selected   uint64
-	dropped    uint64 // drop deltas accumulated from ring messages this window
 }
 
 // newShardState allocates one shard's aggregates. The rings are wired
@@ -137,7 +133,6 @@ func (p *Pipeline) shardWorker(st *shardState) {
 		if !ok {
 			return
 		}
-		st.dropped += msg.dropped
 		if msg.bar != nil {
 			msg.bar.parts <- st.cut()
 			continue
@@ -200,12 +195,11 @@ func (st *shardState) cut() shardPart {
 		shard:       st.id,
 		processed:   st.processed,
 		selected:    st.selected,
-		dropped:     st.dropped,
 		bufs:        bufs,
 		activeFlows: st.flowCount.ActiveCount(),
 		flows:       st.flowCount.Cut(),
 	}
-	st.processed, st.selected, st.dropped = 0, 0, 0
+	st.processed, st.selected = 0, 0
 	clearFloats(st.sizeCounts)
 	clearFloats(st.iatCounts)
 	st.topk.Reset()

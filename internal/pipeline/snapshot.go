@@ -26,15 +26,13 @@ type barrier struct {
 	parts   chan shardPart
 }
 
-// shardPart is one shard's window-local state at a barrier. dropped is
-// the shard's overload loss this window, summed from the drop deltas
-// the ingest worker flushed down its ring. bufs is on loan from the
-// shard: merge copies out of it and the collector sends it back.
+// shardPart is one shard's window-local state at a barrier. bufs is on
+// loan from the shard: merge copies out of it and the collector sends
+// it back.
 type shardPart struct {
 	shard       int
 	processed   uint64
 	selected    uint64
-	dropped     uint64
 	bufs        cutBufs
 	flows       flows.Counts
 	activeFlows int
@@ -61,16 +59,15 @@ type Snapshot struct {
 	K int
 
 	// Offered counts packets the ingest read from the source this
-	// window; Processed counts those that reached a shard worker;
-	// Dropped = Offered - Processed is the overload loss, also broken
-	// out per shard in DroppedByShard. Selected counts selected packets
-	// that reached a shard: selection precedes shedding, so under Drop
-	// a selected packet in a shed batch is in Dropped, not here.
-	Offered        uint64
-	Processed      uint64
-	Selected       uint64
-	Dropped        uint64
-	DroppedByShard []uint64
+	// window; Processed counts those that reached a shard worker, and
+	// Selected the selected ones among them. Rings block rather than
+	// shed, so a pipeline window always has Processed == Offered and
+	// Dropped == 0. Dropped is the overload loss the node model's
+	// statistics processor (nsfnet.Processor) fills in for Decide.
+	Offered   uint64
+	Processed uint64
+	Selected  uint64
+	Dropped   uint64
 
 	// SizeCounts and IatCounts are the merged per-bin histogram counts
 	// of the selected packets (integer-valued; exact under float64).
@@ -160,23 +157,20 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	nSize := p.cfg.SizeScheme.NumBins()
 	counts := make([]float64, nSize+p.cfg.IatScheme.NumBins())
 	blk := &snapBlock{Snapshot: Snapshot{
-		Seq:            bar.seq,
-		WindowStartUS:  bar.startUS,
-		WindowEndUS:    bar.endUS,
-		Final:          bar.final,
-		Shards:         len(p.shards),
-		Offered:        bar.offered,
-		DroppedByShard: make([]uint64, len(p.shards)),
-		SizeCounts:     counts[:nSize:nSize],
-		IatCounts:      counts[nSize:],
+		Seq:           bar.seq,
+		WindowStartUS: bar.startUS,
+		WindowEndUS:   bar.endUS,
+		Final:         bar.final,
+		Shards:        len(p.shards),
+		Offered:       bar.offered,
+		SizeCounts:    counts[:nSize:nSize],
+		IatCounts:     counts[nSize:],
 	}}
 	snap := &blk.Snapshot
 	for i := range parts {
 		part := &parts[i]
 		snap.Processed += part.processed
 		snap.Selected += part.selected
-		snap.Dropped += part.dropped
-		snap.DroppedByShard[part.shard] = part.dropped
 		for b, c := range part.bufs.size {
 			snap.SizeCounts[b] += c
 		}

@@ -194,8 +194,8 @@ func TestGenWireCorpus(t *testing.T) {
 }
 
 // snapProj is the topology-invariant projection of a Snapshot: every
-// field that must be bit-identical for any shard count. (Shards and
-// DroppedByShard describe the topology itself.)
+// field that must be bit-identical for any shard count. (Shards
+// describes the topology itself.)
 type snapProj struct {
 	seq                uint64
 	start, end         int64
@@ -244,7 +244,6 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 	sizeEval, iatEval := evaluators(t, tr)
 	type frozen struct {
 		proj    snapProj
-		dropped string
 		wire    *collect.Snapshot
 		payload []byte
 	}
@@ -268,7 +267,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 					if err != nil {
 						t.Errorf("window %d: encode: %v", s.Seq, err)
 					}
-					seen = append(seen, frozen{projectSnap(s), fmt.Sprint(s.DroppedByShard), w, payload})
+					seen = append(seen, frozen{projectSnap(s), w, payload})
 				},
 			}
 			if tc.adaptive {
@@ -289,7 +288,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 			}
 			for i, s := range snaps {
 				was := seen[i]
-				if projectSnap(s) != was.proj || fmt.Sprint(s.DroppedByShard) != was.dropped {
+				if projectSnap(s) != was.proj {
 					t.Fatalf("window %d changed after publication:\n got %+v\nwant %+v", s.Seq, projectSnap(s), was.proj)
 				}
 				for what, w := range map[string]*collect.Snapshot{"wire form made at publication": was.wire, "snapshot's wire form": s.Wire("frozen-node")} {

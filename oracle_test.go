@@ -250,7 +250,7 @@ func foldWire(snaps []*collect.Snapshot, topk int) *collect.Snapshot {
 // run. Each takes two input bytes, folded into lo + v % span.
 type chainCase struct {
 	Scenario, Method, K, Shards, Batch, Depth, WindowS, TimeoutMS int
-	Capacity, Report, Policy, Source, Segment, Seed               int
+	Capacity, Report, Source, Segment, Seed                       int
 	MinK, MaxK, TargetPct                                         int // adaptive; K is StartK
 }
 
@@ -292,7 +292,7 @@ func (c *chainCase) knobs() []knob {
 		{&c.Scenario, 0, len(chainScenarios)}, {&c.Method, 0, len(chainMethods)},
 		{&c.K, 1, 256}, {&c.Shards, 1, 300}, {&c.Batch, 1, 256}, {&c.Depth, 1, 8},
 		{&c.WindowS, 0, 61}, {&c.TimeoutMS, 1, 60_000}, {&c.Capacity, 1, 1024},
-		{&c.Report, 1, 64}, {&c.Policy, 0, 2}, {&c.Source, 0, 4}, {&c.Segment, 1, 64},
+		{&c.Report, 1, 64}, {&c.Source, 0, 4}, {&c.Segment, 1, 64},
 		{&c.Seed, 0, 1 << 16}, {&c.MinK, 1, 64}, {&c.MaxK, 1, 4096}, {&c.TargetPct, 1, 100},
 	}
 }
@@ -307,8 +307,8 @@ func decodeChain(data []byte) chainCase {
 		*kn.p = kn.lo + int(v)%kn.span
 	}
 	if c.Method == mAdaptive {
-		// The control loop lives on the window cut, under Block.
-		c.Policy, c.WindowS = int(pipeline.Block), max(c.WindowS, 1)
+		// The control loop lives on the window cut.
+		c.WindowS = max(c.WindowS, 1)
 		c.MaxK = max(c.MaxK, c.MinK)
 		c.K = min(max(c.K, c.MinK), c.MaxK)
 	}
@@ -418,13 +418,11 @@ func encode(t *testing.T, s *collect.Snapshot) []byte {
 // MergeWire, and holds every step to the serial oracle:
 //
 //   - every stored window is byte-for-byte the live export;
-//   - a window with no drops is byte-for-byte the oracle's, with the
-//     oracle's k; when a shard-window holds more keys than the sketch
-//     (the sketch regime) its top-K is held to the Space-Saving
-//     contract instead, Count ≥ true ≥ Count − MaxError;
-//   - a window with drops offered what the oracle offered, accounts
-//     Offered == Processed + Dropped == Processed + Σ DroppedByShard,
-//     and never selects or bins more than the oracle;
+//   - every window processed all it offered and dropped nothing;
+//   - every window is byte-for-byte the oracle's, with the oracle's k;
+//     when a shard-window holds more keys than the sketch (the sketch
+//     regime) its top-K is held to the Space-Saving contract instead,
+//     Count ≥ true ≥ Count − MaxError;
 //   - the decision log is the oracle's, and MergeWire is the plain fold.
 //
 // The rows below are the tier-1 run; -fuzz explores and shrinks from
@@ -441,8 +439,8 @@ func FuzzOracleChain(f *testing.F) {
 		{Method: mStratified, K: 50, Shards: 3, Batch: 3, Depth: 1, WindowS: 15},
 		// TestParallelIngestDeterministicRaw.
 		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Capacity: 1024, Source: srcMapReader},
-		// TestParallelIngestDropConservation.
-		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20, Policy: int(pipeline.Drop)},
+		// Ring pressure: small units into depth-1 rings on four shards.
+		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20},
 		// A source torn after its last record.
 		{K: 7, Shards: 2, Source: srcTorn},
 		// TestSourceEquivalenceSnapshots.
@@ -460,9 +458,8 @@ func FuzzOracleChain(f *testing.F) {
 		// Sketch regime, flows expiring inside a window, small segments.
 		{Method: mSystematicTimer, K: 1, Shards: 2, WindowS: 15, TimeoutMS: 2,
 			Capacity: 8, Report: 16, Segment: 2},
-		// Drop under load: one packet a unit into one depth-1 ring.
-		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5,
-			Policy: int(pipeline.Drop), Source: srcPerPacket},
+		// Backpressure under load: one packet a unit into one depth-1 ring.
+		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5, Source: srcPerPacket},
 		{Scenario: scFlashcrowd, Method: mStratifiedTimer, K: 20, Shards: 3, Batch: 64,
 			WindowS: 5, Source: srcTorn, Segment: 1},
 	} {
@@ -486,7 +483,6 @@ func checkChain(t *testing.T, c chainCase) {
 	}
 	cfg := pipeline.Config{
 		Shards: c.Shards, BatchSize: c.Batch, QueueDepth: c.Depth,
-		Policy:     pipeline.OverloadPolicy(c.Policy),
 		SizeScheme: bins.PacketSize(), IatScheme: bins.Interarrival(),
 		WindowUS:      int64(c.WindowS) * 1_000_000,
 		FlowTimeoutUS: int64(c.TimeoutMS) * 1_000,
@@ -559,32 +555,11 @@ func checkChain(t *testing.T, c chainCase) {
 		if !bytes.Equal(encode(t, stored[i]), encode(t, w)) {
 			t.Errorf("window %d: stored %+v\nlive %+v", i+1, stored[i], w)
 		}
-		var byShard uint64
-		for _, d := range s.DroppedByShard {
-			byShard += d
-		}
-		if s.Offered != s.Processed+s.Dropped || s.Dropped != byShard || s.Offered != o.Offered {
-			t.Errorf("window %d: offered %d (oracle %d), processed %d, dropped %d, by shard %d",
-				i+1, s.Offered, o.Offered, s.Processed, s.Dropped, byShard)
+		if s.Processed != s.Offered || s.Dropped != 0 {
+			t.Errorf("window %d: offered %d, processed %d, dropped %d", i+1, s.Offered, s.Processed, s.Dropped)
 		}
 		if s.K != want.ks[i] {
 			t.Errorf("window %d ran at k=%d, oracle %d", i+1, s.K, want.ks[i])
-		}
-		if s.Dropped > 0 {
-			if cfg.Policy == pipeline.Block {
-				t.Errorf("window %d dropped %d under Block", i+1, s.Dropped)
-			}
-			notAbove := s.Selected <= o.Selected
-			for b := range w.SizeCounts {
-				notAbove = notAbove && w.SizeCounts[b] <= o.SizeCounts[b]
-			}
-			for b := range w.IatCounts {
-				notAbove = notAbove && w.IatCounts[b] <= o.IatCounts[b]
-			}
-			if !notAbove {
-				t.Errorf("window %d: shedding added selections\npipeline %+v\noracle %+v", i+1, w, o)
-			}
-			continue
 		}
 		if !exact {
 			for _, e := range w.TopK {
