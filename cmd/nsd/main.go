@@ -344,7 +344,7 @@ func summarize(s *pipeline.Snapshot) string {
 		line += " final"
 	}
 	line += fmt.Sprintf(": offered=%d processed=%d selected=%d dropped=%d flows=%d",
-		s.Offered, s.Processed, s.Selected, s.Dropped, s.Flows.Flows)
+		s.Offered, s.Processed, s.Selected, s.Dropped, s.FlowCounts.Flows)
 	if s.K > 0 {
 		line += fmt.Sprintf(" k=%d", s.K)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"netsample/internal/bins"
+	"netsample/internal/collect"
 	"netsample/internal/core"
 	"netsample/internal/nsfnet"
 	"netsample/internal/pipeline"
@@ -40,11 +41,11 @@ func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline
 	epoch, epochStart := uint64(1), tr.Packets[0].Time
 	for i, p := range tr.Packets {
 		if gap := p.Time - epochStart; gap >= adaptiveEpochUS {
-			snap := pipeline.Snapshot{
+			snap := pipeline.Snapshot{Snapshot: collect.Snapshot{
 				Seq:     epoch,
 				Offered: node.Proc.Offered() - offered,
 				Dropped: node.Proc.Dropped() - dropped,
-			}
+			}}
 			if sc.SampleSize() > 0 {
 				rep, err := sc.Report()
 				if err != nil {

@@ -32,6 +32,7 @@ type TopK struct {
 	shift uint    // 64 - log2(len(index)): a hash's home is the top bits of its remix
 	order []int32 // Top's sort scratch, len capacity
 	keys  []byte  // Top's scratch for the reported keys, end to end
+	arena []byte  // uncarved room for key buffers of slots not yet filled
 	total uint64
 }
 
@@ -106,6 +107,9 @@ func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
 	if t.n < len(t.slots) {
 		si := int32(t.n)
 		s := &t.slots[si]
+		if s.key == nil {
+			s.key = t.carve(len(key))
+		}
 		//nslint:allow hotalloc fill branch, at most capacity times between Resets; the buffer survives Reset and eviction, so it grows only for a key longer than any this slot has held
 		s.key = append(s.key[:0], key...)
 		s.hash, s.count, s.overcnt, s.heapIdx = h, weight, 0, si
@@ -126,6 +130,26 @@ func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
 	s.count += weight
 	t.indexInsert(h, si)
 	t.fix(0)
+}
+
+// arenaBytes caps one key arena, so a sketch far larger than the keys
+// it will see does not reserve room for all of them up front.
+const arenaBytes = 64 << 10
+
+// carve cuts a slot's first key buffer, capacity n, from the arena.
+// An arena too short for n is replaced by one with n bytes for every
+// slot not yet filled (up to arenaBytes), so a sketch of fixed-length
+// keys allocates its key storage once. The full-slice cap makes a
+// longer key reallocate its own buffer instead of writing into its
+// neighbour's.
+func (t *TopK) carve(n int) []byte {
+	if len(t.arena) < n {
+		//nslint:allow hotalloc fill branch, once per arenaBytes of first-fill keys
+		t.arena = make([]byte, max(n, min(n*(len(t.slots)-t.n), arenaBytes)))
+	}
+	b := t.arena[:0:n]
+	t.arena = t.arena[n:]
+	return b
 }
 
 // hashKey mixes the key eight bytes at a time. It is deterministic

@@ -260,6 +260,61 @@ func TestAddBytesDoesNotAllocOnEvict(t *testing.T) {
 	}
 }
 
+// TestFillCarvesKeysFromOneArena pins the first fill: a fresh sketch's
+// key buffers are carved from one arena, so filling every counter with
+// fixed-length keys allocates once, not once per counter.
+func TestFillCarvesKeysFromOneArena(t *testing.T) {
+	const capacity = 128
+	sketches := make([]*TopK, 11) // AllocsPerRun's warm-up and ten runs
+	for i := range sketches {
+		var err error
+		if sketches[i], err = NewTopK(capacity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var key [13]byte
+	run := 0
+	fill := func() {
+		tk := sketches[run]
+		run++
+		for i := uint32(0); i < capacity; i++ {
+			binary.LittleEndian.PutUint32(key[:], i)
+			tk.AddBytes(key[:], 1)
+		}
+	}
+	if avg := testing.AllocsPerRun(len(sketches)-1, fill); avg > 1 {
+		t.Errorf("filling %d counters with 13-byte keys allocates %.2f times, want at most 1", capacity, avg)
+	}
+}
+
+// TestLongerKeyKeepsNeighbours evicts the first-carved counter for a
+// key longer than its buffer: the key must get a buffer of its own, not
+// grow over the next counter's key in the arena.
+func TestLongerKeyKeepsNeighbours(t *testing.T) {
+	tk, err := NewTopK(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for i, w := range []uint64{1, 5, 5, 5} {
+		k := fmt.Sprintf("short-key-%03d", i)
+		tk.AddBytes([]byte(k), w)
+		want[k] = w > 1
+	}
+	long := "a-key-longer-than-thirteen-bytes"
+	tk.AddBytes([]byte(long), 1)
+	want[long] = true
+	got := tk.Top(4)
+	for _, e := range got {
+		if !want[e.Key] {
+			t.Errorf("Top reports %q, want one of the three survivors or %q", e.Key, long)
+		}
+	}
+	if len(got) != 4 {
+		t.Errorf("Top(4) = %d entries, want 4", len(got))
+	}
+}
+
 // TestTopKReset checks reuse after Reset: the sketch empties but keeps
 // working, and repeated windowed use converges to the same results.
 func TestTopKReset(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"netsample/internal/collect"
 	"netsample/internal/metrics"
 	"netsample/internal/online"
 )
@@ -50,31 +51,31 @@ func TestAdaptiveDecide(t *testing.T) {
 	cases := []struct {
 		name  string
 		prevK int
-		snap  Snapshot
+		snap  collect.Snapshot
 		wantK int
 	}{
 		{"drops over budget coarsen", 8,
-			Snapshot{Offered: 100, Dropped: 20, SizeReport: rep(0.01)}, 16},
+			collect.Snapshot{Offered: 100, Dropped: 20, SizeReport: rep(0.01)}, 16},
 		{"drops within budget do not coarsen", 8,
-			Snapshot{Offered: 100, Dropped: 5, SizeReport: rep(0.15)}, 8},
+			collect.Snapshot{Offered: 100, Dropped: 5, SizeReport: rep(0.15)}, 8},
 		{"phi over target refines", 8,
-			Snapshot{Offered: 100, SizeReport: rep(0.5)}, 4},
+			collect.Snapshot{Offered: 100, SizeReport: rep(0.5)}, 4},
 		{"worst report governs", 8,
-			Snapshot{Offered: 100, SizeReport: rep(0.01), IatReport: rep(0.5)}, 4},
+			collect.Snapshot{Offered: 100, SizeReport: rep(0.01), IatReport: rep(0.5)}, 4},
 		{"comfortable phi coarsens", 8,
-			Snapshot{Offered: 100, SizeReport: rep(0.05)}, 16},
+			collect.Snapshot{Offered: 100, SizeReport: rep(0.05)}, 16},
 		{"comfortable phi with drops holds", 8,
-			Snapshot{Offered: 100, Dropped: 1, SizeReport: rep(0.05)}, 8},
+			collect.Snapshot{Offered: 100, Dropped: 1, SizeReport: rep(0.05)}, 8},
 		{"middling phi holds", 8,
-			Snapshot{Offered: 100, SizeReport: rep(0.15)}, 8},
-		{"unscored window holds", 8, Snapshot{Offered: 100}, 8},
+			collect.Snapshot{Offered: 100, SizeReport: rep(0.15)}, 8},
+		{"unscored window holds", 8, collect.Snapshot{Offered: 100}, 8},
 		{"refine clamps at MinK", 2,
-			Snapshot{Offered: 100, SizeReport: rep(0.5)}, 2},
+			collect.Snapshot{Offered: 100, SizeReport: rep(0.5)}, 2},
 		{"coarsen clamps at MaxK", 64,
-			Snapshot{Offered: 100, Dropped: 50}, 64},
+			collect.Snapshot{Offered: 100, Dropped: 50}, 64},
 	}
 	for _, tc := range cases {
-		d := a.Decide(tc.prevK, &tc.snap)
+		d := a.Decide(tc.prevK, &Snapshot{Snapshot: tc.snap})
 		if d.K != tc.wantK {
 			t.Errorf("%s: Decide(k=%d) = %d, want %d", tc.name, tc.prevK, d.K, tc.wantK)
 		}
@@ -84,7 +85,7 @@ func TestAdaptiveDecide(t *testing.T) {
 	}
 	// Zero drop budget: any drop coarsens.
 	strict := &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.2}
-	if d := strict.Decide(8, &Snapshot{Offered: 100, Dropped: 1}); d.K != 16 {
+	if d := strict.Decide(8, &Snapshot{Snapshot: collect.Snapshot{Offered: 100, Dropped: 1}}); d.K != 16 {
 		t.Errorf("zero budget with one drop: k = %d, want 16", d.K)
 	}
 	// Doubling saturates instead of wrapping: no ceiling is put on MaxK,
@@ -92,8 +93,8 @@ func TestAdaptiveDecide(t *testing.T) {
 	// turns into the finest granularity — the opposite of coarsening.
 	wide := &AdaptiveConfig{MinK: 1, MaxK: math.MaxInt, StartK: 8, TargetPhi: 0.2}
 	for _, snap := range []Snapshot{
-		{Offered: 100, Dropped: 1},
-		{Offered: 100, SizeReport: rep(0.05)},
+		{Snapshot: collect.Snapshot{Offered: 100, Dropped: 1}},
+		{Snapshot: collect.Snapshot{Offered: 100, SizeReport: rep(0.05)}},
 	} {
 		if d := wide.Decide(math.MaxInt/2+1, &snap); d.K != math.MaxInt {
 			t.Errorf("coarsen past MaxInt/2 (%+v): k = %d, want MaxInt", snap, d.K)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -179,8 +180,8 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 		t.Fatalf("run cut %d windows, want %d", len(snaps), n/perWindow)
 	}
 	for _, s := range snaps {
-		if s.Selected != perWindow || s.Flows.Flows != perWindow || s.Flows.Singletons != perWindow {
-			t.Fatalf("window %d is not all-new flows: selected %d, flows %+v", s.Seq, s.Selected, s.Flows)
+		if s.Selected != perWindow || s.FlowCounts.Flows != perWindow || s.FlowCounts.Singletons != perWindow {
+			t.Fatalf("window %d is not all-new flows: selected %d, flows %+v", s.Seq, s.Selected, s.FlowCounts)
 		}
 	}
 	const measured = n - perWindow
@@ -195,9 +196,10 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 // and store append. The same trace is cut into W and then 2W windows,
 // every window going to a store as nsd -store sends it, so the
 // difference between the two runs is W windows' worth of that path and
-// nothing else. Each costs at most eight allocations (it measures just
-// under seven: the snapshot block, its counts and TopK; the wire block,
-// its counts and TopK; the shard's key string).
+// nothing else. Each costs at most five allocations: the snapshot
+// block, its float64 counts, its integer counts, its TopK, and the
+// shard's key string. Wire and the append add none
+// (TestWireAppendDoesNotAllocate).
 func TestWindowCutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -236,16 +238,70 @@ func TestWindowCutAllocs(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs, len(p.Snapshots())
 	}
-	// Two minutes of trace: some 1200 windows, then some 2400.
-	a, wa := runAllocs(100_000)
-	b, wb := runAllocs(50_000)
-	if wa < 1000 || wb < 2*wa-2 {
-		t.Fatalf("runs cut %d and %d windows, want over 1000 and twice that", wa, wb)
+	// Two minutes of trace: some 1200 windows, then some 2400. A shard
+	// that cuts ahead of the collector allocates a fresh buffer set, so
+	// the scheduler can only add allocations: the best of three pairs
+	// counts the path.
+	best := math.Inf(1)
+	for range 3 {
+		a, wa := runAllocs(100_000)
+		b, wb := runAllocs(50_000)
+		if wa < 1000 || wb < 2*wa-2 {
+			t.Fatalf("runs cut %d and %d windows, want over 1000 and twice that", wa, wb)
+		}
+		best = min(best, (float64(b)-float64(a))/float64(wb-wa))
 	}
-	if extra := uint64(wb - wa); b > a+8*extra {
-		t.Errorf("%d windows made %d allocations, %d windows %d: %.2f per extra window (> 8)",
-			wa, a, wb, b, float64(b-a)/float64(extra))
+	if best > 5 {
+		t.Errorf("%.2f allocations per extra window (> 5)", best)
 	} else {
-		t.Logf("%.2f allocations per extra window", (float64(b)-float64(a))/float64(extra))
+		t.Logf("%.2f allocations per extra window", best)
+	}
+}
+
+// TestWireAppendDoesNotAllocate pins what TestWindowCutAllocs counts on:
+// Wire inlines and its copy stays on the caller's stack, so stamping a
+// merged snapshot with a node name and appending it to a warm store
+// allocates nothing.
+func TestWireAppendDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	tr := smallTrace(t, 28)
+	sizeEval, iatEval := evaluators(t, tr)
+	p, err := New(Config{
+		Shards:     2,
+		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
+		WindowUS:   1_000_000,
+		SizeEval:   sizeEval,
+		IatEval:    iatEval,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := p.Run(tr.Replay()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	snaps := p.Snapshots()
+	s := snaps[len(snaps)/2]
+	if s.SizeReport == nil || s.IatReport == nil || len(s.TopK) == 0 {
+		t.Fatalf("window %d is missing a report or its top-k: %+v", s.Seq, s)
+	}
+	sw, err := store.Open(t.TempDir(), store.Options{SyncWindowUS: -1})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer sw.Close()
+	// Warm the store: its encode scratch and leaf hashes reach their size.
+	for range 1000 {
+		if err := sw.AppendSnapshot(s.Wire("alloc-node")); err != nil {
+			t.Fatalf("AppendSnapshot: %v", err)
+		}
+	}
+	var appendErr error
+	if n := testing.AllocsPerRun(100, func() { appendErr = sw.AppendSnapshot(s.Wire("alloc-node")) }); n != 0 {
+		t.Errorf("AppendSnapshot(s.Wire(node)) made %v allocations, want 0", n)
+	}
+	if appendErr != nil {
+		t.Fatalf("AppendSnapshot: %v", appendErr)
 	}
 }

@@ -41,53 +41,32 @@ type shardPart struct {
 // Snapshot is one consistent windowed view of the pipeline: the merge
 // of every shard's state at the same stream cut. All counters are
 // window-local (they reset at each barrier); Seq orders the windows.
+//
+// The embedded collect.Snapshot is the window's wire form with Node
+// left empty: Offered counts packets the ingest read this window,
+// Processed those that reached a shard worker (rings block rather than
+// shed, so Processed == Offered and Dropped == 0; Dropped is the loss
+// the node model's nsfnet.Processor fills in for Decide), Selected the
+// selected ones among them. FlowCounts aggregates the flow records
+// closed this window (flows spanning a boundary are split at the cut),
+// ActiveFlows counts flows open at the cut, and TopK is the merged
+// heavy-hitter list — flow-hash sharding keeps keys disjoint, so the
+// merge is exact concatenation. The reports score the counts against
+// the reference population when evaluators are configured and the
+// window selected something; nil otherwise.
 type Snapshot struct {
-	// Seq is the 1-based window sequence number.
-	Seq uint64
-	// WindowStartUS and WindowEndUS bound the window on the virtual
-	// clock (packet timestamps), half-open [start, end).
-	WindowStartUS int64
-	WindowEndUS   int64
-	// Final marks the snapshot taken when the source drained.
-	Final bool
-	// Shards is the pipeline's shard count.
-	Shards int
+	collect.Snapshot
 	// K is the systematic granularity in force during this window under
 	// adaptive control (Config.Adaptive); 0 in fixed-sampler mode. It is
 	// deliberately absent from the wire form: adaptive state is local
 	// operational detail, and the export format stays unchanged.
 	K int
-
-	// Offered counts packets the ingest read from the source this
-	// window; Processed counts those that reached a shard worker, and
-	// Selected the selected ones among them. Rings block rather than
-	// shed, so a pipeline window always has Processed == Offered and
-	// Dropped == 0. Dropped is the overload loss the node model's
-	// statistics processor (nsfnet.Processor) fills in for Decide.
-	Offered   uint64
-	Processed uint64
-	Selected  uint64
-	Dropped   uint64
-
-	// SizeCounts and IatCounts are the merged per-bin histogram counts
-	// of the selected packets (integer-valued; exact under float64).
+	// SizeCounts and IatCounts mirror the wire form's integer bin
+	// counts as float64 (exact: far below 2⁵³), the form evaluators
+	// score. They shadow the embedded counts, reached as
+	// s.Snapshot.SizeCounts.
 	SizeCounts []float64
 	IatCounts  []float64
-	// SizeReport and IatReport score the counts against the reference
-	// population when evaluators are configured and the window selected
-	// at least one observation; nil otherwise.
-	SizeReport *metrics.Report
-	IatReport  *metrics.Report
-
-	// Flows aggregates the selected packets' flow records closed this
-	// window (flows spanning a boundary are split at the cut);
-	// ActiveFlows counts flows open at the cut, summed over shards.
-	Flows       flows.Counts
-	ActiveFlows int
-	// TopK lists the merged heavy-hitter flows by estimated packet
-	// count. Flow-hash sharding keeps keys disjoint across shards, so
-	// the merge is exact concatenation.
-	TopK []nnstat.Entry
 }
 
 // collect is the snapshot collector goroutine: it pairs each barrier
@@ -152,19 +131,31 @@ type snapBlock struct {
 
 // merge folds the shard parts into one Snapshot, in shard order so the
 // float64 count sums are reproducible (and exact: the counts are
-// integers far below 2⁵³). Both histograms share one backing array.
+// integers far below 2⁵³), then writes the wire form's integer counts
+// from the same sums. Each count form keeps both histograms in one
+// backing array.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	nSize := p.cfg.SizeScheme.NumBins()
-	counts := make([]float64, nSize+p.cfg.IatScheme.NumBins())
+	nBins := nSize + p.cfg.IatScheme.NumBins()
+	nTop := 0
+	for i := range parts {
+		nTop += len(parts[i].bufs.topk)
+	}
+	counts, wire := make([]float64, nBins), make([]uint64, nBins)
 	blk := &snapBlock{Snapshot: Snapshot{
-		Seq:           bar.seq,
-		WindowStartUS: bar.startUS,
-		WindowEndUS:   bar.endUS,
-		Final:         bar.final,
-		Shards:        len(p.shards),
-		Offered:       bar.offered,
-		SizeCounts:    counts[:nSize:nSize],
-		IatCounts:     counts[nSize:],
+		Snapshot: collect.Snapshot{
+			Seq:           bar.seq,
+			WindowStartUS: bar.startUS,
+			WindowEndUS:   bar.endUS,
+			Final:         bar.final,
+			Shards:        uint32(len(p.shards)),
+			Offered:       bar.offered,
+			SizeCounts:    wire[:nSize:nSize],
+			IatCounts:     wire[nSize:],
+			TopK:          make([]nnstat.Entry, 0, nTop),
+		},
+		SizeCounts: counts[:nSize:nSize],
+		IatCounts:  counts[nSize:],
 	}}
 	snap := &blk.Snapshot
 	for i := range parts {
@@ -172,17 +163,20 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		snap.Processed += part.processed
 		snap.Selected += part.selected
 		for b, c := range part.bufs.size {
-			snap.SizeCounts[b] += c
+			counts[b] += c
 		}
 		for b, c := range part.bufs.iat {
-			snap.IatCounts[b] += c
+			counts[nSize+b] += c
 		}
-		snap.Flows.Flows += part.flows.Flows
-		snap.Flows.Packets += part.flows.Packets
-		snap.Flows.Bytes += part.flows.Bytes
-		snap.Flows.Singletons += part.flows.Singletons
-		snap.ActiveFlows += part.activeFlows
+		snap.FlowCounts.Flows += part.flows.Flows
+		snap.FlowCounts.Packets += part.flows.Packets
+		snap.FlowCounts.Bytes += part.flows.Bytes
+		snap.FlowCounts.Singletons += part.flows.Singletons
+		snap.ActiveFlows += uint64(part.activeFlows)
 		snap.TopK = append(snap.TopK, part.bufs.topk...)
+	}
+	for b, c := range counts {
+		wire[b] = uint64(c)
 	}
 	rankEntries(snap.TopK)
 	if len(snap.TopK) > p.cfg.TopKReport {
@@ -216,48 +210,16 @@ func scoreCounts(ev *core.Evaluator, counts []float64, rep *metrics.Report) *met
 	return rep
 }
 
-// Wire converts the snapshot to its collect wire form for export. The
-// result shares nothing with s: its own copy of the reports rides in
-// the same block, and both count arrays share one backing array.
+// Wire returns the snapshot's wire form stamped with a node name: a
+// copy of the embedded collect.Snapshot that aliases s's TopK, integer
+// counts and reports, which neither side may write through. It
+// inlines, so a caller that encodes the result and drops it allocates
+// nothing, and a window costs the five allocations of merge and the
+// shard cut (TestWindowCutAllocs).
 func (s *Snapshot) Wire(node string) *collect.Snapshot {
-	blk := &struct {
-		collect.Snapshot
-		sizeRep, iatRep metrics.Report
-	}{Snapshot: collect.Snapshot{
-		Node:          node,
-		Seq:           s.Seq,
-		WindowStartUS: s.WindowStartUS,
-		WindowEndUS:   s.WindowEndUS,
-		Final:         s.Final,
-		Shards:        uint32(s.Shards),
-		Offered:       s.Offered,
-		Processed:     s.Processed,
-		Selected:      s.Selected,
-		Dropped:       s.Dropped,
-		FlowCounts:    s.Flows,
-		ActiveFlows:   uint64(s.ActiveFlows),
-		TopK:          append([]nnstat.Entry(nil), s.TopK...),
-	}}
-	w := &blk.Snapshot
-	// Integer-valued float64 counts convert losslessly.
-	nSize := len(s.SizeCounts)
-	counts := make([]uint64, nSize+len(s.IatCounts))
-	for i, c := range s.SizeCounts {
-		counts[i] = uint64(c)
-	}
-	for i, c := range s.IatCounts {
-		counts[nSize+i] = uint64(c)
-	}
-	w.SizeCounts, w.IatCounts = counts[:nSize:nSize], counts[nSize:]
-	if s.SizeReport != nil {
-		blk.sizeRep = *s.SizeReport
-		w.SizeReport = &blk.sizeRep
-	}
-	if s.IatReport != nil {
-		blk.iatRep = *s.IatReport
-		w.IatReport = &blk.iatRep
-	}
-	return w
+	w := s.Snapshot
+	w.Node = node
+	return &w
 }
 
 // Exporter adapts the pipeline to collect.SnapshotSource, so an Agent

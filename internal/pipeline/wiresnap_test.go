@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"netsample/internal/collect"
@@ -18,32 +19,39 @@ import (
 // randomWireSnapshot derives a pipeline Snapshot from one seed,
 // exercising every optional branch of the wire path: empty and
 // populated histograms, present and absent reports, zero and crowded
-// top-K lists, and final/non-final windows.
+// top-K lists, and final/non-final windows. The embedded integer counts
+// are canonical; the float64 mirrors derive from them, as merge writes
+// them.
 func randomWireSnapshot(seed uint64) *Snapshot {
 	rng := dist.NewRNG(seed)
-	s := &Snapshot{
+	s := &Snapshot{Snapshot: collect.Snapshot{
 		Seq:           rng.Uint64N(1 << 40),
 		WindowStartUS: rng.Int64N(1 << 50),
 		Final:         rng.IntN(4) == 0,
-		Shards:        1 + rng.IntN(8),
+		Shards:        uint32(1 + rng.IntN(8)),
 		Offered:       rng.Uint64N(1 << 50),
 		Processed:     rng.Uint64N(1 << 50),
 		Selected:      rng.Uint64N(1 << 50),
 		Dropped:       rng.Uint64N(1 << 50),
-		ActiveFlows:   rng.IntN(1 << 20),
-	}
-	s.WindowEndUS = s.WindowStartUS + rng.Int64N(1<<30)
+		ActiveFlows:   uint64(rng.IntN(1 << 20)),
+	}}
+	w := &s.Snapshot
+	w.WindowEndUS = w.WindowStartUS + rng.Int64N(1<<30)
 	nBins := rng.IntN(64)
 	for i := 0; i < nBins; i++ {
-		// Counts are integer-valued (exact in float64), like the real
-		// histogram accumulators.
-		s.SizeCounts = append(s.SizeCounts, float64(rng.Uint64N(1<<32)))
+		w.SizeCounts = append(w.SizeCounts, rng.Uint64N(1<<32))
 	}
 	for i := rng.IntN(64); i > 0; i-- {
-		s.IatCounts = append(s.IatCounts, float64(rng.Uint64N(1<<32)))
+		w.IatCounts = append(w.IatCounts, rng.Uint64N(1<<32))
+	}
+	for _, c := range w.SizeCounts {
+		s.SizeCounts = append(s.SizeCounts, float64(c))
+	}
+	for _, c := range w.IatCounts {
+		s.IatCounts = append(s.IatCounts, float64(c))
 	}
 	if rng.IntN(2) == 0 {
-		s.SizeReport = &metrics.Report{
+		w.SizeReport = &metrics.Report{
 			ChiSquare: rng.NormFloat64(), Significance: rng.Float64(),
 			Cost: rng.ExpFloat64(), RelativeCost: rng.NormFloat64(),
 			PaxsonX2: rng.NormFloat64(), AvgNormDev: rng.Float64(),
@@ -51,14 +59,14 @@ func randomWireSnapshot(seed uint64) *Snapshot {
 		}
 	}
 	if rng.IntN(2) == 0 {
-		s.IatReport = &metrics.Report{Phi: rng.NormFloat64(), Cost: rng.Float64()}
+		w.IatReport = &metrics.Report{Phi: rng.NormFloat64(), Cost: rng.Float64()}
 	}
-	s.Flows.Flows = rng.Uint64N(1 << 40)
-	s.Flows.Packets = rng.Uint64N(1 << 40)
-	s.Flows.Bytes = rng.Uint64N(1 << 40)
-	s.Flows.Singletons = rng.Uint64N(1 << 40)
+	w.FlowCounts.Flows = rng.Uint64N(1 << 40)
+	w.FlowCounts.Packets = rng.Uint64N(1 << 40)
+	w.FlowCounts.Bytes = rng.Uint64N(1 << 40)
+	w.FlowCounts.Singletons = rng.Uint64N(1 << 40)
 	for i := rng.IntN(12); i > 0; i-- {
-		s.TopK = append(s.TopK, nnstat.Entry{
+		w.TopK = append(w.TopK, nnstat.Entry{
 			Key:      fmt.Sprintf("flow-%d", rng.Uint64N(1<<32)),
 			Count:    rng.Uint64N(1 << 40),
 			MaxError: rng.Uint64N(1 << 20),
@@ -89,13 +97,17 @@ func reportsBitEqual(a, b *metrics.Report) bool {
 }
 
 // checkWireRoundTrip asserts the full wire path for one snapshot:
-// Wire → EncodeSnapshot → DecodeSnapshot must reproduce every field
-// (reports bit-exact), and re-encoding the decoded form must reproduce
-// the payload byte-for-byte — the canonical-form property the store's
-// bit-identical replay guarantee rests on.
+// Wire must stamp the node name on a copy of the embedded form and on
+// nothing else, and Wire → EncodeSnapshot → DecodeSnapshot must
+// reproduce every field (reports bit-exact); re-encoding the decoded
+// form must reproduce the payload byte-for-byte — the canonical-form
+// property the store's bit-identical replay guarantee rests on.
 func checkWireRoundTrip(t *testing.T, s *Snapshot) {
 	t.Helper()
 	w := s.Wire("node-under-test")
+	if w.Node != "node-under-test" || s.Node != "" {
+		t.Fatalf("Wire stamped node %q on the copy and %q on the snapshot", w.Node, s.Node)
+	}
 	payload, err := collect.EncodeSnapshot(w)
 	if err != nil {
 		t.Fatalf("EncodeSnapshot: %v", err)
@@ -113,35 +125,40 @@ func checkWireRoundTrip(t *testing.T, s *Snapshot) {
 	}
 	if d.Node != w.Node || d.Seq != s.Seq || d.WindowStartUS != s.WindowStartUS ||
 		d.WindowEndUS != s.WindowEndUS || d.Final != s.Final ||
-		d.Shards != uint32(s.Shards) || d.Offered != s.Offered ||
+		d.Shards != s.Shards || d.Offered != s.Offered ||
 		d.Processed != s.Processed || d.Selected != s.Selected ||
-		d.Dropped != s.Dropped || d.FlowCounts != s.Flows ||
-		d.ActiveFlows != uint64(s.ActiveFlows) {
+		d.Dropped != s.Dropped || d.FlowCounts != s.FlowCounts ||
+		d.ActiveFlows != s.ActiveFlows {
 		t.Fatalf("scalar fields diverged:\n got %+v\nwant wire of %+v", d, s)
 	}
-	if len(d.SizeCounts) != len(s.SizeCounts) || len(d.IatCounts) != len(s.IatCounts) {
-		t.Fatalf("bin counts diverged: %d/%d vs %d/%d",
-			len(d.SizeCounts), len(d.IatCounts), len(s.SizeCounts), len(s.IatCounts))
-	}
-	for i, c := range s.SizeCounts {
-		if d.SizeCounts[i] != uint64(c) {
-			t.Fatalf("size bin %d: %d != %v", i, d.SizeCounts[i], c)
-		}
-	}
-	for i, c := range s.IatCounts {
-		if d.IatCounts[i] != uint64(c) {
-			t.Fatalf("iat bin %d: %d != %v", i, d.IatCounts[i], c)
-		}
+	if !slices.Equal(d.SizeCounts, s.Snapshot.SizeCounts) || !slices.Equal(d.IatCounts, s.Snapshot.IatCounts) {
+		t.Fatalf("bin counts diverged: %v/%v vs %v/%v",
+			d.SizeCounts, d.IatCounts, s.Snapshot.SizeCounts, s.Snapshot.IatCounts)
 	}
 	if !reportsBitEqual(d.SizeReport, s.SizeReport) || !reportsBitEqual(d.IatReport, s.IatReport) {
 		t.Fatal("reports did not survive the round trip bit-exact")
 	}
-	if len(d.TopK) != len(s.TopK) {
-		t.Fatalf("top-k length %d, want %d", len(d.TopK), len(s.TopK))
+	if !slices.Equal(d.TopK, s.TopK) {
+		t.Fatalf("top-k diverged: %+v != %+v", d.TopK, s.TopK)
 	}
-	for i, e := range s.TopK {
-		if d.TopK[i] != e {
-			t.Fatalf("top-k entry %d: %+v != %+v", i, d.TopK[i], e)
+}
+
+// checkMirrors asserts the float64 mirrors are the embedded integer
+// counts bin for bin.
+func checkMirrors(t *testing.T, s *Snapshot) {
+	t.Helper()
+	for _, c := range [...]struct {
+		what   string
+		mirror []float64
+		wire   []uint64
+	}{{"size", s.SizeCounts, s.Snapshot.SizeCounts}, {"iat", s.IatCounts, s.Snapshot.IatCounts}} {
+		if len(c.mirror) != len(c.wire) {
+			t.Fatalf("window %d: %s mirror has %d bins, wire %d", s.Seq, c.what, len(c.mirror), len(c.wire))
+		}
+		for b, n := range c.wire {
+			if c.mirror[b] != float64(n) {
+				t.Fatalf("window %d: %s bin %d: mirror %v, wire %d", s.Seq, c.what, b, c.mirror[b], n)
+			}
 		}
 	}
 }
@@ -154,7 +171,7 @@ func TestSnapshotWireRoundTripProperty(t *testing.T) {
 	}
 	// Degenerate shapes the sweep may miss.
 	checkWireRoundTrip(t, &Snapshot{})
-	checkWireRoundTrip(t, &Snapshot{Final: true, SizeReport: &metrics.Report{Phi: math.Inf(1)}})
+	checkWireRoundTrip(t, &Snapshot{Snapshot: collect.Snapshot{Final: true, SizeReport: &metrics.Report{Phi: math.Inf(1)}}})
 }
 
 // FuzzSnapshotWire drives the same property from fuzzed seeds, so the
@@ -205,9 +222,10 @@ type snapProj struct {
 	selected, dropped  uint64
 	sizeCounts         string
 	iatCounts          string
+	wireCounts         string
 	sizeRep, iatRep    string
 	flows              string
-	activeFlows        int
+	activeFlows        uint64
 	topk               string
 }
 
@@ -219,7 +237,8 @@ func projectSnap(s *Snapshot) snapProj {
 		selected: s.Selected, dropped: s.Dropped,
 		sizeCounts:  fmt.Sprint(s.SizeCounts),
 		iatCounts:   fmt.Sprint(s.IatCounts),
-		flows:       fmt.Sprint(s.Flows),
+		wireCounts:  fmt.Sprint(s.Snapshot.SizeCounts, s.Snapshot.IatCounts),
+		flows:       fmt.Sprint(s.FlowCounts),
 		activeFlows: s.ActiveFlows,
 		topk:        fmt.Sprint(s.TopK),
 	}
@@ -238,7 +257,8 @@ func projectSnap(s *Snapshot) snapProj {
 // copied inside OnSnapshot — the snapshot field by field, its wire form,
 // the encoded payload — and after Run, many recycled cuts later, the
 // retained snapshots and the wire objects made then must still say the
-// same. One-second windows keep the shards cuts ahead of the collector.
+// same, and every float64 mirror bin must still equal its integer wire
+// bin. One-second windows keep the shards cuts ahead of the collector.
 func TestPublishedSnapshotsImmutable(t *testing.T) {
 	tr := smallTrace(t, 28)
 	sizeEval, iatEval := evaluators(t, tr)
@@ -287,6 +307,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 				t.Fatalf("%d snapshots retained, %d seen in OnSnapshot, want the same 100+", len(snaps), len(seen))
 			}
 			for i, s := range snaps {
+				checkMirrors(t, s)
 				was := seen[i]
 				if projectSnap(s) != was.proj {
 					t.Fatalf("window %d changed after publication:\n got %+v\nwant %+v", s.Seq, projectSnap(s), was.proj)

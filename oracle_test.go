@@ -175,9 +175,7 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 		run.ks = append(run.ks, k)
 		// Control: Decide is the law; the final window decides nothing.
 		if cfg.Adaptive != nil && !s.Final {
-			d := cfg.Adaptive.Decide(k, &pipeline.Snapshot{
-				Seq: s.Seq, Offered: s.Offered, SizeReport: s.SizeReport, IatReport: s.IatReport,
-			})
+			d := cfg.Adaptive.Decide(k, &pipeline.Snapshot{Snapshot: *s})
 			run.decisions = append(run.decisions, d)
 			if d.K != k {
 				k, counter = d.K, 0
