@@ -29,7 +29,6 @@ import (
 	"netsample/internal/nnstat"
 	"netsample/internal/online"
 	"netsample/internal/pipeline"
-	"netsample/internal/snmp"
 	"netsample/internal/stats"
 	"netsample/internal/store"
 	"netsample/internal/trace"
@@ -887,25 +886,6 @@ func BenchmarkTopKAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.Add(keys[i%len(keys)], 1)
-	}
-}
-
-func BenchmarkSNMPLoopbackGet(b *testing.B) {
-	a := snmp.NewAgent()
-	if err := a.Register("c", func() uint64 { return 1 }); err != nil {
-		b.Fatal(err)
-	}
-	addr, err := a.Serve("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer a.Close()
-	m := snmp.NewManager()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Get(addr.String(), "c"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -11,10 +11,12 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -110,11 +112,18 @@ func main() {
 		name string
 		n    int
 	}
+	// Largest count first; ties by name, since rows come from map order.
+	byCount := func(a, b row) int {
+		if c := cmp.Compare(b.n, a.n); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	}
 	var rows []row
 	for pr, n := range protoPkts {
 		rows = append(rows, row{pr.String(), n})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
+	slices.SortFunc(rows, byCount)
 	for _, r := range rows {
 		fmt.Printf("  %-8s %9d (%5.1f%%)\n", r.name, r.n, 100*float64(r.n)/float64(tr.Len()))
 	}
@@ -122,7 +131,7 @@ func main() {
 	for key, n := range portPkts {
 		rows = append(rows, row{ports.Label(key), n})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
+	slices.SortFunc(rows, byCount)
 	var parts []string
 	for _, r := range rows {
 		parts = append(parts, fmt.Sprintf("%s:%d", r.name, r.n))

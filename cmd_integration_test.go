@@ -412,9 +412,34 @@ func TestCLITraceinfoFlows(t *testing.T) {
 	}
 }
 
+// TestCLITraceinfoTiesByName runs traceinfo repeatedly on one trace:
+// composition rows with equal counts print in name order, not in the
+// map order they are gathered in.
+func TestCLITraceinfoTiesByName(t *testing.T) {
+	dir := buildTools(t, "tracegen", "traceinfo")
+	tr := filepath.Join(t.TempDir(), "t.nstr")
+	run(t, filepath.Join(dir, "tracegen"), "-out", tr, "-seconds", "2", "-pps", "20", "-seed", "1", "-q")
+	const want = "well-known ports: ftp-data:26 telnet:8 domain:4 smtp:4"
+	for i := 0; i < 8; i++ {
+		if out := run(t, filepath.Join(dir, "traceinfo"), "-in", tr); !strings.Contains(out, want) {
+			t.Fatalf("run %d: want %q in\n%s", i, want, out)
+		}
+	}
+}
+
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("example runs skipped in -short mode")
+	}
+	// livecollect's Figure 1 table: each node's forwarding-path count
+	// beside its scaled collection.
+	wantLines := map[string][]string{
+		"livecollect": {
+			"NSS-lightly-loaded          15046     15046    1      15046       0.0%",
+			"NSS-overloaded              75040     26896    1      26896      64.2%",
+			"ENSS-T3-sampled             75042      1500   50      75000       0.1%",
+			"backbone-wide: SNMP 165128 packets, collection 116942 (70.8% of truth)",
+		},
 	}
 	for _, ex := range []string{"quickstart", "billing", "adaptivenode", "livecollect"} {
 		cmd := exec.Command("go", "run", "./examples/"+ex)
@@ -425,6 +450,11 @@ func TestExamplesRun(t *testing.T) {
 		}
 		if len(out) == 0 {
 			t.Fatalf("example %s produced no output", ex)
+		}
+		for _, line := range wantLines[ex] {
+			if !strings.Contains(string(out), line+"\n") {
+				t.Errorf("example %s: missing line %q in\n%s", ex, line, out)
+			}
 		}
 	}
 }

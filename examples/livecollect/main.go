@@ -3,11 +3,11 @@
 // characterization pipeline behind a collection agent — one T1 node
 // whose statistics processor keeps up, one overloaded T1 node that
 // silently loses categorization data, and one T3 node selecting 1 in 50
-// packets in the forwarding path. Each node also exposes its exact
-// in-path interface counters through a small SNMP-style UDP agent, as
-// the real backbone did. A NOC collector polls every node's window
-// snapshot, queries the UDP counters, and prints the scaled collection
-// (selected × k) next to the SNMP truth — Figure 1's case for sampling.
+// packets in the forwarding path. Each node also counts every packet it
+// forwards, the exact in-path interface counter that SNMP reported on
+// the real backbone. A NOC collector polls every node's window snapshot
+// and prints the scaled collection (selected × k) beside that count —
+// Figure 1's case for sampling.
 //
 // Run with:
 //
@@ -17,7 +17,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync/atomic"
 	"time"
 
 	"netsample/internal/arts"
@@ -26,21 +25,18 @@ import (
 	"netsample/internal/nsfnet"
 	"netsample/internal/online"
 	"netsample/internal/pipeline"
-	"netsample/internal/snmp"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
 
-// node bundles a collection agent, an SNMP agent, and the node's exact
-// forwarding-path counters.
+// node bundles a collection agent and the node's exact forwarding-path
+// packet count.
 type node struct {
-	name     string
-	k        int
-	agent    *collect.Agent
-	addr     string
-	snmpAddr string
-	inPkts   atomic.Uint64
-	inOctets atomic.Uint64
+	name   string
+	k      int
+	agent  *collect.Agent
+	addr   string
+	inPkts uint64
 }
 
 func main() {
@@ -59,7 +55,7 @@ func main() {
 	}
 
 	// start forwards tr through a node: every packet counts in the exact
-	// interface counters, the packets the statistics path admits stream
+	// interface counter, the packets the statistics path admits stream
 	// through a pipeline selecting the k-th, 2k-th, ... of them, and the
 	// agent serves the pipeline's snapshot.
 	var nodes []*node
@@ -67,8 +63,7 @@ func main() {
 		n := &node{name: name, k: k}
 		stats := &trace.Trace{ClockUS: tr.ClockUS}
 		for _, p := range tr.Packets {
-			n.inPkts.Add(1)
-			n.inOctets.Add(uint64(p.Size))
+			n.inPkts++
 			if admit(p) {
 				stats.Packets = append(stats.Packets, p)
 			}
@@ -90,20 +85,6 @@ func main() {
 			log.Fatal(err)
 		}
 		n.addr = addr.String()
-		// The exact interface counters, served over UDP as on the real
-		// backbone.
-		sa := snmp.NewAgent()
-		if err := sa.Register("if.0.inPkts", n.inPkts.Load); err != nil {
-			log.Fatal(err)
-		}
-		if err := sa.Register("if.0.inOctets", n.inOctets.Load); err != nil {
-			log.Fatal(err)
-		}
-		ua, err := sa.Serve("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		n.snmpAddr = ua.String()
 		nodes = append(nodes, n)
 	}
 
@@ -126,15 +107,13 @@ func main() {
 		func(trace.Packet) bool { return true })
 
 	// The NOC polls the collection agents over TCP (15 minutes on the
-	// real backbone; immediate here) and the counters over UDP. Polls
-	// retry with seeded-jitter backoff, as a production collector would;
+	// real backbone; immediate here). Polls retry with seeded-jitter backoff, as a production collector would;
 	// the seed makes any retry schedule reproducible.
 	c := collect.NewCollector()
 	c.Retries = 3
 	c.Backoff = 25 * time.Millisecond
 	c.MaxBackoff = 500 * time.Millisecond
 	c.Jitter = dist.NewRNG(7)
-	mgr := snmp.NewManager()
 
 	fmt.Printf("%-22s %10s %9s %4s %10s %10s\n", "node", "snmp", "selected", "k", "collected", "shortfall")
 	var snmpTotal, collectedTotal uint64
@@ -143,11 +122,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("poll %s: %v", n.name, err)
 		}
-		vals, err := mgr.Get(n.snmpAddr, "if.0.inPkts", "if.0.inOctets")
-		if err != nil {
-			log.Fatalf("snmp %s: %v", n.name, err)
-		}
-		truth := vals["if.0.inPkts"]
+		truth := n.inPkts
 		// The snapshot does not carry k; the NOC knows each node's
 		// configured granularity.
 		collected := snap.Selected * uint64(n.k)
