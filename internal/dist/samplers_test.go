@@ -5,72 +5,6 @@ import (
 	"testing"
 )
 
-func sampleMoments(s Sampler, r *RNG, n int) (mean, variance float64) {
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := s.Sample(r)
-		sum += v
-		sumSq += v * v
-	}
-	mean = sum / float64(n)
-	variance = sumSq/float64(n) - mean*mean
-	return
-}
-
-func TestExponentialSampler(t *testing.T) {
-	r := NewRNG(21)
-	e := Exponential{Rate: 0.25}
-	mean, variance := sampleMoments(e, r, 200000)
-	if math.Abs(mean-4) > 0.1 {
-		t.Errorf("exp mean %v, want 4", mean)
-	}
-	if math.Abs(variance-16) > 1 {
-		t.Errorf("exp variance %v, want 16", variance)
-	}
-	if e.Mean() != 4 {
-		t.Errorf("Mean() = %v", e.Mean())
-	}
-}
-
-func TestUniformSampler(t *testing.T) {
-	r := NewRNG(22)
-	u := Uniform{Lo: 10, Hi: 20}
-	for i := 0; i < 10000; i++ {
-		v := u.Sample(r)
-		if v < 10 || v >= 20 {
-			t.Fatalf("uniform out of range: %v", v)
-		}
-	}
-	if u.Mean() != 15 {
-		t.Errorf("Mean() = %v", u.Mean())
-	}
-}
-
-func TestNormalSampler(t *testing.T) {
-	r := NewRNG(23)
-	n := Normal{Mu: 100, Sigma: 15}
-	mean, variance := sampleMoments(n, r, 200000)
-	if math.Abs(mean-100) > 0.3 {
-		t.Errorf("normal mean %v", mean)
-	}
-	if math.Abs(variance-225) > 5 {
-		t.Errorf("normal variance %v", variance)
-	}
-}
-
-func TestLognormalSampler(t *testing.T) {
-	r := NewRNG(24)
-	l := Lognormal{Mu: 1, Sigma: 0.5}
-	mean, _ := sampleMoments(l, r, 300000)
-	want := math.Exp(1 + 0.125)
-	if math.Abs(mean-want)/want > 0.02 {
-		t.Errorf("lognormal mean %v, want %v", mean, want)
-	}
-	if math.Abs(l.Mean()-want) > 1e-12 {
-		t.Errorf("Mean() = %v", l.Mean())
-	}
-}
-
 func TestParetoSampler(t *testing.T) {
 	r := NewRNG(25)
 	p := Pareto{Xm: 2, Alpha: 2.5}
@@ -86,68 +20,5 @@ func TestParetoSampler(t *testing.T) {
 	want := 2.5 * 2 / 1.5
 	if mean := sum / n; math.Abs(mean-want)/want > 0.05 {
 		t.Errorf("Pareto mean %v, want %v", mean, want)
-	}
-	if !math.IsNaN((Pareto{Xm: 1, Alpha: 0.9}).Mean()) {
-		t.Error("Pareto alpha<=1 should have NaN mean")
-	}
-}
-
-func TestPoisson(t *testing.T) {
-	r := NewRNG(26)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		var sum float64
-		const n = 100000
-		for i := 0; i < n; i++ {
-			k := Poisson(r, mean)
-			if k < 0 {
-				t.Fatalf("negative Poisson count %d", k)
-			}
-			sum += float64(k)
-		}
-		got := sum / n
-		if math.Abs(got-mean)/mean > 0.03 {
-			t.Errorf("Poisson(%v) empirical mean %v", mean, got)
-		}
-	}
-	if Poisson(r, 0) != 0 || Poisson(r, -3) != 0 {
-		t.Error("Poisson with non-positive mean should be 0")
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	e, err := NewEmpirical([]float64{40, 552, 1500}, []float64{0.5, 0.4, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRNG(27)
-	counts := map[float64]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[e.Sample(r)]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("unexpected values: %v", counts)
-	}
-	if f := float64(counts[40]) / n; math.Abs(f-0.5) > 0.01 {
-		t.Errorf("P(40) = %v", f)
-	}
-	wantMean := 0.5*40 + 0.4*552 + 0.1*1500
-	if math.Abs(e.Mean()-wantMean) > 1e-9 {
-		t.Errorf("Mean() = %v, want %v", e.Mean(), wantMean)
-	}
-}
-
-func TestEmpiricalErrors(t *testing.T) {
-	if _, err := NewEmpirical(nil, nil); err == nil {
-		t.Error("empty empirical should fail")
-	}
-	if _, err := NewEmpirical([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := NewEmpirical([]float64{1}, []float64{-1}); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if _, err := NewEmpirical([]float64{1, 2}, []float64{0, 0}); err == nil {
-		t.Error("zero total weight should fail")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 )
 
 // TopK is a Space-Saving heavy-hitter sketch over string keys.
@@ -31,9 +32,13 @@ type TopK struct {
 	mask  uint32  // len(index) - 1; len(index) is a power of two >= 2*capacity
 	shift uint    // 64 - log2(len(index)): a hash's home is the top bits of its remix
 	order []int32 // Top's sort scratch, len capacity
-	keys  []byte  // Top's scratch for the reported keys, end to end
 	arena []byte  // uncarved room for key buffers of slots not yet filled
-	total uint64
+	// reported holds the keys AppendTop has reported, end to end. It
+	// only appends, so the strings cut from it never change; when it is
+	// too short it is replaced, and the old one lives on in the entries
+	// cut from it.
+	reported strings.Builder
+	total    uint64
 }
 
 type tkSlot struct {
@@ -290,17 +295,24 @@ type Entry struct {
 	MaxError uint64
 }
 
+// reportCuts is how many reports of the same size a fresh report arena
+// holds, as far as arenaBytes allows.
+const reportCuts = 64
+
 // Top returns up to n entries by descending estimated count (ties by
-// key for determinism), in a slice of its own.
+// key for determinism), in a slice of its own; none for n <= 0.
 func (t *TopK) Top(n int) []Entry {
-	return t.AppendTop(make([]Entry, 0, min(n, t.n)), n)
+	return t.AppendTop(make([]Entry, 0, max(0, min(n, t.n))), n)
 }
 
-// AppendTop is Top appending to dst. With room in dst a warm sketch
-// allocates once whatever n is: the one string the reported keys are
-// cut from, which is fresh on every call because the entries returned
-// earlier still refer to theirs.
+// AppendTop is Top appending to dst. The entries' keys are cut from the
+// sketch's report arena, which a warm sketch replaces about once every
+// reportCuts calls, so with room in dst a call amortizes to no
+// allocation.
 func (t *TopK) AppendTop(dst []Entry, n int) []Entry {
+	if n <= 0 {
+		return dst
+	}
 	order := t.order[:t.n]
 	for i := range order {
 		order[i] = int32(i)
@@ -315,14 +327,20 @@ func (t *TopK) AppendTop(dst []Entry, n int) []Entry {
 		}
 		return bytes.Compare(sa.key, sb.key)
 	})
-	if n < len(order) {
-		order = order[:n]
-	}
-	t.keys = t.keys[:0]
+	order = order[:min(n, len(order))]
+	need := 0
 	for _, si := range order {
-		t.keys = append(t.keys, t.slots[si].key...)
+		need += len(t.slots[si].key)
 	}
-	all := string(t.keys)
+	if t.reported.Cap()-t.reported.Len() < need {
+		t.reported.Reset()
+		t.reported.Grow(max(need, min(reportCuts*need, arenaBytes)))
+	}
+	start := t.reported.Len()
+	for _, si := range order {
+		t.reported.Write(t.slots[si].key)
+	}
+	all := t.reported.String()[start:]
 	for _, si := range order {
 		s := &t.slots[si]
 		dst = append(dst, Entry{Key: all[:len(s.key)], Count: s.count, MaxError: s.overcnt})
@@ -335,6 +353,9 @@ func (t *TopK) AppendTop(dst []Entry, n int) []Entry {
 // exceeds every other entry's upper bound rank-wise — the keys certain
 // to be true heavy hitters.
 func (t *TopK) GuaranteedTop(n int) []Entry {
+	if n <= 0 {
+		return nil
+	}
 	all := t.Top(t.n)
 	var out []Entry
 	for i, e := range all {

@@ -195,9 +195,11 @@ func TestAddBytesMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestTopAllocatesTwice pins the window cut's report: the entries and
-// one string their keys are cut from, however many are asked for.
-func TestTopAllocatesTwice(t *testing.T) {
+// TestTopAllocatesOnce pins the window cut's report: the entry slice,
+// however many entries are asked for. The keys are cut from the
+// sketch's report arena, whose one allocation every reportCuts calls
+// amortizes below one a call.
+func TestTopAllocatesOnce(t *testing.T) {
 	tk, err := NewTopK(64)
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +209,63 @@ func TestTopAllocatesTwice(t *testing.T) {
 	}
 	for _, n := range []int{1, 10, 64} {
 		var top []Entry
-		if avg := testing.AllocsPerRun(100, func() { top = tk.Top(n) }); avg != 2 {
-			t.Errorf("Top(%d) allocates %.1f times, want 2", n, avg)
+		if avg := testing.AllocsPerRun(100, func() { top = tk.Top(n) }); avg != 1 {
+			t.Errorf("Top(%d) allocates %.1f times, want 1", n, avg)
 		}
 		if len(top) != n {
 			t.Errorf("Top(%d) returned %d entries", n, len(top))
+		}
+	}
+}
+
+// TestReportedKeysStayPut holds the report arena to the immutability a
+// published window relies on: keys reported earlier read the same after
+// the sketch has been reset, refilled and reported from many times
+// over, across several fresh arenas.
+func TestReportedKeysStayPut(t *testing.T) {
+	tk, err := NewTopK(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type kept struct{ got, want []Entry }
+	var reports []kept
+	for round := range 300 {
+		tk.Reset()
+		for i := range 40 {
+			tk.Add(fmt.Sprintf("r%03d-k%02d", round, i%23), uint64(1+i%5))
+		}
+		top := tk.Top(10)
+		want := make([]Entry, len(top))
+		for i, e := range top {
+			want[i] = e
+			want[i].Key = string([]byte(e.Key))
+		}
+		reports = append(reports, kept{top, want})
+	}
+	for round, r := range reports {
+		if !slices.Equal(r.got, r.want) {
+			t.Fatalf("round %d's report changed after later cuts:\n got %v\nwant %v", round, r.got, r.want)
+		}
+	}
+}
+
+// TestTopNonPositiveN holds every report form to no entries for n <= 0.
+func TestTopNonPositiveN(t *testing.T) {
+	tk, err := NewTopK(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Add("a", 3)
+	tk.Add("b", 1)
+	for _, tc := range []struct{ n, want int }{{-1, 0}, {0, 0}, {1, 1}} {
+		if got := len(tk.Top(tc.n)); got != tc.want {
+			t.Errorf("Top(%d) returned %d entries, want %d", tc.n, got, tc.want)
+		}
+		if got := len(tk.AppendTop(nil, tc.n)); got != tc.want {
+			t.Errorf("AppendTop(nil, %d) returned %d entries, want %d", tc.n, got, tc.want)
+		}
+		if got := len(tk.GuaranteedTop(tc.n)); got != tc.want {
+			t.Errorf("GuaranteedTop(%d) returned %d entries, want %d", tc.n, got, tc.want)
 		}
 	}
 }

@@ -196,10 +196,12 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 // and store append. The same trace is cut into W and then 2W windows,
 // every window going to a store as nsd -store sends it, so the
 // difference between the two runs is W windows' worth of that path and
-// nothing else. Each costs at most five allocations: the snapshot
-// block, its float64 counts, its integer counts, its TopK, and the
-// shard's key string. Wire and the append add none
-// (TestWireAppendDoesNotAllocate).
+// nothing else. What is left is amortized: the collector's slabs start
+// a chunk for the snapshot blocks, the float64 counts, the integer
+// counts and TopK once every slabWindows windows, and the shard's
+// sketch a fresh report arena for its keys about once every 64 cuts —
+// some 0.08 allocations a window, pinned at 0.25. Wire and the append
+// add none (TestWireAppendDoesNotAllocate).
 func TestWindowCutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -251,8 +253,8 @@ func TestWindowCutAllocs(t *testing.T) {
 		}
 		best = min(best, (float64(b)-float64(a))/float64(wb-wa))
 	}
-	if best > 5 {
-		t.Errorf("%.2f allocations per extra window (> 5)", best)
+	if best > 0.25 {
+		t.Errorf("%.2f allocations per extra window (> 0.25)", best)
 	} else {
 		t.Logf("%.2f allocations per extra window", best)
 	}

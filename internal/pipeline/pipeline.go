@@ -192,6 +192,7 @@ type Pipeline struct {
 	useq    uint64 // data units sent, reader-owned: selSlot's index into selPool
 	winSeq  uint64 // window sequence, reader-owned
 
+	pub    pubSlabs // collector-owned
 	latest atomic.Pointer[Snapshot]
 	mu     sync.Mutex
 	snaps  []*Snapshot

@@ -180,7 +180,7 @@ func (st *shardState) process(it *item) {
 // cut snapshots the shard's window-local aggregates into a shardPart
 // and resets them for the next window.
 //
-//nslint:coldpath runs once per window cut, never per packet; a warm cut allocates one string, the reported keys
+//nslint:coldpath runs once per window cut, never per packet; a warm cut allocates only a fresh report arena for the sketch's keys, about once every 64 cuts
 func (st *shardState) cut() shardPart {
 	var bufs cutBufs
 	select {

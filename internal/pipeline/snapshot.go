@@ -122,27 +122,59 @@ func rankEntries(es []nnstat.Entry) {
 	})
 }
 
-// snapBlock is what merge publishes for one window, allocated as one
+// snapBlock is what merge publishes for one window, carved as one
 // object: the Snapshot and the two reports its pointers lead to.
 type snapBlock struct {
 	Snapshot
 	sizeRep, iatRep metrics.Report
 }
 
+// slabWindows is how many windows' worth of published storage one slab
+// chunk holds.
+const slabWindows = 64
+
+// slab carves what merge publishes out of chunks shared by
+// slabWindows windows. Nothing carved is ever handed back: a chunk
+// lives as long as the last window cut from it.
+type slab[T any] struct{ free []T }
+
+// take returns n zero elements of the current chunk, starting a new one
+// of slabWindows*n when it is short. The slice is full-capped, so an
+// append to one window's slice reallocates instead of writing into the
+// next window's, and non-nil even when empty, as TopK always was.
+func (s *slab[T]) take(n int) []T {
+	if s.free == nil || len(s.free) < n {
+		s.free = make([]T, slabWindows*n)
+	}
+	b := s.free[:n:n]
+	s.free = s.free[n:]
+	return b
+}
+
+// pubSlabs is the collector's storage for published windows: the
+// slabs merge carves each window from, and the scratch it ranks the
+// shards' heavy hitters in before copying the kept ones out.
+type pubSlabs struct {
+	blocks slab[snapBlock]
+	counts slab[float64]
+	wire   slab[uint64]
+	top    slab[nnstat.Entry]
+	rank   []nnstat.Entry
+}
+
 // merge folds the shard parts into one Snapshot, in shard order so the
 // float64 count sums are reproducible (and exact: the counts are
 // integers far below 2⁵³), then writes the wire form's integer counts
 // from the same sums. Each count form keeps both histograms in one
-// backing array.
+// slice; the block, both count forms and TopK come from the collector's
+// slabs.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
+	pub := &p.pub
 	nSize := p.cfg.SizeScheme.NumBins()
 	nBins := nSize + p.cfg.IatScheme.NumBins()
-	nTop := 0
-	for i := range parts {
-		nTop += len(parts[i].bufs.topk)
-	}
-	counts, wire := make([]float64, nBins), make([]uint64, nBins)
-	blk := &snapBlock{Snapshot: Snapshot{
+	counts, wire := pub.counts.take(nBins), pub.wire.take(nBins)
+	blk := &pub.blocks.take(1)[0]
+	blk.Snapshot = Snapshot{
 		Snapshot: collect.Snapshot{
 			Seq:           bar.seq,
 			WindowStartUS: bar.startUS,
@@ -152,11 +184,10 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 			Offered:       bar.offered,
 			SizeCounts:    wire[:nSize:nSize],
 			IatCounts:     wire[nSize:],
-			TopK:          make([]nnstat.Entry, 0, nTop),
 		},
 		SizeCounts: counts[:nSize:nSize],
 		IatCounts:  counts[nSize:],
-	}}
+	}
 	snap := &blk.Snapshot
 	for i := range parts {
 		part := &parts[i]
@@ -173,15 +204,17 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		snap.FlowCounts.Bytes += part.flows.Bytes
 		snap.FlowCounts.Singletons += part.flows.Singletons
 		snap.ActiveFlows += uint64(part.activeFlows)
-		snap.TopK = append(snap.TopK, part.bufs.topk...)
+		pub.rank = append(pub.rank, part.bufs.topk...)
 	}
 	for b, c := range counts {
 		wire[b] = uint64(c)
 	}
-	rankEntries(snap.TopK)
-	if len(snap.TopK) > p.cfg.TopKReport {
-		snap.TopK = snap.TopK[:p.cfg.TopKReport]
-	}
+	rankEntries(pub.rank)
+	snap.TopK = pub.top.take(min(len(pub.rank), p.cfg.TopKReport))
+	copy(snap.TopK, pub.rank)
+	// The scratch must not pin the keys of windows gone by.
+	clear(pub.rank)
+	pub.rank = pub.rank[:0]
 	snap.SizeReport = scoreCounts(p.cfg.SizeEval, snap.SizeCounts, &blk.sizeRep)
 	snap.IatReport = scoreCounts(p.cfg.IatEval, snap.IatCounts, &blk.iatRep)
 	return snap
@@ -214,8 +247,10 @@ func scoreCounts(ev *core.Evaluator, counts []float64, rep *metrics.Report) *met
 // copy of the embedded collect.Snapshot that aliases s's TopK, integer
 // counts and reports, which neither side may write through. It
 // inlines, so a caller that encodes the result and drops it allocates
-// nothing, and a window costs the five allocations of merge and the
-// shard cut (TestWindowCutAllocs).
+// nothing. The window it copies was carved from the collector's slabs
+// and its keys from the shard sketch's report arena, so the whole path
+// amortizes to a small fraction of an allocation a window
+// (TestWindowCutAllocs).
 func (s *Snapshot) Wire(node string) *collect.Snapshot {
 	w := s.Snapshot
 	w.Node = node

@@ -163,6 +163,23 @@ func checkMirrors(t *testing.T, s *Snapshot) {
 	}
 }
 
+// checkFullCapped asserts every slice a snapshot publishes ends at its
+// capacity, in both count forms and TopK.
+func checkFullCapped(t *testing.T, s *Snapshot) {
+	t.Helper()
+	for what, lc := range map[string][2]int{
+		"TopK":                {len(s.TopK), cap(s.TopK)},
+		"SizeCounts":          {len(s.SizeCounts), cap(s.SizeCounts)},
+		"IatCounts":           {len(s.IatCounts), cap(s.IatCounts)},
+		"Snapshot.SizeCounts": {len(s.Snapshot.SizeCounts), cap(s.Snapshot.SizeCounts)},
+		"Snapshot.IatCounts":  {len(s.Snapshot.IatCounts), cap(s.Snapshot.IatCounts)},
+	} {
+		if lc[0] != lc[1] {
+			t.Fatalf("window %d: %s has len %d, cap %d: an append would write into another window", s.Seq, what, lc[0], lc[1])
+		}
+	}
+}
+
 // TestSnapshotWireRoundTripProperty sweeps the property over many
 // seeded snapshots — the deterministic companion to FuzzSnapshotWire.
 func TestSnapshotWireRoundTripProperty(t *testing.T) {
@@ -258,7 +275,9 @@ func projectSnap(s *Snapshot) snapProj {
 // the encoded payload — and after Run, many recycled cuts later, the
 // retained snapshots and the wire objects made then must still say the
 // same, and every float64 mirror bin must still equal its integer wire
-// bin. One-second windows keep the shards cuts ahead of the collector.
+// bin. Windows share slab chunks, so every slice a window publishes
+// must be full-capped: an append to one must not reach its neighbour.
+// One-second windows keep the shards cuts ahead of the collector.
 func TestPublishedSnapshotsImmutable(t *testing.T) {
 	tr := smallTrace(t, 28)
 	sizeEval, iatEval := evaluators(t, tr)
@@ -308,6 +327,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 			}
 			for i, s := range snaps {
 				checkMirrors(t, s)
+				checkFullCapped(t, s)
 				was := seen[i]
 				if projectSnap(s) != was.proj {
 					t.Fatalf("window %d changed after publication:\n got %+v\nwant %+v", s.Seq, projectSnap(s), was.proj)

@@ -460,6 +460,9 @@ func FuzzOracleChain(f *testing.F) {
 		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5, Source: srcPerPacket},
 		{Scenario: scFlashcrowd, Method: mStratifiedTimer, K: 20, Shards: 3, Batch: 64,
 			WindowS: 5, Source: srcTorn, Segment: 1},
+		// One-second windows, ~120 of them: published windows cross a
+		// collector slab chunk.
+		{K: 50, Shards: 2, WindowS: 1},
 	} {
 		f.Add(c.bytes())
 	}
