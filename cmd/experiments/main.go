@@ -11,8 +11,10 @@
 // for a fast smoke run. -only runs and prints just the artifacts with one
 // id: table1..table3, figure1..figure11, sec5.1, sec5.2 (both targets),
 // sec5-theory, ext-ports, ext-matrix, ext-adaptive, ext-fixwest,
-// ext-burst, ext-artshist, ext-flows, ext-heavyhitters or repro-check.
-// An unknown id is refused before any population is built.
+// ext-burst, ext-artshist, ext-flows, ext-heavyhitters or repro-check;
+// or ablations, the design-choice ablations (median φ and IQR over
+// replications), which only -only runs. An unknown id is refused
+// before any population is built.
 //
 // -matrix runs the scenario × sampler characterization matrix instead
 // of the paper suite: every traffgen preset scenario (ddos, flashcrowd,

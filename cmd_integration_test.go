@@ -113,6 +113,11 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 			t.Fatalf("%v: err %v, want exit 1 listing the methods:\n%s", args, err, bad)
 		}
 	}
+	// An offset only systematic sampling can use is refused, not dropped.
+	bad, err = exec.Command(filepath.Join(dir, "sample"), "-in", tr, "-out", sub, "-method", "stratified", "-offset", "5").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `method "stratified" takes no offset`) {
+		t.Fatalf("sample -method stratified -offset 5: err %v, want exit 1 naming the method:\n%s", err, bad)
+	}
 
 	// traceinfo on the original and pcap conversion round trip.
 	pcap := filepath.Join(t.TempDir(), "t.pcap")

@@ -31,7 +31,16 @@ func collect(s Sampler, tr *trace.Trace, r *dist.RNG, sizeHint int) ([]int, erro
 //	random            ⌈N/k⌉ packets drawn from the whole trace
 //	systematic-timer  period k × tr's mean gap, first expiry at its start
 //	stratified-timer  the same period, one random expiry per bucket
+//
+// Only systematic starts at an offset; a non-zero one for any other
+// method is an error, not silently dropped.
 func New(method string, tr *trace.Trace, k, offset int) (Sampler, error) {
+	if offset != 0 && method != "systematic" {
+		if _, err := New(method, tr, k, 0); err != nil {
+			return nil, err // an unknown method is named as one
+		}
+		return nil, fmt.Errorf("core: method %q takes no offset (got %d); only systematic starts at one", method, offset)
+	}
 	switch method {
 	case "systematic":
 		return SystematicCount{K: k, Offset: offset}, nil
@@ -261,8 +270,8 @@ type SystematicTimer struct {
 	// instead of the paper's "next packet to arrive" approximation, each
 	// expiry selects the most recent packet that already arrived (if not
 	// yet selected). The paper calls the next-arrival rule "a necessary
-	// approximation but seemingly inconsequential"; the ablation bench
-	// quantifies that claim.
+	// approximation but seemingly inconsequential"; the ablations
+	// artifact (experiment.Ablations) quantifies that claim.
 	SelectPrevious bool
 	// nominalK records the granularity the period was derived from, for
 	// reporting; zero means unknown.

@@ -378,7 +378,13 @@ func TestNewByMethodName(t *testing.T) {
 		"systematic-timer": SystematicTimer{PeriodUS: 50_000, nominalK: 50},
 		"stratified-timer": StratifiedTimer{PeriodUS: 50_000, nominalK: 50},
 	} {
-		if got, err := New(method, tr, 50, 3); err != nil || got != want {
+		offset := 0
+		if method == "systematic" {
+			offset = 3
+		} else if _, err := New(method, tr, 50, 3); err == nil || !strings.Contains(err.Error(), method) {
+			t.Errorf("%s with offset 3: %v, want an error naming the method", method, err)
+		}
+		if got, err := New(method, tr, 50, offset); err != nil || got != want {
 			t.Errorf("%s built %+v, %v; want %+v", method, got, err, want)
 		}
 	}

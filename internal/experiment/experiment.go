@@ -2,8 +2,7 @@
 // paper's evaluation, each regenerating the corresponding rows or series
 // from the synthetic parent population. The runners are deterministic:
 // fixed seeds, fixed parameter grids. cmd/experiments executes the whole
-// set and renders the results as text; bench_test.go at the module root
-// wraps each runner in a testing.B benchmark.
+// set once and renders the results as text, CSV or JSON.
 //
 // The experiment index (DESIGN.md §4) maps each runner to the paper
 // artifact it reproduces.

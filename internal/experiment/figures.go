@@ -475,7 +475,7 @@ func methodsFigure(tr *trace.Trace, target core.Target, figure string, seed uint
 				reps, err = core.SystematicOffsets(ev, k, count, r)
 			} else if mk.name == "systematic/timer" {
 				// Replicate by varying the first expiry offset.
-				reps, err = systematicTimerOffsets(ev, win, k, replications)
+				reps, err = systematicTimerOffsets(ev, win, k, replications, false)
 			} else {
 				s, merr := mk.make(k)
 				if merr != nil {
@@ -498,8 +498,9 @@ func methodsFigure(tr *trace.Trace, target core.Target, figure string, seed uint
 func SamplerForOffsetless(k int) core.Sampler { return core.SystematicCount{K: k} }
 
 // systematicTimerOffsets replicates systematic timer sampling by varying
-// the first tick within one period.
-func systematicTimerOffsets(ev *core.Evaluator, win *trace.Trace, k, count int) ([]core.Replication, error) {
+// the first tick within one period. Each tick selects the next arrival,
+// the paper's rule, or with previous the latest arrival before it.
+func systematicTimerOffsets(ev *core.Evaluator, win *trace.Trace, k, count int, previous bool) ([]core.Replication, error) {
 	period, err := core.PeriodForGranularity(win, float64(k))
 	if err != nil {
 		return nil, err
@@ -508,7 +509,7 @@ func systematicTimerOffsets(ev *core.Evaluator, win *trace.Trace, k, count int) 
 	sc := ev.NewScorer()
 	for i := 0; i < count; i++ {
 		off := int64(i) * period / int64(count)
-		s := core.SystematicTimer{PeriodUS: period, OffsetUS: off}
+		s := core.SystematicTimer{PeriodUS: period, OffsetUS: off, SelectPrevious: previous}
 		sc.Reset()
 		if err := s.SelectEach(win, nil, sc.Visit); err != nil {
 			return nil, err

@@ -82,14 +82,19 @@ var suite = []job{
 // the given parent trace and returns the results in paper order.
 func All(tr *trace.Trace) ([]Result, error) { return runJobs(tr, suite) }
 
+// ablations is the one job All leaves out: the design-choice ablations
+// are not a paper artifact, so only Only reaches them.
+var ablations = job{"ablations", onTrace(Ablations)}
+
 // Only returns All restricted to the artifacts that carry the given id
-// (sec5.2 has two): the runner executes those jobs and no others. An id
-// no job carries is an error, reported here — before a caller has built
-// the population to run on — with the ids that exist.
+// (sec5.2 has two), or the ablations: the runner executes those jobs
+// and no others. An id no job carries is an error, reported here —
+// before a caller has built the population to run on — with the ids
+// that exist.
 func Only(id string) (func(tr *trace.Trace) ([]Result, error), error) {
 	var jobs []job
 	var ids []string
-	for _, j := range suite {
+	for _, j := range slices.Concat(suite, []job{ablations}) {
 		if j.id == id {
 			jobs = append(jobs, j)
 		}

@@ -6,38 +6,54 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"netsample/internal/trace"
 )
 
-// TestAllQuickGolden pins the whole suite's text rendering on the quick
-// population byte-for-byte — exactly what `experiments -quick` prints,
-// which CI diffs against the same file. Regenerate with NSGEN_GOLDEN=1
-// after an intentional change.
+// TestAllQuickGolden pins the text rendering on the quick population
+// byte-for-byte — exactly what `experiments -quick` and
+// `experiments -quick -only ablations` print, which CI diffs against
+// the same files: the whole suite, and the ablations it leaves out.
+// Regenerate with NSGEN_GOLDEN=1 after an intentional change.
 func TestAllQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run skipped in -short mode")
 	}
-	results, err := All(testTrace(t))
+	onlyAblations, err := Only("ablations")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("testdata", "all_quick.txt")
-	if os.Getenv("NSGEN_GOLDEN") != "" {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	tr := testTrace(t)
+	for _, tc := range []struct {
+		golden string
+		run    func(*trace.Trace) ([]Result, error)
+	}{
+		{"all_quick.txt", All},
+		{"ablations_quick.txt", onlyAblations},
+	} {
+		results, err := tc.run(tr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%s: %v (run with NSGEN_GOLDEN=1 to create)", path, err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("%s: output differs from golden; regenerate with NSGEN_GOLDEN=1 if intentional", path)
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, results); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if os.Getenv("NSGEN_GOLDEN") != "" {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s", path)
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v (run with NSGEN_GOLDEN=1 to create)", path, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: output differs from golden; regenerate with NSGEN_GOLDEN=1 if intentional", path)
+		}
 	}
 }
 
@@ -99,11 +115,12 @@ func TestSuiteJobIDs(t *testing.T) {
 }
 
 // TestOnlyRunsTheMatchingJobs checks Only against the job list: every
-// job carrying the id and no other, an unknown id refused before there
-// is a population.
+// job carrying the id and no other, the ablations All leaves out
+// reachable by id alone, an unknown id refused before there is a
+// population.
 func TestOnlyRunsTheMatchingJobs(t *testing.T) {
 	tr := testTrace(t)
-	for id, want := range map[string]int{"table3": 1, "sec5.2": 2} {
+	for id, want := range map[string]int{"table3": 1, "sec5.2": 2, "ablations": 1} {
 		run, err := Only(id)
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +138,15 @@ func TestOnlyRunsTheMatchingJobs(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Only("nosuch"); err == nil || !strings.Contains(err.Error(), "repro-check") {
-		t.Errorf("Only(nosuch) = %v, want an error listing the ids", err)
+	for _, j := range suite {
+		if j.id == "ablations" {
+			t.Error("All runs the ablations")
+		}
+	}
+	_, err := Only("nosuch")
+	for _, id := range []string{"repro-check", "ablations"} {
+		if err == nil || !strings.Contains(err.Error(), id) {
+			t.Errorf("Only(nosuch) = %v, want an error listing the ids, %s among them", err, id)
+		}
 	}
 }
