@@ -125,7 +125,7 @@ func main() {
 				nonzero++
 			}
 		}
-		fmt.Printf("  %s histogram: %d bins (%d nonzero), %d selected\n",
+		fmt.Printf("  %s histogram: %d bins (%d nonzero), %d observations\n",
 			label, len(counts), nonzero, total)
 		if *hist {
 			for b, c := range counts {

@@ -49,7 +49,7 @@ func main() {
 	}
 
 	var tgt core.Target
-	var scheme bins.Scheme
+	var scheme *bins.Edged
 	switch *target {
 	case "size":
 		tgt, scheme = core.TargetSize, bins.PacketSize()

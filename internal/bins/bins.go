@@ -8,8 +8,8 @@
 //   - packet interarrival times (µs): < 800, 800–1199, 1200–2399,
 //     2400–3599, ≥ 3600 — chosen to spread the population evenly.
 //
-// A Scheme maps float64 observations to bin indices; CountPackets and
-// helpers produce the observed-count vectors the metrics package consumes.
+// An Edged scheme maps float64 observations to bin indices; Count
+// produces the observed-count vectors the metrics package consumes.
 package bins
 
 import (
@@ -17,18 +17,6 @@ import (
 	"fmt"
 	"sort"
 )
-
-// Scheme assigns observations to a fixed set of bins.
-type Scheme interface {
-	// Name identifies the scheme in experiment output.
-	Name() string
-	// NumBins returns the number of bins, always >= 1.
-	NumBins() int
-	// Index returns the bin for x, in [0, NumBins()).
-	Index(x float64) int
-	// Label describes bin i for human-readable output.
-	Label(i int) string
-}
 
 // Edged bins observations by a sorted slice of interior edges: bin 0 is
 // (-inf, edges[0]), bin i is [edges[i-1], edges[i]), and the last bin is
@@ -60,13 +48,13 @@ func NewEdged(name string, edges []float64) (*Edged, error) {
 	return e, nil
 }
 
-// Name implements Scheme.
+// Name identifies the scheme in experiment output.
 func (e *Edged) Name() string { return e.name }
 
-// NumBins implements Scheme.
+// NumBins returns the number of bins, always >= 2.
 func (e *Edged) NumBins() int { return len(e.edges) + 1 }
 
-// Index implements Scheme.
+// Index returns the bin for x, in [0, NumBins()).
 func (e *Edged) Index(x float64) int {
 	// First edge strictly greater than x bounds the bin above;
 	// sort.SearchFloat64s gives the first edge >= x, so adjust for
@@ -138,7 +126,7 @@ func atOrAbove(x, edge float64) uint8 {
 	return b
 }
 
-// Label implements Scheme.
+// Label describes bin i for human-readable output.
 func (e *Edged) Label(i int) string { return e.labels[i] }
 
 // PacketSize returns the paper's packet-size scheme (Section 7.1.1):
@@ -164,7 +152,7 @@ func Interarrival() *Edged {
 // Count tallies the observations xs into the scheme's bins.
 //
 //nslint:allow unreached reference tally the core and integration tests score the fused kernels against
-func Count(s Scheme, xs []float64) []int64 {
+func Count(s *Edged, xs []float64) []int64 {
 	counts := make([]int64, s.NumBins())
 	for _, x := range xs {
 		counts[s.Index(x)]++

@@ -73,7 +73,7 @@ func TestEdgedLabels(t *testing.T) {
 }
 
 func TestIndexAlwaysInRangeProperty(t *testing.T) {
-	schemes := []Scheme{PacketSize(), Interarrival()}
+	schemes := []*Edged{PacketSize(), Interarrival()}
 	f := func(x float64) bool {
 		for _, s := range schemes {
 			i := s.Index(x)

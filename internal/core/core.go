@@ -21,7 +21,7 @@
 // stream (the quantity a monitor with a last-packet timestamp register
 // observes when it samples).
 //
-// The Evaluator bins observations with a bins.Scheme and scores the
+// The Evaluator bins observations with a bins.Edged scheme and scores the
 // sample with the metrics package, exactly as the paper does: expected
 // counts come from the known parent population (no fitted parameters),
 // and the φ coefficient is the headline score.

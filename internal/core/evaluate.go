@@ -35,7 +35,7 @@ import (
 type Evaluator struct {
 	pop       *trace.Trace
 	target    Target
-	scheme    bins.Scheme
+	scheme    *bins.Edged
 	popCounts []float64 // population count per bin
 	popProps  []float64 // population proportion per bin
 	popTotal  float64
@@ -65,7 +65,7 @@ var errEmptySample = errors.New("core: empty sample")
 // NewEvaluator analyzes the population once and returns a ready scorer.
 // It keeps O(bins) state: the per-packet bin-index table only batch
 // scoring reads is built by the first NewScorer (see buildIndex).
-func NewEvaluator(pop *trace.Trace, target Target, scheme bins.Scheme) (*Evaluator, error) {
+func NewEvaluator(pop *trace.Trace, target Target, scheme *bins.Edged) (*Evaluator, error) {
 	nb := scheme.NumBins()
 	if nb > 255 {
 		return nil, fmt.Errorf("%w: %d bins (%s)", ErrTooManyBins, nb, scheme.Name())
@@ -183,25 +183,15 @@ func (e *Evaluator) buildIndex() {
 }
 
 // BinIndexBatch fills dst[i] with the scheme's bin index for
-// observation xs[i], for the whole batch in one pass. For the paper's
-// *bins.Edged schemes this dispatches to the branchless
-// compare-accumulate kernel; any other Scheme falls back to per-value
-// Index calls with identical results. len(dst) must be at least
-// len(xs). The indices fit uint8 by the evaluator's 255-bin
+// observation xs[i], for the whole batch in one branchless
+// compare-accumulate pass (bins.Edged.IndexBatch). len(dst) must be at
+// least len(xs). The indices fit uint8 by the evaluator's 255-bin
 // construction cap, so batch consumers (NewEvaluator's classification
-// pass, the pipeline's per-shard scoring tables) index count vectors
-// straight from dst.
+// pass, the batch scoring table) index count vectors straight from dst.
 //
 //nslint:hotpath
 func (e *Evaluator) BinIndexBatch(dst []uint8, xs []float64) {
-	if ed, ok := e.scheme.(*bins.Edged); ok {
-		ed.IndexBatch(dst, xs)
-		return
-	}
-	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = uint8(e.scheme.Index(x))
-	}
+	e.scheme.IndexBatch(dst, xs)
 }
 
 // Population returns the trace the evaluator was built over.

@@ -286,55 +286,46 @@ func reportWithPhi(phi float64) (r metrics.Report) {
 	return
 }
 
-// wrapScheme hides the concrete *bins.Edged so BinIndexBatch exercises
-// its generic per-value fallback.
-type wrapScheme struct{ bins.Scheme }
-
-// TestBinIndexBatchMatchesScheme checks the batched bin-index kernel on
-// both dispatch arms — the Edged fast path and the generic fallback —
-// against per-value Scheme.Index, and checks NewEvaluator's batched
-// classification produces the same bin-index table and population
-// counts as a direct per-packet loop.
+// TestBinIndexBatchMatchesScheme checks the batched bin-index kernel
+// against per-value Edged.Index, and checks NewEvaluator's batched
+// classification produces the bin-index table a direct per-packet loop
+// would.
 func TestBinIndexBatchMatchesScheme(t *testing.T) {
 	tr := genTrace(t, 23)
 	for _, target := range []Target{TargetSize, TargetInterarrival} {
-		scheme := bins.Scheme(bins.PacketSize())
+		scheme := bins.PacketSize()
 		if target == TargetInterarrival {
 			scheme = bins.Interarrival()
 		}
-		evFast, err := NewEvaluator(tr, target, scheme)
+		ev, err := NewEvaluator(tr, target, scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		evSlow, err := NewEvaluator(tr, target, wrapScheme{scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both dispatch arms agree with per-value Index on a mixed batch.
+		// The batch kernel agrees with per-value Index on a mixed batch.
 		xs := []float64{0, 39, 41, 180, 181, 799, 800, 1200, 3600, 1e7, math.NaN()}
-		fast := make([]uint8, len(xs))
-		slow := make([]uint8, len(xs))
-		evFast.BinIndexBatch(fast, xs)
-		evSlow.BinIndexBatch(slow, xs)
+		got := make([]uint8, len(xs))
+		ev.BinIndexBatch(got, xs)
 		for i, x := range xs {
-			if want := uint8(scheme.Index(x)); fast[i] != want || slow[i] != want {
-				t.Fatalf("target %v: x=%v fast=%d slow=%d want=%d", target, x, fast[i], slow[i], want)
+			if want := uint8(scheme.Index(x)); got[i] != want {
+				t.Fatalf("target %v: x=%v got=%d want=%d", target, x, got[i], want)
 			}
 		}
-		// The two evaluators were built from the same observations, so the
-		// whole classification state must match.
-		if !floatsEqual(evFast.popCounts, evSlow.popCounts) {
-			t.Fatalf("target %v: popCounts diverge: %v vs %v", target, evFast.popCounts, evSlow.popCounts)
+		// The per-packet table holds each packet's Index, and marks the
+		// interarrival target's first packet as no observation.
+		ev.NewScorer()
+		if len(ev.binIdx) != tr.Len() {
+			t.Fatalf("target %v: bin-index table of %d packets, want %d", target, len(ev.binIdx), tr.Len())
 		}
-		evFast.NewScorer()
-		evSlow.NewScorer()
-		if len(evFast.binIdx) != tr.Len() || len(evSlow.binIdx) != tr.Len() {
-			t.Fatalf("target %v: bin-index tables of %d and %d packets, want %d",
-				target, len(evFast.binIdx), len(evSlow.binIdx), tr.Len())
-		}
-		for i := range evFast.binIdx {
-			if evFast.binIdx[i] != evSlow.binIdx[i] {
-				t.Fatalf("target %v: binIdx[%d] = %d vs %d", target, i, evFast.binIdx[i], evSlow.binIdx[i])
+		for i := range ev.binIdx {
+			want := uint8(noObservation)
+			switch {
+			case target == TargetSize:
+				want = uint8(scheme.Index(float64(tr.Packets[i].Size)))
+			case i > 0:
+				want = uint8(scheme.Index(float64(tr.Packets[i].Time - tr.Packets[i-1].Time)))
+			}
+			if ev.binIdx[i] != want {
+				t.Fatalf("target %v: binIdx[%d] = %d, want %d", target, i, ev.binIdx[i], want)
 			}
 		}
 	}

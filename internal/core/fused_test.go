@@ -90,7 +90,7 @@ func TestFusedReportsBitIdentical(t *testing.T) {
 	}
 	targets := []struct {
 		target Target
-		scheme bins.Scheme
+		scheme *bins.Edged
 	}{
 		{TargetSize, bins.PacketSize()},
 		{TargetInterarrival, bins.Interarrival()},

@@ -11,7 +11,7 @@ import (
 // evaluatorTargets are the two binned targets and their paper schemes.
 var evaluatorTargets = []struct {
 	target Target
-	scheme bins.Scheme
+	scheme *bins.Edged
 }{
 	{TargetSize, bins.PacketSize()},
 	{TargetInterarrival, bins.Interarrival()},

@@ -111,7 +111,7 @@ func (r *AblationsResult) binSchemes(tr *trace.Trace) error {
 	if err != nil {
 		return err
 	}
-	for _, scheme := range []bins.Scheme{bins.PacketSize(), equal, byQuantile} {
+	for _, scheme := range []*bins.Edged{bins.PacketSize(), equal, byQuantile} {
 		ev, err := core.NewEvaluator(tr, core.TargetSize, scheme)
 		if err == nil {
 			err = r.packetMethods("bins", scheme.Name()+" ", ev, 256)

@@ -17,7 +17,7 @@ import (
 
 // newEvaluator builds the evaluator for a target with the paper's bins.
 func newEvaluator(tr *trace.Trace, target core.Target) (*core.Evaluator, error) {
-	var scheme bins.Scheme
+	var scheme *bins.Edged
 	if target == core.TargetInterarrival {
 		scheme = bins.Interarrival()
 	} else {
@@ -220,7 +220,7 @@ type HistogramFigureResult struct {
 // histogramFigure computes Figure 4 or 5.
 func histogramFigure(tr *trace.Trace, target core.Target, figure string) (*HistogramFigureResult, error) {
 	win := window(tr, 1024)
-	var scheme bins.Scheme
+	var scheme *bins.Edged
 	if target == core.TargetInterarrival {
 		scheme = bins.Interarrival()
 	} else {

@@ -78,10 +78,10 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 // locally; noGap0 marks the unit opening the stream, whose first packet
 // has no predecessor. sel is the reader's selection verdict for the
 // unit's records, one bit each (record i is bit i&63 of word i>>6): the
-// worker copies bits and never evaluates a schedule, so the selected
-// set cannot depend on the shard count. The slot belongs to the
-// reader's pool; the worker only reads it, and only during its
-// partition pass over the unit (Pipeline.selSlot).
+// worker forwards the records whose bit is set and never evaluates a
+// schedule, so the selected set cannot depend on the shard count. The
+// slot belongs to the reader's pool; the worker only reads it, and only
+// during its partition pass over the unit (Pipeline.selSlot).
 type srcUnit struct {
 	bar *barrier
 
@@ -124,14 +124,17 @@ func newIngestState(cfg *Config) *ingestState {
 }
 
 // partitionRaw is the ingest kernel: one pass over a raw record window
-// that decodes each packet from three 8-byte words, derives its shard
-// from the same registers (the hash words re-pack the record's bytes
-// 12-23 and 10, see DecodeBatch for the layout), stamps its
-// interarrival gap and selection bit, and writes the finished item
-// straight into the per-shard batch — with the hash itself, so the
-// shard's flow table and sketch never rehash the tuple — keeping the
-// record in registers between decode and item store. Pinned item by
-// item against a field-wise reference by TestPartitionRawMatchesReference.
+// that reads every record's timestamp to move the interarrival gap
+// chain forward, and skips each record whose selection bit is clear —
+// a shard never sees an unselected packet, as the paper's categorizer
+// never did. A selected record is decoded from three 8-byte words, its
+// shard derived from the same registers (the hash words re-pack the
+// record's bytes 12-23 and 10, see DecodeBatch for the layout), its gap
+// stamped, and the finished item written straight into the per-shard
+// batch — with the hash itself, so the shard's flow table and sketch
+// never rehash the tuple — keeping the record in registers between
+// decode and item store. Pinned item by item against a field-wise
+// reference by TestPartitionRawMatchesReference.
 //
 //nslint:hotpath
 func (ig *ingestState) partitionRaw(u srcUnit) {
@@ -141,19 +144,19 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 	n := len(raw) / trace.RecordLen
 	for i := 0; i < n; i++ {
 		rec := raw[i*trace.RecordLen : i*trace.RecordLen+trace.RecordLen]
-		w0 := binary.LittleEndian.Uint64(rec[0:8])
+		t := int64(binary.LittleEndian.Uint64(rec[0:8]))
+		gap := t - prev
+		prev = t
+		if u.sel[i>>6]>>(uint(i)&63)&1 == 0 {
+			continue
+		}
 		w1 := binary.LittleEndian.Uint64(rec[8:16])
 		w2 := binary.LittleEndian.Uint64(rec[16:24])
-		sel := u.sel[i>>6]>>(uint(i)&63)&1 != 0
-		// On one shard only a selected packet's hash has a consumer.
-		var h, s uint32
-		if sel || nshards > 1 {
-			h = flows.TupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32)
-			if nshards > 1 {
-				s = h % nshards
-			}
+		h := flows.TupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32)
+		var s uint32
+		if nshards > 1 {
+			s = h % nshards
 		}
-		t := int64(w0)
 		// Fill the item where it lies, not on the stack to be copied: a
 		// unit holds at most BatchSize packets and every recycled item
 		// buffer is made with that capacity, so the reslice cannot overrun.
@@ -168,11 +171,9 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 		it.pkt.Dst = packet.Addr{byte(w2), byte(w2 >> 8), byte(w2 >> 16), byte(w2 >> 24)}
 		it.pkt.SrcPort = uint16(w2 >> 32)
 		it.pkt.DstPort = uint16(w2 >> 48)
-		it.gapUS = t - prev
+		it.gapUS = gap
 		it.hasGap = i > 0 || !u.noGap0
-		it.sel = sel
 		it.hash = h
-		prev = t
 	}
 }
 

@@ -21,8 +21,8 @@ func keyHash(pkt *trace.Packet) uint32 {
 // shardIndex is the shard partitionRaw must send pkt to.
 func shardIndex(pkt *trace.Packet, n int) int { return int(keyHash(pkt) % uint32(n)) }
 
-// TestItemSize pins the ring element: the carried hash and the
-// selection bit live in what was trailing padding.
+// TestItemSize pins the ring element: the carried hash fills the
+// trailing padding.
 func TestItemSize(t *testing.T) {
 	if got := unsafe.Sizeof(item{}); got != 40 {
 		t.Fatalf("item is %d bytes, want 40", got)
@@ -52,10 +52,13 @@ func randomPackets(rng *rand.Rand, n int) []trace.Packet {
 
 // partitionUnit runs one unit over pkts through a fresh ingest worker's
 // partitionRaw and returns the per-shard item batches it built. A unit
-// without a selection bitmap gets an all-zero one.
+// without a selection bitmap selects every packet.
 func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
 	if u.sel == nil {
 		u.sel = make([]uint64, (len(pkts)+63)/64)
+		for i := range u.sel {
+			u.sel[i] = ^uint64(0)
+		}
 	}
 	u.raw = make([]byte, len(pkts)*trace.RecordLen)
 	trace.EncodeRecords(u.raw, pkts)
@@ -65,13 +68,14 @@ func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
 }
 
 // TestPartitionRawMatchesReference holds the fused ingest kernel to a
-// field-wise reference, item by item: trace.DecodeRecords for the
+// field-wise reference, item by item: a []bool the bitmap was packed
+// from for which packets become items, trace.DecodeRecords for the
 // packet, keyHash for the carried hash and (mod the shard count) the
-// shard, a serial chain for the gap, and a []bool the bitmap was packed
-// from for the selection bit. Every source reaches the shards through
-// partitionRaw, so no end-to-end comparison of two paths can catch an
-// error in it any more; this is also the layout-drift guard between the
-// NSTR record format and the hash word packing.
+// shard, and a serial chain over every packet, selected or not, for the
+// gap. Every source reaches the shards through partitionRaw, so no
+// end-to-end comparison of two paths can catch an error in it any more;
+// this is also the layout-drift guard between the NSTR record format
+// and the hash word packing.
 func TestPartitionRawMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
 	pkts := randomPackets(rng, 300)
@@ -82,9 +86,11 @@ func TestPartitionRawMatchesReference(t *testing.T) {
 		t.Fatalf("DecodeRecords decoded %d of %d", n, len(pkts))
 	}
 
-	// Selection patterns: none, all, every 7th from the 4th, and coin
-	// flips — the last two put set and clear bits on both sides of every
-	// word boundary of the 300-bit bitmap.
+	// Selection patterns: none, all, every 7th from the 4th, every 100th
+	// from the 2nd, and coin flips. Every 7th and the coin flips put set
+	// and clear bits on both sides of every word boundary of the 300-bit
+	// bitmap; every 100th leaves whole words clear between selections,
+	// so a gap chains across more than 64 skipped records.
 	patterns := []struct {
 		name string
 		sel  func(i int) bool
@@ -92,6 +98,7 @@ func TestPartitionRawMatchesReference(t *testing.T) {
 		{"none", func(int) bool { return false }},
 		{"all", func(int) bool { return true }},
 		{"every7", func(i int) bool { return i%7 == 3 }},
+		{"every100", func(i int) bool { return i%100 == 1 }},
 		{"uniform", func(int) bool { return rng.Intn(2) == 0 }},
 	}
 	for _, shards := range []int{1, 2, 3, 7, 300} {
@@ -111,21 +118,18 @@ func TestPartitionRawMatchesReference(t *testing.T) {
 				want := make([][]item, shards)
 				prev := u.prevUS
 				for i := range decoded {
-					// The kernel hashes where the hash has a consumer: the
-					// shard choice, or a selected packet's aggregates.
-					var h uint32
-					if shards > 1 || selected[i] {
-						h = keyHash(&decoded[i])
+					gap := decoded[i].Time - prev
+					prev = decoded[i].Time
+					if !selected[i] {
+						continue
 					}
 					s := shardIndex(&decoded[i], shards)
 					want[s] = append(want[s], item{
 						pkt:    decoded[i],
-						gapUS:  decoded[i].Time - prev,
+						gapUS:  gap,
 						hasGap: !(noGap0 && i == 0),
-						sel:    selected[i],
-						hash:   h,
+						hash:   keyHash(&decoded[i]),
 					})
-					prev = decoded[i].Time
 				}
 				for s := range want {
 					if len(got[s]) != len(want[s]) {

@@ -11,7 +11,7 @@
 //	      reader (Run goroutine)
 //	         │  record windows + selection bitmaps + gap stamps +
 //	         │  window barriers, one SPSC ring
-//	      ingest worker                (decode, 5-tuple hashing)
+//	      ingest worker                (skip unselected; decode, hash)
 //	    ┌────┴─────────────┐           one SPSC ring per shard
 //	shard 0      …      shard S-1      (FIFO consume)
 //	    │ snapshot parts   │
@@ -25,26 +25,31 @@
 // online.Sampler — one of the paper's methods applied to the link, not
 // to a hash partition of it — offers it every packet in stream order,
 // and stamps the verdicts on each window as a bitmap before handing the
-// windows to the ingest worker. The ingest worker decodes each window,
-// hashes the packets to shards by a deterministic hash of the 5-tuple
-// (flows.TupleHash, which rides the item into the shard's flow counter
-// and sketch) — so every flow lives on exactly one shard — stamps each
-// packet with its interarrival gap against its stream predecessor (the
-// quantity a monitor with a last-packet timestamp register observes)
-// and its selection bit, and publishes per-shard item batches into
-// lock-free single-producer/single-consumer rings, one per shard. Every
-// ring is FIFO, so the packets of one shard are processed in exact
-// stream order. The selected set, and so every snapshot, is the same
-// for any shard count, and equals the batch evaluator's on the same
-// trace and seed (FuzzOracleChain).
+// windows to the ingest worker. Per-packet work ends in the ingest
+// worker: it reads each record's timestamp to move the gap chain
+// forward and skips every record whose selection bit is clear, as the
+// paper's T3 firmware samples in the forwarding path so the categorizer
+// never sees an unselected packet. The rest is per selected packet: the
+// worker decodes it, hashes it to a shard by a deterministic hash of
+// the 5-tuple (flows.TupleHash, which rides the item into the shard's
+// flow counter and sketch) — so every flow lives on exactly one shard —
+// stamps it with its interarrival gap against its stream predecessor
+// (the quantity a monitor with a last-packet timestamp register
+// observes), and publishes per-shard item batches into lock-free
+// single-producer/single-consumer rings, one per shard, where the shard
+// bins it and feeds its flow counter and top-K. Every ring is FIFO, so
+// the packets of one shard are processed in exact stream order. The
+// selected set, and so every snapshot, is the same for any shard count,
+// and equals the batch evaluator's on the same trace and seed
+// (FuzzOracleChain).
 //
 // All queues are bounded; when a shard falls behind, its full ring
 // blocks the fan-out, and the backpressure reaches the reader. Nothing
 // is shed: every window has Processed == Offered and Dropped == 0.
 //
 // Each shard keeps incremental aggregates over the selected packets it
-// receives: per-bin size and interarrival histogram counts
-// (bins.Scheme), a flows.Counter of transport flows, and an nnstat.TopK
+// receives: integer per-bin size and interarrival histogram counts
+// (bins.Edged), a flows.Counter of transport flows, and an nnstat.TopK
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: the reader
@@ -133,9 +138,9 @@ type Config struct {
 	Adaptive *AdaptiveConfig
 
 	// SizeScheme and IatScheme bin the two characterization targets
-	// (paper schemes if nil).
-	SizeScheme bins.Scheme
-	IatScheme  bins.Scheme
+	// (paper schemes if nil), at most 255 bins each.
+	SizeScheme *bins.Edged
+	IatScheme  *bins.Edged
 
 	// FlowTimeoutUS is the flow idle timeout in µs
 	// (DefaultFlowTimeoutUS if zero).
@@ -267,6 +272,10 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.IatScheme == nil {
 		cfg.IatScheme = bins.Interarrival()
+	}
+	if cfg.SizeScheme.NumBins() > 255 || cfg.IatScheme.NumBins() > 255 {
+		return nil, fmt.Errorf("%w: schemes have %d and %d bins, at most 255 each",
+			ErrConfig, cfg.SizeScheme.NumBins(), cfg.IatScheme.NumBins())
 	}
 	if cfg.FlowTimeoutUS == 0 {
 		cfg.FlowTimeoutUS = DefaultFlowTimeoutUS

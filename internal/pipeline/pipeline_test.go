@@ -95,8 +95,9 @@ func TestStopDrains(t *testing.T) {
 	if snap.Offered != 101 {
 		t.Errorf("Offered = %d, want 101", snap.Offered)
 	}
-	if snap.Processed != snap.Offered {
-		t.Errorf("lost packets: processed %d of %d", snap.Processed, snap.Offered)
+	// k = 1 selects every offered packet; each must reach a shard.
+	if snap.Selected != 101 {
+		t.Errorf("lost packets: selected %d of 101", snap.Selected)
 	}
 }
 
@@ -185,6 +186,14 @@ func TestEmptySource(t *testing.T) {
 // TestConfigValidation spot-checks New's rejections.
 func TestConfigValidation(t *testing.T) {
 	newSys := func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) }
+	edges := make([]float64, 255)
+	for i := range edges {
+		edges[i] = float64(i + 1)
+	}
+	wide, err := bins.NewEdged("wide", edges) // 256 bins, one over the cap
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := []Config{
 		{Shards: 0, NewSampler: newSys},
 		{Shards: 1},
@@ -194,6 +203,7 @@ func TestConfigValidation(t *testing.T) {
 		{Shards: 1, NewSampler: newSys, TopKReport: -1},
 		{Shards: 1, NewSampler: newSys, TopKCapacity: -1},
 		{Shards: 1, NewSampler: newSys, Policy: Block + 1},
+		{Shards: 1, NewSampler: newSys, SizeScheme: wide},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); !errors.Is(err, ErrConfig) {
@@ -214,13 +224,17 @@ func TestConfigValidation(t *testing.T) {
 
 // TestShardOfSpreadsAndPartitions checks the ingest kernel's flow hash
 // is stable per key and actually uses more than one shard on diverse
-// traffic.
+// traffic, with every selected packet placed on exactly one shard.
 func TestShardOfSpreadsAndPartitions(t *testing.T) {
 	tr := smallTrace(t, 777)
 	used := make(map[int]int)
+	total := 0
 	byKey := make(map[[13]byte]int)
 	for s, items := range partitionUnit(tr.Packets, 4, srcUnit{}) {
-		used[s] += len(items)
+		if len(items) > 0 {
+			used[s] += len(items)
+		}
+		total += len(items)
 		for _, it := range items {
 			pkt := it.pkt
 			var key [13]byte
@@ -236,6 +250,9 @@ func TestShardOfSpreadsAndPartitions(t *testing.T) {
 			}
 			byKey[key] = s
 		}
+	}
+	if total != tr.Len() {
+		t.Errorf("partitioned %d of %d selected packets", total, tr.Len())
 	}
 	if len(used) < 2 {
 		t.Errorf("only %d of 4 shards used on a diverse trace", len(used))

@@ -7,18 +7,18 @@ import (
 	"netsample/internal/trace"
 )
 
-// item is one packet annotated at ingest with its interarrival gap
-// against its predecessor in the full stream — the observation a
-// monitor's last-timestamp register yields. Computing the gap before
-// fan-out keeps the interarrival histogram exact under sharding.
+// item is one selected packet annotated at ingest with its
+// interarrival gap against its predecessor in the full stream — the
+// observation a monitor's last-timestamp register yields. Computing the
+// gap before fan-out keeps the interarrival histogram exact under
+// sharding.
 type item struct {
 	pkt    trace.Packet
 	gapUS  int64
 	hasGap bool
-	// sel is the reader's selection verdict, copied from the unit's
-	// bitmap at ingest; hash the 5-tuple's flows.TupleHash, made there for
-	// the shard choice and both aggregates. Both sit in old padding.
-	sel  bool
+	// hash is the 5-tuple's flows.TupleHash, made at ingest for the shard
+	// choice and both aggregates. It fills the trailing padding, so an
+	// item stays 40 B.
 	hash uint32
 }
 
@@ -36,7 +36,7 @@ type shardMsg struct {
 // shardPart and comes back through cutFree once merge has copied out of
 // it; until then the shard does not touch it.
 type cutBufs struct {
-	size, iat []float64
+	size, iat []uint64
 	topk      []nnstat.Entry
 }
 
@@ -49,18 +49,15 @@ type shardState struct {
 	free *spsc[[]item]   // recycle side, back to the ingest worker
 
 	// Worker-owned.
-	sizeScheme bins.Scheme
-	iatScheme  bins.Scheme
-	// sizeLUT tabulates sizeScheme.Index over the full uint16 domain of
-	// Packet.Size (shared read-only across shards; nil if the scheme
-	// exceeds uint8 bins), turning per-packet size binning into one
-	// 64 KiB table load. iatEdged is set when iatScheme is a *bins.Edged,
-	// switching interarrival binning to the branchless IndexLinear scan.
-	// Both are bit-identical to the schemes' Index.
+	// sizeLUT tabulates the size scheme's Index over the full uint16
+	// domain of Packet.Size (shared read-only across shards), turning
+	// per-packet size binning into one 64 KiB table load; iatScheme bins
+	// gaps with the branchless IndexLinear scan. Both are bit-identical
+	// to the schemes' Index.
 	sizeLUT    []uint8
-	iatEdged   *bins.Edged
-	sizeCounts []float64
-	iatCounts  []float64
+	iatScheme  *bins.Edged
+	sizeCounts []uint64
+	iatCounts  []uint64
 	// cutFree returns the buffers of merged shardParts from the snapshot
 	// collector, so cut reuses them instead of allocating a set per
 	// window. It holds one set per barrier that can exist (see
@@ -71,7 +68,6 @@ type shardState struct {
 	topk       *nnstat.TopK
 	topkReport int
 	keyBuf     [13]byte
-	processed  uint64
 	selected   uint64
 }
 
@@ -87,15 +83,12 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	iatEdged, _ := cfg.IatScheme.(*bins.Edged)
 	return &shardState{
 		id:         id,
-		sizeScheme: cfg.SizeScheme,
-		iatScheme:  cfg.IatScheme,
 		sizeLUT:    sizeLUT,
-		iatEdged:   iatEdged,
-		sizeCounts: make([]float64, cfg.SizeScheme.NumBins()),
-		iatCounts:  make([]float64, cfg.IatScheme.NumBins()),
+		iatScheme:  cfg.IatScheme,
+		sizeCounts: make([]uint64, cfg.SizeScheme.NumBins()),
+		iatCounts:  make([]uint64, cfg.IatScheme.NumBins()),
 		cutFree:    make(chan cutBufs, cfg.QueueDepth+2),
 		flowCount:  flowCount,
 		topk:       topk,
@@ -107,11 +100,8 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 // value. The IP total length is a uint16, so 64 KiB of uint8 indices
 // cover the whole domain exactly — Index is consulted once per value at
 // construction, making the table bit-identical to the scheme by
-// definition. Returns nil for schemes whose bin count exceeds uint8.
-func buildSizeLUT(s bins.Scheme) []uint8 {
-	if s.NumBins() > 256 {
-		return nil
-	}
+// definition. New caps schemes at 255 bins, so every index fits uint8.
+func buildSizeLUT(s *bins.Edged) []uint8 {
 	lut := make([]uint8, 1<<16)
 	for v := range lut {
 		lut[v] = uint8(s.Index(float64(v)))
@@ -144,26 +134,14 @@ func (p *Pipeline) shardWorker(st *shardState) {
 	}
 }
 
-// process counts one packet and, if the reader selected it, feeds the
-// incremental aggregates. This is the per-packet hot path — it must not
-// allocate (pinned by TestPipelineHotPathAllocs).
+// process feeds one selected packet to the incremental aggregates.
+// This is the per-selected-packet hot path — it must not allocate
+// (pinned by TestPipelineHotPathAllocs).
 func (st *shardState) process(it *item) {
-	st.processed++
-	if !it.sel {
-		return
-	}
 	st.selected++
-	if st.sizeLUT != nil {
-		st.sizeCounts[st.sizeLUT[it.pkt.Size]]++
-	} else {
-		st.sizeCounts[st.sizeScheme.Index(float64(it.pkt.Size))]++
-	}
+	st.sizeCounts[st.sizeLUT[it.pkt.Size]]++
 	if it.hasGap {
-		if st.iatEdged != nil {
-			st.iatCounts[st.iatEdged.IndexLinear(float64(it.gapUS))]++
-		} else {
-			st.iatCounts[st.iatScheme.Index(float64(it.gapUS))]++
-		}
+		st.iatCounts[st.iatScheme.IndexLinear(float64(it.gapUS))]++
 	}
 	st.flowCount.AddHashed(it.hash, it.pkt)
 	k := &st.keyBuf
@@ -186,28 +164,21 @@ func (st *shardState) cut() shardPart {
 	select {
 	case bufs = <-st.cutFree:
 	default:
-		bufs = cutBufs{size: make([]float64, len(st.sizeCounts)), iat: make([]float64, len(st.iatCounts))}
+		bufs = cutBufs{size: make([]uint64, len(st.sizeCounts)), iat: make([]uint64, len(st.iatCounts))}
 	}
 	copy(bufs.size, st.sizeCounts)
 	copy(bufs.iat, st.iatCounts)
 	bufs.topk = st.topk.AppendTop(bufs.topk[:0], st.topkReport)
 	part := shardPart{
 		shard:       st.id,
-		processed:   st.processed,
 		selected:    st.selected,
 		bufs:        bufs,
 		activeFlows: st.flowCount.ActiveCount(),
 		flows:       st.flowCount.Cut(),
 	}
-	st.processed, st.selected = 0, 0
-	clearFloats(st.sizeCounts)
-	clearFloats(st.iatCounts)
+	st.selected = 0
+	clear(st.sizeCounts)
+	clear(st.iatCounts)
 	st.topk.Reset()
 	return part
-}
-
-func clearFloats(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
 }

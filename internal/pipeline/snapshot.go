@@ -31,7 +31,6 @@ type barrier struct {
 // it back.
 type shardPart struct {
 	shard       int
-	processed   uint64
 	selected    uint64
 	bufs        cutBufs
 	flows       flows.Counts
@@ -43,17 +42,19 @@ type shardPart struct {
 // window-local (they reset at each barrier); Seq orders the windows.
 //
 // The embedded collect.Snapshot is the window's wire form with Node
-// left empty: Offered counts packets the ingest read this window,
-// Processed those that reached a shard worker (rings block rather than
-// shed, so Processed == Offered and Dropped == 0; Dropped is the loss
-// the node model's nsfnet.Processor fills in for Decide), Selected the
-// selected ones among them. FlowCounts aggregates the flow records
-// closed this window (flows spanning a boundary are split at the cut),
-// ActiveFlows counts flows open at the cut, and TopK is the merged
-// heavy-hitter list — flow-hash sharding keeps keys disjoint, so the
-// merge is exact concatenation. The reports score the counts against
-// the reference population when evaluators are configured and the
-// window selected something; nil otherwise.
+// left empty. Offered counts the window's packets; per packet, the node
+// only reads the timestamp, chains the gap and sets the selection bit.
+// Selected counts the packets the sampler chose, the only ones decoded,
+// hashed, handed to a shard and counted into bins, flows and top-K.
+// Rings block rather than shed, so every offered packet is processed:
+// merge sets Processed = Offered, and Dropped is 0 (it is the loss the
+// node model's nsfnet.Processor fills in for Decide). FlowCounts
+// aggregates the flow records closed this window (flows spanning a
+// boundary are split at the cut), ActiveFlows counts flows open at the
+// cut, and TopK is the merged heavy-hitter list — flow-hash sharding
+// keeps keys disjoint, so the merge is exact concatenation. The reports
+// score the counts against the reference population when evaluators
+// are configured and the window selected something; nil otherwise.
 type Snapshot struct {
 	collect.Snapshot
 	// K is the systematic granularity in force during this window under
@@ -162,12 +163,11 @@ type pubSlabs struct {
 	rank   []nnstat.Entry
 }
 
-// merge folds the shard parts into one Snapshot, in shard order so the
-// float64 count sums are reproducible (and exact: the counts are
-// integers far below 2⁵³), then writes the wire form's integer counts
-// from the same sums. Each count form keeps both histograms in one
-// slice; the block, both count forms and TopK come from the collector's
-// slabs.
+// merge folds the shard parts into one Snapshot: it adds each shard's
+// integer counts straight into the wire form's, then fills the float64
+// mirror from them once (exact: the counts are far below 2⁵³). Each
+// count form keeps both histograms in one slice; the block, both count
+// forms and TopK come from the collector's slabs.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	pub := &p.pub
 	nSize := p.cfg.SizeScheme.NumBins()
@@ -182,6 +182,7 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 			Final:         bar.final,
 			Shards:        uint32(len(p.shards)),
 			Offered:       bar.offered,
+			Processed:     bar.offered,
 			SizeCounts:    wire[:nSize:nSize],
 			IatCounts:     wire[nSize:],
 		},
@@ -191,13 +192,12 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	snap := &blk.Snapshot
 	for i := range parts {
 		part := &parts[i]
-		snap.Processed += part.processed
 		snap.Selected += part.selected
 		for b, c := range part.bufs.size {
-			counts[b] += c
+			wire[b] += c
 		}
 		for b, c := range part.bufs.iat {
-			counts[nSize+b] += c
+			wire[nSize+b] += c
 		}
 		snap.FlowCounts.Flows += part.flows.Flows
 		snap.FlowCounts.Packets += part.flows.Packets
@@ -206,8 +206,8 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		snap.ActiveFlows += uint64(part.activeFlows)
 		pub.rank = append(pub.rank, part.bufs.topk...)
 	}
-	for b, c := range counts {
-		wire[b] = uint64(c)
+	for b, c := range wire {
+		counts[b] = float64(c)
 	}
 	rankEntries(pub.rank)
 	snap.TopK = pub.top.take(min(len(pub.rank), p.cfg.TopKReport))

@@ -131,7 +131,6 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/nnstat.TopK).AddBytes",
 		"(*" + mp + "/internal/online.Systematic).Offer",
 		"(*" + mp + "/internal/online.Stratified).Offer",
-		"(*" + mp + "/internal/bins.Edged).Index",
 		// The ingest worker's per-unit partition and publish, inside the
 		// same hot loops.
 		"(*" + mp + "/internal/pipeline.ingestState).publish",
