@@ -511,12 +511,12 @@ func (m *mapLoop) NextRawBatch(max int) ([]byte, int, error) {
 }
 
 // BenchmarkPipelineThroughput measures the streaming pipeline's
-// end-to-end packet rate (ingest → shard → sample → aggregate) by shard
-// count, with one benchmark op = one packet. The pipeline is fed
-// through the zero-copy raw path: an mmap'd trace cycled by mapLoop,
-// decoded inside the parallel ingest workers. The reader goroutine reads
-// only timestamps, which it offers the one sampler (the run is
-// un-windowed); allocs/op near zero is the hot-path guarantee
+// end-to-end packet rate (read → sample → route → shard → aggregate) by
+// shard count, with one benchmark op = one packet. The pipeline is fed
+// through the zero-copy raw path: an mmap'd trace cycled by mapLoop.
+// The reader goroutine reads every timestamp, which it offers the one
+// sampler (the run is un-windowed), and decodes and hashes only the
+// selected records; allocs/op near zero is the hot-path guarantee
 // (pinned exactly by TestMapReaderHotPathAllocs).
 func BenchmarkPipelineThroughput(b *testing.B) {
 	tr := benchSmall(b)

@@ -58,7 +58,7 @@ type MatrixResult struct {
 // Matrix runs every preset scenario against every sampler at base
 // granularity k. Each cell is fully deterministic: its RNG seed is
 // derived from (seed, scenario, sampler) alone and every run uses one
-// shard and one ingest worker, so repeated invocations are
+// shard, so repeated invocations are
 // byte-identical in every export format.
 func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
 	out := &MatrixResult{Seed: seed, Duration: dur, K: k}

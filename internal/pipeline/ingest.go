@@ -11,36 +11,40 @@ import (
 
 // RawBatchSource is the pipeline's native ingest form: windows of raw
 // NSTR record bytes (length a multiple of trace.RecordLen) for up to
-// max records, plus the record count. Decoding happens in the ingest
-// worker — fused with shard hashing and gap stamping in one pass —
-// rather than on the reader goroutine.
+// max records, plus the record count. The reader decodes only the
+// records its sampler selects, straight out of the window.
 //
 // Contract: records in a window are consecutive stream records;
 // complete records precede any error; exhaustion is (nil, 0, io.EOF).
-// Every returned window must remain valid and immutable until the
-// pipeline's Run returns — the in ring holds windows from many calls
-// at once. *trace.MapReader and *trace.Replayer satisfy this by
-// construction (their windows are views: of the mapped region until
-// Close, of the trace's own packets); a reader recycling one scratch
-// buffer per call must NOT implement this interface.
+// A returned window must stay valid and unmodified until the next
+// NextRawBatch call: the reader copies each selected record into an
+// item before it asks for more, and keeps no view of the window.
+// *trace.MapReader and *trace.Replayer hand out views (of the mapped
+// region, of the trace's own packets); recordAdapter reuses one buffer.
 type RawBatchSource interface {
 	NextRawBatch(max int) ([]byte, int, error)
 }
 
 // recordAdapter is the one edge adapter between per-packet sources and
 // the reader: it pulls up to a batch of packets into its own scratch and
-// encodes them into a fresh record window. It checks the stop flag after
-// every packet, so Stop keeps its packet-granular meaning on per-packet
-// sources: the window ends at the first packet delivered after the stop
-// request.
+// encodes them into its one record window, which RawBatchSource lets it
+// overwrite on every call. It checks the stop flag after every packet,
+// so Stop keeps its packet-granular meaning on per-packet sources: the
+// window ends at the first packet delivered after the stop request.
 type recordAdapter struct {
 	src     Source
 	stop    *atomic.Bool
 	scratch []trace.Packet
+	raw     []byte
 }
 
 func newRecordAdapter(src Source, batchSize int, stop *atomic.Bool) *recordAdapter {
-	return &recordAdapter{src: src, stop: stop, scratch: make([]trace.Packet, batchSize)}
+	return &recordAdapter{
+		src:     src,
+		stop:    stop,
+		scratch: make([]trace.Packet, batchSize),
+		raw:     make([]byte, batchSize*trace.RecordLen),
+	}
 }
 
 //nslint:hotpath
@@ -62,50 +66,25 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 	if n == 0 {
 		return nil, 0, err
 	}
-	//nslint:allow hotalloc one window per BatchSize packets, not per packet: RawBatchSource forbids reusing a window before Run returns, so each batch gets its own and the GC reclaims it once the worker has partitioned it
-	raw := make([]byte, n*trace.RecordLen)
+	raw := a.raw[:n*trace.RecordLen]
 	trace.EncodeRecords(raw, dst[:n])
 	return raw, n, err
 }
 
-// srcUnit is one element of the reader→ingest stream: a raw record
-// window (raw, prevUS, noGap0) or a window barrier (bar). The in ring
-// and the shard rings are FIFO, so stream order is the order of
-// arrival everywhere downstream.
-//
-// prevUS is the timestamp of the stream packet preceding the window's
-// first record, which lets the worker compute interarrival gaps
-// locally; noGap0 marks the unit opening the stream, whose first packet
-// has no predecessor. sel is the reader's selection verdict for the
-// unit's records, one bit each (record i is bit i&63 of word i>>6): the
-// worker forwards the records whose bit is set and never evaluates a
-// schedule, so the selected set cannot depend on the shard count. The
-// slot belongs to the reader's pool; the worker only reads it, and only
-// during its partition pass over the unit (Pipeline.selSlot).
-type srcUnit struct {
-	bar *barrier
-
-	raw    []byte
-	sel    []uint64
-	prevUS int64
-	noGap0 bool
-}
-
-// ingestState is the ingest worker: it consumes the unit stream, hashes
-// packets to shards, and publishes per-shard item batches. Field
-// ownership: in connects to the reader; out[s] and freeItems[s] connect
-// to shard s; cur is worker-local.
+// ingestState is the reader's fan-out to the shards: one SPSC ring per
+// shard (out), the item buffers each shard hands back (freeItems), and
+// the batch the reader is filling for each shard (cur). The reader owns
+// the producer side of every ring; shard s owns the consumer side of
+// out[s] and the producer side of freeItems[s].
 type ingestState struct {
-	in        *spsc[srcUnit]
 	out       []*spsc[shardMsg]
 	freeItems []*spsc[[]item]
 	cur       [][]item
 }
 
-// newIngestState allocates the ingest worker's rings and buffer pools.
+// newIngestState allocates the fan-out's rings and buffer pools.
 func newIngestState(cfg *Config) *ingestState {
 	ig := &ingestState{
-		in:        newSPSC[srcUnit](cfg.QueueDepth),
 		out:       make([]*spsc[shardMsg], cfg.Shards),
 		freeItems: make([]*spsc[[]item], cfg.Shards),
 		cur:       make([][]item, cfg.Shards),
@@ -123,67 +102,54 @@ func newIngestState(cfg *Config) *ingestState {
 	return ig
 }
 
-// partitionRaw is the ingest kernel: one pass over a raw record window
-// that reads every record's timestamp to move the interarrival gap
-// chain forward, and skips each record whose selection bit is clear —
-// a shard never sees an unselected packet, as the paper's categorizer
-// never did. A selected record is decoded from three 8-byte words, its
-// shard derived from the same registers (the hash words re-pack the
-// record's bytes 12-23 and 10, see DecodeBatch for the layout), its gap
-// stamped, and the finished item written straight into the per-shard
-// batch — with the hash itself, so the shard's flow table and sketch
-// never rehash the tuple — keeping the record in registers between
-// decode and item store. Pinned item by item against a field-wise
-// reference by TestPartitionRawMatchesReference.
+// route is the reader's per-selected-record step: it decodes record
+// rec, whose timestamp t and gap against its stream predecessor the
+// reader has already read, from its two remaining 8-byte words, derives
+// its shard from the same registers (the hash words re-pack the
+// record's bytes 12-23 and 10, see DecodeBatch for the layout), and
+// writes the finished item straight into that shard's batch — with the
+// hash itself, so the shard's flow table and sketch never rehash the
+// tuple. The reader publishes the batches at the end of each source
+// window and before every barrier, so a batch holds at most BatchSize
+// items. Pinned item by item against a field-wise reference by
+// TestReaderRoutesLikeReference.
 //
 //nslint:hotpath
-func (ig *ingestState) partitionRaw(u srcUnit) {
-	nshards := uint32(len(ig.out))
-	prev := u.prevUS
-	raw := u.raw
-	n := len(raw) / trace.RecordLen
-	for i := 0; i < n; i++ {
-		rec := raw[i*trace.RecordLen : i*trace.RecordLen+trace.RecordLen]
-		t := int64(binary.LittleEndian.Uint64(rec[0:8]))
-		gap := t - prev
-		prev = t
-		if u.sel[i>>6]>>(uint(i)&63)&1 == 0 {
-			continue
-		}
-		w1 := binary.LittleEndian.Uint64(rec[8:16])
-		w2 := binary.LittleEndian.Uint64(rec[16:24])
-		h := flows.TupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32)
-		var s uint32
-		if nshards > 1 {
-			s = h % nshards
-		}
-		// Fill the item where it lies, not on the stack to be copied: a
-		// unit holds at most BatchSize packets and every recycled item
-		// buffer is made with that capacity, so the reslice cannot overrun.
-		cur := ig.cur[s][:len(ig.cur[s])+1]
-		ig.cur[s] = cur
-		it := &cur[len(cur)-1]
-		it.pkt.Time = t
-		it.pkt.Size = uint16(w1)
-		it.pkt.Protocol = packet.Protocol(w1 >> 16)
-		it.pkt.TCPFlags = uint8(w1 >> 24)
-		it.pkt.Src = packet.Addr{byte(w1 >> 32), byte(w1 >> 40), byte(w1 >> 48), byte(w1 >> 56)}
-		it.pkt.Dst = packet.Addr{byte(w2), byte(w2 >> 8), byte(w2 >> 16), byte(w2 >> 24)}
-		it.pkt.SrcPort = uint16(w2 >> 32)
-		it.pkt.DstPort = uint16(w2 >> 48)
-		it.gapUS = gap
-		it.hasGap = i > 0 || !u.noGap0
-		it.hash = h
+func (ig *ingestState) route(rec []byte, t, gap int64, hasGap bool) {
+	w1 := binary.LittleEndian.Uint64(rec[8:16])
+	w2 := binary.LittleEndian.Uint64(rec[16:24])
+	h := flows.TupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32)
+	var s uint32
+	if n := uint32(len(ig.out)); n > 1 {
+		s = h % n
 	}
+	// Fill the item where it lies, not on the stack to be copied: every
+	// item buffer is made with capacity BatchSize, which no batch
+	// exceeds, so the reslice cannot overrun.
+	cur := ig.cur[s][:len(ig.cur[s])+1]
+	ig.cur[s] = cur
+	it := &cur[len(cur)-1]
+	it.pkt.Time = t
+	it.pkt.Size = uint16(w1)
+	it.pkt.Protocol = packet.Protocol(w1 >> 16)
+	it.pkt.TCPFlags = uint8(w1 >> 24)
+	it.pkt.Src = packet.Addr{byte(w1 >> 32), byte(w1 >> 40), byte(w1 >> 48), byte(w1 >> 56)}
+	it.pkt.Dst = packet.Addr{byte(w2), byte(w2 >> 8), byte(w2 >> 16), byte(w2 >> 24)}
+	it.pkt.SrcPort = uint16(w2 >> 32)
+	it.pkt.DstPort = uint16(w2 >> 48)
+	it.gapUS = gap
+	it.hasGap = hasGap
+	it.hash = h
 }
 
-// DecodeBatch is partitionRaw's two-pass form, kept for measurement:
-// it decodes a window of raw NSTR record bytes into dst and fills
-// shards[i] with each packet's 5-tuple shard index (the two TupleHash
-// words are loaded straight out of the record's wire layout: addresses
-// in bytes 12-19, ports in 20-23, protocol in byte 10) and gaps[i] with
-// its interarrival gap, chaining from prevUS, the timestamp of the
-// record preceding the window. It returns the record count,
+// DecodeBatch is route's layout arithmetic as a whole-window kernel,
+// kept for measurement: it decodes every record of a window of raw NSTR
+// record bytes, selected or not, into dst and fills shards[i] with each
+// packet's 5-tuple shard index (the two TupleHash words are loaded
+// straight out of the record's wire layout: addresses in bytes 12-19,
+// ports in 20-23, protocol in byte 10) and gaps[i] with its
+// interarrival gap, chaining from prevUS, the timestamp of the record
+// preceding the window. It returns the record count,
 // min(len(dst), len(raw)/trace.RecordLen). nshards must be in [1, 256]
 // so the indices fit uint8 — anything else panics rather than return
 // truncated placements; shards and gaps must hold at least the record
@@ -223,37 +189,11 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 	return n
 }
 
-// ingestWorker drains the unit ring: data units are decoded and
-// partitioned into per-shard item batches, barriers are forwarded to
-// every shard. A data unit pushes a message only to the rings of shards
-// that receive packets from it.
-//
-//nslint:hotpath
-func (p *Pipeline) ingestWorker() {
-	defer p.ingestWG.Done()
-	ig := p.ingest
-	for {
-		u, ok := ig.in.pop()
-		if !ok {
-			break
-		}
-		if u.bar != nil {
-			for s := range ig.out {
-				ig.out[s].push(shardMsg{bar: u.bar})
-			}
-			continue
-		}
-		ig.partitionRaw(u)
-		ig.publish()
-	}
-	for s := range ig.out {
-		ig.out[s].close()
-	}
-}
-
-// publish flushes the worker's partitioned per-shard item batches for
-// one consumed unit: shards with packets in the unit get one message,
-// shards without get nothing. A full ring blocks the push.
+// publish flushes the reader's per-shard item batches: shards with
+// items get one message, shards without get nothing. A full ring blocks
+// the push. The reader calls it at the end of each source window and
+// before it pushes a barrier, so a barrier follows every item of its
+// window on each ring.
 //
 //nslint:hotpath
 func (ig *ingestState) publish() {

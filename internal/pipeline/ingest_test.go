@@ -9,8 +9,9 @@ import (
 	"netsample/internal/traffgen"
 )
 
-// TestIngestWorkersValidation checks the vestigial knob: the stage is
-// single, so only the two spellings of "one worker" are accepted.
+// TestIngestWorkersValidation checks the vestigial knob: the reader is
+// the one front-end goroutine, so only the two spellings of "one
+// worker" are accepted.
 func TestIngestWorkersValidation(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 2} {
 		_, err := New(Config{

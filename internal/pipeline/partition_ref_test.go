@@ -2,23 +2,25 @@ package pipeline
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"netsample/internal/flows"
+	"netsample/internal/online"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
 
-// keyHash is the test-only reference for the hash partitionRaw carries
-// and takes the shard from: flows.Key.Hash packs a decoded packet's
-// 5-tuple into the two TupleHash words field by field, where the kernel
-// loads the same words straight out of the record bytes.
+// keyHash is the test-only reference for the hash route carries and
+// takes the shard from: flows.Key.Hash packs a decoded packet's 5-tuple
+// into the two TupleHash words field by field, where route loads the
+// same words straight out of the record bytes.
 func keyHash(pkt *trace.Packet) uint32 {
 	return flows.Key{Src: pkt.Src, Dst: pkt.Dst, SrcPort: pkt.SrcPort, DstPort: pkt.DstPort, Proto: pkt.Protocol}.Hash()
 }
 
-// shardIndex is the shard partitionRaw must send pkt to.
+// shardIndex is the shard route must send pkt to.
 func shardIndex(pkt *trace.Packet, n int) int { return int(keyHash(pkt) % uint32(n)) }
 
 // TestItemSize pins the ring element: the carried hash fills the
@@ -50,96 +52,158 @@ func randomPackets(rng *rand.Rand, n int) []trace.Packet {
 	return pkts
 }
 
-// partitionUnit runs one unit over pkts through a fresh ingest worker's
-// partitionRaw and returns the per-shard item batches it built. A unit
-// without a selection bitmap selects every packet.
-func partitionUnit(pkts []trace.Packet, shards int, u srcUnit) [][]item {
-	if u.sel == nil {
-		u.sel = make([]uint64, (len(pkts)+63)/64)
-		for i := range u.sel {
-			u.sel[i] = ^uint64(0)
-		}
-	}
-	u.raw = make([]byte, len(pkts)*trace.RecordLen)
-	trace.EncodeRecords(u.raw, pkts)
-	ig := newIngestState(&Config{Shards: shards, QueueDepth: 1, BatchSize: len(pkts)})
-	ig.partitionRaw(u)
-	return ig.cur
+// routed is one element a shard ring delivered: an item, or, when cut
+// is set, the barrier of window cut.
+type routed struct {
+	it  item
+	cut uint64
 }
 
-// TestPartitionRawMatchesReference holds the fused ingest kernel to a
-// field-wise reference, item by item: a []bool the bitmap was packed
-// from for which packets become items, trace.DecodeRecords for the
-// packet, keyHash for the carried hash and (mod the shard count) the
-// shard, and a serial chain over every packet, selected or not, for the
-// gap. Every source reaches the shards through partitionRaw, so no
-// end-to-end comparison of two paths can catch an error in it any more;
-// this is also the layout-drift guard between the NSTR record format
-// and the hash word packing.
-func TestPartitionRawMatchesReference(t *testing.T) {
+// readerRoutes runs the reader of a pipeline built from cfg over src,
+// with each shard worker replaced by a drain that records what reaches
+// its ring, and returns that per shard in ring order.
+func readerRoutes(t *testing.T, cfg Config, src Source) [][]routed {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	got := make([][]routed, len(p.shards))
+	var wg sync.WaitGroup
+	for s, st := range p.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				msg, ok := st.in.pop()
+				if !ok {
+					return
+				}
+				if msg.bar != nil {
+					got[s] = append(got[s], routed{cut: msg.bar.seq})
+					continue
+				}
+				for _, it := range msg.items {
+					got[s] = append(got[s], routed{it: it})
+				}
+				st.free.push(msg.items[:0])
+			}
+		}()
+	}
+	go func() {
+		for range p.barriers {
+		}
+	}()
+	rs, ok := src.(RawBatchSource)
+	if !ok {
+		rs = newRecordAdapter(src, p.cfg.BatchSize, &p.stopReq)
+	}
+	if err := p.readRaw(rs); err != nil {
+		t.Fatalf("readRaw: %v", err)
+	}
+	for _, q := range p.ingest.out {
+		q.close()
+	}
+	wg.Wait()
+	close(p.barriers)
+	return got
+}
+
+// packetsOnly hides a Replayer's raw form, so the pipeline reads it
+// through recordAdapter's one reused window.
+type packetsOnly struct{ r *trace.Replayer }
+
+func (s packetsOnly) Next() (trace.Packet, error) { return s.r.Next() }
+
+// TestReaderRoutesLikeReference holds the reader's per-record path to a
+// field-wise reference, ring element by ring element: a serial pass
+// that cuts windows on the same rule, selects every k-th record from
+// the first, decodes with trace.DecodeRecords, hashes with keyHash (mod
+// the shard count for the shard) and chains every record's gap,
+// selected or not, across cuts too, so only the stream's first record
+// has no gap. Each shard must see its items in stream order and each
+// barrier after exactly its window's items. Every source reaches the
+// shards through route, so no end-to-end comparison of two paths can
+// catch an error in it; this is also the layout-drift guard between the
+// NSTR record format and the hash word packing.
+func TestReaderRoutesLikeReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
-	pkts := randomPackets(rng, 300)
+	pkts := randomPackets(rng, 1000)
 	raw := make([]byte, len(pkts)*trace.RecordLen)
 	trace.EncodeRecords(raw, pkts)
 	decoded := make([]trace.Packet, len(pkts))
 	if n := trace.DecodeRecords(decoded, raw); n != len(pkts) {
 		t.Fatalf("DecodeRecords decoded %d of %d", n, len(pkts))
 	}
-
-	// Selection patterns: none, all, every 7th from the 4th, every 100th
-	// from the 2nd, and coin flips. Every 7th and the coin flips put set
-	// and clear bits on both sides of every word boundary of the 300-bit
-	// bitmap; every 100th leaves whole words clear between selections,
-	// so a gap chains across more than 64 skipped records.
-	patterns := []struct {
-		name string
-		sel  func(i int) bool
-	}{
-		{"none", func(int) bool { return false }},
-		{"all", func(int) bool { return true }},
-		{"every7", func(i int) bool { return i%7 == 3 }},
-		{"every100", func(i int) bool { return i%100 == 1 }},
-		{"uniform", func(int) bool { return rng.Intn(2) == 0 }},
+	tr := &trace.Trace{Packets: pkts}
+	// At k = 100, records 100 and 200 are selected: a window of
+	// span(150) cuts between them, one of span(201) right after 200.
+	span := func(i int) int64 {
+		if pkts[i].Time == pkts[i-1].Time {
+			t.Fatalf("records %d and %d share a timestamp; the cut would not land between them", i-1, i)
+		}
+		return pkts[i].Time - pkts[0].Time
 	}
-	for _, shards := range []int{1, 2, 3, 7, 300} {
-		for _, noGap0 := range []bool{false, true} {
-			for _, pattern := range patterns {
-				st := pattern.name
-				selected := make([]bool, len(pkts))
-				bitmap := make([]uint64, (len(pkts)+63)/64)
-				for i := range selected {
-					if selected[i] = pattern.sel(i); selected[i] {
-						bitmap[i/64] |= 1 << (i % 64)
-					}
+	cases := []struct {
+		k        int
+		windowUS int64
+	}{
+		{100, 0}, {100, span(150)}, {100, span(201)},
+		{1, 0}, {1, span(150)}, {1, span(201)},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 2, 4} {
+			want := make([][]routed, shards)
+			seq := uint64(0)
+			cutAll := func() {
+				seq++
+				for s := range want {
+					want[s] = append(want[s], routed{cut: seq})
 				}
-				u := srcUnit{prevUS: -5, noGap0: noGap0, sel: bitmap}
-				got := partitionUnit(pkts, shards, u)
+			}
+			nextWin := pkts[0].Time + c.windowUS
+			for i := range decoded {
+				for c.windowUS > 0 && decoded[i].Time >= nextWin {
+					cutAll()
+					nextWin += c.windowUS
+				}
+				if i%c.k != 0 {
+					continue
+				}
+				var gap int64
+				if i > 0 {
+					gap = decoded[i].Time - decoded[i-1].Time
+				}
+				s := shardIndex(&decoded[i], shards)
+				want[s] = append(want[s], routed{it: item{
+					pkt:    decoded[i],
+					gapUS:  gap,
+					hasGap: i > 0,
+					hash:   keyHash(&decoded[i]),
+				}})
+			}
+			cutAll()
 
-				want := make([][]item, shards)
-				prev := u.prevUS
-				for i := range decoded {
-					gap := decoded[i].Time - prev
-					prev = decoded[i].Time
-					if !selected[i] {
-						continue
-					}
-					s := shardIndex(&decoded[i], shards)
-					want[s] = append(want[s], item{
-						pkt:    decoded[i],
-						gapUS:  gap,
-						hasGap: !(noGap0 && i == 0),
-						hash:   keyHash(&decoded[i]),
-					})
-				}
+			for _, src := range []struct {
+				name string
+				src  Source
+			}{{"raw", tr.Replay()}, {"adapter", packetsOnly{tr.Replay()}}} {
+				got := readerRoutes(t, Config{
+					Shards:     shards,
+					BatchSize:  64,
+					QueueDepth: 2,
+					WindowUS:   c.windowUS,
+					NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(c.k, 0) },
+				}, src.src)
 				for s := range want {
 					if len(got[s]) != len(want[s]) {
-						t.Fatalf("shards=%d noGap0=%v sel=%s: shard %d got %d items, want %d",
-							shards, noGap0, st, s, len(got[s]), len(want[s]))
+						t.Fatalf("k=%d window=%d shards=%d %s: shard %d got %d elements, want %d",
+							c.k, c.windowUS, shards, src.name, s, len(got[s]), len(want[s]))
 					}
 					for j := range want[s] {
 						if got[s][j] != want[s][j] {
-							t.Fatalf("shards=%d noGap0=%v sel=%s: shard %d item %d = %+v, want %+v",
-								shards, noGap0, st, s, j, got[s][j], want[s][j])
+							t.Fatalf("k=%d window=%d shards=%d %s: shard %d element %d = %+v, want %+v",
+								c.k, c.windowUS, shards, src.name, s, j, got[s][j], want[s][j])
 						}
 					}
 				}

@@ -8,10 +8,9 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//	      reader (Run goroutine)
-//	         │  record windows + selection bitmaps + gap stamps +
-//	         │  window barriers, one SPSC ring
-//	      ingest worker                (skip unselected; decode, hash)
+//	      reader (Run goroutine)       per packet: timestamp, cut, gap,
+//	         │                         selection; per selected: decode,
+//	         │                         hash, append to a shard batch
 //	    ┌────┴─────────────┐           one SPSC ring per shard
 //	shard 0      …      shard S-1      (FIFO consume)
 //	    │ snapshot parts   │
@@ -19,43 +18,40 @@
 //
 // The reader runs on the goroutine that calls Run: it pulls windows of
 // raw NSTR records from the source (any other Source is encoded into
-// record windows at the edge, see recordAdapter), reads only their
-// timestamps, and decides everything order-sensitive: window barriers,
-// the interarrival gap chain, and selection. It owns the run's one
+// record windows at the edge, see recordAdapter) and makes one pass
+// over each, deciding everything order-sensitive. Per-packet work reads
+// only a record's timestamp: the reader compares it with the window
+// cut, chains the interarrival gap, and offers it to the run's one
 // online.Sampler — one of the paper's methods applied to the link, not
-// to a hash partition of it — offers it every packet in stream order,
-// and stamps the verdicts on each window as a bitmap before handing the
-// windows to the ingest worker. Per-packet work ends in the ingest
-// worker: it reads each record's timestamp to move the gap chain
-// forward and skips every record whose selection bit is clear, as the
-// paper's T3 firmware samples in the forwarding path so the categorizer
-// never sees an unselected packet. The rest is per selected packet: the
-// worker decodes it, hashes it to a shard by a deterministic hash of
-// the 5-tuple (flows.TupleHash, which rides the item into the shard's
-// flow counter and sketch) — so every flow lives on exactly one shard —
-// stamps it with its interarrival gap against its stream predecessor
-// (the quantity a monitor with a last-packet timestamp register
-// observes), and publishes per-shard item batches into lock-free
-// single-producer/single-consumer rings, one per shard, where the shard
-// bins it and feeds its flow counter and top-K. Every ring is FIFO, so
-// the packets of one shard are processed in exact stream order. The
-// selected set, and so every snapshot, is the same for any shard count,
-// and equals the batch evaluator's on the same trace and seed
-// (FuzzOracleChain).
+// to a hash partition of it. An unselected record goes no further, as
+// the paper's T3 firmware samples in the forwarding path so the
+// categorizer never sees an unselected packet. The rest is per selected
+// packet: the reader decodes it, hashes it to a shard by a
+// deterministic hash of the 5-tuple (flows.TupleHash, which rides the
+// item into the shard's flow counter and sketch) — so every flow lives
+// on exactly one shard — stamps it with its interarrival gap against
+// its stream predecessor (the quantity a monitor with a last-packet
+// timestamp register observes), and appends it to its shard's batch.
+// The batches go out through lock-free single-producer/single-consumer
+// rings, one per shard, where the shard bins each packet and feeds its
+// flow counter and top-K. Every ring is FIFO, so the packets of one
+// shard are processed in exact stream order. The selected set, and so
+// every snapshot, is the same for any shard count, and equals the batch
+// evaluator's on the same trace and seed (FuzzOracleChain).
 //
 // All queues are bounded; when a shard falls behind, its full ring
-// blocks the fan-out, and the backpressure reaches the reader. Nothing
-// is shed: every window has Processed == Offered and Dropped == 0.
+// blocks the reader. Nothing is shed: every window has
+// Processed == Offered and Dropped == 0.
 //
 // Each shard keeps incremental aggregates over the selected packets it
 // receives: integer per-bin size and interarrival histogram counts
 // (bins.Edged), a flows.Counter of transport flows, and an nnstat.TopK
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
-// reproducible regardless of wall-clock speed or scheduling: the reader
-// emits a window barrier as one marker unit, the ingest worker forwards
-// it through every shard ring, and a shard's cut happens when the marker
-// arrives — because it travels in order with the data, a snapshot
+// reproducible regardless of wall-clock speed or scheduling: at a cut
+// the reader flushes its batches and pushes one barrier into every
+// shard ring, and a shard's cut happens when the barrier arrives —
+// because it travels in order with the data, a snapshot
 // reflects exactly the packets that preceded the cut in the stream (a
 // Chandy-Lamport-style consistent cut over the fan-out tree).
 //
@@ -111,8 +107,8 @@ type Config struct {
 	// Shards is the number of worker shards (>= 1).
 	Shards int
 	// IngestWorkers is accepted only because benchmarks/nsbench sets it
-	// to 1 in a struct literal: the ingest stage is single (DESIGN.md
-	// §15), and New rejects anything but 0 or 1.
+	// to 1 in a struct literal: the reader is the one front-end
+	// goroutine (DESIGN.md §15), and New rejects anything but 0 or 1.
 	IngestWorkers int
 	// QueueDepth bounds each ring of the fan-out tree, in batches
 	// (DefaultQueueDepth if zero).
@@ -137,11 +133,6 @@ type Config struct {
 	// window cut). Mutually exclusive with NewSampler.
 	Adaptive *AdaptiveConfig
 
-	// SizeScheme and IatScheme bin the two characterization targets
-	// (paper schemes if nil), at most 255 bins each.
-	SizeScheme *bins.Edged
-	IatScheme  *bins.Edged
-
 	// FlowTimeoutUS is the flow idle timeout in µs
 	// (DefaultFlowTimeoutUS if zero).
 	FlowTimeoutUS int64
@@ -159,8 +150,8 @@ type Config struct {
 
 	// SizeEval and IatEval, when set, score each snapshot's merged
 	// histogram counts against their reference populations
-	// (core.Evaluator.ScoreCounts). Their schemes must match
-	// SizeScheme/IatScheme bin-for-bin.
+	// (core.Evaluator.ScoreCounts). Their schemes must match the
+	// paper's, bins.PacketSize and bins.Interarrival, bin-for-bin.
 	SizeEval *core.Evaluator
 	IatEval  *core.Evaluator
 
@@ -181,7 +172,9 @@ var (
 type Pipeline struct {
 	cfg    Config
 	shards []*shardState
-	ingest *ingestState
+	ingest *ingestState // reader-owned producer side of the shard rings
+	// nSize and nIat are the paper schemes' bin counts.
+	nSize, nIat int
 
 	barriers chan *barrier
 	// barFree returns merged barriers from the collector to the reader,
@@ -194,7 +187,6 @@ type Pipeline struct {
 	// emitBarrier. The reader waits out each decision before it cuts
 	// again, so one slot is always enough.
 	decided chan int
-	useq    uint64 // data units sent, reader-owned: selSlot's index into selPool
 	winSeq  uint64 // window sequence, reader-owned
 
 	pub    pubSlabs // collector-owned
@@ -202,20 +194,15 @@ type Pipeline struct {
 	mu     sync.Mutex
 	snaps  []*Snapshot
 
-	stopReq  atomic.Bool
-	started  atomic.Bool
-	ingestWG sync.WaitGroup
-	shardWG  sync.WaitGroup
-	done     chan struct{}
+	stopReq atomic.Bool
+	started atomic.Bool
+	shardWG sync.WaitGroup
+	done    chan struct{}
 
 	// sampler is the run's one selection schedule, reader-owned: what
 	// Config.NewSampler built, or under Config.Adaptive a systematic
 	// sampler that emitBarrier re-anchors when the controller moves k.
 	sampler online.Sampler
-	// selPool holds the selection bitmaps the reader stamps on data
-	// units, one BatchSize-bit slot per unit, reused round-robin by unit
-	// count (selSlot argues why a slot is free again by then).
-	selPool [][]uint64
 
 	// Adaptive-control state (Config.Adaptive). adaptK is
 	// collector-owned; the reader learns each decision through decided.
@@ -267,16 +254,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.TopKCapacity < 0 || cfg.TopKReport < 0 {
 		return nil, fmt.Errorf("%w: TopKCapacity and TopKReport must be >= 0", ErrConfig)
 	}
-	if cfg.SizeScheme == nil {
-		cfg.SizeScheme = bins.PacketSize()
-	}
-	if cfg.IatScheme == nil {
-		cfg.IatScheme = bins.Interarrival()
-	}
-	if cfg.SizeScheme.NumBins() > 255 || cfg.IatScheme.NumBins() > 255 {
-		return nil, fmt.Errorf("%w: schemes have %d and %d bins, at most 255 each",
-			ErrConfig, cfg.SizeScheme.NumBins(), cfg.IatScheme.NumBins())
-	}
 	if cfg.FlowTimeoutUS == 0 {
 		cfg.FlowTimeoutUS = DefaultFlowTimeoutUS
 	}
@@ -286,17 +263,20 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.TopKReport == 0 {
 		cfg.TopKReport = DefaultTopKReport
 	}
-	if cfg.SizeEval != nil && cfg.SizeEval.NumBins() != cfg.SizeScheme.NumBins() {
-		return nil, fmt.Errorf("%w: SizeEval has %d bins, SizeScheme %d",
-			ErrConfig, cfg.SizeEval.NumBins(), cfg.SizeScheme.NumBins())
+	size, iat := bins.PacketSize(), bins.Interarrival()
+	if cfg.SizeEval != nil && cfg.SizeEval.NumBins() != size.NumBins() {
+		return nil, fmt.Errorf("%w: SizeEval has %d bins, the size scheme %d",
+			ErrConfig, cfg.SizeEval.NumBins(), size.NumBins())
 	}
-	if cfg.IatEval != nil && cfg.IatEval.NumBins() != cfg.IatScheme.NumBins() {
-		return nil, fmt.Errorf("%w: IatEval has %d bins, IatScheme %d",
-			ErrConfig, cfg.IatEval.NumBins(), cfg.IatScheme.NumBins())
+	if cfg.IatEval != nil && cfg.IatEval.NumBins() != iat.NumBins() {
+		return nil, fmt.Errorf("%w: IatEval has %d bins, the interarrival scheme %d",
+			ErrConfig, cfg.IatEval.NumBins(), iat.NumBins())
 	}
 
 	p := &Pipeline{
 		cfg:      cfg,
+		nSize:    size.NumBins(),
+		nIat:     iat.NumBins(),
 		barriers: make(chan *barrier, cfg.QueueDepth),
 		barFree:  make(chan *barrier, cfg.QueueDepth+2),
 		done:     make(chan struct{}),
@@ -313,26 +293,16 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline: sampler: %w", err)
 	}
 	p.shards = make([]*shardState, cfg.Shards)
-	sizeLUT := buildSizeLUT(cfg.SizeScheme)
+	sizeLUT := buildSizeLUT(size)
+	p.ingest = newIngestState(&cfg)
 	for i := range p.shards {
-		st, err := newShardState(i, &cfg, sizeLUT)
+		st, err := newShardState(i, &cfg, size, iat, sizeLUT)
 		if err != nil {
 			return nil, err
 		}
+		st.in = p.ingest.out[i]
+		st.free = p.ingest.freeItems[i]
 		p.shards[i] = st
-	}
-	p.ingest = newIngestState(&cfg)
-	for _, st := range p.shards {
-		st.in = p.ingest.out[st.id]
-		st.free = p.ingest.freeItems[st.id]
-	}
-	// One bitmap slot per unit that can be between the reader's fill and
-	// the end of the worker's partition pass; see selSlot for the bound.
-	words := (cfg.BatchSize + 63) / 64
-	backing := make([]uint64, (p.ingest.in.cap()+2)*words)
-	p.selPool = make([][]uint64, len(backing)/words)
-	for i := range p.selPool {
-		p.selPool[i] = backing[i*words : (i+1)*words]
 	}
 	return p, nil
 }
@@ -349,8 +319,6 @@ func (p *Pipeline) Run(src Source) error {
 	if !p.started.CompareAndSwap(false, true) {
 		return ErrReused
 	}
-	p.ingestWG.Add(1)
-	go p.ingestWorker()
 	for _, st := range p.shards {
 		p.shardWG.Add(1)
 		go p.shardWorker(st)
@@ -363,8 +331,9 @@ func (p *Pipeline) Run(src Source) error {
 	}
 	srcErr := p.readRaw(rs)
 
-	p.ingest.in.close()
-	p.ingestWG.Wait()
+	for _, q := range p.ingest.out {
+		q.close()
+	}
 	p.shardWG.Wait()
 	close(p.barriers)
 	<-p.done
@@ -390,34 +359,35 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 	return append([]*Snapshot(nil), p.snaps...)
 }
 
-// readRaw is the sequential stage: it owns the virtual clock, the
-// window barriers, the gap chain and the sampler, and runs on the Run
-// caller's goroutine. The shards may run in parallel because everything
-// order-sensitive is decided here. It forwards the source's record
-// windows to the ingest worker undecoded — decode, 5-tuple hash, and gap
-// stamp run there (partitionRaw) — and itself touches only the 8-byte
-// timestamp field of each record: it is what the window cut compares
-// and what the sampler is offered. The sampler is not reset at a cut:
-// its schedule continues across windows, exactly as a batch sampler
-// runs uninterrupted over the whole trace.
+// readRaw is the front end, the pipeline's one sequential stage: it
+// owns the virtual clock, the window barriers, the gap chain, the
+// sampler and the producer side of every shard ring, and runs on the
+// Run caller's goroutine. The shards may run in parallel because
+// everything order-sensitive is decided here. Per record it reads only
+// the 8-byte timestamp field — what the window cut compares, the gap
+// chain moves on and the sampler is offered; per selected record it
+// also decodes, hashes and routes the record (route). The sampler is
+// not reset at a cut: its schedule continues across windows, exactly as
+// a batch sampler runs uninterrupted over the whole trace.
 //
-// Window cuts slice the source's window at record granularity, so a
-// unit never spans a barrier. How the stream is grouped into units is
-// invisible: snapshots are invariant to it.
+// The reader publishes its shard batches at the end of each source
+// window, which it never reads again, and before each barrier. How the
+// stream is grouped into batches is invisible: snapshots are invariant
+// to it.
 //
 //nslint:hotpath
 func (p *Pipeline) readRaw(rs RawBatchSource) error {
 	var (
 		srcErr    error
-		prevUS    int64
 		winStart  int64
 		nextWin   int64
 		windowing = p.cfg.WindowUS > 0
 		offered   uint64
-		lastTime  int64
+		prevUS    int64 // timestamp of the last record read
 		firstSeen bool
-		sentFirst bool
+		hasGap    bool // false until the stream's first record is read
 	)
+	ig := p.ingest
 	for !p.stopReq.Load() {
 		raw, n, err := rs.NextRawBatch(p.cfg.BatchSize)
 		if err != nil && !errors.Is(err, io.EOF) {
@@ -428,52 +398,36 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 		if n > 0 {
 			if !firstSeen {
 				firstSeen = true
-				first := rawTime(raw, 0)
-				winStart = first
-				nextWin = first + p.cfg.WindowUS
-				// The stream's first packet has no predecessor: seeding the
-				// chain with its own timestamp yields gap 0, and noGap0
-				// masks the observation in the worker.
-				prevUS = first
+				winStart = rawTime(raw, 0)
+				nextWin = winStart + p.cfg.WindowUS
+				// The stream's first record has no predecessor: its gap is
+				// 0 and hasGap masks it.
+				prevUS = winStart
 			}
-			seg := 0
-			sel := p.selSlot()
 			for i := 0; i < n; {
 				t := rawTime(raw, i)
 				if windowing && t >= nextWin {
-					if i > seg {
-						p.sendRawUnit(raw, seg, i, sel, prevUS, !sentFirst)
-						sentFirst = true
-						prevUS = lastTime
-						seg = i
-					}
 					p.emitBarrier(winStart, nextWin, false, offered)
 					offered = 0
 					winStart = nextWin
 					nextWin += p.cfg.WindowUS
-					// If a unit was sent above, the one opening at record i
-					// has a different slot.
-					sel = p.selSlot()
 					continue
 				}
 				if p.sampler.Offer(t) {
-					sel[(i-seg)>>6] |= 1 << (uint(i-seg) & 63)
+					ig.route(raw[i*trace.RecordLen:(i+1)*trace.RecordLen], t, t-prevUS, hasGap)
 				}
+				prevUS = t
+				hasGap = true
 				offered++
-				lastTime = t
 				i++
 			}
-			// A cut moves seg only to a record the loop then consumes, so
-			// at least one record is always left to send.
-			p.sendRawUnit(raw, seg, n, sel, prevUS, !sentFirst)
-			sentFirst = true
-			prevUS = lastTime
+			ig.publish()
 		}
 		if err != nil {
 			break
 		}
 	}
-	endUS := lastTime + 1
+	endUS := prevUS + 1
 	if !firstSeen {
 		winStart, endUS = 0, 0
 	}
@@ -481,56 +435,22 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 	return srcErr
 }
 
-// rawTime reads record i's timestamp field from a raw record window —
-// the only field the raw reader ever decodes.
+// rawTime reads record i's timestamp field from a raw record window.
 //
 //nslint:hotpath
 func rawTime(raw []byte, i int) int64 {
 	return int64(binary.LittleEndian.Uint64(raw[i*trace.RecordLen:]))
 }
 
-// selSlot returns the cleared selection bitmap of the unit the reader
-// builds next (data unit useq). Slots are reused every len(selPool) =
-// C+2 data units, C the in ring's capacity, with no hand-back from the
-// ingest worker. That is safe because there is one worker behind one
-// FIFO ring: the C+1 units between q-(C+2) and q (and any barriers
-// among them) have all been pushed before the reader fills unit q, and
-// the last of those pushes found ring space only after the worker had
-// popped the unit following q-(C+2), which it does after its partition
-// pass over q-(C+2) — the slot's one reader — has returned. The ring's
-// head store/load pair orders the two. Reader goroutine only.
-//
-//nslint:hotpath
-func (p *Pipeline) selSlot() []uint64 {
-	sel := p.selPool[p.useq%uint64(len(p.selPool))]
-	clear(sel)
-	return sel
-}
-
-// sendRawUnit hands the [from, to) record sub-window of raw, with its
-// selection bitmap, to the ingest worker. The slice aliases the
-// source's window (stable until Run returns, per RawBatchSource); the
-// bounded in ring is the backpressure. Reader goroutine only.
-//
-//nslint:hotpath
-func (p *Pipeline) sendRawUnit(raw []byte, from, to int, sel []uint64, prevUS int64, noGap0 bool) {
-	p.ingest.in.push(srcUnit{
-		raw:    raw[from*trace.RecordLen : to*trace.RecordLen],
-		sel:    sel,
-		prevUS: prevUS,
-		noGap0: noGap0,
-	})
-	p.useq++
-}
-
-// emitBarrier cuts the stream at the current read position: one
-// barrier unit, which the ingest worker forwards through each shard
-// ring, so every shard observes the cut at the same stream offset.
+// emitBarrier cuts the stream at the current read position: it
+// publishes the reader's shard batches, then pushes one barrier into
+// every shard ring, so every shard observes the cut at the same stream
+// offset.
 //
 // In adaptive mode the cut doubles as the control-loop handshake: the
 // reader parks on p.decided until the collector has merged the window
 // and run the control step, then adopts the decided k. Parking here
-// cannot deadlock — every unit of the window and its barrier was pushed
+// cannot deadlock — every item of the window and its barrier was pushed
 // before the wait, so the shards can always reach the cut and the
 // collector always sends the decision. The wait is what makes adaptive
 // runs deterministic: every packet of window w+1 is offered to the
@@ -551,7 +471,10 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 		bar = &barrier{parts: make(chan shardPart, len(p.shards))}
 	}
 	bar.seq, bar.startUS, bar.endUS, bar.final, bar.offered = p.winSeq, startUS, endUS, final, offered
-	p.ingest.in.push(srcUnit{bar: bar})
+	p.ingest.publish()
+	for _, q := range p.ingest.out {
+		q.push(shardMsg{bar: bar})
+	}
 	p.barriers <- bar
 	if p.decided != nil {
 		nextK := <-p.decided

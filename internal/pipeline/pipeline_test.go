@@ -186,14 +186,6 @@ func TestEmptySource(t *testing.T) {
 // TestConfigValidation spot-checks New's rejections.
 func TestConfigValidation(t *testing.T) {
 	newSys := func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) }
-	edges := make([]float64, 255)
-	for i := range edges {
-		edges[i] = float64(i + 1)
-	}
-	wide, err := bins.NewEdged("wide", edges) // 256 bins, one over the cap
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := []Config{
 		{Shards: 0, NewSampler: newSys},
 		{Shards: 1},
@@ -203,40 +195,48 @@ func TestConfigValidation(t *testing.T) {
 		{Shards: 1, NewSampler: newSys, TopKReport: -1},
 		{Shards: 1, NewSampler: newSys, TopKCapacity: -1},
 		{Shards: 1, NewSampler: newSys, Policy: Block + 1},
-		{Shards: 1, NewSampler: newSys, SizeScheme: wide},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); !errors.Is(err, ErrConfig) {
 			t.Errorf("config %d: error = %v, want ErrConfig", i, err)
 		}
 	}
-	// Evaluator/scheme bin mismatch.
+	// Evaluator/scheme bin mismatch: a size evaluator built on a 2-bin
+	// scheme, where the pipeline bins sizes into 3.
 	tr := smallTrace(t, 2)
-	sizeEval, _ := evaluators(t, tr)
-	if _, err := New(Config{
-		Shards: 1, NewSampler: newSys,
-		SizeScheme: bins.Interarrival(), // 5 bins vs the evaluator's 3
-		SizeEval:   sizeEval,
-	}); !errors.Is(err, ErrConfig) {
+	halves, err := bins.NewEdged("halves", []float64{100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := core.NewEvaluator(tr, core.TargetSize, halves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Shards: 1, NewSampler: newSys, SizeEval: wrong}); !errors.Is(err, ErrConfig) {
 		t.Errorf("bin mismatch error = %v, want ErrConfig", err)
 	}
 }
 
-// TestShardOfSpreadsAndPartitions checks the ingest kernel's flow hash
-// is stable per key and actually uses more than one shard on diverse
+// TestShardOfSpreadsAndPartitions checks the reader's flow hash is
+// stable per key and actually uses more than one shard on diverse
 // traffic, with every selected packet placed on exactly one shard.
 func TestShardOfSpreadsAndPartitions(t *testing.T) {
 	tr := smallTrace(t, 777)
 	used := make(map[int]int)
 	total := 0
 	byKey := make(map[[13]byte]int)
-	for s, items := range partitionUnit(tr.Packets, 4, srcUnit{}) {
-		if len(items) > 0 {
-			used[s] += len(items)
-		}
-		total += len(items)
-		for _, it := range items {
-			pkt := it.pkt
+	routes := readerRoutes(t, Config{
+		Shards:     4,
+		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+	}, tr.Replay())
+	for s, elems := range routes {
+		for _, e := range elems {
+			if e.cut != 0 {
+				continue
+			}
+			used[s]++
+			total++
+			pkt := e.it.pkt
 			var key [13]byte
 			copy(key[0:4], pkt.Src[:])
 			copy(key[4:8], pkt.Dst[:])

@@ -22,8 +22,8 @@ var (
 	_ RawBatchSource = (*trace.Replayer)(nil)
 )
 
-// TestDecodeBatchEquivalence cross-checks the exported two-pass kernel
-// against the same reference as partitionRaw — trace round-trip decode,
+// TestDecodeBatchEquivalence cross-checks the exported whole-window
+// kernel against the same reference as route — trace round-trip decode,
 // per-packet shardIndex, and explicit gap chaining — over randomized
 // packets, shard counts, and window offsets.
 func TestDecodeBatchEquivalence(t *testing.T) {

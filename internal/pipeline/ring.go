@@ -66,9 +66,6 @@ func newSPSC[T any](capacity int) *spsc[T] {
 	}
 }
 
-// cap returns the ring's slot capacity.
-func (q *spsc[T]) cap() int { return len(q.slots) }
-
 // tryPush appends v without blocking, reporting false if the ring is
 // full. Producer goroutine only.
 func (q *spsc[T]) tryPush(v T) bool {

@@ -11,8 +11,8 @@ func TestRingCapacityRounding(t *testing.T) {
 	for _, c := range []struct{ ask, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {7, 8}, {8, 8}, {9, 16},
 	} {
-		if got := newSPSC[int](c.ask).cap(); got != c.want {
-			t.Errorf("newSPSC(%d).cap() = %d, want %d", c.ask, got, c.want)
+		if got := len(newSPSC[int](c.ask).slots); got != c.want {
+			t.Errorf("newSPSC(%d) has %d slots, want %d", c.ask, got, c.want)
 		}
 	}
 }

@@ -24,8 +24,8 @@ type item struct {
 
 // shardMsg travels a shard's ring: a data batch or a window barrier.
 // The ring is FIFO, so a shard sees its packets in stream order and the
-// barrier after exactly the packets that preceded the cut. Units
-// contributing nothing to a shard send it no message.
+// barrier after exactly the packets that preceded the cut. A shard
+// with no packets in a batch gets no message for it.
 type shardMsg struct {
 	items []item
 	bar   *barrier
@@ -41,12 +41,12 @@ type cutBufs struct {
 }
 
 // shardState is one worker shard. Field ownership is strict: in and
-// free are the rings connecting it to the ingest worker; everything else
-// is worker-goroutine-only (and the Run caller's after shardWG.Wait).
+// free are the rings connecting it to the reader; everything else is
+// worker-goroutine-only (and the Run caller's after shardWG.Wait).
 type shardState struct {
 	id   int
-	in   *spsc[shardMsg] // consume side of the ingest worker's out ring
-	free *spsc[[]item]   // recycle side, back to the ingest worker
+	in   *spsc[shardMsg] // consume side of the reader's out ring
+	free *spsc[[]item]   // recycle side, back to the reader
 
 	// Worker-owned.
 	// sizeLUT tabulates the size scheme's Index over the full uint16
@@ -71,10 +71,10 @@ type shardState struct {
 	selected   uint64
 }
 
-// newShardState allocates one shard's aggregates. The rings are wired
-// in by New once the ingest worker exists; sizeLUT is built once by New
-// and shared read-only across shards.
-func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
+// newShardState allocates one shard's aggregates. New wires in the
+// rings, and builds sizeLUT over size once for all shards to share
+// read-only.
+func newShardState(id int, cfg *Config, size, iat *bins.Edged, sizeLUT []uint8) (*shardState, error) {
 	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
 	if err != nil {
 		return nil, err
@@ -86,9 +86,9 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 	return &shardState{
 		id:         id,
 		sizeLUT:    sizeLUT,
-		iatScheme:  cfg.IatScheme,
-		sizeCounts: make([]uint64, cfg.SizeScheme.NumBins()),
-		iatCounts:  make([]uint64, cfg.IatScheme.NumBins()),
+		iatScheme:  iat,
+		sizeCounts: make([]uint64, size.NumBins()),
+		iatCounts:  make([]uint64, iat.NumBins()),
 		cutFree:    make(chan cutBufs, cfg.QueueDepth+2),
 		flowCount:  flowCount,
 		topk:       topk,
@@ -100,7 +100,8 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 // value. The IP total length is a uint16, so 64 KiB of uint8 indices
 // cover the whole domain exactly — Index is consulted once per value at
 // construction, making the table bit-identical to the scheme by
-// definition. New caps schemes at 255 bins, so every index fits uint8.
+// definition. The paper's size scheme has 3 bins, so every index fits
+// uint8.
 func buildSizeLUT(s *bins.Edged) []uint8 {
 	lut := make([]uint8, 1<<16)
 	for v := range lut {

@@ -43,7 +43,7 @@ type shardPart struct {
 //
 // The embedded collect.Snapshot is the window's wire form with Node
 // left empty. Offered counts the window's packets; per packet, the node
-// only reads the timestamp, chains the gap and sets the selection bit.
+// only reads the timestamp, chains the gap and offers it to the sampler.
 // Selected counts the packets the sampler chose, the only ones decoded,
 // hashed, handed to a shard and counted into bins, flows and top-K.
 // Rings block rather than shed, so every offered packet is processed:
@@ -170,8 +170,8 @@ type pubSlabs struct {
 // forms and TopK come from the collector's slabs.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	pub := &p.pub
-	nSize := p.cfg.SizeScheme.NumBins()
-	nBins := nSize + p.cfg.IatScheme.NumBins()
+	nSize := p.nSize
+	nBins := nSize + p.nIat
 	counts, wire := pub.counts.take(nBins), pub.wire.take(nBins)
 	blk := &pub.blocks.take(1)[0]
 	blk.Snapshot = Snapshot{

@@ -112,12 +112,11 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 	loader, module, _, _ := lintModule(t)
 	mp := loader.ModulePath
 	wanted := []string{
-		// TestPipelineHotPathAllocs: adapt → read → ingest → shard →
-		// sample, per packet.
+		// TestPipelineHotPathAllocs: adapt → read and sample → route →
+		// shard, per packet.
 		"(*" + mp + "/internal/pipeline.recordAdapter).NextRawBatch",
 		mp + "/internal/trace.EncodeRecords",
 		"(*" + mp + "/internal/pipeline.Pipeline).readRaw",
-		"(*" + mp + "/internal/pipeline.Pipeline).ingestWorker",
 		"(*" + mp + "/internal/pipeline.Pipeline).shardWorker",
 		"(*" + mp + "/internal/pipeline.shardState).process",
 		"(*" + mp + "/internal/flows.Counter).AddHashed",
@@ -131,10 +130,10 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/nnstat.TopK).AddBytes",
 		"(*" + mp + "/internal/online.Systematic).Offer",
 		"(*" + mp + "/internal/online.Stratified).Offer",
-		// The ingest worker's per-unit partition and publish, inside the
-		// same hot loops.
+		// The reader's per-selected-record route and per-window publish,
+		// inside the same hot loops.
 		"(*" + mp + "/internal/pipeline.ingestState).publish",
-		"(*" + mp + "/internal/pipeline.ingestState).partitionRaw",
+		"(*" + mp + "/internal/pipeline.ingestState).route",
 		// TestMapReaderHotPathAllocs: the mmap source, per batch of
 		// records.
 		mp + "/internal/pipeline.DecodeBatch",

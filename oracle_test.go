@@ -73,6 +73,7 @@ func rankTop(es []nnstat.Entry, n int) []nnstat.Entry {
 // cfg.Adaptive, whose systematic counter runs here window by window.
 func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, error) {
 	pkts := tr.Packets
+	sizeScheme, iatScheme := bins.PacketSize(), bins.Interarrival()
 	// Windows: the first opens at the first packet; a packet at or past
 	// the next boundary cuts, once per boundary it passes; the last
 	// closes one µs after the last packet.
@@ -113,8 +114,8 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 			WindowStartUS: win.start, WindowEndUS: win.end,
 			Final: w == len(wins)-1, Shards: uint32(cfg.Shards),
 			Offered: uint64(win.hi - win.lo), Processed: uint64(win.hi - win.lo),
-			SizeCounts: make([]uint64, cfg.SizeScheme.NumBins()),
-			IatCounts:  make([]uint64, cfg.IatScheme.NumBins()),
+			SizeCounts: make([]uint64, sizeScheme.NumBins()),
+			IatCounts:  make([]uint64, iatScheme.NumBins()),
 		}
 		// Bins, flows and exact per-key counts over the selected packets.
 		type record struct{ last, pkts, bytes int64 }
@@ -129,9 +130,9 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 			p := pkts[i]
 			idx = append(idx, i)
 			s.Selected++
-			s.SizeCounts[cfg.SizeScheme.Index(float64(p.Size))]++
+			s.SizeCounts[sizeScheme.Index(float64(p.Size))]++
 			if i > 0 {
-				s.IatCounts[cfg.IatScheme.Index(float64(p.Time-pkts[i-1].Time))]++
+				s.IatCounts[iatScheme.Index(float64(p.Time-pkts[i-1].Time))]++
 			}
 			key := flows.Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
 			if r, ok := open[key]; ok && p.Time-recs[r].last <= cfg.FlowTimeoutUS {
@@ -433,11 +434,11 @@ func FuzzOracleChain(f *testing.F) {
 		{K: 50, WindowS: 10},
 		// TestMultiShardConservation: k = 1 reproduces the population.
 		{K: 1, Shards: 4},
-		// TestParallelIngestDeterministic: tiny units through depth-1 rings.
+		// TestParallelIngestDeterministic: tiny batches through depth-1 rings.
 		{Method: mStratified, K: 50, Shards: 3, Batch: 3, Depth: 1, WindowS: 15},
 		// TestParallelIngestDeterministicRaw.
 		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Capacity: 1024, Source: srcMapReader},
-		// Ring pressure: small units into depth-1 rings on four shards.
+		// Ring pressure: small batches into depth-1 rings on four shards.
 		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20},
 		// A source torn after its last record.
 		{K: 7, Shards: 2, Source: srcTorn},
@@ -456,7 +457,7 @@ func FuzzOracleChain(f *testing.F) {
 		// Sketch regime, flows expiring inside a window, small segments.
 		{Method: mSystematicTimer, K: 1, Shards: 2, WindowS: 15, TimeoutMS: 2,
 			Capacity: 8, Report: 16, Segment: 2},
-		// Backpressure under load: one packet a unit into one depth-1 ring.
+		// Backpressure under load: one packet a batch into one depth-1 ring.
 		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5, Source: srcPerPacket},
 		{Scenario: scFlashcrowd, Method: mStratifiedTimer, K: 20, Shards: 3, Batch: 64,
 			WindowS: 5, Source: srcTorn, Segment: 1},
@@ -484,16 +485,15 @@ func checkChain(t *testing.T, c chainCase) {
 	}
 	cfg := pipeline.Config{
 		Shards: c.Shards, BatchSize: c.Batch, QueueDepth: c.Depth,
-		SizeScheme: bins.PacketSize(), IatScheme: bins.Interarrival(),
 		WindowUS:      int64(c.WindowS) * 1_000_000,
 		FlowTimeoutUS: int64(c.TimeoutMS) * 1_000,
 		TopKCapacity:  c.Capacity, TopKReport: c.Report,
 	}
 	var err error
-	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, cfg.SizeScheme); err != nil {
+	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, cfg.IatScheme); err != nil {
+	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
 		t.Fatal(err)
 	}
 	var sel []int
