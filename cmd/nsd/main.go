@@ -41,8 +41,8 @@
 //
 // Profiling: -pprof serves net/http/pprof on the given address, and
 // -mutex-profile-fraction / -block-profile-rate enable the runtime's
-// contention profilers, so ring and scheduler behavior is observable in
-// production runs (see README for a capture recipe).
+// contention profilers, so shard hand-off and scheduler behavior is
+// observable in production runs (see README for a capture recipe).
 package main
 
 import (

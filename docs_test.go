@@ -219,7 +219,7 @@ func TestBenchJSONRowsResolve(t *testing.T) {
 // 64 KiB), so new design prose replaces a paragraph instead of appending
 // one; lower the ceiling whenever the file shrinks.
 func TestDesignWithinCeiling(t *testing.T) {
-	const ceiling = 63_854
+	const ceiling = 63_666
 	fi, err := os.Stat("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

@@ -71,31 +71,33 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 	return raw, n, err
 }
 
-// ingestState is the reader's fan-out to the shards: one SPSC ring per
+// ingestState is the reader's fan-out to the shards: one channel per
 // shard (out), the item buffers each shard hands back (freeItems), and
-// the batch the reader is filling for each shard (cur). The reader owns
-// the producer side of every ring; shard s owns the consumer side of
-// out[s] and the producer side of freeItems[s].
+// the batch the reader is filling for each shard (cur). The reader
+// sends on every out channel and receives on every freeItems one;
+// shard s receives on out[s] and sends its emptied buffers on
+// freeItems[s].
 type ingestState struct {
-	out       []*spsc[shardMsg]
-	freeItems []*spsc[[]item]
+	out       []chan shardMsg
+	freeItems []chan []item
 	cur       [][]item
 }
 
-// newIngestState allocates the fan-out's rings and buffer pools.
+// newIngestState allocates the fan-out's channels and buffer pools.
 func newIngestState(cfg *Config) *ingestState {
 	ig := &ingestState{
-		out:       make([]*spsc[shardMsg], cfg.Shards),
-		freeItems: make([]*spsc[[]item], cfg.Shards),
+		out:       make([]chan shardMsg, cfg.Shards),
+		freeItems: make([]chan []item, cfg.Shards),
 		cur:       make([][]item, cfg.Shards),
 	}
 	for s := range ig.out {
-		ig.out[s] = newSPSC[shardMsg](cfg.QueueDepth)
+		ig.out[s] = make(chan shardMsg, cfg.QueueDepth)
 		// Item buffers per shard edge: QueueDepth queued + 1 at the
-		// shard + 1 filling.
-		ig.freeItems[s] = newSPSC[[]item](cfg.QueueDepth + 2)
+		// shard + 1 filling. The free channel holds all of them, so a
+		// shard's hand-back never blocks.
+		ig.freeItems[s] = make(chan []item, cfg.QueueDepth+2)
 		for i := 0; i < cfg.QueueDepth+1; i++ {
-			ig.freeItems[s].tryPush(make([]item, 0, cfg.BatchSize))
+			ig.freeItems[s] <- make([]item, 0, cfg.BatchSize)
 		}
 		ig.cur[s] = make([]item, 0, cfg.BatchSize)
 	}
@@ -109,10 +111,12 @@ func newIngestState(cfg *Config) *ingestState {
 // record's bytes 12-23 and 10, see DecodeBatch for the layout), and
 // writes the finished item straight into that shard's batch — with the
 // hash itself, so the shard's flow table and sketch never rehash the
-// tuple. The reader publishes the batches at the end of each source
-// window and before every barrier, so a batch holds at most BatchSize
-// items. Pinned item by item against a field-wise reference by
-// TestReaderRoutesLikeReference.
+// tuple. A batch goes to its shard when it reaches BatchSize items, and
+// the reader flushes the partial ones before every barrier (publish),
+// so between cuts a shard gets one message per BatchSize items.
+// Pinned item by item against a field-wise reference by
+// TestReaderRoutesLikeReference, and the send rule by
+// TestShardsGetFullBatches.
 //
 //nslint:hotpath
 func (ig *ingestState) route(rec []byte, t, gap int64, hasGap bool) {
@@ -140,6 +144,9 @@ func (ig *ingestState) route(rec []byte, t, gap int64, hasGap bool) {
 	it.gapUS = gap
 	it.hasGap = hasGap
 	it.hash = h
+	if len(cur) == cap(cur) {
+		ig.send(int(s))
+	}
 }
 
 // DecodeBatch is route's layout arithmetic as a whole-window kernel,
@@ -189,23 +196,27 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 	return n
 }
 
-// publish flushes the reader's per-shard item batches: shards with
-// items get one message, shards without get nothing. A full ring blocks
-// the push. The reader calls it at the end of each source window and
-// before it pushes a barrier, so a barrier follows every item of its
-// window on each ring.
+// publish flushes the reader's partial per-shard item batches: shards
+// with items get one message, shards without get nothing. The reader
+// calls it before it sends a barrier, so a barrier follows every item
+// of its window on each channel.
 //
 //nslint:hotpath
 func (ig *ingestState) publish() {
 	for s := range ig.out {
-		items := ig.cur[s]
-		if len(items) == 0 {
-			continue
+		if len(ig.cur[s]) > 0 {
+			ig.send(s)
 		}
-		ig.out[s].push(shardMsg{items: items})
-		// Buffer accounting guarantees a free item buffer once a push
-		// succeeds (QueueDepth queued + 1 at the shard + this one).
-		next, _ := ig.freeItems[s].pop()
-		ig.cur[s] = next[:0]
 	}
+}
+
+// send hands shard s its batch, blocking while the shard's channel is
+// full, and takes a free buffer to fill next. Once the send succeeds at
+// most QueueDepth buffers are queued and one is at the shard, so one of
+// the QueueDepth+2 is free and the receive does not wait.
+//
+//nslint:hotpath
+func (ig *ingestState) send(s int) {
+	ig.out[s] <- shardMsg{items: ig.cur[s]}
+	ig.cur[s] = (<-ig.freeItems[s])[:0]
 }

@@ -23,8 +23,8 @@ func keyHash(pkt *trace.Packet) uint32 {
 // shardIndex is the shard route must send pkt to.
 func shardIndex(pkt *trace.Packet, n int) int { return int(keyHash(pkt) % uint32(n)) }
 
-// TestItemSize pins the ring element: the carried hash fills the
-// trailing padding.
+// TestItemSize pins the element of a shard batch: the carried hash
+// fills the trailing padding.
 func TestItemSize(t *testing.T) {
 	if got := unsafe.Sizeof(item{}); got != 40 {
 		t.Fatalf("item is %d bytes, want 40", got)
@@ -52,8 +52,8 @@ func randomPackets(rng *rand.Rand, n int) []trace.Packet {
 	return pkts
 }
 
-// routed is one element a shard ring delivered: an item, or, when cut
-// is set, the barrier of window cut.
+// routed is one element a shard channel delivered: an item, or, when
+// cut is set, the barrier of window cut.
 type routed struct {
 	it  item
 	cut uint64
@@ -61,32 +61,31 @@ type routed struct {
 
 // readerRoutes runs the reader of a pipeline built from cfg over src,
 // with each shard worker replaced by a drain that records what reaches
-// its ring, and returns that per shard in ring order.
-func readerRoutes(t *testing.T, cfg Config, src Source) [][]routed {
+// its channel, and returns that per shard in channel order, with the
+// number of data messages (batches) each shard received.
+func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches []int) {
 	t.Helper()
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	got := make([][]routed, len(p.shards))
+	got = make([][]routed, len(p.shards))
+	batches = make([]int, len(p.shards))
 	var wg sync.WaitGroup
 	for s, st := range p.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				msg, ok := st.in.pop()
-				if !ok {
-					return
-				}
+			for msg := range st.in {
 				if msg.bar != nil {
 					got[s] = append(got[s], routed{cut: msg.bar.seq})
 					continue
 				}
+				batches[s]++
 				for _, it := range msg.items {
 					got[s] = append(got[s], routed{it: it})
 				}
-				st.free.push(msg.items[:0])
+				st.free <- msg.items[:0]
 			}
 		}()
 	}
@@ -102,11 +101,11 @@ func readerRoutes(t *testing.T, cfg Config, src Source) [][]routed {
 		t.Fatalf("readRaw: %v", err)
 	}
 	for _, q := range p.ingest.out {
-		q.close()
+		close(q)
 	}
 	wg.Wait()
 	close(p.barriers)
-	return got
+	return got, batches
 }
 
 // packetsOnly hides a Replayer's raw form, so the pipeline reads it
@@ -116,7 +115,7 @@ type packetsOnly struct{ r *trace.Replayer }
 func (s packetsOnly) Next() (trace.Packet, error) { return s.r.Next() }
 
 // TestReaderRoutesLikeReference holds the reader's per-record path to a
-// field-wise reference, ring element by ring element: a serial pass
+// field-wise reference, element by element: a serial pass
 // that cuts windows on the same rule, selects every k-th record from
 // the first, decodes with trace.DecodeRecords, hashes with keyHash (mod
 // the shard count for the shard) and chains every record's gap,
@@ -188,7 +187,7 @@ func TestReaderRoutesLikeReference(t *testing.T) {
 				name string
 				src  Source
 			}{{"raw", tr.Replay()}, {"adapter", packetsOnly{tr.Replay()}}} {
-				got := readerRoutes(t, Config{
+				got, _ := readerRoutes(t, Config{
 					Shards:     shards,
 					BatchSize:  64,
 					QueueDepth: 2,
@@ -207,6 +206,44 @@ func TestReaderRoutesLikeReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestShardsGetFullBatches pins when the reader sends: a shard's batch
+// goes out when it holds BatchSize items, and the partial rest only at
+// a cut. At k = 50 a 256-record source window selects about five
+// records, so a reader that flushed every shard per source window would
+// wake each shard some fifty times as often.
+func TestShardsGetFullBatches(t *testing.T) {
+	const k, batch = 50, 256
+	tr := &trace.Trace{Packets: randomPackets(rand.New(rand.NewSource(43)), 100_000)}
+	for _, shards := range []int{1, 2} {
+		for _, src := range []struct {
+			name string
+			src  Source
+		}{{"raw", tr.Replay()}, {"adapter", packetsOnly{tr.Replay()}}} {
+			got, batches := readerRoutes(t, Config{
+				Shards:     shards,
+				BatchSize:  batch,
+				NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(k, 0) },
+			}, src.src)
+			total := 0
+			for s := range got {
+				// Every element but the final barrier is an item.
+				items := len(got[s]) - 1
+				total += items
+				if want := (items + batch - 1) / batch; batches[s] != want {
+					t.Errorf("shards=%d %s: shard %d got %d batches for %d items, want %d",
+						shards, src.name, s, batches[s], items, want)
+				}
+				if last := got[s][len(got[s])-1]; last.cut != 1 {
+					t.Errorf("shards=%d %s: shard %d ends with %+v, want the one barrier", shards, src.name, s, last)
+				}
+			}
+			if want := (tr.Len() + k - 1) / k; total != want {
+				t.Errorf("shards=%d %s: %d items routed, want %d", shards, src.name, total, want)
 			}
 		}
 	}

@@ -11,7 +11,7 @@
 //	      reader (Run goroutine)       per packet: timestamp, cut, gap,
 //	         │                         selection; per selected: decode,
 //	         │                         hash, append to a shard batch
-//	    ┌────┴─────────────┐           one SPSC ring per shard
+//	    ┌────┴─────────────┐           one channel per shard
 //	shard 0      …      shard S-1      (FIFO consume)
 //	    │ snapshot parts   │
 //	    └─── collector ────┘           merge / score / publish
@@ -32,14 +32,15 @@
 // on exactly one shard — stamps it with its interarrival gap against
 // its stream predecessor (the quantity a monitor with a last-packet
 // timestamp register observes), and appends it to its shard's batch.
-// The batches go out through lock-free single-producer/single-consumer
-// rings, one per shard, where the shard bins each packet and feeds its
-// flow counter and top-K. Every ring is FIFO, so the packets of one
-// shard are processed in exact stream order. The selected set, and so
-// every snapshot, is the same for any shard count, and equals the batch
-// evaluator's on the same trace and seed (FuzzOracleChain).
+// A batch goes to its shard over a buffered channel, one per shard,
+// once it holds BatchSize items or at a cut; the shard bins each packet
+// and feeds its flow counter and top-K. Every channel is FIFO with one
+// sender, so the packets of one shard are processed in exact stream
+// order. The selected set, and so every snapshot, is the same for any
+// shard count, and equals the batch evaluator's on the same trace and
+// seed (FuzzOracleChain).
 //
-// All queues are bounded; when a shard falls behind, its full ring
+// All queues are bounded; when a shard falls behind, its full channel
 // blocks the reader. Nothing is shed: every window has
 // Processed == Offered and Dropped == 0.
 //
@@ -49,8 +50,8 @@
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: at a cut
-// the reader flushes its batches and pushes one barrier into every
-// shard ring, and a shard's cut happens when the barrier arrives —
+// the reader flushes its batches and sends one barrier on every shard
+// channel, and a shard's cut happens when the barrier arrives —
 // because it travels in order with the data, a snapshot
 // reflects exactly the packets that preceded the cut in the stream (a
 // Chandy-Lamport-style consistent cut over the fan-out tree).
@@ -86,11 +87,11 @@ type Source interface {
 }
 
 // OverloadPolicy is accepted only because benchmarks/nsbench sets
-// Config.Policy to Block in a struct literal: a full ring always blocks
+// Config.Policy to Block in a struct literal: a full channel always blocks
 // the fan-out, and New rejects any other value.
 type OverloadPolicy int
 
-// Block is the one OverloadPolicy: the fan-out waits for ring space.
+// Block is the one OverloadPolicy: the fan-out waits for channel space.
 const Block OverloadPolicy = 0
 
 // Configuration defaults.
@@ -110,12 +111,12 @@ type Config struct {
 	// to 1 in a struct literal: the reader is the one front-end
 	// goroutine (DESIGN.md §15), and New rejects anything but 0 or 1.
 	IngestWorkers int
-	// QueueDepth bounds each ring of the fan-out tree, in batches
-	// (DefaultQueueDepth if zero).
+	// QueueDepth bounds each shard's channel, in messages: batches and
+	// barriers (DefaultQueueDepth if zero).
 	QueueDepth int
 	// BatchSize is the reader's batch size in packets
 	// (DefaultBatchSize if zero). Larger batches amortize source calls
-	// and ring operations; 1 disables batching.
+	// and channel sends; 1 disables batching.
 	BatchSize int
 	// Policy is accepted only as Block (or unset); see OverloadPolicy.
 	Policy OverloadPolicy
@@ -172,14 +173,14 @@ var (
 type Pipeline struct {
 	cfg    Config
 	shards []*shardState
-	ingest *ingestState // reader-owned producer side of the shard rings
+	ingest *ingestState // reader-owned sending side of the shard channels
 	// nSize and nIat are the paper schemes' bin counts.
 	nSize, nIat int
 
 	barriers chan *barrier
 	// barFree returns merged barriers from the collector to the reader,
 	// which owns them: cap(barriers) queued, one being merged and one
-	// being stamped are all that exist at once, so the ring holds them
+	// being stamped are all that exist at once, so the channel holds them
 	// all and emitBarrier allocates only until the set is complete.
 	barFree chan *barrier
 	// decided is the adaptive handshake, one token per barrier: the
@@ -332,7 +333,7 @@ func (p *Pipeline) Run(src Source) error {
 	srcErr := p.readRaw(rs)
 
 	for _, q := range p.ingest.out {
-		q.close()
+		close(q)
 	}
 	p.shardWG.Wait()
 	close(p.barriers)
@@ -361,7 +362,7 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 
 // readRaw is the front end, the pipeline's one sequential stage: it
 // owns the virtual clock, the window barriers, the gap chain, the
-// sampler and the producer side of every shard ring, and runs on the
+// sampler and the sending side of every shard channel, and runs on the
 // Run caller's goroutine. The shards may run in parallel because
 // everything order-sensitive is decided here. Per record it reads only
 // the 8-byte timestamp field — what the window cut compares, the gap
@@ -370,10 +371,10 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 // not reset at a cut: its schedule continues across windows, exactly as
 // a batch sampler runs uninterrupted over the whole trace.
 //
-// The reader publishes its shard batches at the end of each source
-// window, which it never reads again, and before each barrier. How the
-// stream is grouped into batches is invisible: snapshots are invariant
-// to it.
+// A shard batch goes out when it is full (route), and the partial ones
+// before each barrier. Items are copies, so no source window is read
+// after the next NextRawBatch call. How the stream is grouped into
+// batches is invisible: snapshots are invariant to it.
 //
 //nslint:hotpath
 func (p *Pipeline) readRaw(rs RawBatchSource) error {
@@ -421,7 +422,6 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 				offered++
 				i++
 			}
-			ig.publish()
 		}
 		if err != nil {
 			break
@@ -443,14 +443,14 @@ func rawTime(raw []byte, i int) int64 {
 }
 
 // emitBarrier cuts the stream at the current read position: it
-// publishes the reader's shard batches, then pushes one barrier into
-// every shard ring, so every shard observes the cut at the same stream
+// publishes the reader's shard batches, then sends one barrier on
+// every shard channel, so every shard observes the cut at the same stream
 // offset.
 //
 // In adaptive mode the cut doubles as the control-loop handshake: the
 // reader parks on p.decided until the collector has merged the window
 // and run the control step, then adopts the decided k. Parking here
-// cannot deadlock — every item of the window and its barrier was pushed
+// cannot deadlock — every item of the window and its barrier was sent
 // before the wait, so the shards can always reach the cut and the
 // collector always sends the decision. The wait is what makes adaptive
 // runs deterministic: every packet of window w+1 is offered to the
@@ -473,7 +473,7 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 	bar.seq, bar.startUS, bar.endUS, bar.final, bar.offered = p.winSeq, startUS, endUS, final, offered
 	p.ingest.publish()
 	for _, q := range p.ingest.out {
-		q.push(shardMsg{bar: bar})
+		q <- shardMsg{bar: bar}
 	}
 	p.barriers <- bar
 	if p.decided != nil {

@@ -225,7 +225,7 @@ func TestShardOfSpreadsAndPartitions(t *testing.T) {
 	used := make(map[int]int)
 	total := 0
 	byKey := make(map[[13]byte]int)
-	routes := readerRoutes(t, Config{
+	routes, _ := readerRoutes(t, Config{
 		Shards:     4,
 		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
 	}, tr.Replay())

@@ -22,9 +22,9 @@ type item struct {
 	hash uint32
 }
 
-// shardMsg travels a shard's ring: a data batch or a window barrier.
-// The ring is FIFO, so a shard sees its packets in stream order and the
-// barrier after exactly the packets that preceded the cut. A shard
+// shardMsg travels a shard's channel: a data batch or a window barrier.
+// The channel is FIFO, so a shard sees its packets in stream order and
+// the barrier after exactly the packets that preceded the cut. A shard
 // with no packets in a batch gets no message for it.
 type shardMsg struct {
 	items []item
@@ -41,12 +41,12 @@ type cutBufs struct {
 }
 
 // shardState is one worker shard. Field ownership is strict: in and
-// free are the rings connecting it to the reader; everything else is
+// free are the channels connecting it to the reader; everything else is
 // worker-goroutine-only (and the Run caller's after shardWG.Wait).
 type shardState struct {
 	id   int
-	in   *spsc[shardMsg] // consume side of the reader's out ring
-	free *spsc[[]item]   // recycle side, back to the reader
+	in   <-chan shardMsg // the reader's out channel for this shard
+	free chan<- []item   // emptied item buffers, back to the reader
 
 	// Worker-owned.
 	// sizeLUT tabulates the size scheme's Index over the full uint16
@@ -72,7 +72,7 @@ type shardState struct {
 }
 
 // newShardState allocates one shard's aggregates. New wires in the
-// rings, and builds sizeLUT over size once for all shards to share
+// channels, and builds sizeLUT over size once for all shards to share
 // read-only.
 func newShardState(id int, cfg *Config, size, iat *bins.Edged, sizeLUT []uint8) (*shardState, error) {
 	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
@@ -110,20 +110,16 @@ func buildSizeLUT(s *bins.Edged) []uint8 {
 	return lut
 }
 
-// shardWorker drains one shard's ring: data batches feed the shard
-// state, a barrier cuts it. The ring is FIFO and has one producer, so
-// arrival order is stream order and the cut lands at the same stream
-// position on every shard — which is why snapshots are the same for any
-// shard count.
+// shardWorker drains one shard's channel until Run closes it: data
+// batches feed the shard state, a barrier cuts it. The channel is FIFO
+// and has one sender, so arrival order is stream order and the cut
+// lands at the same stream position on every shard — which is why
+// snapshots are the same for any shard count.
 //
 //nslint:hotpath
 func (p *Pipeline) shardWorker(st *shardState) {
 	defer p.shardWG.Done()
-	for {
-		msg, ok := st.in.pop()
-		if !ok {
-			return
-		}
+	for msg := range st.in {
 		if msg.bar != nil {
 			msg.bar.parts <- st.cut()
 			continue
@@ -131,7 +127,7 @@ func (p *Pipeline) shardWorker(st *shardState) {
 		for i := range msg.items {
 			st.process(&msg.items[i])
 		}
-		st.free.push(msg.items[:0])
+		st.free <- msg.items[:0]
 	}
 }
 

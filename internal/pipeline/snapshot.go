@@ -12,7 +12,7 @@ import (
 	"netsample/internal/nnstat"
 )
 
-// barrier is a window cut travelling through every shard ring. The
+// barrier is a window cut travelling through every shard channel. The
 // reader stamps it with the window bounds and the offered count; each
 // shard deposits its partial state into parts when the barrier reaches
 // it. The reader owns it: the collector hands it back through barFree
@@ -46,15 +46,16 @@ type shardPart struct {
 // only reads the timestamp, chains the gap and offers it to the sampler.
 // Selected counts the packets the sampler chose, the only ones decoded,
 // hashed, handed to a shard and counted into bins, flows and top-K.
-// Rings block rather than shed, so every offered packet is processed:
-// merge sets Processed = Offered, and Dropped is 0 (it is the loss the
-// node model's nsfnet.Processor fills in for Decide). FlowCounts
-// aggregates the flow records closed this window (flows spanning a
-// boundary are split at the cut), ActiveFlows counts flows open at the
-// cut, and TopK is the merged heavy-hitter list — flow-hash sharding
-// keeps keys disjoint, so the merge is exact concatenation. The reports
-// score the counts against the reference population when evaluators
-// are configured and the window selected something; nil otherwise.
+// Shard channels block rather than shed, so every offered packet is
+// processed: merge sets Processed = Offered, and Dropped is 0 (it is
+// the loss the node model's nsfnet.Processor fills in for Decide).
+// FlowCounts aggregates the flow records closed this window (flows
+// spanning a boundary are split at the cut), ActiveFlows counts flows
+// open at the cut, and TopK is the merged heavy-hitter list — flow-hash
+// sharding keeps keys disjoint, so the merge is exact concatenation.
+// The reports score the counts against the reference population when
+// evaluators are configured and the window selected something; nil
+// otherwise.
 type Snapshot struct {
 	collect.Snapshot
 	// K is the systematic granularity in force during this window under
@@ -84,7 +85,8 @@ func (p *Pipeline) collect() {
 		snap := p.merge(bar, parts)
 		// merge copied what it keeps into the snapshot's own block, so
 		// nothing published refers to the barrier or the parts' buffers:
-		// hand them back to their owners. A full ring drops the object.
+		// hand them back to their owners. A full free channel drops the
+		// object.
 		for _, part := range parts {
 			select {
 			case p.shards[part.shard].cutFree <- part.bufs:

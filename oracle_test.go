@@ -29,7 +29,7 @@ import (
 
 // The serial oracle: what a node running internal/pipeline must
 // publish for a trace and a configuration, computed the obvious way —
-// one plain loop per stage over the whole trace, no shards, rings,
+// one plain loop per stage over the whole trace, no shards, channels,
 // barriers or sketches. FuzzOracleChain holds the sharded pipeline, the
 // snapshot wire, the store and the range merge to it.
 
@@ -434,11 +434,11 @@ func FuzzOracleChain(f *testing.F) {
 		{K: 50, WindowS: 10},
 		// TestMultiShardConservation: k = 1 reproduces the population.
 		{K: 1, Shards: 4},
-		// TestParallelIngestDeterministic: tiny batches through depth-1 rings.
+		// TestParallelIngestDeterministic: tiny batches through depth-1 channels.
 		{Method: mStratified, K: 50, Shards: 3, Batch: 3, Depth: 1, WindowS: 15},
 		// TestParallelIngestDeterministicRaw.
 		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Capacity: 1024, Source: srcMapReader},
-		// Ring pressure: small batches into depth-1 rings on four shards.
+		// Shard backpressure: small batches into depth-1 channels on four shards.
 		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20},
 		// A source torn after its last record.
 		{K: 7, Shards: 2, Source: srcTorn},
@@ -457,7 +457,7 @@ func FuzzOracleChain(f *testing.F) {
 		// Sketch regime, flows expiring inside a window, small segments.
 		{Method: mSystematicTimer, K: 1, Shards: 2, WindowS: 15, TimeoutMS: 2,
 			Capacity: 8, Report: 16, Segment: 2},
-		// Backpressure under load: one packet a batch into one depth-1 ring.
+		// Backpressure under load: one packet a batch into one depth-1 channel.
 		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5, Source: srcPerPacket},
 		{Scenario: scFlashcrowd, Method: mStratifiedTimer, K: 20, Shards: 3, Batch: 64,
 			WindowS: 5, Source: srcTorn, Segment: 1},
