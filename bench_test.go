@@ -1,7 +1,7 @@
 // Micro- and layer benchmarks of the hot paths: sampling, scoring,
 // trace codec and generation, flow table and top-K sketch, pipeline
 // throughput and store append/replay. The paper's tables, figures and
-// ablations run once, in cmd/experiments (DESIGN.md §4 and §6).
+// ablations run once, in cmd/experiments (DESIGN.md §4).
 //
 // Run everything with:
 //

@@ -16,7 +16,7 @@
 //	    [-target 0.25] ...
 //
 // -adaptive replaces the fixed sampler with the closed-loop controller
-// of DESIGN.md §16: every window barrier, the merged snapshot's worst
+// of DESIGN.md §5: every window barrier, the merged snapshot's worst
 // φ steers the next window's systematic k inside
 // [-min-k, -max-k], starting from -k. The decision runs on the virtual
 // clock at the stream cut, so an adaptive run stays bit-identical for
@@ -33,7 +33,7 @@
 // printed before exit.
 //
 // Retention: -store appends every cut window snapshot to an append-only
-// Merkle-chained segment store (internal/store, DESIGN.md §14); query it
+// Merkle-chained segment store (internal/store, DESIGN.md §7); query it
 // offline with nocquery, which replays the exact wire payloads the live
 // exporter serves. A window the store refuses (a full disk) does not stop
 // the daemon, but it is counted: at drain nsd logs "store: N window(s)
@@ -263,7 +263,7 @@ func main() {
 // stream, plus a release. A file input is memory-mapped once and is
 // both: the pipeline ingests raw record windows straight out of the
 // page cache, and the reference trace is a read-only view of the same
-// records (DESIGN.md §13) — it dies with the release, so call that only
+// records (DESIGN.md §3) — it dies with the release, so call that only
 // when nothing holding the trace (the evaluators included) can run
 // again. Generated input replays from memory and its release is a
 // no-op.

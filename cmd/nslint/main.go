@@ -3,11 +3,11 @@
 // depends on — no stdlib randomness outside internal/dist, no naked
 // wall-clock reads, no cross-goroutine RNG sharing, no exact float
 // comparisons, no silently dropped module errors — and, since v2, the
-// concurrency and hot-path invariants of the streaming pipeline: fields
-// touched by sync/atomic must be atomic everywhere (atomicfield) and
-// 8-byte aligned under 32-bit layout (atomicalign), goroutines must be
-// tied to a shutdown seam (waitstall), no blocking operation may run
-// under a held mutex (mutexhold), and the transitive closure of every
+// concurrency and hot-path invariants of the streaming pipeline: shared
+// words are typed atomics, never sync/atomic's functions on a plain
+// variable (typedatomic), goroutines must be tied to a shutdown seam
+// (waitstall), no blocking operation may run under a held mutex
+// (mutexhold), and the transitive closure of every
 // `//nslint:hotpath` function must be free of allocating constructs
 // (hotalloc) — the static twin of the allocation-budget tests. One rule
 // guards a single file: only internal/trace/layout.go may import unsafe

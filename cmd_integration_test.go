@@ -64,70 +64,70 @@ func runExit(t *testing.T, code int, bin string, args ...string) string {
 }
 
 func TestCLIGenerateSampleEvaluate(t *testing.T) {
-	dir := buildTools(t, "tracegen", "sample", "phieval", "traceinfo")
+	dir := buildTools(t, "nstrace")
 	tr := filepath.Join(t.TempDir(), "t.nstr")
 
-	// tracegen: a 30-second trace.
-	out := run(t, filepath.Join(dir, "tracegen"),
+	// gen: a 30-second trace.
+	out := run(t, filepath.Join(dir, "nstrace"), "gen",
 		"-out", tr, "-seconds", "30", "-pps", "600", "-seed", "42")
 	if !strings.Contains(out, "wrote") {
-		t.Fatalf("tracegen output: %s", out)
+		t.Fatalf("nstrace gen output: %s", out)
 	}
 	// A NaN rate is refused by the generator's validation, not by a
 	// makeslice panic in the buffer it would have sized.
-	bad, err := exec.Command(filepath.Join(dir, "tracegen"), "-out", tr+".nan", "-pps", "NaN").CombinedOutput()
+	bad, err := exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".nan", "-pps", "NaN").CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || !strings.Contains(string(bad), "must be finite") || strings.Contains(string(bad), "panic:") {
-		t.Fatalf("tracegen -pps NaN: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
+		t.Fatalf("nstrace gen -pps NaN: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
 	}
 
 	// sample: 1-in-50 systematic.
 	sub := filepath.Join(t.TempDir(), "s.nstr")
-	out = run(t, filepath.Join(dir, "sample"),
+	out = run(t, filepath.Join(dir, "nstrace"), "sample",
 		"-in", tr, "-out", sub, "-method", "systematic", "-k", "50")
 	if !strings.Contains(out, "systematic/packet") || !strings.Contains(out, "fraction 0.02") {
-		t.Fatalf("sample output: %s", out)
+		t.Fatalf("nstrace sample output: %s", out)
 	}
 
-	// phieval: all metrics for stratified sampling.
-	out = run(t, filepath.Join(dir, "phieval"),
+	// phi: all metrics for stratified sampling.
+	out = run(t, filepath.Join(dir, "nstrace"), "phi",
 		"-in", tr, "-method", "stratified", "-k", "50", "-target", "size", "-reps", "3")
 	if !strings.Contains(out, "mean phi:") {
-		t.Fatalf("phieval output: %s", out)
+		t.Fatalf("nstrace phi output: %s", out)
 	}
 	// A replication count that yields no replications is refused up
 	// front, in one line, not by a panic in the slice it would size.
-	bad, err = exec.Command(filepath.Join(dir, "phieval"), "-in", tr, "-reps", "-1").CombinedOutput()
+	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "phi", "-in", tr, "-reps", "-1").CombinedOutput()
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(string(bad), "\n") != 1 {
-		t.Fatalf("phieval -reps -1: err %v, want exit 1 with a one-line message:\n%s", err, bad)
+		t.Fatalf("nstrace phi -reps -1: err %v, want exit 1 with a one-line message:\n%s", err, bad)
 	}
 
-	// Both tools name the method table's entries when -method is not one.
+	// sample and phi name the method table's entries when -method is not one.
 	for _, args := range [][]string{
 		{"sample", "-in", tr, "-out", sub, "-method", "adaptive"},
-		{"phieval", "-in", tr, "-method", "adaptive"},
+		{"phi", "-in", tr, "-method", "adaptive"},
 	} {
-		bad, err := exec.Command(filepath.Join(dir, args[0]), args[1:]...).CombinedOutput()
+		bad, err := exec.Command(filepath.Join(dir, "nstrace"), args...).CombinedOutput()
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
 			!strings.Contains(string(bad), `unknown method "adaptive" (have systematic, stratified, random, systematic-timer, stratified-timer)`) {
 			t.Fatalf("%v: err %v, want exit 1 listing the methods:\n%s", args, err, bad)
 		}
 	}
 	// An offset only systematic sampling can use is refused, not dropped.
-	bad, err = exec.Command(filepath.Join(dir, "sample"), "-in", tr, "-out", sub, "-method", "stratified", "-offset", "5").CombinedOutput()
+	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "sample", "-in", tr, "-out", sub, "-method", "stratified", "-offset", "5").CombinedOutput()
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `method "stratified" takes no offset`) {
-		t.Fatalf("sample -method stratified -offset 5: err %v, want exit 1 naming the method:\n%s", err, bad)
+		t.Fatalf("nstrace sample -method stratified -offset 5: err %v, want exit 1 naming the method:\n%s", err, bad)
 	}
 
-	// traceinfo on the original and pcap conversion round trip.
+	// info on the original and pcap conversion round trip.
 	pcap := filepath.Join(t.TempDir(), "t.pcap")
-	out = run(t, filepath.Join(dir, "traceinfo"), "-in", tr, "-convert", pcap)
+	out = run(t, filepath.Join(dir, "nstrace"), "info", "-in", tr, "-convert", pcap)
 	if !strings.Contains(out, "table2") || !strings.Contains(out, "protocol composition") {
-		t.Fatalf("traceinfo output: %s", out)
+		t.Fatalf("nstrace info output: %s", out)
 	}
-	out = run(t, filepath.Join(dir, "traceinfo"), "-in", pcap, "-format", "pcap")
+	out = run(t, filepath.Join(dir, "nstrace"), "info", "-in", pcap, "-format", "pcap")
 	if !strings.Contains(out, "table3") {
-		t.Fatalf("traceinfo pcap output: %s", out)
+		t.Fatalf("nstrace info pcap output: %s", out)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestCLIExperimentsQuick(t *testing.T) {
 // an artifact that needs no sample is rendered on a trace too short for
 // the figures that do.
 func TestCLIExperimentsOnly(t *testing.T) {
-	dir := buildTools(t, "experiments", "tracegen")
+	dir := buildTools(t, "experiments", "nstrace")
 	experiments := filepath.Join(dir, "experiments")
 
 	// The trace file does not exist; were it opened, that would be the
@@ -161,7 +161,7 @@ func TestCLIExperimentsOnly(t *testing.T) {
 	}
 
 	short := filepath.Join(t.TempDir(), "short.nstr")
-	run(t, filepath.Join(dir, "tracegen"), "-out", short, "-seconds", "1", "-q")
+	run(t, filepath.Join(dir, "nstrace"), "gen", "-out", short, "-seconds", "1", "-q")
 	out := run(t, experiments, "-in", short, "-only", "table3")
 	if !strings.HasPrefix(out, "== table3:") || strings.Count(out, "== ") != 1 {
 		t.Fatalf("experiments -only table3 on a one-second trace: %s", out)
@@ -258,9 +258,9 @@ func nsdReportBits(r metrics.Report) [7]uint64 {
 // makes `selected` the same for both. It also covers the clean SIGTERM
 // path.
 func TestNSDSnapshotMatchesBatch(t *testing.T) {
-	dir := buildTools(t, "tracegen", "nsd")
+	dir := buildTools(t, "nstrace", "nsd")
 	trPath := filepath.Join(t.TempDir(), "t.nstr")
-	run(t, filepath.Join(dir, "tracegen"),
+	run(t, filepath.Join(dir, "nstrace"), "gen",
 		"-out", trPath, "-seconds", "30", "-pps", "600", "-seed", "42", "-q")
 
 	// Batch reference on the exact trace the daemon will stream, cut to a
@@ -408,25 +408,25 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 }
 
 func TestCLITraceinfoFlows(t *testing.T) {
-	dir := buildTools(t, "tracegen", "traceinfo")
+	dir := buildTools(t, "nstrace")
 	tr := filepath.Join(t.TempDir(), "t.nstr")
-	run(t, filepath.Join(dir, "tracegen"), "-out", tr, "-seconds", "20", "-pps", "500", "-q")
-	out := run(t, filepath.Join(dir, "traceinfo"), "-in", tr, "-flows")
+	run(t, filepath.Join(dir, "nstrace"), "gen", "-out", tr, "-seconds", "20", "-pps", "500", "-q")
+	out := run(t, filepath.Join(dir, "nstrace"), "info", "-in", tr, "-flows")
 	if !strings.Contains(out, "largest flows:") || !strings.Contains(out, "singletons") {
-		t.Fatalf("traceinfo -flows output: %s", out)
+		t.Fatalf("nstrace info -flows output: %s", out)
 	}
 }
 
-// TestCLITraceinfoTiesByName runs traceinfo repeatedly on one trace:
+// TestCLITraceinfoTiesByName runs nstrace info repeatedly on one trace:
 // composition rows with equal counts print in name order, not in the
 // map order they are gathered in.
 func TestCLITraceinfoTiesByName(t *testing.T) {
-	dir := buildTools(t, "tracegen", "traceinfo")
+	dir := buildTools(t, "nstrace")
 	tr := filepath.Join(t.TempDir(), "t.nstr")
-	run(t, filepath.Join(dir, "tracegen"), "-out", tr, "-seconds", "2", "-pps", "20", "-seed", "1", "-q")
+	run(t, filepath.Join(dir, "nstrace"), "gen", "-out", tr, "-seconds", "2", "-pps", "20", "-seed", "1", "-q")
 	const want = "well-known ports: ftp-data:26 telnet:8 domain:4 smtp:4"
 	for i := 0; i < 8; i++ {
-		if out := run(t, filepath.Join(dir, "traceinfo"), "-in", tr); !strings.Contains(out, want) {
+		if out := run(t, filepath.Join(dir, "nstrace"), "info", "-in", tr); !strings.Contains(out, want) {
 			t.Fatalf("run %d: want %q in\n%s", i, want, out)
 		}
 	}

@@ -28,9 +28,9 @@ import (
 // live. Then flip one byte in a sealed segment and require Verify to
 // name the damaged segment and offset.
 func TestNSDStoreReplayMatchesLive(t *testing.T) {
-	dir := buildTools(t, "tracegen", "nsd", "nocquery")
+	dir := buildTools(t, "nstrace", "nsd", "nocquery")
 	trPath := filepath.Join(t.TempDir(), "t.nstr")
-	run(t, filepath.Join(dir, "tracegen"),
+	run(t, filepath.Join(dir, "nstrace"), "gen",
 		"-out", trPath, "-seconds", "30", "-pps", "600", "-seed", "42", "-q")
 
 	// In-process reference: the same pipeline configuration nsd builds
@@ -199,7 +199,8 @@ func TestNSDStoreSinkCountsLostWindows(t *testing.T) {
 		if err := p.Run(tr.Replay()); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return len(p.Snapshots()), sink.Err()
+		last, _ := p.Latest()
+		return int(last.Seq), sink.Err()
 	}
 
 	full := &failingAppender{okFor: 2}

@@ -92,16 +92,27 @@ func parseWants(t *testing.T, pkgs []*Package) map[wantKey][]*regexp.Regexp {
 	return out
 }
 
+// retiredRules maps each retired rule to the rule that replaced it.
+var retiredRules = map[string]string{
+	"atomicalign": "typedatomic",
+	"atomicfield": "typedatomic",
+}
+
 // corpusRules returns the rules to run over one corpus directory: the
 // rule the directory is named after, or the full set for the "allow"
 // corpus, which tests the suppression machinery itself. Scoping keeps
 // each corpus focused — the rngshare corpus's bare `go work(rng)` is
-// that rule's point, not a waitstall specimen.
+// that rule's point, not a waitstall specimen. A corpus named after a
+// retired rule runs under the rule that replaced it, which must still
+// catch every case the old one did.
 func corpusRules(t *testing.T, modulePath, name string) []Rule {
 	t.Helper()
 	all := DefaultRules(modulePath)
 	if name == "allow" {
 		return all
+	}
+	if successor, ok := retiredRules[name]; ok {
+		name = successor
 	}
 	for _, r := range all {
 		if r.Name() == name {

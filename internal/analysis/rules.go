@@ -8,7 +8,7 @@ import (
 
 // DefaultRules returns the full netsample rule set for a module rooted
 // at modulePath (the module directive of go.mod, "netsample" here):
-// five determinism rules (PR 1), five concurrency/hot-path rules, the
+// five determinism rules, four concurrency/hot-path rules, the
 // one-file confinement of unsafe, and whole-module reachability.
 // Rule instances carry per-run state (collected facts), so callers must
 // take a fresh set for every Run.
@@ -19,8 +19,7 @@ func DefaultRules(modulePath string) []Rule {
 		&rngShareRule{modulePath},
 		&floatEqRule{},
 		&errDropRule{modulePath},
-		&atomicFieldRule{modulePath: modulePath},
-		&atomicAlignRule{modulePath: modulePath},
+		&typedAtomicRule{},
 		&hotAllocRule{modulePath: modulePath},
 		&waitStallRule{modulePath: modulePath},
 		&mutexHoldRule{modulePath: modulePath},

@@ -1,6 +1,7 @@
-// Package atomicalign is the nslint golden corpus for the atomicalign
-// rule: 64-bit sync/atomic targets must sit at 8-byte-aligned offsets
-// under 32-bit struct layout.
+// Package atomicalign holds the alignment hazard of the retired
+// atomicalign rule: 64-bit sync/atomic function calls on fields at a
+// 4-byte offset under 32-bit layout. The typedatomic rule, which replaced
+// it, reports every such call.
 package atomicalign
 
 import "sync/atomic"
@@ -9,24 +10,24 @@ import "sync/atomic"
 // at offset 4 on 386/arm: AddUint64 panics there.
 type counters struct {
 	ready uint32
-	hits  uint64 // want `64-bit atomic field hits is at 32-bit offset 4`
+	hits  uint64
 }
 
 func bump(c *counters) {
-	atomic.AddUint64(&c.hits, 1)
+	atomic.AddUint64(&c.hits, 1) // want `atomic.AddUint64 on a plain variable`
 }
 
-// window is clean on its own (seq at offset 0)...
+// window is aligned on its own (seq at offset 0)...
 type window struct {
 	seq uint64
 }
 
 func stamp(w *window) {
-	atomic.StoreUint64(&w.seq, 1)
+	atomic.StoreUint64(&w.seq, 1) // want `atomic.StoreUint64 on a plain variable`
 }
 
 // ...but slot embeds it at offset 4, breaking seq's alignment.
 type slot struct {
 	kind uint32
-	w    window // want `embeds a struct with 64-bit atomic fields at 32-bit offset 4`
+	w    window
 }

@@ -1,30 +1,26 @@
-// Package atomicfield is the nslint golden corpus for the atomicfield
-// rule: a field accessed via sync/atomic anywhere must be accessed
-// atomically everywhere.
+// Package atomicfield holds the race hazard of the retired atomicfield
+// rule: a field accessed both through sync/atomic functions and plainly.
+// The typedatomic rule, which replaced it, reports every such call.
 package atomicfield
 
 import "sync/atomic"
 
-// ring mixes atomic and plain access on head; tail is plain-only and
-// fine.
+// ring mixes atomic and plain access on head: the plain reads and
+// writes below race with produce.
 type ring struct {
 	head uint64
 	tail uint64
 }
 
-// produce advances head atomically, establishing the atomic contract.
 func produce(r *ring) {
-	atomic.AddUint64(&r.head, 1)
+	atomic.AddUint64(&r.head, 1) // want `atomic.AddUint64 on a plain variable`
 }
 
-// observe reads head without the atomic op: the classic torn-read /
-// lost-wakeup seed.
 func observe(r *ring) uint64 {
-	return r.head // want `field head is accessed with sync/atomic elsewhere`
+	return r.head
 }
 
-// reset writes head plainly, racing with produce.
 func reset(r *ring) {
-	r.head = 0 // want `field head is accessed with sync/atomic elsewhere`
+	r.head = 0
 	r.tail = 0
 }

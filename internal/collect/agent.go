@@ -24,7 +24,7 @@ const (
 // Agent is the node-side collection server: it answers NOC snapshot
 // queries over TCP with the node's latest window (Snapshots). A query
 // reads and never cuts, so any number of collectors may poll it and a
-// retried query is harmless (DESIGN.md §11).
+// retried query is harmless (DESIGN.md §6).
 type Agent struct {
 	Node string
 

@@ -149,7 +149,7 @@ func runChaosSchedule(t *testing.T, seed uint64) int {
 // partial writes, corrupted headers, delays — and asserts that the
 // snapshot plane survives every one: each cut window is accepted
 // exactly once after seq dedup, byte-identical to what the node served
-// (DESIGN.md §11). Schedules are sharded across parallel subtests;
+// (DESIGN.md §6). Schedules are sharded across parallel subtests;
 // every schedule is deterministic in its seed.
 func TestChaosSoakConservation(t *testing.T) {
 	n := chaosSchedules

@@ -16,7 +16,7 @@
 // Types 1–3 carried the retired report-and-reset poll. Their numbers
 // are not reused: an agent answers them, like any unknown type, with a
 // typed error response and keeps serving. A snapshot query is read-only,
-// so it is safe to retry (DESIGN.md §11). Version 1 frames are answered
+// so it is safe to retry (DESIGN.md §6). Version 1 frames are answered
 // with a typed error response before the connection is dropped.
 //
 // Payloads are bounded (MaxPayload) so a corrupt or malicious length

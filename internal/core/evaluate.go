@@ -19,7 +19,7 @@ import (
 // per-packet bin-index table on first use, so that scoring a sample is a
 // fused pass: selection visits feed a small per-bin counts array and the
 // metrics are computed straight from the counts — no index slice,
-// observation slice, or re-classification per sample (DESIGN.md §9).
+// observation slice, or re-classification per sample (DESIGN.md §4).
 //
 // Scoring follows the paper's goodness-of-fit orientation: the expected
 // count in bin i is n·pᵢ, where n is the sample size and pᵢ the known

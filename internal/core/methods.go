@@ -24,7 +24,7 @@ func collect(s Sampler, tr *trace.Trace, r *dist.RNG, sizeHint int) ([]int, erro
 
 // New builds the batch sampler a method name stands for — the names
 // online.New takes, plus "random", which no stream can run — the one
-// table behind the -method flag of cmd/sample and cmd/phieval:
+// table behind the -method flag of nstrace sample and nstrace phi:
 //
 //	systematic        every k-th packet from offset
 //	stratified        one random packet per k-packet bucket

@@ -25,7 +25,7 @@ type AblationRow struct {
 	Median, IQR    float64
 }
 
-// AblationsResult holds the DESIGN.md §6 ablations, one row a cell.
+// AblationsResult holds the DESIGN.md §4 ablations, one row a cell.
 type AblationsResult struct {
 	Rows []AblationRow
 }

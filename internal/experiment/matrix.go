@@ -17,7 +17,7 @@ import (
 
 // MatrixSamplers lists the matrix's sampler axis in render order. The
 // first four are the paper's fixed methods; "adaptive" is the
-// closed-loop systematic controller (DESIGN.md §16) steering k per
+// closed-loop systematic controller (DESIGN.md §5) steering k per
 // window.
 var MatrixSamplers = []string{
 	"systematic", "stratified", "systematic-timer", "stratified-timer", "adaptive",
@@ -125,17 +125,10 @@ func matrixCell(tr *trace.Trace, sizeEval, iatEval *core.Evaluator, scenario, sa
 			return online.New(sampler, k, period, rng)
 		}
 	}
-	p, err := pipeline.New(cfg)
-	if err != nil {
-		return cell, err
-	}
-	if err := p.Run(tr.Replay()); err != nil {
-		return cell, err
-	}
 	var sizeSum, iatSum float64
 	var sizeN, iatN int
 	var kSum float64
-	for _, snap := range p.Snapshots() {
+	cfg.OnSnapshot = func(snap *pipeline.Snapshot) {
 		cell.Windows++
 		cell.Offered += snap.Offered
 		cell.Selected += snap.Selected
@@ -159,6 +152,13 @@ func matrixCell(tr *trace.Trace, sizeEval, iatEval *core.Evaluator, scenario, sa
 		} else {
 			kSum += float64(k)
 		}
+	}
+	p, err := pipeline.New(cfg)
+	if err != nil {
+		return cell, err
+	}
+	if err := p.Run(tr.Replay()); err != nil {
+		return cell, err
 	}
 	if sizeN > 0 {
 		cell.MeanPhiSize = sizeSum / float64(sizeN)

@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"netsample/internal/online"
@@ -153,13 +152,22 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 	)
 	var (
 		before, after runtime.MemStats
-		warm          sync.Once
+		windows       int
+		mixed         *Snapshot // the first window that is not all-new flows
 	)
 	p, err := New(Config{
 		Shards:     1,
 		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
 		WindowUS:   perWindow * 10,
-		OnSnapshot: func(*Snapshot) { warm.Do(func() { runtime.ReadMemStats(&before) }) },
+		OnSnapshot: func(s *Snapshot) {
+			if windows == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			windows++
+			if mixed == nil && (s.Selected != perWindow || s.FlowCounts.Flows != perWindow || s.FlowCounts.Singletons != perWindow) {
+				mixed = s
+			}
+		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -168,14 +176,11 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	runtime.ReadMemStats(&after)
-	snaps := p.Snapshots()
-	if len(snaps) != n/perWindow {
-		t.Fatalf("run cut %d windows, want %d", len(snaps), n/perWindow)
+	if windows != n/perWindow {
+		t.Fatalf("run cut %d windows, want %d", windows, n/perWindow)
 	}
-	for _, s := range snaps {
-		if s.Selected != perWindow || s.FlowCounts.Flows != perWindow || s.FlowCounts.Singletons != perWindow {
-			t.Fatalf("window %d is not all-new flows: selected %d, flows %+v", s.Seq, s.Selected, s.FlowCounts)
-		}
+	if s := mixed; s != nil {
+		t.Fatalf("window %d is not all-new flows: selected %d, flows %+v", s.Seq, s.Selected, s.FlowCounts)
 	}
 	const measured = n - perWindow
 	if allocs := after.Mallocs - before.Mallocs; allocs > measured/100 {
@@ -231,7 +236,8 @@ func TestWindowCutAllocs(t *testing.T) {
 		if err := sw.Close(); err != nil {
 			t.Fatalf("store close: %v", err)
 		}
-		return after.Mallocs - before.Mallocs, len(p.Snapshots())
+		last, _ := p.Latest()
+		return after.Mallocs - before.Mallocs, int(last.Seq)
 	}
 	// Two minutes of trace: some 1200 windows, then some 2400. A shard
 	// that cuts ahead of the collector allocates a fresh buffer set, so
@@ -253,6 +259,47 @@ func TestWindowCutAllocs(t *testing.T) {
 	}
 }
 
+// TestFinishedPipelineHoldsNoWindowHistory pins that a pipeline keeps
+// only its latest window: what a run publishes goes to OnSnapshot, so a
+// long-running node's heap does not grow with the windows it has cut.
+// The same 36-second stream cut into 4 windows and into 36 000 must
+// leave a finished, still-referenced pipeline holding the same heap
+// within 1 MB; a retained history costs some 600 B a window, 22 MB here.
+func TestFinishedPipelineHoldsNoWindowHistory(t *testing.T) {
+	const n = 72_000 // 500 µs apart
+	held := func(windowUS int64) (heap int64, windows uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p, err := New(Config{
+			Shards:     1,
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+			WindowUS:   windowUS,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := p.Run(&cycleSource{n: n}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		last, _ := p.Latest()
+		runtime.KeepAlive(p)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), last.Seq
+	}
+	few, wf := held(9_000_000)
+	many, wm := held(1_000)
+	if wf != 4 || wm != 36_000 {
+		t.Fatalf("runs cut %d and %d windows, want 4 and 36000", wf, wm)
+	}
+	if many-few > 1<<20 {
+		t.Errorf("a finished 36000-window run holds %d B more heap than a 4-window one (> 1 MiB)", many-few)
+	} else {
+		t.Logf("36000 windows hold %+d B of heap beside 4", many-few)
+	}
+}
+
 // TestWireAppendDoesNotAllocate pins what TestWindowCutAllocs counts on:
 // Wire inlines and its copy stays on the caller's stack, so stamping a
 // merged snapshot with a node name and appending it to a warm store
@@ -263,12 +310,14 @@ func TestWireAppendDoesNotAllocate(t *testing.T) {
 	}
 	tr := smallTrace(t, 28)
 	sizeEval, iatEval := evaluators(t, tr)
+	var snaps []*Snapshot
 	p, err := New(Config{
 		Shards:     2,
 		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
 		WindowUS:   1_000_000,
 		SizeEval:   sizeEval,
 		IatEval:    iatEval,
+		OnSnapshot: func(s *Snapshot) { snaps = append(snaps, s) },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -276,7 +325,6 @@ func TestWireAppendDoesNotAllocate(t *testing.T) {
 	if err := p.Run(tr.Replay()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	snaps := p.Snapshots()
 	s := snaps[len(snaps)/2]
 	if s.SizeReport == nil || s.IatReport == nil || len(s.TopK) == 0 {
 		t.Fatalf("window %d is missing a report or its top-k: %+v", s.Seq, s)

@@ -6,7 +6,7 @@
 // streams, with bounded queues that apply backpressure, and windowed
 // snapshots a collector can poll.
 //
-// Architecture (DESIGN.md §10):
+// Architecture (DESIGN.md §5):
 //
 //	      reader (Run goroutine)       per packet: timestamp, cut, gap,
 //	         │                         selection; per selected: decode,
@@ -109,7 +109,7 @@ type Config struct {
 	Shards int
 	// IngestWorkers is accepted only because benchmarks/nsbench sets it
 	// to 1 in a struct literal: the reader is the one front-end
-	// goroutine (DESIGN.md §15), and New rejects anything but 0 or 1.
+	// goroutine (DESIGN.md §5), and New rejects anything but 0 or 1.
 	IngestWorkers int
 	// QueueDepth bounds each shard's channel, in messages: batches and
 	// barriers (DefaultQueueDepth if zero).
@@ -168,8 +168,9 @@ var (
 )
 
 // Pipeline is one running instance of the streaming characterization
-// node. Build with New, drive with Run, interrogate with Latest or
-// Snapshots.
+// node. Build with New, drive with Run, interrogate with Latest; every
+// window reaches Config.OnSnapshot, and the pipeline keeps only the
+// latest.
 type Pipeline struct {
 	cfg    Config
 	shards []*shardState
@@ -192,8 +193,7 @@ type Pipeline struct {
 
 	pub    pubSlabs // collector-owned
 	latest atomic.Pointer[Snapshot]
-	mu     sync.Mutex
-	snaps  []*Snapshot
+	mu     sync.Mutex // guards decisions
 
 	stopReq atomic.Bool
 	started atomic.Bool
@@ -207,7 +207,6 @@ type Pipeline struct {
 
 	// Adaptive-control state (Config.Adaptive). adaptK is
 	// collector-owned; the reader learns each decision through decided.
-	// decisions is guarded by mu.
 	adaptK    int
 	decisions []AdaptiveDecision
 }
@@ -353,13 +352,6 @@ func (p *Pipeline) Latest() (*Snapshot, bool) {
 	return s, s != nil
 }
 
-// Snapshots returns the published snapshots in window order.
-func (p *Pipeline) Snapshots() []*Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*Snapshot(nil), p.snaps...)
-}
-
 // readRaw is the front end, the pipeline's one sequential stage: it
 // owns the virtual clock, the window barriers, the gap chain, the
 // sampler and the sending side of every shard channel, and runs on the
@@ -458,7 +450,7 @@ func rawTime(raw []byte, i int) int64 {
 // goroutines interleave.
 //
 // The barrier itself comes from barFree when the collector has handed
-// one back (DESIGN.md §10, "Who owns a window's objects"): a steady-state
+// one back (DESIGN.md §5, "Ownership"): a steady-state
 // cut allocates nothing here.
 //
 //nslint:coldpath runs once per window boundary, never per packet; allocates only until QueueDepth+2 barriers exist

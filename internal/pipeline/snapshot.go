@@ -104,9 +104,6 @@ func (p *Pipeline) collect() {
 			p.controlStep(snap)
 		}
 		p.latest.Store(snap)
-		p.mu.Lock()
-		p.snaps = append(p.snaps, snap)
-		p.mu.Unlock()
 		if p.cfg.OnSnapshot != nil {
 			p.cfg.OnSnapshot(snap)
 		}

@@ -282,6 +282,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 	tr := smallTrace(t, 28)
 	sizeEval, iatEval := evaluators(t, tr)
 	type frozen struct {
+		snap    *Snapshot
 		proj    snapProj
 		wire    *collect.Snapshot
 		payload []byte
@@ -306,7 +307,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 					if err != nil {
 						t.Errorf("window %d: encode: %v", s.Seq, err)
 					}
-					seen = append(seen, frozen{projectSnap(s), w, payload})
+					seen = append(seen, frozen{s, projectSnap(s), w, payload})
 				},
 			}
 			if tc.adaptive {
@@ -321,14 +322,13 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 			if err := p.Run(tr.Replay()); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			snaps := p.Snapshots()
-			if len(snaps) < 100 || len(snaps) != len(seen) {
-				t.Fatalf("%d snapshots retained, %d seen in OnSnapshot, want the same 100+", len(snaps), len(seen))
+			if len(seen) < 100 {
+				t.Fatalf("%d snapshots seen in OnSnapshot, want 100+", len(seen))
 			}
-			for i, s := range snaps {
+			for _, was := range seen {
+				s := was.snap
 				checkMirrors(t, s)
 				checkFullCapped(t, s)
-				was := seen[i]
 				if projectSnap(s) != was.proj {
 					t.Fatalf("window %d changed after publication:\n got %+v\nwant %+v", s.Seq, projectSnap(s), was.proj)
 				}

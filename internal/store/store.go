@@ -4,7 +4,7 @@
 // and Merkle-chained segment integrity. It is the retention layer under
 // cmd/nsd (-store persists every cut window snapshot), cmd/noccollect
 // (-store persists polled fleet snapshots), and cmd/nocquery (time-range
-// queries answered from disk). DESIGN.md §14 documents the format and
+// queries answered from disk). DESIGN.md §7 documents the format and
 // the recovery rules.
 //
 // Layout: a store is a directory of numbered segment files plus an

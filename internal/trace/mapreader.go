@@ -14,7 +14,7 @@ import (
 // Aliasing rules: every slice returned by NextRawBatch aliases the
 // mapped region and stays valid, immutable, and stable until Close.
 // Callers may therefore hold windows from many calls at once, but must
-// not touch any view after Close unmaps the pages — see DESIGN.md §13.
+// not touch any view after Close unmaps the pages — see DESIGN.md §3.
 //
 // A region that is shorter than its header's declared record count
 // delivers every complete record it contains and then reports a typed

@@ -55,7 +55,7 @@ func lintModule(t *testing.T) (*analysis.Loader, *analysis.Module, []analysis.Di
 // rule set over every package of the module, so `go test ./...` fails
 // the moment a stdlib randomness import, a naked wall-clock read, a
 // shared RNG, an exact float comparison, a dropped module error, a
-// mixed atomic/plain field access, a misaligned 64-bit atomic, an
+// sync/atomic function call in place of a typed atomic, an
 // unjoined goroutine, a blocking call under a mutex, an allocation on
 // the //nslint:hotpath closure, or a declaration nothing shipped can
 // reach is introduced. Suppressions require

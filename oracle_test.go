@@ -525,7 +525,11 @@ func checkChain(t *testing.T, c chainCase) {
 		t.Fatal(err)
 	}
 	sink := &pipeline.StoreSink{Node: oracleNode, To: sw}
-	cfg.OnSnapshot = sink.OnSnapshot
+	var live []*pipeline.Snapshot
+	cfg.OnSnapshot = func(s *pipeline.Snapshot) {
+		live = append(live, s)
+		sink.OnSnapshot(s)
+	}
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatalf("pipeline.New: %v", err)
@@ -546,7 +550,6 @@ func checkChain(t *testing.T, c chainCase) {
 		t.Fatal(err)
 	}
 
-	live := p.Snapshots()
 	if len(live) != len(want.snaps) || len(stored) != len(live) {
 		t.Fatalf("%d windows published, %d stored, oracle cut %d", len(live), len(stored), len(want.snaps))
 	}
