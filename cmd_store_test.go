@@ -157,6 +157,28 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// TestNocqueryRefusesBrokenChain: nocquery's read path walks the same
+// chain Verify does, so a store with a middle segment deleted is
+// refused without -verify too — the query exits non-zero naming the
+// missing segment instead of merging the windows that survive.
+func TestNocqueryRefusesBrokenChain(t *testing.T) {
+	dir := buildTools(t, "nsd", "nocquery")
+	storeDir := filepath.Join(t.TempDir(), "snapstore")
+	run(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "10", "-window", "1s", "-once", "-q",
+		"-store", storeDir, "-store-segment", "2")
+	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.nss"))
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("store holds segments %v (%v), want at least 3", segs, err)
+	}
+	if err := os.Remove(segs[1]); err != nil {
+		t.Fatal(err)
+	}
+	out := runExit(t, 1, filepath.Join(dir, "nocquery"), "-store", storeDir, "-windows")
+	if !strings.Contains(out, filepath.Base(segs[1])) {
+		t.Fatalf("nocquery did not name the missing segment %s:\n%s", filepath.Base(segs[1]), out)
+	}
+}
+
 // failingAppender is a store whose disk fills: it accepts the first
 // okFor snapshots and refuses the rest.
 type failingAppender struct {

@@ -13,11 +13,13 @@ import (
 // The compaction anchor records where the chain was cut: the sequence
 // number and chain root of the last removed segment. The next surviving
 // segment's header prevRoot must equal the anchor root, so Verify still
-// covers the full retained history. The anchor is written
-// atomically (tmp + rename + dir fsync) before any segment is removed —
-// a crash mid-compaction leaves either the old state or an anchor whose
-// segments are partially removed, and both reopen cleanly because
-// removal only ever shortens the already-anchored prefix.
+// covers the full retained history. Compact writes the anchor
+// atomically (tmp + rename + dir fsync) before it removes any segment,
+// so a crash mid-compaction leaves either the old state or the new
+// anchor with some segments at or below its seq still on disk. Every
+// reader of the chain skips those (walkChain), so the store reopens,
+// verifies and replays the anchored history, and the next Compact
+// removes them (TestStoreChainDamage/interrupted_compaction).
 const (
 	anchorName = "anchor"
 	anchorLen  = 52 // magic 4 + version u16 + reserved u16 + seq u64 + root [32] + crc u32
@@ -99,60 +101,45 @@ func writeAnchor(dir string, a anchorInfo) error {
 }
 
 // Compact removes expired history: the longest prefix of sealed
-// segments whose every record timestamp is older than beforeUS. Only a
+// segments whose every record timestamp is older than beforeUS, and any
+// segment an interrupted compaction left below the anchor. Only a
 // prefix can go — the hash chain can be cut at the front (the anchor
 // preserves the cut point's root) but never in the middle — so one
-// still-live segment stops compaction behind it. The unsealed tail is
-// never removed. Returns how many segments were deleted.
+// still-live segment stops compaction behind it. The final segment is
+// never removed: sealed, it keeps the last durable snapshot queryable;
+// unsealed, it is the tail the writer resumes. Compact refuses every
+// store Verify's chain walk refuses. Returns how many segment files
+// were deleted.
 //
 // Compact must not run concurrently with a live Writer on the same
 // directory; run it between writer sessions or from the query side.
 //
 //nslint:allow unreached store retention surface: how history is expired; its caller is the ROADMAP bounds item's to add
 func Compact(dir string, beforeUS int64) (int, error) {
-	anchor, hasAnchor, err := readAnchor(dir)
-	if err != nil {
-		return 0, err
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	prevRoot := anchor.root
-	if !hasAnchor {
-		prevRoot = [32]byte{}
-	}
 	var (
-		remove  []segEntry
-		cutSeq  uint64
-		cutRoot [32]byte
+		cut  []segEntry
+		at   anchorInfo
+		kept bool
 	)
-	for i, se := range segs {
-		if i == len(segs)-1 {
-			// Even a fully-expired sealed tail stays: removing it would
-			// leave the writer nothing to chain a resumed session onto
-			// except the anchor, which is fine — but keeping one sealed
-			// segment keeps the last durable snapshot queryable, which
-			// retention tooling expects.
-			break
+	end, err := walkChain(dir, func(l *link) error {
+		kept = kept || l.final || (l.seal.records > 0 && l.seal.lastUS >= beforeUS)
+		if !kept {
+			cut = append(cut, l.segEntry)
+			at = anchorInfo{seq: l.seq, root: l.seal.root}
 		}
-		seal, err := readSealedLight(dir, se, prevRoot)
-		if err != nil {
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	if len(cut) > 0 {
+		if err := writeAnchor(dir, at); err != nil {
 			return 0, err
 		}
-		if seal.records > 0 && seal.lastUS >= beforeUS {
-			break
-		}
-		remove = append(remove, se)
-		cutSeq = se.seq
-		cutRoot = seal.root
-		prevRoot = seal.root
 	}
+	remove := append(end.leftovers, cut...)
 	if len(remove) == 0 {
 		return 0, nil
-	}
-	if err := writeAnchor(dir, anchorInfo{seq: cutSeq, root: cutRoot}); err != nil {
-		return 0, err
 	}
 	for _, se := range remove {
 		if err := os.Remove(filepath.Join(dir, se.name)); err != nil {

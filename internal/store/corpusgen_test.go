@@ -14,12 +14,19 @@ func TestGenCorpus(t *testing.T) {
 	if os.Getenv("NSGEN_CORPUS") == "" {
 		t.Skip("corpus generator; set NSGEN_CORPUS=1 to regenerate testdata/fuzz")
 	}
-	write := func(target, name string, data []byte) {
+	write := func(target, name string, args ...any) {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
+		content := "go test fuzz v1\n"
+		for _, a := range args {
+			if b, ok := a.([]byte); ok {
+				content += fmt.Sprintf("[]byte(%s)\n", strconv.Quote(string(b)))
+			} else {
+				content += fmt.Sprintf("%T(%v)\n", a, a)
+			}
+		}
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -44,5 +51,10 @@ func TestGenCorpus(t *testing.T) {
 	// FuzzAnchorDecode: a valid anchor and one image per check.
 	for name, data := range anchorSeeds() {
 		write("FuzzAnchorDecode", name, data)
+	}
+
+	// FuzzStoreChain: each mutation on a sealed segment and on the tail.
+	for name, m := range chainSeeds() {
+		write("FuzzStoreChain", name, m.op, m.seg, m.off, m.bit)
 	}
 }

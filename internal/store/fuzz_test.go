@@ -181,3 +181,96 @@ func FuzzAnchorDecode(f *testing.F) {
 		}
 	})
 }
+
+// chainMutation is one FuzzStoreChain input: op picks the mutation
+// (drop, swap in a foreign segment, truncate at off, flip bit of the
+// byte at off) and seg the segment it hits; both wrap around.
+type chainMutation struct {
+	op, seg uint8
+	off     uint16
+	bit     uint8
+}
+
+// chainSeeds are FuzzStoreChain's seed inputs by corpus file name: each
+// mutation on a sealed segment and on the tail.
+func chainSeeds() map[string]chainMutation {
+	return map[string]chainMutation{
+		"drop_middle":        {0, 1, 0, 0},
+		"drop_tail":          {0, 3, 0, 0},
+		"swap_first":         {1, 0, 0, 0},
+		"swap_tail":          {1, 3, 0, 0},
+		"truncate_sealed":    {2, 1, 150, 0},
+		"truncate_tail":      {2, 3, 94, 0},
+		"flip_sealed_record": {3, 0, 90, 2},
+		"flip_seal":          {3, 2, 230, 5},
+		"flip_tail_record":   {3, 3, 80, 0},
+	}
+}
+
+// FuzzStoreChain mutates a 4-segment store — three sealed segments and
+// a 2-record tail — once, and holds the chain's readers to one rule:
+// Open refuses or leaves every sealed segment byte-identical (and a
+// refusal changes no file); OpenReader+Replay errors or replays an
+// in-order prefix of the appended records; and when Verify passes,
+// Replay returns every appended record the mutation left on disk.
+func FuzzStoreChain(f *testing.F) {
+	const n = 14
+	opts := Options{SegmentRecords: 4}
+	ours, foreign := f.TempDir(), f.TempDir()
+	fillStore(f, ours, n, opts)
+	fillStore(f, foreign, n, Options{SegmentRecords: 3}) // same records, other roots
+	segs, other := dirImage(f, ours), dirImage(f, foreign)
+	if len(segs) != 4 {
+		f.Fatalf("store holds %d segments, want 4", len(segs))
+	}
+	for _, m := range chainSeeds() {
+		f.Add(m.op, m.seg, m.off, m.bit)
+	}
+	f.Fuzz(func(t *testing.T, op, seg uint8, off uint16, bit uint8) {
+		dir := t.TempDir()
+		hit := segName(uint64(seg%4) + 1)
+		for name, data := range segs {
+			if name == hit {
+				switch op % 4 {
+				case 0:
+					continue
+				case 1:
+					data = other[name]
+				case 2:
+					data = data[:int(off)%(len(data)+1)]
+				case 3:
+					data = bytes.Clone(data)
+					data[int(off)%len(data)] ^= 1 << (bit % 8)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, rerr := replayAll(dir)
+		if rerr == nil {
+			for i, p := range got {
+				if i >= n || !bytes.Equal(p, testPayload(i)) {
+					t.Fatalf("replayed record %d = %q, not the appended one", i, p)
+				}
+			}
+		}
+		if Verify(dir) == nil {
+			want := n
+			if hit == segName(4) && (op%4 == 0 || op%4 == 2) {
+				want = 12 // the mutation cut the tail's records
+			}
+			if rerr != nil || len(got) < want {
+				t.Fatalf("Verify passed, but Replay returned %d records (%v), want %d", len(got), rerr, want)
+			}
+		}
+		before := dirImage(t, dir)
+		oerr := openClose(dir, opts)
+		after := dirImage(t, dir)
+		for name, data := range before {
+			if _, sealed := footer(data); (sealed || oerr != nil) && !bytes.Equal(after[name], data) {
+				t.Fatalf("Open (%v) rewrote %s", oerr, name)
+			}
+		}
+	})
+}

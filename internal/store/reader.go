@@ -24,35 +24,44 @@ type SegmentInfo struct {
 // It is a point-in-time view: the segment list and bounds are captured
 // at OpenReader, so records appended afterwards need a fresh Reader.
 // Segment bodies are mapped read-only per query through the shared
-// trace.Mapping lifecycle (PR 7's zero-copy trace path), so a query
-// touches only the pages its records live on.
+// trace.Mapping lifecycle, so a query touches only the pages its
+// records live on.
 //
-// A Reader tolerates exactly what Writer recovery would repair: a torn
-// tail in the last segment is ignored and the valid prefix replays.
-// Structural damage anywhere else is an error — use Verify for the
-// strict full-chain check.
+// A Reader accepts exactly the stores Open accepts (both read the
+// chain through walkChain): a torn tail is ignored and its valid prefix
+// replays; damage anywhere else is an error — use Verify for the strict
+// full-chain check.
 type Reader struct {
 	dir  string
 	segs []SegmentInfo
 }
 
-// OpenReader scans the directory's segment headers and footers and
-// returns a reader over the durable record sequence.
+// OpenReader walks the directory's segment chain, scanning each body
+// for its record count and time bounds, and returns a reader over the
+// durable record sequence.
 func OpenReader(dir string) (*Reader, error) {
-	segs, err := listSegments(dir)
+	r := &Reader{dir: dir}
+	_, err := walkChain(dir, func(l *link) error {
+		if len(l.data) < headerLen {
+			return nil // a torn creation holds no record
+		}
+		st, err := l.scan(false, nil)
+		if err != nil {
+			return err
+		}
+		r.segs = append(r.segs, SegmentInfo{
+			Seq:     l.seq,
+			Name:    l.name,
+			Sealed:  l.sealed,
+			Records: st.records,
+			FirstUS: st.firstUS,
+			LastUS:  st.lastUS,
+			Root:    l.seal.root,
+		})
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	r := &Reader{dir: dir}
-	for i, se := range segs {
-		last := i == len(segs)-1
-		info, ok, err := readSegmentInfo(dir, se, last)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			r.segs = append(r.segs, info)
-		}
 	}
 	return r, nil
 }
@@ -147,52 +156,4 @@ func (r *Reader) Snapshots(fromUS, toUS int64) ([]*collect.Snapshot, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// readSegmentInfo summarizes one segment. Sealed segments are read
-// header+footer only; the unsealed tail is scanned in full (its bounds
-// live nowhere else). ok=false drops a torn-creation tail (a file too
-// short to hold its header) — it cannot contain a durable record.
-func readSegmentInfo(dir string, se segEntry, last bool) (SegmentInfo, bool, error) {
-	m, err := trace.OpenMapping(filepath.Join(dir, se.name))
-	if err != nil {
-		return SegmentInfo{}, false, fmt.Errorf("store: map %s: %w", se.name, err)
-	}
-	defer m.Close()
-	data := m.Data()
-	if len(data) < headerLen {
-		if last {
-			return SegmentInfo{}, false, nil
-		}
-		return SegmentInfo{}, false, corruptf(se.name, int64(len(data)), "mid-chain segment shorter than its header")
-	}
-	seq, _, err := parseHeader(se.name, data)
-	if err != nil {
-		return SegmentInfo{}, false, err
-	}
-	if seq != se.seq {
-		return SegmentInfo{}, false, corruptf(se.name, 8, "header sequence %d does not match file name", seq)
-	}
-	st, err := scanSegment(se.name, seq, data, false, nil)
-	if err != nil {
-		return SegmentInfo{}, false, err
-	}
-	if st.torn != nil && !last {
-		return SegmentInfo{}, false, st.torn
-	}
-	info := SegmentInfo{
-		Seq:     seq,
-		Name:    se.name,
-		Sealed:  st.sealed,
-		Records: st.records,
-		FirstUS: st.firstUS,
-		LastUS:  st.lastUS,
-	}
-	if st.sealed {
-		info.Root = st.seal.root
-	}
-	if !st.sealed && !last {
-		return SegmentInfo{}, false, corruptf(se.name, int64(len(data)), "unsealed segment before end of chain")
-	}
-	return info, true, nil
 }

@@ -1,11 +1,10 @@
 // Package store is the durable snapshot store: an append-only, on-disk
-// segment log for the collect snapshot wire payloads and the 56-byte
-// metrics.Report encoding, with CRC-framed records, batched group-fsync,
-// and Merkle-chained segment integrity. It is the retention layer under
-// cmd/nsd (-store persists every cut window snapshot), cmd/noccollect
-// (-store persists polled fleet snapshots), and cmd/nocquery (time-range
-// queries answered from disk). DESIGN.md §7 documents the format and
-// the recovery rules.
+// segment log for the collect snapshot wire payloads, with CRC-framed
+// records, batched group-fsync, and Merkle-chained segment integrity.
+// It is the retention layer under cmd/nsd (-store persists every cut
+// window snapshot), cmd/noccollect (-store persists polled fleet
+// snapshots), and cmd/nocquery (time-range queries answered from disk).
+// DESIGN.md §7 documents the format and the recovery rules.
 //
 // Layout: a store is a directory of numbered segment files plus an
 // optional compaction anchor. Each segment is
@@ -34,8 +33,9 @@
 //
 // Sealing is itself an append (the footer frame), so segment files are
 // written strictly append-only and every crash state is a prefix of
-// some file: recovery truncates a torn tail record and never silently
-// accepts one (see Open).
+// some file. Open, OpenReader, Verify and Compact read the chain through
+// one walk (walkChain), so they accept the same stores: only the final
+// segment may lack its seal, and only that tail is ever repaired.
 package store
 
 import (
@@ -219,6 +219,43 @@ type scanState struct {
 	torn     *CorruptionError
 }
 
+// frameAt decodes the frame at off, checking its bounds, its length
+// limit and its CRC; bad names the first check that failed.
+func frameAt(name string, data []byte, off int64) (kind uint8, timeUS int64, payload []byte, bad *CorruptionError) {
+	size := int64(len(data))
+	if off+frameHdrLen > size {
+		return 0, 0, nil, corruptf(name, off, "truncated frame header (%d of %d bytes)", size-off, frameHdrLen)
+	}
+	hdr := data[off : off+frameHdrLen]
+	plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if plen > maxRecordPayload {
+		return 0, 0, nil, corruptf(name, off, "record payload length %d exceeds limit", plen)
+	}
+	if off+frameHdrLen+plen > size {
+		return 0, 0, nil, corruptf(name, off, "record payload overruns file (%d of %d bytes)", size-off-frameHdrLen, plen)
+	}
+	payload = data[off+frameHdrLen : off+frameHdrLen+plen]
+	if crc32.Update(crc32.ChecksumIEEE(hdr[:13]), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(hdr[13:17]) {
+		return 0, 0, nil, corruptf(name, off, "record checksum mismatch")
+	}
+	return hdr[4], int64(binary.LittleEndian.Uint64(hdr[5:13])), payload, nil
+}
+
+// footer decodes the seal that closes a sealed segment: ok is true if
+// and only if the last sealFrameLen bytes of data are an intact seal
+// frame.
+func footer(data []byte) (seal sealInfo, ok bool) {
+	off := int64(len(data)) - sealFrameLen
+	if off < headerLen {
+		return seal, false
+	}
+	kind, _, payload, bad := frameAt("", data, off)
+	if bad != nil || kind != kindSeal {
+		return seal, false
+	}
+	return parseSealPayload(payload)
+}
+
 // scanSegment walks every frame of a segment file image. name and seq
 // label diagnostics and records. When collectLeaves is set the per-
 // record frame hashes are accumulated for Merkle recomputation. fn, when
@@ -229,9 +266,8 @@ type scanState struct {
 // Anything else — a frame header or payload running past EOF, a CRC
 // mismatch, an oversized length field, bytes after the seal — ends the
 // scan with st.torn describing the first bad byte and st.validLen
-// marking the last good frame boundary. Callers choose the policy:
-// Writer recovery truncates at validLen, Verify reports the tear,
-// readers replay the valid prefix.
+// marking the last good frame boundary. Callers choose the policy
+// (see link.scan).
 func scanSegment(name string, seq uint64, data []byte, collectLeaves bool, fn func(Record) error) (scanState, error) {
 	var st scanState
 	if len(data) < headerLen {
@@ -246,32 +282,16 @@ func scanSegment(name string, seq uint64, data []byte, collectLeaves bool, fn fu
 			st.torn = corruptf(name, off, "%d trailing bytes after seal footer", size-off)
 			return st, nil
 		}
-		if off+frameHdrLen > size {
-			st.torn = corruptf(name, off, "truncated frame header (%d of %d bytes)", size-off, frameHdrLen)
+		kind, timeUS, payload, bad := frameAt(name, data, off)
+		if bad != nil {
+			st.torn = bad
 			return st, nil
 		}
-		hdr := data[off : off+frameHdrLen]
-		plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if plen > maxRecordPayload {
-			st.torn = corruptf(name, off, "record payload length %d exceeds limit", plen)
-			return st, nil
-		}
-		if off+frameHdrLen+plen > size {
-			st.torn = corruptf(name, off, "record payload overruns file (%d of %d bytes)", size-off-frameHdrLen, plen)
-			return st, nil
-		}
-		kind := hdr[4]
-		timeUS := int64(binary.LittleEndian.Uint64(hdr[5:13]))
-		payload := data[off+frameHdrLen : off+frameHdrLen+plen]
-		wantCRC := binary.LittleEndian.Uint32(hdr[13:17])
-		if crc32.Update(crc32.ChecksumIEEE(hdr[:13]), crc32.IEEETable, payload) != wantCRC {
-			st.torn = corruptf(name, off, "record checksum mismatch")
-			return st, nil
-		}
+		end := off + frameHdrLen + int64(len(payload))
 		if kind == kindSeal {
 			seal, ok := parseSealPayload(payload)
 			if !ok {
-				st.torn = corruptf(name, off, "seal footer payload is %d bytes, want %d", plen, sealLen)
+				st.torn = corruptf(name, off, "seal footer payload is %d bytes, want %d", len(payload), sealLen)
 				return st, nil
 			}
 			st.sealed = true
@@ -279,7 +299,7 @@ func scanSegment(name string, seq uint64, data []byte, collectLeaves bool, fn fu
 			st.sealOff = off
 		} else {
 			if collectLeaves {
-				st.leaves = append(st.leaves, sha256.Sum256(data[off:off+frameHdrLen+plen]))
+				st.leaves = append(st.leaves, sha256.Sum256(data[off:end]))
 			}
 			if st.records == 0 {
 				st.firstUS, st.lastUS = timeUS, timeUS
@@ -295,7 +315,7 @@ func scanSegment(name string, seq uint64, data []byte, collectLeaves bool, fn fu
 				}
 			}
 		}
-		off += frameHdrLen + plen
+		off = end
 		st.validLen = off
 	}
 	return st, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,7 +23,7 @@ func testPayload(i int) []byte {
 
 // fillStore writes n records through a Writer with small segments so the
 // test store spans several sealed segments plus an unsealed tail.
-func fillStore(t *testing.T, dir string, n int, opts Options) {
+func fillStore(t testing.TB, dir string, n int, opts Options) {
 	t.Helper()
 	w, err := Open(dir, opts)
 	if err != nil {
@@ -41,19 +42,52 @@ func fillStore(t *testing.T, dir string, n int, opts Options) {
 // replayPayloads replays the whole store into copied payload slices.
 func replayPayloads(t *testing.T, dir string) [][]byte {
 	t.Helper()
+	got, err := replayAll(dir)
+	if err != nil {
+		t.Fatalf("OpenReader+Replay: %v", err)
+	}
+	return got
+}
+
+// replayAll opens a Reader and replays the whole store into copied
+// payload slices, returning the first error either step meets.
+func replayAll(dir string) ([][]byte, error) {
 	r, err := OpenReader(dir)
 	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
+		return nil, err
 	}
 	var got [][]byte
 	err = r.Replay(func(rec Record) error {
 		got = append(got, bytes.Clone(rec.Payload))
 		return nil
 	})
+	return got, err
+}
+
+// dirImage reads every file in dir, by name.
+func dirImage(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatal(err)
 	}
-	return got
+	img := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if img[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return img
+}
+
+// openClose opens a Writer on dir and closes it at once: the recovery
+// Open runs, and nothing is appended.
+func openClose(dir string, opts Options) error {
+	w, err := Open(dir, opts)
+	if err != nil {
+		return err
+	}
+	return w.Close()
 }
 
 func TestStoreAppendReplayRoundTrip(t *testing.T) {
@@ -275,6 +309,17 @@ func TestStoreVerifyDetectsEveryFlippedByte(t *testing.T) {
 					// name its own segment.
 					t.Fatalf("%s offset %d: corruption attributed to %s", si.Name, off, ce.Segment)
 				}
+				// Every reader of the chain stops at the same segment,
+				// and Open never rewrites a sealed one.
+				_, rerr := replayAll(dir)
+				var rce *CorruptionError
+				if !errors.As(rerr, &rce) || rce.Segment != ce.Segment {
+					t.Fatalf("%s offset %d: OpenReader+Replay = %v, Verify named %s", si.Name, off, rerr, ce.Segment)
+				}
+				_ = openClose(dir, Options{SegmentRecords: 5, SyncEvery: 2})
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, mut) {
+					t.Fatalf("%s offset %d: Open rewrote the sealed segment (%v)", si.Name, off, err)
+				}
 			}
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -441,6 +486,136 @@ func TestStoreCompact(t *testing.T) {
 	}
 	if err := Verify(dir); err != nil {
 		t.Fatalf("Verify after full compact: %v", err)
+	}
+}
+
+// TestStoreChainDamage: Open, OpenReader, Verify and Compact read the
+// segment chain through one walk, so they refuse the same damaged
+// stores, name the same segment, and leave every file as it was — and
+// they accept the same store an interrupted compaction leaves.
+func TestStoreChainDamage(t *testing.T) {
+	const n = 14 // 4 records a segment: three sealed segments and a 2-record tail
+	opts := Options{SegmentRecords: 4}
+	foreign := t.TempDir()
+	fillStore(t, foreign, n, Options{SegmentRecords: 3}) // same records, other roots
+	rows := []struct {
+		name   string
+		damage func(dir string) error
+		want   string // the segment every entry point must name
+	}{
+		{"missing middle segment", func(dir string) error {
+			return os.Remove(filepath.Join(dir, segName(2)))
+		}, segName(3)},
+		{"foreign segment", func(dir string) error {
+			data, err := os.ReadFile(filepath.Join(foreign, segName(2)))
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, segName(2)), data, 0o644)
+		}, segName(2)},
+		{"unsealed segment before the tail", func(dir string) error {
+			path := filepath.Join(dir, segName(2))
+			fi, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, fi.Size()-sealFrameLen)
+		}, segName(2)},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fillStore(t, dir, n, opts)
+			if err := row.damage(dir); err != nil {
+				t.Fatal(err)
+			}
+			before := dirImage(t, dir)
+			openErr := openClose(dir, opts)
+			_, readErr := OpenReader(dir)
+			verifyErr := Verify(dir)
+			_, compactErr := Compact(dir, 1<<62)
+			for _, c := range []struct {
+				entry string
+				err   error
+			}{{"Open", openErr}, {"OpenReader", readErr}, {"Verify", verifyErr}, {"Compact", compactErr}} {
+				var ce *CorruptionError
+				if !errors.As(c.err, &ce) || ce.Segment != row.want {
+					t.Errorf("%s = %v, want a CorruptionError naming %s", c.entry, c.err, row.want)
+				}
+			}
+			if !reflect.DeepEqual(dirImage(t, dir), before) {
+				t.Error("refusing the store changed its files")
+			}
+		})
+	}
+	t.Run("interrupted compaction", func(t *testing.T) {
+		dir := t.TempDir()
+		fillStore(t, dir, n, opts)
+		before := dirImage(t, dir)
+		// Cut segments 1 and 2 (records up to 8000), then put them back:
+		// the state a crash leaves after the anchor is installed and
+		// before any segment is removed.
+		if removed, err := Compact(dir, 8001); err != nil || removed != 2 {
+			t.Fatalf("Compact = %d, %v; want 2, nil", removed, err)
+		}
+		for _, name := range []string{segName(1), segName(2)} {
+			if err := os.WriteFile(filepath.Join(dir, name), before[name], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := openClose(dir, opts); err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if err := Verify(dir); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		got := replayPayloads(t, dir)
+		if len(got) != n-8 || !bytes.Equal(got[0], testPayload(8)) {
+			t.Fatalf("replayed %d records from %q, want the %d anchored ones from %q", len(got), got[0], n-8, testPayload(8))
+		}
+		if removed, err := Compact(dir, 0); err != nil || removed != 2 {
+			t.Fatalf("second Compact = %d, %v; want the 2 leftovers removed", removed, err)
+		}
+		for _, name := range []string{segName(1), segName(2)} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s survived the second Compact: %v", name, err)
+			}
+		}
+		if err := Verify(dir); err != nil {
+			t.Fatalf("Verify after removing the leftovers: %v", err)
+		}
+	})
+}
+
+// TestOpenNeverTruncatesSealed: a flipped record byte in a sealed last
+// segment is corruption, not a torn tail. Open must name the damaged
+// frame and leave every file as it was.
+func TestOpenNeverTruncatesSealed(t *testing.T) {
+	dir := t.TempDir()
+	fillStore(t, dir, 8, Options{SegmentRecords: 4}) // two sealed segments, no tail
+	path := filepath.Join(dir, segName(2))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[headerLen+frameHdrLen] ^= 0x01 // first payload byte of the first record
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	if len(before) != 2 {
+		t.Fatalf("store holds %d files, want two sealed segments", len(before))
+	}
+	err = openClose(dir, Options{SegmentRecords: 4})
+	var ce *CorruptionError
+	if !errors.As(err, &ce) || ce.Segment != segName(2) || ce.Offset != headerLen {
+		t.Fatalf("Open = %v, want a CorruptionError naming %s offset %d", err, segName(2), headerLen)
+	}
+	if !reflect.DeepEqual(dirImage(t, dir), before) {
+		t.Fatal("Open rewrote the store")
+	}
+	if err := Verify(dir); err == nil {
+		t.Fatal("Verify passed the damaged store")
 	}
 }
 

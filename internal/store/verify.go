@@ -1,12 +1,5 @@
 package store
 
-import (
-	"fmt"
-	"path/filepath"
-
-	"netsample/internal/trace"
-)
-
 // Verify recomputes the store's entire integrity chain: every record
 // CRC, every segment's Merkle root, every seal footer, and every
 // header-to-footer chain link, anchored at the compaction anchor when
@@ -21,77 +14,15 @@ import (
 // frame CRC or the recomputed root). A nil return means the full chain
 // verified.
 func Verify(dir string) error {
-	anchor, hasAnchor, err := readAnchor(dir)
-	if err != nil {
+	_, err := walkChain(dir, func(l *link) error {
+		if l.sealed {
+			return l.verify()
+		}
+		st, err := l.scan(false, nil)
+		if err == nil && st.torn != nil {
+			return st.torn
+		}
 		return err
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	var prevRoot [32]byte
-	expectSeq := uint64(1)
-	if hasAnchor {
-		prevRoot = anchor.root
-		expectSeq = anchor.seq + 1
-	}
-	for i, se := range segs {
-		if se.seq != expectSeq {
-			return corruptf(se.name, 8, "segment sequence %d, chain expects %d", se.seq, expectSeq)
-		}
-		root, sealed, err := verifySegment(dir, se, prevRoot, i == len(segs)-1)
-		if err != nil {
-			return err
-		}
-		if !sealed {
-			break // unsealed tail is the end of the chain
-		}
-		prevRoot = root
-		expectSeq++
-	}
-	return nil
-}
-
-// verifySegment checks one segment in full and returns its chain root.
-func verifySegment(dir string, se segEntry, wantPrev [32]byte, last bool) (root [32]byte, sealed bool, err error) {
-	m, err := trace.OpenMapping(filepath.Join(dir, se.name))
-	if err != nil {
-		return root, false, fmt.Errorf("store: map %s: %w", se.name, err)
-	}
-	defer m.Close()
-	data := m.Data()
-	seq, prevRoot, err := parseHeader(se.name, data)
-	if err != nil {
-		return root, false, err
-	}
-	if seq != se.seq {
-		return root, false, corruptf(se.name, 8, "header sequence %d does not match file name", seq)
-	}
-	if prevRoot != wantPrev {
-		return root, false, corruptf(se.name, 16, "chain broken: header prevRoot does not match predecessor root")
-	}
-	st, err := scanSegment(se.name, seq, data, true, nil)
-	if err != nil {
-		return root, false, err
-	}
-	if st.torn != nil {
-		return root, false, st.torn
-	}
-	if !st.sealed {
-		if !last {
-			return root, false, corruptf(se.name, int64(len(data)), "unsealed segment before end of chain")
-		}
-		return root, false, nil
-	}
-	if st.seal.records != st.records {
-		return root, false, corruptf(se.name, st.sealOff, "seal claims %d records, segment holds %d", st.seal.records, st.records)
-	}
-	if st.records > 0 && (st.seal.firstUS != st.firstUS || st.seal.lastUS != st.lastUS) {
-		return root, false, corruptf(se.name, st.sealOff, "seal time bounds do not match records")
-	}
-	want := chainRoot(wantPrev, merkleRoot(st.leaves), seq)
-	if st.seal.root != want {
-		return root, false, corruptf(se.name, st.sealOff, "seal root does not match recomputed Merkle chain root")
-	}
-	return want, true, nil
+	})
+	return err
 }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"netsample/internal/collect"
@@ -94,18 +91,17 @@ type Writer struct {
 	scratch []byte
 }
 
-// Open opens (creating if needed) the store directory for appending,
-// recovering from any crash state first:
+// Open opens (creating if needed) the store directory for appending.
+// It reads the chain as Verify and OpenReader do (walkChain), so it
+// refuses every store they refuse, and then repairs only the tail:
 //
-//   - every segment but the last must be sealed and structurally intact
-//     (header + seal footer), or Open refuses with a CorruptionError;
-//   - a last segment shorter than its 64-byte header is a torn creation
-//     — it can hold no records, so it is removed;
-//   - a torn tail record in the last segment (truncated frame, CRC
-//     mismatch, bytes after a seal) is truncated back to the last valid
-//     frame boundary — never silently accepted;
-//   - a last segment whose seal footer survived intact is closed, and
-//     the writer continues the chain in a fresh segment.
+//   - a tail shorter than its 64-byte header is a torn creation — it
+//     can hold no records, so it is removed;
+//   - a torn tail record (truncated frame, CRC mismatch) is truncated
+//     back to the last valid frame boundary — never silently accepted;
+//   - a final segment that ends in its seal is checked against that
+//     seal and refused on a mismatch, never truncated; the writer
+//     continues the chain in a fresh segment.
 //
 // The recovered writer resumes exactly where the durable prefix ended:
 // a reopened store replays bit-identically to what was synced.
@@ -113,103 +109,67 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	w := &Writer{dir: dir, opts: opts.withDefaults(), seq: 1}
-	anchor, hasAnchor, err := readAnchor(dir)
+	var (
+		tail string
+		st   scanState
+	)
+	end, err := walkChain(dir, func(l *link) error {
+		if !l.final {
+			return nil
+		}
+		if l.sealed {
+			return l.verify()
+		}
+		tail = l.name
+		var err error
+		st, err = l.scan(true, nil)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if hasAnchor {
-		w.seq = anchor.seq + 1
-		w.prevRoot = anchor.root
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	for i, se := range segs {
-		if se.seq != w.seq {
-			return nil, corruptf(se.name, 8, "segment sequence %d, chain expects %d", se.seq, w.seq)
-		}
-		if i < len(segs)-1 {
-			seal, err := readSealedLight(dir, se, w.prevRoot)
-			if err != nil {
-				return nil, err
-			}
-			w.prevRoot = seal.root
-			w.seq++
-			continue
-		}
-		if err := w.recoverTail(se); err != nil {
+	w := &Writer{dir: dir, opts: opts.withDefaults(), seq: end.seq, prevRoot: end.root}
+	if tail != "" {
+		if err := w.resumeTail(tail, st); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
-// recoverTail applies the torn-tail recovery rules to the last segment
-// and leaves the writer positioned to continue.
-func (w *Writer) recoverTail(se segEntry) error {
-	path := filepath.Join(w.dir, se.name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: recover %s: %w", se.name, err)
-	}
-	if len(data) < headerLen {
+// resumeTail repairs the tail segment the walk scanned into st and
+// leaves the writer appending to it.
+func (w *Writer) resumeTail(name string, st scanState) error {
+	path := filepath.Join(w.dir, name)
+	if st.validLen < headerLen {
 		// Torn creation: the header never fully reached disk, so no
 		// record was ever appended, let alone synced. Remove the husk
 		// and let the next append recreate the segment.
 		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("store: recover %s: %w", se.name, err)
+			return fmt.Errorf("store: recover %s: %w", name, err)
 		}
 		return syncDir(w.dir)
-	}
-	seq, prevRoot, err := parseHeader(se.name, data)
-	if err != nil {
-		return err
-	}
-	if seq != se.seq {
-		return corruptf(se.name, 8, "header sequence %d does not match file name", seq)
-	}
-	if prevRoot != w.prevRoot {
-		return corruptf(se.name, 16, "chain broken: header prevRoot does not match predecessor root")
-	}
-	st, err := scanSegment(se.name, seq, data, true, nil)
-	if err != nil {
-		return err
 	}
 	if st.torn != nil {
 		// Torn tail: drop the damaged suffix, keep every intact record.
 		if err := os.Truncate(path, st.validLen); err != nil {
-			return fmt.Errorf("store: truncate torn tail of %s: %w", se.name, err)
+			return fmt.Errorf("store: truncate torn tail of %s: %w", name, err)
 		}
 	}
-	if st.sealed {
-		// The seal survived: verify it still matches its records, then
-		// continue the chain in the next segment.
-		root := chainRoot(w.prevRoot, merkleRoot(st.leaves), seq)
-		if root != st.seal.root {
-			return corruptf(se.name, st.sealOff, "seal root does not match records")
-		}
-		w.prevRoot = root
-		w.seq = seq + 1
-		return nil
-	}
-	// Resume appending to the unsealed tail.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		return fmt.Errorf("store: reopen %s: %w", se.name, err)
+		return fmt.Errorf("store: reopen %s: %w", name, err)
 	}
 	if st.torn != nil {
 		// Make the truncation durable before anything is appended after
 		// the cut point.
 		if err := f.Sync(); err != nil {
 			cerr := f.Close()
-			return errors.Join(fmt.Errorf("store: sync truncated %s: %w", se.name, err), cerr)
+			return errors.Join(fmt.Errorf("store: sync truncated %s: %w", name, err), cerr)
 		}
 	}
 	w.f = f
-	w.name = se.name
-	w.seq = seq
+	w.name = name
 	w.leaves = st.leaves
 	w.records = st.records
 	w.firstUS = st.firstUS
@@ -418,83 +378,6 @@ func (w *Writer) flushSync() error {
 	w.pending = 0
 	w.syncedUS = w.lastUS
 	return nil
-}
-
-// segEntry is one segment file found by listSegments.
-type segEntry struct {
-	seq  uint64
-	name string
-}
-
-// listSegments enumerates the directory's segment files in sequence
-// order.
-func listSegments(dir string) ([]segEntry, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: list %s: %w", dir, err)
-	}
-	var segs []segEntry
-	for _, e := range entries {
-		name := e.Name()
-		if len(name) != len("seg-00000000.nss") ||
-			!strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".nss") {
-			continue
-		}
-		seq, err := strconv.ParseUint(name[4:12], 10, 64)
-		if err != nil || name != segName(seq) {
-			continue
-		}
-		segs = append(segs, segEntry{seq: seq, name: name})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
-}
-
-// readSealedLight validates a mid-chain segment without reading its
-// record body: the header must parse, carry the expected prevRoot, and
-// the file must end in an intact seal footer. (Record bodies are
-// checked by Verify; Open only needs the chain links.)
-func readSealedLight(dir string, se segEntry, wantPrev [32]byte) (sealInfo, error) {
-	path := filepath.Join(dir, se.name)
-	f, err := os.Open(path)
-	if err != nil {
-		return sealInfo{}, fmt.Errorf("store: open %s: %w", se.name, err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return sealInfo{}, fmt.Errorf("store: stat %s: %w", se.name, err)
-	}
-	if st.Size() < headerLen+sealFrameLen {
-		return sealInfo{}, corruptf(se.name, st.Size(), "mid-chain segment too short to be sealed")
-	}
-	var hdr [headerLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return sealInfo{}, fmt.Errorf("store: read header %s: %w", se.name, err)
-	}
-	seq, prevRoot, err := parseHeader(se.name, hdr[:])
-	if err != nil {
-		return sealInfo{}, err
-	}
-	if seq != se.seq {
-		return sealInfo{}, corruptf(se.name, 8, "header sequence %d does not match file name", seq)
-	}
-	if prevRoot != wantPrev {
-		return sealInfo{}, corruptf(se.name, 16, "chain broken: header prevRoot does not match predecessor root")
-	}
-	var foot [sealFrameLen]byte
-	footOff := st.Size() - sealFrameLen
-	if _, err := f.ReadAt(foot[:], footOff); err != nil {
-		return sealInfo{}, fmt.Errorf("store: read footer %s: %w", se.name, err)
-	}
-	fst, err := scanSegment(se.name, seq, append(appendHeader(nil, seq, prevRoot), foot[:]...), false, nil)
-	if err != nil {
-		return sealInfo{}, err
-	}
-	if !fst.sealed || fst.torn != nil {
-		return sealInfo{}, corruptf(se.name, footOff, "mid-chain segment has no intact seal footer")
-	}
-	return fst.seal, nil
 }
 
 // syncDir fsyncs the store directory, making segment creation, removal,
