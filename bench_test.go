@@ -310,6 +310,58 @@ func BenchmarkFlowTableChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowCounterAdd is BenchmarkFlowTableAdd on the flows.Counter
+// the pipeline's shards and ext-flows run. Each packet's key hash is
+// made once before the timer, as the ingest kernel makes it once per
+// packet, so the loop is the counter's own cost.
+func BenchmarkFlowCounterAdd(b *testing.B) {
+	tr := benchSmall(b)
+	fc, err := flows.NewCounter(2_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hashes := make([]uint32, tr.Len())
+	for i, p := range tr.Packets {
+		hashes[i] = flows.KeyOf(p).Hash()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % tr.Len()
+		fc.AddHashed(hashes[j], tr.Packets[j])
+	}
+}
+
+// BenchmarkFlowCounterChurn is BenchmarkFlowTableChurn on the counter:
+// every packet opens a new flow, with a window Cut every 4096 inserts,
+// after one untimed window has sized the slots and the index.
+func BenchmarkFlowCounterChurn(b *testing.B) {
+	fc, err := flows.NewCounter(2_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perWindow = 4096
+	p := trace.Packet{Size: 40, DstPort: 80}
+	var flowsSeen uint64
+	churn := func(i int) {
+		p.Time = int64(i) * 10
+		binary.LittleEndian.PutUint32(p.Src[:], uint32(i))
+		fc.AddHashed(flows.KeyOf(p).Hash(), p)
+		if i%perWindow == perWindow-1 {
+			flowsSeen += fc.Cut().Flows
+		}
+	}
+	for i := 0; i < perWindow; i++ {
+		churn(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(perWindow + i)
+	}
+	if want := uint64(perWindow + b.N - b.N%perWindow); flowsSeen != want {
+		b.Fatalf("cut %d flows, want %d", flowsSeen, want)
+	}
+}
+
 // BenchmarkTopKEvict is the sketch's miss path: at capacity 128 (the
 // pipeline default) every key is unseen, so every AddBytes evicts the
 // minimum counter and rewrites its slot.

@@ -106,15 +106,6 @@ func Observations(tr *trace.Trace, target Target, indices []int) []float64 {
 	return out
 }
 
-// PopulationObservations extracts the target observations of the whole
-// trace: all packet sizes, or all interarrival gaps.
-func PopulationObservations(tr *trace.Trace, target Target) []float64 {
-	if target == TargetInterarrival {
-		return tr.Interarrivals()
-	}
-	return tr.Sizes()
-}
-
 // PeriodForGranularity converts a desired sampling granularity k into
 // the timer period (µs) that yields approximately the same sampling
 // fraction on the given trace: k times the trace's mean interarrival

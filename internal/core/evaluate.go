@@ -96,15 +96,6 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme *bins.Edged) (*Evaluat
 	return e, nil
 }
 
-// firstObservation is the first packet that carries an observation:
-// packet 0 has no predecessor, so no interarrival.
-func (e *Evaluator) firstObservation() int {
-	if e.target == TargetInterarrival {
-		return 1
-	}
-	return 0
-}
-
 // count tallies the population's observations into popCounts. From
 // fanout.MinPackets on, the packets are split into one contiguous range
 // per worker, each tallied into its own integer counts and summed at
@@ -112,7 +103,7 @@ func (e *Evaluator) firstObservation() int {
 // a gap across a range edge is counted once, by the later range. The
 // tallies are integers, so the counts are the same at any worker count.
 func (e *Evaluator) count() {
-	lo, n := e.firstObservation(), e.pop.Len()
+	lo, n := firstObservation(e.target), e.pop.Len()
 	var total [256]int
 	if workers := fanout.Workers(n); workers > 1 {
 		tallies := make([][256]int, workers)
@@ -178,7 +169,7 @@ func (e *Evaluator) buildIndex() {
 	if e.target == TargetInterarrival && len(binIdx) > 0 {
 		binIdx[0] = noObservation
 	}
-	e.classify(e.firstObservation(), len(binIdx), binIdx, nil)
+	e.classify(firstObservation(e.target), len(binIdx), binIdx, nil)
 	e.binIdx = binIdx
 }
 

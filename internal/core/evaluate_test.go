@@ -352,7 +352,7 @@ func TestPopulationCountsAnyGOMAXPROCS(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := make([]float64, tc.scheme.NumBins())
-				for i := ev.firstObservation(); i < n; i++ {
+				for i := firstObservation(ev.target); i < n; i++ {
 					x := float64(tr.Packets[i].Size)
 					if tc.target == TargetInterarrival {
 						x = float64(tr.Packets[i].Time - tr.Packets[i-1].Time)

@@ -434,16 +434,6 @@ func TestObservations(t *testing.T) {
 	}
 }
 
-func TestPopulationObservations(t *testing.T) {
-	tr := uniformTrace(5, 1000)
-	if got := PopulationObservations(tr, TargetSize); len(got) != 5 {
-		t.Errorf("sizes len = %d", len(got))
-	}
-	if got := PopulationObservations(tr, TargetInterarrival); len(got) != 4 {
-		t.Errorf("iat len = %d", len(got))
-	}
-}
-
 func TestTargetString(t *testing.T) {
 	if TargetSize.String() != "packet-size" || TargetInterarrival.String() != "interarrival" {
 		t.Error("target names wrong")

@@ -36,12 +36,12 @@ func NewProfile(pop *trace.Trace) *Profile { return &Profile{pop: pop} }
 func (p *Profile) Population() *trace.Trace { return p.pop }
 
 // Moments returns the moment summary of the target's observations: what
-// stats.Describe returns for PopulationObservations, bit for bit. It
+// stats.Describe returns for the materialized observations, bit for bit. It
 // fails with stats.ErrEmpty when the target has no observation.
 func (p *Profile) Moments(target Target) (stats.Summary, error) {
 	p.momentsOnce.Do(func() {
 		for _, t := range []Target{TargetSize, TargetInterarrival} {
-			p.moments[t], p.momentsErr[t] = describePackets(p.pop.Packets, t)
+			p.momentsErr[t] = describePackets(p.pop.Packets, t, 1, p.moments[t:t+1])
 		}
 	})
 	return p.moments[target], p.momentsErr[target]
@@ -77,50 +77,79 @@ func observation(pk []trace.Packet, target Target, i int) float64 {
 	return float64(pk[i].Size)
 }
 
-// describePackets is stats.Describe over the target's observations,
-// read straight from the packets: the same two passes, in the same
-// order, with the same operations, so the result equals Describe of
-// the materialized vector bit for bit.
-func describePackets(pk []trace.Packet, target Target) (stats.Summary, error) {
-	lo := 0
+// firstObservation is the first packet that carries an observation of
+// the target: packet 0 has no predecessor, so no interarrival.
+func firstObservation(target Target) int {
 	if target == TargetInterarrival {
-		lo = 1
+		return 1
 	}
-	if len(pk) <= lo {
-		return stats.Summary{}, stats.ErrEmpty
+	return 0
+}
+
+// describePackets is stats.Describe over each of the stride systematic
+// samples of the target's observations, read straight from the packets
+// into out[:stride]: out[j] describes observations j, j+stride,
+// j+2·stride, …. Stride 1 describes the whole population. One
+// sequential walk feeds every sample's accumulators, each sample's in
+// its own order, and the second walk likewise; the accumulators are
+// out's own fields until they are finished, so every sample gets the
+// same operations, in the same order, as Describe of its materialized
+// vector, and the same bits. There must be at least stride
+// observations; an empty population fails with stats.ErrEmpty.
+func describePackets(pk []trace.Packet, target Target, stride int, out []stats.Summary) error {
+	first := firstObservation(target)
+	if len(pk) <= first {
+		return stats.ErrEmpty
 	}
-	first := observation(pk, target, lo)
-	s := stats.Summary{N: len(pk) - lo, Min: first, Max: first}
-	var sum float64
-	for i := lo; i < len(pk); i++ {
+	out = out[:stride]
+	for j := range out {
+		x := observation(pk, target, first+j)
+		// Mean holds the running sum until the walk ends.
+		out[j] = stats.Summary{Min: x, Max: x}
+	}
+	for i, j := first, 0; i < len(pk); i++ {
 		x := observation(pk, target, i)
-		sum += x
+		s := &out[j]
+		s.N++
+		s.Mean += x
 		if x < s.Min {
 			s.Min = x
 		}
 		if x > s.Max {
 			s.Max = x
 		}
+		if j++; j == stride {
+			j = 0
+		}
 	}
-	n := float64(s.N)
-	s.Mean = sum / n
-	var m2, m3, m4 float64
-	for i := lo; i < len(pk); i++ {
+	for j := range out {
+		out[j].Mean /= float64(out[j].N)
+	}
+	// StdDev, Skewness and Kurtosis hold the running second, third and
+	// fourth central sums until the walk ends.
+	for i, j := first, 0; i < len(pk); i++ {
+		s := &out[j]
 		d := observation(pk, target, i) - s.Mean
 		d2 := d * d
-		m2 += d2
-		m3 += d2 * d
-		m4 += d2 * d2
+		s.StdDev += d2
+		s.Skewness += d2 * d
+		s.Kurtosis += d2 * d2
+		if j++; j == stride {
+			j = 0
+		}
 	}
-	m2 /= n
-	m3 /= n
-	m4 /= n
-	s.StdDev = math.Sqrt(m2)
-	if m2 > 0 {
-		s.Skewness = m3 / math.Pow(m2, 1.5)
-		s.Kurtosis = m4 / (m2 * m2)
+	for j := range out {
+		s := &out[j]
+		n := float64(s.N)
+		m2, m3, m4 := s.StdDev/n, s.Skewness/n, s.Kurtosis/n
+		s.StdDev = math.Sqrt(m2)
+		s.Skewness, s.Kurtosis = 0, 0
+		if m2 > 0 {
+			s.Skewness = m3 / math.Pow(m2, 1.5)
+			s.Kurtosis = m4 / (m2 * m2)
+		}
 	}
-	return s, nil
+	return nil
 }
 
 // sizeOrder returns the order statistics of the packet sizes. A size is

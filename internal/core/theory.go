@@ -33,60 +33,59 @@ type EfficiencyDiagnostic struct {
 }
 
 // SystematicEfficiency computes the diagnostic for sampling every k-th
-// observation of the target sequence, for each k of ks in order. The
-// observations are extracted, and the population described, once for
-// all granularities; one phase buffer serves every phase of every k.
+// observation of the target sequence, for each k of ks in order. Every
+// observation is read in place from the packets: the population is
+// described, and the autocorrelation's mean and denominator computed,
+// once for all granularities, and the k phases of each granularity are
+// described together in one stride-k walk, into one buffer sized for
+// the largest k. Nothing population-length is built.
 func SystematicEfficiency(tr *trace.Trace, target Target, ks ...int) ([]EfficiencyDiagnostic, error) {
-	obs := PopulationObservations(tr, target)
+	pk := tr.Packets
+	first := firstObservation(target)
+	n := len(pk) - first
 	// Describe fails only on an empty population, which every k below
 	// refuses before the variance is read.
-	pop, _ := stats.Describe(obs)
+	var pop [1]stats.Summary
+	_ = describePackets(pk, target, 1, pop[:])
+	// The autocorrelator fails on fewer than two observations, which
+	// every k refuses too, or on zero variance: that error is returned
+	// at the first k that passes its checks, where reading the lag
+	// would have found it.
+	ac, acErr := stats.NewAutocorrelator(n, func(i int) float64 { return observation(pk, target, first+i) })
+	most := 0
+	for _, k := range ks {
+		if k <= n/2 {
+			most = max(most, k)
+		}
+	}
+	phases := make([]stats.Summary, most)
 	out := make([]EfficiencyDiagnostic, 0, len(ks))
-	var phase []float64
 	for _, k := range ks {
 		if k < 1 {
 			return nil, ErrBadGranularity
 		}
-		if len(obs) < 2*k {
+		if n < 2*k {
 			return nil, ErrEmptyPopulation
 		}
-		d := EfficiencyDiagnostic{K: k, PopulationVariance: pop.StdDev * pop.StdDev}
+		d := EfficiencyDiagnostic{K: k, PopulationVariance: pop[0].StdDev * pop[0].StdDev}
 
-		// Mean within-sample variance over the k phases; the buffer is
-		// sized for the longest phase of the smallest k seen so far.
-		if longest := len(obs)/k + 1; cap(phase) < longest {
-			phase = make([]float64, 0, longest)
-		}
+		// Mean within-sample variance over the k phases; n >= 2k gives
+		// every phase at least two observations.
+		_ = describePackets(pk, target, k, phases)
 		var sum float64
-		phases := 0
-		for off := 0; off < k; off++ {
-			phase = phase[:0]
-			for i := off; i < len(obs); i += k {
-				phase = append(phase, obs[i])
-			}
-			if len(phase) < 2 {
-				continue
-			}
-			s, err := stats.Describe(phase)
-			if err != nil {
-				return nil, err
-			}
+		for _, s := range phases[:k] {
 			sum += s.StdDev * s.StdDev
-			phases++
 		}
-		if phases == 0 {
-			return nil, ErrEmptyPopulation
-		}
-		d.MeanWithinVariance = sum / float64(phases)
+		d.MeanWithinVariance = sum / float64(k)
 		if d.PopulationVariance > 0 {
 			d.Ratio = d.MeanWithinVariance / d.PopulationVariance
 		}
 
-		ac, err := stats.Autocorrelation(obs, k)
-		if err != nil {
-			return nil, err
+		if acErr != nil {
+			return nil, acErr
 		}
-		d.LagAutocorr = ac[0]
+		// n >= 2k puts the lag inside [0, n).
+		d.LagAutocorr, _ = ac.At(k)
 		out = append(out, d)
 	}
 	return out, nil

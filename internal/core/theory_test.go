@@ -72,22 +72,27 @@ func TestSystematicEfficiencyErrors(t *testing.T) {
 	}
 }
 
-// TestSystematicEfficiencyPhaseBufferReuse holds the reused phase
-// buffer to a per-phase fresh slice: phases of unequal length (len(obs)
-// not a multiple of k) must not see a longer predecessor's tail.
+// TestSystematicEfficiencyPhaseBufferReuse holds the phase buffer, sized
+// for the largest k and reused by every smaller one, to a fresh slice per
+// phase: a phase must not see a larger k's accumulators, and phases of
+// unequal length (the observation count not a multiple of k) must each
+// describe exactly their own observations.
 func TestSystematicEfficiencyPhaseBufferReuse(t *testing.T) {
 	tr, err := traffgen.Generate(traffgen.SmallTrace(72))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, target := range []Target{TargetSize, TargetInterarrival} {
-		obs := PopulationObservations(tr, target)
-		for _, k := range []int{7, 50, len(obs) / 3} {
-			ds, err := SystematicEfficiency(tr, target, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := ds[0]
+		var obs []float64
+		for i := firstObservation(target); i < tr.Len(); i++ {
+			obs = append(obs, observation(tr.Packets, target, i))
+		}
+		ks := []int{len(obs) / 3, 50, 7}
+		ds, err := SystematicEfficiency(tr, target, ks...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range ks {
 			var sum float64
 			for off := 0; off < k; off++ {
 				var phase []float64
@@ -100,8 +105,8 @@ func TestSystematicEfficiencyPhaseBufferReuse(t *testing.T) {
 				}
 				sum += s.StdDev * s.StdDev
 			}
-			if want := sum / float64(k); math.Float64bits(d.MeanWithinVariance) != math.Float64bits(want) {
-				t.Errorf("%s k=%d: mean within-variance %v, want %v", target, k, d.MeanWithinVariance, want)
+			if want := sum / float64(k); math.Float64bits(ds[i].MeanWithinVariance) != math.Float64bits(want) {
+				t.Errorf("%s k=%d: mean within-variance %v, want %v", target, k, ds[i].MeanWithinVariance, want)
 			}
 		}
 	}

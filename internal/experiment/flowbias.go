@@ -24,44 +24,50 @@ type FlowBiasResult struct {
 
 // FlowBias runs the sweep on the first 1024 s of the trace with a 2 s
 // idle timeout (scaled by k on the thinned traces so flow identity
-// is preserved).
+// is preserved). Each granularity streams its 1-in-k selection straight
+// into a flow counter: no flow record, sort or sub-trace is built. A
+// nonempty window yields at least one flow at every k (the selection
+// starts at its first packet), so a mean flow size is the counted
+// packets over the counted flows, the float a summary of the records
+// gives.
 func FlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
 	win := window(tr, 1024)
 	const timeout = 2_000_000
-	full, err := flows.Decompose(win, timeout)
+	full, err := sampledFlows(win, 1, timeout)
 	if err != nil {
 		return nil, err
 	}
-	fullSum := flows.Summarize(full)
 	out := &FlowBiasResult{
-		TrueFlows:     fullSum.Flows,
-		TrueMeanPkts:  fullSum.MeanPackets,
+		TrueFlows:     int(full.Flows),
+		TrueMeanPkts:  float64(full.Packets) / float64(full.Flows),
 		Granularities: []int{1, 10, 50, 250, 1000},
 	}
 	for _, k := range out.Granularities {
-		var sub *trace.Trace
-		if k == 1 {
-			sub = win
-		} else {
-			idx, err := core.SystematicCount{K: k}.Select(win, nil)
-			if err != nil {
+		c := full
+		if k > 1 {
+			if c, err = sampledFlows(win, k, timeout*int64(k)); err != nil {
 				return nil, err
 			}
-			sub = &trace.Trace{Start: win.Start, ClockUS: win.ClockUS}
-			for _, i := range idx {
-				sub.Packets = append(sub.Packets, win.Packets[i])
-			}
 		}
-		fs, err := flows.Decompose(sub, timeout*int64(k))
-		if err != nil {
-			return nil, err
-		}
-		sum := flows.Summarize(fs)
-		out.DetectedFrac = append(out.DetectedFrac, float64(sum.Flows)/float64(fullSum.Flows))
+		out.DetectedFrac = append(out.DetectedFrac, float64(c.Flows)/float64(full.Flows))
 		out.MeanPktsScale = append(out.MeanPktsScale,
-			sum.MeanPackets*float64(k)/fullSum.MeanPackets)
+			float64(c.Packets)/float64(c.Flows)*float64(k)/out.TrueMeanPkts)
 	}
 	return out, nil
+}
+
+// sampledFlows counts the flows of win's 1-in-k systematic sample under
+// the given idle timeout.
+func sampledFlows(win *trace.Trace, k int, timeoutUS int64) (flows.Counts, error) {
+	fc, err := flows.NewCounter(timeoutUS)
+	if err != nil {
+		return flows.Counts{}, err
+	}
+	err = core.SystematicCount{K: k}.SelectEach(win, nil, func(i int) {
+		p := win.Packets[i]
+		fc.AddHashed(flows.KeyOf(p).Hash(), p)
+	})
+	return fc.Cut(), err
 }
 
 // ID implements Result.

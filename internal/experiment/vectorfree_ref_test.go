@@ -4,14 +4,36 @@ import (
 	"errors"
 
 	"netsample/internal/core"
+	"netsample/internal/flows"
 	"netsample/internal/stats"
 	"netsample/internal/trace"
 )
 
-// The slice-taking forms the suite used before the population profile:
-// each materializes a population-length float vector (or two). They are
-// the references the vector-free forms are pinned to, bit for bit, in
-// vectorfree_test.go.
+// The slice-taking forms the suite used before it read the population
+// in place: each materializes a population-length float vector (or
+// two), or copies packets and flow records. They are the references the
+// vector-free forms are pinned to, bit for bit, in vectorfree_test.go.
+
+// refObservations is the historical core.PopulationObservations: every
+// packet size, or every interarrival gap, as one float vector.
+func refObservations(tr *trace.Trace, target core.Target) []float64 {
+	pk := tr.Packets
+	if target == core.TargetSize {
+		out := make([]float64, len(pk))
+		for i, p := range pk {
+			out[i] = float64(p.Size)
+		}
+		return out
+	}
+	if len(pk) < 2 {
+		return nil
+	}
+	out := make([]float64, len(pk)-1)
+	for i := 1; i < len(pk); i++ {
+		out[i-1] = float64(pk[i].Time - pk[i-1].Time)
+	}
+	return out
+}
 
 // refPopulation is the historical stats.Population: copy, sort, read
 // seven type-7 quantiles, then describe.
@@ -71,7 +93,7 @@ func refSystematicEfficiency(tr *trace.Trace, target core.Target, k int) (core.E
 	if k < 1 {
 		return core.EfficiencyDiagnostic{}, core.ErrBadGranularity
 	}
-	obs := core.PopulationObservations(tr, target)
+	obs := refObservations(tr, target)
 	if len(obs) < 2*k {
 		return core.EfficiencyDiagnostic{}, core.ErrEmptyPopulation
 	}
@@ -107,10 +129,86 @@ func refSystematicEfficiency(tr *trace.Trace, target core.Target, k int) (core.E
 		d.Ratio = d.MeanWithinVariance / d.PopulationVariance
 	}
 
-	ac, err := stats.Autocorrelation(obs, k)
+	ac, err := refAutocorrelation(obs, k)
 	if err != nil {
 		return core.EfficiencyDiagnostic{}, err
 	}
 	d.LagAutocorr = ac[0]
 	return d, nil
+}
+
+// refAutocorrelation is the historical stats.Autocorrelation over a
+// materialized observation vector: the mean and the denominator
+// recomputed on every call.
+func refAutocorrelation(xs []float64, lags ...int) ([]float64, error) {
+	if len(xs) < 2 {
+		return nil, stats.ErrEmpty
+	}
+	var mean float64
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	var denom float64
+	for _, x := range xs {
+		d := x - mean
+		denom += d * d
+	}
+	if denom == 0 {
+		return nil, errors.New("stats: zero variance, autocorrelation undefined")
+	}
+	out := make([]float64, len(lags))
+	for i, h := range lags {
+		if h < 0 || h >= len(xs) {
+			return nil, errors.New("stats: lag outside [0, n)")
+		}
+		var num float64
+		for t := 0; t+h < len(xs); t++ {
+			num += (xs[t] - mean) * (xs[t+h] - mean)
+		}
+		out[i] = num / denom
+	}
+	return out, nil
+}
+
+// refFlowBias is the historical FlowBias: the window decomposed into
+// sorted flow records, each 1-in-k sub-trace copied out of it and
+// decomposed again, and every record set summarized.
+func refFlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
+	win := window(tr, 1024)
+	const timeout = 2_000_000
+	full, err := flows.Decompose(win, timeout)
+	if err != nil {
+		return nil, err
+	}
+	fullSum := flows.Summarize(full)
+	out := &FlowBiasResult{
+		TrueFlows:     fullSum.Flows,
+		TrueMeanPkts:  fullSum.MeanPackets,
+		Granularities: []int{1, 10, 50, 250, 1000},
+	}
+	for _, k := range out.Granularities {
+		var sub *trace.Trace
+		if k == 1 {
+			sub = win
+		} else {
+			idx, err := core.SystematicCount{K: k}.Select(win, nil)
+			if err != nil {
+				return nil, err
+			}
+			sub = &trace.Trace{Start: win.Start, ClockUS: win.ClockUS}
+			for _, i := range idx {
+				sub.Packets = append(sub.Packets, win.Packets[i])
+			}
+		}
+		fs, err := flows.Decompose(sub, timeout*int64(k))
+		if err != nil {
+			return nil, err
+		}
+		sum := flows.Summarize(fs)
+		out.DetectedFrac = append(out.DetectedFrac, float64(sum.Flows)/float64(fullSum.Flows))
+		out.MeanPktsScale = append(out.MeanPktsScale,
+			sum.MeanPackets*float64(k)/fullSum.MeanPackets)
+	}
+	return out, nil
 }

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"netsample/internal/core"
+	"netsample/internal/flows"
 	"netsample/internal/stats"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -83,7 +85,7 @@ var bothTargets = []core.Target{core.TargetSize, core.TargetInterarrival}
 
 // TestProfileMatchesSliceForms pins both parts of the profile, and the
 // Table 3 built from it, to Describe and the historical Population over
-// the materialized Sizes()/Interarrivals() vectors: every field equal
+// the materialized observation vectors (refObservations): every field equal
 // with ==, the same error where those fail.
 func TestProfileMatchesSliceForms(t *testing.T) {
 	for _, pop := range pinPopulations(t) {
@@ -91,7 +93,7 @@ func TestProfileMatchesSliceForms(t *testing.T) {
 		var want [2]stats.PopulationSummary
 		var wantErr [2]error
 		for _, target := range bothTargets {
-			xs := core.PopulationObservations(pop.tr, target)
+			xs := refObservations(pop.tr, target)
 
 			wantD, err := stats.Describe(xs)
 			gotD, gotErr := p.Moments(target)
@@ -180,6 +182,33 @@ func TestTheoryMatchesSingleK(t *testing.T) {
 	}
 }
 
+// TestFlowBiasMatchesRecords pins the counted flow view to the
+// historical one that decomposed the window and every 1-in-k sub-trace
+// into sorted flow records: every count equal, every float equal bit
+// for bit (NaN to NaN, should a window hold no flow), the same error.
+func TestFlowBiasMatchesRecords(t *testing.T) {
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+		})
+	}
+	for _, pop := range pinPopulations(t) {
+		want, wantErr := refFlowBias(pop.tr)
+		got, gotErr := FlowBias(pop.tr)
+		switch {
+		case !sameError(gotErr, wantErr):
+			t.Errorf("%s: FlowBias error %v, record form %v", pop.name, gotErr, wantErr)
+		case gotErr != nil:
+		case got.TrueFlows != want.TrueFlows ||
+			!sameBits([]float64{got.TrueMeanPkts}, []float64{want.TrueMeanPkts}) ||
+			!slices.Equal(got.Granularities, want.Granularities) ||
+			!sameBits(got.DetectedFrac, want.DetectedFrac) ||
+			!sameBits(got.MeanPktsScale, want.MeanPktsScale):
+			t.Errorf("%s: FlowBias = %+v, record form %+v", pop.name, got, want)
+		}
+	}
+}
+
 // bytesAllocated returns the heap bytes f allocates, live or not.
 func bytesAllocated(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -190,9 +219,11 @@ func bytesAllocated(f func()) uint64 {
 }
 
 // TestPopulationArtifactsBytes pins what the vector-free forms are for:
-// on a population of n packets (8n bytes as one float vector) the
-// profile's moments and Burst allocate nothing that grows with n, and
-// Table 3 allocates one vector of n−1 integer gaps plus the size table.
+// on a population of n packets (8n bytes as one float vector, 24n as a
+// copy of the packets) the profile's moments, Burst and the §5 theory
+// allocate nothing that grows with n, Table 3 allocates one vector of
+// n−1 integer gaps plus the size table, and the flow view allocates
+// only its flow counters.
 func TestPopulationArtifactsBytes(t *testing.T) {
 	tr := testTrace(t)
 	n := uint64(tr.Len())
@@ -226,4 +257,54 @@ func TestPopulationArtifactsBytes(t *testing.T) {
 	}), 8*(n-1)+1<<20; got > limit {
 		t.Errorf("Table3 allocated %d bytes, want <= 8(n-1) + 1 MB = %d", got, limit)
 	}
+
+	for _, target := range bothTargets {
+		if got := bytesAllocated(func() {
+			_, err := Theory(tr, target)
+			fail(err)
+		}); got > 64<<10 {
+			t.Errorf("Theory(%s) allocated %d bytes of a population vector's %d, want <= 64 kB", target, got, 8*n)
+		}
+	}
+
+	// FlowBias runs one flows.Counter per granularity over the window's
+	// 1-in-k sample. A counter holding K keys has grown its 24-byte slot
+	// array by doubling from 8 to at least K slots, and its 4-byte-cell
+	// index, kept at most half full, by doubling from 16 to at least 2K
+	// cells; everything else it allocates is a few hundred bytes. So the
+	// sweep allocates at most the sum over k of those doubling series
+	// plus 4 kB, all fixed by the sample's distinct 5-tuples.
+	var fb *FlowBiasResult
+	got := bytesAllocated(func() {
+		var err error
+		fb, err = FlowBias(tr)
+		fail(err)
+	})
+	win := window(tr, 1024)
+	var limit uint64 = 4 << 10
+	for _, k := range fb.Granularities {
+		keys := make(map[flows.Key]bool)
+		fail(core.SystematicCount{K: k}.SelectEach(win, nil, func(i int) {
+			keys[flows.KeyOf(win.Packets[i])] = true
+		}))
+		limit += 24*doubled(len(keys), 8) + 4*doubled(2*len(keys), 16)
+	}
+	if copyBytes := 24 * uint64(win.Len()); 2*limit > copyBytes {
+		t.Fatalf("flow-counter bound %d bytes is not below half a %d-byte copy of the window: too few packets a key to tell", limit, copyBytes)
+	}
+	if got > limit {
+		t.Errorf("FlowBias allocated %d bytes, want <= %d (its flow counters' slots and index)", got, limit)
+	}
+}
+
+// doubled is the total length of the arrays a buffer doubling from
+// first allocates until it holds n: first + 2·first + … up to the first
+// length >= n.
+func doubled(n, first int) uint64 {
+	total := uint64(first)
+	for c := first; c < n; {
+		c *= 2
+		total += uint64(c)
+	}
+	return total
 }

@@ -58,6 +58,11 @@ func TupleHash(w1, w2 uint64) uint32 {
 	return uint32(h)
 }
 
+// KeyOf is the flow a packet belongs to.
+func KeyOf(p trace.Packet) Key {
+	return Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+}
+
 // Hash is TupleHash over the key's fields.
 func (k Key) Hash() uint32 {
 	return TupleHash(
@@ -116,7 +121,7 @@ func (t *Table) Add(p trace.Packet) {
 		// Room for one more key at half load, so every probe ends.
 		t.index, t.shift = growIndex(t.index, t.shift, t.recs)
 	}
-	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+	key := KeyOf(p)
 	mask := uint32(len(t.index) - 1)
 	pos := cell(key.Hash(), t.shift)
 	for ; t.index[pos] != 0; pos = (pos + 1) & mask {
@@ -331,7 +336,7 @@ func (c *Counter) AddHashed(h uint32, p trace.Packet) {
 	if 2*len(c.slots) >= len(c.index) {
 		c.index, c.shift = growIndex(c.index, c.shift, c.slots)
 	}
-	key := Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+	key := KeyOf(p)
 	mask := uint32(len(c.index) - 1)
 	pos := cell(h, c.shift)
 	for ; c.index[pos] != 0; pos = (pos + 1) & mask {

@@ -212,12 +212,8 @@ type refTable struct {
 	closed    []Flow
 }
 
-func keyOf(p trace.Packet) Key {
-	return Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
-}
-
 func (t *refTable) Add(p trace.Packet) {
-	key := keyOf(p)
+	key := KeyOf(p)
 	f, ok := t.active[key]
 	if ok && p.Time-f.LastUS > t.timeoutUS {
 		t.closed = append(t.closed, *f)
@@ -435,7 +431,7 @@ func TestShardTablesProbeLikeOneTable(t *testing.T) {
 			}
 		}
 		for _, p := range tr.Packets {
-			h := keyOf(p).Hash()
+			h := KeyOf(p).Hash()
 			tabs[h%shards].AddHashed(h, p)
 		}
 		for s, tab := range tabs {
@@ -466,7 +462,7 @@ func TestCollidingRunMatchesReference(t *testing.T) {
 	var run []trace.Packet
 	for port := uint16(0); len(run) < 12; port++ {
 		p := pkt(0, port, 64)
-		if cell(keyOf(p).Hash(), 64-6) == 37 {
+		if cell(KeyOf(p).Hash(), 64-6) == 37 {
 			run = append(run, p)
 		}
 	}
@@ -587,7 +583,7 @@ func TestCounterMatchesTable(t *testing.T) {
 						p.Time -= int64(r.IntN(int(tc.jitterUS)))
 					}
 					tab.Add(p)
-					ctr.AddHashed(keyOf(p).Hash(), p)
+					ctr.AddHashed(KeyOf(p).Hash(), p)
 					if got, want := ctr.ActiveCount(), tab.ActiveCount(); got != want {
 						t.Fatalf("window %d packet %d: ActiveCount = %d, table %d", window, i, got, want)
 					}
@@ -637,7 +633,7 @@ func TestCounterAddDoesNotAllocAfterCut(t *testing.T) {
 			now += 3
 			port++
 			p := pkt(now, port, 64)
-			ctr.AddHashed(keyOf(p).Hash(), p)
+			ctr.AddHashed(KeyOf(p).Hash(), p)
 		}
 		if got := ctr.Cut().Flows; got != perWindow {
 			t.Fatalf("window held %d flows, want %d", got, perWindow)

@@ -17,7 +17,7 @@ import (
 // into the two TupleHash words field by field, where route loads the
 // same words straight out of the record bytes.
 func keyHash(pkt *trace.Packet) uint32 {
-	return flows.Key{Src: pkt.Src, Dst: pkt.Dst, SrcPort: pkt.SrcPort, DstPort: pkt.DstPort, Proto: pkt.Protocol}.Hash()
+	return flows.KeyOf(*pkt).Hash()
 }
 
 // shardIndex is the shard route must send pkt to.

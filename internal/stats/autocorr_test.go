@@ -7,9 +7,25 @@ import (
 	"netsample/internal/dist"
 )
 
+// autocorrelation reads the lags of xs through an Autocorrelator over
+// the slice.
+func autocorrelation(xs []float64, lags ...int) ([]float64, error) {
+	a, err := NewAutocorrelator(len(xs), func(i int) float64 { return xs[i] })
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(lags))
+	for i, h := range lags {
+		if out[i], err = a.At(h); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func TestAutocorrelationLagZero(t *testing.T) {
 	xs := []float64{1, 5, 2, 8, 3}
-	ac, err := Autocorrelation(xs, 0)
+	ac, err := autocorrelation(xs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +40,7 @@ func TestAutocorrelationWhiteNoise(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.NormFloat64()
 	}
-	ac, err := Autocorrelation(xs, 1, 5, 50)
+	ac, err := autocorrelation(xs, 1, 5, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +61,7 @@ func TestAutocorrelationAR1(t *testing.T) {
 		x = rho*x + r.NormFloat64()
 		xs[i] = x
 	}
-	ac, err := Autocorrelation(xs, 1, 2)
+	ac, err := autocorrelation(xs, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +79,7 @@ func TestAutocorrelationAlternating(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i % 2)
 	}
-	ac, err := Autocorrelation(xs, 1)
+	ac, err := autocorrelation(xs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,19 +89,24 @@ func TestAutocorrelationAlternating(t *testing.T) {
 }
 
 func TestAutocorrelationErrors(t *testing.T) {
-	if _, err := Autocorrelation(nil, 1); err == nil {
-		t.Error("empty accepted")
+	if _, err := autocorrelation(nil, 1); err != ErrEmpty {
+		t.Errorf("empty: %v, want ErrEmpty", err)
 	}
-	if _, err := Autocorrelation([]float64{1}, 0); err == nil {
-		t.Error("single element accepted")
+	if _, err := autocorrelation([]float64{1}, 0); err != ErrEmpty {
+		t.Errorf("single element: %v, want ErrEmpty", err)
 	}
-	if _, err := Autocorrelation([]float64{1, 2}, -1); err == nil {
+	if _, err := autocorrelation([]float64{1, 2}, -1); err == nil {
 		t.Error("negative lag accepted")
 	}
-	if _, err := Autocorrelation([]float64{1, 2}, 2); err == nil {
+	if _, err := autocorrelation([]float64{1, 2}, 2); err == nil {
 		t.Error("lag >= n accepted")
 	}
-	if _, err := Autocorrelation([]float64{3, 3, 3}, 1); err == nil {
+	if _, err := autocorrelation([]float64{3, 3, 3}, 1); err == nil {
 		t.Error("constant series accepted")
+	}
+	// The in-place form reads no observation before refusing.
+	never := func(int) float64 { panic("observation read") }
+	if _, err := NewAutocorrelator(1, never); err != ErrEmpty {
+		t.Errorf("n=1: %v, want ErrEmpty", err)
 	}
 }

@@ -148,23 +148,6 @@ func (t *Trace) Sizes() []float64 {
 	return out
 }
 
-// Interarrivals returns the packet interarrival-time distribution in
-// microseconds: element i is Packets[i+1].Time - Packets[i].Time. A
-// trace with fewer than two packets yields an empty slice.
-//
-// With a quantized capture clock many interarrivals are 0 µs (packets in
-// the same tick); the paper's Table 3 reports these as "< 400".
-func (t *Trace) Interarrivals() []float64 {
-	if len(t.Packets) < 2 {
-		return nil
-	}
-	out := make([]float64, len(t.Packets)-1)
-	for i := 1; i < len(t.Packets); i++ {
-		out[i-1] = float64(t.Packets[i].Time - t.Packets[i-1].Time)
-	}
-	return out
-}
-
 // TotalBytes sums the IP lengths of all packets.
 func (t *Trace) TotalBytes() int64 {
 	var sum int64

@@ -94,18 +94,11 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestSizesAndInterarrivals(t *testing.T) {
+func TestSizes(t *testing.T) {
 	tr := mkTrace([]int64{0, 400, 1200}, []uint16{40, 552, 1500})
 	s := tr.Sizes()
 	if len(s) != 3 || s[0] != 40 || s[2] != 1500 {
 		t.Fatalf("sizes = %v", s)
-	}
-	ia := tr.Interarrivals()
-	if len(ia) != 2 || ia[0] != 400 || ia[1] != 800 {
-		t.Fatalf("interarrivals = %v", ia)
-	}
-	if mkTrace([]int64{7}, []uint16{40}).Interarrivals() != nil {
-		t.Error("single packet should have no interarrivals")
 	}
 }
 

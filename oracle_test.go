@@ -134,7 +134,7 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 			if i > 0 {
 				s.IatCounts[iatScheme.Index(float64(p.Time-pkts[i-1].Time))]++
 			}
-			key := flows.Key{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Protocol}
+			key := flows.KeyOf(p)
 			if r, ok := open[key]; ok && p.Time-recs[r].last <= cfg.FlowTimeoutUS {
 				recs[r] = record{p.Time, recs[r].pkts + 1, recs[r].bytes + int64(p.Size)}
 			} else {
