@@ -3,7 +3,8 @@
 // one of the paper's sampling methods over a packet stream across N
 // worker shards, maintains windowed size/interarrival histograms, flow
 // accounting, and heavy-hitter sketches over the selected packets,
-// scores each window against the reference population (φ and friends),
+// scores each window against its parent population, every packet the
+// window offered (φ and friends),
 // and exports the latest snapshot over the collect wire protocol so a
 // NOC can poll it (Collector.PollSnapshot).
 //
@@ -60,7 +61,6 @@ import (
 	"time"
 
 	"netsample/internal/arts"
-	"netsample/internal/bins"
 	"netsample/internal/collect"
 	"netsample/internal/core"
 	"netsample/internal/dist"
@@ -138,10 +138,7 @@ func main() {
 		log.Fatal("input trace is empty")
 	}
 
-	cfg, err := buildConfig(tr, *method, *k, *window, *seed, *topk, *flowTimeout)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cfg := buildConfig(tr, *method, *k, *window, *seed, *topk, *flowTimeout)
 	if *adaptive {
 		if *method != "systematic" {
 			log.Fatalf("-adaptive steers systematic granularity; -method %s is not supported", *method)
@@ -207,7 +204,13 @@ func main() {
 		close(stopped)
 	}()
 
-	if err := p.Run(src); err != nil {
+	err = p.Run(src)
+	// Nothing reads the input once Run returns: the served snapshots are
+	// copies, and the trace's last reader was buildConfig's timer period.
+	if cerr := closeSrc(); cerr != nil {
+		log.Printf("close input: %v", cerr)
+	}
+	if err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}
 	if final, ok := p.Latest(); ok && *quiet {
@@ -246,27 +249,18 @@ func main() {
 	if err := agent.Close(); err != nil {
 		log.Printf("close: %v", err)
 	}
-	// The input is released last. Run's workers held views into the
-	// mapping until the drain, and the reference trace the evaluators
-	// keep for the whole serving phase *is* the mapping: with the agent
-	// closed nothing is left that could read it.
-	if err := closeSrc(); err != nil {
-		log.Printf("close input: %v", err)
-	}
 	if storeFailed {
 		os.Exit(1)
 	}
 }
 
-// loadSource opens the daemon's input: the reference population trace
-// (which snapshot scoring needs in memory) plus the pipeline source to
-// stream, plus a release. A file input is memory-mapped once and is
-// both: the pipeline ingests raw record windows straight out of the
-// page cache, and the reference trace is a read-only view of the same
-// records (DESIGN.md §3) — it dies with the release, so call that only
-// when nothing holding the trace (the evaluators included) can run
-// again. Generated input replays from memory and its release is a
-// no-op.
+// loadSource opens the daemon's input: the trace (which the timer
+// methods' period is derived from) plus the pipeline source to stream,
+// plus a release. A file input is memory-mapped once and is both: the
+// pipeline ingests raw record windows straight out of the page cache,
+// and the trace is a read-only view of the same records (DESIGN.md §3)
+// — it dies with the release, so call that only once Run has returned.
+// Generated input replays from memory and its release is a no-op.
 func loadSource(in string, gen bool, scenario string, seconds int, pps float64, seed uint64) (*trace.Trace, pipeline.Source, func() error, error) {
 	if gen {
 		if scenario != "" {
@@ -306,10 +300,11 @@ func loadSource(in string, gen bool, scenario string, seconds int, pps float64, 
 }
 
 // buildConfig assembles the pipeline configuration: the one sampler of
-// the chosen method, and the reference evaluators, which reuse the input
-// trace as the known parent population.
+// the chosen method. Each window is scored against the parent the
+// pipeline's reader tallies, so the trace is read only for the timer
+// period.
 func buildConfig(tr *trace.Trace, method string, k int,
-	window time.Duration, seed uint64, topk int, flowTimeout time.Duration) (pipeline.Config, error) {
+	window time.Duration, seed uint64, topk int, flowTimeout time.Duration) pipeline.Config {
 
 	cfg := pipeline.Config{
 		WindowUS:      window.Microseconds(),
@@ -326,15 +321,7 @@ func buildConfig(tr *trace.Trace, method string, k int,
 	cfg.NewSampler = func(int) (online.Sampler, error) {
 		return online.New(method, k, period, rng)
 	}
-
-	var err error
-	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
-		return cfg, fmt.Errorf("size evaluator: %w", err)
-	}
-	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
-		return cfg, fmt.Errorf("interarrival evaluator: %w", err)
-	}
-	return cfg, nil
+	return cfg
 }
 
 // summarize renders one snapshot line for the operator.

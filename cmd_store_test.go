@@ -11,9 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"netsample/internal/bins"
 	"netsample/internal/collect"
-	"netsample/internal/core"
 	"netsample/internal/online"
 	"netsample/internal/pipeline"
 	"netsample/internal/store"
@@ -51,12 +49,6 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 		NewSampler: func(int) (online.Sampler, error) {
 			return online.NewSystematic(50, 0)
 		},
-	}
-	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
-		t.Fatalf("size evaluator: %v", err)
-	}
-	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
-		t.Fatalf("iat evaluator: %v", err)
 	}
 	var want [][]byte
 	cfg.OnSnapshot = func(s *pipeline.Snapshot) {

@@ -129,10 +129,39 @@ func atOrAbove(x, edge float64) uint8 {
 // Label describes bin i for human-readable output.
 func (e *Edged) Label(i int) string { return e.labels[i] }
 
+// The paper's edges: packet sizes in bytes (Section 7.1.1) and
+// interarrival times in µs (Section 7.1.2).
+const (
+	sizeEdge1, sizeEdge2                   = 41, 181
+	gapEdge1, gapEdge2, gapEdge3, gapEdge4 = 800, 1200, 2400, 3600
+)
+
+// SizeBin is PacketSize().Index(float64(size)) in two compares and no
+// branch, for the streaming node, which bins every packet it reads. The
+// edges are integers, so x >= edge decides as float64(x) >= edge does.
+func SizeBin(size uint16) int {
+	return notBelow(int64(size), sizeEdge1) + notBelow(int64(size), sizeEdge2)
+}
+
+// GapBin is SizeBin for Interarrival() and a gap in µs.
+func GapBin(gapUS int64) int {
+	return notBelow(gapUS, gapEdge1) + notBelow(gapUS, gapEdge2) +
+		notBelow(gapUS, gapEdge3) + notBelow(gapUS, gapEdge4)
+}
+
+// notBelow is 1 when x >= edge, else 0: a SETcc, as atOrAbove is.
+func notBelow(x, edge int64) int {
+	var b int
+	if x >= edge {
+		b = 1
+	}
+	return b
+}
+
 // PacketSize returns the paper's packet-size scheme (Section 7.1.1):
 // bytes-per-packet ranges <41, 41–180, >180.
 func PacketSize() *Edged {
-	e, err := NewEdged("paper-size", []float64{41, 181})
+	e, err := NewEdged("paper-size", []float64{sizeEdge1, sizeEdge2})
 	if err != nil {
 		panic(err) // static edges; cannot fail
 	}
@@ -142,7 +171,7 @@ func PacketSize() *Edged {
 // Interarrival returns the paper's interarrival scheme (Section 7.1.2):
 // microsecond ranges <800, 800–1199, 1200–2399, 2400–3599, >=3600.
 func Interarrival() *Edged {
-	e, err := NewEdged("paper-iat", []float64{800, 1200, 2400, 3600})
+	e, err := NewEdged("paper-iat", []float64{gapEdge1, gapEdge2, gapEdge3, gapEdge4})
 	if err != nil {
 		panic(err) // static edges; cannot fail
 	}

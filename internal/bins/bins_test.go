@@ -141,6 +141,36 @@ func TestIndexKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestIntegerBinsMatchIndex pins SizeBin and GapBin to the paper's
+// schemes on every integer at and either side of each edge, at both ends
+// of their domains, and on random values, negative gaps included.
+func TestIntegerBinsMatchIndex(t *testing.T) {
+	size, gap := PacketSize(), Interarrival()
+	sizes := []int64{0, 1, math.MaxUint16 - 1, math.MaxUint16}
+	gaps := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 1 << 53, 1<<53 + 1, math.MaxInt64}
+	for _, e := range size.edges {
+		sizes = append(sizes, int64(e)-1, int64(e), int64(e)+1)
+	}
+	for _, e := range gap.edges {
+		gaps = append(gaps, int64(e)-1, int64(e), int64(e)+1)
+	}
+	r := dist.NewRNG(7)
+	for i := 0; i < 4096; i++ {
+		sizes = append(sizes, int64(r.Uint64()%(math.MaxUint16+1)))
+		gaps = append(gaps, int64(r.Uint64()%20000)-10000)
+	}
+	for _, x := range sizes {
+		if got, want := SizeBin(uint16(x)), size.Index(float64(x)); got != want {
+			t.Fatalf("SizeBin(%d) = %d, Index = %d", x, got, want)
+		}
+	}
+	for _, x := range gaps {
+		if got, want := GapBin(x), gap.Index(float64(x)); got != want {
+			t.Fatalf("GapBin(%d) = %d, Index = %d", x, got, want)
+		}
+	}
+}
+
 // TestIndexBatchShortDst pins the length contract: the batch is sized
 // by xs, and dst only needs that many elements.
 func TestIndexBatchShortDst(t *testing.T) {

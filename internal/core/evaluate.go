@@ -37,7 +37,6 @@ type Evaluator struct {
 	target    Target
 	scheme    *bins.Edged
 	popCounts []float64 // population count per bin
-	popProps  []float64 // population proportion per bin
 	popTotal  float64
 	// index guards binIdx, the per-packet bin index (noObservation = no
 	// observation), which the first NewScorer builds.
@@ -75,7 +74,6 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme *bins.Edged) (*Evaluat
 		target:    target,
 		scheme:    scheme,
 		popCounts: make([]float64, nb),
-		popProps:  make([]float64, nb),
 	}
 	e.count()
 	for _, c := range e.popCounts {
@@ -84,14 +82,13 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme *bins.Edged) (*Evaluat
 	if e.popTotal == 0 {
 		return nil, ErrEmptyPopulation
 	}
-	for i := range e.popProps {
-		if e.popCounts[i] == 0 {
+	for i, c := range e.popCounts {
+		if c == 0 {
 			// A bin the population never hits cannot anchor a χ² term;
 			// the paper's bins are chosen to avoid this. Reject so the
 			// caller picks a proper scheme for this population.
 			return nil, fmt.Errorf("%w: bin %d (%s)", ErrDegenerate, i, scheme.Label(i))
 		}
-		e.popProps[i] = e.popCounts[i] / e.popTotal
 	}
 	return e, nil
 }
@@ -160,10 +157,10 @@ func (e *Evaluator) classify(lo, hi int, dst []uint8, counts *[256]int) {
 }
 
 // buildIndex fills the per-packet bin-index table batch scoring reads.
-// It runs once per evaluator, under e.index: a streaming node, which
-// scores merged counts through ScoreCounts, never pays its byte per
-// packet. The table reads the population, so an evaluator over a
-// MapReader's trace must not start batch scoring after Close.
+// It runs once per evaluator, under e.index: a caller that scores counts
+// (ScoreCounts) never pays its byte per packet. The table reads the
+// population, so an evaluator over a MapReader's trace must not start
+// batch scoring after Close.
 func (e *Evaluator) buildIndex() {
 	binIdx := make([]uint8, e.pop.Len())
 	if e.target == TargetInterarrival && len(binIdx) > 0 {
@@ -196,7 +193,11 @@ func (e *Evaluator) NumBins() int { return len(e.popCounts) }
 
 // PopulationProportions returns the population's per-bin proportions.
 func (e *Evaluator) PopulationProportions() []float64 {
-	return append([]float64(nil), e.popProps...)
+	props := make([]float64, len(e.popCounts))
+	for i, c := range e.popCounts {
+		props[i] = c / e.popTotal
+	}
+	return props
 }
 
 // scorer borrows an idle worker-local Scorer, making one when every
@@ -238,15 +239,44 @@ func (e *Evaluator) ScoreCounts(counts []float64) (metrics.Report, error) {
 	// path neither allocates nor builds the per-packet index a Scorer
 	// needs.
 	var expected, scaled [255]float64
-	return e.reportFromCounts(counts, expected[:len(counts)], scaled[:len(counts)])
+	return reportFromCounts(counts, e.popCounts, e.popTotal, expected[:len(counts)], scaled[:len(counts)])
+}
+
+// ScoreParent scores a sample's per-bin counts against those of the
+// parent population it was drawn from, one count per bin of one scheme
+// (at most 255 bins), with NewEvaluator's arithmetic: against a parent
+// that hits every bin it scores as ScoreCounts on an evaluator over that
+// parent. Only bins the parent hit are scored, so χ²'s degrees of freedom
+// and φ's bin count shrink to match. An empty sample (errEmptySample) or
+// a parent that hits fewer than two bins (ErrDegenerate) is unscored.
+func ScoreParent(sample, parent []uint64) (metrics.Report, error) {
+	// Stack scratch, as in ScoreCounts: compacted to the parent's bins.
+	var observed, popCounts, expected, scaled [255]float64
+	var popTotal float64
+	m := 0
+	for b, c := range parent {
+		if c > 0 {
+			observed[m], popCounts[m] = float64(sample[b]), float64(c)
+			popTotal += popCounts[m]
+			m++
+		} else if sample[b] > 0 {
+			return metrics.Report{}, fmt.Errorf("core: sample hits bin %d, which its parent never hit", b)
+		}
+	}
+	if m < 2 {
+		return metrics.Report{}, ErrDegenerate
+	}
+	return reportFromCounts(observed[:m], popCounts[:m], popTotal, expected[:m], scaled[:m])
 }
 
 // reportFromCounts is the shared scoring kernel: observed per-bin counts
-// in, full metric report out. expected and scaled are caller-provided
-// scratch of NumBins() length, so steady-state scoring allocates nothing.
-// The arithmetic matches the historical Select+Observations+Count path
-// operation for operation, so reports are bit-identical to it.
-func (e *Evaluator) reportFromCounts(observed, expected, scaled []float64) (metrics.Report, error) {
+// and the parent's per-bin counts and total in, full metric report out.
+// expected and scaled are caller-provided scratch of the counts' length,
+// so steady-state scoring allocates nothing. The arithmetic matches the
+// historical Select+Observations+Count path operation for operation —
+// expected is n times the proportion c/N — so reports are bit-identical
+// to it.
+func reportFromCounts(observed, popCounts []float64, popTotal float64, expected, scaled []float64) (metrics.Report, error) {
 	var n float64
 	for _, c := range observed {
 		n += c
@@ -254,12 +284,12 @@ func (e *Evaluator) reportFromCounts(observed, expected, scaled []float64) (metr
 	if n == 0 {
 		return metrics.Report{}, errEmptySample
 	}
-	scale := e.popTotal / n
+	scale := popTotal / n
 	for i, c := range observed {
-		expected[i] = n * e.popProps[i]
+		expected[i] = n * (popCounts[i] / popTotal)
 		scaled[i] = c * scale
 	}
-	return reportMetrics(observed, expected, scaled, e.popCounts, n/e.popTotal)
+	return reportMetrics(observed, expected, scaled, popCounts, n/popTotal)
 }
 
 // reportMetrics computes the seven-metric report shared by the binned

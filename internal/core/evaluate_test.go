@@ -411,3 +411,85 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// reportFloats lists a report's seven metrics for bit comparison.
+func reportFloats(r metrics.Report) []float64 {
+	return []float64{r.ChiSquare, r.Significance, r.Cost, r.RelativeCost, r.PaxsonX2, r.AvgNormDev, r.Phi}
+}
+
+// TestScoreParentMatchesEvaluator pins ScoreParent to the evaluator it
+// replaces for a stream window: scored against integer parent counts
+// that hit every bin, a sample's report is bit-identical to ScoreCounts
+// on an evaluator built over that parent, on both targets.
+func TestScoreParentMatchesEvaluator(t *testing.T) {
+	tr := genTrace(t, 5)
+	for _, target := range []Target{TargetSize, TargetInterarrival} {
+		scheme := bins.PacketSize()
+		if target == TargetInterarrival {
+			scheme = bins.Interarrival()
+		}
+		ev, err := NewEvaluator(tr, target, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := make([]uint64, ev.NumBins())
+		for b, c := range ev.popCounts {
+			parent[b] = uint64(c)
+		}
+		for _, k := range []int{1, 16, 1024} {
+			sc := ev.NewScorer()
+			if err := (SystematicCount{K: k}).SelectEach(tr, nil, sc.Visit); err != nil {
+				t.Fatal(err)
+			}
+			counts := sc.Counts()
+			sample := make([]uint64, len(counts))
+			for b, c := range counts {
+				sample[b] = uint64(c)
+			}
+			want, err := ev.ScoreCounts(counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ScoreParent(sample, parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(reportFloats(got), reportFloats(want)) {
+				t.Errorf("%v k=%d: ScoreParent %+v, evaluator %+v", target, k, got, want)
+			}
+		}
+	}
+}
+
+// TestScoreParentScoresHitBinsOnly checks that a bin the parent never
+// hit drops out of the score, degrees of freedom included, and that a
+// sample ScoreParent cannot score is refused.
+func TestScoreParentScoresHitBinsOnly(t *testing.T) {
+	got, err := ScoreParent([]uint64{2, 0, 3, 0}, []uint64{10, 0, 30, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ScoreParent([]uint64{2, 3}, []uint64{10, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(reportFloats(got), reportFloats(want)) {
+		t.Errorf("with empty parent bins %+v, compacted %+v", got, want)
+	}
+	for name, c := range map[string][2][]uint64{
+		"empty sample":          {{0, 0, 0}, {5, 6, 7}},
+		"one parent bin":        {{3, 0, 0}, {9, 0, 0}},
+		"sample outside parent": {{1, 1, 1}, {5, 0, 7}},
+	} {
+		if _, err := ScoreParent(c[0], c[1]); err == nil {
+			t.Errorf("%s: scored", name)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	sample, parent := []uint64{4, 9, 1, 0, 2}, []uint64{40, 80, 20, 5, 30}
+	if a := testing.AllocsPerRun(100, func() { _, _ = ScoreParent(sample, parent) }); a != 0 {
+		t.Errorf("ScoreParent allocates %.0f times a call", a)
+	}
+}

@@ -74,7 +74,7 @@ func (s *Scorer) Counts() []float64 {
 
 // Report scores the accumulated sample. It does not reset the Scorer.
 func (s *Scorer) Report() (metrics.Report, error) {
-	return s.e.reportFromCounts(s.counts, s.expected, s.scaled)
+	return reportFromCounts(s.counts, s.e.popCounts, s.e.popTotal, s.expected, s.scaled)
 }
 
 // freeList is an evaluator's stock of idle scorers: scratch a scoring

@@ -23,34 +23,31 @@ const adaptiveEpochUS = 1_000_000
 // at the end of every 1 s virtual-clock epoch that saw traffic,
 // ctl.Decide reads the epoch as a window — Offered and Dropped are the
 // statistics processor's deltas, SizeReport scores the packets it
-// accepted against the whole trace's size distribution — and the node
-// takes the k it returns. Epochs are anchored at the first packet and
-// numbered from 1 (AdaptiveDecision.Window; a decision falls Window
+// accepted against every packet the epoch offered, its parent — and the
+// node takes the k it returns. Epochs are anchored at the first packet
+// and numbered from 1 (AdaptiveDecision.Window; a decision falls Window
 // seconds in). A silent epoch offered nothing to steer by and decides
 // nothing: a forward timestamp jump of any length is one arithmetic
 // advance, so decisions are bounded by the packets, not by the clock.
 func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline.AdaptiveConfig) (*nsfnet.T1Node, []pipeline.AdaptiveDecision, error) {
-	ev, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
-	if err != nil {
-		return nil, nil, err
-	}
-	sc := ev.NewScorer()
+	// The epoch's size bin counts: every packet offered, and the ones the
+	// processor accepted.
+	nb := bins.PacketSize().NumBins()
+	parent, sample := make([]uint64, nb), make([]uint64, nb)
 	node := nsfnet.NewT1Node(capacityPPS, buffer, ctl.StartK)
 	var decisions []pipeline.AdaptiveDecision
 	var offered, dropped uint64 // processor counters when the epoch opened
 	epoch, epochStart := uint64(1), tr.Packets[0].Time
-	for i, p := range tr.Packets {
+	for _, p := range tr.Packets {
 		if gap := p.Time - epochStart; gap >= adaptiveEpochUS {
 			snap := pipeline.Snapshot{Snapshot: collect.Snapshot{
 				Seq:     epoch,
 				Offered: node.Proc.Offered() - offered,
 				Dropped: node.Proc.Dropped() - dropped,
 			}}
-			if sc.SampleSize() > 0 {
-				rep, err := sc.Report()
-				if err != nil {
-					return nil, nil, err
-				}
+			// An epoch that accepted nothing, or whose packets all fell in
+			// one bin, is unscored.
+			if rep, err := core.ScoreParent(sample, parent); err == nil {
 				snap.SizeReport = &rep
 			}
 			d := ctl.Decide(node.K(), &snap)
@@ -59,16 +56,19 @@ func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline
 			}
 			decisions = append(decisions, d)
 			offered, dropped = node.Proc.Offered(), node.Proc.Dropped()
-			sc.Reset()
+			clear(parent)
+			clear(sample)
 			// p opens the epoch it falls in; the ones between were silent.
 			skip := gap / adaptiveEpochUS
 			epoch += uint64(skip)
 			epochStart += skip * adaptiveEpochUS
 		}
+		b := bins.SizeBin(p.Size)
+		parent[b]++
 		accepted := node.Proc.Accepted()
 		node.Process(p)
 		if node.Proc.Accepted() != accepted {
-			sc.Visit(i)
+			sample[b]++
 		}
 	}
 	return node, decisions, nil

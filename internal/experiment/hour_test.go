@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"netsample/internal/core"
+	"netsample/internal/metrics"
+	"netsample/internal/online"
+	"netsample/internal/pipeline"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
@@ -128,5 +132,71 @@ func TestHourSampleSizesNearPaper(t *testing.T) {
 	}
 	if r.Rows[2].N < 1300 || r.Rows[2].N > 2800 {
 		t.Errorf("iat n = %d, paper 2066", r.Rows[2].N)
+	}
+}
+
+// TestStreamWindowMatchesElapsedInterval holds the stream to the paper's
+// batch method: window 1 of a systematic run with N-minute windows is
+// the first N minutes, the interval Figures 10 and 11 score, so its
+// reports must be bit for bit those of the batch selection at the same
+// offset scored by an evaluator built over that interval. The stream
+// opens its first window at the first packet and the figures theirs at
+// time 0, so both run on the hour's first five minutes rebased to start
+// at its first packet.
+func TestStreamWindowMatchesElapsedInterval(t *testing.T) {
+	hour := hourTrace(t)
+	t0 := hour.Packets[0].Time
+	head := hour.Window(t0, t0+5*60_000_000)
+	tr := &trace.Trace{Start: hour.Start, ClockUS: hour.ClockUS, Packets: slices.Clone(head.Packets)}
+	for i := range tr.Packets {
+		tr.Packets[i].Time -= t0
+	}
+	const offset = 3
+	for _, minutes := range []int64{1, 2, 4} {
+		win := window(tr, minutes*60)
+		for _, k := range []int{16, 256} {
+			var first *pipeline.Snapshot
+			var p *pipeline.Pipeline
+			p, err := pipeline.New(pipeline.Config{
+				Shards:     2,
+				WindowUS:   minutes * 60_000_000,
+				NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(k, offset) },
+				OnSnapshot: func(s *pipeline.Snapshot) {
+					if s.Seq == 1 {
+						first = s
+						p.Stop()
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Run(tr.Replay()); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil || first.Final || first.Offered != uint64(win.Len()) {
+				t.Fatalf("%d min, k=%d: window 1 %+v, interval holds %d packets", minutes, k, first, win.Len())
+			}
+			for _, c := range []struct {
+				target core.Target
+				got    *metrics.Report
+			}{{core.TargetSize, first.SizeReport}, {core.TargetInterarrival, first.IatReport}} {
+				ev, err := newEvaluator(win, c.target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := ev.NewScorer()
+				if err := (core.SystematicCount{K: k, Offset: offset}).SelectEach(win, nil, sc.Visit); err != nil {
+					t.Fatal(err)
+				}
+				want, err := sc.Report()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.got == nil || math.Float64bits(c.got.Phi) != math.Float64bits(want.Phi) || *c.got != want {
+					t.Errorf("%d min, k=%d, %v: stream %+v, batch %+v", minutes, k, c.target, c.got, want)
+				}
+			}
+		}
 	}
 }

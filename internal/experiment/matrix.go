@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"netsample/internal/bins"
 	"netsample/internal/core"
 	"netsample/internal/dist"
 	"netsample/internal/online"
@@ -23,10 +22,10 @@ var MatrixSamplers = []string{
 	"systematic", "stratified", "systematic-timer", "stratified-timer", "adaptive",
 }
 
-// MatrixCell is one (scenario, sampler) run of the windowed pipeline:
-// the scenario trace is both the stream and the reference population,
-// so each window's φ measures how well the sampler tracks that
-// scenario's own shifting mix.
+// MatrixCell is one (scenario, sampler) run of the windowed pipeline
+// over the scenario trace: each window's φ scores its sample against
+// that window's own packets, so it measures sampling error alone, not
+// how far the scenario's mix drifts from its average.
 type MatrixCell struct {
 	Scenario string
 	Sampler  string
@@ -71,18 +70,8 @@ func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The reference populations depend on the scenario's trace alone:
-		// every sampler's cell scores against the same two evaluators.
-		sizeEval, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
-		if err != nil {
-			return nil, err
-		}
-		iatEval, err := core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival())
-		if err != nil {
-			return nil, err
-		}
 		for _, sampler := range MatrixSamplers {
-			cell, err := matrixCell(tr, sizeEval, iatEval, name, sampler, seed, dur, k)
+			cell, err := matrixCell(tr, name, sampler, seed, dur, k)
 			if err != nil {
 				return nil, fmt.Errorf("matrix %s/%s: %w", name, sampler, err)
 			}
@@ -100,13 +89,11 @@ func cellSeed(seed uint64, scenario, sampler string) uint64 {
 	return h.Sum64()
 }
 
-func matrixCell(tr *trace.Trace, sizeEval, iatEval *core.Evaluator, scenario, sampler string, seed uint64, dur time.Duration, k int) (MatrixCell, error) {
+func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time.Duration, k int) (MatrixCell, error) {
 	cell := MatrixCell{Scenario: scenario, Sampler: sampler}
 	cfg := pipeline.Config{
 		Shards:   1,
 		WindowUS: dur.Microseconds() / 6,
-		SizeEval: sizeEval,
-		IatEval:  iatEval,
 	}
 	if sampler == "adaptive" {
 		minK := k / 8

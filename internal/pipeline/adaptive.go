@@ -60,8 +60,9 @@ type AdaptiveDecision struct {
 	PrevK, K int
 	// DropRate is the window's overload loss fraction (Dropped/Offered).
 	DropRate float64
-	// Phi is the worst configured report φ of the window, or -1 when
-	// the window was unscored (no evaluators, or nothing selected).
+	// Phi is the worst report φ of the window, or -1 when the window
+	// was unscored (nothing selected, or a parent that hit fewer than
+	// two bins).
 	Phi float64
 }
 
@@ -72,7 +73,8 @@ type AdaptiveDecision struct {
 // pipeline's merged window, or a node model's statistics processor over
 // one epoch — is steered by the same law. Coarsening halves the
 // selected load when the path drops beyond budget; refinement halves k
-// when fidelity (φ against the reference population) misses the target;
+// when fidelity (φ against the window's parent population, every packet
+// it offered) misses the target;
 // comfortable windows — φ at most half the budget and zero drops —
 // coarsen to shed work. All moves clamp to [MinK, MaxK].
 func (a *AdaptiveConfig) Decide(prevK int, snap *Snapshot) AdaptiveDecision {

@@ -3,10 +3,12 @@ package pipeline
 import (
 	"math"
 	"testing"
+	"time"
 
 	"netsample/internal/collect"
 	"netsample/internal/metrics"
 	"netsample/internal/online"
+	"netsample/internal/traffgen"
 )
 
 func TestAdaptiveConfigValidation(t *testing.T) {
@@ -99,5 +101,55 @@ func TestAdaptiveDecide(t *testing.T) {
 		if d := wide.Decide(math.MaxInt/2+1, &snap); d.K != math.MaxInt {
 			t.Errorf("coarsen past MaxInt/2 (%+v): k = %d, want MaxInt", snap, d.K)
 		}
+	}
+}
+
+// TestCensusNeverRefines runs the adaptive-ddos configuration: the
+// 20-minute ddos preset, bounds 1..4096, target 0.25, 10 s windows,
+// starting at k = 50 as the benchmark does and at k = 1, a census from
+// the first window. A pipeline window drops nothing, so a window sampled
+// at k = 1 is a census of its parent and scores φ ≈ 0, and the
+// controller must coarsen: no decision taken at k = 1 may keep k = 1.
+func TestCensusNeverRefines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a 20-minute trace")
+	}
+	sc, err := traffgen.PresetScenario("ddos", 1, 20*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traffgen.GenerateScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	censuses := 0
+	for _, startK := range []int{50, 1} {
+		p, err := New(Config{
+			Shards:   1,
+			WindowUS: 10_000_000,
+			Adaptive: &AdaptiveConfig{MinK: 1, MaxK: 4096, StartK: startK, TargetPhi: 0.25},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Run(tr.Replay()); err != nil {
+			t.Fatal(err)
+		}
+		ds := p.Decisions()
+		if len(ds) < 100 {
+			t.Fatalf("start k %d: %d decisions over 20 minutes of 10 s windows", startK, len(ds))
+		}
+		for _, d := range ds {
+			if d.PrevK != 1 {
+				continue
+			}
+			censuses++
+			if d.K == 1 {
+				t.Errorf("start k %d, window %d: a census (phi %g) stayed at k = 1", startK, d.Window, d.Phi)
+			}
+		}
+	}
+	if censuses == 0 {
+		t.Error("no window ran at k = 1")
 	}
 }

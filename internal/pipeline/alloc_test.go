@@ -205,7 +205,6 @@ func TestWindowCutAllocs(t *testing.T) {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	tr := smallTrace(t, 28)
-	sizeEval, iatEval := evaluators(t, tr)
 	runAllocs := func(windowUS int64) (allocs uint64, windows int) {
 		sw, err := store.Open(t.TempDir(), store.Options{SyncWindowUS: -1})
 		if err != nil {
@@ -215,8 +214,6 @@ func TestWindowCutAllocs(t *testing.T) {
 			Shards:     1,
 			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
 			WindowUS:   windowUS,
-			SizeEval:   sizeEval,
-			IatEval:    iatEval,
 			OnSnapshot: func(s *Snapshot) {
 				if err := sw.AppendSnapshot(s.Wire("alloc-node")); err != nil {
 					t.Errorf("window %d: AppendSnapshot: %v", s.Seq, err)
@@ -309,14 +306,11 @@ func TestWireAppendDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	tr := smallTrace(t, 28)
-	sizeEval, iatEval := evaluators(t, tr)
 	var snaps []*Snapshot
 	p, err := New(Config{
 		Shards:     2,
 		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
 		WindowUS:   1_000_000,
-		SizeEval:   sizeEval,
-		IatEval:    iatEval,
 		OnSnapshot: func(s *Snapshot) { snaps = append(snaps, s) },
 	})
 	if err != nil {

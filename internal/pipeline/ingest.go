@@ -105,11 +105,11 @@ func newIngestState(cfg *Config) *ingestState {
 }
 
 // route is the reader's per-selected-record step: it decodes record
-// rec, whose timestamp t and gap against its stream predecessor the
-// reader has already read, from its two remaining 8-byte words, derives
-// its shard from the same registers (the hash words re-pack the
-// record's bytes 12-23 and 10, see DecodeBatch for the layout), and
-// writes the finished item straight into that shard's batch — with the
+// rec, whose timestamp t the reader has already read, from its two
+// remaining 8-byte words, derives its shard from the same registers
+// (the hash words re-pack the record's bytes 12-23 and 10, see
+// DecodeBatch for the layout), and writes the finished item straight
+// into that shard's batch — with the
 // hash itself, so the shard's flow table and sketch never rehash the
 // tuple. A batch goes to its shard when it reaches BatchSize items, and
 // the reader flushes the partial ones before every barrier (publish),
@@ -119,7 +119,7 @@ func newIngestState(cfg *Config) *ingestState {
 // TestShardsGetFullBatches.
 //
 //nslint:hotpath
-func (ig *ingestState) route(rec []byte, t, gap int64, hasGap bool) {
+func (ig *ingestState) route(rec []byte, t int64) {
 	w1 := binary.LittleEndian.Uint64(rec[8:16])
 	w2 := binary.LittleEndian.Uint64(rec[16:24])
 	h := flows.TupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32)
@@ -141,8 +141,6 @@ func (ig *ingestState) route(rec []byte, t, gap int64, hasGap bool) {
 	it.pkt.Dst = packet.Addr{byte(w2), byte(w2 >> 8), byte(w2 >> 16), byte(w2 >> 24)}
 	it.pkt.SrcPort = uint16(w2 >> 32)
 	it.pkt.DstPort = uint16(w2 >> 48)
-	it.gapUS = gap
-	it.hasGap = hasGap
 	it.hash = h
 	if len(cur) == cap(cur) {
 		ig.send(int(s))

@@ -23,11 +23,11 @@ func keyHash(pkt *trace.Packet) uint32 {
 // shardIndex is the shard route must send pkt to.
 func shardIndex(pkt *trace.Packet, n int) int { return int(keyHash(pkt) % uint32(n)) }
 
-// TestItemSize pins the element of a shard batch: the carried hash
-// fills the trailing padding.
+// TestItemSize pins the element of a shard batch: the 24-byte packet
+// and its carried hash, padded to 32 B.
 func TestItemSize(t *testing.T) {
-	if got := unsafe.Sizeof(item{}); got != 40 {
-		t.Fatalf("item is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(item{}); got != 32 {
+		t.Fatalf("item is %d bytes, want 32", got)
 	}
 }
 
@@ -117,10 +117,9 @@ func (s packetsOnly) Next() (trace.Packet, error) { return s.r.Next() }
 // TestReaderRoutesLikeReference holds the reader's per-record path to a
 // field-wise reference, element by element: a serial pass
 // that cuts windows on the same rule, selects every k-th record from
-// the first, decodes with trace.DecodeRecords, hashes with keyHash (mod
-// the shard count for the shard) and chains every record's gap,
-// selected or not, across cuts too, so only the stream's first record
-// has no gap. Each shard must see its items in stream order and each
+// the first, decodes with trace.DecodeRecords and hashes with keyHash
+// (mod the shard count for the shard). Each shard must see its items in
+// stream order and each
 // barrier after exactly its window's items. Every source reaches the
 // shards through route, so no end-to-end comparison of two paths can
 // catch an error in it; this is also the layout-drift guard between the
@@ -169,17 +168,8 @@ func TestReaderRoutesLikeReference(t *testing.T) {
 				if i%c.k != 0 {
 					continue
 				}
-				var gap int64
-				if i > 0 {
-					gap = decoded[i].Time - decoded[i-1].Time
-				}
 				s := shardIndex(&decoded[i], shards)
-				want[s] = append(want[s], routed{it: item{
-					pkt:    decoded[i],
-					gapUS:  gap,
-					hasGap: i > 0,
-					hash:   keyHash(&decoded[i]),
-				}})
+				want[s] = append(want[s], routed{it: item{pkt: decoded[i], hash: keyHash(&decoded[i])}})
 			}
 			cutAll()
 

@@ -9,8 +9,8 @@
 // Architecture (DESIGN.md §5):
 //
 //	      reader (Run goroutine)       per packet: timestamp, cut, gap,
-//	         │                         selection; per selected: decode,
-//	         │                         hash, append to a shard batch
+//	         │                         bins, selection; per selected:
+//	         │                         decode, hash, append to a batch
 //	    ┌────┴─────────────┐           one channel per shard
 //	shard 0      …      shard S-1      (FIFO consume)
 //	    │ snapshot parts   │
@@ -20,21 +20,24 @@
 // raw NSTR records from the source (any other Source is encoded into
 // record windows at the edge, see recordAdapter) and makes one pass
 // over each, deciding everything order-sensitive. Per-packet work reads
-// only a record's timestamp: the reader compares it with the window
-// cut, chains the interarrival gap, and offers it to the run's one
-// online.Sampler — one of the paper's methods applied to the link, not
-// to a hash partition of it. An unselected record goes no further, as
-// the paper's T3 firmware samples in the forwarding path so the
-// categorizer never sees an unselected packet. The rest is per selected
-// packet: the reader decodes it, hashes it to a shard by a
-// deterministic hash of the 5-tuple (flows.TupleHash, which rides the
-// item into the shard's flow counter and sketch) — so every flow lives
-// on exactly one shard — stamps it with its interarrival gap against
-// its stream predecessor (the quantity a monitor with a last-packet
-// timestamp register observes), and appends it to its shard's batch.
-// A batch goes to its shard over a buffered channel, one per shard,
-// once it holds BatchSize items or at a cut; the shard bins each packet
-// and feeds its flow counter and top-K. Every channel is FIFO with one
+// only a record's timestamp and size: the reader compares the timestamp
+// with the window cut, chains the interarrival gap against the stream
+// predecessor (the quantity a monitor with a last-packet timestamp
+// register observes), counts the size and gap bins into the window's
+// parent tally — every packet the window offered, the population its
+// sample is scored against — and offers the timestamp to the run's one
+// online.Sampler, one of the paper's methods applied to the link, not
+// to a hash partition of it. A selected record's bins also go into the
+// window's sample tally, so both histograms are exact at any shard
+// count. An unselected record goes no further, as the paper's T3
+// firmware samples in the forwarding path so the categorizer never sees
+// an unselected packet. The rest is per selected packet: the reader
+// decodes it, hashes it to a shard by a deterministic hash of the
+// 5-tuple (flows.TupleHash, which rides the item into the shard's flow
+// counter and sketch) — so every flow lives on exactly one shard — and
+// appends it to its shard's batch. A batch goes to its shard over a
+// buffered channel, one per shard, once it holds BatchSize items or at
+// a cut; the shard feeds its flow counter and top-K. Every channel is FIFO with one
 // sender, so the packets of one shard are processed in exact stream
 // order. The selected set, and so every snapshot, is the same for any
 // shard count, and equals the batch evaluator's on the same trace and
@@ -45,24 +48,23 @@
 // Processed == Offered and Dropped == 0.
 //
 // Each shard keeps incremental aggregates over the selected packets it
-// receives: integer per-bin size and interarrival histogram counts
-// (bins.Edged), a flows.Counter of transport flows, and an nnstat.TopK
+// receives: a flows.Counter of transport flows and an nnstat.TopK
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: at a cut
-// the reader flushes its batches and sends one barrier on every shard
-// channel, and a shard's cut happens when the barrier arrives —
+// the reader flushes its batches and sends one barrier, carrying both
+// tallies, on every shard channel, and a shard's cut happens when the
+// barrier arrives —
 // because it travels in order with the data, a snapshot
 // reflects exactly the packets that preceded the cut in the stream (a
 // Chandy-Lamport-style consistent cut over the fan-out tree).
 //
 // A snapshot collector goroutine merges the per-shard partial states of
-// each barrier into one Snapshot and, when reference Evaluators are
-// configured, scores the merged histogram counts against the reference
-// population with core.Evaluator.ScoreCounts — the same fused φ kernel
-// the batch experiments use, which is what makes a snapshot's reports
-// bit-identical to the batch evaluator's (pinned by FuzzOracleChain,
-// the root package's serial oracle, and the cmd/nsd integration test).
+// each barrier into one Snapshot and scores the sample tally against the
+// parent tally (core.ScoreParent, the fused φ kernel of the batch
+// experiments): a window that is the whole trace scores bit-identically
+// to the batch evaluator (pinned by FuzzOracleChain, the root package's
+// serial oracle, and the cmd/nsd integration test).
 package pipeline
 
 import (
@@ -149,10 +151,9 @@ type Config struct {
 	// when the source drains.
 	WindowUS int64
 
-	// SizeEval and IatEval, when set, score each snapshot's merged
-	// histogram counts against their reference populations
-	// (core.Evaluator.ScoreCounts). Their schemes must match the
-	// paper's, bins.PacketSize and bins.Interarrival, bin-for-bin.
+	// SizeEval and IatEval are accepted only because benchmarks/nsbench
+	// sets them in a struct literal, and are ignored: every window is
+	// scored against the parent population the reader tallied for it.
 	SizeEval *core.Evaluator
 	IatEval  *core.Evaluator
 
@@ -175,8 +176,13 @@ type Pipeline struct {
 	cfg    Config
 	shards []*shardState
 	ingest *ingestState // reader-owned sending side of the shard channels
-	// nSize and nIat are the paper schemes' bin counts.
-	nSize, nIat int
+	// nSize is the size scheme's bin count.
+	nSize int
+	// parent and sample are the reader's exact tallies of the window it
+	// is reading, of every record and of the selected ones, each laid out
+	// size bins first, then gap bins. emitBarrier hands them over on the
+	// barrier.
+	parent, sample []uint64
 
 	barriers chan *barrier
 	// barFree returns merged barriers from the collector to the reader,
@@ -264,19 +270,11 @@ func New(cfg Config) (*Pipeline, error) {
 		cfg.TopKReport = DefaultTopKReport
 	}
 	size, iat := bins.PacketSize(), bins.Interarrival()
-	if cfg.SizeEval != nil && cfg.SizeEval.NumBins() != size.NumBins() {
-		return nil, fmt.Errorf("%w: SizeEval has %d bins, the size scheme %d",
-			ErrConfig, cfg.SizeEval.NumBins(), size.NumBins())
-	}
-	if cfg.IatEval != nil && cfg.IatEval.NumBins() != iat.NumBins() {
-		return nil, fmt.Errorf("%w: IatEval has %d bins, the interarrival scheme %d",
-			ErrConfig, cfg.IatEval.NumBins(), iat.NumBins())
-	}
-
 	p := &Pipeline{
 		cfg:      cfg,
 		nSize:    size.NumBins(),
-		nIat:     iat.NumBins(),
+		parent:   make([]uint64, size.NumBins()+iat.NumBins()),
+		sample:   make([]uint64, size.NumBins()+iat.NumBins()),
 		barriers: make(chan *barrier, cfg.QueueDepth),
 		barFree:  make(chan *barrier, cfg.QueueDepth+2),
 		done:     make(chan struct{}),
@@ -293,10 +291,9 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline: sampler: %w", err)
 	}
 	p.shards = make([]*shardState, cfg.Shards)
-	sizeLUT := buildSizeLUT(size)
 	p.ingest = newIngestState(&cfg)
 	for i := range p.shards {
-		st, err := newShardState(i, &cfg, size, iat, sizeLUT)
+		st, err := newShardState(i, &cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -356,12 +353,15 @@ func (p *Pipeline) Latest() (*Snapshot, bool) {
 // owns the virtual clock, the window barriers, the gap chain, the
 // sampler and the sending side of every shard channel, and runs on the
 // Run caller's goroutine. The shards may run in parallel because
-// everything order-sensitive is decided here. Per record it reads only
-// the 8-byte timestamp field — what the window cut compares, the gap
-// chain moves on and the sampler is offered; per selected record it
-// also decodes, hashes and routes the record (route). The sampler is
-// not reset at a cut: its schedule continues across windows, exactly as
-// a batch sampler runs uninterrupted over the whole trace.
+// everything order-sensitive is decided here. Per record it reads the
+// timestamp field — what the window cut compares, the gap chain moves on
+// and the sampler is offered — and the size field beside it, and adds
+// the record's size and gap bins to the window's parent tally; per
+// selected record it also adds them to the sample tally and decodes,
+// hashes and routes the record (route).
+// The sampler is not reset at a cut: its schedule continues across
+// windows, exactly as a batch sampler runs uninterrupted over the whole
+// trace.
 //
 // A shard batch goes out when it is full (route), and the partial ones
 // before each barrier. Items are copies, so no source window is read
@@ -375,7 +375,6 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 		winStart  int64
 		nextWin   int64
 		windowing = p.cfg.WindowUS > 0
-		offered   uint64
 		prevUS    int64 // timestamp of the last record read
 		firstSeen bool
 		hasGap    bool // false until the stream's first record is read
@@ -400,18 +399,25 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 			for i := 0; i < n; {
 				t := rawTime(raw, i)
 				if windowing && t >= nextWin {
-					p.emitBarrier(winStart, nextWin, false, offered)
-					offered = 0
+					p.emitBarrier(winStart, nextWin, false)
 					winStart = nextWin
 					nextWin += p.cfg.WindowUS
 					continue
 				}
+				sb, gb := bins.SizeBin(rawSize(raw, i)), p.nSize+bins.GapBin(t-prevUS)
+				p.parent[sb]++
+				if hasGap {
+					p.parent[gb]++
+				}
 				if p.sampler.Offer(t) {
-					ig.route(raw[i*trace.RecordLen:(i+1)*trace.RecordLen], t, t-prevUS, hasGap)
+					p.sample[sb]++
+					if hasGap {
+						p.sample[gb]++
+					}
+					ig.route(raw[i*trace.RecordLen:(i+1)*trace.RecordLen], t)
 				}
 				prevUS = t
 				hasGap = true
-				offered++
 				i++
 			}
 		}
@@ -423,7 +429,7 @@ func (p *Pipeline) readRaw(rs RawBatchSource) error {
 	if !firstSeen {
 		winStart, endUS = 0, 0
 	}
-	p.emitBarrier(winStart, endUS, true, offered)
+	p.emitBarrier(winStart, endUS, true)
 	return srcErr
 }
 
@@ -434,10 +440,17 @@ func rawTime(raw []byte, i int) int64 {
 	return int64(binary.LittleEndian.Uint64(raw[i*trace.RecordLen:]))
 }
 
-// emitBarrier cuts the stream at the current read position: it
-// publishes the reader's shard batches, then sends one barrier on
-// every shard channel, so every shard observes the cut at the same stream
-// offset.
+// rawSize reads record i's size field, the 2 bytes after its timestamp.
+//
+//nslint:hotpath
+func rawSize(raw []byte, i int) uint16 {
+	return binary.LittleEndian.Uint16(raw[i*trace.RecordLen+8:])
+}
+
+// emitBarrier cuts the stream at the current read position: it moves
+// the window's two tallies onto the barrier, publishes the reader's
+// shard batches, then sends one barrier on every shard channel, so every
+// shard observes the cut at the same stream offset.
 //
 // In adaptive mode the cut doubles as the control-loop handshake: the
 // reader parks on p.decided until the collector has merged the window
@@ -454,15 +467,21 @@ func rawTime(raw []byte, i int) int64 {
 // cut allocates nothing here.
 //
 //nslint:coldpath runs once per window boundary, never per packet; allocates only until QueueDepth+2 barriers exist
-func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64) {
+func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool) {
 	p.winSeq++
 	var bar *barrier
 	select {
 	case bar = <-p.barFree:
 	default:
-		bar = &barrier{parts: make(chan shardPart, len(p.shards))}
+		n := len(p.parent)
+		tallies := make([]uint64, 2*n)
+		bar = &barrier{parts: make(chan shardPart, len(p.shards)), parent: tallies[:n:n], sample: tallies[n:]}
 	}
-	bar.seq, bar.startUS, bar.endUS, bar.final, bar.offered = p.winSeq, startUS, endUS, final, offered
+	bar.seq, bar.startUS, bar.endUS, bar.final = p.winSeq, startUS, endUS, final
+	copy(bar.parent, p.parent)
+	copy(bar.sample, p.sample)
+	clear(p.parent)
+	clear(p.sample)
 	p.ingest.publish()
 	for _, q := range p.ingest.out {
 		q <- shardMsg{bar: bar}

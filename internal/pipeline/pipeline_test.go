@@ -6,8 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"netsample/internal/bins"
-	"netsample/internal/core"
 	"netsample/internal/metrics"
 	"netsample/internal/online"
 	"netsample/internal/trace"
@@ -22,19 +20,6 @@ func smallTrace(t testing.TB, seed uint64) *trace.Trace {
 		t.Fatalf("generate: %v", err)
 	}
 	return tr
-}
-
-// evaluators builds the paper-scheme reference evaluators over tr.
-func evaluators(t testing.TB, tr *trace.Trace) (sizeEval, iatEval *core.Evaluator) {
-	t.Helper()
-	var err error
-	if sizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
-		t.Fatalf("size evaluator: %v", err)
-	}
-	if iatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
-		t.Fatalf("iat evaluator: %v", err)
-	}
-	return sizeEval, iatEval
 }
 
 // reportBits flattens a report to its float64 bit patterns for exact
@@ -200,20 +185,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); !errors.Is(err, ErrConfig) {
 			t.Errorf("config %d: error = %v, want ErrConfig", i, err)
 		}
-	}
-	// Evaluator/scheme bin mismatch: a size evaluator built on a 2-bin
-	// scheme, where the pipeline bins sizes into 3.
-	tr := smallTrace(t, 2)
-	halves, err := bins.NewEdged("halves", []float64{100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong, err := core.NewEvaluator(tr, core.TargetSize, halves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Shards: 1, NewSampler: newSys, SizeEval: wrong}); !errors.Is(err, ErrConfig) {
-		t.Errorf("bin mismatch error = %v, want ErrConfig", err)
 	}
 }
 

@@ -1,24 +1,16 @@
 package pipeline
 
 import (
-	"netsample/internal/bins"
 	"netsample/internal/flows"
 	"netsample/internal/nnstat"
 	"netsample/internal/trace"
 )
 
-// item is one selected packet annotated at ingest with its
-// interarrival gap against its predecessor in the full stream — the
-// observation a monitor's last-timestamp register yields. Computing the
-// gap before fan-out keeps the interarrival histogram exact under
-// sharding.
+// item is one selected packet as the reader routes it: decoded, with
+// its 5-tuple's flows.TupleHash, made at ingest for the shard choice
+// and both aggregates, so an item is 32 B.
 type item struct {
-	pkt    trace.Packet
-	gapUS  int64
-	hasGap bool
-	// hash is the 5-tuple's flows.TupleHash, made at ingest for the shard
-	// choice and both aggregates. It fills the trailing padding, so an
-	// item stays 40 B.
+	pkt  trace.Packet
 	hash uint32
 }
 
@@ -31,15 +23,6 @@ type shardMsg struct {
 	bar   *barrier
 }
 
-// cutBufs is what a shard lends the collector at a cut: the window's
-// two histogram copies and its top-k entries. It travels inside a
-// shardPart and comes back through cutFree once merge has copied out of
-// it; until then the shard does not touch it.
-type cutBufs struct {
-	size, iat []uint64
-	topk      []nnstat.Entry
-}
-
 // shardState is one worker shard. Field ownership is strict: in and
 // free are the channels connecting it to the reader; everything else is
 // worker-goroutine-only (and the Run caller's after shardWG.Wait).
@@ -49,32 +32,21 @@ type shardState struct {
 	free chan<- []item   // emptied item buffers, back to the reader
 
 	// Worker-owned.
-	// sizeLUT tabulates the size scheme's Index over the full uint16
-	// domain of Packet.Size (shared read-only across shards), turning
-	// per-packet size binning into one 64 KiB table load; iatScheme bins
-	// gaps with the branchless IndexLinear scan. Both are bit-identical
-	// to the schemes' Index.
-	sizeLUT    []uint8
-	iatScheme  *bins.Edged
-	sizeCounts []uint64
-	iatCounts  []uint64
-	// cutFree returns the buffers of merged shardParts from the snapshot
-	// collector, so cut reuses them instead of allocating a set per
-	// window. It holds one set per barrier that can exist (see
+	// cutFree returns the top-k buffers of merged shardParts from the
+	// snapshot collector, so cut reuses them instead of allocating one
+	// per window. It holds one per barrier that can exist (see
 	// Pipeline.barFree): a shard can be that many cuts ahead of a
 	// collector busy in OnSnapshot.
-	cutFree    chan cutBufs
+	cutFree    chan []nnstat.Entry
 	flowCount  *flows.Counter
 	topk       *nnstat.TopK
 	topkReport int
 	keyBuf     [13]byte
-	selected   uint64
 }
 
-// newShardState allocates one shard's aggregates. New wires in the
-// channels, and builds sizeLUT over size once for all shards to share
-// read-only.
-func newShardState(id int, cfg *Config, size, iat *bins.Edged, sizeLUT []uint8) (*shardState, error) {
+// newShardState allocates one shard's aggregates; New wires in the
+// channels.
+func newShardState(id int, cfg *Config) (*shardState, error) {
 	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
 	if err != nil {
 		return nil, err
@@ -85,29 +57,11 @@ func newShardState(id int, cfg *Config, size, iat *bins.Edged, sizeLUT []uint8) 
 	}
 	return &shardState{
 		id:         id,
-		sizeLUT:    sizeLUT,
-		iatScheme:  iat,
-		sizeCounts: make([]uint64, size.NumBins()),
-		iatCounts:  make([]uint64, iat.NumBins()),
-		cutFree:    make(chan cutBufs, cfg.QueueDepth+2),
+		cutFree:    make(chan []nnstat.Entry, cfg.QueueDepth+2),
 		flowCount:  flowCount,
 		topk:       topk,
 		topkReport: cfg.TopKReport,
 	}, nil
-}
-
-// buildSizeLUT tabulates a size scheme over every possible Packet.Size
-// value. The IP total length is a uint16, so 64 KiB of uint8 indices
-// cover the whole domain exactly — Index is consulted once per value at
-// construction, making the table bit-identical to the scheme by
-// definition. The paper's size scheme has 3 bins, so every index fits
-// uint8.
-func buildSizeLUT(s *bins.Edged) []uint8 {
-	lut := make([]uint8, 1<<16)
-	for v := range lut {
-		lut[v] = uint8(s.Index(float64(v)))
-	}
-	return lut
 }
 
 // shardWorker drains one shard's channel until Run closes it: data
@@ -135,11 +89,6 @@ func (p *Pipeline) shardWorker(st *shardState) {
 // This is the per-selected-packet hot path — it must not allocate
 // (pinned by TestPipelineHotPathAllocs).
 func (st *shardState) process(it *item) {
-	st.selected++
-	st.sizeCounts[st.sizeLUT[it.pkt.Size]]++
-	if it.hasGap {
-		st.iatCounts[st.iatScheme.IndexLinear(float64(it.gapUS))]++
-	}
 	st.flowCount.AddHashed(it.hash, it.pkt)
 	k := &st.keyBuf
 	copy(k[0:4], it.pkt.Src[:])
@@ -157,25 +106,17 @@ func (st *shardState) process(it *item) {
 //
 //nslint:coldpath runs once per window cut, never per packet; a warm cut allocates only a fresh report arena for the sketch's keys, about once every 64 cuts
 func (st *shardState) cut() shardPart {
-	var bufs cutBufs
+	var topk []nnstat.Entry
 	select {
-	case bufs = <-st.cutFree:
+	case topk = <-st.cutFree:
 	default:
-		bufs = cutBufs{size: make([]uint64, len(st.sizeCounts)), iat: make([]uint64, len(st.iatCounts))}
 	}
-	copy(bufs.size, st.sizeCounts)
-	copy(bufs.iat, st.iatCounts)
-	bufs.topk = st.topk.AppendTop(bufs.topk[:0], st.topkReport)
 	part := shardPart{
 		shard:       st.id,
-		selected:    st.selected,
-		bufs:        bufs,
+		topk:        st.topk.AppendTop(topk[:0], st.topkReport),
 		activeFlows: st.flowCount.ActiveCount(),
 		flows:       st.flowCount.Cut(),
 	}
-	st.selected = 0
-	clear(st.sizeCounts)
-	clear(st.iatCounts)
 	st.topk.Reset()
 	return part
 }

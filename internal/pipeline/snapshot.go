@@ -13,39 +13,43 @@ import (
 )
 
 // barrier is a window cut travelling through every shard channel. The
-// reader stamps it with the window bounds and the offered count; each
-// shard deposits its partial state into parts when the barrier reaches
-// it. The reader owns it: the collector hands it back through barFree
-// once every part is in and merged, and nothing published refers to it.
+// reader stamps it with the window bounds and its two tallies, the size
+// bins then the gap bins of every record the window offered (parent)
+// and of the ones it selected (sample); each shard deposits its partial
+// state into parts when the barrier reaches it. The reader owns it: the
+// collector hands it back through barFree once every part is in and
+// merged, and nothing published refers to it.
 type barrier struct {
 	seq     uint64
 	startUS int64
 	endUS   int64
 	final   bool
-	offered uint64
+	parent  []uint64
+	sample  []uint64
 	parts   chan shardPart
 }
 
-// shardPart is one shard's window-local state at a barrier. bufs is on
+// shardPart is one shard's window-local state at a barrier. topk is on
 // loan from the shard: merge copies out of it and the collector sends
 // it back.
 type shardPart struct {
 	shard       int
-	selected    uint64
-	bufs        cutBufs
+	topk        []nnstat.Entry
 	flows       flows.Counts
 	activeFlows int
 }
 
-// Snapshot is one consistent windowed view of the pipeline: the merge
-// of every shard's state at the same stream cut. All counters are
-// window-local (they reset at each barrier); Seq orders the windows.
+// Snapshot is one consistent windowed view of the pipeline: the reader's
+// tallies and the merge of every shard's state at the same stream cut.
+// All counters are window-local (they reset at each barrier); Seq orders
+// the windows.
 //
 // The embedded collect.Snapshot is the window's wire form with Node
 // left empty. Offered counts the window's packets; per packet, the node
-// only reads the timestamp, chains the gap and offers it to the sampler.
-// Selected counts the packets the sampler chose, the only ones decoded,
-// hashed, handed to a shard and counted into bins, flows and top-K.
+// only reads the timestamp and size, chains the gap, bins both and
+// offers the timestamp to the sampler. Selected counts the packets the
+// sampler chose, the only ones binned into the size and interarrival
+// counts, decoded, hashed and handed to a shard for flows and top-K.
 // Shard channels block rather than shed, so every offered packet is
 // processed: merge sets Processed = Offered, and Dropped is 0 (it is
 // the loss the node model's nsfnet.Processor fills in for Decide).
@@ -53,9 +57,9 @@ type shardPart struct {
 // spanning a boundary are split at the cut), ActiveFlows counts flows
 // open at the cut, and TopK is the merged heavy-hitter list — flow-hash
 // sharding keeps keys disjoint, so the merge is exact concatenation.
-// The reports score the counts against the reference population when
-// evaluators are configured and the window selected something; nil
-// otherwise.
+// The reports score the counts against the window's parent population,
+// every packet it offered; nil when the window selected nothing or its
+// parent hit fewer than two bins.
 type Snapshot struct {
 	collect.Snapshot
 	// K is the systematic granularity in force during this window under
@@ -64,9 +68,9 @@ type Snapshot struct {
 	// operational detail, and the export format stays unchanged.
 	K int
 	// SizeCounts and IatCounts mirror the wire form's integer bin
-	// counts as float64 (exact: far below 2⁵³), the form evaluators
-	// score. They shadow the embedded counts, reached as
-	// s.Snapshot.SizeCounts.
+	// counts as float64 (exact: far below 2⁵³), the form
+	// core.Evaluator.ScoreCounts takes. They shadow the embedded counts,
+	// reached as s.Snapshot.SizeCounts.
 	SizeCounts []float64
 	IatCounts  []float64
 }
@@ -89,7 +93,7 @@ func (p *Pipeline) collect() {
 		// object.
 		for _, part := range parts {
 			select {
-			case p.shards[part.shard].cutFree <- part.bufs:
+			case p.shards[part.shard].cutFree <- part.topk:
 			default:
 			}
 		}
@@ -162,16 +166,23 @@ type pubSlabs struct {
 	rank   []nnstat.Entry
 }
 
-// merge folds the shard parts into one Snapshot: it adds each shard's
-// integer counts straight into the wire form's, then fills the float64
-// mirror from them once (exact: the counts are far below 2⁵³). Each
-// count form keeps both histograms in one slice; the block, both count
-// forms and TopK come from the collector's slabs.
+// merge folds the barrier and the shard parts into one Snapshot: it
+// copies the sample tally into the wire form's integer counts, then
+// fills the float64 mirror from them (exact: the counts are far below
+// 2⁵³). Each count form keeps both histograms in one slice; the block,
+// both count forms and TopK come from the collector's slabs.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	pub := &p.pub
 	nSize := p.nSize
-	nBins := nSize + p.nIat
+	nBins := len(bar.parent)
 	counts, wire := pub.counts.take(nBins), pub.wire.take(nBins)
+	copy(wire, bar.sample)
+	// Every record has a size: the size bins count them all.
+	var offered, selected uint64
+	for b := range nSize {
+		offered += bar.parent[b]
+		selected += wire[b]
+	}
 	blk := &pub.blocks.take(1)[0]
 	blk.Snapshot = Snapshot{
 		Snapshot: collect.Snapshot{
@@ -180,8 +191,9 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 			WindowEndUS:   bar.endUS,
 			Final:         bar.final,
 			Shards:        uint32(len(p.shards)),
-			Offered:       bar.offered,
-			Processed:     bar.offered,
+			Offered:       offered,
+			Processed:     offered,
+			Selected:      selected,
 			SizeCounts:    wire[:nSize:nSize],
 			IatCounts:     wire[nSize:],
 		},
@@ -191,19 +203,12 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	snap := &blk.Snapshot
 	for i := range parts {
 		part := &parts[i]
-		snap.Selected += part.selected
-		for b, c := range part.bufs.size {
-			wire[b] += c
-		}
-		for b, c := range part.bufs.iat {
-			wire[nSize+b] += c
-		}
 		snap.FlowCounts.Flows += part.flows.Flows
 		snap.FlowCounts.Packets += part.flows.Packets
 		snap.FlowCounts.Bytes += part.flows.Bytes
 		snap.FlowCounts.Singletons += part.flows.Singletons
 		snap.ActiveFlows += uint64(part.activeFlows)
-		pub.rank = append(pub.rank, part.bufs.topk...)
+		pub.rank = append(pub.rank, part.topk...)
 	}
 	for b, c := range wire {
 		counts[b] = float64(c)
@@ -214,29 +219,16 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	// The scratch must not pin the keys of windows gone by.
 	clear(pub.rank)
 	pub.rank = pub.rank[:0]
-	snap.SizeReport = scoreCounts(p.cfg.SizeEval, snap.SizeCounts, &blk.sizeRep)
-	snap.IatReport = scoreCounts(p.cfg.IatEval, snap.IatCounts, &blk.iatRep)
+	snap.SizeReport = scoreCounts(snap.Snapshot.SizeCounts, bar.parent[:nSize], &blk.sizeRep)
+	snap.IatReport = scoreCounts(snap.Snapshot.IatCounts, bar.parent[nSize:], &blk.iatRep)
 	return snap
 }
 
-// scoreCounts scores merged counts against a reference evaluator into
-// rep and returns it, or nil for unscored snapshots (no evaluator, or
-// an empty window for which χ²-family metrics are undefined).
-func scoreCounts(ev *core.Evaluator, counts []float64, rep *metrics.Report) *metrics.Report {
-	if ev == nil {
-		return nil
-	}
-	var total float64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return nil
-	}
+// scoreCounts scores a window's merged counts against its parent's into
+// rep and returns it, or nil for a window core.ScoreParent leaves unscored.
+func scoreCounts(sample, parent []uint64, rep *metrics.Report) *metrics.Report {
 	var err error
-	if *rep, err = ev.ScoreCounts(counts); err != nil {
-		// Bin-count mismatches are rejected at New; an error here would
-		// mean an evaluator swapped mid-run, which the API forbids.
+	if *rep, err = core.ScoreParent(sample, parent); err != nil {
 		return nil
 	}
 	return rep

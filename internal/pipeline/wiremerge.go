@@ -29,9 +29,8 @@ var ErrMergeWire = errors.New("pipeline: wire snapshots not mergeable")
 // The merged window spans [min start, max end); Seq carries the highest
 // input sequence, Final is set when any input is final, and Node is
 // kept only when every input agrees (else "merged"). Reports are not
-// carried over: φ-family scores do not merge — rescore the merged
-// counts against a reference evaluator, or read the per-window reports
-// individually.
+// carried over: φ-family scores do not merge, and the wire form holds no
+// parent counts to rescore against, so read the per-window reports.
 func MergeWire(snaps []*collect.Snapshot, topk int) (*collect.Snapshot, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: no snapshots", ErrMergeWire)

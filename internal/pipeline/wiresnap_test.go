@@ -280,7 +280,6 @@ func projectSnap(s *Snapshot) snapProj {
 // One-second windows keep the shards cuts ahead of the collector.
 func TestPublishedSnapshotsImmutable(t *testing.T) {
 	tr := smallTrace(t, 28)
-	sizeEval, iatEval := evaluators(t, tr)
 	type frozen struct {
 		snap    *Snapshot
 		proj    snapProj
@@ -299,8 +298,6 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 			cfg := Config{
 				Shards:   tc.shards,
 				WindowUS: 1_000_000,
-				SizeEval: sizeEval,
-				IatEval:  iatEval,
 				OnSnapshot: func(s *Snapshot) {
 					w := s.Wire("frozen-node")
 					payload, err := collect.EncodeSnapshot(w)

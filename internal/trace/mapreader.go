@@ -143,8 +143,8 @@ func (m *MapReader) Next() (Packet, error) {
 	return one[0], nil
 }
 
-// Trace returns the full trace for random-access consumers (reference
-// evaluators) without moving the stream position; a truncated region is
+// Trace returns the full trace for random-access consumers (nsd's timer
+// period) without moving the stream position; a truncated region is
 // refused up front. Where the layout identity holds (layout.go) Packets
 // *is* the record region — read-only, dead at Close like every raw view;
 // elsewhere (big-endian, a misaligned NewMapReaderBytes region) a copy.

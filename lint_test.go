@@ -122,6 +122,8 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/flows.Counter).AddHashed",
 		"(*" + mp + "/internal/nnstat.TopK).AddHashed",
 		mp + "/internal/nnstat.tkAdd",
+		mp + "/internal/bins.SizeBin",
+		mp + "/internal/bins.GapBin",
 		// TestTableAddDoesNotAllocAfterFlush, TestAddBytesDoesNotAllocOn*:
 		// the record decomposer's Add and the sketch wrapper that hashes
 		// for a caller without a hash (roots of their own; the pipeline

@@ -119,7 +119,6 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 		}
 		// Bins, flows and exact per-key counts over the selected packets.
 		type record struct{ last, pkts, bytes int64 }
-		var idx []int
 		var recs []record
 		open := make(map[flows.Key]int)
 		counts := make(map[string]uint64)
@@ -128,7 +127,6 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 				continue
 			}
 			p := pkts[i]
-			idx = append(idx, i)
 			s.Selected++
 			s.SizeCounts[sizeScheme.Index(float64(p.Size))]++
 			if i > 0 {
@@ -163,14 +161,18 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 			s.TopK = append(s.TopK, nnstat.Entry{Key: key, Count: c})
 		}
 		s.TopK = rankTop(s.TopK, cfg.TopKReport)
-		// Reports: the batch evaluator over the window's selected indices.
-		var err error
-		if s.SizeReport, err = scoreWindow(cfg.SizeEval, idx, s.SizeCounts); err != nil {
-			return nil, err
+		// Reports: the selected counts against the window's parent, every
+		// packet in it, tallied here on its own.
+		parentSize := make([]uint64, sizeScheme.NumBins())
+		parentIat := make([]uint64, iatScheme.NumBins())
+		for i := win.lo; i < win.hi; i++ {
+			parentSize[sizeScheme.Index(float64(pkts[i].Size))]++
+			if i > 0 {
+				parentIat[iatScheme.Index(float64(pkts[i].Time-pkts[i-1].Time))]++
+			}
 		}
-		if s.IatReport, err = scoreWindow(cfg.IatEval, idx, s.IatCounts); err != nil {
-			return nil, err
-		}
+		s.SizeReport = scoreWindow(s.SizeCounts, parentSize)
+		s.IatReport = scoreWindow(s.IatCounts, parentIat)
 		run.snaps = append(run.snaps, s)
 		run.exact = append(run.exact, counts)
 		run.ks = append(run.ks, k)
@@ -186,17 +188,25 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 	return run, nil
 }
 
-// scoreWindow is Evaluator.Score, or nil for an empty histogram.
-func scoreWindow(ev *core.Evaluator, idx []int, counts []uint64) (*metrics.Report, error) {
+// scoreWindow is core.ScoreParent, or nil for an unscored window: an
+// empty histogram, or a parent that hits fewer than two bins.
+func scoreWindow(sample, parent []uint64) *metrics.Report {
 	var n uint64
-	for _, c := range counts {
-		n += c
+	hit := 0
+	for b, c := range parent {
+		n += sample[b]
+		if c > 0 {
+			hit++
+		}
 	}
-	if n == 0 {
-		return nil, nil
+	if n == 0 || hit < 2 {
+		return nil
 	}
-	rep, err := ev.Score(idx)
-	return &rep, err
+	rep, err := core.ScoreParent(sample, parent)
+	if err != nil {
+		panic(err)
+	}
+	return &rep
 }
 
 // foldWire is the range query's answer over stored windows, summed
@@ -489,13 +499,6 @@ func checkChain(t *testing.T, c chainCase) {
 		FlowTimeoutUS: int64(c.TimeoutMS) * 1_000,
 		TopKCapacity:  c.Capacity, TopKReport: c.Report,
 	}
-	var err error
-	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
-		t.Fatal(err)
-	}
 	var sel []int
 	if c.Method == mAdaptive {
 		cfg.Adaptive = &pipeline.AdaptiveConfig{
@@ -588,5 +591,42 @@ func checkChain(t *testing.T, c chainCase) {
 	}
 	if fold := foldWire(stored, c.Report); !bytes.Equal(encode(t, m), encode(t, fold)) {
 		t.Errorf("MergeWire %+v\nfold %+v", m, fold)
+	}
+}
+
+// TestCensusScoresZero runs a census (systematic k = 1) through 5 s
+// windows of every oracle scenario. Each window is scored against its
+// own packets, which a census selects in full, so every window must
+// carry both reports and score φ ≈ 0 on both targets: not exactly 0,
+// because the expected counts are n·(c/N), which can miss c by an ulp.
+func TestCensusScoresZero(t *testing.T) {
+	for sc, name := range chainScenarios {
+		tr := chainTrace(t, sc)
+		var windows int
+		p, err := pipeline.New(pipeline.Config{
+			Shards:     2,
+			WindowUS:   5_000_000,
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(1, 0) },
+			OnSnapshot: func(s *pipeline.Snapshot) {
+				windows++
+				if s.SizeReport == nil || s.IatReport == nil {
+					t.Errorf("scenario %q window %d: unscored (%d offered)", name, s.Seq, s.Offered)
+					return
+				}
+				if s.SizeReport.Phi >= 1e-12 || s.IatReport.Phi >= 1e-12 {
+					t.Errorf("scenario %q window %d: census phi[size]=%g phi[iat]=%g",
+						name, s.Seq, s.SizeReport.Phi, s.IatReport.Phi)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Run(tr.Replay()); err != nil {
+			t.Fatal(err)
+		}
+		if windows < 10 {
+			t.Errorf("scenario %q: %d windows", name, windows)
+		}
 	}
 }
