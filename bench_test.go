@@ -1,6 +1,6 @@
 // Micro- and layer benchmarks of the hot paths: sampling, scoring,
 // trace codec and generation, flow table and top-K sketch, pipeline
-// throughput and store append/replay. The paper's tables, figures and
+// throughput, store append/replay and the cold query's wire merge. The paper's tables, figures and
 // ablations run once, in cmd/experiments (DESIGN.md §4).
 //
 // Run everything with:
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"netsample/internal/bins"
+	"netsample/internal/collect"
 	"netsample/internal/core"
 	"netsample/internal/dist"
 	"netsample/internal/flows"
@@ -672,5 +673,49 @@ func BenchmarkStoreReplay(b *testing.B) {
 	}
 	if n != b.N {
 		b.Fatalf("replayed %d of %d records", n, b.N)
+	}
+}
+
+// BenchmarkMergeWire is the cold query's merge over a fine-windows-
+// shaped range: 3600 one-second windows of 9 heavy hitters each, drawn
+// from 65536 13-byte flow keys, so the fold sees tens of thousands of
+// distinct keys and keeps the default ten.
+func BenchmarkMergeWire(b *testing.B) {
+	const windows, perWindow = 3600, 9
+	rng := dist.NewRNG(1)
+	snaps := make([]*collect.Snapshot, windows)
+	distinct := make(map[string]bool)
+	for w := range snaps {
+		s := &collect.Snapshot{
+			Node:          "n1",
+			Seq:           uint64(w + 1),
+			WindowStartUS: int64(w) * 1e6,
+			WindowEndUS:   int64(w+1) * 1e6,
+			Shards:        1,
+			SizeCounts:    make([]uint64, 3),
+			IatCounts:     make([]uint64, 5),
+		}
+		for i := 0; i < perWindow; i++ {
+			var key [13]byte
+			binary.LittleEndian.PutUint32(key[:], uint32(rng.IntN(1<<16)))
+			key[12] = 6
+			s.TopK = append(s.TopK, nnstat.Entry{Key: string(key[:]), Count: 1 + rng.Uint64N(4)})
+			distinct[string(key[:])] = true
+		}
+		snaps[w] = s
+	}
+	if len(distinct) < 10000 {
+		b.Fatalf("%d distinct keys, want tens of thousands", len(distinct))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := pipeline.MergeWire(snaps, pipeline.DefaultTopKReport)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(m.TopK) != pipeline.DefaultTopKReport {
+			b.Fatalf("merged top-k holds %d entries", len(m.TopK))
+		}
 	}
 }

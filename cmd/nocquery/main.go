@@ -1,11 +1,11 @@
 // Command nocquery answers time-range queries from a snapshot store on
 // disk — the offline counterpart of polling a live fleet. It replays
 // the exact wire payloads nsd -store or noccollect -store persisted
-// (internal/store) and folds them through the same exact-merge logic
-// the live pipeline uses (pipeline.MergeWire), so a cold store answers
-// the questions the NOC would ask the fleet: the heavy hitters over the
-// last hour, the merged size/interarrival histograms, and the
-// per-window φ-scores.
+// (internal/store) and folds them, one window at a time, through the
+// same exact-merge logic the live pipeline uses (pipeline.WireFold,
+// MergeWire's accumulator), so a cold store answers the questions the
+// NOC would ask the fleet: the heavy hitters over the last hour, the
+// merged size/interarrival histograms, and the per-window φ-scores.
 //
 // Usage:
 //
@@ -17,7 +17,10 @@
 // "the last hour" means the last hour of traffic, independent of when
 // the query runs. -verify recomputes the full Merkle chain first and
 // refuses to answer from a store that fails it, naming the damaged
-// segment and byte offset.
+// segment and byte offset. Without -verify, a record that fails to
+// decode part-way through the range ends the query with exit status 1
+// naming it; -windows has by then printed the lines of the windows
+// before it, and no merged summary is printed.
 package main
 
 import (
@@ -52,7 +55,10 @@ func main() {
 	if *top < 1 {
 		log.Printf("-top %d: want at least 1", *top)
 	}
-	if *dir == "" || *top < 1 {
+	if *last < 0 {
+		log.Printf("-last %v: want a positive span", *last)
+	}
+	if *dir == "" || *top < 1 || *last < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -77,35 +83,40 @@ func main() {
 	}
 	fmt.Printf("store spans [%dus, %dus]; querying [%dus, %dus]\n", first, lastTS, from, to)
 
-	snaps, err := r.Snapshots(from, to)
+	// Stream the range through the fold: one decoded window is held at a
+	// time. A merge error is kept until the scan ends, so -windows still
+	// lists every window in range before the query fails.
+	fold := pipeline.NewWireFold(*top)
+	n := 0
+	var mergeErr error
+	err = r.EachSnapshot(from, to, func(s *collect.Snapshot) error {
+		if *node != "" && s.Node != *node {
+			return nil
+		}
+		n++
+		if *windows {
+			fmt.Println(windowLine(s))
+		}
+		if mergeErr == nil {
+			mergeErr = fold.Add(s)
+		}
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *node != "" {
-		kept := snaps[:0]
-		for _, s := range snaps {
-			if s.Node == *node {
-				kept = append(kept, s)
-			}
-		}
-		snaps = kept
-	}
-	if len(snaps) == 0 {
+	if n == 0 {
 		log.Fatal("no snapshots in range")
 	}
-
-	if *windows {
-		for _, s := range snaps {
-			fmt.Println(windowLine(s))
-		}
+	if mergeErr != nil {
+		log.Fatal(mergeErr)
 	}
-
-	m, err := pipeline.MergeWire(snaps, *top)
+	m, err := fold.Merged()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("merged %d windows from %s over [%dus, %dus)\n",
-		len(snaps), m.Node, m.WindowStartUS, m.WindowEndUS)
+		n, m.Node, m.WindowStartUS, m.WindowEndUS)
 	fmt.Printf("  offered=%d processed=%d selected=%d dropped=%d\n",
 		m.Offered, m.Processed, m.Selected, m.Dropped)
 	fmt.Printf("  flows=%d packets=%d bytes=%d singletons=%d\n",

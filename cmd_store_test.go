@@ -3,8 +3,10 @@ package netsample
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -23,8 +25,9 @@ import (
 // run nsd with -store over a windowed trace, reopen the store cold, and
 // require the replayed snapshot records to be bit-identical to the wire
 // payloads an in-process pipeline run of the same configuration exports
-// live. Then flip one byte in a sealed segment and require Verify to
-// name the damaged segment and offset.
+// live, and nocquery's streamed answers over a store of 1 s windows to
+// match a golden byte for byte. Then flip one byte in a sealed segment
+// and require Verify to name the damaged segment and offset.
 func TestNSDStoreReplayMatchesLive(t *testing.T) {
 	dir := buildTools(t, "nstrace", "nsd", "nocquery")
 	trPath := filepath.Join(t.TempDir(), "t.nstr")
@@ -115,9 +118,38 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 			t.Fatalf("nocquery output missing %q:\n%s", wantLine, out)
 		}
 	}
-	// Fewer than one heavy hitter is bad input, not a request for ten.
+	// Fewer than one heavy hitter is bad input, not a request for ten;
+	// so is a negative span, which would otherwise query the whole store.
 	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-top", "0"); !strings.Contains(out, "Usage of") {
 		t.Fatalf("nocquery -top 0 printed no usage:\n%s", out)
+	}
+	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-last", "-1h"); !strings.Contains(out, "Usage of") {
+		t.Fatalf("nocquery -last -1h printed no usage:\n%s", out)
+	}
+
+	// The streaming query path over a store of 1 s windows (30 of them),
+	// pinned byte for byte: per-window lines, merged histograms, a top-3
+	// pick, and a node-filtered trailing span.
+	fineDir := filepath.Join(t.TempDir(), "finestore")
+	run(t, filepath.Join(dir, "nsd"),
+		"-in", trPath, "-method", "systematic", "-k", "50", "-shards", "1",
+		"-window", "1s", "-name", "store-node", "-once", "-q", "-store", fineDir)
+	var golden bytes.Buffer
+	for _, args := range [][]string{
+		{"-windows", "-hist", "-top", "3"},
+		{"-node", "store-node", "-last", "10s"},
+	} {
+		fmt.Fprintf(&golden, "$ nocquery %s\n", strings.Join(args, " "))
+		cmd := exec.Command(filepath.Join(dir, "nocquery"), append([]string{"-store", fineDir}, args...)...)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("nocquery %v: %v", args, err)
+		}
+		golden.Write(out)
+	}
+	checkGolden(t, filepath.Join("testdata", "nocquery_fine_windows.txt"), golden.Bytes())
+	if out := runExit(t, 1, filepath.Join(dir, "nocquery"), "-store", fineDir, "-node", "other"); !strings.Contains(out, "no snapshots in range") {
+		t.Fatalf("nocquery -node other:\n%s", out)
 	}
 
 	// Flip one byte in the middle of the first sealed segment: Verify
@@ -168,6 +200,51 @@ func TestNocqueryRefusesBrokenChain(t *testing.T) {
 	out := runExit(t, 1, filepath.Join(dir, "nocquery"), "-store", storeDir, "-windows")
 	if !strings.Contains(out, filepath.Base(segs[1])) {
 		t.Fatalf("nocquery did not name the missing segment %s:\n%s", filepath.Base(segs[1]), out)
+	}
+}
+
+// TestNocqueryStopsAtUndecodableRecord: a record whose frame is intact
+// but whose payload is no snapshot ends the streamed query with exit
+// status 1 naming its segment and offset. -windows has by then printed
+// the windows before it, and no merged summary follows.
+func TestNocqueryStopsAtUndecodableRecord(t *testing.T) {
+	dir := buildTools(t, "nocquery")
+	storeDir := filepath.Join(t.TempDir(), "snapstore")
+	w, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range []*collect.Snapshot{
+		{Node: "n1", Seq: 1, WindowStartUS: 0, WindowEndUS: 1000, Selected: 7},
+		nil, // an undecodable payload
+		{Node: "n1", Seq: 3, WindowStartUS: 2000, WindowEndUS: 3000, Selected: 9},
+	} {
+		var err error
+		if s == nil {
+			err = w.Append(store.KindSnapshot, 2000, []byte("not a snapshot"))
+		} else {
+			err = w.AppendSnapshot(s)
+		}
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(dir, "nocquery"), "-store", storeDir, "-windows")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("nocquery: %v, want exit status 1\n%s%s", err, out, stderr.String())
+	}
+	if !strings.Contains(string(out), "window n1/1 ") || strings.Contains(string(out), "n1/3") || strings.Contains(string(out), "merged") {
+		t.Fatalf("stdout should list window 1 only, and no merge:\n%s", out)
+	}
+	if !strings.Contains(stderr.String(), "seg-00000001.nss: offset") {
+		t.Fatalf("stderr does not name the record:\n%s", stderr.String())
 	}
 }
 
@@ -261,5 +338,28 @@ func TestNoccollectStoreCountsLostWindows(t *testing.T) {
 		"-agents", addr, "-cycles", "2", "-interval", "10ms", "-store", filepath.Join(t.TempDir(), "store"))
 	if !strings.Contains(out, "store: 1 window(s) not persisted") {
 		t.Fatalf("noccollect did not count the lost window:\n%s", out)
+	}
+}
+
+// checkGolden compares got with the golden file at path, rewriting the
+// file instead when NSGEN_GOLDEN is set.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv("NSGEN_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with NSGEN_GOLDEN=1 to create)", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: output differs from golden; regenerate with NSGEN_GOLDEN=1 if intentional\ngot:\n%s", path, got)
 	}
 }

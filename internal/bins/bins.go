@@ -22,6 +22,7 @@ import (
 // (-inf, edges[0]), bin i is [edges[i-1], edges[i]), and the last bin is
 // [edges[len-1], +inf). With interior edges {41, 181} this reproduces the
 // paper's "less than 41 / 41–180 / greater than 180" packet-size ranges.
+// No method changes an Edged once built, so one value may be shared.
 type Edged struct {
 	name   string
 	edges  []float64
@@ -158,25 +159,27 @@ func notBelow(x, edge int64) int {
 	return b
 }
 
-// PacketSize returns the paper's packet-size scheme (Section 7.1.1):
-// bytes-per-packet ranges <41, 41–180, >180.
-func PacketSize() *Edged {
-	e, err := NewEdged("paper-size", []float64{sizeEdge1, sizeEdge2})
+// The paper's two schemes, built once and shared by every caller.
+var (
+	packetSize   = mustEdged("paper-size", []float64{sizeEdge1, sizeEdge2})
+	interarrival = mustEdged("paper-iat", []float64{gapEdge1, gapEdge2, gapEdge3, gapEdge4})
+)
+
+func mustEdged(name string, edges []float64) *Edged {
+	e, err := NewEdged(name, edges)
 	if err != nil {
 		panic(err) // static edges; cannot fail
 	}
 	return e
 }
 
+// PacketSize returns the paper's packet-size scheme (Section 7.1.1):
+// bytes-per-packet ranges <41, 41–180, >180.
+func PacketSize() *Edged { return packetSize }
+
 // Interarrival returns the paper's interarrival scheme (Section 7.1.2):
 // microsecond ranges <800, 800–1199, 1200–2399, 2400–3599, >=3600.
-func Interarrival() *Edged {
-	e, err := NewEdged("paper-iat", []float64{gapEdge1, gapEdge2, gapEdge3, gapEdge4})
-	if err != nil {
-		panic(err) // static edges; cannot fail
-	}
-	return e
-}
+func Interarrival() *Edged { return interarrival }
 
 // Count tallies the observations xs into the scheme's bins.
 //

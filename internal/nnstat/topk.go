@@ -77,7 +77,7 @@ func NewTopK(capacity int) (*TopK, error) {
 }
 
 // Add accounts weight occurrences of key.
-func (t *TopK) Add(key string, weight uint64) { tkAdd(t, hashKey(key), key, weight) }
+func (t *TopK) Add(key string, weight uint64) { tkAdd(t, HashKey(key), key, weight) }
 
 // AddBytes accounts weight occurrences of the key spelled as raw
 // bytes. It is the streaming hot-path form of Add: hit, miss and evict
@@ -87,7 +87,7 @@ func (t *TopK) Add(key string, weight uint64) { tkAdd(t, hashKey(key), key, weig
 // The caller may reuse key's backing array across calls.
 //
 //nslint:hotpath
-func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, hashKey(key), key, weight) }
+func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, HashKey(key), key, weight) }
 
 // AddHashed is AddBytes for a caller that already holds a hash of key.
 // Equal keys must always come with equal hashes, so a sketch fed
@@ -157,11 +157,12 @@ func (t *TopK) carve(n int) []byte {
 	return b
 }
 
-// hashKey mixes the key eight bytes at a time. It is deterministic
-// (no per-process seed), so probe sequences — and with them the
-// benchmark's timings — repeat from run to run; the sketch's output
-// does not depend on it at all.
-func hashKey[K string | []byte](k K) uint64 {
+// HashKey mixes the key eight bytes at a time; its top bits are spread
+// well enough to index a power-of-two table directly. It is
+// deterministic (no per-process seed), so probe sequences — and with
+// them the benchmark's timings — repeat from run to run; the sketch's
+// output does not depend on it at all.
+func HashKey[K string | []byte](k K) uint64 {
 	const m1, m2 = 0x9E3779B97F4A7C15, 0xD6E8FEB86659FD93
 	h := uint64(len(k)) * m1
 	i := 0

@@ -136,12 +136,15 @@ func (r *Reader) scanOne(si SegmentInfo, fromUS, toUS int64, fn func(Record) err
 	return nil
 }
 
-// Snapshots decodes every KindSnapshot record in the inclusive range
-// [fromUS, toUS] (record timestamps are snapshot window ends). The
-// returned snapshots own their memory — nothing aliases the store.
-func (r *Reader) Snapshots(fromUS, toUS int64) ([]*collect.Snapshot, error) {
-	var out []*collect.Snapshot
-	err := r.Query(fromUS, toUS, func(rec Record) error {
+// EachSnapshot decodes every KindSnapshot record in the inclusive range
+// [fromUS, toUS] (record timestamps are snapshot window ends) and hands
+// each to fn in append order, so a caller folding a range holds one
+// decoded window at a time. Each snapshot owns its memory — nothing
+// aliases the store. A payload that does not decode stops the scan with
+// a CorruptionError naming its segment and offset; fn's error stops it
+// too and is returned as is.
+func (r *Reader) EachSnapshot(fromUS, toUS int64, fn func(*collect.Snapshot) error) error {
+	return r.Query(fromUS, toUS, func(rec Record) error {
 		if rec.Kind != KindSnapshot {
 			return nil
 		}
@@ -149,6 +152,14 @@ func (r *Reader) Snapshots(fromUS, toUS int64) ([]*collect.Snapshot, error) {
 		if err != nil {
 			return corruptf(segName(rec.Segment), rec.Offset, "snapshot payload rejected: %v", err)
 		}
+		return fn(s)
+	})
+}
+
+// Snapshots collects EachSnapshot's range into one slice.
+func (r *Reader) Snapshots(fromUS, toUS int64) ([]*collect.Snapshot, error) {
+	var out []*collect.Snapshot
+	err := r.EachSnapshot(fromUS, toUS, func(s *collect.Snapshot) error {
 		out = append(out, s)
 		return nil
 	})
