@@ -12,9 +12,13 @@
 //
 //	nsd -in trace.nstr [-method systematic] [-k 100] [-shards 1]
 //	    [-window 0] [-listen 127.0.0.1:0] ...
-//	nsd -gen [-seconds 120] [-pps 424] [-scenario ddos] ...
-//	nsd -gen -adaptive -window 5s [-k 16] [-min-k 4] [-max-k 4096]
-//	    [-target 0.25] ...
+//	nsd -in trace.nstr -adaptive -window 5s [-k 16] [-min-k 4]
+//	    [-max-k 4096] [-target 0.25] ...
+//
+// The input is an NSTR file (nstrace gen writes one, steady-state or a
+// preset anomaly scenario), mapped and streamed without ever holding
+// the population: the timer period, k times the mean gap, comes in O(1)
+// from the header's record count and the first and last records.
 //
 // -adaptive replaces the fixed sampler with the closed-loop controller
 // of DESIGN.md §5: every window barrier, the merged snapshot's worst
@@ -47,6 +51,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,7 +61,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -68,7 +72,6 @@ import (
 	"netsample/internal/pipeline"
 	"netsample/internal/store"
 	"netsample/internal/trace"
-	"netsample/internal/traffgen"
 )
 
 func main() {
@@ -76,13 +79,9 @@ func main() {
 	log.SetPrefix("nsd: ")
 
 	var (
-		listen   = flag.String("listen", "127.0.0.1:0", "agent listen address")
-		in       = flag.String("in", "", "NSTR trace file to stream (mutually exclusive with -gen)")
-		gen      = flag.Bool("gen", false, "generate the input with traffgen instead of reading a file")
-		seconds  = flag.Int("seconds", 120, "generated trace duration in seconds (-gen)")
-		pps      = flag.Float64("pps", 424, "generated average packets per second (-gen)")
-		scenario = flag.String("scenario", "", "generate a preset anomaly scenario instead of steady-state traffic (-gen): "+strings.Join(traffgen.ScenarioNames(), ", "))
-		method   = flag.String("method", "systematic",
+		listen = flag.String("listen", "127.0.0.1:0", "agent listen address")
+		in     = flag.String("in", "", "NSTR trace file to stream (required; nstrace gen writes one)")
+		method = flag.String("method", "systematic",
 			"sampling method, applied to the whole stream at any shard count: systematic, stratified, systematic-timer, stratified-timer")
 		k            = flag.Int("k", 100, "sampling granularity (1 in k packets, or the timer equivalent)")
 		adaptive     = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target (requires -window > 0; -k is the starting granularity)")
@@ -91,7 +90,7 @@ func main() {
 		targetPhi    = flag.Float64("target", 0.25, "adaptive: φ budget; refine when a window's worst φ exceeds it")
 		shards       = flag.Int("shards", 1, "worker shard count (flows are hash-partitioned after selection; the selected set does not depend on it)")
 		window       = flag.Duration("window", 0, "snapshot window on the trace's virtual clock (0 = one final window)")
-		seed         = flag.Uint64("seed", 1993, "root RNG seed for random methods and -gen")
+		seed         = flag.Uint64("seed", 1993, "root RNG seed for the random methods")
 		topk         = flag.Int("topk", pipeline.DefaultTopKReport, "heavy-hitter flows per snapshot")
 		flowTimeout  = flag.Duration("flow-timeout", 15*time.Second, "flow idle timeout on the virtual clock")
 		name         = flag.String("name", "nsd", "node name in exported snapshots")
@@ -127,18 +126,24 @@ func main() {
 		}()
 	}
 
-	if (*in == "") == !*gen {
-		log.Fatal("exactly one of -in or -gen is required")
+	if *in == "" {
+		log.Fatal("-in is required (nstrace gen writes a trace)")
 	}
-	tr, src, closeSrc, err := loadSource(*in, *gen, *scenario, *seconds, *pps, *seed)
+	// The pipeline ingests raw record windows straight out of the page
+	// cache; a torn file is refused here, before anything is served.
+	src, err := trace.OpenMap(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if tr.Len() == 0 {
+	records, firstUS, lastUS, err := src.Span()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if records == 0 {
 		log.Fatal("input trace is empty")
 	}
 
-	cfg := buildConfig(tr, *method, *k, *window, *seed, *topk, *flowTimeout)
+	cfg := buildConfig(records, lastUS-firstUS, *method, *k, *window, *seed, *topk, *flowTimeout)
 	if *adaptive {
 		if *method != "systematic" {
 			log.Fatalf("-adaptive steers systematic granularity; -method %s is not supported", *method)
@@ -205,9 +210,9 @@ func main() {
 	}()
 
 	err = p.Run(src)
-	// Nothing reads the input once Run returns: the served snapshots are
-	// copies, and the trace's last reader was buildConfig's timer period.
-	if cerr := closeSrc(); cerr != nil {
+	// Nothing reads the mapping once Run returns: the served snapshots
+	// are copies.
+	if cerr := src.Close(); cerr != nil {
 		log.Printf("close input: %v", cerr)
 	}
 	if err != nil {
@@ -254,56 +259,11 @@ func main() {
 	}
 }
 
-// loadSource opens the daemon's input: the trace (which the timer
-// methods' period is derived from) plus the pipeline source to stream,
-// plus a release. A file input is memory-mapped once and is both: the
-// pipeline ingests raw record windows straight out of the page cache,
-// and the trace is a read-only view of the same records (DESIGN.md §3)
-// — it dies with the release, so call that only once Run has returned.
-// Generated input replays from memory and its release is a no-op.
-func loadSource(in string, gen bool, scenario string, seconds int, pps float64, seed uint64) (*trace.Trace, pipeline.Source, func() error, error) {
-	if gen {
-		if scenario != "" {
-			s, err := traffgen.PresetScenario(scenario, seed, time.Duration(seconds)*time.Second)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			tr, err := traffgen.GenerateScenario(s)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return tr, tr.Replay(), func() error { return nil }, nil
-		}
-		cfg := traffgen.NSFNETHour()
-		cfg.Seed = seed
-		cfg.Duration = time.Duration(seconds) * time.Second
-		cfg.TargetPPS = pps
-		tr, err := traffgen.Generate(cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return tr, tr.Replay(), func() error { return nil }, nil
-	}
-	mr, err := trace.OpenMap(in)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tr, err := mr.Trace()
-	if err != nil {
-		// The format error is the one to report; an unmap failure on the
-		// abandoned mapping has no caller-visible effect.
-		//nslint:allow errdrop trace materialization failed; the munmap error would mask the real cause
-		mr.Close()
-		return nil, nil, nil, err
-	}
-	return tr, mr, mr.Close, nil
-}
-
 // buildConfig assembles the pipeline configuration: the one sampler of
 // the chosen method. Each window is scored against the parent the
-// pipeline's reader tallies, so the trace is read only for the timer
-// period.
-func buildConfig(tr *trace.Trace, method string, k int,
+// pipeline's reader tallies; of the input only its record count and
+// span are read, for the timer period.
+func buildConfig(records int, spanUS int64, method string, k int,
 	window time.Duration, seed uint64, topk int, flowTimeout time.Duration) pipeline.Config {
 
 	cfg := pipeline.Config{
@@ -315,11 +275,16 @@ func buildConfig(tr *trace.Trace, method string, k int,
 	// The random methods draw from the first child of the seed's root
 	// stream: a run's batch twin is Select(tr, dist.NewRNG(seed).Split()).
 	rng := dist.NewRNG(seed).Split()
-	// Only the timer methods read the period; a trace too short to have
-	// one leaves it 0, which their constructors reject.
-	period, _ := core.PeriodForGranularity(tr, float64(k))
+	// Only the timer methods read the period. Where there is none (a
+	// trace too short to have one, a k whose period overflows) their
+	// constructors refuse the 0, and perr says why.
+	period, perr := core.PeriodForSpan(records, spanUS, float64(k))
 	cfg.NewSampler = func(int) (online.Sampler, error) {
-		return online.New(method, k, period, rng)
+		s, err := online.New(method, k, period, rng)
+		if perr != nil && errors.Is(err, online.ErrBadPeriod) {
+			return nil, fmt.Errorf("%w: %w", err, perr)
+		}
+		return s, err
 	}
 	return cfg
 }

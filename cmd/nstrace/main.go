@@ -6,17 +6,18 @@
 //
 // Usage:
 //
-//	nstrace gen    -out trace.nstr [-seconds 3600] [-pps 424] [-seed 1993] [-trend 0] [-q]
+//	nstrace gen    -out trace.nstr [-seconds 3600] [-pps 424] [-seed 1993] [-trend 0] [-scenario ddos] [-q]
 //	nstrace sample -in trace.nstr -out sampled.nstr [-method systematic] [-k 50] [-offset 0] [-seed 1]
 //	nstrace phi    -in trace.nstr [-method systematic] [-k 50] [-target size] [-reps 5] [-seed 1]
 //	nstrace info   -in trace.nstr [-convert out.pcap] [-flows] [-flow-timeout 2s]
 //
 // gen's defaults write the study's calibrated parent population: one
-// hour, ≈424 packets/s, 400 µs capture clock. Every subcommand that
-// reads a trace reads NSTR, or libpcap (raw-IP, little-endian) with
-// -format pcap; info -convert writes it in the other format. For the
-// timer methods -k chooses the period as k times the trace's mean
-// interarrival time.
+// hour, ≈424 packets/s, 400 µs capture clock; -scenario writes one of
+// traffgen's preset anomaly scenarios over that baseline instead. Every
+// subcommand that reads a trace reads NSTR, or libpcap (raw-IP,
+// little-endian) with -format pcap; info -convert writes it in the
+// other format. For the timer methods -k chooses the period as k times
+// the trace's mean interarrival time.
 package main
 
 import (
@@ -42,7 +43,7 @@ import (
 )
 
 const usage = `usage:
-  nstrace gen    -out trace.nstr [-seconds 3600] [-pps 424] [-seed 1993] [-trend 0] [-q]
+  nstrace gen    -out trace.nstr [-seconds 3600] [-pps 424] [-seed 1993] [-trend 0] [-scenario ddos] [-q]
   nstrace sample -in trace.nstr -out sampled.nstr [-method systematic] [-k 50] [-offset 0] [-seed 1]
   nstrace phi    -in trace.nstr [-method systematic] [-k 50] [-target size] [-reps 5] [-seed 1]
   nstrace info   -in trace.nstr [-convert out.pcap] [-flows] [-flow-timeout 2s]
@@ -134,6 +135,8 @@ func gen(fs *flag.FlagSet, args []string) {
 	pps := fs.Float64("pps", 424, "target average packets per second")
 	seed := fs.Uint64("seed", 0x53445343_1993, "generator seed")
 	trend := fs.Float64("trend", 0, "linear load trend across the trace (e.g. 0.2 = +20%)")
+	scenario := fs.String("scenario", "", "write a preset anomaly scenario instead of steady-state traffic, ignoring -pps and -trend: "+
+		strings.Join(traffgen.ScenarioNames(), ", "))
 	quiet := fs.Bool("q", false, "suppress the summary")
 	parse(fs, args, out)
 
@@ -142,8 +145,14 @@ func gen(fs *flag.FlagSet, args []string) {
 	cfg.Duration = time.Duration(*seconds) * time.Second
 	cfg.TargetPPS = *pps
 	cfg.Envelope.TrendPerHour = *trend
-
-	tr, err := traffgen.Generate(cfg)
+	s := traffgen.Scenario{Base: cfg} // what traffgen.Generate(cfg) runs
+	if *scenario != "" {
+		var err error
+		if s, err = traffgen.PresetScenario(*scenario, *seed, cfg.Duration); err != nil {
+			log.Fatalf("generate: %v", err)
+		}
+	}
+	tr, err := traffgen.GenerateScenario(s)
 	if err != nil {
 		log.Fatalf("generate: %v", err)
 	}

@@ -73,10 +73,15 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("nstrace gen output: %s", out)
 	}
+	// An unknown scenario is refused, naming the presets.
+	bad, err := exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".x", "-scenario", "nope").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(bad), `unknown scenario "nope" (have ddos, flashcrowd, hhchurn, portscan, elephantmice)`) {
+		t.Fatalf("nstrace gen -scenario nope: err %v, want a non-zero exit naming the presets:\n%s", err, bad)
+	}
 	// A NaN rate is refused by the generator's validation, not by a
 	// makeslice panic in the buffer it would have sized.
-	bad, err := exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".nan", "-pps", "NaN").CombinedOutput()
-	var exit *exec.ExitError
+	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".nan", "-pps", "NaN").CombinedOutput()
 	if !errors.As(err, &exit) || !strings.Contains(string(bad), "must be finite") || strings.Contains(string(bad), "panic:") {
 		t.Fatalf("nstrace gen -pps NaN: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
 	}
@@ -175,8 +180,9 @@ func TestCLIExperimentsOnly(t *testing.T) {
 // noccollect must say that windows 1–9 were cut between polls and not
 // collected.
 func TestCLICollectionPair(t *testing.T) {
-	dir := buildTools(t, "nsd", "noccollect", "nocquery")
-	addr := serveNSD(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "10", "-window", "1s", "-name", "test-node")
+	dir := buildTools(t, "nstrace", "nsd", "noccollect", "nocquery")
+	in := genTrace(t, dir, "-seconds", "10", "-seed", "1993")
+	addr := serveNSD(t, filepath.Join(dir, "nsd"), "-in", in, "-window", "1s", "-name", "test-node")
 
 	storeDir := filepath.Join(t.TempDir(), "store")
 	out := run(t, filepath.Join(dir, "noccollect"),
@@ -194,6 +200,47 @@ func TestCLICollectionPair(t *testing.T) {
 	for _, want := range []string{"store chain verified", "window test-node/10 ", "merged 1 windows from test-node"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("nocquery output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// genTrace writes a trace with the nstrace binary in dir, gen's args
+// appended, and returns its path.
+func genTrace(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "gen.nstr")
+	run(t, filepath.Join(dir, "nstrace"), append([]string{"gen", "-q", "-out", path}, args...)...)
+	return path
+}
+
+// TestNSDRefusesBeforeServing: input nsd cannot run as asked ends the
+// process with status 1 and one log line before the listen banner or
+// any window line — a torn trace file, a timer k whose period
+// overflows (not run as a census), a NaN φ budget (not run with a dead
+// controller).
+func TestNSDRefusesBeforeServing(t *testing.T) {
+	dir := buildTools(t, "nstrace", "nsd")
+	in := genTrace(t, dir, "-seconds", "30")
+	whole, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(t.TempDir(), "torn.nstr")
+	if err := os.WriteFile(torn, whole[:20_000], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", torn}, "region truncated (832 of "},
+		{[]string{"-in", in, "-method", "systematic-timer", "-k", "4611686018427387904"}, "past int64"},
+		{[]string{"-in", in, "-method", "stratified-timer", "-k", "4611686018427387904"}, "past int64"},
+		{[]string{"-in", in, "-adaptive", "-window", "5s", "-target", "NaN"}, "TargetPhi must be positive"},
+	} {
+		out := runExit(t, 1, filepath.Join(dir, "nsd"), append(tc.args, "-once")...)
+		if !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("nsd %v: want one line naming %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

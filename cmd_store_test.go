@@ -186,9 +186,10 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 // refused without -verify too — the query exits non-zero naming the
 // missing segment instead of merging the windows that survive.
 func TestNocqueryRefusesBrokenChain(t *testing.T) {
-	dir := buildTools(t, "nsd", "nocquery")
+	dir := buildTools(t, "nstrace", "nsd", "nocquery")
 	storeDir := filepath.Join(t.TempDir(), "snapstore")
-	run(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "10", "-window", "1s", "-once", "-q",
+	in := genTrace(t, dir, "-seconds", "10", "-seed", "1993")
+	run(t, filepath.Join(dir, "nsd"), "-in", in, "-window", "1s", "-once", "-q",
 		"-store", storeDir, "-store-segment", "2")
 	segs, err := filepath.Glob(filepath.Join(storeDir, "seg-*.nss"))
 	if err != nil || len(segs) < 3 {
@@ -331,8 +332,9 @@ func TestNSDStoreSinkCountsLostWindows(t *testing.T) {
 // name how many collected windows it lost and exit 1. No permission bit
 // stops root, so a zero file-size limit makes every segment write fail.
 func TestNoccollectStoreCountsLostWindows(t *testing.T) {
-	dir := buildTools(t, "nsd", "noccollect")
-	addr := serveNSD(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "10", "-window", "1s")
+	dir := buildTools(t, "nstrace", "nsd", "noccollect")
+	in := genTrace(t, dir, "-seconds", "10", "-seed", "1993")
+	addr := serveNSD(t, filepath.Join(dir, "nsd"), "-in", in, "-window", "1s")
 	// Two cycles read window 10 twice: one window collected, one lost.
 	out := runExit(t, 1, "sh", "-c", `ulimit -f 0 && exec "$0" "$@"`, filepath.Join(dir, "noccollect"),
 		"-agents", addr, "-cycles", "2", "-interval", "10ms", "-store", filepath.Join(t.TempDir(), "store"))

@@ -111,20 +111,29 @@ func Observations(tr *trace.Trace, target Target, indices []int) []float64 {
 // fraction on the given trace: k times the trace's mean interarrival
 // time. It fails on traces with fewer than two packets or zero span.
 func PeriodForGranularity(tr *trace.Trace, k float64) (int64, error) {
-	if k < 1 {
+	var span int64
+	if n := tr.Len(); n > 0 {
+		span = tr.Packets[n-1].Time - tr.Packets[0].Time
+	}
+	return PeriodForSpan(tr.Len(), span, k)
+}
+
+// PeriodForSpan is PeriodForGranularity's formula on a population known
+// only by its record count and the span from its first to its last
+// timestamp — what a stream knows in O(1) (trace.MapReader.Span): k
+// times the mean gap span/(records-1), at least 1 µs. A k below 1, or
+// one whose period does not fit in int64 µs, is ErrBadGranularity.
+func PeriodForSpan(records int, spanUS int64, k float64) (int64, error) {
+	if !(k >= 1) {
 		return 0, ErrBadGranularity
 	}
-	if tr.Len() < 2 {
+	if records < 2 || spanUS <= 0 {
 		return 0, ErrEmptyPopulation
 	}
-	span := tr.Packets[tr.Len()-1].Time - tr.Packets[0].Time
-	if span <= 0 {
-		return 0, ErrEmptyPopulation
+	p := k * (float64(spanUS) / float64(records-1)) // k × the mean gap
+	// 1<<63 is exactly representable; every float below it converts.
+	if p >= 1<<63 {
+		return 0, fmt.Errorf("%w: k=%g gives a %.3g µs period, past int64", ErrBadGranularity, k, p)
 	}
-	meanGap := float64(span) / float64(tr.Len()-1)
-	period := int64(k * meanGap)
-	if period < 1 {
-		period = 1
-	}
-	return period, nil
+	return max(int64(p), 1), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -348,6 +349,21 @@ func TestPeriodForGranularity(t *testing.T) {
 	zero := uniformTrace(5, 0)
 	if _, err := PeriodForGranularity(zero, 10); !errors.Is(err, ErrEmptyPopulation) {
 		t.Error("zero-span trace accepted")
+	}
+	// A period past int64 µs is refused, not converted to MinInt64 and
+	// clamped to 1 µs — a census. The largest k that fits still runs.
+	for _, k := range []float64{1 << 62, math.Inf(1), math.NaN()} {
+		if p, err := PeriodForGranularity(tr, k); !errors.Is(err, ErrBadGranularity) {
+			t.Errorf("k=%g: period %d, %v; want ErrBadGranularity", k, p, err)
+		}
+	}
+	if p, err := PeriodForGranularity(tr, 1<<52); err != nil || p != 1000<<52 {
+		t.Errorf("k=2^52: period %d, %v; want %d", p, err, int64(1000)<<52)
+	}
+	// The O(1) form a stream uses gives the same period from the record
+	// count and span alone.
+	if p, err := PeriodForSpan(tr.Len(), 100_000, 50); err != nil || p != 50_000 {
+		t.Errorf("PeriodForSpan(101, 100000, 50) = %d, %v; want 50000", p, err)
 	}
 }
 

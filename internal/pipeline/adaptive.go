@@ -42,10 +42,12 @@ func (a *AdaptiveConfig) validate() error {
 	if a.StartK < a.MinK || a.StartK > a.MaxK {
 		return fmt.Errorf("%w: Adaptive.StartK outside [MinK, MaxK]", ErrConfig)
 	}
-	if a.TargetPhi <= 0 {
+	// Negated so NaN, which every comparison fails, is refused too: a
+	// NaN budget would leave the controller at StartK forever.
+	if !(a.TargetPhi > 0) {
 		return fmt.Errorf("%w: Adaptive.TargetPhi must be positive", ErrConfig)
 	}
-	if a.DropBudget < 0 || a.DropBudget >= 1 {
+	if !(a.DropBudget >= 0 && a.DropBudget < 1) {
 		return fmt.Errorf("%w: Adaptive.DropBudget must be in [0, 1)", ErrConfig)
 	}
 	return nil

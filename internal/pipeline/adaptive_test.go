@@ -25,8 +25,10 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{MinK: 1, MaxK: 64, StartK: 65, TargetPhi: 0.25},
 		{MinK: 2, MaxK: 64, StartK: 1, TargetPhi: 0.25},
 		{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0},
+		{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: math.NaN()},
 		{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.25, DropBudget: 1},
 		{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.25, DropBudget: -0.1},
+		{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.25, DropBudget: math.NaN()},
 	}
 	for i, a := range bad {
 		if _, err := New(base(a)); err == nil {

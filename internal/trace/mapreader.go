@@ -143,14 +143,28 @@ func (m *MapReader) Next() (Packet, error) {
 	return one[0], nil
 }
 
-// Trace returns the full trace for random-access consumers (nsd's timer
-// period) without moving the stream position; a truncated region is
-// refused up front. Where the layout identity holds (layout.go) Packets
-// *is* the record region — read-only, dead at Close like every raw view;
+// Span returns the header's record count and the first and last
+// records' timestamps, all core.PeriodForSpan needs, in O(1) and
+// without moving the stream position. It refuses a truncated region.
+func (m *MapReader) Span() (records int, firstUS, lastUS int64, err error) {
+	if m.avail < m.total {
+		return 0, 0, 0, fmt.Errorf("%w: region truncated (%d of %d records present)", ErrFormat, m.avail, m.total)
+	}
+	if m.total == 0 {
+		return 0, 0, 0, nil
+	}
+	last := headerLen + (m.total-1)*recordLen
+	return int(m.total), decodeRecordBytes(m.data[headerLen:]).Time, decodeRecordBytes(m.data[last:]).Time, nil
+}
+
+// Trace returns the full trace for random-access consumers without
+// moving the stream position; a truncated region is refused up front,
+// as by Span. Where the layout identity holds (layout.go) Packets *is*
+// the record region — read-only, dead at Close like every raw view;
 // elsewhere (big-endian, a misaligned NewMapReaderBytes region) a copy.
 func (m *MapReader) Trace() (*Trace, error) {
-	if m.avail < m.total {
-		return nil, fmt.Errorf("%w: region truncated (%d of %d records present)", ErrFormat, m.avail, m.total)
+	if _, _, _, err := m.Span(); err != nil {
+		return nil, err
 	}
 	raw := m.data[headerLen : headerLen+m.total*recordLen]
 	pkts, ok := recordsAsPackets(raw)

@@ -124,9 +124,12 @@ func TestMapReaderTruncation(t *testing.T) {
 	if _, err := m.Next(); !errors.Is(err, ErrFormat) {
 		t.Fatalf("truncated region via Next: %v", err)
 	}
-	// Trace() refuses a truncated region outright.
+	// Trace() and Span() refuse a truncated region outright.
 	if _, err := m.Trace(); !errors.Is(err, ErrFormat) {
 		t.Fatalf("Trace on truncated region: %v", err)
+	}
+	if _, _, _, err := m.Span(); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Span on truncated region: %v", err)
 	}
 }
 
@@ -190,9 +193,12 @@ func TestOpenMapRoundTrip(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	// Trace() must not move the stream position.
+	if n, first, last, err := m.Span(); n != 3 || first != 0 || last != 1200 || err != nil {
+		t.Fatalf("Span() = %d, %d, %d, %v; want 3, 0, 1200", n, first, last, err)
+	}
+	// Neither Trace() nor Span() moves the stream position.
 	if p, err := m.Next(); err != nil || p != tr.Packets[0] {
-		t.Fatalf("position moved by Trace: %v %v", p, err)
+		t.Fatalf("position moved by Trace or Span: %v %v", p, err)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -216,7 +222,8 @@ func TestOpenMapRoundTrip(t *testing.T) {
 // yields a reader whose batched walk never panics, never hands out a
 // misaligned window, and accounts for every record exactly once; on
 // every non-truncated region Trace() — view or copy, as the region's
-// address falls — equals DecodeRecords over the same bytes.
+// address falls — equals DecodeRecords over the same bytes, and Span()
+// reports its length and its first and last timestamps.
 // Checked-in seeds live in testdata/fuzz/FuzzMapReaderBounds
 // (regenerate with NSGEN_CORPUS=1 go test -run TestGenMapCorpus
 // ./internal/trace).
@@ -267,9 +274,10 @@ func FuzzMapReaderBounds(f *testing.F) {
 			t.Fatalf("walk delivered %d records, region holds %d", records, m.avail)
 		}
 		tr, err := m.Trace()
+		n, first, last, serr := m.Span()
 		if m.avail < m.total {
-			if !errors.Is(err, ErrFormat) {
-				t.Fatalf("Trace() on a truncated region: %v", err)
+			if !errors.Is(err, ErrFormat) || !errors.Is(serr, ErrFormat) {
+				t.Fatalf("Trace() or Span() on a truncated region: %v, %v", err, serr)
 			}
 			return
 		}
@@ -277,6 +285,9 @@ func FuzzMapReaderBounds(f *testing.F) {
 		DecodeRecords(want, data[HeaderLen:])
 		if err != nil || !slices.Equal(tr.Packets, want) {
 			t.Fatalf("Trace() differs from DecodeRecords over the region (err=%v)", err)
+		}
+		if serr != nil || n != len(want) || n > 0 && (first != want[0].Time || last != want[n-1].Time) {
+			t.Fatalf("Span() = %d, %d, %d, %v over %d records", n, first, last, serr, len(want))
 		}
 	})
 }

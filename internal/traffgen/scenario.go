@@ -1,8 +1,8 @@
 package traffgen
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"netsample/internal/dist"
@@ -240,7 +240,7 @@ func PresetScenario(name string, seed uint64, dur time.Duration) (Scenario, erro
 			model:     newElephantMiceModel,
 		}}
 	default:
-		return Scenario{}, errors.New("traffgen: unknown scenario " + name)
+		return Scenario{}, fmt.Errorf("traffgen: unknown scenario %q (have %s)", name, strings.Join(ScenarioNames(), ", "))
 	}
 	return s, nil
 }
