@@ -190,7 +190,10 @@ func TestPipelineReservoirApproximatesSimpleRandom(t *testing.T) {
 // population using the same chi-square orientation as Evaluator.Score.
 func scoreSizes(ev *core.Evaluator, sizes []float64) (float64, error) {
 	scheme := bins.PacketSize()
-	counts := bins.Count(scheme, sizes)
+	counts := make([]int64, scheme.NumBins())
+	for _, x := range sizes {
+		counts[scheme.Index(x)]++
+	}
 	observed := make([]float64, len(counts))
 	expected := make([]float64, len(counts))
 	props := ev.PopulationProportions()

@@ -180,14 +180,3 @@ func PacketSize() *Edged { return packetSize }
 // Interarrival returns the paper's interarrival scheme (Section 7.1.2):
 // microsecond ranges <800, 800–1199, 1200–2399, 2400–3599, >=3600.
 func Interarrival() *Edged { return interarrival }
-
-// Count tallies the observations xs into the scheme's bins.
-//
-//nslint:allow unreached reference tally the core and integration tests score the fused kernels against
-func Count(s *Edged, xs []float64) []int64 {
-	counts := make([]int64, s.NumBins())
-	for _, x := range xs {
-		counts[s.Index(x)]++
-	}
-	return counts
-}

@@ -52,22 +52,22 @@ type Agent struct {
 	Sleep func(time.Duration)
 }
 
-// now reads the agent's clock. This is the package's sanctioned
-// wall-clock seam; everything else must go through it.
-func (a *Agent) now() time.Time {
-	if a.Clock != nil {
-		return a.Clock()
+// now reads clock, or the real time when clock is nil: the package's
+// one wall-clock seam, behind the agent's and the collector's Clock.
+func now(clock func() time.Time) time.Time {
+	if clock != nil {
+		return clock()
 	}
 	return time.Now() //nslint:allow noclock default of the injectable Clock seam
 }
 
-// pause sleeps for d through the injectable seam.
-func (a *Agent) pause(d time.Duration) {
+// pause sleeps for d through sleep, or time.Sleep when sleep is nil.
+func pause(sleep func(time.Duration), d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if a.Sleep != nil {
-		a.Sleep(d)
+	if sleep != nil {
+		sleep(d)
 		return
 	}
 	time.Sleep(d)
@@ -152,7 +152,7 @@ func (a *Agent) acceptLoop() {
 				return
 			}
 			log.Printf("collect agent %s: accept (attempt %d, retrying in %v): %v", a.Node, failures, backoff, err)
-			a.pause(backoff)
+			pause(a.Sleep, backoff)
 			backoff = min(2*backoff, acceptBackoffMax)
 			continue
 		}
@@ -174,7 +174,7 @@ func (a *Agent) handle(conn net.Conn) {
 	defer conn.Close()
 	for {
 		if a.IOTimeout > 0 {
-			_ = conn.SetDeadline(a.now().Add(a.IOTimeout))
+			_ = conn.SetDeadline(now(a.Clock).Add(a.IOTimeout))
 		}
 		msgType, _, err := readFrame(conn)
 		if err != nil {
@@ -185,7 +185,7 @@ func (a *Agent) handle(conn net.Conn) {
 		}
 		respType, payload := a.answer(msgType)
 		if a.IOTimeout > 0 {
-			_ = conn.SetDeadline(a.now().Add(a.IOTimeout))
+			_ = conn.SetDeadline(now(a.Clock).Add(a.IOTimeout))
 		}
 		if err := writeFrame(conn, respType, payload); err != nil {
 			return

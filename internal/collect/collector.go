@@ -52,27 +52,6 @@ type Collector struct {
 	mu sync.Mutex // guards Jitter
 }
 
-// now reads the collector's clock, the package's sanctioned wall-clock
-// seam on the NOC side.
-func (c *Collector) now() time.Time {
-	if c.Clock != nil {
-		return c.Clock()
-	}
-	return time.Now() //nslint:allow noclock default of the injectable Clock seam
-}
-
-// pause sleeps for d through the injectable seam.
-func (c *Collector) pause(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.Sleep != nil {
-		c.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // retryDelay computes the pause before retry attempt n (1-based):
 // exponential backoff from Backoff, capped at MaxBackoff, plus uniform
 // jitter drawn from the collector's seeded RNG.
@@ -112,7 +91,7 @@ func (c *Collector) PollSnapshot(addr string) (*Snapshot, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {
-			c.pause(c.retryDelay(attempt))
+			pause(c.Sleep, c.retryDelay(attempt))
 		}
 		payload, err := c.exchange(addr)
 		if err == nil {
@@ -145,7 +124,7 @@ func (c *Collector) exchange(addr string) ([]byte, error) {
 	}
 	defer conn.Close()
 	if c.Timeout > 0 {
-		_ = conn.SetDeadline(c.now().Add(c.Timeout))
+		_ = conn.SetDeadline(now(c.Clock).Add(c.Timeout))
 	}
 	if err := writeFrame(conn, TypeSnapshotQuery, nil); err != nil {
 		return nil, fmt.Errorf("collect: send to %s: %w", addr, err)

@@ -85,7 +85,7 @@ func TestSignificanceRejectsWrongPopulation(t *testing.T) {
 		// Score the foreign sample's observations against pop's bins by
 		// transplanting the indices: build observations from `other`.
 		obs := Observations(other, TargetSize, idx)
-		counts := bins.Count(bins.PacketSize(), obs)
+		counts := tally(bins.PacketSize(), obs)
 		observed := make([]float64, len(counts))
 		expected := make([]float64, len(counts))
 		props := ev.PopulationProportions()

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"netsample/internal/dist"
-	"netsample/internal/metrics"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
@@ -89,31 +88,20 @@ func (NetPairCategorizer) Label(key uint64) string {
 // RestCategory is the fold target for sparse cells.
 const RestCategory = "(rest)"
 
-// excludedCell marks a packet the categorizer excluded.
-const excludedCell = -1
-
 // CategoricalEvaluator scores samples on a discrete characterization.
 // Like Evaluator it classifies the population once: construction
-// resolves every packet to its folded cell in a per-packet table, and
-// scoring a sample is a counts pass over that table — the categorizer
-// is never consulted again. Immutable after construction and safe for
-// concurrent use; the mutable scoring state is a catScorer borrowed from
-// the evaluator's free list.
+// resolves every packet to its folded cell in the per-packet cell
+// table (-1 for a packet the categorizer excluded), and scoring a
+// sample is a counts pass over that table — the categorizer is never
+// consulted again. Immutable after construction and safe for
+// concurrent use.
 type CategoricalEvaluator struct {
-	pop        *trace.Trace
+	cellTable[int32]
 	categories []string // folded category labels, sorted, (rest) last if present
-	cell       []int32  // per-packet index into categories; excludedCell = no category
-	popCounts  []float64
-	popTotal   float64
-	scorers    freeList[catScorer]
 }
 
 // ErrNoCategories reports a population with no categorizable packets.
 var ErrNoCategories = errors.New("core: population has no categorizable packets")
-
-// errNoCategorizable is returned when scoring a sample none of whose
-// packets the categorizer kept.
-var errNoCategorizable = errors.New("core: sample has no categorizable packets")
 
 // NewCategoricalEvaluator analyzes the population. Categories whose
 // population share is below minShare (e.g. 0.001) are folded into
@@ -131,7 +119,7 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 	for i, p := range pop.Packets {
 		key, ok := cat.Key(p)
 		if !ok {
-			cell[i] = excludedCell
+			cell[i] = -1
 			continue
 		}
 		id, seen := ids[key]
@@ -164,7 +152,7 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 		}
 	}
 	slices.SortFunc(keep, func(a, b kept) int { return strings.Compare(a.label, b.label) })
-	e := &CategoricalEvaluator{pop: pop, cell: cell, popTotal: total}
+	e := &CategoricalEvaluator{cellTable: cellTable[int32]{pop: pop, cells: cell, popTotal: total}}
 	restCell := int32(len(keep))
 	toCell := make([]int32, len(raw))
 	for i := range toCell {
@@ -184,7 +172,7 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 	}
 	// Pass 2: rewrite key numbers to folded cell indices.
 	for i, id := range cell {
-		if id != excludedCell {
+		if id >= 0 {
 			cell[i] = toCell[id]
 		}
 	}
@@ -194,85 +182,8 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 // NumCells returns the number of scored cells (after folding).
 func (e *CategoricalEvaluator) NumCells() int { return len(e.categories) }
 
-// catScorer is the worker-local mutable state of categorical scoring:
-// per-cell observation counts fed by selection visits, plus the
-// expected/scaled scratch of the metric kernel. The categorical
-// counterpart of Scorer.
-type catScorer struct {
-	e        *CategoricalEvaluator
-	observed []float64
-	expected []float64
-	scaled   []float64
-	selected int
-}
-
-// scorer borrows an idle catScorer, making one when every scorer is in
-// use; release returns it.
-func (e *CategoricalEvaluator) scorer() *catScorer {
-	if s := e.scorers.get(); s != nil {
-		return s
-	}
-	n := len(e.categories)
-	return &catScorer{e: e, observed: make([]float64, n), expected: make([]float64, n), scaled: make([]float64, n)}
-}
-func (e *CategoricalEvaluator) release(s *catScorer) { e.scorers.put(s) }
-
-// reset clears the accumulated sample.
-func (s *catScorer) reset() {
-	clear(s.observed)
-	s.selected = 0
-}
-
-// visit records the selection of packet i. Packets the categorizer
-// excluded still count toward the sample size, not toward any cell.
-//
-//nslint:hotpath
-func (s *catScorer) visit(i int) {
-	s.selected++
-	if c := s.e.cell[i]; c != excludedCell {
-		s.observed[c]++
-	}
-}
-
-// report scores the accumulated sample.
-func (s *catScorer) report() (metrics.Report, error) {
-	e := s.e
-	var n float64
-	for _, c := range s.observed {
-		n += c
-	}
-	if n == 0 {
-		return metrics.Report{}, errNoCategorizable
-	}
-	scale := e.popTotal / n
-	for i, c := range s.observed {
-		s.expected[i] = n * e.popCounts[i] / e.popTotal
-		s.scaled[i] = c * scale
-	}
-	return reportMetrics(s.observed, s.expected, s.scaled, e.popCounts, n/e.popTotal)
-}
-
 // ReplicateCategorical runs a sampler n times against a categorical
-// evaluator, mirroring Replicate for the binned targets: selection
-// visits feed the cell counts directly, with one reused child RNG, so
-// the per-replication loop allocates nothing.
+// evaluator, as Replicate does for the binned targets.
 func ReplicateCategorical(e *CategoricalEvaluator, s Sampler, n int, r *dist.RNG) ([]Replication, error) {
-	out := make([]Replication, 0, n)
-	sc := e.scorer()
-	defer e.release(sc)
-	child := dist.NewRNG(0)
-	visit := sc.visit
-	for i := 0; i < n; i++ {
-		r.SplitInto(child)
-		sc.reset()
-		if err := s.SelectEach(e.pop, child, visit); err != nil {
-			return nil, err
-		}
-		rep, err := sc.report()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Replication{SampleSize: sc.selected, Report: rep})
-	}
-	return out, nil
+	return e.resample(s, n, r)
 }

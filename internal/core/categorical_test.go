@@ -45,10 +45,9 @@ func TestPortCategorizer(t *testing.T) {
 	}
 }
 
-// The declarations down to TestProtocolCategorizer have no caller outside
-// the tests — every figure scores through ReplicateCategorical — and so
-// live here: a third categorizer to drive the kernel with, and the
-// Select-then-Score entry the kernel is held bit-equal through.
+// ProtocolCategorizer has no caller outside the tests — every figure
+// scores ports or net pairs — and so lives here: a third categorizer to
+// drive the kernel with.
 
 // ProtocolCategorizer maps packets to their IP protocol; the key is the
 // protocol number.
@@ -64,19 +63,6 @@ func (ProtocolCategorizer) Key(p trace.Packet) (uint64, bool) {
 
 // Label implements Categorizer.
 func (ProtocolCategorizer) Label(key uint64) string { return packet.Protocol(key).String() }
-
-// Score computes the metric report of a sample (indices into the
-// population trace) for this characterization.
-func (e *CategoricalEvaluator) Score(indices []int) (metrics.Report, error) {
-	sc := e.scorer()
-	sc.reset()
-	for _, idx := range indices {
-		sc.visit(idx)
-	}
-	rep, err := sc.report()
-	e.release(sc)
-	return rep, err
-}
 
 func TestProtocolCategorizer(t *testing.T) {
 	var c ProtocolCategorizer
@@ -341,19 +327,25 @@ func (e *refEvaluator) score(pop *trace.Trace, cat Categorizer, indices []int) (
 		n++
 	}
 	if n == 0 {
-		return metrics.Report{}, errors.New("core: sample has no categorizable packets")
+		return metrics.Report{}, errEmptySample
 	}
 	for i := range observed {
-		expected[i] = n * e.popCounts[i] / e.popTotal
+		expected[i] = n * (e.popCounts[i] / e.popTotal)
 		scaled[i] = observed[i] * (e.popTotal / n)
 	}
-	rep, err := metrics.Evaluate(observed, expected, n/e.popTotal, 0)
-	if err != nil {
+	var rep metrics.Report
+	var errs [7]error
+	rep.ChiSquare, errs[0] = metrics.ChiSquare(observed, expected)
+	rep.Significance, errs[1] = metrics.Significance(observed, expected, 0)
+	rep.Cost, errs[2] = metrics.Cost(scaled, e.popCounts)
+	rep.RelativeCost, errs[3] = metrics.RelativeCost(scaled, e.popCounts, n/e.popTotal)
+	rep.PaxsonX2, errs[4] = metrics.PaxsonX2(observed, expected)
+	rep.AvgNormDev, errs[5] = metrics.AvgNormDeviation(observed, expected)
+	rep.Phi, errs[6] = metrics.Phi(observed, expected)
+	if err := errors.Join(errs[:]...); err != nil {
 		return metrics.Report{}, err
 	}
-	rep.Cost, _ = metrics.Cost(scaled, e.popCounts)
-	rep.RelativeCost, err = metrics.RelativeCost(scaled, e.popCounts, n/e.popTotal)
-	return rep, err
+	return rep, nil
 }
 
 // sameBits reports whether two float slices are bit-identical.
@@ -504,7 +496,7 @@ func TestCategoricalExcludedPackets(t *testing.T) {
 	if got != want {
 		t.Errorf("excluded packets moved the report: %+v vs %+v", got, want)
 	}
-	if _, err := ev.Score(icmp); err == nil || err.Error() != "core: sample has no categorizable packets" {
+	if _, err := ev.Score(icmp); !errors.Is(err, errEmptySample) {
 		t.Errorf("all-excluded sample: err = %v", err)
 	}
 	// Every packet selected, excluded ones included, is in SampleSize.

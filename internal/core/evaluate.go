@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"netsample/internal/bins"
 	"netsample/internal/dist"
@@ -15,39 +14,20 @@ import (
 // Evaluator scores samples of one trace window against the window's full
 // population for one target distribution, using one binning scheme.
 // Scoring counts (ScoreCounts) needs only the per-bin population; batch
-// scoring of selected packets (Scorer, Score, Replicate) builds a
-// per-packet bin-index table on first use, so that scoring a sample is a
-// fused pass: selection visits feed a small per-bin counts array and the
-// metrics are computed straight from the counts — no index slice,
+// scoring of selected packets (Scorer, Score, Replicate) reads a
+// per-packet bin-index table the first scorer builds, so that scoring a
+// sample is a fused pass: selection visits feed a small per-bin counts
+// array, scored by the one kernel, reportFromCounts — no index slice,
 // observation slice, or re-classification per sample (DESIGN.md §4).
-//
-// Scoring follows the paper's goodness-of-fit orientation: the expected
-// count in bin i is n·pᵢ, where n is the sample size and pᵢ the known
-// parent-population proportion (no fitted parameters, so the χ² test has
-// B-1 degrees of freedom). The cost and relative-cost metrics are instead
-// computed on population scale — sample counts scaled up by N/n against
-// the population counts — because they model absolute packet-count
-// discrepancies (the charging example of Section 5.2).
 //
 // An Evaluator's population analysis is immutable after construction and
 // it is safe for concurrent use; the worker-local mutable scoring state
 // lives in Scorer.
 type Evaluator struct {
-	pop       *trace.Trace
-	target    Target
-	scheme    *bins.Edged
-	popCounts []float64 // population count per bin
-	popTotal  float64
-	// index guards binIdx, the per-packet bin index (noObservation = no
-	// observation), which the first NewScorer builds.
-	index   sync.Once
-	binIdx  []uint8
-	scorers freeList[Scorer]
+	cellTable[uint8]
+	target Target
+	scheme *bins.Edged
 }
-
-// noObservation marks a packet that contributes no observation to the
-// target (index 0 of the interarrival target, which has no predecessor).
-const noObservation = 0xFF
 
 // ErrDegenerate reports a population whose observations all fall in bins
 // with zero expected proportion, making χ²-family metrics undefined.
@@ -70,11 +50,11 @@ func NewEvaluator(pop *trace.Trace, target Target, scheme *bins.Edged) (*Evaluat
 		return nil, fmt.Errorf("%w: %d bins (%s)", ErrTooManyBins, nb, scheme.Name())
 	}
 	e := &Evaluator{
-		pop:       pop,
+		cellTable: cellTable[uint8]{pop: pop, popCounts: make([]float64, nb)},
 		target:    target,
 		scheme:    scheme,
-		popCounts: make([]float64, nb),
 	}
+	e.build = e.buildIndex
 	e.count()
 	for _, c := range e.popCounts {
 		e.popTotal += c
@@ -156,19 +136,23 @@ func (e *Evaluator) classify(lo, hi int, dst []uint8, counts *[256]int) {
 	}
 }
 
-// buildIndex fills the per-packet bin-index table batch scoring reads.
-// It runs once per evaluator, under e.index: a caller that scores counts
+// buildIndex makes the per-packet bin-index table batch scoring reads.
+// The first scorer calls it, once: a caller that scores counts
 // (ScoreCounts) never pays its byte per packet. The table reads the
 // population, so an evaluator over a MapReader's trace must not start
 // batch scoring after Close.
-func (e *Evaluator) buildIndex() {
+func (e *Evaluator) buildIndex() []uint8 {
 	binIdx := make([]uint8, e.pop.Len())
 	if e.target == TargetInterarrival && len(binIdx) > 0 {
-		binIdx[0] = noObservation
+		binIdx[0] = 0xFF // no predecessor, no observation
 	}
 	e.classify(firstObservation(e.target), len(binIdx), binIdx, nil)
-	e.binIdx = binIdx
+	return binIdx
 }
+
+// NewScorer returns a ready-to-use Scorer bound to e. The first call
+// builds e's per-packet bin-index table, which Visit reads.
+func (e *Evaluator) NewScorer() *Scorer { return e.newScorer() }
 
 // BinIndexBatch fills dst[i] with the scheme's bin index for
 // observation xs[i], for the whole batch in one branchless
@@ -200,36 +184,9 @@ func (e *Evaluator) PopulationProportions() []float64 {
 	return props
 }
 
-// scorer borrows an idle worker-local Scorer, making one when every
-// scorer is in use; release returns it.
-func (e *Evaluator) scorer() *Scorer {
-	if s := e.scorers.get(); s != nil {
-		return s
-	}
-	return e.NewScorer()
-}
-func (e *Evaluator) release(s *Scorer) { e.scorers.put(s) }
-
-// Score computes the full metric report for a sample given as indices
-// into the evaluator's population trace. It is a thin wrapper over the
-// fused counts path: the indices are folded through the bin-index table
-// and scored with ScoreCounts' kernel.
-func (e *Evaluator) Score(indices []int) (metrics.Report, error) {
-	sc := e.scorer()
-	sc.Reset()
-	for _, idx := range indices {
-		sc.Visit(idx)
-	}
-	rep, err := sc.Report()
-	e.release(sc)
-	return rep, err
-}
-
 // ScoreCounts scores a sample summarized as per-bin observation counts
-// (counts[i] = sample observations in bin i, len(counts) = NumBins()).
-// This is the fused scoring kernel: selection loops that accumulate bin
-// counts directly — e.g. via SelectEach and Scorer.Visit — score without
-// ever materializing indices or observations.
+// (counts[i] = sample observations in bin i, len(counts) = NumBins()),
+// for callers that tally bins themselves.
 func (e *Evaluator) ScoreCounts(counts []float64) (metrics.Report, error) {
 	if len(counts) != len(e.popCounts) {
 		return metrics.Report{}, fmt.Errorf("core: ScoreCounts got %d bins, scheme has %d",
@@ -269,63 +226,6 @@ func ScoreParent(sample, parent []uint64) (metrics.Report, error) {
 	return reportFromCounts(observed[:m], popCounts[:m], popTotal, expected[:m], scaled[:m])
 }
 
-// reportFromCounts is the shared scoring kernel: observed per-bin counts
-// and the parent's per-bin counts and total in, full metric report out.
-// expected and scaled are caller-provided scratch of the counts' length,
-// so steady-state scoring allocates nothing. The arithmetic matches the
-// historical Select+Observations+Count path operation for operation —
-// expected is n times the proportion c/N — so reports are bit-identical
-// to it.
-func reportFromCounts(observed, popCounts []float64, popTotal float64, expected, scaled []float64) (metrics.Report, error) {
-	var n float64
-	for _, c := range observed {
-		n += c
-	}
-	if n == 0 {
-		return metrics.Report{}, errEmptySample
-	}
-	scale := popTotal / n
-	for i, c := range observed {
-		expected[i] = n * (popCounts[i] / popTotal)
-		scaled[i] = c * scale
-	}
-	return reportMetrics(observed, expected, scaled, popCounts, n/popTotal)
-}
-
-// reportMetrics computes the seven-metric report shared by the binned
-// and categorical kernels: the χ² family on sample scale (observed vs
-// expected), the cost metrics on population scale (scaled vs popCounts),
-// fraction being the sampled share of the population.
-func reportMetrics(observed, expected, scaled, popCounts []float64, fraction float64) (metrics.Report, error) {
-	if fraction > 1 {
-		fraction = 1
-	}
-	var rep metrics.Report
-	var err error
-	if rep.ChiSquare, err = metrics.ChiSquare(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.Significance, err = metrics.Significance(observed, expected, 0); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.Cost, err = metrics.Cost(scaled, popCounts); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.RelativeCost, err = metrics.RelativeCost(scaled, popCounts, fraction); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.PaxsonX2, err = metrics.PaxsonX2(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.AvgNormDev, err = metrics.AvgNormDeviation(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	if rep.Phi, err = metrics.Phi(observed, expected); err != nil {
-		return metrics.Report{}, err
-	}
-	return rep, nil
-}
-
 // Phi is a convenience returning only the φ score of a sample.
 func (e *Evaluator) Phi(indices []int) (float64, error) {
 	rep, err := e.Score(indices)
@@ -335,12 +235,6 @@ func (e *Evaluator) Phi(indices []int) (float64, error) {
 	return rep.Phi, nil
 }
 
-// Replication is one scored sample within a replication set.
-type Replication struct {
-	SampleSize int
-	Report     metrics.Report
-}
-
 // Replicate runs a sampler n times with independent randomness (for
 // random methods) and returns the scored replications. Deterministic
 // methods produce identical replications unless the caller varies their
@@ -348,55 +242,30 @@ type Replication struct {
 // directly, with one reused child RNG, so the per-replication loop
 // allocates nothing.
 func Replicate(e *Evaluator, s Sampler, n int, r *dist.RNG) ([]Replication, error) {
-	out := make([]Replication, 0, n)
-	sc := e.scorer()
-	defer e.release(sc)
-	child := dist.NewRNG(0)
-	visit := sc.Visit
-	for i := 0; i < n; i++ {
-		r.SplitInto(child)
-		sc.Reset()
-		if err := s.SelectEach(e.pop, child, visit); err != nil {
-			return nil, err
-		}
-		rep, err := sc.Report()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Replication{SampleSize: sc.SampleSize(), Report: rep})
-	}
-	return out, nil
+	return e.resample(s, n, r)
+}
+
+// ReplicateEach scores n samples of e's population, the i-th selected by
+// sample(i, visit), which calls visit once per selected packet in
+// increasing index order: the replication loop for callers that vary a
+// sampler's parameters from one replication to the next, as
+// SystematicOffsets varies the start offset.
+func ReplicateEach(e *Evaluator, n int, sample func(i int, visit func(int)) error) ([]Replication, error) {
+	return e.replicate(n, sample)
 }
 
 // SystematicOffsets scores systematic count-driven samples at `count`
 // distinct start offsets spread evenly over [0, k), reproducing the
 // paper's technique of varying the point at which sampling begins. It
-// returns one replication per offset, via the fused zero-allocation
-// scoring path.
+// returns one replication per offset.
 func SystematicOffsets(e *Evaluator, k, count int, r *dist.RNG) ([]Replication, error) {
 	if k < 1 {
 		return nil, ErrBadGranularity
 	}
-	if count > k {
-		count = k
-	}
-	out := make([]Replication, 0, count)
-	sc := e.scorer()
-	defer e.release(sc)
-	visit := sc.Visit
-	for i := 0; i < count; i++ {
-		offset := i * k / count
-		sc.Reset()
-		if err := (SystematicCount{K: k, Offset: offset}).SelectEach(e.pop, r, visit); err != nil {
-			return nil, err
-		}
-		rep, err := sc.Report()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Replication{SampleSize: sc.SampleSize(), Report: rep})
-	}
-	return out, nil
+	count = min(count, k)
+	return ReplicateEach(e, count, func(i int, visit func(int)) error {
+		return SystematicCount{K: k, Offset: i * k / count}.SelectEach(e.pop, r, visit)
+	})
 }
 
 // PhiValues extracts the φ scores of a replication set.

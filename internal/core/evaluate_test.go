@@ -313,19 +313,19 @@ func TestBinIndexBatchMatchesScheme(t *testing.T) {
 		// The per-packet table holds each packet's Index, and marks the
 		// interarrival target's first packet as no observation.
 		ev.NewScorer()
-		if len(ev.binIdx) != tr.Len() {
-			t.Fatalf("target %v: bin-index table of %d packets, want %d", target, len(ev.binIdx), tr.Len())
+		if len(ev.cells) != tr.Len() {
+			t.Fatalf("target %v: bin-index table of %d packets, want %d", target, len(ev.cells), tr.Len())
 		}
-		for i := range ev.binIdx {
-			want := uint8(noObservation)
+		for i := range ev.cells {
+			want := uint8(0xFF)
 			switch {
 			case target == TargetSize:
 				want = uint8(scheme.Index(float64(tr.Packets[i].Size)))
 			case i > 0:
 				want = uint8(scheme.Index(float64(tr.Packets[i].Time - tr.Packets[i-1].Time)))
 			}
-			if ev.binIdx[i] != want {
-				t.Fatalf("target %v: binIdx[%d] = %d, want %d", target, i, ev.binIdx[i], want)
+			if ev.cells[i] != want {
+				t.Fatalf("target %v: cells[%d] = %d, want %d", target, i, ev.cells[i], want)
 			}
 		}
 	}

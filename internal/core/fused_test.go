@@ -67,8 +67,18 @@ func TestSelectEachMatchesSelect(t *testing.T) {
 	}
 }
 
+// tally counts the observations xs into the scheme's bins, one Index
+// call each: the reference the batch kernels are held to.
+func tally(s *bins.Edged, xs []float64) []int64 {
+	counts := make([]int64, s.NumBins())
+	for _, x := range xs {
+		counts[s.Index(x)]++
+	}
+	return counts
+}
+
 // TestFusedReportsBitIdentical pins the fused kernel to the legacy path:
-// Score(indices), ScoreCounts over bins.Count of the observations, and
+// Score(indices), ScoreCounts over the tally of the observations, and
 // Scorer fed by SelectEach must agree to the last bit for both targets
 // and all five methods.
 func TestFusedReportsBitIdentical(t *testing.T) {
@@ -114,7 +124,7 @@ func TestFusedReportsBitIdentical(t *testing.T) {
 
 			obs := Observations(tr, tc.target, idx)
 			counts := make([]float64, tc.scheme.NumBins())
-			for i, c := range bins.Count(tc.scheme, obs) {
+			for i, c := range tally(tc.scheme, obs) {
 				counts[i] = float64(c)
 			}
 			fromCounts, err := ev.ScoreCounts(counts)
@@ -223,6 +233,62 @@ func TestReplicationScoringZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fused systematic replication scoring: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestReplicationLoopsAllocsPerCall pins the replication entry points'
+// allocations per call: none per replication (n = 1 and n = 33 cost the
+// same), and at n = 5 no more than one scorer loop over a pooled scorer
+// costs — the result slice, plus the child RNG where replications draw
+// randomness. A sampler or closure boxed per replication shows here.
+func TestReplicationLoopsAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts perturbed under -race")
+	}
+	tr := genTrace(t, 6)
+	ev, err := NewEvaluator(tr, TargetSize, bins.PacketSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := NewCategoricalEvaluator(tr, PortCategorizer{}, 0.0005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dist.NewRNG(3)
+	loops := []struct {
+		name string
+		max  float64 // at n = 5
+		run  func(n int) error
+	}{
+		{"Replicate", 3, func(n int) error {
+			_, err := Replicate(ev, StratifiedCount{K: 64}, n, r)
+			return err
+		}},
+		{"ReplicateCategorical", 3, func(n int) error {
+			_, err := ReplicateCategorical(cat, StratifiedCount{K: 64}, n, r)
+			return err
+		}},
+		{"SystematicOffsets", 1, func(n int) error {
+			_, err := SystematicOffsets(ev, 64, n, nil)
+			return err
+		}},
+	}
+	for _, l := range loops {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if err := l.run(n); err != nil {
+					panic(err)
+				}
+			})
+		}
+		one, five, many := allocs(1), allocs(5), allocs(33)
+		if one != many {
+			t.Errorf("%s allocates per replication: %v allocs for 1, %v for 33", l.name, one, many)
+		}
+		if five > l.max {
+			t.Errorf("%s: %v allocs at n = 5, want ≤ %v", l.name, five, l.max)
+		}
+		t.Logf("%s: %v allocs at n = 1, %v at 5, %v at 33", l.name, one, five, many)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestNewEvaluatorKeepsNoPerPacketState(t *testing.T) {
 		if _, err := ev.ScoreCounts(ev.PopulationProportions()); err != nil {
 			t.Fatal(err)
 		}
-		if ev.binIdx != nil {
+		if ev.cells != nil {
 			t.Errorf("target %v: ScoreCounts built the per-packet index", tc.target)
 		}
 	}
@@ -50,7 +50,7 @@ func TestNewEvaluatorKeepsNoPerPacketState(t *testing.T) {
 // TestFirstScorersBuildIndexOnce races the first NewScorer calls of one
 // evaluator: every scorer must read the same fully built table, and the
 // table must be allocated once (run under -race, a second build is also
-// a reported write/read race on binIdx).
+// a reported write/read race on cells).
 func TestFirstScorersBuildIndexOnce(t *testing.T) {
 	tr := genTrace(t, 32)
 	for _, tc := range evaluatorTargets {
@@ -71,7 +71,7 @@ func TestFirstScorersBuildIndexOnce(t *testing.T) {
 				start.Wait()
 				sc := ev.NewScorer()
 				sc.Visit(tr.Len() - 1)
-				tables[w] = &sc.e.binIdx[0]
+				tables[w] = &sc.t.cells[0]
 			}()
 		}
 		start.Done()
@@ -82,8 +82,8 @@ func TestFirstScorersBuildIndexOnce(t *testing.T) {
 				t.Fatalf("target %v: scorer %d reads a different table than scorer 0", tc.target, w)
 			}
 		}
-		if len(ev.binIdx) != tr.Len() {
-			t.Fatalf("target %v: table holds %d packets, want %d", tc.target, len(ev.binIdx), tr.Len())
+		if len(ev.cells) != tr.Len() {
+			t.Fatalf("target %v: table holds %d packets, want %d", tc.target, len(ev.cells), tr.Len())
 		}
 		if got, n := m1.TotalAlloc-m0.TotalAlloc, uint64(tr.Len()); !raceEnabled && got >= 2*n {
 			t.Errorf("target %v: first scorers allocated %d bytes for a %d-packet table; built more than once", tc.target, got, n)

@@ -154,7 +154,7 @@ func (r *AblationsResult) timerEdge(tr *trace.Trace, size *core.Evaluator) error
 	for _, ev := range []*core.Evaluator{size, iat} {
 		for _, k := range []int{16, 64, 256} {
 			for _, rule := range []string{"next", "previous"} {
-				reps, err := systematicTimerOffsets(ev, tr, k, ablationReps, rule == "previous")
+				reps, err := systematicTimerOffsets(ev, k, ablationReps, rule == "previous")
 				if err != nil {
 					return err
 				}

@@ -452,37 +452,36 @@ func methodsFigure(tr *trace.Trace, target core.Target, figure string, seed uint
 	}
 	const replications = 5
 
-	type methodMaker struct {
-		name string
-		make func(k int) (core.Sampler, error)
-	}
-	makers := []methodMaker{
-		{"systematic/packet", func(k int) (core.Sampler, error) { return SamplerForOffsetless(k), nil }},
-		{"stratified/packet", func(k int) (core.Sampler, error) { return core.StratifiedCount{K: k}, nil }},
-		{"random/packet", func(k int) (core.Sampler, error) { return core.SimpleRandom{K: k}, nil }},
-		{"systematic/timer", func(k int) (core.Sampler, error) { return core.NewSystematicTimer(win, float64(k), 0) }},
-		{"stratified/timer", func(k int) (core.Sampler, error) { return core.NewStratifiedTimer(win, float64(k)) }},
-	}
-	for _, mk := range makers {
-		series := MethodSeries{Method: mk.name}
-		for _, k := range out.Granularities {
-			var reps []core.Replication
-			if mk.name == "systematic/packet" {
-				count := replications
-				if k < count {
-					count = k
-				}
-				reps, err = core.SystematicOffsets(ev, k, count, r)
-			} else if mk.name == "systematic/timer" {
-				// Replicate by varying the first expiry offset.
-				reps, err = systematicTimerOffsets(ev, win, k, replications, false)
-			} else {
-				s, merr := mk.make(k)
-				if merr != nil {
-					return nil, merr
-				}
-				reps, err = core.Replicate(ev, s, replications, r)
+	// Systematic sampling replicates over start offsets, the others
+	// over draws of r.
+	methods := []struct {
+		name      string
+		replicate func(k int) ([]core.Replication, error)
+	}{
+		{"systematic/packet", func(k int) ([]core.Replication, error) {
+			return core.SystematicOffsets(ev, k, replications, r)
+		}},
+		{"stratified/packet", func(k int) ([]core.Replication, error) {
+			return core.Replicate(ev, core.StratifiedCount{K: k}, replications, r)
+		}},
+		{"random/packet", func(k int) ([]core.Replication, error) {
+			return core.Replicate(ev, core.SimpleRandom{K: k}, replications, r)
+		}},
+		{"systematic/timer", func(k int) ([]core.Replication, error) {
+			return systematicTimerOffsets(ev, k, replications, false)
+		}},
+		{"stratified/timer", func(k int) ([]core.Replication, error) {
+			s, err := core.NewStratifiedTimer(win, float64(k))
+			if err != nil {
+				return nil, err
 			}
+			return core.Replicate(ev, s, replications, r)
+		}},
+	}
+	for _, m := range methods {
+		series := MethodSeries{Method: m.name}
+		for _, k := range out.Granularities {
+			reps, err := m.replicate(k)
 			if err != nil {
 				return nil, err
 			}
@@ -493,34 +492,20 @@ func methodsFigure(tr *trace.Trace, target core.Target, figure string, seed uint
 	return out, nil
 }
 
-// SamplerForOffsetless wraps systematic count sampling at offset 0; the
-// replication paths above vary offsets explicitly.
-func SamplerForOffsetless(k int) core.Sampler { return core.SystematicCount{K: k} }
-
-// systematicTimerOffsets replicates systematic timer sampling by varying
-// the first tick within one period. Each tick selects the next arrival,
-// the paper's rule, or with previous the latest arrival before it.
-func systematicTimerOffsets(ev *core.Evaluator, win *trace.Trace, k, count int, previous bool) ([]core.Replication, error) {
-	period, err := core.PeriodForGranularity(win, float64(k))
+// systematicTimerOffsets replicates systematic timer sampling of ev's
+// population by varying the first tick within one period. Each tick
+// selects the next arrival, the paper's rule, or with previous the
+// latest arrival before it.
+func systematicTimerOffsets(ev *core.Evaluator, k, count int, previous bool) ([]core.Replication, error) {
+	pop := ev.Population()
+	period, err := core.PeriodForGranularity(pop, float64(k))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.Replication, 0, count)
-	sc := ev.NewScorer()
-	for i := 0; i < count; i++ {
-		off := int64(i) * period / int64(count)
-		s := core.SystematicTimer{PeriodUS: period, OffsetUS: off, SelectPrevious: previous}
-		sc.Reset()
-		if err := s.SelectEach(win, nil, sc.Visit); err != nil {
-			return nil, err
-		}
-		rep, err := sc.Report()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, core.Replication{SampleSize: sc.SampleSize(), Report: rep})
-	}
-	return out, nil
+	return core.ReplicateEach(ev, count, func(i int, visit func(int)) error {
+		s := core.SystematicTimer{PeriodUS: period, OffsetUS: int64(i) * period / int64(count), SelectPrevious: previous}
+		return s.SelectEach(pop, nil, visit)
+	})
 }
 
 // Figure8 compares the methods on the packet-size target.

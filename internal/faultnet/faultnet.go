@@ -222,11 +222,10 @@ type conn struct {
 	fault Fault
 	sleep func(time.Duration)
 
-	mu       sync.Mutex
-	rpos     int
-	wpos     int
-	tripped  bool // Reset/Partial fired: ops now fail
-	dropping bool // Drop fired: writes claim success, reads report EOF
+	mu      sync.Mutex
+	rpos    int
+	wpos    int
+	tripped bool // Drop, Reset or Partial fired and closed the transport
 }
 
 func (c *conn) Write(p []byte) (int, error) {
@@ -240,12 +239,8 @@ func (c *conn) Write(p []byte) (int, error) {
 		return c.Conn.Write(p)
 	case Corrupt:
 		return c.writeCorrupt(p)
-	case Drop:
-		return c.writeDrop(p)
-	case Partial:
-		return c.writePartial(p)
-	case Reset:
-		return c.writeReset(p)
+	case Drop, Partial, Reset:
+		return c.writeCut(p)
 	}
 	return c.Conn.Write(p)
 }
@@ -261,85 +256,52 @@ func (c *conn) Read(p []byte) (int, error) {
 		return c.Conn.Read(p)
 	case Corrupt:
 		return c.readCorrupt(p)
-	case Drop:
-		return c.readDrop(p)
-	case Reset:
-		return c.readReset(p)
+	case Drop, Reset:
+		return c.readCut(p)
 	}
 	return c.Conn.Read(p)
 }
 
-// writeDrop forwards bytes until the fault offset, then claims success
-// while discarding the rest and closing the transport: the writer sees
-// nothing wrong, the peer sees a truncated stream and then EOF.
-func (c *conn) writeDrop(p []byte) (int, error) {
+// writeCut forwards bytes until the fault offset, then closes the
+// transport; cutWrite says what the write that crosses the offset, and
+// every write after it, returns.
+func (c *conn) writeCut(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dropping {
-		return len(p), nil
+	if c.tripped {
+		return c.cutWrite(p, 0, false)
 	}
 	keep := c.fault.Offset - c.wpos
 	c.wpos += len(p)
 	if keep >= len(p) {
 		return c.Conn.Write(p) //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
 	}
-	c.dropping = true
+	c.tripped = true
+	n := 0
 	if keep > 0 {
-		if n, err := c.Conn.Write(p[:keep]); err != nil { //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
+		var err error
+		if n, err = c.Conn.Write(p[:keep]); err != nil { //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
 			return n, err
 		}
 	}
 	_ = c.Conn.Close() //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-	return len(p), nil
+	return c.cutWrite(p, n, true)
 }
 
-// writePartial forwards the prefix of the write that crosses the fault
-// offset, closes the transport, and reports a short write.
-func (c *conn) writePartial(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tripped {
+// cutWrite is what a tripped write fault returns, n being the prefix
+// the tripping write forwarded. Drop claims success while the rest is
+// lost, so the writer sees nothing wrong and the peer a truncated
+// stream and then EOF. Partial reports a short write, and a closed
+// transport after. Reset fails the write in flight and every one after.
+func (c *conn) cutWrite(p []byte, n int, tripping bool) (int, error) {
+	switch {
+	case c.fault.Kind == Drop:
+		return len(p), nil
+	case c.fault.Kind == Partial && tripping:
+		return n, io.ErrShortWrite
+	case c.fault.Kind == Partial:
 		return 0, net.ErrClosed
 	}
-	keep := c.fault.Offset - c.wpos
-	c.wpos += len(p)
-	if keep >= len(p) {
-		return c.Conn.Write(p) //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-	}
-	c.tripped = true
-	n := 0
-	if keep > 0 {
-		var err error
-		if n, err = c.Conn.Write(p[:keep]); err != nil { //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-			return n, err
-		}
-	}
-	_ = c.Conn.Close() //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-	return n, io.ErrShortWrite
-}
-
-// writeReset forwards bytes until the fault offset, then hard-closes
-// and fails the operation in flight.
-func (c *conn) writeReset(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tripped {
-		return 0, ErrReset
-	}
-	keep := c.fault.Offset - c.wpos
-	c.wpos += len(p)
-	if keep >= len(p) {
-		return c.Conn.Write(p) //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-	}
-	c.tripped = true
-	n := 0
-	if keep > 0 {
-		var err error
-		if n, err = c.Conn.Write(p[:keep]); err != nil { //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-			return n, err
-		}
-	}
-	_ = c.Conn.Close() //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
 	return n, ErrReset
 }
 
@@ -361,42 +323,25 @@ func (c *conn) writeCorrupt(p []byte) (int, error) {
 	return c.Conn.Write(q)
 }
 
-// readDrop serves bytes until the fault offset, then closes the
-// transport and reports EOF: the remaining inbound data was lost before
-// the application saw it.
-func (c *conn) readDrop(p []byte) (int, error) {
+// readCut serves bytes until the fault offset, then closes the
+// transport and fails the read in flight and every one after: with
+// io.EOF for Drop (the remaining inbound data was lost before the
+// application saw it), with ErrReset for Reset.
+func (c *conn) readCut(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dropping {
-		return 0, io.EOF
+	cut := ErrReset
+	if c.fault.Kind == Drop {
+		cut = io.EOF
 	}
-	allow := c.fault.Offset - c.rpos
-	if allow <= 0 {
-		c.dropping = true
-		_ = c.Conn.Close() //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-		return 0, io.EOF
-	}
-	if allow < len(p) {
-		p = p[:allow]
-	}
-	n, err := c.Conn.Read(p) //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-	c.rpos += n
-	return n, err
-}
-
-// readReset serves bytes until the fault offset, then hard-closes and
-// fails the read in flight.
-func (c *conn) readReset(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.tripped {
-		return 0, ErrReset
+		return 0, cut
 	}
 	allow := c.fault.Offset - c.rpos
 	if allow <= 0 {
 		c.tripped = true
 		_ = c.Conn.Close() //nslint:allow mutexhold harness conn serves one sequential exchange; fault accounting must stay ordered with its I/O
-		return 0, ErrReset
+		return 0, cut
 	}
 	if allow < len(p) {
 		p = p[:allow]

@@ -161,34 +161,3 @@ type Report struct {
 	AvgNormDev   float64
 	Phi          float64
 }
-
-// Evaluate computes all metrics at once. fraction is the sampling
-// fraction used for RelativeCost; fitted is passed to Significance.
-//
-//nslint:allow unreached the report core's string-keyed categorical reference is scored with (categorical_test.go)
-func Evaluate(observed, expected []float64, fraction float64, fitted int) (Report, error) {
-	var r Report
-	var err error
-	if r.ChiSquare, err = ChiSquare(observed, expected); err != nil {
-		return Report{}, err
-	}
-	if r.Significance, err = Significance(observed, expected, fitted); err != nil {
-		return Report{}, err
-	}
-	if r.Cost, err = Cost(observed, expected); err != nil {
-		return Report{}, err
-	}
-	if r.RelativeCost, err = RelativeCost(observed, expected, fraction); err != nil {
-		return Report{}, err
-	}
-	if r.PaxsonX2, err = PaxsonX2(observed, expected); err != nil {
-		return Report{}, err
-	}
-	if r.AvgNormDev, err = AvgNormDeviation(observed, expected); err != nil {
-		return Report{}, err
-	}
-	if r.Phi, err = Phi(observed, expected); err != nil {
-		return Report{}, err
-	}
-	return r, nil
-}

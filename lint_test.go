@@ -164,11 +164,9 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		// path (frame encode + leaf hash; sync/seal are cold).
 		"(*" + mp + "/internal/store.Writer).Append",
 		mp + "/internal/store.appendFrame",
-		// TestReplicationScoringZeroAllocs: the fused scoring visit.
-		"(*" + mp + "/internal/core.Scorer).Visit",
-		// TestCategoricalScoringZeroAllocs: the categorical kernel's
-		// per-index visit over the per-packet cell table.
-		"(*" + mp + "/internal/core.catScorer).visit",
+		// TestReplicationScoringZeroAllocs, TestCategoricalScoringZeroAllocs:
+		// the one scorer's per-index visit over the per-packet cell table.
+		"(*" + mp + "/internal/core.scorer[C]).Visit",
 	}
 	in := make(map[string]bool)
 	for _, e := range module.HotClosure() {
