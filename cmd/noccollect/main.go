@@ -52,7 +52,7 @@ func main() {
 	storeSync := flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
 	flag.Parse()
 
-	if *agents == "" {
+	if *agents == "" || *retries < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}

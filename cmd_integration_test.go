@@ -196,6 +196,10 @@ func TestCLICollectionPair(t *testing.T) {
 			t.Fatalf("noccollect output missing %q:\n%s", want, out)
 		}
 	}
+	// A negative retry count is bad input, not a poll that never dials.
+	if out := runExit(t, 2, filepath.Join(dir, "noccollect"), "-agents", addr, "-retries", "-1"); !strings.Contains(out, "Usage of") {
+		t.Fatalf("noccollect -retries -1 printed no usage:\n%s", out)
+	}
 	out = run(t, filepath.Join(dir, "nocquery"), "-store", storeDir, "-verify", "-windows")
 	for _, want := range []string{"store chain verified", "window test-node/10 ", "merged 1 windows from test-node"} {
 		if !strings.Contains(out, want) {

@@ -3,6 +3,7 @@ package collect
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -29,8 +30,8 @@ type Collector struct {
 	Retries int
 
 	// Backoff is the base pause before the first retry; each further
-	// retry doubles it, capped at MaxBackoff when set. Zero retries
-	// immediately.
+	// retry doubles it, capped at MaxBackoff when set (and at half the
+	// largest Duration when not). Zero retries immediately.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 
@@ -59,15 +60,15 @@ func (c *Collector) retryDelay(attempt int) time.Duration {
 	if c.Backoff <= 0 {
 		return 0
 	}
-	d := c.Backoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if c.MaxBackoff > 0 && d >= c.MaxBackoff {
-			break
-		}
+	// Doubling saturates at half the largest Duration, so the delay
+	// plus its jitter (less than the delay) stays positive.
+	limit := time.Duration(math.MaxInt64 / 2)
+	if c.MaxBackoff > 0 {
+		limit = min(limit, c.MaxBackoff)
 	}
-	if c.MaxBackoff > 0 && d > c.MaxBackoff {
-		d = c.MaxBackoff
+	d := min(c.Backoff, limit)
+	for i := 1; i < attempt && d < limit; i++ {
+		d = min(2*d, limit)
 	}
 	c.mu.Lock()
 	if c.Jitter != nil {

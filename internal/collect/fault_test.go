@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"netsample/internal/arts"
+	"netsample/internal/dist"
 	"netsample/internal/faultnet"
 )
 
@@ -24,6 +25,37 @@ func TestRetryableClassification(t *testing.T) {
 	}
 	if !retryable(io.ErrUnexpectedEOF) {
 		t.Fatal("transport fault classified final")
+	}
+}
+
+// TestRetryBackoffSaturates: with no MaxBackoff, doubling a 50 ms
+// backoff overflows a Duration by the 38th retry. Every pause must stay
+// positive and at least half the one before, and the poll must end in
+// the wrapped transport error after all 65 attempts.
+func TestRetryBackoffSaturates(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close() // a refused port
+	var pauses []time.Duration
+	col := &Collector{
+		Timeout: time.Second, Retries: 64, Backoff: 50 * time.Millisecond,
+		Jitter: dist.NewRNG(1),
+		Sleep:  func(d time.Duration) { pauses = append(pauses, d) },
+	}
+	_, err = col.PollSnapshot(addr)
+	if err == nil || !strings.Contains(err.Error(), "after 65 attempts") || errors.Unwrap(err) == nil {
+		t.Fatalf("PollSnapshot on a refused port = %v", err)
+	}
+	if len(pauses) != 64 {
+		t.Fatalf("%d pauses, want 64", len(pauses))
+	}
+	for i, d := range pauses {
+		if d <= 0 || (i > 0 && d < pauses[i-1]/2) {
+			t.Fatalf("pause %d = %v after %v", i+1, d, pauses[max(i-1, 0)])
+		}
 	}
 }
 

@@ -197,42 +197,18 @@ func TestSnapshotDecodeTopKCountBeforeAlloc(t *testing.T) {
 	}
 }
 
-// TestAgentSnapshotExport runs the full wire path: an agent with a
-// snapshot source serves a collector's PollSnapshot; an agent without
-// one, or with no snapshot yet, returns a wire error.
+// TestAgentSnapshotExport: an agent without a snapshot source answers
+// a poll with a wire error. Serving a pipeline's windows, and the
+// "no snapshot available yet" answer before the first, are pinned by
+// FuzzOracleChain's collection hop.
 func TestAgentSnapshotExport(t *testing.T) {
-	agent := NewAgent("node-a", arts.T3)
-	src := &fakeSnapshotSource{}
-	agent.Snapshots = src
-	addr, err := agent.Serve("127.0.0.1:0")
+	bare := NewAgent("node-b", arts.T3)
+	addr, err := bare.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	defer agent.Close()
-	c := NewCollector()
-
-	if _, err := c.PollSnapshot(addr.String()); err == nil {
-		t.Error("PollSnapshot succeeded before any snapshot existed")
-	} else if !strings.Contains(err.Error(), "no snapshot available yet") {
-		t.Errorf("empty-source error = %v", err)
-	}
-
-	src.snap = sampleSnapshot()
-	got, err := c.PollSnapshot(addr.String())
-	if err != nil {
-		t.Fatalf("PollSnapshot: %v", err)
-	}
-	if !snapshotsBitEqual(got, src.snap) {
-		t.Errorf("polled snapshot differs:\n got %+v\nwant %+v", got, src.snap)
-	}
-
-	bare := NewAgent("node-b", arts.T3)
-	bareAddr, err := bare.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("serve bare: %v", err)
-	}
 	defer bare.Close()
-	if _, err := c.PollSnapshot(bareAddr.String()); err == nil {
+	if _, err := NewCollector().PollSnapshot(addr.String()); err == nil {
 		t.Error("PollSnapshot succeeded against an agent with no source")
 	} else if !strings.Contains(err.Error(), "no snapshot source configured") {
 		t.Errorf("no-source error = %v", err)

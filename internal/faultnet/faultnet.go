@@ -13,7 +13,7 @@
 // connection always ends in a closed transport, so the peer observes
 // EOF or a reset promptly and soak tests never wait out real timeouts.
 //
-//nslint:allow unreached fault-injection harness: only the chaos and crash soaks drive it, by design
+//nslint:allow unreached fault-injection harness: only FuzzOracleChain's collection hop and the collect fault tests drive it, by design
 package faultnet
 
 import (

@@ -148,36 +148,6 @@ func TestStoreQueryRange(t *testing.T) {
 	}
 }
 
-func TestStoreReopenResume(t *testing.T) {
-	dir := t.TempDir()
-	fillStore(t, dir, 10, Options{SegmentRecords: 4})
-	// Second session resumes the unsealed tail (2 records in segment 3).
-	w, err := Open(dir, Options{SegmentRecords: 4})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	for i := 10; i < 17; i++ {
-		if err := w.Append(KindSnapshot, int64(1000*(i+1)), testPayload(i)); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	got := replayPayloads(t, dir)
-	if len(got) != 17 {
-		t.Fatalf("replayed %d records, want 17", len(got))
-	}
-	for i, p := range got {
-		if !bytes.Equal(p, testPayload(i)) {
-			t.Fatalf("record %d: got %q want %q", i, p, testPayload(i))
-		}
-	}
-	if err := Verify(dir); err != nil {
-		t.Fatalf("Verify after resume: %v", err)
-	}
-}
-
 func TestStoreWriterRejects(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{})
@@ -335,11 +305,15 @@ func TestStoreVerifyDetectsEveryFlippedByte(t *testing.T) {
 // because segment files are strictly append-only, every reachable crash
 // state is "files 0..i-1 complete, file i truncated at offset o". For
 // each such state the store must reopen, replay a bit-identical prefix
-// of the original record sequence, accept a fresh append, and verify.
+// of the original record sequence, and, once a reopened writer appends
+// the records the replay lacks, hold segment files byte-identical to
+// the uninterrupted store's: a resumed writer seals and rotates where
+// the first one would have. A clean Close is one of the cuts.
 func TestStoreCrashRecoverySoak(t *testing.T) {
 	ref := t.TempDir()
 	const n = 9
-	fillStore(t, ref, n, Options{SegmentRecords: 4, SyncEvery: 1})
+	opts := Options{SegmentRecords: 4, SyncEvery: 1}
+	fillStore(t, ref, n, opts)
 	refSegs, err := listSegments(ref)
 	if err != nil {
 		t.Fatalf("listSegments: %v", err)
@@ -347,6 +321,10 @@ func TestStoreCrashRecoverySoak(t *testing.T) {
 	if len(refSegs) != 3 {
 		t.Fatalf("reference store has %d segments, want 3", len(refSegs))
 	}
+	if err := Verify(ref); err != nil {
+		t.Fatalf("Verify reference: %v", err)
+	}
+	refImage := dirImage(t, ref)
 	type segImage struct {
 		name string
 		data []byte
@@ -355,10 +333,7 @@ func TestStoreCrashRecoverySoak(t *testing.T) {
 	// recordsBefore[i] = records fully contained in segments before i.
 	recordsBefore := make([]int, len(refSegs)+1)
 	for i, se := range refSegs {
-		data, err := os.ReadFile(filepath.Join(ref, se.name))
-		if err != nil {
-			t.Fatalf("read %s: %v", se.name, err)
-		}
+		data := refImage[se.name]
 		images = append(images, segImage{name: se.name, data: data})
 		st, err := scanSegment(se.name, se.seq, data, false, nil)
 		if err != nil || st.torn != nil {
@@ -386,12 +361,8 @@ func TestStoreCrashRecoverySoak(t *testing.T) {
 				t.Fatalf("stage truncated %s: %v", img.name, err)
 			}
 
-			w, err := Open(dir, Options{SegmentRecords: 4, SyncEvery: 1})
-			if err != nil {
-				t.Fatalf("seg %d cut %d: recovery Open: %v", i, cut, err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatalf("seg %d cut %d: Close: %v", i, cut, err)
+			if err := openClose(dir, opts); err != nil {
+				t.Fatalf("seg %d cut %d: recovery: %v", i, cut, err)
 			}
 			got := replayPayloads(t, dir)
 			// Recovery must keep every record from completed segments
@@ -407,19 +378,21 @@ func TestStoreCrashRecoverySoak(t *testing.T) {
 						i, cut, k, p, testPayload(k))
 				}
 			}
-			// The recovered store must still accept appends and verify.
-			w2, err := Open(dir, Options{SegmentRecords: 4, SyncEvery: 1})
+			// The recovered store continues as if never interrupted.
+			w, err := Open(dir, opts)
 			if err != nil {
 				t.Fatalf("seg %d cut %d: second Open: %v", i, cut, err)
 			}
-			if err := w2.Append(KindSnapshot, 1_000_000, []byte("post-crash")); err != nil {
-				t.Fatalf("seg %d cut %d: post-recovery Append: %v", i, cut, err)
+			for k := len(got); k < n; k++ {
+				if err := w.Append(KindSnapshot, int64(1000*(k+1)), testPayload(k)); err != nil {
+					t.Fatalf("seg %d cut %d: Append %d: %v", i, cut, k, err)
+				}
 			}
-			if err := w2.Close(); err != nil {
+			if err := w.Close(); err != nil {
 				t.Fatalf("seg %d cut %d: second Close: %v", i, cut, err)
 			}
-			if err := Verify(dir); err != nil {
-				t.Fatalf("seg %d cut %d: Verify after recovery: %v", i, cut, err)
+			if img := dirImage(t, dir); !reflect.DeepEqual(img, refImage) {
+				t.Fatalf("seg %d cut %d: continued store differs from the uninterrupted one", i, cut)
 			}
 		}
 	}

@@ -101,7 +101,8 @@ type Writer struct {
 //     back to the last valid frame boundary — never silently accepted;
 //   - a final segment that ends in its seal is checked against that
 //     seal and refused on a mismatch, never truncated; the writer
-//     continues the chain in a fresh segment.
+//     continues the chain in a fresh segment;
+//   - a tail that already holds SegmentRecords records is sealed.
 //
 // The recovered writer resumes exactly where the durable prefix ended:
 // a reopened store replays bit-identically to what was synced.
@@ -176,6 +177,11 @@ func (w *Writer) resumeTail(name string, st scanState) error {
 	w.lastUS = st.lastUS
 	w.syncedUS = st.lastUS
 	w.haveSyncUS = st.records > 0
+	if w.records >= uint64(w.opts.SegmentRecords) {
+		// A crash between a full segment's last sync and its seal: seal
+		// it now, so the next append opens the segment it would have.
+		return w.sealLocked()
+	}
 	return nil
 }
 

@@ -6,17 +6,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"netsample/internal/arts"
 	"netsample/internal/bins"
 	"netsample/internal/collect"
 	"netsample/internal/core"
 	"netsample/internal/dist"
+	"netsample/internal/faultnet"
 	"netsample/internal/flows"
 	"netsample/internal/metrics"
 	"netsample/internal/nnstat"
@@ -31,7 +35,7 @@ import (
 // publish for a trace and a configuration, computed the obvious way —
 // one plain loop per stage over the whole trace, no shards, channels,
 // barriers or sketches. FuzzOracleChain holds the sharded pipeline, the
-// snapshot wire, the store and the range merge to it.
+// snapshot wire, the store and the collection plane to it.
 
 // oracleNode names the node in every wire snapshot of the chain.
 const oracleNode = "oracle"
@@ -209,50 +213,80 @@ func scoreWindow(sample, parent []uint64) *metrics.Report {
 	return &rep
 }
 
-// foldWire is the range query's answer over stored windows, summed
-// plainly: what nocquery prints.
-func foldWire(snaps []*collect.Snapshot, topk int) *collect.Snapshot {
-	out := &collect.Snapshot{
-		Node: snaps[0].Node, WindowStartUS: snaps[0].WindowStartUS, WindowEndUS: snaps[0].WindowEndUS,
-		SizeCounts: make([]uint64, len(snaps[0].SizeCounts)),
-		IatCounts:  make([]uint64, len(snaps[0].IatCounts)),
+// nocHop is the collection plane between the node and the NOC store,
+// run the way nsd serves and noccollect polls: an Agent exports the
+// pipeline through a fault-injecting listener, and a Collector polls
+// each window once or twice, drops repeats by Seq and appends the rest
+// to a second store. The fault budget is at most the collector's retry
+// count, so a poll fails only on a fault no retry can mend.
+type nocHop struct {
+	addr    string
+	col     *collect.Collector
+	inj     *faultnet.Injector
+	polls   *dist.RNG
+	budget  int
+	to      *store.Writer
+	lastSeq uint64
+	got     []*collect.Snapshot
+	err     error // the first failure; OnSnapshot cannot stop the test
+}
+
+// startHop serves p on a loopback listener and opens the NOC store in
+// dir. A nonzero fault seed faults nearly every connection, cut inside
+// a frame header or just past it, until a budget of eight faults per
+// window is spent.
+func startHop(t *testing.T, c chainCase, p *pipeline.Pipeline, windows int, dir string, opts store.Options) *nocHop {
+	noop := func(time.Duration) {}
+	h := &nocHop{budget: 8 * (windows + 1), polls: dist.NewRNG(uint64(c.Fault))}
+	cfg := faultnet.Config{FaultProb: 0.95, Budget: h.budget, MaxOffset: 16}
+	if c.Fault == 0 {
+		cfg = faultnet.Config{}
 	}
-	sum := make(map[string]nnstat.Entry)
-	for _, s := range snaps {
-		if s.Node != out.Node {
-			out.Node = "merged"
-		}
-		out.Seq = max(out.Seq, s.Seq)
-		out.WindowStartUS = min(out.WindowStartUS, s.WindowStartUS)
-		out.WindowEndUS = max(out.WindowEndUS, s.WindowEndUS)
-		out.Final = out.Final || s.Final
-		out.Shards = max(out.Shards, s.Shards)
-		out.Offered += s.Offered
-		out.Processed += s.Processed
-		out.Selected += s.Selected
-		out.Dropped += s.Dropped
-		for b := range s.SizeCounts {
-			out.SizeCounts[b] += s.SizeCounts[b]
-		}
-		for b := range s.IatCounts {
-			out.IatCounts[b] += s.IatCounts[b]
-		}
-		out.FlowCounts.Flows += s.FlowCounts.Flows
-		out.FlowCounts.Packets += s.FlowCounts.Packets
-		out.FlowCounts.Bytes += s.FlowCounts.Bytes
-		out.FlowCounts.Singletons += s.FlowCounts.Singletons
-		out.ActiveFlows += s.ActiveFlows
-		for _, e := range s.TopK {
-			e.Count += sum[e.Key].Count
-			e.MaxError += sum[e.Key].MaxError
-			sum[e.Key] = e
+	h.inj = faultnet.NewInjector(uint64(c.Fault), cfg)
+	h.inj.Sleep = noop
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent := collect.NewAgent(oracleNode, arts.T3)
+	agent.Snapshots = pipeline.NewExporter(p, oracleNode)
+	h.addr = agent.ServeListener(h.inj.Listener(ln)).String()
+	t.Cleanup(func() { agent.Close() })
+	h.col = collect.NewCollector()
+	h.col.Retries, h.col.Backoff = h.budget, time.Millisecond
+	h.col.Jitter, h.col.Sleep = dist.NewRNG(uint64(c.Fault)).Split(), noop
+	if h.to, err = store.Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// poll is one NOC poll. A fault on a frame's version byte draws a typed
+// answer that no retry mends, so the NOC polls again; each such fault
+// spends budget.
+func (h *nocHop) poll() (s *collect.Snapshot, err error) {
+	for range h.budget + 1 {
+		s, err = h.col.PollSnapshot(h.addr)
+		if err == nil || !strings.Contains(err.Error(), "unsupported wire version") {
+			break
 		}
 	}
-	for _, e := range sum {
-		out.TopK = append(out.TopK, e)
+	return s, err
+}
+
+// window polls the window the node now serves.
+func (h *nocHop) window() {
+	for n := 1 + h.polls.IntN(2); n > 0 && h.err == nil; n-- {
+		s, err := h.poll()
+		switch {
+		case err != nil:
+			h.err = err
+		case s.Seq > h.lastSeq:
+			h.lastSeq = s.Seq
+			h.got = append(h.got, s)
+			h.err = h.to.AppendSnapshot(s)
+		}
 	}
-	out.TopK = rankTop(out.TopK, topk)
-	return out
 }
 
 // chainCase is one FuzzOracleChain input decoded: every knob of a node
@@ -261,6 +295,7 @@ type chainCase struct {
 	Scenario, Method, K, Shards, Batch, Depth, WindowS, TimeoutMS int
 	Capacity, Report, Source, Segment, Seed                       int
 	MinK, MaxK, TargetPct                                         int // adaptive; K is StartK
+	Fault                                                         int // the socket's fault seed; 0 is clean
 }
 
 // Scenario, Method and Source values.
@@ -303,6 +338,7 @@ func (c *chainCase) knobs() []knob {
 		{&c.WindowS, 0, 61}, {&c.TimeoutMS, 1, 60_000}, {&c.Capacity, 1, 1024},
 		{&c.Report, 1, 64}, {&c.Source, 0, 4}, {&c.Segment, 1, 64},
 		{&c.Seed, 0, 1 << 16}, {&c.MinK, 1, 64}, {&c.MaxK, 1, 4096}, {&c.TargetPct, 1, 100},
+		{&c.Fault, 0, 1 << 16},
 	}
 }
 
@@ -422,9 +458,10 @@ func encode(t *testing.T, s *collect.Snapshot) []byte {
 }
 
 // FuzzOracleChain runs a node the way nsd -store does — pipeline.New
-// and Run, every window through StoreSink into a store.Writer — then
-// verifies the store, replays it cold and folds the replay through
-// MergeWire, and holds every step to the serial oracle:
+// and Run, every window through StoreSink into a store.Writer — and the
+// NOC beside it the way noccollect -store does, polling each window
+// over a faulted socket (nocHop). It verifies the store, replays it
+// cold, and holds every step to the serial oracle:
 //
 //   - every stored window is byte-for-byte the live export;
 //   - every window processed all it offered and dropped nothing;
@@ -432,55 +469,73 @@ func encode(t *testing.T, s *collect.Snapshot) []byte {
 //     when a shard-window holds more keys than the sketch (the sketch
 //     regime) its top-K is held to the Space-Saving contract instead,
 //     Count ≥ true ≥ Count − MaxError;
-//   - the decision log is the oracle's, and MergeWire is the plain fold.
+//   - the decision log is the oracle's;
+//   - a poll before Run gets the agent's "no snapshot available yet";
+//   - every window is collected exactly once, byte-for-byte the stored
+//     one, the collected windows offer every packet of the trace
+//     (MergeWire), and the NOC store's files are the node store's.
 //
-// The rows below are the tier-1 run; -fuzz explores and shrinks from
-// them, and a crasher lands in testdata/fuzz/FuzzOracleChain.
+// The rows below are the tier-1 run; together they fault over 1000
+// connections. -fuzz explores and shrinks from them, and a crasher
+// lands in testdata/fuzz/FuzzOracleChain.
 func FuzzOracleChain(f *testing.F) {
+	seeds := make(map[string]bool)
 	for _, c := range []chainCase{
-		// TestSnapshotMatchesBatch: one window, final snapshot equals batch.
+		// TestSnapshotMatchesBatch: one window, final snapshot equals batch;
+		// the socket is clean.
 		{Method: mStratifiedTimer, K: 50, Shards: 2},
 		// TestWindowedCountsSumToBatch.
-		{K: 50, WindowS: 10},
+		{K: 50, WindowS: 10, Fault: 1},
 		// TestMultiShardConservation: k = 1 reproduces the population.
-		{K: 1, Shards: 4},
+		{K: 1, Shards: 4, Fault: 2},
 		// TestParallelIngestDeterministic: tiny batches through depth-1 channels.
-		{Method: mStratified, K: 50, Shards: 3, Batch: 3, Depth: 1, WindowS: 15},
+		{Method: mStratified, K: 50, Shards: 3, Batch: 3, Depth: 1, WindowS: 15, Fault: 3},
 		// TestParallelIngestDeterministicRaw.
-		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Capacity: 1024, Source: srcMapReader},
+		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Capacity: 1024, Source: srcMapReader, Fault: 4},
 		// Shard backpressure: small batches into depth-1 channels on four shards.
-		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20},
+		{K: 50, Shards: 4, Batch: 16, Depth: 1, WindowS: 20, Fault: 5},
 		// A source torn after its last record.
-		{K: 7, Shards: 2, Source: srcTorn},
+		{K: 7, Shards: 2, Source: srcTorn, Fault: 6},
 		// TestSourceEquivalenceSnapshots.
-		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Source: srcPerPacket, Seed: 11},
+		{Method: mStratified, K: 50, Shards: 4, WindowS: 30, Source: srcPerPacket, Seed: 11, Fault: 7},
 		// TestManyShardsSourceEquivalence: more shards than a uint8 names.
-		{K: 1, Shards: 300, Batch: 64, Depth: 2, WindowS: 30, Source: srcMapReader},
+		{K: 1, Shards: 300, Batch: 64, Depth: 2, WindowS: 30, Source: srcMapReader, Fault: 8},
 		// TestAdaptiveDeterminismAcrossTopologies.
 		{Scenario: scDDoS, Method: mAdaptive, K: 16, MinK: 4, MaxK: 256, TargetPct: 20,
-			Shards: 8, WindowS: 5, Capacity: 1024, Segment: 3},
+			Shards: 8, WindowS: 5, Capacity: 1024, Segment: 3, Fault: 9},
 		// TestAdaptiveKStaysBounded.
 		{Scenario: scPortscan, Method: mAdaptive, K: 8, MinK: 2, MaxK: 32, TargetPct: 15,
-			Shards: 2, WindowS: 3},
+			Shards: 2, WindowS: 3, Fault: 10},
 		// TestPipelineStreamingMatchesBatchEndToEnd.
-		{K: 64},
+		{K: 64, Fault: 11},
 		// Sketch regime, flows expiring inside a window, small segments.
 		{Method: mSystematicTimer, K: 1, Shards: 2, WindowS: 15, TimeoutMS: 2,
-			Capacity: 8, Report: 16, Segment: 2},
+			Capacity: 8, Report: 16, Segment: 2, Fault: 12},
 		// Backpressure under load: one packet a batch into one depth-1 channel.
-		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5, Source: srcPerPacket},
+		{Scenario: scDDoS, K: 1, Batch: 1, Depth: 1, WindowS: 5, Source: srcPerPacket, Fault: 13},
 		{Scenario: scFlashcrowd, Method: mStratifiedTimer, K: 20, Shards: 3, Batch: 64,
-			WindowS: 5, Source: srcTorn, Segment: 1},
+			WindowS: 5, Source: srcTorn, Segment: 1, Fault: 14},
 		// One-second windows, ~120 of them: published windows cross a
 		// collector slab chunk.
-		{K: 50, Shards: 2, WindowS: 1},
+		{K: 50, Shards: 2, WindowS: 1, Fault: 15},
 	} {
+		seeds[string(c.bytes())] = true
 		f.Add(c.bytes())
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { checkChain(t, decodeChain(data)) })
+	var rows, faulted int
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := checkChain(t, decodeChain(data))
+		if seeds[string(data)] {
+			rows, faulted = rows+1, faulted+n
+		}
+	})
+	// A soak that stopped injecting would prove nothing.
+	if rows == len(seeds) && faulted < 1000 {
+		f.Errorf("the seed rows faulted %d connections, want at least 1000", faulted)
+	}
 }
 
-func checkChain(t *testing.T, c chainCase) {
+func checkChain(t *testing.T, c chainCase) int {
 	defer func() {
 		if t.Failed() {
 			t.Logf("case %+v", c)
@@ -522,20 +577,30 @@ func checkChain(t *testing.T, c chainCase) {
 		t.Fatalf("oracle: %v", err)
 	}
 
-	dir := filepath.Join(t.TempDir(), "store")
-	sw, err := store.Open(dir, store.Options{SegmentRecords: c.Segment})
+	tmp := t.TempDir()
+	dir, nocDir := filepath.Join(tmp, "store"), filepath.Join(tmp, "noc")
+	opts := store.Options{SegmentRecords: c.Segment}
+	sw, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &pipeline.StoreSink{Node: oracleNode, To: sw}
-	var live []*pipeline.Snapshot
+	var (
+		live []*pipeline.Snapshot
+		hop  *nocHop
+	)
 	cfg.OnSnapshot = func(s *pipeline.Snapshot) {
 		live = append(live, s)
 		sink.OnSnapshot(s)
+		hop.window()
 	}
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatalf("pipeline.New: %v", err)
+	}
+	hop = startHop(t, c, p, len(want.snaps), nocDir, opts)
+	if _, err := hop.poll(); err == nil || !strings.Contains(err.Error(), "no snapshot available yet") {
+		t.Fatalf("poll before Run = %v, want the agent's no-snapshot answer", err)
 	}
 	src, wantErr := chainSource(t, tr, c.Source)
 	if err := p.Run(src); !errors.Is(err, wantErr) {
@@ -543,6 +608,9 @@ func checkChain(t *testing.T, c chainCase) {
 	}
 	if err := errors.Join(sink.Err(), sw.Close(), store.Verify(dir)); err != nil {
 		t.Fatalf("store: %v", err)
+	}
+	if err := errors.Join(hop.err, hop.to.Close()); err != nil {
+		t.Fatalf("collection hop: %v", err)
 	}
 	r, err := store.OpenReader(dir)
 	if err != nil {
@@ -553,14 +621,19 @@ func checkChain(t *testing.T, c chainCase) {
 		t.Fatal(err)
 	}
 
-	if len(live) != len(want.snaps) || len(stored) != len(live) {
-		t.Fatalf("%d windows published, %d stored, oracle cut %d", len(live), len(stored), len(want.snaps))
+	if len(live) != len(want.snaps) || len(stored) != len(live) || len(hop.got) != len(live) {
+		t.Fatalf("%d windows published, %d stored, %d collected, oracle cut %d",
+			len(live), len(stored), len(hop.got), len(want.snaps))
 	}
 	exact := c.Capacity >= want.shardKeys
 	for i, s := range live {
 		w, o := s.Wire(oracleNode), want.snaps[i]
-		if !bytes.Equal(encode(t, stored[i]), encode(t, w)) {
+		sb := encode(t, stored[i])
+		if !bytes.Equal(sb, encode(t, w)) {
 			t.Errorf("window %d: stored %+v\nlive %+v", i+1, stored[i], w)
+		}
+		if !bytes.Equal(encode(t, hop.got[i]), sb) {
+			t.Errorf("window %d: collected %+v\nstored %+v", i+1, hop.got[i], stored[i])
 		}
 		if s.Processed != s.Offered || s.Dropped != 0 {
 			t.Errorf("window %d: offered %d, processed %d, dropped %d", i+1, s.Offered, s.Processed, s.Dropped)
@@ -585,13 +658,35 @@ func checkChain(t *testing.T, c chainCase) {
 	if got := p.Decisions(); !reflect.DeepEqual(got, want.decisions) {
 		t.Errorf("decisions %+v\noracle %+v", got, want.decisions)
 	}
-	m, err := pipeline.MergeWire(stored, c.Report)
+	m, err := pipeline.MergeWire(hop.got, c.Report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fold := foldWire(stored, c.Report); !bytes.Equal(encode(t, m), encode(t, fold)) {
-		t.Errorf("MergeWire %+v\nfold %+v", m, fold)
+	if m.Offered != uint64(tr.Len()) {
+		t.Errorf("the collected windows offered %d packets, the trace holds %d", m.Offered, tr.Len())
 	}
+	if node, noc := storeFiles(t, dir), storeFiles(t, nocDir); !reflect.DeepEqual(node, noc) {
+		t.Errorf("the NOC store's files differ from the node store's")
+	}
+	if c.Fault != 0 && hop.inj.Faulted() == 0 {
+		t.Errorf("fault seed %d faulted none of %d connections", c.Fault, hop.inj.Wrapped())
+	}
+	return hop.inj.Faulted()
+}
+
+// storeFiles reads every file of a store directory, by name.
+func storeFiles(t *testing.T, dir string) map[string][]byte {
+	es, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(es))
+	for _, e := range es {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
 
 // TestCensusScoresZero runs a census (systematic k = 1) through 5 s
