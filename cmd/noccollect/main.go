@@ -52,7 +52,7 @@ func main() {
 	storeSync := flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
 	flag.Parse()
 
-	if *agents == "" || *retries < 0 {
+	if *agents == "" || *cycles < 0 || *retries < 0 || *storeSync < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}

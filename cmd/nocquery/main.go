@@ -58,7 +58,11 @@ func main() {
 	if *last < 0 {
 		log.Printf("-last %v: want a positive span", *last)
 	}
-	if *dir == "" || *top < 1 || *last < 0 {
+	inverted := *last == 0 && *fromUS > *toUS
+	if inverted {
+		log.Printf("-from %d -to %d: want from <= to", *fromUS, *toUS)
+	}
+	if *dir == "" || *top < 1 || *last < 0 || inverted {
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -105,6 +105,12 @@ func main() {
 	)
 	flag.Parse()
 
+	// The store and flow table would replace a value below these bounds
+	// with their defaults, and the flow timeout is kept in whole µs.
+	if *storeSync < 1 || *storeSegment < 1 || *flowTimeout < time.Microsecond {
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *mutexFrac > 0 {
 		runtime.SetMutexProfileFraction(*mutexFrac)
 	}

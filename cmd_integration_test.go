@@ -197,8 +197,12 @@ func TestCLICollectionPair(t *testing.T) {
 		}
 	}
 	// A negative retry count is bad input, not a poll that never dials.
-	if out := runExit(t, 2, filepath.Join(dir, "noccollect"), "-agents", addr, "-retries", "-1"); !strings.Contains(out, "Usage of") {
-		t.Fatalf("noccollect -retries -1 printed no usage:\n%s", out)
+	// So are a negative cycle count and a group commit under one
+	// snapshot, which would run nothing or run with the default.
+	for _, bad := range [][]string{{"-retries", "-1"}, {"-cycles", "-1"}, {"-cycles", "1", "-store-sync", "0"}} {
+		if out := runExit(t, 2, filepath.Join(dir, "noccollect"), append([]string{"-agents", addr}, bad...)...); !strings.Contains(out, "Usage of") {
+			t.Fatalf("noccollect %v printed no usage:\n%s", bad, out)
+		}
 	}
 	out = run(t, filepath.Join(dir, "nocquery"), "-store", storeDir, "-verify", "-windows")
 	for _, want := range []string{"store chain verified", "window test-node/10 ", "merged 1 windows from test-node"} {
@@ -221,7 +225,7 @@ func genTrace(t *testing.T, dir string, args ...string) string {
 // process with status 1 and one log line before the listen banner or
 // any window line — a torn trace file, a timer k whose period
 // overflows (not run as a census), a NaN φ budget (not run with a dead
-// controller).
+// controller). A flag value out of range is usage: status 2.
 func TestNSDRefusesBeforeServing(t *testing.T) {
 	dir := buildTools(t, "nstrace", "nsd")
 	in := genTrace(t, dir, "-seconds", "30")
@@ -245,6 +249,14 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 		out := runExit(t, 1, filepath.Join(dir, "nsd"), append(tc.args, "-once")...)
 		if !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
 			t.Errorf("nsd %v: want one line naming %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+	// A value nsd would silently replace with a default is bad usage:
+	// store batches and segments under one snapshot, a flow timeout that
+	// truncates to 0 µs.
+	for _, bad := range [][]string{{"-store-sync", "-3"}, {"-store-segment", "0"}, {"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}} {
+		if out := runExit(t, 2, filepath.Join(dir, "nsd"), append([]string{"-in", in, "-q", "-once"}, bad...)...); !strings.Contains(out, "Usage of") {
+			t.Errorf("nsd %v printed no usage:\n%s", bad, out)
 		}
 	}
 }

@@ -119,12 +119,16 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 		}
 	}
 	// Fewer than one heavy hitter is bad input, not a request for ten;
-	// so is a negative span, which would otherwise query the whole store.
+	// so is a negative span, which would otherwise query the whole store,
+	// and an inverted range, which would find nothing in it.
 	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-top", "0"); !strings.Contains(out, "Usage of") {
 		t.Fatalf("nocquery -top 0 printed no usage:\n%s", out)
 	}
 	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-last", "-1h"); !strings.Contains(out, "Usage of") {
 		t.Fatalf("nocquery -last -1h printed no usage:\n%s", out)
+	}
+	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-from", "10", "-to", "5"); !strings.Contains(out, "Usage of") {
+		t.Fatalf("nocquery -from 10 -to 5 printed no usage:\n%s", out)
 	}
 
 	// The streaming query path over a store of 1 s windows (30 of them),

@@ -53,38 +53,27 @@ type link struct {
 }
 
 // chainEnd is what a new segment chains onto: the seq it takes and the
-// root of the last sealed link (or of the anchor).
+// root of the last sealed link.
 type chainEnd struct {
-	seq       uint64
-	root      [32]byte
-	leftovers []segEntry // segments at or below the anchor's seq
+	seq  uint64
+	root [32]byte
 }
 
 // walkChain is the one reading of a store's segment chain: Open,
-// OpenReader, Verify and Compact differ only in what visit does with
-// each link, so they accept the same stores. It reads the anchor and
-// skips the segments at or below its seq — what an interrupted Compact
-// left behind, returned as leftovers. The rest must carry consecutive
-// seqs from the anchor's (or 1). Each segment is mapped once; its header
-// must name its file's seq and carry the running root as prevRoot. A
-// segment is sealed if and only if its last sealFrameLen bytes are an
-// intact seal frame, whose root the next link must carry. Only the
+// OpenReader and Verify differ only in what visit does with each link,
+// so they accept the same stores. The segments must carry consecutive
+// seqs from 1. Each segment is mapped once; its header must name its
+// file's seq and carry the running root as prevRoot (zero for segment
+// 1). A segment is sealed if and only if its last sealFrameLen bytes are
+// an intact seal frame, whose root the next link must carry. Only the
 // final segment may be unsealed: that is the tail, and a tail shorter
 // than its header (a torn creation) reaches visit unparsed.
 func walkChain(dir string, visit func(*link) error) (end chainEnd, err error) {
-	anchor, hasAnchor, err := readAnchor(dir)
-	if err != nil {
-		return end, err
-	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return end, err
 	}
-	end.seq, end.root = anchor.seq+1, anchor.root
-	for hasAnchor && len(segs) > 0 && segs[0].seq <= anchor.seq {
-		end.leftovers = append(end.leftovers, segs[0])
-		segs = segs[1:]
-	}
+	end.seq = 1
 	for i, se := range segs {
 		if se.seq != end.seq {
 			return end, corruptf(se.name, 8, "segment sequence %d, chain expects %d: %s is missing", se.seq, end.seq, segName(end.seq))

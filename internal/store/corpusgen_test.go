@@ -48,11 +48,6 @@ func TestGenCorpus(t *testing.T) {
 	flip[headerLen+20] ^= 0x40
 	write("FuzzSegmentDecode", "record_bit_flip", flip)
 
-	// FuzzAnchorDecode: a valid anchor and one image per check.
-	for name, data := range anchorSeeds() {
-		write("FuzzAnchorDecode", name, data)
-	}
-
 	// FuzzStoreChain: each mutation on a sealed segment and on the tail.
 	for name, m := range chainSeeds() {
 		write("FuzzStoreChain", name, m.op, m.seg, m.off, m.bit)

@@ -3,10 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -99,85 +96,6 @@ func FuzzSegmentDecode(f *testing.F) {
 		if st2.records != st.records || st2.sealed != st.sealed {
 			t.Fatalf("prefix re-scan diverged: %d/%v vs %d/%v",
 				st2.records, st2.sealed, st.records, st.sealed)
-		}
-	})
-}
-
-// anchorImage lays out the anchor file writeAnchor writes for a
-// (TestAnchorImageIsWhatWriteAnchorWrites holds the two together).
-func anchorImage(a anchorInfo) []byte {
-	b := make([]byte, anchorLen)
-	copy(b[0:4], anchorMagic[:])
-	binary.LittleEndian.PutUint16(b[4:6], segVersion)
-	binary.LittleEndian.PutUint64(b[8:16], a.seq)
-	copy(b[16:48], a.root[:])
-	binary.LittleEndian.PutUint32(b[48:], crc32.ChecksumIEEE(b[:48]))
-	return b
-}
-
-// anchorSeeds are FuzzAnchorDecode's seed images, by corpus file name:
-// a valid anchor and one image per check decodeAnchor makes.
-func anchorSeeds() map[string][]byte {
-	root := sha256.Sum256([]byte("anchor"))
-	valid := anchorImage(anchorInfo{seq: fuzzSeq, root: root})
-	seeds := map[string][]byte{
-		"valid_anchor":     valid,
-		"truncated_anchor": valid[:anchorLen-1],
-		"trailing_byte":    append(bytes.Clone(valid), 0),
-		"empty":            {},
-	}
-	for name, off := range map[string]int{"bad_magic": 0, "bad_version": 4, "root_bit_flip": 20, "crc_bit_flip": 50} {
-		b := bytes.Clone(valid)
-		b[off] ^= 0x40
-		seeds[name] = b
-	}
-	return seeds
-}
-
-// TestAnchorImageIsWhatWriteAnchorWrites keeps the fuzz seeds honest:
-// anchorImage must be byte for byte the file the writer installs, and
-// decodeAnchor must read it back.
-func TestAnchorImageIsWhatWriteAnchorWrites(t *testing.T) {
-	dir := t.TempDir()
-	a := anchorInfo{seq: 41, root: sha256.Sum256([]byte("cut"))}
-	if err := writeAnchor(dir, a); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, anchorName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, anchorImage(a)) {
-		t.Fatalf("writeAnchor wrote %x, anchorImage lays out %x", got, anchorImage(a))
-	}
-	if back, ok, err := readAnchor(dir); err != nil || !ok || back != a {
-		t.Fatalf("readAnchor = %+v, %v, %v; want %+v", back, ok, err, a)
-	}
-}
-
-// FuzzAnchorDecode: arbitrary anchor files must never panic the
-// decoder, every refusal must be a CorruptionError, and an accepted
-// image must be exactly the anchor it decodes to — only the reserved
-// bytes, which the checksum covers but nothing reads, may differ from
-// what writeAnchor would write for it.
-func FuzzAnchorDecode(f *testing.F) {
-	for _, b := range anchorSeeds() {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := decodeAnchor(data)
-		if err != nil {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) || ce.Segment != anchorName {
-				t.Fatalf("refusal is not a CorruptionError naming the anchor: %v", err)
-			}
-			return
-		}
-		want := anchorImage(a)
-		copy(want[6:8], data[6:8])
-		binary.LittleEndian.PutUint32(want[48:], crc32.ChecksumIEEE(want[:48]))
-		if !bytes.Equal(data, want) {
-			t.Fatalf("accepted %x, which is not the anchor %+v it decodes to", data, a)
 		}
 	})
 }

@@ -17,7 +17,6 @@ type SegmentInfo struct {
 	Records uint64
 	FirstUS int64 // min record timestamp (valid when Records > 0)
 	LastUS  int64 // max record timestamp (valid when Records > 0)
-	Root    [32]byte
 }
 
 // Reader answers replay and time-range queries from a store directory.
@@ -56,7 +55,6 @@ func OpenReader(dir string) (*Reader, error) {
 			Records: st.records,
 			FirstUS: st.firstUS,
 			LastUS:  st.lastUS,
-			Root:    l.seal.root,
 		})
 		return nil
 	})

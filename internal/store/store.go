@@ -6,8 +6,8 @@
 // snapshots), and cmd/nocquery (time-range queries answered from disk).
 // DESIGN.md §7 documents the format and the recovery rules.
 //
-// Layout: a store is a directory of numbered segment files plus an
-// optional compaction anchor. Each segment is
+// Layout: a store is a directory of segment files numbered from 1.
+// Each segment is
 //
 //	header (64 bytes):
 //	  magic "NSSG", version uint16, reserved uint16, seq uint64,
@@ -33,8 +33,8 @@
 //
 // Sealing is itself an append (the footer frame), so segment files are
 // written strictly append-only and every crash state is a prefix of
-// some file. Open, OpenReader, Verify and Compact read the chain through
-// one walk (walkChain), so they accept the same stores: only the final
+// some file. Open, OpenReader and Verify read the chain through one
+// walk (walkChain), so they accept the same stores: only the final
 // segment may lack its seal, and only that tail is ever repaired.
 package store
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -402,70 +401,9 @@ func TestStoreCrashRecoverySoak(t *testing.T) {
 	t.Logf("soak exercised %d crash states", states)
 }
 
-func TestStoreCompact(t *testing.T) {
-	dir := t.TempDir()
-	// 20 records, 5 per segment: sealed segments end at 5000, 10000,
-	// 15000, 20000 — the last is kept regardless (tail rule).
-	fillStore(t, dir, 20, Options{SegmentRecords: 5})
-	removed, err := Compact(dir, 10_001)
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if removed != 2 {
-		t.Fatalf("Compact removed %d segments, want 2", removed)
-	}
-	if err := Verify(dir); err != nil {
-		t.Fatalf("Verify after compact: %v", err)
-	}
-	got := replayPayloads(t, dir)
-	if len(got) != 10 {
-		t.Fatalf("replayed %d records after compact, want 10", len(got))
-	}
-	if !bytes.Equal(got[0], testPayload(10)) {
-		t.Fatalf("first surviving record = %q, want %q", got[0], testPayload(10))
-	}
-	// Idempotent: nothing left below the cutoff.
-	removed, err = Compact(dir, 10_001)
-	if err != nil || removed != 0 {
-		t.Fatalf("second Compact = %d, %v; want 0, nil", removed, err)
-	}
-	// The writer chains new segments onto the anchored history.
-	w, err := Open(dir, Options{SegmentRecords: 5})
-	if err != nil {
-		t.Fatalf("Open after compact: %v", err)
-	}
-	for i := 20; i < 26; i++ {
-		if err := w.Append(KindSnapshot, int64(1000*(i+1)), testPayload(i)); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := Verify(dir); err != nil {
-		t.Fatalf("Verify after post-compact appends: %v", err)
-	}
-	if got := replayPayloads(t, dir); len(got) != 16 {
-		t.Fatalf("replayed %d records, want 16", len(got))
-	}
-	// Compacting everything sealed leaves the tail plus the last sealed
-	// segment, anchored.
-	removed, err = Compact(dir, 1<<60)
-	if err != nil {
-		t.Fatalf("full Compact: %v", err)
-	}
-	if removed == 0 {
-		t.Fatal("full Compact removed nothing")
-	}
-	if err := Verify(dir); err != nil {
-		t.Fatalf("Verify after full compact: %v", err)
-	}
-}
-
-// TestStoreChainDamage: Open, OpenReader, Verify and Compact read the
-// segment chain through one walk, so they refuse the same damaged
-// stores, name the same segment, and leave every file as it was — and
-// they accept the same store an interrupted compaction leaves.
+// TestStoreChainDamage: Open, OpenReader and Verify read the segment
+// chain through one walk, so they refuse the same damaged stores, name
+// the same segment, and leave every file as it was.
 func TestStoreChainDamage(t *testing.T) {
 	const n = 14 // 4 records a segment: three sealed segments and a 2-record tail
 	opts := Options{SegmentRecords: 4}
@@ -475,17 +413,28 @@ func TestStoreChainDamage(t *testing.T) {
 		name   string
 		damage func(dir string) error
 		want   string // the segment every entry point must name
+		reason string // and what its reason must say
 	}{
 		{"missing middle segment", func(dir string) error {
 			return os.Remove(filepath.Join(dir, segName(2)))
-		}, segName(3)},
+		}, segName(3), segName(2) + " is missing"},
 		{"foreign segment", func(dir string) error {
 			data, err := os.ReadFile(filepath.Join(foreign, segName(2)))
 			if err != nil {
 				return err
 			}
 			return os.WriteFile(filepath.Join(dir, segName(2)), data, 0o644)
-		}, segName(2)},
+		}, segName(2), "chain broken"},
+		{"chain starts past segment 1", func(dir string) error {
+			for _, seq := range []uint64{1, 2} {
+				if err := os.Remove(filepath.Join(dir, segName(seq))); err != nil {
+					return err
+				}
+			}
+			// A stray file is not part of the chain, even one named and
+			// sized like the retired 52-byte compaction anchor.
+			return os.WriteFile(filepath.Join(dir, "anchor"), make([]byte, 52), 0o644)
+		}, segName(3), segName(1) + " is missing"},
 		{"unsealed segment before the tail", func(dir string) error {
 			path := filepath.Join(dir, segName(2))
 			fi, err := os.Stat(path)
@@ -493,7 +442,7 @@ func TestStoreChainDamage(t *testing.T) {
 				return err
 			}
 			return os.Truncate(path, fi.Size()-sealFrameLen)
-		}, segName(2)},
+		}, segName(2), "unsealed segment before end of chain"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -506,14 +455,13 @@ func TestStoreChainDamage(t *testing.T) {
 			openErr := openClose(dir, opts)
 			_, readErr := OpenReader(dir)
 			verifyErr := Verify(dir)
-			_, compactErr := Compact(dir, 1<<62)
 			for _, c := range []struct {
 				entry string
 				err   error
-			}{{"Open", openErr}, {"OpenReader", readErr}, {"Verify", verifyErr}, {"Compact", compactErr}} {
+			}{{"Open", openErr}, {"OpenReader", readErr}, {"Verify", verifyErr}} {
 				var ce *CorruptionError
-				if !errors.As(c.err, &ce) || ce.Segment != row.want {
-					t.Errorf("%s = %v, want a CorruptionError naming %s", c.entry, c.err, row.want)
+				if !errors.As(c.err, &ce) || ce.Segment != row.want || !strings.Contains(ce.Reason, row.reason) {
+					t.Errorf("%s = %v, want a CorruptionError naming %s and %q", c.entry, c.err, row.want, row.reason)
 				}
 			}
 			if !reflect.DeepEqual(dirImage(t, dir), before) {
@@ -521,43 +469,6 @@ func TestStoreChainDamage(t *testing.T) {
 			}
 		})
 	}
-	t.Run("interrupted compaction", func(t *testing.T) {
-		dir := t.TempDir()
-		fillStore(t, dir, n, opts)
-		before := dirImage(t, dir)
-		// Cut segments 1 and 2 (records up to 8000), then put them back:
-		// the state a crash leaves after the anchor is installed and
-		// before any segment is removed.
-		if removed, err := Compact(dir, 8001); err != nil || removed != 2 {
-			t.Fatalf("Compact = %d, %v; want 2, nil", removed, err)
-		}
-		for _, name := range []string{segName(1), segName(2)} {
-			if err := os.WriteFile(filepath.Join(dir, name), before[name], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := openClose(dir, opts); err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		if err := Verify(dir); err != nil {
-			t.Fatalf("Verify: %v", err)
-		}
-		got := replayPayloads(t, dir)
-		if len(got) != n-8 || !bytes.Equal(got[0], testPayload(8)) {
-			t.Fatalf("replayed %d records from %q, want the %d anchored ones from %q", len(got), got[0], n-8, testPayload(8))
-		}
-		if removed, err := Compact(dir, 0); err != nil || removed != 2 {
-			t.Fatalf("second Compact = %d, %v; want the 2 leftovers removed", removed, err)
-		}
-		for _, name := range []string{segName(1), segName(2)} {
-			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("%s survived the second Compact: %v", name, err)
-			}
-		}
-		if err := Verify(dir); err != nil {
-			t.Fatalf("Verify after removing the leftovers: %v", err)
-		}
-	})
 }
 
 // TestOpenNeverTruncatesSealed: a flipped record byte in a sealed last

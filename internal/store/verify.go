@@ -2,8 +2,7 @@ package store
 
 // Verify recomputes the store's entire integrity chain: every record
 // CRC, every segment's Merkle root, every seal footer, and every
-// header-to-footer chain link, anchored at the compaction anchor when
-// one exists. It is strict — a torn tail that Open would repair is
+// header-to-footer chain link from segment 1 on. It is strict — a torn tail that Open would repair is
 // still reported, because Verify answers "is this store exactly what
 // the writer synced", not "can I continue appending".
 //

@@ -72,7 +72,7 @@ type Writer struct {
 	name string   // active segment file name
 
 	seq      uint64   // active (or next) segment sequence
-	prevRoot [32]byte // chain root of the last sealed segment (or anchor)
+	prevRoot [32]byte // chain root of the last sealed segment
 
 	buf     []byte     // frames appended since the last flush
 	leaves  [][32]byte // frame hashes of the active segment's records
@@ -266,21 +266,6 @@ func (w *Writer) Sync() error {
 	return w.flushSync()
 }
 
-// Seal closes the active segment now: it writes the Merkle seal footer,
-// syncs, and rotates so the next append opens a fresh segment. A
-// segment with no records is not sealed (the chain carries no empty
-// links).
-//
-//nslint:allow unreached store on-disk format: an explicit seal is a segment boundary a reader must accept from disk
-func (w *Writer) Seal() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.sealLocked()
-}
-
 // Close flushes and syncs pending records and releases the active
 // segment without sealing it, so a reopened Writer resumes appending to
 // the same segment. Closing twice is safe.
@@ -386,8 +371,8 @@ func (w *Writer) flushSync() error {
 	return nil
 }
 
-// syncDir fsyncs the store directory, making segment creation, removal,
-// and renames durable.
+// syncDir fsyncs the store directory, making segment creation and
+// removal durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
