@@ -14,14 +14,14 @@
 // ext-burst, ext-artshist, ext-flows, ext-heavyhitters or repro-check;
 // or ablations, the design-choice ablations (median φ and IQR over
 // replications), which only -only runs. An unknown id is refused
-// before any population is built.
+// before any population is built, as is an unknown -format (exit 2).
 //
 // -matrix runs the scenario × sampler characterization matrix instead
 // of the paper suite: every traffgen preset scenario (ddos, flashcrowd,
 // hhchurn, portscan, elephantmice) against every sampling method plus
 // the adaptive controller, one cell per combination, each scored
-// against the scenario's own population. The matrix ignores -in — each
-// scenario is its own parent. With -quick, cells run over 30-second
+// against the scenario's own population. -matrix refuses -in and -only
+// — each scenario is its own parent. With -quick, cells run over 30-second
 // scenarios; the default is 2 minutes. Output is byte-identical across
 // runs at the same seed in all formats.
 package main
@@ -49,6 +49,20 @@ func main() {
 	seed := flag.Uint64("seed", 1993, "matrix RNG seed")
 	k := flag.Int("k", 10, "matrix base sampling granularity")
 	flag.Parse()
+
+	// An unknown format would surface only after the run, and the matrix
+	// has no use for -only or -in: refuse them before any population is
+	// built.
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *matrix && (*only != "" || *in != "") {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *matrix {
 		dur := 2 * time.Minute

@@ -105,9 +105,11 @@ func main() {
 	)
 	flag.Parse()
 
-	// The store and flow table would replace a value below these bounds
-	// with their defaults, and the flow timeout is kept in whole µs.
-	if *storeSync < 1 || *storeSegment < 1 || *flowTimeout < time.Microsecond {
+	// The store, flow table and snapshot would replace a value below
+	// these bounds with their defaults, and the flow timeout and window
+	// are kept in whole µs.
+	if *storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
+		*window > 0 && *window < time.Microsecond {
 		flag.Usage()
 		os.Exit(2)
 	}

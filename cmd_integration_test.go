@@ -164,6 +164,17 @@ func TestCLIExperimentsOnly(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `no artifact with id "nosuch"`) {
 		t.Fatalf("experiments -only nosuch: err %v, want exit 1 naming the id:\n%s", err, bad)
 	}
+	// A format no renderer has, and an -only or -in the matrix would
+	// ignore, are bad usage, refused before any population is built.
+	for _, args := range [][]string{
+		{"-quick", "-format", "xml"},
+		{"-matrix", "-only", "figure8"},
+		{"-matrix", "-in", missing},
+	} {
+		if out := runExit(t, 2, experiments, args...); !strings.Contains(out, "Usage of") {
+			t.Errorf("experiments %v printed no usage:\n%s", args, out)
+		}
+	}
 
 	short := filepath.Join(t.TempDir(), "short.nstr")
 	run(t, filepath.Join(dir, "nstrace"), "gen", "-out", short, "-seconds", "1", "-q")
@@ -252,9 +263,10 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 		}
 	}
 	// A value nsd would silently replace with a default is bad usage:
-	// store batches and segments under one snapshot, a flow timeout that
-	// truncates to 0 µs.
-	for _, bad := range [][]string{{"-store-sync", "-3"}, {"-store-segment", "0"}, {"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}} {
+	// store batches and segments under one snapshot, no heavy hitters,
+	// and a flow timeout or window that truncates to 0 µs.
+	for _, bad := range [][]string{{"-store-sync", "-3"}, {"-store-segment", "0"}, {"-topk", "0"},
+		{"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}, {"-window", "500ns"}} {
 		if out := runExit(t, 2, filepath.Join(dir, "nsd"), append([]string{"-in", in, "-q", "-once"}, bad...)...); !strings.Contains(out, "Usage of") {
 			t.Errorf("nsd %v printed no usage:\n%s", bad, out)
 		}

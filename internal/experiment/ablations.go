@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"netsample/internal/bins"
 	"netsample/internal/core"
@@ -27,6 +26,7 @@ type AblationRow struct {
 
 // AblationsResult holds the DESIGN.md §4 ablations, one row a cell.
 type AblationsResult struct {
+	table
 	Rows []AblationRow
 }
 
@@ -35,7 +35,10 @@ type AblationsResult struct {
 // tr; trend and capture clock on their own generated populations. The
 // output is a function of tr alone. All leaves it out; Only runs it.
 func Ablations(tr *trace.Trace) (*AblationsResult, error) {
-	out := &AblationsResult{}
+	out := &AblationsResult{table: newTable("ablations",
+		"design-choice ablations: median phi and IQR over replications",
+		column{"ablation", "ablation", "%-13s"}, column{"cell", "cell", "%-36s"}, column{"n", "n", "%3d"},
+		column{"median_phi", "median", "%10.5f"}, column{"iqr", "iqr", "%10.5f"})}
 	size, err := newEvaluator(tr, core.TargetSize)
 	if err != nil {
 		return nil, err
@@ -187,33 +190,5 @@ func (r *AblationsResult) packetMethods(ablation, prefix string, ev *core.Evalua
 func (r *AblationsResult) add(ablation, cell string, phis []float64) {
 	q, _ := stats.Quantiles(phis, 0.25, 0.5, 0.75)
 	r.Rows = append(r.Rows, AblationRow{ablation, cell, len(phis), q[1], q[2] - q[0]})
-}
-
-// ID implements Result.
-func (r *AblationsResult) ID() string { return "ablations" }
-
-// Title implements Result.
-func (r *AblationsResult) Title() string {
-	return "design-choice ablations: median phi and IQR over replications"
-}
-
-// WriteText implements Result.
-func (r *AblationsResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-13s %-36s %3s %10s %10s\n", "ablation", "cell", "n", "median", "iqr")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-13s %-36s %3d %10.5f %10.5f\n", row.Ablation, row.Cell, row.N, row.Median, row.IQR)
-	}
-	return nil
-}
-
-// Table implements Result.
-func (r *AblationsResult) Table() ([]string, [][]string) {
-	rows := make([][]string, len(r.Rows))
-	for i, row := range r.Rows {
-		rows[i] = []string{row.Ablation, row.Cell, d(row.N), f(row.Median), f(row.IQR)}
-	}
-	return []string{"ablation", "cell", "n", "median_phi", "iqr"}, rows
+	r.addRow(str(ablation), str(cell), integer(len(phis)), float(q[1]), float(q[2]-q[0]))
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"netsample/internal/bins"
@@ -81,6 +79,7 @@ func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline
 // total's relative error against the exact SNMP truth and the mean
 // sampling granularity spent.
 type AdaptiveResult struct {
+	table
 	Rows []AdaptiveRow
 }
 
@@ -107,19 +106,20 @@ func Adaptive() (*AdaptiveResult, error) {
 	}
 	const capacity = 600
 	const buffer = 32
-	out := &AdaptiveResult{}
+	out := &AdaptiveResult{table: newTable("ext-adaptive",
+		"extension: adaptive granularity control vs fixed sampling on a load ramp",
+		column{"config", "config", "%-16s"}, column{"truth", "truth", "%10d"}, column{"estimate", "estimate", "%10d"},
+		column{"error_pct", "error", "%9.1f%%"}, column{"mean_k", "mean-k", "%8.1f"})}
 
 	// Unsampled.
 	plain := nsfnet.NewT1Node(capacity, buffer, 0)
 	plain.ProcessTrace(tr)
-	out.Rows = append(out.Rows, adaptiveRow("unsampled", plain.SNMP.InPackets,
-		plain.CategorizedPackets(), 1))
+	out.add("unsampled", plain.SNMP.InPackets, plain.CategorizedPackets(), 1)
 
 	// Fixed 1-in-50.
 	fixed := nsfnet.NewT1Node(capacity, buffer, 50)
 	fixed.ProcessTrace(tr)
-	out.Rows = append(out.Rows, adaptiveRow("fixed-1-in-50", fixed.SNMP.InPackets,
-		fixed.CategorizedPackets(), 50))
+	out.add("fixed-1-in-50", fixed.SNMP.InPackets, fixed.CategorizedPackets(), 50)
 
 	// Adaptive: the pipeline's law with any processor drop coarsening.
 	an, decisions, err := AdaptiveNode(tr, capacity, buffer, pipeline.AdaptiveConfig{
@@ -136,38 +136,16 @@ func Adaptive() (*AdaptiveResult, error) {
 		}
 		meanK = kSum / float64(len(decisions))
 	}
-	out.Rows = append(out.Rows, adaptiveRow("adaptive", an.SNMP.InPackets,
-		an.CategorizedPackets(), meanK))
+	out.add("adaptive", an.SNMP.InPackets, an.CategorizedPackets(), meanK)
 	return out, nil
 }
 
-func adaptiveRow(name string, truth, est uint64, meanK float64) AdaptiveRow {
+// add appends one configuration's row.
+func (r *AdaptiveResult) add(name string, truth, est uint64, meanK float64) {
 	rel := 0.0
 	if truth > 0 {
 		rel = float64(est)/float64(truth) - 1
 	}
-	return AdaptiveRow{Config: name, Truth: truth, Estimate: est, RelError: rel, MeanK: meanK}
-}
-
-// ID implements Result.
-func (r *AdaptiveResult) ID() string { return "ext-adaptive" }
-
-// Title implements Result.
-func (r *AdaptiveResult) Title() string {
-	return "extension: adaptive granularity control vs fixed sampling on a load ramp"
-}
-
-// WriteText implements Result.
-func (r *AdaptiveResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-16s %10s %10s %10s %8s\n", "config", "truth", "estimate", "error", "mean-k")
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%-16s %10d %10d %9.1f%% %8.1f\n",
-			row.Config, row.Truth, row.Estimate, 100*row.RelError, row.MeanK); err != nil {
-			return err
-		}
-	}
-	return nil
+	r.Rows = append(r.Rows, AdaptiveRow{Config: name, Truth: truth, Estimate: est, RelError: rel, MeanK: meanK})
+	r.addRow(str(name), integer(truth), integer(est), float(100*rel), float(meanK))
 }

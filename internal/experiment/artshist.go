@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"netsample/internal/arts"
 	"netsample/internal/metrics"
@@ -17,6 +16,7 @@ import (
 // collecting the histogram on T3 — and what sampling would have
 // preserved.
 type ArtsHistResult struct {
+	table
 	Granularities []int
 	Phis          []float64
 	OccupiedBins  int
@@ -38,6 +38,9 @@ func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
 	out := &ArtsHistResult{
 		Granularities: []int{10, 50, 250, 1000, 5000},
 		OccupiedBins:  len(idx),
+		table: newTable("ext-artshist", fmt.Sprintf(
+			"fidelity of the 50-byte length histogram under firmware sampling (%d occupied bins)", len(idx)),
+			granularity, column{"phi", "phi", "%10.5f"}),
 	}
 	for _, k := range out.Granularities {
 		var sampled arts.LengthHistogram
@@ -57,38 +60,7 @@ func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
 			return nil, err
 		}
 		out.Phis = append(out.Phis, phi)
+		out.addRow(integer(k), float(phi))
 	}
 	return out, nil
-}
-
-// ID implements Result.
-func (r *ArtsHistResult) ID() string { return "ext-artshist" }
-
-// Title implements Result.
-func (r *ArtsHistResult) Title() string {
-	return fmt.Sprintf("fidelity of the 50-byte length histogram under firmware sampling (%d occupied bins)", r.OccupiedBins)
-}
-
-// WriteText implements Result.
-func (r *ArtsHistResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %10s\n", "1/frac", "phi")
-	for i := range r.Granularities {
-		if _, err := fmt.Fprintf(w, "%8d %10.5f\n", r.Granularities[i], r.Phis[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Table implements Result.
-func (r *ArtsHistResult) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "phi"}
-	var rows [][]string
-	for i := range r.Granularities {
-		rows = append(rows, []string{d(r.Granularities[i]), f(r.Phis[i])})
-	}
-	return cols, rows
 }

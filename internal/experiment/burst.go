@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"io"
-
 	"netsample/internal/stats"
 	"netsample/internal/trace"
 )
@@ -16,6 +13,7 @@ import (
 // the IDC, the more packet mass hides inside bursts a periodic timer
 // undersamples.
 type BurstResult struct {
+	table
 	WindowsUS []int64
 	IDC       []float64
 }
@@ -30,38 +28,10 @@ func Burst(tr *trace.Trace) (*BurstResult, error) {
 		return nil, err
 	}
 	out.IDC = idc
+	out.table = newTable("ext-burst", "burstiness profile: index of dispersion for counts vs timescale",
+		column{"window_ms", "window", "%10dms"}, column{"idc", "IDC", "%10.2f"}, column{"poisson", "poisson", "%10.1f"})
+	for i, win := range out.WindowsUS {
+		out.addRow(integer(win/1000), float(idc[i]), float(1))
+	}
 	return out, nil
-}
-
-// ID implements Result.
-func (r *BurstResult) ID() string { return "ext-burst" }
-
-// Title implements Result.
-func (r *BurstResult) Title() string {
-	return "burstiness profile: index of dispersion for counts vs timescale"
-}
-
-// WriteText implements Result.
-func (r *BurstResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%12s %10s %10s\n", "window", "IDC", "poisson")
-	for i, win := range r.WindowsUS {
-		if _, err := fmt.Fprintf(w, "%10dms %10.2f %10.1f\n",
-			win/1000, r.IDC[i], 1.0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Table implements Result.
-func (r *BurstResult) Table() ([]string, [][]string) {
-	cols := []string{"window_us", "idc"}
-	var rows [][]string
-	for i, win := range r.WindowsUS {
-		rows = append(rows, []string{fmt.Sprint(win), f(r.IDC[i])})
-	}
-	return cols, rows
 }

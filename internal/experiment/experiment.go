@@ -19,36 +19,31 @@ import (
 	"netsample/internal/trace"
 )
 
-// Result is a completed experiment, ready to render.
+// Result is a completed experiment. Every result embeds the table its
+// runner filled, which implements these methods: text, CSV and JSON
+// render the same rows.
 type Result interface {
-	// ID is the paper artifact identifier, e.g. "table2" or "figure8".
 	ID() string
-	// Title is the artifact's one-line description.
 	Title() string
-	// WriteText renders the regenerated rows/series.
 	WriteText(w io.Writer) error
-	// Table returns the same rows as a rectangular table of column names
-	// and string cells, for CSV and JSON export to plotting tools.
-	Table() (columns []string, rows [][]string)
-}
-
-// header renders the shared banner of every experiment.
-func header(w io.Writer, r Result) error {
-	_, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID(), r.Title())
-	return err
+	WriteCSV(w io.Writer) error
+	WriteJSON(w io.Writer) error
 }
 
 // --- Table 1 -----------------------------------------------------------------
 
 // Table1Result is the packet-categorization object support matrix.
 type Table1Result struct {
+	table
 	Objects []string
 	T1, T3  map[string]bool
 }
 
 // Table1 reproduces Table 1 from the node models' object profiles.
 func Table1() *Table1Result {
-	r := &Table1Result{T1: map[string]bool{}, T3: map[string]bool{}}
+	r := &Table1Result{T1: map[string]bool{}, T3: map[string]bool{}, table: newTable("table1",
+		"packet categorization objects on T1 and T3 backbone nodes",
+		column{"object", "object", "%-24s"}, column{"t1", "T1", "%-4s"}, column{"t3", "T3", "%-4s"})}
 	for _, name := range arts.SupportedObjectNames(arts.T1) {
 		r.Objects = append(r.Objects, name)
 		r.T1[name] = true
@@ -56,35 +51,16 @@ func Table1() *Table1Result {
 	for _, name := range arts.SupportedObjectNames(arts.T3) {
 		r.T3[name] = true
 	}
-	return r
-}
-
-// ID implements Result.
-func (r *Table1Result) ID() string { return "table1" }
-
-// Title implements Result.
-func (r *Table1Result) Title() string {
-	return "packet categorization objects on T1 and T3 backbone nodes"
-}
-
-// WriteText implements Result.
-func (r *Table1Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
+	mark := func(b bool) cell {
+		if b {
+			return str("Y")
+		}
+		return str("N/A")
 	}
-	fmt.Fprintf(w, "%-24s %-4s %-4s\n", "object", "T1", "T3")
 	for _, name := range r.Objects {
-		mark := func(b bool) string {
-			if b {
-				return "Y"
-			}
-			return "N/A"
-		}
-		if _, err := fmt.Fprintf(w, "%-24s %-4s %-4s\n", name, mark(r.T1[name]), mark(r.T3[name])); err != nil {
-			return err
-		}
+		r.addRow(str(name), mark(r.T1[name]), mark(r.T3[name]))
 	}
-	return nil
+	return r
 }
 
 // --- Table 2 -----------------------------------------------------------------
@@ -100,6 +76,7 @@ type Table2Row struct {
 // Table2Result summarizes the per-second packet, byte, and mean-size
 // distributions of the trace hour.
 type Table2Result struct {
+	table
 	TotalPackets int
 	Rows         []Table2Row
 }
@@ -120,7 +97,14 @@ func Table2(tr *trace.Trace) (*Table2Result, error) {
 			msz = append(msz, r.MeanSize)
 		}
 	}
-	out := &Table2Result{TotalPackets: tr.Len()}
+	out := &Table2Result{TotalPackets: tr.Len(), table: newTable("table2",
+		"per-second packet/byte volume and mean packet size (trace hour)",
+		column{"distribution", "distribution", "%-30s"}, column{"min", "min", "%8.1f"},
+		column{"p25", "25%", "%8.1f"}, column{"median", "median", "%8.1f"},
+		column{"p75", "75%", "%8.1f"}, column{"max", "max", "%8.1f"},
+		column{"mean", "mean", "%8.1f"}, column{"stddev", "stddev", "%8.1f"},
+		column{"skew", "skew", "%6.2f"}, column{"kurtosis", "kurt", "%6.2f"})}
+	out.above = []string{fmt.Sprintf("total packets in hour: %d", out.TotalPackets)}
 	for _, d := range []struct {
 		name string
 		xs   []float64
@@ -134,6 +118,8 @@ func Table2(tr *trace.Trace) (*Table2Result, error) {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, row)
+		out.addRow(str(row.Name), float(row.Min), float(row.Q25), float(row.Median), float(row.Q75),
+			float(row.Max), float(row.Mean), float(row.StdDev), float(row.Skew), float(row.Kurtosis))
 	}
 	return out, nil
 }
@@ -154,36 +140,11 @@ func table2Row(name string, xs []float64) (Table2Row, error) {
 	}, nil
 }
 
-// ID implements Result.
-func (r *Table2Result) ID() string { return "table2" }
-
-// Title implements Result.
-func (r *Table2Result) Title() string {
-	return "per-second packet/byte volume and mean packet size (trace hour)"
-}
-
-// WriteText implements Result.
-func (r *Table2Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "total packets in hour: %d\n", r.TotalPackets)
-	fmt.Fprintf(w, "%-30s %8s %8s %8s %8s %8s %8s %8s %6s %6s\n",
-		"distribution", "min", "25%", "median", "75%", "max", "mean", "stddev", "skew", "kurt")
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%-30s %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %6.2f %6.2f\n",
-			row.Name, row.Min, row.Q25, row.Median, row.Q75, row.Max,
-			row.Mean, row.StdDev, row.Skew, row.Kurtosis); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // --- Table 3 -----------------------------------------------------------------
 
 // Table3Result holds the population summaries for both targets.
 type Table3Result struct {
+	table
 	TotalPackets int
 	Size         stats.PopulationSummary
 	Interarrival stats.PopulationSummary
@@ -200,34 +161,21 @@ func Table3(p *core.Profile) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Table3Result{TotalPackets: p.Population().Len(), Size: size, Interarrival: iat}, nil
-}
-
-// ID implements Result.
-func (r *Table3Result) ID() string { return "table3" }
-
-// Title implements Result.
-func (r *Table3Result) Title() string {
-	return "population summary: packet size and interarrival time"
-}
-
-// WriteText implements Result.
-func (r *Table3Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
+	out := &Table3Result{TotalPackets: p.Population().Len(), Size: size, Interarrival: iat, table: newTable("table3",
+		"population summary: packet size and interarrival time",
+		column{"distribution", "distribution", "%-16s"}, column{"min", "min", "%8.0f"},
+		column{"p5", "5%", "%8.0f"}, column{"p25", "25%", "%8.0f"}, column{"median", "median", "%8.0f"},
+		column{"p75", "75%", "%8.0f"}, column{"p95", "95%", "%8.0f"}, column{"max", "max", "%8.0f"},
+		column{"mean", "mean", "%8.0f"}, column{"stddev", "stddev", "%8.0f"})}
+	out.above = []string{fmt.Sprintf("total population = %d packets", out.TotalPackets)}
+	for _, d := range []struct {
+		name string
+		s    stats.PopulationSummary
+	}{{"packet size (B)", size}, {"interarrival(us)", iat}} {
+		out.addRow(str(d.name), float(d.s.Min), float(d.s.P5), float(d.s.P25), float(d.s.Median),
+			float(d.s.P75), float(d.s.P95), float(d.s.Max), float(d.s.Mean), float(d.s.StdDev))
 	}
-	fmt.Fprintf(w, "total population = %d packets\n", r.TotalPackets)
-	fmt.Fprintf(w, "%-16s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
-		"distribution", "min", "5%", "25%", "median", "75%", "95%", "max", "mean", "stddev")
-	p := func(name string, s stats.PopulationSummary) error {
-		_, err := fmt.Fprintf(w, "%-16s %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f\n",
-			name, s.Min, s.P5, s.P25, s.Median, s.P75, s.P95, s.Max, s.Mean, s.StdDev)
-		return err
-	}
-	if err := p("packet size (B)", r.Size); err != nil {
-		return err
-	}
-	return p("interarrival(us)", r.Interarrival)
+	return out, nil
 }
 
 // --- Section 5.1 sample sizes ---------------------------------------------------
@@ -244,6 +192,7 @@ type SampleSizeRow struct {
 // SampleSizesResult reproduces the Section 5.1 worked examples on the
 // actual population parameters of the trace.
 type SampleSizesResult struct {
+	table
 	Rows []SampleSizeRow
 }
 
@@ -259,7 +208,11 @@ func SampleSizes(p *core.Profile) (*SampleSizesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &SampleSizesResult{}
+	out := &SampleSizesResult{table: newTable("sec5.1",
+		"Cochran sample sizes for estimating the mean (95% confidence)",
+		column{"target", "target", "%-14s"}, column{"mean", "mean", "%10.1f"},
+		column{"stddev", "stddev", "%10.1f"}, column{"accuracy_pct", "r%", "%6.0f"},
+		column{"n", "n", "%10d"}, column{"fraction_pct", "fraction", "%9.3f%%"})}
 	for _, c := range []struct {
 		target    string
 		mean, std float64
@@ -273,38 +226,17 @@ func SampleSizes(p *core.Profile) (*SampleSizesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Rows = append(out.Rows, SampleSizeRow{
+			row := SampleSizeRow{
 				Target: c.target, Mean: c.mean, Std: c.std,
 				AccuracyPct: acc, N: n,
 				Fraction: float64(n) / float64(c.pop),
-			})
+			}
+			out.Rows = append(out.Rows, row)
+			out.addRow(str(row.Target), float(row.Mean), float(row.Std), float(row.AccuracyPct),
+				integer(row.N), float(100*row.Fraction))
 		}
 	}
 	return out, nil
-}
-
-// ID implements Result.
-func (r *SampleSizesResult) ID() string { return "sec5.1" }
-
-// Title implements Result.
-func (r *SampleSizesResult) Title() string {
-	return "Cochran sample sizes for estimating the mean (95% confidence)"
-}
-
-// WriteText implements Result.
-func (r *SampleSizesResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-14s %10s %10s %6s %10s %10s\n",
-		"target", "mean", "stddev", "r%", "n", "fraction")
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%-14s %10.1f %10.1f %6.0f %10d %9.3f%%\n",
-			row.Target, row.Mean, row.Std, row.AccuracyPct, row.N, 100*row.Fraction); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- Section 5.2 chi-square acceptance -------------------------------------------
@@ -313,6 +245,7 @@ func (r *SampleSizesResult) WriteText(w io.Writer) error {
 // chi-square test: across all 50 systematic phases, how many replications
 // a statistician would reject at the 0.05 level.
 type ChiSquareAcceptanceResult struct {
+	table
 	Granularity  int
 	Replications int
 	Target       string
@@ -348,24 +281,12 @@ func ChiSquareAcceptance(tr *trace.Trace, target core.Target) (*ChiSquareAccepta
 			out.MinSig = rep.Significance
 		}
 	}
+	out.table = newTable("sec5.2", "chi-square test acceptance of 1-in-50 systematic samples",
+		column{name: "target"}, column{name: "granularity"}, column{name: "replications"},
+		column{name: "rejected"}, column{name: "min_significance"})
+	out.addRow(str(out.Target), integer(k), integer(out.Replications), integer(out.Rejected), float(out.MinSig))
+	out.below = []string{fmt.Sprintf(
+		"target=%s k=%d: %d of %d replications rejected at the 0.05 level (min significance %.4f)",
+		out.Target, k, out.Rejected, out.Replications, out.MinSig)}
 	return out, nil
-}
-
-// ID implements Result.
-func (r *ChiSquareAcceptanceResult) ID() string { return "sec5.2" }
-
-// Title implements Result.
-func (r *ChiSquareAcceptanceResult) Title() string {
-	return "chi-square test acceptance of 1-in-50 systematic samples"
-}
-
-// WriteText implements Result.
-func (r *ChiSquareAcceptanceResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w,
-		"target=%s k=%d: %d of %d replications rejected at the 0.05 level (min significance %.4f)\n",
-		r.Target, r.Granularity, r.Rejected, r.Replications, r.MinSig)
-	return err
 }

@@ -176,11 +176,11 @@ func TestFigures4And5(t *testing.T) {
 				sum += p
 			}
 			if sum < 0.999 || sum > 1.001 {
-				t.Errorf("%s proportions sum %v", r.Figure, sum)
+				t.Errorf("%s proportions sum %v", r.ID(), sum)
 			}
 		}
 		if r.Phis[0] > r.Phis[len(r.Phis)-1] == false && r.Phis[len(r.Phis)-1] == 0 {
-			t.Errorf("%s phi legend empty", r.Figure)
+			t.Errorf("%s phi legend empty", r.ID())
 		}
 		render(t, r)
 	}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"netsample/internal/core"
 	"netsample/internal/dist"
@@ -16,7 +15,7 @@ import (
 // CategoricalFigureResult shows mean φ vs sampling granularity for a
 // discrete characterization under stratified packet sampling.
 type CategoricalFigureResult struct {
-	Artifact      string
+	table
 	CharName      string
 	Cells         int
 	Granularities []int
@@ -34,17 +33,20 @@ func categoricalFigure(tr *trace.Trace, cat core.Categorizer, minShare float64,
 	}
 	r := dist.NewRNG(seed)
 	out := &CategoricalFigureResult{
-		Artifact:      artifact,
 		CharName:      cat.Name(),
 		Cells:         ev.NumCells(),
 		Granularities: powerOfTwoGrans(1, 13),
+		table: newTable(artifact, fmt.Sprintf("§8 extension: mean stratified phi vs fraction, %s (%d cells, 1024 s)",
+			cat.Name(), ev.NumCells()), granularity, column{"mean_phi", "mean-phi", "%10.5f"}),
 	}
 	for _, k := range out.Granularities {
 		reps, err := core.ReplicateCategorical(ev, core.StratifiedCount{K: k}, 5, r)
 		if err != nil {
 			return nil, err
 		}
-		out.Means = append(out.Means, core.MeanPhi(reps))
+		mean := core.MeanPhi(reps)
+		out.Means = append(out.Means, mean)
+		out.addRow(integer(k), float(mean))
 	}
 	return out, nil
 }
@@ -61,27 +63,4 @@ func ExtPorts(tr *trace.Trace) (*CategoricalFigureResult, error) {
 // anticipates.
 func ExtMatrix(tr *trace.Trace) (*CategoricalFigureResult, error) {
 	return categoricalFigure(tr, core.NetPairCategorizer{}, 0.0005, "ext-matrix", 82001)
-}
-
-// ID implements Result.
-func (r *CategoricalFigureResult) ID() string { return r.Artifact }
-
-// Title implements Result.
-func (r *CategoricalFigureResult) Title() string {
-	return fmt.Sprintf("§8 extension: mean stratified phi vs fraction, %s (%d cells, 1024 s)",
-		r.CharName, r.Cells)
-}
-
-// WriteText implements Result.
-func (r *CategoricalFigureResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %10s\n", "1/frac", "mean-phi")
-	for i := range r.Granularities {
-		if _, err := fmt.Fprintf(w, "%8d %10.5f\n", r.Granularities[i], r.Means[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"netsample/internal/bins"
@@ -57,6 +56,7 @@ type Figure1Point struct {
 // processor; in month `SamplingMonth` the 1-in-50 deployment restores
 // agreement.
 type Figure1Result struct {
+	table
 	Points []Figure1Point
 }
 
@@ -64,7 +64,10 @@ type Figure1Result struct {
 // Each month is represented by a short trace at that month's load level;
 // capacityPPS is the fixed statistics-processor capacity.
 func Figure1(months int, samplingMonth int, capacityPPS float64) (*Figure1Result, error) {
-	out := &Figure1Result{}
+	out := &Figure1Result{table: newTable("figure1",
+		"T1 packet totals: SNMP vs NNStat discrepancy under growing load",
+		column{"month", "month", "%-10s"}, column{"snmp", "snmp", "%12d"}, column{"nnstat", "nnstat", "%12d"},
+		column{"shortfall_pct", "shortfall", "%9.1f%%"}, column{"sampling", "sampling", "%9s"})}
 	const monthSeconds = 30
 	for m := 0; m < months; m++ {
 		// Offered load grows ~8% per month from half the processor
@@ -87,12 +90,21 @@ func Figure1(months int, samplingMonth int, capacityPPS float64) (*Figure1Result
 		}
 		node := nsfnet.NewT1Node(capacityPPS, 32, sampleK)
 		node.ProcessTrace(tr)
-		out.Points = append(out.Points, Figure1Point{
+		p := Figure1Point{
 			Month:      fmt.Sprintf("month-%02d", m+1),
 			SNMP:       node.SNMP.InPackets,
 			NNStat:     node.CategorizedPackets(),
 			SamplingOn: sampleK > 0,
-		})
+		}
+		out.Points = append(out.Points, p)
+		short, mark := 0.0, ""
+		if p.SNMP > 0 {
+			short = 1 - float64(p.NNStat)/float64(p.SNMP)
+		}
+		if p.SamplingOn {
+			mark = "1-in-50"
+		}
+		out.addRow(str(p.Month), integer(p.SNMP), integer(p.NNStat), float(100*short), str(mark))
 	}
 	return out, nil
 }
@@ -104,37 +116,6 @@ func pow108(m int) float64 {
 		v *= 1.08
 	}
 	return v
-}
-
-// ID implements Result.
-func (r *Figure1Result) ID() string { return "figure1" }
-
-// Title implements Result.
-func (r *Figure1Result) Title() string {
-	return "T1 packet totals: SNMP vs NNStat discrepancy under growing load"
-}
-
-// WriteText implements Result.
-func (r *Figure1Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-10s %12s %12s %10s %9s\n", "month", "snmp", "nnstat", "shortfall", "sampling")
-	for _, p := range r.Points {
-		short := 0.0
-		if p.SNMP > 0 {
-			short = 1 - float64(p.NNStat)/float64(p.SNMP)
-		}
-		mark := ""
-		if p.SamplingOn {
-			mark = "1-in-50"
-		}
-		if _, err := fmt.Fprintf(w, "%-10s %12d %12d %9.1f%% %9s\n",
-			p.Month, p.SNMP, p.NNStat, 100*short, mark); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- Figure 3 -----------------------------------------------------------------
@@ -150,6 +131,7 @@ type Figure3Point struct {
 // increasing sampling granularity for systematic sampling of the
 // packet-size target over a 2048-second interval.
 type Figure3Result struct {
+	table
 	IntervalSeconds int64
 	Points          []Figure3Point
 }
@@ -161,7 +143,13 @@ func Figure3(tr *trace.Trace) (*Figure3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure3Result{IntervalSeconds: 2048}
+	out := &Figure3Result{IntervalSeconds: 2048, table: newTable("figure3",
+		"disparity metrics vs sampling granularity (2048 s interval)",
+		granularity, column{"n", "n", "%9d"}, column{"chi2", "chi2", "%12.2f"},
+		column{"one_minus_sig", "1-sig", "%8.4f"}, column{"cost", "cost", "%12.0f"},
+		column{"rcost", "rcost", "%12.2f"}, column{"x2", "X2", "%10.6f"},
+		column{name: "k"}, // the mean normalized deviation, exported only
+		column{"phi", "phi", "%10.6f"})}
 	sc := ev.NewScorer()
 	for _, k := range powerOfTwoGrans(1, 15) {
 		sc.Reset()
@@ -173,33 +161,10 @@ func Figure3(tr *trace.Trace) (*Figure3Result, error) {
 			return nil, err
 		}
 		out.Points = append(out.Points, Figure3Point{Granularity: k, SampleSize: sc.SampleSize(), Report: rep})
+		out.addRow(integer(k), integer(sc.SampleSize()), float(rep.ChiSquare), float(1-rep.Significance),
+			float(rep.Cost), float(rep.RelativeCost), float(rep.PaxsonX2), float(rep.AvgNormDev), float(rep.Phi))
 	}
 	return out, nil
-}
-
-// ID implements Result.
-func (r *Figure3Result) ID() string { return "figure3" }
-
-// Title implements Result.
-func (r *Figure3Result) Title() string {
-	return "disparity metrics vs sampling granularity (2048 s interval)"
-}
-
-// WriteText implements Result.
-func (r *Figure3Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %9s %12s %8s %12s %12s %10s %10s\n",
-		"1/frac", "n", "chi2", "1-sig", "cost", "rcost", "X2", "phi")
-	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(w, "%8d %9d %12.2f %8.4f %12.0f %12.2f %10.6f %10.6f\n",
-			p.Granularity, p.SampleSize, p.Report.ChiSquare, 1-p.Report.Significance,
-			p.Report.Cost, p.Report.RelativeCost, p.Report.PaxsonX2, p.Report.Phi); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- Figures 4 and 5: histograms under sampling ---------------------------------
@@ -208,7 +173,7 @@ func (r *Figure3Result) WriteText(w io.Writer) error {
 // systematic sampling granularities over a 1024 s interval, with φ
 // scores — Figures 4 (packet size) and 5 (interarrival).
 type HistogramFigureResult struct {
-	Figure        string
+	table
 	Target        core.Target
 	Labels        []string
 	Population    []float64
@@ -231,7 +196,6 @@ func histogramFigure(tr *trace.Trace, target core.Target, figure string) (*Histo
 		return nil, err
 	}
 	out := &HistogramFigureResult{
-		Figure:        figure,
 		Target:        target,
 		Population:    ev.PopulationProportions(),
 		Granularities: []int{4, 64, 256, 2048, 16384},
@@ -239,6 +203,11 @@ func histogramFigure(tr *trace.Trace, target core.Target, figure string) (*Histo
 	for i := 0; i < scheme.NumBins(); i++ {
 		out.Labels = append(out.Labels, scheme.Label(i))
 	}
+	cols := []column{{"bin", "bin", "%-16s"}, {"population", "population", "%10.4f"}}
+	for _, k := range out.Granularities {
+		cols = append(cols, column{fmt.Sprint("k", k), fmt.Sprintf("%7s=%-5d", "1/f", k), "%13.4f"})
+	}
+	out.table = newTable(figure, fmt.Sprintf("%s distribution at five systematic sampling granularities (1024 s)", target), cols...)
 	sc := ev.NewScorer()
 	for _, k := range out.Granularities {
 		sc.Reset()
@@ -261,6 +230,19 @@ func histogramFigure(tr *trace.Trace, target core.Target, figure string) (*Histo
 		}
 		out.Phis = append(out.Phis, rep.Phi)
 	}
+	for b, label := range out.Labels {
+		row := []cell{str(label), float(out.Population[b])}
+		for g := range out.Granularities {
+			row = append(row, float(out.Proportions[g][b]))
+		}
+		out.addRow(row...)
+	}
+	// The φ row has no population share and prints one more digit.
+	row := []cell{str("phi"), str("0")}
+	for _, phi := range out.Phis {
+		row = append(row, cell{kind: 'f', f: phi, prec: 5})
+	}
+	out.addRow(row...)
 	return out, nil
 }
 
@@ -272,41 +254,6 @@ func Figure4(tr *trace.Trace) (*HistogramFigureResult, error) {
 // Figure5 reproduces the interarrival histograms under sampling.
 func Figure5(tr *trace.Trace) (*HistogramFigureResult, error) {
 	return histogramFigure(tr, core.TargetInterarrival, "figure5")
-}
-
-// ID implements Result.
-func (r *HistogramFigureResult) ID() string { return r.Figure }
-
-// Title implements Result.
-func (r *HistogramFigureResult) Title() string {
-	return fmt.Sprintf("%s distribution at five systematic sampling granularities (1024 s)", r.Target)
-}
-
-// WriteText implements Result.
-func (r *HistogramFigureResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-16s", "bin")
-	fmt.Fprintf(w, " %10s", "population")
-	for i, k := range r.Granularities {
-		fmt.Fprintf(w, " %7s=%-5d", "1/f", k)
-		_ = i
-	}
-	fmt.Fprintln(w)
-	for b, label := range r.Labels {
-		fmt.Fprintf(w, "%-16s %10.4f", label, r.Population[b])
-		for g := range r.Granularities {
-			fmt.Fprintf(w, " %13.4f", r.Proportions[g][b])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "%-16s %10s", "phi", "0")
-	for g := range r.Granularities {
-		fmt.Fprintf(w, " %13.5f", r.Phis[g])
-	}
-	_, err := fmt.Fprintln(w)
-	return err
 }
 
 // --- Figures 6 and 7: boxplots and means of systematic φ -------------------------
@@ -321,6 +268,7 @@ type Figure6Row struct {
 // Figure6Result holds φ-score boxplots for systematic packet-size
 // sampling as the sampling fraction decreases (1024 s interval).
 type Figure6Result struct {
+	table
 	Rows []Figure6Row
 }
 
@@ -333,7 +281,11 @@ func Figure6(tr *trace.Trace) (*Figure6Result, error) {
 		return nil, err
 	}
 	r := dist.NewRNG(6001)
-	out := &Figure6Result{}
+	out := &Figure6Result{table: newTable("figure6",
+		"ranges of systematic phi scores, packet size, vs sampling fraction (1024 s)",
+		granularity, column{"replications", "reps", "%5d"}, column{"low", "loWhisk", "%10.5f"},
+		column{"q1", "q1", "%10.5f"}, column{"median", "median", "%10.5f"}, column{"q3", "q3", "%10.5f"},
+		column{"high", "hiWhisk", "%10.5f"}, column{"outliers", "outliers", "%9d"})}
 	for _, k := range powerOfTwoGrans(2, 15) {
 		count := 20
 		if k < count {
@@ -348,38 +300,15 @@ func Figure6(tr *trace.Trace) (*Figure6Result, error) {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, Figure6Row{Granularity: k, Replications: count, Box: box})
+		out.addRow(integer(k), integer(count), float(box.LowWhisker), float(box.Q1), float(box.Median),
+			float(box.Q3), float(box.HighWhisker), integer(len(box.Outliers)))
 	}
 	return out, nil
 }
 
-// ID implements Result.
-func (r *Figure6Result) ID() string { return "figure6" }
-
-// Title implements Result.
-func (r *Figure6Result) Title() string {
-	return "ranges of systematic phi scores, packet size, vs sampling fraction (1024 s)"
-}
-
-// WriteText implements Result.
-func (r *Figure6Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %5s %10s %10s %10s %10s %10s %9s\n",
-		"1/frac", "reps", "loWhisk", "q1", "median", "q3", "hiWhisk", "outliers")
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%8d %5d %10.5f %10.5f %10.5f %10.5f %10.5f %9d\n",
-			row.Granularity, row.Replications,
-			row.Box.LowWhisker, row.Box.Q1, row.Box.Median, row.Box.Q3,
-			row.Box.HighWhisker, len(row.Box.Outliers)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Figure7Result is the means of Figure 6's boxplots.
 type Figure7Result struct {
+	table
 	Granularities []int
 	Means         []float64
 }
@@ -390,34 +319,15 @@ func Figure7(tr *trace.Trace) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure7Result{}
+	out := &Figure7Result{table: newTable("figure7",
+		"means of systematic phi scores, packet size, vs sampling fraction (1024 s)",
+		granularity, column{"mean_phi", "mean-phi", "%10.5f"})}
 	for _, row := range f6.Rows {
 		out.Granularities = append(out.Granularities, row.Granularity)
 		out.Means = append(out.Means, row.Box.Mean)
+		out.addRow(integer(row.Granularity), float(row.Box.Mean))
 	}
 	return out, nil
-}
-
-// ID implements Result.
-func (r *Figure7Result) ID() string { return "figure7" }
-
-// Title implements Result.
-func (r *Figure7Result) Title() string {
-	return "means of systematic phi scores, packet size, vs sampling fraction (1024 s)"
-}
-
-// WriteText implements Result.
-func (r *Figure7Result) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %10s\n", "1/frac", "mean-phi")
-	for i := range r.Granularities {
-		if _, err := fmt.Fprintf(w, "%8d %10.5f\n", r.Granularities[i], r.Means[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- Figures 8 and 9: the five methods ---------------------------------------------
@@ -431,6 +341,7 @@ type MethodSeries struct {
 // MethodsFigureResult compares all five sampling methods' mean φ scores
 // across sampling fractions for one target (Figures 8 and 9).
 type MethodsFigureResult struct {
+	table
 	Figure        string
 	Target        core.Target
 	Granularities []int
@@ -489,6 +400,18 @@ func methodsFigure(tr *trace.Trace, target core.Target, figure string, seed uint
 		}
 		out.Series = append(out.Series, series)
 	}
+	cols := []column{granularity}
+	for _, s := range out.Series {
+		cols = append(cols, column{s.Method, s.Method, "%18.5f"})
+	}
+	out.table = newTable(figure, fmt.Sprintf("mean phi vs sampling fraction for five methods, %s target (1024 s)", target), cols...)
+	for i, k := range out.Granularities {
+		row := []cell{integer(k)}
+		for _, s := range out.Series {
+			row = append(row, float(s.Means[i]))
+		}
+		out.addRow(row...)
+	}
 	return out, nil
 }
 
@@ -518,40 +441,12 @@ func Figure9(tr *trace.Trace) (*MethodsFigureResult, error) {
 	return methodsFigure(tr, core.TargetInterarrival, "figure9", 9001)
 }
 
-// ID implements Result.
-func (r *MethodsFigureResult) ID() string { return r.Figure }
-
-// Title implements Result.
-func (r *MethodsFigureResult) Title() string {
-	return fmt.Sprintf("mean phi vs sampling fraction for five methods, %s target (1024 s)", r.Target)
-}
-
-// WriteText implements Result.
-func (r *MethodsFigureResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s", "1/frac")
-	for _, s := range r.Series {
-		fmt.Fprintf(w, " %18s", s.Method)
-	}
-	fmt.Fprintln(w)
-	for i, k := range r.Granularities {
-		fmt.Fprintf(w, "%8d", k)
-		for _, s := range r.Series {
-			fmt.Fprintf(w, " %18.5f", s.Means[i])
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
 // --- Figures 10 and 11: elapsed-interval effect -------------------------------------
 
 // ElapsedFigureResult shows mean systematic φ as a function of the
 // elapsed sampling interval at several fractions (Figures 10 and 11).
 type ElapsedFigureResult struct {
-	Figure        string
+	table
 	Target        core.Target
 	Minutes       []int
 	Granularities []int
@@ -561,7 +456,6 @@ type ElapsedFigureResult struct {
 // elapsedFigure computes one of the two elapsed-interval figures.
 func elapsedFigure(tr *trace.Trace, target core.Target, figure string, seed uint64) (*ElapsedFigureResult, error) {
 	out := &ElapsedFigureResult{
-		Figure:        figure,
 		Target:        target,
 		Minutes:       []int{1, 2, 4, 8, 16, 32, 60},
 		Granularities: []int{16, 256, 4096},
@@ -587,6 +481,18 @@ func elapsedFigure(tr *trace.Trace, target core.Target, figure string, seed uint
 		}
 		out.Means = append(out.Means, row)
 	}
+	cols := []column{{"minutes", "minutes", "%8d"}}
+	for _, k := range out.Granularities {
+		cols = append(cols, column{fmt.Sprint("k", k), fmt.Sprint("1/", k), "%10.5f"})
+	}
+	out.table = newTable(figure, fmt.Sprintf("mean systematic phi vs elapsed time, %s target", target), cols...)
+	for mi, min := range out.Minutes {
+		row := []cell{integer(min)}
+		for ki := range out.Granularities {
+			row = append(row, float(out.Means[ki][mi]))
+		}
+		out.addRow(row...)
+	}
 	return out, nil
 }
 
@@ -598,32 +504,4 @@ func Figure10(tr *trace.Trace) (*ElapsedFigureResult, error) {
 // Figure11 computes the interarrival elapsed-interval series.
 func Figure11(tr *trace.Trace) (*ElapsedFigureResult, error) {
 	return elapsedFigure(tr, core.TargetInterarrival, "figure11", 11001)
-}
-
-// ID implements Result.
-func (r *ElapsedFigureResult) ID() string { return r.Figure }
-
-// Title implements Result.
-func (r *ElapsedFigureResult) Title() string {
-	return fmt.Sprintf("mean systematic phi vs elapsed time, %s target", r.Target)
-}
-
-// WriteText implements Result.
-func (r *ElapsedFigureResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s", "minutes")
-	for _, k := range r.Granularities {
-		fmt.Fprintf(w, " %10s", fmt.Sprintf("1/%d", k))
-	}
-	fmt.Fprintln(w)
-	for mi, min := range r.Minutes {
-		fmt.Fprintf(w, "%8d", min)
-		for ki := range r.Granularities {
-			fmt.Fprintf(w, " %10.5f", r.Means[ki][mi])
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"netsample/internal/core"
@@ -18,6 +16,7 @@ import (
 // Figure 9 class comparison (interarrival target, where the effect is
 // strongest) on both environments.
 type FIXWestResult struct {
+	table
 	Rows []FIXWestRow
 }
 
@@ -32,12 +31,14 @@ type FIXWestRow struct {
 // parent trace; the FIX-West population is generated at a matching
 // duration.
 func FIXWest(sdsc *trace.Trace) (*FIXWestResult, error) {
-	out := &FIXWestResult{}
+	out := &FIXWestResult{table: newTable("ext-fixwest", "footnote 3: method-class comparison on the FIX-West environment",
+		column{"environment", "environment", "%-14s"}, column{"packet_phi", "packet-phi", "%12.5f"},
+		column{"timer_phi", "timer-phi", "%12.5f"}, column{"ratio", "ratio", "%8.1f"})}
 	row, err := fixwestRow("SDSC/E-NSS", sdsc)
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = append(out.Rows, row)
+	out.add(row)
 
 	cfg := traffgen.FIXWest()
 	cfg.Duration = sdsc.Duration().Round(time.Second)
@@ -52,8 +53,18 @@ func FIXWest(sdsc *trace.Trace) (*FIXWestResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = append(out.Rows, row)
+	out.add(row)
 	return out, nil
+}
+
+// add appends one environment's row and its timer-to-packet φ ratio.
+func (r *FIXWestResult) add(row FIXWestRow) {
+	r.Rows = append(r.Rows, row)
+	ratio := 0.0
+	if row.PacketPhi > 0 {
+		ratio = row.TimerPhi / row.PacketPhi
+	}
+	r.addRow(str(row.Environment), float(row.PacketPhi), float(row.TimerPhi), float(ratio))
 }
 
 // fixwestRow computes the class means at a mid granularity for one
@@ -103,31 +114,4 @@ func fixwestRow(name string, tr *trace.Trace) (FIXWestRow, error) {
 		timerPhi = (core.MeanPhi(sysT) + core.MeanPhi(strT)) / 2
 	}
 	return FIXWestRow{Environment: name, PacketPhi: packetPhi, TimerPhi: timerPhi}, nil
-}
-
-// ID implements Result.
-func (r *FIXWestResult) ID() string { return "ext-fixwest" }
-
-// Title implements Result.
-func (r *FIXWestResult) Title() string {
-	return "footnote 3: method-class comparison on the FIX-West environment"
-}
-
-// WriteText implements Result.
-func (r *FIXWestResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-14s %12s %12s %8s\n", "environment", "packet-phi", "timer-phi", "ratio")
-	for _, row := range r.Rows {
-		ratio := 0.0
-		if row.PacketPhi > 0 {
-			ratio = row.TimerPhi / row.PacketPhi
-		}
-		if _, err := fmt.Fprintf(w, "%-14s %12.5f %12.5f %8.1f\n",
-			row.Environment, row.PacketPhi, row.TimerPhi, ratio); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"netsample/internal/core"
 	"netsample/internal/flows"
@@ -15,6 +14,7 @@ import (
 // detects only the flows it happens to hit, so flow counts collapse and
 // the surviving flows skew large.
 type FlowBiasResult struct {
+	table
 	TrueFlows     int
 	TrueMeanPkts  float64
 	Granularities []int
@@ -42,6 +42,9 @@ func FlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
 		TrueMeanPkts:  float64(full.Packets) / float64(full.Flows),
 		Granularities: []int{1, 10, 50, 250, 1000},
 	}
+	out.table = newTable("ext-flows", fmt.Sprintf("flow-level view under packet sampling (%d true flows, mean %.1f pkts)",
+		out.TrueFlows, out.TrueMeanPkts), granularity, column{"detected_fraction", "detected-frac", "%14.3f"},
+		column{"size_bias", "size-bias (x true)", "%18.2f"})
 	for _, k := range out.Granularities {
 		c := full
 		if k > 1 {
@@ -49,9 +52,11 @@ func FlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
 				return nil, err
 			}
 		}
-		out.DetectedFrac = append(out.DetectedFrac, float64(c.Flows)/float64(full.Flows))
-		out.MeanPktsScale = append(out.MeanPktsScale,
-			float64(c.Packets)/float64(c.Flows)*float64(k)/out.TrueMeanPkts)
+		detected := float64(c.Flows) / float64(full.Flows)
+		bias := float64(c.Packets) / float64(c.Flows) * float64(k) / out.TrueMeanPkts
+		out.DetectedFrac = append(out.DetectedFrac, detected)
+		out.MeanPktsScale = append(out.MeanPktsScale, bias)
+		out.addRow(integer(k), float(detected), float(bias))
 	}
 	return out, nil
 }
@@ -68,39 +73,4 @@ func sampledFlows(win *trace.Trace, k int, timeoutUS int64) (flows.Counts, error
 		fc.AddHashed(flows.KeyOf(p).Hash(), p)
 	})
 	return fc.Cut(), err
-}
-
-// ID implements Result.
-func (r *FlowBiasResult) ID() string { return "ext-flows" }
-
-// Title implements Result.
-func (r *FlowBiasResult) Title() string {
-	return fmt.Sprintf("flow-level view under packet sampling (%d true flows, mean %.1f pkts)",
-		r.TrueFlows, r.TrueMeanPkts)
-}
-
-// WriteText implements Result.
-func (r *FlowBiasResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %14s %18s\n", "1/frac", "detected-frac", "size-bias (x true)")
-	for i := range r.Granularities {
-		if _, err := fmt.Fprintf(w, "%8d %14.3f %18.2f\n",
-			r.Granularities[i], r.DetectedFrac[i], r.MeanPktsScale[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Table implements Result.
-func (r *FlowBiasResult) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "detected_fraction", "size_bias"}
-	var rows [][]string
-	for i := range r.Granularities {
-		rows = append(rows, []string{d(r.Granularities[i]),
-			f(r.DetectedFrac[i]), f(r.MeanPktsScale[i])})
-	}
-	return cols, rows
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"netsample/internal/core"
 	"netsample/internal/nnstat"
@@ -16,6 +15,7 @@ import (
 // against the top-N computed from a 1-in-k systematic sample through a
 // bounded Space-Saving sketch, reporting the overlap fraction.
 type HeavyHitterResult struct {
+	table
 	TopN          int
 	SketchSize    int
 	Granularities []int
@@ -28,7 +28,9 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 	const topN = 10
 	const sketch = 256
 	out := &HeavyHitterResult{TopN: topN, SketchSize: sketch,
-		Granularities: []int{1, 10, 50, 250, 1000}}
+		Granularities: []int{1, 10, 50, 250, 1000},
+		table: newTable("ext-heavyhitters", fmt.Sprintf("top-%d src-dst pairs surviving sampling (space-saving sketch of %d)",
+			topN, sketch), granularity, column{"overlap", "topN-overlap", "%12.2f"})}
 
 	// Every feed keys the sketch by the pair's label (Top breaks count
 	// ties by key bytes, so the spelling is output); the labels are
@@ -59,7 +61,9 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 				hits++
 			}
 		}
-		out.Overlap = append(out.Overlap, float64(hits)/float64(topN))
+		overlap := float64(hits) / float64(topN)
+		out.Overlap = append(out.Overlap, overlap)
+		out.addRow(integer(k), float(overlap))
 	}
 	return out, nil
 }
@@ -95,37 +99,4 @@ func topPairs(win *trace.Trace, idx []int, weight, sketchSize, n int, labels map
 		}
 	}
 	return tk.Top(n), nil
-}
-
-// ID implements Result.
-func (r *HeavyHitterResult) ID() string { return "ext-heavyhitters" }
-
-// Title implements Result.
-func (r *HeavyHitterResult) Title() string {
-	return fmt.Sprintf("top-%d src-dst pairs surviving sampling (space-saving sketch of %d)",
-		r.TopN, r.SketchSize)
-}
-
-// WriteText implements Result.
-func (r *HeavyHitterResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%8s %12s\n", "1/frac", "topN-overlap")
-	for i := range r.Granularities {
-		if _, err := fmt.Fprintf(w, "%8d %12.2f\n", r.Granularities[i], r.Overlap[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Table implements Result.
-func (r *HeavyHitterResult) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "overlap"}
-	var rows [][]string
-	for i := range r.Granularities {
-		rows = append(rows, []string{d(r.Granularities[i]), f(r.Overlap[i])})
-	}
-	return cols, rows
 }

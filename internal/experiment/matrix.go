@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"time"
 
 	"netsample/internal/core"
@@ -48,6 +47,7 @@ type MatrixCell struct {
 
 // MatrixResult is the scenario × sampler characterization matrix.
 type MatrixResult struct {
+	table
 	Seed     uint64
 	Duration time.Duration
 	K        int
@@ -60,7 +60,14 @@ type MatrixResult struct {
 // shard, so repeated invocations are
 // byte-identical in every export format.
 func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
-	out := &MatrixResult{Seed: seed, Duration: dur, K: k}
+	out := &MatrixResult{Seed: seed, Duration: dur, K: k, table: newTable("matrix",
+		fmt.Sprintf("scenario × sampler matrix (seed %d, %s, k=%d)", seed, dur, k),
+		column{"scenario", "scenario", "%-14s"}, column{"sampler", "sampler", "%-18s"},
+		column{"windows", "win", "%4d"}, column{"offered", "offered", "%9d"},
+		column{"selected", "selected", "%9d"}, column{"dropped", "dropped", "%8d"},
+		column{"mean_phi_size", "phi[size]", "%9.4f"}, column{"mean_phi_iat", "phi[iat]", "%9.4f"},
+		column{"worst_phi", "worstphi", "%9.4f"}, column{"mean_k", "mean_k", "%8.1f"},
+		column{"k_changes", "moves", "%5d"})}
 	for _, name := range traffgen.ScenarioNames() {
 		s, err := traffgen.PresetScenario(name, seed, dur)
 		if err != nil {
@@ -71,11 +78,14 @@ func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
 			return nil, err
 		}
 		for _, sampler := range MatrixSamplers {
-			cell, err := matrixCell(tr, name, sampler, seed, dur, k)
+			c, err := matrixCell(tr, name, sampler, seed, dur, k)
 			if err != nil {
 				return nil, fmt.Errorf("matrix %s/%s: %w", name, sampler, err)
 			}
-			out.Cells = append(out.Cells, cell)
+			out.Cells = append(out.Cells, c)
+			out.addRow(str(c.Scenario), str(c.Sampler), integer(c.Windows), integer(c.Offered),
+				integer(c.Selected), integer(c.Dropped), float(c.MeanPhiSize), float(c.MeanPhiIat),
+				float(c.WorstPhi), float(c.MeanK), integer(c.KChanges))
 		}
 	}
 	return out, nil
@@ -162,43 +172,4 @@ func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time
 		}
 	}
 	return cell, nil
-}
-
-// ID implements Result.
-func (r *MatrixResult) ID() string { return "matrix" }
-
-// Title implements Result.
-func (r *MatrixResult) Title() string {
-	return fmt.Sprintf("scenario × sampler matrix (seed %d, %s, k=%d)", r.Seed, r.Duration, r.K)
-}
-
-// WriteText implements Result.
-func (r *MatrixResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-14s %-18s %4s %9s %9s %8s %9s %9s %9s %8s %5s\n",
-		"scenario", "sampler", "win", "offered", "selected", "dropped",
-		"phi[size]", "phi[iat]", "worstphi", "mean_k", "moves")
-	for _, c := range r.Cells {
-		if _, err := fmt.Fprintf(w, "%-14s %-18s %4d %9d %9d %8d %9.4f %9.4f %9.4f %8.1f %5d\n",
-			c.Scenario, c.Sampler, c.Windows, c.Offered, c.Selected, c.Dropped,
-			c.MeanPhiSize, c.MeanPhiIat, c.WorstPhi, c.MeanK, c.KChanges); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Table implements Result.
-func (r *MatrixResult) Table() ([]string, [][]string) {
-	cols := []string{"scenario", "sampler", "windows", "offered", "selected", "dropped",
-		"mean_phi_size", "mean_phi_iat", "worst_phi", "mean_k", "k_changes"}
-	var rows [][]string
-	for _, c := range r.Cells {
-		rows = append(rows, []string{c.Scenario, c.Sampler, d(c.Windows),
-			u(c.Offered), u(c.Selected), u(c.Dropped),
-			f(c.MeanPhiSize), f(c.MeanPhiIat), f(c.WorstPhi), f(c.MeanK), d(c.KChanges)})
-	}
-	return cols, rows
 }

@@ -30,8 +30,8 @@ func TestMatrixQuickGolden(t *testing.T) {
 		file   string
 		render func(*bytes.Buffer) error
 	}{
-		{"matrix_quick.csv", func(b *bytes.Buffer) error { return WriteCSV(b, r) }},
-		{"matrix_quick.json", func(b *bytes.Buffer) error { return WriteJSON(b, r) }},
+		{"matrix_quick.csv", func(b *bytes.Buffer) error { return r.WriteCSV(b) }},
+		{"matrix_quick.json", func(b *bytes.Buffer) error { return r.WriteJSON(b) }},
 	} {
 		var buf bytes.Buffer
 		if err := g.render(&buf); err != nil {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"netsample/internal/core"
@@ -42,6 +41,7 @@ type ReproCheckRow struct {
 // population statistic the paper reports, next to this run's measured
 // value.
 type ReproCheckResult struct {
+	table
 	Rows []ReproCheckRow
 }
 
@@ -90,7 +90,10 @@ func ReproCheck(p *core.Profile) (*ReproCheckResult, error) {
 		"iat p75 (us)":    iat.P75,
 		"iat p95 (us)":    iat.P95,
 	}
-	out := &ReproCheckResult{}
+	out := &ReproCheckResult{table: newTable("repro-check",
+		"calibration scorecard: paper-reported vs measured population statistics",
+		column{"quantity", "quantity", "%-18s"}, column{"paper", "paper", "%10.1f"},
+		column{"measured", "measured", "%10.1f"}, column{"diff_pct", "diff", "%7.1f%%"})}
 	for _, ref := range paperReference {
 		row := ref
 		row.Measured = measured[ref.Quantity]
@@ -98,7 +101,9 @@ func ReproCheck(p *core.Profile) (*ReproCheckResult, error) {
 			row.RelDiff = (row.Measured - ref.Paper) / math.Abs(ref.Paper)
 		}
 		out.Rows = append(out.Rows, row)
+		out.addRow(str(row.Quantity), float(row.Paper), float(row.Measured), float(100*row.RelDiff))
 	}
+	out.below = []string{fmt.Sprintf("%d of %d quantities within 1%% of the paper", out.ExactMatches(), len(out.Rows))}
 	return out, nil
 }
 
@@ -111,39 +116,4 @@ func (r *ReproCheckResult) ExactMatches() int {
 		}
 	}
 	return n
-}
-
-// ID implements Result.
-func (r *ReproCheckResult) ID() string { return "repro-check" }
-
-// Title implements Result.
-func (r *ReproCheckResult) Title() string {
-	return "calibration scorecard: paper-reported vs measured population statistics"
-}
-
-// WriteText implements Result.
-func (r *ReproCheckResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-18s %10s %10s %8s\n", "quantity", "paper", "measured", "diff")
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%-18s %10.1f %10.1f %7.1f%%\n",
-			row.Quantity, row.Paper, row.Measured, 100*row.RelDiff); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%d of %d quantities within 1%% of the paper\n",
-		r.ExactMatches(), len(r.Rows))
-	return err
-}
-
-// Table implements Result.
-func (r *ReproCheckResult) Table() ([]string, [][]string) {
-	cols := []string{"quantity", "paper", "measured", "rel_diff"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Quantity, f(row.Paper), f(row.Measured), f(row.RelDiff)})
-	}
-	return cols, rows
 }

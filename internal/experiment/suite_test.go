@@ -10,11 +10,11 @@ import (
 	"netsample/internal/trace"
 )
 
-// TestAllQuickGolden pins the text rendering on the quick population
-// byte-for-byte — exactly what `experiments -quick` and
-// `experiments -quick -only ablations` print, which CI diffs against
-// the same files: the whole suite, and the ablations it leaves out.
-// Regenerate with NSGEN_GOLDEN=1 after an intentional change.
+// TestAllQuickGolden pins the quick population's output byte-for-byte
+// in every format — exactly what `experiments -quick [-format F]` and
+// `experiments -quick -only ablations [-format F]` print, which CI diffs
+// against the same files: the whole suite, and the ablations it leaves
+// out. Regenerate with NSGEN_GOLDEN=1 after an intentional change.
 func TestAllQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run skipped in -short mode")
@@ -28,31 +28,33 @@ func TestAllQuickGolden(t *testing.T) {
 		golden string
 		run    func(*trace.Trace) ([]Result, error)
 	}{
-		{"all_quick.txt", All},
-		{"ablations_quick.txt", onlyAblations},
+		{"all_quick", All},
+		{"ablations_quick", onlyAblations},
 	} {
 		results, err := tc.run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteAll(&buf, results); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join("testdata", tc.golden)
-		if os.Getenv("NSGEN_GOLDEN") != "" {
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		for _, f := range []struct{ format, ext string }{{"text", "txt"}, {"csv", "csv"}, {"json", "json"}} {
+			var buf bytes.Buffer
+			if err := WriteAllFormat(&buf, results, f.format); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("wrote %s", path)
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with NSGEN_GOLDEN=1 to create)", path, err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: output differs from golden; regenerate with NSGEN_GOLDEN=1 if intentional", path)
+			path := filepath.Join("testdata", tc.golden+"."+f.ext)
+			if os.Getenv("NSGEN_GOLDEN") != "" {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s", path)
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%s: %v (run with NSGEN_GOLDEN=1 to create)", path, err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s: output differs from golden; regenerate with NSGEN_GOLDEN=1 if intentional", path)
+			}
 		}
 	}
 }

@@ -5,20 +5,186 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
-
-	"netsample/internal/stats"
+	"unicode/utf8"
 )
 
-// WriteCSV renders a result's table as CSV with a leading id column.
-func WriteCSV(w io.Writer, r Result) error {
-	cols, rows := r.Table()
+// table is one artifact's output, described once: its id and title,
+// its columns, its rows of typed cells, and the lines only the text
+// shows — totals, prose and legends. WriteText, WriteCSV and WriteJSON
+// render it. Every result embeds the table its runner filled.
+type table struct {
+	id, title string
+	cols      []column
+	cells     []cell // row-major, len(cols) to a row
+	// above and below are text-only lines before the column heading and
+	// after the last row.
+	above, below []string
+}
+
+// column is one field of a table's rows. name heads it in CSV and JSON,
+// head in text, where text lays out each cell as a printf-style verb
+// %[-]W[.P]c followed by literal text ("%9.1f%%") and head is padded to
+// the cell's width. A column with no text verb is left out of the text.
+type column struct{ name, head, text string }
+
+// granularity is the sampling-granularity column most figures lead with.
+var granularity = column{"granularity", "1/frac", "%8d"}
+
+// cell is one typed value of a table row. A float prints at its
+// column's text precision unless prec is positive.
+type cell struct {
+	kind byte // 's', 'd' or 'f'
+	s    string
+	n    int64
+	f    float64
+	prec int
+}
+
+func str(s string) cell                           { return cell{kind: 's', s: s} }
+func integer[T ~int | ~int64 | ~uint64](n T) cell { return cell{kind: 'd', n: int64(n)} }
+func float(f float64) cell                        { return cell{kind: 'f', f: f} }
+
+func newTable(id, title string, cols ...column) table {
+	return table{id: id, title: title, cols: cols}
+}
+
+// addRow appends one row, a cell for each column.
+func (t *table) addRow(row ...cell) {
+	if len(row) != len(t.cols) {
+		panic(fmt.Sprintf("experiment: %s row of %d cells, want %d", t.id, len(row), len(t.cols)))
+	}
+	t.cells = append(t.cells, row...)
+}
+
+// ID is the paper artifact identifier, e.g. "table2" or "figure8".
+func (t *table) ID() string { return t.id }
+
+// Title is the artifact's one-line description.
+func (t *table) Title() string { return t.title }
+
+// WriteText renders the banner, the lines above, the heading and rows
+// of the columns that have a text verb, and the lines below.
+func (t *table) WriteText(w io.Writer) error {
+	b := fmt.Appendf(nil, "== %s: %s ==\n", t.id, t.title)
+	b = appendLines(b, t.above)
+	if slices.ContainsFunc(t.cols, func(c column) bool { return c.text != "" }) {
+		b = t.appendLine(b, nil)
+		for i := 0; i < len(t.cells); i += len(t.cols) {
+			b = t.appendLine(b, t.cells[i:i+len(t.cols)])
+		}
+	}
+	_, err := w.Write(appendLines(b, t.below))
+	return err
+}
+
+func appendLines(b []byte, lines []string) []byte {
+	for _, l := range lines {
+		b = append(append(b, l...), '\n')
+	}
+	return b
+}
+
+// appendLine appends one text line: the heading when row is nil.
+func (t *table) appendLine(b []byte, row []cell) []byte {
+	first := true
+	for j, c := range t.cols {
+		if c.text == "" {
+			continue
+		}
+		if !first {
+			b = append(b, ' ')
+		}
+		first = false
+		v := parseVerb(c.text)
+		start := len(b)
+		if row == nil {
+			b = pad(append(b, c.head...), start, v.width+len(v.suffix), v.left)
+			continue
+		}
+		switch x := row[j]; x.kind {
+		case 's':
+			b = append(b, x.s...)
+		case 'd':
+			b = strconv.AppendInt(b, x.n, 10)
+		case 'f':
+			prec := v.prec
+			if x.prec > 0 {
+				prec = x.prec
+			}
+			b = strconv.AppendFloat(b, x.f, 'f', prec, 64)
+		}
+		b = append(pad(b, start, v.width, v.left), v.suffix...)
+	}
+	return append(b, '\n')
+}
+
+// verb is a column's parsed text layout.
+type verb struct {
+	left        bool
+	width, prec int
+	suffix      string // literal text after the verb, "%%" read as "%"
+}
+
+// parseVerb reads %[-]W[.P]c and the literal text after it.
+func parseVerb(s string) verb {
+	v := verb{prec: 6}
+	i := 1
+	if i < len(s) && s[i] == '-' {
+		v.left = true
+		i++
+	}
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		v.width = 10*v.width + int(s[i]-'0')
+	}
+	if i < len(s) && s[i] == '.' {
+		for v.prec, i = 0, i+1; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			v.prec = 10*v.prec + int(s[i]-'0')
+		}
+	}
+	v.suffix = s[min(i+1, len(s)):]
+	if v.suffix == "%%" {
+		v.suffix = "%"
+	}
+	return v
+}
+
+// pad pads b[start:] with spaces to width runes, on the right when left
+// is set and on the left otherwise, as fmt does.
+func pad(b []byte, start, width int, left bool) []byte {
+	n := width - utf8.RuneCount(b[start:])
+	if n <= 0 {
+		return b
+	}
+	for range n {
+		b = append(b, ' ')
+	}
+	if !left {
+		copy(b[start+n:], b[start:len(b)-n])
+		for i := start; i < start+n; i++ {
+			b[i] = ' '
+		}
+	}
+	return b
+}
+
+// WriteCSV renders the table as CSV with a leading artifact column.
+func (t *table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"artifact"}, cols...)); err != nil {
+	rec := []string{"artifact"}
+	for _, c := range t.cols {
+		rec = append(rec, c.name)
+	}
+	if err := cw.Write(rec); err != nil {
 		return err
 	}
-	for _, row := range rows {
-		if err := cw.Write(append([]string{r.ID()}, row...)); err != nil {
+	rec[0] = t.id
+	for i := 0; i < len(t.cells); i += len(t.cols) {
+		for j, x := range t.cells[i : i+len(t.cols)] {
+			rec[1+j] = x.export()
+		}
+		if err := cw.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -34,245 +200,53 @@ type jsonDoc struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// WriteJSON renders a result's table as a JSON document.
-func WriteJSON(w io.Writer, r Result) error {
-	cols, rows := r.Table()
+// WriteJSON renders the table as one indented JSON document.
+func (t *table) WriteJSON(w io.Writer) error {
+	doc := jsonDoc{ID: t.id, Title: t.title}
+	for _, c := range t.cols {
+		doc.Columns = append(doc.Columns, c.name)
+	}
+	for i := 0; i < len(t.cells); i += len(t.cols) {
+		var rec []string
+		for _, x := range t.cells[i : i+len(t.cols)] {
+			rec = append(rec, x.export())
+		}
+		doc.Rows = append(doc.Rows, rec)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jsonDoc{ID: r.ID(), Title: r.Title(), Columns: cols, Rows: rows})
+	return enc.Encode(doc)
+}
+
+// export is the cell as CSV and JSON carry it.
+func (c cell) export() string {
+	switch c.kind {
+	case 'd':
+		return strconv.FormatInt(c.n, 10)
+	case 'f':
+		return strconv.FormatFloat(c.f, 'g', 8, 64)
+	}
+	return c.s
 }
 
 // WriteAllFormat renders every result in the requested format:
 // "text" (default; WriteAll), "csv" or "json".
 func WriteAllFormat(w io.Writer, results []Result, format string) error {
-	var write func(io.Writer, Result) error
+	var write func(Result, io.Writer) error
 	switch format {
 	case "", "text":
 		return WriteAll(w, results)
 	case "csv":
-		write = WriteCSV
+		write = Result.WriteCSV
 	case "json":
-		write = WriteJSON
+		write = Result.WriteJSON
 	default:
 		return fmt.Errorf("experiment: unknown format %q", format)
 	}
 	for _, r := range results {
-		if err := write(w, r); err != nil {
+		if err := write(r, w); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// f formats a float compactly for export.
-func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-
-// d formats an int for export.
-func d(v int) string { return strconv.Itoa(v) }
-
-// u formats a uint64 for export.
-func u(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// --- Table() implementations -----------------------------------------------------
-
-// Table implements Result.
-func (r *Table1Result) Table() ([]string, [][]string) {
-	cols := []string{"object", "t1", "t3"}
-	var rows [][]string
-	mark := func(b bool) string {
-		if b {
-			return "Y"
-		}
-		return "N/A"
-	}
-	for _, name := range r.Objects {
-		rows = append(rows, []string{name, mark(r.T1[name]), mark(r.T3[name])})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *Table2Result) Table() ([]string, [][]string) {
-	cols := []string{"distribution", "min", "p25", "median", "p75", "max", "mean", "stddev", "skew", "kurtosis"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Name, f(row.Min), f(row.Q25), f(row.Median),
-			f(row.Q75), f(row.Max), f(row.Mean), f(row.StdDev), f(row.Skew), f(row.Kurtosis)})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *Table3Result) Table() ([]string, [][]string) {
-	cols := []string{"distribution", "min", "p5", "p25", "median", "p75", "p95", "max", "mean", "stddev"}
-	row := func(name string, s stats.PopulationSummary) []string {
-		return []string{name, f(s.Min), f(s.P5), f(s.P25), f(s.Median),
-			f(s.P75), f(s.P95), f(s.Max), f(s.Mean), f(s.StdDev)}
-	}
-	return cols, [][]string{row("packet-size", r.Size), row("interarrival-us", r.Interarrival)}
-}
-
-// Table implements Result.
-func (r *Figure1Result) Table() ([]string, [][]string) {
-	cols := []string{"month", "snmp", "nnstat", "sampling"}
-	var rows [][]string
-	for _, p := range r.Points {
-		s := "off"
-		if p.SamplingOn {
-			s = "1-in-50"
-		}
-		rows = append(rows, []string{p.Month, u(p.SNMP), u(p.NNStat), s})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *Figure3Result) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "n", "chi2", "significance", "cost", "rcost", "x2", "k", "phi"}
-	var rows [][]string
-	for _, p := range r.Points {
-		rows = append(rows, []string{d(p.Granularity), d(p.SampleSize),
-			f(p.Report.ChiSquare), f(p.Report.Significance), f(p.Report.Cost),
-			f(p.Report.RelativeCost), f(p.Report.PaxsonX2), f(p.Report.AvgNormDev),
-			f(p.Report.Phi)})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *HistogramFigureResult) Table() ([]string, [][]string) {
-	cols := []string{"bin", "population"}
-	for _, k := range r.Granularities {
-		cols = append(cols, "k"+d(k))
-	}
-	var rows [][]string
-	for b, label := range r.Labels {
-		row := []string{label, f(r.Population[b])}
-		for g := range r.Granularities {
-			row = append(row, f(r.Proportions[g][b]))
-		}
-		rows = append(rows, row)
-	}
-	phiRow := []string{"phi", "0"}
-	for g := range r.Granularities {
-		phiRow = append(phiRow, f(r.Phis[g]))
-	}
-	rows = append(rows, phiRow)
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *Figure6Result) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "replications", "low", "q1", "median", "q3", "high", "outliers"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{d(row.Granularity), d(row.Replications),
-			f(row.Box.LowWhisker), f(row.Box.Q1), f(row.Box.Median), f(row.Box.Q3),
-			f(row.Box.HighWhisker), d(len(row.Box.Outliers))})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *Figure7Result) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "mean_phi"}
-	var rows [][]string
-	for i := range r.Granularities {
-		rows = append(rows, []string{d(r.Granularities[i]), f(r.Means[i])})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *MethodsFigureResult) Table() ([]string, [][]string) {
-	cols := []string{"granularity"}
-	for _, s := range r.Series {
-		cols = append(cols, s.Method)
-	}
-	var rows [][]string
-	for i, k := range r.Granularities {
-		row := []string{d(k)}
-		for _, s := range r.Series {
-			row = append(row, f(s.Means[i]))
-		}
-		rows = append(rows, row)
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *ElapsedFigureResult) Table() ([]string, [][]string) {
-	cols := []string{"minutes"}
-	for _, k := range r.Granularities {
-		cols = append(cols, "k"+d(k))
-	}
-	var rows [][]string
-	for mi, min := range r.Minutes {
-		row := []string{d(min)}
-		for ki := range r.Granularities {
-			row = append(row, f(r.Means[ki][mi]))
-		}
-		rows = append(rows, row)
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *SampleSizesResult) Table() ([]string, [][]string) {
-	cols := []string{"target", "mean", "stddev", "accuracy_pct", "n", "fraction"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Target, f(row.Mean), f(row.Std),
-			f(row.AccuracyPct), d(row.N), f(row.Fraction)})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *ChiSquareAcceptanceResult) Table() ([]string, [][]string) {
-	cols := []string{"target", "granularity", "replications", "rejected", "min_significance"}
-	return cols, [][]string{{r.Target, d(r.Granularity), d(r.Replications),
-		d(r.Rejected), f(r.MinSig)}}
-}
-
-// Table implements Result.
-func (r *CategoricalFigureResult) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "mean_phi"}
-	var rows [][]string
-	for i := range r.Granularities {
-		rows = append(rows, []string{d(r.Granularities[i]), f(r.Means[i])})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *TheoryResult) Table() ([]string, [][]string) {
-	cols := []string{"granularity", "population_variance", "within_variance", "ratio", "autocorrelation"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{d(row.K), f(row.PopulationVariance),
-			f(row.MeanWithinVariance), f(row.Ratio), f(row.LagAutocorr)})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *AdaptiveResult) Table() ([]string, [][]string) {
-	cols := []string{"config", "truth", "estimate", "rel_error", "mean_k"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Config, u(row.Truth), u(row.Estimate),
-			f(row.RelError), f(row.MeanK)})
-	}
-	return cols, rows
-}
-
-// Table implements Result.
-func (r *FIXWestResult) Table() ([]string, [][]string) {
-	cols := []string{"environment", "packet_phi", "timer_phi"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Environment, f(row.PacketPhi), f(row.TimerPhi)})
-	}
-	return cols, rows
 }

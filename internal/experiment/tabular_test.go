@@ -10,27 +10,6 @@ import (
 	"netsample/internal/core"
 )
 
-// TestEveryResultIsTabular asserts every table of the suite is
-// rectangular: columns, and rows as wide as the columns.
-func TestEveryResultIsTabular(t *testing.T) {
-	tr := testTrace(t)
-	results, err := All(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		cols, rows := r.Table()
-		if len(cols) == 0 {
-			t.Errorf("%s has no columns", r.ID())
-		}
-		for i, row := range rows {
-			if len(row) != len(cols) {
-				t.Errorf("%s row %d has %d cells, want %d", r.ID(), i, len(row), len(cols))
-			}
-		}
-	}
-}
-
 func TestWriteCSVParses(t *testing.T) {
 	tr := testTrace(t)
 	r, err := Figure7(tr)
@@ -38,7 +17,7 @@ func TestWriteCSVParses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r); err != nil {
+	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records, err := csv.NewReader(&buf).ReadAll()
@@ -60,7 +39,7 @@ func TestWriteJSONParses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r); err != nil {
+	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"netsample/internal/core"
 	"netsample/internal/trace"
@@ -15,6 +14,7 @@ import (
 // effectively randomly ordered, which is the paper's explanation for
 // why its three packet-driven methods perform alike.
 type TheoryResult struct {
+	table
 	Target core.Target
 	Rows   []core.EfficiencyDiagnostic
 }
@@ -25,29 +25,14 @@ func Theory(tr *trace.Trace, target core.Target) (*TheoryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TheoryResult{Target: target, Rows: rows}, nil
-}
-
-// ID implements Result.
-func (r *TheoryResult) ID() string { return "sec5-theory" }
-
-// Title implements Result.
-func (r *TheoryResult) Title() string {
-	return fmt.Sprintf("§5 efficiency theory diagnostics, %s target", r.Target)
-}
-
-// WriteText implements Result.
-func (r *TheoryResult) WriteText(w io.Writer) error {
-	if err := header(w, r); err != nil {
-		return err
+	out := &TheoryResult{Target: target, Rows: rows, table: newTable("sec5-theory",
+		fmt.Sprintf("§5 efficiency theory diagnostics, %s target", target),
+		column{"granularity", "k", "%8d"}, column{"population_variance", "popVar", "%14.1f"},
+		column{"within_variance", "withinVar", "%14.1f"}, column{"ratio", "ratio", "%8.4f"},
+		column{"autocorrelation", "autocorr", "%10.4f"})}
+	for _, d := range rows {
+		out.addRow(integer(d.K), float(d.PopulationVariance), float(d.MeanWithinVariance),
+			float(d.Ratio), float(d.LagAutocorr))
 	}
-	fmt.Fprintf(w, "%8s %14s %14s %8s %10s\n",
-		"k", "popVar", "withinVar", "ratio", "autocorr")
-	for _, d := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%8d %14.1f %14.1f %8.4f %10.4f\n",
-			d.K, d.PopulationVariance, d.MeanWithinVariance, d.Ratio, d.LagAutocorr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out, nil
 }

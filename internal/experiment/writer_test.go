@@ -54,10 +54,10 @@ func TestWriteCSVPropagatesWriterErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &failWriter{remaining: 4}
-	if err := WriteCSV(w, r); err == nil {
+	if err := r.WriteCSV(w); err == nil {
 		t.Error("csv writer error swallowed")
 	}
-	if err := WriteJSON(&failWriter{}, r); err == nil {
+	if err := r.WriteJSON(&failWriter{}); err == nil {
 		t.Error("json writer error swallowed")
 	}
 }

@@ -110,9 +110,12 @@ type chainMutation struct {
 }
 
 // chainSeeds are FuzzStoreChain's seed inputs by corpus file name: each
-// mutation on a sealed segment and on the tail.
+// mutation on a sealed segment and on the tail, and the first segment
+// dropped, which a chain walk starting at whatever segment comes first
+// would replay from record 4.
 func chainSeeds() map[string]chainMutation {
 	return map[string]chainMutation{
+		"drop_first":         {0, 0, 0, 0},
 		"drop_middle":        {0, 1, 0, 0},
 		"drop_tail":          {0, 3, 0, 0},
 		"swap_first":         {1, 0, 0, 0},
