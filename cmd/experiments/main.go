@@ -14,14 +14,15 @@
 // ext-burst, ext-artshist, ext-flows, ext-heavyhitters or repro-check;
 // or ablations, the design-choice ablations (median φ and IQR over
 // replications), which only -only runs. An unknown id is refused
-// before any population is built, as is an unknown -format (exit 2).
+// before any population is built, as are an unknown -format, and -seed
+// or -k, which only -matrix reads (exit 2).
 //
 // -matrix runs the scenario × sampler characterization matrix instead
 // of the paper suite: every traffgen preset scenario (ddos, flashcrowd,
 // hhchurn, portscan, elephantmice) against every sampling method plus
 // the adaptive controller, one cell per combination, each scored
 // against the scenario's own population. -matrix refuses -in and -only
-// — each scenario is its own parent. With -quick, cells run over 30-second
+// — each scenario is its own parent — and a -k under 1. With -quick, cells run over 30-second
 // scenarios; the default is 2 minutes. Output is byte-identical across
 // runs at the same seed in all formats.
 package main
@@ -50,16 +51,17 @@ func main() {
 	k := flag.Int("k", 10, "matrix base sampling granularity")
 	flag.Parse()
 
-	// An unknown format would surface only after the run, and the matrix
-	// has no use for -only or -in: refuse them before any population is
-	// built.
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *matrix && (*only != "" || *in != "") {
+	// An unknown format or a granularity under 1 would surface only
+	// after a population is built, the matrix has no use for -only or
+	// -in, and the paper suite none for -seed or -k: refuse them all
+	// first.
+	seedOrK := false
+	flag.Visit(func(f *flag.Flag) { seedOrK = seedOrK || f.Name == "seed" || f.Name == "k" })
+	switch {
+	case *format != "text" && *format != "csv" && *format != "json",
+		*k < 1,
+		*matrix && (*only != "" || *in != ""),
+		!*matrix && seedOrK:
 		flag.Usage()
 		os.Exit(2)
 	}

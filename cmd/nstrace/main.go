@@ -17,7 +17,9 @@
 // subcommand that reads a trace reads NSTR, or libpcap (raw-IP,
 // little-endian) with -format pcap; info -convert writes it in the
 // other format. For the timer methods -k chooses the period as k times
-// the trace's mean interarrival time.
+// the trace's mean interarrival time. A flag value no run can use — an
+// unknown -format, -method or -target, or a -k, -reps or -seconds under
+// 1 — exits 2 with the usage text before any file is read.
 package main
 
 import (
@@ -81,10 +83,16 @@ func main() {
 func parse(fs *flag.FlagSet, args []string, required ...*string) {
 	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
 	for _, r := range required {
-		if *r == "" {
-			fs.Usage()
-			os.Exit(2)
-		}
+		usageIf(fs, *r == "")
+	}
+}
+
+// usageIf exits 2 with the usage text when bad holds: a flag value no
+// run can use, refused right after parsing, before any file is read.
+func usageIf(fs *flag.FlagSet, bad bool) {
+	if bad {
+		fs.Usage()
+		os.Exit(2)
 	}
 }
 
@@ -94,15 +102,19 @@ func inputFlags(fs *flag.FlagSet) (in, format *string) {
 		fs.String("format", "nstr", "input format: nstr|pcap")
 }
 
-// load reads the trace at path in format, exiting on failure.
+// badInput reports an input format or a sampling method and
+// granularity no subcommand can run.
+func badInput(format, method string, k int) bool {
+	return format != "nstr" && format != "pcap" ||
+		!slices.Contains(strings.Split(methods, "|"), method) || k < 1
+}
+
+// load reads the trace at path in format, nstr or pcap, exiting on
+// failure.
 func load(path, format string) *trace.Trace {
 	read := trace.Read
-	switch format {
-	case "nstr":
-	case "pcap":
+	if format == "pcap" {
 		read = trace.ReadPcap
-	default:
-		log.Fatalf("unknown format %q", format)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -139,6 +151,7 @@ func gen(fs *flag.FlagSet, args []string) {
 		strings.Join(traffgen.ScenarioNames(), ", "))
 	quiet := fs.Bool("q", false, "suppress the summary")
 	parse(fs, args, out)
+	usageIf(fs, *seconds < 1)
 
 	cfg := traffgen.NSFNETHour()
 	cfg.Seed = *seed
@@ -173,6 +186,7 @@ func sample(fs *flag.FlagSet, args []string) {
 	offset := fs.Int("offset", 0, "systematic start offset")
 	seed := fs.Uint64("seed", 1, "seed for the random methods")
 	parse(fs, args, in, out)
+	usageIf(fs, badInput(*format, *method, *k))
 
 	tr := load(*in, *format)
 	sampler, err := core.New(*method, tr, *k, *offset)
@@ -202,20 +216,12 @@ func phi(fs *flag.FlagSet, args []string) {
 	reps := fs.Int("reps", 5, "replications (systematic varies the offset)")
 	seed := fs.Uint64("seed", 1, "seed for the random methods")
 	parse(fs, args, in)
-	if *reps < 1 {
-		log.Fatalf("-reps must be >= 1, got %d", *reps)
-	}
+	usageIf(fs, badInput(*format, *method, *k) || *reps < 1 || *target != "size" && *target != "interarrival")
 	tr := load(*in, *format)
 
-	var tgt core.Target
-	var scheme *bins.Edged
-	switch *target {
-	case "size":
-		tgt, scheme = core.TargetSize, bins.PacketSize()
-	case "interarrival":
+	tgt, scheme := core.TargetSize, bins.PacketSize()
+	if *target == "interarrival" {
 		tgt, scheme = core.TargetInterarrival, bins.Interarrival()
-	default:
-		log.Fatalf("unknown target %q", *target)
 	}
 	ev, err := core.NewEvaluator(tr, tgt, scheme)
 	if err != nil {
@@ -258,6 +264,7 @@ func info(fs *flag.FlagSet, args []string) {
 	showFlows := fs.Bool("flows", false, "also print a 5-tuple flow summary")
 	flowTimeout := fs.Duration("flow-timeout", 2*time.Second, "flow idle timeout")
 	parse(fs, args, in)
+	usageIf(fs, *format != "nstr" && *format != "pcap")
 	tr := load(*in, *format)
 
 	if *convert != "" {

@@ -100,23 +100,29 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	if !strings.Contains(out, "mean phi:") {
 		t.Fatalf("nstrace phi output: %s", out)
 	}
-	// A replication count that yields no replications is refused up
-	// front, in one line, not by a panic in the slice it would size.
-	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "phi", "-in", tr, "-reps", "-1").CombinedOutput()
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Count(string(bad), "\n") != 1 {
-		t.Fatalf("nstrace phi -reps -1: err %v, want exit 1 with a one-line message:\n%s", err, bad)
-	}
-
-	// sample and phi name the method table's entries when -method is not one.
+	// A flag value no run can use is bad usage: exit 2 with the usage
+	// text, before any file is read — the input named here does not
+	// exist, and opening it would exit 1.
+	missing := filepath.Join(t.TempDir(), "missing.nstr")
 	for _, args := range [][]string{
-		{"sample", "-in", tr, "-out", sub, "-method", "adaptive"},
-		{"phi", "-in", tr, "-method", "adaptive"},
+		{"phi", "-in", missing, "-reps", "0"},
+		{"phi", "-in", missing, "-reps", "-1"},
+		{"phi", "-in", missing, "-target", "bogus"},
+		{"phi", "-in", missing, "-format", "xml"},
+		{"phi", "-in", missing, "-method", "adaptive"},
+		{"phi", "-in", missing, "-k", "0"},
+		{"sample", "-in", missing, "-out", sub, "-k", "0"},
+		{"sample", "-in", missing, "-out", sub, "-method", "adaptive"},
+		{"info", "-in", missing, "-format", "xml"},
+		{"gen", "-out", tr + ".zero", "-seconds", "0"},
 	} {
-		bad, err := exec.Command(filepath.Join(dir, "nstrace"), args...).CombinedOutput()
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
-			!strings.Contains(string(bad), `unknown method "adaptive" (have systematic, stratified, random, systematic-timer, stratified-timer)`) {
-			t.Fatalf("%v: err %v, want exit 1 listing the methods:\n%s", args, err, bad)
+		if out := runExit(t, 2, filepath.Join(dir, "nstrace"), args...); !strings.Contains(out, "usage:") {
+			t.Errorf("nstrace %v printed no usage:\n%s", args, out)
 		}
+	}
+	// The usage names the methods -method takes.
+	if out := runExit(t, 2, filepath.Join(dir, "nstrace"), "phi", "-in", missing, "-method", "adaptive"); !strings.Contains(out, "systematic|stratified|random|systematic-timer|stratified-timer") {
+		t.Errorf("nstrace phi -method adaptive: usage lists no methods:\n%s", out)
 	}
 	// An offset only systematic sampling can use is refused, not dropped.
 	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "sample", "-in", tr, "-out", sub, "-method", "stratified", "-offset", "5").CombinedOutput()
@@ -164,12 +170,18 @@ func TestCLIExperimentsOnly(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `no artifact with id "nosuch"`) {
 		t.Fatalf("experiments -only nosuch: err %v, want exit 1 naming the id:\n%s", err, bad)
 	}
-	// A format no renderer has, and an -only or -in the matrix would
-	// ignore, are bad usage, refused before any population is built.
+	// A format no renderer has, an -only or -in the matrix would
+	// ignore, a -seed or -k the suite would ignore, and a granularity
+	// under 1 are bad usage, refused before any population is built.
 	for _, args := range [][]string{
 		{"-quick", "-format", "xml"},
 		{"-matrix", "-only", "figure8"},
 		{"-matrix", "-in", missing},
+		{"-quick", "-only", "table1", "-k", "10"},
+		{"-quick", "-only", "table1", "-seed", "7"},
+		{"-quick", "-only", "table1", "-k", "0", "-seed", "7"},
+		{"-matrix", "-quick", "-k", "0"},
+		{"-in", missing, "-k", "0"},
 	} {
 		if out := runExit(t, 2, experiments, args...); !strings.Contains(out, "Usage of") {
 			t.Errorf("experiments %v printed no usage:\n%s", args, out)

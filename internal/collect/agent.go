@@ -21,6 +21,9 @@ const (
 	acceptBackoffMax     = 250 * time.Millisecond
 )
 
+// agentIOTimeout bounds each read and each write on an agent connection.
+const agentIOTimeout = 10 * time.Second
+
 // Agent is the node-side collection server: it answers NOC snapshot
 // queries over TCP with the node's latest window (Snapshots). A query
 // reads and never cuts, so any number of collectors may poll it and a
@@ -40,25 +43,15 @@ type Agent struct {
 	errMu   sync.Mutex
 	loopErr error
 
-	// IOTimeout bounds each read/write on an agent connection.
-	IOTimeout time.Duration
-
-	// Clock supplies the current time for I/O deadlines. Nil means the
-	// real time; tests inject a fake to pin deadline arithmetic.
-	Clock func() time.Time
-
 	// Sleep is the seam the accept-retry backoff pauses through. Nil
 	// means time.Sleep; tests inject a no-op.
 	Sleep func(time.Duration)
 }
 
-// now reads clock, or the real time when clock is nil: the package's
-// one wall-clock seam, behind the agent's and the collector's Clock.
-func now(clock func() time.Time) time.Time {
-	if clock != nil {
-		return clock()
-	}
-	return time.Now() //nslint:allow noclock default of the injectable Clock seam
+// deadline is the socket deadline d from now: the package's one
+// wall-clock read, behind every agent and collector I/O deadline.
+func deadline(d time.Duration) time.Time {
+	return time.Now().Add(d) //nslint:allow noclock socket deadlines are wall-clock
 }
 
 // pause sleeps for d through sleep, or time.Sleep when sleep is nil.
@@ -78,9 +71,8 @@ func pause(sleep func(time.Duration), d time.Duration) {
 // and stays only so existing callers compile.
 func NewAgent(node string, _ arts.Backbone) *Agent {
 	return &Agent{
-		Node:      node,
-		closed:    make(chan struct{}),
-		IOTimeout: 10 * time.Second,
+		Node:   node,
+		closed: make(chan struct{}),
 	}
 }
 
@@ -173,9 +165,7 @@ func (a *Agent) acceptLoop() {
 func (a *Agent) handle(conn net.Conn) {
 	defer conn.Close()
 	for {
-		if a.IOTimeout > 0 {
-			_ = conn.SetDeadline(now(a.Clock).Add(a.IOTimeout))
-		}
+		_ = conn.SetDeadline(deadline(agentIOTimeout))
 		msgType, _, err := readFrame(conn)
 		if err != nil {
 			if errors.Is(err, ErrVersion) {
@@ -184,9 +174,7 @@ func (a *Agent) handle(conn net.Conn) {
 			return // disconnect or garbage: drop the connection
 		}
 		respType, payload := a.answer(msgType)
-		if a.IOTimeout > 0 {
-			_ = conn.SetDeadline(now(a.Clock).Add(a.IOTimeout))
-		}
+		_ = conn.SetDeadline(deadline(agentIOTimeout))
 		if err := writeFrame(conn, respType, payload); err != nil {
 			return
 		}

@@ -42,10 +42,6 @@ type Collector struct {
 	// serialized under the collector's mutex. Nil disables jitter.
 	Jitter *dist.RNG
 
-	// Clock supplies the current time for dial deadlines. Nil means
-	// the real time; tests inject a fake.
-	Clock func() time.Time
-
 	// Sleep is the seam backoff pauses go through. Nil means
 	// time.Sleep; tests inject a no-op to keep fault soaks instant.
 	Sleep func(time.Duration)
@@ -125,7 +121,7 @@ func (c *Collector) exchange(addr string) ([]byte, error) {
 	}
 	defer conn.Close()
 	if c.Timeout > 0 {
-		_ = conn.SetDeadline(now(c.Clock).Add(c.Timeout))
+		_ = conn.SetDeadline(deadline(c.Timeout))
 	}
 	if err := writeFrame(conn, TypeSnapshotQuery, nil); err != nil {
 		return nil, fmt.Errorf("collect: send to %s: %w", addr, err)

@@ -38,11 +38,11 @@ func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline
 	epoch, epochStart := uint64(1), tr.Packets[0].Time
 	for _, p := range tr.Packets {
 		if gap := p.Time - epochStart; gap >= adaptiveEpochUS {
-			snap := pipeline.Snapshot{Snapshot: collect.Snapshot{
+			snap := collect.Snapshot{
 				Seq:     epoch,
 				Offered: node.Proc.Offered() - offered,
 				Dropped: node.Proc.Dropped() - dropped,
-			}}
+			}
 			// An epoch that accepted nothing, or whose packets all fell in
 			// one bin, is unscored.
 			if rep, err := core.ScoreParent(sample, parent); err == nil {

@@ -2,20 +2,25 @@ package pipeline
 
 import (
 	"fmt"
+
+	"netsample/internal/collect"
+	"netsample/internal/online"
 )
 
 // AdaptiveConfig enables closed-loop control of the systematic sampling
-// granularity: a per-window control step that steers k within
-// [MinK, MaxK] against a drop-rate and φ-error budget at the pipeline's
-// window barriers. It replaces Config.NewSampler: the reader's one sampler is
-// a systematic one whose k the control step moves, so an adaptive run,
-// like a fixed one, is bit-identical for any shard count at the same
-// seed.
+// granularity: a control step that steers k within [MinK, MaxK] against
+// a drop-rate and φ-error budget at the pipeline's window cuts. It
+// replaces Config.NewSampler: the reader's one sampler is a systematic
+// one whose k the control step moves, so an adaptive run, like a fixed
+// one, is bit-identical for any shard count at the same seed.
 //
-// Control rides the virtual clock: decisions happen at window barriers
-// (cut positions are functions of packet timestamps alone), consume the
-// just-merged Snapshot, and take effect for the next window. Wall time
-// never participates, so an adaptive run is exactly reproducible.
+// Control rides the virtual clock: the reader decides at each window cut
+// (cut positions are functions of packet timestamps alone), from the
+// window it has just read — its offered count and both reports, scored
+// from its own tallies — and the decision takes effect for the next
+// window. Neither wall time nor the collector participates, so an
+// adaptive run is exactly reproducible and the reader never waits on a
+// decision.
 type AdaptiveConfig struct {
 	// MinK and MaxK bound the granularity, 1 <= MinK <= MaxK.
 	MinK, MaxK int
@@ -69,17 +74,17 @@ type AdaptiveDecision struct {
 }
 
 // Decide is the control law: a pure function of the previous k and the
-// window snapshot, so the decision sequence is reproducible from the
+// window's wire form, so the decision sequence is reproducible from the
 // seed and trace alone. It reads only Seq, Offered, Dropped and the two
 // reports, so any sample-and-export path that can fill those — the
-// pipeline's merged window, or a node model's statistics processor over
-// one epoch — is steered by the same law. Coarsening halves the
+// pipeline's reader at a window cut, or a node model's statistics
+// processor over one epoch — is steered by the same law. Coarsening halves the
 // selected load when the path drops beyond budget; refinement halves k
 // when fidelity (φ against the window's parent population, every packet
 // it offered) misses the target;
 // comfortable windows — φ at most half the budget and zero drops —
 // coarsen to shed work. All moves clamp to [MinK, MaxK].
-func (a *AdaptiveConfig) Decide(prevK int, snap *Snapshot) AdaptiveDecision {
+func (a *AdaptiveConfig) Decide(prevK int, snap *collect.Snapshot) AdaptiveDecision {
 	var dropRate float64
 	if snap.Offered > 0 {
 		dropRate = float64(snap.Dropped) / float64(snap.Offered)
@@ -119,26 +124,33 @@ func (a *AdaptiveConfig) Decide(prevK int, snap *Snapshot) AdaptiveDecision {
 	}
 }
 
-// controlStep applies the control law to a just-merged window: it stamps
-// the snapshot with the granularity that produced it, records the
-// decision, and releases the reader — which is parked in emitBarrier —
-// with the next window's k. Runs on the collector goroutine, once per
-// barrier; the hot-path closure audit (TestAdaptiveControlStaysOffHotPath)
-// pins it to the cold side of the window cut.
-//
-//nslint:coldpath runs once per window barrier on the collector, never on the packet path
-func (p *Pipeline) controlStep(snap *Snapshot) {
-	snap.K = p.adaptK
-	d := p.cfg.Adaptive.Decide(p.adaptK, snap)
-	if !snap.Final {
-		// The final barrier closes the run; there is no next window for
-		// its decision to govern, so none is recorded.
-		p.mu.Lock()
-		p.decisions = append(p.decisions, d)
-		p.mu.Unlock()
-		p.adaptK = d.K
+// steer is the reader's control step at a window cut: it applies the
+// control law to the window just read and, when k moves, re-anchors the
+// sampler, so the decision governs the next window from its first
+// packet. It returns the k the window ran at. The final window closes
+// the run; there is no next window for its decision to govern, so none
+// is taken. Called from emitBarrier only; the hot-path closure audit
+// (TestAdaptiveControlStaysOffHotPath) pins it to the cold side of the
+// window cut.
+func (p *Pipeline) steer(win *collect.Snapshot) int {
+	sys := p.sampler.(*online.Systematic)
+	k := sys.K()
+	if win.Final {
+		return k
 	}
-	p.decided <- d.K
+	d := p.cfg.Adaptive.Decide(k, win)
+	p.mu.Lock()
+	p.decisions = append(p.decisions, d)
+	p.mu.Unlock()
+	if d.K != k {
+		// New granularity regime: the schedule restarts with the first
+		// packet of the next window selected. SetGranularity alone
+		// would anchor on the k-th; Reset moves the anchor back.
+		//nslint:allow errdrop Decide clamps k to [MinK, MaxK] and validate pins MinK >= 1, so ErrBadGranularity is unreachable
+		sys.SetGranularity(d.K)
+		sys.Reset()
+	}
+	return k
 }
 
 // Decisions returns the control steps taken so far, in window order.

@@ -8,6 +8,7 @@ import (
 	"netsample/internal/collect"
 	"netsample/internal/metrics"
 	"netsample/internal/online"
+	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
 
@@ -79,7 +80,7 @@ func TestAdaptiveDecide(t *testing.T) {
 			collect.Snapshot{Offered: 100, Dropped: 50}, 64},
 	}
 	for _, tc := range cases {
-		d := a.Decide(tc.prevK, &Snapshot{Snapshot: tc.snap})
+		d := a.Decide(tc.prevK, &tc.snap)
 		if d.K != tc.wantK {
 			t.Errorf("%s: Decide(k=%d) = %d, want %d", tc.name, tc.prevK, d.K, tc.wantK)
 		}
@@ -89,16 +90,16 @@ func TestAdaptiveDecide(t *testing.T) {
 	}
 	// Zero drop budget: any drop coarsens.
 	strict := &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.2}
-	if d := strict.Decide(8, &Snapshot{Snapshot: collect.Snapshot{Offered: 100, Dropped: 1}}); d.K != 16 {
+	if d := strict.Decide(8, &collect.Snapshot{Offered: 100, Dropped: 1}); d.K != 16 {
 		t.Errorf("zero budget with one drop: k = %d, want 16", d.K)
 	}
 	// Doubling saturates instead of wrapping: no ceiling is put on MaxK,
 	// and past MaxInt/2 a wrapped 2k is negative, which the MinK clamp
 	// turns into the finest granularity — the opposite of coarsening.
 	wide := &AdaptiveConfig{MinK: 1, MaxK: math.MaxInt, StartK: 8, TargetPhi: 0.2}
-	for _, snap := range []Snapshot{
-		{Snapshot: collect.Snapshot{Offered: 100, Dropped: 1}},
-		{Snapshot: collect.Snapshot{Offered: 100, SizeReport: rep(0.05)}},
+	for _, snap := range []collect.Snapshot{
+		{Offered: 100, Dropped: 1},
+		{Offered: 100, SizeReport: rep(0.05)},
 	} {
 		if d := wide.Decide(math.MaxInt/2+1, &snap); d.K != math.MaxInt {
 			t.Errorf("coarsen past MaxInt/2 (%+v): k = %d, want MaxInt", snap, d.K)
@@ -153,5 +154,62 @@ func TestCensusNeverRefines(t *testing.T) {
 	}
 	if censuses == 0 {
 		t.Error("no window ran at k = 1")
+	}
+}
+
+// signalSource hands out src's packets and closes reached when it first
+// hands out one stamped at or after atUS.
+type signalSource struct {
+	src     Source
+	atUS    int64
+	reached chan struct{}
+}
+
+func (s *signalSource) Next() (trace.Packet, error) {
+	pkt, err := s.src.Next()
+	if err == nil && pkt.Time >= s.atUS && s.reached != nil {
+		close(s.reached)
+		s.reached = nil
+	}
+	return pkt, err
+}
+
+// TestAdaptiveReaderRunsAhead pins that an adaptive reader decides at
+// the cut and never waits on the collector: while OnSnapshot holds
+// window 1, Run must read its source into window 5. With BatchSize 1
+// the reader asks for a packet only once it has handled the one before,
+// so a window-5 packet handed out means windows 1–3 were cut and
+// decided by the reader alone.
+func TestAdaptiveReaderRunsAhead(t *testing.T) {
+	const windowUS = 1_000_000
+	reached, release := make(chan struct{}), make(chan struct{})
+	src := &signalSource{src: &cycleSource{n: 20_000}, atUS: 4 * windowUS, reached: reached}
+	p, err := New(Config{
+		Shards:    2,
+		BatchSize: 1,
+		WindowUS:  windowUS,
+		Adaptive:  &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.25},
+		OnSnapshot: func(s *Snapshot) {
+			if s.Seq == 1 {
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Run(src) }()
+	select {
+	case <-reached:
+	case <-time.After(3 * time.Second):
+		t.Error("the reader did not read into window 5 while OnSnapshot held window 1")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := p.Latest(); last.Seq != 10 || len(p.Decisions()) != 9 {
+		t.Errorf("run cut %d windows and took %d decisions, want 10 and 9", last.Seq, len(p.Decisions()))
 	}
 }

@@ -190,36 +190,43 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 }
 
 // TestWindowCutAllocs pins the per-window path the packet-path tests
-// above amortize away: barrier, shard cut, merge, score, Wire, encode
-// and store append. The same trace is cut into W and then 2W windows,
-// every window going to a store as nsd -store sends it, so the
-// difference between the two runs is W windows' worth of that path and
-// nothing else. What is left is amortized: the collector's slabs start
-// a chunk for the snapshot blocks, the float64 counts, the integer
-// counts and TopK once every slabWindows windows, and the shard's
-// sketch a fresh report arena for its keys about once every 64 cuts —
-// some 0.08 allocations a window, pinned at 0.25. Wire and the append
-// add none (TestWireAppendDoesNotAllocate).
+// above amortize away: barrier, scoring, shard cut, merge, Wire, encode
+// and store append, and under Config.Adaptive the reader's control
+// step. The same trace is cut into W and then 2W windows, every window
+// going to a store as nsd -store sends it, so the difference between
+// the two runs is W windows' worth of that path and nothing else. What
+// is left is amortized: the collector's slabs start a chunk for the
+// snapshot blocks, the float64 counts, the integer counts and TopK once
+// every slabWindows windows, the shard's sketch a fresh report arena
+// for its keys about once every 64 cuts, and an adaptive run's decision
+// log grows by doubling — some 0.08 allocations a window, pinned at
+// 0.25. The barriers and cut buffers are made by New; Wire and the
+// append add none (TestWireAppendDoesNotAllocate).
 func TestWindowCutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	tr := smallTrace(t, 28)
-	runAllocs := func(windowUS int64) (allocs uint64, windows int) {
+	runAllocs := func(windowUS int64, adaptive bool) (allocs uint64, windows int) {
 		sw, err := store.Open(t.TempDir(), store.Options{SyncWindowUS: -1})
 		if err != nil {
 			t.Fatalf("store.Open: %v", err)
 		}
-		p, err := New(Config{
-			Shards:     1,
-			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
-			WindowUS:   windowUS,
+		cfg := Config{
+			Shards:   1,
+			WindowUS: windowUS,
 			OnSnapshot: func(s *Snapshot) {
 				if err := sw.AppendSnapshot(s.Wire("alloc-node")); err != nil {
 					t.Errorf("window %d: AppendSnapshot: %v", s.Seq, err)
 				}
 			},
-		})
+		}
+		if adaptive {
+			cfg.Adaptive = &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 10, TargetPhi: 0.25}
+		} else {
+			cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) }
+		}
+		p, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -234,26 +241,40 @@ func TestWindowCutAllocs(t *testing.T) {
 			t.Fatalf("store close: %v", err)
 		}
 		last, _ := p.Latest()
+		if adaptive && !steered(p.Decisions()) {
+			t.Fatalf("adaptive run at %d µs windows never moved k", windowUS)
+		}
 		return after.Mallocs - before.Mallocs, int(last.Seq)
 	}
-	// Two minutes of trace: some 1200 windows, then some 2400. A shard
-	// that cuts ahead of the collector allocates a fresh buffer set, so
-	// the scheduler can only add allocations: the best of three pairs
-	// counts the path.
-	best := math.Inf(1)
-	for range 3 {
-		a, wa := runAllocs(100_000)
-		b, wb := runAllocs(50_000)
-		if wa < 1000 || wb < 2*wa-2 {
-			t.Fatalf("runs cut %d and %d windows, want over 1000 and twice that", wa, wb)
+	// Two minutes of trace: some 1200 windows, then some 2400. The
+	// runtime can only add allocations: the best of three pairs counts
+	// the path.
+	for _, adaptive := range []bool{false, true} {
+		best := math.Inf(1)
+		for range 3 {
+			a, wa := runAllocs(100_000, adaptive)
+			b, wb := runAllocs(50_000, adaptive)
+			if wa < 1000 || wb < 2*wa-2 {
+				t.Fatalf("runs cut %d and %d windows, want over 1000 and twice that", wa, wb)
+			}
+			best = min(best, (float64(b)-float64(a))/float64(wb-wa))
 		}
-		best = min(best, (float64(b)-float64(a))/float64(wb-wa))
+		if best > 0.25 {
+			t.Errorf("adaptive %v: %.2f allocations per extra window (> 0.25)", adaptive, best)
+		} else {
+			t.Logf("adaptive %v: %.2f allocations per extra window", adaptive, best)
+		}
 	}
-	if best > 0.25 {
-		t.Errorf("%.2f allocations per extra window (> 0.25)", best)
-	} else {
-		t.Logf("%.2f allocations per extra window", best)
+}
+
+// steered reports whether a control log ever moved k.
+func steered(ds []AdaptiveDecision) bool {
+	for _, d := range ds {
+		if d.K != d.PrevK {
+			return true
+		}
 	}
+	return false
 }
 
 // TestFinishedPipelineHoldsNoWindowHistory pins that a pipeline keeps

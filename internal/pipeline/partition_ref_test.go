@@ -78,7 +78,8 @@ func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches
 			defer wg.Done()
 			for msg := range st.in {
 				if msg.bar != nil {
-					got[s] = append(got[s], routed{cut: msg.bar.seq})
+					got[s] = append(got[s], routed{cut: msg.bar.win.Seq})
+					msg.bar.parts <- shardPart{shard: s}
 					continue
 				}
 				batches[s]++
@@ -89,8 +90,14 @@ func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches
 			}
 		}()
 	}
+	// Hand each barrier back, as the collector does, once every shard
+	// has seen it.
 	go func() {
-		for range p.barriers {
+		for bar := range p.barriers {
+			for range p.shards {
+				<-bar.parts
+			}
+			p.barFree <- bar
 		}
 	}()
 	rs, ok := src.(RawBatchSource)

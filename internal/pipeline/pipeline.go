@@ -14,7 +14,7 @@
 //	    ┌────┴─────────────┐           one channel per shard
 //	shard 0      …      shard S-1      (FIFO consume)
 //	    │ snapshot parts   │
-//	    └─── collector ────┘           merge / score / publish
+//	    └─── collector ────┘           merge / publish
 //
 // The reader runs on the goroutine that calls Run: it pulls windows of
 // raw NSTR records from the source (any other Source is encoded into
@@ -51,20 +51,22 @@
 // receives: a flows.Counter of transport flows and an nnstat.TopK
 // heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
-// reproducible regardless of wall-clock speed or scheduling: at a cut
-// the reader flushes its batches and sends one barrier, carrying both
-// tallies, on every shard channel, and a shard's cut happens when the
-// barrier arrives —
-// because it travels in order with the data, a snapshot
-// reflects exactly the packets that preceded the cut in the stream (a
-// Chandy-Lamport-style consistent cut over the fan-out tree).
+// reproducible regardless of wall-clock speed or scheduling. At a cut
+// the reader scores the sample tally against the parent tally
+// (core.ScoreParent, the fused φ kernel of the batch experiments), takes
+// the adaptive control step if there is one, flushes its batches and
+// sends one barrier, carrying the sample tally and both reports, on
+// every shard channel; a shard's cut happens when the barrier arrives —
+// because it travels in order with the data, a snapshot reflects
+// exactly the packets that preceded the cut in the stream (a
+// Chandy-Lamport-style consistent cut over the fan-out tree). A window
+// that is the whole trace scores bit-identically to the batch evaluator
+// (pinned by FuzzOracleChain, the root package's serial oracle, and the
+// cmd/nsd integration test).
 //
 // A snapshot collector goroutine merges the per-shard partial states of
-// each barrier into one Snapshot and scores the sample tally against the
-// parent tally (core.ScoreParent, the fused φ kernel of the batch
-// experiments): a window that is the whole trace scores bit-identically
-// to the batch evaluator (pinned by FuzzOracleChain, the root package's
-// serial oracle, and the cmd/nsd integration test).
+// each barrier with the reader's part into one Snapshot and publishes
+// it. The reader never waits on it but for a free barrier.
 package pipeline
 
 import (
@@ -76,6 +78,7 @@ import (
 	"sync/atomic"
 
 	"netsample/internal/bins"
+	"netsample/internal/collect"
 	"netsample/internal/core"
 	"netsample/internal/online"
 	"netsample/internal/trace"
@@ -131,7 +134,7 @@ type Config struct {
 
 	// Adaptive, when set, replaces NewSampler with the closed-loop
 	// systematic schedule: the reader's sampler is a systematic one
-	// whose k a per-window control step on the barrier steers within
+	// whose k the reader's control step at each window cut steers within
 	// [MinK, MaxK]. Requires WindowUS > 0 (the control loop lives on the
 	// window cut). Mutually exclusive with NewSampler.
 	Adaptive *AdaptiveConfig
@@ -180,21 +183,16 @@ type Pipeline struct {
 	nSize int
 	// parent and sample are the reader's exact tallies of the window it
 	// is reading, of every record and of the selected ones, each laid out
-	// size bins first, then gap bins. emitBarrier hands them over on the
-	// barrier.
+	// size bins first, then gap bins. emitBarrier scores the one against
+	// the other and hands the sample tally over on the barrier.
 	parent, sample []uint64
 
 	barriers chan *barrier
-	// barFree returns merged barriers from the collector to the reader,
-	// which owns them: cap(barriers) queued, one being merged and one
-	// being stamped are all that exist at once, so the channel holds them
-	// all and emitBarrier allocates only until the set is complete.
+	// barFree holds the barriers the reader may stamp. New makes all
+	// QueueDepth+2 that can exist at once — cap(barriers) queued, one
+	// being merged and one being stamped — and the collector hands each
+	// back once it is merged, so the channel holds them all.
 	barFree chan *barrier
-	// decided is the adaptive handshake, one token per barrier: the
-	// collector sends the next window's k, the reader parks on it in
-	// emitBarrier. The reader waits out each decision before it cuts
-	// again, so one slot is always enough.
-	decided chan int
 	winSeq  uint64 // window sequence, reader-owned
 
 	pub    pubSlabs // collector-owned
@@ -208,12 +206,10 @@ type Pipeline struct {
 
 	// sampler is the run's one selection schedule, reader-owned: what
 	// Config.NewSampler built, or under Config.Adaptive a systematic
-	// sampler that emitBarrier re-anchors when the controller moves k.
+	// sampler whose k the reader's control step (steer) moves.
 	sampler online.Sampler
-
-	// Adaptive-control state (Config.Adaptive). adaptK is
-	// collector-owned; the reader learns each decision through decided.
-	adaptK    int
+	// decisions is the adaptive control log (Config.Adaptive), appended
+	// by the reader at each cut.
 	decisions []AdaptiveDecision
 }
 
@@ -270,19 +266,25 @@ func New(cfg Config) (*Pipeline, error) {
 		cfg.TopKReport = DefaultTopKReport
 	}
 	size, iat := bins.PacketSize(), bins.Interarrival()
+	nBins := size.NumBins() + iat.NumBins()
 	p := &Pipeline{
 		cfg:      cfg,
 		nSize:    size.NumBins(),
-		parent:   make([]uint64, size.NumBins()+iat.NumBins()),
-		sample:   make([]uint64, size.NumBins()+iat.NumBins()),
+		parent:   make([]uint64, nBins),
+		sample:   make([]uint64, nBins),
 		barriers: make(chan *barrier, cfg.QueueDepth),
 		barFree:  make(chan *barrier, cfg.QueueDepth+2),
 		done:     make(chan struct{}),
 	}
+	bars := make([]barrier, cap(p.barFree))
+	tallies := make([]uint64, len(bars)*nBins)
+	for i := range bars {
+		bars[i].sample = tallies[i*nBins : (i+1)*nBins : (i+1)*nBins]
+		bars[i].parts = make(chan shardPart, cfg.Shards)
+		p.barFree <- &bars[i]
+	}
 	var err error
 	if cfg.Adaptive != nil {
-		p.decided = make(chan int, 1)
-		p.adaptK = cfg.Adaptive.StartK
 		p.sampler, err = online.NewSystematic(cfg.Adaptive.StartK, 0)
 	} else {
 		p.sampler, err = cfg.NewSampler(0)
@@ -447,55 +449,60 @@ func rawSize(raw []byte, i int) uint16 {
 	return binary.LittleEndian.Uint16(raw[i*trace.RecordLen+8:])
 }
 
-// emitBarrier cuts the stream at the current read position: it moves
-// the window's two tallies onto the barrier, publishes the reader's
-// shard batches, then sends one barrier on every shard channel, so every
-// shard observes the cut at the same stream offset.
+// emitBarrier cuts the stream at the current read position. The reader
+// holds everything the window's scores and the control law read — the
+// offered count and both tallies — so it scores the sample tally
+// against the parent tally here (core.ScoreParent) and stamps the
+// barrier with the window's header, sample tally, reports and k. Under
+// Config.Adaptive it then takes the control step (steer): every packet
+// of the next window is offered under the k decided from this one,
+// however the goroutines interleave, and the reader never waits on the
+// collector. Last it publishes the reader's shard batches and sends the
+// barrier on every shard channel, so every shard observes the cut at
+// the same stream offset.
 //
-// In adaptive mode the cut doubles as the control-loop handshake: the
-// reader parks on p.decided until the collector has merged the window
-// and run the control step, then adopts the decided k. Parking here
-// cannot deadlock — every item of the window and its barrier was sent
-// before the wait, so the shards can always reach the cut and the
-// collector always sends the decision. The wait is what makes adaptive
-// runs deterministic: every packet of window w+1 is offered to the
-// sampler under the k decided from window w, regardless of how the
-// goroutines interleave.
+// The barrier comes from barFree, which New fills and the collector
+// refills (DESIGN.md §5, "Ownership"); the receive waits only while
+// QueueDepth+1 windows are still unmerged.
 //
-// The barrier itself comes from barFree when the collector has handed
-// one back (DESIGN.md §5, "Ownership"): a steady-state
-// cut allocates nothing here.
-//
-//nslint:coldpath runs once per window boundary, never per packet; allocates only until QueueDepth+2 barriers exist
+//nslint:coldpath runs once per window boundary, never per packet
 func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool) {
 	p.winSeq++
-	var bar *barrier
-	select {
-	case bar = <-p.barFree:
-	default:
-		n := len(p.parent)
-		tallies := make([]uint64, 2*n)
-		bar = &barrier{parts: make(chan shardPart, len(p.shards)), parent: tallies[:n:n], sample: tallies[n:]}
+	bar := <-p.barFree
+	nSize := p.nSize
+	var offered, selected uint64
+	for b := range nSize {
+		offered += p.parent[b]
+		selected += p.sample[b]
 	}
-	bar.seq, bar.startUS, bar.endUS, bar.final = p.winSeq, startUS, endUS, final
-	copy(bar.parent, p.parent)
+	bar.win = collect.Snapshot{
+		Seq:           p.winSeq,
+		WindowStartUS: startUS,
+		WindowEndUS:   endUS,
+		Final:         final,
+		Offered:       offered,
+		Processed:     offered,
+		Selected:      selected,
+	}
+	// A window that selected nothing, or whose parent hit fewer than two
+	// bins, stays unscored.
+	var err error
+	if bar.sizeRep, err = core.ScoreParent(p.sample[:nSize], p.parent[:nSize]); err == nil {
+		bar.win.SizeReport = &bar.sizeRep
+	}
+	if bar.iatRep, err = core.ScoreParent(p.sample[nSize:], p.parent[nSize:]); err == nil {
+		bar.win.IatReport = &bar.iatRep
+	}
 	copy(bar.sample, p.sample)
 	clear(p.parent)
 	clear(p.sample)
+	bar.k = 0
+	if p.cfg.Adaptive != nil {
+		bar.k = p.steer(&bar.win)
+	}
 	p.ingest.publish()
 	for _, q := range p.ingest.out {
 		q <- shardMsg{bar: bar}
 	}
 	p.barriers <- bar
-	if p.decided != nil {
-		nextK := <-p.decided
-		if sys := p.sampler.(*online.Systematic); nextK != sys.K() {
-			// New granularity regime: the schedule restarts with the first
-			// packet of the next window selected. SetGranularity alone
-			// would anchor on the k-th; Reset moves the anchor back.
-			//nslint:allow errdrop Decide clamps k to [MinK, MaxK] and validate pins MinK >= 1, so ErrBadGranularity is unreachable
-			sys.SetGranularity(nextK)
-			sys.Reset()
-		}
-	}
 }

@@ -32,11 +32,10 @@ type shardState struct {
 	free chan<- []item   // emptied item buffers, back to the reader
 
 	// Worker-owned.
-	// cutFree returns the top-k buffers of merged shardParts from the
-	// snapshot collector, so cut reuses them instead of allocating one
-	// per window. It holds one per barrier that can exist (see
-	// Pipeline.barFree): a shard can be that many cuts ahead of a
-	// collector busy in OnSnapshot.
+	// cutFree holds the top-k buffers cut may fill. New makes one per
+	// barrier that can exist (see Pipeline.barFree) — a shard can be
+	// that many cuts ahead of a collector busy in OnSnapshot — and the
+	// snapshot collector hands each back once it is merged.
 	cutFree    chan []nnstat.Entry
 	flowCount  *flows.Counter
 	topk       *nnstat.TopK
@@ -44,8 +43,8 @@ type shardState struct {
 	keyBuf     [13]byte
 }
 
-// newShardState allocates one shard's aggregates; New wires in the
-// channels.
+// newShardState allocates one shard's aggregates and its cut buffers;
+// New wires in the channels to the reader.
 func newShardState(id int, cfg *Config) (*shardState, error) {
 	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
 	if err != nil {
@@ -55,13 +54,19 @@ func newShardState(id int, cfg *Config) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shardState{
+	st := &shardState{
 		id:         id,
 		cutFree:    make(chan []nnstat.Entry, cfg.QueueDepth+2),
 		flowCount:  flowCount,
 		topk:       topk,
 		topkReport: cfg.TopKReport,
-	}, nil
+	}
+	n := cfg.TopKReport
+	bufs := make([]nnstat.Entry, cap(st.cutFree)*n)
+	for i := range cap(st.cutFree) {
+		st.cutFree <- bufs[i*n : i*n : (i+1)*n]
+	}
+	return st, nil
 }
 
 // shardWorker drains one shard's channel until Run closes it: data
@@ -106,14 +111,9 @@ func (st *shardState) process(it *item) {
 //
 //nslint:coldpath runs once per window cut, never per packet; a warm cut allocates only a fresh report arena for the sketch's keys, about once every 64 cuts
 func (st *shardState) cut() shardPart {
-	var topk []nnstat.Entry
-	select {
-	case topk = <-st.cutFree:
-	default:
-	}
 	part := shardPart{
 		shard:       st.id,
-		topk:        st.topk.AppendTop(topk[:0], st.topkReport),
+		topk:        st.topk.AppendTop((<-st.cutFree)[:0], st.topkReport),
 		activeFlows: st.flowCount.ActiveCount(),
 		flows:       st.flowCount.Cut(),
 	}

@@ -6,27 +6,26 @@ import (
 	"slices"
 
 	"netsample/internal/collect"
-	"netsample/internal/core"
 	"netsample/internal/flows"
 	"netsample/internal/metrics"
 	"netsample/internal/nnstat"
 )
 
 // barrier is a window cut travelling through every shard channel. The
-// reader stamps it with the window bounds and its two tallies, the size
-// bins then the gap bins of every record the window offered (parent)
-// and of the ones it selected (sample); each shard deposits its partial
-// state into parts when the barrier reaches it. The reader owns it: the
-// collector hands it back through barFree once every part is in and
+// reader stamps it at the cut with what only the reader knows of the
+// window: win, the wire form's header with its offered and selected
+// counts and the reports (which point at sizeRep and iatRep), the
+// sample tally (size bins then gap bins of the records it selected),
+// and k. Each shard deposits its partial state into parts when the
+// barrier reaches it. The reader owns it: New makes the set, the
+// collector hands each back through barFree once every part is in and
 // merged, and nothing published refers to it.
 type barrier struct {
-	seq     uint64
-	startUS int64
-	endUS   int64
-	final   bool
-	parent  []uint64
-	sample  []uint64
-	parts   chan shardPart
+	win             collect.Snapshot
+	sizeRep, iatRep metrics.Report
+	sample          []uint64
+	k               int
+	parts           chan shardPart
 }
 
 // shardPart is one shard's window-local state at a barrier. topk is on
@@ -76,8 +75,7 @@ type Snapshot struct {
 }
 
 // collect is the snapshot collector goroutine: it pairs each barrier
-// with its shard parts, merges them into a Snapshot, scores it, and
-// publishes it.
+// with its shard parts, merges them into a Snapshot and publishes it.
 func (p *Pipeline) collect() {
 	defer close(p.done)
 	parts := make([]shardPart, len(p.shards))
@@ -89,24 +87,12 @@ func (p *Pipeline) collect() {
 		snap := p.merge(bar, parts)
 		// merge copied what it keeps into the snapshot's own block, so
 		// nothing published refers to the barrier or the parts' buffers:
-		// hand them back to their owners. A full free channel drops the
-		// object.
+		// hand them back to their owners. Each free channel holds every
+		// object of its set, so the sends never wait.
 		for _, part := range parts {
-			select {
-			case p.shards[part.shard].cutFree <- part.topk:
-			default:
-			}
+			p.shards[part.shard].cutFree <- part.topk
 		}
-		select {
-		case p.barFree <- bar:
-		default:
-		}
-		if p.decided != nil {
-			// Control step before publication: the reader is parked on
-			// this cut and every window it reads next depends on the
-			// decision, so deciding first keeps the pipeline draining.
-			p.controlStep(snap)
-		}
+		p.barFree <- bar
 		p.latest.Store(snap)
 		if p.cfg.OnSnapshot != nil {
 			p.cfg.OnSnapshot(snap)
@@ -167,40 +153,34 @@ type pubSlabs struct {
 }
 
 // merge folds the barrier and the shard parts into one Snapshot: it
-// copies the sample tally into the wire form's integer counts, then
-// fills the float64 mirror from them (exact: the counts are far below
-// 2⁵³). Each count form keeps both histograms in one slice; the block,
-// both count forms and TopK come from the collector's slabs.
+// copies the barrier's header, reports and sample tally into the
+// window's block, the tally as the wire form's integer counts and as
+// their float64 mirror (exact: the counts are far below 2⁵³). Each
+// count form keeps both histograms in one slice; the block, both count
+// forms and TopK come from the collector's slabs.
 func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	pub := &p.pub
 	nSize := p.nSize
-	nBins := len(bar.parent)
+	nBins := len(bar.sample)
 	counts, wire := pub.counts.take(nBins), pub.wire.take(nBins)
 	copy(wire, bar.sample)
-	// Every record has a size: the size bins count them all.
-	var offered, selected uint64
-	for b := range nSize {
-		offered += bar.parent[b]
-		selected += wire[b]
-	}
 	blk := &pub.blocks.take(1)[0]
+	blk.sizeRep, blk.iatRep = bar.sizeRep, bar.iatRep
 	blk.Snapshot = Snapshot{
-		Snapshot: collect.Snapshot{
-			Seq:           bar.seq,
-			WindowStartUS: bar.startUS,
-			WindowEndUS:   bar.endUS,
-			Final:         bar.final,
-			Shards:        uint32(len(p.shards)),
-			Offered:       offered,
-			Processed:     offered,
-			Selected:      selected,
-			SizeCounts:    wire[:nSize:nSize],
-			IatCounts:     wire[nSize:],
-		},
+		Snapshot:   bar.win,
+		K:          bar.k,
 		SizeCounts: counts[:nSize:nSize],
 		IatCounts:  counts[nSize:],
 	}
 	snap := &blk.Snapshot
+	snap.Shards = uint32(len(p.shards))
+	snap.Snapshot.SizeCounts, snap.Snapshot.IatCounts = wire[:nSize:nSize], wire[nSize:]
+	if snap.SizeReport != nil {
+		snap.SizeReport = &blk.sizeRep
+	}
+	if snap.IatReport != nil {
+		snap.IatReport = &blk.iatRep
+	}
 	for i := range parts {
 		part := &parts[i]
 		snap.FlowCounts.Flows += part.flows.Flows
@@ -219,19 +199,7 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	// The scratch must not pin the keys of windows gone by.
 	clear(pub.rank)
 	pub.rank = pub.rank[:0]
-	snap.SizeReport = scoreCounts(snap.Snapshot.SizeCounts, bar.parent[:nSize], &blk.sizeRep)
-	snap.IatReport = scoreCounts(snap.Snapshot.IatCounts, bar.parent[nSize:], &blk.iatRep)
 	return snap
-}
-
-// scoreCounts scores a window's merged counts against its parent's into
-// rep and returns it, or nil for a window core.ScoreParent leaves unscored.
-func scoreCounts(sample, parent []uint64, rep *metrics.Report) *metrics.Report {
-	var err error
-	if *rep, err = core.ScoreParent(sample, parent); err != nil {
-		return nil
-	}
-	return rep
 }
 
 // Wire returns the snapshot's wire form stamped with a node name: a

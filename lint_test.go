@@ -181,18 +181,18 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 
 // TestAdaptiveControlStaysOffHotPath is the inverse audit of the
 // closure test above for the closed-loop sampling controller: the
-// per-window control step — merge-time scoring, the Decide law, the
-// decision log append — runs in the collector at a window barrier,
-// once per window, and must never reach
-// the per-packet //nslint:hotpath closure. If a refactor moves the
-// decision into the shard workers or the ingest loop (for example to
-// avoid the barrier handshake), the coldpath boundary on controlStep
-// disappears and this test names the leak directly.
+// reader scores each window and takes the control step (steer: the
+// Decide law, the decision log append, the sampler re-anchor) at the
+// window cut, once per window, behind emitBarrier's //nslint:coldpath
+// boundary, and neither may reach the per-packet //nslint:hotpath
+// closure. If a refactor moves the decision into the per-record loop
+// or the shard workers, or drops that boundary, this test names the
+// leak directly.
 func TestAdaptiveControlStaysOffHotPath(t *testing.T) {
 	loader, module, _, _ := lintModule(t)
 	mp := loader.ModulePath
 	banned := map[string]bool{
-		"(*" + mp + "/internal/pipeline.Pipeline).controlStep":    true,
+		"(*" + mp + "/internal/pipeline.Pipeline).steer":          true,
 		"(*" + mp + "/internal/pipeline.AdaptiveConfig).Decide":   true,
 		"(*" + mp + "/internal/pipeline.AdaptiveConfig).validate": true,
 	}

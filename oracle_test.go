@@ -182,7 +182,7 @@ func runOracle(tr *trace.Trace, cfg pipeline.Config, sel []int) (*oracleRun, err
 		run.ks = append(run.ks, k)
 		// Control: Decide is the law; the final window decides nothing.
 		if cfg.Adaptive != nil && !s.Final {
-			d := cfg.Adaptive.Decide(k, &pipeline.Snapshot{Snapshot: *s})
+			d := cfg.Adaptive.Decide(k, s)
 			run.decisions = append(run.decisions, d)
 			if d.K != k {
 				k, counter = d.K, 0
