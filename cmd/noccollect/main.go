@@ -52,7 +52,11 @@ func main() {
 	storeSync := flag.Int("store-sync", store.DefaultSyncEvery, "store group commit: fsync once per this many snapshots")
 	flag.Parse()
 
-	if *agents == "" || *cycles < 0 || *retries < 0 || *storeSync < 1 {
+	// A negative duration would run as another value: an interval as
+	// none (busy-polling), a backoff as an immediate retry, a cap as no
+	// cap.
+	if *agents == "" || *cycles < 0 || *retries < 0 || *storeSync < 1 ||
+		*interval < 0 || *backoff < 0 || *maxBackoff < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -18,8 +18,9 @@
 // little-endian) with -format pcap; info -convert writes it in the
 // other format. For the timer methods -k chooses the period as k times
 // the trace's mean interarrival time. A flag value no run can use — an
-// unknown -format, -method or -target, or a -k, -reps or -seconds under
-// 1 — exits 2 with the usage text before any file is read.
+// unknown -format, -method or -target, a -k, -reps or -seconds under 1,
+// or a sample -offset outside [0, k), or non-zero for any method but
+// systematic — exits 2 with the usage text before any file is read.
 package main
 
 import (
@@ -183,10 +184,11 @@ func sample(fs *flag.FlagSet, args []string) {
 	out := fs.String("out", "", "output NSTR trace of selected packets (required)")
 	method := fs.String("method", "systematic", methods)
 	k := fs.Int("k", 50, "sampling granularity (1/fraction)")
-	offset := fs.Int("offset", 0, "systematic start offset")
+	offset := fs.Int("offset", 0, "systematic start offset, in [0, k); only systematic takes one")
 	seed := fs.Uint64("seed", 1, "seed for the random methods")
 	parse(fs, args, in, out)
-	usageIf(fs, badInput(*format, *method, *k))
+	usageIf(fs, badInput(*format, *method, *k) ||
+		*offset != 0 && (*method != "systematic" || *offset < 0 || *offset >= *k))
 
 	tr := load(*in, *format)
 	sampler, err := core.New(*method, tr, *k, *offset)

@@ -113,6 +113,10 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 		{"phi", "-in", missing, "-k", "0"},
 		{"sample", "-in", missing, "-out", sub, "-k", "0"},
 		{"sample", "-in", missing, "-out", sub, "-method", "adaptive"},
+		{"sample", "-in", missing, "-out", sub, "-method", "stratified", "-offset", "5"},
+		{"sample", "-in", missing, "-out", sub, "-method", "systematic-timer", "-offset", "-1"},
+		{"sample", "-in", missing, "-out", sub, "-offset", "-1"},
+		{"sample", "-in", missing, "-out", sub, "-k", "10", "-offset", "10"},
 		{"info", "-in", missing, "-format", "xml"},
 		{"gen", "-out", tr + ".zero", "-seconds", "0"},
 	} {
@@ -123,11 +127,6 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	// The usage names the methods -method takes.
 	if out := runExit(t, 2, filepath.Join(dir, "nstrace"), "phi", "-in", missing, "-method", "adaptive"); !strings.Contains(out, "systematic|stratified|random|systematic-timer|stratified-timer") {
 		t.Errorf("nstrace phi -method adaptive: usage lists no methods:\n%s", out)
-	}
-	// An offset only systematic sampling can use is refused, not dropped.
-	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "sample", "-in", tr, "-out", sub, "-method", "stratified", "-offset", "5").CombinedOutput()
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `method "stratified" takes no offset`) {
-		t.Fatalf("nstrace sample -method stratified -offset 5: err %v, want exit 1 naming the method:\n%s", err, bad)
 	}
 
 	// info on the original and pcap conversion round trip.
@@ -221,8 +220,12 @@ func TestCLICollectionPair(t *testing.T) {
 	}
 	// A negative retry count is bad input, not a poll that never dials.
 	// So are a negative cycle count and a group commit under one
-	// snapshot, which would run nothing or run with the default.
-	for _, bad := range [][]string{{"-retries", "-1"}, {"-cycles", "-1"}, {"-cycles", "1", "-store-sync", "0"}} {
+	// snapshot, which would run nothing or run with the default, and a
+	// negative interval, backoff or backoff cap, which would run as none.
+	for _, bad := range [][]string{
+		{"-retries", "-1"}, {"-cycles", "-1"}, {"-cycles", "1", "-store-sync", "0"},
+		{"-cycles", "1", "-interval", "-1s"}, {"-cycles", "1", "-backoff", "-1ms"}, {"-cycles", "1", "-max-backoff", "-1s"},
+	} {
 		if out := runExit(t, 2, filepath.Join(dir, "noccollect"), append([]string{"-agents", addr}, bad...)...); !strings.Contains(out, "Usage of") {
 			t.Fatalf("noccollect %v printed no usage:\n%s", bad, out)
 		}

@@ -200,8 +200,9 @@ func TestPipelineChurnPathAllocs(t *testing.T) {
 // every slabWindows windows, the shard's sketch a fresh report arena
 // for its keys about once every 64 cuts, and an adaptive run's decision
 // log grows by doubling — some 0.08 allocations a window, pinned at
-// 0.25. The barriers and cut buffers are made by New; Wire and the
-// append add none (TestWireAppendDoesNotAllocate).
+// 0.25. The barriers and their shard slots are made by New
+// (TestNewAllocs); Wire and the append add none
+// (TestWireAppendDoesNotAllocate).
 func TestWindowCutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -263,6 +264,34 @@ func TestWindowCutAllocs(t *testing.T) {
 			t.Errorf("adaptive %v: %.2f allocations per extra window (> 0.25)", adaptive, best)
 		} else {
 			t.Logf("adaptive %v: %.2f allocations per extra window", adaptive, best)
+		}
+	}
+}
+
+// TestNewAllocs pins what New makes up front: the queues, every
+// barrier with its shard slots and their top-K entries, each shard's
+// aggregates and the item buffers. Each shard adds its aggregates and
+// queues, while the barriers' slots and entries come from one slab each
+// at any shard count, so a per-barrier or per-shard buffer set made
+// again shows as a step here.
+func TestNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	for _, c := range []struct {
+		shards int
+		want   float64
+	}{{1, 40}, {2, 62}, {4, 106}} {
+		cfg := Config{
+			Shards:     c.shards,
+			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
+		}
+		var err error
+		if n := testing.AllocsPerRun(20, func() { _, err = New(cfg) }); n != c.want {
+			t.Errorf("New at %d shards made %v allocations, want %v", c.shards, n, c.want)
+		}
+		if err != nil {
+			t.Fatalf("New: %v", err)
 		}
 	}
 }

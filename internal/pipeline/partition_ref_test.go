@@ -79,7 +79,7 @@ func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches
 			for msg := range st.in {
 				if msg.bar != nil {
 					got[s] = append(got[s], routed{cut: msg.bar.win.Seq})
-					msg.bar.parts <- shardPart{shard: s}
+					msg.bar.cut.Done()
 					continue
 				}
 				batches[s]++
@@ -94,9 +94,7 @@ func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches
 	// has seen it.
 	go func() {
 		for bar := range p.barriers {
-			for range p.shards {
-				<-bar.parts
-			}
+			bar.cut.Wait()
 			p.barFree <- bar
 		}
 	}()

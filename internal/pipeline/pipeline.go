@@ -13,8 +13,8 @@
 //	         │                         decode, hash, append to a batch
 //	    ┌────┴─────────────┐           one channel per shard
 //	shard 0      …      shard S-1      (FIFO consume)
-//	    │ snapshot parts   │
-//	    └─── collector ────┘           merge / publish
+//	    │  barrier slots   │           each shard fills its own
+//	    └─── collector ────┘           wait for all, merge / publish
 //
 // The reader runs on the goroutine that calls Run: it pulls windows of
 // raw NSTR records from the source (any other Source is encoded into
@@ -64,9 +64,11 @@
 // (pinned by FuzzOracleChain, the root package's serial oracle, and the
 // cmd/nsd integration test).
 //
-// A snapshot collector goroutine merges the per-shard partial states of
-// each barrier with the reader's part into one Snapshot and publishes
-// it. The reader never waits on it but for a free barrier.
+// Each barrier has one slot per shard, which the shard fills in place
+// with its partial state at the cut. A snapshot collector goroutine
+// waits until every slot of a barrier is filled, merges them with the
+// reader's part into one Snapshot and publishes it. The reader never
+// waits on it but for a free barrier.
 package pipeline
 
 import (
@@ -80,6 +82,7 @@ import (
 	"netsample/internal/bins"
 	"netsample/internal/collect"
 	"netsample/internal/core"
+	"netsample/internal/nnstat"
 	"netsample/internal/online"
 	"netsample/internal/trace"
 )
@@ -276,11 +279,20 @@ func New(cfg Config) (*Pipeline, error) {
 		barFree:  make(chan *barrier, cfg.QueueDepth+2),
 		done:     make(chan struct{}),
 	}
+	// Every barrier's tally, shard slots and their top-K entries are
+	// carved from one slab each.
 	bars := make([]barrier, cap(p.barFree))
 	tallies := make([]uint64, len(bars)*nBins)
+	slots := make([]shardPart, len(bars)*cfg.Shards)
+	n, w := cfg.TopKReport, cfg.Shards*cfg.TopKReport
+	top := make([]nnstat.Entry, len(bars)*w)
+	for j := range slots {
+		slots[j].topk = top[j*n : j*n : (j+1)*n]
+	}
 	for i := range bars {
 		bars[i].sample = tallies[i*nBins : (i+1)*nBins : (i+1)*nBins]
-		bars[i].parts = make(chan shardPart, cfg.Shards)
+		bars[i].parts = slots[i*cfg.Shards : (i+1)*cfg.Shards]
+		bars[i].top = top[i*w : (i+1)*w : (i+1)*w]
 		p.barFree <- &bars[i]
 	}
 	var err error
@@ -459,7 +471,7 @@ func rawSize(raw []byte, i int) uint16 {
 // however the goroutines interleave, and the reader never waits on the
 // collector. Last it publishes the reader's shard batches and sends the
 // barrier on every shard channel, so every shard observes the cut at
-// the same stream offset.
+// the same stream offset and fills its slot of the barrier there.
 //
 // The barrier comes from barFree, which New fills and the collector
 // refills (DESIGN.md §5, "Ownership"); the receive waits only while
@@ -501,6 +513,9 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool) {
 		bar.k = p.steer(&bar.win)
 	}
 	p.ingest.publish()
+	// The collector's last Wait on this barrier returned before it came
+	// back through barFree, so the count starts afresh.
+	bar.cut.Add(len(p.shards))
 	for _, q := range p.ingest.out {
 		q <- shardMsg{bar: bar}
 	}

@@ -27,24 +27,19 @@ type shardMsg struct {
 // free are the channels connecting it to the reader; everything else is
 // worker-goroutine-only (and the Run caller's after shardWG.Wait).
 type shardState struct {
-	id   int
+	id   int             // the shard's slot in every barrier's parts
 	in   <-chan shardMsg // the reader's out channel for this shard
 	free chan<- []item   // emptied item buffers, back to the reader
 
 	// Worker-owned.
-	// cutFree holds the top-k buffers cut may fill. New makes one per
-	// barrier that can exist (see Pipeline.barFree) — a shard can be
-	// that many cuts ahead of a collector busy in OnSnapshot — and the
-	// snapshot collector hands each back once it is merged.
-	cutFree    chan []nnstat.Entry
 	flowCount  *flows.Counter
 	topk       *nnstat.TopK
 	topkReport int
 	keyBuf     [13]byte
 }
 
-// newShardState allocates one shard's aggregates and its cut buffers;
-// New wires in the channels to the reader.
+// newShardState allocates one shard's aggregates; New wires in the
+// channels to the reader.
 func newShardState(id int, cfg *Config) (*shardState, error) {
 	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
 	if err != nil {
@@ -54,33 +49,28 @@ func newShardState(id int, cfg *Config) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &shardState{
+	return &shardState{
 		id:         id,
-		cutFree:    make(chan []nnstat.Entry, cfg.QueueDepth+2),
 		flowCount:  flowCount,
 		topk:       topk,
 		topkReport: cfg.TopKReport,
-	}
-	n := cfg.TopKReport
-	bufs := make([]nnstat.Entry, cap(st.cutFree)*n)
-	for i := range cap(st.cutFree) {
-		st.cutFree <- bufs[i*n : i*n : (i+1)*n]
-	}
-	return st, nil
+	}, nil
 }
 
 // shardWorker drains one shard's channel until Run closes it: data
-// batches feed the shard state, a barrier cuts it. The channel is FIFO
-// and has one sender, so arrival order is stream order and the cut
-// lands at the same stream position on every shard — which is why
-// snapshots are the same for any shard count.
+// batches feed the shard state, a barrier cuts it into the shard's slot
+// of the barrier. The channel is FIFO and has one sender, so arrival
+// order is stream order and the cut lands at the same stream position
+// on every shard — which is why snapshots are the same for any shard
+// count.
 //
 //nslint:hotpath
 func (p *Pipeline) shardWorker(st *shardState) {
 	defer p.shardWG.Done()
 	for msg := range st.in {
 		if msg.bar != nil {
-			msg.bar.parts <- st.cut()
+			st.cut(&msg.bar.parts[st.id])
+			msg.bar.cut.Done()
 			continue
 		}
 		for i := range msg.items {
@@ -106,17 +96,13 @@ func (st *shardState) process(it *item) {
 	st.topk.AddHashed(uint64(it.hash), k[:], 1)
 }
 
-// cut snapshots the shard's window-local aggregates into a shardPart
-// and resets them for the next window.
+// cut snapshots the shard's window-local aggregates into its slot of a
+// barrier, in place, and resets them for the next window.
 //
 //nslint:coldpath runs once per window cut, never per packet; a warm cut allocates only a fresh report arena for the sketch's keys, about once every 64 cuts
-func (st *shardState) cut() shardPart {
-	part := shardPart{
-		shard:       st.id,
-		topk:        st.topk.AppendTop((<-st.cutFree)[:0], st.topkReport),
-		activeFlows: st.flowCount.ActiveCount(),
-		flows:       st.flowCount.Cut(),
-	}
+func (st *shardState) cut(part *shardPart) {
+	part.topk = st.topk.AppendTop(part.topk[:0], st.topkReport)
+	part.activeFlows = st.flowCount.ActiveCount()
+	part.flows = st.flowCount.Cut()
 	st.topk.Reset()
-	return part
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"netsample/internal/collect"
 	"netsample/internal/flows"
@@ -16,23 +17,27 @@ import (
 // window: win, the wire form's header with its offered and selected
 // counts and the reports (which point at sizeRep and iatRep), the
 // sample tally (size bins then gap bins of the records it selected),
-// and k. Each shard deposits its partial state into parts when the
-// barrier reaches it. The reader owns it: New makes the set, the
-// collector hands each back through barFree once every part is in and
-// merged, and nothing published refers to it.
+// and k. parts has one slot per shard, which that shard fills in place
+// when the barrier reaches it; cut counts the slots still to fill. The
+// reader owns the barrier: New makes the set, the collector hands each
+// back through barFree once every slot is filled and merged, and
+// nothing published refers to it.
 type barrier struct {
 	win             collect.Snapshot
 	sizeRep, iatRep metrics.Report
 	sample          []uint64
 	k               int
-	parts           chan shardPart
+	parts           []shardPart
+	// top backs every slot's topk: shard s's entries start at
+	// s*TopKReport, and merge gathers them all to its front to rank.
+	top []nnstat.Entry
+	cut sync.WaitGroup
 }
 
-// shardPart is one shard's window-local state at a barrier. topk is on
-// loan from the shard: merge copies out of it and the collector sends
-// it back.
+// shardPart is one shard's window-local state at a barrier, its slot
+// in barrier.parts. topk is the slot's own TopKReport entries of
+// barrier.top, full-capped so a cut never writes past them.
 type shardPart struct {
-	shard       int
 	topk        []nnstat.Entry
 	flows       flows.Counts
 	activeFlows int
@@ -74,24 +79,17 @@ type Snapshot struct {
 	IatCounts  []float64
 }
 
-// collect is the snapshot collector goroutine: it pairs each barrier
-// with its shard parts, merges them into a Snapshot and publishes it.
+// collect is the snapshot collector goroutine: it waits for every shard
+// to fill its slot of each barrier, merges the barrier into a Snapshot
+// and publishes it.
 func (p *Pipeline) collect() {
 	defer close(p.done)
-	parts := make([]shardPart, len(p.shards))
 	for bar := range p.barriers {
-		for range p.shards {
-			part := <-bar.parts
-			parts[part.shard] = part
-		}
-		snap := p.merge(bar, parts)
+		bar.cut.Wait()
+		snap := p.merge(bar)
 		// merge copied what it keeps into the snapshot's own block, so
-		// nothing published refers to the barrier or the parts' buffers:
-		// hand them back to their owners. Each free channel holds every
-		// object of its set, so the sends never wait.
-		for _, part := range parts {
-			p.shards[part.shard].cutFree <- part.topk
-		}
+		// nothing published refers to the barrier: hand it back. barFree
+		// holds every barrier, so the send never waits.
 		p.barFree <- bar
 		p.latest.Store(snap)
 		if p.cfg.OnSnapshot != nil {
@@ -142,23 +140,22 @@ func (s *slab[T]) take(n int) []T {
 }
 
 // pubSlabs is the collector's storage for published windows: the
-// slabs merge carves each window from, and the scratch it ranks the
-// shards' heavy hitters in before copying the kept ones out.
+// slabs merge carves each window from.
 type pubSlabs struct {
 	blocks slab[snapBlock]
 	counts slab[float64]
 	wire   slab[uint64]
 	top    slab[nnstat.Entry]
-	rank   []nnstat.Entry
 }
 
-// merge folds the barrier and the shard parts into one Snapshot: it
+// merge folds the barrier and its shard slots into one Snapshot: it
 // copies the barrier's header, reports and sample tally into the
 // window's block, the tally as the wire form's integer counts and as
 // their float64 mirror (exact: the counts are far below 2⁵³). Each
 // count form keeps both histograms in one slice; the block, both count
-// forms and TopK come from the collector's slabs.
-func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
+// forms and TopK come from the collector's slabs; the shards' heavy
+// hitters are ranked in the barrier's own top buffer.
+func (p *Pipeline) merge(bar *barrier) *Snapshot {
 	pub := &p.pub
 	nSize := p.nSize
 	nBins := len(bar.sample)
@@ -181,24 +178,24 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	if snap.IatReport != nil {
 		snap.IatReport = &blk.iatRep
 	}
-	for i := range parts {
-		part := &parts[i]
+	// Slot i's entries start at i*TopKReport, at or right of the ones
+	// gathered before it, so the gather only moves entries left.
+	top := bar.top[:0]
+	for i := range bar.parts {
+		part := &bar.parts[i]
 		snap.FlowCounts.Flows += part.flows.Flows
 		snap.FlowCounts.Packets += part.flows.Packets
 		snap.FlowCounts.Bytes += part.flows.Bytes
 		snap.FlowCounts.Singletons += part.flows.Singletons
 		snap.ActiveFlows += uint64(part.activeFlows)
-		pub.rank = append(pub.rank, part.topk...)
+		top = append(top, part.topk...)
 	}
 	for b, c := range wire {
 		counts[b] = float64(c)
 	}
-	rankEntries(pub.rank)
-	snap.TopK = pub.top.take(min(len(pub.rank), p.cfg.TopKReport))
-	copy(snap.TopK, pub.rank)
-	// The scratch must not pin the keys of windows gone by.
-	clear(pub.rank)
-	pub.rank = pub.rank[:0]
+	rankEntries(top)
+	snap.TopK = pub.top.take(min(len(top), p.cfg.TopKReport))
+	copy(snap.TopK, top)
 	return snap
 }
 

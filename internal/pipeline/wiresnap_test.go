@@ -269,7 +269,7 @@ func projectSnap(s *Snapshot) snapProj {
 }
 
 // TestPublishedSnapshotsImmutable holds the recycling on the window's
-// write path (barriers, shard cut buffers, the store's encode scratch)
+// write path (barriers with their shard slots, the store's encode scratch)
 // to its one rule: it never reaches a published object. Every window is
 // copied inside OnSnapshot — the snapshot field by field, its wire form,
 // the encoded payload — and after Run, many recycled cuts later, the
