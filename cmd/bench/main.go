@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	bench [-bench regex] [-benchtime 1x] [-count 1] [-pkg .] [-cpu list]
-//	      [-o BENCH.json] [-append] [-compare old.json] [-tolerance 1.25]
-//	      [-warn-only] [-retries N]
+//	bench [-bench regex] [-benchtime 1x] [-cpu list] [-o BENCH.json]
+//	      [-compare old.json] [-tolerance 1.25] [-warn-only] [-retries N]
 //
 // The output is deliberately free of timestamps and host-volatile noise
 // beyond the cpu/goos/goarch header go test itself reports: the file is
@@ -15,12 +14,7 @@
 //
 // With -cpu, the selected benchmarks run once per GOMAXPROCS count
 // (go test's -cpu list); the results keep their -N suffix as the
-// parsed Procs field and pair suffix-for-suffix under -compare, so a
-// multi-core scaling curve can be recorded next to the single-proc
-// suite. With -append, the results merge into an existing output file
-// instead of replacing it — same-name+procs entries are overwritten in
-// place, new ones append — which is how the scaling runs land in the
-// checked-in BENCH.json without rerunning everything.
+// parsed Procs field and pair suffix-for-suffix under -compare.
 //
 // With -compare, the run is also diffed against a baseline file
 // (typically the checked-in BENCH.json): per-benchmark and geomean
@@ -60,18 +54,15 @@ func main() {
 
 	benchRe := flag.String("bench", ".", "regexp selecting benchmarks to run")
 	benchtime := flag.String("benchtime", "1x", "per-benchmark duration or iteration count")
-	count := flag.Int("count", 1, "number of runs per benchmark")
-	pkg := flag.String("pkg", ".", "package pattern holding the benchmarks")
 	cpu := flag.String("cpu", "", "GOMAXPROCS list passed to go test -cpu (e.g. 1,2,4)")
 	out := flag.String("o", "BENCH.json", "output file; - writes to stdout")
-	appendOut := flag.Bool("append", false, "merge results into an existing -o file by name+procs")
 	compare := flag.String("compare", "", "baseline BENCH.json to diff the run against")
 	tolerance := flag.Float64("tolerance", 1.25, "regression threshold ratio for -compare")
 	warnOnly := flag.Bool("warn-only", false, "report -compare regressions without failing")
 	retries := flag.Int("retries", 0, "rerun a failing -compare up to N times, merging best-of, before failing")
 	flag.Parse()
 
-	f := runSuite(*benchRe, *benchtime, *count, *pkg, *cpu)
+	f := runSuite(*benchRe, *benchtime, *cpu)
 
 	var old *benchjson.File
 	if *compare != "" {
@@ -89,15 +80,7 @@ func main() {
 			}
 			log.Printf("%d benchmarks beyond %.2fx; retry %d/%d of the full suite",
 				len(regs), *tolerance, attempt+1, *retries)
-			f = bestOf(f, runSuite(*benchRe, *benchtime, *count, *pkg, *cpu))
-		}
-	}
-
-	if *appendOut && *out != "-" {
-		if prev, err := readFile(*out); err == nil {
-			f = mergeFiles(prev, f)
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("append: %v", err)
+			f = bestOf(f, runSuite(*benchRe, *benchtime, *cpu))
 		}
 	}
 
@@ -138,20 +121,20 @@ func main() {
 	}
 }
 
-// runSuite executes one `go test -bench` pass over the selected
-// benchmarks and parses the results.
-func runSuite(benchRe, benchtime string, count int, pkg, cpu string) *benchjson.File {
+// runSuite executes one `go test -bench` pass over the root package's
+// selected benchmarks and parses the results.
+func runSuite(benchRe, benchtime, cpu string) *benchjson.File {
 	args := []string{"test",
 		"-run=^$",
 		"-bench=" + benchRe,
 		"-benchmem",
 		"-benchtime=" + benchtime,
-		fmt.Sprintf("-count=%d", count),
+		"-count=1",
 	}
 	if cpu != "" {
 		args = append(args, "-cpu="+cpu)
 	}
-	cmd := exec.Command("go", append(args, pkg)...)
+	cmd := exec.Command("go", append(args, ".")...)
 	var stdout bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = os.Stderr
@@ -166,7 +149,7 @@ func runSuite(benchRe, benchtime string, count int, pkg, cpu string) *benchjson.
 		log.Fatal(err)
 	}
 	if len(f.Benchmarks) == 0 {
-		log.Fatalf("no benchmarks matched %q in %s", benchRe, pkg)
+		log.Fatalf("no benchmarks matched %q", benchRe)
 	}
 	f.GoVersion = runtime.Version()
 	return f
@@ -204,28 +187,4 @@ func readFile(path string) (*benchjson.File, error) {
 		return nil, fmt.Errorf("parse %s: %v", path, err)
 	}
 	return &f, nil
-}
-
-// mergeFiles overlays cur's results onto prev: entries with the same
-// full name (including the -N procs suffix) are replaced in place, new
-// ones append in run order. Header fields come from the newer run.
-func mergeFiles(prev, cur *benchjson.File) *benchjson.File {
-	merged := *cur
-	merged.Benchmarks = append([]benchjson.Benchmark(nil), prev.Benchmarks...)
-	index := make(map[string]int, len(merged.Benchmarks))
-	for i := range merged.Benchmarks {
-		name := merged.Benchmarks[i].FullName()
-		if _, dup := index[name]; !dup {
-			index[name] = i
-		}
-	}
-	for _, b := range cur.Benchmarks {
-		if i, ok := index[b.FullName()]; ok {
-			merged.Benchmarks[i] = b
-		} else {
-			index[b.FullName()] = len(merged.Benchmarks)
-			merged.Benchmarks = append(merged.Benchmarks, b)
-		}
-	}
-	return &merged
 }

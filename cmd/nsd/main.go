@@ -107,9 +107,16 @@ func main() {
 
 	// The store, flow table and snapshot would replace a value below
 	// these bounds with their defaults, and the flow timeout and window
-	// are kept in whole µs.
+	// are kept in whole µs. The controller's flags mean nothing without
+	// -adaptive, and under it must hold 1 <= -min-k <= -k <= -max-k and
+	// a positive -target (NaN fails the negated test), as the pipeline
+	// requires.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
-		*window > 0 && *window < time.Microsecond {
+		*window > 0 && *window < time.Microsecond || *shards < 1 ||
+		!*adaptive && (set["target"] || set["min-k"] || set["max-k"]) ||
+		*adaptive && (*minK < 1 || *minK > *k || *k > *maxK || !(*targetPhi > 0)) {
 		flag.Usage()
 		os.Exit(2)
 	}

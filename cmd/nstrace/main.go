@@ -19,8 +19,10 @@
 // other format. For the timer methods -k chooses the period as k times
 // the trace's mean interarrival time. A flag value no run can use — an
 // unknown -format, -method or -target, a -k, -reps or -seconds under 1,
-// or a sample -offset outside [0, k), or non-zero for any method but
-// systematic — exits 2 with the usage text before any file is read.
+// a -pps that is not positive, an info -flow-timeout under 1µs, or a
+// sample -offset outside [0, k), or non-zero for any method but
+// systematic — exits 2 with the usage text before any file is read or
+// written.
 package main
 
 import (
@@ -152,7 +154,7 @@ func gen(fs *flag.FlagSet, args []string) {
 		strings.Join(traffgen.ScenarioNames(), ", "))
 	quiet := fs.Bool("q", false, "suppress the summary")
 	parse(fs, args, out)
-	usageIf(fs, *seconds < 1)
+	usageIf(fs, *seconds < 1 || !(*pps > 0)) // negated, so NaN is refused too
 
 	cfg := traffgen.NSFNETHour()
 	cfg.Seed = *seed
@@ -266,7 +268,8 @@ func info(fs *flag.FlagSet, args []string) {
 	showFlows := fs.Bool("flows", false, "also print a 5-tuple flow summary")
 	flowTimeout := fs.Duration("flow-timeout", 2*time.Second, "flow idle timeout")
 	parse(fs, args, in)
-	usageIf(fs, *format != "nstr" && *format != "pcap")
+	// The flow table keeps the timeout in whole µs and needs it positive.
+	usageIf(fs, *format != "nstr" && *format != "pcap" || *flowTimeout < time.Microsecond)
 	tr := load(*in, *format)
 
 	if *convert != "" {

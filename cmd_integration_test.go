@@ -63,6 +63,21 @@ func runExit(t *testing.T, code int, bin string, args ...string) string {
 	return string(out)
 }
 
+// runUsage runs bin with args and requires a refusal as bad usage:
+// exit status 2, a usage text containing usage on stderr, and nothing
+// on stdout.
+func runUsage(t *testing.T, usage, bin string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || stdout.Len() > 0 || !strings.Contains(stderr.String(), usage) {
+		t.Errorf("%s %v: %v, want exit status 2 with usage and no stdout:\n%s%s", filepath.Base(bin), args, err, &stdout, &stderr)
+	}
+}
+
 func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	dir := buildTools(t, "nstrace")
 	tr := filepath.Join(t.TempDir(), "t.nstr")
@@ -79,11 +94,11 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	if !errors.As(err, &exit) || !strings.Contains(string(bad), `unknown scenario "nope" (have ddos, flashcrowd, hhchurn, portscan, elephantmice)`) {
 		t.Fatalf("nstrace gen -scenario nope: err %v, want a non-zero exit naming the presets:\n%s", err, bad)
 	}
-	// A NaN rate is refused by the generator's validation, not by a
-	// makeslice panic in the buffer it would have sized.
-	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".nan", "-pps", "NaN").CombinedOutput()
+	// An infinite rate is refused by the generator's validation, not by
+	// a makeslice panic in the buffer it would have sized.
+	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".inf", "-pps", "+Inf").CombinedOutput()
 	if !errors.As(err, &exit) || !strings.Contains(string(bad), "must be finite") || strings.Contains(string(bad), "panic:") {
-		t.Fatalf("nstrace gen -pps NaN: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
+		t.Fatalf("nstrace gen -pps +Inf: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
 	}
 
 	// sample: 1-in-50 systematic.
@@ -101,8 +116,8 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 		t.Fatalf("nstrace phi output: %s", out)
 	}
 	// A flag value no run can use is bad usage: exit 2 with the usage
-	// text, before any file is read — the input named here does not
-	// exist, and opening it would exit 1.
+	// text, before any file is read or written — the input named here
+	// does not exist, and opening it would exit 1.
 	missing := filepath.Join(t.TempDir(), "missing.nstr")
 	for _, args := range [][]string{
 		{"phi", "-in", missing, "-reps", "0"},
@@ -118,10 +133,17 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 		{"sample", "-in", missing, "-out", sub, "-offset", "-1"},
 		{"sample", "-in", missing, "-out", sub, "-k", "10", "-offset", "10"},
 		{"info", "-in", missing, "-format", "xml"},
+		{"info", "-in", missing, "-flows", "-flow-timeout", "-1s"},
+		{"info", "-in", missing, "-flow-timeout", "0"},
 		{"gen", "-out", tr + ".zero", "-seconds", "0"},
+		{"gen", "-out", tr + ".neg", "-pps", "-5"},
+		{"gen", "-out", tr + ".nan", "-pps", "NaN"},
 	} {
-		if out := runExit(t, 2, filepath.Join(dir, "nstrace"), args...); !strings.Contains(out, "usage:") {
-			t.Errorf("nstrace %v printed no usage:\n%s", args, out)
+		runUsage(t, "usage:", filepath.Join(dir, "nstrace"), args...)
+		if args[0] == "gen" {
+			if _, err := os.Stat(args[2]); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("nstrace %v left %s behind: %v", args, args[2], err)
+			}
 		}
 	}
 	// The usage names the methods -method takes.
@@ -270,21 +292,28 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 		{[]string{"-in", torn}, "region truncated (832 of "},
 		{[]string{"-in", in, "-method", "systematic-timer", "-k", "4611686018427387904"}, "past int64"},
 		{[]string{"-in", in, "-method", "stratified-timer", "-k", "4611686018427387904"}, "past int64"},
-		{[]string{"-in", in, "-adaptive", "-window", "5s", "-target", "NaN"}, "TargetPhi must be positive"},
 	} {
 		out := runExit(t, 1, filepath.Join(dir, "nsd"), append(tc.args, "-once")...)
 		if !strings.Contains(out, tc.want) || strings.Count(out, "\n") != 1 {
 			t.Errorf("nsd %v: want one line naming %q:\n%s", tc.args, tc.want, out)
 		}
 	}
-	// A value nsd would silently replace with a default is bad usage:
-	// store batches and segments under one snapshot, no heavy hitters,
-	// and a flow timeout or window that truncates to 0 µs.
+	// A value nsd would silently replace with a default, ignore or
+	// refuse only once the trace is open is bad usage: store batches and
+	// segments under one snapshot, no heavy hitters, a flow timeout or
+	// window that truncates to 0 µs, no shards, a controller flag
+	// without -adaptive, and under it k bounds out of order or a
+	// target that is not positive. Each exits before it writes a byte
+	// to stdout.
 	for _, bad := range [][]string{{"-store-sync", "-3"}, {"-store-segment", "0"}, {"-topk", "0"},
-		{"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}, {"-window", "500ns"}} {
-		if out := runExit(t, 2, filepath.Join(dir, "nsd"), append([]string{"-in", in, "-q", "-once"}, bad...)...); !strings.Contains(out, "Usage of") {
-			t.Errorf("nsd %v printed no usage:\n%s", bad, out)
-		}
+		{"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}, {"-window", "500ns"}, {"-shards", "0"},
+		{"-target", "-1"}, {"-min-k", "0", "-max-k", "-3"}, {"-max-k", "64"},
+		{"-adaptive", "-window", "30s", "-target", "-1"},
+		{"-adaptive", "-window", "5s", "-target", "NaN"},
+		{"-adaptive", "-window", "5s", "-min-k", "0"},
+		{"-adaptive", "-window", "5s", "-k", "8", "-min-k", "16"},
+		{"-adaptive", "-window", "5s", "-k", "8", "-max-k", "4"}} {
+		runUsage(t, "Usage of", filepath.Join(dir, "nsd"), append([]string{"-in", in, "-q", "-once"}, bad...)...)
 	}
 }
 

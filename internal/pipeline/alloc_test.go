@@ -271,9 +271,10 @@ func TestWindowCutAllocs(t *testing.T) {
 // TestNewAllocs pins what New makes up front: the queues, every
 // barrier with its shard slots and their top-K entries, each shard's
 // aggregates and the item buffers. Each shard adds its aggregates and
-// queues, while the barriers' slots and entries come from one slab each
-// at any shard count, so a per-barrier or per-shard buffer set made
-// again shows as a step here.
+// its channel, while the barriers' slots and entries come from one slab
+// each and every shard's item buffers from one slab, at any shard
+// count, so a per-barrier or per-shard buffer set made again shows as a
+// step here.
 func TestNewAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -281,7 +282,7 @@ func TestNewAllocs(t *testing.T) {
 	for _, c := range []struct {
 		shards int
 		want   float64
-	}{{1, 40}, {2, 62}, {4, 106}} {
+	}{{1, 27}, {2, 37}, {4, 57}} {
 		cfg := Config{
 			Shards:     c.shards,
 			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },

@@ -72,34 +72,42 @@ func (a *recordAdapter) NextRawBatch(max int) ([]byte, int, error) {
 }
 
 // ingestState is the reader's fan-out to the shards: one channel per
-// shard (out), the item buffers each shard hands back (freeItems), and
-// the batch the reader is filling for each shard (cur). The reader
-// sends on every out channel and receives on every freeItems one;
-// shard s receives on out[s] and sends its emptied buffers on
-// freeItems[s].
+// shard (out) and the batch being filled for each (cur), a slot of the
+// shard's ring of QueueDepth+2 item buffers, which the reader fills in
+// turn; nothing is handed back. The channel's capacity makes that safe.
+// A shard channel holds at most QueueDepth messages, so once the send
+// of batch j-1 completes, the shard has received one of the QueueDepth+1
+// or more messages sent after batch j-(QueueDepth+2), whose buffer batch
+// j takes, and so has finished that batch: on a channel of capacity C
+// the k-th receive is synchronized before the (k+C)-th send completes
+// (the Go memory model). Pipeline.bars, the ring of barriers, is reused
+// the same way on Pipeline.barriers with the collector in the shard's
+// place: it receives the next barrier only once it has merged and
+// published the last, after that one's cut.Wait returned, so cut.Add on
+// a reused barrier is legal. go test -race catches a ring one shorter.
 type ingestState struct {
-	out       []chan shardMsg
-	freeItems []chan []item
-	cur       [][]item
+	out          []chan shardMsg
+	cur          [][]item
+	ring         []item // every shard's slots buffers of batch items, shard by shard
+	sent         []int  // batches sent to each shard
+	slots, batch int    // QueueDepth+2, BatchSize
 }
 
-// newIngestState allocates the fan-out's channels and buffer pools.
+// newIngestState allocates the fan-out's channels and carves every
+// shard's item buffers, full-capped, from one slab.
 func newIngestState(cfg *Config) *ingestState {
 	ig := &ingestState{
-		out:       make([]chan shardMsg, cfg.Shards),
-		freeItems: make([]chan []item, cfg.Shards),
-		cur:       make([][]item, cfg.Shards),
+		out:   make([]chan shardMsg, cfg.Shards),
+		cur:   make([][]item, cfg.Shards),
+		ring:  make([]item, cfg.Shards*(cfg.QueueDepth+2)*cfg.BatchSize),
+		sent:  make([]int, cfg.Shards),
+		slots: cfg.QueueDepth + 2,
+		batch: cfg.BatchSize,
 	}
 	for s := range ig.out {
 		ig.out[s] = make(chan shardMsg, cfg.QueueDepth)
-		// Item buffers per shard edge: QueueDepth queued + 1 at the
-		// shard + 1 filling. The free channel holds all of them, so a
-		// shard's hand-back never blocks.
-		ig.freeItems[s] = make(chan []item, cfg.QueueDepth+2)
-		for i := 0; i < cfg.QueueDepth+1; i++ {
-			ig.freeItems[s] <- make([]item, 0, cfg.BatchSize)
-		}
-		ig.cur[s] = make([]item, 0, cfg.BatchSize)
+		i := s * ig.slots * ig.batch
+		ig.cur[s] = ig.ring[i : i : i+ig.batch]
 	}
 	return ig
 }
@@ -209,12 +217,12 @@ func (ig *ingestState) publish() {
 }
 
 // send hands shard s its batch, blocking while the shard's channel is
-// full, and takes a free buffer to fill next. Once the send succeeds at
-// most QueueDepth buffers are queued and one is at the shard, so one of
-// the QueueDepth+2 is free and the receive does not wait.
+// full, and moves on to the next slot of the shard's ring.
 //
 //nslint:hotpath
 func (ig *ingestState) send(s int) {
 	ig.out[s] <- shardMsg{items: ig.cur[s]}
-	ig.cur[s] = (<-ig.freeItems[s])[:0]
+	ig.sent[s]++
+	i := (s*ig.slots + ig.sent[s]%ig.slots) * ig.batch
+	ig.cur[s] = ig.ring[i : i : i+ig.batch]
 }

@@ -86,16 +86,14 @@ func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches
 				for _, it := range msg.items {
 					got[s] = append(got[s], routed{it: it})
 				}
-				st.free <- msg.items[:0]
 			}
 		}()
 	}
-	// Hand each barrier back, as the collector does, once every shard
-	// has seen it.
+	// Take each barrier, as the collector does, once every shard has
+	// seen it.
 	go func() {
 		for bar := range p.barriers {
 			bar.cut.Wait()
-			p.barFree <- bar
 		}
 	}()
 	rs, ok := src.(RawBatchSource)

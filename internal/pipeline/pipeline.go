@@ -67,8 +67,8 @@
 // Each barrier has one slot per shard, which the shard fills in place
 // with its partial state at the cut. A snapshot collector goroutine
 // waits until every slot of a barrier is filled, merges them with the
-// reader's part into one Snapshot and publishes it. The reader never
-// waits on it but for a free barrier.
+// reader's part into one Snapshot and publishes it. Nothing is handed
+// back: the reader reuses item buffers and barriers in ring order.
 package pipeline
 
 import (
@@ -190,13 +190,11 @@ type Pipeline struct {
 	// the other and hands the sample tally over on the barrier.
 	parent, sample []uint64
 
+	// barriers is the collector's queue; bars, the reader's ring of
+	// QueueDepth+2 barriers, reused in window order (see ingestState).
 	barriers chan *barrier
-	// barFree holds the barriers the reader may stamp. New makes all
-	// QueueDepth+2 that can exist at once — cap(barriers) queued, one
-	// being merged and one being stamped — and the collector hands each
-	// back once it is merged, so the channel holds them all.
-	barFree chan *barrier
-	winSeq  uint64 // window sequence, reader-owned
+	bars     []barrier
+	winSeq   uint64 // window sequence, reader-owned
 
 	pub    pubSlabs // collector-owned
 	latest atomic.Pointer[Snapshot]
@@ -276,12 +274,12 @@ func New(cfg Config) (*Pipeline, error) {
 		parent:   make([]uint64, nBins),
 		sample:   make([]uint64, nBins),
 		barriers: make(chan *barrier, cfg.QueueDepth),
-		barFree:  make(chan *barrier, cfg.QueueDepth+2),
+		bars:     make([]barrier, cfg.QueueDepth+2),
 		done:     make(chan struct{}),
 	}
 	// Every barrier's tally, shard slots and their top-K entries are
 	// carved from one slab each.
-	bars := make([]barrier, cap(p.barFree))
+	bars := p.bars
 	tallies := make([]uint64, len(bars)*nBins)
 	slots := make([]shardPart, len(bars)*cfg.Shards)
 	n, w := cfg.TopKReport, cfg.Shards*cfg.TopKReport
@@ -293,7 +291,6 @@ func New(cfg Config) (*Pipeline, error) {
 		bars[i].sample = tallies[i*nBins : (i+1)*nBins : (i+1)*nBins]
 		bars[i].parts = slots[i*cfg.Shards : (i+1)*cfg.Shards]
 		bars[i].top = top[i*w : (i+1)*w : (i+1)*w]
-		p.barFree <- &bars[i]
 	}
 	var err error
 	if cfg.Adaptive != nil {
@@ -312,7 +309,6 @@ func New(cfg Config) (*Pipeline, error) {
 			return nil, err
 		}
 		st.in = p.ingest.out[i]
-		st.free = p.ingest.freeItems[i]
 		p.shards[i] = st
 	}
 	return p, nil
@@ -473,14 +469,13 @@ func rawSize(raw []byte, i int) uint16 {
 // barrier on every shard channel, so every shard observes the cut at
 // the same stream offset and fills its slot of the barrier there.
 //
-// The barrier comes from barFree, which New fills and the collector
-// refills (DESIGN.md §5, "Ownership"); the receive waits only while
-// QueueDepth+1 windows are still unmerged.
+// The barrier is the next of the reader's ring, whose last window the
+// collector has merged (DESIGN.md §5, "Ownership").
 //
 //nslint:coldpath runs once per window boundary, never per packet
 func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool) {
 	p.winSeq++
-	bar := <-p.barFree
+	bar := &p.bars[p.winSeq%uint64(len(p.bars))]
 	nSize := p.nSize
 	var offered, selected uint64
 	for b := range nSize {
@@ -513,8 +508,8 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool) {
 		bar.k = p.steer(&bar.win)
 	}
 	p.ingest.publish()
-	// The collector's last Wait on this barrier returned before it came
-	// back through barFree, so the count starts afresh.
+	// The collector's last Wait on this barrier returned before it
+	// received the previous one, so the count starts afresh.
 	bar.cut.Add(len(p.shards))
 	for _, q := range p.ingest.out {
 		q <- shardMsg{bar: bar}

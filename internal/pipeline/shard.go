@@ -23,13 +23,12 @@ type shardMsg struct {
 	bar   *barrier
 }
 
-// shardState is one worker shard. Field ownership is strict: in and
-// free are the channels connecting it to the reader; everything else is
+// shardState is one worker shard. Field ownership is strict: in is the
+// channel connecting it to the reader; everything else is
 // worker-goroutine-only (and the Run caller's after shardWG.Wait).
 type shardState struct {
-	id   int             // the shard's slot in every barrier's parts
-	in   <-chan shardMsg // the reader's out channel for this shard
-	free chan<- []item   // emptied item buffers, back to the reader
+	id int             // the shard's slot in every barrier's parts
+	in <-chan shardMsg // the reader's out channel for this shard
 
 	// Worker-owned.
 	flowCount  *flows.Counter
@@ -39,7 +38,7 @@ type shardState struct {
 }
 
 // newShardState allocates one shard's aggregates; New wires in the
-// channels to the reader.
+// channel from the reader.
 func newShardState(id int, cfg *Config) (*shardState, error) {
 	flowCount, err := flows.NewCounter(cfg.FlowTimeoutUS)
 	if err != nil {
@@ -76,7 +75,6 @@ func (p *Pipeline) shardWorker(st *shardState) {
 		for i := range msg.items {
 			st.process(&msg.items[i])
 		}
-		st.free <- msg.items[:0]
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // sample tally (size bins then gap bins of the records it selected),
 // and k. parts has one slot per shard, which that shard fills in place
 // when the barrier reaches it; cut counts the slots still to fill. The
-// reader owns the barrier: New makes the set, the collector hands each
-// back through barFree once every slot is filled and merged, and
-// nothing published refers to it.
+// reader owns the barrier: New makes the ring, the reader stamps each
+// again QueueDepth+2 windows later, by when the collector has merged
+// it, and nothing published refers to it.
 type barrier struct {
 	win             collect.Snapshot
 	sizeRep, iatRep metrics.Report
@@ -81,16 +81,14 @@ type Snapshot struct {
 
 // collect is the snapshot collector goroutine: it waits for every shard
 // to fill its slot of each barrier, merges the barrier into a Snapshot
-// and publishes it.
+// and publishes it. merge copies what it keeps into the snapshot's own
+// block, so the reader may stamp the barrier again once the collector
+// has received the next one.
 func (p *Pipeline) collect() {
 	defer close(p.done)
 	for bar := range p.barriers {
 		bar.cut.Wait()
 		snap := p.merge(bar)
-		// merge copied what it keeps into the snapshot's own block, so
-		// nothing published refers to the barrier: hand it back. barFree
-		// holds every barrier, so the send never waits.
-		p.barFree <- bar
 		p.latest.Store(snap)
 		if p.cfg.OnSnapshot != nil {
 			p.cfg.OnSnapshot(snap)
