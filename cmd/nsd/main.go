@@ -25,7 +25,9 @@
 // φ steers the next window's systematic k inside
 // [-min-k, -max-k], starting from -k. The decision runs on the virtual
 // clock at the stream cut, so an adaptive run stays bit-identical for
-// any -shards at the same seed.
+// any -shards at the same seed. -adaptive with a -method other than
+// systematic, or without a -window, exits 2 with the usage text before
+// the trace is opened.
 //
 // The daemon is deterministic: all randomness comes from -seed, and
 // windowing runs on the virtual clock of the packet timestamps. One
@@ -110,13 +112,15 @@ func main() {
 	// are kept in whole µs. The controller's flags mean nothing without
 	// -adaptive, and under it must hold 1 <= -min-k <= -k <= -max-k and
 	// a positive -target (NaN fails the negated test), as the pipeline
-	// requires.
+	// requires; it steers systematic granularity, at window barriers, so
+	// it also needs -method systematic and a -window.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
 		*window > 0 && *window < time.Microsecond || *shards < 1 ||
 		!*adaptive && (set["target"] || set["min-k"] || set["max-k"]) ||
-		*adaptive && (*minK < 1 || *minK > *k || *k > *maxK || !(*targetPhi > 0)) {
+		*adaptive && (*minK < 1 || *minK > *k || *k > *maxK || !(*targetPhi > 0) ||
+			*method != "systematic" || *window <= 0) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -160,12 +164,6 @@ func main() {
 
 	cfg := buildConfig(records, lastUS-firstUS, *method, *k, *window, *seed, *topk, *flowTimeout)
 	if *adaptive {
-		if *method != "systematic" {
-			log.Fatalf("-adaptive steers systematic granularity; -method %s is not supported", *method)
-		}
-		if *window <= 0 {
-			log.Fatal("-adaptive needs -window > 0: decisions happen at window barriers")
-		}
 		cfg.NewSampler = nil
 		cfg.Adaptive = &pipeline.AdaptiveConfig{
 			MinK:      *minK,

@@ -19,10 +19,10 @@
 // other format. For the timer methods -k chooses the period as k times
 // the trace's mean interarrival time. A flag value no run can use — an
 // unknown -format, -method or -target, a -k, -reps or -seconds under 1,
-// a -pps that is not positive, an info -flow-timeout under 1µs, or a
-// sample -offset outside [0, k), or non-zero for any method but
-// systematic — exits 2 with the usage text before any file is read or
-// written.
+// a -pps that is not finite and positive, a -trend that is not finite,
+// an info -flow-timeout under 1µs, or a sample -offset outside [0, k),
+// or non-zero for any method but systematic — exits 2 with the usage
+// text before any file is read or written.
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -154,7 +155,9 @@ func gen(fs *flag.FlagSet, args []string) {
 		strings.Join(traffgen.ScenarioNames(), ", "))
 	quiet := fs.Bool("q", false, "suppress the summary")
 	parse(fs, args, out)
-	usageIf(fs, *seconds < 1 || !(*pps > 0)) // negated, so NaN is refused too
+	// Negated, so NaN is refused too: a rate must be finite and
+	// positive, a trend finite.
+	usageIf(fs, *seconds < 1 || !(*pps > 0 && *pps <= math.MaxFloat64) || !(math.Abs(*trend) <= math.MaxFloat64))
 
 	cfg := traffgen.NSFNETHour()
 	cfg.Seed = *seed
@@ -332,7 +335,7 @@ func info(fs *flag.FlagSet, args []string) {
 	}
 	rows = rows[:0]
 	for key, n := range portPkts {
-		rows = append(rows, row{ports.Label(key), n})
+		rows = append(rows, row{string(ports.AppendLabel(nil, key)), n})
 	}
 	slices.SortFunc(rows, byCount)
 	var parts []string

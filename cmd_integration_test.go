@@ -94,12 +94,6 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 	if !errors.As(err, &exit) || !strings.Contains(string(bad), `unknown scenario "nope" (have ddos, flashcrowd, hhchurn, portscan, elephantmice)`) {
 		t.Fatalf("nstrace gen -scenario nope: err %v, want a non-zero exit naming the presets:\n%s", err, bad)
 	}
-	// An infinite rate is refused by the generator's validation, not by
-	// a makeslice panic in the buffer it would have sized.
-	bad, err = exec.Command(filepath.Join(dir, "nstrace"), "gen", "-out", tr+".inf", "-pps", "+Inf").CombinedOutput()
-	if !errors.As(err, &exit) || !strings.Contains(string(bad), "must be finite") || strings.Contains(string(bad), "panic:") {
-		t.Fatalf("nstrace gen -pps +Inf: err %v, want a non-zero exit naming the bad rate:\n%s", err, bad)
-	}
 
 	// sample: 1-in-50 systematic.
 	sub := filepath.Join(t.TempDir(), "s.nstr")
@@ -138,6 +132,10 @@ func TestCLIGenerateSampleEvaluate(t *testing.T) {
 		{"gen", "-out", tr + ".zero", "-seconds", "0"},
 		{"gen", "-out", tr + ".neg", "-pps", "-5"},
 		{"gen", "-out", tr + ".nan", "-pps", "NaN"},
+		{"gen", "-out", tr + ".inf", "-pps", "+Inf"},
+		{"gen", "-out", tr + ".tnan", "-trend", "NaN"},
+		{"gen", "-out", tr + ".tinf", "-trend", "+Inf"},
+		{"gen", "-out", tr + ".tninf", "-trend", "-Inf"},
 	} {
 		runUsage(t, "usage:", filepath.Join(dir, "nstrace"), args...)
 		if args[0] == "gen" {
@@ -302,9 +300,9 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 	// refuse only once the trace is open is bad usage: store batches and
 	// segments under one snapshot, no heavy hitters, a flow timeout or
 	// window that truncates to 0 µs, no shards, a controller flag
-	// without -adaptive, and under it k bounds out of order or a
-	// target that is not positive. Each exits before it writes a byte
-	// to stdout.
+	// without -adaptive, and under it k bounds out of order, a target
+	// that is not positive, a method other than systematic or no
+	// window. Each exits before it writes a byte to stdout.
 	for _, bad := range [][]string{{"-store-sync", "-3"}, {"-store-segment", "0"}, {"-topk", "0"},
 		{"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}, {"-window", "500ns"}, {"-shards", "0"},
 		{"-target", "-1"}, {"-min-k", "0", "-max-k", "-3"}, {"-max-k", "64"},
@@ -312,7 +310,9 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 		{"-adaptive", "-window", "5s", "-target", "NaN"},
 		{"-adaptive", "-window", "5s", "-min-k", "0"},
 		{"-adaptive", "-window", "5s", "-k", "8", "-min-k", "16"},
-		{"-adaptive", "-window", "5s", "-k", "8", "-max-k", "4"}} {
+		{"-adaptive", "-window", "5s", "-k", "8", "-max-k", "4"},
+		{"-adaptive", "-window", "5s", "-method", "stratified"},
+		{"-adaptive"}} {
 		runUsage(t, "Usage of", filepath.Join(dir, "nsd"), append([]string{"-in", in, "-q", "-once"}, bad...)...)
 	}
 }

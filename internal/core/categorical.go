@@ -28,7 +28,7 @@ import (
 
 // Categorizer assigns packets to discrete categories by integer key, so
 // that classifying a packet builds no string; a key is rendered for
-// output once per distinct category.
+// output once per distinct category, appended to a caller's buffer.
 type Categorizer interface {
 	// Name identifies the characterization in output.
 	Name() string
@@ -36,9 +36,10 @@ type Categorizer interface {
 	// from the characterization (e.g. non-TCP/UDP packets from a port
 	// distribution).
 	Key(p trace.Packet) (key uint64, ok bool)
-	// Label renders a key returned by Key. Distinct keys have distinct
-	// labels; cells are ordered by label.
-	Label(key uint64) string
+	// AppendLabel appends the label of a key returned by Key to dst and
+	// returns the extended slice. Distinct keys have distinct labels;
+	// cells are ordered by label.
+	AppendLabel(dst []byte, key uint64) []byte
 }
 
 // PortCategorizer maps TCP/UDP packets to the well-known service of
@@ -63,8 +64,10 @@ func (PortCategorizer) Key(p trace.Packet) (uint64, bool) {
 	return 0, true
 }
 
-// Label implements Categorizer.
-func (PortCategorizer) Label(key uint64) string { return packet.PortName(uint16(key)) }
+// AppendLabel implements Categorizer.
+func (PortCategorizer) AppendLabel(dst []byte, key uint64) []byte {
+	return append(dst, packet.PortName(uint16(key))...)
+}
 
 // NetPairCategorizer maps packets to their classful source→destination
 // network pair — the traffic matrix characterization. The key packs the
@@ -80,9 +83,11 @@ func (NetPairCategorizer) Key(p trace.Packet) (uint64, bool) {
 	return uint64(p.Src.NetworkNumber().Uint32())<<32 | uint64(p.Dst.NetworkNumber().Uint32()), true
 }
 
-// Label implements Categorizer.
-func (NetPairCategorizer) Label(key uint64) string {
-	return packet.AddrFrom(uint32(key>>32)).String() + ">" + packet.AddrFrom(uint32(key)).String()
+// AppendLabel implements Categorizer: "src>dst" in dotted quads.
+func (NetPairCategorizer) AppendLabel(dst []byte, key uint64) []byte {
+	dst = packet.AddrFrom(uint32(key >> 32)).AppendTo(dst)
+	dst = append(dst, '>')
+	return packet.AddrFrom(uint32(key)).AppendTo(dst)
 }
 
 // RestCategory is the fold target for sparse cells.
@@ -137,22 +142,36 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 	}
 	// Fold, then order the kept cells by label: cell order is the
 	// metrics' float summation order, so it is part of the output (and
-	// the sort is what makes the map walk below deterministic).
-	type kept struct {
-		label string
-		id    int32
-	}
-	var keep []kept
-	var rest float64
-	for key, id := range ids {
-		if c := raw[id]; c/total < minShare {
-			rest += c
-		} else {
-			keep = append(keep, kept{cat.Label(key), id})
+	// the sort is what makes the map walk below deterministic). The kept
+	// labels are appended to one buffer that becomes one string, and
+	// each category is a slice of it.
+	folded := func(c float64) bool { return c/total < minShare }
+	kept := 0
+	for _, c := range raw {
+		if !folded(c) {
+			kept++
 		}
 	}
-	slices.SortFunc(keep, func(a, b kept) int { return strings.Compare(a.label, b.label) })
-	e := &CategoricalEvaluator{cellTable: cellTable[int32]{pop: pop, cells: cell, popTotal: total}}
+	type keptCell struct {
+		off, end int // the label is labels[off:end]
+		id       int32
+	}
+	keep := make([]keptCell, 0, kept)
+	var buf []byte
+	var rest float64
+	for key, id := range ids {
+		if c := raw[id]; folded(c) {
+			rest += c
+		} else {
+			off := len(buf)
+			buf = cat.AppendLabel(buf, key)
+			keep = append(keep, keptCell{off, len(buf), id})
+		}
+	}
+	labels := string(buf)
+	slices.SortFunc(keep, func(a, b keptCell) int { return strings.Compare(labels[a.off:a.end], labels[b.off:b.end]) })
+	e := &CategoricalEvaluator{cellTable: cellTable[int32]{pop: pop, cells: cell, popTotal: total,
+		popCounts: make([]float64, 0, kept+1)}, categories: make([]string, 0, kept+1)}
 	restCell := int32(len(keep))
 	toCell := make([]int32, len(raw))
 	for i := range toCell {
@@ -160,7 +179,7 @@ func NewCategoricalEvaluator(pop *trace.Trace, cat Categorizer, minShare float64
 	}
 	for i, k := range keep {
 		toCell[k.id] = int32(i)
-		e.categories = append(e.categories, k.label)
+		e.categories = append(e.categories, labels[k.off:k.end])
 		e.popCounts = append(e.popCounts, raw[k.id])
 	}
 	if rest > 0 {

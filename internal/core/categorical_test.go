@@ -17,13 +17,14 @@ import (
 	"netsample/internal/traffgen"
 )
 
-// label is Key then Label: what a categorizer calls the packet's cell.
+// label is Key then AppendLabel: what a categorizer calls the packet's
+// cell.
 func label(c Categorizer, p trace.Packet) (string, bool) {
 	key, ok := c.Key(p)
 	if !ok {
 		return "", false
 	}
-	return c.Label(key), true
+	return string(c.AppendLabel(nil, key)), true
 }
 
 func TestPortCategorizer(t *testing.T) {
@@ -61,8 +62,10 @@ func (ProtocolCategorizer) Key(p trace.Packet) (uint64, bool) {
 	return uint64(p.Protocol), true
 }
 
-// Label implements Categorizer.
-func (ProtocolCategorizer) Label(key uint64) string { return packet.Protocol(key).String() }
+// AppendLabel implements Categorizer.
+func (ProtocolCategorizer) AppendLabel(dst []byte, key uint64) []byte {
+	return append(dst, packet.Protocol(key).String()...)
+}
 
 func TestProtocolCategorizer(t *testing.T) {
 	var c ProtocolCategorizer
@@ -586,4 +589,94 @@ func TestCategoricalEvaluatorConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAppendLabelSpelling holds NetPairCategorizer's labels to the
+// spelling the string-building form gave them — source then
+// destination network, each in dotted quads, joined by '>' — on keys
+// of every class, the octet widths at their ends included, and on
+// seeded random keys.
+func TestAppendLabelSpelling(t *testing.T) {
+	var c NetPairCategorizer
+	for _, tc := range []struct {
+		src, dst packet.Addr
+		want     string
+	}{
+		{packet.Addr{18, 26, 0, 1}, packet.Addr{10, 1, 2, 3}, "18.0.0.0>10.0.0.0"},                 // A>A
+		{packet.Addr{0, 0, 0, 0}, packet.Addr{127, 255, 255, 255}, "0.0.0.0>127.0.0.0"},            // A ends
+		{packet.Addr{132, 249, 20, 1}, packet.Addr{128, 54, 9, 9}, "132.249.0.0>128.54.0.0"},       // B>B
+		{packet.Addr{191, 255, 255, 255}, packet.Addr{128, 0, 7, 7}, "191.255.0.0>128.0.0.0"},      // B ends
+		{packet.Addr{192, 31, 21, 77}, packet.Addr{223, 255, 254, 1}, "192.31.21.0>223.255.254.0"}, // C>C
+		{packet.Addr{224, 0, 0, 9}, packet.Addr{239, 255, 255, 250}, "224.0.0.9>239.255.255.250"},  // D>D, kept whole
+		{packet.Addr{255, 255, 255, 255}, packet.Addr{192, 0, 2, 9}, "255.255.255.255>192.0.2.0"},  // E>C
+		{packet.Addr{132, 249, 5, 5}, packet.Addr{18, 3, 4, 5}, "132.249.0.0>18.0.0.0"},            // B>A
+		{packet.Addr{9, 9, 9, 9}, packet.Addr{225, 1, 2, 3}, "9.0.0.0>225.1.2.3"},                  // A>D
+		{packet.Addr{200, 100, 50, 25}, packet.Addr{150, 75, 30, 15}, "200.100.50.0>150.75.0.0"},   // C>B
+	} {
+		key, ok := c.Key(trace.Packet{Src: tc.src, Dst: tc.dst})
+		if !ok {
+			t.Fatalf("%v>%v: no key", tc.src, tc.dst)
+		}
+		if got := string(c.AppendLabel([]byte("prefix:"), key)); got != "prefix:"+tc.want {
+			t.Errorf("%v>%v: label %q, want %q", tc.src, tc.dst, got, "prefix:"+tc.want)
+		}
+	}
+	r := dist.NewRNG(11)
+	for range 10_000 {
+		key := r.Uint64()
+		s, d := packet.AddrFrom(uint32(key>>32)), packet.AddrFrom(uint32(key))
+		want := fmt.Sprintf("%d.%d.%d.%d>%d.%d.%d.%d", s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3])
+		if got := string(c.AppendLabel(nil, key)); got != want {
+			t.Fatalf("key %#x: label %q, want %q", key, got, want)
+		}
+	}
+}
+
+// TestAppendLabelAllocs pins the label form: with room in dst, neither
+// categorizer allocates.
+func TestAppendLabelAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	key := uint64(0xdfff_fe00_e000_0001) // 223.255.254.0>224.0.0.1
+	for name, f := range map[string]func(){
+		"NetPair.AppendLabel": func() { buf = NetPairCategorizer{}.AppendLabel(buf[:0], key) },
+		"Port.AppendLabel":    func() { buf = PortCategorizer{}.AppendLabel(buf[:0], uint64(packet.PortFTPData)) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %v times with room in dst, want 0", name, allocs)
+		}
+	}
+}
+
+// TestCategoricalLabelsOneString pins the evaluator's labels: it
+// appends the kept ones to one buffer that becomes one string, and each
+// category is a slice of it, so sixteen times the kept categories adds
+// only the growth of the label buffer, the key map and the count slice
+// (25 measured), where a string per label cost three allocations a
+// category (NetPairCategorizer's two addresses and the join): 2910
+// more.
+func TestCategoricalLabelsOneString(t *testing.T) {
+	build := func(pairs int) (float64, *CategoricalEvaluator) {
+		pop := &trace.Trace{}
+		for i := range 2 * pairs {
+			j := i % pairs // class B nets 128.100 on, so every label has 21 bytes
+			src := packet.Addr{byte(128 + j/100), byte(100 + j%100), 0, 0}
+			pop.Packets = append(pop.Packets, trace.Packet{Time: int64(i), Src: src, Dst: packet.Addr{18, 0, 0, 1}})
+		}
+		var ev *CategoricalEvaluator
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if ev, err = NewCategoricalEvaluator(pop, NetPairCategorizer{}, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, ev
+	}
+	small, _ := build(64)
+	large, ev := build(1024)
+	if ev.NumCells() != 1024 {
+		t.Fatalf("%d cells, want 1024", ev.NumCells())
+	}
+	if grown := large - small; grown > 32 {
+		t.Errorf("1024 categories allocate %.0f times, 64 %.0f: %.0f more, want at most 32", large, small, grown)
+	}
 }

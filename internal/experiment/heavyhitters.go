@@ -35,8 +35,8 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 	// Every feed keys the sketch by the pair's label (Top breaks count
 	// ties by key bytes, so the spelling is output); the labels are
 	// rendered once per distinct pair across all of them.
-	labels := make(map[uint64]string)
-	truth, err := topPairs(win, nil, 1, sketch, topN, labels)
+	labels := pairLabels{spans: make(map[uint64][2]int)}
+	truth, err := topPairs(win, nil, 1, sketch, topN, &labels)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if top, err = topPairs(win, idx, k, sketch, topN, labels); err != nil {
+			if top, err = topPairs(win, idx, k, sketch, topN, &labels); err != nil {
 				return nil, err
 			}
 		}
@@ -68,26 +68,38 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 	return out, nil
 }
 
+// pairLabels holds the label of every network pair seen, rendered once,
+// in one byte arena indexed by pair key.
+type pairLabels struct {
+	arena []byte
+	spans map[uint64][2]int // pair key → the label's arena[start:end]
+}
+
+// of returns key's label, appending it to the arena on first sight.
+func (l *pairLabels) of(key uint64) []byte {
+	s, seen := l.spans[key]
+	if !seen {
+		s[0] = len(l.arena)
+		l.arena = core.NetPairCategorizer{}.AppendLabel(l.arena, key)
+		s[1] = len(l.arena)
+		l.spans[key] = s
+	}
+	return l.arena[s[0]:s[1]]
+}
+
 // topPairs feeds either the whole window (idx nil) or the selected
 // packets into a Space-Saving sketch keyed by network-pair label and
 // returns the top n. labels caches each pair's label by pair key.
-func topPairs(win *trace.Trace, idx []int, weight, sketchSize, n int, labels map[uint64]string) ([]nnstat.Entry, error) {
+func topPairs(win *trace.Trace, idx []int, weight, sketchSize, n int, labels *pairLabels) ([]nnstat.Entry, error) {
 	tk, err := nnstat.NewTopK(sketchSize)
 	if err != nil {
 		return nil, err
 	}
 	var cat core.NetPairCategorizer
 	record := func(p trace.Packet) {
-		key, ok := cat.Key(p)
-		if !ok {
-			return
+		if key, ok := cat.Key(p); ok {
+			tk.AddBytes(labels.of(key), uint64(weight))
 		}
-		label, seen := labels[key]
-		if !seen {
-			label = cat.Label(key)
-			labels[key] = label
-		}
-		tk.Add(label, uint64(weight))
 	}
 	if idx == nil {
 		for _, p := range win.Packets {

@@ -8,6 +8,8 @@ import (
 
 	"netsample/internal/core"
 	"netsample/internal/nnstat"
+	"netsample/internal/packet"
+	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
 
@@ -70,9 +72,9 @@ func TestTopPairsSketchSeesStringKeys(t *testing.T) {
 	// A sketch smaller than the pair count, so evictions (whose order
 	// depends on the keys) are exercised too; the second feed reuses the
 	// labels the first rendered, as HeavyHitters' feeds do.
-	labels := make(map[uint64]string)
+	labels := pairLabels{spans: make(map[uint64][2]int)}
 	for _, sketch := range []int{16, 256} {
-		got, err := topPairs(tr, idx, 50, sketch, sketch, labels)
+		got, err := topPairs(tr, idx, 50, sketch, sketch, &labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,5 +89,33 @@ func TestTopPairsSketchSeesStringKeys(t *testing.T) {
 		if want := tk.Top(sketch); !slices.Equal(got, want) {
 			t.Errorf("sketch %d: entries differ:\n%v\nwant:\n%v", sketch, got, want)
 		}
+	}
+}
+
+// TestTopPairsAllocsFlatInPairs pins the label arena: a feed renders
+// each distinct pair's label once, into one arena indexed by pair key,
+// and hands the sketch slices of it, so sixteen times the distinct
+// pairs adds only the arena's and the index's growth (20 measured). A
+// string per label cost three allocations a pair (two addresses and
+// the join): 2891 more. The labels all have one length, so the
+// sketch's evictions never regrow a slot's key buffer.
+func TestTopPairsAllocsFlatInPairs(t *testing.T) {
+	feed := func(pairs int) float64 {
+		tr := &trace.Trace{}
+		for i := range 2 * pairs {
+			j := i % pairs // class B nets 128.100 on, so every label has 21 bytes
+			src := packet.Addr{byte(128 + j/100), byte(100 + j%100), 0, 0}
+			tr.Packets = append(tr.Packets, trace.Packet{Src: src, Dst: packet.Addr{18, 0, 0, 1}})
+		}
+		return testing.AllocsPerRun(5, func() {
+			labels := pairLabels{spans: make(map[uint64][2]int)}
+			if _, err := topPairs(tr, nil, 1, 256, 10, &labels); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := feed(64), feed(1024)
+	if grown := large - small; grown > 32 {
+		t.Errorf("feeding 1024 distinct pairs allocates %.0f times, 64 pairs %.0f: %.0f more, want at most 32", large, small, grown)
 	}
 }

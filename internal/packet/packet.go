@@ -64,12 +64,18 @@ type Addr [4]byte
 // String renders dotted-quad notation.
 func (a Addr) String() string {
 	var buf [15]byte // len("255.255.255.255")
-	b := strconv.AppendUint(buf[:0], uint64(a[0]), 10)
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted-quad notation to dst and returns the
+// extended slice; it allocates only when dst lacks room for it.
+func (a Addr) AppendTo(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(a[0]), 10)
 	for _, o := range a[1:] {
-		b = append(b, '.')
-		b = strconv.AppendUint(b, uint64(o), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendUint(dst, uint64(o), 10)
 	}
-	return string(b)
+	return dst
 }
 
 // AddrFrom returns the Addr for a big-endian uint32.

@@ -54,7 +54,8 @@ func TestAddrString(t *testing.T) {
 
 // TestAddrStringMatchesSprintf holds the strconv rendering to the
 // Sprintf spelling it replaced, for every value of every octet, and
-// pins it at the one allocation of the returned string.
+// pins String at the one allocation of the returned string and AppendTo,
+// which String calls, at none when dst has room.
 func TestAddrStringMatchesSprintf(t *testing.T) {
 	for pos := 0; pos < 4; pos++ {
 		for v := 0; v < 256; v++ {
@@ -68,6 +69,10 @@ func TestAddrStringMatchesSprintf(t *testing.T) {
 	a := Addr{255, 255, 255, 255}
 	if allocs := testing.AllocsPerRun(100, func() { _ = a.String() }); allocs > 1 {
 		t.Errorf("String allocates %v times, want at most 1", allocs)
+	}
+	buf := make([]byte, 0, 15)
+	if allocs := testing.AllocsPerRun(100, func() { buf = a.AppendTo(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendTo allocates %v times with room in dst, want 0", allocs)
 	}
 }
 

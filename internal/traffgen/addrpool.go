@@ -23,40 +23,51 @@ type addressPool struct {
 
 // newZipf weights indices in [0, n) by 1/(i+1)^s.
 func newZipf(n int, s float64) cumWeights {
-	return newCumWeights(n, func(i int) float64 {
+	c := makeCumWeights(n)
+	for i := range c.cum {
+		c.cum[i] = 1.0
 		if s > 0 {
-			return 1.0 / math.Pow(float64(i+1), s)
+			c.cum[i] = 1.0 / math.Pow(float64(i+1), s)
 		}
-		return 1.0
-	})
+	}
+	c.accumulate()
+	return c
 }
 
 // cumWeights draws index i with probability ∝ its weight: the smallest
 // i ≤ len(cum)−1 with cum[i] > u, u uniform on [0, total). A Chen–Asau
 // guide table (two cells per weight) starts a walk that ends, in O(1)
-// expected steps, where a binary search over cum would.
+// expected steps, where a binary search over cum would. The guide holds
+// its indices as float64s (exact below 2⁵³), so it shares cum's array
+// and a table is one allocation.
 type cumWeights struct {
 	cum   []float64
 	total float64
-	guide []int32 // guide[j] = search(j/scale)
-	scale float64 // len(guide)/total
+	guide []float64 // guide[j] = search(j/scale)
+	scale float64   // len(guide)/total
 }
 
-// newCumWeights sums n weights in index order and builds the guide.
-func newCumWeights(n int, weight func(i int) float64) cumWeights {
-	c := cumWeights{cum: make([]float64, n), guide: make([]int32, 2*n)}
+// makeCumWeights makes a table for n weights, all zero: write them
+// into cum, then accumulate.
+func makeCumWeights(n int) cumWeights {
+	buf := make([]float64, 3*n)
+	return cumWeights{cum: buf[:n:n], guide: buf[n:]}
+}
+
+// accumulate turns the weights held in cum into running sums in index
+// order and builds the guide.
+func (c *cumWeights) accumulate() {
 	for i := range c.cum {
-		c.total += weight(i)
+		c.total += c.cum[i]
 		c.cum[i] = c.total
 	}
 	c.scale = float64(len(c.guide)) / c.total
-	i := 0
+	i, n := 0, len(c.cum)
 	for j := range c.guide {
 		for u := float64(j) / c.scale; i < n-1 && c.cum[i] <= u; i++ {
 		}
-		c.guide[j] = int32(i)
+		c.guide[j] = float64(i)
 	}
-	return c
 }
 
 // draw returns an index with probability proportional to its weight.
@@ -84,23 +95,23 @@ func (c *cumWeights) search(u float64) int {
 // newAddressPool builds the host populations for a measurement
 // environment.
 func newAddressPool(profile Profile, r *dist.RNG) *addressPool {
-	p := &addressPool{}
 	// "Local" networks: the traffic sources behind the measured link.
 	// SDSC aggregates a campus handful; FIX-West, an interexchange
 	// point, aggregates far more networks with a flatter popularity law.
-	localNets := []packet.Addr{
-		{132, 249, 0, 0},  // SDSC
-		{128, 54, 0, 0},   // UCSD
-		{192, 31, 21, 0},  // campus class C
-		{192, 101, 10, 0}, // campus class C
-		{130, 191, 0, 0},  // regional class B
-	}
+	const fixWestNets = 35
+	localNets := append(make([]packet.Addr, 0, 5+fixWestNets),
+		packet.Addr{132, 249, 0, 0},  // SDSC
+		packet.Addr{128, 54, 0, 0},   // UCSD
+		packet.Addr{192, 31, 21, 0},  // campus class C
+		packet.Addr{192, 101, 10, 0}, // campus class C
+		packet.Addr{130, 191, 0, 0},  // regional class B
+	)
 	hostsPerLocal := 24
 	srcZipf := 0.8
 	if profile == ProfileFIXWest {
 		hostsPerLocal = 8
 		srcZipf = 0.5 // flatter: no single dominant site
-		for i := 0; i < 35; i++ {
+		for i := 0; i < fixWestNets; i++ {
 			var net packet.Addr
 			if i%3 == 0 {
 				net = packet.Addr{byte(128 + r.IntN(63)), byte(1 + r.IntN(250)), 0, 0}
@@ -110,6 +121,12 @@ func newAddressPool(profile Profile, r *dist.RNG) *addressPool {
 			localNets = append(localNets, net)
 		}
 	}
+	// Remote networks: a spread of class A/B/C destinations.
+	const remoteNets = 140
+	const hostsPerRemote = 3
+	// Sources and destinations share one array, sized up front.
+	srcs := len(localNets) * hostsPerLocal
+	hosts := make([]packet.Addr, 0, srcs+remoteNets*hostsPerRemote)
 	for _, net := range localNets {
 		for h := 0; h < hostsPerLocal; h++ {
 			a := net
@@ -119,12 +136,9 @@ func newAddressPool(profile Profile, r *dist.RNG) *addressPool {
 			} else { // class C: vary fourth octet
 				a[3] = byte(1 + r.IntN(250))
 			}
-			p.srcHosts = append(p.srcHosts, a)
+			hosts = append(hosts, a)
 		}
 	}
-	// Remote networks: a spread of class A/B/C destinations.
-	const remoteNets = 140
-	const hostsPerRemote = 3
 	for i := 0; i < remoteNets; i++ {
 		var net packet.Addr
 		switch r.IntN(10) {
@@ -143,9 +157,10 @@ func newAddressPool(profile Profile, r *dist.RNG) *addressPool {
 			} else if a[0] < 192 {
 				a[2] = byte(r.IntN(250))
 			}
-			p.dstHosts = append(p.dstHosts, a)
+			hosts = append(hosts, a)
 		}
 	}
+	p := &addressPool{srcHosts: hosts[:srcs:srcs], dstHosts: hosts[srcs:]}
 	p.srcPick = newZipf(len(p.srcHosts), srcZipf)
 	p.dstPick = newZipf(len(p.dstHosts), 1.0)
 	return p

@@ -28,11 +28,10 @@ type EnvelopeConfig struct {
 }
 
 // envelope holds the realized per-epoch relative intensities (normalized
-// to mean 1) and their running sums for sampling flow start times. It is
-// read-only once made, so concurrent model runs share one.
+// to mean 1), as the weights of the table flow start times are drawn
+// from. It is read-only once made, so concurrent model runs share one.
 type envelope struct {
 	epochUS int64
-	weights []float64
 	epochs  cumWeights
 }
 
@@ -50,7 +49,10 @@ func newEnvelope(cfg EnvelopeConfig, r *dist.RNG, durUS int64) (*envelope, error
 	if n < 1 {
 		n = 1
 	}
-	e.weights = make([]float64, n)
+	// The weights are written into the table, which accumulates them in
+	// place once they are normalized.
+	e.epochs = makeCumWeights(n)
+	w := e.epochs.cum
 	sigma := cfg.Sigma
 	rho := cfg.Rho
 	if rho < 0 {
@@ -71,19 +73,19 @@ func newEnvelope(cfg EnvelopeConfig, r *dist.RNG, durUS int64) (*envelope, error
 		if trend < 0.05 {
 			trend = 0.05
 		}
-		e.weights[i] = math.Exp(x-sigma*sigma/2) * trend
-		sum += e.weights[i]
+		w[i] = math.Exp(x-sigma*sigma/2) * trend
+		sum += w[i]
 	}
 	// Normalize to mean exactly 1 so TargetPPS is preserved.
 	mean := sum / float64(n)
-	for i := range e.weights {
-		e.weights[i] /= mean
+	for i := range w {
+		w[i] /= mean
 		// Written so that a NaN weight fails it.
-		if !(e.weights[i] > 0 && e.weights[i] <= math.MaxFloat64) {
-			return nil, fmt.Errorf("weight %v in epoch %d of %d is not finite and positive (Sigma %v)", e.weights[i], i, n, sigma)
+		if !(w[i] > 0 && w[i] <= math.MaxFloat64) {
+			return nil, fmt.Errorf("weight %v in epoch %d of %d is not finite and positive (Sigma %v)", w[i], i, n, sigma)
 		}
 	}
-	e.epochs = newCumWeights(n, func(i int) float64 { return e.weights[i] })
+	e.epochs.accumulate()
 	return e, nil
 }
 
@@ -91,7 +93,7 @@ func newEnvelope(cfg EnvelopeConfig, r *dist.RNG, durUS int64) (*envelope, error
 // proportional to the envelope intensity; durUS is the duration the
 // envelope was made for.
 func (e *envelope) sampleStart(r *dist.RNG, durUS int64) int64 {
-	if len(e.weights) == 1 {
+	if len(e.epochs.cum) == 1 {
 		return r.Int64N(durUS)
 	}
 	start := int64(e.epochs.draw(r)) * e.epochUS

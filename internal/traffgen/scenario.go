@@ -132,16 +132,21 @@ func stageScenario(s Scenario) ([]trace.Packet, int, error) {
 	}
 
 	durUS := s.Base.Duration.Microseconds()
-	root := dist.NewRNG(s.Base.Seed)
-	env, err := newEnvelope(s.Base.Envelope, root.Split(), durUS)
+	capacity := s.capacity()
+	st := &stager{pkts: make([]trace.Packet, 0, capacity)}
+	root := &st.root
+	root.Reseed(s.Base.Seed)
+	var child dist.RNG
+	root.SplitInto(&child)
+	env, err := newEnvelope(s.Base.Envelope, &child, durUS)
 	if err != nil {
 		return nil, 0, fmt.Errorf("traffgen: base envelope: %w", err)
 	}
-	addrs := newAddressPool(s.Base.Profile, root.Split())
+	root.SplitInto(&child)
+	addrs := newAddressPool(s.Base.Profile, &child)
+	st.addrs = addrs
 
 	total := s.Base.TargetPPS * s.Base.Duration.Seconds()
-	capacity := s.capacity()
-	st := stager{pkts: make([]trace.Packet, 0, capacity), root: root, addrs: addrs}
 	workers := fanout.Workers(capacity)
 	if workers > 1 {
 		st.plan = make([]run, 0, mixModels*(1+len(s.Phases)))
@@ -157,7 +162,8 @@ func stageScenario(s Scenario) ([]trace.Packet, int, error) {
 	// RNGs in declaration order.
 	for _, ph := range s.Phases {
 		startUS, spanUS, phasePackets := ph.window(durUS)
-		phaseEnv, err := newEnvelope(ph.Envelope, root.Split(), spanUS)
+		root.SplitInto(&child)
+		phaseEnv, err := newEnvelope(ph.Envelope, &child, spanUS)
 		if err != nil {
 			return nil, 0, fmt.Errorf("traffgen: phase %q envelope: %w", ph.Name, err)
 		}

@@ -22,18 +22,21 @@ type sourceModel interface {
 	fork() sourceModel
 }
 
-// padded copies m into memory of its own: the copies workers stage a run
-// with each write their scratch flow every packet, so no two may share
-// a cache line.
+// pad holds a model with a cache line on either side: runs, and the
+// copies workers stage one run with, each write their model's scratch
+// flow every packet, so no two models may share a cache line.
+type pad[M any] struct {
+	_ [64]byte
+	m M
+	_ [64]byte
+}
+
+// padded copies m into memory of its own.
 func padded[M any, P interface {
 	*M
 	sourceModel
 }](m P) sourceModel {
-	c := &struct {
-		_ [64]byte
-		m M
-		_ [64]byte
-	}{m: *m}
+	c := &pad[M]{m: *m}
 	return P(&c.m)
 }
 

@@ -171,7 +171,9 @@ func Generate(cfg Config) (*trace.Trace, error) {
 // model over [0, durUS) under env, shifted by shiftUS onto the trace
 // clock, drawn from rng into seg — a segment of the one staging buffer
 // with room for segmentCap(target) packets, the most a run emits.
-// Runs share only env and addrs, which are read-only.
+// Runs share only env and addrs, which are read-only. A plan's runs
+// stage concurrently and each writes its flow RNG every packet, so they
+// are padded apart.
 type run struct {
 	model          sourceModel
 	target         float64
@@ -179,7 +181,9 @@ type run struct {
 	env            *envelope
 	addrs          *addressPool
 	rng            dist.RNG
+	flowRNG        dist.RNG // the flow being emitted draws from it (emit)
 	seg            []trace.Packet
+	_              [64]byte
 }
 
 // segmentCap is the room a run of target packets needs: it stops at the
@@ -198,34 +202,34 @@ func (r *run) bounds() (stop, limit int) {
 
 // stage emits the run into its segment, one flow at a time. The run's
 // own RNG draws each flow's header — its start from the rate envelope,
-// so offered load is non-stationary, and its child RNG — and the child
-// draws everything else.
+// so offered load is non-stationary, and its child RNG's seed — and the
+// child draws everything else.
 //
-// The child is a stack-scratch RNG reseeded in place (dist.RNG.SplitInto
-// draws the identical stream Split would have returned, without
-// allocating), and each model reuses one scratch flow — a flow is fully
-// drained before the next newFlow — so the loop allocates nothing per
-// flow.
+// The child is the run's flow RNG reseeded in place (reseeding with
+// dist.RNG.SplitSeed draws the identical stream Split would have
+// returned, without allocating), and each model reuses one scratch flow
+// — a flow is fully drained before the next newFlow — so the loop
+// allocates nothing per flow.
 //
 //nslint:hotpath
 func (r *run) stage() {
 	stop, limit := r.bounds()
 	seg := r.seg[:cap(r.seg)]
-	var flowRNG dist.RNG
 	n := 0
 	for i := 0; n < stop; i++ {
 		start := r.env.sampleStart(&r.rng, r.durUS)
-		r.rng.SplitInto(&flowRNG)
-		n = r.emit(seg, n, limit, i, start, &flowRNG)
+		n = r.emit(seg, n, limit, i, start, r.rng.SplitSeed())
 	}
 	r.seg = seg[:n]
 }
 
 // emit writes the packets of the run's flow i — starting at start and
-// drawn from flowRNG — that fall before durUS, on the trace clock, into
-// dst from n on, until the flow ends or n reaches limit, and returns the
-// new n.
-func (r *run) emit(dst []trace.Packet, n, limit, i int, start int64, flowRNG *dist.RNG) int {
+// drawn from the flow RNG reseeded with seed — that fall before durUS,
+// on the trace clock, into dst from n on, until the flow ends or n
+// reaches limit, and returns the new n.
+func (r *run) emit(dst []trace.Packet, n, limit, i int, start int64, seed uint64) int {
+	flowRNG := &r.flowRNG
+	flowRNG.Reseed(seed)
 	f := r.model.newFlow(i, flowRNG, r.addrs)
 	for t := start; ; {
 		gapUS, pkt, more := f.next(flowRNG)
@@ -275,15 +279,14 @@ type blocks struct {
 	n      int // packets committed
 }
 
-// blockScratch holds one block: a copy of the run with a model of its
-// own, the block's headers, the child RNG, and its n staged packets,
-// copied to off when committed. Scratches are padded apart, as every
-// packet writes to the model's scratch flow and the child.
+// blockScratch holds one block: a copy of the run with a model and flow
+// RNG of its own, the block's headers, and its n staged packets, copied
+// to off when committed. Scratches are padded apart, as every packet
+// writes to the model's scratch flow and the flow RNG.
 type blockScratch struct {
 	_      [64]byte
 	run    run
 	heads  []flowHead
-	rng    dist.RNG
 	pkts   []trace.Packet
 	block  int
 	n, off int
@@ -374,8 +377,7 @@ func (b *blocks) handIn(sc *blockScratch, committed []*blockScratch) []*blockScr
 		c.off = -1
 		first := c.block * len(c.heads)
 		for j := 0; j < len(c.heads) && b.n < b.stop; j++ {
-			c.rng.Reseed(c.heads[j].seed)
-			b.n = c.run.emit(b.seg, b.n, b.limit, first+j, c.heads[j].start, &c.rng)
+			b.n = c.run.emit(b.seg, b.n, b.limit, first+j, c.heads[j].start, c.heads[j].seed)
 		}
 		if b.n >= b.stop {
 			b.stopped.Store(true)
@@ -392,21 +394,23 @@ func (sc *blockScratch) stageBlock() int {
 	first := sc.block * len(sc.heads)
 	n := 0
 	for j := 0; j < len(sc.heads) && n < len(sc.pkts); j++ {
-		sc.rng.Reseed(sc.heads[j].seed)
-		n = sc.run.emit(sc.pkts, n, len(sc.pkts), first+j, sc.heads[j].start, &sc.rng)
+		n = sc.run.emit(sc.pkts, n, len(sc.pkts), first+j, sc.heads[j].start, sc.heads[j].seed)
 	}
 	return n
 }
 
 // stager plans a scenario's model runs in seed order, splitting each
 // run's child of root as it is planned. With a nil plan it stages each
-// run on the spot, packed after the last; otherwise it reserves the
-// run's segment and appends the run to plan for stageParallel.
+// run at once, in spot, packed after the last; otherwise it reserves
+// the run's segment and appends the run to plan for stageParallel. The
+// stager holds root and spot, whose flow RNG every packet draws from,
+// so a serial scenario's RNGs take no heap of their own.
 type stager struct {
 	pkts  []trace.Packet
-	root  *dist.RNG
+	root  dist.RNG
 	addrs *addressPool
 	plan  []run
+	spot  run
 }
 
 // add plans one run.
@@ -416,30 +420,43 @@ func (st *stager) add(m sourceModel, target float64, durUS, shiftUS int64, env *
 	r := run{model: m, target: target, durUS: durUS, shiftUS: shiftUS, env: env, addrs: st.addrs, seg: st.pkts[off:off:end]}
 	st.root.SplitInto(&r.rng)
 	if st.plan == nil {
-		r.stage()
-		end = off + len(r.seg)
+		st.spot = r
+		st.spot.stage()
+		end = off + len(st.spot.seg)
 	} else {
 		st.plan = append(st.plan, r)
 	}
 	st.pkts = st.pkts[:end]
 }
 
+// mixSet is the models of one application mix, one allocation. The
+// models carry per-flow scratch state, so each run gets its own, padded
+// apart as the runs may stage concurrently.
+type mixSet struct {
+	telnet      pad[telnetModel]
+	ack         pad[ackModel]
+	bulk        pad[bulkModel]
+	transaction pad[transactionModel]
+	mail        pad[mailModel]
+	icmp        pad[icmpModel]
+}
+
 // addMix plans the application-mix aggregate: one run per weighted
 // model, in declaration order. A scenario's baseline and its Mix phases
-// share it. The models carry per-flow scratch state, so each run gets
-// its own.
+// share it.
 func (st *stager) addMix(mix Mix, totalPackets float64, durUS, shiftUS int64, env *envelope) {
 	norm := mix.total()
+	set := &mixSet{}
 	models := [mixModels]struct {
 		weight float64
 		model  sourceModel
 	}{
-		{mix.Telnet, &telnetModel{}},
-		{mix.Ack, &ackModel{}},
-		{mix.Bulk, &bulkModel{}},
-		{mix.Transaction, &transactionModel{}},
-		{mix.Mail, &mailModel{}},
-		{mix.ICMP, &icmpModel{}},
+		{mix.Telnet, &set.telnet.m},
+		{mix.Ack, &set.ack.m},
+		{mix.Bulk, &set.bulk.m},
+		{mix.Transaction, &set.transaction.m},
+		{mix.Mail, &set.mail.m},
+		{mix.ICMP, &set.icmp.m},
 	}
 	for _, m := range models {
 		if m.weight > 0 {
