@@ -229,18 +229,6 @@ func BenchmarkPcapCodec(b *testing.B) {
 	}
 }
 
-func BenchmarkReservoirAdd(b *testing.B) {
-	r, err := online.NewReservoir(1024, dist.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := trace.Packet{Size: 552}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Add(p)
-	}
-}
-
 func BenchmarkStreamingSystematicOffer(b *testing.B) {
 	s, err := online.NewSystematic(50, 0)
 	if err != nil {
@@ -383,8 +371,13 @@ func BenchmarkTopKEvict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		miss(pipeline.DefaultTopKCapacity + i)
 	}
-	if want := uint64(pipeline.DefaultTopKCapacity + b.N); tk.Total() != want {
-		b.Fatalf("total %d, want %d", tk.Total(), want)
+	// Space-Saving keeps the stream weight: the counters sum to it.
+	var total uint64
+	for _, e := range tk.Top(pipeline.DefaultTopKCapacity) {
+		total += e.Count
+	}
+	if want := uint64(pipeline.DefaultTopKCapacity + b.N); total != want {
+		b.Fatalf("counters sum to %d, want %d", total, want)
 	}
 }
 
@@ -393,14 +386,14 @@ func BenchmarkTopKAdd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys := make([]string, 1024)
+	keys := make([][]byte, 1024)
 	r := dist.NewRNG(1)
 	for i := range keys {
-		keys[i] = strconv.Itoa(r.IntN(10000))
+		keys[i] = strconv.AppendInt(nil, int64(r.IntN(10000)), 10)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tk.Add(keys[i%len(keys)], 1)
+		tk.AddBytes(keys[i%len(keys)], 1)
 	}
 }
 

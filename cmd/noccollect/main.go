@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,13 +55,16 @@ func main() {
 
 	// A negative duration would run as another value: an interval as
 	// none (busy-polling), a backoff as an immediate retry, a cap as no
-	// cap.
-	if *agents == "" || *cycles < 0 || *retries < 0 || *storeSync < 1 ||
-		*interval < 0 || *backoff < 0 || *maxBackoff < 0 {
+	// cap. An empty address would be polled as a node that always
+	// fails, and -store-sync means nothing without -store.
+	syncSet := false
+	flag.Visit(func(f *flag.Flag) { syncSet = syncSet || f.Name == "store-sync" })
+	addrs := strings.Split(*agents, ",")
+	if slices.Contains(addrs, "") || *cycles < 0 || *retries < 0 || *storeSync < 1 ||
+		syncSet && *storeDir == "" || *interval < 0 || *backoff < 0 || *maxBackoff < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	addrs := strings.Split(*agents, ",")
 	c := collect.NewCollector()
 	c.Retries = *retries
 	c.Backoff = *backoff

@@ -13,14 +13,14 @@
 //	         [-top 10] [-windows] [-hist] [-verify]
 //
 // Time bounds are on the store's own virtual clock (snapshot window
-// ends, microseconds); -last measures back from the newest record, so
-// "the last hour" means the last hour of traffic, independent of when
-// the query runs. -verify recomputes the full Merkle chain first and
-// refuses to answer from a store that fails it, naming the damaged
-// segment and byte offset. Without -verify, a record that fails to
-// decode part-way through the range ends the query with exit status 1
-// naming it; -windows has by then printed the lines of the windows
-// before it, and no merged summary is printed.
+// ends, microseconds); -last, exclusive with -from/-to, measures back
+// from the newest record, so "the last hour" means the last hour of
+// traffic, independent of when the query runs. -verify recomputes the
+// full Merkle chain first and refuses to answer from a store that fails
+// it, naming the damaged segment and byte offset. Without -verify, a
+// record that fails to decode part-way through the range ends the query
+// with exit status 1 naming it; -windows has by then printed the lines
+// of the windows before it, and no merged summary is printed.
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 		dir     = flag.String("store", "", "store directory to query (required)")
 		fromUS  = flag.Int64("from", math.MinInt64, "range start, inclusive, in virtual-clock microseconds")
 		toUS    = flag.Int64("to", math.MaxInt64, "range end, inclusive, in virtual-clock microseconds")
-		last    = flag.Duration("last", 0, "query the trailing span of the store's virtual clock (e.g. 1h); overrides -from/-to")
+		last    = flag.Duration("last", 0, "query the trailing span of the store's virtual clock (e.g. 1h); exclusive with -from/-to")
 		node    = flag.String("node", "", "only snapshots from this node")
 		top     = flag.Int("top", pipeline.DefaultTopKReport, "heavy hitters to print")
 		windows = flag.Bool("windows", false, "print one line per window (seq, bounds, φ-scores)")
@@ -58,11 +58,17 @@ func main() {
 	if *last < 0 {
 		log.Printf("-last %v: want a positive span", *last)
 	}
-	inverted := *last == 0 && *fromUS > *toUS
+	inverted := *fromUS > *toUS
 	if inverted {
 		log.Printf("-from %d -to %d: want from <= to", *fromUS, *toUS)
 	}
-	if *dir == "" || *top < 1 || *last < 0 || inverted {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	both := set["last"] && (set["from"] || set["to"])
+	if both {
+		log.Print("-last and -from/-to: give one or the other")
+	}
+	if *dir == "" || *top < 1 || *last < 0 || inverted || both {
 		flag.Usage()
 		os.Exit(2)
 	}

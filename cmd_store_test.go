@@ -120,7 +120,8 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 	}
 	// Fewer than one heavy hitter is bad input, not a request for ten;
 	// so is a negative span, which would otherwise query the whole store,
-	// and an inverted range, which would find nothing in it.
+	// an inverted range, which would find nothing in it, and a span with
+	// a range, of which one would be ignored.
 	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-top", "0"); !strings.Contains(out, "Usage of") {
 		t.Fatalf("nocquery -top 0 printed no usage:\n%s", out)
 	}
@@ -130,6 +131,7 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 	if out := runExit(t, 2, filepath.Join(dir, "nocquery"), "-store", storeDir, "-from", "10", "-to", "5"); !strings.Contains(out, "Usage of") {
 		t.Fatalf("nocquery -from 10 -to 5 printed no usage:\n%s", out)
 	}
+	runUsage(t, "Usage of", filepath.Join(dir, "nocquery"), "-store", storeDir, "-last", "1h", "-from", "3")
 
 	// The streaming query path over a store of 1 s windows (30 of them),
 	// pinned byte for byte: per-window lines, merged histograms, a top-3

@@ -277,7 +277,7 @@ func TestDesignSectionsExist(t *testing.T) {
 // history goes to CHANGES.md; lower the ceiling whenever the file
 // shrinks.
 func TestDesignWithinCeiling(t *testing.T) {
-	const ceiling = 35_435
+	const ceiling = 35_418
 	fi, err := os.Stat("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

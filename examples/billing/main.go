@@ -11,57 +11,57 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
-	"netsample/internal/core"
-	"netsample/internal/dist"
-	"netsample/internal/packet"
-	"netsample/internal/traffgen"
+	"netsample"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	tr, err := traffgen.Generate(traffgen.SmallTrace(5150))
+	tr, err := netsample.Generate(netsample.SmallConfig(5150))
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A client is a source network, named by its dotted network number.
+	client := func(i int) string { return tr.Packets[i].Src.NetworkNumber().String() }
+	// bill charges each client k per sampled packet.
+	bill := func(idx []int, k int) map[string]float64 {
+		billed := map[string]float64{}
+		for _, i := range idx {
+			billed[client(i)] += float64(k)
+		}
+		return billed
+	}
 
-	// True per-client (source network) packet counts.
-	truth := map[packet.Addr]float64{}
-	for _, p := range tr.Packets {
-		truth[p.Src.NetworkNumber()]++
+	// True per-client packet counts.
+	truth := map[string]float64{}
+	for i := range tr.Packets {
+		truth[client(i)]++
 	}
 	fmt.Printf("population: %d packets from %d client networks\n\n", tr.Len(), len(truth))
 
-	r := dist.NewRNG(99)
+	r := netsample.NewRNG(99)
 	fmt.Printf("%8s %14s %14s %12s %12s\n", "1/frac", "overcharge", "undercharge", "l1 cost", "rel cost")
 	for _, k := range []int{10, 50, 250, 1000, 5000} {
-		idx, err := core.StratifiedCount{K: k}.Select(tr, r.Split())
+		idx, err := netsample.Stratified(k).Select(tr, r.Split())
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Bill each client: sampled count × k.
-		billed := map[packet.Addr]float64{}
-		for _, i := range idx {
-			billed[tr.Packets[i].Src.NetworkNumber()] += float64(k)
-		}
+		// Every billed client sent a packet, so truth holds them all.
+		billed := bill(idx, k)
 		var over, under float64
 		for net, actual := range truth {
-			d := billed[net] - actual
-			if d > 0 {
+			if d := billed[net] - actual; d > 0 {
 				over += d
 			} else {
 				under -= d
 			}
-		}
-		for net, est := range billed {
-			if _, ok := truth[net]; !ok {
-				over += est
-			}
-			_ = net
 		}
 		cost := over + under
 		fmt.Printf("%8d %13.0fp %13.0fp %11.0fp %12.1f\n",
@@ -70,16 +70,13 @@ func main() {
 
 	// Show the worst-billed clients at the operational granularity.
 	const k = 50
-	idx, err := core.SystematicCount{K: k}.Select(tr, nil)
+	idx, err := netsample.Systematic(k).Select(tr, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	billed := map[packet.Addr]float64{}
-	for _, i := range idx {
-		billed[tr.Packets[i].Src.NetworkNumber()] += k
-	}
+	billed := bill(idx, k)
 	type row struct {
-		net  packet.Addr
+		net  string
 		real float64
 		bill float64
 	}
@@ -87,16 +84,9 @@ func main() {
 	for net, actual := range truth {
 		rows = append(rows, row{net, actual, billed[net]})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		di := rows[i].bill - rows[i].real
-		if di < 0 {
-			di = -di
-		}
-		dj := rows[j].bill - rows[j].real
-		if dj < 0 {
-			dj = -dj
-		}
-		return di > dj
+	// Largest absolute error first; equal errors in client order.
+	slices.SortFunc(rows, func(a, b row) int {
+		return cmp.Or(cmp.Compare(math.Abs(b.bill-b.real), math.Abs(a.bill-a.real)), strings.Compare(a.net, b.net))
 	})
 	fmt.Printf("\nworst-billed clients at 1-in-%d systematic sampling:\n", k)
 	fmt.Printf("%18s %10s %10s %9s\n", "client network", "actual", "billed", "error")

@@ -11,10 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"netsample/internal/bins"
-	"netsample/internal/core"
-	"netsample/internal/dist"
-	"netsample/internal/traffgen"
+	"netsample"
 )
 
 func main() {
@@ -22,7 +19,7 @@ func main() {
 
 	// 1. A two-minute parent population with the SDSC/NSFNET traffic
 	// character: bimodal packet sizes, bursty arrivals, 400 µs clock.
-	tr, err := traffgen.Generate(traffgen.SmallTrace(2024))
+	tr, err := netsample.Generate(netsample.SmallConfig(2024))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,18 +27,18 @@ func main() {
 
 	// 2. An evaluator for the packet-size target with the paper's bins
 	// (<41, 41-180, >180 bytes).
-	ev, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
+	ev, err := netsample.NewSizeEvaluator(tr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("population size-bin proportions:", formatProps(ev.PopulationProportions()))
 
 	// 3. Three packet-driven methods at granularity 50.
-	r := dist.NewRNG(7)
-	samplers := []core.Sampler{
-		core.SystematicCount{K: 50},
-		core.StratifiedCount{K: 50},
-		core.SimpleRandom{K: 50},
+	r := netsample.NewRNG(7)
+	samplers := []netsample.Sampler{
+		netsample.Systematic(50),
+		netsample.Stratified(50),
+		netsample.Random(50),
 	}
 	fmt.Printf("\n%-20s %8s %10s %12s %10s\n", "method", "n", "phi", "chi2", "sig")
 	for _, s := range samplers {

@@ -9,8 +9,6 @@ import (
 
 	"netsample/internal/bins"
 	"netsample/internal/core"
-	"netsample/internal/dist"
-	"netsample/internal/online"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
@@ -130,87 +128,4 @@ func TestPipelinePcapInterop(t *testing.T) {
 	if math.Abs(phiA-phiB) > 1e-12 {
 		t.Fatalf("phi drifted across pcap round trip: %v vs %v", phiA, phiB)
 	}
-}
-
-func TestPipelineReservoirApproximatesSimpleRandom(t *testing.T) {
-	// The streaming reservoir and the batch simple-random sampler must
-	// agree statistically: similar φ at the same sample size.
-	tr, err := traffgen.Generate(traffgen.SmallTrace(1004))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := core.NewEvaluator(tr, core.TargetSize, bins.PacketSize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := dist.NewRNG(42)
-	const k = 200
-	capacity := (tr.Len() + k - 1) / k
-
-	var phiRes, phiSRS float64
-	const runs = 10
-	for i := 0; i < runs; i++ {
-		res, err := online.NewReservoir(capacity, r.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range tr.Packets {
-			res.Add(p)
-		}
-		// Score the reservoir sample by size proportions directly.
-		sizes := make([]float64, 0, capacity)
-		for _, p := range res.Sample() {
-			sizes = append(sizes, float64(p.Size))
-		}
-		phi, err := scoreSizes(ev, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phiRes += phi
-
-		idx, err := core.SimpleRandom{K: k}.Select(tr, r.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		phi2, err := ev.Phi(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phiSRS += phi2
-	}
-	phiRes /= runs
-	phiSRS /= runs
-	// Same statistical behavior: mean phi within 2x of each other.
-	if phiRes > 2.5*phiSRS+0.01 || phiSRS > 2.5*phiRes+0.01 {
-		t.Fatalf("reservoir phi %v vs simple-random phi %v", phiRes, phiSRS)
-	}
-}
-
-// scoreSizes scores raw size observations against the evaluator's
-// population using the same chi-square orientation as Evaluator.Score.
-func scoreSizes(ev *core.Evaluator, sizes []float64) (float64, error) {
-	scheme := bins.PacketSize()
-	counts := make([]int64, scheme.NumBins())
-	for _, x := range sizes {
-		counts[scheme.Index(x)]++
-	}
-	observed := make([]float64, len(counts))
-	expected := make([]float64, len(counts))
-	props := ev.PopulationProportions()
-	n := float64(len(sizes))
-	for i, c := range counts {
-		observed[i] = float64(c)
-		expected[i] = n * props[i]
-	}
-	return phiOf(observed, expected)
-}
-
-func phiOf(observed, expected []float64) (float64, error) {
-	var chi2, total float64
-	for i := range observed {
-		d := observed[i] - expected[i]
-		chi2 += d * d / expected[i]
-		total += observed[i] + expected[i]
-	}
-	return math.Sqrt(chi2 / total), nil
 }

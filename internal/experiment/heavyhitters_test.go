@@ -84,7 +84,7 @@ func TestTopPairsSketchSeesStringKeys(t *testing.T) {
 		}
 		for _, i := range idx {
 			s, d := tr.Packets[i].Src.NetworkNumber(), tr.Packets[i].Dst.NetworkNumber()
-			tk.Add(fmt.Sprintf("%d.%d.%d.%d>%d.%d.%d.%d", s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3]), 50)
+			tk.AddBytes(fmt.Appendf(nil, "%d.%d.%d.%d>%d.%d.%d.%d", s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3]), 50)
 		}
 		if want := tk.Top(sketch); !slices.Equal(got, want) {
 			t.Errorf("sketch %d: entries differ:\n%v\nwant:\n%v", sketch, got, want)
@@ -97,8 +97,8 @@ func TestTopPairsSketchSeesStringKeys(t *testing.T) {
 // and hands the sketch slices of it, so sixteen times the distinct
 // pairs adds only the arena's and the index's growth (20 measured). A
 // string per label cost three allocations a pair (two addresses and
-// the join): 2891 more. The labels all have one length, so the
-// sketch's evictions never regrow a slot's key buffer.
+// the join): 2891 more. Every label fits a slot's first key
+// buffer, so the sketch's evictions never regrow one.
 func TestTopPairsAllocsFlatInPairs(t *testing.T) {
 	feed := func(pairs int) float64 {
 		tr := &trace.Trace{}

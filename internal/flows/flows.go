@@ -35,9 +35,6 @@ type Flow struct {
 	LastUS  int64
 }
 
-// Duration returns the flow's active time in µs.
-func (f Flow) Duration() int64 { return f.LastUS - f.FirstUS }
-
 // TupleHash is the module's one 5-tuple hash: the ingest kernel makes it
 // once per packet, picks the shard with it and carries it to the shard's
 // Counter and sketch. w1 is the source address (low half) and destination,

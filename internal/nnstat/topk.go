@@ -38,7 +38,6 @@ type TopK struct {
 	// too short it is replaced, and the old one lives on in the entries
 	// cut from it.
 	reported strings.Builder
-	total    uint64
 }
 
 type tkSlot struct {
@@ -76,15 +75,12 @@ func NewTopK(capacity int) (*TopK, error) {
 	}, nil
 }
 
-// Add accounts weight occurrences of key.
-func (t *TopK) Add(key string, weight uint64) { tkAdd(t, HashKey(key), key, weight) }
-
 // AddBytes accounts weight occurrences of the key spelled as raw
-// bytes. It is the streaming hot-path form of Add: hit, miss and evict
-// all work on the sketch's own storage, so once every counter has held
-// a key of this length the call never allocates (pinned by
-// TestAddBytesDoesNotAllocOnHit and TestAddBytesDoesNotAllocOnEvict).
-// The caller may reuse key's backing array across calls.
+// bytes. Hit, miss and evict all work on the sketch's own storage, so a
+// key of at most keyRoom bytes never allocates once the sketch is warm
+// (pinned by TestAddBytesDoesNotAllocOnHit and
+// TestAddBytesDoesNotAllocOnEvict). The caller may reuse key's backing
+// array across calls.
 //
 //nslint:hotpath
 func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, HashKey(key), key, weight) }
@@ -94,10 +90,8 @@ func (t *TopK) AddBytes(key []byte, weight uint64) { tkAdd(t, HashKey(key), key,
 // through AddHashed takes every key that way, from one hash function.
 func (t *TopK) AddHashed(hash uint64, key []byte, weight uint64) { tkAdd(t, hash, key, weight) }
 
-// tkAdd is every Add: one body over both key spellings, so neither
-// converts (and so copies) its key to reach the other.
-func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
-	t.total += weight
+// tkAdd is every add, under the key's hash h.
+func tkAdd(t *TopK, h uint64, key []byte, weight uint64) {
 	for pos := t.home(h); ; pos = (pos + 1) & t.mask {
 		c := t.index[pos]
 		if c == 0 {
@@ -115,7 +109,7 @@ func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
 		if s.key == nil {
 			s.key = t.carve(len(key))
 		}
-		//nslint:allow hotalloc fill branch, at most capacity times between Resets; the buffer survives Reset and eviction, so it grows only for a key longer than any this slot has held
+		//nslint:allow hotalloc fill branch, at most capacity times between Resets; the buffer survives Reset and eviction, so it grows only for a key longer than keyRoom and than any this slot has held
 		s.key = append(s.key[:0], key...)
 		s.hash, s.count, s.overcnt, s.heapIdx = h, weight, 0, si
 		t.heap[si] = si
@@ -129,7 +123,7 @@ func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
 	si := t.heap[0]
 	s := &t.slots[si]
 	t.indexDelete(si)
-	//nslint:allow hotalloc evict branch rewrites the victim's retained buffer; it grows only for a key longer than any this slot has held (fixed-length keys: never, pinned by TestAddBytesDoesNotAllocOnEvict)
+	//nslint:allow hotalloc evict branch rewrites the victim's retained buffer; it grows only for a key longer than keyRoom and than any this slot has held (keys of at most keyRoom bytes: never, pinned by TestAddBytesDoesNotAllocOnEvict)
 	s.key = append(s.key[:0], key...)
 	s.hash, s.overcnt = h, s.count
 	s.count += weight
@@ -141,13 +135,19 @@ func tkAdd[K string | []byte](t *TopK, h uint64, key K, weight uint64) {
 // it will see does not reserve room for all of them up front.
 const arenaBytes = 64 << 10
 
-// carve cuts a slot's first key buffer, capacity n, from the arena.
-// An arena too short for n is replaced by one with n bytes for every
-// slot not yet filled (up to arenaBytes), so a sketch of fixed-length
-// keys allocates its key storage once. The full-slice cap makes a
+// keyRoom is the least capacity a slot's first key buffer is carved
+// with: the longest dotted-quad src-dst label is 31 bytes, so a sketch
+// of such labels, whatever their lengths, evicts without reallocating.
+const keyRoom = 32
+
+// carve cuts a slot's first key buffer, capacity max(n, keyRoom), from
+// the arena. An arena too short for it is replaced by one with that
+// many bytes for every slot not yet filled (up to arenaBytes), so a
+// sketch allocates its key storage once. The full-slice cap makes a
 // longer key reallocate its own buffer instead of writing into its
 // neighbour's.
 func (t *TopK) carve(n int) []byte {
+	n = max(n, keyRoom)
 	if len(t.arena) < n {
 		//nslint:allow hotalloc fill branch, once per arenaBytes of first-fill keys
 		t.arena = make([]byte, max(n, min(n*(len(t.slots)-t.n), arenaBytes)))
@@ -280,11 +280,7 @@ func (t *TopK) fix(i int) {
 func (t *TopK) Reset() {
 	clear(t.index)
 	t.n = 0
-	t.total = 0
 }
-
-// Total returns the stream weight seen.
-func (t *TopK) Total() uint64 { return t.total }
 
 // Entry is one reported heavy hitter.
 type Entry struct {
@@ -348,32 +344,4 @@ func (t *TopK) AppendTop(dst []Entry, n int) []Entry {
 		all = all[len(s.key):]
 	}
 	return dst
-}
-
-// GuaranteedTop returns the entries whose lower bound (Count-MaxError)
-// exceeds every other entry's upper bound rank-wise — the keys certain
-// to be true heavy hitters.
-func (t *TopK) GuaranteedTop(n int) []Entry {
-	if n <= 0 {
-		return nil
-	}
-	all := t.Top(t.n)
-	var out []Entry
-	for i, e := range all {
-		if len(out) == n {
-			break
-		}
-		guaranteed := true
-		lower := e.Count - e.MaxError
-		for j := i + 1; j < len(all); j++ {
-			if all[j].Count > lower {
-				guaranteed = false
-				break
-			}
-		}
-		if guaranteed {
-			out = append(out, e)
-		}
-	}
-	return out
 }

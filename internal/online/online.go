@@ -5,11 +5,6 @@
 // operate on a complete trace; these operate on a live packet stream
 // with O(1) state and no knowledge of the stream's length.
 //
-// The package also implements reservoir sampling (Vitter's algorithm R),
-// the streaming counterpart of simple random sampling: it maintains a
-// uniform fixed-size sample of an unbounded stream, which the batch
-// method cannot do without knowing N in advance.
-//
 // Equivalence with the batch methods: streaming systematic selects
 // exactly the packets core.SystematicCount does (pinned in the tests),
 // and the two timer methods have no batch twin to drift from —
@@ -40,8 +35,6 @@
 //     over without a draw — at most two draws an Offer, whatever the
 //     gap. A timestamp before the pending expiry — including one that
 //     jumped backwards — is not selected.
-//   - Reservoir ignores timestamps; membership depends only on arrival
-//     order and the RNG.
 //
 // These guarantees are pinned by the property tests in
 // property_test.go.
@@ -52,7 +45,6 @@ import (
 	"fmt"
 
 	"netsample/internal/dist"
-	"netsample/internal/trace"
 )
 
 // Sampler is a streaming per-packet selector. Offer is called once per
@@ -70,7 +62,6 @@ type Sampler interface {
 var (
 	ErrBadGranularity = errors.New("online: granularity must be >= 1")
 	ErrBadPeriod      = errors.New("online: timer period must be positive")
-	ErrBadCapacity    = errors.New("online: reservoir capacity must be >= 1")
 )
 
 // New builds the streaming sampler a method name stands for, the one
@@ -320,51 +311,3 @@ func (s *StratifiedTimer) openBucket(startUS int64) {
 
 // Reset implements Sampler.
 func (s *StratifiedTimer) Reset() { s.armed = false }
-
-// Reservoir maintains a uniform random sample of fixed capacity from an
-// unbounded packet stream (Vitter's algorithm R): the streaming
-// counterpart of core.SimpleRandom. Unlike the per-packet Samplers, a
-// packet's membership can be revoked by later arrivals, so the API
-// exposes the current sample rather than a per-packet decision.
-type Reservoir struct {
-	capacity int
-	rng      *dist.RNG
-	seen     int64
-	sample   []trace.Packet
-}
-
-// NewReservoir builds a reservoir of the given capacity.
-func NewReservoir(capacity int, rng *dist.RNG) (*Reservoir, error) {
-	if capacity < 1 {
-		return nil, ErrBadCapacity
-	}
-	return &Reservoir{capacity: capacity, rng: rng}, nil
-}
-
-// Add offers one packet to the reservoir.
-func (r *Reservoir) Add(p trace.Packet) {
-	r.seen++
-	if len(r.sample) < r.capacity {
-		r.sample = append(r.sample, p)
-		return
-	}
-	// Replace a random slot with probability capacity/seen.
-	j := r.rng.Int64N(r.seen)
-	if j < int64(r.capacity) {
-		r.sample[j] = p
-	}
-}
-
-// Seen returns the number of packets offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Sample returns a copy of the current sample (unordered).
-func (r *Reservoir) Sample() []trace.Packet {
-	return append([]trace.Packet(nil), r.sample...)
-}
-
-// Reset empties the reservoir.
-func (r *Reservoir) Reset() {
-	r.seen = 0
-	r.sample = r.sample[:0]
-}

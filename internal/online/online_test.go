@@ -128,80 +128,6 @@ func TestStreamingStratifiedTimerValidation(t *testing.T) {
 	}
 }
 
-func TestReservoirValidation(t *testing.T) {
-	if _, err := NewReservoir(0, dist.NewRNG(1)); err != ErrBadCapacity {
-		t.Error("capacity 0 accepted")
-	}
-}
-
-func TestReservoirFillsThenHolds(t *testing.T) {
-	r, err := NewReservoir(10, dist.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		r.Add(trace.Packet{Size: uint16(i)})
-	}
-	if len(r.Sample()) != 5 {
-		t.Fatalf("partial fill = %d", len(r.Sample()))
-	}
-	for i := 5; i < 1000; i++ {
-		r.Add(trace.Packet{Size: uint16(i)})
-	}
-	if len(r.Sample()) != 10 {
-		t.Fatalf("capacity violated: %d", len(r.Sample()))
-	}
-	if r.Seen() != 1000 {
-		t.Fatalf("seen = %d", r.Seen())
-	}
-	r.Reset()
-	if len(r.Sample()) != 0 || r.Seen() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
-func TestReservoirUniformInclusion(t *testing.T) {
-	// Every stream position must appear in the final sample with
-	// probability capacity/N.
-	const n = 200
-	const capacity = 20
-	const runs = 8000
-	counts := make([]int, n)
-	rng := dist.NewRNG(7)
-	for run := 0; run < runs; run++ {
-		r, err := NewReservoir(capacity, rng.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			r.Add(trace.Packet{SrcPort: uint16(i)})
-		}
-		for _, p := range r.Sample() {
-			counts[p.SrcPort]++
-		}
-	}
-	want := float64(runs) * capacity / n
-	for i, c := range counts {
-		f := float64(c) / want
-		if f < 0.85 || f > 1.15 {
-			t.Errorf("position %d inclusion ratio %v, want ≈1", i, f)
-		}
-	}
-}
-
-func TestReservoirSampleIsCopy(t *testing.T) {
-	r, err := NewReservoir(2, dist.NewRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Add(trace.Packet{Size: 1})
-	s := r.Sample()
-	s[0].Size = 99
-	if r.Sample()[0].Size == 99 {
-		t.Fatal("Sample aliases internal state")
-	}
-}
-
 func TestStreamingSamplersProperty(t *testing.T) {
 	// Selection counts stay within one of N/k for systematic, for any
 	// trace shape.

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"netsample/internal/dist"
-	"netsample/internal/packet"
-	"netsample/internal/trace"
 )
 
 // adversarialTimestamps builds a timestamp sequence exercising every
@@ -224,49 +222,5 @@ func TestTimerSamplersIgnoreBackwardJumps(t *testing.T) {
 				t.Errorf("seed %d: backward timestamp %d selected before the pending expiry", seed, back)
 			}
 		}
-	}
-}
-
-// TestReservoirTolerantAndDistinct drives the reservoir through the
-// adversarial clock and checks its invariants: capacity bound, exact
-// Seen accounting, every sampled packet is one of the offered packets,
-// and no packet is held twice (offer indices are encoded into the
-// packets to make identity observable).
-func TestReservoirTolerantAndDistinct(t *testing.T) {
-	const n = 20_000
-	ts := adversarialTimestamps(5, n, 5_000)
-	r, err := NewReservoir(64, dist.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tUS := range ts {
-		r.Add(trace.Packet{
-			Time: tUS,
-			Size: 40,
-			Src: packet.Addr{
-				byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i),
-			},
-		})
-	}
-	if r.Seen() != n {
-		t.Errorf("Seen = %d, want %d", r.Seen(), n)
-	}
-	sample := r.Sample()
-	if len(sample) > 64 {
-		t.Fatalf("sample size %d exceeds capacity", len(sample))
-	}
-	seen := make(map[packet.Addr]bool, len(sample))
-	for _, p := range sample {
-		idx := int(p.Src[0])<<24 | int(p.Src[1])<<16 | int(p.Src[2])<<8 | int(p.Src[3])
-		if idx < 0 || idx >= n {
-			t.Fatalf("sampled packet %v was never offered", p.Src)
-		}
-		if p.Time != ts[idx] {
-			t.Errorf("sampled packet %d has timestamp %d, offered %d", idx, p.Time, ts[idx])
-		}
-		if seen[p.Src] {
-			t.Fatalf("offer %d held twice in the reservoir", idx)
-		}
-		seen[p.Src] = true
 	}
 }

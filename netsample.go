@@ -21,16 +21,10 @@
 package netsample
 
 import (
-	"io"
-	"time"
-
 	"netsample/internal/bins"
 	"netsample/internal/core"
 	"netsample/internal/dist"
-	"netsample/internal/flows"
 	"netsample/internal/metrics"
-	"netsample/internal/nnstat"
-	"netsample/internal/online"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
@@ -47,9 +41,6 @@ type (
 	Sampler = core.Sampler
 	// Evaluator scores samples against a parent population.
 	Evaluator = core.Evaluator
-	// Scorer is worker-local fused-scoring state; feed it with
-	// Sampler.SelectEach via Scorer.Visit and call Report.
-	Scorer = core.Scorer
 	// Report holds χ², significance, cost, rcost, X², k and φ.
 	Report = metrics.Report
 	// Target selects the assessed distribution (sizes or interarrivals).
@@ -78,26 +69,13 @@ func GenerateHour() (*Trace, error) { return traffgen.Hour() }
 // Generate synthesizes a trace from a custom configuration.
 func Generate(cfg Config) (*Trace, error) { return traffgen.Generate(cfg) }
 
-// DefaultConfig returns the calibrated hour-long configuration; adjust
-// Seed, Duration or TargetPPS before passing it to Generate.
-func DefaultConfig() Config { return traffgen.NSFNETHour() }
-
 // SmallConfig returns a fast two-minute configuration with the same
 // distributional character.
 func SmallConfig(seed uint64) Config { return traffgen.SmallTrace(seed) }
 
-// ReadTrace reads an NSTR-format trace.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
-
-// WriteTrace writes an NSTR-format trace.
-func WriteTrace(w io.Writer, tr *Trace) error { return trace.Write(w, tr) }
-
 // Systematic returns the deterministic every-k-th-packet sampler — the
 // method deployed on the NSFNET backbones (k = 50 operationally).
 func Systematic(k int) Sampler { return core.SystematicCount{K: k} }
-
-// SystematicAt returns systematic sampling starting at the given offset.
-func SystematicAt(k, offset int) Sampler { return core.SystematicCount{K: k, Offset: offset} }
 
 // Stratified returns the one-random-packet-per-bucket-of-k sampler.
 func Stratified(k int) Sampler { return core.StratifiedCount{K: k} }
@@ -136,20 +114,6 @@ func SampleSizeForMean(mean, stddev, accuracyPercent, confidence float64) (int, 
 	return core.SampleSizeForMean(mean, stddev, accuracyPercent, confidence)
 }
 
-// Hour is the duration of the study's parent population.
-const Hour = time.Hour
-
-// --- flow, estimation and streaming conveniences ---------------------------------
-
-// Flow is an aggregated 5-tuple flow record.
-type Flow = flows.Flow
-
-// DecomposeFlows splits a trace into flows with the given idle timeout
-// in microseconds.
-func DecomposeFlows(tr *Trace, idleTimeoutUS int64) ([]Flow, error) {
-	return flows.Decompose(tr, idleTimeoutUS)
-}
-
 // Estimate is a point estimate with a confidence interval.
 type Estimate = core.Estimate
 
@@ -173,24 +137,3 @@ func EstimateProportion(sample []float64, pred func(float64) bool,
 func Observations(tr *Trace, target Target, indices []int) []float64 {
 	return core.Observations(tr, target, indices)
 }
-
-// StreamingSystematic returns the firmware-shaped every-k-th selector,
-// index-for-index identical to Systematic(k).
-func StreamingSystematic(k, offset int) (*online.Systematic, error) {
-	return online.NewSystematic(k, offset)
-}
-
-// Reservoir maintains a uniform fixed-size sample of an unbounded
-// packet stream (the streaming counterpart of Random).
-type Reservoir = online.Reservoir
-
-// NewReservoir builds a reservoir of the given capacity.
-func NewReservoir(capacity int, r *RNG) (*Reservoir, error) {
-	return online.NewReservoir(capacity, r)
-}
-
-// TopK is a Space-Saving heavy-hitter sketch.
-type TopK = nnstat.TopK
-
-// NewTopK builds a heavy-hitter sketch with the given counter budget.
-func NewTopK(capacity int) (*TopK, error) { return nnstat.NewTopK(capacity) }

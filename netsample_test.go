@@ -1,7 +1,6 @@
 package netsample
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -41,7 +40,6 @@ func TestFacadeSamplers(t *testing.T) {
 	r := NewRNG(1)
 	samplers := []Sampler{
 		Systematic(100),
-		SystematicAt(100, 37),
 		Stratified(100),
 		Random(100),
 	}
@@ -93,21 +91,6 @@ func TestFacadeInterarrivalEvaluator(t *testing.T) {
 	}
 }
 
-func TestFacadeTraceIO(t *testing.T) {
-	tr := facadeTrace(t)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip %d != %d", got.Len(), tr.Len())
-	}
-}
-
 func TestFacadeSampleSize(t *testing.T) {
 	// The paper's worked example.
 	n, err := SampleSizeForMean(232, 236, 5, 0.95)
@@ -119,9 +102,30 @@ func TestFacadeSampleSize(t *testing.T) {
 	}
 }
 
-func TestFacadeDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Duration != Hour || cfg.TargetPPS != 424 || cfg.ClockUS != 400 {
-		t.Fatalf("unexpected default config: %+v", cfg)
+func TestFacadeEstimation(t *testing.T) {
+	tr := facadeTrace(t)
+	idx, err := Systematic(50).Select(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := Observations(tr, TargetSize, idx)
+	est, err := EstimateMean(obs, tr.Len(), 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var truth float64
+	for _, s := range tr.Sizes() {
+		truth += s
+	}
+	truth /= float64(tr.Len())
+	if !est.Contains(truth) {
+		t.Fatalf("interval [%v, %v] misses %v", est.Low, est.High, truth)
+	}
+	p, err := EstimateProportion(obs, func(x float64) bool { return x < 41 }, tr.Len(), 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Value <= 0 || p.Value >= 1 {
+		t.Fatalf("proportion = %v", p.Value)
 	}
 }
