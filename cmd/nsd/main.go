@@ -109,14 +109,16 @@ func main() {
 
 	// The store, flow table and snapshot would replace a value below
 	// these bounds with their defaults, and the flow timeout and window
-	// are kept in whole µs. The controller's flags mean nothing without
-	// -adaptive, and under it must hold 1 <= -min-k <= -k <= -max-k and
-	// a positive -target (NaN fails the negated test), as the pipeline
-	// requires; it steers systematic granularity, at window barriers, so
-	// it also needs -method systematic and a -window.
+	// are kept in whole µs. The store's flags mean nothing without
+	// -store, nor the controller's without -adaptive, under which
+	// 1 <= -min-k <= -k <= -max-k and a positive -target (NaN fails the
+	// negated test) must hold, as the pipeline requires; it steers
+	// systematic granularity, at window barriers, so it also needs
+	// -method systematic and a -window.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
+		*storeDir == "" && (set["store-sync"] || set["store-segment"]) ||
 		*window > 0 && *window < time.Microsecond || *shards < 1 ||
 		!*adaptive && (set["target"] || set["min-k"] || set["max-k"]) ||
 		*adaptive && (*minK < 1 || *minK > *k || *k > *maxK || !(*targetPhi > 0) ||

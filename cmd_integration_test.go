@@ -302,12 +302,15 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 	}
 	// A value nsd would silently replace with a default, ignore or
 	// refuse only once the trace is open is bad usage: store batches and
-	// segments under one snapshot, no heavy hitters, a flow timeout or
+	// segments under one snapshot, either store flag without -store, no
+	// heavy hitters, a flow timeout or
 	// window that truncates to 0 µs, no shards, a controller flag
 	// without -adaptive, and under it k bounds out of order, a target
 	// that is not positive, a method other than systematic or no
 	// window. Each exits before it writes a byte to stdout.
-	for _, bad := range [][]string{{"-store-sync", "-3"}, {"-store-segment", "0"}, {"-topk", "0"},
+	store := filepath.Join(t.TempDir(), "store")
+	for _, bad := range [][]string{{"-store", store, "-store-sync", "-3"}, {"-store", store, "-store-segment", "0"},
+		{"-store-sync", "5"}, {"-store-segment", "3"}, {"-topk", "0"},
 		{"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}, {"-window", "500ns"}, {"-shards", "0"},
 		{"-target", "-1"}, {"-min-k", "0", "-max-k", "-3"}, {"-max-k", "64"},
 		{"-adaptive", "-window", "30s", "-target", "-1"},

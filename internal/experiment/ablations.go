@@ -16,37 +16,24 @@ import (
 // a per-cell seed for the random ones.
 const ablationReps = 5
 
-// AblationRow is one cell of the design-choice ablations: φ over N
-// replications of one setting, summarized as its median and IQR.
-type AblationRow struct {
-	Ablation, Cell string
-	N              int
-	Median, IQR    float64
-}
-
-// AblationsResult holds the DESIGN.md §4 ablations, one row a cell.
-type AblationsResult struct {
-	table
-	Rows []AblationRow
-}
-
-// Ablations runs the six design-choice ablations serially in a fixed
-// order: bins, timer edge, replication count and stratified jitter on
-// tr; trend and capture clock on their own generated populations. The
-// output is a function of tr alone. All leaves it out; Only runs it.
-func Ablations(tr *trace.Trace) (*AblationsResult, error) {
-	out := &AblationsResult{table: newTable("ablations",
-		"design-choice ablations: median phi and IQR over replications",
+// Ablations runs the six DESIGN.md §4 design-choice ablations serially
+// in a fixed order: bins, timer edge, replication count and stratified
+// jitter on tr; trend and capture clock on their own generated
+// populations. Each row is one cell: φ over the replications of one
+// setting, summarized as its median and IQR. The output is a function
+// of tr alone. All leaves it out; Only runs it.
+func Ablations(tr *trace.Trace) (Result, error) {
+	out := newTable("ablations", "design-choice ablations: median phi and IQR over replications",
 		column{"ablation", "ablation", "%-13s"}, column{"cell", "cell", "%-36s"}, column{"n", "n", "%3d"},
-		column{"median_phi", "median", "%10.5f"}, column{"iqr", "iqr", "%10.5f"})}
+		column{"median_phi", "median", "%10.5f"}, column{"iqr", "iqr", "%10.5f"})
 	size, err := newEvaluator(tr, core.TargetSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := out.binSchemes(tr); err != nil {
+	if err := binSchemes(out, tr); err != nil {
 		return nil, err
 	}
-	if err := out.timerEdge(tr, size); err != nil {
+	if err := timerEdge(out, tr, size); err != nil {
 		return nil, err
 	}
 	for _, r := range []int{2, 5, 20} {
@@ -61,15 +48,15 @@ func Ablations(tr *trace.Trace) (*AblationsResult, error) {
 			}
 			means[i] = core.MeanPhi(reps)
 		}
-		out.add("replications", fmt.Sprintf("mean of %d stratified k=512", r), means)
+		addPhis(out, "replications", fmt.Sprintf("mean of %d stratified k=512", r), means)
 	}
-	if err := out.packetMethods("jitter", "", size, 512); err != nil {
+	if err := packetMethods(out, "jitter", "", size, 512); err != nil {
 		return nil, err
 	}
 	for _, trend := range []float64{0, 1.5} {
 		cfg := traffgen.SmallTrace(31)
 		cfg.Envelope.TrendPerHour = trend
-		if err := out.generated(cfg, "trend", fmt.Sprintf("trend %.1f/h ", trend), 128); err != nil {
+		if err := generated(out, cfg, "trend", fmt.Sprintf("trend %.1f/h ", trend), 128); err != nil {
 			return nil, err
 		}
 	}
@@ -78,7 +65,7 @@ func Ablations(tr *trace.Trace) (*AblationsResult, error) {
 	for _, clock := range []int64{1, 100, 400} {
 		cfg := traffgen.SmallTrace(4004)
 		cfg.ClockUS = clock
-		if err := out.generated(cfg, "clock", fmt.Sprintf("%d us ", clock), 64); err != nil {
+		if err := generated(out, cfg, "clock", fmt.Sprintf("%d us ", clock), 64); err != nil {
 			return nil, err
 		}
 	}
@@ -87,7 +74,7 @@ func Ablations(tr *trace.Trace) (*AblationsResult, error) {
 
 // generated adds both packet methods' cells at k on the interarrival
 // target of a generated population.
-func (r *AblationsResult) generated(cfg traffgen.Config, ablation, prefix string, k int) error {
+func generated(out *table, cfg traffgen.Config, ablation, prefix string, k int) error {
 	pop, err := traffgen.Generate(cfg)
 	if err != nil {
 		return err
@@ -96,12 +83,12 @@ func (r *AblationsResult) generated(cfg traffgen.Config, ablation, prefix string
 	if err != nil {
 		return err
 	}
-	return r.packetMethods(ablation, prefix, ev, k)
+	return packetMethods(out, ablation, prefix, ev, k)
 }
 
 // binSchemes scores the paper's size bins against equal-width and quantile
 // bins at 1-in-256, under both packet methods: do φ or the ranking move?
-func (r *AblationsResult) binSchemes(tr *trace.Trace) error {
+func binSchemes(out *table, tr *trace.Trace) error {
 	quantile, err := quantileInteriorEdges(tr.Sizes(), 5)
 	if err != nil {
 		return err
@@ -117,7 +104,7 @@ func (r *AblationsResult) binSchemes(tr *trace.Trace) error {
 	for _, scheme := range []*bins.Edged{bins.PacketSize(), equal, byQuantile} {
 		ev, err := core.NewEvaluator(tr, core.TargetSize, scheme)
 		if err == nil {
-			err = r.packetMethods("bins", scheme.Name()+" ", ev, 256)
+			err = packetMethods(out, "bins", scheme.Name()+" ", ev, 256)
 		}
 		if err != nil {
 			return err
@@ -149,7 +136,7 @@ func quantileInteriorEdges(xs []float64, nbins int) ([]float64, error) {
 // timerEdge scores systematic timer sampling under the paper's
 // next-arrival rule and the previous-arrival alternative, on both
 // targets at three granularities.
-func (r *AblationsResult) timerEdge(tr *trace.Trace, size *core.Evaluator) error {
+func timerEdge(out *table, tr *trace.Trace, size *core.Evaluator) error {
 	iat, err := newEvaluator(tr, core.TargetInterarrival)
 	if err != nil {
 		return err
@@ -161,7 +148,7 @@ func (r *AblationsResult) timerEdge(tr *trace.Trace, size *core.Evaluator) error
 				if err != nil {
 					return err
 				}
-				r.add("timer-edge", fmt.Sprintf("%s k=%d %s-arrival", ev.Target(), k, rule), core.PhiValues(reps))
+				addPhis(out, "timer-edge", fmt.Sprintf("%s k=%d %s-arrival", ev.Target(), k, rule), core.PhiValues(reps))
 			}
 		}
 	}
@@ -171,7 +158,7 @@ func (r *AblationsResult) timerEdge(tr *trace.Trace, size *core.Evaluator) error
 // packetMethods adds the cells of both packet methods at k: systematic
 // (a fixed position in each k-packet bucket) over start phases and
 // stratified (a random position) over draws of a seed.
-func (r *AblationsResult) packetMethods(ablation, prefix string, ev *core.Evaluator, k int) error {
+func packetMethods(out *table, ablation, prefix string, ev *core.Evaluator, k int) error {
 	sys, err := core.SystematicOffsets(ev, k, ablationReps, nil)
 	if err != nil {
 		return err
@@ -180,15 +167,14 @@ func (r *AblationsResult) packetMethods(ablation, prefix string, ev *core.Evalua
 	if err != nil {
 		return err
 	}
-	r.add(ablation, fmt.Sprintf("%ssystematic k=%d", prefix, k), core.PhiValues(sys))
-	r.add(ablation, fmt.Sprintf("%sstratified k=%d", prefix, k), core.PhiValues(str))
+	addPhis(out, ablation, fmt.Sprintf("%ssystematic k=%d", prefix, k), core.PhiValues(sys))
+	addPhis(out, ablation, fmt.Sprintf("%sstratified k=%d", prefix, k), core.PhiValues(str))
 	return nil
 }
 
-// add summarizes one cell's φ values as their median and IQR. Every
-// cell has ablationReps values, so Quantiles cannot fail.
-func (r *AblationsResult) add(ablation, cell string, phis []float64) {
+// addPhis adds one cell's row, its φ values summarized as their median
+// and IQR. Every cell has ablationReps values, so Quantiles cannot fail.
+func addPhis(out *table, ablation, cell string, phis []float64) {
 	q, _ := stats.Quantiles(phis, 0.25, 0.5, 0.75)
-	r.Rows = append(r.Rows, AblationRow{ablation, cell, len(phis), q[1], q[2] - q[0]})
-	r.addRow(str(ablation), str(cell), integer(len(phis)), float(q[1]), float(q[2]-q[0]))
+	out.addRow(str(ablation), str(cell), integer(len(phis)), float(q[1]), float(q[2]-q[0]))
 }

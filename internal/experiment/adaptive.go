@@ -72,29 +72,15 @@ func AdaptiveNode(tr *trace.Trace, capacityPPS float64, buffer int, ctl pipeline
 	return node, decisions, nil
 }
 
-// AdaptiveResult compares three statistics-path configurations on a
-// load ramp through the same finite processor: unsampled (the pre-1991
-// T1 configuration), fixed 1-in-50 (the deployed remedy), and adaptive
+// Adaptive compares three statistics-path configurations on a load ramp
+// through the same finite processor: unsampled (the pre-1991 T1
+// configuration), fixed 1-in-50 (the deployed remedy), and adaptive
 // granularity control. For each it reports the scaled categorization
 // total's relative error against the exact SNMP truth and the mean
-// sampling granularity spent.
-type AdaptiveResult struct {
-	table
-	Rows []AdaptiveRow
-}
-
-// AdaptiveRow is one configuration's outcome.
-type AdaptiveRow struct {
-	Config   string
-	Truth    uint64
-	Estimate uint64
-	RelError float64
-	MeanK    float64
-}
-
-// Adaptive runs the comparison on a 60-second trace whose offered load
-// ramps from well under to well over the processor capacity.
-func Adaptive() (*AdaptiveResult, error) {
+// sampling granularity spent. It runs on a 60-second trace whose
+// offered load ramps from well under to well over the processor
+// capacity.
+func Adaptive() (Result, error) {
 	cfg := traffgen.NSFNETHour()
 	cfg.Seed = 0xada9
 	cfg.Duration = 60 * time.Second
@@ -106,20 +92,27 @@ func Adaptive() (*AdaptiveResult, error) {
 	}
 	const capacity = 600
 	const buffer = 32
-	out := &AdaptiveResult{table: newTable("ext-adaptive",
-		"extension: adaptive granularity control vs fixed sampling on a load ramp",
+	out := newTable("ext-adaptive", "extension: adaptive granularity control vs fixed sampling on a load ramp",
 		column{"config", "config", "%-16s"}, column{"truth", "truth", "%10d"}, column{"estimate", "estimate", "%10d"},
-		column{"error_pct", "error", "%9.1f%%"}, column{"mean_k", "mean-k", "%8.1f"})}
+		column{"error_pct", "error", "%9.1f%%"}, column{"mean_k", "mean-k", "%8.1f"})
+	// add appends one configuration's row.
+	add := func(name string, truth, est uint64, meanK float64) {
+		rel := 0.0
+		if truth > 0 {
+			rel = float64(est)/float64(truth) - 1
+		}
+		out.addRow(str(name), integer(truth), integer(est), float(100*rel), float(meanK))
+	}
 
 	// Unsampled.
 	plain := nsfnet.NewT1Node(capacity, buffer, 0)
 	plain.ProcessTrace(tr)
-	out.add("unsampled", plain.SNMP.InPackets, plain.CategorizedPackets(), 1)
+	add("unsampled", plain.SNMP.InPackets, plain.CategorizedPackets(), 1)
 
 	// Fixed 1-in-50.
 	fixed := nsfnet.NewT1Node(capacity, buffer, 50)
 	fixed.ProcessTrace(tr)
-	out.add("fixed-1-in-50", fixed.SNMP.InPackets, fixed.CategorizedPackets(), 50)
+	add("fixed-1-in-50", fixed.SNMP.InPackets, fixed.CategorizedPackets(), 50)
 
 	// Adaptive: the pipeline's law with any processor drop coarsening.
 	an, decisions, err := AdaptiveNode(tr, capacity, buffer, pipeline.AdaptiveConfig{
@@ -136,16 +129,6 @@ func Adaptive() (*AdaptiveResult, error) {
 		}
 		meanK = kSum / float64(len(decisions))
 	}
-	out.add("adaptive", an.SNMP.InPackets, an.CategorizedPackets(), meanK)
+	add("adaptive", an.SNMP.InPackets, an.CategorizedPackets(), meanK)
 	return out, nil
-}
-
-// add appends one configuration's row.
-func (r *AdaptiveResult) add(name string, truth, est uint64, meanK float64) {
-	rel := 0.0
-	if truth > 0 {
-		rel = float64(est)/float64(truth) - 1
-	}
-	r.Rows = append(r.Rows, AdaptiveRow{Config: name, Truth: truth, Estimate: est, RelError: rel, MeanK: meanK})
-	r.addRow(str(name), integer(truth), integer(est), float(100*rel), float(meanK))
 }

@@ -17,30 +17,35 @@ func TestAdaptiveExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	configs := strs(t, r, "config")
+	if len(configs) != 3 {
+		t.Fatalf("rows = %d", len(configs))
 	}
-	byName := map[string]AdaptiveRow{}
-	for _, row := range r.Rows {
-		byName[row.Config] = row
+	// Each configuration's relative error (published in percent) and
+	// mean k.
+	type outcome struct{ relError, meanK float64 }
+	byName := map[string]outcome{}
+	errPct, meanK := floats(t, r, "error_pct"), floats(t, r, "mean_k")
+	for i, c := range configs {
+		byName[c] = outcome{errPct[i] / 100, meanK[i]}
 	}
 	un := byName["unsampled"]
 	fx := byName["fixed-1-in-50"]
 	ad := byName["adaptive"]
 	// The unsampled node undercounts on the ramp; sampling fixes it.
-	if un.RelError > -0.1 {
-		t.Errorf("unsampled error %v, expected a large undercount", un.RelError)
+	if un.relError > -0.1 {
+		t.Errorf("unsampled error %v, expected a large undercount", un.relError)
 	}
-	if math.Abs(fx.RelError) > 0.05 {
-		t.Errorf("fixed-sampling error %v, want ≈0", fx.RelError)
+	if math.Abs(fx.relError) > 0.05 {
+		t.Errorf("fixed-sampling error %v, want ≈0", fx.relError)
 	}
-	if math.Abs(ad.RelError) > 0.08 {
-		t.Errorf("adaptive error %v, want ≈0", ad.RelError)
+	if math.Abs(ad.relError) > 0.08 {
+		t.Errorf("adaptive error %v, want ≈0", ad.relError)
 	}
 	// Adaptive should spend a finer mean granularity than the fixed 50
 	// while staying accurate — the point of the controller.
-	if !(ad.MeanK < fx.MeanK) {
-		t.Errorf("adaptive mean k %v not finer than fixed %v", ad.MeanK, fx.MeanK)
+	if !(ad.meanK < fx.meanK) {
+		t.Errorf("adaptive mean k %v not finer than fixed %v", ad.meanK, fx.meanK)
 	}
 	out := render(t, r)
 	if !strings.Contains(out, "ext-adaptive") {

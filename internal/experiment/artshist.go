@@ -8,22 +8,14 @@ import (
 	"netsample/internal/trace"
 )
 
-// ArtsHistResult measures how faithfully the operational pipeline's
+// ArtsHist measures on tr how faithfully the operational pipeline's
 // 50-byte packet-length histogram (Table 1's T1-only object) survives
 // firmware sampling: the full-trace histogram against scaled sampled
 // histograms at several granularities, scored with φ over the occupied
 // bins. This is the fidelity the T1 backbone gave up when it stopped
 // collecting the histogram on T3 — and what sampling would have
 // preserved.
-type ArtsHistResult struct {
-	table
-	Granularities []int
-	Phis          []float64
-	OccupiedBins  int
-}
-
-// ArtsHist runs the histogram-fidelity comparison on the given trace.
-func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
+func ArtsHist(tr *trace.Trace) (Result, error) {
 	var full arts.LengthHistogram
 	for _, p := range tr.Packets {
 		full.Record(p, 1)
@@ -35,14 +27,10 @@ func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
 			idx = append(idx, i)
 		}
 	}
-	out := &ArtsHistResult{
-		Granularities: []int{10, 50, 250, 1000, 5000},
-		OccupiedBins:  len(idx),
-		table: newTable("ext-artshist", fmt.Sprintf(
-			"fidelity of the 50-byte length histogram under firmware sampling (%d occupied bins)", len(idx)),
-			granularity, column{"phi", "phi", "%10.5f"}),
-	}
-	for _, k := range out.Granularities {
+	out := newTable("ext-artshist", fmt.Sprintf(
+		"fidelity of the 50-byte length histogram under firmware sampling (%d occupied bins)", len(idx)),
+		granularity, column{"phi", "phi", "%10.5f"})
+	for _, k := range []int{10, 50, 250, 1000, 5000} {
 		var sampled arts.LengthHistogram
 		for i, p := range tr.Packets {
 			if (i+1)%k == 0 {
@@ -59,7 +47,6 @@ func ArtsHist(tr *trace.Trace) (*ArtsHistResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Phis = append(out.Phis, phi)
 		out.addRow(integer(k), float(phi))
 	}
 	return out, nil

@@ -11,16 +11,17 @@ func TestBurstProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.IDC) != len(r.WindowsUS) {
+	idc := floats(t, r, "idc")
+	if len(idc) != len(ints(t, r, "window_ms")) {
 		t.Fatal("shape mismatch")
 	}
 	// The calibrated traffic is bursty: overdispersed at coarse
 	// timescales (IDC > 1), the property that defeats timer sampling.
-	last := r.IDC[len(r.IDC)-2] // the 1 s window
+	last := idc[len(idc)-2] // the 1 s window
 	if last <= 1 {
 		t.Errorf("IDC at 1 s = %v, want > 1 (bursty)", last)
 	}
-	for i, v := range r.IDC {
+	for i, v := range idc {
 		if v <= 0 {
 			t.Errorf("IDC[%d] = %v", i, v)
 		}

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,8 +33,8 @@ func render(t *testing.T, r Result) string {
 
 func TestTable1(t *testing.T) {
 	r := Table1()
-	if len(r.Objects) != 7 {
-		t.Fatalf("objects = %d", len(r.Objects))
+	if n := numRows(t, r); n != 7 {
+		t.Fatalf("objects = %d", n)
 	}
 	out := render(t, r)
 	if !strings.Contains(out, "src-dst-matrix") {
@@ -62,15 +64,19 @@ func TestTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if n := numRows(t, r); n != 3 {
+		t.Fatalf("rows = %d", n)
 	}
-	pps := r.Rows[0]
-	if pps.Mean < 300 || pps.Mean > 550 {
-		t.Errorf("pps mean = %v", pps.Mean)
+	mean := floats(t, r, "mean")[0]
+	if mean < 300 || mean > 550 {
+		t.Errorf("pps mean = %v", mean)
 	}
-	if pps.Min > pps.Q25 || pps.Q25 > pps.Median || pps.Median > pps.Q75 || pps.Q75 > pps.Max {
-		t.Errorf("quantiles not ordered: %+v", pps)
+	var q []float64 // the pps row's min, quartiles and max
+	for _, c := range []string{"min", "p25", "median", "p75", "max"} {
+		q = append(q, floats(t, r, c)[0])
+	}
+	if !slices.IsSorted(q) {
+		t.Errorf("quantiles not ordered: %v", q)
 	}
 	out := render(t, r)
 	if !strings.Contains(out, "packet arrivals") {
@@ -87,16 +93,16 @@ func TestTable3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size.Min != 28 || r.Size.Max != 1500 {
-		t.Errorf("size range = [%v, %v]", r.Size.Min, r.Size.Max)
+	// Row 0 is packet size, row 1 interarrival.
+	if lo, hi := floats(t, r, "min")[0], floats(t, r, "max")[0]; lo != 28 || hi != 1500 {
+		t.Errorf("size range = [%v, %v]", lo, hi)
 	}
-	if r.Interarrival.Mean <= 0 {
-		t.Errorf("iat mean = %v", r.Interarrival.Mean)
+	if m := floats(t, r, "mean")[1]; m <= 0 {
+		t.Errorf("iat mean = %v", m)
 	}
-	if r.TotalPackets != tr.Len() {
-		t.Error("total mismatch")
+	if want := fmt.Sprintf("total population = %d packets", tr.Len()); !strings.Contains(render(t, r), want) {
+		t.Errorf("total mismatch: want %q", want)
 	}
-	render(t, r)
 	if _, err := Table3(core.NewProfile(&trace.Trace{})); err == nil {
 		t.Error("empty trace accepted")
 	}
@@ -107,23 +113,24 @@ func TestFigure1ShowsDiscrepancyAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != 12 {
-		t.Fatalf("points = %d", len(r.Points))
+	snmp, nnstat, sampling := ints(t, r, "snmp"), ints(t, r, "nnstat"), strs(t, r, "sampling")
+	if len(snmp) != 12 {
+		t.Fatalf("points = %d", len(snmp))
 	}
-	shortfall := func(p Figure1Point) float64 {
-		return 1 - float64(p.NNStat)/float64(p.SNMP)
+	shortfall := func(m int) float64 {
+		return 1 - float64(nnstat[m])/float64(snmp[m])
 	}
 	// Early months: processor keeps up.
-	if s := shortfall(r.Points[0]); s > 0.02 {
+	if s := shortfall(0); s > 0.02 {
 		t.Errorf("month 1 shortfall %v, want ≈0", s)
 	}
 	// Just before the sampling deployment: visible undercount.
-	if s := shortfall(r.Points[7]); s < 0.05 {
+	if s := shortfall(7); s < 0.05 {
 		t.Errorf("month 8 shortfall %v, want noticeable", s)
 	}
 	// After deployment: scaled estimate close to SNMP again.
-	last := r.Points[len(r.Points)-1]
-	if !last.SamplingOn {
+	last := len(snmp) - 1
+	if sampling[last] != "1-in-50" {
 		t.Fatal("sampling not on in final month")
 	}
 	s := shortfall(last)
@@ -142,18 +149,19 @@ func TestFigure3MetricsBehave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != 15 {
-		t.Fatalf("points = %d", len(r.Points))
+	phi, n := floats(t, r, "phi"), ints(t, r, "n")
+	if len(phi) != 15 {
+		t.Fatalf("points = %d", len(phi))
 	}
 	// phi must broadly rise as granularity coarsens (compare first vs
 	// last point).
-	first, last := r.Points[0].Report.Phi, r.Points[len(r.Points)-1].Report.Phi
+	first, last := phi[0], phi[len(phi)-1]
 	if !(last > first) {
 		t.Errorf("phi did not grow: %v → %v", first, last)
 	}
 	// Sample sizes shrink by ~2x per step.
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].SampleSize >= r.Points[i-1].SampleSize {
+	for i := 1; i < len(n); i++ {
+		if n[i] >= n[i-1] {
 			t.Errorf("sample size not shrinking at %d", i)
 		}
 	}
@@ -162,24 +170,29 @@ func TestFigure3MetricsBehave(t *testing.T) {
 
 func TestFigures4And5(t *testing.T) {
 	tr := testTrace(t)
-	for _, f := range []func(*trace.Trace) (*HistogramFigureResult, error){Figure4, Figure5} {
+	grans := []string{"k4", "k64", "k256", "k2048", "k16384"}
+	for _, f := range []func(*trace.Trace) (Result, error){Figure4, Figure5} {
 		r, err := f(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Proportions) != len(r.Granularities) {
-			t.Fatal("proportions/granularity mismatch")
+		if got := len(tab(t, r).cols) - 2; got != len(grans) {
+			t.Fatalf("%d granularity columns, want %d", got, len(grans))
 		}
-		for _, props := range r.Proportions {
+		// Every row but the last, the φ row, is a bin's proportions.
+		phis := make([]float64, len(grans))
+		for g, col := range grans {
+			props := floats(t, r, col)
+			phis[g] = props[len(props)-1]
 			var sum float64
-			for _, p := range props {
+			for _, p := range props[:len(props)-1] {
 				sum += p
 			}
 			if sum < 0.999 || sum > 1.001 {
-				t.Errorf("%s proportions sum %v", r.ID(), sum)
+				t.Errorf("%s %s proportions sum %v", r.ID(), col, sum)
 			}
 		}
-		if r.Phis[0] > r.Phis[len(r.Phis)-1] == false && r.Phis[len(r.Phis)-1] == 0 {
+		if phis[0] > phis[len(phis)-1] == false && phis[len(phis)-1] == 0 {
 			t.Errorf("%s phi legend empty", r.ID())
 		}
 		render(t, r)
@@ -192,19 +205,21 @@ func TestFigure6And7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r6.Rows) != 14 { // 2^2..2^15
-		t.Fatalf("rows = %d", len(r6.Rows))
+	k := ints(t, r6, "granularity")
+	if len(k) != 14 { // 2^2..2^15
+		t.Fatalf("rows = %d", len(k))
 	}
-	for _, row := range r6.Rows {
-		b := row.Box
-		if !(b.LowWhisker <= b.Q1 && b.Q1 <= b.Median && b.Median <= b.Q3 && b.Q3 <= b.HighWhisker) {
-			t.Errorf("k=%d box not ordered: %+v", row.Granularity, b)
+	low, q1, med, q3, high := floats(t, r6, "low"), floats(t, r6, "q1"), floats(t, r6, "median"),
+		floats(t, r6, "q3"), floats(t, r6, "high")
+	for i := range k {
+		if box := []float64{low[i], q1[i], med[i], q3[i], high[i]}; !slices.IsSorted(box) {
+			t.Errorf("k=%d box not ordered: %v", k[i], box)
 		}
 	}
 	// Spread (IQR) should broadly grow with granularity: compare the
 	// finest and coarsest.
-	firstIQR := r6.Rows[0].Box.Q3 - r6.Rows[0].Box.Q1
-	lastIQR := r6.Rows[len(r6.Rows)-1].Box.Q3 - r6.Rows[len(r6.Rows)-1].Box.Q1
+	firstIQR := q3[0] - q1[0]
+	lastIQR := q3[len(k)-1] - q1[len(k)-1]
 	if !(lastIQR > firstIQR) {
 		t.Errorf("replication spread did not grow: %v → %v", firstIQR, lastIQR)
 	}
@@ -214,13 +229,25 @@ func TestFigure6And7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r7.Means) != len(r6.Rows) {
+	means := floats(t, r7, "mean_phi")
+	if len(means) != len(k) {
 		t.Fatal("figure7 length mismatch")
 	}
-	if !(r7.Means[len(r7.Means)-1] > r7.Means[0]) {
+	if !(means[len(means)-1] > means[0]) {
 		t.Error("mean phi did not grow with granularity")
 	}
 	render(t, r7)
+}
+
+// methodColumns returns the per-method columns of Figure 8 or 9: all
+// but the granularity.
+func methodColumns(t *testing.T, r Result) []string {
+	t.Helper()
+	var names []string
+	for _, c := range tab(t, r).cols[1:] {
+		names = append(names, c.name)
+	}
+	return names
 }
 
 func TestFigures8And9MethodOrdering(t *testing.T) {
@@ -229,8 +256,8 @@ func TestFigures8And9MethodOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r8.Series) != 5 {
-		t.Fatalf("series = %d", len(r8.Series))
+	if n := len(methodColumns(t, r8)); n != 5 {
+		t.Fatalf("series = %d", n)
 	}
 	render(t, r8)
 
@@ -240,16 +267,16 @@ func TestFigures8And9MethodOrdering(t *testing.T) {
 	}
 	// The paper's headline on the interarrival target: timer methods
 	// uniformly worse. Compare mean-over-grid per class.
-	classMean := func(r *MethodsFigureResult, timer bool) float64 {
+	classMean := func(r Result, timer bool) float64 {
 		var sum float64
 		var n int
-		for _, s := range r.Series {
-			isTimer := strings.HasSuffix(s.Method, "/timer")
+		for _, method := range methodColumns(t, r) {
+			isTimer := strings.HasSuffix(method, "/timer")
 			if isTimer != timer {
 				continue
 			}
 			// Skip the finest granularities where everything is ~0.
-			for _, v := range s.Means[3:] {
+			for _, v := range floats(t, r, method)[3:] {
 				sum += v
 				n++
 			}
@@ -269,8 +296,11 @@ func TestFigures10And11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Means) != len(r.Granularities) {
-		t.Fatal("shape mismatch")
+	minutes := ints(t, r, "minutes")
+	for _, col := range []string{"k16", "k256", "k4096"} {
+		if len(floats(t, r, col)) != len(minutes) {
+			t.Fatal("shape mismatch")
+		}
 	}
 	render(t, r)
 }
@@ -281,11 +311,12 @@ func TestSampleSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	n := ints(t, r, "n")
+	if len(n) != 4 {
+		t.Fatalf("rows = %d", len(n))
 	}
 	// r=1% needs 25x the samples of r=5%.
-	ratio := float64(r.Rows[1].N) / float64(r.Rows[0].N)
+	ratio := float64(n[1]) / float64(n[0])
 	if ratio < 24 || ratio > 26 {
 		t.Errorf("accuracy scaling ratio = %v, want 27", ratio)
 	}
@@ -298,13 +329,13 @@ func TestChiSquareAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Replications != 50 {
-		t.Fatalf("replications = %d", r.Replications)
+	if reps := ints(t, r, "replications")[0]; reps != 50 {
+		t.Fatalf("replications = %d", reps)
 	}
 	// Statistical theory: ~5% rejections expected; allow generous slack
 	// but catch gross miscalibration (the paper saw 2-3 of 50).
-	if r.Rejected > 12 {
-		t.Errorf("rejected %d of 50, far above the 0.05 level", r.Rejected)
+	if rejected := ints(t, r, "rejected")[0]; rejected > 12 {
+		t.Errorf("rejected %d of 50, far above the 0.05 level", rejected)
 	}
 	render(t, r)
 }

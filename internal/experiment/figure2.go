@@ -9,65 +9,58 @@ import (
 	"netsample/internal/trace"
 )
 
-// Figure2Result renders the paper's schematic of the three sampling
+// Figure2 renders the paper's schematic of the three sampling
 // algorithms as a worked miniature: a 24-packet population, k = 4, one
 // concrete selection per scheme. Unlike the paper's static diagram the
-// rendering is generated by actually running the samplers, so it doubles
-// as a readable demonstration that the implementations follow the
-// schematic.
-type Figure2Result struct {
-	table
-	N, K       int
-	Systematic []int
-	Stratified []int
-	Random     []int
-}
-
-// Figure2 produces the worked schematic.
-func Figure2() (*Figure2Result, error) {
+// rendering is generated by actually running the samplers, so it
+// doubles as a readable demonstration that the implementations follow
+// the schematic.
+func Figure2() (Result, error) {
 	const n, k = 24, 4
 	tr := &trace.Trace{}
 	for i := 0; i < n; i++ {
 		tr.Packets = append(tr.Packets, trace.Packet{Time: int64(i) * 1000, Size: 100})
 	}
 	r := dist.NewRNG(2)
-	out := &Figure2Result{N: n, K: k}
-	var err error
-	if out.Systematic, err = (core.SystematicCount{K: k}).Select(tr, nil); err != nil {
+	sys, err := (core.SystematicCount{K: k}).Select(tr, nil)
+	if err != nil {
 		return nil, err
 	}
-	if out.Stratified, err = (core.StratifiedCount{K: k}).Select(tr, r); err != nil {
+	strat, err := (core.StratifiedCount{K: k}).Select(tr, r)
+	if err != nil {
 		return nil, err
 	}
-	if out.Random, err = (core.SimpleRandom{K: k}).Select(tr, r); err != nil {
+	rnd, err := (core.SimpleRandom{K: k}).Select(tr, r)
+	if err != nil {
 		return nil, err
 	}
-	out.table = newTable("figure2", fmt.Sprintf("schematic of the three sampling algorithms (n=%d, k=%d)", n, k),
+	out := newTable("figure2", fmt.Sprintf("schematic of the three sampling algorithms (n=%d, k=%d)", n, k),
 		column{name: "scheme"}, column{name: "selected_indices"})
 	for _, s := range []struct {
 		scheme, does string
 		selected     []int
 	}{
-		{"systematic", "take every k-th packet", out.Systematic},
-		{"stratified", "take one random packet per bucket of k", out.Stratified},
-		{"random", "take n/k random packets from the whole set", out.Random},
+		{"systematic", "take every k-th packet", sys},
+		{"stratified", "take one random packet per bucket of k", strat},
+		{"random", "take n/k random packets from the whole set", rnd},
 	} {
 		out.addRow(str(s.scheme), str(strings.Trim(fmt.Sprint(s.selected), "[]")))
-		out.below = append(out.below, fmt.Sprintf("%-12s %s   %s", s.scheme+":", out.strip(s.selected), s.does))
+		out.below = append(out.below, fmt.Sprintf("%-12s %s   %s", s.scheme+":", strip(n, k, s.selected), s.does))
 	}
 	out.below = append(out.below, "(X = selected, . = passed over, | = bucket boundary)")
 	return out, nil
 }
 
-// strip renders one selection pattern as a packet strip.
-func (r *Figure2Result) strip(selected []int) string {
+// strip renders one selection pattern of n packets in buckets of k as
+// a packet strip.
+func strip(n, k int, selected []int) string {
 	sel := map[int]bool{}
 	for _, i := range selected {
 		sel[i] = true
 	}
-	line := make([]byte, 0, 2*r.N)
-	for i := 0; i < r.N; i++ {
-		if i > 0 && i%r.K == 0 {
+	line := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		if i > 0 && i%k == 0 {
 			line = append(line, '|')
 		}
 		if sel[i] {

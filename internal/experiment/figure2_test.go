@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -10,17 +12,32 @@ func TestFigure2Schematic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Systematic) != 6 || len(r.Stratified) != 6 || len(r.Random) != 6 {
-		t.Fatalf("selection counts: %d %d %d",
-			len(r.Systematic), len(r.Stratified), len(r.Random))
+	if got := strs(t, r, "scheme"); !slices.Equal(got, []string{"systematic", "stratified", "random"}) {
+		t.Fatalf("schemes = %v", got)
 	}
-	// Systematic picks indices 0,4,8,...; stratified one per bucket.
-	for i, v := range r.Systematic {
-		if v != i*4 {
-			t.Fatalf("systematic = %v", r.Systematic)
+	// Each scheme's selected indices, space-separated.
+	var sel [3][]int
+	for s, list := range strs(t, r, "selected_indices") {
+		for _, f := range strings.Fields(list) {
+			i, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel[s] = append(sel[s], i)
 		}
 	}
-	for i, v := range r.Stratified {
+	systematic, stratified, random := sel[0], sel[1], sel[2]
+	if len(systematic) != 6 || len(stratified) != 6 || len(random) != 6 {
+		t.Fatalf("selection counts: %d %d %d",
+			len(systematic), len(stratified), len(random))
+	}
+	// Systematic picks indices 0,4,8,...; stratified one per bucket.
+	for i, v := range systematic {
+		if v != i*4 {
+			t.Fatalf("systematic = %v", systematic)
+		}
+	}
+	for i, v := range stratified {
 		if v < i*4 || v >= (i+1)*4 {
 			t.Fatalf("stratified pick %d = %d outside bucket", i, v)
 		}

@@ -9,36 +9,20 @@ import (
 	"netsample/internal/traffgen"
 )
 
-// FIXWestResult is the cross-environment robustness check of the
-// paper's footnote 3: the method-class comparison repeated on the
-// FIX-West interexchange population. The paper reports "the results of
-// the two data sets were quite similar"; this experiment reruns the
-// Figure 9 class comparison (interarrival target, where the effect is
-// strongest) on both environments.
-type FIXWestResult struct {
-	table
-	Rows []FIXWestRow
-}
-
-// FIXWestRow is one environment's packet-class vs timer-class mean φ.
-type FIXWestRow struct {
-	Environment string
-	PacketPhi   float64
-	TimerPhi    float64
-}
-
-// FIXWest runs the comparison. The SDSC numbers come from the supplied
-// parent trace; the FIX-West population is generated at a matching
-// duration.
-func FIXWest(sdsc *trace.Trace) (*FIXWestResult, error) {
-	out := &FIXWestResult{table: newTable("ext-fixwest", "footnote 3: method-class comparison on the FIX-West environment",
+// FIXWest is the cross-environment robustness check of the paper's
+// footnote 3: the method-class comparison repeated on the FIX-West
+// interexchange population. The paper reports "the results of the two
+// data sets were quite similar"; this experiment reruns the Figure 9
+// class comparison (interarrival target, where the effect is strongest)
+// on both environments. The SDSC numbers come from the supplied parent
+// trace; the FIX-West population is generated at a matching duration.
+func FIXWest(sdsc *trace.Trace) (Result, error) {
+	out := newTable("ext-fixwest", "footnote 3: method-class comparison on the FIX-West environment",
 		column{"environment", "environment", "%-14s"}, column{"packet_phi", "packet-phi", "%12.5f"},
-		column{"timer_phi", "timer-phi", "%12.5f"}, column{"ratio", "ratio", "%8.1f"})}
-	row, err := fixwestRow("SDSC/E-NSS", sdsc)
-	if err != nil {
+		column{"timer_phi", "timer-phi", "%12.5f"}, column{"ratio", "ratio", "%8.1f"})
+	if err := addFIXWestRow(out, "SDSC/E-NSS", sdsc); err != nil {
 		return nil, err
 	}
-	out.add(row)
 
 	cfg := traffgen.FIXWest()
 	cfg.Duration = sdsc.Duration().Round(time.Second)
@@ -49,30 +33,18 @@ func FIXWest(sdsc *trace.Trace) (*FIXWestResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, err = fixwestRow("FIX-West", fw)
-	if err != nil {
+	if err := addFIXWestRow(out, "FIX-West", fw); err != nil {
 		return nil, err
 	}
-	out.add(row)
 	return out, nil
 }
 
-// add appends one environment's row and its timer-to-packet φ ratio.
-func (r *FIXWestResult) add(row FIXWestRow) {
-	r.Rows = append(r.Rows, row)
-	ratio := 0.0
-	if row.PacketPhi > 0 {
-		ratio = row.TimerPhi / row.PacketPhi
-	}
-	r.addRow(str(row.Environment), float(row.PacketPhi), float(row.TimerPhi), float(ratio))
-}
-
-// fixwestRow computes the class means at a mid granularity for one
-// environment.
-func fixwestRow(name string, tr *trace.Trace) (FIXWestRow, error) {
+// addFIXWestRow appends one environment's row: its packet-class and
+// timer-class mean φ at a mid granularity, and their ratio.
+func addFIXWestRow(out *table, name string, tr *trace.Trace) error {
 	ev, err := newEvaluator(tr, core.TargetInterarrival)
 	if err != nil {
-		return FIXWestRow{}, err
+		return err
 	}
 	const k = 64
 	const reps = 5
@@ -81,15 +53,15 @@ func fixwestRow(name string, tr *trace.Trace) (FIXWestRow, error) {
 	{
 		sys, err := core.SystematicOffsets(ev, k, reps, r)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		str, err := core.Replicate(ev, core.StratifiedCount{K: k}, reps, r)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		rnd, err := core.Replicate(ev, core.SimpleRandom{K: k}, reps, r)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		packetPhi = (core.MeanPhi(sys) + core.MeanPhi(str) + core.MeanPhi(rnd)) / 3
 	}
@@ -97,21 +69,26 @@ func fixwestRow(name string, tr *trace.Trace) (FIXWestRow, error) {
 	{
 		st, err := core.NewSystematicTimer(tr, k, 0)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		sysT, err := core.Replicate(ev, st, 1, r)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		rt, err := core.NewStratifiedTimer(tr, k)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		strT, err := core.Replicate(ev, rt, reps, r)
 		if err != nil {
-			return FIXWestRow{}, err
+			return err
 		}
 		timerPhi = (core.MeanPhi(sysT) + core.MeanPhi(strT)) / 2
 	}
-	return FIXWestRow{Environment: name, PacketPhi: packetPhi, TimerPhi: timerPhi}, nil
+	ratio := 0.0
+	if packetPhi > 0 {
+		ratio = timerPhi / packetPhi
+	}
+	out.addRow(str(name), float(packetPhi), float(timerPhi), float(ratio))
+	return nil
 }

@@ -11,15 +11,17 @@ func TestFIXWestRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	env := strs(t, r, "environment")
+	if len(env) != 2 {
+		t.Fatalf("rows = %d", len(env))
 	}
 	// The paper's footnote: the two environments agree. Both must show
 	// the timer class worse than the packet class.
-	for _, row := range r.Rows {
-		if !(row.TimerPhi > row.PacketPhi) {
+	packet, timer := floats(t, r, "packet_phi"), floats(t, r, "timer_phi")
+	for i := range env {
+		if !(timer[i] > packet[i]) {
 			t.Errorf("%s: timer phi %v not worse than packet %v",
-				row.Environment, row.TimerPhi, row.PacketPhi)
+				env[i], timer[i], packet[i])
 		}
 	}
 	out := render(t, r)

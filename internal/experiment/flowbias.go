@@ -8,21 +8,15 @@ import (
 	"netsample/internal/trace"
 )
 
-// FlowBiasResult quantifies what packet sampling does to flow-level
-// views — the problem the paper's conclusion gestures at for the
-// traffic matrix and that the NetFlow era made famous: a 1-in-k sample
-// detects only the flows it happens to hit, so flow counts collapse and
-// the surviving flows skew large.
-type FlowBiasResult struct {
-	table
-	TrueFlows     int
-	TrueMeanPkts  float64
-	Granularities []int
-	DetectedFrac  []float64 // detected flows / true flows
-	MeanPktsScale []float64 // (sampled mean packets × k) / true mean packets
-}
-
-// FlowBias runs the sweep on the first 1024 s of the trace with a 2 s
+// FlowBias quantifies what packet sampling does to flow-level views —
+// the problem the paper's conclusion gestures at for the traffic matrix
+// and that the NetFlow era made famous: a 1-in-k sample detects only
+// the flows it happens to hit, so flow counts collapse and the
+// surviving flows skew large. Each row gives the detected flows over
+// the true flows, and the sampled mean packets a flow, times k, over
+// the true mean.
+//
+// It runs the sweep on the first 1024 s of the trace with a 2 s
 // idle timeout (scaled by k on the thinned traces so flow identity
 // is preserved). Each granularity streams its 1-in-k selection straight
 // into a flow counter: no flow record, sort or sub-trace is built. A
@@ -30,22 +24,18 @@ type FlowBiasResult struct {
 // starts at its first packet), so a mean flow size is the counted
 // packets over the counted flows, the float a summary of the records
 // gives.
-func FlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
+func FlowBias(tr *trace.Trace) (Result, error) {
 	win := window(tr, 1024)
 	const timeout = 2_000_000
 	full, err := sampledFlows(win, 1, timeout)
 	if err != nil {
 		return nil, err
 	}
-	out := &FlowBiasResult{
-		TrueFlows:     int(full.Flows),
-		TrueMeanPkts:  float64(full.Packets) / float64(full.Flows),
-		Granularities: []int{1, 10, 50, 250, 1000},
-	}
-	out.table = newTable("ext-flows", fmt.Sprintf("flow-level view under packet sampling (%d true flows, mean %.1f pkts)",
-		out.TrueFlows, out.TrueMeanPkts), granularity, column{"detected_fraction", "detected-frac", "%14.3f"},
+	trueMeanPkts := float64(full.Packets) / float64(full.Flows)
+	out := newTable("ext-flows", fmt.Sprintf("flow-level view under packet sampling (%d true flows, mean %.1f pkts)",
+		int(full.Flows), trueMeanPkts), granularity, column{"detected_fraction", "detected-frac", "%14.3f"},
 		column{"size_bias", "size-bias (x true)", "%18.2f"})
-	for _, k := range out.Granularities {
+	for _, k := range []int{1, 10, 50, 250, 1000} {
 		c := full
 		if k > 1 {
 			if c, err = sampledFlows(win, k, timeout*int64(k)); err != nil {
@@ -53,9 +43,7 @@ func FlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
 			}
 		}
 		detected := float64(c.Flows) / float64(full.Flows)
-		bias := float64(c.Packets) / float64(c.Flows) * float64(k) / out.TrueMeanPkts
-		out.DetectedFrac = append(out.DetectedFrac, detected)
-		out.MeanPktsScale = append(out.MeanPktsScale, bias)
+		bias := float64(c.Packets) / float64(c.Flows) * float64(k) / trueMeanPkts
 		out.addRow(integer(k), float(detected), float(bias))
 	}
 	return out, nil

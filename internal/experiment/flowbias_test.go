@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,25 +12,31 @@ func TestFlowBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.TrueFlows < 50 {
-		t.Fatalf("true flows = %d; generator flow diversity too low", r.TrueFlows)
+	// The title carries the true flow count.
+	var trueFlows int
+	if _, err := fmt.Sscanf(r.Title()[strings.LastIndex(r.Title(), "(")+1:], "%d true flows", &trueFlows); err != nil {
+		t.Fatalf("title %q: %v", r.Title(), err)
 	}
+	if trueFlows < 50 {
+		t.Fatalf("true flows = %d; generator flow diversity too low", trueFlows)
+	}
+	k, detected, bias := ints(t, r, "granularity"), floats(t, r, "detected_fraction"), floats(t, r, "size_bias")
 	// k=1 is the identity: full detection, no bias.
-	if r.DetectedFrac[0] != 1 || r.MeanPktsScale[0] != 1 {
-		t.Fatalf("k=1 row not identity: %v %v", r.DetectedFrac[0], r.MeanPktsScale[0])
+	if detected[0] != 1 || bias[0] != 1 {
+		t.Fatalf("k=1 row not identity: %v %v", detected[0], bias[0])
 	}
 	// Detection collapses monotonically with k; size bias grows.
-	for i := 1; i < len(r.Granularities); i++ {
-		if r.DetectedFrac[i] >= r.DetectedFrac[i-1] {
-			t.Errorf("detected fraction not falling at k=%d: %v", r.Granularities[i], r.DetectedFrac)
+	for i := 1; i < len(k); i++ {
+		if detected[i] >= detected[i-1] {
+			t.Errorf("detected fraction not falling at k=%d: %v", k[i], detected)
 		}
 	}
-	last := len(r.Granularities) - 1
-	if r.DetectedFrac[last] > 0.2 {
-		t.Errorf("1-in-1000 still detects %v of flows", r.DetectedFrac[last])
+	last := len(k) - 1
+	if detected[last] > 0.2 {
+		t.Errorf("1-in-1000 still detects %v of flows", detected[last])
 	}
-	if r.MeanPktsScale[last] < 2 {
-		t.Errorf("size bias at 1-in-1000 = %v, want large", r.MeanPktsScale[last])
+	if bias[last] < 2 {
+		t.Errorf("size bias at 1-in-1000 = %v, want large", bias[last])
 	}
 	out := render(t, r)
 	if !strings.Contains(out, "ext-flows") {

@@ -8,29 +8,20 @@ import (
 	"netsample/internal/trace"
 )
 
-// HeavyHitterResult answers the operational question behind the
+// HeavyHitters answers the operational question behind the
 // source-destination matrix: even if the full matrix samples poorly
 // (ext-matrix), do its *heavy* cells survive sampling? For each
 // granularity it compares the top-N network pairs of the full trace
 // against the top-N computed from a 1-in-k systematic sample through a
-// bounded Space-Saving sketch, reporting the overlap fraction.
-type HeavyHitterResult struct {
-	table
-	TopN          int
-	SketchSize    int
-	Granularities []int
-	Overlap       []float64 // |sampled-topN ∩ true-topN| / N
-}
-
-// HeavyHitters runs the sweep on the first 1024 s of the trace.
-func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
+// bounded Space-Saving sketch, reporting the overlap fraction
+// |sampled-topN ∩ true-topN| / N. It runs the sweep on the first 1024 s
+// of the trace.
+func HeavyHitters(tr *trace.Trace) (Result, error) {
 	win := window(tr, 1024)
 	const topN = 10
 	const sketch = 256
-	out := &HeavyHitterResult{TopN: topN, SketchSize: sketch,
-		Granularities: []int{1, 10, 50, 250, 1000},
-		table: newTable("ext-heavyhitters", fmt.Sprintf("top-%d src-dst pairs surviving sampling (space-saving sketch of %d)",
-			topN, sketch), granularity, column{"overlap", "topN-overlap", "%12.2f"})}
+	out := newTable("ext-heavyhitters", fmt.Sprintf("top-%d src-dst pairs surviving sampling (space-saving sketch of %d)",
+		topN, sketch), granularity, column{"overlap", "topN-overlap", "%12.2f"})
 
 	// Every feed keys the sketch by the pair's label (Top breaks count
 	// ties by key bytes, so the spelling is output); the labels are
@@ -44,7 +35,7 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 	for _, e := range truth {
 		trueSet[e.Key] = true
 	}
-	for _, k := range out.Granularities {
+	for _, k := range []int{1, 10, 50, 250, 1000} {
 		top := truth // k = 1 feeds the whole window at weight 1: the truth sketch itself
 		if k > 1 {
 			idx, err := core.SystematicCount{K: k}.Select(win, nil)
@@ -61,9 +52,7 @@ func HeavyHitters(tr *trace.Trace) (*HeavyHitterResult, error) {
 				hits++
 			}
 		}
-		overlap := float64(hits) / float64(topN)
-		out.Overlap = append(out.Overlap, overlap)
-		out.addRow(integer(k), float(overlap))
+		out.addRow(integer(k), float(float64(hits)/float64(topN)))
 	}
 	return out, nil
 }

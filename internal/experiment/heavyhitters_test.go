@@ -19,17 +19,18 @@ func TestHeavyHitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Overlap) != len(r.Granularities) {
+	overlap := floats(t, r, "overlap")
+	if len(overlap) != len(ints(t, r, "granularity")) {
 		t.Fatal("shape mismatch")
 	}
 	// k=1 reproduces the truth exactly.
-	if r.Overlap[0] != 1 {
-		t.Fatalf("k=1 overlap = %v", r.Overlap[0])
+	if overlap[0] != 1 {
+		t.Fatalf("k=1 overlap = %v", overlap[0])
 	}
 	// At the operational 1-in-50, most of the top-10 survives — the
 	// heavy cells of the matrix are exactly what sampling preserves.
-	if r.Overlap[2] < 0.6 {
-		t.Errorf("1-in-50 overlap = %v, want most of the top-10", r.Overlap[2])
+	if overlap[2] < 0.6 {
+		t.Errorf("1-in-50 overlap = %v, want most of the top-10", overlap[2])
 	}
 	out := render(t, r)
 	if !strings.Contains(out, "ext-heavyhitters") {

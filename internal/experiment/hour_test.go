@@ -38,15 +38,15 @@ func TestHourChiSquareAcceptanceMatchesPaper(t *testing.T) {
 	}
 	// Paper: "only two or three out of the fifty possible replications"
 	// rejected at 0.05. Statistical expectation is 2.5; accept 0..7.
-	if r.Rejected > 7 {
-		t.Errorf("size target: %d of 50 rejected, paper saw 2-3", r.Rejected)
+	if rejected := ints(t, r, "rejected")[0]; rejected > 7 {
+		t.Errorf("size target: %d of 50 rejected, paper saw 2-3", rejected)
 	}
 	r2, err := ChiSquareAcceptance(tr, core.TargetInterarrival)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Rejected > 7 {
-		t.Errorf("iat target: %d of 50 rejected", r2.Rejected)
+	if rejected := ints(t, r2, "rejected")[0]; rejected > 7 {
+		t.Errorf("iat target: %d of 50 rejected", rejected)
 	}
 }
 
@@ -58,19 +58,21 @@ func TestHourFigure9TimerClassUniformlyWorse(t *testing.T) {
 	}
 	// At every granularity from 8 up, both timer methods must score
 	// worse than every packet method — the paper's "uniformly worse".
-	for gi, k := range r.Granularities {
+	methods := methodColumns(t, r)
+	for gi, k := range ints(t, r, "granularity") {
 		if k < 8 {
 			continue
 		}
 		var worstPacket, bestTimer float64
 		bestTimer = math.Inf(1)
-		for _, s := range r.Series {
-			if strings.HasSuffix(s.Method, "/timer") {
-				if s.Means[gi] < bestTimer {
-					bestTimer = s.Means[gi]
+		for _, method := range methods {
+			phi := floats(t, r, method)[gi]
+			if strings.HasSuffix(method, "/timer") {
+				if phi < bestTimer {
+					bestTimer = phi
 				}
-			} else if s.Means[gi] > worstPacket {
-				worstPacket = s.Means[gi]
+			} else if phi > worstPacket {
+				worstPacket = phi
 			}
 		}
 		if !(bestTimer > worstPacket) {
@@ -89,18 +91,19 @@ func TestHourFigure7MonotoneTrend(t *testing.T) {
 	// Not strictly monotone (sampling noise) but the endpoints and the
 	// broad trend must hold: last > 4x first, and at most two local
 	// decreases larger than 30%.
-	first, last := r.Means[0], r.Means[len(r.Means)-1]
+	means := floats(t, r, "mean_phi")
+	first, last := means[0], means[len(means)-1]
 	if !(last > 4*first) {
 		t.Errorf("phi trend too flat: %v → %v", first, last)
 	}
 	bigDrops := 0
-	for i := 1; i < len(r.Means); i++ {
-		if r.Means[i] < 0.7*r.Means[i-1] {
+	for i := 1; i < len(means); i++ {
+		if means[i] < 0.7*means[i-1] {
 			bigDrops++
 		}
 	}
 	if bigDrops > 2 {
-		t.Errorf("%d large reversals in the phi trend: %v", bigDrops, r.Means)
+		t.Errorf("%d large reversals in the phi trend: %v", bigDrops, means)
 	}
 }
 
@@ -110,11 +113,11 @@ func TestHourFigure10ImprovesWithElapsedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ki, k := range r.Granularities {
-		row := r.Means[ki]
+	for _, k := range []string{"k16", "k256", "k4096"} {
+		row := floats(t, r, k)
 		if !(row[len(row)-1] < row[0]) {
-			t.Errorf("k=%d: phi at 60 min (%v) not below 1 min (%v)",
-				k, row[len(row)-1], row[0])
+			t.Errorf("k=%s: phi at 60 min (%v) not below 1 min (%v)",
+				k[1:], row[len(row)-1], row[0])
 		}
 	}
 }
@@ -127,11 +130,12 @@ func TestHourSampleSizesNearPaper(t *testing.T) {
 	}
 	// The synthetic population's parameters differ slightly from the
 	// paper's, so its Cochran sizes land within ~35% of 1590/2066.
-	if r.Rows[0].N < 1000 || r.Rows[0].N > 2500 {
-		t.Errorf("size n = %d, paper 1590", r.Rows[0].N)
+	n := ints(t, r, "n")
+	if n[0] < 1000 || n[0] > 2500 {
+		t.Errorf("size n = %d, paper 1590", n[0])
 	}
-	if r.Rows[2].N < 1300 || r.Rows[2].N > 2800 {
-		t.Errorf("iat n = %d, paper 2066", r.Rows[2].N)
+	if n[2] < 1300 || n[2] > 2800 {
+		t.Errorf("iat n = %d, paper 2066", n[2])
 	}
 }
 

@@ -21,53 +21,19 @@ var MatrixSamplers = []string{
 	"systematic", "stratified", "systematic-timer", "stratified-timer", "adaptive",
 }
 
-// MatrixCell is one (scenario, sampler) run of the windowed pipeline
-// over the scenario trace: each window's φ scores its sample against
-// that window's own packets, so it measures sampling error alone, not
-// how far the scenario's mix drifts from its average.
-type MatrixCell struct {
-	Scenario string
-	Sampler  string
-	Windows  int
-	Offered  uint64
-	Selected uint64
-	Dropped  uint64
-	// MeanPhiSize and MeanPhiIat average the per-window φ over scored
-	// windows; WorstPhi is the maximum φ either target reached in any
-	// window. Unscored windows (no selection) are excluded.
-	MeanPhiSize float64
-	MeanPhiIat  float64
-	WorstPhi    float64
-	// MeanK is the granularity averaged over windows: the configured k
-	// for fixed samplers, the controller's per-window k for adaptive.
-	// KChanges counts adaptive decisions that moved k (0 for fixed).
-	MeanK    float64
-	KChanges int
-}
-
-// MatrixResult is the scenario × sampler characterization matrix.
-type MatrixResult struct {
-	table
-	Seed     uint64
-	Duration time.Duration
-	K        int
-	Cells    []MatrixCell
-}
-
-// Matrix runs every preset scenario against every sampler at base
-// granularity k. Each cell is fully deterministic: its RNG seed is
-// derived from (seed, scenario, sampler) alone and every run uses one
-// shard, so repeated invocations are
-// byte-identical in every export format.
-func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
-	out := &MatrixResult{Seed: seed, Duration: dur, K: k, table: newTable("matrix",
-		fmt.Sprintf("scenario × sampler matrix (seed %d, %s, k=%d)", seed, dur, k),
+// Matrix is the scenario × sampler characterization matrix: it runs
+// every preset scenario against every sampler at base granularity k.
+// Each cell is fully deterministic: its RNG seed is derived from (seed,
+// scenario, sampler) alone and every run uses one shard, so repeated
+// invocations are byte-identical in every export format.
+func Matrix(seed uint64, dur time.Duration, k int) (Result, error) {
+	out := newTable("matrix", fmt.Sprintf("scenario × sampler matrix (seed %d, %s, k=%d)", seed, dur, k),
 		column{"scenario", "scenario", "%-14s"}, column{"sampler", "sampler", "%-18s"},
 		column{"windows", "win", "%4d"}, column{"offered", "offered", "%9d"},
 		column{"selected", "selected", "%9d"}, column{"dropped", "dropped", "%8d"},
 		column{"mean_phi_size", "phi[size]", "%9.4f"}, column{"mean_phi_iat", "phi[iat]", "%9.4f"},
 		column{"worst_phi", "worstphi", "%9.4f"}, column{"mean_k", "mean_k", "%8.1f"},
-		column{"k_changes", "moves", "%5d"})}
+		column{"k_changes", "moves", "%5d"})
 	for _, name := range traffgen.ScenarioNames() {
 		s, err := traffgen.PresetScenario(name, seed, dur)
 		if err != nil {
@@ -78,14 +44,9 @@ func Matrix(seed uint64, dur time.Duration, k int) (*MatrixResult, error) {
 			return nil, err
 		}
 		for _, sampler := range MatrixSamplers {
-			c, err := matrixCell(tr, name, sampler, seed, dur, k)
-			if err != nil {
+			if err := addMatrixCell(out, tr, name, sampler, seed, dur, k); err != nil {
 				return nil, fmt.Errorf("matrix %s/%s: %w", name, sampler, err)
 			}
-			out.Cells = append(out.Cells, c)
-			out.addRow(str(c.Scenario), str(c.Sampler), integer(c.Windows), integer(c.Offered),
-				integer(c.Selected), integer(c.Dropped), float(c.MeanPhiSize), float(c.MeanPhiIat),
-				float(c.WorstPhi), float(c.MeanK), integer(c.KChanges))
 		}
 	}
 	return out, nil
@@ -99,8 +60,17 @@ func cellSeed(seed uint64, scenario, sampler string) uint64 {
 	return h.Sum64()
 }
 
-func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time.Duration, k int) (MatrixCell, error) {
-	cell := MatrixCell{Scenario: scenario, Sampler: sampler}
+// addMatrixCell appends one (scenario, sampler) run of the windowed
+// pipeline over the scenario trace. Each window's φ scores its sample
+// against that window's own packets, so it measures sampling error
+// alone, not how far the scenario's mix drifts from its average. The
+// row's mean φ per target averages the scored windows' φ (a window
+// that selected nothing is unscored); its worst φ is the maximum either
+// target reached in any window; its mean k averages the granularity over
+// windows — the configured k for fixed samplers, the controller's
+// per-window k for adaptive — and its moves count the adaptive
+// decisions that changed k (0 for fixed).
+func addMatrixCell(out *table, tr *trace.Trace, scenario, sampler string, seed uint64, dur time.Duration, k int) error {
 	cfg := pipeline.Config{
 		Shards:   1,
 		WindowUS: dur.Microseconds() / 6,
@@ -122,26 +92,27 @@ func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time
 			return online.New(sampler, k, period, rng)
 		}
 	}
-	var sizeSum, iatSum float64
+	var windows, moves int
+	var offered, selected, dropped uint64
+	var sizeSum, iatSum, worst, kSum float64
 	var sizeN, iatN int
-	var kSum float64
 	cfg.OnSnapshot = func(snap *pipeline.Snapshot) {
-		cell.Windows++
-		cell.Offered += snap.Offered
-		cell.Selected += snap.Selected
-		cell.Dropped += snap.Dropped
+		windows++
+		offered += snap.Offered
+		selected += snap.Selected
+		dropped += snap.Dropped
 		if snap.SizeReport != nil {
 			sizeSum += snap.SizeReport.Phi
 			sizeN++
-			if snap.SizeReport.Phi > cell.WorstPhi {
-				cell.WorstPhi = snap.SizeReport.Phi
+			if snap.SizeReport.Phi > worst {
+				worst = snap.SizeReport.Phi
 			}
 		}
 		if snap.IatReport != nil {
 			iatSum += snap.IatReport.Phi
 			iatN++
-			if snap.IatReport.Phi > cell.WorstPhi {
-				cell.WorstPhi = snap.IatReport.Phi
+			if snap.IatReport.Phi > worst {
+				worst = snap.IatReport.Phi
 			}
 		}
 		if snap.K > 0 {
@@ -152,24 +123,27 @@ func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time
 	}
 	p, err := pipeline.New(cfg)
 	if err != nil {
-		return cell, err
+		return err
 	}
 	if err := p.Run(tr.Replay()); err != nil {
-		return cell, err
+		return err
 	}
+	var meanSize, meanIat, meanK float64
 	if sizeN > 0 {
-		cell.MeanPhiSize = sizeSum / float64(sizeN)
+		meanSize = sizeSum / float64(sizeN)
 	}
 	if iatN > 0 {
-		cell.MeanPhiIat = iatSum / float64(iatN)
+		meanIat = iatSum / float64(iatN)
 	}
-	if cell.Windows > 0 {
-		cell.MeanK = kSum / float64(cell.Windows)
+	if windows > 0 {
+		meanK = kSum / float64(windows)
 	}
 	for _, d := range p.Decisions() {
 		if d.K != d.PrevK {
-			cell.KChanges++
+			moves++
 		}
 	}
-	return cell, nil
+	out.addRow(str(scenario), str(sampler), integer(windows), integer(offered), integer(selected), integer(dropped),
+		float(meanSize), float(meanIat), float(worst), float(meanK), integer(moves))
+	return nil
 }

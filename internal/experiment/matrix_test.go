@@ -11,7 +11,7 @@ import (
 // matrixQuick mirrors `experiments -matrix -quick` exactly (seed 1993,
 // 30 s scenarios, k=10), so the checked-in goldens pin both this test
 // and the CI matrix-smoke job that diffs the binary's output.
-func matrixQuick(t *testing.T) *MatrixResult {
+func matrixQuick(t *testing.T) Result {
 	t.Helper()
 	r, err := Matrix(1993, 30*time.Second, 10)
 	if err != nil {
@@ -64,21 +64,24 @@ func TestMatrixQuickGolden(t *testing.T) {
 func TestMatrixShape(t *testing.T) {
 	r := matrixQuick(t)
 	wantCells := 5 * len(MatrixSamplers)
-	if len(r.Cells) != wantCells {
-		t.Fatalf("got %d cells, want %d", len(r.Cells), wantCells)
+	scenario, sampler := strs(t, r, "scenario"), strs(t, r, "sampler")
+	if len(scenario) != wantCells {
+		t.Fatalf("got %d cells, want %d", len(scenario), wantCells)
 	}
-	moves := 0
-	for _, c := range r.Cells {
-		if c.Windows < 2 {
-			t.Errorf("%s/%s: only %d windows", c.Scenario, c.Sampler, c.Windows)
+	windows, offered, selected := ints(t, r, "windows"), ints(t, r, "offered"), ints(t, r, "selected")
+	kChanges := ints(t, r, "k_changes")
+	var moves int64
+	for i := range scenario {
+		if windows[i] < 2 {
+			t.Errorf("%s/%s: only %d windows", scenario[i], sampler[i], windows[i])
 		}
-		if c.Offered == 0 || c.Selected == 0 {
-			t.Errorf("%s/%s: empty cell (offered=%d selected=%d)", c.Scenario, c.Sampler, c.Offered, c.Selected)
+		if offered[i] == 0 || selected[i] == 0 {
+			t.Errorf("%s/%s: empty cell (offered=%d selected=%d)", scenario[i], sampler[i], offered[i], selected[i])
 		}
-		if c.Sampler == "adaptive" {
-			moves += c.KChanges
-		} else if c.KChanges != 0 {
-			t.Errorf("%s/%s: fixed sampler reports %d k-changes", c.Scenario, c.Sampler, c.KChanges)
+		if sampler[i] == "adaptive" {
+			moves += kChanges[i]
+		} else if kChanges[i] != 0 {
+			t.Errorf("%s/%s: fixed sampler reports %d k-changes", scenario[i], sampler[i], kChanges[i])
 		}
 	}
 	if moves == 0 {

@@ -10,45 +10,33 @@ import (
 
 // Paper-reported reference values (Tables 2 and 3 of Claffy, Polyzos &
 // Braun 1993), against which the synthetic population is checked.
-var paperReference = []ReproCheckRow{
-	{Quantity: "pps mean", Paper: 424.2},
-	{Quantity: "pps stddev", Paper: 85.1},
-	{Quantity: "pps skew", Paper: 0.96},
-	{Quantity: "kB/s mean", Paper: 98.6},
-	{Quantity: "size mean (B)", Paper: 232},
-	{Quantity: "size stddev (B)", Paper: 236},
-	{Quantity: "size p25 (B)", Paper: 40},
-	{Quantity: "size median (B)", Paper: 76},
-	{Quantity: "size p75 (B)", Paper: 552},
-	{Quantity: "size p95 (B)", Paper: 552},
-	{Quantity: "size max (B)", Paper: 1500},
-	{Quantity: "iat mean (us)", Paper: 2358},
-	{Quantity: "iat stddev (us)", Paper: 2734},
-	{Quantity: "iat median (us)", Paper: 1600},
-	{Quantity: "iat p75 (us)", Paper: 3200},
-	{Quantity: "iat p95 (us)", Paper: 7600},
+var paperReference = []struct {
+	quantity string
+	paper    float64
+}{
+	{"pps mean", 424.2},
+	{"pps stddev", 85.1},
+	{"pps skew", 0.96},
+	{"kB/s mean", 98.6},
+	{"size mean (B)", 232},
+	{"size stddev (B)", 236},
+	{"size p25 (B)", 40},
+	{"size median (B)", 76},
+	{"size p75 (B)", 552},
+	{"size p95 (B)", 552},
+	{"size max (B)", 1500},
+	{"iat mean (us)", 2358},
+	{"iat stddev (us)", 2734},
+	{"iat median (us)", 1600},
+	{"iat p75 (us)", 3200},
+	{"iat p95 (us)", 7600},
 }
 
-// ReproCheckRow is one paper-vs-measured comparison.
-type ReproCheckRow struct {
-	Quantity string
-	Paper    float64
-	Measured float64
-	RelDiff  float64 // (measured - paper) / paper
-}
-
-// ReproCheckResult is the calibration scorecard: every Table 2/3
-// population statistic the paper reports, next to this run's measured
-// value.
-type ReproCheckResult struct {
-	table
-	Rows []ReproCheckRow
-}
-
-// ReproCheck measures the reference quantities on the parent population:
-// the per-second series from its packets, the Table 3 rows from its
-// profile.
-func ReproCheck(p *core.Profile) (*ReproCheckResult, error) {
+// ReproCheck is the calibration scorecard: every Table 2/3 population
+// statistic the paper reports, next to its value measured on the parent
+// population — the per-second series from its packets, the Table 3 rows
+// from its profile — and their relative difference.
+func ReproCheck(p *core.Profile) (Result, error) {
 	rows := p.Population().PerSecondSeries()
 	if len(rows) == 0 {
 		return nil, stats.ErrEmpty
@@ -90,30 +78,20 @@ func ReproCheck(p *core.Profile) (*ReproCheckResult, error) {
 		"iat p75 (us)":    iat.P75,
 		"iat p95 (us)":    iat.P95,
 	}
-	out := &ReproCheckResult{table: newTable("repro-check",
-		"calibration scorecard: paper-reported vs measured population statistics",
+	out := newTable("repro-check", "calibration scorecard: paper-reported vs measured population statistics",
 		column{"quantity", "quantity", "%-18s"}, column{"paper", "paper", "%10.1f"},
-		column{"measured", "measured", "%10.1f"}, column{"diff_pct", "diff", "%7.1f%%"})}
+		column{"measured", "measured", "%10.1f"}, column{"diff_pct", "diff", "%7.1f%%"})
+	exact := 0 // quantities measured within 1% of the paper value
 	for _, ref := range paperReference {
-		row := ref
-		row.Measured = measured[ref.Quantity]
-		if ref.Paper != 0 {
-			row.RelDiff = (row.Measured - ref.Paper) / math.Abs(ref.Paper)
+		m, rel := measured[ref.quantity], 0.0
+		if ref.paper != 0 {
+			rel = (m - ref.paper) / math.Abs(ref.paper)
 		}
-		out.Rows = append(out.Rows, row)
-		out.addRow(str(row.Quantity), float(row.Paper), float(row.Measured), float(100*row.RelDiff))
+		if math.Abs(rel) <= 0.01 {
+			exact++
+		}
+		out.addRow(str(ref.quantity), float(ref.paper), float(m), float(100*rel))
 	}
-	out.below = []string{fmt.Sprintf("%d of %d quantities within 1%% of the paper", out.ExactMatches(), len(out.Rows))}
+	out.below = []string{fmt.Sprintf("%d of %d quantities within 1%% of the paper", exact, len(paperReference))}
 	return out, nil
-}
-
-// ExactMatches counts rows measured within 1% of the paper value.
-func (r *ReproCheckResult) ExactMatches() int {
-	n := 0
-	for _, row := range r.Rows {
-		if math.Abs(row.RelDiff) <= 0.01 {
-			n++
-		}
-	}
-	return n
 }

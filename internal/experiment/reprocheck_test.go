@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,12 +16,13 @@ func TestReproCheckSmallTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 16 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	quantity, measured := strs(t, r, "quantity"), floats(t, r, "measured")
+	if len(quantity) != 16 {
+		t.Fatalf("rows = %d", len(quantity))
 	}
-	for _, row := range r.Rows {
-		if math.IsNaN(row.Measured) || math.IsInf(row.Measured, 0) {
-			t.Errorf("%s measured = %v", row.Quantity, row.Measured)
+	for i, m := range measured {
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			t.Errorf("%s measured = %v", quantity[i], m)
 		}
 	}
 	out := render(t, r)
@@ -42,13 +44,24 @@ func TestReproCheckHourScorecard(t *testing.T) {
 	// discrete quantiles) and keeps every quantity within 50% - the
 	// loosest row is the per-second skewness, a third-moment statistic
 	// the calibration matches in sign and magnitude class only.
-	if r.ExactMatches() < 6 {
-		t.Errorf("only %d exact matches", r.ExactMatches())
+	// The line below the table counts the exact matches.
+	var exact, of int
+	below := tab(t, r).below
+	if len(below) != 1 {
+		t.Fatalf("lines below the table: %q", below)
 	}
-	for _, row := range r.Rows {
-		if math.Abs(row.RelDiff) > 0.5 {
+	if _, err := fmt.Sscanf(below[0], "%d of %d quantities", &exact, &of); err != nil {
+		t.Fatalf("%q: %v", below[0], err)
+	}
+	if exact < 6 {
+		t.Errorf("only %d exact matches", exact)
+	}
+	quantity, paper, measured, diff := strs(t, r, "quantity"), floats(t, r, "paper"),
+		floats(t, r, "measured"), floats(t, r, "diff_pct")
+	for i := range quantity {
+		if math.Abs(diff[i]) > 50 {
 			t.Errorf("%s off by %.0f%% (paper %v, measured %v)",
-				row.Quantity, 100*row.RelDiff, row.Paper, row.Measured)
+				quantity[i], diff[i], paper[i], measured[i])
 		}
 	}
 }

@@ -6,37 +6,25 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"netsample/internal/core"
+	"netsample/internal/fanout"
 	"netsample/internal/trace"
 )
 
 // job is one table or figure of the suite: the artifact id its result
-// reports, and the runner that produces it from the parent population's
-// profile.
+// reports, which tags the runner's error, and the runner that produces
+// it from the parent population's profile.
 type job struct {
 	id  string
 	run func(p *core.Profile) (Result, error)
 }
 
-// onProfile adapts an experiment constructor to the suite's uniform job
-// shape, tagging failures with the experiment's concrete type the way
-// the historical serial loop did.
-func onProfile[T Result](f func(*core.Profile) (T, error)) func(*core.Profile) (Result, error) {
-	return func(p *core.Profile) (Result, error) {
-		r, err := f(p)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %T: %w", r, err)
-		}
-		return r, nil
-	}
-}
-
-// onTrace is onProfile for the experiments that read the population's
-// packets rather than its profile.
-func onTrace[T Result](f func(*trace.Trace) (T, error)) func(*core.Profile) (Result, error) {
-	return onProfile(func(p *core.Profile) (T, error) { return f(p.Population()) })
+// onTrace adapts a runner that reads the population's packets rather
+// than its profile to the suite's job shape.
+func onTrace(f func(*trace.Trace) (Result, error)) func(*core.Profile) (Result, error) {
+	return func(p *core.Profile) (Result, error) { return f(p.Population()) }
 }
 
 // suite lists every table and figure in paper order. Each job is
@@ -47,9 +35,9 @@ func onTrace[T Result](f func(*trace.Trace) (T, error)) func(*core.Profile) (Res
 var suite = []job{
 	{"table1", func(*core.Profile) (Result, error) { return Table1(), nil }},
 	{"table2", onTrace(Table2)},
-	{"table3", onProfile(Table3)},
-	{"figure1", onProfile(func(*core.Profile) (*Figure1Result, error) { return Figure1(30, 20, 800) })},
-	{"figure2", onProfile(func(*core.Profile) (*Figure2Result, error) { return Figure2() })},
+	{"table3", Table3},
+	{"figure1", func(*core.Profile) (Result, error) { return Figure1(30, 20, 800) }},
+	{"figure2", func(*core.Profile) (Result, error) { return Figure2() }},
 	{"figure3", onTrace(Figure3)},
 	{"figure4", onTrace(Figure4)},
 	{"figure5", onTrace(Figure5)},
@@ -59,23 +47,19 @@ var suite = []job{
 	{"figure9", onTrace(Figure9)},
 	{"figure10", onTrace(Figure10)},
 	{"figure11", onTrace(Figure11)},
-	{"sec5.1", onProfile(SampleSizes)},
-	{"sec5.2", onTrace(func(tr *trace.Trace) (*ChiSquareAcceptanceResult, error) {
-		return ChiSquareAcceptance(tr, core.TargetSize)
-	})},
-	{"sec5.2", onTrace(func(tr *trace.Trace) (*ChiSquareAcceptanceResult, error) {
-		return ChiSquareAcceptance(tr, core.TargetInterarrival)
-	})},
+	{"sec5.1", SampleSizes},
+	{"sec5.2", onTrace(func(tr *trace.Trace) (Result, error) { return ChiSquareAcceptance(tr, core.TargetSize) })},
+	{"sec5.2", onTrace(func(tr *trace.Trace) (Result, error) { return ChiSquareAcceptance(tr, core.TargetInterarrival) })},
 	{"ext-ports", onTrace(ExtPorts)},
 	{"ext-matrix", onTrace(ExtMatrix)},
-	{"sec5-theory", onTrace(func(tr *trace.Trace) (*TheoryResult, error) { return Theory(tr, core.TargetSize) })},
-	{"ext-adaptive", onProfile(func(*core.Profile) (*AdaptiveResult, error) { return Adaptive() })},
+	{"sec5-theory", onTrace(func(tr *trace.Trace) (Result, error) { return Theory(tr, core.TargetSize) })},
+	{"ext-adaptive", func(*core.Profile) (Result, error) { return Adaptive() }},
 	{"ext-fixwest", onTrace(FIXWest)},
 	{"ext-burst", onTrace(Burst)},
 	{"ext-artshist", onTrace(ArtsHist)},
 	{"ext-flows", onTrace(FlowBias)},
 	{"ext-heavyhitters", onTrace(HeavyHitters)},
-	{"repro-check", onProfile(ReproCheck)},
+	{"repro-check", ReproCheck},
 }
 
 // All runs the complete experiment suite — every table and figure — on
@@ -110,39 +94,26 @@ func Only(id string) (func(tr *trace.Trace) ([]Result, error), error) {
 
 // runJobs runs jobs over one profile of tr.
 //
-// Independent experiments run concurrently across a worker pool, but the
-// returned slice is index-addressed by the job list, so the output is
-// byte-identical to running the jobs in order on one goroutine
-// (allSerial in suite_ref_test.go, pinned by TestAllMatchesSerial). On
-// failure the error of the earliest failing job in list order is
-// returned.
+// Independent experiments run concurrently across a worker pool, each
+// worker taking the next job in list order, but the returned slice is
+// index-addressed by the job list, so the output is byte-identical to
+// running the jobs in order on one goroutine (allSerial in
+// suite_ref_test.go, pinned by TestAllMatchesSerial). On failure the
+// error of the earliest failing job in list order is returned, tagged
+// with its id.
 func runJobs(tr *trace.Trace, jobs []job) ([]Result, error) {
 	p := core.NewProfile(tr)
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = jobs[i].run(p)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+	var next atomic.Int64
+	fanout.Run(min(runtime.GOMAXPROCS(0), len(jobs)), func(int) {
+		for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+			results[i], errs[i] = jobs[i].run(p)
+		}
+	})
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiment %s: %w", jobs[i].id, err)
 		}
 	}
 	return results, nil

@@ -13,7 +13,7 @@ import (
 // table is one artifact's output, described once: its id and title,
 // its columns, its rows of typed cells, and the lines only the text
 // shows — totals, prose and legends. WriteText, WriteCSV and WriteJSON
-// render it. Every result embeds the table its runner filled.
+// render it. A runner returns the table it filled as its Result.
 type table struct {
 	id, title string
 	cols      []column
@@ -46,8 +46,8 @@ func str(s string) cell                           { return cell{kind: 's', s: s}
 func integer[T ~int | ~int64 | ~uint64](n T) cell { return cell{kind: 'd', n: int64(n)} }
 func float(f float64) cell                        { return cell{kind: 'f', f: f} }
 
-func newTable(id, title string, cols ...column) table {
-	return table{id: id, title: title, cols: cols}
+func newTable(id, title string, cols ...column) *table {
+	return &table{id: id, title: title, cols: cols}
 }
 
 // addRow appends one row, a cell for each column.

@@ -4,11 +4,77 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"netsample/internal/core"
 )
+
+// tab returns the table r renders: tests read an artifact's numbers
+// from the cells it publishes.
+func tab(t testing.TB, r Result) *table {
+	t.Helper()
+	switch x := r.(type) {
+	case *table:
+		return x
+	case *MethodsFigureResult:
+		return x.table
+	}
+	t.Fatalf("%T renders no table", r)
+	return nil
+}
+
+// cells returns the cells of r's column name, in row order.
+func cells(t testing.TB, r Result, name string) []cell {
+	t.Helper()
+	tb := tab(t, r)
+	j := slices.IndexFunc(tb.cols, func(c column) bool { return c.name == name })
+	if j < 0 {
+		t.Fatalf("%s has no column %q", tb.id, name)
+	}
+	var out []cell
+	for i := j; i < len(tb.cells); i += len(tb.cols) {
+		out = append(out, tb.cells[i])
+	}
+	return out
+}
+
+// floats, ints and strs return a column's values, which must all be of
+// that kind.
+func floats(t testing.TB, r Result, name string) []float64 {
+	t.Helper()
+	return values(t, r, name, 'f', func(c cell) float64 { return c.f })
+}
+
+func ints(t testing.TB, r Result, name string) []int64 {
+	t.Helper()
+	return values(t, r, name, 'd', func(c cell) int64 { return c.n })
+}
+
+func strs(t testing.TB, r Result, name string) []string {
+	t.Helper()
+	return values(t, r, name, 's', func(c cell) string { return c.s })
+}
+
+func values[T any](t testing.TB, r Result, name string, kind byte, v func(cell) T) []T {
+	t.Helper()
+	var out []T
+	for i, c := range cells(t, r, name) {
+		if c.kind != kind {
+			t.Fatalf("%s column %q row %d is a %q cell, want %q", r.ID(), name, i, c.kind, kind)
+		}
+		out = append(out, v(c))
+	}
+	return out
+}
+
+// numRows is the number of rows r publishes.
+func numRows(t testing.TB, r Result) int {
+	t.Helper()
+	tb := tab(t, r)
+	return len(tb.cells) / len(tb.cols)
+}
 
 func TestWriteCSVParses(t *testing.T) {
 	tr := testTrace(t)
@@ -24,7 +90,7 @@ func TestWriteCSVParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != len(r.Means)+1 {
+	if len(records) != len(figure6Grans)+1 {
 		t.Fatalf("csv rows = %d", len(records))
 	}
 	if records[0][0] != "artifact" || records[1][0] != "figure7" {

@@ -13,16 +13,18 @@ func TestTheoryDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 5 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	k := ints(t, r, "granularity")
+	if len(k) != 5 {
+		t.Fatalf("rows = %d", len(k))
 	}
-	for _, d := range r.Rows {
-		if d.PopulationVariance <= 0 || d.MeanWithinVariance <= 0 {
-			t.Fatalf("non-positive variance at k=%d: %+v", d.K, d)
+	pop, within, ratio := floats(t, r, "population_variance"), floats(t, r, "within_variance"), floats(t, r, "ratio")
+	for i := range k {
+		if pop[i] <= 0 || within[i] <= 0 {
+			t.Fatalf("non-positive variance at k=%d: %v %v", k[i], pop[i], within[i])
 		}
 		// The calibrated population is close to randomly ordered.
-		if d.Ratio < 0.8 || d.Ratio > 1.2 {
-			t.Errorf("k=%d ratio %v far from 1", d.K, d.Ratio)
+		if ratio[i] < 0.8 || ratio[i] > 1.2 {
+			t.Errorf("k=%d ratio %v far from 1", k[i], ratio[i])
 		}
 	}
 	out := render(t, r)
@@ -37,8 +39,8 @@ func TestTheoryInterarrivalTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Target != core.TargetInterarrival {
-		t.Fatal("wrong target")
+	if !strings.HasSuffix(r.Title(), ", interarrival target") {
+		t.Fatalf("wrong target: %q", r.Title())
 	}
 	render(t, r)
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 
 	"netsample/internal/core"
 	"netsample/internal/flows"
@@ -173,8 +174,9 @@ func refAutocorrelation(xs []float64, lags ...int) ([]float64, error) {
 
 // refFlowBias is the historical FlowBias: the window decomposed into
 // sorted flow records, each 1-in-k sub-trace copied out of it and
-// decomposed again, and every record set summarized.
-func refFlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
+// decomposed again, and every record set summarized. Its title and
+// columns are FlowBias's.
+func refFlowBias(tr *trace.Trace) (Result, error) {
 	win := window(tr, 1024)
 	const timeout = 2_000_000
 	full, err := flows.Decompose(win, timeout)
@@ -182,12 +184,10 @@ func refFlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
 		return nil, err
 	}
 	fullSum := flows.Summarize(full)
-	out := &FlowBiasResult{
-		TrueFlows:     fullSum.Flows,
-		TrueMeanPkts:  fullSum.MeanPackets,
-		Granularities: []int{1, 10, 50, 250, 1000},
-	}
-	for _, k := range out.Granularities {
+	out := newTable("ext-flows", fmt.Sprintf("flow-level view under packet sampling (%d true flows, mean %.1f pkts)",
+		fullSum.Flows, fullSum.MeanPackets), granularity, column{"detected_fraction", "detected-frac", "%14.3f"},
+		column{"size_bias", "size-bias (x true)", "%18.2f"})
+	for _, k := range []int{1, 10, 50, 250, 1000} {
 		var sub *trace.Trace
 		if k == 1 {
 			sub = win
@@ -206,9 +206,8 @@ func refFlowBias(tr *trace.Trace) (*FlowBiasResult, error) {
 			return nil, err
 		}
 		sum := flows.Summarize(fs)
-		out.DetectedFrac = append(out.DetectedFrac, float64(sum.Flows)/float64(fullSum.Flows))
-		out.MeanPktsScale = append(out.MeanPktsScale,
-			sum.MeanPackets*float64(k)/fullSum.MeanPackets)
+		out.addRow(integer(k), float(float64(sum.Flows)/float64(fullSum.Flows)),
+			float(sum.MeanPackets*float64(k)/fullSum.MeanPackets))
 	}
 	return out, nil
 }

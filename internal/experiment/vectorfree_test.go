@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -83,6 +84,14 @@ func sameError(a, b error) bool {
 
 var bothTargets = []core.Target{core.TargetSize, core.TargetInterarrival}
 
+// table3Row reads row i of Table 3 back as the summary it publishes.
+func table3Row(t *testing.T, r Result, i int) stats.PopulationSummary {
+	t.Helper()
+	v := func(col string) float64 { return floats(t, r, col)[i] }
+	return stats.PopulationSummary{Min: v("min"), P5: v("p5"), P25: v("p25"), Median: v("median"),
+		P75: v("p75"), P95: v("p95"), Max: v("max"), Mean: v("mean"), StdDev: v("stddev")}
+}
+
 // TestProfileMatchesSliceForms pins both parts of the profile, and the
 // Table 3 built from it, to Describe and the historical Population over
 // the materialized observation vectors (refObservations): every field equal
@@ -117,7 +126,8 @@ func TestProfileMatchesSliceForms(t *testing.T) {
 			}
 		case err != nil:
 			t.Errorf("%s: Table3: %v", pop.name, err)
-		case t3.Size != want[0] || t3.Interarrival != want[1] || t3.TotalPackets != pop.tr.Len():
+		case table3Row(t, t3, 0) != want[0] || table3Row(t, t3, 1) != want[1] ||
+			tab(t, t3).above[0] != fmt.Sprintf("total population = %d packets", pop.tr.Len()):
 			t.Errorf("%s: Table3 = %+v, want %+v / %+v", pop.name, t3, want[0], want[1])
 		}
 	}
@@ -152,8 +162,11 @@ func TestBurstMatchesSliceIDC(t *testing.T) {
 		got, gotErr := Burst(pop.tr)
 		if !sameError(gotErr, wantErr) {
 			t.Errorf("%s: Burst error %v, slice form %v", pop.name, gotErr, wantErr)
-		} else if gotErr == nil && (!slices.Equal(got.WindowsUS, windows) || !slices.Equal(got.IDC, want)) {
-			t.Errorf("%s: Burst = %+v, slice form %v", pop.name, got, want)
+		} else if gotErr == nil {
+			ms, idc := ints(t, got, "window_ms"), floats(t, got, "idc")
+			if !slices.Equal(ms, []int64{1, 10, 100, 1_000, 10_000}) || !slices.Equal(idc, want) {
+				t.Errorf("%s: Burst = %v ms %v, slice form %v", pop.name, ms, idc, want)
+			}
 		}
 	}
 }
@@ -175,8 +188,17 @@ func TestTheoryMatchesSingleK(t *testing.T) {
 			got, gotErr := Theory(pop.tr, target)
 			if !sameError(gotErr, wantErr) {
 				t.Errorf("%s %s: Theory error %v, single-k form %v", pop.name, target, gotErr, wantErr)
-			} else if gotErr == nil && !slices.Equal(got.Rows, want) {
-				t.Errorf("%s %s: Theory = %+v, single-k form %+v", pop.name, target, got.Rows, want)
+			} else if gotErr == nil {
+				var rows []core.EfficiencyDiagnostic
+				popVar, within, ratio, autocorr := floats(t, got, "population_variance"), floats(t, got, "within_variance"),
+					floats(t, got, "ratio"), floats(t, got, "autocorrelation")
+				for i, k := range ints(t, got, "granularity") {
+					rows = append(rows, core.EfficiencyDiagnostic{K: int(k), PopulationVariance: popVar[i],
+						MeanWithinVariance: within[i], Ratio: ratio[i], LagAutocorr: autocorr[i]})
+				}
+				if !slices.Equal(rows, want) {
+					t.Errorf("%s %s: Theory = %+v, single-k form %+v", pop.name, target, rows, want)
+				}
 			}
 		}
 	}
@@ -199,11 +221,10 @@ func TestFlowBiasMatchesRecords(t *testing.T) {
 		case !sameError(gotErr, wantErr):
 			t.Errorf("%s: FlowBias error %v, record form %v", pop.name, gotErr, wantErr)
 		case gotErr != nil:
-		case got.TrueFlows != want.TrueFlows ||
-			!sameBits([]float64{got.TrueMeanPkts}, []float64{want.TrueMeanPkts}) ||
-			!slices.Equal(got.Granularities, want.Granularities) ||
-			!sameBits(got.DetectedFrac, want.DetectedFrac) ||
-			!sameBits(got.MeanPktsScale, want.MeanPktsScale):
+		case got.Title() != want.Title() ||
+			!slices.Equal(ints(t, got, "granularity"), ints(t, want, "granularity")) ||
+			!sameBits(floats(t, got, "detected_fraction"), floats(t, want, "detected_fraction")) ||
+			!sameBits(floats(t, got, "size_bias"), floats(t, want, "size_bias")):
 			t.Errorf("%s: FlowBias = %+v, record form %+v", pop.name, got, want)
 		}
 	}
@@ -274,7 +295,7 @@ func TestPopulationArtifactsBytes(t *testing.T) {
 	// cells; everything else it allocates is a few hundred bytes. So the
 	// sweep allocates at most the sum over k of those doubling series
 	// plus 4 kB, all fixed by the sample's distinct 5-tuples.
-	var fb *FlowBiasResult
+	var fb Result
 	got := bytesAllocated(func() {
 		var err error
 		fb, err = FlowBias(tr)
@@ -282,9 +303,9 @@ func TestPopulationArtifactsBytes(t *testing.T) {
 	})
 	win := window(tr, 1024)
 	var limit uint64 = 4 << 10
-	for _, k := range fb.Granularities {
+	for _, k := range ints(t, fb, "granularity") {
 		keys := make(map[flows.Key]bool)
-		fail(core.SystematicCount{K: k}.SelectEach(win, nil, func(i int) {
+		fail(core.SystematicCount{K: int(k)}.SelectEach(win, nil, func(i int) {
 			keys[flows.KeyOf(win.Packets[i])] = true
 		}))
 		limit += 24*doubled(len(keys), 8) + 4*doubled(2*len(keys), 16)

@@ -1,7 +1,7 @@
-// Package fanout splits one packet-sized job over GOMAXPROCS workers:
-// the trace generator's staging and sort, and an evaluator's population
-// count. Both take the same worker count for the same size, so the
-// threshold lives here.
+// Package fanout splits one job over GOMAXPROCS workers: the trace
+// generator's staging and sort, an evaluator's population count, and
+// the experiment suite's artifacts. The packet-sized ones take the same
+// worker count for the same size, so the threshold lives here.
 package fanout
 
 import (

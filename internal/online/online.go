@@ -50,12 +50,8 @@ import (
 // Sampler is a streaming per-packet selector. Offer is called once per
 // packet in arrival order and reports whether that packet is selected.
 type Sampler interface {
-	// Name identifies the method.
-	Name() string
 	// Offer processes one packet arrival and reports selection.
 	Offer(tUS int64) bool
-	// Reset prepares the sampler for a new collection interval.
-	Reset()
 }
 
 // Errors returned by constructors.
@@ -113,9 +109,6 @@ func NewSystematic(k, offset int) (*Systematic, error) {
 	return s, nil
 }
 
-// Name implements Sampler.
-func (s *Systematic) Name() string { return "online-systematic" }
-
 // K returns the granularity currently in force.
 func (s *Systematic) K() int { return s.k }
 
@@ -156,7 +149,8 @@ func (s *Systematic) Offer(int64) bool {
 	return sel
 }
 
-// Reset implements Sampler.
+// Reset restarts the schedule at the construction-time offset, as at a
+// new collection interval.
 func (s *Systematic) Reset() {
 	// First selection after offset packets have passed. The offset is
 	// reduced mod k so Reset stays well-defined after SetGranularity
@@ -185,13 +179,8 @@ func NewStratified(k int, rng *dist.RNG) (*Stratified, error) {
 	if k < 1 {
 		return nil, ErrBadGranularity
 	}
-	s := &Stratified{k: k, rng: rng}
-	s.Reset()
-	return s, nil
+	return &Stratified{k: k, rng: rng, target: rng.IntN(k)}, nil
 }
-
-// Name implements Sampler.
-func (s *Stratified) Name() string { return "online-stratified" }
 
 // Offer implements Sampler.
 func (s *Stratified) Offer(int64) bool {
@@ -202,12 +191,6 @@ func (s *Stratified) Offer(int64) bool {
 		s.target = s.rng.IntN(s.k)
 	}
 	return sel
-}
-
-// Reset implements Sampler.
-func (s *Stratified) Reset() {
-	s.pos = 0
-	s.target = s.rng.IntN(s.k)
 }
 
 // SystematicTimer selects the first packet to arrive at or after each
@@ -225,13 +208,8 @@ func NewSystematicTimer(periodUS, offsetUS int64) (*SystematicTimer, error) {
 	if periodUS < 1 {
 		return nil, ErrBadPeriod
 	}
-	s := &SystematicTimer{period: periodUS, offset: offsetUS}
-	s.Reset()
-	return s, nil
+	return &SystematicTimer{period: periodUS, offset: offsetUS}, nil
 }
-
-// Name implements Sampler.
-func (s *SystematicTimer) Name() string { return "online-systematic-timer" }
 
 // Offer implements Sampler.
 func (s *SystematicTimer) Offer(tUS int64) bool {
@@ -250,12 +228,6 @@ func (s *SystematicTimer) Offer(tUS int64) bool {
 	return false
 }
 
-// Reset implements Sampler.
-func (s *SystematicTimer) Reset() {
-	s.armed = false
-	s.next = 0
-}
-
 // StratifiedTimer draws one uniformly random expiry per period-long
 // time bucket and selects the first packet to arrive at or after each;
 // expiries no packet separates collapse into one selection.
@@ -272,13 +244,8 @@ func NewStratifiedTimer(periodUS int64, rng *dist.RNG) (*StratifiedTimer, error)
 	if periodUS < 1 {
 		return nil, ErrBadPeriod
 	}
-	s := &StratifiedTimer{period: periodUS, rng: rng}
-	s.Reset()
-	return s, nil
+	return &StratifiedTimer{period: periodUS, rng: rng}, nil
 }
-
-// Name implements Sampler.
-func (s *StratifiedTimer) Name() string { return "online-stratified-timer" }
 
 // Offer implements Sampler.
 func (s *StratifiedTimer) Offer(tUS int64) bool {
@@ -308,6 +275,3 @@ func (s *StratifiedTimer) openBucket(startUS int64) {
 	s.bucket = startUS
 	s.instant = startUS + s.rng.Int64N(s.period)
 }
-
-// Reset implements Sampler.
-func (s *StratifiedTimer) Reset() { s.armed = false }

@@ -2,6 +2,7 @@ package online
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,17 +160,17 @@ func TestStreamingSamplersProperty(t *testing.T) {
 
 func TestNewByMethodName(t *testing.T) {
 	for method, want := range map[string]string{
-		"systematic":       "online-systematic",
-		"stratified":       "online-stratified",
-		"systematic-timer": "online-systematic-timer",
-		"stratified-timer": "online-stratified-timer",
+		"systematic":       "*online.Systematic",
+		"stratified":       "*online.Stratified",
+		"systematic-timer": "*online.SystematicTimer",
+		"stratified-timer": "*online.StratifiedTimer",
 	} {
 		s, err := New(method, 10, 1000, dist.NewRNG(1))
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		if s.Name() != want {
-			t.Errorf("%s built %s", method, s.Name())
+		if got := fmt.Sprintf("%T", s); got != want {
+			t.Errorf("%s built %s", method, got)
 		}
 	}
 	if _, err := New("adaptive", 10, 1000, dist.NewRNG(1)); err == nil {

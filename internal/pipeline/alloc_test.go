@@ -379,17 +379,33 @@ func TestWireAppendDoesNotAllocate(t *testing.T) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	defer sw.Close()
-	// Warm the store: its encode scratch and leaf hashes reach their size.
-	for range 1000 {
+	// Warm the store: its encode scratch reaches its size, and it seals
+	// a full segment and opens the next, whose leaf-hash slice keeps the
+	// first's capacity. The 100 appends measured then neither grow that
+	// slice nor cross a segment boundary, whose new file allocates.
+	for range store.DefaultSegmentRecords + 1 {
 		if err := sw.AppendSnapshot(s.Wire("alloc-node")); err != nil {
 			t.Fatalf("AppendSnapshot: %v", err)
 		}
 	}
 	var appendErr error
-	if n := testing.AllocsPerRun(100, func() { appendErr = sw.AppendSnapshot(s.Wire("alloc-node")) }); n != 0 {
-		t.Errorf("AppendSnapshot(s.Wire(node)) made %v allocations, want 0", n)
+	if n := mallocs(100, func() { appendErr = sw.AppendSnapshot(s.Wire("alloc-node")) }); n != 0 {
+		t.Errorf("100 AppendSnapshot(s.Wire(node)) calls allocate %d times, want 0", n)
 	}
 	if appendErr != nil {
 		t.Fatalf("AppendSnapshot: %v", appendErr)
 	}
+}
+
+// mallocs counts the heap allocations of n calls of f exactly, where
+// testing.AllocsPerRun's integer mean hides fewer than one a call.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
