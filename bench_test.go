@@ -207,7 +207,11 @@ func BenchmarkTraceCodec(b *testing.B) {
 		if err := trace.Write(&buf, tr); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := trace.Read(&buf); err != nil {
+		m, err := trace.NewMapReaderBytes(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Trace(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -499,7 +503,8 @@ func BenchmarkMapReaderThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		n, err := mr.NextBatch(dst)
+		raw, n, err := mr.NextRawBatch(len(dst))
+		trace.DecodeRecords(dst[:n], raw)
 		if err == io.EOF {
 			mr.Rewind()
 			continue

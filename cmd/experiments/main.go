@@ -92,12 +92,14 @@ func main() {
 	var tr *trace.Trace
 	switch {
 	case *in != "":
-		f, ferr := os.Open(*in)
+		data, ferr := os.ReadFile(*in)
 		if ferr != nil {
 			log.Fatalf("open: %v", ferr)
 		}
-		tr, err = trace.Read(f)
-		f.Close()
+		var m *trace.MapReader
+		if m, err = trace.NewMapReaderBytes(data); err == nil {
+			tr, err = m.Trace()
+		}
 	case *quick:
 		tr, err = traffgen.Generate(traffgen.SmallTrace(12345))
 	default:

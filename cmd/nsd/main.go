@@ -63,6 +63,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
@@ -107,7 +108,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// The store, flow table and snapshot would replace a value below
+	// An input, a known method and a k of at least 1 are needed. The
+	// store, flow table and snapshot would replace a value below
 	// these bounds with their defaults, and the flow timeout and window
 	// are kept in whole µs. The store's flags mean nothing without
 	// -store, nor the controller's without -adaptive, under which
@@ -117,7 +119,9 @@ func main() {
 	// -method systematic and a -window.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
+	if *in == "" || *k < 1 ||
+		!slices.Contains([]string{"systematic", "stratified", "systematic-timer", "stratified-timer"}, *method) ||
+		*storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
 		*storeDir == "" && (set["store-sync"] || set["store-segment"]) ||
 		*window > 0 && *window < time.Microsecond || *shards < 1 ||
 		!*adaptive && (set["target"] || set["min-k"] || set["max-k"]) ||
@@ -147,9 +151,6 @@ func main() {
 		}()
 	}
 
-	if *in == "" {
-		log.Fatal("-in is required (nstrace gen writes a trace)")
-	}
 	// The pipeline ingests raw record windows straight out of the page
 	// cache; a torn file is refused here, before anything is served.
 	src, err := trace.OpenMap(*in)

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"flag"
 	"fmt"
@@ -114,18 +115,22 @@ func badInput(format, method string, k int) bool {
 }
 
 // load reads the trace at path in format, nstr or pcap, exiting on
-// failure.
+// failure. The file is read whole, not mapped, so an output written
+// over it (-convert) cannot pull the trace's pages from under it.
 func load(path, format string) *trace.Trace {
-	read := trace.Read
-	if format == "pcap" {
-		read = trace.ReadPcap
-	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatalf("open: %v", err)
 	}
-	tr, err := read(f)
-	f.Close()
+	var tr *trace.Trace
+	if format == "pcap" {
+		tr, err = trace.ReadPcap(bytes.NewReader(data))
+	} else {
+		var m *trace.MapReader
+		if m, err = trace.NewMapReaderBytes(data); err == nil {
+			tr, err = m.Trace()
+		}
+	}
 	if err != nil {
 		log.Fatalf("read: %v", err)
 	}

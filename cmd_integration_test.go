@@ -301,7 +301,8 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 		}
 	}
 	// A value nsd would silently replace with a default, ignore or
-	// refuse only once the trace is open is bad usage: store batches and
+	// refuse only once the trace is open is bad usage: no input, a k
+	// under 1, an unknown method, store batches and
 	// segments under one snapshot, either store flag without -store, no
 	// heavy hitters, a flow timeout or
 	// window that truncates to 0 µs, no shards, a controller flag
@@ -309,7 +310,8 @@ func TestNSDRefusesBeforeServing(t *testing.T) {
 	// that is not positive, a method other than systematic or no
 	// window. Each exits before it writes a byte to stdout.
 	store := filepath.Join(t.TempDir(), "store")
-	for _, bad := range [][]string{{"-store", store, "-store-sync", "-3"}, {"-store", store, "-store-segment", "0"},
+	for _, bad := range [][]string{{"-in", ""}, {"-k", "0"}, {"-method", "random"},
+		{"-store", store, "-store-sync", "-3"}, {"-store", store, "-store-segment", "0"},
 		{"-store-sync", "5"}, {"-store-segment", "3"}, {"-topk", "0"},
 		{"-flow-timeout", "0"}, {"-flow-timeout", "999ns"}, {"-window", "500ns"}, {"-shards", "0"},
 		{"-target", "-1"}, {"-min-k", "0", "-max-k", "-3"}, {"-max-k", "64"},
@@ -392,15 +394,7 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	// Batch reference on the exact trace the daemon will stream, cut to a
 	// whole number of 50-packet buckets: over a partial tail bucket the
 	// batch stratified sampler draws a different index than the online one.
-	f, err := os.Open(trPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("read trace: %v", err)
-	}
+	tr := readTrace(t, trPath)
 	tr.Packets = tr.Packets[:tr.Len()-tr.Len()%50]
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, tr); err != nil {

@@ -17,7 +17,6 @@ import (
 	"netsample/internal/online"
 	"netsample/internal/pipeline"
 	"netsample/internal/store"
-	"netsample/internal/trace"
 	"netsample/internal/traffgen"
 )
 
@@ -36,15 +35,7 @@ func TestNSDStoreReplayMatchesLive(t *testing.T) {
 
 	// In-process reference: the same pipeline configuration nsd builds
 	// from these flags, capturing each window's exact export payload.
-	f, err := os.Open(trPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("read trace: %v", err)
-	}
+	tr := readTrace(t, trPath)
 	cfg := pipeline.Config{
 		Shards:        1,
 		WindowUS:      (5 * time.Second).Microseconds(),

@@ -17,6 +17,25 @@ import (
 // boundaries: generation → file formats → (streaming) sampling →
 // scoring → estimation, the way the CLI tools compose the pieces.
 
+// readTrace reads the NSTR file at path whole and decodes it, as the
+// CLIs do.
+func readTrace(t testing.TB, path string) *trace.Trace {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := trace.NewMapReaderBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := m.Trace()
+	if err != nil {
+		t.Fatalf("read trace: %v", err)
+	}
+	return tr
+}
+
 func TestPipelineGenerateFileSampleScore(t *testing.T) {
 	// 1. Generate and persist.
 	tr, err := traffgen.Generate(traffgen.SmallTrace(1001))
@@ -37,15 +56,7 @@ func TestPipelineGenerateFileSampleScore(t *testing.T) {
 	}
 
 	// 2. Re-read and verify integrity.
-	g, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.Read(g)
-	g.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := readTrace(t, path)
 	if err := loaded.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,6 @@ type Sampler interface {
 	// Name identifies the method in experiment output, e.g.
 	// "systematic/packet".
 	Name() string
-	// TimerDriven reports whether selection is triggered by a timer
-	// (true) or a packet counter (false).
-	TimerDriven() bool
-	// Granularity returns the nominal sampling granularity k (the
-	// reciprocal of the sampling fraction) the sampler was built for.
-	Granularity() float64
 	// Select returns the sorted indices of the selected packets. The RNG
 	// drives any randomness; deterministic methods ignore it.
 	Select(tr *trace.Trace, r *dist.RNG) ([]int, error)

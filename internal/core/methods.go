@@ -68,12 +68,6 @@ type SystematicCount struct {
 // Name implements Sampler.
 func (s SystematicCount) Name() string { return "systematic/packet" }
 
-// TimerDriven implements Sampler.
-func (s SystematicCount) TimerDriven() bool { return false }
-
-// Granularity implements Sampler.
-func (s SystematicCount) Granularity() float64 { return float64(s.K) }
-
 // validate checks the parameters against the trace, returning its length.
 func (s SystematicCount) validate(tr *trace.Trace) (int, error) {
 	if s.K < 1 {
@@ -128,12 +122,6 @@ type StratifiedCount struct {
 // Name implements Sampler.
 func (s StratifiedCount) Name() string { return "stratified/packet" }
 
-// TimerDriven implements Sampler.
-func (s StratifiedCount) TimerDriven() bool { return false }
-
-// Granularity implements Sampler.
-func (s StratifiedCount) Granularity() float64 { return float64(s.K) }
-
 // validate checks the parameters against the trace, returning its length.
 func (s StratifiedCount) validate(tr *trace.Trace) (int, error) {
 	if s.K < 1 {
@@ -179,12 +167,6 @@ type SimpleRandom struct {
 
 // Name implements Sampler.
 func (s SimpleRandom) Name() string { return "random/packet" }
-
-// TimerDriven implements Sampler.
-func (s SimpleRandom) TimerDriven() bool { return false }
-
-// Granularity implements Sampler.
-func (s SimpleRandom) Granularity() float64 { return float64(s.K) }
 
 // validate checks the parameters against the trace, returning its length
 // and the sample size.
@@ -273,9 +255,6 @@ type SystematicTimer struct {
 	// approximation but seemingly inconsequential"; the ablations
 	// artifact (experiment.Ablations) quantifies that claim.
 	SelectPrevious bool
-	// nominalK records the granularity the period was derived from, for
-	// reporting; zero means unknown.
-	nominalK float64
 }
 
 // NewSystematicTimer builds a SystematicTimer whose period approximates
@@ -285,17 +264,11 @@ func NewSystematicTimer(tr *trace.Trace, k float64, offsetUS int64) (SystematicT
 	if err != nil {
 		return SystematicTimer{}, err
 	}
-	return SystematicTimer{PeriodUS: period, OffsetUS: offsetUS, nominalK: k}, nil
+	return SystematicTimer{PeriodUS: period, OffsetUS: offsetUS}, nil
 }
 
 // Name implements Sampler.
 func (s SystematicTimer) Name() string { return "systematic/timer" }
-
-// TimerDriven implements Sampler.
-func (s SystematicTimer) TimerDriven() bool { return true }
-
-// Granularity implements Sampler.
-func (s SystematicTimer) Granularity() float64 { return s.nominalK }
 
 // validateTimer checks a timer method's period against the trace,
 // returning the trace's length.
@@ -371,7 +344,6 @@ func (s SystematicTimer) Select(tr *trace.Trace, r *dist.RNG) ([]int, error) {
 // arrival.
 type StratifiedTimer struct {
 	PeriodUS int64
-	nominalK float64
 }
 
 // NewStratifiedTimer builds a StratifiedTimer whose period approximates
@@ -381,17 +353,11 @@ func NewStratifiedTimer(tr *trace.Trace, k float64) (StratifiedTimer, error) {
 	if err != nil {
 		return StratifiedTimer{}, err
 	}
-	return StratifiedTimer{PeriodUS: period, nominalK: k}, nil
+	return StratifiedTimer{PeriodUS: period}, nil
 }
 
 // Name implements Sampler.
 func (s StratifiedTimer) Name() string { return "stratified/timer" }
-
-// TimerDriven implements Sampler.
-func (s StratifiedTimer) TimerDriven() bool { return true }
-
-// Granularity implements Sampler.
-func (s StratifiedTimer) Granularity() float64 { return s.nominalK }
 
 // SelectEach implements Sampler: online.StratifiedTimer, drawing from r,
 // offered the trace.

@@ -373,14 +373,14 @@ func TestTimerConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PeriodUS != 50_000 || st.Granularity() != 50 {
+	if st.PeriodUS != 50_000 {
 		t.Fatalf("systematic timer = %+v", st)
 	}
 	rt, err := NewStratifiedTimer(tr, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.PeriodUS != 20_000 || rt.Granularity() != 20 {
+	if rt.PeriodUS != 20_000 {
 		t.Fatalf("stratified timer = %+v", rt)
 	}
 }
@@ -391,8 +391,8 @@ func TestNewByMethodName(t *testing.T) {
 		"systematic":       SystematicCount{K: 50, Offset: 3},
 		"stratified":       StratifiedCount{K: 50},
 		"random":           SimpleRandom{K: 50},
-		"systematic-timer": SystematicTimer{PeriodUS: 50_000, nominalK: 50},
-		"stratified-timer": StratifiedTimer{PeriodUS: 50_000, nominalK: 50},
+		"systematic-timer": SystematicTimer{PeriodUS: 50_000},
+		"stratified-timer": StratifiedTimer{PeriodUS: 50_000},
 	} {
 		offset := 0
 		if method == "systematic" {
@@ -414,26 +414,19 @@ func TestNewByMethodName(t *testing.T) {
 
 func TestSamplerMetadata(t *testing.T) {
 	cases := []struct {
-		s     Sampler
-		name  string
-		timer bool
+		s    Sampler
+		name string
 	}{
-		{SystematicCount{K: 50}, "systematic/packet", false},
-		{StratifiedCount{K: 50}, "stratified/packet", false},
-		{SimpleRandom{K: 50}, "random/packet", false},
-		{SystematicTimer{PeriodUS: 1000}, "systematic/timer", true},
-		{StratifiedTimer{PeriodUS: 1000}, "stratified/timer", true},
+		{SystematicCount{K: 50}, "systematic/packet"},
+		{StratifiedCount{K: 50}, "stratified/packet"},
+		{SimpleRandom{K: 50}, "random/packet"},
+		{SystematicTimer{PeriodUS: 1000}, "systematic/timer"},
+		{StratifiedTimer{PeriodUS: 1000}, "stratified/timer"},
 	}
 	for _, c := range cases {
 		if c.s.Name() != c.name {
 			t.Errorf("name = %q, want %q", c.s.Name(), c.name)
 		}
-		if c.s.TimerDriven() != c.timer {
-			t.Errorf("%s TimerDriven = %v", c.name, c.s.TimerDriven())
-		}
-	}
-	if (SystematicCount{K: 50}).Granularity() != 50 {
-		t.Error("granularity wrong")
 	}
 }
 

@@ -139,25 +139,6 @@ func (r *RNG) Int64N(n int64) int64 {
 	return int64(r.Uint64N(uint64(n)))
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.IntN(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, via the Fisher-Yates algorithm.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.IntN(i+1))
-	}
-}
-
 // NormFloat64 returns a standard normal variate using the polar
 // (Marsaglia) method. The spare variate is cached between calls.
 func (r *RNG) NormFloat64() float64 {

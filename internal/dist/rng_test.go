@@ -120,40 +120,6 @@ func TestIntNUniformity(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(8)
-	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid element %d", n, v)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := NewRNG(9)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0
-	for _, x := range xs {
-		sum2 += x
-	}
-	if sum != sum2 {
-		t.Fatalf("shuffle changed contents: %v", xs)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := NewRNG(10)
 	const n = 200000

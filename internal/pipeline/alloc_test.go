@@ -94,7 +94,7 @@ func TestPipelineHotPathAllocs(t *testing.T) {
 }
 
 // TestReplayerWindowsDoNotAllocate pins the in-memory raw path: a
-// Replayer's record windows are views of the trace's own packets, so a
+// replay's record windows are views of the trace's own packets, so a
 // run's allocation count is its fixed startup cost and does not grow
 // with trace length.
 func TestReplayerWindowsDoNotAllocate(t *testing.T) {

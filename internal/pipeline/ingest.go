@@ -19,8 +19,8 @@ import (
 // A returned window must stay valid and unmodified until the next
 // NextRawBatch call: the reader copies each selected record into an
 // item before it asks for more, and keeps no view of the window.
-// *trace.MapReader and *trace.Replayer hand out views (of the mapped
-// region, of the trace's own packets); recordAdapter reuses one buffer.
+// *trace.MapReader hands out views (of the mapped file, of a replayed
+// trace's own packets); recordAdapter reuses one buffer.
 type RawBatchSource interface {
 	NextRawBatch(max int) ([]byte, int, error)
 }

@@ -111,9 +111,9 @@ func readerRoutes(t *testing.T, cfg Config, src Source) (got [][]routed, batches
 	return got, batches
 }
 
-// packetsOnly hides a Replayer's raw form, so the pipeline reads it
+// packetsOnly hides a replay's raw form, so the pipeline reads it
 // through recordAdapter's one reused window.
-type packetsOnly struct{ r *trace.Replayer }
+type packetsOnly struct{ r *trace.MapReader }
 
 func (s packetsOnly) Next() (trace.Packet, error) { return s.r.Next() }
 

@@ -317,7 +317,7 @@ func New(cfg Config) (*Pipeline, error) {
 // Run drives the pipeline to completion: it reads src on the calling
 // goroutine until io.EOF, a source error, or Stop, then drains the
 // workers, publishes the final Snapshot, and returns the source error
-// if any. A RawBatchSource (*trace.MapReader, *trace.Replayer) feeds the
+// if any. A RawBatchSource (*trace.MapReader, mapped or replayed) feeds the
 // reader its record windows directly; any other source is read through a
 // recordAdapter that encodes its packets into record windows first.
 // Every source form produces identical snapshots. Run may be called

@@ -14,12 +14,11 @@ import (
 	"netsample/internal/trace"
 )
 
-// The mmap reader must satisfy both source forms, the replayer the
-// native one.
+// The one NSTR reader, mapped or replayed, must satisfy both source
+// forms.
 var (
 	_ Source         = (*trace.MapReader)(nil)
 	_ RawBatchSource = (*trace.MapReader)(nil)
-	_ RawBatchSource = (*trace.Replayer)(nil)
 )
 
 // TestDecodeBatchEquivalence cross-checks the exported whole-window

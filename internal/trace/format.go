@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"netsample/internal/packet"
@@ -110,10 +109,9 @@ func decodeRecordBytes(rec []byte) Packet {
 // returns how many it decoded: min(len(dst), len(raw)/RecordLen).
 // Trailing bytes shorter than a full record are ignored; raw is read
 // but never retained, so callers may pass views into a memory-mapped
-// region. This is the batch kernel under MapReader.NextBatch, and under
-// Read and MapReader.Trace where the layout identity (layout.go) fails:
-// one pass, no buffering layer, bounds checks hoisted per record rather
-// than per field.
+// region. This is the batch kernel under MapReader.Trace where the
+// layout identity (layout.go) fails: one pass, no buffering layer,
+// bounds checks hoisted per record rather than per field.
 //
 //nslint:hotpath
 func DecodeRecords(dst []Packet, raw []byte) int {
@@ -143,10 +141,9 @@ func EncodeRecords(dst []byte, pkts []Packet) int {
 	return n
 }
 
-// encodeFresh is the portable packetsAsRecords: NSTR record bytes in a
-// new buffer per call, because a caller may hold many at once.
+// encodeFresh is the portable packetsAsRecords: the packets' NSTR
+// records in a new buffer.
 func encodeFresh(pkts []Packet) []byte {
-	//nslint:allow hotalloc big-endian builds only: one window per batch, as the pipeline's edge adapter pays
 	raw := make([]byte, len(pkts)*recordLen)
 	EncodeRecords(raw, pkts)
 	return raw
@@ -176,46 +173,4 @@ func parseHeader(b []byte) (header, error) {
 		clockUS: int64(binary.LittleEndian.Uint64(b[16:])),
 		total:   binary.LittleEndian.Uint64(b[24:]),
 	}, nil
-}
-
-// Read deserializes a complete NSTR trace from r, verifying the magic,
-// version and record count. A stream that ends early returns ErrFormat.
-func Read(r io.Reader) (*Trace, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrFormat, err)
-	}
-	h, err := parseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	const maxRecords = 1 << 28 // 256M packets ≈ 6 GiB; reject absurd headers
-	if h.total > maxRecords {
-		return nil, fmt.Errorf("%w: record count %d exceeds limit", ErrFormat, h.total)
-	}
-	// The count is untrusted: the slab grows a capped chunk at a time, so a
-	// forged header cannot force gigabytes before the reads fail. A chunk
-	// is read into the packets' own bytes, or, where layout.go's identity
-	// fails, into a scratch buffer that DecodeRecords then decodes.
-	t := &Trace{Start: h.start, ClockUS: h.clockUS}
-	var scratch []byte
-	for have := 0; uint64(have) < h.total; have = len(t.Packets) {
-		n := int(min(h.total-uint64(have), 1<<20))
-		t.Packets = slices.Grow(t.Packets, n)[:have+n]
-		dst := t.Packets[have:]
-		raw, ok := packetsAsRecords(dst)
-		if !ok {
-			if scratch == nil {
-				scratch = make([]byte, n*recordLen) // the first chunk is the largest
-			}
-			raw = scratch[:n*recordLen]
-		}
-		if got, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrFormat, have+got/recordLen, err)
-		}
-		if !ok {
-			DecodeRecords(dst, raw)
-		}
-	}
-	return t, nil
 }

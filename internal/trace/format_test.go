@@ -11,6 +11,16 @@ import (
 	"netsample/internal/packet"
 )
 
+// decode reads NSTR bytes the way the CLIs read a trace file:
+// NewMapReaderBytes, then Trace.
+func decode(data []byte) (*Trace, error) {
+	m, err := NewMapReaderBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return m.Trace()
+}
+
 func TestFormatRoundTrip(t *testing.T) {
 	tr := mkTrace([]int64{0, 400, 1200, 99_000_000}, []uint16{40, 552, 1500, 28})
 	tr.ClockUS = 400
@@ -18,7 +28,7 @@ func TestFormatRoundTrip(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +51,7 @@ func TestFormatEmptyTrace(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +68,7 @@ func TestFormatRejectsBadMagic(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[0] = 'X'
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+	if _, err := decode(data); !errors.Is(err, ErrFormat) {
 		t.Fatalf("bad magic: %v", err)
 	}
 }
@@ -71,7 +81,7 @@ func TestFormatRejectsBadVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[4] = 99
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+	if _, err := decode(data); !errors.Is(err, ErrFormat) {
 		t.Fatalf("bad version: %v", err)
 	}
 }
@@ -84,7 +94,7 @@ func TestFormatRejectsTruncation(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{3, headerLen - 1, headerLen + 5, len(data) - 1} {
-		if _, err := Read(bytes.NewReader(data[:cut])); !errors.Is(err, ErrFormat) {
+		if _, err := decode(data[:cut]); !errors.Is(err, ErrFormat) {
 			t.Errorf("truncation at %d accepted: %v", cut, err)
 		}
 	}
@@ -101,7 +111,7 @@ func TestFormatRejectsAbsurdCount(t *testing.T) {
 	for i := 24; i < 32; i++ {
 		data[i] = 0xff
 	}
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+	if _, err := decode(data); !errors.Is(err, ErrFormat) {
 		t.Fatalf("absurd count accepted: %v", err)
 	}
 }
@@ -129,7 +139,7 @@ func TestFormatRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, tr); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := decode(buf.Bytes())
 		if err != nil || len(got.Packets) != n {
 			return false
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 )
@@ -9,8 +10,12 @@ import (
 // Fuzz targets: the decoders must never panic or hang on arbitrary
 // bytes — they either parse or return ErrFormat. Run with
 // `go test -fuzz FuzzRead ./internal/trace` for deep exploration; the
-// seeds below run in normal test mode.
+// seeds below run in normal test mode. The MapReader's window math has
+// its own target, FuzzMapReaderBounds (mapreader_test.go).
 
+// FuzzRead decodes whole files as the CLIs do (NewMapReaderBytes +
+// Trace): anything that parses re-serializes, through Write, to the
+// bytes it was read from (the header's reserved field aside).
 func FuzzRead(f *testing.F) {
 	// Seed with a valid trace and mutations of it.
 	tr := &Trace{Start: time.Unix(0, 0).UTC(), ClockUS: 400}
@@ -29,13 +34,20 @@ func FuzzRead(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
-		if err == nil {
-			// Anything that parses must re-serialize.
-			var out bytes.Buffer
-			if werr := Write(&out, tr); werr != nil {
-				t.Fatalf("reserialize failed: %v", werr)
+		tr, err := decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("decode error is not ErrFormat: %v", err)
 			}
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, tr); err != nil {
+			t.Fatalf("reserialize failed: %v", err)
+		}
+		in := data[:HeaderLen+tr.Len()*RecordLen]
+		if re := out.Bytes(); !bytes.Equal(re[:6], in[:6]) || !bytes.Equal(re[8:], in[8:]) {
+			t.Fatal("re-serialized trace differs from the bytes it was read from")
 		}
 	})
 }

@@ -136,8 +136,7 @@ func TestMapReaderTraceIsTheRegion(t *testing.T) {
 
 // TestPortablePathsMatchViews runs the paths only a big-endian build
 // would take directly, against the view paths on the same packets:
-// encodeFresh under Write and the Replayer's windows, and DecodeRecords
-// under Read.
+// encodeFresh under Write and Replay, and DecodeRecords under Trace.
 func TestPortablePathsMatchViews(t *testing.T) {
 	tr := &Trace{Packets: identityPackets(5000)}
 	data := encodeTrace(t, tr)
@@ -149,9 +148,9 @@ func TestPortablePathsMatchViews(t *testing.T) {
 	if n := DecodeRecords(decoded, data[HeaderLen:]); n != len(decoded) {
 		t.Fatalf("DecodeRecords: n=%d", n)
 	}
-	got, err := Read(bytes.NewReader(data))
+	got, err := decode(data)
 	if err != nil || !slices.Equal(got.Packets, decoded) || !slices.Equal(got.Packets, tr.Packets) {
-		t.Errorf("Read differs from DecodeRecords over the same stream (err=%v)", err)
+		t.Errorf("Trace differs from DecodeRecords over the same bytes (err=%v)", err)
 	}
 
 	r := tr.Replay()

@@ -5,14 +5,16 @@ import (
 	"io"
 )
 
-// MapReader reads an NSTR trace from a byte region mapped (or loaded)
-// into memory. The header is validated once at open; after that the
+// MapReader is the module's one NSTR decoder: it reads a trace whose
+// record region sits in memory — a mapped file (OpenMap), a file read
+// whole (NewMapReaderBytes), or an in-memory trace's own packets
+// (Trace.Replay). The header is validated once at open; after that the
 // reader is pure pointer arithmetic — record batches are handed out as
 // views straight into the region, with no per-packet copy and no bufio
-// layer between the file and the decoder.
+// layer between the bytes and the decoder.
 //
 // Aliasing rules: every slice returned by NextRawBatch aliases the
-// mapped region and stays valid, immutable, and stable until Close.
+// region and stays valid, immutable, and stable until Close.
 // Callers may therefore hold windows from many calls at once, but must
 // not touch any view after Close unmaps the pages — see DESIGN.md §3.
 //
@@ -20,7 +22,7 @@ import (
 // delivers every complete record it contains and then reports a typed
 // ErrFormat; trailing bytes beyond the declared count are ignored.
 type MapReader struct {
-	data []byte // full region, header included; nil after Close
+	records []byte // the record region, header excluded; nil after Close
 	header
 	avail   uint64 // complete records actually present in the region
 	pos     uint64 // index of the next record to hand out
@@ -48,21 +50,32 @@ func OpenMap(path string) (*MapReader, error) {
 }
 
 // NewMapReaderBytes validates the NSTR header at the front of data and
-// returns a reader over the region. The reader aliases data directly;
-// the caller must keep it immutable for the reader's lifetime. Close on
-// a reader constructed this way only severs the views — the region's
-// storage belongs to the caller.
+// returns a reader over the records behind it. The reader aliases data
+// directly; the caller must keep it immutable for the reader's
+// lifetime. Close on a reader constructed this way only severs the
+// views — the region's storage belongs to the caller.
 func NewMapReaderBytes(data []byte) (*MapReader, error) {
 	h, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	m := &MapReader{data: data, header: h}
-	m.avail = uint64(len(data)-headerLen) / recordLen
-	if m.avail > m.total {
-		m.avail = m.total
+	records := data[headerLen:]
+	avail := min(uint64(len(records))/recordLen, h.total)
+	return &MapReader{records: records, header: h, avail: avail}, nil
+}
+
+// Replay returns a reader over the trace's own packets, positioned at
+// the start: where the layout identity holds (layout.go) its raw
+// windows are views of t.Packets, so do not mutate them during a
+// replay; elsewhere the reader holds one encoded copy.
+func (t *Trace) Replay() *MapReader {
+	records, ok := packetsAsRecords(t.Packets)
+	if !ok {
+		records = encodeFresh(t.Packets)
 	}
-	return m, nil
+	n := uint64(len(t.Packets))
+	h := header{start: t.Start, clockUS: t.ClockUS, total: n}
+	return &MapReader{records: records, header: h, avail: n}
 }
 
 // Rewind repositions the reader at the first record.
@@ -73,7 +86,7 @@ func (m *MapReader) Rewind() { m.pos = 0 }
 // unmapped pages. Raw views already handed out die with the mapping —
 // the caller must not touch them after Close. Closing twice is safe.
 func (m *MapReader) Close() error {
-	m.data = nil
+	m.records = nil
 	m.avail = 0
 	release := m.release
 	m.release = nil
@@ -84,11 +97,12 @@ func (m *MapReader) Close() error {
 }
 
 // NextRawBatch returns a view of up to max consecutive records as raw
-// bytes, straight out of the mapped region, plus the record count. The
-// view is valid until Close — see the aliasing rules on MapReader.
-// Complete records precede any error: a region truncated below the
-// declared count yields its remaining records alongside nil, then
-// ErrFormat on the next call; exhaustion yields (nil, 0, io.EOF).
+// bytes, straight out of the region, plus the record count — the
+// pipeline.RawBatchSource form. The view is valid until Close — see the
+// aliasing rules on MapReader. Complete records precede any error: a
+// region truncated below the declared count yields its remaining
+// records alongside nil, then ErrFormat on the next call; exhaustion
+// yields (nil, 0, io.EOF).
 //
 //nslint:hotpath
 func (m *MapReader) NextRawBatch(max int) ([]byte, int, error) {
@@ -114,33 +128,21 @@ func (m *MapReader) NextRawBatch(max int) ([]byte, int, error) {
 		}
 		want = have
 	}
-	off := headerLen + m.pos*recordLen
-	raw := m.data[off : off+want*recordLen : off+want*recordLen]
+	off := m.pos * recordLen
+	raw := m.records[off : off+want*recordLen : off+want*recordLen]
 	m.pos += want
 	return raw, int(want), nil
-}
-
-// NextBatch fills dst with the next records, decoded from the mapped
-// region in one DecodeRecords pass. Decoded packets precede any error,
-// truncation is ErrFormat, exhaustion is (0, io.EOF).
-//
-//nslint:hotpath
-func (m *MapReader) NextBatch(dst []Packet) (int, error) {
-	raw, n, err := m.NextRawBatch(len(dst))
-	DecodeRecords(dst[:n], raw)
-	return n, err
 }
 
 // Next returns the next packet — the pipeline.Source form. After the
 // declared record count it returns io.EOF; a truncated region returns
 // ErrFormat.
 func (m *MapReader) Next() (Packet, error) {
-	var one [1]Packet
-	n, err := m.NextBatch(one[:])
+	raw, n, err := m.NextRawBatch(1)
 	if n == 0 {
 		return Packet{}, err
 	}
-	return one[0], nil
+	return decodeRecordBytes(raw), nil
 }
 
 // Span returns the header's record count and the first and last
@@ -153,20 +155,21 @@ func (m *MapReader) Span() (records int, firstUS, lastUS int64, err error) {
 	if m.total == 0 {
 		return 0, 0, 0, nil
 	}
-	last := headerLen + (m.total-1)*recordLen
-	return int(m.total), decodeRecordBytes(m.data[headerLen:]).Time, decodeRecordBytes(m.data[last:]).Time, nil
+	last := (m.total - 1) * recordLen
+	return int(m.total), decodeRecordBytes(m.records).Time, decodeRecordBytes(m.records[last:]).Time, nil
 }
 
 // Trace returns the full trace for random-access consumers without
 // moving the stream position; a truncated region is refused up front,
 // as by Span. Where the layout identity holds (layout.go) Packets *is*
-// the record region — read-only, dead at Close like every raw view;
-// elsewhere (big-endian, a misaligned NewMapReaderBytes region) a copy.
+// the record region — read-only if mapped, dead at Close like every raw
+// view; elsewhere (big-endian, a misaligned NewMapReaderBytes region) a
+// copy.
 func (m *MapReader) Trace() (*Trace, error) {
 	if _, _, _, err := m.Span(); err != nil {
 		return nil, err
 	}
-	raw := m.data[headerLen : headerLen+m.total*recordLen]
+	raw := m.records[:m.total*recordLen]
 	pkts, ok := recordsAsPackets(raw)
 	if !ok {
 		pkts = make([]Packet, m.total)

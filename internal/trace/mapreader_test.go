@@ -23,23 +23,18 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-// TestMapReaderMatchesRead: every form of the mapped reader — per
-// packet, batch, raw windows — delivers what Read parses from the same
-// bytes.
+// TestMapReaderMatchesRead: both forms of the reader — per packet and
+// raw windows — deliver the trace Write encoded.
 func TestMapReaderMatchesRead(t *testing.T) {
 	tr := mkTrace([]int64{0, 400, 800, 1200, 4000}, []uint16{40, 552, 1500, 28, 576})
 	tr.ClockUS = 400
 	data := encodeTrace(t, tr)
-	want, err := Read(bytes.NewReader(data))
-	if err != nil || !slices.Equal(want.Packets, tr.Packets) {
-		t.Fatalf("Read: %v", err)
-	}
 
 	m, err := NewMapReaderBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.total != uint64(want.Len()) || m.clockUS != want.ClockUS || !m.start.Equal(want.Start) {
+	if m.total != uint64(tr.Len()) || m.clockUS != tr.ClockUS || !m.start.Equal(tr.Start) {
 		t.Fatalf("metadata: total=%d clock=%d start=%v", m.total, m.clockUS, m.start)
 	}
 	// Per-packet form.
@@ -54,28 +49,6 @@ func TestMapReaderMatchesRead(t *testing.T) {
 	}
 	if _, err := m.Next(); err != io.EOF {
 		t.Fatalf("post-EOF read: %v", err)
-	}
-	// Batch form after Rewind, with a batch size that straddles the end.
-	m.Rewind()
-	var got []Packet
-	dst := make([]Packet, 3)
-	for {
-		n, err := m.NextBatch(dst)
-		got = append(got, dst[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(tr.Packets) {
-		t.Fatalf("batch read %d records, want %d", len(got), len(tr.Packets))
-	}
-	for i := range got {
-		if got[i] != tr.Packets[i] {
-			t.Fatalf("batch record %d mismatch", i)
-		}
 	}
 	// Raw form: windows concatenate to exactly the record region.
 	m.Rewind()
@@ -106,12 +79,11 @@ func TestMapReaderTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]Packet, 8)
-	n, err := m.NextBatch(dst)
+	_, n, err := m.NextRawBatch(8)
 	if n != 2 || err != nil {
 		t.Fatalf("complete records before the cut: n=%d err=%v", n, err)
 	}
-	if _, err := m.NextBatch(dst); !errors.Is(err, ErrFormat) {
+	if _, _, err := m.NextRawBatch(8); !errors.Is(err, ErrFormat) {
 		t.Fatalf("truncated region: %v", err)
 	}
 	// The per-packet form agrees.
@@ -147,11 +119,10 @@ func TestMapReaderOversizedRegion(t *testing.T) {
 	if got.Len() != 2 || got.Packets[1] != tr.Packets[1] {
 		t.Fatalf("trailing bytes leaked into records: %+v", got.Packets)
 	}
-	dst := make([]Packet, 8)
-	if n, err := m.NextBatch(dst); n != 2 || err != nil {
+	if _, n, err := m.NextRawBatch(8); n != 2 || err != nil {
 		t.Fatalf("oversized region batch: n=%d err=%v", n, err)
 	}
-	if _, err := m.NextBatch(dst); err != io.EOF {
+	if _, _, err := m.NextRawBatch(8); err != io.EOF {
 		t.Fatalf("oversized region end: %v", err)
 	}
 }

@@ -126,18 +126,6 @@ func (t *Trace) Window(fromUS, toUS int64) *Trace {
 	return &Trace{Start: t.Start, ClockUS: t.ClockUS, Packets: t.Packets[lo:hi:hi]}
 }
 
-// Filter returns a new trace containing the packets for which keep
-// returns true. Metadata is preserved; the packet slice is fresh.
-func (t *Trace) Filter(keep func(Packet) bool) *Trace {
-	out := &Trace{Start: t.Start, ClockUS: t.ClockUS}
-	for _, p := range t.Packets {
-		if keep(p) {
-			out.Packets = append(out.Packets, p)
-		}
-	}
-	return out
-}
-
 // Sizes returns the packet-size distribution (bytes per packet) as
 // float64s for the statistics machinery.
 func (t *Trace) Sizes() []float64 {

@@ -408,8 +408,8 @@ func chainTrace(t *testing.T, sc int) *trace.Trace {
 	return tr
 }
 
-// perPacket hides a Replayer's record windows: Run must adapt it.
-type perPacket struct{ r *trace.Replayer }
+// perPacket hides a replay's record windows: Run must adapt it.
+type perPacket struct{ r *trace.MapReader }
 
 func (s perPacket) Next() (trace.Packet, error) { return s.r.Next() }
 
