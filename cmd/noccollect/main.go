@@ -19,9 +19,9 @@
 //
 // With -store, each newly collected window is appended to an
 // append-only segment store (internal/store). Query it with nocquery.
-// A window the store refuses is counted, not only logged: after the
-// last cycle noccollect logs "store: N window(s) not persisted" and
-// exits 1, as it does when the store fails to close.
+// A window the store refuses is counted by the store, not only logged:
+// after the last cycle noccollect logs "store: N window(s) not
+// persisted" and exits 1, as it does when the store fails to close.
 package main
 
 import (
@@ -79,7 +79,6 @@ func main() {
 			log.Fatalf("store: %v", err)
 		}
 	}
-	lost := 0 // collected windows the store refused
 	// lastSeq is the newest window collected per node. Seq is 1-based
 	// and contiguous, so a poll reading past lastSeq+1 names exactly the
 	// windows no poll saw.
@@ -112,7 +111,6 @@ func main() {
 			if sw != nil {
 				if err := sw.AppendSnapshot(snap); err != nil {
 					log.Printf("store append %s window %d: %v", snap.Node, snap.Seq, err)
-					lost++
 				}
 			}
 		}
@@ -130,15 +128,10 @@ func main() {
 	if sw == nil {
 		return
 	}
-	// The tail is synced at close: a failure there loses windows too.
-	err := sw.Close()
-	if err != nil {
-		log.Printf("store: %v", err)
-	}
-	if lost > 0 {
-		log.Printf("store: %d window(s) not persisted", lost)
-	}
-	if lost > 0 || err != nil {
+	// Close syncs the tail and reports every window the store did not
+	// persist.
+	if err := sw.Close(); err != nil {
+		log.Print(err)
 		os.Exit(1)
 	}
 }

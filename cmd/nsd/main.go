@@ -43,8 +43,8 @@
 // Merkle-chained segment store (internal/store, DESIGN.md §7); query it
 // offline with nocquery, which replays the exact wire payloads the live
 // exporter serves. A window the store refuses (a full disk) does not stop
-// the daemon, but it is counted: at drain nsd logs "store: N window(s)
-// not persisted" and the process exits non-zero.
+// the daemon, but the store counts it: at drain nsd logs "store: N
+// window(s) not persisted" and the process exits non-zero.
 //
 // Profiling: -pprof serves net/http/pprof on the given address, and
 // -mutex-profile-fraction / -block-profile-rate enable the runtime's
@@ -111,7 +111,9 @@ func main() {
 	// An input, a known method and a k of at least 1 are needed. The
 	// store, flow table and snapshot would replace a value below
 	// these bounds with their defaults, and the flow timeout and window
-	// are kept in whole µs. The store's flags mean nothing without
+	// are kept in whole µs, a window never negative. The node name keys
+	// the NOC's dedup, so it is nonempty and fits a snapshot's wire
+	// form. The store's flags mean nothing without
 	// -store, nor the controller's without -adaptive, under which
 	// 1 <= -min-k <= -k <= -max-k and a positive -target (NaN fails the
 	// negated test) must hold, as the pipeline requires; it steers
@@ -119,11 +121,12 @@ func main() {
 	// -method systematic and a -window.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *in == "" || *k < 1 ||
+	_, nameErr := collect.EncodeSnapshot(&collect.Snapshot{Node: *name})
+	if *in == "" || *k < 1 || *name == "" || nameErr != nil ||
 		!slices.Contains([]string{"systematic", "stratified", "systematic-timer", "stratified-timer"}, *method) ||
 		*storeSync < 1 || *storeSegment < 1 || *topk < 1 || *flowTimeout < time.Microsecond ||
 		*storeDir == "" && (set["store-sync"] || set["store-segment"]) ||
-		*window > 0 && *window < time.Microsecond || *shards < 1 ||
+		*window != 0 && *window < time.Microsecond || *shards < 1 ||
 		!*adaptive && (set["target"] || set["min-k"] || set["max-k"]) ||
 		*adaptive && (*minK < 1 || *minK > *k || *k > *maxK || !(*targetPhi > 0) ||
 			*method != "systematic" || *window <= 0) {
@@ -176,10 +179,7 @@ func main() {
 		}
 	}
 	cfg.Shards = *shards
-	var (
-		sw   *store.Writer
-		sink *pipeline.StoreSink
-	)
+	var sw *store.Writer
 	if *storeDir != "" {
 		sw, err = store.Open(*storeDir, store.Options{
 			SyncEvery:      *storeSync,
@@ -188,15 +188,16 @@ func main() {
 		if err != nil {
 			log.Fatalf("store: %v", err)
 		}
-		sink = &pipeline.StoreSink{Node: *name, To: sw}
 	}
-	if !*quiet || sink != nil {
+	if !*quiet || sw != nil {
 		cfg.OnSnapshot = func(s *pipeline.Snapshot) {
 			if !*quiet {
 				fmt.Println(summarize(s))
 			}
-			if sink != nil {
-				sink.OnSnapshot(s)
+			if sw != nil {
+				if err := sw.AppendSnapshot(s.Wire(*name)); err != nil {
+					log.Printf("store append window %d: %v", s.Seq, err)
+				}
 			}
 		}
 	}
@@ -237,19 +238,14 @@ func main() {
 	if final, ok := p.Latest(); ok && *quiet {
 		fmt.Println(summarize(final))
 	}
-	// A window the store refused, or a tail it could not sync, is data
-	// loss: the daemon still serves what it has, but exits non-zero.
-	storeFailed := false
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			log.Printf("store: %v", err)
-			storeFailed = true
-		}
-		// Flush and fsync the tail; the segment stays unsealed so the
-		// next run resumes it.
-		if err := sw.Close(); err != nil {
-			log.Printf("store: %v", err)
-			storeFailed = true
+	// Close flushes and fsyncs the tail, leaving the segment unsealed so
+	// the next run resumes it, and reports every window the store did
+	// not persist: data loss, so the daemon still serves what it has but
+	// exits non-zero.
+	var storeErr error
+	if sw != nil {
+		if storeErr = sw.Close(); storeErr != nil {
+			log.Print(storeErr)
 		}
 	}
 
@@ -270,7 +266,7 @@ func main() {
 	if err := agent.Close(); err != nil {
 		log.Printf("close: %v", err)
 	}
-	if storeFailed {
+	if storeErr != nil {
 		os.Exit(1)
 	}
 }

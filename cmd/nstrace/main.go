@@ -161,8 +161,9 @@ func gen(fs *flag.FlagSet, args []string) {
 	quiet := fs.Bool("q", false, "suppress the summary")
 	parse(fs, args, out)
 	// Negated, so NaN is refused too: a rate must be finite and
-	// positive, a trend finite.
-	usageIf(fs, *seconds < 1 || !(*pps > 0 && *pps <= math.MaxFloat64) || !(math.Abs(*trend) <= math.MaxFloat64))
+	// positive, a trend finite. A scenario must be a preset.
+	usageIf(fs, *seconds < 1 || !(*pps > 0 && *pps <= math.MaxFloat64) || !(math.Abs(*trend) <= math.MaxFloat64) ||
+		*scenario != "" && !slices.Contains(traffgen.ScenarioNames(), *scenario))
 
 	cfg := traffgen.NSFNETHour()
 	cfg.Seed = *seed
@@ -354,10 +355,11 @@ func info(fs *flag.FlagSet, args []string) {
 		if err != nil {
 			log.Fatalf("flows: %v", err)
 		}
-		sum := flows.Summarize(fls)
+		c := flows.CountFlows(fls)
+		n := float64(c.Flows) // a nonempty trace has a flow
 		fmt.Println()
 		fmt.Printf("flows (idle timeout %s): %d total, mean %.1f pkts / %.0f bytes, %.1f%% singletons\n",
-			flowTimeout, sum.Flows, sum.MeanPackets, sum.MeanBytes, 100*sum.SingletonShare)
+			flowTimeout, c.Flows, float64(c.Packets)/n, float64(c.Bytes)/n, 100*(float64(c.Singletons)/n))
 		sort.Slice(fls, func(i, j int) bool { return fls[i].Packets > fls[j].Packets })
 		fmt.Println("largest flows:")
 		for i := 0; i < 5 && i < len(fls); i++ {

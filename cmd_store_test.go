@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"netsample/internal/online"
 	"netsample/internal/pipeline"
 	"netsample/internal/store"
-	"netsample/internal/traffgen"
 )
 
 // TestNSDStoreReplayMatchesLive is the durable-store acceptance pin:
@@ -246,81 +244,18 @@ func TestNocqueryStopsAtUndecodableRecord(t *testing.T) {
 	}
 }
 
-// failingAppender is a store whose disk fills: it accepts the first
-// okFor snapshots and refuses the rest.
-type failingAppender struct {
-	okFor, got int
-}
-
-var errDiskFull = errors.New("no space left on device")
-
-func (f *failingAppender) AppendSnapshot(*collect.Snapshot) error {
-	f.got++
-	if f.got > f.okFor {
-		return errDiskFull
-	}
-	return nil
-}
-
-// TestNSDStoreSinkCountsLostWindows drives nsd's -store OnSnapshot body
-// (pipeline.StoreSink) over a windowed run. Against a store that fails
-// part-way — the suite runs as root, so no permission bit makes a real
-// directory refuse writes — every window must still be offered, and the
-// sink must end the run with an error naming how many were lost and
-// why: that error is what turns nsd's exit status non-zero. Against a
-// real store the same run ends clean and replays every window.
-func TestNSDStoreSinkCountsLostWindows(t *testing.T) {
-	tr, err := traffgen.Generate(traffgen.SmallTrace(42)) // two minutes
-	if err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	runWith := func(to pipeline.SnapshotAppender) (windows int, err error) {
-		sink := &pipeline.StoreSink{Node: "store-node", To: to}
-		p, err := pipeline.New(pipeline.Config{
-			Shards:     1,
-			WindowUS:   (5 * time.Second).Microseconds(),
-			NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(50, 0) },
-			OnSnapshot: sink.OnSnapshot,
-		})
-		if err != nil {
-			t.Fatalf("pipeline.New: %v", err)
-		}
-		if err := p.Run(tr.Replay()); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		last, _ := p.Latest()
-		return int(last.Seq), sink.Err()
-	}
-
-	full := &failingAppender{okFor: 2}
-	windows, err := runWith(full)
-	if windows < 4 || full.got != windows {
-		t.Fatalf("run cut %d windows and offered the store %d, want all of 4+", windows, full.got)
-	}
-	want := strconv.Itoa(windows-2) + " window(s) not persisted"
-	if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, errDiskFull) {
-		t.Fatalf("sink error = %v, want %q wrapping the appender's error", err, want)
-	}
-
-	dir := filepath.Join(t.TempDir(), "snapstore")
-	sw, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	windows, err = runWith(sw)
-	if err != nil {
-		t.Fatalf("sink error on a healthy store: %v", err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatalf("store close: %v", err)
-	}
-	r, err := store.OpenReader(dir)
-	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
-	}
-	snaps, err := r.Snapshots(math.MinInt64, math.MaxInt64)
-	if err != nil || len(snaps) != windows {
-		t.Fatalf("store replayed %d snapshots (%v), run cut %d", len(snaps), err, windows)
+// TestNSDStoreCountsLostWindows: nsd -store against a store that
+// refuses every write must still cut and print every window, then name
+// how many the store lost and exit 1. No permission bit stops root, so
+// a zero file-size limit makes every segment write fail.
+func TestNSDStoreCountsLostWindows(t *testing.T) {
+	dir := buildTools(t, "nstrace", "nsd")
+	in := genTrace(t, dir, "-seconds", "10", "-seed", "1993")
+	out := runExit(t, 1, "sh", "-c", `ulimit -f 0 && exec "$0" "$@"`, filepath.Join(dir, "nsd"),
+		"-in", in, "-window", "1s", "-once", "-store", filepath.Join(t.TempDir(), "store"))
+	windows := len(regexp.MustCompile(`(?m)^window \d+ `).FindAllString(out, -1))
+	if want := fmt.Sprintf("store: %d window(s) not persisted", windows); windows < 9 || !strings.Contains(out, want) {
+		t.Fatalf("nsd cut %d windows and did not report them all lost (%q):\n%s", windows, want, out)
 	}
 }
 

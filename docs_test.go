@@ -277,7 +277,7 @@ func TestDesignSectionsExist(t *testing.T) {
 // history goes to CHANGES.md; lower the ceiling whenever the file
 // shrinks.
 func TestDesignWithinCeiling(t *testing.T) {
-	const ceiling = 35_377
+	const ceiling = 35_347
 	fi, err := os.Stat("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

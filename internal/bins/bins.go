@@ -15,7 +15,6 @@ package bins
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Edged bins observations by a sorted slice of interior edges: bin 0 is
@@ -55,30 +54,15 @@ func (e *Edged) Name() string { return e.name }
 // NumBins returns the number of bins, always >= 2.
 func (e *Edged) NumBins() int { return len(e.edges) + 1 }
 
-// Index returns the bin for x, in [0, NumBins()).
-func (e *Edged) Index(x float64) int {
-	// First edge strictly greater than x bounds the bin above;
-	// sort.SearchFloat64s gives the first edge >= x, so adjust for
-	// equality (edge values belong to the bin above the edge).
-	i := sort.SearchFloat64s(e.edges, x)
-	//nslint:allow floateq exact tie-break against a stored edge value, not a computed quantity
-	if i < len(e.edges) && e.edges[i] == x {
-		return i + 1
-	}
-	return i
-}
-
-// IndexLinear returns Index(x) via a branch-free linear scan of the
-// interior edges: the bin index equals the number of edges ≤ x, so a
-// compare-accumulate over the (few, cache-resident) edges beats the
-// binary search for the paper's 2- and 4-edge schemes. The comparison
-// is written !(x < edge) rather than x >= edge so a NaN observation
-// accumulates every edge and lands in the last bin, exactly where
-// Index's SearchFloat64s puts it — the two are bit-identical for every
-// input.
+// Index returns the bin for x, in [0, NumBins()): the number of edges
+// ≤ x, by a branch-free compare-accumulate over the (few,
+// cache-resident) edges, which beats a binary search for the paper's
+// 2- and 4-edge schemes. The comparison is written !(x < edge) rather
+// than x >= edge so a NaN observation accumulates every edge and lands
+// in the last bin.
 //
 //nslint:hotpath
-func (e *Edged) IndexLinear(x float64) int {
+func (e *Edged) Index(x float64) int {
 	b := 0
 	for _, edge := range e.edges {
 		if !(x < edge) {
@@ -88,8 +72,14 @@ func (e *Edged) IndexLinear(x float64) int {
 	return b
 }
 
+// IndexLinear is Index: the compare-accumulate kernel under the name
+// the benchmark's bin stage times.
+//
+//nslint:hotpath
+func (e *Edged) IndexLinear(x float64) int { return e.Index(x) }
+
 // IndexBatch fills dst[i] with Index(xs[i]) for the whole batch in one
-// branchless pass — the compare-accumulate of IndexLinear with the edge
+// branchless pass — the compare-accumulate of Index with the edge
 // loads hoisted out of the per-observation loop for the paper's two
 // schemes. Bin indices are uint8, so the scheme must have at most 256
 // bins (every scheme the evaluator accepts does; see core.ErrTooManyBins).
@@ -111,7 +101,7 @@ func (e *Edged) IndexBatch(dst []uint8, xs []float64) {
 		}
 	default:
 		for i, x := range xs {
-			dst[i] = uint8(e.IndexLinear(x))
+			dst[i] = uint8(e.Index(x))
 		}
 	}
 }

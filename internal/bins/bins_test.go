@@ -2,6 +2,7 @@ package bins
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -114,11 +115,24 @@ func TestCountConservesTotal(t *testing.T) {
 	}
 }
 
+// searchIndex is the binary-search form of Index, the reference the
+// kernels are held to: the first edge strictly greater than x bounds
+// the bin above, and sort.SearchFloat64s gives the first edge >= x, so
+// equality is adjusted for (edge values belong to the bin above the
+// edge). A NaN finds no edge and lands in the last bin.
+func searchIndex(e *Edged, x float64) int {
+	i := sort.SearchFloat64s(e.edges, x)
+	if i < len(e.edges) && e.edges[i] == x {
+		return i + 1
+	}
+	return i
+}
+
 // TestIndexKernelsBitIdentical proves the branchless kernels agree with
-// the binary-search Index on every input class: random values, exact
-// edge ties (which belong to the bin above), values straddling each
-// edge, and the non-finite specials — including NaN, which both paths
-// deliberately place in the last bin.
+// the binary search on every input class: random values, exact edge
+// ties (which belong to the bin above), values straddling each edge,
+// and the non-finite specials — including NaN, which every path
+// deliberately places in the last bin.
 func TestIndexKernelsBitIdentical(t *testing.T) {
 	schemes := []*Edged{PacketSize(), Interarrival()}
 	if e, err := NewEdged("odd", []float64{-3, 0, 1.5, 7, 7.25, 1e9}); err != nil {
@@ -140,12 +154,15 @@ func TestIndexKernelsBitIdentical(t *testing.T) {
 		dst := make([]uint8, len(xs))
 		e.IndexBatch(dst, xs)
 		for i, x := range xs {
-			want := e.Index(x)
+			want := searchIndex(e, x)
+			if got := e.Index(x); got != want {
+				t.Fatalf("%s: Index(%v) = %d, search = %d", e.Name(), x, got, want)
+			}
 			if got := e.IndexLinear(x); got != want {
-				t.Fatalf("%s: IndexLinear(%v) = %d, Index = %d", e.Name(), x, got, want)
+				t.Fatalf("%s: IndexLinear(%v) = %d, search = %d", e.Name(), x, got, want)
 			}
 			if int(dst[i]) != want {
-				t.Fatalf("%s: IndexBatch(%v) = %d, Index = %d", e.Name(), x, dst[i], want)
+				t.Fatalf("%s: IndexBatch(%v) = %d, search = %d", e.Name(), x, dst[i], want)
 			}
 		}
 	}

@@ -183,9 +183,10 @@ func refFlowBias(tr *trace.Trace) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullSum := flows.Summarize(full)
+	fullSum := flows.CountFlows(full)
+	fullMean := float64(fullSum.Packets) / float64(fullSum.Flows)
 	out := newTable("ext-flows", fmt.Sprintf("flow-level view under packet sampling (%d true flows, mean %.1f pkts)",
-		fullSum.Flows, fullSum.MeanPackets), granularity, column{"detected_fraction", "detected-frac", "%14.3f"},
+		fullSum.Flows, fullMean), granularity, column{"detected_fraction", "detected-frac", "%14.3f"},
 		column{"size_bias", "size-bias (x true)", "%18.2f"})
 	for _, k := range []int{1, 10, 50, 250, 1000} {
 		var sub *trace.Trace
@@ -205,9 +206,9 @@ func refFlowBias(tr *trace.Trace) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum := flows.Summarize(fs)
+		sum := flows.CountFlows(fs)
 		out.addRow(integer(k), float(float64(sum.Flows)/float64(fullSum.Flows)),
-			float(sum.MeanPackets*float64(k)/fullSum.MeanPackets))
+			float(float64(sum.Packets)/float64(sum.Flows)*float64(k)/fullMean))
 	}
 	return out, nil
 }

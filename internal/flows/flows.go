@@ -264,9 +264,9 @@ func Decompose(tr *trace.Trace, timeoutUS int64) ([]Flow, error) {
 	return t.Flush(), nil
 }
 
-// Counts are integer flow-level totals, the wire-friendly counterpart
-// of Summary: exact sums that merge across shards or windows by plain
-// field addition.
+// Counts are integer flow-level totals: exact sums that merge across
+// shards or windows by plain field addition, and from which a caller
+// derives the means (Packets/Flows, Bytes/Flows, Singletons/Flows).
 type Counts struct {
 	// Flows is the number of flow records.
 	Flows uint64
@@ -374,34 +374,4 @@ func (c *Counter) Cut() Counts {
 	c.slots = c.slots[:0]
 	clear(c.index)
 	return out
-}
-
-// Summary aggregates flow-level statistics.
-type Summary struct {
-	Flows       int
-	MeanPackets float64
-	MeanBytes   float64
-	// SingletonShare is the fraction of flows with exactly one packet —
-	// the population packet sampling misses most readily.
-	SingletonShare float64
-}
-
-// Summarize computes flow statistics.
-func Summarize(fs []Flow) Summary {
-	s := Summary{Flows: len(fs)}
-	if len(fs) == 0 {
-		return s
-	}
-	var pkts, bytes, singles int64
-	for _, f := range fs {
-		pkts += f.Packets
-		bytes += f.Bytes
-		if f.Packets == 1 {
-			singles++
-		}
-	}
-	s.MeanPackets = float64(pkts) / float64(len(fs))
-	s.MeanBytes = float64(bytes) / float64(len(fs))
-	s.SingletonShare = float64(singles) / float64(len(fs))
-	return s
 }

@@ -118,20 +118,6 @@ func TestDecomposeDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	fs := []Flow{
-		{Packets: 1, Bytes: 40},
-		{Packets: 9, Bytes: 5000},
-	}
-	s := Summarize(fs)
-	if s.Flows != 2 || s.MeanPackets != 5 || s.MeanBytes != 2520 || s.SingletonShare != 0.5 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if z := Summarize(nil); z.Flows != 0 {
-		t.Fatalf("empty summary = %+v", z)
-	}
-}
-
 func TestSamplingBiasesFlowView(t *testing.T) {
 	// The classic sampled-flow bias: a 1-in-k packet sample detects far
 	// fewer flows than exist, and the flows it does detect look larger
@@ -160,19 +146,20 @@ func TestSamplingBiasesFlowView(t *testing.T) {
 	if !(len(sampled) < len(full)/2) {
 		t.Fatalf("sampled flows %d not far below true %d", len(sampled), len(full))
 	}
-	fullSum := Summarize(full)
-	sampSum := Summarize(sampled)
+	mean := func(fs []Flow) float64 {
+		c := CountFlows(fs)
+		return float64(c.Packets) / float64(c.Flows)
+	}
+	fullMean, sampMean := mean(full), mean(sampled)
 	// Detected flows are biased toward the large: estimated true
 	// packets-per-flow of detected flows (sampled count × k) exceeds the
 	// population mean.
-	if !(sampSum.MeanPackets*50 > fullSum.MeanPackets) {
-		t.Fatalf("no large-flow bias: sampled %v×50 vs true %v",
-			sampSum.MeanPackets, fullSum.MeanPackets)
+	if !(sampMean*50 > fullMean) {
+		t.Fatalf("no large-flow bias: sampled %v×50 vs true %v", sampMean, fullMean)
 	}
 }
 
-// TestCountFlows checks the integer totals against Summarize on the
-// same records.
+// TestCountFlows checks the integer totals on hand-counted records.
 func TestCountFlows(t *testing.T) {
 	fs := []Flow{
 		{Packets: 1, Bytes: 40},

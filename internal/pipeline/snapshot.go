@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -231,42 +230,4 @@ func (e *Exporter) LatestSnapshot() (*collect.Snapshot, bool) {
 		return nil, false
 	}
 	return s.Wire(e.node), true
-}
-
-// SnapshotAppender is where a StoreSink persists wire snapshots;
-// *store.Writer is the one a daemon uses.
-type SnapshotAppender interface {
-	AppendSnapshot(*collect.Snapshot) error
-}
-
-// StoreSink is the Config.OnSnapshot of a node that persists every
-// window (nsd -store): the record is the exact wire payload the
-// exporter would serve, so a cold replay of the store is bit-identical
-// to the live export. A failed append is counted rather than only
-// logged, because a run that lost windows must not report success.
-type StoreSink struct {
-	Node string
-	To   SnapshotAppender
-
-	lost  int
-	first error
-}
-
-// OnSnapshot appends one window. Collector goroutine only.
-func (sk *StoreSink) OnSnapshot(s *Snapshot) {
-	if err := sk.To.AppendSnapshot(s.Wire(sk.Node)); err != nil {
-		if sk.lost == 0 {
-			sk.first = err
-		}
-		sk.lost++
-	}
-}
-
-// Err reports, once Run has returned, how many windows the appender
-// refused; nil when every window was persisted.
-func (sk *StoreSink) Err() error {
-	if sk.lost == 0 {
-		return nil
-	}
-	return fmt.Errorf("%d window(s) not persisted, first: %w", sk.lost, sk.first)
 }

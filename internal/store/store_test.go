@@ -163,14 +163,83 @@ func TestStoreWriterRejects(t *testing.T) {
 	if err := w.Append(KindSnapshot, 1, make([]byte, maxRecordPayload+1)); err == nil {
 		t.Fatal("Append accepted an oversized payload")
 	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := w.AppendSnapshot(&collect.Snapshot{Node: strings.Repeat("n", 300)}); !errors.Is(err, collect.ErrWire) {
+		t.Fatalf("AppendSnapshot of a snapshot that does not encode = %v, want collect.ErrWire", err)
+	}
+	// Every refusal is a window not persisted, and Close says so.
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "store: 4 window(s) not persisted, first: store: reserved record kind 0xff") {
+		t.Fatalf("Close = %v, want the four refused appends counted", err)
 	}
 	if err := w.Append(KindSnapshot, 1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestStoreFirstFailureIsFinal injects one I/O failure: the segment
+// handle is read-only across one group flush. The failure is final —
+// every later call returns it, and no byte reaches the segment even once
+// the handle is writable again, so the disk keeps the synced prefix —
+// and Close counts every window lost: the failed group and each append
+// refused after it. Open then replays exactly the records synced before
+// the failure.
+func TestStoreFirstFailureIsFinal(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SyncEvery: 4, SyncWindowUS: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 7; i++ { // one synced group, three records buffered
+		if err := w.Append(KindSnapshot, int64(1000*(i+1)), testPayload(i)); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	path := filepath.Join(dir, w.name)
+	synced, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := w.f
+	w.f = ro
+	first := w.Append(KindSnapshot, 8000, testPayload(7)) // fills the group: flushes
+	w.f = rw
+	if first == nil {
+		t.Fatal("a flush to a read-only handle succeeded")
+	}
+	if err := w.Append(KindSnapshot, 9000, testPayload(8)); !errors.Is(err, first) {
+		t.Errorf("Append after the failure = %v, want %v", err, first)
+	}
+	if err := w.AppendSnapshot(&collect.Snapshot{WindowEndUS: 10_000}); !errors.Is(err, first) {
+		t.Errorf("AppendSnapshot after the failure = %v, want %v", err, first)
+	}
+	if err := w.Sync(); !errors.Is(err, first) {
+		t.Errorf("Sync after the failure = %v, want %v", err, first)
+	}
+	err = w.Close()
+	if !errors.Is(err, first) || !strings.Contains(err.Error(), "store: 6 window(s) not persisted") {
+		t.Errorf("Close = %v, want 6 windows lost (4 in the failed group, 2 refused) wrapping %v", err, first)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, synced) {
+		t.Fatalf("segment changed after the failure: %d bytes, %d synced (%v)", len(after), len(synced), err)
+	}
+	if err := openClose(dir, Options{}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	got := replayPayloads(t, dir)
+	if len(got) != 4 {
+		t.Fatalf("replayed %d records, want the 4 synced", len(got))
+	}
+	for i, p := range got {
+		if !bytes.Equal(p, testPayload(i)) {
+			t.Fatalf("record %d: got %q want %q", i, p, testPayload(i))
+		}
 	}
 }
 

@@ -59,6 +59,13 @@ func (o Options) withDefaults() Options {
 // once the sync that covers it returns; a crash loses at most the
 // un-synced suffix, which recovery truncates as a torn tail.
 //
+// The first create, write, sync or seal failure is final, as in
+// bufio.Writer: every later Append, AppendSnapshot, Sync and Close
+// returns it without touching the file, so the disk holds the synced
+// prefix plus at most one torn tail. The Writer counts every window it
+// did not persist (each refused append, and each record of the group a
+// failed flush took with it), and Close reports the count.
+//
 // Writer is safe for concurrent use; one mutex serializes appends. A
 // directory must have at most one live Writer (segment files are
 // created O_EXCL, so a second writer fails fast on rotation).
@@ -83,6 +90,10 @@ type Writer struct {
 	pending    int   // appends since the last sync
 	syncedUS   int64 // virtual clock at the last sync
 	haveSyncUS bool
+
+	err   error // the first I/O failure; final
+	lost  int   // windows not persisted
+	first error // the cause of the first lost window
 
 	// scratch is AppendSnapshot's encode buffer, reused from snapshot to
 	// snapshot: Append copies a payload into buf before it returns.
@@ -197,18 +208,24 @@ func (w *Writer) Append(kind uint8, timeUS int64, payload []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if kind == kindSeal || kind == 0 {
+	// A refusal — after the writer's I/O failure, of a malformed record,
+	// or by a segment create that fails — is a window not persisted.
+	err := w.err
+	switch {
+	case err != nil:
+	case kind == kindSeal || kind == 0:
 		//nslint:allow hotalloc error path: rejected before any state changes
-		return fmt.Errorf("store: reserved record kind %#x", kind)
-	}
-	if len(payload) > maxRecordPayload {
+		err = fmt.Errorf("store: reserved record kind %#x", kind)
+	case len(payload) > maxRecordPayload:
 		//nslint:allow hotalloc error path: rejected before any state changes
-		return fmt.Errorf("store: record payload %d exceeds limit %d", len(payload), maxRecordPayload)
+		err = fmt.Errorf("store: record payload %d exceeds limit %d", len(payload), maxRecordPayload)
+	case w.f == nil:
+		err = w.create()
+		w.err = err
 	}
-	if w.f == nil {
-		if err := w.create(); err != nil {
-			return err
-		}
+	if err != nil {
+		w.lose(1, err)
+		return err
 	}
 	start := len(w.buf)
 	w.buf = appendFrame(w.buf, kind, timeUS, payload)
@@ -229,11 +246,13 @@ func (w *Writer) Append(kind uint8, timeUS int64, payload []byte) error {
 	if w.pending >= w.opts.SyncEvery ||
 		(w.opts.SyncWindowUS > 0 && timeUS-w.syncedUS >= w.opts.SyncWindowUS) {
 		if err := w.flushSync(); err != nil {
-			return err
+			return w.fail(err)
 		}
 	}
 	if w.records >= uint64(w.opts.SegmentRecords) {
-		return w.sealLocked()
+		if err := w.sealLocked(); err != nil {
+			return w.fail(err)
+		}
 	}
 	return nil
 }
@@ -242,15 +261,35 @@ func (w *Writer) Append(kind uint8, timeUS int64, payload []byte) error {
 // as a KindSnapshot record stamped with the snapshot's window end —
 // byte-for-byte the payload a live TypeSnapshot frame would carry, which
 // is what makes a replayed store bit-identical to the live export. The
-// payload is encoded into the writer's own scratch buffer.
+// payload is encoded into the writer's own scratch buffer. A snapshot
+// that does not encode is refused, and counted, with its encode error.
 func (w *Writer) AppendSnapshot(s *collect.Snapshot) error {
 	w.encMu.Lock()
 	defer w.encMu.Unlock()
 	var err error
 	if w.scratch, err = collect.AppendSnapshot(w.scratch[:0], s); err != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.lose(1, err)
 		return err
 	}
 	return w.Append(KindSnapshot, s.WindowEndUS, w.scratch)
+}
+
+// fail makes err the writer's final state. The records of the unsynced
+// group are lost with it.
+func (w *Writer) fail(err error) error {
+	w.err = err
+	w.lose(w.pending, err)
+	return err
+}
+
+// lose counts n windows not persisted, for cause err.
+func (w *Writer) lose(n int, err error) {
+	if w.lost == 0 && n > 0 {
+		w.first = err
+	}
+	w.lost += n
 }
 
 // Sync forces the pending group to disk immediately.
@@ -260,15 +299,20 @@ func (w *Writer) Sync() error {
 	if w.closed {
 		return ErrClosed
 	}
-	if w.f == nil {
-		return nil
+	if w.err != nil || w.f == nil {
+		return w.err
 	}
-	return w.flushSync()
+	if err := w.flushSync(); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
 // Close flushes and syncs pending records and releases the active
 // segment without sealing it, so a reopened Writer resumes appending to
-// the same segment. Closing twice is safe.
+// the same segment. It reports the writer's I/O failure and, when any
+// window was not persisted, how many and the first cause. Closing twice
+// is safe.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -276,19 +320,25 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.f == nil {
-		return nil
+	if w.f != nil {
+		if w.err == nil {
+			if err := w.flushSync(); err != nil {
+				_ = w.fail(err)
+			}
+		}
+		if err := w.f.Close(); err != nil && w.err == nil {
+			_ = w.fail(fmt.Errorf("store: close %s: %w", w.name, err))
+		}
+		w.f = nil
 	}
-	err := w.flushSync()
-	cerr := w.f.Close()
-	w.f = nil
-	if err != nil {
-		return err
+	if w.lost == 0 {
+		return w.err
 	}
-	if cerr != nil {
-		return fmt.Errorf("store: close %s: %w", w.name, cerr)
+	err := fmt.Errorf("store: %d window(s) not persisted, first: %w", w.lost, w.first)
+	if w.err != nil && !errors.Is(err, w.err) {
+		err = errors.Join(err, w.err)
 	}
-	return nil
+	return err
 }
 
 // create opens the next segment file with its header written and

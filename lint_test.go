@@ -141,6 +141,7 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		mp + "/internal/pipeline.DecodeBatch",
 		"(*" + mp + "/internal/trace.MapReader).NextRawBatch",
 		mp + "/internal/trace.DecodeRecords",
+		"(*" + mp + "/internal/bins.Edged).Index",
 		"(*" + mp + "/internal/bins.Edged).IndexLinear",
 		"(*" + mp + "/internal/bins.Edged).IndexBatch",
 		// TestGenerateAllocs: the generator's per-flow/per-packet loop,
